@@ -48,14 +48,14 @@ func reportRows(b *testing.B, r *bench.Report, unit string) {
 
 func runExperiment(b *testing.B, id string) *bench.Report {
 	b.Helper()
-	fn := bench.Experiments[id]
-	if fn == nil {
+	e, ok := bench.LookupExperiment(id)
+	if !ok {
 		b.Fatalf("unknown experiment %s", id)
 	}
 	var r *bench.Report
 	var err error
 	for i := 0; i < b.N; i++ {
-		r, err = fn(benchParams())
+		r, err = e.Run(benchParams())
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -12,11 +12,12 @@
 //	prefbench -exp ops -q Q5     # per-operator breakdown of Q5 per variant
 //	prefbench -exp hedge         # straggler tail latency, hedging off vs on
 //	prefbench -exp soak          # cluster health-layer fault-schedule soak
-//	prefbench -exp mixed -rw 1,4,16 # mixed soak across read/write ratios
 //	prefbench -exp fig7 -crash 0.05 -down 2 # fig7 under injected faults
-//	prefbench -exp serve         # multi-tenant serving SLO sweep
 //	prefbench -exp fig7 -timeout 1ms # deadline-bound; exits 2 on expiry
 //	prefbench -list              # available experiment ids
+//
+// prefbench reproduces the paper's results; it does not measure speed.
+// For that, run bash benchmark/run.sh (see benchmark/README.md).
 package main
 
 import (
@@ -43,7 +44,6 @@ func main() {
 		seed   = flag.Int64("seed", 42, "generator seed")
 		expand = flag.Bool("expand", false, "fig12: sweep every node count 1..100 instead of a coarse grid")
 		query  = flag.String("q", "Q3", "ops: TPC-H query for the per-operator breakdown")
-		rw     = flag.String("rw", "", "mixed: comma-separated reader counts to sweep the read/write ratio (e.g. 1,4,16)")
 		list   = flag.Bool("list", false, "list experiment ids and exit")
 		jsonTo = flag.String("json", "", "directory to write BENCH_<experiment>.json artifacts into ('' = off)")
 
@@ -53,17 +53,13 @@ func main() {
 		straggle  = flag.Duration("straggle", 0, "fault: straggler delay (e.g. 5ms)")
 		down      = flag.String("down", "", "fault: comma-separated permanently failed node ids")
 		faultSeed = flag.Int64("faultseed", 1, "fault: injection seed")
-		qtimeout  = flag.Duration("qtimeout", 0, "fault: per-query deadline (0 = none)")
-		timeout   = flag.Duration("timeout", 0, "per-query deadline; expiry fails the experiment with the typed deadline error and a non-zero exit (alias of -qtimeout)")
+		timeout   = flag.Duration("timeout", 0, "per-query deadline (0 = none); expiry fails the experiment with the typed deadline error and exit 2")
 	)
 	flag.Parse()
-	if *timeout > 0 {
-		*qtimeout = *timeout
-	}
 
 	if *list {
-		for _, id := range bench.ExperimentOrder {
-			fmt.Println(id)
+		for _, e := range bench.Experiments {
+			fmt.Println(e.ID)
 		}
 		return
 	}
@@ -76,25 +72,12 @@ func main() {
 	p.Expand = *expand
 	p.Query = *query
 
-	readers, err := parseNodeList(*rw)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "prefbench: -rw: %v\n", err)
-		os.Exit(1)
-	}
-	for _, n := range readers {
-		if n < 1 {
-			fmt.Fprintf(os.Stderr, "prefbench: -rw: reader count %d < 1\n", n)
-			os.Exit(1)
-		}
-	}
-	p.MixedReaders = readers
-
 	downNodes, err := parseNodeList(*down)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "prefbench: -down: %v\n", err)
 		os.Exit(1)
 	}
-	if *crash > 0 || *shipFail > 0 || *stragProb > 0 || len(downNodes) > 0 || *qtimeout > 0 {
+	if *crash > 0 || *shipFail > 0 || *stragProb > 0 || len(downNodes) > 0 || *timeout > 0 {
 		p.Fault = &fault.Policy{
 			Seed:           *faultSeed,
 			DownNodes:      downNodes,
@@ -102,26 +85,30 @@ func main() {
 			ShipFailProb:   *shipFail,
 			StragglerProb:  *stragProb,
 			StragglerDelay: *straggle,
-			Timeout:        *qtimeout,
+			Timeout:        *timeout,
 		}
 	}
 
-	ids := bench.ExperimentOrder
-	if *exp != "all" {
+	var ids []string
+	if *exp == "all" {
+		for _, e := range bench.Experiments {
+			ids = append(ids, e.ID)
+		}
+	} else {
 		ids = strings.Split(*exp, ",")
 	}
 	failed := false
 	deadlineHit := false
 	for _, id := range ids {
 		id = strings.TrimSpace(id)
-		fn, ok := bench.Experiments[id]
+		e, ok := bench.LookupExperiment(id)
 		if !ok {
 			fmt.Fprintf(os.Stderr, "prefbench: unknown experiment %q (use -list)\n", id)
 			failed = true
 			continue
 		}
 		start := time.Now()
-		r, err := fn(p)
+		r, err := e.Run(p)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "prefbench: %s: %v\n", id, err)
 			failed = true
@@ -161,8 +148,7 @@ func writeJSON(dir string, r *bench.Report, elapsed time.Duration) error {
 	return nil
 }
 
-// parseNodeList parses a comma-separated int list (-down node ids, -rw
-// reader counts).
+// parseNodeList parses the comma-separated node ids of -down.
 func parseNodeList(s string) ([]int, error) {
 	if s == "" {
 		return nil, nil

@@ -62,14 +62,9 @@ func run(variant, cfgPath, query string, sf float64, parts int, seed int64, noOp
 		v = bench.SingleGroupVariant("custom:"+cfgPath, &cfg)
 		variant = v.Name
 	} else {
-		vs, err := bench.TPCHVariants(t, parts)
-		if err != nil {
+		var err error
+		if v, err = bench.TPCHVariant(t, parts, variant); err != nil {
 			return err
-		}
-		var ok bool
-		v, ok = vs[variant]
-		if !ok {
-			return fmt.Errorf("unknown variant %q", variant)
 		}
 	}
 

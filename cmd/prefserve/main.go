@@ -71,13 +71,9 @@ func run(addr, variant string, sf float64, parts int, seed int64, tenantSpec str
 		return err
 	}
 	t := tpch.Generate(sf, seed)
-	vs, err := bench.TPCHVariants(t, parts)
+	v, err := bench.TPCHVariant(t, parts, variant)
 	if err != nil {
 		return err
-	}
-	v, ok := vs[variant]
-	if !ok {
-		return fmt.Errorf("unknown variant %q", variant)
 	}
 	if len(v.Groups) != 1 {
 		return fmt.Errorf("variant %q has %d groups; prefserve serves single-group variants", variant, len(v.Groups))

@@ -411,15 +411,3 @@ func subset(a, b []string) bool {
 	}
 	return true
 }
-
-func init() {
-	Experiments["ablation-mast"] = AblationSpanningTree
-	Experiments["ablation-estimator"] = AblationEstimator
-	Experiments["ablation-partindex"] = AblationPartitionIndex
-	Experiments["ablation-wdphase1"] = AblationWDPhase1
-	Experiments["ablation-pruning"] = AblationPruning
-	Experiments["ext-oltp"] = ExtOLTP
-	ExperimentOrder = append(ExperimentOrder,
-		"ablation-mast", "ablation-estimator", "ablation-partindex",
-		"ablation-wdphase1", "ablation-pruning", "ext-oltp")
-}

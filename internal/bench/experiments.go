@@ -39,10 +39,6 @@ type Params struct {
 	// Query selects the TPC-H query for single-query experiments (the
 	// "ops" per-operator breakdown); empty means Q3.
 	Query string
-	// MixedReaders sweeps the "mixed" soak's read/write ratio: one row per
-	// regime × reader count, with the single writer held fixed so the
-	// reader count IS the ratio. Empty means the default {4}.
-	MixedReaders []int
 }
 
 // DefaultParams returns laptop-scale experiment parameters.
@@ -485,30 +481,46 @@ func abs(x float64) float64 {
 	return x
 }
 
-// Experiments maps experiment ids to their drivers, for cmd/prefbench.
-var Experiments = map[string]func(Params) (*Report, error){
-	"table1": Table1,
-	"fig7":   Fig7,
-	"fig8":   Fig8,
-	"fig9":   Fig9,
-	"fig10":  Fig10,
-	"fig11a": Fig11a,
-	"fig11b": Fig11b,
-	"fig12a": Fig12a,
-	"fig12b": Fig12b,
-	"fig13":  Fig13,
-	"fault":  FaultSweep,
-	"ops":    OpBreakdown,
-	"hedge":  HedgeSweep,
-	"soak":   ResilienceSoak,
-	"mixed":  MixedWorkload,
-	"vec":    VecThroughput,
-	"serve":  ServeLoad,
+// Experiment is one registered driver: the id prefbench selects it by
+// and the function that regenerates it.
+type Experiment struct {
+	ID  string
+	Run func(Params) (*Report, error)
 }
 
-// ExperimentOrder lists experiment ids in presentation order.
-var ExperimentOrder = []string{
-	"table1", "fig7", "fig8", "fig9", "fig10",
-	"fig11a", "fig11b", "fig12a", "fig12b", "fig13", "fault", "ops",
-	"hedge", "soak", "mixed", "vec", "serve",
+// Experiments is the registry, in presentation order: the paper's table
+// and figures, the fault, per-operator, hedging and health-layer sweeps,
+// then the ablations. Wall-clock speed is not measured here; see
+// benchmark/README.md.
+var Experiments = []Experiment{
+	{"table1", Table1},
+	{"fig7", Fig7},
+	{"fig8", Fig8},
+	{"fig9", Fig9},
+	{"fig10", Fig10},
+	{"fig11a", Fig11a},
+	{"fig11b", Fig11b},
+	{"fig12a", Fig12a},
+	{"fig12b", Fig12b},
+	{"fig13", Fig13},
+	{"fault", FaultSweep},
+	{"ops", OpBreakdown},
+	{"hedge", HedgeSweep},
+	{"soak", ResilienceSoak},
+	{"ablation-mast", AblationSpanningTree},
+	{"ablation-estimator", AblationEstimator},
+	{"ablation-partindex", AblationPartitionIndex},
+	{"ablation-wdphase1", AblationWDPhase1},
+	{"ablation-pruning", AblationPruning},
+	{"ext-oltp", ExtOLTP},
+}
+
+// LookupExperiment resolves an experiment id against the registry.
+func LookupExperiment(id string) (Experiment, bool) {
+	for _, e := range Experiments {
+		if e.ID == id {
+			return e, true
+		}
+	}
+	return Experiment{}, false
 }

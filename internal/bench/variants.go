@@ -8,6 +8,7 @@ package bench
 import (
 	"fmt"
 	"sort"
+	"strings"
 
 	"pref/internal/design"
 	"pref/internal/graph"
@@ -164,52 +165,95 @@ func sameStrings(a, b []string) bool {
 
 // ---- TPC-H variants (Section 5.1) ----
 
-// TPCHVariants builds the variant set of the TPC-H experiments for n
-// partitions: AllHashed, AllReplicated, CP, SD, SD-noRed, and WD.
-func TPCHVariants(t *tpch.TPCH, n int) (map[string]*Variant, error) {
-	db := t.DB
-	out := map[string]*Variant{}
-
-	out["AllHashed"] = singleGroup("AllHashed", allHashed(db, n))
-	out["AllReplicated"] = singleGroup("AllReplicated", allReplicated(db, n))
-
+// tpchVariantTable is the Section 5.1 variant set in presentation order:
+// one constructor per name, so a caller that serves one variant designs
+// only that one (SD runs the SD search, WD the dynamic program; the rest
+// are closed-form).
+var tpchVariantTable = []struct {
+	name  string
+	build func(db *table.Database, n int) (*Variant, error)
+}{
+	{"AllHashed", func(db *table.Database, n int) (*Variant, error) {
+		return singleGroup("AllHashed", allHashed(db, n)), nil
+	}},
+	{"AllReplicated", func(db *table.Database, n int) (*Variant, error) {
+		return singleGroup("AllReplicated", allReplicated(db, n)), nil
+	}},
 	// Classical partitioning: the two biggest connected tables hash
 	// co-partitioned on their join key, everything else replicated.
-	cp := partition.NewConfig(n)
-	cp.SetHash("lineitem", "orderkey")
-	cp.SetHash("orders", "orderkey")
-	for _, tbl := range []string{"customer", "part", "partsupp", "supplier", "nation", "region"} {
-		cp.SetReplicated(tbl)
-	}
-	out["CP"] = singleGroup("CP", cp)
-
-	excluded := tpch.SmallTables()
-	reduced := db.Without(excluded...)
-
-	sd, err := design.SchemaDriven(reduced, design.SDOptions{Parts: n})
-	if err != nil {
-		return nil, err
-	}
-	out["SD"] = singleGroup("SD", withReplicated(sd.Config, excluded))
-
-	sdNoRed, err := design.SchemaDriven(reduced, design.SDOptions{
-		Parts: n, NoRedundancy: reduced.Schema.TableNames(),
-	})
-	if err != nil {
-		return nil, err
-	}
-	out["SD-noRed"] = singleGroup("SD-noRed", withReplicated(sdNoRed.Config, excluded))
-
+	{"CP", func(_ *table.Database, n int) (*Variant, error) {
+		cp := partition.NewConfig(n)
+		cp.SetHash("lineitem", "orderkey")
+		cp.SetHash("orders", "orderkey")
+		for _, tbl := range []string{"customer", "part", "partsupp", "supplier", "nation", "region"} {
+			cp.SetReplicated(tbl)
+		}
+		return singleGroup("CP", cp), nil
+	}},
+	{"SD", func(db *table.Database, n int) (*Variant, error) {
+		return tpchSD("SD", db, n, false)
+	}},
+	{"SD-noRed", func(db *table.Database, n int) (*Variant, error) {
+		return tpchSD("SD-noRed", db, n, true)
+	}},
 	// The exact configuration the paper reports for its SD run (LINEITEM
 	// seed). Our own SD may legally choose a different seed with a
 	// smaller size estimate; both are reported in the experiments.
-	out["SD-paper"] = singleGroup("SD-paper", PaperSDConfig(n))
+	{"SD-paper", func(_ *table.Database, n int) (*Variant, error) {
+		return singleGroup("SD-paper", PaperSDConfig(n)), nil
+	}},
+	{"WD", func(db *table.Database, n int) (*Variant, error) {
+		excluded := tpch.SmallTables()
+		wd, err := design.WorkloadDriven(db.Without(excluded...),
+			tpch.WorkloadWithout(excluded...), design.WDOptions{Parts: n})
+		if err != nil {
+			return nil, err
+		}
+		return wdVariant("WD", wd, excluded, n), nil
+	}},
+}
 
-	wd, err := design.WorkloadDriven(reduced, tpch.WorkloadWithout(excluded...), design.WDOptions{Parts: n})
+// tpchSD runs the SD search over the big tables (noRed: with every one
+// of them barred from redundancy) and replicates the small ones.
+func tpchSD(name string, db *table.Database, n int, noRed bool) (*Variant, error) {
+	excluded := tpch.SmallTables()
+	reduced := db.Without(excluded...)
+	opt := design.SDOptions{Parts: n}
+	if noRed {
+		opt.NoRedundancy = reduced.Schema.TableNames()
+	}
+	sd, err := design.SchemaDriven(reduced, opt)
 	if err != nil {
 		return nil, err
 	}
-	out["WD"] = wdVariant("WD", wd, excluded, n)
+	return singleGroup(name, withReplicated(sd.Config, excluded)), nil
+}
+
+// TPCHVariant builds one variant of the TPC-H experiments for n
+// partitions, by its tpchVariantTable name.
+func TPCHVariant(t *tpch.TPCH, n int, name string) (*Variant, error) {
+	names := make([]string, len(tpchVariantTable))
+	for i, c := range tpchVariantTable {
+		if c.name == name {
+			return c.build(t.DB, n)
+		}
+		names[i] = c.name
+	}
+	return nil, fmt.Errorf("unknown variant %q (valid: %s)", name, strings.Join(names, ", "))
+}
+
+// TPCHVariants builds the whole variant set of the TPC-H experiments for
+// n partitions: AllHashed, AllReplicated, CP, SD, SD-noRed, SD-paper, and
+// WD.
+func TPCHVariants(t *tpch.TPCH, n int) (map[string]*Variant, error) {
+	out := make(map[string]*Variant, len(tpchVariantTable))
+	for _, c := range tpchVariantTable {
+		v, err := c.build(t.DB, n)
+		if err != nil {
+			return nil, err
+		}
+		out[c.name] = v
+	}
 	return out, nil
 }
 

@@ -7,7 +7,6 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"pref/internal/bulkload"
 	"pref/internal/catalog"
@@ -146,10 +145,6 @@ func (m *mixedMirror) apply(ops []bulkload.Op) {
 	}
 }
 
-// mixedQueryCount is the reader battery size: three per-table aggregates
-// plus the customer-orders join count.
-const mixedQueryCount = 4
-
 // expected computes the oracle result rows for every reader query at the
 // mirror's current logical state.
 func (m *mixedMirror) expected() [][]value.Tuple {
@@ -236,18 +231,13 @@ type mixedParams struct {
 
 // mixedOutcome is one schedule's tally.
 type mixedOutcome struct {
-	Batches     int
-	Crashes     int
-	Recoveries  int
-	Replays     int64
-	IndexRaces  int64
-	Queries     int64
-	OKQueries   int64
-	TypedFails  int64
-	WriteAmp    float64
-	StoredRows  int64
-	WriterWall  time.Duration
-	OverallWall time.Duration
+	Crashes    int
+	Recoveries int
+	Replays    int64
+	Queries    int64
+	OKQueries  int64
+	TypedFails int64
+	WriteAmp   float64
 }
 
 // runMixedSchedule executes one seeded crash schedule: a writer thread
@@ -285,8 +275,7 @@ func runMixedSchedule(mp mixedParams) (*mixedOutcome, error) {
 		readPol = &fault.Policy{Seed: mp.Seed + 7, CrashProb: 0.08, MaxAttempts: 4}
 	}
 
-	out := &mixedOutcome{Batches: mp.Batches}
-	start := time.Now()
+	out := &mixedOutcome{}
 	var queries, okQ, typed int64
 	var firstErr error
 	var errMu sync.Mutex
@@ -337,7 +326,6 @@ func runMixedSchedule(mp mixedParams) (*mixedOutcome, error) {
 		}(r)
 	}
 
-	writerStart := time.Now()
 	for b := 0; b < mp.Batches; b++ {
 		// Yield between batches so reader goroutines genuinely interleave
 		// with the write stream instead of racing only its tail.
@@ -371,7 +359,6 @@ func runMixedSchedule(mp mixedParams) (*mixedOutcome, error) {
 			break
 		}
 	}
-	out.WriterWall = time.Since(writerStart)
 	close(stop)
 	wg.Wait()
 	if firstErr != nil {
@@ -403,96 +390,6 @@ func runMixedSchedule(mp mixedParams) (*mixedOutcome, error) {
 
 	out.Queries, out.OKQueries, out.TypedFails = queries, okQ, typed
 	out.Replays = l.Metrics.Replays
-	out.IndexRaces = l.Metrics.IndexRaces
 	out.WriteAmp = l.Metrics.Amplification()
-	out.StoredRows = l.Metrics.StoredCopies
-	out.OverallWall = time.Since(start)
 	return out, nil
-}
-
-// mixedRegimes is the crash-probability sweep of the "mixed" experiment.
-var mixedRegimes = []struct {
-	name       string
-	crash      float64
-	race       float64
-	readFaults bool
-}{
-	{"crash=0.00", 0, 0, false},
-	{"crash=0.25", 0.25, 0.10, false},
-	{"crash=0.50", 0.50, 0.30, true},
-}
-
-const mixedSchedulesPerRegime = 3
-
-// MixedWorkload is the crash-consistency experiment: seeded mixed
-// OLTP/OLAP schedules per crash regime, reporting how the write path
-// absorbed them — batches committed, crashes recovered, intent replays,
-// reader outcomes, write amplification, and throughput. Params.MixedReaders
-// sweeps the read/write ratio: one row per regime × reader count (the
-// write stream is a single fixed writer, so the reader count is the
-// ratio; q_per_s vs batch_per_s shows how reader pressure and epoch
-// pinning trade off).
-func MixedWorkload(p Params) (*Report, error) {
-	r := &Report{ID: "mixed",
-		Title: "Mixed OLTP/OLAP soak: crash-injected writes vs pinned-epoch readers",
-		Columns: []string{"batches", "crashes", "replays", "index_races",
-			"queries", "q_ok", "q_typed", "write_amp", "batch_per_s", "q_per_s"}}
-	parts := p.Parts
-	if parts < 2 {
-		parts = 4
-	}
-	readerSweep := p.MixedReaders
-	if len(readerSweep) == 0 {
-		readerSweep = []int{4}
-	}
-	for _, reg := range mixedRegimes {
-		for _, readers := range readerSweep {
-			var batches, crashes int
-			var replays, races, queries, okQ, typed int64
-			var amp float64
-			var writerWall, overallWall time.Duration
-			for sch := 0; sch < mixedSchedulesPerRegime; sch++ {
-				out, err := runMixedSchedule(mixedParams{
-					Seed: p.Seed + int64(sch), Parts: parts, Batches: 60, Readers: readers,
-					CrashProb: reg.crash, RaceProb: reg.race, ReadFaults: reg.readFaults,
-				})
-				if err != nil {
-					return nil, fmt.Errorf("mixed %s rw=%d schedule %d: %w", reg.name, readers, sch, err)
-				}
-				batches += out.Batches
-				crashes += out.Crashes
-				replays += out.Replays
-				races += out.IndexRaces
-				queries += out.Queries
-				okQ += out.OKQueries
-				typed += out.TypedFails
-				amp += out.WriteAmp
-				writerWall += out.WriterWall
-				overallWall += out.OverallWall
-			}
-			bps, qps := 0.0, 0.0
-			if writerWall > 0 {
-				bps = float64(batches) / writerWall.Seconds()
-			}
-			if overallWall > 0 {
-				qps = float64(queries) / overallWall.Seconds()
-			}
-			label := reg.name
-			if len(readerSweep) > 1 {
-				label = fmt.Sprintf("%s rw=%d", reg.name, readers)
-			}
-			r.Add(label, float64(batches), float64(crashes), float64(replays),
-				float64(races), float64(queries), float64(okQ), float64(typed),
-				amp/float64(mixedSchedulesPerRegime), bps, qps)
-		}
-	}
-	r.Notes = append(r.Notes,
-		"every reader result is oracle-equal at its pinned epoch (or a typed failure): crashes shift WHICH epoch a query reads, never WHAT an epoch contains",
-		"write_amp is stored copies per logical insert: the PREF duplication cost metered on the write path",
-		"after every schedule the store passes the full write-invariant check (check.VerifyStore)")
-	if len(readerSweep) > 1 {
-		r.Notes = append(r.Notes,
-			"rw=N sweeps concurrent readers against the single writer (-rw flag): the read/write ratio of the soak")
-	}
-	return r, nil
 }

@@ -64,32 +64,3 @@ func TestWriteChaosSoak(t *testing.T) {
 		schedules, crashes, replays, queries)
 	verifyLeaks()
 }
-
-// The registered experiment must run end to end and account for every
-// query it issued.
-func TestMixedWorkloadExperiment(t *testing.T) {
-	if testing.Short() {
-		t.Skip("mixed experiment sweep is long for -short")
-	}
-	r, err := MixedWorkload(DefaultParams())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(r.Rows) != len(mixedRegimes) {
-		t.Fatalf("got %d regime rows, want %d", len(r.Rows), len(mixedRegimes))
-	}
-	for _, reg := range []string{"crash=0.00", "crash=0.25", "crash=0.50"} {
-		q, _ := r.Value(reg, "queries")
-		ok, _ := r.Value(reg, "q_ok")
-		typed, _ := r.Value(reg, "q_typed")
-		if q <= 0 || ok+typed != q {
-			t.Fatalf("%s: %v queries but %v ok + %v typed", reg, q, ok, typed)
-		}
-	}
-	if c, _ := r.Value("crash=0.50", "crashes"); c == 0 {
-		t.Fatal("crash-heavy regime injected no crashes")
-	}
-	if c, _ := r.Value("crash=0.00", "crashes"); c != 0 {
-		t.Fatal("crash-free regime reported crashes")
-	}
-}

@@ -135,10 +135,8 @@ type ExecOptions struct {
 	// RowEngine forces the row-at-a-time reference engine instead of the
 	// vectorized columnar path (vec.go). The two produce byte-identical
 	// results, traces, and Stats — the differential oracle in
-	// internal/bench holds them to it — so this is a debugging and
-	// benchmarking switch, not a semantics switch. Setting the
-	// PREF_ROW_ENGINE environment variable to any non-empty value forces
-	// the row engine process-wide.
+	// internal/bench holds them to it — so this selects the reference
+	// engine for the differential tests, not a semantics switch.
 	RowEngine bool
 	// Cluster attaches the query to a long-lived cluster health layer:
 	// admission control, circuit-breaker routing (nodes tripped by earlier
@@ -180,10 +178,6 @@ type executor struct {
 	// hedgeOK gates the hedged fan-out path.
 	hedgeDelay time.Duration
 	hedgeOK    bool
-	// useVec selects the vectorized columnar path for vectorizable
-	// subtrees (see eval); off under ExecOptions.RowEngine or
-	// PREF_ROW_ENGINE.
-	useVec bool
 	// tb is the trace sink; nil when tracing is off. Its ops' mutators
 	// are nil-safe, so recording sites need no enabled-checks. Note the
 	// fault-schedule anchor opSeq is NOT shared with trace op ids:
@@ -309,7 +303,6 @@ func executeCtx(ctx context.Context, rw *plan.Rewritten, pdb *table.PartitionedD
 	}
 	ex.stats.Probes = probes
 	ex.hedgeDelay, ex.hedgeOK = cl.HedgeDelay()
-	ex.useVec = !opt.RowEngine && !rowEnv()
 	if opt.Trace || traceEnv() {
 		ex.tb = trace.NewBuilder(pdb.N)
 	}
@@ -570,7 +563,7 @@ func (ex *executor) eval(n plan.Node) ([][]value.Tuple, error) {
 	// Vectorizable subtrees run on the columnar path and materialize rows
 	// exactly once, here — at the Result boundary or at the input of the
 	// first row-only operator (aggregation, top-k, distinct-by-value).
-	if ex.useVec && vectorizable(n) {
+	if !ex.opt.RowEngine && vectorizable(n) {
 		bs, err := ex.evalVec(n)
 		if err != nil {
 			return nil, err

@@ -2,8 +2,6 @@ package engine
 
 import (
 	"fmt"
-	"os"
-	"sync"
 	"time"
 
 	"pref/internal/batch"
@@ -42,10 +40,6 @@ import (
 // vectors, projections and exchanges write into fresh batches — so scans
 // can safely share storage-backed vectors across concurrent queries and
 // broadcast can share one batch list across all partitions.
-
-// rowEnv caches the PREF_ROW_ENGINE toggle: set non-empty to force the
-// row-at-a-time reference engine process-wide.
-var rowEnv = sync.OnceValue(func() bool { return os.Getenv("PREF_ROW_ENGINE") != "" })
 
 // vparts is the vectorized analogue of [][]value.Tuple: per partition, an
 // ordered list of batches.

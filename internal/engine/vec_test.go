@@ -168,25 +168,61 @@ func TestVecRowEquivalenceUnderNodeLoss(t *testing.T) {
 	}
 }
 
-// TestRowEngineEnvForcesRowPath pins the PREF_ROW_ENGINE contract: the
-// option and the environment toggle select the reference engine.
-func TestRowEngineEnvForcesRowPath(t *testing.T) {
-	// rowEnv is a sync.OnceValue over the environment, so the env path
-	// cannot be toggled per-test; assert the option path plus the
-	// resolved default.
-	_, exec := buildVecScenario(t, 3)
-	if exec == nil {
-		t.Skip("seed 3 is a generator miss")
-	}
-	v, err := exec(ExecOptions{})
+// TestRowEngineOptionSelectsRowPath pins ExecOptions.RowEngine, the one
+// selector of the reference engine: its results equal the vectorized
+// path's, and the row path really runs. The engines are byte-identical by
+// design, so the test tells them apart by what a scan reads — the
+// vectorized scan the partition's cached columnar projection, the row scan
+// the stored tuples. A stored value overwritten in place once the
+// projection is cached (which no program code may do to a published
+// partition) is therefore visible through the row path only.
+func TestRowEngineOptionSelectsRowPath(t *testing.T) {
+	db := testDB(t)
+	cfg := testConfigs(4)["all-hashed"]
+	pdb, err := partition.Apply(db, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := exec(ExecOptions{RowEngine: true})
+	rw, err := plan.Rewrite(plan.Scan("lineitem", "l"), db.Schema, cfg, plan.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !sameRows(v.Rows, r.Rows) {
+	exec := func(rowEngine bool) *Result {
+		t.Helper()
+		res, err := ExecuteOpts(rw, pdb, ExecOptions{RowEngine: rowEngine})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res.SortRows()
+		return res
+	}
+	vec, row := exec(false), exec(true)
+	if !sameRows(vec.Rows, row.Rows) {
 		t.Fatal("RowEngine option changed query results")
+	}
+	if vec.Stats != row.Stats {
+		t.Fatalf("RowEngine option changed Stats:\nvec %+v\nrow %+v", vec.Stats, row.Stats)
+	}
+
+	const marker = int64(99) // qty is i%7, so 99 occurs nowhere else
+	for _, part := range pdb.Tables["lineitem"].Snapshot().Parts {
+		if part.Len() > 0 {
+			part.Rows[0][2] = marker
+			break
+		}
+	}
+	seesMarker := func(res *Result) bool {
+		for _, r := range res.Rows {
+			if r[2] == marker {
+				return true
+			}
+		}
+		return false
+	}
+	if seesMarker(exec(false)) {
+		t.Fatal("vectorized scan read stored tuples, not the cached projection: the marker cannot tell the paths apart")
+	}
+	if !seesMarker(exec(true)) {
+		t.Fatal("RowEngine: true did not take the row path: the scan still read the columnar projection")
 	}
 }
