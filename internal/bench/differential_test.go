@@ -77,3 +77,58 @@ func TestDifferentialTPCH(t *testing.T) {
 		})
 	}
 }
+
+// TestGroupedAggShipsPartialStatesTPCH guards the two-phase rewrite of
+// grouped aggregation: on SD, Q1 and Q15 repartition nothing but
+// per-partition partial states, and Q1 ships at most one state per group
+// and remote node plus its result rows. A rewriter change that goes back to
+// shipping every input row fails here, at micro scale.
+func TestGroupedAggShipsPartialStatesTPCH(t *testing.T) {
+	const n, q1Groups = 4, 4
+	d := tpch.Generate(0.002, 7)
+	v, err := TPCHVariant(d, n, "SD")
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := Materialize(v, d.DB)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, query := range []string{"Q1", "Q15"} {
+		gi := v.RouteFor(query)
+		rw, err := plan.Rewrite(d.Query(query), d.DB.Schema, v.Groups[gi].Config,
+			plan.Options{Sizes: design.SizesOf(d.DB)})
+		if err != nil {
+			t.Fatalf("%s: rewrite: %v", query, err)
+		}
+		exchanges := 0
+		var walk func(plan.Node)
+		walk = func(node plan.Node) {
+			if rep, ok := node.(*plan.RepartitionNode); ok {
+				exchanges++
+				if _, ok := rep.Child.(*plan.PartialAggNode); !ok {
+					t.Errorf("%s: %s ships %T rows, want partial states only:\n%s",
+						query, rep, rep.Child, rw.Explain())
+				}
+			}
+			for _, c := range node.Children() {
+				walk(c)
+			}
+		}
+		walk(rw.Root)
+		if exchanges == 0 {
+			t.Fatalf("%s: fixture drift: no repartition left to guard:\n%s", query, rw.Explain())
+		}
+		if query != "Q1" {
+			continue
+		}
+		res, err := engine.Execute(rw, m.PDBs[gi])
+		if err != nil {
+			t.Fatalf("%s: execute: %v", query, err)
+		}
+		if max := int64((n-1)*q1Groups + len(res.Rows)); res.Stats.RowsShipped > max {
+			t.Errorf("Q1 shipped %d rows, want at most %d ((n-1)·groups + %d result rows)",
+				res.Stats.RowsShipped, max, len(res.Rows))
+		}
+	}
+}

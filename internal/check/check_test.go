@@ -176,9 +176,10 @@ func TestVerifyRejectsLeakedDupCols(t *testing.T) {
 func TestVerifyRejectsUncoveredShipDedup(t *testing.T) {
 	sch := miniSchema(t)
 	cfg := miniSD(t, sch)
-	// Group customer rows by nation: the rewrite must repartition and
-	// dedup the PREF duplicates in transit.
-	q := plan.Aggregate(plan.Scan("customer", "c"), []string{"c.c_nation"}, plan.Count("n"))
+	// A grouped COUNT(DISTINCT) has no mergeable partial state: the rewrite
+	// must repartition the raw rows and dedup the PREF duplicates in transit.
+	q := plan.Aggregate(plan.Scan("customer", "c"), []string{"c.c_nation"},
+		plan.CountDistinct(plan.Col("c.c_custkey"), "n"))
 	rw := mustRewrite(t, q, sch, cfg)
 
 	rep := findNode(rw.Root, func(n plan.Node) bool { _, ok := n.(*plan.RepartitionNode); return ok }).(*plan.RepartitionNode)
@@ -186,6 +187,53 @@ func TestVerifyRejectsUncoveredShipDedup(t *testing.T) {
 		t.Fatalf("fixture drift: repartition has no dedup columns\n%s", rw.Explain())
 	}
 	rep.DupCols = nil // ship the duplicates
+	expectRule(t, rw, check.RuleDupLeak)
+}
+
+// ---- mutations of the grouped two-phase aggregate ----
+
+// twoPhaseAgg rewrites a grouped aggregate whose group-by the PREF placement
+// does not cover, and returns the FinalAgg → Repartition → PartialAgg spine.
+func twoPhaseAgg(t *testing.T) (*plan.Rewritten, *plan.FinalAggNode, *plan.RepartitionNode, *plan.PartialAggNode) {
+	t.Helper()
+	sch := miniSchema(t)
+	q := plan.Aggregate(plan.Scan("customer", "c"), []string{"c.c_nation"}, plan.Count("n"))
+	rw := mustRewrite(t, q, sch, miniSD(t, sch))
+	fin, ok := rw.Root.(*plan.FinalAggNode)
+	if !ok {
+		t.Fatalf("fixture drift: root is %T, want FinalAgg\n%s", rw.Root, rw.Explain())
+	}
+	rep, ok := fin.Child.(*plan.RepartitionNode)
+	if !ok {
+		t.Fatalf("fixture drift: FinalAgg child is %T, want Repartition\n%s", fin.Child, rw.Explain())
+	}
+	partial, ok := rep.Child.(*plan.PartialAggNode)
+	if !ok {
+		t.Fatalf("fixture drift: Repartition child is %T, want PartialAgg\n%s", rep.Child, rw.Explain())
+	}
+	return rw, fin, rep, partial
+}
+
+func TestVerifyRejectsFinalAggWithoutExchange(t *testing.T) {
+	rw, fin, rep, _ := twoPhaseAgg(t)
+	fin.Child = rep.Child // merge each partition's partials where they were computed
+	expectRule(t, rw, check.RuleLocality)
+}
+
+func TestVerifyRejectsPartialsShippedOffGroup(t *testing.T) {
+	rw, _, rep, _ := twoPhaseAgg(t)
+	rep.Cols = []string{"n"} // a group's states scatter by their own count
+	rw.Props[rep].HashCols = []string{"n"}
+	expectRule(t, rw, check.RuleLocality)
+}
+
+func TestVerifyRejectsPartialAggOverDuplicates(t *testing.T) {
+	rw, _, _, partial := twoPhaseAgg(t)
+	d, ok := partial.Child.(*plan.DistinctPrefNode)
+	if !ok {
+		t.Fatalf("fixture drift: PartialAgg child is %T, want DistinctPref\n%s", partial.Child, rw.Explain())
+	}
+	partial.Child = d.Child // pre-aggregate every PREF copy
 	expectRule(t, rw, check.RuleDupLeak)
 }
 

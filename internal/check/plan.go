@@ -277,8 +277,24 @@ func (c *checker) derivePartialAgg(n *plan.PartialAggNode) *info {
 
 func (c *checker) deriveFinalAgg(n *plan.FinalAggNode) *info {
 	ci := c.visit(n.Child)
-	if !ci.prop.Gathered {
-		c.report(RuleLocality, n, "final aggregate over un-gathered partials (method %s)", ci.prop.Method())
+	cp := ci.prop
+	np := &plan.Prop{Parts: cp.Parts, Gathered: true}
+	switch {
+	case cp.Gathered:
+		// Coordinator-side merge of gathered partials.
+	case len(n.GroupBy) > 0 && !cp.Dup() && allIn(cp.HashCols, n.GroupBy):
+		// Distributed merge: the partials were hash-placed on group-by
+		// columns, so every state of a group sits on one partition and each
+		// node merges its own groups. The placement survives the merge.
+		np = &plan.Prop{
+			Parts:    cp.Parts,
+			HashCols: append([]string(nil), cp.HashCols...),
+			Placed:   map[string]plan.PlacedEntry{},
+		}
+	default:
+		c.report(RuleLocality, n,
+			"final aggregate over partials neither gathered nor co-partitioned by their group (method %s, hash %v, group-by %v)",
+			cp.Method(), cp.HashCols, n.GroupBy)
 	}
 	// A FinalAgg reads its partner PartialAgg's state columns (a.As, or
 	// a.As$sum/$cnt for AVG) from the gathered schema; the Arg expressions
@@ -317,7 +333,7 @@ func (c *checker) deriveFinalAgg(n *plan.FinalAggNode) *info {
 		}
 		out = append(out, plan.Field{Name: a.As, Kind: kind})
 	}
-	return &info{prop: &plan.Prop{Parts: ci.prop.Parts, Gathered: true}, sch: out}
+	return &info{prop: np, sch: out}
 }
 
 func (c *checker) deriveTopK(n *plan.TopKNode) *info {
@@ -633,7 +649,7 @@ func (c *checker) partialSchema(groupBy []string, aggs []plan.AggExpr, in plan.S
 	for _, a := range aggs {
 		if a.Fn == plan.AvgFn {
 			out = append(out,
-				plan.Field{Name: a.As + "$sum", Kind: value.Float},
+				plan.Field{Name: a.As + "$sum", Kind: c.kindOfAgg(plan.AggExpr{Fn: plan.SumFn, Arg: a.Arg}, in)},
 				plan.Field{Name: a.As + "$cnt", Kind: value.Int})
 		} else {
 			out = append(out, plan.Field{Name: a.As, Kind: c.kindOfAgg(a, in)})

@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"math"
 	"time"
 
 	"pref/internal/plan"
@@ -9,16 +8,17 @@ import (
 	"pref/internal/value"
 )
 
-// aggState is the accumulator of one aggregate for one group.
+// aggState is the accumulator of one aggregate for one group. Int/Money
+// sums stay in int64, so partial states merge exactly in any order; only
+// Float-kind arguments use the float fields.
 type aggState struct {
-	isum     float64 // sum over int-encoded values
+	isum     int64   // sum over int-encoded values
 	fsum     float64 // sum over float-encoded values
 	cnt      int64   // non-null inputs
 	min      int64
 	max      int64
 	fmin     float64
 	fmax     float64
-	seen     bool
 	distinct map[int64]struct{} // COUNT(DISTINCT) values
 }
 
@@ -26,26 +26,43 @@ func (s *aggState) add(v int64, isFloat bool) {
 	if v == plan.Null {
 		return
 	}
+	first := s.cnt == 0
 	s.cnt++
 	if isFloat {
 		f := value.ToFloat(v)
 		s.fsum += f
-		if !s.seen || f < s.fmin {
+		if first || f < s.fmin {
 			s.fmin = f
 		}
-		if !s.seen || f > s.fmax {
+		if first || f > s.fmax {
 			s.fmax = f
 		}
-	} else {
-		s.isum += float64(v)
-		if !s.seen || v < s.min {
-			s.min = v
-		}
-		if !s.seen || v > s.max {
-			s.max = v
-		}
+		return
 	}
-	s.seen = true
+	s.isum += v
+	if first || v < s.min {
+		s.min = v
+	}
+	if first || v > s.max {
+		s.max = v
+	}
+}
+
+// merge folds the partial state at r[c:] (as partial rows carry it) into s.
+func (s *aggState) merge(fn plan.AggFn, r value.Tuple, c int, isFloat bool) {
+	switch fn {
+	case plan.CountFn:
+		s.cnt += r[c]
+	case plan.AvgFn:
+		if isFloat {
+			s.fsum += value.ToFloat(r[c])
+		} else {
+			s.isum += r[c]
+		}
+		s.cnt += r[c+1]
+	default: // SUM, MIN, MAX: a partial value combines like one more input
+		s.add(r[c], isFloat)
+	}
 }
 
 // groupAcc accumulates all aggregates for one group key.
@@ -60,6 +77,9 @@ type aggPlanInfo struct {
 	argFns   []func(value.Tuple) int64
 	isFloat  []bool
 	aggs     []plan.AggExpr
+	// stateCol is set when the input rows are partial states to merge:
+	// aggregate i's state starts at column stateCol[i].
+	stateCol []int
 }
 
 func bindAggs(groupBy []string, aggs []plan.AggExpr, sch plan.Schema) (*aggPlanInfo, error) {
@@ -87,7 +107,26 @@ func bindAggs(groupBy []string, aggs []plan.AggExpr, sch plan.Schema) (*aggPlanI
 	return info, nil
 }
 
-// accumulate groups the rows of one partition.
+// bindMerge binds the merge of partial-state rows; sch is the partial
+// schema: the group columns, then each aggregate's state column(s).
+func bindMerge(groupBy []string, aggs []plan.AggExpr, sch plan.Schema) *aggPlanInfo {
+	info := &aggPlanInfo{aggs: aggs}
+	for i := range groupBy {
+		info.groupIdx = append(info.groupIdx, i)
+	}
+	col := len(groupBy)
+	for _, a := range aggs {
+		info.stateCol = append(info.stateCol, col)
+		info.isFloat = append(info.isFloat, sch[col].Kind == value.Float)
+		col++
+		if a.Fn == plan.AvgFn {
+			col++ // sum, then count
+		}
+	}
+	return info
+}
+
+// accumulate groups the rows of one partition, in row order.
 func (info *aggPlanInfo) accumulate(rows []value.Tuple) map[value.Key]*groupAcc {
 	groups := make(map[value.Key]*groupAcc)
 	for _, r := range rows {
@@ -102,62 +141,90 @@ func (info *aggPlanInfo) accumulate(rows []value.Tuple) map[value.Key]*groupAcc 
 			groups[k] = g
 		}
 		for i, a := range info.aggs {
-			if a.Fn == plan.CountFn && a.Arg == nil {
-				g.states[i].cnt++ // COUNT(*)
-				g.states[i].seen = true
-				continue
-			}
-			if a.Fn == plan.CountDistinctFn {
-				v := info.argFns[i](r)
-				if v != plan.Null {
-					if g.states[i].distinct == nil {
-						g.states[i].distinct = map[int64]struct{}{}
+			s := &g.states[i]
+			switch {
+			case info.stateCol != nil:
+				s.merge(a.Fn, r, info.stateCol[i], info.isFloat[i])
+			case a.Fn == plan.CountFn && a.Arg == nil:
+				s.cnt++ // COUNT(*)
+			case a.Fn == plan.CountDistinctFn:
+				if v := info.argFns[i](r); v != plan.Null {
+					if s.distinct == nil {
+						s.distinct = map[int64]struct{}{}
 					}
-					g.states[i].distinct[v] = struct{}{}
+					s.distinct[v] = struct{}{}
 				}
-				continue
+			default:
+				s.add(info.argFns[i](r), info.isFloat[i])
 			}
-			g.states[i].add(info.argFns[i](r), info.isFloat[i])
 		}
 	}
 	return groups
 }
 
+// emit renders the accumulated groups as final rows or, when partial, as
+// mergeable state rows (AVG carries sum and count; the other functions'
+// values combine as they are). identity adds the one row a global
+// aggregation yields over empty input (COUNT()=0).
+func (info *aggPlanInfo) emit(groups map[value.Key]*groupAcc, partial, identity bool) []value.Tuple {
+	if identity && len(info.groupIdx) == 0 && len(groups) == 0 {
+		groups[value.Key("")] = &groupAcc{states: make([]aggState, len(info.aggs))}
+	}
+	width := len(info.groupIdx) + len(info.aggs)
+	if partial {
+		for _, a := range info.aggs {
+			if a.Fn == plan.AvgFn {
+				width++
+			}
+		}
+	}
+	rows := make([]value.Tuple, 0, len(groups))
+	for _, g := range groups {
+		row := make(value.Tuple, 0, width)
+		row = append(row, g.key...)
+		for i, a := range info.aggs {
+			s := &g.states[i]
+			if partial && a.Fn == plan.AvgFn {
+				sum := s.isum
+				if info.isFloat[i] {
+					sum = value.FromFloat(s.fsum)
+				}
+				row = append(row, sum, s.cnt)
+				continue
+			}
+			row = append(row, finalValue(a, s, info.isFloat[i]))
+		}
+		rows = append(rows, row)
+	}
+	return rows
+}
+
 // finalValue renders the final output of one aggregate.
 func finalValue(a plan.AggExpr, s *aggState, isFloat bool) int64 {
+	if s.cnt == 0 && a.Fn != plan.CountFn && a.Fn != plan.CountDistinctFn {
+		return plan.Null
+	}
 	switch a.Fn {
 	case plan.CountFn:
 		return s.cnt
 	case plan.CountDistinctFn:
 		return int64(len(s.distinct))
 	case plan.SumFn:
-		if s.cnt == 0 {
-			return plan.Null
-		}
 		if isFloat {
 			return value.FromFloat(s.fsum)
 		}
-		return int64(math.Round(s.isum))
+		return s.isum
 	case plan.AvgFn:
-		if s.cnt == 0 {
-			return plan.Null
-		}
 		if isFloat {
 			return value.FromFloat(s.fsum / float64(s.cnt))
 		}
-		return value.FromFloat(s.isum / float64(s.cnt))
+		return value.FromFloat(float64(s.isum) / float64(s.cnt))
 	case plan.MinFn:
-		if !s.seen {
-			return plan.Null
-		}
 		if isFloat {
 			return value.FromFloat(s.fmin)
 		}
 		return s.min
 	case plan.MaxFn:
-		if !s.seen {
-			return plan.Null
-		}
 		if isFloat {
 			return value.FromFloat(s.fmax)
 		}
@@ -179,33 +246,26 @@ func (ex *executor) evalAggregate(n *plan.AggregateNode) ([][]value.Tuple, error
 	// so the empty-input identity row of a global aggregation must not be
 	// fabricated on the other partitions (phantom rows that inflate work
 	// and break trace row conservation).
-	childProp := ex.rw.Props[n.Child]
-	gathered := childProp != nil && childProp.Gathered
+	gathered := ex.gathered(n.Child)
 	return forEachPart(ex, top, func(p int) ([]value.Tuple, int, error) {
 		info, err := bindAggs(n.GroupBy, n.Aggs, sch)
 		if err != nil {
 			return nil, 0, err
 		}
-		groups := info.accumulate(in[p])
-		if len(n.GroupBy) == 0 && len(groups) == 0 && (p == 0 || !gathered) {
-			// A global aggregation always yields one row (COUNT()=0).
-			groups[value.Key("")] = &groupAcc{states: make([]aggState, len(n.Aggs))}
-		}
-		rows := make([]value.Tuple, 0, len(groups))
-		for _, g := range groups {
-			row := make(value.Tuple, 0, len(g.key)+len(n.Aggs))
-			row = append(row, g.key...)
-			for i, a := range n.Aggs {
-				row = append(row, finalValue(a, &g.states[i], info.isFloat[i]))
-			}
-			rows = append(rows, row)
-		}
+		rows := info.emit(info.accumulate(in[p]), false, p == 0 || !gathered)
 		return rows, len(rows), nil
 	})
 }
 
-// evalPartialAgg emits per-partition partial states: AVG carries (sum,
-// count); the other functions carry their (combinable) value.
+// gathered reports whether n's output lives on the coordinator only.
+func (ex *executor) gathered(n plan.Node) bool {
+	p := ex.rw.Props[n]
+	return p != nil && p.Gathered
+}
+
+// evalPartialAgg emits per-partition partial states. A global aggregation
+// over an empty partition contributes an identity state, so the final
+// merge still sees COUNT=0.
 func (ex *executor) evalPartialAgg(n *plan.PartialAggNode) ([][]value.Tuple, error) {
 	top := ex.tb.Begin(n, trace.KindPartialAgg)
 	in, err := ex.eval(n.Child)
@@ -219,37 +279,24 @@ func (ex *executor) evalPartialAgg(n *plan.PartialAggNode) ([][]value.Tuple, err
 		if err != nil {
 			return nil, 0, err
 		}
-		groups := info.accumulate(in[p])
-		if len(n.GroupBy) == 0 && len(groups) == 0 {
-			// Global aggregation over an empty partition: contribute an
-			// identity state so the final merge still sees COUNT=0.
-			groups[value.Key("")] = &groupAcc{states: make([]aggState, len(n.Aggs))}
-		}
-		var rows []value.Tuple
-		for _, g := range groups {
-			row := append(value.Tuple{}, g.key...)
-			for i, a := range n.Aggs {
-				s := &g.states[i]
-				if a.Fn == plan.AvgFn {
-					sum := s.isum
-					if info.isFloat[i] {
-						sum = s.fsum
-					}
-					row = append(row, value.FromFloat(sum), s.cnt)
-					continue
-				}
-				row = append(row, finalValue(a, s, info.isFloat[i]))
-			}
-			rows = append(rows, row)
-		}
+		rows := info.emit(info.accumulate(in[p]), true, true)
 		return rows, len(rows), nil
 	})
 }
 
-// evalFinalAgg merges partial states (only the coordinator partition has
-// rows after the preceding Gather). The merge is a single work unit on
-// the coordinator node and runs under the same fault model as the
-// fan-out operators.
+// mergePartials combines partial-state rows into final aggregate rows.
+// States merge in row order, which every exchange keeps ascending by
+// source partition, so Float-kind results do not depend on scheduling.
+func mergePartials(n *plan.FinalAggNode, sch plan.Schema, partials []value.Tuple) []value.Tuple {
+	info := bindMerge(n.GroupBy, n.Aggs, sch)
+	return info.emit(info.accumulate(partials), false, true)
+}
+
+// evalFinalAgg merges partial states. Below a Repartition on the group-by
+// columns every partition merges the states it received, as one fan-out.
+// Below a Gather (the global pair) only the coordinator partition has rows:
+// the merge is a single work unit on the coordinator node, under the same
+// fault model as the fan-out operators.
 //
 // lint:ship-boundary coordinator-side merge: consumes every partition's
 // partials on the query goroutine; its input exchange already metered them.
@@ -259,20 +306,20 @@ func (ex *executor) evalFinalAgg(n *plan.FinalAggNode) ([][]value.Tuple, error) 
 	if err != nil {
 		return nil, err
 	}
-	// The merge reads only the coordinator partition (everything is there
-	// after the preceding Gather).
-	top.AddIn(ex.execDst[0], len(in[0]))
 	sch := ex.rw.Schemas[n.Child]
+	merge := func(p int) ([]value.Tuple, int, error) {
+		rows := mergePartials(n, sch, in[p])
+		return rows, len(rows), nil
+	}
+	if !ex.gathered(n.Child) {
+		ex.addInputs(top, in)
+		return forEachPart(ex, top, merge)
+	}
+	top.AddIn(ex.execDst[0], len(in[0]))
 	op := ex.nextOp()
 	en := ex.execDst[0]
 	start := time.Now()
-	rows, work, err := runUnit(ex, ex.ctx, top, op, 0, en, func(int) ([]value.Tuple, int, error) {
-		rs, err := mergePartials(n, sch, in[0])
-		if err != nil {
-			return nil, 0, err
-		}
-		return rs, len(rs), nil
-	})
+	rows, work, err := runUnit(ex, ex.ctx, top, op, 0, en, merge)
 	top.AddWall(en, time.Since(start))
 	if err != nil {
 		return nil, err
@@ -284,163 +331,7 @@ func (ex *executor) evalFinalAgg(n *plan.FinalAggNode) ([][]value.Tuple, error) 
 	if en != 0 {
 		ex.stats.Failovers++
 		top.AddFailover(en)
-		ex.work(en, work)
-	} else {
-		ex.work(0, work)
 	}
+	ex.work(en, work)
 	return out, nil
-}
-
-// mergePartials combines partial-state rows into final aggregate rows.
-func mergePartials(n *plan.FinalAggNode, sch plan.Schema, partials []value.Tuple) ([]value.Tuple, error) {
-	type finalAcc struct {
-		key    value.Tuple
-		isum   []float64
-		fsum   []float64
-		cnt    []int64
-		minv   []int64
-		maxv   []int64
-		fminv  []float64
-		fmaxv  []float64
-		seen   []bool
-		isFlt  []bool
-		avgSum []float64
-		avgCnt []int64
-	}
-	ng := len(n.GroupBy)
-	groupIdx := make([]int, ng)
-	for i := range n.GroupBy {
-		groupIdx[i] = i // partial schema leads with group columns
-	}
-
-	// Map each aggregate to its state column(s) in the partial schema.
-	colOf := make([]int, len(n.Aggs))
-	col := ng
-	isFloatCol := make([]bool, len(n.Aggs))
-	for i, a := range n.Aggs {
-		colOf[i] = col
-		if a.Fn == plan.AvgFn {
-			col += 2
-		} else {
-			col++
-		}
-		isFloatCol[i] = sch[colOf[i]].Kind == value.Float
-	}
-
-	accs := map[value.Key]*finalAcc{}
-	for _, r := range partials {
-		k := value.MakeKey(r, groupIdx)
-		acc, ok := accs[k]
-		if !ok {
-			acc = &finalAcc{
-				key:  append(value.Tuple{}, r[:ng]...),
-				isum: make([]float64, len(n.Aggs)), fsum: make([]float64, len(n.Aggs)),
-				cnt:  make([]int64, len(n.Aggs)),
-				minv: make([]int64, len(n.Aggs)), maxv: make([]int64, len(n.Aggs)),
-				fminv: make([]float64, len(n.Aggs)), fmaxv: make([]float64, len(n.Aggs)),
-				seen: make([]bool, len(n.Aggs)), avgSum: make([]float64, len(n.Aggs)),
-				avgCnt: make([]int64, len(n.Aggs)),
-			}
-			accs[k] = acc
-		}
-		for i, a := range n.Aggs {
-			v := r[colOf[i]]
-			switch a.Fn {
-			case plan.CountFn:
-				acc.cnt[i] += v
-			case plan.SumFn:
-				if v == plan.Null {
-					continue
-				}
-				if isFloatCol[i] {
-					acc.fsum[i] += value.ToFloat(v)
-				} else {
-					acc.isum[i] += float64(v)
-				}
-				acc.seen[i] = true
-			case plan.AvgFn:
-				acc.avgSum[i] += value.ToFloat(v)
-				acc.avgCnt[i] += r[colOf[i]+1]
-			case plan.MinFn:
-				if v == plan.Null {
-					continue
-				}
-				if isFloatCol[i] {
-					f := value.ToFloat(v)
-					if !acc.seen[i] || f < acc.fminv[i] {
-						acc.fminv[i] = f
-					}
-				} else if !acc.seen[i] || v < acc.minv[i] {
-					acc.minv[i] = v
-				}
-				acc.seen[i] = true
-			case plan.MaxFn:
-				if v == plan.Null {
-					continue
-				}
-				if isFloatCol[i] {
-					f := value.ToFloat(v)
-					if !acc.seen[i] || f > acc.fmaxv[i] {
-						acc.fmaxv[i] = f
-					}
-				} else if !acc.seen[i] || v > acc.maxv[i] {
-					acc.maxv[i] = v
-				}
-				acc.seen[i] = true
-			}
-		}
-	}
-	// Global aggregation always yields exactly one row.
-	if ng == 0 && len(accs) == 0 {
-		accs[value.Key("")] = &finalAcc{
-			isum: make([]float64, len(n.Aggs)), fsum: make([]float64, len(n.Aggs)),
-			cnt: make([]int64, len(n.Aggs)), minv: make([]int64, len(n.Aggs)),
-			maxv: make([]int64, len(n.Aggs)), fminv: make([]float64, len(n.Aggs)),
-			fmaxv: make([]float64, len(n.Aggs)), seen: make([]bool, len(n.Aggs)),
-			avgSum: make([]float64, len(n.Aggs)), avgCnt: make([]int64, len(n.Aggs)),
-		}
-	}
-
-	var rows []value.Tuple
-	for _, acc := range accs {
-		row := append(value.Tuple{}, acc.key...)
-		for i, a := range n.Aggs {
-			switch a.Fn {
-			case plan.CountFn:
-				row = append(row, acc.cnt[i])
-			case plan.SumFn:
-				if !acc.seen[i] {
-					row = append(row, plan.Null)
-				} else if isFloatCol[i] {
-					row = append(row, value.FromFloat(acc.fsum[i]))
-				} else {
-					row = append(row, int64(math.Round(acc.isum[i])))
-				}
-			case plan.AvgFn:
-				if acc.avgCnt[i] == 0 {
-					row = append(row, plan.Null)
-				} else {
-					row = append(row, value.FromFloat(acc.avgSum[i]/float64(acc.avgCnt[i])))
-				}
-			case plan.MinFn:
-				if !acc.seen[i] {
-					row = append(row, plan.Null)
-				} else if isFloatCol[i] {
-					row = append(row, value.FromFloat(acc.fminv[i]))
-				} else {
-					row = append(row, acc.minv[i])
-				}
-			case plan.MaxFn:
-				if !acc.seen[i] {
-					row = append(row, plan.Null)
-				} else if isFloatCol[i] {
-					row = append(row, value.FromFloat(acc.fmaxv[i]))
-				} else {
-					row = append(row, acc.maxv[i])
-				}
-			}
-		}
-		rows = append(rows, row)
-	}
-	return rows, nil
 }

@@ -69,8 +69,9 @@ func TestGoldenExplainAnalyze(t *testing.T) {
 				plan.Inner, []string{"o.o_orderkey"}, []string{"l.l_orderkey"}),
 		},
 		{
-			// Misaligned grouping: the repartition span carries the shipped
-			// rows and the dedup of the customer duplicates.
+			// Misaligned grouping: the repartition span ships partial states
+			// (narrower and fewer than the scanned rows); the customer
+			// duplicates are dropped locally below the PartialAgg.
 			name: "analyze_agg_repartition",
 			root: plan.Aggregate(
 				plan.Scan("customer", "c"), []string{"c.c_nation"},

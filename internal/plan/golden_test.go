@@ -91,8 +91,9 @@ func TestGoldenPlans(t *testing.T) {
 				plan.Semi, []string{"o.o_custkey"}, []string{"c.c_custkey"}),
 		},
 		{
-			// Misaligned grouping forces a repartition (with dup columns in
-			// the shuffle's dedup list) before the aggregate.
+			// Misaligned grouping aggregates in two phases: a local dup-index
+			// dedup, per-partition partial states, and a repartition of those
+			// states (nothing left to dedup in transit) below the merge.
 			name: "agg_repartition",
 			root: plan.Aggregate(
 				plan.Scan("customer", "c"), []string{"c.c_nation"},

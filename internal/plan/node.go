@@ -65,9 +65,10 @@ func Min(e ValExpr, as string) AggExpr { return AggExpr{MinFn, e, as} }
 // Max builds MAX(expr) AS name.
 func Max(e ValExpr, as string) AggExpr { return AggExpr{MaxFn, e, as} }
 
-// CountDistinct builds COUNT(DISTINCT expr) AS name. Exact: the rewriter
-// co-locates each group's rows before counting (grouped aggregation), or
-// gathers the deduplicated input for a global count.
+// CountDistinct builds COUNT(DISTINCT expr) AS name. Exact: its states do
+// not merge, so the rewriter co-locates each group's raw rows before
+// counting (grouped aggregation), or gathers the deduplicated input for a
+// global count.
 func CountDistinct(e ValExpr, as string) AggExpr { return AggExpr{CountDistinctFn, e, as} }
 
 // Node is a plan operator, logical or physical. Rewriting (Section 2.2)
@@ -297,9 +298,12 @@ type GatherNode struct {
 func (n *GatherNode) Children() []Node { return []Node{n.Child} }
 func (n *GatherNode) String() string   { return "Gather" }
 
-// PartialAggNode computes per-partition partial aggregates; its partner
-// FinalAggNode merges them after a Gather. Used for global (group-less)
-// aggregation and as a local pre-aggregation.
+// PartialAggNode computes per-partition partial aggregate states over
+// duplicate-free input: one row per group and partition, laid out as
+// partialSchema (group columns, then each aggregate's state; AVG carries
+// sum and count). Its partner FinalAggNode merges them after an exchange:
+// a Gather for global (group-less) aggregation, a Repartition on the
+// group-by columns for grouped aggregation.
 type PartialAggNode struct {
 	Child   Node
 	GroupBy []string
@@ -311,7 +315,12 @@ func (n *PartialAggNode) String() string {
 	return fmt.Sprintf("PartialAgg(by %v, %d aggs)", n.GroupBy, len(n.Aggs))
 }
 
-// FinalAggNode merges partial aggregates produced by PartialAggNode.
+// FinalAggNode merges the partial states produced by PartialAggNode. Over
+// gathered partials (empty GroupBy) it runs once, on the coordinator; over
+// partials repartitioned on the group-by columns it runs on every
+// partition, each merging the groups hashed to it, and its output is
+// hash-placed on GroupBy. States merge in input order, which exchanges keep
+// ascending by source partition.
 type FinalAggNode struct {
 	Child   Node
 	GroupBy []string

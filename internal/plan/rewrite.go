@@ -406,13 +406,40 @@ func (r *Rewriter) rewriteAggregate(n *AggregateNode) (Node, *Prop, Schema, erro
 		return node, p, s, nil
 	}
 
-	// Otherwise re-partition by the group-by columns (removing PREF
-	// duplicates in transit) and aggregate locally after.
-	rep, _, _ := r.repartition(child, prop, sch, n.GroupBy)
-	agg := &AggregateNode{Child: rep, GroupBy: n.GroupBy, Aggs: n.Aggs}
+	// Either way the output ends up hash-placed on the group-by columns.
 	np := &Prop{Parts: prop.Parts, HashCols: cloneCols(n.GroupBy), Placed: map[string]PlacedEntry{}}
-	node, p, s := r.note(agg, outSchema(sch), np)
+
+	// COUNT(DISTINCT) states do not merge: re-partition every input row by
+	// the group-by columns (removing PREF duplicates in transit) and
+	// aggregate after.
+	if hasCountDistinct(n.Aggs) {
+		rep, _, _ := r.repartition(child, prop, sch, n.GroupBy)
+		agg := &AggregateNode{Child: rep, GroupBy: n.GroupBy, Aggs: n.Aggs}
+		node, p, s := r.note(agg, outSchema(sch), np)
+		return node, p, s, nil
+	}
+
+	// Otherwise aggregate in two phases: eliminate PREF duplicates locally,
+	// pre-aggregate per partition, re-partition the partial states (one row
+	// per group and partition, not one per input row) by the group-by
+	// columns, and merge them where they land.
+	child, prop, sch = r.dedup(child, prop, sch)
+	partial := &PartialAggNode{Child: child, GroupBy: n.GroupBy, Aggs: n.Aggs}
+	psch := partialSchema(n.GroupBy, n.Aggs, sch)
+	_, pprop, _ := r.note(partial, psch, &Prop{Parts: prop.Parts})
+	rep, _, _ := r.repartition(partial, pprop, psch, n.GroupBy)
+	fin := &FinalAggNode{Child: rep, GroupBy: n.GroupBy, Aggs: n.Aggs}
+	node, p, s := r.note(fin, outSchema(sch), np)
 	return node, p, s, nil
+}
+
+func hasCountDistinct(aggs []AggExpr) bool {
+	for _, a := range aggs {
+		if a.Fn == CountDistinctFn {
+			return true
+		}
+	}
+	return false
 }
 
 // dupColsFor returns the dup columns a shipping operator must dedup on;
@@ -441,10 +468,8 @@ func (r *Rewriter) rewriteGlobalAgg(n *AggregateNode, child Node, prop *Prop, sc
 
 	// COUNT(DISTINCT) states cannot be merged from partials; gather the
 	// (deduplicated) rows and aggregate at the coordinator instead.
-	for _, a := range n.Aggs {
-		if a.Fn == CountDistinctFn {
-			return r.rewriteGatheredAgg(n, child, prop, sch)
-		}
+	if hasCountDistinct(n.Aggs) {
+		return r.rewriteGatheredAgg(n, child, prop, sch)
 	}
 
 	// Eliminate PREF duplicates locally, pre-aggregate per partition,
@@ -527,7 +552,8 @@ func (r *Rewriter) checkAggBinds(n *AggregateNode, sch Schema) error {
 }
 
 // partialSchema is the intermediate schema of PartialAggNode: group
-// columns followed by per-aggregate state columns (AVG keeps sum+count).
+// columns followed by per-aggregate state columns (AVG keeps sum+count, the
+// sum in its argument's kind so Int/Money states merge exactly).
 func partialSchema(groupBy []string, aggs []AggExpr, in Schema) Schema {
 	out := make(Schema, 0, len(groupBy)+len(aggs)+1)
 	for _, g := range groupBy {
@@ -536,7 +562,7 @@ func partialSchema(groupBy []string, aggs []AggExpr, in Schema) Schema {
 	for _, a := range aggs {
 		if a.Fn == AvgFn {
 			out = append(out,
-				Field{Name: a.As + "$sum", Kind: value.Float},
+				Field{Name: a.As + "$sum", Kind: kindOfAgg(AggExpr{Fn: SumFn, Arg: a.Arg}, in)},
 				Field{Name: a.As + "$cnt", Kind: value.Int})
 		} else {
 			out = append(out, Field{Name: a.As, Kind: kindOfAgg(a, in)})

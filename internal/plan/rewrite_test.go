@@ -239,9 +239,11 @@ func TestMisalignedJoinRepartitionsOnlyOneSide(t *testing.T) {
 
 func TestFigure3RewriteShape(t *testing.T) {
 	// The paper's Figure 3: join is local (case 3), aggregation input is
-	// PREF + dup, so exactly one repartition (on the group-by column)
-	// which also eliminates duplicates. The scattered seed is used so the
-	// orders input genuinely carries duplicates, as in the figure.
+	// PREF + dup, so exactly one repartition (on the group-by column). It
+	// ships partial states: the duplicates are eliminated locally on the
+	// dup index below the PartialAgg, so the exchange has nothing left to
+	// dedup. The scattered seed is used so the orders input genuinely
+	// carries duplicates, as in the figure.
 	s := testSchema()
 	j := Join(Scan("orders", "o"), Scan("customer", "c"),
 		Inner, []string{"o.custkey"}, []string{"c.custkey"})
@@ -258,11 +260,22 @@ func TestFigure3RewriteShape(t *testing.T) {
 	if !sameCols(rep.Cols, []string{"c.name"}) {
 		t.Fatalf("repartition cols = %v, want [c.name]", rep.Cols)
 	}
-	if len(rep.DupCols) == 0 {
-		t.Fatal("the repartition must eliminate the PREF duplicates in transit")
+	if len(rep.DupCols) != 0 {
+		t.Fatalf("the repartition ships dup-free partial states, yet dedups on %v", rep.DupCols)
 	}
-	if rw.RootProp().Dup() {
-		t.Fatal("aggregate output must be dup-free")
+	fin, ok := rw.Root.(*FinalAggNode)
+	if !ok || fin.Child != Node(rep) {
+		t.Fatalf("want FinalAgg directly over the repartition:\n%s", Format(rw.Root))
+	}
+	partial, ok := rep.Child.(*PartialAggNode)
+	if !ok || !sameCols(partial.GroupBy, []string{"c.name"}) {
+		t.Fatalf("the repartition must ship partial states grouped by [c.name]:\n%s", Format(rw.Root))
+	}
+	if d, ok := partial.Child.(*DistinctPrefNode); !ok || len(d.DupCols) == 0 {
+		t.Fatalf("PREF duplicates must be eliminated locally below the PartialAgg:\n%s", Format(rw.Root))
+	}
+	if !sameCols(rw.RootProp().HashCols, []string{"c.name"}) || rw.RootProp().Dup() {
+		t.Fatalf("aggregate output must be dup-free and hashed on the group-by, got %v", rw.RootProp())
 	}
 }
 
@@ -451,7 +464,7 @@ func TestFormatAndStrings(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := Format(rw.Root)
-	for _, want := range []string{"Aggregate", "Repartition", "INNERJoin", "Scan(orders AS o)"} {
+	for _, want := range []string{"FinalAgg", "Repartition", "PartialAgg", "INNERJoin", "Scan(orders AS o)"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("Format missing %q:\n%s", want, out)
 		}
