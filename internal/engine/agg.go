@@ -329,9 +329,7 @@ func (ex *executor) evalFinalAgg(n *plan.FinalAggNode) ([][]value.Tuple, error) 
 	top.AddOut(en, len(rows))
 	top.AddWork(en, work)
 	if en != 0 {
-		ex.stats.Failovers++
 		top.AddFailover(en)
 	}
-	ex.work(en, work)
 	return out, nil
 }

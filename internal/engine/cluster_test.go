@@ -267,30 +267,36 @@ func TestHedgeRaceLoserMetered(t *testing.T) {
 	unit := func(p int) ([]value.Tuple, int, error) {
 		return []value.Tuple{{int64(p)}}, 7, nil
 	}
+	scan := plan.Scan("t", "t")
+	tb := trace.NewBuilder(4, 0)
+	top := tb.Begin(scan, trace.KindScan)
 	won := int32(1) // the sibling already claimed the race
-	rows, err := runAttempt(ex, context.Background(), nil, 0, 1, 2, true, &won, unit)
+	rows, err := runAttempt(ex, context.Background(), top, 0, 1, 2, true, &won, unit)
 	if !errors.Is(err, errHedgeLost) || rows != nil {
 		t.Fatalf("loser returned (%v, %v), want (nil, errHedgeLost)", rows, err)
 	}
-	if ex.stats.HedgeWastedRows != 7 {
-		t.Fatalf("HedgeWastedRows = %d, want the loser's 7 rows of work", ex.stats.HedgeWastedRows)
+	st := tb.Totals()
+	if st.HedgeWastedRows != 7 {
+		t.Fatalf("HedgeWastedRows = %d, want the loser's 7 rows of work", st.HedgeWastedRows)
 	}
-	if ex.stats.RowsProcessed != 7 || ex.nodeRow[2] != 7 {
-		t.Fatalf("loser CPU not charged to node 2: processed=%d nodeRow=%v",
-			ex.stats.RowsProcessed, ex.nodeRow)
+	span := tb.Build(&plan.Rewritten{Root: scan}).Root.Children[0]
+	if st.RowsProcessed != 7 || len(span.Nodes) != 1 || span.Nodes[0].Node != 2 || span.Nodes[0].Work != 7 {
+		t.Fatalf("loser CPU not charged to node 2: processed=%d cells=%+v",
+			st.RowsProcessed, span.Nodes)
 	}
-	if ex.stats.HedgeWins != 0 {
+	if st.HedgeWins != 0 {
 		t.Fatal("a loser must not count as a hedge win")
 	}
 	won = 0 // fresh race: this racer claims it
-	rows, err = runAttempt(ex, context.Background(), nil, 0, 1, 2, true, &won, unit)
+	rows, err = runAttempt(ex, context.Background(), top, 0, 1, 2, true, &won, unit)
 	if err != nil || len(rows) != 1 {
 		t.Fatalf("winner returned (%v, %v)", rows, err)
 	}
-	if ex.stats.HedgeWins != 1 {
-		t.Fatalf("HedgeWins = %d, want 1", ex.stats.HedgeWins)
+	st = tb.Totals()
+	if st.HedgeWins != 1 {
+		t.Fatalf("HedgeWins = %d, want 1", st.HedgeWins)
 	}
-	if ex.stats.HedgeWastedRows != 7 {
+	if st.HedgeWastedRows != 7 {
 		t.Fatal("winner must not add hedge waste")
 	}
 }
@@ -326,10 +332,6 @@ func TestHedgeEverywhereStillCorrect(t *testing.T) {
 		}
 		if res.Stats.HedgeWins > res.Stats.Hedges {
 			t.Fatalf("HedgeWins %d > Hedges %d", res.Stats.HedgeWins, res.Stats.Hedges)
-		}
-		if res.Trace.Totals.HedgeWastedRows != int64(res.Stats.HedgeWastedRows) {
-			t.Fatalf("trace wasted rows %d != stats %d",
-				res.Trace.Totals.HedgeWastedRows, res.Stats.HedgeWastedRows)
 		}
 	}
 }

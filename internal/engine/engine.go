@@ -32,49 +32,10 @@ import (
 	"pref/internal/value"
 )
 
-// Stats aggregates the execution telemetry of one query.
-type Stats struct {
-	// BytesShipped counts bytes crossing node boundaries (8 bytes per
-	// column per shipped row). Re-shipped exchange attempts count every
-	// time they hit the wire.
-	BytesShipped int64
-	// RowsShipped counts rows crossing node boundaries.
-	RowsShipped int64
-	// RowsProcessed counts rows flowing through all operators on all
-	// nodes (total CPU work proxy), including work burned by attempts
-	// that crashed and were discarded.
-	RowsProcessed int64
-	// MaxNodeRows is the largest per-node processed-row count (the
-	// parallel critical path).
-	MaxNodeRows int64
-	// Repartitions and Broadcasts count exchange operators executed.
-	Repartitions int
-	Broadcasts   int
-	// Retries counts discarded work-unit attempts and failed exchange
-	// shipments that were retried.
-	Retries int
-	// Failovers counts per-operator partition work units redirected from
-	// a permanently failed node to its surviving buddy.
-	Failovers int
-	// RecoveredRows counts base-table tuple copies reconstructed from
-	// surviving duplicate copies (PREF duplicates, replicas) after a
-	// partition loss.
-	RecoveredRows int64
-	// WastedRows counts rows of work discarded by failed attempts (the
-	// output of crashed units, the payload of failed shipments).
-	WastedRows int64
-	// Hedges counts speculative duplicate units launched for straggling
-	// partitions; HedgeWins counts hedges that finished before their
-	// straggling primary; HedgeWastedRows is the discarded row output of
-	// hedge-race losers. All zero unless ExecOptions.Cluster enables
-	// hedging.
-	Hedges          int
-	HedgeWins       int
-	HedgeWastedRows int64
-	// Probes counts half-open circuit-breaker probes the cluster layer
-	// charged to this query at admission.
-	Probes int
-}
+// Stats aggregates the execution telemetry of one query: the sum of the
+// per-(operator, node) metering cells, taken once when execution finishes.
+// The fields are documented on trace.Totals.
+type Stats = trace.Totals
 
 // Result is a completed query: output schema, gathered rows, telemetry.
 type Result struct {
@@ -85,7 +46,7 @@ type Result struct {
 	// every row it read came from that published snapshot, regardless of
 	// concurrent write batches.
 	Epoch int64
-	// Trace is the per-operator, per-node execution trace, populated when
+	// Trace is the per-operator, per-node execution trace, assembled when
 	// ExecOptions.Trace (or PREF_TRACE) is set; nil otherwise. It renders
 	// as EXPLAIN ANALYZE via Trace.Render and exports as JSON.
 	Trace *trace.Trace
@@ -122,15 +83,18 @@ type ExecOptions struct {
 	Fault *fault.Policy
 	// Verify runs the internal/check static plan/design verifier before
 	// executing (a debug mode: every invariant of the Section 2.2 rewrite
-	// is re-proved first). Setting the PREF_VERIFY environment variable to
-	// any non-empty value enables it process-wide.
+	// is re-proved first) and, after executing, cross-checks the recorded
+	// per-operator counters against the statically proven plan properties
+	// (check.VerifyTrace): rows shipped through an operator the verifier
+	// proved local fail the query. Setting the PREF_VERIFY environment
+	// variable to any non-empty value enables it process-wide.
 	Verify bool
-	// Trace records a per-operator, per-node execution trace into
-	// Result.Trace. Setting the PREF_TRACE environment variable to any
-	// non-empty value enables it process-wide. When combined with Verify,
-	// the finished trace is additionally cross-checked against the
-	// statically proven plan properties (check.VerifyTrace): rows shipped
-	// through an operator the verifier proved local fail the query.
+	// Trace assembles the per-operator, per-node counters into
+	// Result.Trace. The counters themselves are recorded for every query —
+	// Result.Stats is their sum — so this only selects whether the tree
+	// (labels, properties, per-node breakdown) is built. Setting the
+	// PREF_TRACE environment variable to any non-empty value enables it
+	// process-wide.
 	Trace bool
 	// RowEngine forces the row-at-a-time reference engine instead of the
 	// vectorized columnar path (vec.go). The two produce byte-identical
@@ -178,15 +142,13 @@ type executor struct {
 	// hedgeOK gates the hedged fan-out path.
 	hedgeDelay time.Duration
 	hedgeOK    bool
-	// tb is the trace sink; nil when tracing is off. Its ops' mutators
-	// are nil-safe, so recording sites need no enabled-checks. Note the
-	// fault-schedule anchor opSeq is NOT shared with trace op ids:
-	// enabling tracing must not perturb injected fault schedules.
+	// tb is the query's one ledger: every operator charges its Op's
+	// per-node cells and Result.Stats is their sum. Nil only in hand-built
+	// white-box executors; Begin and the ops' mutators are nil-safe. Note
+	// the fault-schedule anchor opSeq is NOT shared with trace op ids.
 	tb      *trace.Builder
-	stats   Stats
-	nodeRow []int64                       // per-node processed rows
 	survIdx map[string]map[value.Key]bool // surviving-copy index per table (recovery)
-	mu      sync.Mutex
+	mu      sync.Mutex                    // guards survIdx
 }
 
 // partsOf resolves the partitions a scan of tbl must read: the pinned
@@ -251,9 +213,10 @@ func ExecuteCtx(ctx context.Context, rw *plan.Rewritten, pdb *table.PartitionedD
 // executeCtx is the untyped body of ExecuteCtx.
 //
 // lint:ship-boundary coordinator assembly: gathers every partition's output
-// and the per-node row counters into the final Result.
+// into the final Result.
 func executeCtx(ctx context.Context, rw *plan.Rewritten, pdb *table.PartitionedDatabase, opt ExecOptions) (*Result, error) {
-	if opt.Verify || verifyEnv() {
+	verify := opt.Verify || verifyEnv()
+	if verify {
 		if err := check.Verify(rw); err != nil {
 			return nil, fmt.Errorf("engine: plan failed static verification: %w", err)
 		}
@@ -299,13 +262,9 @@ func executeCtx(ctx context.Context, rw *plan.Rewritten, pdb *table.PartitionedD
 		rw: rw, pdb: pdb, n: pdb.N, opt: opt, inj: inj,
 		ctx: ctx, cancel: cancel, execDst: execDst,
 		cl: cl, view: view, down: down, snap: snap,
-		nodeRow: make([]int64, pdb.N),
+		tb: trace.NewBuilder(pdb.N, probes),
 	}
-	ex.stats.Probes = probes
 	ex.hedgeDelay, ex.hedgeOK = cl.HedgeDelay()
-	if opt.Trace || traceEnv() {
-		ex.tb = trace.NewBuilder(pdb.N)
-	}
 	parts, err := ex.eval(rw.Root)
 	if err != nil {
 		return nil, err
@@ -338,36 +297,19 @@ func executeCtx(ctx context.Context, rw *plan.Rewritten, pdb *table.PartitionedD
 		}
 	}
 	rtop.AddOut(ex.execDst[0], len(rows))
-	for p := range ex.nodeRow {
-		if ex.nodeRow[p] > ex.stats.MaxNodeRows {
-			ex.stats.MaxNodeRows = ex.nodeRow[p]
-		}
-	}
-	res := &Result{Schema: sch, Rows: rows, Stats: ex.stats, Epoch: ex.epoch()}
-	if ex.tb != nil {
-		ex.tb.SetTotals(trace.Totals{
-			BytesShipped:    ex.stats.BytesShipped,
-			RowsShipped:     ex.stats.RowsShipped,
-			RowsProcessed:   ex.stats.RowsProcessed,
-			MaxNodeRows:     ex.stats.MaxNodeRows,
-			Repartitions:    ex.stats.Repartitions,
-			Broadcasts:      ex.stats.Broadcasts,
-			Retries:         ex.stats.Retries,
-			Failovers:       ex.stats.Failovers,
-			RecoveredRows:   ex.stats.RecoveredRows,
-			WastedRows:      ex.stats.WastedRows,
-			Hedges:          ex.stats.Hedges,
-			HedgeWins:       ex.stats.HedgeWins,
-			HedgeWastedRows: ex.stats.HedgeWastedRows,
-			Probes:          ex.stats.Probes,
-		})
-		res.Trace = ex.tb.Build(rw)
-		if opt.Verify || verifyEnv() {
+	res := &Result{Schema: sch, Rows: rows, Stats: ex.tb.Totals(), Epoch: ex.epoch()}
+	wantTrace := opt.Trace || traceEnv()
+	if wantTrace || verify {
+		tr := ex.tb.Build(rw)
+		if verify {
 			// Runtime cross-check: the observed spans must agree with the
-			// statically proven Dup/Part properties and with Stats.
-			if err := check.VerifyTrace(rw, res.Trace); err != nil {
+			// statically proven Dup/Part properties.
+			if err := check.VerifyTrace(rw, tr); err != nil {
 				return nil, fmt.Errorf("engine: execution trace failed runtime verification: %w", err)
 			}
+		}
+		if wantTrace {
+			res.Trace = tr
 		}
 	}
 	return res, nil
@@ -432,18 +374,6 @@ func buddyMap(n int, down []bool) ([]int, error) {
 	return dst, nil
 }
 
-// ship meters rows crossing a node boundary.
-func (ex *executor) ship(rows, width int) {
-	ex.stats.RowsShipped += int64(rows)
-	ex.stats.BytesShipped += int64(rows) * int64(width) * 8
-}
-
-// work records per-node operator output (CPU proxy).
-func (ex *executor) work(node, rows int) {
-	ex.stats.RowsProcessed += int64(rows)
-	ex.nodeRow[node] += int64(rows)
-}
-
 // nextOp returns the next deterministic operator id. eval walks the plan
 // sequentially on the query goroutine, so the sequence is a pure function
 // of the plan — the anchor that keeps fault schedules reproducible.
@@ -459,9 +389,6 @@ func (ex *executor) nextOp() int {
 // lint:ship-boundary trace metering sweep: charges each partition's input
 // rows to the node executing it, on the query goroutine.
 func (ex *executor) addInputs(top *trace.Op, in [][]value.Tuple) {
-	if top == nil {
-		return
-	}
 	for p, rows := range in {
 		top.AddIn(ex.execDst[p], len(rows))
 	}
@@ -530,7 +457,7 @@ func sleepCtx(ctx context.Context, d time.Duration) error {
 // fault draws stay keyed by the logical src.
 //
 // lint:ship-boundary the shipment meter itself: every cross-partition batch
-// is charged to Stats and the trace here, under injected ship failures.
+// is charged to the operator's cells here, under injected ship failures.
 func (ex *executor) shipBatch(top *trace.Op, op, src, rows, width int) error {
 	if rows == 0 {
 		return nil
@@ -541,13 +468,10 @@ func (ex *executor) shipBatch(top *trace.Op, op, src, rows, width int) error {
 		if err := ex.ctx.Err(); err != nil {
 			return err
 		}
-		ex.ship(rows, width)
 		top.AddShip(en, rows, width)
 		if !ex.inj.ShipFail(op, src, attempt) {
 			return nil
 		}
-		ex.stats.Retries++
-		ex.stats.WastedRows += int64(rows)
 		top.AddRetry(en, rows)
 		if attempt+1 >= max {
 			return fmt.Errorf("engine: shipment of %d rows from node %d: %d failed attempts: %w",
@@ -789,7 +713,6 @@ func (ex *executor) evalDistinctByValue(n *plan.DistinctByValueNode) ([][]value.
 	}
 	// Shuffle by content so identical rows meet on one node, then keep
 	// one per value.
-	ex.stats.Repartitions++
 	op := ex.nextOp()
 	shuffled := make([][]value.Tuple, ex.n)
 	for src, rows := range in {
@@ -841,7 +764,6 @@ func (ex *executor) evalRepartition(n *plan.RepartitionNode) ([][]value.Tuple, e
 	if err != nil {
 		return nil, err
 	}
-	ex.stats.Repartitions++
 	op := ex.nextOp()
 	start := time.Now()
 	out := make([][]value.Tuple, ex.n)
@@ -871,7 +793,6 @@ func (ex *executor) evalRepartition(n *plan.RepartitionNode) ([][]value.Tuple, e
 		top.SetReadOne()
 	}
 	for dst := 0; dst < ex.n; dst++ {
-		ex.work(ex.execDst[dst], len(out[dst]))
 		top.AddWork(ex.execDst[dst], len(out[dst]))
 		top.AddOut(ex.execDst[dst], len(out[dst]))
 	}
@@ -890,7 +811,6 @@ func (ex *executor) evalBroadcast(n *plan.BroadcastNode) ([][]value.Tuple, error
 		return nil, err
 	}
 	sch := ex.rw.Schemas[n.Child]
-	ex.stats.Broadcasts++
 	op := ex.nextOp()
 	start := time.Now()
 	var all []value.Tuple
@@ -920,7 +840,6 @@ func (ex *executor) evalBroadcast(n *plan.BroadcastNode) ([][]value.Tuple, error
 	out := make([][]value.Tuple, ex.n)
 	for p := 0; p < ex.n; p++ {
 		out[p] = all
-		ex.work(ex.execDst[p], len(all))
 		top.AddWork(ex.execDst[p], len(all))
 		top.AddOut(ex.execDst[p], len(all))
 	}
@@ -947,7 +866,6 @@ func (ex *executor) evalGather(n *plan.GatherNode) ([][]value.Tuple, error) {
 		// The child's partition 0 slice passes through; clamp so an append
 		// downstream cannot overwrite the child's backing array in place.
 		out[0] = in[0][:len(in[0]):len(in[0])]
-		ex.work(ex.execDst[0], len(in[0]))
 		top.AddWork(ex.execDst[0], len(in[0]))
 		top.AddOut(ex.execDst[0], len(in[0]))
 		top.AddWall(ex.execDst[0], time.Since(start))
@@ -965,7 +883,6 @@ func (ex *executor) evalGather(n *plan.GatherNode) ([][]value.Tuple, error) {
 		rows = append(rows, in[p]...)
 	}
 	out[0] = rows
-	ex.work(ex.execDst[0], len(rows))
 	top.AddWork(ex.execDst[0], len(rows))
 	top.AddOut(ex.execDst[0], len(rows))
 	top.AddWall(ex.execDst[0], time.Since(start))

@@ -390,10 +390,7 @@ func newTestExecutor(n int) *executor {
 	for i := range dst {
 		dst[i] = i
 	}
-	return &executor{
-		n: n, ctx: ctx, cancel: cancel, execDst: dst,
-		nodeRow: make([]int64, n),
-	}
+	return &executor{n: n, ctx: ctx, cancel: cancel, execDst: dst}
 }
 
 // TestForEachPartShortCircuits: the first unit error cancels the query

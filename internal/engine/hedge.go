@@ -13,8 +13,8 @@ import "errors"
 // work on the next surviving node (unit closures are pure functions of the
 // partition id, so either copy produces identical rows — in either the row
 // or the columnar representation), the first result wins, the loser is
-// cancelled and its discarded output metered as wasted hedge work in Stats
-// and the trace. The race machinery itself (runHedged, runAttempt) lives
+// cancelled and its discarded output metered as wasted hedge work on the
+// operator's cells. The race machinery itself (runHedged, runAttempt) lives
 // in unit.go, generic over the unit payload.
 
 // errHedgeLost is the sentinel a hedge-race loser returns after the

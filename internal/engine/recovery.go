@@ -29,11 +29,10 @@ import (
 
 // recoverScan reconstructs the scan output of lost partition p of pt from
 // surviving duplicate copies. All recovered rows are shipped from
-// survivors to the buddy node and metered; Stats.RecoveredRows counts
-// them. Unrecoverable content returns *fault.PartitionLostError.
+// survivors to the buddy node and metered; RecoveredRows counts them. Unrecoverable content returns *fault.PartitionLostError.
 //
 // lint:ship-boundary recovery path: rebuilt rows are shipped from surviving
-// partitions to the buddy node and metered against Stats and the trace.
+// partitions to the buddy node and metered on the scan's cells.
 func (ex *executor) recoverScan(top *trace.Op, pt *table.Partitioned, parts []*table.Partition, p int, withIndexes bool, width int) ([]value.Tuple, error) {
 	surv := ex.survivorIndex(pt, parts)
 	part := parts[p]
@@ -53,13 +52,9 @@ func (ex *executor) recoverScan(top *trace.Op, pt *table.Partitioned, parts []*t
 		}
 	}
 	rows := scanRows(part, withIndexes)
-	ex.mu.Lock()
-	ex.stats.RecoveredRows += int64(len(part.Rows))
-	ex.ship(len(rows), width) // survivors → buddy node
-	ex.mu.Unlock()
 	en := ex.execDst[p]
 	top.AddRecovered(en, len(part.Rows))
-	top.AddShip(en, len(rows), width)
+	top.AddShip(en, len(rows), width) // survivors → buddy node
 	return rows, nil
 }
 

@@ -55,7 +55,7 @@ type partUnit = unitFn[[]value.Tuple]
 // cancels the query context so no further work launches — here for the
 // remaining partitions, and in every downstream operator. Successful
 // units record their output, work, and wall time into top's per-node
-// cells (nil top: tracing off).
+// cells (nil top, in white-box tests: nothing is recorded).
 func forEachPart[T payload](ex *executor, top *trace.Op, fn unitFn[T]) ([]T, error) {
 	op := ex.nextOp()
 	out := make([]T, ex.n)
@@ -139,9 +139,6 @@ race:
 		case <-timer.C:
 			if !hedged && atomic.LoadInt32(&won) == 0 && hctx.Err() == nil {
 				hedged = true
-				ex.mu.Lock()
-				ex.stats.Hedges++
-				ex.mu.Unlock()
 				top.AddHedge(hn)
 				launch(hn, true)
 				outstanding++
@@ -179,10 +176,6 @@ func runAttempt[T payload](ex *executor, ctx context.Context, top *trace.Op, op,
 		return zero, err
 	}
 	if won != nil && !atomic.CompareAndSwapInt32(won, 0, 1) {
-		ex.mu.Lock()
-		ex.stats.HedgeWastedRows += int64(work)
-		ex.work(en, work)
-		ex.mu.Unlock()
 		top.AddHedgeWaste(en, work)
 		top.AddWork(en, work)
 		return zero, errHedgeLost
@@ -190,15 +183,6 @@ func runAttempt[T payload](ex *executor, ctx context.Context, top *trace.Op, op,
 	ex.cl.ObserveUnit(elapsed)
 	top.AddOut(en, rowsOf(rows))
 	top.AddWork(en, work)
-	ex.mu.Lock()
-	switch {
-	case hedge:
-		ex.stats.HedgeWins++
-	case en != p:
-		ex.stats.Failovers++
-	}
-	ex.work(en, work)
-	ex.mu.Unlock()
 	if hedge {
 		top.AddHedgeWin(en)
 	} else if en != p {
@@ -238,11 +222,6 @@ func runUnit[T payload](ex *executor, ctx context.Context, top *trace.Op, op, p,
 		ex.cl.ReportFailure(en)
 		// The attempt crashed after doing its work: the output is
 		// discarded, but the CPU it burned still occupied the node.
-		ex.mu.Lock()
-		ex.stats.Retries++
-		ex.stats.WastedRows += int64(work)
-		ex.work(en, work)
-		ex.mu.Unlock()
 		top.AddRetry(en, work)
 		top.AddWork(en, work)
 		if attempt+1 >= max {

@@ -21,9 +21,10 @@ import (
 //   - Operator ids: every vectorized operator consumes nextOp() in the
 //     same order as its row twin, so injected fault schedules (keyed on
 //     operator id, node, attempt) are identical under either engine.
-//   - Metering: every AddIn/AddOut/AddWork/AddShip/AddDedup charge and
-//     every Stats field carries the same row counts, so traces verify
-//     against the same conservation laws and benchmarks stay comparable.
+//   - Metering: every AddIn/AddOut/AddWork/AddShip/AddDedup charge
+//     carries the same row counts — and Stats is the sum of those
+//     charges — so traces verify against the same conservation laws and
+//     benchmarks stay comparable.
 //   - Row order: batches preserve storage order, exchanges append in
 //     (source, row) order like the row engine, so order-sensitive float
 //     accumulation downstream sees identical input sequences and results
@@ -116,9 +117,6 @@ func releaseParts(in vparts) {
 // lint:ship-boundary trace metering sweep: charges each partition's input
 // rows to the node executing it, on the query goroutine.
 func (ex *executor) addInputsVec(top *trace.Op, in vparts) {
-	if top == nil {
-		return
-	}
 	for p, bs := range in {
 		top.AddIn(ex.execDst[p], batch.Rows(bs))
 	}
@@ -574,7 +572,6 @@ func (ex *executor) evalRepartitionVec(n *plan.RepartitionNode) (vparts, error) 
 			return nil, err
 		}
 	}
-	ex.stats.Repartitions++
 	op := ex.nextOp()
 	start := time.Now()
 	writers := make([]*batch.Writer, ex.n)
@@ -616,7 +613,6 @@ func (ex *executor) evalRepartitionVec(n *plan.RepartitionNode) (vparts, error) 
 	for dst := 0; dst < ex.n; dst++ {
 		out[dst] = writers[dst].Finish()
 		rows := batch.Rows(out[dst])
-		ex.work(ex.execDst[dst], rows)
 		top.AddWork(ex.execDst[dst], rows)
 		top.AddOut(ex.execDst[dst], rows)
 	}
@@ -649,7 +645,6 @@ func (ex *executor) evalBroadcastVec(n *plan.BroadcastNode) (vparts, error) {
 			return nil, err
 		}
 	}
-	ex.stats.Broadcasts++
 	op := ex.nextOp()
 	start := time.Now()
 	var all []*batch.Batch
@@ -680,7 +675,6 @@ func (ex *executor) evalBroadcastVec(n *plan.BroadcastNode) (vparts, error) {
 	out := make(vparts, ex.n)
 	for p := 0; p < ex.n; p++ {
 		out[p] = all
-		ex.work(ex.execDst[p], total)
 		top.AddWork(ex.execDst[p], total)
 		top.AddOut(ex.execDst[p], total)
 	}
@@ -708,7 +702,6 @@ func (ex *executor) evalGatherVec(n *plan.GatherNode) (vparts, error) {
 		rows := batch.Rows(in[0])
 		top.AddIn(ex.execDst[0], rows)
 		out[0] = in[0][:len(in[0]):len(in[0])]
-		ex.work(ex.execDst[0], rows)
 		top.AddWork(ex.execDst[0], rows)
 		top.AddOut(ex.execDst[0], rows)
 		top.AddWall(ex.execDst[0], time.Since(start))
@@ -754,7 +747,6 @@ func (ex *executor) evalGatherVec(n *plan.GatherNode) (vparts, error) {
 		}
 		out[0] = bs
 	}
-	ex.work(ex.execDst[0], total)
 	top.AddWork(ex.execDst[0], total)
 	top.AddOut(ex.execDst[0], total)
 	top.AddWall(ex.execDst[0], time.Since(start))

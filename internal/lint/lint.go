@@ -31,7 +31,7 @@
 //   - goroutinescope: every goroutine in the execution packages joins a
 //     WaitGroup and can observe the query's cancellation.
 //   - shipaccounting: code that moves rows across partitions meters them
-//     in both engine.Stats and the execution trace, and is declared a
+//     through the one ship meter, (*trace.Op).AddShip, and is declared a
 //     ship boundary.
 //
 // The protocol analyzers (publishorder, snapshotdiscipline,
@@ -311,7 +311,7 @@ func sanctioned(p *Pass, marked map[string]map[int]bool, n ast.Node) bool {
 //
 // placed in the function's doc comment. partownership exempts marked
 // functions from the own-partition indexing rule; shipaccounting requires
-// the marker on functions that call the ship meters.
+// the marker on functions that call the ship meter.
 const shipBoundaryMarker = "lint:ship-boundary"
 
 // isShipBoundary reports whether a function declaration is marked as a

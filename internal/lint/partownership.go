@@ -16,12 +16,11 @@ var partPkgs = map[string]bool{
 
 // partStateFields are field/variable names that denote per-partition or
 // per-node indexed state even when the element type alone does not give it
-// away: base-table partitions, the executing-node map, per-node row
-// counters, and per-node trace cells.
+// away: base-table partitions, the executing-node map, and per-node
+// metering cells.
 var partStateFields = map[string]bool{
 	"Parts":   true,
 	"execDst": true,
-	"nodeRow": true,
 	"cells":   true,
 }
 

@@ -5,48 +5,41 @@ import (
 	"strings"
 )
 
-// shipPkgs are the packages holding the two ship meters: engine owns the
-// query-wide Stats meter ((*executor).ship) and trace owns the per-node
-// cell meter ((*Op).AddShip).
+// shipPkgs are the packages on either side of the ship meter: trace owns
+// the per-node cell counters ((*Op).AddShip) and engine calls it.
 var shipPkgs = map[string]bool{
 	"engine": true,
 	"trace":  true,
 }
 
-// shipCounterFields are the two counters every cross-partition row
-// movement must charge. check.VerifyTrace's stats-sum law asserts at
-// runtime that the two meters agree; this analyzer is the static half.
+// shipCounterFields are the two live cell counters every cross-partition
+// row movement must charge. engine.Stats is their sum, so a shipment that
+// misses them is missing from every report.
 var shipCounterFields = map[string]bool{
-	"RowsShipped":  true,
-	"BytesShipped": true,
+	"rowsShipped":  true,
+	"bytesShipped": true,
 }
 
 // ShipAccounting enforces that rows never cross a partition boundary off
 // the books:
 //
-//  1. The ship counters have exactly one writer per meter. In engine,
-//     plain writes to RowsShipped/BytesShipped live only in a function
-//     named "ship"; in trace, atomic writes to them live only in
-//     "AddShip". Everything else must go through those meters.
-//  2. A function that charges one meter must charge both — calling
-//     (*executor).ship without (*Op).AddShip desynchronizes the Stats
-//     total from the trace cells (or vice versa) — and any function that
-//     meters shipments is by definition moving rows across partitions, so
-//     it must carry the "// lint:ship-boundary" declaration.
+//  1. The ship counters have exactly one writer: atomic writes to
+//     rowsShipped/bytesShipped live only in "AddShip". Everything else
+//     must go through that meter.
+//  2. Any function that meters shipments is by definition moving rows
+//     across partitions, so it must carry the "// lint:ship-boundary"
+//     declaration.
 //  3. Conversely, a declared ship boundary that scatters rows into
 //     another partition's slot (a variable-indexed write to per-partition
-//     state) must call a meter: ship, AddShip, or the shipBatch wrapper.
+//     state) must call the meter: AddShip, or the shipBatch wrapper.
 var ShipAccounting = &Analyzer{
 	Name: "shipaccounting",
-	Doc:  "functions that move rows across partitions must meter both Stats and trace ship counters and be declared // lint:ship-boundary",
+	Doc:  "functions that move rows across partitions must meter them through (*Op).AddShip and be declared // lint:ship-boundary",
 	Run:  runShipAccounting,
 }
 
-// shipMeterFor maps the package to the function allowed to write the
-// counters, and whether that package's sanctioned writes are atomic.
 func runShipAccounting(p *Pass) error {
-	pkg := p.PkgName()
-	if !shipPkgs[pkg] {
+	if !shipPkgs[p.PkgName()] {
 		return nil
 	}
 	for _, f := range p.Files {
@@ -55,46 +48,30 @@ func runShipAccounting(p *Pass) error {
 			if !ok || fn.Body == nil {
 				continue
 			}
-			checkShipWrites(p, pkg, fn)
-			checkMeterPairing(p, fn)
+			if fn.Name.Name != "AddShip" { // the meter itself
+				checkShipWrites(p, fn)
+				checkMeterDeclared(p, fn)
+			}
 			checkBoundaryMeters(p, fn)
 		}
 	}
 	return nil
 }
 
-// checkShipWrites enforces rule 1: the counters have one writer per meter.
-func checkShipWrites(p *Pass, pkg string, fn *ast.FuncDecl) {
+// checkShipWrites enforces rule 1: the counters have one writer.
+func checkShipWrites(p *Pass, fn *ast.FuncDecl) {
 	name := fn.Name.Name
 	ast.Inspect(fn.Body, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.AssignStmt:
-			if pkg != "engine" || name == "ship" {
-				return true
-			}
-			for _, lhs := range n.Lhs {
-				if sel, ok := lhs.(*ast.SelectorExpr); ok && shipCounterFields[sel.Sel.Name] && fieldObj(p, sel) != nil {
-					p.Report(n, "%s writes ship counter %s directly; all Stats ship accounting goes through (*executor).ship", name, sel.Sel.Name)
-				}
-			}
-		case *ast.IncDecStmt:
-			if pkg != "engine" || name == "ship" {
-				return true
-			}
-			if sel, ok := n.X.(*ast.SelectorExpr); ok && shipCounterFields[sel.Sel.Name] && fieldObj(p, sel) != nil {
-				p.Report(n, "%s writes ship counter %s directly; all Stats ship accounting goes through (*executor).ship", name, sel.Sel.Name)
-			}
-		case *ast.CallExpr:
-			if name == "AddShip" {
-				return true
-			}
-			pkgPath, fnName := calleePkgFunc(p, n)
-			if pkgPath != "sync/atomic" || !isAtomicWriteName(fnName) || len(n.Args) == 0 {
-				return true
-			}
-			if sel := addressedField(n.Args[0]); sel != nil && shipCounterFields[sel.Sel.Name] && fieldObj(p, sel) != nil {
-				p.Report(n, "%s atomically writes ship counter %s; all trace ship accounting goes through (*Op).AddShip", name, sel.Sel.Name)
-			}
+		call, ok := n.(*ast.CallExpr)
+		if !ok {
+			return true
+		}
+		pkgPath, fnName := calleePkgFunc(p, call)
+		if pkgPath != "sync/atomic" || !isAtomicWriteName(fnName) || len(call.Args) == 0 {
+			return true
+		}
+		if sel := addressedField(call.Args[0]); sel != nil && shipCounterFields[sel.Sel.Name] && fieldObj(p, sel) != nil {
+			p.Report(call, "%s atomically writes ship counter %s; all ship accounting goes through (*Op).AddShip", name, sel.Sel.Name)
 		}
 		return true
 	})
@@ -111,22 +88,10 @@ func isAtomicWriteName(name string) bool {
 	return false
 }
 
-// checkMeterPairing enforces rule 2 on every function other than the
-// meters themselves.
-func checkMeterPairing(p *Pass, fn *ast.FuncDecl) {
-	name := fn.Name.Name
-	if name == "ship" || name == "AddShip" {
-		return
-	}
-	calls := calledNames(fn.Body)
-	switch {
-	case calls["ship"] && !calls["AddShip"]:
-		p.Report(fn.Name, "%s charges the Stats ship meter but never records trace ship bytes; call AddShip on the operator's trace Op too", name)
-	case calls["AddShip"] && !calls["ship"]:
-		p.Report(fn.Name, "%s records trace ship bytes but never charges the Stats ship meter; call (*executor).ship too", name)
-	}
-	if (calls["ship"] || calls["AddShip"]) && !isShipBoundary(fn) {
-		p.Report(fn.Name, "%s moves rows across partitions but is not declared; add a \"// lint:ship-boundary <reason>\" doc comment", name)
+// checkMeterDeclared enforces rule 2.
+func checkMeterDeclared(p *Pass, fn *ast.FuncDecl) {
+	if calledNames(fn.Body)["AddShip"] && !isShipBoundary(fn) {
+		p.Report(fn.Name, "%s moves rows across partitions but is not declared; add a \"// lint:ship-boundary <reason>\" doc comment", fn.Name.Name)
 	}
 }
 
@@ -137,7 +102,7 @@ func checkBoundaryMeters(p *Pass, fn *ast.FuncDecl) {
 		return
 	}
 	calls := calledNames(fn.Body)
-	if calls["ship"] || calls["AddShip"] || calls["shipBatch"] {
+	if calls["AddShip"] || calls["shipBatch"] {
 		return
 	}
 	ast.Inspect(fn.Body, func(n ast.Node) bool {
@@ -153,7 +118,7 @@ func checkBoundaryMeters(p *Pass, fn *ast.FuncDecl) {
 			if _, constIdx := ix.Index.(*ast.BasicLit); constIdx {
 				continue // a fixed coordinator slot, not a scatter
 			}
-			p.Report(as, "ship boundary %s scatters rows across partitions of %s without metering; call shipBatch (or ship + AddShip)",
+			p.Report(as, "ship boundary %s scatters rows across partitions of %s without metering; call shipBatch (or AddShip)",
 				fn.Name.Name, exprString(ix.X))
 		}
 		return true

@@ -8,7 +8,7 @@ type row []int64
 
 type executor struct {
 	execDst []int
-	nodeRow []int64
+	cells   []int64
 }
 
 func ownSlot(p int, parts [][]row) row {
@@ -37,8 +37,8 @@ func sweep(parts [][]row) int {
 }
 
 func namedField(ex *executor, p int) int64 {
-	ex.execDst[p] = p      // own slot of a named per-node field: fine
-	return ex.nodeRow[p+1] // want "namedField indexes per-partition state ex.nodeRow"
+	ex.execDst[p] = p    // own slot of a named per-node field: fine
+	return ex.cells[p+1] // want "namedField indexes per-partition state ex.cells"
 }
 
 func closures(parts [][]row) {

@@ -1,5 +1,8 @@
-// Package trace is the per-query observability layer: per-operator,
-// per-node execution telemetry recorded while a rewritten plan runs.
+// Package trace is the per-query metering and observability layer:
+// per-operator, per-node execution counters recorded while a rewritten
+// plan runs. The cells are the engine's only ledger — Builder.Totals sums
+// them into the query's Stats — and, on request, Builder.Build assembles
+// them into the annotated operator tree.
 //
 // The engine opens one Op per physical plan operator and writes metric
 // deltas into per-node cells as partition work units finish. Cells are
@@ -15,7 +18,7 @@
 // gather. It renders as an EXPLAIN ANALYZE-style annotated plan
 // (render.go) and marshals to JSON as-is; internal/check.VerifyTrace
 // replays conservation and locality invariants over it after every
-// traced+verified execution.
+// verified execution.
 package trace
 
 import (
@@ -27,11 +30,11 @@ import (
 
 // cell is the live, atomics-only counterpart of Metrics: one per node,
 // written concurrently by partition goroutines through the Add* mutators
-// and read only by finish. Keeping it a separate type from the exported
+// and read only by addTo. Keeping it a separate type from the exported
 // Metrics snapshot means every access to a live counter must spell out
 // sync/atomic (the atomicdiscipline analyzer enforces all-or-nothing per
-// field), while snapshot code — merge, rendering, JSON — works on plain
-// Metrics values that no goroutine is still writing.
+// field), while snapshot code — rendering, JSON — works on plain Metrics
+// values that no goroutine is still writing.
 type cell struct {
 	rowsIn, rowsOut           int64
 	rowsShipped, bytesShipped int64
@@ -55,7 +58,7 @@ type Metrics struct {
 	RowsOut int64 `json:"rows_out"`
 	// RowsShipped / BytesShipped count this operator's traffic across
 	// node boundaries, per shipment attempt (a re-shipped batch counts
-	// every time it hits the wire), matching engine.Stats metering.
+	// every time it hits the wire); engine.Stats sums them.
 	RowsShipped  int64 `json:"rows_shipped"`
 	BytesShipped int64 `json:"bytes_shipped"`
 	// DedupHits counts rows removed by the dup=0 PREF-duplicate filter
@@ -86,36 +89,38 @@ type Metrics struct {
 	WallNanos int64 `json:"wall_nanos"`
 }
 
-func (m *Metrics) merge(o *Metrics) {
-	m.RowsIn += o.RowsIn
-	m.RowsOut += o.RowsOut
-	m.RowsShipped += o.RowsShipped
-	m.BytesShipped += o.BytesShipped
-	m.DedupHits += o.DedupHits
-	m.Work += o.Work
-	m.Retries += o.Retries
-	m.WastedRows += o.WastedRows
-	m.Failovers += o.Failovers
-	m.RecoveredRows += o.RecoveredRows
-	m.Hedges += o.Hedges
-	m.HedgeWins += o.HedgeWins
-	m.HedgeWastedRows += o.HedgeWastedRows
-	m.WallNanos += o.WallNanos
-}
-
 // Zero reports whether every counter in the cell is zero.
 func (m *Metrics) Zero() bool {
 	return *m == Metrics{}
 }
 
+// addTo adds a live cell's counters to m. Atomic loads, although every
+// caller runs on the query goroutine after the fan-out joined: they keep
+// the all-or-nothing atomics rule on cell fields and the race detector
+// quiet.
+func (c *cell) addTo(m *Metrics) {
+	m.RowsIn += atomic.LoadInt64(&c.rowsIn)
+	m.RowsOut += atomic.LoadInt64(&c.rowsOut)
+	m.RowsShipped += atomic.LoadInt64(&c.rowsShipped)
+	m.BytesShipped += atomic.LoadInt64(&c.bytesShipped)
+	m.DedupHits += atomic.LoadInt64(&c.dedupHits)
+	m.Work += atomic.LoadInt64(&c.work)
+	m.Retries += atomic.LoadInt64(&c.retries)
+	m.WastedRows += atomic.LoadInt64(&c.wastedRows)
+	m.Failovers += atomic.LoadInt64(&c.failovers)
+	m.RecoveredRows += atomic.LoadInt64(&c.recoveredRows)
+	m.Hedges += atomic.LoadInt64(&c.hedges)
+	m.HedgeWins += atomic.LoadInt64(&c.hedgeWins)
+	m.HedgeWastedRows += atomic.LoadInt64(&c.hedgeWastedRows)
+	m.WallNanos += atomic.LoadInt64(&c.wallNanos)
+}
+
 // Op is a live per-operator sink: one Metrics cell per node. All mutators
-// are safe on a nil receiver (tracing disabled) and safe to call from
-// concurrent partition goroutines.
+// are safe on a nil receiver (white-box tests drive work units without a
+// sink) and safe to call from concurrent partition goroutines.
 type Op struct {
 	id      int
 	kind    Kind
-	label   string
-	prop    string
 	readOne bool
 	cells   []cell
 }
@@ -269,31 +274,58 @@ func (o *Op) SetReadOne() {
 	o.readOne = true
 }
 
-// Totals mirrors engine.Stats field-for-field so internal/check can
-// cross-check span sums against the query's flat counters without
-// importing the engine (the engine imports check).
+// Totals is the query-level rollup of one execution: every field except
+// Probes is a sum over the per-(operator, node) cells (Builder.Totals). The
+// engine returns it as Result.Stats (engine.Stats is this type), and
+// Trace.Totals carries the same value so internal/check can cross-check a
+// trace document's span sums against it.
 type Totals struct {
-	BytesShipped  int64 `json:"bytes_shipped"`
-	RowsShipped   int64 `json:"rows_shipped"`
+	// BytesShipped counts bytes crossing node boundaries (8 bytes per
+	// column per shipped row). Re-shipped exchange attempts count every
+	// time they hit the wire.
+	BytesShipped int64 `json:"bytes_shipped"`
+	// RowsShipped counts rows crossing node boundaries.
+	RowsShipped int64 `json:"rows_shipped"`
+	// RowsProcessed counts rows flowing through all operators on all
+	// nodes (total CPU work proxy), including work burned by attempts
+	// that crashed and were discarded.
 	RowsProcessed int64 `json:"rows_processed"`
-	MaxNodeRows   int64 `json:"max_node_rows"`
-	Repartitions  int   `json:"repartitions"`
-	Broadcasts    int   `json:"broadcasts"`
-	Retries       int   `json:"retries"`
-	Failovers     int   `json:"failovers"`
+	// MaxNodeRows is the largest per-node processed-row count (the
+	// parallel critical path).
+	MaxNodeRows int64 `json:"max_node_rows"`
+	// Repartitions and Broadcasts count exchange operators executed
+	// (a by-value distinct shuffles, so it counts as a repartition).
+	Repartitions int `json:"repartitions"`
+	Broadcasts   int `json:"broadcasts"`
+	// Retries counts discarded work-unit attempts and failed exchange
+	// shipments that were retried.
+	Retries int `json:"retries"`
+	// Failovers counts per-operator partition work units redirected from
+	// a permanently failed node to its surviving buddy.
+	Failovers int `json:"failovers"`
+	// RecoveredRows counts base-table tuple copies reconstructed from
+	// surviving duplicate copies (PREF duplicates, replicas) after a
+	// partition loss.
 	RecoveredRows int64 `json:"recovered_rows"`
-	WastedRows    int64 `json:"wasted_rows"`
-	// Hedged-execution and health-probe counters (engine.Stats mirrors).
+	// WastedRows counts rows of work discarded by failed attempts (the
+	// output of crashed units, the payload of failed shipments).
+	WastedRows int64 `json:"wasted_rows"`
+	// Hedges counts speculative duplicate units launched for straggling
+	// partitions; HedgeWins counts hedges that finished before their
+	// straggling primary; HedgeWastedRows is the discarded row output of
+	// hedge-race losers. All zero unless the query runs under a cluster
+	// with hedging enabled.
 	Hedges          int   `json:"hedges"`
 	HedgeWins       int   `json:"hedge_wins"`
 	HedgeWastedRows int64 `json:"hedge_wasted_rows"`
-	// Probes counts half-open breaker probes charged to this query at
-	// admission; probes have no operator span, so no span-sum law applies.
+	// Probes counts half-open circuit-breaker probes the cluster layer
+	// charged to this query at admission; probes have no operator span,
+	// so no span-sum law applies.
 	Probes int `json:"probes"`
 }
 
-// Builder accumulates live Ops during one execution. Begin/Build run on
-// the query goroutine; only the returned Ops' mutators are called
+// Builder accumulates live Ops during one execution. Begin/Totals/Build
+// run on the query goroutine; only the returned Ops' mutators are called
 // concurrently.
 type Builder struct {
 	n      int
@@ -301,17 +333,18 @@ type Builder struct {
 	result *Op
 	seq    int
 	start  time.Time
-	totals Totals
+	probes int
 }
 
-// NewBuilder opens a trace sink for a query over n nodes.
-func NewBuilder(n int) *Builder {
-	return &Builder{n: n, ops: make(map[plan.Node]*Op), start: time.Now()}
+// NewBuilder opens the metering sink for a query over n nodes. probes is
+// the number of half-open breaker probes charged to the query at
+// admission — the one Totals field no cell carries.
+func NewBuilder(n, probes int) *Builder {
+	return &Builder{n: n, probes: probes, ops: make(map[plan.Node]*Op), start: time.Now()}
 }
 
 // Begin opens (or returns) the sink for one plan operator. Safe on a nil
-// builder: returns a nil Op whose mutators are no-ops, so the engine's
-// recording sites need no tracing-enabled branches.
+// builder: returns a nil Op whose mutators are no-ops.
 func (b *Builder) Begin(n plan.Node, kind Kind) *Op {
 	if b == nil {
 		return nil
@@ -319,7 +352,7 @@ func (b *Builder) Begin(n plan.Node, kind Kind) *Op {
 	if op, ok := b.ops[n]; ok {
 		return op
 	}
-	op := b.newOp(kind, n.String())
+	op := b.newOp(kind)
 	b.ops[n] = op
 	return op
 }
@@ -331,24 +364,62 @@ func (b *Builder) BeginResult() *Op {
 		return nil
 	}
 	if b.result == nil {
-		b.result = b.newOp(KindResult, "Result")
+		b.result = b.newOp(KindResult)
 	}
 	return b.result
 }
 
-func (b *Builder) newOp(kind Kind, label string) *Op {
-	op := &Op{id: b.seq, kind: kind, label: label, cells: make([]cell, b.n)}
+func (b *Builder) newOp(kind Kind) *Op {
+	op := &Op{id: b.seq, kind: kind, cells: make([]cell, b.n)}
 	b.seq++
 	return op
 }
 
-// SetTotals records the query-level flat counters (engine.Stats) for the
-// cross-check in internal/check.VerifyTrace.
-func (b *Builder) SetTotals(t Totals) {
+// Totals sums the live cells into the query-level counters, by the rule
+// check.VerifyTrace recomputes from a finished document: each field is the
+// sum over every (operator, node) cell, MaxNodeRows is the largest per-node
+// Work sum, and Repartitions/Broadcasts count opened operators by kind.
+// Call on the query goroutine after the last fan-out joined.
+//
+// lint:ship-boundary snapshot sweep: reads every node's live cell on the
+// query goroutine after the fan-out has joined.
+func (b *Builder) Totals() Totals {
 	if b == nil {
-		return
+		return Totals{}
 	}
-	b.totals = t
+	t := Totals{Probes: b.probes}
+	for _, op := range b.ops {
+		switch op.kind {
+		case KindRepartition, KindDistinctByValue:
+			t.Repartitions++
+		case KindBroadcast:
+			t.Broadcasts++
+		}
+	}
+	var sum Metrics
+	for node := 0; node < b.n; node++ {
+		before := sum.Work
+		for _, op := range b.ops {
+			op.cells[node].addTo(&sum)
+		}
+		if b.result != nil {
+			b.result.cells[node].addTo(&sum)
+		}
+		if work := sum.Work - before; work > t.MaxNodeRows {
+			t.MaxNodeRows = work
+		}
+	}
+	t.BytesShipped = sum.BytesShipped
+	t.RowsShipped = sum.RowsShipped
+	t.RowsProcessed = sum.Work
+	t.Retries = int(sum.Retries)
+	t.Failovers = int(sum.Failovers)
+	t.RecoveredRows = sum.RecoveredRows
+	t.WastedRows = sum.WastedRows
+	t.Hedges = int(sum.Hedges)
+	t.HedgeWins = int(sum.HedgeWins)
+	t.HedgeWastedRows = sum.HedgeWastedRows
+	return t
 }
 
 // NodeMetrics is the finished cell of one (operator, node) pair.
@@ -385,17 +456,19 @@ type Trace struct {
 	// Root is the synthetic Result operator; Root.Children[0] is the
 	// plan root.
 	Root *OpTrace `json:"root"`
-	// Totals is the engine's flat Stats counterpart, for cross-checking
-	// span sums.
+	// Totals is the query's Stats (the sum of the cells at Build time),
+	// for cross-checking a document's span sums.
 	Totals Totals `json:"totals"`
 	// WallNanos is end-to-end query wall time at the coordinator.
 	WallNanos int64 `json:"wall_nanos"`
 }
 
-// Build assembles the finished trace by walking the physical plan tree.
-// Call after execution completes; the result shares no state with the
-// live Ops. Operators the engine never opened (on error paths) appear
-// with zero metrics.
+// Build assembles the finished trace by walking the physical plan tree,
+// rendering each operator's label and property here rather than at Begin:
+// the cells are recorded for every query, the tree only for queries that
+// ask for it. Call after execution completes; the result shares no state
+// with the live Ops. Operators the engine never opened (on error paths)
+// appear with zero metrics.
 func (b *Builder) Build(rw *plan.Rewritten) *Trace {
 	if b == nil {
 		return nil
@@ -404,9 +477,9 @@ func (b *Builder) Build(rw *plan.Rewritten) *Trace {
 	walk = func(n plan.Node) *OpTrace {
 		op := b.ops[n]
 		if op == nil {
-			op = b.newOp(KindUnexecuted, n.String())
+			op = b.newOp(KindUnexecuted)
 		}
-		ot := op.finish()
+		ot := op.finish(n.String())
 		if p := rw.Props[n]; p != nil {
 			ot.Prop = p.String()
 		}
@@ -418,49 +491,33 @@ func (b *Builder) Build(rw *plan.Rewritten) *Trace {
 	planRoot := walk(rw.Root)
 	res := b.result
 	if res == nil {
-		res = b.newOp(KindResult, "Result")
+		res = b.newOp(KindResult)
 	}
-	root := res.finish()
+	root := res.finish("Result")
 	root.Children = []*OpTrace{planRoot}
 	return &Trace{
 		N:         b.n,
 		Root:      root,
-		Totals:    b.totals,
+		Totals:    b.Totals(),
 		WallNanos: int64(time.Since(b.start)),
 	}
 }
 
 // finish snapshots a live Op into an immutable OpTrace (without
-// children). Runs on the query goroutine after all units completed, so
-// plain loads are safe; atomic loads keep the race detector satisfied if
-// a straggler goroutine is still draining.
+// children) under the given label.
 //
 // lint:ship-boundary snapshot sweep: reads every node's live cell on the
 // query goroutine after the fan-out has joined.
-func (o *Op) finish() *OpTrace {
-	ot := &OpTrace{ID: o.id, Kind: o.kind, Label: o.label, Prop: o.prop, ReadOne: o.readOne}
+func (o *Op) finish(label string) *OpTrace {
+	ot := &OpTrace{ID: o.id, Kind: o.kind, Label: label, ReadOne: o.readOne}
 	for node := range o.cells {
-		m := Metrics{
-			RowsIn:          atomic.LoadInt64(&o.cells[node].rowsIn),
-			RowsOut:         atomic.LoadInt64(&o.cells[node].rowsOut),
-			RowsShipped:     atomic.LoadInt64(&o.cells[node].rowsShipped),
-			BytesShipped:    atomic.LoadInt64(&o.cells[node].bytesShipped),
-			DedupHits:       atomic.LoadInt64(&o.cells[node].dedupHits),
-			Work:            atomic.LoadInt64(&o.cells[node].work),
-			Retries:         atomic.LoadInt64(&o.cells[node].retries),
-			WastedRows:      atomic.LoadInt64(&o.cells[node].wastedRows),
-			Failovers:       atomic.LoadInt64(&o.cells[node].failovers),
-			RecoveredRows:   atomic.LoadInt64(&o.cells[node].recoveredRows),
-			Hedges:          atomic.LoadInt64(&o.cells[node].hedges),
-			HedgeWins:       atomic.LoadInt64(&o.cells[node].hedgeWins),
-			HedgeWastedRows: atomic.LoadInt64(&o.cells[node].hedgeWastedRows),
-			WallNanos:       atomic.LoadInt64(&o.cells[node].wallNanos),
-		}
+		var m Metrics
+		o.cells[node].addTo(&m)
 		if m.Zero() {
 			continue
 		}
 		ot.Nodes = append(ot.Nodes, NodeMetrics{Node: node, Metrics: m})
-		ot.Totals.merge(&m)
+		o.cells[node].addTo(&ot.Totals) // quiescent: reads the same values again
 	}
 	return ot
 }

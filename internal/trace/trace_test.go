@@ -10,9 +10,9 @@ import (
 	"pref/internal/plan"
 )
 
-// TestNilSafety pins the no-branch contract the engine relies on: every
-// mutator and Begin/Build must be a no-op on nil receivers, so recording
-// sites need no tracing-enabled checks.
+// TestNilSafety pins the no-branch contract white-box engine tests rely
+// on: every mutator and Begin/Build must be a no-op on nil receivers, so
+// recording sites need no sink-present checks.
 func TestNilSafety(t *testing.T) {
 	var b *Builder
 	op := b.Begin(plan.Scan("t", "t"), KindScan)
@@ -22,7 +22,6 @@ func TestNilSafety(t *testing.T) {
 	if r := b.BeginResult(); r != nil {
 		t.Fatal("nil builder must hand out a nil result op")
 	}
-	b.SetTotals(Totals{RowsShipped: 1})
 	if tr := b.Build(nil); tr != nil {
 		t.Fatal("nil builder must build a nil trace")
 	}
@@ -52,7 +51,7 @@ func TestBuilderAssemblesTree(t *testing.T) {
 	filter := plan.Filter(scan, plan.Gt(plan.Col("t.c"), plan.Lit(1)))
 	rw := &plan.Rewritten{Root: filter, Props: map[plan.Node]*plan.Prop{}}
 
-	b := NewBuilder(3)
+	b := NewBuilder(3, 0)
 	sop := b.Begin(scan, KindScan)
 	if again := b.Begin(scan, KindScan); again != sop {
 		t.Fatal("Begin must be idempotent per plan node")
@@ -69,7 +68,6 @@ func TestBuilderAssemblesTree(t *testing.T) {
 	rtop := b.BeginResult()
 	rtop.AddIn(0, 9)
 	rtop.AddOut(0, 9)
-	b.SetTotals(Totals{RowsProcessed: 15, MaxNodeRows: 10})
 	tr := b.Build(rw)
 
 	if tr.N != 3 {
@@ -89,7 +87,7 @@ func TestBuilderAssemblesTree(t *testing.T) {
 		t.Fatalf("silent node cell must be dropped, got %+v", f.Nodes)
 	}
 	if tr.Totals.RowsProcessed != 15 || tr.Totals.MaxNodeRows != 10 {
-		t.Fatalf("totals not carried: %+v", tr.Totals)
+		t.Fatalf("totals not summed from the cells: %+v", tr.Totals)
 	}
 	// Distinct ops get distinct ids.
 	seen := map[int]bool{}
@@ -108,7 +106,7 @@ func TestBuildMarksUnexecuted(t *testing.T) {
 	scan := plan.Scan("t", "t")
 	filter := plan.Filter(scan, plan.Gt(plan.Col("t.c"), plan.Lit(1)))
 	rw := &plan.Rewritten{Root: filter, Props: map[plan.Node]*plan.Prop{}}
-	b := NewBuilder(2)
+	b := NewBuilder(2, 0)
 	b.Begin(filter, KindFilter) // scan never begun
 	tr := b.Build(rw)
 	if got := tr.Root.Children[0].Children[0].Kind; got != KindUnexecuted {
@@ -119,7 +117,7 @@ func TestBuildMarksUnexecuted(t *testing.T) {
 // TestConcurrentMutators hammers one op from many goroutines (run under
 // -race in CI) and checks the additive counters survive exactly.
 func TestConcurrentMutators(t *testing.T) {
-	b := NewBuilder(4)
+	b := NewBuilder(4, 0)
 	scan := plan.Scan("t", "t")
 	op := b.Begin(scan, KindScan)
 	const workers, per = 8, 1000
@@ -144,6 +142,11 @@ func TestConcurrentMutators(t *testing.T) {
 		tot.BytesShipped != workers*per*2*8 || tot.Retries != workers*per ||
 		tot.WastedRows != workers*per {
 		t.Fatalf("lost updates: %+v", tot)
+	}
+	want := Totals{RowsShipped: workers * per, BytesShipped: workers * per * 2 * 8,
+		Retries: workers * per, WastedRows: workers * per}
+	if got := b.Totals(); got != want || tr.Totals != want {
+		t.Fatalf("cell sum = %+v (trace carries %+v), want %+v", got, tr.Totals, want)
 	}
 }
 
@@ -182,7 +185,7 @@ func TestByteCount(t *testing.T) {
 func TestRenderAndJSON(t *testing.T) {
 	scan := plan.Scan("t", "t")
 	rw := &plan.Rewritten{Root: scan, Props: map[plan.Node]*plan.Prop{}}
-	b := NewBuilder(2)
+	b := NewBuilder(2, 0)
 	op := b.Begin(scan, KindScan)
 	op.AddOut(0, 3)
 	op.AddOut(1, 4)
