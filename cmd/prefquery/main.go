@@ -77,6 +77,7 @@ func run(query, variant, cfgPath string, sf float64, parts int, seed int64, expl
 		}
 		v = bench.SingleGroupVariant("custom:"+cfgPath, &cfg)
 		variant = v.Name
+		parts = cfg.NumPartitions // the loaded design decides, not the flag
 	} else {
 		var err error
 		if v, err = bench.TPCHVariant(t, parts, variant); err != nil {

@@ -136,12 +136,11 @@ func FromRows(rows []value.Tuple, width int) []*Batch {
 	if len(rows) == 0 {
 		return nil
 	}
-	var out []*Batch
 	w := NewWriter(width)
 	for _, r := range rows {
 		w.AppendTuple(r)
 	}
-	return append(out, w.Finish()...)
+	return w.Finish()
 }
 
 // AppendRows materializes every live row of bs as value.Tuple rows appended

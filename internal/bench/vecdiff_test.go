@@ -1,25 +1,29 @@
 package bench
 
 import (
+	"reflect"
 	"testing"
 
 	"pref/internal/design"
 	"pref/internal/engine"
 	"pref/internal/plan"
 	"pref/internal/tpch"
-	"pref/internal/value"
 )
 
-// TestVecRowOracleTPCH is the end-to-end differential oracle for the
-// vectorized engine: all 22 TPC-H queries under every Section 5.1 design
-// variant execute on both the columnar path and the row-at-a-time
-// reference path, and the results must be byte-equal — same schema, same
-// rows (after SortRows order normalisation, since aggregate output is
-// map-ordered), same values bit for bit (float aggregation accumulates in
-// the same row order on both paths), and the same execution telemetry.
+// TestVecRowOracleTPCH is the half of the TPC-H row/batch oracle that needs
+// no reference: all 22 queries under every Section 5.1 design variant run
+// twice on the product engine, plain and under the runtime verifier, and
+// must agree with themselves — same rows (after SortRows), same Stats — with
+// every operator's recorded cells passing check.VerifyTrace. Most of these
+// plans cross the seam between row-native and columnar operators (partial
+// states repartitioned, aggregates joined and filtered), and the trace
+// conservation laws are what a conversion that dropped or repeated a row
+// would break. The comparison against the row reference is
+// internal/engine's TestVecRowOracleTPCH: only the engine's own tests can
+// reach the reference.
 func TestVecRowOracleTPCH(t *testing.T) {
 	if testing.Short() {
-		t.Skip("oracle runs 22 queries x 7 variants x 2 engines; skipped in -short")
+		t.Skip("oracle runs 22 queries x 7 variants twice; skipped in -short")
 	}
 	d := tpch.Generate(0.002, 7)
 	vs, err := TPCHVariants(d, 4)
@@ -40,7 +44,7 @@ func TestVecRowOracleTPCH(t *testing.T) {
 		mats[name] = m
 	}
 
-	run := func(t *testing.T, name, query string, rowEngine bool) *engine.Result {
+	run := func(t *testing.T, name, query string, opt engine.ExecOptions) *engine.Result {
 		t.Helper()
 		v, m := vs[name], mats[name]
 		gi := v.RouteFor(query)
@@ -49,7 +53,7 @@ func TestVecRowOracleTPCH(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s/%s: rewrite: %v", name, query, err)
 		}
-		res, err := engine.ExecuteOpts(rw, m.PDBs[gi], engine.ExecOptions{RowEngine: rowEngine})
+		res, err := engine.ExecuteOpts(rw, m.PDBs[gi], opt)
 		if err != nil {
 			t.Fatalf("%s/%s: execute: %v", name, query, err)
 		}
@@ -57,35 +61,19 @@ func TestVecRowOracleTPCH(t *testing.T) {
 		return res
 	}
 
-	sameRows := func(a, b []value.Tuple) bool {
-		if len(a) != len(b) {
-			return false
-		}
-		for i := range a {
-			if len(a[i]) != len(b[i]) {
-				return false
-			}
-			for j := range a[i] {
-				if a[i][j] != b[i][j] {
-					return false
-				}
-			}
-		}
-		return true
-	}
-
 	for _, query := range tpch.QueryNames {
 		query := query
 		t.Run(query, func(t *testing.T) {
 			for _, name := range order {
-				vec := run(t, name, query, false)
-				row := run(t, name, query, true)
-				if !sameRows(vec.Rows, row.Rows) {
-					t.Errorf("%s/%s: vectorized result diverges from row engine: %d vs %d rows",
-						name, query, len(vec.Rows), len(row.Rows))
+				plain := run(t, name, query, engine.ExecOptions{})
+				verified := run(t, name, query, engine.ExecOptions{Verify: true, Trace: true})
+				if !reflect.DeepEqual(plain.Rows, verified.Rows) {
+					t.Errorf("%s/%s: two executions diverge: %d vs %d rows",
+						name, query, len(plain.Rows), len(verified.Rows))
 				}
-				if vec.Stats != row.Stats {
-					t.Errorf("%s/%s: stats diverge:\nvec %+v\nrow %+v", name, query, vec.Stats, row.Stats)
+				if plain.Stats != verified.Stats || verified.Trace.Totals != verified.Stats {
+					t.Errorf("%s/%s: stats diverge:\nplain    %+v\nverified %+v\ntrace    %+v",
+						name, query, plain.Stats, verified.Stats, verified.Trace.Totals)
 				}
 			}
 		})

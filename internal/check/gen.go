@@ -68,7 +68,10 @@ func GenConfig(rng *rand.Rand, s *catalog.Schema) *partition.Config {
 }
 
 // GenQuery builds a random left-deep SPJA plan over 1–3 distinct tables,
-// optionally topped by a filter, an aggregate, or a top-k.
+// optionally topped by a filter, an aggregate, or a top-k; an aggregate may
+// in turn carry a HAVING filter, and the whole may be joined to an
+// aggregated subquery. The last two are drawn after everything else, so a
+// seed generates the same plan beneath them as it did before they existed.
 func GenQuery(rng *rand.Rand, s *catalog.Schema) plan.Node {
 	names := s.TableNames()
 	nscan := 1 + rng.Intn(3)
@@ -113,15 +116,32 @@ func GenQuery(rng *rand.Rand, s *catalog.Schema) plan.Node {
 	if rng.Intn(2) == 0 {
 		root = plan.Filter(root, plan.Gt(plan.Col(cols[rng.Intn(len(cols))]), plan.Lit(int64(rng.Intn(50)))))
 	}
+	aggregated := false
 	switch rng.Intn(4) {
 	case 0:
 		g := cols[rng.Intn(len(cols))]
 		root = plan.Aggregate(root, []string{g}, plan.Count("cnt"),
 			plan.Sum(plan.Col(cols[rng.Intn(len(cols))]), "s"))
+		cols, aggregated = []string{g, "cnt", "s"}, true
 	case 1:
 		root = plan.Aggregate(root, nil, plan.Count("cnt"))
+		cols, aggregated = []string{"cnt"}, true
 	case 2:
 		root = plan.TopK(root, 1+rng.Intn(10), plan.OrderSpec{Col: cols[rng.Intn(len(cols))]})
+	}
+
+	// HAVING: a filter over the aggregate's output.
+	if having := rng.Intn(3) == 0; having && aggregated {
+		root = plan.Filter(root, plan.Gt(plan.Col("cnt"), plan.Lit(int64(rng.Intn(4)))))
+	}
+	// Join to an aggregated subquery over any table (a repeat of one already
+	// scanned is a self-join under a fresh alias).
+	if rng.Intn(4) == 0 {
+		t := s.Table(names[rng.Intn(len(names))])
+		g := plan.Qualify("sub", t.Columns[rng.Intn(t.NumCols())].Name)
+		sub := plan.Aggregate(plan.Scan(t.Name, "sub"), []string{g}, plan.Count("subcnt"))
+		jt := []plan.JoinType{plan.Inner, plan.Semi, plan.LeftOuter}[rng.Intn(3)]
+		root = plan.Join(root, sub, jt, []string{cols[rng.Intn(len(cols))]}, []string{g})
 	}
 	return root
 }

@@ -236,7 +236,7 @@ func finalValue(a plan.AggExpr, s *aggState, isFloat bool) int64 {
 
 func (ex *executor) evalAggregate(n *plan.AggregateNode) ([][]value.Tuple, error) {
 	top := ex.tb.Begin(n, trace.KindAggregate)
-	in, err := ex.eval(n.Child)
+	in, err := ex.dispatch(ex, n.Child)
 	if err != nil {
 		return nil, err
 	}
@@ -268,7 +268,7 @@ func (ex *executor) gathered(n plan.Node) bool {
 // merge still sees COUNT=0.
 func (ex *executor) evalPartialAgg(n *plan.PartialAggNode) ([][]value.Tuple, error) {
 	top := ex.tb.Begin(n, trace.KindPartialAgg)
-	in, err := ex.eval(n.Child)
+	in, err := ex.dispatch(ex, n.Child)
 	if err != nil {
 		return nil, err
 	}
@@ -302,7 +302,7 @@ func mergePartials(n *plan.FinalAggNode, sch plan.Schema, partials []value.Tuple
 // partials on the query goroutine; its input exchange already metered them.
 func (ex *executor) evalFinalAgg(n *plan.FinalAggNode) ([][]value.Tuple, error) {
 	top := ex.tb.Begin(n, trace.KindFinalAgg)
-	in, err := ex.eval(n.Child)
+	in, err := ex.dispatch(ex, n.Child)
 	if err != nil {
 		return nil, err
 	}

@@ -11,8 +11,8 @@ import (
 
 var aggSink []value.Tuple
 
-// BenchmarkGroupedAgg times the two phases of grouped aggregation on the
-// row shim, per layer: "partial" pre-aggregates 4 partitions of input rows,
+// BenchmarkGroupedAgg times the two phases of grouped aggregation's row
+// cores, per layer: "partial" pre-aggregates 4 partitions of input rows,
 // "merge" folds the partial states each partition receives from the
 // exchange. Low cardinality is Q1-like (4 groups, so the merge sees 16
 // states); high cardinality has one group per ~1.3 rows under a 5-column

@@ -47,8 +47,8 @@ type Result struct {
 	// concurrent write batches.
 	Epoch int64
 	// Trace is the per-operator, per-node execution trace, assembled when
-	// ExecOptions.Trace (or PREF_TRACE) is set; nil otherwise. It renders
-	// as EXPLAIN ANALYZE via Trace.Render and exports as JSON.
+	// ExecOptions.Trace is set; nil otherwise. It renders as EXPLAIN
+	// ANALYZE via Trace.Render and exports as JSON.
 	Trace *trace.Trace
 }
 
@@ -92,16 +92,8 @@ type ExecOptions struct {
 	// Trace assembles the per-operator, per-node counters into
 	// Result.Trace. The counters themselves are recorded for every query —
 	// Result.Stats is their sum — so this only selects whether the tree
-	// (labels, properties, per-node breakdown) is built. Setting the
-	// PREF_TRACE environment variable to any non-empty value enables it
-	// process-wide.
+	// (labels, properties, per-node breakdown) is built.
 	Trace bool
-	// RowEngine forces the row-at-a-time reference engine instead of the
-	// vectorized columnar path (vec.go). The two produce byte-identical
-	// results, traces, and Stats — the differential oracle in
-	// internal/bench holds them to it — so this selects the reference
-	// engine for the differential tests, not a semantics switch.
-	RowEngine bool
 	// Cluster attaches the query to a long-lived cluster health layer:
 	// admission control, circuit-breaker routing (nodes tripped by earlier
 	// queries are routed around without burning retries), half-open
@@ -114,8 +106,10 @@ type ExecOptions struct {
 // verifyEnv caches the PREF_VERIFY environment toggle.
 var verifyEnv = sync.OnceValue(func() bool { return os.Getenv("PREF_VERIFY") != "" })
 
-// traceEnv caches the PREF_TRACE environment toggle.
-var traceEnv = sync.OnceValue(func() bool { return os.Getenv("PREF_TRACE") != "" })
+// dispatcher evaluates a plan node to per-partition rows. The product has
+// one, (*executor).eval; the package's own tests pass the row reference
+// (ref_test.go) instead, to drive the same executeCtx over it.
+type dispatcher func(*executor, plan.Node) ([][]value.Tuple, error)
 
 // executor walks the physical plan once per query.
 type executor struct {
@@ -128,6 +122,9 @@ type executor struct {
 	cancel  context.CancelFunc
 	opSeq   int   // deterministic operator counter (main goroutine only)
 	execDst []int // executing node per logical partition (buddy when down)
+	// dispatch is the query's root dispatcher; the row-native operators
+	// evaluate their children through it.
+	dispatch dispatcher
 	// cl is the cluster health layer (nil: disabled); view is its
 	// admission-time snapshot and down the effective down set — injector
 	// faults not yet healed, plus breaker-tripped nodes — both immutable
@@ -203,18 +200,19 @@ var ErrDeadlineExceeded = errors.New("engine: query deadline exceeded")
 // expired deadline — whether it died queued at admission or mid-execution
 // in a partition goroutine — fails with a typed ErrDeadlineExceeded.
 func ExecuteCtx(ctx context.Context, rw *plan.Rewritten, pdb *table.PartitionedDatabase, opt ExecOptions) (*Result, error) {
-	res, err := executeCtx(ctx, rw, pdb, opt)
+	res, err := executeCtx(ctx, rw, pdb, opt, (*executor).eval)
 	if err != nil && errors.Is(err, context.DeadlineExceeded) {
 		err = fmt.Errorf("%w: %w", ErrDeadlineExceeded, err)
 	}
 	return res, err
 }
 
-// executeCtx is the untyped body of ExecuteCtx.
+// executeCtx is the untyped body of ExecuteCtx: one query, start to finish,
+// with the plan evaluated by root.
 //
 // lint:ship-boundary coordinator assembly: gathers every partition's output
 // into the final Result.
-func executeCtx(ctx context.Context, rw *plan.Rewritten, pdb *table.PartitionedDatabase, opt ExecOptions) (*Result, error) {
+func executeCtx(ctx context.Context, rw *plan.Rewritten, pdb *table.PartitionedDatabase, opt ExecOptions, root dispatcher) (*Result, error) {
 	verify := opt.Verify || verifyEnv()
 	if verify {
 		if err := check.Verify(rw); err != nil {
@@ -259,13 +257,13 @@ func executeCtx(ctx context.Context, rw *plan.Rewritten, pdb *table.PartitionedD
 		return nil, err
 	}
 	ex := &executor{
-		rw: rw, pdb: pdb, n: pdb.N, opt: opt, inj: inj,
+		rw: rw, pdb: pdb, n: pdb.N, opt: opt, dispatch: root, inj: inj,
 		ctx: ctx, cancel: cancel, execDst: execDst,
 		cl: cl, view: view, down: down, snap: snap,
 		tb: trace.NewBuilder(pdb.N, probes),
 	}
 	ex.hedgeDelay, ex.hedgeOK = cl.HedgeDelay()
-	parts, err := ex.eval(rw.Root)
+	parts, err := root(ex, rw.Root)
 	if err != nil {
 		return nil, err
 	}
@@ -298,8 +296,7 @@ func executeCtx(ctx context.Context, rw *plan.Rewritten, pdb *table.PartitionedD
 	}
 	rtop.AddOut(ex.execDst[0], len(rows))
 	res := &Result{Schema: sch, Rows: rows, Stats: ex.tb.Totals(), Epoch: ex.epoch()}
-	wantTrace := opt.Trace || traceEnv()
-	if wantTrace || verify {
+	if opt.Trace || verify {
 		tr := ex.tb.Build(rw)
 		if verify {
 			// Runtime cross-check: the observed spans must agree with the
@@ -308,7 +305,7 @@ func executeCtx(ctx context.Context, rw *plan.Rewritten, pdb *table.PartitionedD
 				return nil, fmt.Errorf("engine: execution trace failed runtime verification: %w", err)
 			}
 		}
-		if wantTrace {
+		if opt.Trace {
 			res.Trace = tr
 		}
 	}
@@ -483,44 +480,68 @@ func (ex *executor) shipBatch(top *trace.Op, op, src, rows, width int) error {
 	}
 }
 
+// Every plan node has one implementation, in its native representation:
+// scan, filter, project, join, distinct-pref and the three exchanges are
+// columnar (vec.go); aggregation, top-k and distinct-by-value work on rows.
+// eval and evalVec are the two entry points into that one engine — "rows
+// wanted" and "batches wanted" — and each converts at the seam where the
+// node's native form is the other one: materializeParts turns batches into
+// rows, liftParts rows into batches. Neither conversion moves a row between
+// partitions, so neither is metered or consumes an operator id.
+
+// eval evaluates n to per-partition rows: the form the Result and the
+// row-native operators consume.
 func (ex *executor) eval(n plan.Node) ([][]value.Tuple, error) {
-	// Vectorizable subtrees run on the columnar path and materialize rows
-	// exactly once, here — at the Result boundary or at the input of the
-	// first row-only operator (aggregation, top-k, distinct-by-value).
-	if !ex.opt.RowEngine && vectorizable(n) {
-		bs, err := ex.evalVec(n)
-		if err != nil {
-			return nil, err
-		}
-		return materializeParts(bs), nil
-	}
 	switch n := n.(type) {
-	case *plan.ScanNode:
-		return ex.evalScan(n)
-	case *plan.FilterNode:
-		return ex.evalFilter(n)
-	case *plan.ProjectNode:
-		return ex.evalProject(n)
-	case *plan.JoinNode:
-		return ex.evalJoin(n)
 	case *plan.AggregateNode:
 		return ex.evalAggregate(n)
 	case *plan.PartialAggNode:
 		return ex.evalPartialAgg(n)
 	case *plan.FinalAggNode:
 		return ex.evalFinalAgg(n)
-	case *plan.RepartitionNode:
-		return ex.evalRepartition(n)
-	case *plan.BroadcastNode:
-		return ex.evalBroadcast(n)
-	case *plan.DistinctPrefNode:
-		return ex.evalDistinctPref(n)
 	case *plan.DistinctByValueNode:
 		return ex.evalDistinctByValue(n)
-	case *plan.GatherNode:
-		return ex.evalGather(n)
 	case *plan.TopKNode:
 		return ex.evalTopK(n)
+	}
+	bs, err := ex.evalVec(n)
+	if err != nil {
+		return nil, err
+	}
+	return materializeParts(bs), nil
+}
+
+// evalVec evaluates n to per-partition batch lists: the form the columnar
+// operators consume.
+//
+// lint:batch-owner callers own the returned partition batch lists and must
+// release or hand them off (materializeParts, releaseParts, or the caller's
+// own output).
+func (ex *executor) evalVec(n plan.Node) (vparts, error) {
+	switch n := n.(type) {
+	case *plan.ScanNode:
+		return ex.evalScanVec(n)
+	case *plan.FilterNode:
+		return ex.evalFilterVec(n)
+	case *plan.ProjectNode:
+		return ex.evalProjectVec(n)
+	case *plan.JoinNode:
+		return ex.evalJoinVec(n)
+	case *plan.RepartitionNode:
+		return ex.evalRepartitionVec(n)
+	case *plan.BroadcastNode:
+		return ex.evalBroadcastVec(n)
+	case *plan.GatherNode:
+		return ex.evalGatherVec(n)
+	case *plan.DistinctPrefNode:
+		return ex.evalDistinctPrefVec(n)
+	case *plan.AggregateNode, *plan.PartialAggNode, *plan.FinalAggNode,
+		*plan.DistinctByValueNode, *plan.TopKNode:
+		rows, err := ex.eval(n)
+		if err != nil {
+			return nil, err
+		}
+		return liftParts(rows, len(ex.rw.Schemas[n])), nil
 	default:
 		return nil, fmt.Errorf("engine: unsupported node %T", n)
 	}
@@ -548,152 +569,6 @@ func scanRows(part *table.Partition, withIndexes bool) []value.Tuple {
 	return rows
 }
 
-func (ex *executor) evalScan(n *plan.ScanNode) ([][]value.Tuple, error) {
-	top := ex.tb.Begin(n, trace.KindScan)
-	pt, ok := ex.pdb.Tables[n.Table]
-	if !ok {
-		return nil, fmt.Errorf("engine: table %s not in partitioned database", n.Table)
-	}
-	sch := ex.rw.Schemas[n]
-	parts := ex.partsOf(pt, n.Table)
-	withIndexes := len(sch) == pt.Meta.NumCols()+2
-	var keep map[int]bool
-	if n.Prune != nil {
-		keep = make(map[int]bool, len(n.Prune))
-		for _, p := range n.Prune {
-			keep[p] = true
-		}
-	}
-	return forEachPart(ex, top, func(p int) ([]value.Tuple, int, error) {
-		if keep != nil && !keep[p] {
-			return nil, 0, nil // pruned: the partition cannot contain matches
-		}
-		if ex.down[p] {
-			// The node holding this base partition is unavailable —
-			// permanently failed, or routed around by an open circuit
-			// breaker: reconstruct its scan output from surviving
-			// duplicate copies.
-			rows, err := ex.recoverScan(top, pt, parts, p, withIndexes, len(sch))
-			if err != nil {
-				return nil, 0, err
-			}
-			return rows, len(rows), nil
-		}
-		rows := scanRows(parts[p], withIndexes)
-		return rows, len(rows), nil
-	})
-}
-
-func (ex *executor) evalFilter(n *plan.FilterNode) ([][]value.Tuple, error) {
-	top := ex.tb.Begin(n, trace.KindFilter)
-	in, err := ex.eval(n.Child)
-	if err != nil {
-		return nil, err
-	}
-	ex.addInputs(top, in)
-	sch := ex.rw.Schemas[n.Child]
-	return forEachPart(ex, top, func(p int) ([]value.Tuple, int, error) {
-		pred, err := n.Pred.Bind(sch)
-		if err != nil {
-			return nil, 0, err
-		}
-		var rows []value.Tuple
-		for _, r := range in[p] {
-			if pred(r) {
-				rows = append(rows, r)
-			}
-		}
-		return rows, len(rows), nil
-	})
-}
-
-func (ex *executor) evalProject(n *plan.ProjectNode) ([][]value.Tuple, error) {
-	top := ex.tb.Begin(n, trace.KindProject)
-	in, err := ex.eval(n.Child)
-	if err != nil {
-		return nil, err
-	}
-	ex.addInputs(top, in)
-	sch := ex.rw.Schemas[n.Child]
-	return forEachPart(ex, top, func(p int) ([]value.Tuple, int, error) {
-		fns := make([]func(value.Tuple) int64, len(n.Exprs))
-		for i, e := range n.Exprs {
-			f, err := e.Bind(sch)
-			if err != nil {
-				return nil, 0, err
-			}
-			fns[i] = f
-		}
-		rows := make([]value.Tuple, 0, len(in[p]))
-		for _, r := range in[p] {
-			nr := make(value.Tuple, len(fns))
-			for i, f := range fns {
-				nr[i] = f(r)
-			}
-			rows = append(rows, nr)
-		}
-		return rows, len(rows), nil
-	})
-}
-
-// dedupRows applies the disjunctive dup=0 filter over the given dup
-// columns (Section 2.2's distinct operator); no movement involved. A Null
-// dup flag means the row was null-extended by an outer join (it has no
-// copy of that table at all) and is kept — such rows exist exactly once.
-func dedupRows(rows []value.Tuple, sch plan.Schema, dupCols []string) ([]value.Tuple, error) {
-	if len(dupCols) == 0 {
-		return rows, nil
-	}
-	idx, err := sch.Indexes(dupCols)
-	if err != nil {
-		return nil, err
-	}
-	out := rows[:0:0]
-	for _, r := range rows {
-		keep := false
-		for _, j := range idx {
-			if r[j] == 0 || r[j] == plan.Null {
-				keep = true
-				break
-			}
-		}
-		if keep {
-			out = append(out, r)
-		}
-	}
-	return out, nil
-}
-
-// evalDistinctPref drops PREF-duplicate rows (dup != 0) partition-locally.
-//
-// lint:ship-boundary exchange operator: sweeps per-partition outputs on the
-// query goroutine to charge dedup hits; no rows move, nothing is metered.
-func (ex *executor) evalDistinctPref(n *plan.DistinctPrefNode) ([][]value.Tuple, error) {
-	top := ex.tb.Begin(n, trace.KindDistinctPref)
-	in, err := ex.eval(n.Child)
-	if err != nil {
-		return nil, err
-	}
-	ex.addInputs(top, in)
-	sch := ex.rw.Schemas[n.Child]
-	out, err := forEachPart(ex, top, func(p int) ([]value.Tuple, int, error) {
-		rows, err := dedupRows(in[p], sch, n.DupCols)
-		if err != nil {
-			return nil, 0, err
-		}
-		return rows, len(rows), nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	// Dedup hits are derived after the fan-out so crash-retried attempts
-	// cannot double-count them.
-	for p := range out {
-		top.AddDedup(ex.execDst[p], len(in[p])-len(out[p]))
-	}
-	return out, nil
-}
-
 // evalDistinctByValue deduplicates by value, which requires a hash shuffle
 // so equal rows meet on one partition.
 //
@@ -701,7 +576,7 @@ func (ex *executor) evalDistinctPref(n *plan.DistinctPrefNode) ([][]value.Tuple,
 // partitions and meters every crossing via shipBatch.
 func (ex *executor) evalDistinctByValue(n *plan.DistinctByValueNode) ([][]value.Tuple, error) {
 	top := ex.tb.Begin(n, trace.KindDistinctByValue)
-	in, err := ex.eval(n.Child)
+	in, err := ex.dispatch(ex, n.Child)
 	if err != nil {
 		return nil, err
 	}
@@ -746,145 +621,5 @@ func (ex *executor) evalDistinctByValue(n *plan.DistinctByValueNode) ([][]value.
 	for p := range out {
 		top.AddDedup(ex.execDst[p], len(shuffled[p])-len(out[p]))
 	}
-	return out, nil
-}
-
-// evalRepartition hash-partitions rows onto their owner partitions.
-//
-// lint:ship-boundary exchange operator: scatters rows across partitions and
-// meters every boundary crossing via shipBatch.
-func (ex *executor) evalRepartition(n *plan.RepartitionNode) ([][]value.Tuple, error) {
-	top := ex.tb.Begin(n, trace.KindRepartition)
-	in, err := ex.eval(n.Child)
-	if err != nil {
-		return nil, err
-	}
-	sch := ex.rw.Schemas[n.Child]
-	idx, err := sch.Indexes(n.Cols)
-	if err != nil {
-		return nil, err
-	}
-	op := ex.nextOp()
-	start := time.Now()
-	out := make([][]value.Tuple, ex.n)
-	for src := 0; src < ex.n; src++ {
-		if n.OneCopy && src != 0 {
-			continue
-		}
-		top.AddIn(ex.execDst[src], len(in[src]))
-		rows, err := dedupRows(in[src], sch, n.DupCols)
-		if err != nil {
-			return nil, err
-		}
-		top.AddDedup(ex.execDst[src], len(in[src])-len(rows))
-		cross := 0
-		for _, r := range rows {
-			dst := int(value.HashTuple(r, idx) % uint64(ex.n))
-			if dst != src {
-				cross++
-			}
-			out[dst] = append(out[dst], r)
-		}
-		if err := ex.shipBatch(top, op, src, cross, len(sch)); err != nil {
-			return nil, err
-		}
-	}
-	if n.OneCopy {
-		top.SetReadOne()
-	}
-	for dst := 0; dst < ex.n; dst++ {
-		top.AddWork(ex.execDst[dst], len(out[dst]))
-		top.AddOut(ex.execDst[dst], len(out[dst]))
-	}
-	top.AddWall(ex.execDst[0], time.Since(start))
-	return out, nil
-}
-
-// evalBroadcast replicates the full input to every partition.
-//
-// lint:ship-boundary exchange operator: copies rows to all partitions and
-// meters the n-1 remote copies via shipBatch.
-func (ex *executor) evalBroadcast(n *plan.BroadcastNode) ([][]value.Tuple, error) {
-	top := ex.tb.Begin(n, trace.KindBroadcast)
-	in, err := ex.eval(n.Child)
-	if err != nil {
-		return nil, err
-	}
-	sch := ex.rw.Schemas[n.Child]
-	op := ex.nextOp()
-	start := time.Now()
-	var all []value.Tuple
-	for src := 0; src < ex.n; src++ {
-		if n.OneCopy && src != 0 {
-			continue
-		}
-		top.AddIn(ex.execDst[src], len(in[src]))
-		rows, err := dedupRows(in[src], sch, n.DupCols)
-		if err != nil {
-			return nil, err
-		}
-		top.AddDedup(ex.execDst[src], len(in[src])-len(rows))
-		// Each row is shipped to every other node.
-		if err := ex.shipBatch(top, op, src, len(rows)*(ex.n-1), len(sch)); err != nil {
-			return nil, err
-		}
-		all = append(all, rows...)
-	}
-	if n.OneCopy {
-		top.SetReadOne()
-	}
-	// Every partition shares one row slice; clamp its capacity so a
-	// downstream append through any one partition reallocates instead of
-	// scribbling over its siblings' (and the trailing hidden) elements.
-	all = all[:len(all):len(all)]
-	out := make([][]value.Tuple, ex.n)
-	for p := 0; p < ex.n; p++ {
-		out[p] = all
-		top.AddWork(ex.execDst[p], len(all))
-		top.AddOut(ex.execDst[p], len(all))
-	}
-	top.AddWall(ex.execDst[0], time.Since(start))
-	return out, nil
-}
-
-// evalGather concentrates all partitions' rows on the coordinator.
-//
-// lint:ship-boundary exchange operator: drains every partition to slot 0 and
-// meters the remote partitions' rows via shipBatch.
-func (ex *executor) evalGather(n *plan.GatherNode) ([][]value.Tuple, error) {
-	top := ex.tb.Begin(n, trace.KindGather)
-	in, err := ex.eval(n.Child)
-	if err != nil {
-		return nil, err
-	}
-	sch := ex.rw.Schemas[n.Child]
-	start := time.Now()
-	out := make([][]value.Tuple, ex.n)
-	if n.OneCopy {
-		top.SetReadOne()
-		top.AddIn(ex.execDst[0], len(in[0]))
-		// The child's partition 0 slice passes through; clamp so an append
-		// downstream cannot overwrite the child's backing array in place.
-		out[0] = in[0][:len(in[0]):len(in[0])]
-		top.AddWork(ex.execDst[0], len(in[0]))
-		top.AddOut(ex.execDst[0], len(in[0]))
-		top.AddWall(ex.execDst[0], time.Since(start))
-		return out, nil
-	}
-	op := ex.nextOp()
-	var rows []value.Tuple
-	for p := 0; p < ex.n; p++ {
-		top.AddIn(ex.execDst[p], len(in[p]))
-		if p != 0 {
-			if err := ex.shipBatch(top, op, p, len(in[p]), len(sch)); err != nil {
-				return nil, err
-			}
-		}
-		rows = append(rows, in[p]...)
-	}
-	out[0] = rows
-	top.AddWork(ex.execDst[0], len(rows))
-	top.AddOut(ex.execDst[0], len(rows))
-	top.AddWall(ex.execDst[0], time.Since(start))
 	return out, nil
 }

@@ -15,7 +15,7 @@ var meteringSink *Result
 // two-join plan over the all-hashed design, whose joins need exchanges.
 // The data is tiny (225 rows) so metering is a visible share of the
 // total; "plan_ops" is the operator count the per-operator budget
-// divides by. Run without PREF_TRACE, which would turn "off" on.
+// divides by.
 func BenchmarkExecuteMetering(b *testing.B) {
 	plans := []struct {
 		name string

@@ -1,0 +1,99 @@
+package engine_test
+
+import (
+	"testing"
+
+	"pref/internal/bench"
+	"pref/internal/design"
+	"pref/internal/engine"
+	"pref/internal/plan"
+	"pref/internal/table"
+	"pref/internal/tpch"
+	"pref/internal/value"
+)
+
+// TestVecRowOracleTPCH is the end-to-end differential oracle for the
+// product engine: all 22 TPC-H queries under every Section 5.1 design
+// variant execute on the product and on the row reference, and the results
+// must be byte-equal — same rows (after SortRows order normalisation, since
+// aggregate output is map-ordered), same values bit for bit (float
+// aggregation accumulates in the same row order on both), and the same
+// execution telemetry. It lives in the engine's external test package
+// because only the engine's own tests can reach the reference
+// (engine.ExecuteRef, export_test.go) and only an external package can
+// import internal/bench, which imports the engine.
+func TestVecRowOracleTPCH(t *testing.T) {
+	if testing.Short() {
+		t.Skip("oracle runs 22 queries x 7 variants x 2 engines; skipped in -short")
+	}
+	d := tpch.Generate(0.002, 7)
+	vs, err := bench.TPCHVariants(d, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	order := []string{"AllReplicated", "AllHashed", "CP", "SD", "SD-noRed", "SD-paper", "WD"}
+	mats := map[string]*bench.Materialized{}
+	for _, name := range order {
+		v, ok := vs[name]
+		if !ok {
+			t.Fatalf("variant %s missing from TPCHVariants", name)
+		}
+		m, err := bench.Materialize(v, d.DB)
+		if err != nil {
+			t.Fatalf("materialize %s: %v", name, err)
+		}
+		mats[name] = m
+	}
+
+	type executeFn func(*plan.Rewritten, *table.PartitionedDatabase, engine.ExecOptions) (*engine.Result, error)
+	run := func(t *testing.T, name, query string, execute executeFn) *engine.Result {
+		t.Helper()
+		v, m := vs[name], mats[name]
+		gi := v.RouteFor(query)
+		rw, err := plan.Rewrite(d.Query(query), d.DB.Schema, v.Groups[gi].Config,
+			plan.Options{Sizes: design.SizesOf(d.DB)})
+		if err != nil {
+			t.Fatalf("%s/%s: rewrite: %v", name, query, err)
+		}
+		res, err := execute(rw, m.PDBs[gi], engine.ExecOptions{})
+		if err != nil {
+			t.Fatalf("%s/%s: execute: %v", name, query, err)
+		}
+		res.SortRows()
+		return res
+	}
+
+	sameRows := func(a, b []value.Tuple) bool {
+		if len(a) != len(b) {
+			return false
+		}
+		for i := range a {
+			if len(a[i]) != len(b[i]) {
+				return false
+			}
+			for j := range a[i] {
+				if a[i][j] != b[i][j] {
+					return false
+				}
+			}
+		}
+		return true
+	}
+
+	for _, query := range tpch.QueryNames {
+		query := query
+		t.Run(query, func(t *testing.T) {
+			for _, name := range order {
+				vec := run(t, name, query, engine.ExecuteOpts)
+				row := run(t, name, query, engine.ExecuteRef)
+				if !sameRows(vec.Rows, row.Rows) {
+					t.Errorf("%s/%s: product result diverges from the row reference: %d vs %d rows",
+						name, query, len(vec.Rows), len(row.Rows))
+				}
+				if vec.Stats != row.Stats {
+					t.Errorf("%s/%s: stats diverge:\nvec %+v\nrow %+v", name, query, vec.Stats, row.Stats)
+				}
+			}
+		})
+	}
+}

@@ -14,7 +14,7 @@ import (
 // final pass sees rows only at the coordinator after the gather.
 func (ex *executor) evalTopK(n *plan.TopKNode) ([][]value.Tuple, error) {
 	top := ex.tb.Begin(n, trace.KindTopK)
-	in, err := ex.eval(n.Child)
+	in, err := ex.dispatch(ex, n.Child)
 	if err != nil {
 		return nil, err
 	}

@@ -65,7 +65,7 @@ func traceScenario(t *testing.T, seed int64, eopt ExecOptions) *Result {
 	if err != nil {
 		t.Fatalf("seed %d: untraced execute failed: %v\nplan:\n%s", seed, err, rw.Explain())
 	}
-	if off.Trace != nil && !traceEnv() {
+	if off.Trace != nil {
 		t.Fatalf("seed %d: Trace not requested but assembled", seed)
 	}
 	eopt.Trace = true
@@ -135,9 +135,6 @@ func TestTraceInvariantsUnderFaults(t *testing.T) {
 // runtime cross-check off the always-recorded cells, but only Trace
 // publishes it on the Result.
 func TestVerifyAloneLeavesTraceNil(t *testing.T) {
-	if traceEnv() {
-		t.Skip("PREF_TRACE requests a trace for every query")
-	}
 	db := testDB(t)
 	cfg := testConfigs(4)["all-hashed"]
 	mk := faultQueries()["filter-project"]

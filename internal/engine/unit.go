@@ -16,15 +16,14 @@ import (
 
 // Generic per-partition work machinery.
 //
-// The row engine and the vectorized engine share every resilience and
-// metering mechanism — fan-out, retry/backoff, failover, hedging, trace
-// cells — differing only in the payload a unit produces: []value.Tuple or
+// Row-native and columnar operators share every resilience and metering
+// mechanism — fan-out, retry/backoff, failover, hedging, trace cells —
+// differing only in the payload a unit produces: []value.Tuple or
 // []*batch.Batch. The functions here are generic over that payload so both
-// paths run the byte-identical fault model: fault draws are keyed by
+// kinds run the byte-identical fault model: fault draws are keyed by
 // (operator id, executing node, attempt), and the operator id sequence is a
-// pure function of the plan, so a query executes the same fault schedule
-// under either representation. Go methods cannot take type parameters,
-// hence free functions taking the executor explicitly.
+// pure function of the plan. Go methods cannot take type parameters, hence
+// free functions taking the executor explicitly.
 
 // payload is a unit's output representation: row tuples or columnar batches.
 type payload interface {
@@ -46,9 +45,6 @@ func rowsOf[T payload](v T) int {
 // unitFn computes one partition's slice of an operator: its output payload
 // plus the operator work (a row count) to charge to the executing node.
 type unitFn[T payload] func(p int) (out T, work int, err error)
-
-// partUnit is the row engine's unit shape.
-type partUnit = unitFn[[]value.Tuple]
 
 // forEachPart runs one unit of work per partition concurrently under the
 // fault model and returns the per-partition outputs. The first node error

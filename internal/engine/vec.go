@@ -10,31 +10,29 @@ import (
 	"pref/internal/value"
 )
 
-// Vectorized execution.
+// The columnar operators.
 //
-// evalVec mirrors eval over columnar batches: scans hand out zero-copy
-// views of the table's cached per-column projection, and filter, project,
-// join and the exchange operators process ~1k-row batches with selection
-// vectors instead of materializing []value.Tuple per operator. The mirror
-// is exact where it matters for reproducibility:
+// Scans hand out zero-copy views of the table's cached per-column
+// projection, and filter, project, join, distinct-pref and the exchange
+// operators process ~1k-row batches with selection vectors instead of
+// materializing []value.Tuple per operator. Each has a row-at-a-time twin
+// in ref_test.go, the differential reference, and matches it exactly where
+// reproducibility depends on it:
 //
-//   - Operator ids: every vectorized operator consumes nextOp() in the
-//     same order as its row twin, so injected fault schedules (keyed on
-//     operator id, node, attempt) are identical under either engine.
-//   - Metering: every AddIn/AddOut/AddWork/AddShip/AddDedup charge
-//     carries the same row counts — and Stats is the sum of those
-//     charges — so traces verify against the same conservation laws and
-//     benchmarks stay comparable.
-//   - Row order: batches preserve storage order, exchanges append in
-//     (source, row) order like the row engine, so order-sensitive float
-//     accumulation downstream sees identical input sequences and results
-//     are byte-equal.
+//   - Operator ids: every operator consumes nextOp() in the same order as
+//     its row twin, so injected fault schedules (keyed on operator id, node,
+//     attempt) are identical under the reference.
+//   - Metering: every AddIn/AddOut/AddWork/AddShip/AddDedup charge carries
+//     the same row counts — and Stats is the sum of those charges — so
+//     traces verify against the same conservation laws.
+//   - Row order: batches preserve storage order and exchanges append in
+//     (source, row) order, so order-sensitive float accumulation downstream
+//     sees identical input sequences and results are byte-equal.
 //
-// Operators without a columnar win (aggregation's hash groups, top-k's
-// sort, distinct-by-value's shuffle dedup) stay row-based: eval's
-// dispatcher materializes the vectorized subtree below them exactly once
-// (the row shim), and the row operator proceeds unchanged. A fully
-// vectorizable plan materializes only at the Result boundary.
+// Aggregation's hash groups, top-k's sort and distinct-by-value's shuffle
+// dedup work on rows (agg.go, topk.go, engine.go); eval and evalVec convert
+// at their inputs and outputs (materializeParts, liftParts). A plan without
+// them materializes only at the Result boundary.
 //
 // Batch ownership follows the batch package's rule: operators never write
 // through a batch they received — filters narrow with fresh selection
@@ -46,37 +44,9 @@ import (
 // ordered list of batches.
 type vparts = [][]*batch.Batch
 
-// vectorizable reports whether the whole subtree under n executes on the
-// columnar path. One non-vectorizable operator anywhere forces its subtree
-// to materialize at that operator's input instead.
-func vectorizable(n plan.Node) bool {
-	switch n := n.(type) {
-	case *plan.ScanNode:
-		return true
-	case *plan.FilterNode:
-		return vectorizable(n.Child)
-	case *plan.ProjectNode:
-		return vectorizable(n.Child)
-	case *plan.JoinNode:
-		return vectorizable(n.Left) && vectorizable(n.Right)
-	case *plan.RepartitionNode:
-		return vectorizable(n.Child)
-	case *plan.BroadcastNode:
-		return vectorizable(n.Child)
-	case *plan.GatherNode:
-		return vectorizable(n.Child)
-	case *plan.DistinctPrefNode:
-		return vectorizable(n.Child)
-	default:
-		return false
-	}
-}
-
-// materializeParts is the row shim: it converts per-partition batch lists
-// to the row representation at the vectorized/row frontier (and at the
-// Result boundary) — partition p's batches become partition p's rows, so
-// no rows move and nothing is metered; the row engine has no equivalent
-// step.
+// materializeParts converts per-partition batch lists to rows at the input
+// of a row-native operator and at the Result boundary — partition p's
+// batches become partition p's rows, so no rows move and nothing is metered.
 func materializeParts(in vparts) [][]value.Tuple {
 	out := make([][]value.Tuple, 0, len(in))
 	for _, bs := range in {
@@ -90,6 +60,24 @@ func materializeParts(in vparts) [][]value.Tuple {
 	// over table storage are a no-op.
 	for _, bs := range in {
 		batch.ReleaseAll(bs)
+	}
+	return out
+}
+
+// liftParts is the inverse of materializeParts: it copies a row-native
+// operator's per-partition output rows into fresh pooled batches for the
+// columnar operator above it. The operators that produce its input build
+// every partition's slice separately, so no two slots share rows.
+//
+// lint:ship-boundary representation change at the seam: partition p's rows
+// become partition p's batches on the query goroutine; nothing crosses a
+// partition boundary.
+//
+// lint:batch-owner the returned batch lists transfer to the caller
+func liftParts(in [][]value.Tuple, width int) vparts {
+	out := make(vparts, len(in))
+	for p, rows := range in {
+		out[p] = batch.FromRows(rows, width)
 	}
 	return out
 }
@@ -112,41 +100,13 @@ func releaseParts(in vparts) {
 }
 
 // addInputsVec charges each partition's consumed input rows to the node
-// the consuming unit executes on, like addInputs for the row path.
+// the consuming unit executes on, like addInputs for row inputs.
 //
 // lint:ship-boundary trace metering sweep: charges each partition's input
 // rows to the node executing it, on the query goroutine.
 func (ex *executor) addInputsVec(top *trace.Op, in vparts) {
 	for p, bs := range in {
 		top.AddIn(ex.execDst[p], batch.Rows(bs))
-	}
-}
-
-// evalVec dispatches a vectorizable node to its columnar operator.
-//
-// lint:batch-owner callers own the returned partition batch lists and must
-// release or hand them off (materializeParts, releaseParts, or the caller's
-// own output).
-func (ex *executor) evalVec(n plan.Node) (vparts, error) {
-	switch n := n.(type) {
-	case *plan.ScanNode:
-		return ex.evalScanVec(n)
-	case *plan.FilterNode:
-		return ex.evalFilterVec(n)
-	case *plan.ProjectNode:
-		return ex.evalProjectVec(n)
-	case *plan.JoinNode:
-		return ex.evalJoinVec(n)
-	case *plan.RepartitionNode:
-		return ex.evalRepartitionVec(n)
-	case *plan.BroadcastNode:
-		return ex.evalBroadcastVec(n)
-	case *plan.GatherNode:
-		return ex.evalGatherVec(n)
-	case *plan.DistinctPrefNode:
-		return ex.evalDistinctPrefVec(n)
-	default:
-		return nil, fmt.Errorf("engine: node %T is not vectorizable", n)
 	}
 }
 
@@ -320,7 +280,7 @@ func (ex *executor) evalJoinVec(n *plan.JoinNode) (vparts, error) {
 
 		// Build side. The chain table links equal-key right rows in row
 		// order (forward walks visit rows ascending — the candidate order
-		// the row engine's append-built lists give).
+		// the reference's append-built lists give).
 		var tab *batch.Int64Table
 		var build map[value.Key][]int32
 		var kb *batch.KeyBuf
@@ -457,7 +417,8 @@ func (ex *executor) evalJoinVec(n *plan.JoinNode) (vparts, error) {
 		}
 		out := w.Finish()
 		// Join work: building the hash table, probing it, and emitting
-		// output rows — the row engine's formula over the same counts.
+		// output rows. Probes into an over-cache build side pay the miss
+		// penalty (see ExecOptions.CacheRows).
 		work := nr + nl + batch.Rows(out)
 		if ex.opt.CacheRows > 0 && nr > ex.opt.CacheRows {
 			work += int(float64(nl) * (ex.opt.MissFactor - 1))
@@ -474,9 +435,11 @@ func (ex *executor) evalJoinVec(n *plan.JoinNode) (vparts, error) {
 	return out, nil
 }
 
-// dedupVec applies the disjunctive dup=0 filter (see dedupRows) over a
-// batch list, returning the surviving batches and row count. Null dup
-// flags (outer-join null extension) are kept, exactly like the row path.
+// dedupVec applies the disjunctive dup=0 filter over the given dup columns
+// (Section 2.2's distinct operator) to a batch list, returning the surviving
+// batches and row count; no movement involved. A Null dup flag means the row
+// was null-extended by an outer join (it has no copy of that table at all)
+// and is kept — such rows exist exactly once.
 func dedupVec(bs []*batch.Batch, dupIdx []int) ([]*batch.Batch, int) {
 	if len(dupIdx) == 0 {
 		return bs, batch.Rows(bs)
@@ -546,7 +509,7 @@ func (ex *executor) evalDistinctPrefVec(n *plan.DistinctPrefNode) (vparts, error
 }
 
 // evalRepartitionVec hash-partitions batch rows onto their owner
-// partitions, mirroring evalRepartition charge for charge.
+// partitions.
 //
 // lint:ship-boundary exchange operator: scatters rows across partitions and
 // meters every boundary crossing via shipBatch.
@@ -623,8 +586,7 @@ func (ex *executor) evalRepartitionVec(n *plan.RepartitionNode) (vparts, error) 
 
 // evalBroadcastVec replicates the full input to every partition. The
 // batch lists are shared across partitions zero-copy — batches are
-// immutable once handed off, so sharing is safe where the row engine had
-// to guard its shared slice.
+// immutable once handed off, so sharing is safe.
 //
 // lint:ship-boundary exchange operator: copies rows to all partitions and
 // meters the n-1 remote copies via shipBatch.
@@ -668,9 +630,8 @@ func (ex *executor) evalBroadcastVec(n *plan.BroadcastNode) (vparts, error) {
 		top.SetReadOne()
 	}
 	total := batch.Rows(all)
-	// Same hazard as the row engine's shared broadcast slice: clamp the
-	// shared batch list so a downstream append through one partition's
-	// slot cannot overwrite its siblings'.
+	// Clamp the shared batch list so a downstream append through one
+	// partition's slot cannot overwrite its siblings'.
 	all = all[:len(all):len(all)]
 	out := make(vparts, ex.n)
 	for p := 0; p < ex.n; p++ {
@@ -729,7 +690,7 @@ func (ex *executor) evalGatherVec(n *plan.GatherNode) (vparts, error) {
 	}
 	// Shipped rows arrive materialized: compact when the inputs are
 	// selection-vector views or badly fragmented, so downstream work (and
-	// the row shim at the Result boundary) sees a few dense batches
+	// materializeParts at the Result boundary) sees a few dense batches
 	// instead of hundreds of mostly-empty windows. Dense well-packed
 	// inputs concatenate zero-copy.
 	if sparse || nbatch > 2*(total/batch.Size+1) {

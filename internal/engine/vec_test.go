@@ -8,13 +8,14 @@ import (
 	"pref/internal/fault"
 	"pref/internal/partition"
 	"pref/internal/plan"
+	"pref/internal/table"
 	"pref/internal/trace"
 	"pref/internal/value"
 )
 
-// Differential tests holding the vectorized engine (vec.go) and the
-// row-at-a-time reference engine to byte-identical behavior: same rows,
-// same Stats, same traces, same fault-schedule consumption.
+// Differential tests holding the product engine to the row reference
+// (ref_test.go): same rows, same Stats, same traces, same fault-schedule
+// consumption.
 
 // sameRows compares two result row sets elementwise. reflect.DeepEqual is
 // deliberately avoided: the engines may legitimately differ in nil-vs-empty
@@ -37,10 +38,10 @@ func sameRows(a, b []value.Tuple) bool {
 }
 
 // buildVecScenario mirrors traceScenario's generator but returns the plan
-// and an executor closure instead of executing, so both engines run the
-// identical plan over the identical data. Nils mean the random combination
-// is invalid (a generator miss, not a failure).
-func buildVecScenario(t *testing.T, seed int64) (*plan.Rewritten, func(ExecOptions) (*Result, error)) {
+// and the partitioned data instead of executing, so the product and the
+// reference run the identical plan over the identical data. Nils mean the
+// random combination is invalid (a generator miss, not a failure).
+func buildVecScenario(t *testing.T, seed int64, popt plan.Options) (*plan.Rewritten, *table.PartitionedDatabase) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	s := check.GenSchema(rng)
@@ -54,23 +55,20 @@ func buildVecScenario(t *testing.T, seed int64) (*plan.Rewritten, func(ExecOptio
 		return nil, nil
 	}
 	q := check.GenQuery(rng, s)
-	rw, err := plan.Rewrite(q, s, cfg, plan.Options{})
+	rw, err := plan.Rewrite(q, s, cfg, popt)
 	if err != nil {
 		t.Fatalf("seed %d: rewrite failed: %v\n%s", seed, err, plan.Format(q))
 	}
-	return rw, func(opt ExecOptions) (*Result, error) {
-		return ExecuteOpts(rw, pdb, opt)
-	}
+	return rw, pdb
 }
 
-// assertEnginesAgree executes one scenario under both engines and fails
-// unless rows, Stats, and (when traced) per-operator spans all match.
-func assertEnginesAgree(t *testing.T, seed int64, rw *plan.Rewritten, exec func(ExecOptions) (*Result, error), opt ExecOptions) {
+// assertEnginesAgree executes one scenario on the product and on the
+// reference and fails unless rows, Stats, and (when traced) per-operator
+// spans all match.
+func assertEnginesAgree(t *testing.T, seed int64, rw *plan.Rewritten, pdb *table.PartitionedDatabase, opt ExecOptions) {
 	t.Helper()
-	opt.RowEngine = false
-	vres, verr := exec(opt)
-	opt.RowEngine = true
-	rres, rerr := exec(opt)
+	vres, verr := ExecuteOpts(rw, pdb, opt)
+	rres, rerr := executeRef(rw, pdb, opt)
 	if (verr == nil) != (rerr == nil) {
 		t.Fatalf("seed %d: engines disagree on failure: vec err=%v row err=%v", seed, verr, rerr)
 	}
@@ -78,7 +76,7 @@ func assertEnginesAgree(t *testing.T, seed int64, rw *plan.Rewritten, exec func(
 		return // both failed identically-shaped fault schedules
 	}
 	// Aggregates emit in map-iteration order, which is nondeterministic even
-	// between two runs of the same engine; normalise before comparing.
+	// between two runs of the same entry; normalise before comparing.
 	vres.SortRows()
 	rres.SortRows()
 	if !sameRows(vres.Rows, rres.Rows) {
@@ -101,82 +99,148 @@ func assertEnginesAgree(t *testing.T, seed int64, rw *plan.Rewritten, exec func(
 	}
 }
 
-// TestVecRowEquivalenceProperty is the engine-level differential oracle:
-// random schema/design/query scenarios execute under both engines and must
-// produce identical rows and identical telemetry.
-func TestVecRowEquivalenceProperty(t *testing.T) {
-	const rounds = 200
-	executed := 0
-	for seed := int64(0); seed < rounds; seed++ {
-		rw, exec := buildVecScenario(t, seed)
-		if exec == nil {
-			continue
+// rewriteRounds are the rewrite option sets the differential properties
+// sweep: the default rewrite, and the dup index off, which is the only way
+// a generated plan reaches DistinctByValue.
+var rewriteRounds = []plan.Options{{}, {DisableDupIndex: true}}
+
+// seamCoverage counts what the differential sweeps must reach to mean
+// anything about the row/batch seam: columnar operators fed by a lifted
+// row-native output, by the kind of the row-native child, and the two
+// generated shapes that put one there on purpose — a HAVING filter directly
+// over an aggregate, and a join with an aggregate beneath one of its inputs.
+type seamCoverage struct {
+	overAgg, overTopK, overDistinct int
+	having, aggJoin                 int
+}
+
+// rowNative reports whether n is an operator implemented over rows.
+func rowNative(n plan.Node) bool {
+	switch n.(type) {
+	case *plan.AggregateNode, *plan.PartialAggNode, *plan.FinalAggNode,
+		*plan.TopKNode, *plan.DistinctByValueNode:
+		return true
+	}
+	return false
+}
+
+func (c *seamCoverage) add(rw *plan.Rewritten) {
+	// walk reports whether n's subtree holds an aggregate.
+	var walk func(n, parent plan.Node) bool
+	walk = func(n, parent plan.Node) bool {
+		_, isTopK := n.(*plan.TopKNode)
+		_, isDistinct := n.(*plan.DistinctByValueNode)
+		agg := rowNative(n) && !isTopK && !isDistinct
+		if rowNative(n) && parent != nil && !rowNative(parent) {
+			switch {
+			case isTopK:
+				c.overTopK++
+			case isDistinct:
+				c.overDistinct++
+			default:
+				c.overAgg++
+				if _, ok := parent.(*plan.FilterNode); ok {
+					c.having++
+				}
+			}
 		}
-		assertEnginesAgree(t, seed, rw, exec, ExecOptions{Trace: true})
-		executed++
+		for _, ch := range n.Children() {
+			if walk(ch, n) {
+				agg = true
+			}
+		}
+		if _, ok := n.(*plan.JoinNode); ok && agg {
+			c.aggJoin++
+		}
+		return agg
 	}
-	if executed < rounds/2 {
-		t.Fatalf("only %d/%d seeds executed; generator is degenerate", executed, rounds)
+	walk(rw.Root, nil)
+}
+
+// sweepEnginesAgree runs the differential check over seeds [0, rounds) for
+// every rewrite option set in popts, with per-seed execution options, and
+// fails if fewer than atLeast scenarios executed per option set.
+func sweepEnginesAgree(t *testing.T, rounds, atLeast int, popts []plan.Options, eopt func(seed int64) ExecOptions) seamCoverage {
+	t.Helper()
+	var cov seamCoverage
+	for _, popt := range popts {
+		executed := 0
+		for seed := int64(0); seed < int64(rounds); seed++ {
+			rw, pdb := buildVecScenario(t, seed, popt)
+			if rw == nil {
+				continue
+			}
+			assertEnginesAgree(t, seed, rw, pdb, eopt(seed))
+			cov.add(rw)
+			executed++
+		}
+		if executed < atLeast {
+			t.Fatalf("only %d/%d seeds executed under %+v; generator is degenerate", executed, rounds, popt)
+		}
 	}
+	return cov
+}
+
+// requireSeamCovered fails a sweep whose plans never put a columnar
+// operator over one of the row-native kinds: it would pass without ever
+// executing the lift.
+func requireSeamCovered(t *testing.T, cov seamCoverage) {
+	t.Helper()
+	if cov.overAgg == 0 || cov.overTopK == 0 || cov.overDistinct == 0 || cov.having == 0 || cov.aggJoin == 0 {
+		t.Fatalf("sweep did not run a columnar operator over every kind of lifted output: %+v", cov)
+	}
+	t.Logf("seam coverage: %+v", cov)
+}
+
+// TestVecRowEquivalenceProperty is the engine-level differential oracle:
+// random schema/design/query scenarios execute on the product and on the
+// reference and must produce identical rows and identical telemetry.
+func TestVecRowEquivalenceProperty(t *testing.T) {
+	cov := sweepEnginesAgree(t, 200, 100, rewriteRounds, func(int64) ExecOptions {
+		return ExecOptions{Trace: true}
+	})
+	requireSeamCovered(t, cov)
 }
 
 // TestVecRowEquivalenceUnderFaults re-runs the differential property with
-// crash-retry and shipment-failure injection. Because the vectorized
+// crash-retry and shipment-failure injection. Because the columnar
 // operators consume the deterministic operator sequence and meter the same
 // row counts as their row twins, the injected fault schedule — including
-// partial-batch ship retries — must hit both engines identically, down to
+// partial-batch ship retries — must hit both identically, down to
 // Retries/WastedRows in Stats.
 func TestVecRowEquivalenceUnderFaults(t *testing.T) {
-	const rounds = 120
-	executed := 0
-	for seed := int64(0); seed < rounds; seed++ {
-		rw, exec := buildVecScenario(t, seed)
-		if exec == nil {
-			continue
-		}
-		assertEnginesAgree(t, seed, rw, exec, ExecOptions{
+	cov := sweepEnginesAgree(t, 120, 40, rewriteRounds, func(seed int64) ExecOptions {
+		return ExecOptions{
 			Trace: true,
 			Fault: &fault.Policy{Seed: seed, CrashProb: 0.2, ShipFailProb: 0.2, MaxAttempts: 16},
-		})
-		executed++
-	}
-	if executed < rounds/3 {
-		t.Fatalf("only %d/%d seeds executed; generator is degenerate", executed, rounds)
-	}
+		}
+	})
+	requireSeamCovered(t, cov)
 }
 
 // TestVecRowEquivalenceUnderNodeLoss adds node-down recovery: lost base
-// partitions reconstruct through the row-based recovery path on both
-// engines, and the vectorized scan must lift the recovered rows into
-// batches without perturbing metering.
+// partitions reconstruct through the row-based recovery path under both
+// entries, and the columnar scan must lift the recovered rows into batches
+// without perturbing metering.
 func TestVecRowEquivalenceUnderNodeLoss(t *testing.T) {
-	const rounds = 120
-	executed := 0
-	for seed := int64(0); seed < rounds; seed++ {
-		rw, exec := buildVecScenario(t, seed)
-		if exec == nil {
-			continue
-		}
-		assertEnginesAgree(t, seed, rw, exec, ExecOptions{
+	sweepEnginesAgree(t, 120, 40, rewriteRounds[:1], func(seed int64) ExecOptions {
+		return ExecOptions{
 			Trace: true,
 			Fault: &fault.Policy{Seed: seed, DownNodes: []int{1}, MaxAttempts: 8},
-		})
-		executed++
-	}
-	if executed < rounds/3 {
-		t.Fatalf("only %d/%d seeds executed; generator is degenerate", executed, rounds)
-	}
+		}
+	})
 }
 
-// TestRowEngineOptionSelectsRowPath pins ExecOptions.RowEngine, the one
-// selector of the reference engine: its results equal the vectorized
-// path's, and the row path really runs. The engines are byte-identical by
-// design, so the test tells them apart by what a scan reads — the
-// vectorized scan the partition's cached columnar projection, the row scan
-// the stored tuples. A stored value overwritten in place once the
-// projection is cached (which no program code may do to a published
-// partition) is therefore visible through the row path only.
-func TestRowEngineOptionSelectsRowPath(t *testing.T) {
+// TestReferenceRunsRowOperators pins that the differential harness compares
+// two different things: executeRef really runs the row operators and the
+// product entry never does. The two are byte-identical by design, so the
+// test tells them apart by what a scan reads — the columnar scan the
+// partition's cached columnar projection, the row scan the stored tuples. A
+// stored value overwritten in place once the projection is cached (which no
+// program code may do to a published partition) is therefore visible
+// through the reference only. Without this pin a harness that ended up
+// comparing the product with itself would still pass.
+func TestReferenceRunsRowOperators(t *testing.T) {
 	db := testDB(t)
 	cfg := testConfigs(4)["all-hashed"]
 	pdb, err := partition.Apply(db, cfg)
@@ -187,21 +251,21 @@ func TestRowEngineOptionSelectsRowPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	exec := func(rowEngine bool) *Result {
+	exec := func(run func(*plan.Rewritten, *table.PartitionedDatabase, ExecOptions) (*Result, error)) *Result {
 		t.Helper()
-		res, err := ExecuteOpts(rw, pdb, ExecOptions{RowEngine: rowEngine})
+		res, err := run(rw, pdb, ExecOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		res.SortRows()
 		return res
 	}
-	vec, row := exec(false), exec(true)
+	vec, row := exec(ExecuteOpts), exec(executeRef)
 	if !sameRows(vec.Rows, row.Rows) {
-		t.Fatal("RowEngine option changed query results")
+		t.Fatal("the reference answers differently from the product")
 	}
 	if vec.Stats != row.Stats {
-		t.Fatalf("RowEngine option changed Stats:\nvec %+v\nrow %+v", vec.Stats, row.Stats)
+		t.Fatalf("the reference meters differently from the product:\nvec %+v\nrow %+v", vec.Stats, row.Stats)
 	}
 
 	const marker = int64(99) // qty is i%7, so 99 occurs nowhere else
@@ -219,10 +283,10 @@ func TestRowEngineOptionSelectsRowPath(t *testing.T) {
 		}
 		return false
 	}
-	if seesMarker(exec(false)) {
-		t.Fatal("vectorized scan read stored tuples, not the cached projection: the marker cannot tell the paths apart")
+	if seesMarker(exec(ExecuteOpts)) {
+		t.Fatal("the product scan read stored tuples, not the cached projection: a row operator ran on the product path")
 	}
-	if !seesMarker(exec(true)) {
-		t.Fatal("RowEngine: true did not take the row path: the scan still read the columnar projection")
+	if !seesMarker(exec(executeRef)) {
+		t.Fatal("executeRef did not run the row scan: it still read the columnar projection")
 	}
 }

@@ -76,7 +76,7 @@ type Options struct {
 	// design's partition count.
 	Cluster cluster.Options
 
-	// Exec is the base execution model (cache size, row engine). Its
+	// Exec is the base execution model (cache size, verify, trace). Its
 	// Fault and Cluster fields are owned by the server and overwritten.
 	Exec engine.ExecOptions
 

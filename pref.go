@@ -188,7 +188,9 @@ type (
 	TraceKind = trace.Kind
 	// CostModel converts telemetry into simulated cluster runtime.
 	CostModel = engine.CostModel
-	// ExecOptions tunes the execution model (buffer-pool size etc.).
+	// ExecOptions tunes the execution model: buffer-pool size, fault
+	// injection, verification, tracing, the cluster health layer. Nothing
+	// in it selects an engine — there is one.
 	ExecOptions = engine.ExecOptions
 	// FaultPolicy configures deterministic fault injection: node
 	// crashes, stragglers, shipment failures, per-query timeouts.
