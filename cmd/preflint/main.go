@@ -2,8 +2,8 @@
 // over the module and exits nonzero if any diagnostic fires. It is the CI
 // companion to go vet: vet checks generic Go mistakes, preflint checks
 // this codebase's own invariants — panic policy, context threading,
-// Prop slice aliasing, partition-state ownership, atomic access
-// discipline, goroutine joining, and ship accounting — plus the
+// Prop slice aliasing, partition-state ownership, goroutine joining, and
+// ship accounting — plus the
 // CFG/typestate protocol analyzers built on internal/lint/cfg:
 // publish ordering, snapshot read discipline, the bulk-load intent
 // protocol, guard-field happens-before, batch immutability, and the
@@ -21,14 +21,9 @@
 //	-sarif                 emit findings as SARIF 2.1.0 on stdout
 //	-only NAMES            run only these analyzers (comma-separated)
 //	-skip NAMES            run all but these analyzers (comma-separated)
-//	-baseline FILE         suppress findings recorded in FILE
-//	-write-baseline FILE   snapshot current findings into FILE and exit 0
-//	-strict                fail (exit 1) if the baseline itself is non-empty,
-//	                       or if any baseline entry is stale
 //
-// Exit status: 0 clean, 1 findings (or a -strict violation), 2 operational
-// error (unparseable package, bad flag, unknown analyzer name, unreadable
-// baseline).
+// Exit status: 0 clean, 1 findings, 2 operational error (unparseable
+// package, bad flag, unknown analyzer name).
 package main
 
 import (
@@ -46,9 +41,6 @@ func main() {
 	sarifOut := flag.Bool("sarif", false, "emit findings as SARIF 2.1.0")
 	only := flag.String("only", "", "comma-separated analyzers to run (default: all)")
 	skip := flag.String("skip", "", "comma-separated analyzers to leave out")
-	baselinePath := flag.String("baseline", "", "baseline file of grandfathered findings")
-	writeBaseline := flag.String("write-baseline", "", "write current findings to this baseline file and exit")
-	strict := flag.Bool("strict", false, "fail if the baseline is non-empty or has stale entries")
 	flag.Parse()
 
 	analyzers, err := lint.SelectAnalyzers(lint.Analyzers(), *only, *skip)
@@ -98,47 +90,22 @@ func main() {
 		}
 	}
 
-	if *writeBaseline != "" {
-		if err := lint.WriteBaseline(*writeBaseline, diags); err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "preflint: wrote %d finding(s) to %s\n", len(diags), *writeBaseline)
-		return
-	}
-
-	baseline, err := lint.LoadBaseline(*baselinePath)
-	if err != nil {
-		fatal(err)
-	}
-	fresh, stale := baseline.Filter(diags)
-
 	switch {
 	case *jsonOut:
-		if err := lint.WriteJSON(os.Stdout, fresh, timings); err != nil {
+		if err := lint.WriteJSON(os.Stdout, diags, timings); err != nil {
 			fatal(err)
 		}
 	case *sarifOut:
-		if err := lint.WriteSARIF(os.Stdout, analyzers, fresh); err != nil {
+		if err := lint.WriteSARIF(os.Stdout, analyzers, diags); err != nil {
 			fatal(err)
 		}
 	default:
-		for _, d := range fresh {
+		for _, d := range diags {
 			fmt.Println(d)
 		}
 	}
 
-	failed := len(fresh) > 0
-	if *strict {
-		if n := len(baseline.Findings); n > 0 {
-			fmt.Fprintf(os.Stderr, "preflint: strict: baseline carries %d grandfathered finding(s); fix them and empty the baseline\n", n)
-			failed = true
-		}
-		for _, e := range stale {
-			fmt.Fprintf(os.Stderr, "preflint: strict: stale baseline entry (already fixed): %s [%s] %s\n", e.File, e.Analyzer, e.Message)
-			failed = true
-		}
-	}
-	if failed {
+	if len(diags) > 0 {
 		os.Exit(1)
 	}
 }

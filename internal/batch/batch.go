@@ -17,6 +17,8 @@
 package batch
 
 import (
+	"sync/atomic"
+
 	"pref/internal/value"
 )
 
@@ -38,11 +40,11 @@ type Batch struct {
 	// ascending order. nil selects all rows.
 	Sel []int32
 	// pooled marks batches whose column backing came from the pool (safe
-	// to recycle via Release). It is 1 or 0 and flipped with an atomic
+	// to recycle via Release). It is flipped with an atomic
 	// compare-and-swap: broadcast and one-copy gather share *Batch
 	// pointers across partition slots, so two sweeps may race to release
 	// the same header — exactly one wins and recycles the columns.
-	pooled uint32
+	pooled atomic.Bool
 }
 
 // Len reports the number of live (selected) rows.

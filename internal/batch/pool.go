@@ -1,9 +1,6 @@
 package batch
 
-import (
-	"sync"
-	"sync/atomic"
-)
+import "sync"
 
 // colPool recycles Size-capacity column vectors. Pooling is per-column, not
 // per-batch, so batches of any width draw from the same arena.
@@ -14,7 +11,8 @@ var colPool = sync.Pool{
 // get returns a dense batch with width empty pooled columns, each with
 // capacity Size.
 func get(width int) *Batch {
-	b := &Batch{Cols: make([][]int64, width), pooled: 1}
+	b := &Batch{Cols: make([][]int64, width)}
+	b.pooled.Store(true)
 	for c := range b.Cols {
 		b.Cols[c] = colPool.Get().([]int64)[:0]
 	}
@@ -29,7 +27,7 @@ func get(width int) *Batch {
 // one place, exactly one sweep recycles the columns and the rest are
 // no-ops that never touch Cols.
 func (b *Batch) Release() {
-	if b == nil || !atomic.CompareAndSwapUint32(&b.pooled, 1, 0) {
+	if b == nil || !b.pooled.CompareAndSwap(true, false) {
 		return
 	}
 	for c := range b.Cols {

@@ -3,7 +3,6 @@ package batch
 import (
 	"math/rand"
 	"sync"
-	"sync/atomic"
 	"testing"
 )
 
@@ -88,7 +87,7 @@ func TestReleaseIdempotent(t *testing.T) {
 	bs := w.Finish()
 	b := bs[0]
 	b.Release()
-	if b.Len() != 0 || atomic.LoadUint32(&b.pooled) != 0 {
+	if b.Len() != 0 || b.pooled.Load() {
 		t.Fatal("released batch still live")
 	}
 	b.Release() // second release: must not double-recycle
@@ -122,7 +121,7 @@ func TestConcurrentRelease(t *testing.T) {
 		}
 		wg.Wait()
 		for i, b := range shared {
-			if atomic.LoadUint32(&b.pooled) != 0 || b.Len() != 0 {
+			if b.pooled.Load() || b.Len() != 0 {
 				t.Fatalf("round %d: batch %d survived the concurrent sweep", round, i)
 			}
 		}

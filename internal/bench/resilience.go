@@ -10,6 +10,7 @@ import (
 	"pref/internal/engine"
 	"pref/internal/fault"
 	"pref/internal/plan"
+	"pref/internal/serve"
 	"pref/internal/tpch"
 )
 
@@ -123,18 +124,24 @@ var soakScenarios = []struct {
 // one shared cluster so health knowledge carries across queries.
 const soakSchedulesPerScenario = 5
 
-// typedSoakFailure reports whether a query failure is one of the typed,
-// contractual outcomes under faults. Anything else fails the experiment.
-func typedSoakFailure(err error) bool {
-	var ple *fault.PartitionLostError
-	return errors.Is(err, fault.ErrNodeFailed) ||
+// typedFailure reports whether a failed query or submission carries one of
+// the typed, contractual error classes — the one list the soak experiment,
+// the write-crash soak and the serving soak all check against. Anything
+// else is a taxonomy hole and fails the caller.
+func typedFailure(err error) bool {
+	// Every ladder rejection — quota, shed, queue timeout, closed — is a
+	// *serve.RejectedError around its sentinel.
+	var rej *serve.RejectedError
+	return errors.As(err, &rej) ||
+		errors.Is(err, fault.ErrPartitionLost) || // *fault.PartitionLostError unwraps to it
+		errors.Is(err, fault.ErrNodeFailed) ||
 		errors.Is(err, fault.ErrShipmentFailed) ||
-		errors.Is(err, fault.ErrPartitionLost) ||
-		errors.As(err, &ple) ||
 		errors.Is(err, cluster.ErrNodeTripped) ||
-		errors.Is(err, cluster.ErrAdmissionTimeout) ||
+		errors.Is(err, engine.ErrAllNodesDown) ||
+		// engine.ErrDeadlineExceeded wraps the context error, so the bare
+		// match covers typed and untyped deadline kills alike.
 		errors.Is(err, context.DeadlineExceeded) ||
-		errors.Is(err, engine.ErrAllNodesDown)
+		errors.Is(err, context.Canceled)
 }
 
 // ResilienceSoak runs seed-swept fault schedules per scenario, each a
@@ -176,7 +183,7 @@ func ResilienceSoak(p Params) (*Report, error) {
 				switch {
 				case err == nil:
 					ok++
-				case typedSoakFailure(err):
+				case typedFailure(err):
 					typed++
 				default:
 					cl.Close()

@@ -2,7 +2,6 @@ package bench
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -25,23 +24,6 @@ import (
 // serveQueries is the prepared-query mix of the serving soak: the same
 // light/medium/heavy TPC-H trio the hedge sweep uses.
 var serveQueries = []string{"Q1", "Q3", "Q6"}
-
-// typedServeFailure reports whether a failed submission carries one of
-// the serving layer's typed error classes. Anything else is a taxonomy
-// hole.
-func typedServeFailure(err error) bool {
-	var rej *serve.RejectedError
-	return errors.As(err, &rej) ||
-		errors.Is(err, engine.ErrDeadlineExceeded) ||
-		errors.Is(err, engine.ErrAllNodesDown) ||
-		errors.Is(err, serve.ErrServerClosed) ||
-		errors.Is(err, cluster.ErrAdmissionTimeout) ||
-		errors.Is(err, cluster.ErrNodeTripped) ||
-		errors.Is(err, fault.ErrNodeFailed) ||
-		errors.Is(err, fault.ErrShipmentFailed) ||
-		errors.Is(err, fault.ErrPartitionLost) ||
-		errors.Is(err, context.Canceled)
-}
 
 // serveOracles computes the fault-free sorted result of every prepared
 // query — the ground truth a soak success must match exactly.
@@ -187,7 +169,7 @@ func TestServeSoak(t *testing.T) {
 					resp, err := s.Submit(ctx, tenant, query)
 					cancel()
 					if err != nil {
-						if !typedServeFailure(err) {
+						if !typedFailure(err) {
 							errs <- err
 						}
 						continue

@@ -311,7 +311,7 @@ func runMixedSchedule(mp mixedParams) (*mixedOutcome, error) {
 						return
 					}
 					atomic.AddInt64(&okQ, 1)
-				case typedSoakFailure(err):
+				case typedFailure(err):
 					atomic.AddInt64(&typed, 1)
 				default:
 					record(fmt.Errorf("reader %d query %d: untyped failure: %w", r, q, err))

@@ -11,13 +11,13 @@
 // re-materializes its partitions from PREF/replication redundancy before
 // flipping it back to healthy.
 //
-// The package also owns the cross-query resources the engine borrows per
-// execution: an admission gate (bounded concurrent queries with a queue
-// timeout, so fault storms shed load instead of amplifying), a latency
-// sampler that prices the hedging delay for straggler duplicates, and a
-// per-health-epoch cache of survivor indexes and placements, so degraded
-// queries resolve "which surviving partition can serve p" once per epoch
-// instead of once per scan.
+// Besides health the package keeps one more thing that spans queries: a
+// latency sampler that prices the hedging delay for straggler duplicates.
+// It bounds nothing and caches nothing. Admission — quotas, shedding, the
+// bounded queue — is the serving layer's (internal/serve); the degraded
+// placement is a loop over the node count, computed per query; and which
+// partitions hold a copy of a row is a fact of the published table version
+// (table.Version.Copies), not of cluster health.
 //
 // A nil *Cluster is valid everywhere and disables the layer, mirroring
 // the nil-injector convention of internal/fault.
@@ -30,16 +30,10 @@ import (
 	"sync"
 
 	"pref/internal/table"
-	"time"
-
-	"pref/internal/value"
 )
 
 // Typed errors surfaced to query callers.
 var (
-	// ErrAdmissionTimeout reports a query that waited longer than the
-	// admission queue timeout for an execution slot.
-	ErrAdmissionTimeout = errors.New("cluster: admission queue timeout")
 	// ErrNodeTripped reports a work unit aborted because its node's
 	// circuit breaker tripped mid-query: further retries against the node
 	// would be burned, so the unit fails fast and the next query routes
@@ -98,11 +92,6 @@ type Options struct {
 	// next query probes the node (default 2). Counting in queries rather
 	// than wall time keeps tests deterministic.
 	CoolDownQueries int
-	// MaxConcurrent bounds concurrently admitted queries (0 = unbounded).
-	MaxConcurrent int
-	// QueueTimeout is how long Admit waits for a slot before failing with
-	// ErrAdmissionTimeout (0 = wait as long as the caller's context).
-	QueueTimeout time.Duration
 	// Hedge configures speculative duplicates for straggling units.
 	Hedge HedgePolicy
 }
@@ -134,10 +123,8 @@ type node struct {
 
 // Stats is a snapshot of the cluster's cross-query counters.
 type Stats struct {
-	// Epoch counts health-state transitions; placement and survivor-index
-	// caches are keyed by it.
-	Epoch int
-	// Admitted and Rejected count queries through the admission gate.
+	// Admitted counts queries begun; Rejected those refused because the
+	// cluster was closed. Nothing else rejects here: the layer has no queue.
 	Admitted int64
 	Rejected int64
 	// Trips counts breaker openings; Probes and ProbeSuccesses count
@@ -156,12 +143,11 @@ type Stats struct {
 }
 
 // View is an immutable snapshot of cluster health, taken once per query
-// at admission. Serving[n] is false for down and recovering nodes (the
+// by BeginQuery. Serving[n] is false for down and recovering nodes (the
 // placement must route around them); Recovered[n] marks nodes that healed
 // and were rebuilt (the engine clears their injected faults); Probes[n]
-// is the failed-probe count the epoch-aware fault hooks consume.
+// is the failed-probe count the fault hooks consume.
 type View struct {
-	Epoch     int
 	Serving   []bool
 	Recovered []bool
 	Probes    []int
@@ -174,20 +160,8 @@ type Cluster struct {
 
 	mu     sync.Mutex
 	nodes  []node
-	epoch  int
 	stats  Stats
 	closed bool
-
-	// surv caches survivor key indexes per (table, effective-down) key,
-	// stamped with the data epoch they were built over; place caches
-	// buddy maps per effective-down key. Both reset on health-epoch
-	// change, and surv entries additionally miss on data-epoch mismatch.
-	surv     map[string]survEntry
-	place    map[string][]int
-	cacheGen int
-
-	// sem is the admission semaphore (nil = unbounded).
-	sem chan struct{}
 
 	// lat prices the hedging delay from recent unit latencies.
 	lat sampler
@@ -214,15 +188,10 @@ func New(opt Options) *Cluster {
 	c := &Cluster{
 		opt:   opt,
 		nodes: make([]node, opt.Nodes),
-		surv:  make(map[string]survEntry),
-		place: make(map[string][]int),
 		jobs:  make(chan rebuildJob, opt.Nodes),
 	}
 	c.idle = sync.NewCond(&c.mu)
 	c.lat.init(latencyWindow)
-	if opt.MaxConcurrent > 0 {
-		c.sem = make(chan struct{}, opt.MaxConcurrent)
-	}
 	c.ctx, c.cancel = context.WithCancel(context.Background())
 	c.wg.Add(1)
 	// The rebuild worker is the cluster's one deliberately long-lived
@@ -256,71 +225,22 @@ func (c *Cluster) Close() {
 	c.mu.Unlock()
 }
 
-// Admit acquires a query execution slot, waiting up to the queue timeout
-// (and the caller's context). The returned release function must be
-// called exactly once when the query completes; releasing also advances
-// the breaker cool-downs, which are counted in completed queries.
-func (c *Cluster) Admit(ctx context.Context) (func(), error) {
-	if c == nil {
-		return func() {}, nil
-	}
-	if c.sem != nil {
-		var timeout <-chan time.Time
-		if c.opt.QueueTimeout > 0 {
-			t := time.NewTimer(c.opt.QueueTimeout)
-			defer t.Stop()
-			timeout = t.C
-		}
-		select {
-		case c.sem <- struct{}{}:
-		case <-ctx.Done():
-			c.reject()
-			return nil, ctx.Err()
-		case <-timeout:
-			c.reject()
-			return nil, fmt.Errorf("cluster: no execution slot within %v: %w",
-				c.opt.QueueTimeout, ErrAdmissionTimeout)
-		}
-	}
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		if c.sem != nil {
-			<-c.sem
-		}
-		return nil, ErrClosed
-	}
-	c.stats.Admitted++
-	c.mu.Unlock()
-	var once sync.Once
-	return func() { once.Do(c.endQuery) }, nil
-}
-
-func (c *Cluster) reject() {
-	c.mu.Lock()
-	c.stats.Rejected++
-	c.mu.Unlock()
-}
-
-// endQuery releases the admission slot and ticks breaker cool-downs: each
-// completed query brings every down node one step closer to a half-open
-// probe.
+// endQuery ticks breaker cool-downs: each completed query brings every
+// down node one step closer to a half-open probe.
 func (c *Cluster) endQuery() {
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	for i := range c.nodes {
 		n := &c.nodes[i]
 		if n.state == Down && !n.lost && n.coolDown > 0 {
 			n.coolDown--
 		}
 	}
-	c.mu.Unlock()
-	if c.sem != nil {
-		<-c.sem
-	}
 }
 
-// BeginQuery snapshots cluster health for one query and performs the
-// health work that anchors to query admission:
+// BeginQuery opens one query's bracket on the cluster: it counts the
+// query, snapshots health, and performs the health work that anchors to a
+// query's start:
 //
 //   - nodes the fault layer reports as down right now (downNow) are
 //     tripped immediately — the simulation analogue of a refused
@@ -330,23 +250,29 @@ func (c *Cluster) endQuery() {
 //     background rebuild of its partitions from src.
 //
 // It returns the post-probe view, the query's pinned data snapshot (the
-// last epoch the write path published, nil when src is nil), and the
-// number of probes performed. Pinning at admission is what isolates the
-// query from concurrent write batches: everything it scans comes from
-// the snapshot, never the loader's write head. Either hook may be nil.
-// src may be nil when no rebuild source is available (probed nodes then
-// recover without a rebuild).
-func (c *Cluster) BeginQuery(src RebuildSource, downNow func(node int) bool, probeOK func(node, probes int) bool) (View, *table.DBSnapshot, int) {
-	var snap *table.DBSnapshot
+// last epoch the write path published, nil when src is nil), the number of
+// probes performed, and done, which the caller must call when the query
+// completes: it ticks the breaker cool-downs, counted in completed
+// queries, and is a no-op after its first call. Pinning here is what
+// isolates the query from concurrent write batches: everything it scans
+// comes from the snapshot, never the loader's write head. A closed cluster
+// refuses the query with ErrClosed. Either hook may be nil. src may be nil
+// when no rebuild source is available (probed nodes then recover without a
+// rebuild).
+func (c *Cluster) BeginQuery(src RebuildSource, downNow func(node int) bool, probeOK func(node, probes int) bool) (v View, snap *table.DBSnapshot, probed int, done func(), err error) {
 	if src != nil {
 		snap = src.Snapshot()
 	}
 	if c == nil {
-		return View{}, snap, 0
+		return View{}, snap, 0, func() {}, nil
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	probed := 0
+	if c.closed {
+		c.stats.Rejected++
+		return View{}, nil, 0, nil, ErrClosed
+	}
+	c.stats.Admitted++
 	for i := range c.nodes {
 		n := &c.nodes[i]
 		switch n.state {
@@ -371,7 +297,8 @@ func (c *Cluster) BeginQuery(src RebuildSource, downNow func(node int) bool, pro
 			}
 		}
 	}
-	return c.viewLocked(), snap, probed
+	var once sync.Once
+	return c.viewLocked(), snap, probed, func() { once.Do(c.endQuery) }, nil
 }
 
 // ReportSuccess records a completed work unit on a node: consecutive
@@ -440,24 +367,12 @@ func (c *Cluster) trip(nodeID int) {
 	c.setState(nodeID, Down)
 }
 
-// setState transitions a node and bumps the health epoch, invalidating
-// the per-epoch caches. Callers hold c.mu.
+// setState transitions a node. Callers hold c.mu.
 func (c *Cluster) setState(nodeID int, s State) {
 	n := &c.nodes[nodeID]
-	if n.state == s {
-		return
-	}
 	n.state = s
 	if s == Healthy {
 		n.consecFails = 0
-	}
-	c.epoch++
-	c.stats.Epoch = c.epoch
-	if len(c.surv) > 0 {
-		c.surv = make(map[string]survEntry)
-	}
-	if len(c.place) > 0 {
-		c.place = make(map[string][]int)
 	}
 }
 
@@ -483,7 +398,6 @@ func (c *Cluster) View() View {
 
 func (c *Cluster) viewLocked() View {
 	v := View{
-		Epoch:     c.epoch,
 		Serving:   make([]bool, len(c.nodes)),
 		Recovered: make([]bool, len(c.nodes)),
 		Probes:    make([]int, len(c.nodes)),
@@ -505,61 +419,4 @@ func (c *Cluster) Stats() Stats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.stats
-}
-
-// survEntry is one cached survivor index stamped with the data epoch it
-// was built over.
-type survEntry struct {
-	epoch int64
-	idx   map[value.Key]bool
-}
-
-// SurvivorIndex returns the cached survivor key index for a table under
-// the given effective-down key and data epoch, building it with build on
-// a miss. The cache is invalidated by health-state transitions and, per
-// entry, by data-epoch mismatches — an index built over epoch e must not
-// serve a query pinned to epoch e' whose write batch changed the
-// surviving copies. This turns the per-scan survivor sweep of query-time
-// recovery into a once-per-(health, data)-epoch computation. Concurrent
-// first callers may build twice; last write wins, both results are
-// identical for the same epoch.
-func (c *Cluster) SurvivorIndex(tbl, downKey string, epoch int64, build func() map[value.Key]bool) map[value.Key]bool {
-	if c == nil {
-		return build()
-	}
-	key := tbl + "|" + downKey
-	c.mu.Lock()
-	if e, ok := c.surv[key]; ok && e.epoch == epoch {
-		c.mu.Unlock()
-		return e.idx
-	}
-	c.mu.Unlock()
-	idx := build()
-	c.mu.Lock()
-	c.surv[key] = survEntry{epoch: epoch, idx: idx}
-	c.mu.Unlock()
-	return idx
-}
-
-// Placement returns the cached executing-node map for the given
-// effective-down key, building it with build on a miss. Same epoch-keyed
-// contract as SurvivorIndex.
-func (c *Cluster) Placement(downKey string, build func() ([]int, error)) ([]int, error) {
-	if c == nil {
-		return build()
-	}
-	c.mu.Lock()
-	if dst, ok := c.place[downKey]; ok {
-		c.mu.Unlock()
-		return dst, nil
-	}
-	c.mu.Unlock()
-	dst, err := build()
-	if err != nil {
-		return nil, err
-	}
-	c.mu.Lock()
-	c.place[downKey] = dst
-	c.mu.Unlock()
-	return dst, nil
 }

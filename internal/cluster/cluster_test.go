@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"context"
 	"errors"
 	"testing"
 	"time"
@@ -60,14 +59,14 @@ func uncoveredPDB(t *testing.T) *table.PartitionedDatabase {
 
 func TestNilClusterIsDisabled(t *testing.T) {
 	var c *Cluster
-	release, err := c.Admit(context.Background())
+	v, snap, n, done, err := c.BeginQuery(nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	release()
-	if v, snap, n := c.BeginQuery(nil, nil, nil); len(v.Serving) != 0 || snap != nil || n != 0 {
+	if len(v.Serving) != 0 || snap != nil || n != 0 {
 		t.Fatal("nil cluster must return an empty view")
 	}
+	done()
 	c.ReportSuccess(0)
 	c.ReportFailure(0)
 	if !c.Allow(0) {
@@ -82,11 +81,6 @@ func TestNilClusterIsDisabled(t *testing.T) {
 	c.ObserveUnit(time.Millisecond)
 	c.WaitRebuilds()
 	c.Close()
-	built := 0
-	idx := c.SurvivorIndex("t", "0000", 0, func() map[value.Key]bool { built++; return map[value.Key]bool{} })
-	if built != 1 || idx == nil {
-		t.Fatal("nil cluster SurvivorIndex must pass through to build")
-	}
 }
 
 // TestBreakerTripAndFSM walks healthy → suspect → down on consecutive
@@ -132,36 +126,6 @@ func TestBreakerTripAndFSM(t *testing.T) {
 	}
 }
 
-// TestEpochInvalidatesCaches: survivor-index and placement caches are
-// reused within an epoch and dropped on a health transition.
-func TestEpochInvalidatesCaches(t *testing.T) {
-	c := newTestCluster(t, Options{TripAfter: 1})
-	builds := 0
-	build := func() map[value.Key]bool { builds++; return map[value.Key]bool{} }
-	c.SurvivorIndex("t", "0000", 0, build)
-	c.SurvivorIndex("t", "0000", 0, build)
-	if builds != 1 {
-		t.Fatalf("builds = %d, want 1 (cached within epoch)", builds)
-	}
-	places := 0
-	c.Placement("0000", func() ([]int, error) { places++; return []int{0, 1, 2, 3}, nil })
-	c.Placement("0000", func() ([]int, error) { places++; return []int{0, 1, 2, 3}, nil })
-	if places != 1 {
-		t.Fatalf("places = %d, want 1 (cached within epoch)", places)
-	}
-	c.ReportFailure(1) // trips (TripAfter 1): epoch bump
-	c.SurvivorIndex("t", "0000", 0, build)
-	if builds != 2 {
-		t.Fatalf("builds after epoch change = %d, want 2", builds)
-	}
-	if err := errors.New("boom"); func() error {
-		_, e := c.Placement("x", func() ([]int, error) { return nil, err })
-		return e
-	}() != err {
-		t.Fatal("Placement must propagate build errors uncached")
-	}
-}
-
 // TestProbeLifecycleAndRebuild drives the full FSM loop: trip via
 // BeginQuery's downNow hook, cool down over completed queries, fail one
 // half-open probe, pass the next, rebuild in the background, serve again.
@@ -172,39 +136,39 @@ func TestProbeLifecycleAndRebuild(t *testing.T) {
 	probeOK := func(n, probes int) bool { return probes >= 1 } // second probe passes
 
 	// Query 1: node 1 reported down now → tripped without burning retries.
-	v, _, probes := c.BeginQuery(pdb, downNow, probeOK)
-	if probes != 0 || v.Serving[1] || c.NodeState(1) != Down {
-		t.Fatalf("query 1: probes=%d serving=%v state=%v", probes, v.Serving[1], c.NodeState(1))
-	}
-	rel, err := c.Admit(context.Background())
+	v, _, probes, done, err := c.BeginQuery(pdb, downNow, probeOK)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rel() // completes query 1: cool-down 1 → 0
+	if probes != 0 || v.Serving[1] || c.NodeState(1) != Down {
+		t.Fatalf("query 1: probes=%d serving=%v state=%v", probes, v.Serving[1], c.NodeState(1))
+	}
+	done() // completes query 1: cool-down 1 → 0
+	done() // a second call must not tick again
 
 	// Query 2: cool-down expired → half-open probe, which fails.
-	v, _, probes = c.BeginQuery(pdb, downNow, probeOK)
+	v, _, probes, done, _ = c.BeginQuery(pdb, downNow, probeOK)
 	if probes != 1 || v.Serving[1] {
 		t.Fatalf("query 2: probes=%d serving=%v, want a failed probe", probes, v.Serving[1])
 	}
 	if v.Probes[1] != 1 {
 		t.Fatalf("query 2: view probe count = %d, want 1", v.Probes[1])
 	}
-	rel, _ = c.Admit(context.Background())
-	rel()
+	done()
 
 	// Query 3: second probe passes → recovering, rebuild enqueued.
-	_, _, probes = c.BeginQuery(pdb, downNow, probeOK)
+	_, _, probes, done, _ = c.BeginQuery(pdb, downNow, probeOK)
 	if probes != 1 {
 		t.Fatalf("query 3: probes=%d, want 1", probes)
 	}
+	done()
 	c.WaitRebuilds()
 	if c.NodeState(1) != Healthy {
 		t.Fatalf("after rebuild: %v, want healthy", c.NodeState(1))
 	}
 	st := c.Stats()
-	if st.Probes != 2 || st.ProbeSuccesses != 1 || st.Rebuilds != 1 {
-		t.Fatalf("stats = %+v, want 2 probes, 1 success, 1 rebuild", st)
+	if st.Probes != 2 || st.ProbeSuccesses != 1 || st.Rebuilds != 1 || st.Admitted != 3 {
+		t.Fatalf("stats = %+v, want 2 probes, 1 success, 1 rebuild, 3 queries begun", st)
 	}
 	if st.RebuiltRows != 10 { // node 1 held 5 primaries + 5 dup copies
 		t.Fatalf("RebuiltRows = %d, want 10", st.RebuiltRows)
@@ -214,7 +178,7 @@ func TestProbeLifecycleAndRebuild(t *testing.T) {
 	}
 	// Query 4: the recovered node serves again and downNow is ignored
 	// (the view reports it healed so the engine clears injected faults).
-	v, _, _ = c.BeginQuery(pdb, downNow, probeOK)
+	v, _, _, _, _ = c.BeginQuery(pdb, downNow, probeOK)
 	if !v.Serving[1] || !v.Recovered[1] {
 		t.Fatalf("query 4: serving=%v recovered=%v, want both", v.Serving[1], v.Recovered[1])
 	}
@@ -228,10 +192,9 @@ func TestRebuildUnrecoverable(t *testing.T) {
 	downNow := func(n int) bool { return n == 2 }
 	probeOK := func(int, int) bool { return true }
 
-	c.BeginQuery(pdb, downNow, probeOK) // trip
-	rel, _ := c.Admit(context.Background())
-	rel()
-	c.BeginQuery(pdb, downNow, probeOK) // probe passes → rebuild attempt
+	_, _, _, done, _ := c.BeginQuery(pdb, downNow, probeOK) // trip
+	done()
+	_, _, _, done, _ = c.BeginQuery(pdb, downNow, probeOK) // probe passes → rebuild attempt
 	c.WaitRebuilds()
 	if c.NodeState(2) != Down {
 		t.Fatalf("unrecoverable node state = %v, want down", c.NodeState(2))
@@ -241,49 +204,9 @@ func TestRebuildUnrecoverable(t *testing.T) {
 		t.Fatalf("stats = %+v, want exactly 1 failed rebuild", st)
 	}
 	// No further probes: the node is lost, not cooling down.
-	rel, _ = c.Admit(context.Background())
-	rel()
-	if _, _, probes := c.BeginQuery(pdb, downNow, probeOK); probes != 0 {
+	done()
+	if _, _, probes, _, _ := c.BeginQuery(pdb, downNow, probeOK); probes != 0 {
 		t.Fatal("lost node must not be probed again")
-	}
-}
-
-// TestAdmissionQueueTimeout: with one slot taken, a second query times
-// out with the typed admission error; releasing frees the slot.
-func TestAdmissionQueueTimeout(t *testing.T) {
-	c := newTestCluster(t, Options{MaxConcurrent: 1, QueueTimeout: 5 * time.Millisecond})
-	rel1, err := c.Admit(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Admit(context.Background()); !errors.Is(err, ErrAdmissionTimeout) {
-		t.Fatalf("second Admit = %v, want ErrAdmissionTimeout", err)
-	}
-	rel1()
-	rel2, err := c.Admit(context.Background())
-	if err != nil {
-		t.Fatalf("after release: %v", err)
-	}
-	rel2()
-	rel2() // double release must be a no-op
-	st := c.Stats()
-	if st.Admitted != 2 || st.Rejected != 1 {
-		t.Fatalf("admitted=%d rejected=%d, want 2/1", st.Admitted, st.Rejected)
-	}
-}
-
-// TestAdmissionContextCancel: a cancelled caller context aborts the wait.
-func TestAdmissionContextCancel(t *testing.T) {
-	c := newTestCluster(t, Options{MaxConcurrent: 1})
-	rel, err := c.Admit(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rel()
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := c.Admit(ctx); !errors.Is(err, context.Canceled) {
-		t.Fatalf("Admit under cancelled ctx = %v, want context.Canceled", err)
 	}
 }
 
@@ -320,13 +243,16 @@ func TestHedgeDelayPricing(t *testing.T) {
 }
 
 // TestCloseIdempotentAndWakesWaiters: Close joins the worker, is safe to
-// call twice, and rejects later admissions.
+// call twice, and refuses later queries.
 func TestCloseIdempotentAndWakesWaiters(t *testing.T) {
 	c := New(Options{Nodes: 2})
 	c.Close()
 	c.Close()
-	if _, err := c.Admit(context.Background()); !errors.Is(err, ErrClosed) {
-		t.Fatalf("Admit after Close = %v, want ErrClosed", err)
+	if _, _, _, _, err := c.BeginQuery(nil, nil, nil); !errors.Is(err, ErrClosed) {
+		t.Fatalf("BeginQuery after Close = %v, want ErrClosed", err)
+	}
+	if st := c.Stats(); st.Rejected != 1 || st.Admitted != 0 {
+		t.Fatalf("admitted=%d rejected=%d, want 0/1", st.Admitted, st.Rejected)
 	}
 	c.WaitRebuilds() // must not hang on a closed cluster
 }

@@ -1,9 +1,6 @@
 package cluster
 
-import (
-	"pref/internal/table"
-	"pref/internal/value"
-)
+import "pref/internal/table"
 
 // Background partition rebuild.
 //
@@ -21,8 +18,10 @@ import (
 // Simulation boundary: as in recoverScan, the lost partitions' manifests
 // are read from the in-memory partitions (standing in for the off-node
 // recovery catalog), and "re-materializing" means verifying that every
-// stored tuple copy has an identical copy on a surviving serving node
-// and metering the copy-back volume. A row with no surviving copy makes
+// stored tuple copy has an identical copy on a surviving serving node —
+// the same per-version copy index (table.Version.Copies) recoverScan
+// reads, against the serving set instead of a query's down set — and
+// metering the copy-back volume. A row with no surviving copy makes
 // the node unrecoverable: it stays down, marked lost, and is never
 // probed again.
 
@@ -98,10 +97,11 @@ func (c *Cluster) rebuildWorker() {
 // here, so re-materialization always works from crash-consistent state.
 func (c *Cluster) rebuild(job rebuildJob) (ok bool, rows, bytes int64) {
 	c.mu.Lock()
-	serving := make([]bool, len(c.nodes))
+	serving := table.NewPartSet(len(c.nodes))
 	for i := range c.nodes {
-		s := c.nodes[i].state
-		serving[i] = (s == Healthy || s == Suspect) && i != job.node
+		if s := c.nodes[i].state; (s == Healthy || s == Suspect) && i != job.node {
+			serving.Add(i)
+		}
 	}
 	c.mu.Unlock()
 
@@ -110,36 +110,19 @@ func (c *Cluster) rebuild(job rebuildJob) (ok bool, rows, bytes int64) {
 		if c.ctx.Err() != nil {
 			return false, 0, 0
 		}
-		parts := snap.Parts(name)
-		if job.node >= len(parts) {
+		v := snap.Tables[name]
+		if v == nil || job.node >= len(v.Parts) {
 			continue
 		}
-		part := parts[job.node]
-		if part.Len() == 0 {
+		n := v.Parts[job.node].Len()
+		if n == 0 {
 			continue
 		}
-		allCols := make([]int, pt.Meta.NumCols())
-		for i := range allCols {
-			allCols[i] = i
+		if v.Copies(pt.Meta.NumCols()).Missing(job.node, serving) > 0 {
+			return false, 0, 0
 		}
-		// Index the full-row contents held by serving survivors, then
-		// check the lost partition's manifest against it — the
-		// ahead-of-time analogue of recoverScan's survivor sweep.
-		idx := make(map[value.Key]bool)
-		for q, p := range parts {
-			if q < len(serving) && serving[q] {
-				for _, r := range p.Rows {
-					idx[value.MakeKey(r, allCols)] = true
-				}
-			}
-		}
-		for _, r := range part.Rows {
-			if !idx[value.MakeKey(r, allCols)] {
-				return false, 0, 0
-			}
-		}
-		rows += int64(part.Len())
-		bytes += int64(part.Len()) * int64(pt.Meta.NumCols()) * 8
+		rows += int64(n)
+		bytes += int64(n) * int64(pt.Meta.NumCols()) * 8
 	}
 	return true, rows, bytes
 }

@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"pref/internal/cluster"
 	"pref/internal/fault"
 	"pref/internal/plan"
 )
@@ -14,8 +13,9 @@ import (
 // TestTypedDeadlineError pins the serving layer's error taxonomy at its
 // root: any deadline expiry — the caller's context or the fault policy's
 // per-query timeout — surfaces as ErrDeadlineExceeded, with
-// context.DeadlineExceeded still matchable underneath, and stays distinct
-// from the admission queue's own timeout sentinel.
+// context.DeadlineExceeded still matchable underneath. (Its distinctness
+// from the serving queue's own timeout sentinel is pinned where both are
+// visible: TestErrorTaxonomy, through the pref facade.)
 func TestTypedDeadlineError(t *testing.T) {
 	db := testDB(t)
 	cfg := testConfigs(4)["classical"]
@@ -46,15 +46,6 @@ func TestTypedDeadlineError(t *testing.T) {
 	_, err = ExecuteCtx(context.Background(), rw, pq.pdb, ExecOptions{Fault: pol})
 	if !errors.Is(err, ErrDeadlineExceeded) {
 		t.Fatalf("policy-timeout err = %v, want ErrDeadlineExceeded", err)
-	}
-
-	// Distinctness: a deadline kill is not an admission timeout and vice
-	// versa — the serving layer prices the two differently.
-	if errors.Is(err, cluster.ErrAdmissionTimeout) {
-		t.Fatal("deadline error matches ErrAdmissionTimeout")
-	}
-	if errors.Is(cluster.ErrAdmissionTimeout, ErrDeadlineExceeded) {
-		t.Fatal("ErrAdmissionTimeout matches ErrDeadlineExceeded")
 	}
 
 	// An expired context must not report a typed deadline when the cause

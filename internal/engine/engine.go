@@ -42,7 +42,7 @@ type Result struct {
 	Schema plan.Schema
 	Rows   []value.Tuple
 	Stats  Stats
-	// Epoch is the data epoch the query was pinned to at admission:
+	// Epoch is the data epoch the query was pinned to when it began:
 	// every row it read came from that published snapshot, regardless of
 	// concurrent write batches.
 	Epoch int64
@@ -95,10 +95,10 @@ type ExecOptions struct {
 	// (labels, properties, per-node breakdown) is built.
 	Trace bool
 	// Cluster attaches the query to a long-lived cluster health layer:
-	// admission control, circuit-breaker routing (nodes tripped by earlier
-	// queries are routed around without burning retries), half-open
-	// probing with background partition rebuild, and hedged execution for
-	// straggling partition units. Nil executes without the layer, exactly
+	// circuit-breaker routing (nodes tripped by earlier queries are routed
+	// around without burning retries), half-open probing with background
+	// partition rebuild, and hedged execution for straggling partition
+	// units. Nil executes without the layer, exactly
 	// as before it existed.
 	Cluster *cluster.Cluster
 }
@@ -126,42 +126,41 @@ type executor struct {
 	// evaluate their children through it.
 	dispatch dispatcher
 	// cl is the cluster health layer (nil: disabled); view is its
-	// admission-time snapshot and down the effective down set — injector
+	// BeginQuery snapshot and down the effective down set — injector
 	// faults not yet healed, plus breaker-tripped nodes — both immutable
 	// for the whole query.
 	cl   *cluster.Cluster
 	view cluster.View
 	down []bool
-	// snap is the data snapshot pinned at admission; all scans read its
+	// snap is the data snapshot pinned by BeginQuery; all scans read its
 	// published partitions, never the loader's live write head.
 	snap *table.DBSnapshot
-	// hedgeDelay is the speculative-duplicate delay priced at admission;
-	// hedgeOK gates the hedged fan-out path.
+	// hedgeDelay is the speculative-duplicate delay priced when the query
+	// begins; hedgeOK gates the hedged fan-out path.
 	hedgeDelay time.Duration
 	hedgeOK    bool
 	// tb is the query's one ledger: every operator charges its Op's
 	// per-node cells and Result.Stats is their sum. Nil only in hand-built
 	// white-box executors; Begin and the ops' mutators are nil-safe. Note
 	// the fault-schedule anchor opSeq is NOT shared with trace op ids.
-	tb      *trace.Builder
-	survIdx map[string]map[value.Key]bool // surviving-copy index per table (recovery)
-	mu      sync.Mutex                    // guards survIdx
+	tb *trace.Builder
 }
 
-// partsOf resolves the partitions a scan of tbl must read: the pinned
-// snapshot's published partitions when the query has one (the normal
-// path — admission pins a snapshot), else the live head (executors
-// driven without BeginQuery, e.g. direct unit-test construction).
+// versionOf resolves the table version a scan of tbl must read: the pinned
+// snapshot's published version when the query has one (the normal path —
+// BeginQuery pins a snapshot), else an unpublished view of the live head
+// (executors driven without BeginQuery, e.g. direct unit-test
+// construction), whose copy index lives and dies with the scan.
 //
 // lint:snapshot-boundary the one sanctioned pin point: every scan resolves
 // partitions here, so the snapshot-or-head decision lives in one place.
-func (ex *executor) partsOf(pt *table.Partitioned, tbl string) []*table.Partition {
+func (ex *executor) versionOf(pt *table.Partitioned, tbl string) *table.Version {
 	if ex.snap != nil {
-		if ps := ex.snap.Parts(tbl); ps != nil {
-			return ps
+		if v := ex.snap.Tables[tbl]; v != nil {
+			return v
 		}
 	}
-	return pt.Parts
+	return &table.Version{Parts: pt.Parts}
 }
 
 // epoch returns the query's pinned data epoch (0 without a snapshot).
@@ -185,9 +184,9 @@ func ExecuteOpts(rw *plan.Rewritten, pdb *table.PartitionedDatabase, opt ExecOpt
 
 // ErrDeadlineExceeded reports a query killed by an expired deadline —
 // the caller's context deadline or the fault policy's per-query timeout —
-// anywhere along the propagation path: waiting in an admission queue,
-// between operator fan-outs, or inside a per-partition work unit. It is
-// deliberately distinct from cluster.ErrAdmissionTimeout (the admission
+// anywhere along the propagation path: waiting in the serving layer's
+// queue, between operator fan-outs, or inside a per-partition work unit.
+// It is deliberately distinct from serve.ErrAdmissionTimeout (the serving
 // queue's own bounded wait, independent of any client deadline): a serving
 // layer shedding load and a client giving up are different events and are
 // priced differently. Matches errors.Is; the wrapped chain additionally
@@ -197,8 +196,7 @@ var ErrDeadlineExceeded = errors.New("engine: query deadline exceeded")
 // ExecuteCtx is ExecuteOpts under a caller-supplied context. The query
 // additionally gets its own deadline when the fault policy sets one;
 // cancelling ctx aborts all in-flight per-node work. A query killed by an
-// expired deadline — whether it died queued at admission or mid-execution
-// in a partition goroutine — fails with a typed ErrDeadlineExceeded.
+// expired deadline fails with a typed ErrDeadlineExceeded.
 func ExecuteCtx(ctx context.Context, rw *plan.Rewritten, pdb *table.PartitionedDatabase, opt ExecOptions) (*Result, error) {
 	res, err := executeCtx(ctx, rw, pdb, opt, (*executor).eval)
 	if err != nil && errors.Is(err, context.DeadlineExceeded) {
@@ -234,25 +232,19 @@ func executeCtx(ctx context.Context, rw *plan.Rewritten, pdb *table.PartitionedD
 	}
 	defer cancel()
 
-	// Admission first: a query that cannot get an execution slot must not
-	// touch cluster health or launch work. The release tick also advances
-	// breaker cool-downs (counted in completed queries).
+	// One bracket per query: a closed cluster refuses it before it touches
+	// health or launches work; otherwise the cluster trips nodes the fault
+	// layer reports down right now, runs due half-open probes (which may
+	// enqueue background rebuilds) and pins the data snapshot. done ticks
+	// the breaker cool-downs, which are counted in completed queries.
 	cl := opt.Cluster
-	release, err := cl.Admit(ctx)
+	view, snap, probes, done, err := cl.BeginQuery(pdb, inj.NodeDown, inj.ProbeOK)
 	if err != nil {
 		return nil, fmt.Errorf("engine: query not admitted: %w", err)
 	}
-	defer release()
-
-	// One health snapshot per query: trip nodes the fault layer reports
-	// down right now, run due half-open probes (which may enqueue
-	// background rebuilds), and resolve the degraded placement from the
-	// per-epoch cache instead of once per scan.
-	view, snap, probes := cl.BeginQuery(pdb, inj.NodeDown, inj.ProbeOK)
+	defer done()
 	down := effectiveDown(pdb.N, inj, view)
-	execDst, err := cl.Placement(downKey(down), func() ([]int, error) {
-		return buddyMap(pdb.N, down)
-	})
+	execDst, err := buddyMap(pdb.N, down)
 	if err != nil {
 		return nil, err
 	}
@@ -324,20 +316,6 @@ func effectiveDown(n int, inj *fault.Injector, view cluster.View) []bool {
 		down[p] = (inj.NodeDown(p) && !healed) || tripped
 	}
 	return down
-}
-
-// downKey renders a down set as the cache key of the per-epoch placement
-// and survivor-index caches.
-func downKey(down []bool) string {
-	b := make([]byte, len(down))
-	for i, d := range down {
-		if d {
-			b[i] = '1'
-		} else {
-			b[i] = '0'
-		}
-	}
-	return string(b)
 }
 
 // ErrAllNodesDown reports a query with no surviving node to run on:

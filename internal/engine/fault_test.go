@@ -293,6 +293,81 @@ func TestCrashedNodeRecoversFromPrefDuplicates(t *testing.T) {
 	}
 }
 
+// TestRecoveryFollowsThePublishedVersion: which copies exist is a fact of
+// the published version a query pins, so a write that commits between two
+// degraded queries changes what the second one can recover — it must not
+// see the index the first one built. Both directions: a committed row with
+// no second copy turns a recoverable partition into a typed loss, and the
+// commit that adds the copy turns it back, while a write to another table
+// leaves the answer alone.
+func TestRecoveryFollowsThePublishedVersion(t *testing.T) {
+	db, cfg := recoveryDB(t)
+	pq := prepareQuery(t, func() plan.Node {
+		return plan.ProjectCols(plan.Scan("dim", "x"), "x.d", "x.payload")
+	}, db, cfg)
+	dim := pq.pdb.Tables["dim"]
+	down := coveredPartition(dim)
+	if down < 0 {
+		t.Fatal("precondition: no dim partition is fully covered by surviving duplicates")
+	}
+	degraded := ExecOptions{Fault: &fault.Policy{DownNodes: []int{down}}}
+
+	first, err := pq.run(t, degraded)
+	if err != nil {
+		t.Fatalf("query 1: %v", err)
+	}
+	if first.Stats.RecoveredRows == 0 {
+		t.Fatal("query 1 recovered nothing: the partition was not degraded")
+	}
+
+	// A commit to fact publishes no new dim version: same index, same answer.
+	pq.pdb.Tables["fact"].BeginWrite(0).Append(value.Tuple{900, 0}, false, false)
+	pq.pdb.Commit("fact")
+	again, err := pq.run(t, degraded)
+	if err != nil {
+		t.Fatalf("after a write to fact: %v", err)
+	}
+	if !reflect.DeepEqual(again.Rows, first.Rows) || again.Stats != first.Stats || again.Epoch != first.Epoch+1 {
+		t.Fatalf("a write to another table changed the degraded dim scan:\nfirst %+v epoch %d\nagain %+v epoch %d",
+			first.Stats, first.Epoch, again.Stats, again.Epoch)
+	}
+
+	// A dim row stored on the lost partition only: unrecoverable from now on.
+	orphan := value.Tuple{77, 177}
+	dim.BeginWrite(down).Append(orphan, false, false)
+	pq.pdb.Commit("dim")
+	_, err = pq.run(t, degraded)
+	var ple *fault.PartitionLostError
+	if !errors.As(err, &ple) {
+		t.Fatalf("query after the orphan commit: err = %v, want *fault.PartitionLostError (stale index?)", err)
+	}
+	if ple.Table != "dim" || ple.Partition != down || ple.MissingRows != 1 {
+		t.Fatalf("loss details = %+v, want dim/%d with exactly the orphan missing", ple, down)
+	}
+
+	// Committing a second copy on a survivor makes it recoverable again.
+	survivor := (down + 1) % pq.pdb.N
+	dim.BeginWrite(survivor).Append(orphan, true, false)
+	pq.pdb.Commit("dim")
+	last, err := pq.run(t, degraded)
+	if err != nil {
+		t.Fatalf("query after the copy commit: %v", err)
+	}
+	if last.Stats.RecoveredRows != first.Stats.RecoveredRows+1 {
+		t.Fatalf("RecoveredRows = %d, want %d (the first query's plus the orphan)",
+			last.Stats.RecoveredRows, first.Stats.RecoveredRows+1)
+	}
+	found := false
+	for _, r := range last.Rows {
+		if r[0] == 77 && r[1] == 177 {
+			found = true
+		}
+	}
+	if !found {
+		t.Fatalf("recovered scan lost the committed row: %v", last.Rows)
+	}
+}
+
 // TestCrashedNodeRecoversFromReplication: a fully replicated table survives
 // any single node loss.
 func TestCrashedNodeRecoversFromReplication(t *testing.T) {

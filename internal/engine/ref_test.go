@@ -75,7 +75,7 @@ func (ex *executor) evalScan(n *plan.ScanNode) ([][]value.Tuple, error) {
 		return nil, fmt.Errorf("engine: table %s not in partitioned database", n.Table)
 	}
 	sch := ex.rw.Schemas[n]
-	parts := ex.partsOf(pt, n.Table)
+	v := ex.versionOf(pt, n.Table)
 	withIndexes := len(sch) == pt.Meta.NumCols()+2
 	var keep map[int]bool
 	if n.Prune != nil {
@@ -93,13 +93,13 @@ func (ex *executor) evalScan(n *plan.ScanNode) ([][]value.Tuple, error) {
 			// permanently failed, or routed around by an open circuit
 			// breaker: reconstruct its scan output from surviving
 			// duplicate copies.
-			rows, err := ex.recoverScan(top, pt, parts, p, withIndexes, len(sch))
+			rows, err := ex.recoverScan(top, pt, v, p, withIndexes, len(sch))
 			if err != nil {
 				return nil, 0, err
 			}
 			return rows, len(rows), nil
 		}
-		rows := scanRows(parts[p], withIndexes)
+		rows := scanRows(v.Parts[p], withIndexes)
 		return rows, len(rows), nil
 	})
 }

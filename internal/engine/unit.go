@@ -112,7 +112,7 @@ func runHedged[T payload](ex *executor, ctx context.Context, top *trace.Op, op, 
 	// Capacity 2: both racers can deliver without a reader, so the loser
 	// never blocks on send after the winner returned.
 	resc := make(chan unitResult, 2)
-	var won int32
+	var won atomic.Bool
 	var wg sync.WaitGroup
 	launch := func(node int, hedge bool) {
 		wg.Add(1)
@@ -133,7 +133,7 @@ race:
 	for {
 		select {
 		case <-timer.C:
-			if !hedged && atomic.LoadInt32(&won) == 0 && hctx.Err() == nil {
+			if !hedged && !won.Load() && hctx.Err() == nil {
 				hedged = true
 				top.AddHedge(hn)
 				launch(hn, true)
@@ -162,7 +162,7 @@ race:
 // exactly one racer claims it and meters output; a racer that succeeds
 // after the claim is the loser — its rows are discarded but the CPU they
 // cost is charged to the node and metered as wasted hedge work.
-func runAttempt[T payload](ex *executor, ctx context.Context, top *trace.Op, op, p, en int, hedge bool, won *int32, fn unitFn[T]) (T, error) {
+func runAttempt[T payload](ex *executor, ctx context.Context, top *trace.Op, op, p, en int, hedge bool, won *atomic.Bool, fn unitFn[T]) (T, error) {
 	var zero T
 	start := time.Now()
 	rows, work, err := runUnit(ex, ctx, top, op, p, en, fn)
@@ -171,7 +171,7 @@ func runAttempt[T payload](ex *executor, ctx context.Context, top *trace.Op, op,
 	if err != nil {
 		return zero, err
 	}
-	if won != nil && !atomic.CompareAndSwapInt32(won, 0, 1) {
+	if won != nil && !won.CompareAndSwap(false, true) {
 		top.AddHedgeWaste(en, work)
 		top.AddWork(en, work)
 		return zero, errHedgeLost

@@ -121,7 +121,7 @@ func (ex *executor) evalScanVec(n *plan.ScanNode) (vparts, error) {
 		return nil, fmt.Errorf("engine: table %s not in partitioned database", n.Table)
 	}
 	sch := ex.rw.Schemas[n]
-	parts := ex.partsOf(pt, n.Table)
+	v := ex.versionOf(pt, n.Table)
 	width := pt.Meta.NumCols()
 	withIndexes := len(sch) == width+2
 	var keep map[int]bool
@@ -139,7 +139,7 @@ func (ex *executor) evalScanVec(n *plan.ScanNode) (vparts, error) {
 			// Rare path: reconstruct the lost partition's scan output via
 			// the row-based recovery machinery (identical metering), then
 			// lift the rows into batches.
-			rows, err := ex.recoverScan(top, pt, parts, p, withIndexes, len(sch))
+			rows, err := ex.recoverScan(top, pt, v, p, withIndexes, len(sch))
 			if err != nil {
 				return nil, 0, err
 			}
@@ -147,7 +147,7 @@ func (ex *executor) evalScanVec(n *plan.ScanNode) (vparts, error) {
 		}
 		// Zero-copy: chunked views over the partition's cached columnar
 		// projection (built once per published epoch, shared by queries).
-		proj := parts[p].Columns(width)
+		proj := v.Parts[p].Columns(width)
 		cols := proj.Cols
 		if !withIndexes {
 			cols = cols[:width]

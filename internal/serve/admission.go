@@ -2,7 +2,6 @@ package serve
 
 import (
 	"context"
-	"errors"
 	"sync"
 	"time"
 )
@@ -74,11 +73,6 @@ func (b *tokenBucket) take(now time.Time) (bool, time.Duration) {
 	return false, wait
 }
 
-// errQueueTimeout is the admitter's internal queue-timeout signal; Submit
-// converts it into a typed RejectedError wrapping
-// cluster.ErrAdmissionTimeout.
-var errQueueTimeout = errors.New("serve: admission queue timeout")
-
 // waiter is one queued acquisition. granted is closed (under the admitter
 // mutex) when a released slot is handed to it; a waiter that gives up
 // removes itself from the queue under the same mutex, so grant and
@@ -109,7 +103,8 @@ type tenantLane struct {
 // admitter is the server's weighted-fair slot scheduler (admission ladder
 // rung 3). It bounds concurrently served queries and, under contention,
 // hands freed slots to waiting tenants in weighted-fair order rather than
-// FIFO. The cluster's own admission gate (rung 4) sits below it.
+// FIFO. It is the only bounded queue on the path: the cluster layer below
+// it tracks node health and admits every query a live cluster is handed.
 type admitter struct {
 	mu      sync.Mutex
 	slots   int
@@ -215,7 +210,7 @@ func (a *admitter) acquire(ctx context.Context, tenant string, cost float64) (fu
 	case <-ctx.Done():
 		return a.abandon(tenant, w, ctx.Err())
 	case <-timeoutC:
-		return a.abandon(tenant, w, errQueueTimeout)
+		return a.abandon(tenant, w, ErrAdmissionTimeout)
 	}
 }
 

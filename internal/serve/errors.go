@@ -8,9 +8,9 @@ import (
 
 // Sentinel errors of the serving layer's admission ladder, all matchable
 // with errors.Is through the pref facade. Together with the engine's
-// ErrDeadlineExceeded and the cluster's ErrAdmissionTimeout they form the
-// complete rejection taxonomy: every query a server turns away fails with
-// exactly one of these, never a silent drop.
+// ErrDeadlineExceeded they form the complete rejection taxonomy: every
+// query a server turns away fails with exactly one of these, never a
+// silent drop.
 var (
 	// ErrQuotaExceeded reports a submission rejected by the tenant's
 	// token-bucket quota (admission ladder rung 1).
@@ -21,6 +21,10 @@ var (
 	// flowing while expensive ones are turned away with a Retry-After
 	// hint.
 	ErrOverloaded = errors.New("serve: overloaded, query shed")
+	// ErrAdmissionTimeout reports a query that waited longer than the
+	// queue timeout for a serving slot (rung 3) — the queue's own bounded
+	// wait, independent of any client deadline.
+	ErrAdmissionTimeout = errors.New("serve: admission queue timeout")
 	// ErrServerClosed reports a submission against a server that is
 	// draining or closed.
 	ErrServerClosed = errors.New("serve: server closed")
@@ -35,7 +39,7 @@ var (
 // RejectedError is the typed admission rejection: which rung of the
 // ladder rejected the query, for whom, and — for rate and load rejections
 // — when a retry is worth attempting. Unwrap yields the rung's sentinel
-// (ErrQuotaExceeded, ErrOverloaded, cluster.ErrAdmissionTimeout,
+// (ErrQuotaExceeded, ErrOverloaded, ErrAdmissionTimeout,
 // ErrServerClosed), so errors.Is works against both the concrete type and
 // the sentinel.
 type RejectedError struct {

@@ -115,10 +115,10 @@ func (h *Hist) Quantile(q float64) time.Duration {
 
 // Summary is a fixed quantile snapshot of one histogram.
 type Summary struct {
-	Count            int64
-	Mean             time.Duration
-	P50, P99, P999   time.Duration
-	Max              time.Duration
+	Count          int64
+	Mean           time.Duration
+	P50, P99, P999 time.Duration
+	Max            time.Duration
 }
 
 // Summarize snapshots the standard serving quantiles.

@@ -4,16 +4,17 @@
 // retry budgets, a plan cache, streaming delivery with backpressure, and
 // graceful drain.
 //
-// Every submission climbs a four-rung admission ladder before any work
+// Every submission climbs a three-rung admission ladder before any work
 // runs:
 //
-//	1. quota  — the tenant's token bucket (sustained rate + burst)
-//	2. shed   — cost-priced overload protection: above the load
-//	            threshold, expensive queries are turned away first
-//	3. queue  — the server's weighted-fair serving slots (bounded
-//	            concurrency, fair across tenants by weight)
-//	4. gate   — the cluster layer's own admission gate and breakers,
-//	            inside the engine
+//  1. quota  — the tenant's token bucket (sustained rate + burst)
+//  2. shed   — cost-priced overload protection: above the load
+//     threshold, expensive queries are turned away first
+//  3. queue  — the server's weighted-fair serving slots (bounded
+//     concurrency, fair across tenants by weight)
+//
+// Below the ladder, inside the engine, the cluster layer tracks node health
+// and breakers; it is not a rung — it bounds nothing and queues nothing.
 //
 // A query rejected at any rung fails with a typed *RejectedError; a query
 // killed by its client's deadline fails with engine.ErrDeadlineExceeded,
@@ -57,7 +58,7 @@ type Options struct {
 
 	// MaxConcurrent bounds concurrently served queries (rung 3 slots;
 	// default 8). QueueTimeout bounds the weighted-fair queue wait
-	// (default 1s); expiry rejects with cluster.ErrAdmissionTimeout.
+	// (default 1s); expiry rejects with ErrAdmissionTimeout.
 	MaxConcurrent int
 	QueueTimeout  time.Duration
 
@@ -72,8 +73,9 @@ type Options struct {
 	RetryEarn   float64
 	MaxAttempts int
 
-	// Cluster configures the rung-4 cluster layer. Nodes defaults to the
-	// design's partition count.
+	// Cluster configures the node-health layer beneath the ladder
+	// (breakers, probes, hedging). Nodes defaults to the design's
+	// partition count.
 	Cluster cluster.Options
 
 	// Exec is the base execution model (cache size, verify, trace). Its
@@ -167,9 +169,12 @@ type metrics struct {
 
 // Metrics is a point-in-time snapshot of the server's counters.
 type Metrics struct {
-	// Submitted counts every Submit/Stream call; Completed successful
-	// queries; Failed typed execution failures; DeadlineExceeded queries
-	// killed by their deadline anywhere along the path.
+	// Submitted counts every Submit/Stream call naming a known query and
+	// tenant; each ends in exactly one of the outcomes below, so Completed
+	// + Failed + DeadlineExceeded + ΣRejected = Submitted once the server
+	// is idle. Completed counts successful queries; Failed typed execution
+	// failures and client cancellations; DeadlineExceeded queries killed by
+	// their deadline anywhere along the path.
 	Submitted        int64
 	Completed        int64
 	Failed           int64
@@ -188,7 +193,8 @@ type Metrics struct {
 	PlanCacheSize   int
 	// Latency summarizes end-to-end latency of successful queries.
 	Latency Summary
-	// Cluster is the rung-4 gate's own counters.
+	// Cluster is the node-health layer's counters: queries begun, breaker
+	// trips, probes, rebuilds.
 	Cluster cluster.Stats
 }
 
@@ -274,10 +280,6 @@ func (s *Server) Submit(ctx context.Context, tenant, query string) (*Response, e
 // or Close the stream.
 func (s *Server) Stream(ctx context.Context, tenant, query string) (*Stream, error) {
 	start := time.Now()
-	s.met.mu.Lock()
-	s.met.submitted++
-	s.met.mu.Unlock()
-
 	mk, ok := s.opt.Queries[query]
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrUnknownQuery, query)
@@ -285,6 +287,9 @@ func (s *Server) Stream(ctx context.Context, tenant, query string) (*Stream, err
 	if s.adm.lane(tenant) == nil {
 		return nil, fmt.Errorf("%w: %q", ErrUnknownTenant, tenant)
 	}
+	s.met.mu.Lock()
+	s.met.submitted++
+	s.met.mu.Unlock()
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
@@ -324,8 +329,8 @@ func (s *Server) Stream(ctx context.Context, tenant, query string) (*Stream, err
 	if err != nil {
 		cleanup()
 		switch {
-		case errors.Is(err, errQueueTimeout):
-			return nil, s.reject("queue", tenant, query, cost, s.opt.QueueTimeout, cluster.ErrAdmissionTimeout)
+		case errors.Is(err, ErrAdmissionTimeout):
+			return nil, s.reject("queue", tenant, query, cost, s.opt.QueueTimeout, ErrAdmissionTimeout)
 		case errors.Is(err, context.DeadlineExceeded):
 			s.met.mu.Lock()
 			s.met.deadline++
@@ -334,6 +339,11 @@ func (s *Server) Stream(ctx context.Context, tenant, query string) (*Stream, err
 		case s.baseCtx.Err() != nil:
 			return nil, s.reject("closed", tenant, query, 0, 0, ErrServerClosed)
 		default:
+			// The client cancelled while queued: a failure, like a
+			// cancellation mid-execution.
+			s.met.mu.Lock()
+			s.met.failed++
+			s.met.mu.Unlock()
 			return nil, err
 		}
 	}

@@ -91,13 +91,32 @@ func TestSubmitBasic(t *testing.T) {
 	}
 }
 
+// assertOutcomesBalance checks the /metrics identity on an idle server:
+// every counted submission ended in exactly one outcome counter.
+func assertOutcomesBalance(t *testing.T, s *Server, after string) {
+	t.Helper()
+	m := s.Metrics()
+	var rejected int64
+	for _, n := range m.Rejected {
+		rejected += n
+	}
+	if m.Completed+m.Failed+m.DeadlineExceeded+rejected != m.Submitted {
+		t.Fatalf("after %s: outcome accounting leak: %+v", after, m)
+	}
+}
+
 func TestUnknownTenantAndQuery(t *testing.T) {
 	s := newTestServer(t, nil)
 	if _, err := s.Submit(context.Background(), "ghost", "count"); !errors.Is(err, ErrUnknownTenant) {
 		t.Fatalf("unknown tenant err = %v", err)
 	}
+	assertOutcomesBalance(t, s, "an unknown tenant")
 	if _, err := s.Submit(context.Background(), "a", "nope"); !errors.Is(err, ErrUnknownQuery) {
 		t.Fatalf("unknown query err = %v", err)
+	}
+	assertOutcomesBalance(t, s, "an unknown query")
+	if m := s.Metrics(); m.Submitted != 0 {
+		t.Fatalf("Submitted = %d: a submission naming nothing the server knows is not counted", m.Submitted)
 	}
 }
 
@@ -298,7 +317,7 @@ func TestShedExpensiveQueriesFirst(t *testing.T) {
 }
 
 // TestQueueTimeout pins rung 3's bounded wait: a saturated server rejects
-// queued queries after QueueTimeout with the cluster's admission-timeout
+// queued queries after QueueTimeout with the admission-timeout
 // sentinel.
 func TestQueueTimeout(t *testing.T) {
 	s := newTestServer(t, func(o *Options) {
@@ -312,8 +331,8 @@ func TestQueueTimeout(t *testing.T) {
 	}
 	defer st.Close()
 	_, err = s.Submit(context.Background(), "b", "count")
-	if !errors.Is(err, cluster.ErrAdmissionTimeout) {
-		t.Fatalf("err = %v, want cluster.ErrAdmissionTimeout", err)
+	if !errors.Is(err, ErrAdmissionTimeout) {
+		t.Fatalf("err = %v, want ErrAdmissionTimeout", err)
 	}
 	var rej *RejectedError
 	if !errors.As(err, &rej) || rej.Stage != "queue" {
@@ -362,6 +381,38 @@ func TestDeadlineInQueue(t *testing.T) {
 	_, err = s.Submit(ctx, "b", "count")
 	if !errors.Is(err, engine.ErrDeadlineExceeded) || !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("queued deadline err = %v, want typed deadline", err)
+	}
+}
+
+// A client that cancels (rather than times out) while queued gets its
+// cancellation back, and the submission is counted as a failure — not
+// dropped from the outcome counters.
+func TestCancelInQueue(t *testing.T) {
+	s := newTestServer(t, func(o *Options) {
+		o.MaxConcurrent = 1
+		o.ShedThreshold = 100
+	})
+	st, err := s.Stream(context.Background(), "a", "count")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	go func() {
+		_, err := s.Submit(ctx, "b", "count")
+		done <- err
+	}()
+	for i := 0; i < 2000 && s.adm.load() < 2; i++ { // wait until b is queued behind a
+		time.Sleep(time.Millisecond)
+	}
+	cancel()
+	if err := <-done; !errors.Is(err, context.Canceled) || errors.Is(err, engine.ErrDeadlineExceeded) {
+		t.Fatalf("queued cancel err = %v, want plain context.Canceled", err)
+	}
+	st.Close()
+	assertOutcomesBalance(t, s, "a cancel while queued")
+	if m := s.Metrics(); m.Submitted != 2 || m.Completed != 1 || m.Failed != 1 {
+		t.Fatalf("metrics = %+v, want 2 submitted: 1 completed, 1 failed", m)
 	}
 }
 

@@ -88,10 +88,10 @@ func (s *shedder) admit(load float64, cost time.Duration) (bool, time.Duration) 
 // stops retrying — first attempts still flow, but the storm is not
 // multiplied by the retry layer.
 type retryBudget struct {
-	mu      sync.Mutex
-	tokens  float64
-	cap     float64
-	earn    float64 // tokens earned per successful first attempt
+	mu     sync.Mutex
+	tokens float64
+	cap    float64
+	earn   float64 // tokens earned per successful first attempt
 }
 
 func newRetryBudget(cap, earn float64) *retryBudget {

@@ -111,6 +111,10 @@ type Version struct {
 	Parts []*Partition
 	// Rows is OriginalRows at publication time.
 	Rows int
+
+	// copies caches the version's copy index (see Copies).
+	copiesOnce sync.Once
+	copies     *CopyIndex
 }
 
 // Partitioned is a horizontally partitioned table.

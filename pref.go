@@ -313,14 +313,14 @@ var (
 
 // Cluster health-layer types. A Cluster is the long-lived membership and
 // health layer shared across queries: per-node health state machine and
-// circuit breaker, per-epoch degraded placements, admission control,
-// hedged stragglers, and background partition rebuild. Attach one via
+// circuit breaker, degraded-mode routing, hedged stragglers, and background
+// partition rebuild. It bounds and queues nothing — admission is the
+// Server's. Attach one via
 // ExecOptions.Cluster; a nil Cluster disables the layer.
 type (
-	// Cluster is the cross-query node-health and admission layer.
+	// Cluster is the cross-query node-health layer.
 	Cluster = cluster.Cluster
-	// ClusterOptions configures breaker thresholds, admission bounds and
-	// the hedging policy.
+	// ClusterOptions configures breaker thresholds and the hedging policy.
 	ClusterOptions = cluster.Options
 	// ClusterView is one query's immutable health snapshot.
 	ClusterView = cluster.View
@@ -340,14 +340,9 @@ const (
 	NodeRecovering = cluster.Recovering
 )
 
-// Cluster sentinel errors, for errors.Is against failed executions.
-var (
-	// ErrAdmissionTimeout matches queries that timed out waiting for an
-	// execution slot.
-	ErrAdmissionTimeout = cluster.ErrAdmissionTimeout
-	// ErrNodeTripped matches work units failed fast by an open breaker.
-	ErrNodeTripped = cluster.ErrNodeTripped
-)
+// ErrNodeTripped matches work units failed fast by an open breaker, for
+// errors.Is against failed executions.
+var ErrNodeTripped = cluster.ErrNodeTripped
 
 // NewCluster builds a cluster health layer and starts its background
 // rebuild worker; Close stops it. Pass it to queries via
@@ -388,9 +383,9 @@ type (
 )
 
 // Serving-layer sentinel errors, for errors.Is against failed
-// submissions. Together with ErrAdmissionTimeout (the queue rung) and the
-// fault sentinels they form the complete rejection taxonomy: every query
-// a server turns away fails with exactly one of these.
+// submissions. Together with the fault sentinels they form the complete
+// rejection taxonomy: every query a server turns away fails with exactly
+// one of these.
 var (
 	// ErrDeadlineExceeded matches queries killed by an expired deadline —
 	// client context or per-query timeout — anywhere along the path;
@@ -406,6 +401,9 @@ var (
 	// ErrOverloaded matches queries shed by cost-priced overload
 	// protection.
 	ErrOverloaded = serve.ErrOverloaded
+	// ErrAdmissionTimeout matches queries that timed out waiting in the
+	// server's queue for a serving slot — the only place a query queues.
+	ErrAdmissionTimeout = serve.ErrAdmissionTimeout
 	// ErrServerClosed matches submissions against a draining server.
 	ErrServerClosed = serve.ErrServerClosed
 	// ErrUnknownTenant / ErrUnknownQuery match submissions outside the
