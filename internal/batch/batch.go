@@ -97,6 +97,31 @@ func (b *Batch) WithSel(sel []int32) *Batch {
 	return &Batch{Cols: b.Cols, Sel: sel}
 }
 
+// Select returns a new batch over the subset idx of b's column vectors, in
+// idx order, sharing b's selection vector — how a copying operator reads only
+// the columns it writes. The same ownership rule as WithSel: the view never
+// owns pooled columns, so releasing it is a no-op and b stays the releaser.
+func (b *Batch) Select(idx []int) *Batch {
+	cols := make([][]int64, len(idx))
+	for i, c := range idx {
+		cols[i] = b.Cols[c]
+	}
+	return &Batch{Cols: cols, Sel: b.Sel}
+}
+
+// SelectAll is Select over a batch list; nil idx means every column and
+// returns bs itself.
+func SelectAll(bs []*Batch, idx []int) []*Batch {
+	if idx == nil {
+		return bs
+	}
+	out := make([]*Batch, len(bs))
+	for i, b := range bs {
+		out[i] = b.Select(idx)
+	}
+	return out
+}
+
 // Chunks splits a view over n physical rows into ⌈n/Size⌉ zero-copy
 // batches of at most Size rows each, preserving row order.
 func Chunks(cols [][]int64) []*Batch {

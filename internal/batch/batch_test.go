@@ -344,3 +344,26 @@ func TestWriterBoundaries(t *testing.T) {
 		}
 	}
 }
+
+// TestSelectIsAViewNotAnOwner pins the column-subset primitive: a Select
+// view reads the chosen columns through the source's selection vector, in
+// the order asked, and releasing it leaves the source's pooled columns alone.
+func TestSelectIsAViewNotAnOwner(t *testing.T) {
+	w := NewWriter(4)
+	for i := int64(0); i < 10; i++ {
+		w.AppendTuple([]int64{i, 10 + i, 20 + i, 30 + i})
+	}
+	src := w.Finish()[0].WithSel([]int32{1, 4, 7})
+	v := src.Select([]int{3, 1})
+	want := []value.Tuple{{31, 11}, {34, 14}, {37, 17}}
+	if got := AppendRows(nil, []*Batch{v}); !tuplesEqual(got, want) {
+		t.Fatalf("Select view reads %v, want %v", got, want)
+	}
+	if all := SelectAll([]*Batch{src}, nil); len(all) != 1 || all[0] != src {
+		t.Fatal("SelectAll(nil) must hand the list back untouched")
+	}
+	v.Release()
+	if got := AppendRows(nil, []*Batch{src}); len(got) != 3 || got[2][0] != 7 {
+		t.Fatalf("releasing a Select view disturbed its source: %v", got)
+	}
+}

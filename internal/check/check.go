@@ -11,11 +11,22 @@
 //     inputs co-partitioned on the join keys, or preceded by a
 //     Repartition/Broadcast), duplicate-freedom (no live dup columns
 //     survive into aggregates, order-by, projections, or the root), and
-//     that no Prop slice is aliased across operators.
+//     that no Prop slice is aliased across operators. Column pruning is
+//     held to both sides of its contract: a join or exchange may record
+//     any order-preserving subset of its natural schema, every reference
+//     above it must still bind, the root and the inputs of top-k and
+//     value-distinct must lose nothing — and, top-down, no join or
+//     exchange may carry a column that nothing above reads.
 //   - VerifyDesign checks a partitioning configuration against a catalog
 //     schema: PREF predicate chains must be acyclic, rooted at a proper
 //     seed table (Section 2.1, Definition 1), and reference only existing
 //     columns with equi-join-compatible types.
+//
+// The Dup/Part rules stay sound over pruned schemas because none of them
+// reads a schema's width or a column's position: locality, duplicate
+// freedom and placement are decided from Prop column names and the
+// operators' own column lists, and a Prop may name a hash column the schema
+// no longer carries (a fact about where rows sit, not a reference).
 //
 // A plan that silently violates these invariants produces wrong answers,
 // not crashes, which is why they are checked statically before any tuple
@@ -57,6 +68,11 @@ const (
 	// with plan-node slices (an append through one alias corrupts the
 	// other).
 	RulePropAlias Rule = "prop-alias"
+	// RuleDeadColumn marks a join or exchange (Repartition, Broadcast,
+	// Gather) whose recorded schema carries a column no operator above it
+	// reads: bytes emitted or shipped for nothing, which the rewrite's
+	// column pruning exists to remove.
+	RuleDeadColumn Rule = "dead-column"
 )
 
 // Design rules (VerifyDesign).
@@ -149,6 +165,11 @@ func Verify(rw *plan.Rewritten) error {
 	root := c.visit(rw.Root)
 	c.checkRoot(rw.Root, root)
 	c.checkAliasing()
+	if len(c.vs) == 0 {
+		// Only a well-formed tree is worth walking again: the result is read
+		// whole, everything below it only as far as something above asks.
+		c.checkLive(rw.Root, reads{}.plus(root.sch.Names()...))
+	}
 	vs = append(vs, c.vs...)
 	if len(vs) == 0 {
 		return nil

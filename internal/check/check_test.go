@@ -237,6 +237,92 @@ func TestVerifyRejectsPartialAggOverDuplicates(t *testing.T) {
 	expectRule(t, rw, check.RuleDupLeak)
 }
 
+// ---- mutations of the pruned schemas ----
+
+// prunedExchange rewrites a misaligned join under an aggregate that reads two
+// of lineitem's three columns, and returns the lineitem-side Repartition,
+// which records exactly those: its hash key and the summed quantity.
+func prunedExchange(t *testing.T) (*plan.Rewritten, *plan.RepartitionNode) {
+	t.Helper()
+	sch := miniSchema(t)
+	q := plan.Aggregate(
+		plan.Join(plan.Scan("customer", "c"), plan.Scan("lineitem", "l"),
+			plan.Inner, []string{"c.c_custkey"}, []string{"l.l_partkey"}),
+		[]string{"c.c_nation"}, plan.Sum(plan.Col("l.l_qty"), "qty"))
+	rw := mustRewrite(t, q, sch, miniSD(t, sch))
+	jn := findNode(rw.Root, func(n plan.Node) bool { _, ok := n.(*plan.JoinNode); return ok }).(*plan.JoinNode)
+	rep, ok := jn.Right.(*plan.RepartitionNode)
+	if !ok {
+		t.Fatalf("fixture drift: join right is %T, want Repartition\n%s", jn.Right, rw.Explain())
+	}
+	if got := rw.Schema(rep).Names(); len(got) != 2 || got[0] != "l.l_partkey" || got[1] != "l.l_qty" {
+		t.Fatalf("fixture drift: repartition records %v, want [l.l_partkey l.l_qty]\n%s", got, rw.Explain())
+	}
+	if err := check.Verify(rw); err != nil {
+		t.Fatalf("Verify failed before any mutation: %v", err)
+	}
+	return rw, rep
+}
+
+func TestVerifyRejectsDeadColumnInExchange(t *testing.T) {
+	rw, rep := prunedExchange(t)
+	// Ship l_orderkey as well: a legal subset of the scan's schema that the
+	// join binds against happily — and that nothing above ever reads.
+	rw.Schemas[rep] = rw.Schema(rep.Child)[:3]
+	expectRule(t, rw, check.RuleDeadColumn)
+}
+
+func TestVerifyRejectsPrunedJoinKey(t *testing.T) {
+	rw, rep := prunedExchange(t)
+	rw.Schemas[rep] = rw.Schema(rep)[1:] // drop l_partkey, which the join probes on
+	expectRule(t, rw, check.RuleMalformed)
+}
+
+func TestVerifyRejectsReorderedExchangeSchema(t *testing.T) {
+	rw, rep := prunedExchange(t)
+	rec := rw.Schema(rep)
+	rw.Schemas[rep] = plan.Schema{rec[1], rec[0]} // the engine copies in child order
+	expectRule(t, rw, check.RuleStaleProp)
+}
+
+func TestVerifyRejectsPruningTheResultOrATopKInput(t *testing.T) {
+	sch := miniSchema(t)
+	cfg := miniSD(t, sch)
+	join := func() plan.Node {
+		return plan.Join(plan.Scan("customer", "c"), plan.Scan("lineitem", "l"),
+			plan.Inner, []string{"c.c_custkey"}, []string{"l.l_partkey"})
+	}
+	isJoin := func(n plan.Node) bool { _, ok := n.(*plan.JoinNode); return ok }
+
+	// The root's schema is the query's result: every column is read. (Hash
+	// placement everywhere, so no hidden column needs projecting away and the
+	// join itself is the root.)
+	hashed := partition.NewConfig(4)
+	hashed.SetHash("customer", "c_custkey").SetHash("lineitem", "l_orderkey")
+	rw := mustRewrite(t, join(), sch, hashed)
+	if !isJoin(rw.Root) {
+		t.Fatalf("fixture drift: root is %T, want the join\n%s", rw.Root, rw.Explain())
+	}
+	rw.Schemas[rw.Root] = rw.Schema(rw.Root)[1:]
+	expectRule(t, rw, check.RuleMalformed)
+
+	// Top-k breaks ties by the full row: its input keeps every column even
+	// though the projection above reads one.
+	q := plan.ProjectCols(plan.TopK(join(), 3, plan.OrderSpec{Col: "l.l_qty"}), "l.l_qty")
+	rw = mustRewrite(t, q, sch, cfg)
+	if err := check.Verify(rw); err != nil {
+		t.Fatalf("Verify failed before any mutation: %v", err)
+	}
+	jn := findNode(rw.Root, isJoin)
+	narrowed := rw.Schema(jn)[1:]
+	for n, s := range rw.Schemas {
+		if len(s) == len(narrowed)+1 { // the join and the views and top-ks above it
+			rw.Schemas[n] = narrowed
+		}
+	}
+	expectRule(t, rw, check.RuleMalformed)
+}
+
 // ---- mutation 3: cyclic PREF chain → design-cycle ----
 
 func TestVerifyDesignRejectsCycle(t *testing.T) {

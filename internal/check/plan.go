@@ -12,7 +12,11 @@ import (
 // info is the checker's independently derived annotation of one operator.
 type info struct {
 	prop *plan.Prop
-	sch  plan.Schema
+	// sch is the schema the operator produces: derived from its children's
+	// sch, then — for an operator that copies rows — cut to the columns the
+	// rewrite recorded as live (narrowed). full is what it would produce with
+	// nothing pruned anywhere below; the two differ only by dropped columns.
+	sch, full plan.Schema
 	// contentRepl records that the operator's *content* is identical on
 	// every partition even when prop.Repl is false — true after a partial
 	// aggregation or partial top-k over replicated input. Gather's OneCopy
@@ -76,6 +80,8 @@ func (c *checker) visit(n plan.Node) *info {
 	}
 	c.visited[n] = 1
 	in := c.derive(n)
+	in.full = c.unpruned(n, in.sch)
+	in.sch = c.narrowed(n, in.sch)
 	c.visited[n] = 2
 	c.memo[n] = in
 	c.order = append(c.order, n)
@@ -117,6 +123,55 @@ func (c *checker) derive(n plan.Node) *info {
 		c.report(RuleMalformed, n, "unknown operator type %T", n)
 		return degenerate(c.cfg.NumPartitions)
 	}
+}
+
+// unpruned is the schema n would produce if no operator below it had dropped
+// a column: the natural schema over the children's unpruned schemas. Only
+// operators that pass their input's columns on differ from natural; a
+// projection or an aggregation names its own.
+func (c *checker) unpruned(n plan.Node, natural plan.Schema) plan.Schema {
+	full := func(child plan.Node) plan.Schema {
+		if in := c.memo[child]; in != nil {
+			return in.full
+		}
+		return nil // nil or cyclic child: already reported
+	}
+	switch n := n.(type) {
+	case *plan.JoinNode:
+		if n.Type == plan.Semi || n.Type == plan.Anti {
+			return full(n.Left)
+		}
+		return full(n.Left).Concat(full(n.Right))
+	case *plan.FilterNode, *plan.DistinctPrefNode, *plan.DistinctByValueNode, *plan.TopKNode,
+		*plan.RepartitionNode, *plan.BroadcastNode, *plan.GatherNode:
+		return full(n.Children()[0])
+	default:
+		return natural
+	}
+}
+
+// narrowed applies column pruning to an operator that copies rows: its
+// recorded schema stands when it is an order-preserving subset of the natural
+// one — the columns the rewrite found live — and operators above bind against
+// it. Anything else (an unknown, retyped or reordered column) leaves the
+// natural schema in place for diff to report against.
+func (c *checker) narrowed(n plan.Node, natural plan.Schema) plan.Schema {
+	switch n.(type) {
+	case *plan.JoinNode, *plan.RepartitionNode, *plan.BroadcastNode, *plan.GatherNode:
+	default:
+		return natural
+	}
+	rec := c.rw.Schemas[n]
+	i := 0
+	for _, f := range natural {
+		if i < len(rec) && rec[i] == f {
+			i++
+		}
+	}
+	if i != len(rec) || (len(rec) == 0 && len(natural) > 0) {
+		return natural
+	}
+	return rec
 }
 
 func (c *checker) deriveScan(n *plan.ScanNode) *info {
@@ -343,6 +398,7 @@ func (c *checker) deriveTopK(n *plan.TopKNode) *info {
 			c.report(RuleMalformed, n, "order column %q not in input schema %v", o.Col, ci.sch.Names())
 		}
 	}
+	c.checkBarrier(n, ci, "ties break by the full row")
 	if n.Final {
 		if !ci.prop.Gathered {
 			c.report(RuleLocality, n, "final top-k over un-gathered input (method %s)", ci.prop.Method())
@@ -462,6 +518,7 @@ func (c *checker) deriveDistinctByValue(n *plan.DistinctByValueNode) *info {
 	if !sameCols(n.Cols, want) {
 		c.report(RuleMalformed, n, "value-distinct identity columns %v differ from visible schema %v", n.Cols, want)
 	}
+	c.checkBarrier(n, ci, "row identity is every visible column")
 	np := ci.prop.Clone()
 	np.DupCols = nil
 	np.HashCols = nil
@@ -469,9 +526,22 @@ func (c *checker) deriveDistinctByValue(n *plan.DistinctByValueNode) *info {
 	return &info{prop: np, sch: ci.sch, contentRepl: ci.contentRepl}
 }
 
-// checkRoot enforces the output contract: the root must be duplicate-free
-// and expose no hidden index columns.
+// checkBarrier rejects column pruning beneath an operator whose result
+// depends on every column of its input: a dropped column would change which
+// rows survive, not just how wide they are.
+func (c *checker) checkBarrier(n plan.Node, ci *info, why string) {
+	if !schemaEqual(ci.sch, ci.full) {
+		c.report(RuleMalformed, n, "input pruned to %v of %v, but %s", ci.sch.Names(), ci.full.Names(), why)
+	}
+}
+
+// checkRoot enforces the output contract: the root must be duplicate-free,
+// expose no hidden index columns, and lose no column to pruning.
 func (c *checker) checkRoot(root plan.Node, in *info) {
+	if !schemaEqual(in.sch, in.full) {
+		c.report(RuleMalformed, root, "plan root produces %v, the unpruned plan %v: pruning changed the result",
+			in.sch.Names(), in.full.Names())
+	}
 	if in.prop.Dup() {
 		c.report(RuleDupLeak, root, "plan root has live dup columns %v: results would contain PREF duplicates", in.prop.DupCols)
 	}

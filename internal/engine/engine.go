@@ -525,6 +525,13 @@ func (ex *executor) evalVec(n plan.Node) (vparts, error) {
 	}
 }
 
+// scanHasIndexes reports whether a scan's recorded schema carries the hidden
+// dup/hasRef index columns — by their names, which only a PREF table's scan
+// schema ends in.
+func scanHasIndexes(sch plan.Schema) bool {
+	return len(sch) > 0 && plan.IsHiddenCol(sch[len(sch)-1].Name)
+}
+
 // scanRows materializes one partition's scan output, appending the hidden
 // dup/hasRef index columns when the scan schema asks for them.
 func scanRows(part *table.Partition, withIndexes bool) []value.Tuple {

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"pref/internal/fault"
+	"pref/internal/plan"
 	"pref/internal/table"
 	"pref/internal/trace"
 	"pref/internal/value"
@@ -37,7 +38,7 @@ import (
 //
 // lint:ship-boundary recovery path: rebuilt rows are shipped from surviving
 // partitions to the buddy node and metered on the scan's cells.
-func (ex *executor) recoverScan(top *trace.Op, pt *table.Partitioned, v *table.Version, p int, withIndexes bool, width int) ([]value.Tuple, error) {
+func (ex *executor) recoverScan(top *trace.Op, pt *table.Partitioned, v *table.Version, p int, sch plan.Schema) ([]value.Tuple, error) {
 	alive := table.NewPartSet(len(v.Parts))
 	for q := range v.Parts {
 		if !ex.down[q] {
@@ -50,9 +51,9 @@ func (ex *executor) recoverScan(top *trace.Op, pt *table.Partitioned, v *table.V
 		}
 	}
 	part := v.Parts[p]
-	rows := scanRows(part, withIndexes)
+	rows := scanRows(part, scanHasIndexes(sch))
 	en := ex.execDst[p]
 	top.AddRecovered(en, len(part.Rows))
-	top.AddShip(en, len(rows), width) // survivors → buddy node
+	top.AddShip(en, len(rows), len(sch)) // survivors → buddy node
 	return rows, nil
 }

@@ -76,7 +76,7 @@ func (ex *executor) evalScan(n *plan.ScanNode) ([][]value.Tuple, error) {
 	}
 	sch := ex.rw.Schemas[n]
 	v := ex.versionOf(pt, n.Table)
-	withIndexes := len(sch) == pt.Meta.NumCols()+2
+	withIndexes := scanHasIndexes(sch)
 	var keep map[int]bool
 	if n.Prune != nil {
 		keep = make(map[int]bool, len(n.Prune))
@@ -93,7 +93,7 @@ func (ex *executor) evalScan(n *plan.ScanNode) ([][]value.Tuple, error) {
 			// permanently failed, or routed around by an open circuit
 			// breaker: reconstruct its scan output from surviving
 			// duplicate copies.
-			rows, err := ex.recoverScan(top, pt, v, p, withIndexes, len(sch))
+			rows, err := ex.recoverScan(top, pt, v, p, sch)
 			if err != nil {
 				return nil, 0, err
 			}
@@ -154,6 +154,24 @@ func (ex *executor) evalProject(n *plan.ProjectNode) ([][]value.Tuple, error) {
 		}
 		return rows, len(rows), nil
 	})
+}
+
+// selectRows is the row form of batch.SelectAll: every row cut to the columns
+// at pos, which liveCols resolved from the operator's recorded schema. Nil pos
+// means every column and returns rows itself.
+func selectRows(rows []value.Tuple, pos []int) []value.Tuple {
+	if pos == nil {
+		return rows
+	}
+	out := make([]value.Tuple, len(rows))
+	for i, r := range rows {
+		nr := make(value.Tuple, len(pos))
+		for j, c := range pos {
+			nr[j] = r[c]
+		}
+		out[i] = nr
+	}
+	return out
 }
 
 // dedupRows applies the disjunctive dup=0 filter over the given dup
@@ -223,6 +241,10 @@ func (ex *executor) evalRepartition(n *plan.RepartitionNode) ([][]value.Tuple, e
 	if err != nil {
 		return nil, err
 	}
+	osch, live, err := ex.liveCols(n, sch)
+	if err != nil {
+		return nil, err
+	}
 	op := ex.nextOp()
 	start := time.Now()
 	out := make([][]value.Tuple, ex.n)
@@ -237,14 +259,15 @@ func (ex *executor) evalRepartition(n *plan.RepartitionNode) ([][]value.Tuple, e
 		}
 		top.AddDedup(ex.execDst[src], len(in[src])-len(rows))
 		cross := 0
-		for _, r := range rows {
-			dst := int(value.HashTuple(r, idx) % uint64(ex.n))
+		for i, r := range selectRows(rows, live) {
+			// Hash on the child's columns; ship only the live ones.
+			dst := int(value.HashTuple(rows[i], idx) % uint64(ex.n))
 			if dst != src {
 				cross++
 			}
 			out[dst] = append(out[dst], r)
 		}
-		if err := ex.shipBatch(top, op, src, cross, len(sch)); err != nil {
+		if err := ex.shipBatch(top, op, src, cross, len(osch)); err != nil {
 			return nil, err
 		}
 	}
@@ -267,6 +290,10 @@ func (ex *executor) evalBroadcast(n *plan.BroadcastNode) ([][]value.Tuple, error
 		return nil, err
 	}
 	sch := ex.rw.Schemas[n.Child]
+	osch, live, err := ex.liveCols(n, sch)
+	if err != nil {
+		return nil, err
+	}
 	op := ex.nextOp()
 	start := time.Now()
 	var all []value.Tuple
@@ -281,10 +308,10 @@ func (ex *executor) evalBroadcast(n *plan.BroadcastNode) ([][]value.Tuple, error
 		}
 		top.AddDedup(ex.execDst[src], len(in[src])-len(rows))
 		// Each row is shipped to every other node.
-		if err := ex.shipBatch(top, op, src, len(rows)*(ex.n-1), len(sch)); err != nil {
+		if err := ex.shipBatch(top, op, src, len(rows)*(ex.n-1), len(osch)); err != nil {
 			return nil, err
 		}
-		all = append(all, rows...)
+		all = append(all, selectRows(rows, live)...)
 	}
 	if n.OneCopy {
 		top.SetReadOne()
@@ -310,7 +337,10 @@ func (ex *executor) evalGather(n *plan.GatherNode) ([][]value.Tuple, error) {
 	if err != nil {
 		return nil, err
 	}
-	sch := ex.rw.Schemas[n.Child]
+	osch, live, err := ex.liveCols(n, ex.rw.Schemas[n.Child])
+	if err != nil {
+		return nil, err
+	}
 	start := time.Now()
 	out := make([][]value.Tuple, ex.n)
 	if n.OneCopy {
@@ -318,7 +348,7 @@ func (ex *executor) evalGather(n *plan.GatherNode) ([][]value.Tuple, error) {
 		top.AddIn(ex.execDst[0], len(in[0]))
 		// The child's partition 0 slice passes through; clamp so an append
 		// downstream cannot overwrite the child's backing array in place.
-		out[0] = in[0][:len(in[0]):len(in[0])]
+		out[0] = selectRows(in[0][:len(in[0]):len(in[0])], live)
 		top.AddWork(ex.execDst[0], len(in[0]))
 		top.AddOut(ex.execDst[0], len(in[0]))
 		top.AddWall(ex.execDst[0], time.Since(start))
@@ -329,11 +359,11 @@ func (ex *executor) evalGather(n *plan.GatherNode) ([][]value.Tuple, error) {
 	for p := 0; p < ex.n; p++ {
 		top.AddIn(ex.execDst[p], len(in[p]))
 		if p != 0 {
-			if err := ex.shipBatch(top, op, p, len(in[p]), len(sch)); err != nil {
+			if err := ex.shipBatch(top, op, p, len(in[p]), len(osch)); err != nil {
 				return nil, err
 			}
 		}
-		rows = append(rows, in[p]...)
+		rows = append(rows, selectRows(in[p], live)...)
 	}
 	out[0] = rows
 	top.AddWork(ex.execDst[0], len(rows))
@@ -366,6 +396,15 @@ func (ex *executor) evalJoin(n *plan.JoinNode) ([][]value.Tuple, error) {
 		return nil, err
 	}
 	rIdx, err := rs.Indexes(n.RightCols)
+	if err != nil {
+		return nil, err
+	}
+	// Pairs form full width; the join emits the columns read above it.
+	natural := both
+	if n.Type == plan.Semi || n.Type == plan.Anti {
+		natural = ls
+	}
+	_, live, err := ex.liveCols(n, natural)
 	if err != nil {
 		return nil, err
 	}
@@ -454,6 +493,6 @@ func (ex *executor) evalJoin(n *plan.JoinNode) ([][]value.Tuple, error) {
 		if ex.opt.CacheRows > 0 && len(right[p]) > ex.opt.CacheRows {
 			work += int(float64(len(left[p])) * (ex.opt.MissFactor - 1))
 		}
-		return rows, work, nil
+		return selectRows(rows, live), work, nil
 	})
 }

@@ -39,6 +39,12 @@ import (
 // vectors, projections and exchanges write into fresh batches — so scans
 // can safely share storage-backed vectors across concurrent queries and
 // broadcast can share one batch list across all partitions.
+//
+// Width follows the plan: the operators that copy rows (join, the three
+// exchanges) write exactly the schema the rewrite recorded for them — the
+// columns read above (plan/prune.go) — selecting them from their input with
+// batch.Select, and an exchange is charged that width. Scan, filter and
+// distinct-pref hand on views, so their extra columns cost a slice header.
 
 // vparts is the vectorized analogue of [][]value.Tuple: per partition, an
 // ordered list of batches.
@@ -110,6 +116,22 @@ func (ex *executor) addInputsVec(top *trace.Op, in vparts) {
 	}
 }
 
+// liveCols resolves what a copying operator writes: the schema the rewrite
+// recorded for n — the columns read above it — and their positions in
+// natural, the schema n would produce unpruned. The positions are nil when n
+// recorded all of natural.
+func (ex *executor) liveCols(n plan.Node, natural plan.Schema) (plan.Schema, []int, error) {
+	out := ex.rw.Schemas[n]
+	pos, err := out.PositionsIn(natural)
+	if err != nil {
+		return nil, nil, fmt.Errorf("engine: %s: %w", n, err)
+	}
+	if len(pos) == len(natural) {
+		pos = nil
+	}
+	return out, pos, nil
+}
+
 // evalScanVec hands out chunked zero-copy views over the partition's cached
 // columnar projection (or lifts recovered rows into fresh batches).
 //
@@ -123,7 +145,7 @@ func (ex *executor) evalScanVec(n *plan.ScanNode) (vparts, error) {
 	sch := ex.rw.Schemas[n]
 	v := ex.versionOf(pt, n.Table)
 	width := pt.Meta.NumCols()
-	withIndexes := len(sch) == width+2
+	withIndexes := scanHasIndexes(sch)
 	var keep map[int]bool
 	if n.Prune != nil {
 		keep = make(map[int]bool, len(n.Prune))
@@ -139,7 +161,7 @@ func (ex *executor) evalScanVec(n *plan.ScanNode) (vparts, error) {
 			// Rare path: reconstruct the lost partition's scan output via
 			// the row-based recovery machinery (identical metering), then
 			// lift the rows into batches.
-			rows, err := ex.recoverScan(top, pt, v, p, withIndexes, len(sch))
+			rows, err := ex.recoverScan(top, pt, v, p, sch)
 			if err != nil {
 				return nil, 0, err
 			}
@@ -258,9 +280,37 @@ func (ex *executor) evalJoinVec(n *plan.JoinNode) (vparts, error) {
 		releaseParts(right)
 		return nil, err
 	}
+	// The join writes only the columns read above it, and reads of its build
+	// side only those plus its own keys and the residual's columns.
+	semi := n.Type == plan.Semi || n.Type == plan.Anti
+	natural := ls
+	if !semi {
+		natural = ls.Concat(rs)
+	}
+	osch, emit, err := ex.liveCols(n, natural)
+	if err != nil {
+		releaseParts(left)
+		releaseParts(right)
+		return nil, err
+	}
+	var lEmit, rEmit []int // per side; nil: every column of that side
+	if emit != nil {
+		nleft := 0
+		for nleft < len(emit) && emit[nleft] < len(ls) {
+			nleft++
+		}
+		lEmit, rEmit = emit[:nleft], make([]int, len(emit)-nleft)
+		for i, c := range emit[nleft:] {
+			rEmit[i] = c - len(ls)
+		}
+	}
+	if semi {
+		rEmit = []int{} // a semi/anti join emits no build column at all
+	}
+	rKeep, rsKept := buildCols(rs, rIdx, rEmit, n.Residual)
 	var residual *plan.VPred
 	if n.Residual != nil {
-		residual, err = plan.CompilePred(n.Residual, ls.Concat(rs))
+		residual, err = plan.CompilePred(n.Residual, ls.Concat(rsKept))
 		if err != nil {
 			releaseParts(left)
 			releaseParts(right)
@@ -276,7 +326,11 @@ func (ex *executor) evalJoinVec(n *plan.JoinNode) (vparts, error) {
 		nl, nr := batch.Rows(left[p]), batch.Rows(right[p])
 		// Compact the build side once so candidate lists are single int32
 		// row ids instead of (batch, row) pairs.
-		rflat := batch.Flatten(right[p], len(rs))
+		rflat := batch.Flatten(batch.SelectAll(right[p], rKeep), len(rsKept))
+		remit := rflat
+		if rEmit != nil {
+			remit = rflat.Select(rEmit)
+		}
 
 		// Build side. The chain table links equal-key right rows in row
 		// order (forward walks visit rows ascending — the candidate order
@@ -308,12 +362,8 @@ func (ex *executor) evalJoinVec(n *plan.JoinNode) (vparts, error) {
 			}
 		}
 
-		outWidth := len(ls) + len(rs)
-		if n.Type == plan.Semi || n.Type == plan.Anti {
-			outWidth = len(ls)
-		}
-		w := batch.NewWriter(outWidth)
-		pair := make([]int64, len(ls)+len(rs))
+		w := batch.NewWriter(len(osch))
+		pair := make([]int64, len(ls)+len(rsKept))
 		var scratch []int64
 		if residual != nil {
 			if sn := residual.MaxFuncArgs(); sn > 0 {
@@ -325,6 +375,10 @@ func (ex *executor) evalJoinVec(n *plan.JoinNode) (vparts, error) {
 		var liBuf, riBuf, cand []int32
 		for _, lb := range left[p] {
 			bn := lb.Len()
+			lemit := lb
+			if lEmit != nil {
+				lemit = lb.Select(lEmit)
+			}
 			liBuf, riBuf = liBuf[:0], riBuf[:0]
 			var lkey []int64
 			if singleKey {
@@ -348,7 +402,7 @@ func (ex *executor) evalJoinVec(n *plan.JoinNode) (vparts, error) {
 						}
 					}
 				}
-				w.AppendPairs(lb, liBuf, rflat, riBuf, plan.Null)
+				w.AppendPairs(lemit, liBuf, remit, riBuf, plan.Null)
 				continue
 			}
 			for i := 0; i < bn; i++ {
@@ -374,8 +428,8 @@ func (ex *executor) evalJoinVec(n *plan.JoinNode) (vparts, error) {
 					lb.Row(i, pair[:len(ls)])
 					kept := cand[:0]
 					for _, ri := range cand {
-						for c := range rs {
-							pair[len(ls)+c] = rflat.Cols[c][ri]
+						for c, col := range rflat.Cols {
+							pair[len(ls)+c] = col[ri]
 						}
 						if residual.EvalRow(pair, scratch) {
 							kept = append(kept, ri)
@@ -409,10 +463,10 @@ func (ex *executor) evalJoinVec(n *plan.JoinNode) (vparts, error) {
 					}
 				}
 			}
-			if n.Type == plan.Semi || n.Type == plan.Anti {
-				w.AppendGather(lb, liBuf)
+			if semi {
+				w.AppendGather(lemit, liBuf)
 			} else {
-				w.AppendPairs(lb, liBuf, rflat, riBuf, plan.Null)
+				w.AppendPairs(lemit, liBuf, remit, riBuf, plan.Null)
 			}
 		}
 		out := w.Finish()
@@ -433,6 +487,47 @@ func (ex *executor) evalJoinVec(n *plan.JoinNode) (vparts, error) {
 	releaseParts(left) // join emit is fresh: both inputs are dead
 	releaseParts(right)
 	return out, nil
+}
+
+// buildCols decides which build-side columns a join flattens: its keys (idx,
+// remapped in place to the kept layout), the columns it emits (emit, likewise;
+// nil means all of rs) and the ones its residual reads. It returns their
+// positions in rs — nil when that is every column — and their schema.
+func buildCols(rs plan.Schema, idx, emit []int, residual plan.BoolExpr) ([]int, plan.Schema) {
+	if emit == nil {
+		return nil, rs
+	}
+	keep := make([]bool, len(rs))
+	for _, c := range idx {
+		keep[c] = true
+	}
+	for _, c := range emit {
+		keep[c] = true
+	}
+	if residual != nil {
+		for _, name := range residual.AppendCols(nil) {
+			if c := rs.Index(name); c >= 0 {
+				keep[c] = true
+			}
+		}
+	}
+	remap := make([]int, len(rs))
+	cols := make([]int, 0, len(rs))
+	kept := make(plan.Schema, 0, len(rs))
+	for c, k := range keep {
+		if k {
+			remap[c] = len(cols)
+			cols = append(cols, c)
+			kept = append(kept, rs[c])
+		}
+	}
+	for i, c := range idx {
+		idx[i] = remap[c]
+	}
+	for i, c := range emit {
+		emit[i] = remap[c]
+	}
+	return cols, kept
 }
 
 // dedupVec applies the disjunctive dup=0 filter over the given dup columns
@@ -535,11 +630,16 @@ func (ex *executor) evalRepartitionVec(n *plan.RepartitionNode) (vparts, error) 
 			return nil, err
 		}
 	}
+	osch, live, err := ex.liveCols(n, sch)
+	if err != nil {
+		releaseParts(in)
+		return nil, err
+	}
 	op := ex.nextOp()
 	start := time.Now()
 	writers := make([]*batch.Writer, ex.n)
 	for dst := range writers {
-		writers[dst] = batch.NewWriter(len(sch))
+		writers[dst] = batch.NewWriter(len(osch))
 	}
 	for src := 0; src < ex.n; src++ {
 		if n.OneCopy && src != 0 {
@@ -550,16 +650,21 @@ func (ex *executor) evalRepartitionVec(n *plan.RepartitionNode) (vparts, error) 
 		top.AddDedup(ex.execDst[src], batch.Rows(in[src])-kept)
 		cross := 0
 		for _, b := range bs {
+			// Hash on the child's columns; write only the live ones.
+			wb := b
+			if live != nil {
+				wb = b.Select(live)
+			}
 			bn := b.Len()
 			for i := 0; i < bn; i++ {
 				dst := int(batch.HashRow(b, i, idx) % uint64(ex.n))
 				if dst != src {
 					cross++
 				}
-				writers[dst].AppendFrom(b, i)
+				writers[dst].AppendFrom(wb, i)
 			}
 		}
-		if err := ex.shipBatch(top, op, src, cross, len(sch)); err != nil {
+		if err := ex.shipBatch(top, op, src, cross, len(osch)); err != nil {
 			// Ship fault mid-scatter: drain the partially filled writers
 			// back into the pool along with the consumed input.
 			for _, w := range writers {
@@ -607,6 +712,11 @@ func (ex *executor) evalBroadcastVec(n *plan.BroadcastNode) (vparts, error) {
 			return nil, err
 		}
 	}
+	osch, live, err := ex.liveCols(n, sch)
+	if err != nil {
+		releaseParts(in)
+		return nil, err
+	}
 	op := ex.nextOp()
 	start := time.Now()
 	var all []*batch.Batch
@@ -618,13 +728,13 @@ func (ex *executor) evalBroadcastVec(n *plan.BroadcastNode) (vparts, error) {
 		bs, kept := dedupVec(in[src], dupIdx)
 		top.AddDedup(ex.execDst[src], batch.Rows(in[src])-kept)
 		// Each row is shipped to every other node.
-		if err := ex.shipBatch(top, op, src, kept*(ex.n-1), len(sch)); err != nil {
+		if err := ex.shipBatch(top, op, src, kept*(ex.n-1), len(osch)); err != nil {
 			// The shared output list is discarded with the error, so the
 			// sweep over the input cannot strand a surviving view.
 			releaseParts(in)
 			return nil, err
 		}
-		all = append(all, bs...)
+		all = append(all, batch.SelectAll(bs, live)...)
 	}
 	if n.OneCopy {
 		top.SetReadOne()
@@ -655,14 +765,18 @@ func (ex *executor) evalGatherVec(n *plan.GatherNode) (vparts, error) {
 	if err != nil {
 		return nil, err
 	}
-	sch := ex.rw.Schemas[n.Child]
+	osch, live, err := ex.liveCols(n, ex.rw.Schemas[n.Child])
+	if err != nil {
+		releaseParts(in)
+		return nil, err
+	}
 	start := time.Now()
 	out := make(vparts, ex.n)
 	if n.OneCopy {
 		top.SetReadOne()
 		rows := batch.Rows(in[0])
 		top.AddIn(ex.execDst[0], rows)
-		out[0] = in[0][:len(in[0]):len(in[0])]
+		out[0] = batch.SelectAll(in[0][:len(in[0]):len(in[0])], live)
 		top.AddWork(ex.execDst[0], rows)
 		top.AddOut(ex.execDst[0], rows)
 		top.AddWall(ex.execDst[0], time.Since(start))
@@ -675,7 +789,7 @@ func (ex *executor) evalGatherVec(n *plan.GatherNode) (vparts, error) {
 		rows := batch.Rows(in[p])
 		top.AddIn(ex.execDst[p], rows)
 		if p != 0 {
-			if err := ex.shipBatch(top, op, p, rows, len(sch)); err != nil {
+			if err := ex.shipBatch(top, op, p, rows, len(osch)); err != nil {
 				releaseParts(in) // ship fault: nothing downstream holds a view yet
 				return nil, err
 			}
@@ -694,9 +808,9 @@ func (ex *executor) evalGatherVec(n *plan.GatherNode) (vparts, error) {
 	// instead of hundreds of mostly-empty windows. Dense well-packed
 	// inputs concatenate zero-copy.
 	if sparse || nbatch > 2*(total/batch.Size+1) {
-		w := batch.NewWriter(len(sch))
+		w := batch.NewWriter(len(osch))
 		for p := 0; p < ex.n; p++ {
-			for _, b := range in[p] {
+			for _, b := range batch.SelectAll(in[p], live) {
 				w.AppendBatch(b)
 			}
 		}
@@ -704,7 +818,7 @@ func (ex *executor) evalGatherVec(n *plan.GatherNode) (vparts, error) {
 		releaseParts(in) // compaction is fresh: input batches are dead
 	} else {
 		for p := 0; p < ex.n; p++ {
-			bs = append(bs, in[p]...)
+			bs = append(bs, batch.SelectAll(in[p], live)...)
 		}
 		out[0] = bs
 	}

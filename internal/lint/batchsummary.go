@@ -142,9 +142,10 @@ func batchIntrinsic(fn *types.Func) (*cfg.Summary, bool) {
 		s.Params[0] = cfg.EffConsume
 	case "ReleaseAll": // ReleaseAll(bs): every batch in the list is dead
 		s.Params[0] = cfg.EffConsume
-	case "WithSel", "Filter", "Flatten":
-		// Narrowing and compaction return (possible) views over the
-		// argument's columns: releasing the argument invalidates them.
+	case "WithSel", "Select", "SelectAll", "Filter", "Flatten":
+		// Narrowing (of rows or of columns) and compaction return (possible)
+		// views over the argument's columns: releasing the argument
+		// invalidates them.
 		s.Params[0] = cfg.EffReturnsAlias
 	case "Project", "FromRows":
 		s.Results[0] = cfg.ResFresh // dense pooled output, caller-owned

@@ -18,12 +18,18 @@ type ValExpr interface {
 	Bind(s Schema) (func(value.Tuple) int64, error)
 	// Kind reports the result kind under the given schema.
 	Kind(s Schema) value.Kind
+	// AppendCols appends the name of every column the expression reads to
+	// dst (repeats included) — what the live-column pass and the checker
+	// need to know about an expression without binding it.
+	AppendCols(dst []string) []string
 	String() string
 }
 
 // BoolExpr is a predicate over a row.
 type BoolExpr interface {
 	Bind(s Schema) (func(value.Tuple) bool, error)
+	// AppendCols is ValExpr.AppendCols for predicates, recursively.
+	AppendCols(dst []string) []string
 	String() string
 }
 
@@ -49,6 +55,8 @@ func (c colExpr) Kind(s Schema) value.Kind {
 	return value.Int
 }
 
+func (c colExpr) AppendCols(dst []string) []string { return append(dst, c.name) }
+
 func (c colExpr) String() string { return c.name }
 
 type litExpr struct {
@@ -72,8 +80,9 @@ func DateLit(y, m, d int) ValExpr {
 func (l litExpr) Bind(Schema) (func(value.Tuple) int64, error) {
 	return func(value.Tuple) int64 { return l.v }, nil
 }
-func (l litExpr) Kind(Schema) value.Kind { return l.kind }
-func (l litExpr) String() string         { return fmt.Sprintf("%d", l.v) }
+func (l litExpr) Kind(Schema) value.Kind           { return l.kind }
+func (l litExpr) AppendCols(dst []string) []string { return dst }
+func (l litExpr) String() string                   { return fmt.Sprintf("%d", l.v) }
 
 // Func is a computed scalar over named input columns; fn receives the
 // column values in the order of cols. Used for derived measures such as
@@ -107,8 +116,9 @@ func (f funcExpr) Bind(s Schema) (func(value.Tuple) int64, error) {
 		return f.fn(buf)
 	}, nil
 }
-func (f funcExpr) Kind(Schema) value.Kind { return f.kind }
-func (f funcExpr) String() string         { return f.name + "(" + strings.Join(f.cols, ",") + ")" }
+func (f funcExpr) Kind(Schema) value.Kind           { return f.kind }
+func (f funcExpr) AppendCols(dst []string) []string { return append(dst, f.cols...) }
+func (f funcExpr) String() string                   { return f.name + "(" + strings.Join(f.cols, ",") + ")" }
 
 // ---- predicates ----
 
@@ -192,6 +202,9 @@ func (c cmpExpr) Bind(s Schema) (func(value.Tuple) bool, error) {
 		return op.apply(a, b)
 	}, nil
 }
+func (c cmpExpr) AppendCols(dst []string) []string {
+	return c.r.AppendCols(c.l.AppendCols(dst))
+}
 func (c cmpExpr) String() string { return c.l.String() + c.op.String() + c.r.String() }
 
 type andExpr struct{ xs []BoolExpr }
@@ -217,7 +230,8 @@ func (a andExpr) Bind(s Schema) (func(value.Tuple) bool, error) {
 		return true
 	}, nil
 }
-func (a andExpr) String() string { return joinExprs(a.xs, " AND ") }
+func (a andExpr) AppendCols(dst []string) []string { return appendAllCols(dst, a.xs) }
+func (a andExpr) String() string                   { return joinExprs(a.xs, " AND ") }
 
 type orExpr struct{ xs []BoolExpr }
 
@@ -242,7 +256,8 @@ func (o orExpr) Bind(s Schema) (func(value.Tuple) bool, error) {
 		return false
 	}, nil
 }
-func (o orExpr) String() string { return joinExprs(o.xs, " OR ") }
+func (o orExpr) AppendCols(dst []string) []string { return appendAllCols(dst, o.xs) }
+func (o orExpr) String() string                   { return joinExprs(o.xs, " OR ") }
 
 type notExpr struct{ x BoolExpr }
 
@@ -256,7 +271,8 @@ func (n notExpr) Bind(s Schema) (func(value.Tuple) bool, error) {
 	}
 	return func(t value.Tuple) bool { return !f(t) }, nil
 }
-func (n notExpr) String() string { return "NOT(" + n.x.String() + ")" }
+func (n notExpr) AppendCols(dst []string) []string { return n.x.AppendCols(dst) }
+func (n notExpr) String() string                   { return "NOT(" + n.x.String() + ")" }
 
 // In tests membership of a column in a literal set.
 func In(col string, vals ...int64) BoolExpr {
@@ -280,7 +296,8 @@ func (e inExpr) Bind(s Schema) (func(value.Tuple) bool, error) {
 	}
 	return func(t value.Tuple) bool { return e.set[t[i]] }, nil
 }
-func (e inExpr) String() string { return fmt.Sprintf("%s IN %v", e.col, e.vals) }
+func (e inExpr) AppendCols(dst []string) []string { return append(dst, e.col) }
+func (e inExpr) String() string                   { return fmt.Sprintf("%s IN %v", e.col, e.vals) }
 
 // EqualityBindings extracts column = constant facts from the top-level
 // conjunction of a predicate (Eq comparisons and single-value INs). Used
@@ -315,6 +332,13 @@ func EqualityBindings(p BoolExpr) map[string]int64 {
 	}
 	walk(p)
 	return out
+}
+
+func appendAllCols(dst []string, xs []BoolExpr) []string {
+	for _, x := range xs {
+		dst = x.AppendCols(dst)
+	}
+	return dst
 }
 
 func joinExprs(xs []BoolExpr, sep string) string {

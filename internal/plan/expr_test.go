@@ -162,3 +162,32 @@ func TestEqualityBindingsExtraction(t *testing.T) {
 		t.Fatal("empty OR yields nothing")
 	}
 }
+
+func TestAppendColsEnumeratesEveryReference(t *testing.T) {
+	sum := F("sum", value.Money, []string{"t.b", "t.f"}, func(v []int64) int64 { return v[0] + v[1] })
+	p := And(
+		Or(Gt(Col("t.a"), Lit(1)), Not(In("t.d", 1, 2))),
+		Le(sum, Col("t.b")),
+	)
+	got := strings.Join(p.AppendCols([]string{"seed"}), " ")
+	if want := "seed t.a t.d t.b t.f t.b"; got != want {
+		t.Fatalf("AppendCols = %q, want %q", got, want)
+	}
+	if cols := DateLit(1995, 3, 15).AppendCols(nil); len(cols) != 0 {
+		t.Fatalf("a literal reads %v", cols)
+	}
+}
+
+func TestPositionsInRequiresAnOrderedSubset(t *testing.T) {
+	full := exprSchema()
+	pos, err := Schema{full[1], full[3]}.PositionsIn(full)
+	if err != nil || len(pos) != 2 || pos[0] != 1 || pos[1] != 3 {
+		t.Fatalf("PositionsIn = %v, %v; want [1 3]", pos, err)
+	}
+	if _, err := (Schema{full[3], full[1]}).PositionsIn(full); err == nil {
+		t.Fatal("a reordered schema must not resolve")
+	}
+	if _, err := (Schema{{Name: "t.zz", Kind: value.Int}}).PositionsIn(full); err == nil {
+		t.Fatal("an unknown column must not resolve")
+	}
+}

@@ -58,6 +58,11 @@ func (r *Rewritten) Explain() string {
 			sb.WriteString("   ")
 			sb.WriteString(p.String())
 		}
+		switch n.(type) {
+		case *RepartitionNode, *BroadcastNode, *GatherNode:
+			// What the exchange carries: its recorded, pruned schema.
+			fmt.Fprintf(&sb, "   ships=%v", r.Schemas[n].Names())
+		}
 		sb.WriteByte('\n')
 		for _, c := range n.Children() {
 			walk(c, depth+1)
@@ -104,6 +109,7 @@ func Rewrite(root Node, schema *catalog.Schema, cfg *partition.Config, opt Optio
 	r.out.Root = phys
 	r.out.Schemas[phys] = sch
 	r.out.Props[phys] = prop
+	r.pruneColumns(phys)
 	return r.out, nil
 }
 
