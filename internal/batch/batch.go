@@ -157,22 +157,9 @@ func Rows(bs []*Batch) int {
 	return n
 }
 
-// FromRows builds one dense batch per Size-row window of rows, copying the
-// tuple values into pooled column vectors. The inverse of AppendRows.
-func FromRows(rows []value.Tuple, width int) []*Batch {
-	if len(rows) == 0 {
-		return nil
-	}
-	w := NewWriter(width)
-	for _, r := range rows {
-		w.AppendTuple(r)
-	}
-	return w.Finish()
-}
-
 // AppendRows materializes every live row of bs as value.Tuple rows appended
-// to dst — the row shim at the Result boundary and at the retained
-// row-operator seams (top-k sort, final-aggregate merge).
+// to dst. The engine calls it once per query, to fill Result.Rows; no
+// operator consumes rows.
 func AppendRows(dst []value.Tuple, bs []*Batch) []value.Tuple {
 	total := Rows(bs)
 	if cap(dst)-len(dst) < total {

@@ -85,13 +85,23 @@ func tuplesEqual(a, b []value.Tuple) bool {
 	return true
 }
 
-// TestRoundTripBoundaries pins FromRows → AppendRows as the identity at
+// fromRows builds one dense batch per Size-row window of rows through a
+// Writer — the inverse of AppendRows.
+func fromRows(rows []value.Tuple, width int) []*Batch {
+	w := NewWriter(width)
+	for _, r := range rows {
+		w.AppendTuple(r)
+	}
+	return w.Finish()
+}
+
+// TestRoundTripBoundaries pins fromRows → AppendRows as the identity at
 // every boundary size.
 func TestRoundTripBoundaries(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for _, n := range boundarySizes {
 		rows := randRows(rng, n, 4)
-		bs := FromRows(rows, 4)
+		bs := fromRows(rows, 4)
 		if got := Rows(bs); got != n {
 			t.Fatalf("n=%d: Rows=%d", n, got)
 		}
@@ -266,7 +276,7 @@ func TestKeyAndHashParity(t *testing.T) {
 	}
 	for i := range live {
 		kb.Encode(b, i, cols)
-		if _, ok := kb.Probe(m); !ok {
+		if _, ok := Probe(kb, m); !ok {
 			t.Fatalf("row %d: probe missed its own key", i)
 		}
 	}

@@ -333,7 +333,7 @@ func (t *Int64Table) Next(i int32) (int32, bool) {
 }
 
 // KeyBuf is a reusable composite-key buffer for allocation-free map probes:
-// EncodeKey fills it, and m[value.Key(kb.buf)] probes without interning the
+// Encode fills it, and Probe indexes a map with it without interning the
 // string (the Go compiler elides the conversion's copy for map index
 // expressions).
 type KeyBuf struct {
@@ -355,8 +355,9 @@ func (kb *KeyBuf) Encode(b *Batch, i int, cols []int) {
 	}
 }
 
-// Probe indexes m with the current buffer contents without allocating.
-func (kb *KeyBuf) Probe(m map[value.Key][]int32) ([]int32, bool) {
+// Probe indexes m with kb's current contents without allocating. (A free
+// function because Go methods cannot take type parameters.)
+func Probe[V any](kb *KeyBuf, m map[value.Key]V) (V, bool) {
 	v, ok := m[value.Key(kb.buf)]
 	return v, ok
 }

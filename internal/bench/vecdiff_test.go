@@ -15,9 +15,9 @@ import (
 // twice on the product engine, plain and under the runtime verifier, and
 // must agree with themselves — same rows (after SortRows), same Stats — with
 // every operator's recorded cells passing check.VerifyTrace. Most of these
-// plans cross the seam between row-native and columnar operators (partial
+// plans hand an aggregate's output batches to another operator (partial
 // states repartitioned, aggregates joined and filtered), and the trace
-// conservation laws are what a conversion that dropped or repeated a row
+// conservation laws are what a hand-off that dropped or repeated a row
 // would break. The comparison against the row reference is
 // internal/engine's TestVecRowOracleTPCH: only the engine's own tests can
 // reach the reference.

@@ -3,6 +3,7 @@ package engine
 import (
 	"time"
 
+	"pref/internal/batch"
 	"pref/internal/plan"
 	"pref/internal/trace"
 	"pref/internal/value"
@@ -48,20 +49,21 @@ func (s *aggState) add(v int64, isFloat bool) {
 	}
 }
 
-// merge folds the partial state at r[c:] (as partial rows carry it) into s.
-func (s *aggState) merge(fn plan.AggFn, r value.Tuple, c int, isFloat bool) {
+// merge folds one partial state into s: v is the state's value column and,
+// for AVG — whose state is (sum, count) — cnt its count column.
+func (s *aggState) merge(fn plan.AggFn, v, cnt int64, isFloat bool) {
 	switch fn {
 	case plan.CountFn:
-		s.cnt += r[c]
+		s.cnt += v
 	case plan.AvgFn:
 		if isFloat {
-			s.fsum += value.ToFloat(r[c])
+			s.fsum += value.ToFloat(v)
 		} else {
-			s.isum += r[c]
+			s.isum += v
 		}
-		s.cnt += r[c+1]
+		s.cnt += cnt
 	default: // SUM, MIN, MAX: a partial value combines like one more input
-		s.add(r[c], isFloat)
+		s.add(v, isFloat)
 	}
 }
 
@@ -71,52 +73,59 @@ type groupAcc struct {
 	states []aggState
 }
 
-// aggPlanInfo pre-binds an aggregation against its input schema.
+// aggPlanInfo is an aggregation bound against its input schema, once per
+// operator: the work units share it read-only and own only their groups.
 type aggPlanInfo struct {
 	groupIdx []int
-	argFns   []func(value.Tuple) int64
-	isFloat  []bool
 	aggs     []plan.AggExpr
-	// stateCol is set when the input rows are partial states to merge:
-	// aggregate i's state starts at column stateCol[i].
-	stateCol []int
+	isFloat  []bool
+	// argCol is aggregate i's input column when its argument is a bare
+	// column reference (or, merging, its first state column). A computed
+	// argument has argCol[i] < 0 and is column -argCol[i]-1 of computed,
+	// evaluated per batch; COUNT(*) reads nothing.
+	argCol   []int
+	computed []*plan.VExpr
+	// merging is set when the input rows are partial states: the group
+	// columns, then each aggregate's state column(s).
+	merging bool
 }
 
 func bindAggs(groupBy []string, aggs []plan.AggExpr, sch plan.Schema) (*aggPlanInfo, error) {
-	info := &aggPlanInfo{aggs: aggs}
-	for _, g := range groupBy {
-		i, err := sch.IndexOf(g)
-		if err != nil {
-			return nil, err
-		}
-		info.groupIdx = append(info.groupIdx, i)
+	groupIdx, err := sch.Indexes(groupBy)
+	if err != nil {
+		return nil, err
 	}
-	for _, a := range aggs {
+	info := &aggPlanInfo{groupIdx: groupIdx, aggs: aggs,
+		isFloat: make([]bool, len(aggs)), argCol: make([]int, len(aggs))}
+	for i, a := range aggs {
 		if a.Arg == nil {
-			info.argFns = append(info.argFns, nil)
-			info.isFloat = append(info.isFloat, false)
 			continue
 		}
-		f, err := a.Arg.Bind(sch)
+		e, err := plan.CompileExpr(a.Arg, sch)
 		if err != nil {
 			return nil, err
 		}
-		info.argFns = append(info.argFns, f)
-		info.isFloat = append(info.isFloat, a.Arg.Kind(sch) == value.Float)
+		info.isFloat[i] = a.Arg.Kind(sch) == value.Float
+		if e.Op == plan.VCol {
+			info.argCol[i] = e.Col
+			continue
+		}
+		info.computed = append(info.computed, e)
+		info.argCol[i] = -len(info.computed)
 	}
 	return info, nil
 }
 
-// bindMerge binds the merge of partial-state rows; sch is the partial
-// schema: the group columns, then each aggregate's state column(s).
+// bindMerge binds the merge of partial-state rows against the partial
+// schema sch.
 func bindMerge(groupBy []string, aggs []plan.AggExpr, sch plan.Schema) *aggPlanInfo {
-	info := &aggPlanInfo{aggs: aggs}
+	info := &aggPlanInfo{aggs: aggs, merging: true}
 	for i := range groupBy {
 		info.groupIdx = append(info.groupIdx, i)
 	}
 	col := len(groupBy)
 	for _, a := range aggs {
-		info.stateCol = append(info.stateCol, col)
+		info.argCol = append(info.argCol, col)
 		info.isFloat = append(info.isFloat, sch[col].Kind == value.Float)
 		col++
 		if a.Fn == plan.AvgFn {
@@ -126,38 +135,66 @@ func bindMerge(groupBy []string, aggs []plan.AggExpr, sch plan.Schema) *aggPlanI
 	return info
 }
 
-// accumulate groups the rows of one partition, in row order.
-func (info *aggPlanInfo) accumulate(rows []value.Tuple) map[value.Key]*groupAcc {
-	groups := make(map[value.Key]*groupAcc)
-	for _, r := range rows {
-		k := value.MakeKey(r, info.groupIdx)
-		g, ok := groups[k]
-		if !ok {
-			key := make(value.Tuple, len(info.groupIdx))
-			for i, j := range info.groupIdx {
-				key[i] = r[j]
-			}
-			g = &groupAcc{key: key, states: make([]aggState, len(info.aggs))}
-			groups[k] = g
-		}
-		for i, a := range info.aggs {
-			s := &g.states[i]
-			switch {
-			case info.stateCol != nil:
-				s.merge(a.Fn, r, info.stateCol[i], info.isFloat[i])
-			case a.Fn == plan.CountFn && a.Arg == nil:
-				s.cnt++ // COUNT(*)
-			case a.Fn == plan.CountDistinctFn:
-				if v := info.argFns[i](r); v != plan.Null {
-					if s.distinct == nil {
-						s.distinct = map[int64]struct{}{}
-					}
-					s.distinct[v] = struct{}{}
+// accumulate groups the rows of one partition, in row order; the groups come
+// back in first-seen order. Each batch first resolves its rows to group ids
+// (an allocation-free probe; only a new group interns its key and copies its
+// group values), then feeds one aggregate at a time from the column it
+// reads, so no row is gathered.
+func (info *aggPlanInfo) accumulate(bs []*batch.Batch) []groupAcc {
+	var groups []groupAcc
+	index := make(map[value.Key]int32)
+	kb := batch.NewKeyBuf(len(info.groupIdx))
+	var gids []int32
+	for _, b := range bs {
+		n := b.Len()
+		gids = gids[:0]
+		for i := 0; i < n; i++ {
+			kb.Encode(b, i, info.groupIdx)
+			g, ok := batch.Probe(kb, index)
+			if !ok {
+				g = int32(len(groups))
+				index[kb.Key()] = g
+				key := make(value.Tuple, len(info.groupIdx))
+				for k, c := range info.groupIdx {
+					key[k] = b.At(i, c)
 				}
-			default:
-				s.add(info.argFns[i](r), info.isFloat[i])
+				groups = append(groups, groupAcc{key: key, states: make([]aggState, len(info.aggs))})
+			}
+			gids = append(gids, g)
+		}
+		var computed *batch.Batch
+		if len(info.computed) > 0 {
+			computed = batch.Project(b, info.computed)
+		}
+		for j, a := range info.aggs {
+			// in is the batch aggregate j reads column c of: b itself, or the
+			// dense batch of computed arguments.
+			in, c, isFloat := b, info.argCol[j], info.isFloat[j]
+			if c < 0 {
+				in, c = computed, -c-1
+			}
+			for i, g := range gids {
+				s := &groups[g].states[j]
+				switch {
+				case info.merging && a.Fn == plan.AvgFn:
+					s.merge(a.Fn, in.At(i, c), in.At(i, c+1), isFloat)
+				case info.merging:
+					s.merge(a.Fn, in.At(i, c), 0, isFloat)
+				case a.Fn == plan.CountFn && a.Arg == nil:
+					s.cnt++ // COUNT(*)
+				case a.Fn == plan.CountDistinctFn:
+					if v := in.At(i, c); v != plan.Null {
+						if s.distinct == nil {
+							s.distinct = map[int64]struct{}{}
+						}
+						s.distinct[v] = struct{}{}
+					}
+				default:
+					s.add(in.At(i, c), isFloat)
+				}
 			}
 		}
+		computed.Release()
 	}
 	return groups
 }
@@ -166,9 +203,9 @@ func (info *aggPlanInfo) accumulate(rows []value.Tuple) map[value.Key]*groupAcc 
 // mergeable state rows (AVG carries sum and count; the other functions'
 // values combine as they are). identity adds the one row a global
 // aggregation yields over empty input (COUNT()=0).
-func (info *aggPlanInfo) emit(groups map[value.Key]*groupAcc, partial, identity bool) []value.Tuple {
+func (info *aggPlanInfo) emit(groups []groupAcc, partial, identity bool) []*batch.Batch {
 	if identity && len(info.groupIdx) == 0 && len(groups) == 0 {
-		groups[value.Key("")] = &groupAcc{states: make([]aggState, len(info.aggs))}
+		groups = []groupAcc{{states: make([]aggState, len(info.aggs))}}
 	}
 	width := len(info.groupIdx) + len(info.aggs)
 	if partial {
@@ -178,10 +215,10 @@ func (info *aggPlanInfo) emit(groups map[value.Key]*groupAcc, partial, identity 
 			}
 		}
 	}
-	rows := make([]value.Tuple, 0, len(groups))
+	w := batch.NewWriter(width)
+	row := make(value.Tuple, 0, width)
 	for _, g := range groups {
-		row := make(value.Tuple, 0, width)
-		row = append(row, g.key...)
+		row = append(row[:0], g.key...)
 		for i, a := range info.aggs {
 			s := &g.states[i]
 			if partial && a.Fn == plan.AvgFn {
@@ -194,9 +231,9 @@ func (info *aggPlanInfo) emit(groups map[value.Key]*groupAcc, partial, identity 
 			}
 			row = append(row, finalValue(a, s, info.isFloat[i]))
 		}
-		rows = append(rows, row)
+		w.AppendTuple(row)
 	}
-	return rows
+	return w.Finish()
 }
 
 // finalValue renders the final output of one aggregate.
@@ -234,27 +271,37 @@ func finalValue(a plan.AggExpr, s *aggState, isFloat bool) int64 {
 	}
 }
 
-func (ex *executor) evalAggregate(n *plan.AggregateNode) ([][]value.Tuple, error) {
-	top := ex.tb.Begin(n, trace.KindAggregate)
-	in, err := ex.dispatch(ex, n.Child)
+// evalAggVec runs the single-phase aggregate and, partial set, the partial
+// phase of a pair, whose output is mergeable states: bind once, then one unit
+// per partition groups its input in place. The units borrow the input — a
+// crashed or hedged attempt re-reads it — and it is released once, after the
+// partition barrier.
+//
+// lint:batch-owner the returned batch lists transfer to the caller
+func (ex *executor) evalAggVec(n plan.Node, kind trace.Kind, child plan.Node, groupBy []string, aggs []plan.AggExpr, partial bool) (vparts, error) {
+	top := ex.tb.Begin(n, kind)
+	in, err := ex.evalVec(child)
 	if err != nil {
 		return nil, err
 	}
-	ex.addInputs(top, in)
-	sch := ex.rw.Schemas[n.Child]
-	// Over a Gathered input only partition 0 is ever consumed downstream,
-	// so the empty-input identity row of a global aggregation must not be
-	// fabricated on the other partitions (phantom rows that inflate work
-	// and break trace row conservation).
-	gathered := ex.gathered(n.Child)
-	return forEachPart(ex, top, func(p int) ([]value.Tuple, int, error) {
-		info, err := bindAggs(n.GroupBy, n.Aggs, sch)
-		if err != nil {
-			return nil, 0, err
-		}
-		rows := info.emit(info.accumulate(in[p]), false, p == 0 || !gathered)
-		return rows, len(rows), nil
+	ex.addInputsVec(top, in)
+	info, err := bindAggs(groupBy, aggs, ex.rw.Schemas[child])
+	if err != nil {
+		releaseParts(in) // bind failed: the consumed input is dead
+		return nil, err
+	}
+	// A global aggregation over an empty partition yields the identity row,
+	// so a final merge still sees COUNT=0 — except that over a Gathered input
+	// only partition 0 is ever consumed downstream, and the others must not
+	// fabricate one (phantom rows that inflate work and break trace row
+	// conservation).
+	everywhere := partial || !ex.gathered(child)
+	out, err := forEachPart(ex, top, func(p int) ([]*batch.Batch, int, error) {
+		out := info.emit(info.accumulate(in[p]), partial, everywhere || p == 0)
+		return out, batch.Rows(out), nil
 	})
+	releaseParts(in) // emit is fresh (or dropped with the error): the input is dead
+	return out, err
 }
 
 // gathered reports whether n's output lives on the coordinator only.
@@ -263,70 +310,48 @@ func (ex *executor) gathered(n plan.Node) bool {
 	return p != nil && p.Gathered
 }
 
-// evalPartialAgg emits per-partition partial states. A global aggregation
-// over an empty partition contributes an identity state, so the final
-// merge still sees COUNT=0.
-func (ex *executor) evalPartialAgg(n *plan.PartialAggNode) ([][]value.Tuple, error) {
-	top := ex.tb.Begin(n, trace.KindPartialAgg)
-	in, err := ex.dispatch(ex, n.Child)
-	if err != nil {
-		return nil, err
-	}
-	ex.addInputs(top, in)
-	sch := ex.rw.Schemas[n.Child]
-	return forEachPart(ex, top, func(p int) ([]value.Tuple, int, error) {
-		info, err := bindAggs(n.GroupBy, n.Aggs, sch)
-		if err != nil {
-			return nil, 0, err
-		}
-		rows := info.emit(info.accumulate(in[p]), true, true)
-		return rows, len(rows), nil
-	})
-}
-
-// mergePartials combines partial-state rows into final aggregate rows.
-// States merge in row order, which every exchange keeps ascending by
-// source partition, so Float-kind results do not depend on scheduling.
-func mergePartials(n *plan.FinalAggNode, sch plan.Schema, partials []value.Tuple) []value.Tuple {
-	info := bindMerge(n.GroupBy, n.Aggs, sch)
-	return info.emit(info.accumulate(partials), false, true)
-}
-
-// evalFinalAgg merges partial states. Below a Repartition on the group-by
-// columns every partition merges the states it received, as one fan-out.
-// Below a Gather (the global pair) only the coordinator partition has rows:
-// the merge is a single work unit on the coordinator node, under the same
-// fault model as the fan-out operators.
+// evalFinalAggVec merges partial states, in row order — which every exchange
+// keeps ascending by source partition, so Float-kind results do not depend
+// on scheduling. Below a Repartition on the group-by columns every partition
+// merges the states it received, as one fan-out. Below a Gather (the global
+// pair) only the coordinator partition has rows: the merge is a single work
+// unit on the coordinator node, under the same fault model as the fan-out
+// operators.
 //
 // lint:ship-boundary coordinator-side merge: consumes every partition's
 // partials on the query goroutine; its input exchange already metered them.
-func (ex *executor) evalFinalAgg(n *plan.FinalAggNode) ([][]value.Tuple, error) {
+//
+// lint:batch-owner the returned batch lists transfer to the caller
+func (ex *executor) evalFinalAggVec(n *plan.FinalAggNode) (vparts, error) {
 	top := ex.tb.Begin(n, trace.KindFinalAgg)
-	in, err := ex.dispatch(ex, n.Child)
+	in, err := ex.evalVec(n.Child)
 	if err != nil {
 		return nil, err
 	}
-	sch := ex.rw.Schemas[n.Child]
-	merge := func(p int) ([]value.Tuple, int, error) {
-		rows := mergePartials(n, sch, in[p])
-		return rows, len(rows), nil
+	info := bindMerge(n.GroupBy, n.Aggs, ex.rw.Schemas[n.Child])
+	merge := func(p int) ([]*batch.Batch, int, error) {
+		out := info.emit(info.accumulate(in[p]), false, true)
+		return out, batch.Rows(out), nil
 	}
 	if !ex.gathered(n.Child) {
-		ex.addInputs(top, in)
-		return forEachPart(ex, top, merge)
+		ex.addInputsVec(top, in)
+		out, err := forEachPart(ex, top, merge)
+		releaseParts(in) // emit is fresh (or dropped with the error): the input is dead
+		return out, err
 	}
-	top.AddIn(ex.execDst[0], len(in[0]))
+	top.AddIn(ex.execDst[0], batch.Rows(in[0]))
 	op := ex.nextOp()
 	en := ex.execDst[0]
 	start := time.Now()
 	rows, work, err := runUnit(ex, ex.ctx, top, op, 0, en, merge)
 	top.AddWall(en, time.Since(start))
+	releaseParts(in)
 	if err != nil {
 		return nil, err
 	}
-	out := make([][]value.Tuple, ex.n)
+	out := make(vparts, ex.n)
 	out[0] = rows
-	top.AddOut(en, len(rows))
+	top.AddOut(en, batch.Rows(rows))
 	top.AddWork(en, work)
 	if en != 0 {
 		top.AddFailover(en)

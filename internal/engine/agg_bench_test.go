@@ -5,16 +5,18 @@ import (
 	"runtime"
 	"testing"
 
+	"pref/internal/batch"
 	"pref/internal/plan"
 	"pref/internal/value"
 )
 
-var aggSink []value.Tuple
+var aggSink []*batch.Batch
 
-// BenchmarkGroupedAgg times the two phases of grouped aggregation's row
-// cores, per layer: "partial" pre-aggregates 4 partitions of input rows,
-// "merge" folds the partial states each partition receives from the
-// exchange. Low cardinality is Q1-like (4 groups, so the merge sees 16
+// BenchmarkGroupedAgg times the two phases of grouped aggregation through
+// the entry points the operators use (bindAggs/bindMerge once, then
+// accumulate and emit per partition), per layer: "partial" pre-aggregates 4
+// partitions of input batches and scatters the states, "merge" folds the
+// partial states each partition receives from the exchange. Low cardinality is Q1-like (4 groups, so the merge sees 16
 // states); high cardinality has one group per ~1.3 rows under a 5-column
 // key, where pre-aggregation barely shrinks the input and the merge does
 // the same order of work as the partial phase.
@@ -40,7 +42,6 @@ func BenchmarkGroupedAgg(b *testing.B) {
 			psch = append(psch, plan.Field{Name: a.As + "$cnt", Kind: value.Int})
 		}
 	}
-	fin := &plan.FinalAggNode{GroupBy: groupBy, Aggs: aggs}
 	gidx := []int{0, 1, 2, 3, 4}
 
 	for _, card := range []struct {
@@ -53,41 +54,48 @@ func BenchmarkGroupedAgg(b *testing.B) {
 		{"high", parts * rowsPerPart * 100 / 55},
 	} {
 		rng := rand.New(rand.NewSource(1))
-		in := make([][]value.Tuple, parts)
-		for p := range in {
+		rows := make([][]value.Tuple, parts)
+		for p := range rows {
 			for i := 0; i < rowsPerPart; i++ {
 				id := int64(rng.Intn(card.groups))
-				in[p] = append(in[p], value.Tuple{id % 3, id % 7, id % 11, id % 13, id,
+				rows[p] = append(rows[p], value.Tuple{id % 3, id % 7, id % 11, id % 13, id,
 					int64(1 + rng.Intn(50)), int64(rng.Intn(10_000_000))})
 			}
 		}
-		partial := func() [][]value.Tuple {
-			shuffled := make([][]value.Tuple, parts)
+		in := liftParts(rows, len(sch))
+		info, err := bindAggs(groupBy, aggs, sch)
+		if err != nil {
+			b.Fatal(err)
+		}
+		partial := func() vparts {
+			writers := newScatter(parts, len(psch))
 			for p := range in {
-				info, err := bindAggs(groupBy, aggs, sch)
-				if err != nil {
-					b.Fatal(err)
-				}
-				for _, r := range info.emit(info.accumulate(in[p]), true, true) {
-					dst := value.HashTuple(r, gidx) % parts
-					shuffled[dst] = append(shuffled[dst], r)
+				for _, st := range info.emit(info.accumulate(in[p]), true, true) {
+					writers.add(st, st, gidx, p)
+					st.Release()
 				}
 			}
-			return shuffled
+			return writers.finish()
 		}
 		shuffled := partial()
 		states := 0
-		for _, rows := range shuffled {
-			states += len(rows)
+		for _, bs := range shuffled {
+			states += batch.Rows(bs)
 		}
+		minfo := bindMerge(groupBy, aggs, psch)
 
 		b.Run(card.name+"/partial", func(b *testing.B) {
-			perRow(b, parts*rowsPerPart, func() { aggSink = partial()[0] })
+			perRow(b, parts*rowsPerPart, func() {
+				out := partial()
+				aggSink = out[0]
+				releaseParts(out)
+			})
 		})
 		b.Run(card.name+"/merge", func(b *testing.B) {
 			perRow(b, states, func() {
 				for p := range shuffled {
-					aggSink = mergePartials(fin, psch, shuffled[p])
+					aggSink = minfo.emit(minfo.accumulate(shuffled[p]), false, true)
+					batch.ReleaseAll(aggSink)
 				}
 			})
 		})

@@ -23,6 +23,7 @@ import (
 	"sync"
 	"time"
 
+	"pref/internal/batch"
 	"pref/internal/check"
 	"pref/internal/cluster"
 	"pref/internal/fault"
@@ -98,18 +99,19 @@ type ExecOptions struct {
 	// circuit-breaker routing (nodes tripped by earlier queries are routed
 	// around without burning retries), half-open probing with background
 	// partition rebuild, and hedged execution for straggling partition
-	// units. Nil executes without the layer, exactly
-	// as before it existed.
+	// units. Nil executes without the layer: the fault policy alone decides
+	// which nodes are down, every query retries against them from scratch,
+	// and no unit is hedged.
 	Cluster *cluster.Cluster
 }
 
 // verifyEnv caches the PREF_VERIFY environment toggle.
 var verifyEnv = sync.OnceValue(func() bool { return os.Getenv("PREF_VERIFY") != "" })
 
-// dispatcher evaluates a plan node to per-partition rows. The product has
-// one, (*executor).eval; the package's own tests pass the row reference
+// dispatcher evaluates a plan to per-partition batch lists. The product has
+// one, (*executor).evalVec; the package's own tests pass the row reference
 // (ref_test.go) instead, to drive the same executeCtx over it.
-type dispatcher func(*executor, plan.Node) ([][]value.Tuple, error)
+type dispatcher func(*executor, plan.Node) (vparts, error)
 
 // executor walks the physical plan once per query.
 type executor struct {
@@ -122,9 +124,6 @@ type executor struct {
 	cancel  context.CancelFunc
 	opSeq   int   // deterministic operator counter (main goroutine only)
 	execDst []int // executing node per logical partition (buddy when down)
-	// dispatch is the query's root dispatcher; the row-native operators
-	// evaluate their children through it.
-	dispatch dispatcher
 	// cl is the cluster health layer (nil: disabled); view is its
 	// BeginQuery snapshot and down the effective down set — injector
 	// faults not yet healed, plus breaker-tripped nodes — both immutable
@@ -198,7 +197,7 @@ var ErrDeadlineExceeded = errors.New("engine: query deadline exceeded")
 // cancelling ctx aborts all in-flight per-node work. A query killed by an
 // expired deadline fails with a typed ErrDeadlineExceeded.
 func ExecuteCtx(ctx context.Context, rw *plan.Rewritten, pdb *table.PartitionedDatabase, opt ExecOptions) (*Result, error) {
-	res, err := executeCtx(ctx, rw, pdb, opt, (*executor).eval)
+	res, err := executeCtx(ctx, rw, pdb, opt, (*executor).evalVec)
 	if err != nil && errors.Is(err, context.DeadlineExceeded) {
 		err = fmt.Errorf("%w: %w", ErrDeadlineExceeded, err)
 	}
@@ -249,7 +248,7 @@ func executeCtx(ctx context.Context, rw *plan.Rewritten, pdb *table.PartitionedD
 		return nil, err
 	}
 	ex := &executor{
-		rw: rw, pdb: pdb, n: pdb.N, opt: opt, dispatch: root, inj: inj,
+		rw: rw, pdb: pdb, n: pdb.N, opt: opt, inj: inj,
 		ctx: ctx, cancel: cancel, execDst: execDst,
 		cl: cl, view: view, down: down, snap: snap,
 		tb: trace.NewBuilder(pdb.N, probes),
@@ -264,28 +263,34 @@ func executeCtx(ctx context.Context, rw *plan.Rewritten, pdb *table.PartitionedD
 
 	// The synthetic Result span covers the implicit hand-off of the root's
 	// partitions to the coordinator, traced even when it ships nothing.
+	// final lists the batches the coordinator ends up holding.
 	rtop := ex.tb.BeginResult()
-	var rows []value.Tuple
+	var final []*batch.Batch
 	switch {
 	case rootProp != nil && (rootProp.Gathered || rootProp.Repl):
-		rows = parts[0]
+		final = parts[0]
 		if rootProp.Repl {
 			rtop.SetReadOne() // coordinator reads one of n identical copies
 		}
-		rtop.AddIn(ex.execDst[0], len(rows))
+		rtop.AddIn(ex.execDst[0], batch.Rows(final))
 	default:
 		// Implicit final gather to the coordinator, metered.
 		op := ex.nextOp()
-		for p, rs := range parts {
-			rtop.AddIn(ex.execDst[p], len(rs))
+		for p, bs := range parts {
+			rtop.AddIn(ex.execDst[p], batch.Rows(bs))
 			if p != 0 {
-				if err := ex.shipBatch(rtop, op, p, len(rs), len(sch)); err != nil {
+				if err := ex.shipBatch(rtop, op, p, batch.Rows(bs), len(sch)); err != nil {
+					releaseParts(parts)
 					return nil, err
 				}
 			}
-			rows = append(rows, rs...)
+			final = append(final, bs...)
 		}
 	}
+	// The one place rows leave the columnar form: batches travel from scan to
+	// here, and Result.Rows is what the callers read.
+	rows := batch.AppendRows(nil, final)
+	releaseParts(parts)
 	rtop.AddOut(ex.execDst[0], len(rows))
 	res := &Result{Schema: sch, Rows: rows, Stats: ex.tb.Totals(), Epoch: ex.epoch()}
 	if opt.Trace || verify {
@@ -349,24 +354,13 @@ func buddyMap(n int, down []bool) ([]int, error) {
 	return dst, nil
 }
 
-// nextOp returns the next deterministic operator id. eval walks the plan
+// nextOp returns the next deterministic operator id. evalVec walks the plan
 // sequentially on the query goroutine, so the sequence is a pure function
 // of the plan — the anchor that keeps fault schedules reproducible.
 func (ex *executor) nextOp() int {
 	op := ex.opSeq
 	ex.opSeq++
 	return op
-}
-
-// addInputs charges each partition's consumed input rows to the node the
-// consuming unit executes on.
-//
-// lint:ship-boundary trace metering sweep: charges each partition's input
-// rows to the node executing it, on the query goroutine.
-func (ex *executor) addInputs(top *trace.Op, in [][]value.Tuple) {
-	for p, rows := range in {
-		top.AddIn(ex.execDst[p], len(rows))
-	}
 }
 
 // firstErr picks the root-cause error, preferring anything over the
@@ -458,43 +452,12 @@ func (ex *executor) shipBatch(top *trace.Op, op, src, rows, width int) error {
 	}
 }
 
-// Every plan node has one implementation, in its native representation:
-// scan, filter, project, join, distinct-pref and the three exchanges are
-// columnar (vec.go); aggregation, top-k and distinct-by-value work on rows.
-// eval and evalVec are the two entry points into that one engine — "rows
-// wanted" and "batches wanted" — and each converts at the seam where the
-// node's native form is the other one: materializeParts turns batches into
-// rows, liftParts rows into batches. Neither conversion moves a row between
-// partitions, so neither is metered or consumes an operator id.
-
-// eval evaluates n to per-partition rows: the form the Result and the
-// row-native operators consume.
-func (ex *executor) eval(n plan.Node) ([][]value.Tuple, error) {
-	switch n := n.(type) {
-	case *plan.AggregateNode:
-		return ex.evalAggregate(n)
-	case *plan.PartialAggNode:
-		return ex.evalPartialAgg(n)
-	case *plan.FinalAggNode:
-		return ex.evalFinalAgg(n)
-	case *plan.DistinctByValueNode:
-		return ex.evalDistinctByValue(n)
-	case *plan.TopKNode:
-		return ex.evalTopK(n)
-	}
-	bs, err := ex.evalVec(n)
-	if err != nil {
-		return nil, err
-	}
-	return materializeParts(bs), nil
-}
-
-// evalVec evaluates n to per-partition batch lists: the form the columnar
-// operators consume.
+// evalVec evaluates n to per-partition batch lists, the one form in which
+// rows travel between operators: every plan node has one implementation, and
+// each takes its input here.
 //
 // lint:batch-owner callers own the returned partition batch lists and must
-// release or hand them off (materializeParts, releaseParts, or the caller's
-// own output).
+// release or hand them off (releaseParts, or the caller's own output).
 func (ex *executor) evalVec(n plan.Node) (vparts, error) {
 	switch n := n.(type) {
 	case *plan.ScanNode:
@@ -505,6 +468,12 @@ func (ex *executor) evalVec(n plan.Node) (vparts, error) {
 		return ex.evalProjectVec(n)
 	case *plan.JoinNode:
 		return ex.evalJoinVec(n)
+	case *plan.AggregateNode:
+		return ex.evalAggVec(n, trace.KindAggregate, n.Child, n.GroupBy, n.Aggs, false)
+	case *plan.PartialAggNode:
+		return ex.evalAggVec(n, trace.KindPartialAgg, n.Child, n.GroupBy, n.Aggs, true)
+	case *plan.FinalAggNode:
+		return ex.evalFinalAggVec(n)
 	case *plan.RepartitionNode:
 		return ex.evalRepartitionVec(n)
 	case *plan.BroadcastNode:
@@ -513,13 +482,10 @@ func (ex *executor) evalVec(n plan.Node) (vparts, error) {
 		return ex.evalGatherVec(n)
 	case *plan.DistinctPrefNode:
 		return ex.evalDistinctPrefVec(n)
-	case *plan.AggregateNode, *plan.PartialAggNode, *plan.FinalAggNode,
-		*plan.DistinctByValueNode, *plan.TopKNode:
-		rows, err := ex.eval(n)
-		if err != nil {
-			return nil, err
-		}
-		return liftParts(rows, len(ex.rw.Schemas[n])), nil
+	case *plan.DistinctByValueNode:
+		return ex.evalDistinctByValueVec(n)
+	case *plan.TopKNode:
+		return ex.evalTopKVec(n)
 	default:
 		return nil, fmt.Errorf("engine: unsupported node %T", n)
 	}
@@ -530,81 +496,4 @@ func (ex *executor) evalVec(n plan.Node) (vparts, error) {
 // schema ends in.
 func scanHasIndexes(sch plan.Schema) bool {
 	return len(sch) > 0 && plan.IsHiddenCol(sch[len(sch)-1].Name)
-}
-
-// scanRows materializes one partition's scan output, appending the hidden
-// dup/hasRef index columns when the scan schema asks for them.
-func scanRows(part *table.Partition, withIndexes bool) []value.Tuple {
-	rows := make([]value.Tuple, 0, len(part.Rows))
-	if withIndexes {
-		for i, r := range part.Rows {
-			nr := make(value.Tuple, len(r)+2)
-			copy(nr, r)
-			if part.Dup.Get(i) {
-				nr[len(r)] = 1
-			}
-			if part.HasRef.Get(i) {
-				nr[len(r)+1] = 1
-			}
-			rows = append(rows, nr)
-		}
-	} else {
-		rows = append(rows, part.Rows...)
-	}
-	return rows
-}
-
-// evalDistinctByValue deduplicates by value, which requires a hash shuffle
-// so equal rows meet on one partition.
-//
-// lint:ship-boundary exchange operator: scatters rows to hash-owner
-// partitions and meters every crossing via shipBatch.
-func (ex *executor) evalDistinctByValue(n *plan.DistinctByValueNode) ([][]value.Tuple, error) {
-	top := ex.tb.Begin(n, trace.KindDistinctByValue)
-	in, err := ex.dispatch(ex, n.Child)
-	if err != nil {
-		return nil, err
-	}
-	ex.addInputs(top, in)
-	sch := ex.rw.Schemas[n.Child]
-	idx, err := sch.Indexes(n.Cols)
-	if err != nil {
-		return nil, err
-	}
-	// Shuffle by content so identical rows meet on one node, then keep
-	// one per value.
-	op := ex.nextOp()
-	shuffled := make([][]value.Tuple, ex.n)
-	for src, rows := range in {
-		cross := 0
-		for _, r := range rows {
-			dst := int(value.HashTuple(r, idx) % uint64(ex.n))
-			if dst != src {
-				cross++
-			}
-			shuffled[dst] = append(shuffled[dst], r)
-		}
-		if err := ex.shipBatch(top, op, src, cross, len(sch)); err != nil {
-			return nil, err
-		}
-	}
-	out, err := forEachPart(ex, top, func(p int) ([]value.Tuple, int, error) {
-		seen := make(map[value.Key]bool, len(shuffled[p]))
-		var rows []value.Tuple
-		for _, r := range shuffled[p] {
-			k := value.MakeKey(r, idx)
-			if !seen[k] {
-				seen[k] = true
-				rows = append(rows, r)
-			}
-		}
-		return rows, len(rows), nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	for p := range out {
-		top.AddDedup(ex.execDst[p], len(shuffled[p])-len(out[p]))
-	}
-	return out, nil
 }

@@ -6,6 +6,7 @@ import (
 
 	"pref/internal/catalog"
 	"pref/internal/check"
+	"pref/internal/fault"
 	"pref/internal/partition"
 	"pref/internal/plan"
 	"pref/internal/table"
@@ -43,13 +44,17 @@ func hasTopK(n plan.Node) bool {
 // space: a seed (and whether the dup index is on) picks a schema, a PREF
 // design, data and an SPJA query; the pruned rewrite must pass the static
 // verifier, the product engine and the row reference must agree on rows and
-// on every counter, and both must return what the same query returns on a
-// single node, where nothing is partitioned, duplicated or shipped.
+// on every counter — again with node 1 lost, where a query that recovers
+// must answer as if nothing had happened — and both must return what the
+// same query returns on a single node, where nothing is partitioned,
+// duplicated or shipped.
 //
 //	go test -run='^$' -fuzz=FuzzPrunedPlanOracle -fuzztime=20s ./internal/engine
 func FuzzPrunedPlanOracle(f *testing.F) {
 	// testdata/fuzz holds the seed corpus: one scenario per plan shape the
-	// pruning pass treats differently.
+	// pruning pass treats differently, and one per hand-off of a blocking
+	// operator's output batches (aggregate into join, HAVING, value-distinct
+	// into join, recovered scan into distinct-pref).
 	f.Add(int64(0), false)
 	f.Add(int64(1), true)
 	f.Fuzz(func(t *testing.T, seed int64, noDupIndex bool) {
@@ -68,7 +73,18 @@ func FuzzPrunedPlanOracle(f *testing.F) {
 		if err := check.Verify(rw); err != nil {
 			t.Fatalf("pruned plan fails verification: %v\n%s", err, rw.Explain())
 		}
-		assertEnginesAgree(t, seed, rw, pdb, ExecOptions{Trace: true})
+		clean := assertEnginesAgree(t, seed, rw, pdb, ExecOptions{Trace: true})
+		if clean == nil {
+			t.Fatalf("fault-free execution failed on both engines\n%s", rw.Explain())
+		}
+		lossy := assertEnginesAgree(t, seed, rw, pdb, ExecOptions{
+			Trace: true,
+			Fault: &fault.Policy{Seed: seed, DownNodes: []int{1}, MaxAttempts: 8},
+		})
+		if lossy != nil && !sameRows(lossy.Rows, clean.Rows) {
+			t.Fatalf("result recovered from the loss of node 1 differs from the clean one: %d vs %d rows\nplan:\n%s",
+				len(lossy.Rows), len(clean.Rows), rw.Explain())
+		}
 
 		// A top-k breaks ties by the full row, hidden index columns included,
 		// and a single node has none: over a PREF-duplicated join, tied rows

@@ -11,8 +11,8 @@ import "errors"
 // speculative duplicate against any unit that has run longer than the
 // cluster's quantile-priced delay: the duplicate runs the same partition's
 // work on the next surviving node (unit closures are pure functions of the
-// partition id, so either copy produces identical rows — in either the row
-// or the columnar representation), the first result wins, the loser is
+// partition id that only read their operator's input, so either copy
+// produces identical rows), the first result wins, the loser is
 // cancelled and its discarded output metered as wasted hedge work on the
 // operator's cells. The race machinery itself (runHedged, runAttempt) lives
 // in unit.go, generic over the unit payload.

@@ -3,8 +3,10 @@ package engine
 import (
 	"context"
 	"fmt"
+	"sort"
 	"time"
 
+	"pref/internal/batch"
 	"pref/internal/plan"
 	"pref/internal/table"
 	"pref/internal/trace"
@@ -13,16 +15,17 @@ import (
 
 // The row reference.
 //
-// These are the row-at-a-time forms of the eight operators the product
-// implements only over columnar batches (scan, filter, project, join,
-// repartition, broadcast, gather, distinct-pref), plus the dispatcher that
-// routes a whole plan through them. They are the differential reference:
-// executeRef drives them through the same executeCtx as the product —
-// admission, snapshot pin, fault injector, nextOp sequence, trace builder,
-// Result assembly — so the only thing that differs between the two runs of
-// a query is which code processes the rows. The row-native operators
-// (aggregation, top-k, distinct-by-value) are shared: they reach their
-// input through ex.dispatch, which is refEval here.
+// These are the row-at-a-time forms of the operators the product implements
+// only over columnar batches, plus the dispatcher that routes a whole plan
+// through them. They are the differential reference: executeRef drives them
+// through the same executeCtx as the product — admission, snapshot pin,
+// fault injector, nextOp sequence, trace builder, Result assembly — so the
+// only thing that differs between the two runs of a query is which code
+// processes the rows. Rows stay rows from the scan to the root; liftParts
+// below is the reference's one conversion, at the edge where executeCtx
+// takes over. What the twins share with the product is what has no form: a
+// group's accumulators (aggState, finalValue), an order term's comparison
+// (orderTerm), the key and hash encodings, and the recovery admission.
 //
 // TestVecRow* (vec_test.go, oracle_test.go) hold the product to this
 // reference in rows, Stats, trace totals and failure agreement;
@@ -31,7 +34,35 @@ import (
 
 // executeRef is ExecuteOpts over the row reference.
 func executeRef(rw *plan.Rewritten, pdb *table.PartitionedDatabase, opt ExecOptions) (*Result, error) {
-	return executeCtx(context.Background(), rw, pdb, opt, (*executor).refEval)
+	return executeCtx(context.Background(), rw, pdb, opt, func(ex *executor, n plan.Node) (vparts, error) {
+		rows, err := ex.refEval(n)
+		if err != nil {
+			return nil, err
+		}
+		return liftParts(rows, len(ex.rw.Schemas[n])), nil
+	})
+}
+
+// liftParts copies the reference's per-partition output rows into batches,
+// the form executeCtx assembles a Result from.
+func liftParts(in [][]value.Tuple, width int) vparts {
+	out := make(vparts, len(in))
+	for p, rows := range in {
+		w := batch.NewWriter(width)
+		for _, r := range rows {
+			w.AppendTuple(r)
+		}
+		out[p] = w.Finish()
+	}
+	return out
+}
+
+// addInputs charges each partition's consumed input rows to the node the
+// consuming unit executes on.
+func (ex *executor) addInputs(top *trace.Op, in [][]value.Tuple) {
+	for p, rows := range in {
+		top.AddIn(ex.execDst[p], len(rows))
+	}
 }
 
 // refEval is the reference dispatcher: every node runs on its row form.
@@ -93,15 +124,35 @@ func (ex *executor) evalScan(n *plan.ScanNode) ([][]value.Tuple, error) {
 			// permanently failed, or routed around by an open circuit
 			// breaker: reconstruct its scan output from surviving
 			// duplicate copies.
-			rows, err := ex.recoverScan(top, pt, v, p, sch)
-			if err != nil {
+			if err := ex.recoverScan(top, pt, v, p, len(sch)); err != nil {
 				return nil, 0, err
 			}
-			return rows, len(rows), nil
 		}
 		rows := scanRows(v.Parts[p], withIndexes)
 		return rows, len(rows), nil
 	})
+}
+
+// scanRows materializes one partition's scan output, appending the hidden
+// dup/hasRef index columns when the scan schema asks for them.
+func scanRows(part *table.Partition, withIndexes bool) []value.Tuple {
+	rows := make([]value.Tuple, 0, len(part.Rows))
+	if withIndexes {
+		for i, r := range part.Rows {
+			nr := make(value.Tuple, len(r)+2)
+			copy(nr, r)
+			if part.Dup.Get(i) {
+				nr[len(r)] = 1
+			}
+			if part.HasRef.Get(i) {
+				nr[len(r)+1] = 1
+			}
+			rows = append(rows, nr)
+		}
+	} else {
+		rows = append(rows, part.Rows...)
+	}
+	return rows
 }
 
 func (ex *executor) evalFilter(n *plan.FilterNode) ([][]value.Tuple, error) {
@@ -494,5 +545,323 @@ func (ex *executor) evalJoin(n *plan.JoinNode) ([][]value.Tuple, error) {
 			work += int(float64(len(left[p])) * (ex.opt.MissFactor - 1))
 		}
 		return selectRows(rows, live), work, nil
+	})
+}
+
+// refAggInfo is the row twin's binding of an aggregation: Bind closures
+// where the product compiles its arguments.
+type refAggInfo struct {
+	groupIdx []int
+	argFns   []func(value.Tuple) int64
+	isFloat  []bool
+	aggs     []plan.AggExpr
+	// stateCol is set when the input rows are partial states to merge:
+	// aggregate i's state starts at column stateCol[i].
+	stateCol []int
+}
+
+func refBindAggs(groupBy []string, aggs []plan.AggExpr, sch plan.Schema) (*refAggInfo, error) {
+	info := &refAggInfo{aggs: aggs}
+	for _, g := range groupBy {
+		i, err := sch.IndexOf(g)
+		if err != nil {
+			return nil, err
+		}
+		info.groupIdx = append(info.groupIdx, i)
+	}
+	for _, a := range aggs {
+		if a.Arg == nil {
+			info.argFns = append(info.argFns, nil)
+			info.isFloat = append(info.isFloat, false)
+			continue
+		}
+		f, err := a.Arg.Bind(sch)
+		if err != nil {
+			return nil, err
+		}
+		info.argFns = append(info.argFns, f)
+		info.isFloat = append(info.isFloat, a.Arg.Kind(sch) == value.Float)
+	}
+	return info, nil
+}
+
+// refBindMerge binds the merge of partial-state rows; sch is the partial
+// schema: the group columns, then each aggregate's state column(s).
+func refBindMerge(groupBy []string, aggs []plan.AggExpr, sch plan.Schema) *refAggInfo {
+	info := &refAggInfo{aggs: aggs}
+	for i := range groupBy {
+		info.groupIdx = append(info.groupIdx, i)
+	}
+	col := len(groupBy)
+	for _, a := range aggs {
+		info.stateCol = append(info.stateCol, col)
+		info.isFloat = append(info.isFloat, sch[col].Kind == value.Float)
+		col++
+		if a.Fn == plan.AvgFn {
+			col++ // sum, then count
+		}
+	}
+	return info
+}
+
+// accumulate groups the rows of one partition, in row order.
+func (info *refAggInfo) accumulate(rows []value.Tuple) map[value.Key]*groupAcc {
+	groups := make(map[value.Key]*groupAcc)
+	for _, r := range rows {
+		k := value.MakeKey(r, info.groupIdx)
+		g, ok := groups[k]
+		if !ok {
+			key := make(value.Tuple, len(info.groupIdx))
+			for i, j := range info.groupIdx {
+				key[i] = r[j]
+			}
+			g = &groupAcc{key: key, states: make([]aggState, len(info.aggs))}
+			groups[k] = g
+		}
+		for i, a := range info.aggs {
+			s := &g.states[i]
+			switch {
+			case info.stateCol != nil:
+				c, cnt := info.stateCol[i], int64(0)
+				if a.Fn == plan.AvgFn {
+					cnt = r[c+1]
+				}
+				s.merge(a.Fn, r[c], cnt, info.isFloat[i])
+			case a.Fn == plan.CountFn && a.Arg == nil:
+				s.cnt++ // COUNT(*)
+			case a.Fn == plan.CountDistinctFn:
+				if v := info.argFns[i](r); v != plan.Null {
+					if s.distinct == nil {
+						s.distinct = map[int64]struct{}{}
+					}
+					s.distinct[v] = struct{}{}
+				}
+			default:
+				s.add(info.argFns[i](r), info.isFloat[i])
+			}
+		}
+	}
+	return groups
+}
+
+// emit renders the accumulated groups as final rows or, when partial, as
+// mergeable state rows (AVG carries sum and count; the other functions'
+// values combine as they are). identity adds the one row a global
+// aggregation yields over empty input (COUNT()=0).
+func (info *refAggInfo) emit(groups map[value.Key]*groupAcc, partial, identity bool) []value.Tuple {
+	if identity && len(info.groupIdx) == 0 && len(groups) == 0 {
+		groups[value.Key("")] = &groupAcc{states: make([]aggState, len(info.aggs))}
+	}
+	width := len(info.groupIdx) + len(info.aggs)
+	if partial {
+		for _, a := range info.aggs {
+			if a.Fn == plan.AvgFn {
+				width++
+			}
+		}
+	}
+	rows := make([]value.Tuple, 0, len(groups))
+	for _, g := range groups {
+		row := make(value.Tuple, 0, width)
+		row = append(row, g.key...)
+		for i, a := range info.aggs {
+			s := &g.states[i]
+			if partial && a.Fn == plan.AvgFn {
+				sum := s.isum
+				if info.isFloat[i] {
+					sum = value.FromFloat(s.fsum)
+				}
+				row = append(row, sum, s.cnt)
+				continue
+			}
+			row = append(row, finalValue(a, s, info.isFloat[i]))
+		}
+		rows = append(rows, row)
+	}
+	return rows
+}
+
+func (ex *executor) evalAggregate(n *plan.AggregateNode) ([][]value.Tuple, error) {
+	top := ex.tb.Begin(n, trace.KindAggregate)
+	in, err := ex.refEval(n.Child)
+	if err != nil {
+		return nil, err
+	}
+	ex.addInputs(top, in)
+	sch := ex.rw.Schemas[n.Child]
+	// Over a Gathered input only partition 0 is ever consumed downstream,
+	// so the empty-input identity row of a global aggregation must not be
+	// fabricated on the other partitions (phantom rows that inflate work
+	// and break trace row conservation).
+	gathered := ex.gathered(n.Child)
+	return forEachPart(ex, top, func(p int) ([]value.Tuple, int, error) {
+		info, err := refBindAggs(n.GroupBy, n.Aggs, sch)
+		if err != nil {
+			return nil, 0, err
+		}
+		rows := info.emit(info.accumulate(in[p]), false, p == 0 || !gathered)
+		return rows, len(rows), nil
+	})
+}
+
+// evalPartialAgg emits per-partition partial states. A global aggregation
+// over an empty partition contributes an identity state, so the final
+// merge still sees COUNT=0.
+func (ex *executor) evalPartialAgg(n *plan.PartialAggNode) ([][]value.Tuple, error) {
+	top := ex.tb.Begin(n, trace.KindPartialAgg)
+	in, err := ex.refEval(n.Child)
+	if err != nil {
+		return nil, err
+	}
+	ex.addInputs(top, in)
+	sch := ex.rw.Schemas[n.Child]
+	return forEachPart(ex, top, func(p int) ([]value.Tuple, int, error) {
+		info, err := refBindAggs(n.GroupBy, n.Aggs, sch)
+		if err != nil {
+			return nil, 0, err
+		}
+		rows := info.emit(info.accumulate(in[p]), true, true)
+		return rows, len(rows), nil
+	})
+}
+
+// mergePartials combines partial-state rows into final aggregate rows.
+// States merge in row order, which every exchange keeps ascending by
+// source partition, so Float-kind results do not depend on scheduling.
+func mergePartials(n *plan.FinalAggNode, sch plan.Schema, partials []value.Tuple) []value.Tuple {
+	info := refBindMerge(n.GroupBy, n.Aggs, sch)
+	return info.emit(info.accumulate(partials), false, true)
+}
+
+// evalFinalAgg merges partial states. Below a Repartition on the group-by
+// columns every partition merges the states it received, as one fan-out.
+// Below a Gather (the global pair) only the coordinator partition has rows:
+// the merge is a single work unit on the coordinator node, under the same
+// fault model as the fan-out operators.
+func (ex *executor) evalFinalAgg(n *plan.FinalAggNode) ([][]value.Tuple, error) {
+	top := ex.tb.Begin(n, trace.KindFinalAgg)
+	in, err := ex.refEval(n.Child)
+	if err != nil {
+		return nil, err
+	}
+	sch := ex.rw.Schemas[n.Child]
+	merge := func(p int) ([]value.Tuple, int, error) {
+		rows := mergePartials(n, sch, in[p])
+		return rows, len(rows), nil
+	}
+	if !ex.gathered(n.Child) {
+		ex.addInputs(top, in)
+		return forEachPart(ex, top, merge)
+	}
+	top.AddIn(ex.execDst[0], len(in[0]))
+	op := ex.nextOp()
+	en := ex.execDst[0]
+	start := time.Now()
+	rows, work, err := runUnit(ex, ex.ctx, top, op, 0, en, merge)
+	top.AddWall(en, time.Since(start))
+	if err != nil {
+		return nil, err
+	}
+	out := make([][]value.Tuple, ex.n)
+	out[0] = rows
+	top.AddOut(en, len(rows))
+	top.AddWork(en, work)
+	if en != 0 {
+		top.AddFailover(en)
+	}
+	return out, nil
+}
+
+// evalDistinctByValue deduplicates by value, which requires a hash shuffle
+// so equal rows meet on one partition.
+func (ex *executor) evalDistinctByValue(n *plan.DistinctByValueNode) ([][]value.Tuple, error) {
+	top := ex.tb.Begin(n, trace.KindDistinctByValue)
+	in, err := ex.refEval(n.Child)
+	if err != nil {
+		return nil, err
+	}
+	ex.addInputs(top, in)
+	sch := ex.rw.Schemas[n.Child]
+	idx, err := sch.Indexes(n.Cols)
+	if err != nil {
+		return nil, err
+	}
+	// Shuffle by content so identical rows meet on one node, then keep
+	// one per value.
+	op := ex.nextOp()
+	shuffled := make([][]value.Tuple, ex.n)
+	for src, rows := range in {
+		cross := 0
+		for _, r := range rows {
+			dst := int(value.HashTuple(r, idx) % uint64(ex.n))
+			if dst != src {
+				cross++
+			}
+			shuffled[dst] = append(shuffled[dst], r)
+		}
+		if err := ex.shipBatch(top, op, src, cross, len(sch)); err != nil {
+			return nil, err
+		}
+	}
+	out, err := forEachPart(ex, top, func(p int) ([]value.Tuple, int, error) {
+		seen := make(map[value.Key]bool, len(shuffled[p]))
+		var rows []value.Tuple
+		for _, r := range shuffled[p] {
+			k := value.MakeKey(r, idx)
+			if !seen[k] {
+				seen[k] = true
+				rows = append(rows, r)
+			}
+		}
+		return rows, len(rows), nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	for p := range out {
+		top.AddDedup(ex.execDst[p], len(shuffled[p])-len(out[p]))
+	}
+	return out, nil
+}
+
+// evalTopK orders each partition's rows by the order terms (kind-aware:
+// floats decode before comparing) with the full row as tie-breaker, then
+// truncates to the limit. The partial pass runs on every partition; the
+// final pass sees rows only at the coordinator after the gather.
+func (ex *executor) evalTopK(n *plan.TopKNode) ([][]value.Tuple, error) {
+	top := ex.tb.Begin(n, trace.KindTopK)
+	in, err := ex.refEval(n.Child)
+	if err != nil {
+		return nil, err
+	}
+	ex.addInputs(top, in)
+	sch := ex.rw.Schemas[n.Child]
+
+	terms, err := bindOrder(n.Order, sch)
+	if err != nil {
+		return nil, err
+	}
+	less := func(a, b value.Tuple) bool {
+		for _, t := range terms {
+			if cmp := t.compare(a[t.idx], b[t.idx]); cmp != 0 {
+				return cmp < 0
+			}
+		}
+		// Deterministic total order: full-row tie-break.
+		for i := range a {
+			if a[i] != b[i] {
+				return a[i] < b[i]
+			}
+		}
+		return false
+	}
+
+	return forEachPart(ex, top, func(p int) ([]value.Tuple, int, error) {
+		rows := append([]value.Tuple(nil), in[p]...)
+		sort.Slice(rows, func(i, j int) bool { return less(rows[i], rows[j]) })
+		if n.Limit > 0 && len(rows) > n.Limit {
+			rows = rows[:n.Limit]
+		}
+		return rows, len(rows), nil
 	})
 }

@@ -3,79 +3,112 @@ package engine
 import (
 	"sort"
 
+	"pref/internal/batch"
 	"pref/internal/plan"
 	"pref/internal/trace"
 	"pref/internal/value"
 )
 
-// evalTopK orders each partition's rows by the order terms (kind-aware:
-// floats decode before comparing) with the full row as tie-breaker, then
-// truncates to the limit. The partial pass runs on every partition; the
-// final pass sees rows only at the coordinator after the gather.
-func (ex *executor) evalTopK(n *plan.TopKNode) ([][]value.Tuple, error) {
-	top := ex.tb.Begin(n, trace.KindTopK)
-	in, err := ex.dispatch(ex, n.Child)
-	if err != nil {
-		return nil, err
-	}
-	ex.addInputs(top, in)
-	sch := ex.rw.Schemas[n.Child]
+// orderTerm is one ORDER BY term bound to its column.
+type orderTerm struct {
+	idx     int
+	desc    bool
+	isFloat bool
+}
 
-	type term struct {
-		idx     int
-		desc    bool
-		isFloat bool
-	}
-	terms := make([]term, len(n.Order))
-	for i, o := range n.Order {
+func bindOrder(order []plan.OrderSpec, sch plan.Schema) ([]orderTerm, error) {
+	terms := make([]orderTerm, len(order))
+	for i, o := range order {
 		idx, err := sch.IndexOf(o.Col)
 		if err != nil {
 			return nil, err
 		}
-		terms[i] = term{idx: idx, desc: o.Desc, isFloat: sch[idx].Kind == value.Float}
+		terms[i] = orderTerm{idx: idx, desc: o.Desc, isFloat: sch[idx].Kind == value.Float}
 	}
-	less := func(a, b value.Tuple) bool {
+	return terms, nil
+}
+
+// compare orders two values of the term's column, kind-aware: floats decode
+// before comparing.
+func (t orderTerm) compare(av, bv int64) int {
+	var cmp int
+	if t.isFloat {
+		af, bf := value.ToFloat(av), value.ToFloat(bv)
+		switch {
+		case af < bf:
+			cmp = -1
+		case af > bf:
+			cmp = 1
+		}
+	} else {
+		switch {
+		case av < bv:
+			cmp = -1
+		case av > bv:
+			cmp = 1
+		}
+	}
+	if t.desc {
+		cmp = -cmp
+	}
+	return cmp
+}
+
+// evalTopKVec orders each partition's rows by the order terms with the full
+// row as tie-breaker, then truncates to the limit: it sorts references to
+// the input's live rows and copies out only the rows it keeps. The partial
+// pass runs on every partition; the final pass sees rows only at the
+// coordinator after the gather.
+//
+// lint:batch-owner the returned batch lists transfer to the caller
+func (ex *executor) evalTopKVec(n *plan.TopKNode) (vparts, error) {
+	top := ex.tb.Begin(n, trace.KindTopK)
+	in, err := ex.evalVec(n.Child)
+	if err != nil {
+		return nil, err
+	}
+	ex.addInputsVec(top, in)
+	sch := ex.rw.Schemas[n.Child]
+	terms, err := bindOrder(n.Order, sch)
+	if err != nil {
+		releaseParts(in) // bind failed: the consumed input is dead
+		return nil, err
+	}
+	type rowRef struct {
+		b *batch.Batch
+		i int // live row of b
+	}
+	less := func(x, y rowRef) bool {
 		for _, t := range terms {
-			av, bv := a[t.idx], b[t.idx]
-			var cmp int
-			if t.isFloat {
-				af, bf := value.ToFloat(av), value.ToFloat(bv)
-				switch {
-				case af < bf:
-					cmp = -1
-				case af > bf:
-					cmp = 1
-				}
-			} else {
-				switch {
-				case av < bv:
-					cmp = -1
-				case av > bv:
-					cmp = 1
-				}
-			}
-			if t.desc {
-				cmp = -cmp
-			}
-			if cmp != 0 {
+			if cmp := t.compare(x.b.At(x.i, t.idx), y.b.At(y.i, t.idx)); cmp != 0 {
 				return cmp < 0
 			}
 		}
 		// Deterministic total order: full-row tie-break.
-		for i := range a {
-			if a[i] != b[i] {
-				return a[i] < b[i]
+		for c := range sch {
+			if xv, yv := x.b.At(x.i, c), y.b.At(y.i, c); xv != yv {
+				return xv < yv
 			}
 		}
 		return false
 	}
-
-	return forEachPart(ex, top, func(p int) ([]value.Tuple, int, error) {
-		rows := append([]value.Tuple(nil), in[p]...)
-		sort.Slice(rows, func(i, j int) bool { return less(rows[i], rows[j]) })
-		if n.Limit > 0 && len(rows) > n.Limit {
-			rows = rows[:n.Limit]
+	out, err := forEachPart(ex, top, func(p int) ([]*batch.Batch, int, error) {
+		refs := make([]rowRef, 0, batch.Rows(in[p]))
+		for _, b := range in[p] {
+			for i, bn := 0, b.Len(); i < bn; i++ {
+				refs = append(refs, rowRef{b, i})
+			}
 		}
-		return rows, len(rows), nil
+		sort.Slice(refs, func(i, j int) bool { return less(refs[i], refs[j]) })
+		if n.Limit > 0 && len(refs) > n.Limit {
+			refs = refs[:n.Limit]
+		}
+		w := batch.NewWriter(len(sch))
+		for _, r := range refs {
+			w.AppendFrom(r.b, r.i)
+		}
+		return w.Finish(), len(refs), nil
 	})
+	releaseParts(in) // the kept rows were copied out: the input is dead
+	return out, err
 }

@@ -58,6 +58,20 @@ func TestTopKOverAggregate(t *testing.T) {
 	if len(res["reference-1node"].Rows) != 3 {
 		t.Fatalf("rows = %d", len(res["reference-1node"].Rows))
 	}
+	// The generated sweeps draw an aggregate or a top-k, never one over the
+	// other, so this is where the row reference checks the hand-off.
+	db := testDB(t)
+	for name, cfg := range testConfigs(4) {
+		pdb, err := partition.Apply(db, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rw, err := plan.Rewrite(mk(), db.Schema, cfg, plan.Options{})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		assertEnginesAgree(t, 0, rw, pdb, ExecOptions{Trace: true})
+	}
 }
 
 func TestTopKNoLimitIsOrderBy(t *testing.T) {

@@ -16,16 +16,17 @@ import (
 
 // Generic per-partition work machinery.
 //
-// Row-native and columnar operators share every resilience and metering
-// mechanism — fan-out, retry/backoff, failover, hedging, trace cells —
-// differing only in the payload a unit produces: []value.Tuple or
-// []*batch.Batch. The functions here are generic over that payload so both
-// kinds run the byte-identical fault model: fault draws are keyed by
-// (operator id, executing node, attempt), and the operator id sequence is a
-// pure function of the plan. Go methods cannot take type parameters, hence
-// free functions taking the executor explicitly.
+// The product's operators and their row twins in the test-only reference
+// share every resilience and metering mechanism — fan-out, retry/backoff,
+// failover, hedging, trace cells — differing only in the payload a unit
+// produces: []*batch.Batch or []value.Tuple. The functions here are generic
+// over that payload so both run the byte-identical fault model: fault draws
+// are keyed by (operator id, executing node, attempt), and the operator id
+// sequence is a pure function of the plan. Go methods cannot take type
+// parameters, hence free functions taking the executor explicitly.
 
-// payload is a unit's output representation: row tuples or columnar batches.
+// payload is a unit's output representation: columnar batches, or the
+// reference's row tuples.
 type payload interface {
 	~[]value.Tuple | ~[]*batch.Batch
 }

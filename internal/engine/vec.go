@@ -10,14 +10,17 @@ import (
 	"pref/internal/value"
 )
 
-// The columnar operators.
+// The operators.
 //
-// Scans hand out zero-copy views of the table's cached per-column
-// projection, and filter, project, join, distinct-pref and the exchange
-// operators process ~1k-row batches with selection vectors instead of
-// materializing []value.Tuple per operator. Each has a row-at-a-time twin
-// in ref_test.go, the differential reference, and matches it exactly where
-// reproducibility depends on it:
+// Rows travel between operators in one form, per-partition lists of ~1k-row
+// columnar batches (vparts), from the scan to the Result assembly in
+// executeCtx, which is the only place a value.Tuple row is built. Scans hand
+// out zero-copy views of the table's cached per-column projection; filter
+// and distinct narrow with selection vectors; project, join, the exchanges,
+// aggregation (agg.go) and top-k (topk.go) read their input in place and
+// write fresh batches through a batch.Writer. Each operator has a
+// row-at-a-time twin in ref_test.go, the differential reference, and matches
+// it exactly where reproducibility depends on it:
 //
 //   - Operator ids: every operator consumes nextOp() in the same order as
 //     its row twin, so injected fault schedules (keyed on operator id, node,
@@ -27,72 +30,35 @@ import (
 //     traces verify against the same conservation laws.
 //   - Row order: batches preserve storage order and exchanges append in
 //     (source, row) order, so order-sensitive float accumulation downstream
-//     sees identical input sequences and results are byte-equal.
-//
-// Aggregation's hash groups, top-k's sort and distinct-by-value's shuffle
-// dedup work on rows (agg.go, topk.go, engine.go); eval and evalVec convert
-// at their inputs and outputs (materializeParts, liftParts). A plan without
-// them materializes only at the Result boundary.
+//     sees identical input sequences and results are byte-equal. (Grouped
+//     output is the exception: the product emits groups in first-seen order,
+//     the reference in map order; comparisons sort.)
 //
 // Batch ownership follows the batch package's rule: operators never write
 // through a batch they received — filters narrow with fresh selection
-// vectors, projections and exchanges write into fresh batches — so scans
-// can safely share storage-backed vectors across concurrent queries and
-// broadcast can share one batch list across all partitions.
+// vectors, everything else writes into fresh batches — so scans can safely
+// share storage-backed vectors across concurrent queries and broadcast can
+// share one batch list across all partitions. An operator's work units
+// borrow its input (a crashed or hedged attempt re-reads it); an operator
+// whose output is entirely fresh releases the input once, after the
+// partition barrier, and one whose output is views over the input leaves it
+// to die with the output downstream.
 //
 // Width follows the plan: the operators that copy rows (join, the three
 // exchanges) write exactly the schema the rewrite recorded for them — the
 // columns read above (plan/prune.go) — selecting them from their input with
 // batch.Select, and an exchange is charged that width. Scan, filter and
-// distinct-pref hand on views, so their extra columns cost a slice header.
+// distinct-pref hand on views, so their extra columns cost a slice header;
+// aggregation reads only the columns its keys and arguments name.
 
-// vparts is the vectorized analogue of [][]value.Tuple: per partition, an
-// ordered list of batches.
+// vparts is an operator's output: per partition, an ordered list of batches.
 type vparts = [][]*batch.Batch
-
-// materializeParts converts per-partition batch lists to rows at the input
-// of a row-native operator and at the Result boundary — partition p's
-// batches become partition p's rows, so no rows move and nothing is metered.
-func materializeParts(in vparts) [][]value.Tuple {
-	out := make([][]value.Tuple, 0, len(in))
-	for _, bs := range in {
-		out = append(out, batch.AppendRows(nil, bs))
-	}
-	// The batches are dead past this point — recycle pooled columns into
-	// the arena. Release only after every partition is converted: broadcast
-	// and one-copy gather share *Batch pointers across partitions, and
-	// Release is idempotent per header (each pooled column has exactly one
-	// pooled owner), so the sweep is safe on shared lists. View batches
-	// over table storage are a no-op.
-	for _, bs := range in {
-		batch.ReleaseAll(bs)
-	}
-	return out
-}
-
-// liftParts is the inverse of materializeParts: it copies a row-native
-// operator's per-partition output rows into fresh pooled batches for the
-// columnar operator above it. The operators that produce its input build
-// every partition's slice separately, so no two slots share rows.
-//
-// lint:ship-boundary representation change at the seam: partition p's rows
-// become partition p's batches on the query goroutine; nothing crosses a
-// partition boundary.
-//
-// lint:batch-owner the returned batch lists transfer to the caller
-func liftParts(in [][]value.Tuple, width int) vparts {
-	out := make(vparts, len(in))
-	for p, rows := range in {
-		out[p] = batch.FromRows(rows, width)
-	}
-	return out
-}
 
 // releaseParts recycles the pooled batches of a consumed input after the
 // operator's partition barrier, or on an error path once every batch list
 // derived from the input has been discarded with the error. On success only
 // operators whose output is entirely fresh writer batches (join, project,
-// repartition) may call it: their
+// repartition, aggregation, top-k; the Result assembly) may call it: their
 // outputs never alias input columns, the plan is a tree so each node's
 // output has exactly one consumer, and forEachPart joins every goroutine
 // (including hedge losers) before returning, so no concurrent reader
@@ -106,7 +72,7 @@ func releaseParts(in vparts) {
 }
 
 // addInputsVec charges each partition's consumed input rows to the node
-// the consuming unit executes on, like addInputs for row inputs.
+// the consuming unit executes on.
 //
 // lint:ship-boundary trace metering sweep: charges each partition's input
 // rows to the node executing it, on the query goroutine.
@@ -133,7 +99,9 @@ func (ex *executor) liveCols(n plan.Node, natural plan.Schema) (plan.Schema, []i
 }
 
 // evalScanVec hands out chunked zero-copy views over the partition's cached
-// columnar projection (or lifts recovered rows into fresh batches).
+// columnar projection, built once per published epoch and shared by queries
+// — a lost partition's too, once recoverScan has admitted and metered its
+// reconstruction.
 //
 // lint:batch-owner the returned batch lists transfer to the caller
 func (ex *executor) evalScanVec(n *plan.ScanNode) (vparts, error) {
@@ -158,17 +126,10 @@ func (ex *executor) evalScanVec(n *plan.ScanNode) (vparts, error) {
 			return nil, 0, nil // pruned: the partition cannot contain matches
 		}
 		if ex.down[p] {
-			// Rare path: reconstruct the lost partition's scan output via
-			// the row-based recovery machinery (identical metering), then
-			// lift the rows into batches.
-			rows, err := ex.recoverScan(top, pt, v, p, sch)
-			if err != nil {
+			if err := ex.recoverScan(top, pt, v, p, len(sch)); err != nil {
 				return nil, 0, err
 			}
-			return batch.FromRows(rows, len(sch)), len(rows), nil
 		}
-		// Zero-copy: chunked views over the partition's cached columnar
-		// projection (built once per published epoch, shared by queries).
 		proj := v.Parts[p].Columns(width)
 		cols := proj.Cols
 		if !withIndexes {
@@ -346,7 +307,7 @@ func (ex *executor) evalJoinVec(n *plan.JoinNode) (vparts, error) {
 				build = make(map[value.Key][]int32, nr)
 				for i := 0; i < nr; i++ {
 					kb.Encode(rflat, i, rIdx)
-					if ids, ok := kb.Probe(build); ok {
+					if ids, ok := batch.Probe(kb, build); ok {
 						build[kb.Key()] = append(ids, int32(i))
 					} else {
 						build[kb.Key()] = []int32{int32(i)}
@@ -419,7 +380,7 @@ func (ex *executor) evalJoinVec(n *plan.JoinNode) (vparts, error) {
 					}
 				} else if len(n.RightCols) > 0 {
 					kb.Encode(lb, i, lIdx)
-					ids, _ := kb.Probe(build)
+					ids, _ := batch.Probe(kb, build)
 					cand = append(cand, ids...)
 				} else {
 					cand = append(cand, all...) // cross/theta join
@@ -637,10 +598,7 @@ func (ex *executor) evalRepartitionVec(n *plan.RepartitionNode) (vparts, error) 
 	}
 	op := ex.nextOp()
 	start := time.Now()
-	writers := make([]*batch.Writer, ex.n)
-	for dst := range writers {
-		writers[dst] = batch.NewWriter(len(osch))
-	}
+	writers := newScatter(ex.n, len(osch))
 	for src := 0; src < ex.n; src++ {
 		if n.OneCopy && src != 0 {
 			continue
@@ -655,21 +613,12 @@ func (ex *executor) evalRepartitionVec(n *plan.RepartitionNode) (vparts, error) 
 			if live != nil {
 				wb = b.Select(live)
 			}
-			bn := b.Len()
-			for i := 0; i < bn; i++ {
-				dst := int(batch.HashRow(b, i, idx) % uint64(ex.n))
-				if dst != src {
-					cross++
-				}
-				writers[dst].AppendFrom(wb, i)
-			}
+			cross += writers.add(b, wb, idx, src)
 		}
 		if err := ex.shipBatch(top, op, src, cross, len(osch)); err != nil {
 			// Ship fault mid-scatter: drain the partially filled writers
 			// back into the pool along with the consumed input.
-			for _, w := range writers {
-				batch.ReleaseAll(w.Finish())
-			}
+			releaseParts(writers.finish())
 			releaseParts(in)
 			return nil, err
 		}
@@ -677,9 +626,8 @@ func (ex *executor) evalRepartitionVec(n *plan.RepartitionNode) (vparts, error) 
 	if n.OneCopy {
 		top.SetReadOne()
 	}
-	out := make(vparts, ex.n)
-	for dst := 0; dst < ex.n; dst++ {
-		out[dst] = writers[dst].Finish()
+	out := writers.finish()
+	for dst := range out {
 		rows := batch.Rows(out[dst])
 		top.AddWork(ex.execDst[dst], rows)
 		top.AddOut(ex.execDst[dst], rows)
@@ -687,6 +635,113 @@ func (ex *executor) evalRepartitionVec(n *plan.RepartitionNode) (vparts, error) 
 	top.AddWall(ex.execDst[0], time.Since(start))
 	releaseParts(in) // scatter output is fresh: input batches are dead
 	return out, nil
+}
+
+// evalDistinctByValueVec deduplicates by value: a hash shuffle on the
+// distinct columns so equal rows meet on one partition, then each partition
+// keeps the first row of every value.
+//
+// lint:ship-boundary exchange operator: scatters rows to hash-owner
+// partitions and meters every crossing via shipBatch.
+//
+// lint:batch-owner the returned batch lists transfer to the caller
+func (ex *executor) evalDistinctByValueVec(n *plan.DistinctByValueNode) (vparts, error) {
+	top := ex.tb.Begin(n, trace.KindDistinctByValue)
+	in, err := ex.evalVec(n.Child)
+	if err != nil {
+		return nil, err
+	}
+	ex.addInputsVec(top, in)
+	sch := ex.rw.Schemas[n.Child]
+	idx, err := sch.Indexes(n.Cols)
+	if err != nil {
+		releaseParts(in)
+		return nil, err
+	}
+	op := ex.nextOp()
+	writers := newScatter(ex.n, len(sch))
+	for src, bs := range in {
+		cross := 0
+		for _, b := range bs {
+			cross += writers.add(b, b, idx, src)
+		}
+		if err := ex.shipBatch(top, op, src, cross, len(sch)); err != nil {
+			releaseParts(writers.finish()) // ship fault mid-scatter, as in repartition
+			releaseParts(in)
+			return nil, err
+		}
+	}
+	releaseParts(in) // scatter output is fresh: input batches are dead
+	shuffled := writers.finish()
+	// The survivors are selection-vector views over the shuffled batches,
+	// which therefore die with the output downstream.
+	out, err := forEachPart(ex, top, func(p int) ([]*batch.Batch, int, error) {
+		seen := make(map[value.Key]struct{}, batch.Rows(shuffled[p]))
+		kb := batch.NewKeyBuf(len(idx))
+		var out []*batch.Batch
+		kept := 0
+		for _, b := range shuffled[p] {
+			bn := b.Len()
+			sel := make([]int32, 0, bn)
+			for i := 0; i < bn; i++ { // writer batches are dense: live row i is physical row i
+				kb.Encode(b, i, idx)
+				if _, dup := batch.Probe(kb, seen); !dup {
+					seen[kb.Key()] = struct{}{}
+					sel = append(sel, int32(i))
+				}
+			}
+			if len(sel) > 0 {
+				out = append(out, b.WithSel(sel))
+				kept += len(sel)
+			}
+		}
+		return out, kept, nil
+	})
+	if err != nil {
+		releaseParts(shuffled) // fan-out failed: the survivor views were dropped
+		return nil, err
+	}
+	for p := range out {
+		top.AddDedup(ex.execDst[p], batch.Rows(shuffled[p])-batch.Rows(out[p]))
+	}
+	return out, nil
+}
+
+// scatter is the write half of a hash exchange: one writer per destination
+// partition.
+type scatter []*batch.Writer
+
+func newScatter(n, width int) scatter {
+	s := make(scatter, n)
+	for dst := range s {
+		s[dst] = batch.NewWriter(width)
+	}
+	return s
+}
+
+// add appends every live row of wb — b, or a column selection of it — to the
+// writer of the partition that row's key (columns idx of b) hashes to, and
+// returns how many rows left src.
+func (s scatter) add(b, wb *batch.Batch, idx []int, src int) (cross int) {
+	for i, bn := 0, b.Len(); i < bn; i++ {
+		dst := int(batch.HashRow(b, i, idx) % uint64(len(s)))
+		if dst != src {
+			cross++
+		}
+		s[dst].AppendFrom(wb, i)
+	}
+	return cross
+}
+
+// finish seals the writers into the per-partition outputs.
+//
+// lint:batch-owner the returned batch lists transfer to the caller
+func (s scatter) finish() vparts {
+	out := make(vparts, len(s))
+	for dst, w := range s {
+		out[dst] = w.Finish()
+	}
+	return out
 }
 
 // evalBroadcastVec replicates the full input to every partition. The
@@ -804,7 +859,7 @@ func (ex *executor) evalGatherVec(n *plan.GatherNode) (vparts, error) {
 	}
 	// Shipped rows arrive materialized: compact when the inputs are
 	// selection-vector views or badly fragmented, so downstream work (and
-	// materializeParts at the Result boundary) sees a few dense batches
+	// the Result assembly's AppendRows) sees a few dense batches
 	// instead of hundreds of mostly-empty windows. Dense well-packed
 	// inputs concatenate zero-copy.
 	if sparse || nbatch > 2*(total/batch.Size+1) {

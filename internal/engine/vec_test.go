@@ -64,8 +64,8 @@ func buildVecScenario(t *testing.T, seed int64, popt plan.Options) (*plan.Rewrit
 
 // assertEnginesAgree executes one scenario on the product and on the
 // reference and fails unless rows, Stats, and (when traced) per-operator
-// spans all match.
-func assertEnginesAgree(t *testing.T, seed int64, rw *plan.Rewritten, pdb *table.PartitionedDatabase, opt ExecOptions) {
+// spans all match. It returns the product's result, nil when both failed.
+func assertEnginesAgree(t *testing.T, seed int64, rw *plan.Rewritten, pdb *table.PartitionedDatabase, opt ExecOptions) *Result {
 	t.Helper()
 	vres, verr := ExecuteOpts(rw, pdb, opt)
 	rres, rerr := executeRef(rw, pdb, opt)
@@ -73,10 +73,10 @@ func assertEnginesAgree(t *testing.T, seed int64, rw *plan.Rewritten, pdb *table
 		t.Fatalf("seed %d: engines disagree on failure: vec err=%v row err=%v", seed, verr, rerr)
 	}
 	if verr != nil {
-		return // both failed identically-shaped fault schedules
+		return nil // both failed identically-shaped fault schedules
 	}
-	// Aggregates emit in map-iteration order, which is nondeterministic even
-	// between two runs of the same entry; normalise before comparing.
+	// The product emits groups in first-seen order and the reference in
+	// map-iteration order; normalise before comparing.
 	vres.SortRows()
 	rres.SortRows()
 	if !sameRows(vres.Rows, rres.Rows) {
@@ -97,6 +97,7 @@ func assertEnginesAgree(t *testing.T, seed int64, rw *plan.Rewritten, pdb *table
 				seed, vres.Trace.Totals, rres.Trace.Totals)
 		}
 	}
+	return vres
 }
 
 // rewriteRounds are the rewrite option sets the differential properties
@@ -105,17 +106,23 @@ func assertEnginesAgree(t *testing.T, seed int64, rw *plan.Rewritten, pdb *table
 var rewriteRounds = []plan.Options{{}, {DisableDupIndex: true}}
 
 // seamCoverage counts what the differential sweeps must reach to mean
-// anything about the row/batch seam: columnar operators fed by a lifted
-// row-native output, by the kind of the row-native child, and the two
+// anything about the hand-off from a blocking operator — aggregation, top-k,
+// distinct-by-value, which read their whole input before writing fresh
+// batches — to the streaming operator above it: how often one feeds a
+// streaming operator, by the kind of the blocking child, and the two
 // generated shapes that put one there on purpose — a HAVING filter directly
 // over an aggregate, and a join with an aggregate beneath one of its inputs.
 type seamCoverage struct {
 	overAgg, overTopK, overDistinct int
 	having, aggJoin                 int
+	// What the scans of lost partitions rebuilt, over every query of the
+	// sweep that survived: tuple copies, and the bytes they shipped to the
+	// buddy nodes.
+	recoveredRows, recoveredBytes int64
 }
 
-// rowNative reports whether n is an operator implemented over rows.
-func rowNative(n plan.Node) bool {
+// blocking reports whether n reads its whole input before it emits a row.
+func blocking(n plan.Node) bool {
 	switch n.(type) {
 	case *plan.AggregateNode, *plan.PartialAggNode, *plan.FinalAggNode,
 		*plan.TopKNode, *plan.DistinctByValueNode:
@@ -124,14 +131,22 @@ func rowNative(n plan.Node) bool {
 	return false
 }
 
-func (c *seamCoverage) add(rw *plan.Rewritten) {
+func (c *seamCoverage) add(rw *plan.Rewritten, res *Result) {
+	if res != nil {
+		c.recoveredRows += res.Stats.RecoveredRows
+		res.Trace.Walk(func(op *trace.OpTrace) {
+			if op.Kind == trace.KindScan {
+				c.recoveredBytes += op.Totals.BytesShipped // a scan ships only what it recovers
+			}
+		})
+	}
 	// walk reports whether n's subtree holds an aggregate.
 	var walk func(n, parent plan.Node) bool
 	walk = func(n, parent plan.Node) bool {
 		_, isTopK := n.(*plan.TopKNode)
 		_, isDistinct := n.(*plan.DistinctByValueNode)
-		agg := rowNative(n) && !isTopK && !isDistinct
-		if rowNative(n) && parent != nil && !rowNative(parent) {
+		agg := blocking(n) && !isTopK && !isDistinct
+		if blocking(n) && parent != nil && !blocking(parent) {
 			switch {
 			case isTopK:
 				c.overTopK++
@@ -170,8 +185,7 @@ func sweepEnginesAgree(t *testing.T, rounds, atLeast int, popts []plan.Options, 
 			if rw == nil {
 				continue
 			}
-			assertEnginesAgree(t, seed, rw, pdb, eopt(seed))
-			cov.add(rw)
+			cov.add(rw, assertEnginesAgree(t, seed, rw, pdb, eopt(seed)))
 			executed++
 		}
 		if executed < atLeast {
@@ -181,13 +195,13 @@ func sweepEnginesAgree(t *testing.T, rounds, atLeast int, popts []plan.Options, 
 	return cov
 }
 
-// requireSeamCovered fails a sweep whose plans never put a columnar
-// operator over one of the row-native kinds: it would pass without ever
-// executing the lift.
+// requireSeamCovered fails a sweep whose plans never put a streaming
+// operator over one of the blocking kinds: it would pass without ever
+// reading their output batches.
 func requireSeamCovered(t *testing.T, cov seamCoverage) {
 	t.Helper()
 	if cov.overAgg == 0 || cov.overTopK == 0 || cov.overDistinct == 0 || cov.having == 0 || cov.aggJoin == 0 {
-		t.Fatalf("sweep did not run a columnar operator over every kind of lifted output: %+v", cov)
+		t.Fatalf("sweep did not run a streaming operator over every kind of blocking output: %+v", cov)
 	}
 	t.Logf("seam coverage: %+v", cov)
 }
@@ -219,16 +233,21 @@ func TestVecRowEquivalenceUnderFaults(t *testing.T) {
 }
 
 // TestVecRowEquivalenceUnderNodeLoss adds node-down recovery: lost base
-// partitions reconstruct through the row-based recovery path under both
-// entries, and the columnar scan must lift the recovered rows into batches
-// without perturbing metering.
+// partitions reconstruct through recoverScan under both entries, and the
+// product's scan of a recovered partition — the same projection views a
+// healthy one hands out — must meter exactly as the reference's row scan.
 func TestVecRowEquivalenceUnderNodeLoss(t *testing.T) {
-	sweepEnginesAgree(t, 120, 40, rewriteRounds[:1], func(seed int64) ExecOptions {
+	cov := sweepEnginesAgree(t, 120, 40, rewriteRounds[:1], func(seed int64) ExecOptions {
 		return ExecOptions{
 			Trace: true,
 			Fault: &fault.Policy{Seed: seed, DownNodes: []int{1}, MaxAttempts: 8},
 		}
 	})
+	// Pinned from the row-based recovery scan these sweeps ran before the
+	// scan of a lost partition handed out projection views.
+	if cov.recoveredRows != 723 || cov.recoveredBytes != 21064 {
+		t.Fatalf("recovery metering moved: %d rows, %d bytes recovered over the sweep", cov.recoveredRows, cov.recoveredBytes)
+	}
 }
 
 // TestReferenceRunsRowOperators pins that the differential harness compares

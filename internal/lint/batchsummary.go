@@ -147,7 +147,7 @@ func batchIntrinsic(fn *types.Func) (*cfg.Summary, bool) {
 		// views over the argument's columns: releasing the argument
 		// invalidates them.
 		s.Params[0] = cfg.EffReturnsAlias
-	case "Project", "FromRows":
+	case "Project":
 		s.Results[0] = cfg.ResFresh // dense pooled output, caller-owned
 	case "Finish":
 		if sig.Recv() != nil { // (*Writer).Finish hands over pooled batches
