@@ -39,6 +39,7 @@ import (
 	"pref/internal/engine"
 	"pref/internal/plan"
 	"pref/internal/serve"
+	"pref/internal/table"
 	"pref/internal/tpch"
 )
 
@@ -82,6 +83,9 @@ func run(addr, variant string, sf float64, parts int, seed int64, tenantSpec str
 	if err != nil {
 		return err
 	}
+	// The queries read only the schema (names, dictionary codes) and the
+	// partitions hold their own columns, so the generated rows die here.
+	t = &tpch.TPCH{DB: table.NewDatabase(t.DB.Schema), SF: t.SF}
 	queries := make(map[string]func() plan.Node, len(tpch.QueryNames))
 	for _, q := range tpch.QueryNames {
 		q := q

@@ -350,13 +350,22 @@ func ExtOLTP(p Params) (*Report, error) {
 // singleNodeTxnFraction computes the share of customers whose row, orders,
 // and lineitems all live in one partition.
 func singleNodeTxnFraction(db *table.Database, pdb *table.PartitionedDatabase) float64 {
+	// columns returns the stored columns of every partition of a table.
+	columns := func(tbl string) [][][]int64 {
+		pt := pdb.Tables[tbl]
+		out := make([][][]int64, len(pt.Parts))
+		for p, part := range pt.Parts {
+			out[p] = part.Columns(pt.Meta.NumCols()).Cols
+		}
+		return out
+	}
 	// partition of each customer (first copy).
 	custPart := map[int64]int{}
 	ck := pdb.Tables["customer"].Meta.ColIndex("custkey")
-	for p, part := range pdb.Tables["customer"].Parts {
-		for _, r := range part.Rows {
-			if _, seen := custPart[r[ck]]; !seen {
-				custPart[r[ck]] = p
+	for p, cols := range columns("customer") {
+		for _, cust := range cols[ck] {
+			if _, seen := custPart[cust]; !seen {
+				custPart[cust] = p
 			}
 		}
 	}
@@ -365,18 +374,18 @@ func singleNodeTxnFraction(db *table.Database, pdb *table.PartitionedDatabase) f
 	ok := pdb.Tables["orders"].Meta.ColIndex("orderkey")
 	occ := pdb.Tables["orders"].Meta.ColIndex("custkey")
 	violated := map[int64]bool{}
-	for p, part := range pdb.Tables["orders"].Parts {
-		for _, r := range part.Rows {
-			orderCust[r[ok]] = r[occ]
-			if cp, seen := custPart[r[occ]]; seen && cp != p {
-				violated[r[occ]] = true
+	for p, cols := range columns("orders") {
+		for i, cust := range cols[occ] {
+			orderCust[cols[ok][i]] = cust
+			if cp, seen := custPart[cust]; seen && cp != p {
+				violated[cust] = true
 			}
 		}
 	}
 	lk := pdb.Tables["lineitem"].Meta.ColIndex("orderkey")
-	for p, part := range pdb.Tables["lineitem"].Parts {
-		for _, r := range part.Rows {
-			cust, okk := orderCust[r[lk]]
+	for p, cols := range columns("lineitem") {
+		for _, order := range cols[lk] {
+			cust, okk := orderCust[order]
 			if !okk {
 				continue
 			}

@@ -171,8 +171,8 @@ func (l *Loader) Apply(ops ...Op) (*Commit, error) {
 
 // Recover repairs the store after a crashed batch: it rolls every table
 // touched by pending intents back to its published epoch (discarding
-// torn rows and half-applied fan-outs wholesale), verifies the bitmap/
-// row-length invariants, then replays the pending intents' recorded
+// torn rows and half-applied fan-outs wholesale), verifies the column-
+// length invariants, then replays the pending intents' recorded
 // steps in sequence order and publishes them. After a successful
 // recovery the crashed batch is durable — its epoch exists exactly as if
 // the crash had never happened.
@@ -374,18 +374,14 @@ func (l *Loader) planDelete(it *Intent, pt *table.Partitioned, op Op) error {
 	if err != nil {
 		return err
 	}
-	want := value.MakeKey(op.Vals, idxRange(len(op.Cols)))
 	originals := 0
 	var deleted []value.Tuple
 	for p, part := range pt.Parts {
-		var del []int
-		for i, r := range part.Rows {
-			if value.MakeKey(r, idx) == want {
-				del = append(del, i)
-				if !part.Dup.Get(i) {
-					originals++
-					deleted = append(deleted, r)
-				}
+		del := matching(pt, part, idx, op.Vals)
+		for _, i := range del {
+			if !part.Dup(i) {
+				originals++
+				deleted = append(deleted, part.Row(i))
 			}
 		}
 		if len(del) > 0 {
@@ -436,8 +432,9 @@ func (l *Loader) checkNoDanglingRefs(tbl string, pt *table.Partitioned, deleted 
 			return err
 		}
 		for _, part := range dep.Parts {
-			for _, r := range part.Rows {
-				if keys[value.MakeKey(r, depIdx)] {
+			data := part.Columns(dep.Meta.NumCols()).Cols
+			for i, n := 0, part.Len(); i < n; i++ {
+				if keys[value.MakeKeyAt(data, i, depIdx)] {
 					return fmt.Errorf("bulkload: delete from %s would strand PREF copies in %s (referenced key still in use); delete the %s tuples first", tbl, name, name)
 				}
 			}
@@ -462,13 +459,10 @@ func (l *Loader) planUpdate(it *Intent, pt *table.Partitioned, op Op) error {
 	if err != nil {
 		return err
 	}
-	want := value.MakeKey(op.Vals, idxRange(len(op.Cols)))
 	for p, part := range pt.Parts {
 		var sets []SetRec
-		for i, r := range part.Rows {
-			if value.MakeKey(r, idx) == want {
-				sets = append(sets, SetRec{Row: i, Col: set, Val: op.SetVal})
-			}
+		for _, i := range matching(pt, part, idx, op.Vals) {
+			sets = append(sets, SetRec{Row: i, Col: set, Val: op.SetVal})
 		}
 		if len(sets) > 0 {
 			it.Steps = append(it.Steps, IntentStep{
@@ -483,7 +477,7 @@ func (l *Loader) planUpdate(it *Intent, pt *table.Partitioned, op Op) error {
 // honoring an injected crash stage: CrashMidApply stops cleanly before
 // step stepIdx (earlier steps fully applied), CrashTornApply tears step
 // stepIdx — half its appends land fully, one more row lands without its
-// bitmap entries. Replay calls this with fault.WriteNoCrash.
+// index entries. Replay calls this with fault.WriteNoCrash.
 //
 // lint:intent-boundary the apply stage itself; every caller holds the
 // intent record that covers these writes.
@@ -495,30 +489,21 @@ func (l *Loader) applySteps(it *Intent, stage fault.WriteStage, stepIdx int) err
 		}
 		pt := l.pdb.Tables[st.Table]
 		part := pt.BeginWrite(st.Part)
-		if len(part.Rows) != st.PreLen {
+		if part.Len() != st.PreLen {
 			// lint:invariant — the step was planned against a different
 			// partition image than the one being written.
 			return fmt.Errorf("bulkload: intent %d step %d: %s[%d] has %d rows, planned against %d",
-				it.Seq, j, st.Table, st.Part, len(part.Rows), st.PreLen)
+				it.Seq, j, st.Table, st.Part, part.Len(), st.PreLen)
 		}
-		for _, s := range st.Sets {
-			nr := part.Rows[s.Row].Clone()
-			nr[s.Col] = s.Val
-			part.Rows[s.Row] = nr
+		var col []int64 // private copy of the column the step's sets write
+		for k, s := range st.Sets {
+			if k == 0 || s.Col != st.Sets[k-1].Col {
+				col = part.Writable(s.Col)
+			}
+			col[s.Row] = s.Val
 		}
 		if len(st.Deletes) > 0 {
-			drop := make(map[int]bool, len(st.Deletes))
-			for _, i := range st.Deletes {
-				drop[i] = true
-			}
-			np := table.NewPartition()
-			for i, r := range part.Rows {
-				if drop[i] {
-					continue
-				}
-				np.Append(r, part.Dup.Get(i), part.HasRef.Get(i))
-			}
-			part.ReplaceContents(np)
+			part.Delete(st.Deletes)
 		}
 		if stage == fault.CrashTornApply && j == stepIdx {
 			k := len(st.Appends) / 2
@@ -526,7 +511,7 @@ func (l *Loader) applySteps(it *Intent, stage fault.WriteStage, stepIdx int) err
 				part.Append(a.Row, a.Dup, a.HasRef)
 			}
 			if k < len(st.Appends) {
-				part.Rows = append(part.Rows, st.Appends[k].Row)
+				part.AppendTorn(st.Appends[k].Row)
 			}
 			return fault.ErrWriteCrashed
 		}
@@ -612,9 +597,10 @@ func (l *Loader) targetPartitions(tbl string, ringKey value.Key) ([]int, error) 
 	}
 	var targets []int
 	for p, part := range ref.Parts {
-		for _, r := range part.Rows {
+		data := part.Columns(ref.Meta.NumCols()).Cols
+		for i, n := 0, part.Len(); i < n; i++ {
 			l.ScannedRows++
-			if value.MakeKey(r, cols) == ringKey {
+			if value.MakeKeyAt(data, i, cols) == ringKey {
 				targets = append(targets, p)
 				break
 			}
@@ -739,10 +725,19 @@ func (l *Loader) isPartitioningColumn(tbl, col string) bool {
 	return false
 }
 
-func idxRange(n int) []int {
-	out := make([]int, n)
-	for i := range out {
-		out[i] = i
+// matching returns, ascending, the stored rows of one partition of pt
+// whose columns cols equal vals.
+func matching(pt *table.Partitioned, part *table.Partition, cols []int, vals value.Tuple) []int {
+	data := part.Columns(pt.Meta.NumCols()).Cols
+	var out []int
+rows:
+	for i, n := 0, part.Len(); i < n; i++ {
+		for k, c := range cols {
+			if data[c][i] != vals[k] {
+				continue rows
+			}
+		}
+		out = append(out, i)
 	}
 	return out
 }

@@ -2,6 +2,7 @@ package bulkload
 
 import (
 	"errors"
+	"fmt"
 	"reflect"
 	"sort"
 	"testing"
@@ -78,7 +79,7 @@ func TestLoadMatchesOfflinePartitioner(t *testing.T) {
 			t.Fatalf("%s: offline %d dups vs loaded %d", tbl, a.DuplicateRows(), b.DuplicateRows())
 		}
 		for p := range a.Parts {
-			if !sameRowMultiset(a.Parts[p].Rows, b.Parts[p].Rows) {
+			if !sameRowMultiset(a.Parts[p].Rows(), b.Parts[p].Rows()) {
 				t.Fatalf("%s partition %d differs", tbl, p)
 			}
 		}
@@ -95,11 +96,25 @@ func emptyPDB(db *table.Database, cfg *partition.Config) *table.PartitionedDatab
 	return pdb
 }
 
+// indexCounts reports how many stored copies of a partition carry the dup
+// and the hasRef bit.
+func indexCounts(p *table.Partition) (n [2]int) {
+	for i := 0; i < p.Len(); i++ {
+		if p.Dup(i) {
+			n[0]++
+		}
+		if p.HasRef(i) {
+			n[1]++
+		}
+	}
+	return n
+}
+
 func sameRowMultiset(a, b []value.Tuple) bool {
 	key := func(rows []value.Tuple) []string {
 		out := make([]string, len(rows))
 		for i, r := range rows {
-			out[i] = string(value.MakeKey(r, idxRange(len(r))))
+			out[i] = fmt.Sprint(r)
 		}
 		sort.Strings(out)
 		return out
@@ -149,10 +164,10 @@ func TestInsertOrphanThenPartnerBatches(t *testing.T) {
 	o := pdb.Tables["orders"]
 	found := 0
 	for _, p := range o.Parts {
-		for i, r := range p.Rows {
+		for i, r := range p.Rows() {
 			if r[0] == 999 {
 				found++
-				if p.HasRef.Get(i) {
+				if p.HasRef(i) {
 					t.Fatal("orphan order must have hasRef=0")
 				}
 			}
@@ -176,7 +191,7 @@ func TestInsertOrphanThenPartnerBatches(t *testing.T) {
 	c := pdb.Tables["customer"]
 	copies := 0
 	for _, p := range c.Parts {
-		for _, r := range p.Rows {
+		for _, r := range p.Rows() {
 			if r[0] == 50 {
 				copies++
 			}
@@ -219,7 +234,7 @@ func TestDeleteFansOut(t *testing.T) {
 		t.Fatalf("stored = %d, want %d", got, before-removed)
 	}
 	for _, p := range pdb.Tables["customer"].Parts {
-		for _, r := range p.Rows {
+		for _, r := range p.Rows() {
 			if r[0] == 3 {
 				t.Fatal("customer 3 should be gone from every partition")
 			}
@@ -247,7 +262,7 @@ func TestUpdateRules(t *testing.T) {
 		t.Fatal("no copies updated")
 	}
 	for _, p := range pdb.Tables["customer"].Parts {
-		for _, r := range p.Rows {
+		for _, r := range p.Rows() {
 			if r[0] == 2 && r[1] != 99 {
 				t.Fatal("a copy was not updated")
 			}
@@ -386,12 +401,11 @@ func TestCrashedBatchesRecoverToOracle(t *testing.T) {
 			if err := b.Parts[p].CheckInvariants(); err != nil {
 				t.Fatalf("%s[%d]: %v", tbl, p, err)
 			}
-			if !sameRowMultiset(a.Parts[p].Rows, b.Parts[p].Rows) {
+			if !sameRowMultiset(a.Parts[p].Rows(), b.Parts[p].Rows()) {
 				t.Fatalf("%s partition %d differs from oracle", tbl, p)
 			}
-			if a.Parts[p].Dup.Count() != b.Parts[p].Dup.Count() ||
-				a.Parts[p].HasRef.Count() != b.Parts[p].HasRef.Count() {
-				t.Fatalf("%s partition %d bitmaps differ from oracle", tbl, p)
+			if indexCounts(a.Parts[p]) != indexCounts(b.Parts[p]) {
+				t.Fatalf("%s partition %d index columns differ from oracle", tbl, p)
 			}
 		}
 	}
@@ -413,7 +427,7 @@ func TestSnapshotIsolationAcrossCrash(t *testing.T) {
 	}
 
 	pre := pdb.Snapshot()
-	preRows := len(pre.Parts("orders")[0].Rows) + len(pre.Parts("orders")[1].Rows)
+	preRows := pre.Parts("orders")[0].Len() + pre.Parts("orders")[1].Len()
 
 	l.Faults = fault.NewInjector(fault.Policy{Seed: 3, WriteCrashProb: 1})
 	_, err := l.Apply(Insert("orders", value.Tuple{555, 0}))
@@ -430,7 +444,7 @@ func TestSnapshotIsolationAcrossCrash(t *testing.T) {
 			t.Fatalf("snapshot orders[%d] torn: %v", p, err)
 		}
 	}
-	if got := len(mid.Parts("orders")[0].Rows) + len(mid.Parts("orders")[1].Rows); got != preRows {
+	if got := mid.Parts("orders")[0].Len() + mid.Parts("orders")[1].Len(); got != preRows {
 		t.Fatalf("snapshot sees %d order rows mid-crash, want %d", got, preRows)
 	}
 
@@ -447,7 +461,7 @@ func TestSnapshotIsolationAcrossCrash(t *testing.T) {
 		if err := part.CheckInvariants(); err != nil {
 			t.Fatal(err)
 		}
-		for _, r := range part.Rows {
+		for _, r := range part.Rows() {
 			if r[0] == 555 {
 				found++
 			}
@@ -475,7 +489,7 @@ func TestInsertDeleteReinsertDupBits(t *testing.T) {
 	}
 	partner := map[int]bool{}
 	for p, part := range pdb.Tables["lineitem"].Parts {
-		for _, r := range part.Rows {
+		for _, r := range part.Rows() {
 			if r[1] == 7 {
 				partner[p] = true
 			}
@@ -487,15 +501,15 @@ func TestInsertDeleteReinsertDupBits(t *testing.T) {
 
 	countOrder7 := func() (copies, primaries, dups int) {
 		for _, part := range pdb.Tables["orders"].Parts {
-			for i, r := range part.Rows {
+			for i, r := range part.Rows() {
 				if r[0] == 7 {
 					copies++
-					if part.Dup.Get(i) {
+					if part.Dup(i) {
 						dups++
 					} else {
 						primaries++
 					}
-					if !part.HasRef.Get(i) {
+					if !part.HasRef(i) {
 						t.Fatal("partnered copy must have hasRef=1")
 					}
 				}

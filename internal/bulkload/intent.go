@@ -73,7 +73,7 @@ func Update(tbl string, cols []string, vals value.Tuple, setCol string, setVal i
 }
 
 // AppendRec is one planned physical append: a row plus its dup/hasRef
-// bitmap bits.
+// index bits.
 type AppendRec struct {
 	Row    value.Tuple
 	Dup    bool

@@ -12,14 +12,14 @@ import (
 // Store rules (VerifyStore). Where Verify and VerifyDesign prove the
 // plan and the design, VerifyStore proves the *data*: after any sequence
 // of write batches, crashes, and recoveries, the stored tuple copies and
-// their bitmap indexes must still be exactly what the partitioning
+// their index columns must still be exactly what the partitioning
 // schemes promise. The write path (internal/bulkload) re-establishes
 // these invariants after every recovery; this checker is the independent
 // witness that it did.
 const (
-	// RuleWriteTorn marks partitions whose row slice and bitmap indexes
-	// disagree in length — the physical signature of a write that crashed
-	// between appending a row and appending its bits.
+	// RuleWriteTorn marks partitions whose columns disagree in length — the
+	// physical signature of a write that crashed between appending a row's
+	// values and appending its index bits.
 	RuleWriteTorn Rule = "write-torn"
 	// RuleWriteDup marks duplicate-bit accounting breaches: a stored
 	// value with no primary copy (every copy marked dup), a dup copy not
@@ -78,7 +78,7 @@ func verifyTableStore(pdb *table.PartitionedDatabase, cfg *partition.Config, nam
 			Detail: "table stored but not covered by the partitioning config"}}
 	}
 
-	// Torn partitions first: the per-copy checks below index the bitmaps
+	// Torn partitions first: the per-copy checks below index every column
 	// by row position and need the lengths to agree.
 	var vs Violations
 	for p, part := range pt.Parts {
@@ -121,8 +121,8 @@ func verifySingleCopy(pt *table.Partitioned, ts *partition.TableScheme, n int) V
 	stored := 0
 	for p, part := range pt.Parts {
 		stored += part.Len()
-		for i, row := range part.Rows {
-			if part.Dup.Get(i) || part.HasRef.Get(i) {
+		for i, row := range part.Rows() {
+			if part.Dup(i) || part.HasRef(i) {
 				vs = append(vs, &Violation{Rule: RuleWriteDup, Table: pt.Meta.Name,
 					Detail: fmt.Sprintf("partition %d row %d: dup/hasRef bits set on a %v table",
 						p, i, ts.Method)})
@@ -163,22 +163,22 @@ func verifyReplicated(pt *table.Partitioned) Violations {
 	}
 	multiset := func(part *table.Partition) map[value.Key]int {
 		m := make(map[value.Key]int, part.Len())
-		for _, row := range part.Rows {
+		for _, row := range part.Rows() {
 			m[value.MakeKey(row, allCols)]++
 		}
 		return m
 	}
 	var base map[value.Key]int
 	for p, part := range pt.Parts {
-		for i := range part.Rows {
-			if part.HasRef.Get(i) {
+		for i, n := 0, part.Len(); i < n; i++ {
+			if part.HasRef(i) {
 				vs = append(vs, &Violation{Rule: RuleWriteDup, Table: pt.Meta.Name,
 					Detail: fmt.Sprintf("partition %d row %d: hasRef bit set on a replicated table", p, i)})
 			}
-			if part.Dup.Get(i) != (p > 0) {
+			if part.Dup(i) != (p > 0) {
 				vs = append(vs, &Violation{Rule: RuleWriteDup, Table: pt.Meta.Name,
 					Detail: fmt.Sprintf("partition %d row %d: replicated dup bit = %v, want %v",
-						p, i, part.Dup.Get(i), p > 0)})
+						p, i, part.Dup(i), p > 0)})
 			}
 		}
 		if p == 0 {
@@ -257,8 +257,8 @@ func verifyPref(pdb *table.PartitionedDatabase, cfg *partition.Config, pt *table
 	// delete or torn replay.
 	values := make(map[value.Key]int)
 	for p, part := range pt.Parts {
-		for i, row := range part.Rows {
-			dup, hasRef := part.Dup.Get(i), part.HasRef.Get(i)
+		for i, row := range part.Rows() {
+			dup, hasRef := part.Dup(i), part.HasRef(i)
 			full := value.MakeKey(row, allCols)
 			if !dup {
 				primaries++

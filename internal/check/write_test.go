@@ -81,7 +81,7 @@ func TestVerifyStoreCleanFixture(t *testing.T) {
 func TestVerifyStoreTornPartition(t *testing.T) {
 	pdb, cfg := storeFixture(t)
 	part := pdb.Tables["orders"].Parts[1]
-	part.Rows = append(part.Rows, value.Tuple{99, 99}) // row without bits
+	part.AppendTorn(value.Tuple{99, 99}) // row without bits
 	wantRule(t, pdb, cfg, check.RuleWriteTorn)
 }
 
@@ -97,14 +97,9 @@ func TestVerifyStoreMisplacedHashRow(t *testing.T) {
 		}
 	}
 	src := pt.Parts[from]
-	row := src.Rows[0]
 	to := (from + 1) % len(pt.Parts)
-	pt.Parts[to].Append(row, false, false)
-	np := table.NewPartition()
-	for i := 1; i < src.Len(); i++ {
-		np.Append(src.Rows[i], src.Dup.Get(i), src.HasRef.Get(i))
-	}
-	pt.Parts[from] = np
+	pt.Parts[to].Append(src.Row(0), false, false)
+	src.Delete([]int{0})
 	wantRule(t, pdb, cfg, check.RuleWriteIndex)
 }
 
@@ -125,9 +120,10 @@ func TestVerifyStoreLostPrimary(t *testing.T) {
 	// Flip every primary copy of one stored value to dup: the value
 	// loses its primary and double-counts disappear from OriginalRows.
 	for _, part := range pt.Parts {
-		for i := range part.Rows {
-			if !part.Dup.Get(i) {
-				part.Dup.Set(i, true)
+		dup := part.Columns(2).Cols[2] // the dup column, written in place
+		for i := range dup {
+			if dup[i] == 0 {
+				dup[i] = 1
 				pt.OriginalRows-- // keep the count law out of the way
 			}
 		}
@@ -155,18 +151,13 @@ func TestVerifyStoreReplicatedDivergence(t *testing.T) {
 	pdb, cfg := storeFixture(t)
 	pt := pdb.Tables["nation"]
 	// One replica drops a row: the partition multisets diverge.
-	src := pt.Parts[3]
-	np := table.NewPartition()
-	for i := 1; i < src.Len(); i++ {
-		np.Append(src.Rows[i], src.Dup.Get(i), src.HasRef.Get(i))
-	}
-	pt.Parts[3] = np
+	pt.Parts[3].Delete([]int{0})
 	wantRule(t, pdb, cfg, check.RuleWriteIndex)
 }
 
 func TestVerifyStoreRoundRobinDupBit(t *testing.T) {
 	pdb, cfg := storeFixture(t)
-	pdb.Tables["log"].Parts[0].Dup.Set(0, true)
+	pdb.Tables["log"].Parts[0].Columns(1).Cols[1][0] = 1 // the dup column
 	wantRule(t, pdb, cfg, check.RuleWriteDup)
 }
 

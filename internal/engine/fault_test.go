@@ -229,13 +229,13 @@ func coveredPartition(pt *table.Partitioned) int {
 			continue
 		}
 		ok := true
-		for _, r := range part.Rows {
+		for _, r := range part.Rows() {
 			found := false
 			for q, other := range pt.Parts {
 				if q == p || found {
 					continue
 				}
-				for _, s := range other.Rows {
+				for _, s := range other.Rows() {
 					if reflect.DeepEqual(r, s) {
 						found = true
 						break

@@ -27,19 +27,6 @@ func fuzzScenario(seed int64) (*catalog.Schema, *partition.Config, *table.Databa
 	return s, cfg, db, check.GenQuery(rng, s)
 }
 
-// hasTopK reports whether the plan orders and cuts rows anywhere.
-func hasTopK(n plan.Node) bool {
-	if _, ok := n.(*plan.TopKNode); ok {
-		return true
-	}
-	for _, c := range n.Children() {
-		if hasTopK(c) {
-			return true
-		}
-	}
-	return false
-}
-
 // FuzzPrunedPlanOracle is the native fuzz target over the generated scenario
 // space: a seed (and whether the dup index is on) picks a schema, a PREF
 // design, data and an SPJA query; the pruned rewrite must pass the static
@@ -86,14 +73,6 @@ func FuzzPrunedPlanOracle(f *testing.F) {
 				len(lossy.Rows), len(clean.Rows), rw.Explain())
 		}
 
-		// A top-k breaks ties by the full row, hidden index columns included,
-		// and a single node has none: over a PREF-duplicated join, tied rows
-		// can be cut differently there (corpus entry topk-tied-on-pref-join;
-		// ROADMAP item 6). Until that is settled only plans without a top-k
-		// are held to the single node.
-		if hasTopK(rw.Root) {
-			return
-		}
 		s1, _, db1, q1 := fuzzScenario(seed)
 		one := partition.NewConfig(1)
 		for _, name := range s1.TableNames() {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"sort"
+	"sync/atomic"
 	"time"
 
 	"pref/internal/batch"
@@ -65,8 +66,13 @@ func (ex *executor) addInputs(top *trace.Op, in [][]value.Tuple) {
 	}
 }
 
+// refNodes counts the plan nodes the reference dispatcher has run, for
+// TestReferenceRunsRowOperators.
+var refNodes atomic.Int64
+
 // refEval is the reference dispatcher: every node runs on its row form.
 func (ex *executor) refEval(n plan.Node) ([][]value.Tuple, error) {
+	refNodes.Add(1)
 	switch n := n.(type) {
 	case *plan.ScanNode:
 		return ex.evalScan(n)
@@ -136,21 +142,19 @@ func (ex *executor) evalScan(n *plan.ScanNode) ([][]value.Tuple, error) {
 // scanRows materializes one partition's scan output, appending the hidden
 // dup/hasRef index columns when the scan schema asks for them.
 func scanRows(part *table.Partition, withIndexes bool) []value.Tuple {
-	rows := make([]value.Tuple, 0, len(part.Rows))
+	rows := part.Rows()
 	if withIndexes {
-		for i, r := range part.Rows {
+		for i, r := range rows {
 			nr := make(value.Tuple, len(r)+2)
 			copy(nr, r)
-			if part.Dup.Get(i) {
+			if part.Dup(i) {
 				nr[len(r)] = 1
 			}
-			if part.HasRef.Get(i) {
+			if part.HasRef(i) {
 				nr[len(r)+1] = 1
 			}
-			rows = append(rows, nr)
+			rows[i] = nr
 		}
-	} else {
-		rows = append(rows, part.Rows...)
 	}
 	return rows
 }
@@ -841,6 +845,7 @@ func (ex *executor) evalTopK(n *plan.TopKNode) ([][]value.Tuple, error) {
 	if err != nil {
 		return nil, err
 	}
+	tie := tieOrder(sch)
 	less := func(a, b value.Tuple) bool {
 		for _, t := range terms {
 			if cmp := t.compare(a[t.idx], b[t.idx]); cmp != 0 {
@@ -848,7 +853,7 @@ func (ex *executor) evalTopK(n *plan.TopKNode) ([][]value.Tuple, error) {
 			}
 		}
 		// Deterministic total order: full-row tie-break.
-		for i := range a {
+		for _, i := range tie {
 			if a[i] != b[i] {
 				return a[i] < b[i]
 			}

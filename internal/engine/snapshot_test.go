@@ -67,7 +67,7 @@ func TestQueryReadsPinnedEpochSnapshot(t *testing.T) {
 	// invisible: the query reads its pinned snapshot, not the head.
 	pt := pq.pdb.Tables["customer"]
 	head := pt.BeginWrite(0)
-	head.Rows = append(head.Rows, value.Tuple{77, 7})
+	head.AppendTorn(value.Tuple{77, 7})
 	res2, err := pq.run(t, ExecOptions{})
 	if err != nil {
 		t.Fatal(err)

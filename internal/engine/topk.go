@@ -54,11 +54,27 @@ func (t orderTerm) compare(av, bv int64) int {
 	return cmp
 }
 
+// tieOrder lists a schema's columns in the order a top-k breaks ties by:
+// the visible ones first, so tied rows are cut the same way under every
+// design — a single node has no dup/hasRef columns — then the hidden index
+// columns, which only make the order total.
+func tieOrder(sch plan.Schema) []int {
+	var visible, hidden []int
+	for c, col := range sch {
+		if plan.IsHiddenCol(col.Name) {
+			hidden = append(hidden, c)
+		} else {
+			visible = append(visible, c)
+		}
+	}
+	return append(visible, hidden...)
+}
+
 // evalTopKVec orders each partition's rows by the order terms with the full
-// row as tie-breaker, then truncates to the limit: it sorts references to
-// the input's live rows and copies out only the rows it keeps. The partial
-// pass runs on every partition; the final pass sees rows only at the
-// coordinator after the gather.
+// row as tie-breaker (tieOrder), then truncates to the limit: it sorts
+// references to the input's live rows and copies out only the rows it
+// keeps. The partial pass runs on every partition; the final pass sees rows
+// only at the coordinator after the gather.
 //
 // lint:batch-owner the returned batch lists transfer to the caller
 func (ex *executor) evalTopKVec(n *plan.TopKNode) (vparts, error) {
@@ -74,6 +90,7 @@ func (ex *executor) evalTopKVec(n *plan.TopKNode) (vparts, error) {
 		releaseParts(in) // bind failed: the consumed input is dead
 		return nil, err
 	}
+	tie := tieOrder(sch)
 	type rowRef struct {
 		b *batch.Batch
 		i int // live row of b
@@ -85,7 +102,7 @@ func (ex *executor) evalTopKVec(n *plan.TopKNode) (vparts, error) {
 			}
 		}
 		// Deterministic total order: full-row tie-break.
-		for c := range sch {
+		for _, c := range tie {
 			if xv, yv := x.b.At(x.i, c), y.b.At(y.i, c); xv != yv {
 				return xv < yv
 			}

@@ -15,7 +15,7 @@ import (
 // Rows travel between operators in one form, per-partition lists of ~1k-row
 // columnar batches (vparts), from the scan to the Result assembly in
 // executeCtx, which is the only place a value.Tuple row is built. Scans hand
-// out zero-copy views of the table's cached per-column projection; filter
+// out zero-copy views of the partitions' stored columns; filter
 // and distinct narrow with selection vectors; project, join, the exchanges,
 // aggregation (agg.go) and top-k (topk.go) read their input in place and
 // write fresh batches through a batch.Writer. Each operator has a
@@ -98,10 +98,9 @@ func (ex *executor) liveCols(n plan.Node, natural plan.Schema) (plan.Schema, []i
 	return out, pos, nil
 }
 
-// evalScanVec hands out chunked zero-copy views over the partition's cached
-// columnar projection, built once per published epoch and shared by queries
-// — a lost partition's too, once recoverScan has admitted and metered its
-// reconstruction.
+// evalScanVec hands out chunked zero-copy views over the pinned partition's
+// stored columns — a lost partition's too, once recoverScan has admitted and
+// metered its reconstruction.
 //
 // lint:batch-owner the returned batch lists transfer to the caller
 func (ex *executor) evalScanVec(n *plan.ScanNode) (vparts, error) {

@@ -104,8 +104,8 @@ type Policy struct {
 
 	// WriteCrashProb is the probability that one write batch crashes at
 	// an injected point of its apply path: after the intent is logged,
-	// between fan-out steps, mid-append (a torn write: rows extended,
-	// bitmaps not), or after the last step but before the epoch publishes.
+	// between fan-out steps, mid-append (a torn write: values appended,
+	// index entries not), or after the last step but before the epoch publishes.
 	// The crashed loader surfaces ErrWriteCrashed and must run recovery.
 	WriteCrashProb float64
 	// WriteIndexRaceProb is the probability that a batch's cached §2.3
@@ -344,9 +344,9 @@ const (
 	// CrashMidApply fires between two fan-out steps: a prefix of the
 	// batch's partitions carries the write, the rest does not.
 	CrashMidApply
-	// CrashTornApply fires inside one step's append loop: rows are
-	// extended without their bitmap entries (the torn-page analogue),
-	// violating the Rows/Dup/HasRef length invariant until recovery.
+	// CrashTornApply fires inside one step's append loop: a row's
+	// values land without its index entries (the torn-page analogue),
+	// violating the equal-column-length invariant until recovery.
 	CrashTornApply
 	// CrashBeforePublish fires after the last step, before the batch's
 	// epoch publishes: the head carries the full write, readers never

@@ -60,7 +60,7 @@ func TestStaticAnalysesSoundProperty(t *testing.T) {
 					return false
 				}
 				for p, part := range pdb.Tables[tbl].Parts {
-					for _, r := range part.Rows {
+					for _, r := range part.Rows() {
 						if int(value.HashTuple(r, idx)%uint64(n)) != p {
 							return false
 						}

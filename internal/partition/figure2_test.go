@@ -6,7 +6,9 @@ package partition
 // including the dup and hasS bitmap indexes shown in the figure.
 
 import (
+	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"pref/internal/catalog"
@@ -76,11 +78,55 @@ func buildFigure2(t *testing.T) (l, o, c *table.Partitioned) {
 }
 
 func rowsOf(p *table.Partition) [][]int64 {
-	out := make([][]int64, len(p.Rows))
-	for i, r := range p.Rows {
+	out := make([][]int64, p.Len())
+	for i, r := range p.Rows() {
 		out[i] = []int64(r)
 	}
 	return out
+}
+
+// TestPaperFigure2Placement pins the fixture's full placement — every
+// stored row in stored order with its dup and hasRef bits — to what the
+// partitioner produced while partitions still stored rows and bitmaps.
+func TestPaperFigure2Placement(t *testing.T) {
+	const want = `lineitem[0]
+[0 1] false false
+[3 2] false false
+lineitem[1]
+[1 4] false false
+[4 3] false false
+lineitem[2]
+[2 1] false false
+orders[0]
+[1 1] false true
+[2 1] false true
+orders[1]
+[3 2] false true
+[4 1] false true
+orders[2]
+[1 1] true true
+customer[0]
+[1 1] false true
+[3 3] false false
+customer[1]
+[1 1] true true
+[2 2] false true
+customer[2]
+[1 1] true true
+`
+	l, o, c := buildFigure2(t)
+	var got strings.Builder
+	for _, pt := range []*table.Partitioned{l, o, c} {
+		for p, part := range pt.Parts {
+			fmt.Fprintf(&got, "%s[%d]\n", pt.Meta.Name, p)
+			for i, r := range part.Rows() {
+				fmt.Fprintln(&got, r, part.Dup(i), part.HasRef(i))
+			}
+		}
+	}
+	if got.String() != want {
+		t.Fatalf("placement:\n%swant:\n%s", got.String(), want)
+	}
 }
 
 func TestPaperFigure2Orders(t *testing.T) {
@@ -117,12 +163,12 @@ func TestPaperFigure2Orders(t *testing.T) {
 	if o.DuplicateRows() != 1 {
 		t.Fatalf("orders duplicates = %d, want 1", o.DuplicateRows())
 	}
-	if !o.Parts[2].Dup.Get(0) {
+	if !o.Parts[2].Dup(0) {
 		t.Error("orders copy in P3 must be marked dup=1")
 	}
 	for p, part := range o.Parts {
-		for i := range part.Rows {
-			if !part.HasRef.Get(i) {
+		for i := range part.Rows() {
+			if !part.HasRef(i) {
 				t.Errorf("orders P%d row %d: hasL must be 1", p, i)
 			}
 		}
@@ -139,7 +185,7 @@ func TestPaperFigure2Customer(t *testing.T) {
 	wantKeys := [][]int64{{1, 3}, {1, 2}, {1}}
 	for p, want := range wantKeys {
 		var got []int64
-		for _, r := range c.Parts[p].Rows {
+		for _, r := range c.Parts[p].Rows() {
 			got = append(got, r[0])
 		}
 		// order-insensitive compare
@@ -171,9 +217,9 @@ func TestPaperFigure2Customer(t *testing.T) {
 	hasRefByKey := map[int64][]bool{}
 	dupZeroCount := map[int64]int{}
 	for _, part := range c.Parts {
-		for i, r := range part.Rows {
-			hasRefByKey[r[0]] = append(hasRefByKey[r[0]], part.HasRef.Get(i))
-			if !part.Dup.Get(i) {
+		for i, r := range part.Rows() {
+			hasRefByKey[r[0]] = append(hasRefByKey[r[0]], part.HasRef(i))
+			if !part.Dup(i) {
 				dupZeroCount[r[0]]++
 			}
 		}
@@ -203,11 +249,11 @@ func TestPrefDefinitionCondition1(t *testing.T) {
 	for p := range o.Parts {
 		// referenced keys present in this lineitem partition
 		refKeys := map[int64]bool{}
-		for _, r := range l.Parts[p].Rows {
+		for _, r := range l.Parts[p].Rows() {
 			refKeys[r[1]] = true
 		}
-		for i, r := range o.Parts[p].Rows {
-			if o.Parts[p].HasRef.Get(i) && !refKeys[r[0]] {
+		for i, r := range o.Parts[p].Rows() {
+			if o.Parts[p].HasRef(i) && !refKeys[r[0]] {
 				t.Errorf("orders P%d: tuple %v has no partner in lineitem P%d", p, r, p)
 			}
 		}
@@ -215,7 +261,7 @@ func TestPrefDefinitionCondition1(t *testing.T) {
 		for _, ord := range []value.Tuple{{1, 1}, {2, 1}, {3, 2}, {4, 1}} {
 			if refKeys[ord[0]] {
 				found := false
-				for _, r := range o.Parts[p].Rows {
+				for _, r := range o.Parts[p].Rows() {
 					if r[0] == ord[0] && r[1] == ord[1] {
 						found = true
 					}
@@ -236,7 +282,7 @@ func TestPrefDefinitionCondition2(t *testing.T) {
 		for _, k := range keys {
 			n := 0
 			for _, part := range pt.Parts {
-				for _, r := range part.Rows {
+				for _, r := range part.Rows() {
 					if r[0] == k {
 						n++
 					}

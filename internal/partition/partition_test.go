@@ -74,10 +74,10 @@ func TestApplyChain(t *testing.T) {
 	localPairs := 0
 	for p := range li.Parts {
 		orderKeys := map[int64]bool{}
-		for _, r := range pdb.Tables["orders"].Parts[p].Rows {
+		for _, r := range pdb.Tables["orders"].Parts[p].Rows() {
 			orderKeys[r[0]] = true
 		}
-		for _, r := range li.Parts[p].Rows {
+		for _, r := range li.Parts[p].Rows() {
 			if !orderKeys[r[1]] {
 				t.Fatalf("partition %d: lineitem %v has no local order", p, r)
 			}
@@ -99,10 +99,10 @@ func TestPrefFullLocalityUpChain(t *testing.T) {
 	}
 	for p := range pdb.Tables["orders"].Parts {
 		custKeys := map[int64]bool{}
-		for _, r := range pdb.Tables["customer"].Parts[p].Rows {
+		for _, r := range pdb.Tables["customer"].Parts[p].Rows() {
 			custKeys[r[0]] = true
 		}
-		for _, r := range pdb.Tables["orders"].Parts[p].Rows {
+		for _, r := range pdb.Tables["orders"].Parts[p].Rows() {
 			if !custKeys[r[1]] {
 				t.Fatalf("partition %d: order %v has no local customer", p, r)
 			}
@@ -169,7 +169,7 @@ func TestRangePartitioning(t *testing.T) {
 		t.Fatalf("range sizes = %d/%d/%d, want 3/4/3",
 			c.Parts[0].Len(), c.Parts[1].Len(), c.Parts[2].Len())
 	}
-	for _, r := range c.Parts[0].Rows {
+	for _, r := range c.Parts[0].Rows() {
 		if r[0] >= 3 {
 			t.Fatalf("partition 0 contains %d", r[0])
 		}
@@ -219,8 +219,8 @@ func TestOrphansRoundRobin(t *testing.T) {
 		if o.Parts[p].Len() != 2 {
 			t.Fatalf("orphan spread uneven: partition %d has %d", p, o.Parts[p].Len())
 		}
-		for i := range o.Parts[p].Rows {
-			if o.Parts[p].HasRef.Get(i) {
+		for i := range o.Parts[p].Rows() {
+			if o.Parts[p].HasRef(i) {
 				t.Fatal("orphan must have hasRef=0")
 			}
 		}
@@ -306,7 +306,7 @@ func TestHashEquivalentNoDuplicates(t *testing.T) {
 	}
 	ok := o.Meta.ColIndex("orderkey")
 	for p, part := range o.Parts {
-		for _, r := range part.Rows {
+		for _, r := range part.Rows() {
 			if int(value.MakeKey1(r[ok]).Hash()%5) != p {
 				t.Fatalf("order %v in partition %d, not at its hash position", r, p)
 			}
@@ -472,11 +472,7 @@ func TestPrefInvariantsProperty(t *testing.T) {
 			return false
 		}
 		// Invariant 1: dup=0 count == original cardinality.
-		nonDup := 0
-		for _, p := range pt.Parts {
-			nonDup += p.Len() - p.Dup.Count()
-		}
-		if nonDup != m {
+		if nonDup := pt.StoredRows() - pt.DuplicateRows(); nonDup != m {
 			return false
 		}
 		// Invariant 2: stored >= original.
@@ -486,11 +482,11 @@ func TestPrefInvariantsProperty(t *testing.T) {
 		// Invariant 3: co-location — every hasRef tuple has a local partner.
 		for p := range pt.Parts {
 			keys := map[int64]bool{}
-			for _, r := range ref.Parts[p].Rows {
+			for _, r := range ref.Parts[p].Rows() {
 				keys[r[0]] = true
 			}
-			for i, r := range pt.Parts[p].Rows {
-				if pt.Parts[p].HasRef.Get(i) != keys[r[1]] {
+			for i, r := range pt.Parts[p].Rows() {
+				if pt.Parts[p].HasRef(i) != keys[r[1]] {
 					return false
 				}
 			}

@@ -8,7 +8,7 @@ import (
 )
 
 // Apply partitions every table of db according to the config, producing a
-// partitioned database with populated dup/hasRef bitmap indexes.
+// partitioned database with populated dup/hasRef index columns.
 //
 // Tables are processed referenced-before-referencing so that a PREF table
 // sees the final (possibly duplicated) partitions of its referenced table —
@@ -52,6 +52,15 @@ func applyOne(data *table.Data, cfg *Config, done *table.PartitionedDatabase) (*
 	n := cfg.NumPartitions
 	pt := table.NewPartitioned(data.Meta, n)
 	pt.OriginalRows = data.Len()
+	// An even share plus a little skew; PREF duplicates and range skew
+	// grow past it.
+	share := data.Len()/n + data.Len()/(16*n) + 1
+	if ts.Method == Replicated {
+		share = data.Len()
+	}
+	for _, part := range pt.Parts {
+		part.Reserve(share)
+	}
 
 	switch ts.Method {
 	case Hash:
@@ -176,9 +185,11 @@ func prefPartition(data *table.Data, ts *TableScheme, ref *table.Partitioned, pt
 // also the "partition index" used for bulk loading (Section 2.3).
 func buildPartitionIndex(ref *table.Partitioned, refCols []int) map[value.Key][]int {
 	idx := make(map[value.Key][]int)
+	width := ref.Meta.NumCols()
 	for p, part := range ref.Parts {
-		for _, row := range part.Rows {
-			key := value.MakeKey(row, refCols)
+		data := part.Columns(width).Cols
+		for i, n := 0, part.Len(); i < n; i++ {
+			key := value.MakeKeyAt(data, i, refCols)
 			ps := idx[key]
 			// Partitions are scanned in ascending order, so p is a
 			// duplicate only if it equals the last recorded partition.

@@ -2,7 +2,7 @@
 // paper: the classical schemes (HASH, ROUND-ROBIN, RANGE, REPLICATED) and
 // the paper's contribution, predicate-based reference partitioning (PREF,
 // Definition 1). A Config assigns one scheme per table; Apply materializes
-// a partitioned database with the dup/hasRef bitmap indexes.
+// a partitioned database with the dup/hasRef index columns.
 package partition
 
 import (

@@ -50,9 +50,9 @@ func BuildCopies(parts []*Partition, width int) *CopyIndex {
 	}
 	ids := make(map[value.Key]int32)
 	for p, part := range parts {
-		g := make([]int32, len(part.Rows))
-		for i, r := range part.Rows {
-			k := value.MakeKey(r, cols)
+		g := make([]int32, part.Len())
+		for i := range g {
+			k := value.MakeKeyAt(part.cols, i, cols)
 			id, ok := ids[k]
 			if !ok {
 				id = int32(len(ids))

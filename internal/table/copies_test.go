@@ -57,13 +57,13 @@ func copiesDesigns(n int) map[string]*partition.Config {
 // some partition outside it.
 func missingByDefinition(parts []*table.Partition, p int, down []bool) int {
 	missing := 0
-	for _, r := range parts[p].Rows {
+	for _, r := range parts[p].Rows() {
 		found := false
 		for q, other := range parts {
 			if down[q] {
 				continue
 			}
-			for _, s := range other.Rows {
+			for _, s := range other.Rows() {
 				if reflect.DeepEqual(r, s) {
 					found = true
 					break
@@ -99,11 +99,11 @@ func checkAgainstDefinition(t *testing.T, tag string, v *table.Version, ci *tabl
 		if got, want := ci.Missing(p, alive), missingByDefinition(v.Parts, p, down); got != want {
 			t.Fatalf("%s down=%v partition %d: Missing = %d, definition says %d", tag, down, p, got, want)
 		}
-		for i, r := range v.Parts[p].Rows {
+		for i, r := range v.Parts[p].Rows() {
 			holders := ci.Holders(p, i)
 			for q, other := range v.Parts {
 				stored := false
-				for _, s := range other.Rows {
+				for _, s := range other.Rows() {
 					if reflect.DeepEqual(r, s) {
 						stored = true
 						break

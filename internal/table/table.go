@@ -1,14 +1,16 @@
-// Package table provides in-memory row storage: unpartitioned base tables
-// and partitioned tables whose partitions carry the two PREF bitmap indexes
-// from Section 2 of the paper (dup and hasRef).
+// Package table provides in-memory storage: unpartitioned base tables as
+// rows (the generator's load format) and partitioned tables whose
+// partitions are columns — the table's own, plus the two PREF index columns
+// from Section 2 of the paper (dup and hasRef) — kept once and read in place
+// by the scan.
 package table
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
-	"pref/internal/bitset"
 	"pref/internal/catalog"
 	"pref/internal/value"
 )
@@ -48,54 +50,158 @@ func (d *Data) MustAppend(t value.Tuple) {
 // Len reports the number of rows.
 func (d *Data) Len() int { return len(d.Rows) }
 
-// Partition is one horizontal fragment of a partitioned table. Dup and
-// HasRef are the bitmap indexes of Section 2.1: Dup marks copies beyond a
-// tuple's globally first stored occurrence (so a dup=0 filter eliminates
-// exactly the PREF-induced duplicates), HasRef marks tuples that have at
-// least one partitioning partner in the referenced table (the paper's hasS).
+// Partition is one horizontal fragment of a partitioned table, stored
+// column-major and stored once: one []int64 per table column in schema
+// order, then the two index columns of Section 2.1 as 0/1 vectors. dup
+// marks copies beyond a tuple's globally first stored occurrence (so a
+// dup=0 filter eliminates exactly the PREF-induced duplicates), hasRef
+// marks tuples that have at least one partitioning partner in the
+// referenced table (the paper's hasS). The scan hands the columns out as
+// zero-copy views (Columns); rows are derived on demand (Row, Rows).
+//
+// A published partition is never written. The writer's copy-on-write step
+// is Clone, which shares every column's backing array with its capacity
+// clipped to its length: an append to the clone reallocates, an update
+// copies the one column it sets (Writable), a delete compacts into fresh
+// arrays (Delete).
 type Partition struct {
-	Rows   []value.Tuple
-	Dup    *bitset.Bitset
-	HasRef *bitset.Bitset
-
-	// cols caches the columnar projection (see Columns). A Clone starts
-	// with an empty cache, and Append invalidates by length mismatch.
-	cols atomic.Pointer[Columnar]
+	cols [][]int64
 }
 
-// NewPartition returns an empty partition with empty bitmap indexes.
-func NewPartition() *Partition {
-	return &Partition{Dup: bitset.New(0), HasRef: bitset.New(0)}
+// Columnar is a view of a partition's columns.
+type Columnar struct {
+	// Cols holds width+2 vectors: the table columns in schema order, then
+	// dup, then hasRef. Read-only: they are the partition's storage.
+	Cols [][]int64
+	// NRows is the partition row count.
+	NRows int
+}
+
+// NewPartition returns an empty partition of a table with width columns.
+func NewPartition(width int) *Partition {
+	return &Partition{cols: make([][]int64, width+2)}
+}
+
+// Reserve makes room for rows stored tuples, so a bulk build that knows
+// about how many are coming does not grow the columns step by step.
+func (p *Partition) Reserve(rows int) {
+	for j, c := range p.cols {
+		p.cols[j] = slices.Grow(c, max(0, rows-len(c)))
+	}
 }
 
 // Append stores one tuple copy with its index bits.
 func (p *Partition) Append(t value.Tuple, dup, hasRef bool) {
-	p.Rows = append(p.Rows, t)
-	p.Dup.Append(dup)
-	p.HasRef.Append(hasRef)
+	p.AppendTorn(t)
+	p.cols[len(t)] = append(p.cols[len(t)], flag(dup))
+	p.cols[len(t)+1] = append(p.cols[len(t)+1], flag(hasRef))
+}
+
+// AppendTorn stores a tuple's values without its index entries: the state
+// a write leaves behind when it crashes between the two, which the fault
+// injector reproduces and CheckInvariants reports.
+func (p *Partition) AppendTorn(t value.Tuple) {
+	if len(t) != len(p.cols)-2 {
+		// lint:invariant
+		panic(fmt.Sprintf("table: row arity %d appended to a partition of width %d", len(t), len(p.cols)-2))
+	}
+	for j, v := range t {
+		p.cols[j] = append(p.cols[j], v)
+	}
+}
+
+func flag(b bool) int64 {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // Len reports the number of stored tuple copies.
-func (p *Partition) Len() int { return len(p.Rows) }
+func (p *Partition) Len() int { return len(p.cols[0]) }
 
-// Clone returns a copy-on-write clone: the row slice and bitmaps are
-// copied, the tuples themselves (immutable by convention) are shared.
+// Row derives stored tuple i from the columns.
+func (p *Partition) Row(i int) value.Tuple {
+	t := make(value.Tuple, len(p.cols)-2)
+	for j := range t {
+		t[j] = p.cols[j][i]
+	}
+	return t
+}
+
+// Rows derives every stored tuple, in stored order.
+func (p *Partition) Rows() []value.Tuple {
+	out := make([]value.Tuple, p.Len())
+	for i := range out {
+		out[i] = p.Row(i)
+	}
+	return out
+}
+
+// Dup reports the dup index bit of stored tuple i.
+func (p *Partition) Dup(i int) bool { return p.cols[len(p.cols)-2][i] != 0 }
+
+// HasRef reports the hasRef index bit of stored tuple i.
+func (p *Partition) HasRef(i int) bool { return p.cols[len(p.cols)-1][i] != 0 }
+
+// Columns returns the partition's columns for a table of the given width.
+// Safe for concurrent readers on frozen partitions — the only partitions a
+// query can reach through a DBSnapshot, since the write path clones shared
+// partitions (BeginWrite) before mutating.
+func (p *Partition) Columns(width int) *Columnar {
+	if len(p.cols) != width+2 {
+		// lint:invariant
+		panic(fmt.Sprintf("table: partition of width %d read as width %d", len(p.cols)-2, width))
+	}
+	return &Columnar{Cols: p.cols, NRows: p.Len()}
+}
+
+// Clone returns the copy-on-write clone the writer mutates in place of a
+// published partition (see Partition).
 func (p *Partition) Clone() *Partition {
-	rows := make([]value.Tuple, len(p.Rows))
-	copy(rows, p.Rows)
-	return &Partition{Rows: rows, Dup: p.Dup.Clone(), HasRef: p.HasRef.Clone()}
+	cols := make([][]int64, len(p.cols))
+	for j, c := range p.cols {
+		cols[j] = c[:len(c):len(c)]
+	}
+	return &Partition{cols: cols}
+}
+
+// Writable replaces column col with a private copy and returns it for the
+// writer to overwrite values in.
+func (p *Partition) Writable(col int) []int64 {
+	p.cols[col] = slices.Clone(p.cols[col])
+	return p.cols[col]
+}
+
+// Delete drops the stored tuples at the given ascending row indexes.
+func (p *Partition) Delete(rows []int) {
+	for j, c := range p.cols {
+		kept := make([]int64, 0, len(c)-len(rows))
+		drop := rows
+		for i, v := range c {
+			if len(drop) > 0 && drop[0] == i {
+				drop = drop[1:]
+				continue
+			}
+			kept = append(kept, v)
+		}
+		p.cols[j] = kept
+	}
 }
 
 // CheckInvariants is the cheap corruption guard of the write path: every
-// stored row must carry exactly one dup bit and one hasRef bit. A torn
-// write (rows extended, bitmaps not — or the reverse) breaks it.
+// stored row must carry exactly one value per column, one dup bit and one
+// hasRef bit. A torn write (values appended, index entries not — or the
+// reverse) breaks it.
 func (p *Partition) CheckInvariants() error {
-	if p.Dup == nil || p.HasRef == nil {
-		return fmt.Errorf("table: partition bitmaps not initialized")
+	if len(p.cols) < 2 {
+		return fmt.Errorf("table: partition columns not initialized")
 	}
-	if p.Dup.Len() != len(p.Rows) || p.HasRef.Len() != len(p.Rows) {
-		return fmt.Errorf("table: torn partition: %d rows, %d dup bits, %d hasRef bits",
-			len(p.Rows), p.Dup.Len(), p.HasRef.Len())
+	for j, c := range p.cols {
+		if len(c) != len(p.cols[0]) {
+			return fmt.Errorf("table: torn partition: %d rows, %d entries in column %d of %d",
+				len(p.cols[0]), len(c), j, len(p.cols))
+		}
 	}
 	return nil
 }
@@ -155,7 +261,7 @@ type Partitioned struct {
 func NewPartitioned(meta *catalog.Table, n int) *Partitioned {
 	parts := make([]*Partition, n)
 	for i := range parts {
-		parts[i] = NewPartition()
+		parts[i] = NewPartition(meta.NumCols())
 	}
 	return &Partitioned{Meta: meta, Parts: parts}
 }
@@ -238,9 +344,9 @@ func (pt *Partitioned) publishLocked(epoch int64) int64 {
 // ResetToPublished discards all head mutations since the last publication,
 // restoring every partition (and OriginalRows) from the published version.
 // This is the write path's rollback: a crash can leave the head torn —
-// partially applied fan-outs, rows without bitmap entries — but published
-// epochs are immutable, so restoring from them repairs every row-length
-// and bitmap invariant at once. Returns the number of head row copies
+// partially applied fan-outs, values without index entries — but published
+// epochs are immutable, so restoring from them repairs every column-length
+// invariant at once. Returns the number of head row copies
 // discarded. A table never published has nothing to roll back.
 func (pt *Partitioned) ResetToPublished() int {
 	v := pt.pub.Load()
@@ -279,7 +385,9 @@ func (pt *Partitioned) StoredRows() int {
 func (pt *Partitioned) DuplicateRows() int {
 	n := 0
 	for _, p := range pt.Parts {
-		n += p.Dup.Count()
+		for _, d := range p.cols[len(p.cols)-2] {
+			n += int(d)
+		}
 	}
 	return n
 }

@@ -26,21 +26,18 @@ func TestDataAppend(t *testing.T) {
 }
 
 func TestPartitionBitmaps(t *testing.T) {
-	p := NewPartition()
+	p := NewPartition(2)
 	p.Append(value.Tuple{1, 10}, false, true)
 	p.Append(value.Tuple{1, 10}, true, true)
 	p.Append(value.Tuple{2, 20}, false, false)
 	if p.Len() != 3 {
 		t.Fatalf("Len = %d", p.Len())
 	}
-	if p.Dup.Count() != 1 {
-		t.Fatalf("dup count = %d", p.Dup.Count())
-	}
-	if p.HasRef.Count() != 2 {
-		t.Fatalf("hasRef count = %d", p.HasRef.Count())
-	}
-	if !p.Dup.Get(1) || p.Dup.Get(0) || p.Dup.Get(2) {
+	if !p.Dup(1) || p.Dup(0) || p.Dup(2) {
 		t.Fatal("dup bits wrong")
+	}
+	if !p.HasRef(0) || !p.HasRef(1) || p.HasRef(2) {
+		t.Fatal("hasRef bits wrong")
 	}
 }
 
@@ -99,19 +96,19 @@ func TestDatabaseRedundancy(t *testing.T) {
 }
 
 func TestCheckInvariants(t *testing.T) {
-	p := NewPartition()
+	p := NewPartition(2)
 	p.Append(value.Tuple{1, 10}, false, true)
 	p.Append(value.Tuple{2, 20}, true, false)
 	if err := p.CheckInvariants(); err != nil {
 		t.Fatalf("intact partition: %v", err)
 	}
-	// A torn write: row appended without its bitmap entries.
-	p.Rows = append(p.Rows, value.Tuple{3, 30})
+	// A torn write: row appended without its index entries.
+	p.AppendTorn(value.Tuple{3, 30})
 	if err := p.CheckInvariants(); err == nil {
 		t.Fatal("torn partition must fail CheckInvariants")
 	}
 	if err := (&Partition{}).CheckInvariants(); err == nil {
-		t.Fatal("nil bitmaps must fail CheckInvariants")
+		t.Fatal("a partition without columns must fail CheckInvariants")
 	}
 }
 
@@ -165,10 +162,10 @@ func TestResetToPublishedRepairsTornHead(t *testing.T) {
 	pt.OriginalRows = 1
 	pt.Snapshot() // anchor epoch 0
 
-	// Tear the head: one partition gets a row without bitmap entries, the
+	// Tear the head: one partition gets a row without index entries, the
 	// other a fully applied row — a mid-fan-out crash.
 	p0 := pt.BeginWrite(0)
-	p0.Rows = append(p0.Rows, value.Tuple{9, 90})
+	p0.AppendTorn(value.Tuple{9, 90})
 	p1 := pt.BeginWrite(1)
 	p1.Append(value.Tuple{8, 80}, false, false)
 	pt.OriginalRows = 7
@@ -205,10 +202,10 @@ func TestDatabaseCommitIsAtomic(t *testing.T) {
 		t.Fatalf("Commit epoch = %d, want 1", e)
 	}
 	s1 := pdb.Snapshot()
-	if s1.Epoch != 1 || len(s1.Parts("t")[0].Rows) != 1 {
+	if s1.Epoch != 1 || s1.Parts("t")[0].Len() != 1 {
 		t.Fatal("snapshot after commit missing the published write")
 	}
-	if len(s0.Parts("t")[0].Rows) != 0 {
+	if s0.Parts("t")[0].Len() != 0 {
 		t.Fatal("pre-commit snapshot observed the write")
 	}
 	if s0.Parts("missing") != nil {

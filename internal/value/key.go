@@ -16,6 +16,15 @@ func MakeKey(t Tuple, cols []int) Key {
 	return Key(buf)
 }
 
+// MakeKeyAt builds the key MakeKey builds, from row i of column-major data.
+func MakeKeyAt(data [][]int64, i int, cols []int) Key {
+	buf := make([]byte, 8*len(cols))
+	for k, c := range cols {
+		binary.LittleEndian.PutUint64(buf[k*8:], uint64(data[c][i]))
+	}
+	return Key(buf)
+}
+
 // MakeKey1 builds a single-column key without a column-index slice.
 func MakeKey1(v int64) Key {
 	var buf [8]byte

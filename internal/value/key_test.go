@@ -29,6 +29,16 @@ func TestMakeKey1MatchesMakeKey(t *testing.T) {
 	}
 }
 
+func TestMakeKeyAtMatchesMakeKey(t *testing.T) {
+	f := func(a, b, c int64) bool {
+		data := [][]int64{{0, a}, {0, b}, {0, c}}
+		return MakeKeyAt(data, 1, []int{2, 0}) == MakeKey(Tuple{a, b, c}, []int{2, 0})
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestHashTupleMatchesKeyHash(t *testing.T) {
 	f := func(vals []int64) bool {
 		if len(vals) == 0 {

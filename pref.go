@@ -9,7 +9,7 @@
 //   - Schema and data modeling (Schema, Table, Database) with
 //     dictionary-encoded values;
 //   - The partitioning schemes (HASH, ROUND-ROBIN, RANGE, REPLICATED and
-//     PREF) with the dup/hasRef bitmap indexes of the paper's Section 2;
+//     PREF) with the dup/hasRef indexes of the paper's Section 2;
 //   - The schema-driven (SchemaDriven) and workload-driven
 //     (WorkloadDriven) automated design algorithms of Sections 3–4,
 //     including redundancy estimation from (optionally sampled) join-key
@@ -127,7 +127,7 @@ const (
 func NewConfig(n int) *Config { return partition.NewConfig(n) }
 
 // Apply partitions a database under a configuration, producing the
-// partitioned database with populated dup/hasRef bitmap indexes.
+// partitioned database with populated dup/hasRef indexes.
 func Apply(db *Database, cfg *Config) (*PartitionedDatabase, error) {
 	return partition.Apply(db, cfg)
 }
