@@ -1,13 +1,15 @@
 // Command preflint runs the repository's custom analyzers (internal/lint)
 // over the module and exits nonzero if any diagnostic fires. It is the CI
 // companion to go vet: vet checks generic Go mistakes, preflint checks
-// this codebase's own invariants — panic policy, context threading,
-// Prop slice aliasing, partition-state ownership, goroutine joining, and
-// ship accounting — plus the
-// CFG/typestate protocol analyzers built on internal/lint/cfg:
-// publish ordering, snapshot read discipline, the bulk-load intent
-// protocol, guard-field happens-before, batch immutability, and the
-// interprocedural batch ownership/lifetime typestate.
+// this codebase's own invariants — panic policy, context threading, Prop
+// slice aliasing, partition-state ownership, goroutine joining, and ship
+// accounting — plus the analyzers built on internal/lint/cfg: publish
+// ordering, snapshot read discipline, the bulk-load intent protocol,
+// guard-field happens-before, and the interprocedural batch lifetime
+// typestate, which also keeps batches immutable outside their package.
+//
+// An analyzer name retired from the roster (atomicdiscipline,
+// batchownership) is unknown to -only/-skip and exits 2.
 //
 // Usage:
 //

@@ -9,7 +9,7 @@
 // projection writes into a new (pooled) batch. This batch-ownership rule is
 // what lets a scan hand out zero-copy views of table storage — the same
 // arrays every concurrent query reads — and is pinned by the
-// batchownership lint analyzer.
+// batchlifetime lint analyzer.
 //
 // Column vectors for materialized (non-view) batches come from a sync.Pool
 // arena keyed to the default batch capacity, so steady-state execution

@@ -2,6 +2,7 @@ package lint
 
 import (
 	"go/ast"
+	"go/token"
 	"go/types"
 	"sort"
 	"strings"
@@ -17,15 +18,29 @@ import (
 // released, and the analyzer reports paths that use it after release,
 // release it twice, leak it at return or falloff, let it escape into
 // long-lived state, or write through a zero-copy view of its storage.
+//
+// It also owns the batch-write rule (see package batch): a batch's columns
+// and selection vector may be shared zero-copy with table storage and with
+// every downstream operator, so only the batch package may write through a
+// Batch. Everywhere else a filter narrows with a fresh selection vector and
+// a projection writes into a new batch; an assignment through
+// batch-reachable state (b.Sel = …, b.Cols[c][i] = …, &b.Cols[c]) would
+// rewrite rows under a concurrent query sharing the same storage view, or
+// under a retried attempt replaying the same input.
 var BatchLifetime = &Analyzer{
 	Name: "batchlifetime",
 	Doc: "batch ownership typestate: pooled batches must be released exactly once\n" +
 		"on every path, never used after release, never escape into long-lived\n" +
-		"state while owned, and never be written through zero-copy views;\n" +
-		"ownership transfers follow interprocedural summaries (lint:batch-owner\n" +
-		"and lint:batch-borrow declare contracts the body is checked against)",
+		"state while owned, and never be written through, directly or via\n" +
+		"zero-copy views, outside the batch package; ownership transfers follow\n" +
+		"interprocedural summaries (lint:batch-owner and lint:batch-borrow\n" +
+		"declare contracts the body is checked against)",
 	Run: runBatchLifetime,
 }
+
+// batchPkgSuffix identifies the owning package by import path, so the rules
+// exempt it (and apply to every other package in the module).
+const batchPkgSuffix = "internal/batch"
 
 // Typestate bits per tracked variable. A variable may carry several on a
 // merged path; checks that would misfire on a may-state (use-after-release,
@@ -67,9 +82,16 @@ func mergeState(s, o stateMap) bool {
 }
 
 func runBatchLifetime(p *Pass) error {
-	// The batch package is the trusted base layer (its intrinsics define the
-	// contracts); everything that never imports it cannot hold a batch.
-	if strings.HasSuffix(p.Pkg.Path(), batchPkgSuffix) || !importsBatchPkg(p) {
+	// The batch package is the trusted base layer: its intrinsics define the
+	// contracts and it owns the arrays it hands out.
+	if strings.HasSuffix(p.Pkg.Path(), batchPkgSuffix) {
+		return nil
+	}
+	// A package can write through a batch a callee handed it without
+	// importing batch itself, so direct writes are checked everywhere.
+	checkDirectWrites(p)
+	// The typestate tracks batch-typed variables, which take the import.
+	if !importsBatchPkg(p) {
 		return nil
 	}
 	sums := newBatchSummaries(p)
@@ -189,16 +211,6 @@ func checkBatchLifetime(p *Pass, sums *batchSummaries, fn ast.Node, decl *ast.Fu
 	}
 }
 
-func funcBody(fn ast.Node) *ast.BlockStmt {
-	switch d := fn.(type) {
-	case *ast.FuncDecl:
-		return d.Body
-	case *ast.FuncLit:
-		return d.Body
-	}
-	return nil
-}
-
 // walkBlock replays one block's nodes against cur, mutating it; in report
 // mode it emits diagnostics (the states are final then).
 func (c *lifetimeChecker) walkBlock(b *cfg.Block, cur stateMap, report bool) {
@@ -228,13 +240,13 @@ func (c *lifetimeChecker) visit(n ast.Node, cur stateMap, report bool) {
 			c.handleCall(m.Call, cur, report, true)
 			return false
 		case *ast.GoStmt:
-			c.handleGo(m, cur, report)
+			c.apply(m, cur, report, false)
 			return false
 		case *ast.CallExpr:
 			c.handleCall(m, cur, report, false)
 			return true
-		case *ast.AssignStmt:
-			c.handleAssign(m, cur, report)
+		case *ast.AssignStmt, *ast.SendStmt:
+			c.apply(m, cur, report, false)
 			return true
 		case *ast.ValueSpec:
 			c.handleValueSpec(m, cur)
@@ -246,9 +258,6 @@ func (c *lifetimeChecker) visit(n ast.Node, cur stateMap, report bool) {
 			if report {
 				c.checkAliasWrite(m.X, m)
 			}
-			return true
-		case *ast.SendStmt:
-			c.handleSend(m, cur, report)
 			return true
 		case *ast.FuncLit:
 			// A closure holding a batch may be the one that releases it;
@@ -271,7 +280,9 @@ func (c *lifetimeChecker) discharge(cur stateMap, roots varset) {
 	}
 }
 
-// handleCall applies a call's summary effects to the current state.
+// handleCall checks the two call shapes only the typestate cares about (an
+// append into a view, a callback that may release its companions), then
+// applies the call's summary effects to the current state.
 func (c *lifetimeChecker) handleCall(call *ast.CallExpr, cur stateMap, report, isDefer bool) {
 	if isBuiltinAppend(c.p, call) && report && len(call.Args) > 0 {
 		c.checkAliasWrite(call.Args[0], call)
@@ -292,18 +303,24 @@ func (c *lifetimeChecker) handleCall(call *ast.CallExpr, cur stateMap, report, i
 			}
 		}
 	}
-	sum := c.sc.lookup(cfg.StaticCallee(c.p.TypesInfo, call))
-	if sum == nil {
-		return
-	}
-	for _, slot := range c.sc.callArgSlots(call) {
-		eff := sum.Param(slot.idx)
-		if eff.Has(cfg.EffConsume) {
-			c.consumeArg(slot.expr, call, cur, report, isDefer)
-		}
-		if eff.Has(cfg.EffEscape) {
-			c.escapeRoots(c.sc.rootVars(slot.expr), call, cur, report,
-				"passed to a callee that stores it beyond the call")
+	c.apply(call, cur, report, isDefer)
+}
+
+// apply replays one node's ownership events (batchScope.events) against
+// cur, in source order.
+func (c *lifetimeChecker) apply(n ast.Node, cur stateMap, report, isDefer bool) {
+	for _, ev := range c.sc.events(n) {
+		switch ev.kind {
+		case evBind:
+			c.bind(ev.lhs.(*ast.Ident), ev.expr, ev.pos, cur)
+		case evStore:
+			if report {
+				c.checkAliasWrite(ev.lhs, ev.at)
+			}
+		case evConsume:
+			c.consumeArg(ev, cur, report, isDefer)
+		case evEscape:
+			c.escapeRoots(ev.roots, ev.at, cur, report, ev.how)
 		}
 	}
 }
@@ -312,8 +329,8 @@ func (c *lifetimeChecker) handleCall(call *ast.CallExpr, cur stateMap, report, i
 // A plain identifier dies (flow-sensitively); a compound expression
 // (bs[i], w.Finish()) discharges its roots without killing a variable. A
 // deferred consume only discharges: the value stays live until exit.
-func (c *lifetimeChecker) consumeArg(arg ast.Expr, at ast.Node, cur stateMap, report, isDefer bool) {
-	if id, ok := ast.Unparen(arg).(*ast.Ident); ok {
+func (c *lifetimeChecker) consumeArg(ev batchEvent, cur stateMap, report, isDefer bool) {
+	if id, ok := ast.Unparen(ev.expr).(*ast.Ident); ok {
 		if v := c.sc.trackedVar(id); v != nil {
 			c.skip[id] = true
 			if isDefer {
@@ -321,7 +338,7 @@ func (c *lifetimeChecker) consumeArg(arg ast.Expr, at ast.Node, cur stateMap, re
 				return
 			}
 			if report && cur[v]&stReleased != 0 && cur[v]&(stOwned|stView) == 0 {
-				c.p.Report(at, "batch %s is already released on every path to this call (double release)", v.Name())
+				c.p.Report(ev.at, "batch %s is already released on every path to this call (double release)", v.Name())
 			}
 			// Everything absorbed into v goes down with it; v itself is
 			// dead, not merely discharged.
@@ -334,7 +351,7 @@ func (c *lifetimeChecker) consumeArg(arg ast.Expr, at ast.Node, cur stateMap, re
 			return
 		}
 	}
-	c.discharge(cur, c.sc.rootVars(arg))
+	c.discharge(cur, ev.roots)
 }
 
 // escapeRoots reports owned batches flowing into state that outlives the
@@ -352,81 +369,96 @@ func (c *lifetimeChecker) escapeRoots(roots varset, at ast.Node, cur stateMap, r
 	c.discharge(cur, roots)
 }
 
-func (c *lifetimeChecker) handleGo(g *ast.GoStmt, cur stateMap, report bool) {
-	roots := varset{}
-	for _, a := range g.Call.Args {
-		roots.addAll(c.sc.rootVars(a))
+// bind starts a tracked variable's state at a definition: owned when rhs is
+// a fresh batch from a call (result pos), a borrowed view otherwise.
+func (c *lifetimeChecker) bind(id *ast.Ident, rhs ast.Expr, pos int, cur stateMap) {
+	v := c.sc.trackedVar(id)
+	if v == nil {
+		return
 	}
-	if lit, ok := ast.Unparen(g.Call.Fun).(*ast.FuncLit); ok {
-		roots.addAll(c.sc.capturedTracked(lit))
-	}
-	c.escapeRoots(roots, g, cur, report, "handed to a goroutine that may outlive this frame")
-}
-
-func (c *lifetimeChecker) handleSend(s *ast.SendStmt, cur stateMap, report bool) {
-	c.escapeRoots(c.sc.rootVars(s.Value), s, cur, report, "sent on a channel")
-}
-
-func (c *lifetimeChecker) handleAssign(as *ast.AssignStmt, cur stateMap, report bool) {
-	for i, lhs := range as.Lhs {
-		rhs, pos := as.Rhs[0], i
-		if len(as.Lhs) == len(as.Rhs) {
-			rhs, pos = as.Rhs[i], 0
-		}
-		switch l := ast.Unparen(lhs).(type) {
-		case *ast.Ident:
-			if v := c.sc.trackedVar(l); v != nil {
-				c.skip[l] = true
-				if c.sc.isFreshCall(rhs, pos) {
-					cur[v] = stOwned
-				} else {
-					cur[v] = stView
-				}
-			}
-		case *ast.IndexExpr:
-			if report {
-				c.checkAliasWrite(l, as)
-			}
-		case *ast.SelectorExpr:
-			if fieldObj(c.p, l) != nil {
-				c.escapeRoots(c.sc.rootVars(rhs), as, cur, report, "stored into a struct field")
-			}
-		}
+	c.skip[id] = true
+	if c.sc.isFreshCall(rhs, pos) {
+		cur[v] = stOwned
+	} else {
+		cur[v] = stView
 	}
 }
 
 func (c *lifetimeChecker) handleValueSpec(vs *ast.ValueSpec, cur stateMap) {
 	for i, name := range vs.Names {
-		v := c.sc.trackedVar(name)
-		if v == nil {
-			continue
+		var rhs ast.Expr
+		if i < len(vs.Values) {
+			rhs = vs.Values[i]
 		}
-		c.skip[name] = true
-		if i < len(vs.Values) && c.sc.isFreshCall(vs.Values[i], 0) {
-			cur[v] = stOwned
-		} else {
-			cur[v] = stView
-		}
+		c.bind(name, rhs, 0, cur)
 	}
 }
 
 func (c *lifetimeChecker) handleRange(r *ast.RangeStmt, cur stateMap) {
 	for _, e := range []ast.Expr{r.Key, r.Value} {
-		id, ok := e.(*ast.Ident)
-		if !ok {
-			continue
-		}
-		if v := c.sc.trackedVar(id); v != nil {
-			c.skip[id] = true
-			cur[v] = stView
+		if id, ok := e.(*ast.Ident); ok {
+			c.bind(id, nil, 0, cur) // range elements are views of r.X
 		}
 	}
 }
 
+// checkDirectWrites reports writes whose target reaches its storage through
+// a Batch-typed expression, in every function of the package.
+func checkDirectWrites(p *Pass) {
+	for _, f := range p.Files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.AssignStmt:
+				for _, lhs := range n.Lhs {
+					checkDirectWrite(p, n, lhs)
+				}
+			case *ast.IncDecStmt:
+				checkDirectWrite(p, n, n.X)
+			case *ast.UnaryExpr:
+				// &b.Cols[c] escapes a mutable reference to shared state;
+				// taking the address of batch internals counts as a write.
+				if n.Op == token.AND {
+					checkDirectWrite(p, n, n.X)
+				}
+			}
+			return true
+		})
+	}
+}
+
+// checkDirectWrite reports when the written expression's chain (selectors,
+// indexes, derefs) contains a strict sub-expression of type batch.Batch or
+// *batch.Batch. Rebinding a batch variable itself (b = …) is fine — that
+// writes the variable, not the shared arrays behind it.
+func checkDirectWrite(p *Pass, at ast.Node, lhs ast.Expr) {
+	for {
+		var x ast.Expr
+		switch e := lhs.(type) {
+		case *ast.SelectorExpr:
+			x = e.X
+		case *ast.IndexExpr:
+			x = e.X
+		case *ast.StarExpr:
+			x = e.X
+		case *ast.ParenExpr:
+			lhs = e.X
+			continue
+		default:
+			return
+		}
+		if isBatchType(exprType(p, x)) {
+			p.Report(at, "write through batch %s violates batch ownership; narrow with a fresh selection vector or write into a new batch (see package batch)",
+				exprString(x))
+			return
+		}
+		lhs = x
+	}
+}
+
 // checkAliasWrite reports a mutation reaching batch storage through a
-// derived plain-slice view (cols := b.Cols; cols[0][i] = x). Writes whose
-// left side names a batch directly are batchownership's beat; this rule
-// covers the laundering through an intermediate variable.
+// derived plain-slice view (cols := b.Cols; cols[0][i] = x): the
+// laundering of a direct write (checkDirectWrite) through an intermediate
+// variable.
 func (c *lifetimeChecker) checkAliasWrite(target ast.Expr, at ast.Node) {
 	if v := c.sc.rootDerived(ast.Unparen(target)); v != nil {
 		c.p.Report(at, "write through %s mutates pooled batch storage via a zero-copy view; copy the column or write into a fresh batch", v.Name())
@@ -475,7 +507,7 @@ func (c *lifetimeChecker) returnedRoots(ret *ast.ReturnStmt) varset {
 func (c *lifetimeChecker) leakCheck(at ast.Node, returned varset, cur stateMap, where string) {
 	out := c.sc.closure(returned)
 	ret, _ := at.(*ast.ReturnStmt)
-	for _, v := range sortedStateVars(cur) {
+	for _, v := range sortedVars(cur) {
 		st := cur[v]
 		if st&stOwned == 0 || st&(stReleased|stDischarged) != 0 || out[v] {
 			continue
@@ -558,16 +590,9 @@ func (c *lifetimeChecker) fallsOff(b *cfg.Block) bool {
 	return true
 }
 
-func sortedVars(s varset) []*types.Var {
-	out := make([]*types.Var, 0, len(s))
-	for v := range s {
-		out = append(out, v)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Pos() < out[j].Pos() })
-	return out
-}
-
-func sortedStateVars(s stateMap) []*types.Var {
+// sortedVars returns a var set's or state map's variables in declaration
+// order, so diagnostics come out deterministically.
+func sortedVars[V any](s map[*types.Var]V) []*types.Var {
 	out := make([]*types.Var, 0, len(s))
 	for v := range s {
 		out = append(out, v)

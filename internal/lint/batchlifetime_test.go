@@ -13,6 +13,13 @@ var update = flag.Bool("update", false, "rewrite golden files")
 
 func TestBatchLifetimeFixtures(t *testing.T) { runWantDir(t, BatchLifetime) }
 
+// TestBatchOwnershipFixtures pins the write-side ownership checks (writes
+// through shared, borrowed or retained batches) that batchlifetime absorbed
+// from the former batchownership analyzer.
+func TestBatchOwnershipFixtures(t *testing.T) {
+	runWantIn(t, BatchLifetime, "batchlifetime_writes")
+}
+
 // TestBatchLifetimeSummariesGolden pins the interprocedural summaries the
 // analyzer computes for the fixture package: one line per function with a
 // tracked signature, bottom-up over the call graph. Run with -update to

@@ -10,14 +10,14 @@ import (
 
 // batchScope is the flow-insensitive half of batchlifetime's analysis of
 // one function body: which local variables may alias which others
-// (origins), which were produced fresh, which plain slices are views into
-// batch storage (derived), and where batches are consumed or escape. The
-// flow-sensitive typestate pass (batchlifetime.go) and the summary
-// computation (batchsummary.go) both read it. Aliasing is deliberately
-// may-analysis over assignments: it is used to *discharge* obligations
-// (returning an alias hands the underlying batches to the caller), so
-// over-approximating keeps false positives out at the cost of missing
-// some leaks.
+// (origins), which were produced fresh, and which plain slices are views
+// into batch storage (derived). It also owns the one event classifier
+// (events) that the flow-sensitive typestate pass (batchlifetime.go) and
+// the summary computation (batchsummary.go) both read. Aliasing is
+// deliberately may-analysis over assignments: it is used to *discharge*
+// obligations (returning an alias hands the underlying batches to the
+// caller), so over-approximating keeps false positives out at the cost of
+// missing some leaks.
 type batchScope struct {
 	p      *Pass
 	lookup func(*types.Func) *cfg.Summary
@@ -27,16 +27,81 @@ type batchScope struct {
 	tracked varset                // every tracked var mentioned
 	derived varset                // plain slices aliasing batch storage
 
-	consumed []event // consume events (roots per call argument)
-	escaped  []event // escape events (field store, send, go capture)
-
 	sliceDefs []sliceDef // slice-kind assignments, for the derived fixpoint
 }
 
-// event is one consume/escape occurrence and the root vars it affects.
-type event struct {
+// eventKind classifies one batchEvent.
+type eventKind uint8
+
+const (
+	evBind    eventKind = iota // lhs, an identifier, is bound to result pos of expr
+	evStore                    // lhs, an element or pointee, is overwritten with expr
+	evConsume                  // a consuming callee takes expr
+	evEscape                   // roots flow into state that outlives the frame
+)
+
+// batchEvent is one ownership event of a call, assignment, go or send.
+type batchEvent struct {
+	kind  eventKind
 	at    ast.Node
-	roots varset
+	lhs   ast.Expr // evBind, evStore
+	expr  ast.Expr // evBind, evStore: the value; evConsume: the argument
+	pos   int      // evBind: the callee result position of a multi-value call
+	roots varset   // evConsume, evEscape
+	how   string   // evEscape: where the value goes, for diagnostics
+}
+
+// events classifies one node into its ownership events, in source order.
+// The summary pass turns consume and escape events into parameter effects
+// and bind and store events into alias origins; the typestate pass replays
+// all four against its per-path state.
+func (sc *batchScope) events(n ast.Node) []batchEvent {
+	var out []batchEvent
+	switch n := n.(type) {
+	case *ast.AssignStmt:
+		for i, lhs := range n.Lhs {
+			rhs, pos := n.Rhs[0], i
+			if len(n.Lhs) == len(n.Rhs) {
+				rhs, pos = n.Rhs[i], 0
+			}
+			switch l := ast.Unparen(lhs).(type) {
+			case *ast.Ident:
+				out = append(out, batchEvent{kind: evBind, at: n, lhs: l, expr: rhs, pos: pos})
+			case *ast.IndexExpr, *ast.StarExpr:
+				out = append(out, batchEvent{kind: evStore, at: n, lhs: l.(ast.Expr), expr: rhs})
+			case *ast.SelectorExpr:
+				if fieldObj(sc.p, l) != nil {
+					out = append(out, batchEvent{kind: evEscape, at: n, roots: sc.rootVars(rhs), how: "stored into a struct field"})
+				}
+			}
+		}
+	case *ast.CallExpr:
+		sum := sc.lookup(cfg.StaticCallee(sc.p.TypesInfo, n))
+		if sum == nil {
+			return nil
+		}
+		for _, slot := range sc.callArgSlots(n) {
+			eff := sum.Param(slot.idx)
+			if eff.Has(cfg.EffConsume) {
+				out = append(out, batchEvent{kind: evConsume, at: n, expr: slot.expr, roots: sc.rootVars(slot.expr)})
+			}
+			if eff.Has(cfg.EffEscape) {
+				out = append(out, batchEvent{kind: evEscape, at: n, roots: sc.rootVars(slot.expr), how: "passed to a callee that stores it beyond the call"})
+			}
+		}
+	case *ast.GoStmt:
+		roots := varset{}
+		for _, a := range n.Call.Args {
+			roots.addAll(sc.rootVars(a))
+		}
+		if lit, ok := ast.Unparen(n.Call.Fun).(*ast.FuncLit); ok {
+			roots.addAll(sc.capturedTracked(lit))
+		}
+		out = append(out, batchEvent{kind: evEscape, at: n, roots: roots, how: "handed to a goroutine that may outlive this frame"})
+	case *ast.SendStmt:
+		out = append(out, batchEvent{kind: evEscape, at: n, roots: sc.rootVars(n.Value), how: "sent on a channel"})
+	}
+	return out
 }
 
 type sliceDef struct {
@@ -66,7 +131,7 @@ func (sc *batchScope) trackedVar(id *ast.Ident) *types.Var {
 }
 
 // collect walks one function body (a *ast.FuncDecl or *ast.FuncLit)
-// accumulating edges and events. With skipFuncLits the walk stays inside
+// accumulating alias edges. With skipFuncLits the walk stays inside
 // the lexical function (nested literals are separate scopes for the
 // typestate pass); without it, closures count toward the enclosing
 // function (the summary view: what can calling this function do).
@@ -90,7 +155,21 @@ func (sc *batchScope) collect(fn ast.Node, skipFuncLits bool) {
 				sc.tracked.add(v)
 			}
 		case *ast.AssignStmt:
-			sc.collectAssign(n)
+			for _, ev := range sc.events(n) {
+				switch ev.kind {
+				case evBind:
+					sc.collectDef(ev.lhs, ev.expr, ev.pos)
+				case evStore:
+					// Absorb: writing a tracked value into a tracked container
+					// (out[p] = bs) moves the obligation into the container.
+					for d := range sc.rootVars(ev.lhs) {
+						if sc.origins[d] == nil {
+							sc.origins[d] = varset{}
+						}
+						sc.origins[d].addAll(sc.rootVars(ev.expr))
+					}
+				}
+			}
 		case *ast.RangeStmt:
 			sc.collectRange(n)
 		case *ast.ValueSpec:
@@ -98,23 +177,6 @@ func (sc *batchScope) collect(fn ast.Node, skipFuncLits bool) {
 				if i < len(n.Values) {
 					sc.collectDef(name, n.Values[i], 0)
 				}
-			}
-		case *ast.CallExpr:
-			sc.collectCall(n)
-		case *ast.SendStmt:
-			if roots := sc.rootVars(n.Value); len(roots) > 0 {
-				sc.escaped = append(sc.escaped, event{n, roots})
-			}
-		case *ast.GoStmt:
-			roots := varset{}
-			for _, a := range n.Call.Args {
-				roots.addAll(sc.rootVars(a))
-			}
-			if lit, ok := ast.Unparen(n.Call.Fun).(*ast.FuncLit); ok {
-				roots.addAll(sc.capturedTracked(lit))
-			}
-			if len(roots) > 0 {
-				sc.escaped = append(sc.escaped, event{n, roots})
 			}
 		}
 		return true
@@ -161,35 +223,6 @@ func (sc *batchScope) collectDef(lhs ast.Expr, rhs ast.Expr, pos int) {
 	}
 }
 
-func (sc *batchScope) collectAssign(as *ast.AssignStmt) {
-	for i, lhs := range as.Lhs {
-		rhs, pos := as.Rhs[0], i
-		if len(as.Lhs) == len(as.Rhs) {
-			rhs, pos = as.Rhs[i], 0
-		}
-		switch l := ast.Unparen(lhs).(type) {
-		case *ast.Ident:
-			sc.collectDef(l, rhs, pos)
-		case *ast.IndexExpr, *ast.StarExpr:
-			// Absorb: writing a tracked value into a tracked container
-			// (out[p] = bs) moves the obligation into the container.
-			for d := range sc.rootVars(l.(ast.Expr)) {
-				if sc.origins[d] == nil {
-					sc.origins[d] = varset{}
-				}
-				sc.origins[d].addAll(sc.rootVars(rhs))
-			}
-		case *ast.SelectorExpr:
-			// Storing a tracked value into a struct field is an escape.
-			if fieldObj(sc.p, l) != nil {
-				if roots := sc.rootVars(rhs); len(roots) > 0 {
-					sc.escaped = append(sc.escaped, event{as, roots})
-				}
-			}
-		}
-	}
-}
-
 func (sc *batchScope) collectRange(r *ast.RangeStmt) {
 	for _, e := range []ast.Expr{r.Key, r.Value} {
 		if e == nil {
@@ -207,26 +240,6 @@ func (sc *batchScope) collectRange(r *ast.RangeStmt) {
 			sc.origins[v].addAll(sc.rootVars(r.X))
 		} else if obj, ok := sc.p.TypesInfo.Defs[id].(*types.Var); ok && isStorageSlice(obj.Type()) {
 			sc.sliceDefs = append(sc.sliceDefs, sliceDef{obj, r.X})
-		}
-	}
-}
-
-func (sc *batchScope) collectCall(call *ast.CallExpr) {
-	sum := sc.lookup(cfg.StaticCallee(sc.p.TypesInfo, call))
-	if sum == nil {
-		return
-	}
-	for _, slot := range sc.callArgSlots(call) {
-		eff := sum.Param(slot.idx)
-		if eff.Has(cfg.EffConsume) {
-			if roots := sc.rootVars(slot.expr); len(roots) > 0 {
-				sc.consumed = append(sc.consumed, event{call, roots})
-			}
-		}
-		if eff.Has(cfg.EffEscape) {
-			if roots := sc.rootVars(slot.expr); len(roots) > 0 {
-				sc.escaped = append(sc.escaped, event{call, roots})
-			}
 		}
 	}
 }

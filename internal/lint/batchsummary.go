@@ -55,6 +55,23 @@ func isTrackedBatch(t types.Type) bool {
 	return isBatchType(t)
 }
 
+// isBatchType reports whether t is batch.Batch or a pointer to it.
+func isBatchType(t types.Type) bool {
+	if t == nil {
+		return false
+	}
+	if ptr, ok := t.Underlying().(*types.Pointer); ok {
+		t = ptr.Elem()
+	}
+	named, ok := types.Unalias(t).(*types.Named)
+	if !ok {
+		return false
+	}
+	obj := named.Obj()
+	return obj.Name() == "Batch" && obj.Pkg() != nil &&
+		strings.HasSuffix(obj.Pkg().Path(), batchPkgSuffix)
+}
+
 // varset is a set of local variables (params included).
 type varset map[*types.Var]bool
 
@@ -84,6 +101,11 @@ func newBatchSummaries(p *Pass) *batchSummaries {
 // foreign function without batch intrinsics) — callers treat unknown as
 // borrow-everything with aliasing results.
 func (bs *batchSummaries) summaryFor(fn *types.Func) *cfg.Summary {
+	return bs.resolve(fn, func(fn *types.Func) *cfg.Summary { return bs.solved[fn] })
+}
+
+// resolve is summaryFor with the bottom-up summaries read through get.
+func (bs *batchSummaries) resolve(fn *types.Func, get func(*types.Func) *cfg.Summary) *cfg.Summary {
 	if fn == nil {
 		return nil
 	}
@@ -95,7 +117,7 @@ func (bs *batchSummaries) summaryFor(fn *types.Func) *cfg.Summary {
 			return s
 		}
 	}
-	return bs.solved[fn]
+	return get(fn)
 }
 
 // summarySlots lists the parameter variables a summary indexes: the
@@ -222,21 +244,7 @@ func (bs *batchSummaries) compute(n *cfg.FuncNode, get func(*types.Func) *cfg.Su
 		return s
 	}
 
-	lookup := func(fn *types.Func) *cfg.Summary {
-		if fn == nil {
-			return nil
-		}
-		if is, ok := batchIntrinsic(fn); ok {
-			return is
-		}
-		if nd := bs.cg.Node(fn); nd != nil {
-			if ms, ok := markerSummary(nd.Decl, fn); ok {
-				return ms
-			}
-		}
-		return get(fn)
-	}
-	sc := newBatchScope(bs.p, lookup)
+	sc := newBatchScope(bs.p, func(fn *types.Func) *cfg.Summary { return bs.resolve(fn, get) })
 	// The whole declaration, closures included: a closure's release or
 	// escape of a parameter is the function's effect too.
 	sc.collect(n.Decl, false)
@@ -255,12 +263,17 @@ func (bs *batchSummaries) compute(n *cfg.FuncNode, get func(*types.Func) *cfg.Su
 			}
 		}
 	}
-	for _, c := range sc.consumed {
-		mark(c.roots, cfg.EffConsume)
-	}
-	for _, e := range sc.escaped {
-		mark(e.roots, cfg.EffEscape)
-	}
+	ast.Inspect(n.Decl.Body, func(m ast.Node) bool {
+		for _, ev := range sc.events(m) {
+			switch ev.kind {
+			case evConsume:
+				mark(ev.roots, cfg.EffConsume)
+			case evEscape:
+				mark(ev.roots, cfg.EffEscape)
+			}
+		}
+		return true
+	})
 
 	// Result kinds from the function's own returns (closure returns belong
 	// to the closure). Bare returns classify through the named result vars.

@@ -164,39 +164,29 @@ func checkHappensBefore(p *Pass, fn *ast.FuncDecl, guards map[*types.Var][]strin
 
 // classifyGuardEvent recognizes, relative to one (base, guarded field)
 // domain: acquires of any listed guard on the same base (atomic Load,
-// mutex Lock/RLock, atomic.LoadX(&base.g)), releases (Unlock/RUnlock),
-// and accesses of the guarded field itself.
+// mutex Lock/RLock), releases (Unlock/RUnlock), and accesses of the
+// guarded field itself.
 func classifyGuardEvent(p *Pass, n ast.Node, base types.Object, field *types.Var, guardSet map[string]bool) (int, bool) {
 	switch n := n.(type) {
 	case *ast.CallExpr:
-		if recv, name := methodCall(n); recv != nil {
-			sel, ok := recv.(*ast.SelectorExpr)
-			if !ok || !guardSet[sel.Sel.Name] || recvBase(p, sel.X) != base {
-				return 0, false
-			}
-			t := exprType(p, recv)
-			switch name {
-			case "Load", "CompareAndSwap", "Swap":
-				if typeFromPkg(t, "sync/atomic") {
-					return hbEvAcquire, true
-				}
-			case "Lock", "RLock":
-				if typeFromPkg(t, "sync") {
-					return hbEvAcquire, true
-				}
-			case "Unlock", "RUnlock":
-				if typeFromPkg(t, "sync") {
-					return hbEvRelease, true
-				}
-			}
+		recv, name := methodCall(n)
+		sel, ok := recv.(*ast.SelectorExpr)
+		if !ok || !guardSet[sel.Sel.Name] || recvBase(p, sel.X) != base {
 			return 0, false
 		}
-		if pkgPath, name := calleePkgFunc(p, n); pkgPath == "sync/atomic" && len(n.Args) > 0 {
-			if len(name) > 4 && name[:4] == "Load" {
-				if sel := addressedField(n.Args[0]); sel != nil &&
-					guardSet[sel.Sel.Name] && recvBase(p, sel.X) == base {
-					return hbEvAcquire, true
-				}
+		t := exprType(p, recv)
+		switch name {
+		case "Load", "CompareAndSwap", "Swap":
+			if typeFromPkg(t, "sync/atomic") {
+				return hbEvAcquire, true
+			}
+		case "Lock", "RLock":
+			if typeFromPkg(t, "sync") {
+				return hbEvAcquire, true
+			}
+		case "Unlock", "RUnlock":
+			if typeFromPkg(t, "sync") {
+				return hbEvRelease, true
 			}
 		}
 	case *ast.SelectorExpr:

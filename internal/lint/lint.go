@@ -23,9 +23,6 @@
 //   - partownership: per-partition state may only be indexed by the
 //     owning partition's id; cross-partition access lives only in
 //     functions declared "// lint:ship-boundary".
-//   - batchownership: columnar batches are immutable outside the batch
-//     package; operators narrow with fresh selection vectors or write
-//     into new batches, never through a batch they received.
 //   - goroutinescope: every goroutine in the execution packages joins a
 //     WaitGroup and can observe the query's cancellation.
 //   - shipaccounting: code that moves rows across partitions meters them
@@ -35,8 +32,8 @@
 // The protocol analyzers (publishorder, snapshotdiscipline,
 // intentprotocol, happensbefore) go beyond per-statement checks: they run
 // on the intraprocedural CFG/dataflow substrate in internal/lint/cfg
-// (basic blocks, dominance, reaching definitions, typestate machines) and
-// verify the write-path ordering protocols PR 6 introduced:
+// (basic blocks, reaching definitions, typestate machines) and verify the
+// write-path ordering protocols PR 6 introduced:
 //
 //   - publishorder: no mutation of version-visible state on any path after
 //     the atomic epoch store — the publish is a release point, so all
@@ -58,9 +55,12 @@
 // recursion (internal/lint/cfg's CallGraph + Summary), and each body is
 // then checked flow-sensitively against its callees' contracts: pooled
 // batches must be released exactly once on every path, never used after
-// release, never escape while owned, and never be written through
-// zero-copy views. lint:batch-owner / lint:batch-borrow markers declare
-// contracts at trust boundaries.
+// release, and never escape while owned. It also holds the one
+// batch-write rule: outside the batch package nothing writes through a
+// Batch, directly (b.Sel = …) or through a zero-copy view of its columns.
+// lint:batch-owner / lint:batch-borrow markers declare contracts at trust
+// boundaries. propalias's alias-returning functions are solved on the same
+// CallGraph.
 //
 // Suppressions: a "//lint:ignore <analyzer> <reason>" comment on the
 // diagnostic's line or the line above silences that analyzer there. A
@@ -130,7 +130,7 @@ type Analyzer struct {
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
 		InvariantPanic, CtxThread, PropAlias,
-		PartOwnership, BatchOwnership, GoroutineScope, ShipAccounting,
+		PartOwnership, GoroutineScope, ShipAccounting,
 		PublishOrder, SnapshotDiscipline, IntentProtocol, HappensBefore,
 		BatchLifetime,
 	}
@@ -311,20 +311,6 @@ func sanctioned(p *Pass, marked map[string]map[int]bool, n ast.Node) bool {
 // functions from the own-partition indexing rule; shipaccounting requires
 // the marker on functions that call the ship meter.
 const shipBoundaryMarker = "lint:ship-boundary"
-
-// isShipBoundary reports whether a function declaration is marked as a
-// sanctioned ship boundary in its doc comment.
-func isShipBoundary(fn *ast.FuncDecl) bool {
-	if fn == nil || fn.Doc == nil {
-		return false
-	}
-	for _, cm := range fn.Doc.List {
-		if strings.Contains(cm.Text, shipBoundaryMarker) {
-			return true
-		}
-	}
-	return false
-}
 
 // PackageDirs walks root and returns every directory containing at least
 // one non-test .go file, skipping VCS metadata and testdata trees. Shared

@@ -73,11 +73,17 @@ func runWant(t *testing.T, filename, src string, analyzers []*Analyzer) {
 	checkWants(t, filename, wantsOf(t, src), diags)
 }
 
-// runWantDir analyzes an on-disk fixture package under testdata/src with a
-// single analyzer, against the want annotations in its files.
+// runWantDir analyzes the on-disk fixture package named after the analyzer.
 func runWantDir(t *testing.T, a *Analyzer) {
 	t.Helper()
-	dir := filepath.Join("testdata", "src", a.Name)
+	runWantIn(t, a, a.Name)
+}
+
+// runWantIn analyzes the on-disk fixture package testdata/src/<name> with a
+// single analyzer, against the want annotations in its files.
+func runWantIn(t *testing.T, a *Analyzer, name string) {
+	t.Helper()
+	dir := filepath.Join("testdata", "src", name)
 	diags, err := RunDir(dir, []*Analyzer{a})
 	if err != nil {
 		t.Fatalf("%s: %v", dir, err)
@@ -107,7 +113,6 @@ func runWantDir(t *testing.T, a *Analyzer) {
 func TestPartOwnershipFixtures(t *testing.T)  { runWantDir(t, PartOwnership) }
 func TestGoroutineScopeFixtures(t *testing.T) { runWantDir(t, GoroutineScope) }
 func TestShipAccountingFixtures(t *testing.T) { runWantDir(t, ShipAccounting) }
-func TestBatchOwnershipFixtures(t *testing.T) { runWantDir(t, BatchOwnership) }
 
 func TestInvariantPanicFixtures(t *testing.T) {
 	const src = `package engine
@@ -256,7 +261,7 @@ func transfer(np, cp *Prop, cols []string) {
 	np.DupCols = append([]string(nil), cols...)
 	np.HashCols = nil
 	np.DupCols = []string{"a", "b"}
-	// lint:alias-ok both props die at the end of this scope
+	//lint:ignore propalias both props die at the end of this scope
 	np.HashCols = cp.HashCols
 	np.DupCols = cols[1:] // want "DupCols assigned from an existing slice"
 }

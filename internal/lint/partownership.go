@@ -61,7 +61,7 @@ func runPartOwnership(p *Pass) error {
 			checkOwnership(p, fn.Body, ownCtx{
 				name:      fn.Name.Name,
 				partParam: partitionParam(p, fn.Recv, fn.Type),
-				boundary:  isShipBoundary(fn),
+				boundary:  hasFuncMarker(fn, shipBoundaryMarker),
 			})
 		}
 	}
@@ -176,18 +176,4 @@ func isPartState(p *Pass, e ast.Expr) bool {
 		return true
 	}
 	return false
-}
-
-// exprString renders a short expression for diagnostics (identifier or
-// selector chains; anything else is elided).
-func exprString(e ast.Expr) string {
-	switch e := e.(type) {
-	case *ast.Ident:
-		return e.Name
-	case *ast.SelectorExpr:
-		return exprString(e.X) + "." + e.Sel.Name
-	case *ast.ParenExpr:
-		return exprString(e.X)
-	}
-	return "per-partition state"
 }

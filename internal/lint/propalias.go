@@ -3,6 +3,8 @@ package lint
 import (
 	"go/ast"
 	"go/types"
+
+	"pref/internal/lint/cfg"
 )
 
 // propSliceFields are the plan.Prop []string fields with copy-on-write
@@ -25,8 +27,8 @@ var propSliceFields = map[string]bool{
 // closes the documented call false-negative: a call to a function that
 // returns one of its slice parameters — or a Prop field — unchanged is an
 // alias, not a fresh slice. nil, slice literals, append, and clone-style
-// calls are fine; a deliberate alias can be sanctioned with
-// "// lint:alias-ok".
+// calls are fine; a deliberate alias is sanctioned like any other finding,
+// with "//lint:ignore propalias <reason>".
 var PropAlias = &Analyzer{
 	Name: "propalias",
 	Doc:  "Prop.HashCols/DupCols must be set from freshly allocated slices (clone, append, literal), never aliased from another slice",
@@ -38,8 +40,8 @@ func runPropAlias(p *Pass) error {
 	if len(targets) == 0 {
 		return nil
 	}
-	aliasFns := aliasReturners(p, targets)
-	marked := markerLines(p, "lint:alias-ok")
+	solved := aliasReturners(p, targets)
+	get := func(fn *types.Func) *cfg.Summary { return solved[fn] }
 	for _, f := range p.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch n := n.(type) {
@@ -56,8 +58,8 @@ func runPropAlias(p *Pass) error {
 					if fld == nil || !targets[fld] {
 						continue
 					}
-					if why := aliasingExpr(p, aliasFns, n.Rhs[i]); why != "" && !sanctioned(p, marked, n) {
-						p.Report(n, "%s assigned from %s; clone it (or mark // lint:alias-ok)", sel.Sel.Name, why)
+					if why := aliasingExpr(p, get, n.Rhs[i]); why != "" {
+						p.Report(n, "%s assigned from %s; clone it", sel.Sel.Name, why)
 					}
 				}
 			case *ast.CompositeLit:
@@ -74,8 +76,8 @@ func runPropAlias(p *Pass) error {
 					if !ok || !fld.IsField() || !targets[fld] {
 						continue
 					}
-					if why := aliasingExpr(p, aliasFns, kv.Value); why != "" && !sanctioned(p, marked, kv) {
-						p.Report(kv, "%s initialized from %s; clone it (or mark // lint:alias-ok)", key.Name, why)
+					if why := aliasingExpr(p, get, kv.Value); why != "" {
+						p.Report(kv, "%s initialized from %s; clone it", key.Name, why)
 					}
 				}
 			}
@@ -134,56 +136,50 @@ func isStringSlice(t types.Type) bool {
 	return ok && b.Kind() == types.String
 }
 
-// aliasReturners finds this package's functions that return an aliasing
-// view of caller-owned memory: a return statement whose result is (after
-// unwrapping parens and subslicing) one of the function's own slice
-// parameters, a targeted Prop field, or a call to another alias returner.
-// Iterates to a fixpoint so aliases laundered through one wrapper are
+// aliasReturners solves, bottom-up over the package call graph, which of
+// this package's functions return an aliasing view of caller-owned memory:
+// a result position is cfg.ResAlias when some return statement yields
+// (after unwrapping parens and subslicing) one of the function's own slice
+// parameters, a targeted Prop field, or a call to another alias returner —
+// so aliases laundered through wrappers, recursive ones included, are
 // still caught.
-func aliasReturners(p *Pass, targets map[*types.Var]bool) map[types.Object]bool {
-	fns := map[types.Object]bool{}
-	for {
-		grew := false
-		for _, f := range p.Files {
-			for _, decl := range f.Decls {
-				fn, ok := decl.(*ast.FuncDecl)
-				if !ok || fn.Body == nil {
-					continue
-				}
-				obj := p.TypesInfo.Defs[fn.Name]
-				if obj == nil || fns[obj] {
-					continue
-				}
-				params := paramObjs(p, fn)
-				aliases := false
-				ast.Inspect(fn.Body, func(n ast.Node) bool {
-					if aliases {
-						return false
+func aliasReturners(p *Pass, targets map[*types.Var]bool) map[*types.Func]*cfg.Summary {
+	cg := cfg.NewCallGraph(p.Files, p.TypesInfo)
+	return cg.Solve(func(n *cfg.FuncNode, get func(*types.Func) *cfg.Summary) *cfg.Summary {
+		s := &cfg.Summary{Results: make([]cfg.ResultKind, n.Fn.Type().(*types.Signature).Results().Len())}
+		if len(s.Results) == 0 {
+			return s
+		}
+		params := paramObjs(p, n.Decl)
+		ast.Inspect(n.Decl.Body, func(m ast.Node) bool {
+			if _, ok := m.(*ast.FuncLit); ok {
+				return false // a closure's returns are not fn's
+			}
+			if ret, ok := m.(*ast.ReturnStmt); ok {
+				for i, res := range ret.Results {
+					if returnsAlias(p, get, params, targets, res) {
+						s.Results[i] = cfg.ResAlias
 					}
-					if _, ok := n.(*ast.FuncLit); ok {
-						return false // a closure's returns are not fn's
-					}
-					ret, ok := n.(*ast.ReturnStmt)
-					if !ok {
-						return true
-					}
-					for _, res := range ret.Results {
-						if returnsAlias(p, fns, params, targets, res) {
-							aliases = true
-						}
-					}
-					return true
-				})
-				if aliases {
-					fns[obj] = true
-					grew = true
 				}
 			}
-		}
-		if !grew {
-			return fns
+			return true
+		})
+		return s
+	})
+}
+
+// returnsAliasing reports whether obj is a function some result of whose
+// summary aliases caller-owned memory.
+func returnsAliasing(get func(*types.Func) *cfg.Summary, obj types.Object) bool {
+	fn, _ := obj.(*types.Func)
+	if s := get(fn); s != nil {
+		for _, k := range s.Results {
+			if k == cfg.ResAlias {
+				return true
+			}
 		}
 	}
+	return false
 }
 
 // paramObjs collects the parameter and receiver objects of fn that have
@@ -211,7 +207,7 @@ func paramObjs(p *Pass, fn *ast.FuncDecl) map[types.Object]bool {
 
 // returnsAlias reports whether returning res hands the caller an alias of
 // a parameter slice or a Prop property slice.
-func returnsAlias(p *Pass, fns map[types.Object]bool, params map[types.Object]bool, targets map[*types.Var]bool, res ast.Expr) bool {
+func returnsAlias(p *Pass, get func(*types.Func) *cfg.Summary, params map[types.Object]bool, targets map[*types.Var]bool, res ast.Expr) bool {
 	switch res := res.(type) {
 	case *ast.Ident:
 		return params[p.TypesInfo.Uses[res]]
@@ -219,12 +215,12 @@ func returnsAlias(p *Pass, fns map[types.Object]bool, params map[types.Object]bo
 		fld := fieldObj(p, res)
 		return fld != nil && targets[fld]
 	case *ast.ParenExpr:
-		return returnsAlias(p, fns, params, targets, res.X)
+		return returnsAlias(p, get, params, targets, res.X)
 	case *ast.SliceExpr:
-		return returnsAlias(p, fns, params, targets, res.X)
+		return returnsAlias(p, get, params, targets, res.X)
 	case *ast.CallExpr:
 		if id, ok := res.Fun.(*ast.Ident); ok {
-			return fns[p.TypesInfo.Uses[id]]
+			return returnsAliasing(get, p.TypesInfo.Uses[id])
 		}
 	}
 	return false
@@ -235,7 +231,7 @@ func returnsAlias(p *Pass, fns map[types.Object]bool, params map[types.Object]bo
 // variable, a field or promoted field, a subslice of either, a slice
 // conversion, or a call to an alias-returning function. append, make,
 // literals, clone helpers, and nil are fresh.
-func aliasingExpr(p *Pass, aliasFns map[types.Object]bool, e ast.Expr) string {
+func aliasingExpr(p *Pass, get func(*types.Func) *cfg.Summary, e ast.Expr) string {
 	switch e := e.(type) {
 	case *ast.Ident:
 		if obj, ok := p.TypesInfo.Uses[e].(*types.Var); ok && obj != nil {
@@ -251,24 +247,24 @@ func aliasingExpr(p *Pass, aliasFns map[types.Object]bool, e ast.Expr) string {
 		}
 		return ""
 	case *ast.ParenExpr:
-		return aliasingExpr(p, aliasFns, e.X)
+		return aliasingExpr(p, get, e.X)
 	case *ast.SliceExpr:
 		// s[i:j] still shares s's backing array; treat any slice of an
 		// aliasing expression as aliasing.
-		return aliasingExpr(p, aliasFns, e.X)
+		return aliasingExpr(p, get, e.X)
 	case *ast.CallExpr:
 		if tv, ok := p.TypesInfo.Types[e.Fun]; ok && tv.IsType() {
 			// A conversion like []string(x) reuses x's backing array.
-			if len(e.Args) == 1 && aliasingExpr(p, aliasFns, e.Args[0]) != "" {
+			if len(e.Args) == 1 && aliasingExpr(p, get, e.Args[0]) != "" {
 				return "a slice conversion of an existing slice"
 			}
 			return ""
 		}
-		if id, ok := e.Fun.(*ast.Ident); ok && aliasFns[p.TypesInfo.Uses[id]] {
+		if id, ok := e.Fun.(*ast.Ident); ok && returnsAliasing(get, p.TypesInfo.Uses[id]) {
 			return "a call to " + id.Name + ", which returns an existing slice unchanged"
 		}
 		if sel, ok := e.Fun.(*ast.SelectorExpr); ok {
-			if obj := p.TypesInfo.Uses[sel.Sel]; obj != nil && aliasFns[obj] {
+			if returnsAliasing(get, p.TypesInfo.Uses[sel.Sel]) {
 				return "a call to " + sel.Sel.Name + ", which returns an existing slice unchanged"
 			}
 		}

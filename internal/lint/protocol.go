@@ -38,7 +38,7 @@ const (
 )
 
 // hasFuncMarker reports whether the function's doc comment carries the
-// marker (isShipBoundary generalized to the protocol markers).
+// marker.
 func hasFuncMarker(fn *ast.FuncDecl, marker string) bool {
 	if fn == nil || fn.Doc == nil {
 		return false

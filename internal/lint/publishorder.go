@@ -13,11 +13,11 @@ import (
 // readers, so every piece of bookkeeping that readers may observe — the
 // shared[] COW flags, the Version's own fields — must complete BEFORE the
 // store. The analyzer finds each atomic publish store (`x.f.Store(v)` on a
-// sync/atomic-typed field, or `atomic.StoreX(&x.f, v)`) and then walks the
-// CFG forward: any later mutation, on any path, of state rooted at the
-// published receiver or at the stored value is a publish-ordering
-// violation. Functions that legitimately restructure state around a store
-// declare "// lint:publish-boundary <reason>".
+// sync/atomic-typed field; the module declares no atomics any other way)
+// and then walks the CFG forward: any later mutation, on any path, of
+// state rooted at the published receiver or at the stored value is a
+// publish-ordering violation. Functions that legitimately restructure
+// state around a store declare "// lint:publish-boundary <reason>".
 var PublishOrder = &Analyzer{
 	Name: "publishorder",
 	Doc:  "no mutation of version-visible state may follow the atomic epoch store; bookkeeping must complete before the publish",
@@ -130,36 +130,19 @@ func checkPublishOrder(p *Pass, fn *ast.FuncDecl) {
 	}
 }
 
-// asPublishStore recognizes the two atomic publish spellings and resolves
-// the published base and stored value.
+// asPublishStore recognizes an atomic publish — base...field.Store(v) /
+// .Swap(v) / .CompareAndSwap(_, v) on a sync/atomic-typed field — and
+// resolves the published base and stored value.
 func asPublishStore(p *Pass, call *ast.CallExpr) *publishStore {
-	// Method form: base...field.Store(v) / .Swap(v) / .CompareAndSwap(_, v)
-	// on a sync/atomic-typed field.
-	if recv, name := methodCall(call); recv != nil {
-		switch name {
-		case "Store", "Swap", "CompareAndSwap":
-			if typeFromPkg(exprType(p, recv), "sync/atomic") {
-				st := &publishStore{call: call, base: recvBase(p, recv)}
-				if len(call.Args) > 0 {
-					st.val = recvBase(p, call.Args[len(call.Args)-1])
-				}
-				return st
+	recv, name := methodCall(call)
+	switch name {
+	case "Store", "Swap", "CompareAndSwap":
+		if typeFromPkg(exprType(p, recv), "sync/atomic") {
+			st := &publishStore{call: call, base: recvBase(p, recv)}
+			if len(call.Args) > 0 {
+				st.val = recvBase(p, call.Args[len(call.Args)-1])
 			}
-		}
-		return nil
-	}
-	// Function form: atomic.StoreX(&base.field, v).
-	if pkgPath, name := calleePkgFunc(p, call); pkgPath == "sync/atomic" && len(call.Args) >= 2 {
-		switch {
-		case name == "StorePointer", name == "StoreInt32", name == "StoreInt64",
-			name == "StoreUint32", name == "StoreUint64", name == "StoreUintptr":
-			if sel := addressedField(call.Args[0]); sel != nil {
-				return &publishStore{
-					call: call,
-					base: recvBase(p, sel),
-					val:  recvBase(p, call.Args[1]),
-				}
-			}
+			return st
 		}
 	}
 	return nil

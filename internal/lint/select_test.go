@@ -53,12 +53,12 @@ func TestSelectAnalyzersSkip(t *testing.T) {
 }
 
 func TestSelectAnalyzersOnlyThenSkip(t *testing.T) {
-	got, err := SelectAnalyzers(Analyzers(), "batchownership,batchlifetime", "batchlifetime")
+	got, err := SelectAnalyzers(Analyzers(), "partownership,batchlifetime", "batchlifetime")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != 1 || got[0].Name != "batchownership" {
-		t.Fatalf("got %v, want [batchownership]", names(got))
+	if len(got) != 1 || got[0].Name != "partownership" {
+		t.Fatalf("got %v, want [partownership]", names(got))
 	}
 }
 

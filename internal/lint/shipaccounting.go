@@ -93,7 +93,7 @@ func isAtomicWriteName(name string) bool {
 
 // checkMeterDeclared enforces rule 2.
 func checkMeterDeclared(p *Pass, fn *ast.FuncDecl) {
-	if calledNames(fn.Body)["AddShip"] && !isShipBoundary(fn) {
+	if calledNames(fn.Body)["AddShip"] && !hasFuncMarker(fn, shipBoundaryMarker) {
 		p.Report(fn.Name, "%s moves rows across partitions but is not declared; add a \"// lint:ship-boundary <reason>\" doc comment", fn.Name.Name)
 	}
 }
@@ -101,7 +101,7 @@ func checkMeterDeclared(p *Pass, fn *ast.FuncDecl) {
 // checkBoundaryMeters enforces rule 3: a declared boundary that scatters
 // rows into variable partition slots must meter the movement.
 func checkBoundaryMeters(p *Pass, fn *ast.FuncDecl) {
-	if !isShipBoundary(fn) {
+	if !hasFuncMarker(fn, shipBoundaryMarker) {
 		return
 	}
 	calls := calledNames(fn.Body)

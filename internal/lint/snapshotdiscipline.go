@@ -94,7 +94,7 @@ func checkSnapshotDiscipline(p *Pass, fn *ast.FuncDecl) {
 				return true
 			}
 			if sel := liveHeadSelector(p, n); sel == n {
-				p.Report(n, "access to the live COW head %s; pin a DBSnapshot and read the published Version instead", selString(sel))
+				p.Report(n, "access to the live COW head %s; pin a DBSnapshot and read the published Version instead", exprString(sel))
 			}
 		}
 		return true
@@ -114,7 +114,7 @@ func checkSnapshotDiscipline(p *Pass, fn *ast.FuncDecl) {
 			if sel, ok := aliasDef[d.Node]; ok {
 				reported[id] = true
 				p.Report(id, "use of %s, aliased from the live COW head %s at %s; pin a DBSnapshot and read the published Version instead",
-					v.Name(), selString(sel), p.Fset.Position(sel.Pos()))
+					v.Name(), exprString(sel), p.Fset.Position(sel.Pos()))
 				return
 			}
 		}
@@ -158,12 +158,4 @@ func localVarOf(p *Pass, id *ast.Ident) *types.Var {
 		return nil
 	}
 	return v
-}
-
-// selString renders `x.Sel` compactly for messages.
-func selString(sel *ast.SelectorExpr) string {
-	if id, ok := sel.X.(*ast.Ident); ok {
-		return id.Name + "." + sel.Sel.Name
-	}
-	return "." + sel.Sel.Name
 }

@@ -1,7 +1,8 @@
-// Fixture for the batchownership analyzer: outside the batch package, a
-// Batch's columns and selection vector are read-only — writes go into new
+// Fixture for batchlifetime's direct-write rule: outside the batch package,
+// a Batch's columns and selection vector are read-only — writes go into new
 // batches (batch.Writer) or fresh selection vectors (WithSel), never
-// through a batch an operator received.
+// through a batch an operator received. It is its own package so the
+// summary golden stays pinned to the typestate fixtures.
 package engine
 
 import "pref/internal/batch"
@@ -44,6 +45,6 @@ func escapeMutableRef(b *batch.Batch) *[]int64 {
 }
 
 func suppressed(b *batch.Batch) {
-	//lint:ignore batchownership fixture demonstrates the suppression grammar
+	//lint:ignore batchlifetime fixture demonstrates the suppression grammar
 	b.Sel = nil
 }

@@ -52,22 +52,25 @@ func fieldObj(p *Pass, sel *ast.SelectorExpr) *types.Var {
 	return nil
 }
 
-// addressedField unwraps &expr (with parens) down to the selector whose
-// field a function-style sync/atomic call addresses, or nil for
-// non-selector operands.
-func addressedField(arg ast.Expr) *ast.SelectorExpr {
-	for {
-		switch a := arg.(type) {
-		case *ast.ParenExpr:
-			arg = a.X
-		case *ast.UnaryExpr:
-			arg = a.X
-		case *ast.SelectorExpr:
-			return a
-		default:
-			return nil
-		}
+// exprString renders a short expression for diagnostics: identifiers,
+// selector chains and simple index chains (bs[0], w.cur); parens and
+// derefs are dropped and anything else is elided as "...".
+func exprString(e ast.Expr) string {
+	switch e := e.(type) {
+	case *ast.Ident:
+		return e.Name
+	case *ast.SelectorExpr:
+		return exprString(e.X) + "." + e.Sel.Name
+	case *ast.ParenExpr:
+		return exprString(e.X)
+	case *ast.StarExpr:
+		return exprString(e.X)
+	case *ast.IndexExpr:
+		return exprString(e.X) + "[" + exprString(e.Index) + "]"
+	case *ast.BasicLit:
+		return e.Value
 	}
+	return "..."
 }
 
 // exprType returns the static type of an expression (nil when untyped).

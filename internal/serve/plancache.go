@@ -7,56 +7,46 @@ import (
 	"pref/internal/plan"
 )
 
-// planKey identifies one cached rewrite: the prepared query, the
-// partitioning design it was rewritten against, and the data epoch it was
-// built at. Epoch is part of the key so a write-path publish invalidates
-// by construction — lookups under the new epoch simply miss, and stale
-// entries age out; no explicit invalidation broadcast is needed.
-type planKey struct {
-	query  string
-	design string
-	epoch  int64
-}
-
-// planCache memoizes §2.2 rewrites across submissions. The rewrite is
-// pure in (query, design), but the epoch rides in the key so cached plans
-// never outlive the snapshot discipline: a plan is only reused for
-// queries pinned to the same published epoch it was built under.
+// planCache memoizes §2.2 rewrites across submissions, keyed on the
+// prepared query's name. The rewrite is pure in (query, design): it reads
+// the catalog schema and the partitioning config, never the data, and a
+// Server serves one design for its whole lifetime — so a write-path
+// publish leaves every cached plan valid, and the cache holds at most one
+// entry per prepared query.
 type planCache struct {
 	mu      sync.Mutex
-	entries map[planKey]*plan.Rewritten
+	entries map[string]*planEntry
 	hits    int64
 	misses  int64
 }
 
-func newPlanCache() *planCache {
-	return &planCache{entries: make(map[planKey]*plan.Rewritten)}
+// planEntry is one query's rewrite, built by the first submission that
+// asks for it; concurrent first submissions wait on once and share it.
+type planEntry struct {
+	once sync.Once
+	rw   *plan.Rewritten
+	err  error
 }
 
-// get returns the cached rewrite for the key, if present.
-func (c *planCache) get(k planKey) (*plan.Rewritten, bool) {
+func newPlanCache() *planCache {
+	return &planCache{entries: make(map[string]*planEntry)}
+}
+
+// get returns the query's rewrite, building it with build on the first
+// request, and whether the request was a hit.
+func (c *planCache) get(query string, build func() (*plan.Rewritten, error)) (*plan.Rewritten, bool, error) {
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	rw, ok := c.entries[k]
-	if ok {
+	e, hit := c.entries[query]
+	if hit {
 		c.hits++
 	} else {
 		c.misses++
+		e = &planEntry{}
+		c.entries[query] = e
 	}
-	return rw, ok
-}
-
-// put stores a rewrite and evicts entries of the same (query, design)
-// built at older epochs — they can never be looked up again.
-func (c *planCache) put(k planKey, rw *plan.Rewritten) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for old := range c.entries {
-		if old.query == k.query && old.design == k.design && old.epoch < k.epoch {
-			delete(c.entries, old)
-		}
-	}
-	c.entries[k] = rw
+	c.mu.Unlock()
+	e.once.Do(func() { e.rw, e.err = build() })
+	return e.rw, hit, e.err
 }
 
 // stats reports cumulative hit/miss counts and the live entry count.
@@ -67,36 +57,33 @@ func (c *planCache) stats() (hits, misses int64, size int) {
 }
 
 // costTable prices queries for the shedder: an EWMA of observed execution
-// latency per (query, design). Unlike the plan cache it is NOT keyed on
-// epoch — pricing knowledge survives write-path publishes, so the shedder
-// does not forget which queries are expensive every time data changes.
+// latency per prepared query.
 type costTable struct {
 	mu    sync.Mutex
-	costs map[[2]string]time.Duration
+	costs map[string]time.Duration
 }
 
 func newCostTable() *costTable {
-	return &costTable{costs: make(map[[2]string]time.Duration)}
+	return &costTable{costs: make(map[string]time.Duration)}
 }
 
 // costEWMAAlpha weights a new latency sample into the per-query price.
 const costEWMAAlpha = 0.3
 
 // price returns the current priced cost (0 = never executed).
-func (t *costTable) price(query, design string) time.Duration {
+func (t *costTable) price(query string) time.Duration {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.costs[[2]string{query, design}]
+	return t.costs[query]
 }
 
 // observe feeds one execution latency into the query's price.
-func (t *costTable) observe(query, design string, d time.Duration) {
+func (t *costTable) observe(query string, d time.Duration) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	k := [2]string{query, design}
-	if cur, ok := t.costs[k]; ok {
-		t.costs[k] = cur + time.Duration(costEWMAAlpha*float64(d-cur))
+	if cur, ok := t.costs[query]; ok {
+		t.costs[query] = cur + time.Duration(costEWMAAlpha*float64(d-cur))
 	} else {
-		t.costs[k] = d
+		t.costs[query] = d
 	}
 }

@@ -131,15 +131,14 @@ func (o Options) withDefaults() Options {
 // Server is a long-lived multi-tenant query server over one partitioned
 // database. It is safe for concurrent use; Close drains it.
 type Server struct {
-	opt       Options
-	pdb       *table.PartitionedDatabase
-	cl        *cluster.Cluster
-	adm       *admitter
-	shed      *shedder
-	budget    *retryBudget
-	plans     *planCache
-	costs     *costTable
-	designSig string
+	opt    Options
+	pdb    *table.PartitionedDatabase
+	cl     *cluster.Cluster
+	adm    *admitter
+	shed   *shedder
+	budget *retryBudget
+	plans  *planCache
+	costs  *costTable
 
 	// baseCtx is cancelled by a forced drain; every query context is
 	// derived from the client context but additionally dies with it.
@@ -232,7 +231,6 @@ func NewServer(opt Options) (*Server, error) {
 		budget:     newRetryBudget(opt.RetryBudget, opt.RetryEarn),
 		plans:      newPlanCache(),
 		costs:      newCostTable(),
-		designSig:  opt.Config.String(),
 		baseCtx:    ctx,
 		baseCancel: cancel,
 	}
@@ -303,9 +301,9 @@ func (s *Server) Stream(ctx context.Context, tenant, query string) (*Stream, err
 	}
 
 	// Rung 2: cost-priced shedding. The query is priced at the EWMA of
-	// its own past executions under this design; never-seen queries are
-	// priced at the global average.
-	cost := s.costs.price(query, s.designSig)
+	// its own past executions; never-seen queries are priced at the global
+	// average.
+	cost := s.costs.price(query)
 	if ok, retryAfter := s.shed.admit(s.adm.load(), cost); !ok {
 		return nil, s.reject("shed", tenant, query, cost, retryAfter, ErrOverloaded)
 	}
@@ -384,7 +382,7 @@ func (s *Server) Stream(ctx context.Context, tenant, query string) (*Stream, err
 	}
 
 	// Success: feed pricing, earn retry budget, record latency.
-	s.costs.observe(query, s.designSig, elapsed)
+	s.costs.observe(query, elapsed)
 	s.shed.observe(elapsed)
 	s.budget.credit()
 	s.met.mu.Lock()
@@ -398,17 +396,13 @@ func (s *Server) Stream(ctx context.Context, tenant, query string) (*Stream, err
 // execute runs the query against the engine with plan caching and a
 // budget-bounded retry loop.
 func (s *Server) execute(qctx context.Context, mk func() plan.Node, query string) (res *engine.Result, attempts int, cacheHit bool, err error) {
-	// Plan cache, keyed on (query, design, published epoch): a write-path
-	// publish rolls the epoch and every cached plan of the old epoch
-	// misses by construction.
-	key := planKey{query: query, design: s.designSig, epoch: s.pdb.Epoch()}
-	rw, cacheHit := s.plans.get(key)
-	if !cacheHit {
-		rw, err = plan.Rewrite(mk(), s.pdb.Schema, s.opt.Config, s.opt.Plan)
-		if err != nil {
-			return nil, 0, false, fmt.Errorf("serve: rewrite of %q failed: %w", query, err)
-		}
-		s.plans.put(key, rw)
+	// Plan cache, keyed on the query alone: the rewrite does not read the
+	// data, so it survives write-path publishes.
+	rw, cacheHit, err := s.plans.get(query, func() (*plan.Rewritten, error) {
+		return plan.Rewrite(mk(), s.pdb.Schema, s.opt.Config, s.opt.Plan)
+	})
+	if err != nil {
+		return nil, 0, false, fmt.Errorf("serve: rewrite of %q failed: %w", query, err)
 	}
 
 	seq := s.seq.Add(1)
