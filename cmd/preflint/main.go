@@ -1,15 +1,18 @@
 // Command preflint runs the repository's custom analyzers (internal/lint)
 // over the module and exits nonzero if any diagnostic fires. It is the CI
 // companion to go vet: vet checks generic Go mistakes, preflint checks
-// this codebase's own invariants — panic policy, context threading, Prop
-// slice aliasing, partition-state ownership, goroutine joining, and ship
-// accounting — plus the analyzers built on internal/lint/cfg: publish
-// ordering, snapshot read discipline, the bulk-load intent protocol,
-// guard-field happens-before, and the interprocedural batch lifetime
-// typestate, which also keeps batches immutable outside their package.
+// this codebase's own invariants — panic policy, context threading and
+// Prop slice aliasing — plus the analyzers built on internal/lint/cfg:
+// publish ordering, snapshot read discipline, the bulk-load intent
+// protocol, guard-field happens-before, and the interprocedural batch
+// lifetime typestate, which also keeps batches immutable outside their
+// package.
 //
-// An analyzer name retired from the roster (atomicdiscipline,
-// batchownership) is unknown to -only/-skip and exits 2.
+// An analyzer name retired from the roster is unknown to -only/-skip and
+// exits 2: atomicdiscipline, batchownership, and partownership,
+// shipaccounting and goroutinescope, whose hazards (cross-partition
+// access, unmetered shipment, unjoined fan-out) tier-1 runtime tests
+// catch. The retired -sarif flag exits 2 as well.
 //
 // Usage:
 //
@@ -20,7 +23,6 @@
 //
 //	-json                  emit findings as a JSON report on stdout, with
 //	                       per-analyzer wall time under "timings_ms"
-//	-sarif                 emit findings as SARIF 2.1.0 on stdout
 //	-only NAMES            run only these analyzers (comma-separated)
 //	-skip NAMES            run all but these analyzers (comma-separated)
 //
@@ -40,7 +42,6 @@ import (
 func main() {
 	list := flag.Bool("list", false, "list analyzers and exit")
 	jsonOut := flag.Bool("json", false, "emit findings as JSON")
-	sarifOut := flag.Bool("sarif", false, "emit findings as SARIF 2.1.0")
 	only := flag.String("only", "", "comma-separated analyzers to run (default: all)")
 	skip := flag.String("skip", "", "comma-separated analyzers to leave out")
 	flag.Parse()
@@ -60,10 +61,6 @@ func main() {
 			fmt.Printf("%-*s %s\n", width, a.Name, a.Doc)
 		}
 		return
-	}
-	if *jsonOut && *sarifOut {
-		fmt.Fprintln(os.Stderr, "preflint: -json and -sarif are mutually exclusive")
-		os.Exit(2)
 	}
 
 	roots := flag.Args()
@@ -92,16 +89,11 @@ func main() {
 		}
 	}
 
-	switch {
-	case *jsonOut:
+	if *jsonOut {
 		if err := lint.WriteJSON(os.Stdout, diags, timings); err != nil {
 			fatal(err)
 		}
-	case *sarifOut:
-		if err := lint.WriteSARIF(os.Stdout, analyzers, diags); err != nil {
-			fatal(err)
-		}
-	default:
+	} else {
 		for _, d := range diags {
 			fmt.Println(d)
 		}

@@ -21,7 +21,8 @@ func TestExitCodes(t *testing.T) {
 		{[]string{"./internal/lint/cfg"}, 0},
 		{[]string{"-only", "batchlifetime", "./internal/lint/testdata/src/batchlifetime_regression"}, 1},
 		{[]string{"-only", "batchownership", "./internal/lint/cfg"}, 2}, // retired name
-		{[]string{"-json", "-sarif", "./internal/lint/cfg"}, 2},
+		{[]string{"-only", "partownership", "./internal/lint/cfg"}, 2},  // retired name
+		{[]string{"-sarif", "./internal/lint/cfg"}, 2},                  // retired flag
 		{[]string{"./no/such/dir"}, 2},
 	} {
 		cmd := exec.Command(bin, tc.args...)

@@ -245,11 +245,12 @@ func httpError(w http.ResponseWriter, status int, err error) {
 }
 
 // parseTenants parses name:weight[:rate[:burst]],... into tenant configs.
+// Duplicate names and non-finite numbers are left to serve.NewServer.
 func parseTenants(spec string) ([]serve.TenantConfig, error) {
 	var out []serve.TenantConfig
 	for _, item := range strings.Split(spec, ",") {
 		fields := strings.Split(strings.TrimSpace(item), ":")
-		if fields[0] == "" {
+		if fields[0] == "" || len(fields) > 4 {
 			return nil, fmt.Errorf("bad tenant spec %q", item)
 		}
 		tc := serve.TenantConfig{Name: fields[0]}

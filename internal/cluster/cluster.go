@@ -194,11 +194,6 @@ func New(opt Options) *Cluster {
 	c.lat.init(latencyWindow)
 	c.ctx, c.cancel = context.WithCancel(context.Background())
 	c.wg.Add(1)
-	// The rebuild worker is the cluster's one deliberately long-lived
-	// goroutine: it observes c.ctx and joins in Close (c.wg.Wait), not in
-	// the spawning function, so the goroutinescope contract is met across
-	// New/Close rather than within one body.
-	//lint:ignore goroutinescope long-lived worker; observes c.ctx, joined by c.wg.Wait in Close
 	go c.rebuildWorker()
 	return c
 }

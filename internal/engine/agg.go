@@ -318,9 +318,6 @@ func (ex *executor) gathered(n plan.Node) bool {
 // unit on the coordinator node, under the same fault model as the fan-out
 // operators.
 //
-// lint:ship-boundary coordinator-side merge: consumes every partition's
-// partials on the query goroutine; its input exchange already metered them.
-//
 // lint:batch-owner the returned batch lists transfer to the caller
 func (ex *executor) evalFinalAggVec(n *plan.FinalAggNode) (vparts, error) {
 	top := ex.tb.Begin(n, trace.KindFinalAgg)

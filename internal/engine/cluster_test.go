@@ -303,6 +303,48 @@ func TestHedgeRaceLoserMetered(t *testing.T) {
 	}
 }
 
+// TestHedgeLoserUnwindsOnCancel is the count-based half of
+// TestHedgingCutsStragglerTail: a primary still in its straggler sleep when
+// the hedge wins must leave runHedged through the race's cancelled context.
+// So the unit runs once, on the hedge node, and no hedge waste is charged.
+// A racer blind to that context finishes its sleep, runs the unit a second
+// time and is metered as waste.
+func TestHedgeLoserUnwindsOnCancel(t *testing.T) {
+	ex := newTestExecutor(4)
+	defer ex.cancel()
+	ex.inj = fault.NewInjector(fault.Policy{Seed: 1, StragglerProb: 0.5, StragglerDelay: 2 * time.Second})
+	ex.hedgeDelay = time.Millisecond
+	const p, en, hn = 1, 1, 2
+	op := -1 // an operator whose draw straggles the primary but not the hedge node
+	for o := 0; o < 64 && op < 0; o++ {
+		if ex.inj.StragglerDelay(o, en) > 0 && ex.inj.StragglerDelay(o, hn) == 0 {
+			op = o
+		}
+	}
+	if op < 0 {
+		t.Fatal("no operator id straggles node 1 but not node 2")
+	}
+	var calls atomic.Int32
+	unit := func(p int) ([]value.Tuple, int, error) {
+		calls.Add(1)
+		return []value.Tuple{{int64(p)}}, 7, nil
+	}
+	scan := plan.Scan("t", "t")
+	tb := trace.NewBuilder(4, 0)
+	rows, err := runHedged(ex, ex.ctx, tb.Begin(scan, trace.KindScan), op, p, en, hn, unit)
+	if err != nil || len(rows) != 1 {
+		t.Fatalf("hedged unit returned (%v, %v)", rows, err)
+	}
+	st := tb.Totals()
+	if n := calls.Load(); n != 1 || st.HedgeWastedRows != 0 {
+		t.Fatalf("unit ran %d times, hedge waste %d rows: the straggling loser ran its unit after the race was decided, want 1 run and 0 waste",
+			n, st.HedgeWastedRows)
+	}
+	if st.Hedges != 1 || st.HedgeWins != 1 {
+		t.Fatalf("Hedges=%d HedgeWins=%d, want 1/1", st.Hedges, st.HedgeWins)
+	}
+}
+
 // TestHedgeEverywhereStillCorrect: an immediate hedge delay races a
 // duplicate for every unit; results stay byte-identical, the trace law
 // checks pass under Verify, and the hedge counters stay consistent.

@@ -206,9 +206,6 @@ func ExecuteCtx(ctx context.Context, rw *plan.Rewritten, pdb *table.PartitionedD
 
 // executeCtx is the untyped body of ExecuteCtx: one query, start to finish,
 // with the plan evaluated by root.
-//
-// lint:ship-boundary coordinator assembly: gathers every partition's output
-// into the final Result.
 func executeCtx(ctx context.Context, rw *plan.Rewritten, pdb *table.PartitionedDatabase, opt ExecOptions, root dispatcher) (*Result, error) {
 	verify := opt.Verify || verifyEnv()
 	if verify {
@@ -424,9 +421,6 @@ func sleepCtx(ctx context.Context, d time.Duration) error {
 // Runs on the query goroutine only. Trace cells are charged to the node
 // actually executing the source partition (the buddy when src is down);
 // fault draws stay keyed by the logical src.
-//
-// lint:ship-boundary the shipment meter itself: every cross-partition batch
-// is charged to the operator's cells here, under injected ship failures.
 func (ex *executor) shipBatch(top *trace.Op, op, src, rows, width int) error {
 	if rows == 0 {
 		return nil

@@ -35,9 +35,6 @@ import (
 // are reachable. All recovered rows are shipped from survivors to the buddy
 // node at the scan's width and metered; RecoveredRows counts them.
 // Unrecoverable content returns *fault.PartitionLostError.
-//
-// lint:ship-boundary recovery path: rebuilt rows are shipped from surviving
-// partitions to the buddy node and metered on the scan's cells.
 func (ex *executor) recoverScan(top *trace.Op, pt *table.Partitioned, v *table.Version, p, width int) error {
 	alive := table.NewPartSet(len(v.Parts))
 	for q := range v.Parts {

@@ -73,9 +73,6 @@ func releaseParts(in vparts) {
 
 // addInputsVec charges each partition's consumed input rows to the node
 // the consuming unit executes on.
-//
-// lint:ship-boundary trace metering sweep: charges each partition's input
-// rows to the node executing it, on the query goroutine.
 func (ex *executor) addInputsVec(top *trace.Op, in vparts) {
 	for p, bs := range in {
 		top.AddIn(ex.execDst[p], batch.Rows(bs))
@@ -527,9 +524,6 @@ func dedupVec(bs []*batch.Batch, dupIdx []int) ([]*batch.Batch, int) {
 // evalDistinctPrefVec drops PREF-duplicate rows partition-locally on the
 // columnar path.
 //
-// lint:ship-boundary exchange operator: sweeps per-partition outputs on the
-// query goroutine to charge dedup hits; no rows move, nothing is metered.
-//
 // lint:batch-owner the returned batch lists transfer to the caller
 func (ex *executor) evalDistinctPrefVec(n *plan.DistinctPrefNode) (vparts, error) {
 	top := ex.tb.Begin(n, trace.KindDistinctPref)
@@ -565,9 +559,6 @@ func (ex *executor) evalDistinctPrefVec(n *plan.DistinctPrefNode) (vparts, error
 
 // evalRepartitionVec hash-partitions batch rows onto their owner
 // partitions.
-//
-// lint:ship-boundary exchange operator: scatters rows across partitions and
-// meters every boundary crossing via shipBatch.
 //
 // lint:batch-owner the returned batch lists transfer to the caller
 func (ex *executor) evalRepartitionVec(n *plan.RepartitionNode) (vparts, error) {
@@ -639,9 +630,6 @@ func (ex *executor) evalRepartitionVec(n *plan.RepartitionNode) (vparts, error) 
 // evalDistinctByValueVec deduplicates by value: a hash shuffle on the
 // distinct columns so equal rows meet on one partition, then each partition
 // keeps the first row of every value.
-//
-// lint:ship-boundary exchange operator: scatters rows to hash-owner
-// partitions and meters every crossing via shipBatch.
 //
 // lint:batch-owner the returned batch lists transfer to the caller
 func (ex *executor) evalDistinctByValueVec(n *plan.DistinctByValueNode) (vparts, error) {
@@ -747,9 +735,6 @@ func (s scatter) finish() vparts {
 // batch lists are shared across partitions zero-copy — batches are
 // immutable once handed off, so sharing is safe.
 //
-// lint:ship-boundary exchange operator: copies rows to all partitions and
-// meters the n-1 remote copies via shipBatch.
-//
 // lint:batch-owner the returned batch lists transfer to the caller
 func (ex *executor) evalBroadcastVec(n *plan.BroadcastNode) (vparts, error) {
 	top := ex.tb.Begin(n, trace.KindBroadcast)
@@ -808,9 +793,6 @@ func (ex *executor) evalBroadcastVec(n *plan.BroadcastNode) (vparts, error) {
 }
 
 // evalGatherVec concentrates all partitions' batches on the coordinator.
-//
-// lint:ship-boundary exchange operator: drains every partition to slot 0 and
-// meters the remote partitions' rows via shipBatch.
 //
 // lint:batch-owner the returned batch lists transfer to the caller
 func (ex *executor) evalGatherVec(n *plan.GatherNode) (vparts, error) {

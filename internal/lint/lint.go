@@ -20,14 +20,11 @@
 //   - propalias: plan.Prop's []string property fields (HashCols, DupCols)
 //     must be cloned, not aliased, when copied between props or from plan
 //     nodes; an append through one alias silently corrupts the other.
-//   - partownership: per-partition state may only be indexed by the
-//     owning partition's id; cross-partition access lives only in
-//     functions declared "// lint:ship-boundary".
-//   - goroutinescope: every goroutine in the execution packages joins a
-//     WaitGroup and can observe the query's cancellation.
-//   - shipaccounting: code that moves rows across partitions meters them
-//     through the one ship meter, (*trace.Op).AddShip, and is declared a
-//     ship boundary.
+//
+// Hazards a deterministic tier-1 runtime law already catches have no
+// analyzer: cross-partition access, unmetered shipments and unjoined
+// fan-out fail the differential oracle, the exact metering tests and the
+// trace conservation laws (check.VerifyTrace).
 //
 // The protocol analyzers (publishorder, snapshotdiscipline,
 // intentprotocol, happensbefore) go beyond per-statement checks: they run
@@ -130,7 +127,6 @@ type Analyzer struct {
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
 		InvariantPanic, CtxThread, PropAlias,
-		PartOwnership, GoroutineScope, ShipAccounting,
 		PublishOrder, SnapshotDiscipline, IntentProtocol, HappensBefore,
 		BatchLifetime,
 	}
@@ -300,17 +296,6 @@ func sanctioned(p *Pass, marked map[string]map[int]bool, n ast.Node) bool {
 	lines := marked[pos.Filename]
 	return lines[pos.Line] || lines[pos.Line-1]
 }
-
-// shipBoundaryMarker is the declaration that a function legitimately moves
-// or reads rows across partition boundaries (exchanges, shipment metering,
-// redundancy recovery, coordinator-side assembly). Grammar:
-//
-//	// lint:ship-boundary <reason>
-//
-// placed in the function's doc comment. partownership exempts marked
-// functions from the own-partition indexing rule; shipaccounting requires
-// the marker on functions that call the ship meter.
-const shipBoundaryMarker = "lint:ship-boundary"
 
 // PackageDirs walks root and returns every directory containing at least
 // one non-test .go file, skipping VCS metadata and testdata trees. Shared

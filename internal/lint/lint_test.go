@@ -110,10 +110,6 @@ func runWantIn(t *testing.T, a *Analyzer, name string) {
 	}
 }
 
-func TestPartOwnershipFixtures(t *testing.T)  { runWantDir(t, PartOwnership) }
-func TestGoroutineScopeFixtures(t *testing.T) { runWantDir(t, GoroutineScope) }
-func TestShipAccountingFixtures(t *testing.T) { runWantDir(t, ShipAccounting) }
-
 func TestInvariantPanicFixtures(t *testing.T) {
 	const src = `package engine
 
@@ -360,27 +356,6 @@ func malformed() {
 	if got := strings.Count(joined, "panic without"); got != 2 {
 		t.Errorf("want the wrongAnalyzer and malformed panics reported, got %d panic diagnostics:\n%s", got, joined)
 	}
-}
-
-func TestRegressionUnmarkedShipMeter(t *testing.T) {
-	// Regression fixture for the real shipaccounting findings: shipBatch
-	// and recoverScan charged the ship meter without carrying the
-	// // lint:ship-boundary declaration.
-	const src = `package engine
-
-type op struct{}
-
-func (*op) AddShip(src, rows, width int) {}
-
-type executor struct {
-	top *op
-}
-
-func (ex *executor) shipBatch(rows, width int) { // want "shipBatch moves rows across partitions but is not declared"
-	ex.top.AddShip(0, rows, width)
-}
-`
-	runWant(t, "regression_ship_unmarked.go", src, []*Analyzer{ShipAccounting})
 }
 
 func TestRunDirOnRealPackage(t *testing.T) {

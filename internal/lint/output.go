@@ -53,98 +53,3 @@ func WriteJSON(w io.Writer, diags []Diagnostic, timings Timings) error {
 	enc.SetIndent("", "  ")
 	return enc.Encode(rep)
 }
-
-// Minimal SARIF 2.1.0 document: one run, one rule per analyzer, one result
-// per diagnostic. Only the fields code-scanning consumers actually read.
-type sarifLog struct {
-	Schema  string     `json:"$schema"`
-	Version string     `json:"version"`
-	Runs    []sarifRun `json:"runs"`
-}
-
-type sarifRun struct {
-	Tool    sarifTool     `json:"tool"`
-	Results []sarifResult `json:"results"`
-}
-
-type sarifTool struct {
-	Driver sarifDriver `json:"driver"`
-}
-
-type sarifDriver struct {
-	Name  string      `json:"name"`
-	Rules []sarifRule `json:"rules"`
-}
-
-type sarifRule struct {
-	ID               string    `json:"id"`
-	ShortDescription sarifText `json:"shortDescription"`
-}
-
-type sarifText struct {
-	Text string `json:"text"`
-}
-
-type sarifResult struct {
-	RuleID    string          `json:"ruleId"`
-	Level     string          `json:"level"`
-	Message   sarifText       `json:"message"`
-	Locations []sarifLocation `json:"locations"`
-}
-
-type sarifLocation struct {
-	PhysicalLocation sarifPhysical `json:"physicalLocation"`
-}
-
-type sarifPhysical struct {
-	ArtifactLocation sarifArtifact `json:"artifactLocation"`
-	Region           sarifRegion   `json:"region"`
-}
-
-type sarifArtifact struct {
-	URI string `json:"uri"`
-}
-
-type sarifRegion struct {
-	StartLine   int `json:"startLine"`
-	StartColumn int `json:"startColumn"`
-}
-
-// WriteSARIF renders diagnostics as a SARIF 2.1.0 log suitable for GitHub
-// code-scanning upload. Every analyzer in the suite appears as a rule even
-// when it produced no results, so the rule inventory is visible to the
-// consumer; the synthetic "directive" rule covers malformed suppressions.
-func WriteSARIF(w io.Writer, analyzers []*Analyzer, diags []Diagnostic) error {
-	rules := []sarifRule{{
-		ID:               "directive",
-		ShortDescription: sarifText{Text: "malformed lint directive"},
-	}}
-	for _, a := range analyzers {
-		rules = append(rules, sarifRule{ID: a.Name, ShortDescription: sarifText{Text: a.Doc}})
-	}
-	results := []sarifResult{}
-	for _, d := range diags {
-		results = append(results, sarifResult{
-			RuleID:  d.Analyzer,
-			Level:   "error",
-			Message: sarifText{Text: d.Message},
-			Locations: []sarifLocation{{
-				PhysicalLocation: sarifPhysical{
-					ArtifactLocation: sarifArtifact{URI: filepath.ToSlash(d.Pos.Filename)},
-					Region:           sarifRegion{StartLine: d.Pos.Line, StartColumn: d.Pos.Column},
-				},
-			}},
-		})
-	}
-	log := sarifLog{
-		Schema:  "https://json.schemastore.org/sarif-2.1.0.json",
-		Version: "2.1.0",
-		Runs: []sarifRun{{
-			Tool:    sarifTool{Driver: sarifDriver{Name: "preflint", Rules: rules}},
-			Results: results,
-		}},
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(log)
-}

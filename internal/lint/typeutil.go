@@ -110,12 +110,6 @@ func deref(t types.Type) types.Type {
 	return t
 }
 
-// isInt reports whether t's underlying type is exactly int.
-func isInt(t types.Type) bool {
-	b, ok := t.Underlying().(*types.Basic)
-	return ok && b.Kind() == types.Int
-}
-
 // rootIdentObj resolves the variable at the root of an expression like
 // x, x.f, or (*x).f — the object a join/ownership check should key on.
 func rootIdentObj(p *Pass, e ast.Expr) types.Object {

@@ -2,6 +2,8 @@ package serve
 
 import (
 	"context"
+	"fmt"
+	"math"
 	"sync"
 	"time"
 )
@@ -22,6 +24,26 @@ type TenantConfig struct {
 	// Burst is the token-bucket depth: how many queries may arrive
 	// back-to-back before the rate limit bites (default max(1, Rate)).
 	Burst float64
+}
+
+// validateTenants rejects what no default repairs: a repeated name, whose
+// later entry would silently replace the earlier lane, and a NaN or ±Inf
+// Weight, Rate or Burst.
+func validateTenants(tcs []TenantConfig) error {
+	seen := make(map[string]bool, len(tcs))
+	for _, tc := range tcs {
+		if seen[tc.Name] {
+			return fmt.Errorf("serve: duplicate tenant %q", tc.Name)
+		}
+		seen[tc.Name] = true
+		for _, v := range []float64{tc.Weight, tc.Rate, tc.Burst} {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return fmt.Errorf("serve: tenant %q: Weight %v, Rate %v, Burst %v: each must be finite",
+					tc.Name, tc.Weight, tc.Rate, tc.Burst)
+			}
+		}
+	}
+	return nil
 }
 
 func (tc TenantConfig) withDefaults() TenantConfig {

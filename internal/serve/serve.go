@@ -210,6 +210,9 @@ func NewServer(opt Options) (*Server, error) {
 	if len(opt.Tenants) == 0 {
 		return nil, errors.New("serve: Options.Tenants is empty")
 	}
+	if err := validateTenants(opt.Tenants); err != nil {
+		return nil, err
+	}
 	pdb := opt.PDB
 	if pdb == nil {
 		if opt.DB == nil {

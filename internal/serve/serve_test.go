@@ -3,6 +3,8 @@ package serve
 import (
 	"context"
 	"errors"
+	"math"
+	"strings"
 	"testing"
 	"time"
 
@@ -117,6 +119,38 @@ func TestUnknownTenantAndQuery(t *testing.T) {
 	assertOutcomesBalance(t, s, "an unknown query")
 	if m := s.Metrics(); m.Submitted != 0 {
 		t.Fatalf("Submitted = %d: a submission naming nothing the server knows is not counted", m.Submitted)
+	}
+}
+
+// TestNewServerValidatesTenants: a tenant list no default can repair is
+// refused at construction instead of dropping a lane or rejecting every
+// submission at the quota rung.
+func TestNewServerValidatesTenants(t *testing.T) {
+	db, cfg := testServeDB()
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, tc := range []struct {
+		name    string
+		tenants []TenantConfig
+		wantErr string // "" = accepted
+	}{
+		{"defaults", []TenantConfig{{Name: "a"}, {Name: "b", Weight: 3, Rate: 5, Burst: 2}}, ""},
+		{"non-positive knobs take defaults", []TenantConfig{{Name: "a", Weight: -1, Rate: -2, Burst: 0}}, ""},
+		{"duplicate name", []TenantConfig{{Name: "a", Rate: 1}, {Name: "a", Weight: 5}}, `duplicate tenant "a"`},
+		{"NaN rate", []TenantConfig{{Name: "a", Rate: nan}}, "must be finite"},
+		{"NaN weight", []TenantConfig{{Name: "a", Weight: nan}}, "must be finite"},
+		{"+Inf rate", []TenantConfig{{Name: "a", Rate: inf}}, "must be finite"},
+		{"-Inf burst", []TenantConfig{{Name: "a", Burst: -inf}}, "must be finite"},
+	} {
+		s, err := NewServer(Options{DB: db, Config: cfg, Queries: testQueries(), Tenants: tc.tenants})
+		if s != nil {
+			s.Close(context.Background())
+		}
+		switch {
+		case tc.wantErr == "" && err != nil:
+			t.Errorf("%s: rejected: %v", tc.name, err)
+		case tc.wantErr != "" && (err == nil || !strings.Contains(err.Error(), tc.wantErr)):
+			t.Errorf("%s: err = %v, want one containing %q", tc.name, err, tc.wantErr)
+		}
 	}
 }
 

@@ -15,7 +15,7 @@ import (
 // behind it.
 type shedder struct {
 	mu        sync.Mutex
-	threshold float64 // load above which shedding starts (e.g. 1.0)
+	threshold float64 // load above which shedding starts (Options.ShedThreshold)
 	ewma      float64 // EWMA of admitted query cost, seconds
 }
 
@@ -24,9 +24,6 @@ type shedder struct {
 const shedEWMAAlpha = 0.05
 
 func newShedder(threshold float64) *shedder {
-	if threshold <= 0 {
-		threshold = 1
-	}
 	return &shedder{threshold: threshold}
 }
 
@@ -95,12 +92,6 @@ type retryBudget struct {
 }
 
 func newRetryBudget(cap, earn float64) *retryBudget {
-	if cap <= 0 {
-		cap = 10
-	}
-	if earn <= 0 {
-		earn = 0.1
-	}
 	return &retryBudget{tokens: cap, cap: cap, earn: earn}
 }
 

@@ -378,9 +378,6 @@ func (b *Builder) newOp(kind Kind) *Op {
 // sum over every (operator, node) cell, MaxNodeRows is the largest per-node
 // Work sum, and Repartitions/Broadcasts count opened operators by kind.
 // Call on the query goroutine after the last fan-out joined.
-//
-// lint:ship-boundary snapshot sweep: reads every node's live cell on the
-// query goroutine after the fan-out has joined.
 func (b *Builder) Totals() Totals {
 	if b == nil {
 		return Totals{}
@@ -503,9 +500,6 @@ func (b *Builder) Build(rw *plan.Rewritten) *Trace {
 
 // finish snapshots a live Op into an immutable OpTrace (without
 // children) under the given label.
-//
-// lint:ship-boundary snapshot sweep: reads every node's live cell on the
-// query goroutine after the fan-out has joined.
 func (o *Op) finish(label string) *OpTrace {
 	ot := &OpTrace{ID: o.id, Kind: o.kind, Label: label, ReadOne: o.readOne}
 	for node := range o.cells {
