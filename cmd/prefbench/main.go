@@ -11,7 +11,6 @@
 //	prefbench -exp fault         # degradation-vs-fault-probability sweep
 //	prefbench -exp ops -q Q5     # per-operator breakdown of Q5 per variant
 //	prefbench -exp hedge         # straggler tail latency, hedging off vs on
-//	prefbench -exp soak          # cluster health-layer fault-schedule soak
 //	prefbench -exp fig7 -crash 0.05 -down 2 # fig7 under injected faults
 //	prefbench -exp fig7 -timeout 1ms # deadline-bound; exits 2 on expiry
 //	prefbench -list              # available experiment ids

@@ -289,7 +289,7 @@ func AblationPruning(p Params) (*Report, error) {
 					return nil, err
 				}
 				rows += res.Stats.RowsProcessed
-				sim += p.Cost.Simulate(res.Stats)
+				sim += engine.DefaultCostModel().Simulate(res.Stats)
 			}
 			r.Add(mode.name, float64(rows), float64(sim.Microseconds())/1000)
 		}

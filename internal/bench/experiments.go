@@ -23,16 +23,7 @@ type Params struct {
 	DSSF   float64 // TPC-DS scale factor
 	Parts  int
 	Seed   int64
-	Cost   engine.CostModel
 	Expand bool // include every node count in fig12 (else a coarse sweep)
-	// CacheFraction sizes the per-node buffer pool relative to the fair
-	// per-node share of the database (|D|/n rows). The paper's testbed
-	// (3.75 GB m1.medium nodes, SF 10) sat exactly in the regime where a
-	// node's fair share fits in cache but replicated big tables do not —
-	// which is what wrecked CP on PARTSUPP-heavy queries (Section 5.1).
-	CacheFraction float64
-	// MissFactor is the out-of-cache probe penalty (engine.ExecOptions).
-	MissFactor float64
 	// Fault injects faults into every experiment execution (nil = none).
 	// The "fault" experiment ignores it and sweeps its own policies.
 	Fault *fault.Policy
@@ -45,18 +36,22 @@ type Params struct {
 func DefaultParams() Params {
 	return Params{
 		SF: 0.01, DSSF: 1.0, Parts: 10, Seed: 42,
-		Cost: engine.DefaultCostModel(), CacheFraction: 0.8, MissFactor: 15,
 	}
 }
 
+// cacheFraction sizes the per-node buffer pool relative to the fair
+// per-node share of the database (|D|/n rows). The paper's testbed
+// (3.75 GB m1.medium nodes, SF 10) sat exactly in the regime where a
+// node's fair share fits in cache but replicated big tables do not —
+// which is what wrecked CP on PARTSUPP-heavy queries (Section 5.1).
+const cacheFraction = 0.8
+
 // execOptions derives the engine execution model for a database size.
 func (p Params) execOptions(totalRows int) engine.ExecOptions {
-	opt := engine.ExecOptions{Fault: p.Fault}
-	if p.CacheFraction > 0 {
-		opt.CacheRows = int(p.CacheFraction * float64(totalRows) / float64(p.Parts))
-		opt.MissFactor = p.MissFactor
+	return engine.ExecOptions{
+		Fault:     p.Fault,
+		CacheRows: int(cacheFraction * float64(totalRows) / float64(p.Parts)),
 	}
-	return opt
 }
 
 // execVariants are the four execution variants of Figures 7, 8 and 10.
@@ -75,7 +70,7 @@ type queryRun struct {
 }
 
 // runQuery routes, rewrites and executes one TPC-H query on a variant.
-func runQuery(t *tpch.TPCH, v *Variant, m *Materialized, query string, opt plan.Options, cost engine.CostModel, eopt engine.ExecOptions) (*queryRun, error) {
+func runQuery(t *tpch.TPCH, v *Variant, m *Materialized, query string, opt plan.Options, eopt engine.ExecOptions) (*queryRun, error) {
 	gi := v.RouteFor(query)
 	pdb := m.PDBs[gi]
 	cfg := v.Groups[gi].Config
@@ -91,7 +86,7 @@ func runQuery(t *tpch.TPCH, v *Variant, m *Materialized, query string, opt plan.
 	if err != nil {
 		return nil, fmt.Errorf("%s on %s: %w", query, v.Name, err)
 	}
-	return &queryRun{Stats: res.Stats, Sim: cost.Simulate(res.Stats), Wall: time.Since(start)}, nil
+	return &queryRun{Stats: res.Stats, Sim: engine.DefaultCostModel().Simulate(res.Stats), Wall: time.Since(start)}, nil
 }
 
 // Table1 regenerates Table 1: data-locality and data-redundancy of the
@@ -137,7 +132,7 @@ func Fig7(p Params) (*Report, error) {
 			if ExcludedQueries[q] {
 				continue
 			}
-			run, err := runQuery(t, vs[name], m, q, plan.Options{}, p.Cost, eopt)
+			run, err := runQuery(t, vs[name], m, q, plan.Options{}, eopt)
 			if err != nil {
 				return nil, err
 			}
@@ -171,7 +166,7 @@ func Fig8(p Params) (*Report, error) {
 	for _, q := range tpch.QueryNames {
 		vals := make([]float64, 0, len(execVariants))
 		for _, name := range execVariants {
-			run, err := runQuery(t, vs[name], mats[name], q, plan.Options{}, p.Cost, eopt)
+			run, err := runQuery(t, vs[name], mats[name], q, plan.Options{}, eopt)
 			if err != nil {
 				return nil, err
 			}
@@ -234,12 +229,12 @@ func Fig9(p Params) (*Report, error) {
 	r := &Report{ID: "fig9", Title: "Optimization effectiveness on SD (simulated ms)",
 		Columns: []string{"with_opt", "without_opt", "speedup"}}
 	for _, c := range cases {
-		with, err := execOn(c.mk(), t, sd, m, plan.Options{}, p.Cost, eopt)
+		with, err := execOn(c.mk(), t, sd, m, plan.Options{}, eopt)
 		if err != nil {
 			return nil, err
 		}
 		without, err := execOn(c.mk(), t, sd, m,
-			plan.Options{DisableHasRefOpt: true, DisableDupIndex: true}, p.Cost, eopt)
+			plan.Options{DisableHasRefOpt: true, DisableDupIndex: true}, eopt)
 		if err != nil {
 			return nil, err
 		}
@@ -251,7 +246,7 @@ func Fig9(p Params) (*Report, error) {
 	return r, nil
 }
 
-func execOn(node plan.Node, t *tpch.TPCH, v *Variant, m *Materialized, opt plan.Options, cost engine.CostModel, eopt engine.ExecOptions) (*queryRun, error) {
+func execOn(node plan.Node, t *tpch.TPCH, v *Variant, m *Materialized, opt plan.Options, eopt engine.ExecOptions) (*queryRun, error) {
 	cfg := v.Groups[0].Config
 	rw, err := plan.Rewrite(node, t.DB.Schema, cfg, opt)
 	if err != nil {
@@ -262,7 +257,7 @@ func execOn(node plan.Node, t *tpch.TPCH, v *Variant, m *Materialized, opt plan.
 	if err != nil {
 		return nil, err
 	}
-	return &queryRun{Stats: res.Stats, Sim: cost.Simulate(res.Stats), Wall: time.Since(start)}, nil
+	return &queryRun{Stats: res.Stats, Sim: engine.DefaultCostModel().Simulate(res.Stats), Wall: time.Since(start)}, nil
 }
 
 // Fig10 regenerates Figure 10: bulk-loading cost per variant
@@ -489,8 +484,8 @@ type Experiment struct {
 }
 
 // Experiments is the registry, in presentation order: the paper's table
-// and figures, the fault, per-operator, hedging and health-layer sweeps,
-// then the ablations. Wall-clock speed is not measured here; see
+// and figures, the fault, per-operator and hedging sweeps, then the
+// ablations. Wall-clock speed is not measured here; see
 // benchmark/README.md.
 var Experiments = []Experiment{
 	{"table1", Table1},
@@ -506,7 +501,6 @@ var Experiments = []Experiment{
 	{"fault", FaultSweep},
 	{"ops", OpBreakdown},
 	{"hedge", HedgeSweep},
-	{"soak", ResilienceSoak},
 	{"ablation-mast", AblationSpanningTree},
 	{"ablation-estimator", AblationEstimator},
 	{"ablation-partindex", AblationPartitionIndex},

@@ -69,7 +69,7 @@ func FaultSweep(p Params) (*Report, error) {
 				if ExcludedQueries[q] {
 					continue
 				}
-				run, err := runQuery(t, vs[name], mats[name], q, plan.Options{}, p.Cost, eopt)
+				run, err := runQuery(t, vs[name], mats[name], q, plan.Options{}, eopt)
 				if err != nil {
 					return nil, fmt.Errorf("fault sweep p=%.2f: %w", prob, err)
 				}

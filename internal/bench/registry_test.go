@@ -57,11 +57,15 @@ func TestTPCHVariantMatchesVariantSet(t *testing.T) {
 // The registry is the one list behind prefbench -list, -exp all and the
 // id check: ids are unique and resolve, every driver runs (at micro scale)
 // and reports under its registry id — the name of its -json artifact —
-// and the retired speed experiments no longer resolve (speed is
-// benchmark/'s job).
+// and the retired experiments no longer resolve: the speed ones (speed is
+// benchmark/'s job) and soak (its legs are oracle-checked by
+// TestBreakerProbeRepairRebuild and TestChaosSoak).
 func TestExperimentRegistry(t *testing.T) {
 	p := DefaultParams()
 	p.SF, p.DSSF, p.Parts = 0.001, 0.1, 3
+	if len(Experiments) != 19 {
+		t.Errorf("%d experiments registered, want 19", len(Experiments))
+	}
 	seen := map[string]bool{}
 	for _, e := range Experiments {
 		if seen[e.ID] {
@@ -81,7 +85,7 @@ func TestExperimentRegistry(t *testing.T) {
 			t.Errorf("experiment %q reported as %q with %d rows", e.ID, r.ID, len(r.Rows))
 		}
 	}
-	for _, id := range []string{"serve", "vec", "mixed", ""} {
+	for _, id := range []string{"serve", "vec", "mixed", "soak", ""} {
 		if _, ok := LookupExperiment(id); ok {
 			t.Errorf("LookupExperiment(%q) resolved; want unknown experiment", id)
 		}

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -20,6 +21,26 @@ import (
 	"pref/internal/tpch"
 	"pref/internal/value"
 )
+
+// typedFailure reports whether a failed query or submission carries one of
+// the typed, contractual error classes — the one list the write-crash soak
+// and the serving soak both check against. Anything else is a taxonomy hole
+// and fails the caller.
+func typedFailure(err error) bool {
+	// Every ladder rejection — quota, shed, queue timeout, closed — is a
+	// *serve.RejectedError around its sentinel.
+	var rej *serve.RejectedError
+	return errors.As(err, &rej) ||
+		errors.Is(err, fault.ErrPartitionLost) || // *fault.PartitionLostError unwraps to it
+		errors.Is(err, fault.ErrNodeFailed) ||
+		errors.Is(err, fault.ErrShipmentFailed) ||
+		errors.Is(err, cluster.ErrNodeTripped) ||
+		errors.Is(err, engine.ErrAllNodesDown) ||
+		// engine.ErrDeadlineExceeded wraps the context error, so the bare
+		// match covers typed and untyped deadline kills alike.
+		errors.Is(err, context.DeadlineExceeded) ||
+		errors.Is(err, context.Canceled)
+}
 
 // serveQueries is the prepared-query mix of the serving soak: the same
 // light/medium/heavy TPC-H trio the hedge sweep uses.
@@ -49,7 +70,9 @@ func serveOracles(t *testing.T, th *tpch.TPCH, m *Materialized, v *Variant) map[
 // × concurrent tenants × deadline mixes × a live write stream rolling
 // epochs underneath. The contract checked for every single submission:
 // a successful query is oracle-equal; a failed one carries a typed error.
-// No third outcome, no leaked goroutine, clean under -race.
+// No third outcome, no leaked goroutine, clean under -race. Bronze's quota
+// (burst 3 against 30 submissions a schedule) must turn some away, so the
+// ladder's first rung is known to fire.
 func TestServeSoak(t *testing.T) {
 	schedules := 12
 	if testing.Short() {
@@ -58,9 +81,9 @@ func TestServeSoak(t *testing.T) {
 	verifyLeaks := testutil.CheckGoroutineLeaks(t)
 	p := DefaultParams()
 	th := tpch.Generate(p.SF, p.Seed)
-	// AllReplicated, as in the resilience soak: a flaky or tripped node
-	// is always recoverable from replicas, so oracle-equality stays
-	// reachable under every schedule (SD partition loss is its own test).
+	// AllReplicated: a flaky or tripped node is always recoverable from
+	// replicas, so oracle-equality stays reachable under every schedule
+	// (SD partition loss is its own test).
 	vs, err := TPCHVariants(th, p.Parts)
 	if err != nil {
 		t.Fatal(err)
@@ -68,7 +91,7 @@ func TestServeSoak(t *testing.T) {
 	v := vs["AllReplicated"]
 
 	var totals struct {
-		ok, failed, rejected, deadline, epochRolls, cacheMisses int64
+		ok, failed, rejected, quota, deadline, epochRolls, cacheMisses int64
 	}
 	for sch := 0; sch < schedules; sch++ {
 		// Fresh partitioned data per schedule: the write stream below
@@ -102,7 +125,7 @@ func TestServeSoak(t *testing.T) {
 			Tenants: []serve.TenantConfig{
 				{Name: "gold", Weight: 4},
 				{Name: "silver", Weight: 2},
-				{Name: "bronze", Weight: 1, Rate: 500, Burst: 30},
+				{Name: "bronze", Weight: 1, Rate: 2, Burst: 3},
 			},
 			MaxConcurrent: 6,
 			QueueTimeout:  100 * time.Millisecond,
@@ -201,6 +224,7 @@ func TestServeSoak(t *testing.T) {
 		totals.failed += met.Failed
 		totals.deadline += met.DeadlineExceeded
 		totals.rejected += sumRejected(met.Rejected)
+		totals.quota += met.Rejected["quota"]
 		totals.epochRolls += rolls.Load()
 		totals.cacheMisses += met.PlanCacheMisses
 	}
@@ -210,6 +234,9 @@ func TestServeSoak(t *testing.T) {
 	if totals.epochRolls == 0 {
 		t.Fatal("write stream never rolled an epoch")
 	}
+	if totals.quota == 0 {
+		t.Fatal("bronze's quota never rejected a submission: the ladder's first rung went untested")
+	}
 	// The plan cache keys on the query alone: each schedule's server
 	// rewrites each prepared query exactly once, however many epochs roll
 	// and however many submissions race for the first plan.
@@ -217,8 +244,8 @@ func TestServeSoak(t *testing.T) {
 		t.Fatalf("plan cache missed %d times across %d epoch rolls, want exactly %d (one per query per schedule)",
 			totals.cacheMisses, totals.epochRolls, want)
 	}
-	t.Logf("soak: %d schedules, ok=%d failed=%d deadline=%d rejected=%d, %d epoch rolls, %d plan-cache misses",
-		schedules, totals.ok, totals.failed, totals.deadline, totals.rejected, totals.epochRolls, totals.cacheMisses)
+	t.Logf("soak: %d schedules, ok=%d failed=%d deadline=%d rejected=%d (quota %d), %d epoch rolls, %d plan-cache misses",
+		schedules, totals.ok, totals.failed, totals.deadline, totals.rejected, totals.quota, totals.epochRolls, totals.cacheMisses)
 	verifyLeaks()
 }
 

@@ -81,9 +81,6 @@ type Options struct {
 	// Nodes is the logical node count (required, must match the
 	// partitioned databases executed against the cluster).
 	Nodes int
-	// SuspectAfter is the consecutive-failure count that moves a healthy
-	// node to suspect (default 1).
-	SuspectAfter int
 	// TripAfter is the consecutive-failure count that trips the breaker,
 	// moving the node to down (default 3).
 	TripAfter int
@@ -98,9 +95,6 @@ type Options struct {
 
 // withDefaults fills unset options.
 func (o Options) withDefaults() Options {
-	if o.SuspectAfter <= 0 {
-		o.SuspectAfter = 1
-	}
 	if o.TripAfter <= 0 {
 		o.TripAfter = 3
 	}
@@ -312,8 +306,9 @@ func (c *Cluster) ReportSuccess(nodeID int) {
 }
 
 // ReportFailure records a failed work-unit attempt on a node, driving the
-// healthy → suspect → down legs of the state machine. Reaching the trip
-// threshold opens the breaker.
+// healthy → suspect → down legs of the state machine: the first failure
+// makes a healthy node suspect, and reaching the trip threshold opens the
+// breaker.
 func (c *Cluster) ReportFailure(nodeID int) {
 	if c == nil {
 		return
@@ -329,7 +324,7 @@ func (c *Cluster) ReportFailure(nodeID int) {
 		c.trip(nodeID)
 		return
 	}
-	if n.state == Healthy && n.consecFails >= c.opt.SuspectAfter {
+	if n.state == Healthy {
 		c.setState(nodeID, Suspect)
 	}
 }

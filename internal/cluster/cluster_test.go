@@ -86,7 +86,7 @@ func TestNilClusterIsDisabled(t *testing.T) {
 // TestBreakerTripAndFSM walks healthy → suspect → down on consecutive
 // failures and back to healthy on success before the trip.
 func TestBreakerTripAndFSM(t *testing.T) {
-	c := newTestCluster(t, Options{SuspectAfter: 1, TripAfter: 3})
+	c := newTestCluster(t, Options{TripAfter: 3})
 	if c.NodeState(2) != Healthy {
 		t.Fatal("fresh node must be healthy")
 	}
@@ -211,11 +211,10 @@ func TestRebuildUnrecoverable(t *testing.T) {
 }
 
 // TestHedgeDelayPricing: cold sampler → MaxDelay; warm sampler →
-// clamp(quantile × multiplier, Min, Max).
+// clamp(2 × p95, Min, Max).
 func TestHedgeDelayPricing(t *testing.T) {
 	c := newTestCluster(t, Options{Hedge: HedgePolicy{
-		Enabled: true, Quantile: 0.9, Multiplier: 2,
-		MinDelay: time.Millisecond, MaxDelay: 100 * time.Millisecond, MinSamples: 8,
+		Enabled: true, MinDelay: time.Millisecond, MaxDelay: 100 * time.Millisecond,
 	}})
 	d, ok := c.HedgeDelay()
 	if !ok || d != 100*time.Millisecond {
@@ -226,13 +225,15 @@ func TestHedgeDelayPricing(t *testing.T) {
 	}
 	d, ok = c.HedgeDelay()
 	if !ok || d != 6*time.Millisecond {
-		t.Fatalf("warm delay = %v ok=%v, want 6ms (2 × p90 of 3ms)", d, ok)
+		t.Fatalf("warm delay = %v ok=%v, want 6ms (2 × p95 of 3ms)", d, ok)
 	}
 	// Clamping at both ends.
 	cLow := newTestCluster(t, Options{Hedge: HedgePolicy{
-		Enabled: true, MinDelay: 50 * time.Millisecond, MaxDelay: 60 * time.Millisecond, MinSamples: 1,
+		Enabled: true, MinDelay: 50 * time.Millisecond, MaxDelay: 60 * time.Millisecond,
 	}})
-	cLow.ObserveUnit(time.Microsecond)
+	for i := 0; i < hedgeMinSamples; i++ {
+		cLow.ObserveUnit(time.Microsecond)
+	}
 	if d, _ := cLow.HedgeDelay(); d != 50*time.Millisecond {
 		t.Fatalf("clamped-low delay = %v, want MinDelay", d)
 	}

@@ -11,51 +11,41 @@ import (
 // estimate tracks regime changes within a few queries.
 const latencyWindow = 512
 
+// The hedge delay is hedgeMultiplier × the hedgeQuantile latency of recent
+// units: a unit must run twice as long as the tail of its peers before a
+// duplicate launches. The quantile is trusted once hedgeMinSamples unit
+// latencies have been observed.
+const (
+	hedgeQuantile   = 0.95
+	hedgeMultiplier = 2
+	hedgeMinSamples = 16
+)
+
 // HedgePolicy configures speculative duplicates for straggling work
-// units. When a partition's unit has run longer than
-// Multiplier × the Quantile latency of recent units (clamped to
-// [MinDelay, MaxDelay]), the engine launches a duplicate of the unit on
-// a surviving buddy node; the first result wins and the loser is
-// cancelled, its output metered as wasted hedge work. The zero value
-// disables hedging.
+// units. When a partition's unit has run longer than 2 × the p95 latency
+// of recent units (clamped to [MinDelay, MaxDelay]), the engine launches
+// a duplicate of the unit on a surviving buddy node; the first result
+// wins and the loser is cancelled, its output metered as wasted hedge
+// work. The zero value disables hedging.
 type HedgePolicy struct {
 	// Enabled turns hedging on.
 	Enabled bool
-	// Quantile of the recent unit-latency distribution used as the base
-	// delay (default 0.95).
-	Quantile float64
-	// Multiplier scales the quantile latency into the hedge delay
-	// (default 2): a unit must run Multiplier× longer than the tail of
-	// its peers before a duplicate launches.
-	Multiplier float64
 	// MinDelay and MaxDelay clamp the delay. MinDelay guards against
 	// hedging everything when the cluster is uniformly fast (default
 	// 100µs); MaxDelay bounds how long a straggler is waited on before
 	// the duplicate launches, and is also the cold-start delay while the
-	// sampler has fewer than MinSamples observations (default 50ms).
+	// sampler has fewer than 16 observations (default 50ms).
 	MinDelay time.Duration
 	MaxDelay time.Duration
-	// MinSamples is how many unit latencies must be observed before the
-	// quantile is trusted (default 16).
-	MinSamples int
 }
 
 // withDefaults fills unset policy fields.
 func (h HedgePolicy) withDefaults() HedgePolicy {
-	if h.Quantile <= 0 || h.Quantile >= 1 {
-		h.Quantile = 0.95
-	}
-	if h.Multiplier <= 0 {
-		h.Multiplier = 2
-	}
 	if h.MinDelay <= 0 {
 		h.MinDelay = 100 * time.Microsecond
 	}
 	if h.MaxDelay <= 0 {
 		h.MaxDelay = 50 * time.Millisecond
-	}
-	if h.MinSamples <= 0 {
-		h.MinSamples = 16
 	}
 	return h
 }
@@ -115,21 +105,21 @@ func (c *Cluster) ObserveUnit(d time.Duration) {
 }
 
 // HedgeDelay prices the speculative-duplicate delay for the current
-// query: Multiplier × the Quantile of recent unit latencies, clamped to
-// [MinDelay, MaxDelay]. Returns ok=false when hedging is disabled. While
-// the sampler is cold (fewer than MinSamples observations) the delay is
-// MaxDelay: hedge only extreme outliers until the latency distribution
-// is known.
+// query: hedgeMultiplier × the hedgeQuantile of recent unit latencies,
+// clamped to [MinDelay, MaxDelay]. Returns ok=false when hedging is
+// disabled. While the sampler is cold (fewer than hedgeMinSamples
+// observations) the delay is MaxDelay: hedge only extreme outliers until
+// the latency distribution is known.
 func (c *Cluster) HedgeDelay() (time.Duration, bool) {
 	if c == nil || !c.opt.Hedge.Enabled {
 		return 0, false
 	}
 	h := c.opt.Hedge
-	q, n := c.lat.quantile(h.Quantile)
-	if n < h.MinSamples {
+	q, n := c.lat.quantile(hedgeQuantile)
+	if n < hedgeMinSamples {
 		return h.MaxDelay, true
 	}
-	d := time.Duration(float64(q) * h.Multiplier)
+	d := time.Duration(float64(q) * hedgeMultiplier)
 	if d < h.MinDelay {
 		d = h.MinDelay
 	}

@@ -155,17 +155,15 @@ func findBestPC(tree *graph.Graph, candidateSets [][]string, schema *catalog.Sch
 }
 
 // FindOptimalPCConstrained extends the enumeration per Section 3.4: it
-// searches seed sets of increasing size k and returns the first k's best
-// configuration whose no-redundancy constraints hold. Data-locality is
-// monotonically non-increasing in k, so stopping at the smallest feasible
-// k yields the maximal-locality configuration satisfying the constraints.
+// searches seed sets of increasing size k, up to every table of the tree,
+// and returns the first k's best configuration whose no-redundancy
+// constraints hold. Data-locality is monotonically non-increasing in k, so
+// stopping at the smallest feasible k yields the maximal-locality
+// configuration satisfying the constraints.
 func FindOptimalPCConstrained(tree *graph.Graph, schema *catalog.Schema, sizes Sizes,
-	hp *HistProvider, n int, noRedundancy []string, maxSeeds int) (*PC, error) {
+	hp *HistProvider, n int, noRedundancy []string) (*PC, error) {
 
 	nodes := tree.Nodes()
-	if maxSeeds <= 0 || maxSeeds > len(nodes) {
-		maxSeeds = len(nodes)
-	}
 	noRed := map[string]bool{}
 	for _, t := range noRedundancy {
 		if tree.HasNode(t) {
@@ -186,7 +184,7 @@ func FindOptimalPCConstrained(tree *graph.Graph, schema *catalog.Schema, sizes S
 	// evaluated per k. In practice constraints are satisfied at small k
 	// (TPC-H needs k=2), far below the cap.
 	const maxSetsPerK = 20000
-	for k := 1; k <= maxSeeds; k++ {
+	for k := 1; k <= len(nodes); k++ {
 		var sets [][]string
 		combinations(nodes, k, func(set []string) {
 			if len(sets) < maxSetsPerK {
@@ -204,7 +202,7 @@ func FindOptimalPCConstrained(tree *graph.Graph, schema *catalog.Schema, sizes S
 			return best, nil
 		}
 	}
-	return nil, fmt.Errorf("design: constraints unsatisfiable with up to %d seeds", maxSeeds)
+	return nil, fmt.Errorf("design: constraints unsatisfiable with up to %d seeds", len(nodes))
 }
 
 // refineForLocality re-evaluates the candidate sets preferring (1) maximal

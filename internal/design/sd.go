@@ -20,13 +20,12 @@ type SDOptions struct {
 	SampleRate float64
 	// SampleSeed seeds the sampler for reproducibility.
 	SampleSeed int64
-	// MaxMASTs bounds how many equal-weight alternate MASTs are evaluated
-	// per connected component (Section 3.1 notes several can exist).
-	// Default 3.
-	MaxMASTs int
-	// MaxSeeds caps the multi-seed search depth (default: all tables).
-	MaxSeeds int
 }
+
+// maxMASTs bounds how many equal-weight alternate MASTs the designers
+// evaluate per connected component or query (Section 3.1 notes several can
+// exist).
+const maxMASTs = 3
 
 // Design is a complete automated design: the configuration, the graphs it
 // was derived from, and its predicted quality.
@@ -54,9 +53,6 @@ func SchemaDriven(db *table.Database, opt SDOptions) (*Design, error) {
 	if opt.Parts < 1 {
 		return nil, fmt.Errorf("design: Parts = %d, want >= 1", opt.Parts)
 	}
-	if opt.MaxMASTs <= 0 {
-		opt.MaxMASTs = 3
-	}
 	sizes := SizesOf(db)
 	hp := NewHistProvider(db, opt.SampleRate, opt.SampleSeed)
 	gs := SchemaGraph(db.Schema, sizes)
@@ -64,7 +60,7 @@ func SchemaDriven(db *table.Database, opt SDOptions) (*Design, error) {
 	var pcs []*PC
 	for _, comp := range gs.Components() {
 		sub := gs.Subgraph(comp)
-		masts := sub.MaximumSpanningTrees(opt.MaxMASTs)
+		masts := sub.MaximumSpanningTrees(maxMASTs)
 		var best *PC
 		for _, mast := range masts {
 			pc, err := solveTree(mast, db, sizes, hp, opt)
@@ -91,7 +87,7 @@ func SchemaDriven(db *table.Database, opt SDOptions) (*Design, error) {
 // solveTree finds the best configuration for one MAST, constrained or not.
 func solveTree(mast *graph.Graph, db *table.Database, sizes Sizes, hp *HistProvider, opt SDOptions) (*PC, error) {
 	if len(opt.NoRedundancy) > 0 {
-		return FindOptimalPCConstrained(mast, db.Schema, sizes, hp, opt.Parts, opt.NoRedundancy, opt.MaxSeeds)
+		return FindOptimalPCConstrained(mast, db.Schema, sizes, hp, opt.Parts, opt.NoRedundancy)
 	}
 	return FindOptimalPC(mast, db.Schema, sizes, hp, opt.Parts)
 }

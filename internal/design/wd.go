@@ -56,8 +56,6 @@ type WDOptions struct {
 	// SampleRate / SampleSeed control histogram sampling (0/1 = exact).
 	SampleRate float64
 	SampleSeed int64
-	// MaxMASTs bounds equal-weight alternate MASTs evaluated per query.
-	MaxMASTs int
 	// DisablePhase1 skips the containment merge (ablation only).
 	DisablePhase1 bool
 	// NoRedundancy lists tables that must stay duplicate-free in every
@@ -191,9 +189,6 @@ func WorkloadDriven(db *table.Database, queries []Query, opt WDOptions) (*WDDesi
 	if opt.Parts < 1 {
 		return nil, fmt.Errorf("design: Parts = %d, want >= 1", opt.Parts)
 	}
-	if opt.MaxMASTs <= 0 {
-		opt.MaxMASTs = 3
-	}
 	if len(queries) == 0 {
 		return nil, fmt.Errorf("design: empty workload")
 	}
@@ -202,12 +197,12 @@ func WorkloadDriven(db *table.Database, queries []Query, opt WDOptions) (*WDDesi
 
 	solveTree := func(m *graph.Graph) (*PC, error) {
 		if len(opt.NoRedundancy) > 0 {
-			return FindOptimalPCConstrained(m, db.Schema, sizes, hp, opt.Parts, opt.NoRedundancy, 0)
+			return FindOptimalPCConstrained(m, db.Schema, sizes, hp, opt.Parts, opt.NoRedundancy)
 		}
 		return FindOptimalPC(m, db.Schema, sizes, hp, opt.Parts)
 	}
 	solveBestMAST := func(g *graph.Graph) (*graph.Graph, *PC, error) {
-		masts := g.MaximumSpanningTrees(opt.MaxMASTs)
+		masts := g.MaximumSpanningTrees(maxMASTs)
 		var bestTree *graph.Graph
 		var bestPC *PC
 		for _, m := range masts {

@@ -425,7 +425,9 @@ func soakPolicy(seed int64) *fault.Policy {
 // schedules, each executing several queries concurrently against one
 // shared cluster health layer. Every query must either match its
 // fault-free oracle exactly or fail with a typed error — never return
-// silent partial results — and no goroutines may leak.
+// silent partial results — and no goroutines may leak. Breaker trips and
+// half-open probes, summed over the schedules, must both happen, so the
+// soak is known to reach the health layer's FSM.
 func TestChaosSoak(t *testing.T) {
 	schedules := 200
 	if testing.Short() {
@@ -455,6 +457,7 @@ func TestChaosSoak(t *testing.T) {
 	}
 
 	verifyLeaks := testutil.CheckGoroutineLeaks(t)
+	var trips, probes int64
 	for s := 0; s < schedules; s++ {
 		pol := soakPolicy(int64(1000 + s))
 		copt := cluster.Options{Nodes: 4, TripAfter: 3, CoolDownQueries: 1}
@@ -481,10 +484,17 @@ func TestChaosSoak(t *testing.T) {
 		}
 		wg.Wait()
 		cl.WaitRebuilds()
+		st := cl.Stats()
+		trips += st.Trips
+		probes += st.Probes
 		cl.Close()
 		if t.Failed() {
 			t.Fatalf("stopping soak at schedule %d", s)
 		}
 	}
 	verifyLeaks()
+	t.Logf("%d schedules: %d breaker trips, %d half-open probes", schedules, trips, probes)
+	if trips == 0 || probes == 0 {
+		t.Fatalf("trips=%d probes=%d over %d schedules: the soak never reached the breaker FSM", trips, probes, schedules)
+	}
 }

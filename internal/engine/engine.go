@@ -70,14 +70,11 @@ func (r *Result) SortRows() {
 // ExecOptions tunes the execution model.
 type ExecOptions struct {
 	// CacheRows models the per-node buffer pool, in rows. Hash-join
-	// probes into a build side larger than this pay MissFactor× work —
+	// probes into a build side larger than this pay missFactor× work —
 	// the mechanism that made the paper's MySQL nodes collapse on joins
 	// against large replicated tables (e.g. Q9 against a fully
 	// replicated 8M-row PARTSUPP). 0 disables the penalty.
 	CacheRows int
-	// MissFactor is the work multiplier for out-of-cache probes
-	// (default 15 when CacheRows > 0).
-	MissFactor float64
 	// Fault configures deterministic fault injection and the resilient
 	// execution paths (retry, failover, redundancy recovery, per-query
 	// timeout). Nil executes fault-free.
@@ -104,6 +101,10 @@ type ExecOptions struct {
 	// and no unit is hedged.
 	Cluster *cluster.Cluster
 }
+
+// missFactor is the work multiplier for hash-join probes into a build side
+// larger than ExecOptions.CacheRows.
+const missFactor = 15
 
 // verifyEnv caches the PREF_VERIFY environment toggle.
 var verifyEnv = sync.OnceValue(func() bool { return os.Getenv("PREF_VERIFY") != "" })
@@ -212,9 +213,6 @@ func executeCtx(ctx context.Context, rw *plan.Rewritten, pdb *table.PartitionedD
 		if err := check.Verify(rw); err != nil {
 			return nil, fmt.Errorf("engine: plan failed static verification: %w", err)
 		}
-	}
-	if opt.CacheRows > 0 && opt.MissFactor <= 1 {
-		opt.MissFactor = 15
 	}
 	var inj *fault.Injector
 	if opt.Fault != nil {

@@ -268,11 +268,11 @@ func TestCacheMissPenalty(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fits, err := ExecuteOpts(rw, pdb, ExecOptions{CacheRows: 1000, MissFactor: 10})
+	fits, err := ExecuteOpts(rw, pdb, ExecOptions{CacheRows: 1000})
 	if err != nil {
 		t.Fatal(err)
 	}
-	misses, err := ExecuteOpts(rw, pdb, ExecOptions{CacheRows: 5, MissFactor: 10})
+	misses, err := ExecuteOpts(rw, pdb, ExecOptions{CacheRows: 5})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -546,7 +546,7 @@ func (ex *executor) evalJoin(n *plan.JoinNode) ([][]value.Tuple, error) {
 		// penalty (see ExecOptions.CacheRows).
 		work := len(right[p]) + len(left[p]) + len(rows)
 		if ex.opt.CacheRows > 0 && len(right[p]) > ex.opt.CacheRows {
-			work += int(float64(len(left[p])) * (ex.opt.MissFactor - 1))
+			work += int(float64(len(left[p])) * (missFactor - 1))
 		}
 		return selectRows(rows, live), work, nil
 	})

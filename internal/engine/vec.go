@@ -432,7 +432,7 @@ func (ex *executor) evalJoinVec(n *plan.JoinNode) (vparts, error) {
 		// penalty (see ExecOptions.CacheRows).
 		work := nr + nl + batch.Rows(out)
 		if ex.opt.CacheRows > 0 && nr > ex.opt.CacheRows {
-			work += int(float64(nl) * (ex.opt.MissFactor - 1))
+			work += int(float64(nl) * (missFactor - 1))
 		}
 		return out, work, nil
 	})

@@ -52,11 +52,14 @@ func (e *PartitionLostError) Error() string {
 // Unwrap makes errors.Is(err, ErrPartitionLost) work.
 func (e *PartitionLostError) Unwrap() error { return ErrPartitionLost }
 
-// Defaults for the retry budget and backoff schedule.
+// DefaultMaxAttempts is the per-unit retry budget when the policy sets none.
+const DefaultMaxAttempts = 4
+
+// backoffBase and backoffMax bound the capped exponential backoff between
+// attempts: min(backoffBase << attempt, backoffMax).
 const (
-	DefaultMaxAttempts = 4
-	DefaultBackoffBase = 200 * time.Microsecond
-	DefaultBackoffMax  = 5 * time.Millisecond
+	backoffBase = 200 * time.Microsecond
+	backoffMax  = 5 * time.Millisecond
 )
 
 // Policy declares the faults to inject into one query execution. The zero
@@ -82,9 +85,8 @@ type Policy struct {
 	// probes after which its node-level fault (permanent down, flaky
 	// crashes) heals — the simulation stand-in for an operator replacing
 	// the hardware while the cluster layer keeps probing. A node without
-	// an entry never heals. Only consulted through the epoch-aware hooks
-	// (NodeDownAt, ProbeOK); the legacy NodeDown treats every down node
-	// as down forever.
+	// an entry never heals. ProbeOK reads it with the cluster layer's
+	// per-node count of failed probes; NodeDown reads it at zero probes.
 	RepairAfterProbes map[int]int
 
 	// CrashProb is the probability that any single work-unit attempt
@@ -117,10 +119,6 @@ type Policy struct {
 	// MaxAttempts caps attempts per work unit / shipment
 	// (default DefaultMaxAttempts).
 	MaxAttempts int
-	// BackoffBase and BackoffMax bound the capped exponential backoff
-	// between attempts: min(BackoffBase << attempt, BackoffMax).
-	BackoffBase time.Duration
-	BackoffMax  time.Duration
 
 	// Timeout is the per-query deadline (0 = none). Exceeding it cancels
 	// all in-flight units and surfaces context.DeadlineExceeded.
@@ -141,8 +139,6 @@ type Injector struct {
 	writeCrashProb float64
 	writeRaceProb  float64
 	maxAttempts    int
-	backoffBase    time.Duration
-	backoffMax     time.Duration
 	timeout        time.Duration
 }
 
@@ -159,8 +155,6 @@ func NewInjector(p Policy) *Injector {
 		writeCrashProb: p.WriteCrashProb,
 		writeRaceProb:  p.WriteIndexRaceProb,
 		maxAttempts:    p.MaxAttempts,
-		backoffBase:    p.BackoffBase,
-		backoffMax:     p.BackoffMax,
 		timeout:        p.Timeout,
 	}
 	for _, n := range p.DownNodes {
@@ -177,12 +171,6 @@ func NewInjector(p Policy) *Injector {
 	}
 	if in.maxAttempts <= 0 {
 		in.maxAttempts = DefaultMaxAttempts
-	}
-	if in.backoffBase <= 0 {
-		in.backoffBase = DefaultBackoffBase
-	}
-	if in.backoffMax <= 0 {
-		in.backoffMax = DefaultBackoffMax
 	}
 	return in
 }
@@ -218,18 +206,12 @@ func (in *Injector) draw(kind, a, b, c int) float64 {
 	return float64(h>>11) / (1 << 53)
 }
 
-// NodeDown reports whether a node is permanently failed, ignoring repair:
-// the epoch-0 view, kept for callers without a cluster health layer.
+// NodeDown reports whether the policy lists a node as permanently failed
+// before any probe has run (a RepairAfterProbes entry of 0 heals it at
+// once). A down node heals through a passed ProbeOK: the cluster layer then
+// reports it recovered, and the engine ignores NodeDown for it.
 func (in *Injector) NodeDown(node int) bool {
-	return in.NodeDownAt(node, 0)
-}
-
-// NodeDownAt is the epoch-aware NodeDown: the node is down if the policy
-// lists it and its fault has not yet healed after the given number of
-// failed probes (the cluster layer's per-node probe count stands in for a
-// repair clock).
-func (in *Injector) NodeDownAt(node, probes int) bool {
-	return in != nil && in.down[node] && !in.repaired(node, probes)
+	return in != nil && in.down[node] && !in.repaired(node, 0)
 }
 
 // ProbeOK is the half-open probe hook: it reports whether a trial request
@@ -295,25 +277,21 @@ func (in *Injector) MaxAttempts() int {
 
 // Backoff returns the delay before retrying after the given failed
 // attempt of a work unit (operator op on node): capped exponential
-// min(base << attempt, max), jittered into [d/2, d) by a deterministic
-// draw keyed by the retry's identity. The jitter desynchronizes retries
-// from different units against a shared flaky node (pure exponential
-// backoff fires them in lockstep), while a fixed seed still reproduces
-// the schedule exactly — the jitter comes from the same mix64 stream as
-// every other fault decision.
+// min(backoffBase << attempt, backoffMax), jittered into [d/2, d) by a
+// deterministic draw keyed by the retry's identity. The jitter
+// desynchronizes retries from different units against a shared flaky node
+// (pure exponential backoff fires them in lockstep), while a fixed seed
+// still reproduces the schedule exactly — the jitter comes from the same
+// mix64 stream as every other fault decision.
 func (in *Injector) Backoff(op, node, attempt int) time.Duration {
-	base, max := DefaultBackoffBase, DefaultBackoffMax
-	if in != nil {
-		base, max = in.backoffBase, in.backoffMax
-	}
-	d := base
-	for i := 0; i < attempt && d < max; i++ {
+	d := backoffBase
+	for i := 0; i < attempt && d < backoffMax; i++ {
 		d *= 2
 	}
-	if d > max {
-		d = max
+	if d > backoffMax {
+		d = backoffMax
 	}
-	if in == nil || d <= 1 {
+	if in == nil {
 		return d
 	}
 	half := d / 2

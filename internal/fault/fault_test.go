@@ -104,12 +104,13 @@ func TestNodeDown(t *testing.T) {
 }
 
 // TestBackoffJitterBounds: the jittered backoff stays within [d/2, d] of
-// the capped exponential envelope d = min(base << attempt, max).
+// the capped exponential envelope d = min(200µs << attempt, 5ms).
 func TestBackoffJitterBounds(t *testing.T) {
-	in := NewInjector(Policy{Seed: 7, BackoffBase: time.Millisecond, BackoffMax: 4 * time.Millisecond})
+	in := NewInjector(Policy{Seed: 7})
 	envelope := []time.Duration{
-		time.Millisecond, 2 * time.Millisecond, 4 * time.Millisecond,
-		4 * time.Millisecond, 4 * time.Millisecond,
+		200 * time.Microsecond, 400 * time.Microsecond, 800 * time.Microsecond,
+		1600 * time.Microsecond, 3200 * time.Microsecond,
+		5 * time.Millisecond, 5 * time.Millisecond,
 	}
 	for attempt, d := range envelope {
 		for node := 0; node < 4; node++ {
@@ -125,8 +126,8 @@ func TestBackoffJitterBounds(t *testing.T) {
 // exactly, while two nodes retrying against the same operator are not in
 // lockstep.
 func TestBackoffDeterministicAndDesynced(t *testing.T) {
-	a := NewInjector(Policy{Seed: 42, BackoffBase: time.Millisecond, BackoffMax: 8 * time.Millisecond})
-	b := NewInjector(Policy{Seed: 42, BackoffBase: time.Millisecond, BackoffMax: 8 * time.Millisecond})
+	a := NewInjector(Policy{Seed: 42})
+	b := NewInjector(Policy{Seed: 42})
 	for attempt := 0; attempt < 5; attempt++ {
 		if a.Backoff(1, 0, attempt) != b.Backoff(1, 0, attempt) {
 			t.Fatalf("same seed, different backoff at attempt %d", attempt)
@@ -148,36 +149,34 @@ func TestDefaults(t *testing.T) {
 	if in.MaxAttempts() != DefaultMaxAttempts {
 		t.Fatalf("MaxAttempts = %d, want %d", in.MaxAttempts(), DefaultMaxAttempts)
 	}
-	if d := in.Backoff(0, 0, 0); d < DefaultBackoffBase/2 || d > DefaultBackoffBase {
-		t.Fatalf("Backoff(0,0,0) = %v, want within [%v, %v]", d, DefaultBackoffBase/2, DefaultBackoffBase)
+	if d := in.Backoff(0, 0, 0); d < backoffBase/2 || d > backoffBase {
+		t.Fatalf("Backoff(0,0,0) = %v, want within [%v, %v]", d, backoffBase/2, backoffBase)
 	}
-	if d := in.Backoff(0, 0, 100); d < DefaultBackoffMax/2 || d > DefaultBackoffMax {
-		t.Fatalf("Backoff(0,0,100) = %v, want within [%v, %v]", d, DefaultBackoffMax/2, DefaultBackoffMax)
+	if d := in.Backoff(0, 0, 100); d < backoffMax/2 || d > backoffMax {
+		t.Fatalf("Backoff(0,0,100) = %v, want within [%v, %v]", d, backoffMax/2, backoffMax)
 	}
 }
 
-// TestNodeRepair: the epoch-aware hooks heal a down node once enough
-// half-open probes have failed, while the legacy NodeDown never does.
+// TestNodeRepair: a down node stays down until the probe at its repair
+// threshold (a count of failed half-open probes) passes.
 func TestNodeRepair(t *testing.T) {
 	in := NewInjector(Policy{DownNodes: []int{1}, RepairAfterProbes: map[int]int{1: 2}})
-	if !in.NodeDownAt(1, 0) || !in.NodeDownAt(1, 1) {
-		t.Fatal("node 1 should stay down before the repair threshold")
+	if !in.NodeDown(1) {
+		t.Fatal("node 1 should be down before any probe")
 	}
 	if in.ProbeOK(1, 0) || in.ProbeOK(1, 1) {
 		t.Fatal("probes before the repair threshold must fail")
 	}
-	if in.NodeDownAt(1, 2) {
-		t.Fatal("node 1 should be repaired after 2 failed probes")
-	}
 	if !in.ProbeOK(1, 2) {
 		t.Fatal("probe at the repair threshold must succeed")
 	}
-	if !in.NodeDown(1) {
-		t.Fatal("legacy NodeDown must treat a down node as down forever")
+	// A repair threshold of 0 heals the node before the first probe.
+	if NewInjector(Policy{DownNodes: []int{1}, RepairAfterProbes: map[int]int{1: 0}}).NodeDown(1) {
+		t.Fatal("node with RepairAfterProbes 0 must not be down")
 	}
 	// A node without a repair entry never heals.
 	in2 := NewInjector(Policy{DownNodes: []int{0}})
-	if !in2.NodeDownAt(0, 1000) || in2.ProbeOK(0, 1000) {
+	if !in2.NodeDown(0) || in2.ProbeOK(0, 1000) {
 		t.Fatal("node without RepairAfterProbes must never heal")
 	}
 	// A healthy node always probes OK; a terminally flaky node heals too.

@@ -66,21 +66,15 @@ type Options struct {
 	// cost-priced shedding starts (default 1.5).
 	ShedThreshold float64
 
-	// RetryBudget caps stored retry tokens (default 10); RetryEarn is the
-	// fraction of a token earned per success (default 0.1). MaxAttempts
-	// bounds executions per query including the first (default 3).
-	RetryBudget float64
-	RetryEarn   float64
+	// MaxAttempts bounds executions per query including the first
+	// (default 3); retries beyond the first are also drawn from the
+	// server-wide retry budget.
 	MaxAttempts int
 
 	// Cluster configures the node-health layer beneath the ladder
 	// (breakers, probes, hedging). Nodes defaults to the design's
 	// partition count.
 	Cluster cluster.Options
-
-	// Exec is the base execution model (cache size, verify, trace). Its
-	// Fault and Cluster fields are owned by the server and overwritten.
-	Exec engine.ExecOptions
 
 	// FaultFor, when set, draws the deterministic fault schedule for one
 	// execution attempt of submission seq — the soak hook that makes
@@ -92,9 +86,6 @@ type Options struct {
 	// they cap how far a producer can run ahead of a slow consumer.
 	ChunkRows    int
 	StreamBuffer int
-
-	// Plan carries the §2.2 rewrite toggles.
-	Plan plan.Options
 }
 
 func (o Options) withDefaults() Options {
@@ -106,12 +97,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.ShedThreshold <= 0 {
 		o.ShedThreshold = 1.5
-	}
-	if o.RetryBudget <= 0 {
-		o.RetryBudget = 10
-	}
-	if o.RetryEarn <= 0 {
-		o.RetryEarn = 0.1
 	}
 	if o.MaxAttempts <= 0 {
 		o.MaxAttempts = 3
@@ -231,7 +216,7 @@ func NewServer(opt Options) (*Server, error) {
 		cl:         cluster.New(opt.Cluster),
 		adm:        newAdmitter(opt.MaxConcurrent, opt.QueueTimeout, opt.Tenants),
 		shed:       newShedder(opt.ShedThreshold),
-		budget:     newRetryBudget(opt.RetryBudget, opt.RetryEarn),
+		budget:     newRetryBudget(),
 		plans:      newPlanCache(),
 		costs:      newCostTable(),
 		baseCtx:    ctx,
@@ -402,7 +387,7 @@ func (s *Server) execute(qctx context.Context, mk func() plan.Node, query string
 	// Plan cache, keyed on the query alone: the rewrite does not read the
 	// data, so it survives write-path publishes.
 	rw, cacheHit, err := s.plans.get(query, func() (*plan.Rewritten, error) {
-		return plan.Rewrite(mk(), s.pdb.Schema, s.opt.Config, s.opt.Plan)
+		return plan.Rewrite(mk(), s.pdb.Schema, s.opt.Config, plan.Options{})
 	})
 	if err != nil {
 		return nil, 0, false, fmt.Errorf("serve: rewrite of %q failed: %w", query, err)
@@ -410,8 +395,7 @@ func (s *Server) execute(qctx context.Context, mk func() plan.Node, query string
 
 	seq := s.seq.Add(1)
 	for attempt := 0; attempt < s.opt.MaxAttempts; attempt++ {
-		eopt := s.opt.Exec
-		eopt.Cluster = s.cl
+		eopt := engine.ExecOptions{Cluster: s.cl}
 		if s.opt.FaultFor != nil {
 			eopt.Fault = s.opt.FaultFor(seq, attempt)
 		}

@@ -501,12 +501,11 @@ func TestPlanCacheSurvivesPublish(t *testing.T) {
 
 // TestRetryBudgetBoundsAmplification pins the anti-amplification
 // property: under a total fault storm the server stops spending retries
-// once the budget drains, instead of multiplying the storm.
+// once the budget drains, instead of multiplying the storm. Ten failing
+// submissions at three attempts each want 20 retries; the budget holds 10.
 func TestRetryBudgetBoundsAmplification(t *testing.T) {
 	storm := map[int]int{0: 99, 1: 99, 2: 99, 3: 99}
 	s := newTestServer(t, func(o *Options) {
-		o.RetryBudget = 3
-		o.RetryEarn = 0.1
 		o.MaxAttempts = 3
 		o.Cluster = cluster.Options{Nodes: 4, TripAfter: 1 << 30} // breakers out of the way
 		o.FaultFor = func(seq int64, attempt int) *fault.Policy {
@@ -519,8 +518,8 @@ func TestRetryBudgetBoundsAmplification(t *testing.T) {
 		}
 	}
 	m := s.Metrics()
-	if m.Retries > 3 {
-		t.Fatalf("spent %d retries with budget 3: retry amplification", m.Retries)
+	if m.Retries > retryBudgetCap {
+		t.Fatalf("spent %d retries with budget %d: retry amplification", m.Retries, retryBudgetCap)
 	}
 	if m.RetryBudgetDenied == 0 {
 		t.Fatal("budget never denied a retry under a 10-query storm")

@@ -87,20 +87,25 @@ func (s *shedder) admit(load float64, cost time.Duration) (bool, time.Duration) 
 type retryBudget struct {
 	mu     sync.Mutex
 	tokens float64
-	cap    float64
-	earn   float64 // tokens earned per successful first attempt
 }
 
-func newRetryBudget(cap, earn float64) *retryBudget {
-	return &retryBudget{tokens: cap, cap: cap, earn: earn}
+// retryBudgetCap caps the stored retry tokens; retryEarn is the fraction of
+// a token each success earns.
+const (
+	retryBudgetCap = 10
+	retryEarn      = 0.1
+)
+
+func newRetryBudget() *retryBudget {
+	return &retryBudget{tokens: retryBudgetCap}
 }
 
 // credit records a successful attempt, earning fractional retry tokens.
 func (b *retryBudget) credit() {
 	b.mu.Lock()
-	b.tokens += b.earn
-	if b.tokens > b.cap {
-		b.tokens = b.cap
+	b.tokens += retryEarn
+	if b.tokens > retryBudgetCap {
+		b.tokens = retryBudgetCap
 	}
 	b.mu.Unlock()
 }
