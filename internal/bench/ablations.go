@@ -138,7 +138,8 @@ func estimateWithCopies(cfg *partition.Config, db *table.Database, parts int, co
 	sizes := design.SizesOf(db)
 	var total float64
 	var orig int
-	for name, ts := range cfg.Schemes {
+	for _, name := range cfg.Names() {
+		ts := cfg.Schemes[name]
 		orig += sizes[name]
 		size := float64(sizes[name])
 		if ts.Method == partition.Pref {
@@ -157,7 +158,7 @@ func estimateWithCopies(cfg *partition.Config, db *table.Database, parts int, co
 					return 0, err
 				}
 				sum := 0.0
-				for _, f := range h.Freq {
+				for _, f := range h.Counts {
 					sum += copies(f, parts)
 				}
 				factor := sum / float64(sizes[tbl])

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"pref/internal/tpcds"
 	"pref/internal/tpch"
 )
 
@@ -180,6 +181,46 @@ func TestFig11bShape(t *testing.T) {
 	wdDL, _ := r.Value("WD", "DL")
 	if wdDL < 0.95 {
 		t.Errorf("WD DL = %v, want ≈ 1", wdDL)
+	}
+}
+
+// TestTPCDSDesignsDeterministic designs WD and SD-Stars twice over the same
+// data: the designers' float sums must not follow map order, or near-tied
+// choices flip between runs and the TPC-DS figures cannot be pinned.
+func TestTPCDSDesignsDeterministic(t *testing.T) {
+	p := smallParams()
+	p.Parts = 10
+	ds := tpcds.Generate(p.DSSF, p.Seed)
+	type outcome struct {
+		configs []string
+		dr      float64
+	}
+	design := func() map[string]outcome {
+		vs, err := TPCDSVariants(ds, p.Parts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := map[string]outcome{}
+		for _, name := range []string{"WD", "SD-Stars"} {
+			m, err := Materialize(vs[name], ds.DB)
+			if err != nil {
+				t.Fatal(err)
+			}
+			o := outcome{dr: m.DR}
+			for _, g := range vs[name].Groups {
+				o.configs = append(o.configs, g.Name+" "+g.Config.String())
+			}
+			out[name] = o
+		}
+		return out
+	}
+	first, second := design(), design()
+	for name, a := range first {
+		b := second[name]
+		if a.dr != b.dr || strings.Join(a.configs, "\n") != strings.Join(b.configs, "\n") {
+			t.Errorf("%s differs between two designs of the same data: DR %v vs %v\n%s\nvs\n%s",
+				name, a.dr, b.dr, strings.Join(a.configs, "\n"), strings.Join(b.configs, "\n"))
+		}
 	}
 }
 

@@ -16,7 +16,8 @@
 //     any order-preserving subset of its natural schema, every reference
 //     above it must still bind, the root and the inputs of top-k and
 //     value-distinct must lose nothing — and, top-down, no join or
-//     exchange may carry a column that nothing above reads.
+//     exchange may carry a column that nothing above reads. Every runtime
+//     join filter must sit where a dropped row could not have joined.
 //   - VerifyDesign checks a partitioning configuration against a catalog
 //     schema: PREF predicate chains must be acyclic, rooted at a proper
 //     seed table (Section 2.1, Definition 1), and reference only existing
@@ -73,6 +74,12 @@ const (
 	// reads: bytes emitted or shipped for nothing, which the rewrite's
 	// column pruning exists to remove.
 	RuleDeadColumn Rule = "dead-column"
+	// RuleTransfer marks a runtime join filter that could drop a row its
+	// join needs: it filters a column its input does not carry, reaches its
+	// join through an operator that does not pass that column up unchanged,
+	// or sits on an input the join does not filter (its source, or an Anti
+	// or LeftOuter join's left input).
+	RuleTransfer Rule = "transfer"
 )
 
 // Design rules (VerifyDesign).
@@ -169,6 +176,7 @@ func Verify(rw *plan.Rewritten) error {
 		// Only a well-formed tree is worth walking again: the result is read
 		// whole, everything below it only as far as something above asks.
 		c.checkLive(rw.Root, reads{}.plus(root.sch.Names()...))
+		c.checkTransfers(rw.Root, nil)
 	}
 	vs = append(vs, c.vs...)
 	if len(vs) == 0 {

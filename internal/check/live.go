@@ -48,6 +48,8 @@ func (c *checker) checkLive(n plan.Node, above reads) {
 	switch n := n.(type) {
 	case *plan.FilterNode:
 		c.checkLive(n.Child, above.plus(n.Pred.AppendCols(nil)...))
+	case *plan.RuntimeFilterNode:
+		c.checkLive(n.Child, above.plus(n.Col))
 	case *plan.DistinctPrefNode:
 		c.checkLive(n.Child, above.plus(n.DupCols...))
 	case *plan.TopKNode:

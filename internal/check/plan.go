@@ -97,6 +97,8 @@ func (c *checker) derive(n plan.Node) *info {
 		return c.deriveScan(n)
 	case *plan.FilterNode:
 		return c.deriveFilter(n)
+	case *plan.RuntimeFilterNode:
+		return c.deriveRuntimeFilter(n)
 	case *plan.ProjectNode:
 		return c.deriveProject(n)
 	case *plan.JoinNode:
@@ -142,8 +144,8 @@ func (c *checker) unpruned(n plan.Node, natural plan.Schema) plan.Schema {
 			return full(n.Left)
 		}
 		return full(n.Left).Concat(full(n.Right))
-	case *plan.FilterNode, *plan.DistinctPrefNode, *plan.DistinctByValueNode, *plan.TopKNode,
-		*plan.RepartitionNode, *plan.BroadcastNode, *plan.GatherNode:
+	case *plan.FilterNode, *plan.RuntimeFilterNode, *plan.DistinctPrefNode, *plan.DistinctByValueNode,
+		*plan.TopKNode, *plan.RepartitionNode, *plan.BroadcastNode, *plan.GatherNode:
 		return full(n.Children()[0])
 	default:
 		return natural
@@ -235,6 +237,16 @@ func (c *checker) deriveFilter(n *plan.FilterNode) *info {
 		c.report(RuleMalformed, n, "filter with nil predicate")
 	} else if _, err := n.Pred.Bind(ci.sch); err != nil {
 		c.report(RuleMalformed, n, "predicate does not bind: %v", err)
+	}
+	return &info{prop: ci.prop.Clone(), sch: ci.sch, contentRepl: ci.contentRepl}
+}
+
+// deriveRuntimeFilter: rows stay where they are, so properties pass through;
+// where the filter may sit is checkTransfers' question.
+func (c *checker) deriveRuntimeFilter(n *plan.RuntimeFilterNode) *info {
+	ci := c.visit(n.Child)
+	if ci.sch.Index(n.Col) < 0 {
+		c.report(RuleTransfer, n, "filters column %q, which its input %v does not carry", n.Col, ci.sch.Names())
 	}
 	return &info{prop: ci.prop.Clone(), sch: ci.sch, contentRepl: ci.contentRepl}
 }

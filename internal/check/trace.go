@@ -69,6 +69,7 @@ type traceVerifier struct {
 	nodeWork []int64       // per-node Work rollup (MaxNodeRows check)
 	reparts  int           // spans that count as Stats.Repartitions
 	bcasts   int           // spans that count as Stats.Broadcasts
+	xfers    int           // spans that count as Stats.Transfers
 }
 
 func (tv *traceVerifier) walk(n plan.Node, ot *trace.OpTrace, vs *Violations) {
@@ -106,13 +107,21 @@ func (tv *traceVerifier) checkOp(n plan.Node, ot *trace.OpTrace, vs *Violations)
 
 	// Ship legality: only exchange operators move rows — except a scan
 	// reconstructing a lost partition from PREF/replication redundancy,
-	// whose recovered rows travel from survivors to the buddy node.
+	// whose recovered rows travel from survivors to the buddy node. Bytes
+	// travel without rows only into a runtime filter, which receives Bloom
+	// filters and ships no row at all.
 	if m.RowsShipped > 0 && !ot.Kind.Exchange() {
 		if !(ot.Kind == trace.KindScan && m.RecoveredRows > 0) {
 			bad(RuleTraceShip,
 				"%d rows shipped by a non-exchange operator the checker proved local",
 				m.RowsShipped)
 		}
+	}
+	if m.RowsShipped == 0 && m.BytesShipped > 0 && ot.Kind != trace.KindRuntimeFilter {
+		bad(RuleTraceShip, "%d bytes shipped with no rows by a %s operator", m.BytesShipped, ot.Kind)
+	}
+	if m.FilteredRows > 0 && ot.Kind != trace.KindRuntimeFilter {
+		bad(RuleTraceConserve, "%d rows filtered by a %s operator, which holds no runtime filter", m.FilteredRows, ot.Kind)
 	}
 	// Hedge legality: speculative duplicates race partition work units,
 	// which only per-partition operators run. Exchanges and the
@@ -150,6 +159,10 @@ func (tv *traceVerifier) checkOp(n plan.Node, ot *trace.OpTrace, vs *Violations)
 	case trace.KindFilter, trace.KindTopK:
 		if out > in {
 			bad(RuleTraceConserve, "out=%d exceeds in=%d", out, in)
+		}
+	case trace.KindRuntimeFilter:
+		if out != in-m.FilteredRows {
+			bad(RuleTraceConserve, "rows lost or invented: in=%d filtered=%d out=%d", in, m.FilteredRows, out)
 		}
 	case trace.KindDistinctPref, trace.KindRepartition, trace.KindDistinctByValue:
 		if out != in-dedup {
@@ -239,6 +252,8 @@ func (tv *traceVerifier) accumulate(ot *trace.OpTrace) {
 		tv.reparts++
 	case trace.KindBroadcast:
 		tv.bcasts++
+	case trace.KindRuntimeFilter:
+		tv.xfers++
 	}
 }
 
@@ -293,5 +308,8 @@ func (tv *traceVerifier) checkTotals(tr *trace.Trace, vs *Violations) {
 	}
 	if tv.bcasts != t.Broadcasts {
 		bad("%d broadcast spans != Stats.Broadcasts %d", tv.bcasts, t.Broadcasts)
+	}
+	if tv.xfers != t.Transfers {
+		bad("%d runtime-filter spans != Stats.Transfers %d", tv.xfers, t.Transfers)
 	}
 }

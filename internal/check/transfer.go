@@ -1,0 +1,105 @@
+package check
+
+import (
+	"fmt"
+	"slices"
+
+	"pref/internal/plan"
+)
+
+// Runtime join filters.
+//
+// A RuntimeFilterNode drops the rows whose key its join's source input does
+// not hold. That is sound only if no dropped row could have reached the
+// join's output: the filtered column must travel up to the join unchanged
+// and be the join's key on the input it enters, and that input must be one
+// the join type lets shrink — not the source, which runs first and builds
+// the filter, and never the left input of an Anti or LeftOuter join, whose
+// every row decides an output row. checkTransfers re-proves this for every
+// filter, climbing from the filter to its join.
+
+// checkTransfers walks the subtree at n with the operators above it.
+func (c *checker) checkTransfers(n plan.Node, above []plan.Node) {
+	if f, ok := n.(*plan.RuntimeFilterNode); ok {
+		c.checkTransfer(f, above)
+	}
+	above = append(above, n)
+	for _, k := range n.Children() {
+		c.checkTransfers(k, above)
+	}
+}
+
+// checkTransfer climbs from f towards its join: every operator on the way
+// must carry f's column up unchanged.
+func (c *checker) checkTransfer(f *plan.RuntimeFilterNode, above []plan.Node) {
+	below := plan.Node(f)
+	for i := len(above) - 1; i >= 0; i-- {
+		p := above[i]
+		if p == f.From {
+			c.checkTarget(f, below)
+			return
+		}
+		if why := blocks(p, below, f.Col); why != "" {
+			c.report(RuleTransfer, f, "reaches its join through %s: %s", why, p)
+			return
+		}
+		below = p
+	}
+	c.report(RuleTransfer, f, "its join %v is not above it", f.From)
+}
+
+// blocks says why p does not carry col up from its input below unchanged,
+// or returns "" when it does.
+func blocks(p, below plan.Node, col string) string {
+	switch p := p.(type) {
+	case *plan.FilterNode, *plan.RuntimeFilterNode, *plan.DistinctPrefNode,
+		*plan.RepartitionNode, *plan.BroadcastNode:
+		return ""
+	case *plan.ProjectNode:
+		for i, name := range p.Names {
+			if c, ok := plan.ColName(p.Exprs[i]); ok && name == col && c == col {
+				return ""
+			}
+		}
+		return "a projection that does not keep the column"
+	case *plan.JoinNode:
+		if below == p.Left || p.Type == plan.Inner {
+			return ""
+		}
+		return fmt.Sprintf("the right input of a %v join", p.Type)
+	case *plan.AggregateNode:
+		return groupsBy(p.GroupBy, col)
+	case *plan.PartialAggNode:
+		return groupsBy(p.GroupBy, col)
+	case *plan.FinalAggNode:
+		return groupsBy(p.GroupBy, col)
+	}
+	return "an operator that does not pass its rows on"
+}
+
+func groupsBy(groupBy []string, col string) string {
+	if slices.Contains(groupBy, col) {
+		return ""
+	}
+	return "an aggregate that does not group by the column"
+}
+
+// checkTarget holds f, reached from j's input below, to being j's filter of
+// that input.
+func (c *checker) checkTarget(f *plan.RuntimeFilterNode, below plan.Node) {
+	j := f.From
+	side, keys := plan.LeftSide, j.LeftCols
+	if below == j.Right {
+		side, keys = plan.RightSide, j.RightCols
+	}
+	switch {
+	case j.Source == plan.NoSide:
+		c.report(RuleTransfer, f, "its join builds no filter")
+	case side == j.Source:
+		c.report(RuleTransfer, f, "sits on its join's source input, which builds the filter")
+	case side == plan.LeftSide && (j.Type == plan.Anti || j.Type == plan.LeftOuter):
+		c.report(RuleTransfer, f, "sits on the left input of a %v join, which may only filter its right", j.Type)
+	case len(keys) != 1 || keys[0] != f.Col:
+		c.report(RuleTransfer, f, "filters %q, but its join's keys on that input are %v", f.Col, keys)
+	}
+}

@@ -1,0 +1,140 @@
+package check_test
+
+import (
+	"strings"
+	"testing"
+
+	"pref/internal/catalog"
+	"pref/internal/check"
+	"pref/internal/partition"
+	"pref/internal/plan"
+)
+
+// Mutations of runtime join filters: each starts from a rewrite that places
+// a filter and verifies, then moves or re-points the filter to where a
+// dropped row could have joined.
+
+// miniHashed hashes every table of miniSchema on its key, so every join on a
+// non-key column ships.
+func miniHashed(t *testing.T, sch *catalog.Schema) *partition.Config {
+	t.Helper()
+	cfg := partition.NewConfig(4)
+	cfg.SetHash("lineitem", "l_orderkey").SetHash("orders", "o_orderkey").
+		SetHash("customer", "c_custkey").SetHash("nation", "n_nationkey")
+	if err := cfg.Validate(sch); err != nil {
+		t.Fatalf("fixture config invalid: %v", err)
+	}
+	return cfg
+}
+
+// transferPlan rewrites q over miniHashed and returns the plan with its one
+// runtime filter and the operator above the filter.
+func transferPlan(t *testing.T, q plan.Node) (*plan.Rewritten, *plan.RuntimeFilterNode, plan.Node) {
+	t.Helper()
+	sch := miniSchema(t)
+	rw := mustRewrite(t, q, sch, miniHashed(t, sch))
+	isFilter := func(n plan.Node) bool { _, ok := n.(*plan.RuntimeFilterNode); return ok }
+	f, _ := findNode(rw.Root, isFilter).(*plan.RuntimeFilterNode)
+	if f == nil {
+		t.Fatalf("fixture drift: the rewrite placed no runtime filter\n%s", rw.Explain())
+	}
+	parent := findNode(rw.Root, func(n plan.Node) bool {
+		for _, c := range n.Children() {
+			if c == plan.Node(f) {
+				return true
+			}
+		}
+		return false
+	})
+	if err := check.Verify(rw); err != nil {
+		t.Fatalf("Verify failed before any mutation: %v\n%s", err, rw.Explain())
+	}
+	return rw, f, parent
+}
+
+// moveFilter wraps *slot in a filter on col from join j, recording the
+// schema and properties the rewrite would have.
+func moveFilter(rw *plan.Rewritten, slot *plan.Node, col string, j *plan.JoinNode) *plan.RuntimeFilterNode {
+	f := &plan.RuntimeFilterNode{Child: *slot, Col: col, From: j}
+	rw.Schemas[f] = rw.Schemas[*slot]
+	rw.Props[f] = rw.Props[*slot].Clone()
+	*slot = f
+	return f
+}
+
+// expectTransfer asserts that Verify reports a transfer violation saying why.
+func expectTransfer(t *testing.T, rw *plan.Rewritten, why string) {
+	t.Helper()
+	expectRule(t, rw, check.RuleTransfer)
+	if err := check.Verify(rw); !strings.Contains(err.Error(), why) {
+		t.Fatalf("transfer violation does not say %q: %v", why, err)
+	}
+}
+
+func TestVerifyRejectsTransferIntoAntiLeft(t *testing.T) {
+	// Orders over a threshold that have no line with partkey = their key:
+	// the selective left input filters the shipped lineitem side.
+	q := plan.Join(
+		plan.Filter(plan.Scan("orders", "o"), plan.Gt(plan.Col("o.o_orderkey"), plan.Lit(3))),
+		plan.Scan("lineitem", "l"), plan.Anti, []string{"o.o_orderkey"}, []string{"l.l_partkey"})
+	rw, f, parent := transferPlan(t, q)
+	anti := f.From
+	rep, ok := parent.(*plan.RepartitionNode)
+	if !ok || anti.Right != plan.Node(rep) {
+		t.Fatalf("fixture drift: filter sits under %T, want the anti join's shipped right input\n%s", parent, rw.Explain())
+	}
+	// Filter the left input by the right's keys instead: it would drop the
+	// very orders an anti join outputs.
+	rep.Child = f.Child
+	anti.Source = plan.RightSide
+	moveFilter(rw, &anti.Left, "o.o_orderkey", anti)
+	expectTransfer(t, rw, "left input of a ANTI join")
+}
+
+func TestVerifyRejectsTransferIntoLeftOuterRight(t *testing.T) {
+	// The nation filter's key is an orders column that reaches the join
+	// through a left outer join's right input, so the filter stops above
+	// that join: below it, a dropped order turns its customer's row
+	// null-extended instead of dropping it.
+	q := plan.Join(
+		plan.Filter(plan.Scan("nation", "n"), plan.Eq(plan.Col("n.n_name"), plan.Lit(1))),
+		plan.Join(plan.Scan("customer", "c"), plan.Scan("orders", "o"),
+			plan.LeftOuter, []string{"c.c_custkey"}, []string{"o.o_custkey"}),
+		plan.Inner, []string{"n.n_nationkey"}, []string{"o.o_custkey"})
+	rw, f, parent := transferPlan(t, q)
+	lo, ok := f.Child.(*plan.JoinNode)
+	rep, isRep := parent.(*plan.RepartitionNode)
+	if !ok || lo.Type != plan.LeftOuter || !isRep {
+		t.Fatalf("fixture drift: filter over %T under %T, want a left outer join under a repartition\n%s",
+			f.Child, parent, rw.Explain())
+	}
+	rep.Child = lo
+	moveFilter(rw, &lo.Right, f.Col, f.From)
+	expectTransfer(t, rw, "right input of a LEFT join")
+}
+
+func TestVerifyRejectsTransferBelowForeignAggregate(t *testing.T) {
+	// Customers of one nation joined to their per-customer order totals:
+	// the filter passes both aggregation phases, which group by its column.
+	q := plan.Join(
+		plan.Filter(plan.Scan("customer", "c"), plan.Eq(plan.Col("c.c_nation"), plan.Lit(1))),
+		plan.Aggregate(plan.Scan("orders", "o"), []string{"o.o_custkey"}, plan.Sum(plan.Col("o.o_total"), "total")),
+		plan.Inner, []string{"c.c_custkey"}, []string{"o.o_custkey"})
+	rw, f, parent := transferPlan(t, q)
+	if _, ok := parent.(*plan.PartialAggNode); !ok {
+		t.Fatalf("fixture drift: filter sits under %T, want the partial aggregate\n%s", parent, rw.Explain())
+	}
+	// A filter on the order key below the same aggregate: the groups above
+	// it are per customer, so no key of it reaches the join.
+	f.Col = "o.o_orderkey"
+	expectTransfer(t, rw, "aggregate that does not group by the column")
+}
+
+func TestVerifyRejectsTransferOnMissingColumn(t *testing.T) {
+	q := plan.Join(
+		plan.Filter(plan.Scan("customer", "c"), plan.Eq(plan.Col("c.c_nation"), plan.Lit(1))),
+		plan.Scan("orders", "o"), plan.Inner, []string{"c.c_custkey"}, []string{"o.o_custkey"})
+	rw, f, _ := transferPlan(t, q)
+	f.Col = "o.o_nope"
+	expectTransfer(t, rw, "does not carry")
+}

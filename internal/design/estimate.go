@@ -46,12 +46,12 @@ func jointRedundancyFactor(refHist, ringHist *stats.Histogram, n int, refInflati
 	}
 	expected := 0.0
 	matched := 0.0
-	for key, f := range refHist.Freq {
+	for i, key := range refHist.Keys {
 		g, ok := ringHist.Freq[key]
 		if !ok {
 			continue
 		}
-		expected += stats.ExpectedCopiesReal(float64(f)*refInflation, n) * float64(g)
+		expected += stats.ExpectedCopiesReal(float64(refHist.Counts[i])*refInflation, n) * float64(g)
 		matched += float64(g)
 	}
 	// Both histograms sample the same key universe (same rate and salt),
@@ -135,7 +135,9 @@ func EstimateConfig(cfg *partition.Config, sizes Sizes, hp *HistProvider) (*Esti
 		return f, nil
 	}
 
-	for name, ts := range cfg.Schemes {
+	// Sorted, so Total sums in the same order on every run.
+	for _, name := range cfg.Names() {
+		ts := cfg.Schemes[name]
 		orig, ok := sizes[name]
 		if !ok {
 			return nil, fmt.Errorf("design: no size for table %s", name)

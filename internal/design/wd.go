@@ -107,20 +107,25 @@ func (d *WDDesign) GroupsFor(query string) []int {
 func (d *WDDesign) EstimatedDR(sizes Sizes) (float64, error) {
 	type copyKey struct{ table, sig string }
 	stored := map[copyKey]float64{}
+	var copies []copyKey // first-seen order, so total sums the same way every run
 	origTables := map[string]bool{}
 	for _, g := range d.Groups {
-		for t := range g.PC.Config.Schemes {
+		for _, t := range g.PC.Config.Names() {
 			sig, err := g.PC.Config.SchemeSignature(t)
 			if err != nil {
 				return 0, err
 			}
-			stored[copyKey{t, sig}] = g.PC.Est.PerTable[t]
+			k := copyKey{t, sig}
+			if _, ok := stored[k]; !ok {
+				copies = append(copies, k)
+			}
+			stored[k] = g.PC.Est.PerTable[t]
 			origTables[t] = true
 		}
 	}
 	var total float64
-	for _, v := range stored {
-		total += v
+	for _, k := range copies {
+		total += stored[k]
 	}
 	var orig int
 	for t := range origTables {

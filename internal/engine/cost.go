@@ -33,10 +33,11 @@ func DefaultCostModel() CostModel {
 
 // Simulate estimates the query runtime from its stats: the parallel CPU
 // critical path (max per-node rows) plus network transfer time plus
-// exchange startup latency.
+// exchange startup latency, which a runtime filter's transfer pays like any
+// other exchange.
 func (c CostModel) Simulate(s Stats) time.Duration {
 	cpu := time.Duration(float64(s.MaxNodeRows) / c.TuplePerSec * float64(time.Second))
 	net := time.Duration(float64(s.BytesShipped) / c.NetBytesPerSec * float64(time.Second))
-	exch := time.Duration(s.Repartitions+s.Broadcasts) * c.ExchangeLatency
+	exch := time.Duration(s.Repartitions+s.Broadcasts+s.Transfers) * c.ExchangeLatency
 	return cpu + net + exch
 }

@@ -144,6 +144,9 @@ type executor struct {
 	// white-box executors; Begin and the ops' mutators are nil-safe. Note
 	// the fault-schedule anchor opSeq is NOT shared with trace op ids.
 	tb *trace.Builder
+	// filters holds the runtime join filters built so far, by the join that
+	// built them (query goroutine only; see buildFilters).
+	filters map[*plan.JoinNode]batch.Blooms
 }
 
 // versionOf resolves the table version a scan of tbl must read: the pinned
@@ -413,14 +416,20 @@ func sleepCtx(ctx context.Context, d time.Duration) error {
 	}
 }
 
-// shipBatch meters one exchange shipment of rows from src under injected
+// shipBatch meters one exchange shipment of rows of the given width from
+// src; see ship.
+func (ex *executor) shipBatch(top *trace.Op, op, src, rows, width int) error {
+	return ex.ship(top, op, src, rows, int64(rows)*int64(width)*8)
+}
+
+// ship meters one shipment of rows and bytes from src under injected
 // shipment failures: a failed attempt's bytes hit the wire before being
 // re-sent (so BytesShipped degrades) and its payload counts as wasted.
 // Runs on the query goroutine only. Trace cells are charged to the node
 // actually executing the source partition (the buddy when src is down);
 // fault draws stay keyed by the logical src.
-func (ex *executor) shipBatch(top *trace.Op, op, src, rows, width int) error {
-	if rows == 0 {
+func (ex *executor) ship(top *trace.Op, op, src, rows int, bytes int64) error {
+	if rows == 0 && bytes == 0 {
 		return nil
 	}
 	en := ex.execDst[src]
@@ -429,14 +438,14 @@ func (ex *executor) shipBatch(top *trace.Op, op, src, rows, width int) error {
 		if err := ex.ctx.Err(); err != nil {
 			return err
 		}
-		top.AddShip(en, rows, width)
+		top.AddShip(en, rows, bytes)
 		if !ex.inj.ShipFail(op, src, attempt) {
 			return nil
 		}
 		top.AddRetry(en, rows)
 		if attempt+1 >= max {
-			return fmt.Errorf("engine: shipment of %d rows from node %d: %d failed attempts: %w",
-				rows, src, max, fault.ErrShipmentFailed)
+			return fmt.Errorf("engine: shipment of %d rows (%d bytes) from node %d: %d failed attempts: %w",
+				rows, bytes, src, max, fault.ErrShipmentFailed)
 		}
 		if err := sleepCtx(ex.ctx, ex.inj.Backoff(op, src, attempt)); err != nil {
 			return err
@@ -456,6 +465,8 @@ func (ex *executor) evalVec(n plan.Node) (vparts, error) {
 		return ex.evalScanVec(n)
 	case *plan.FilterNode:
 		return ex.evalFilterVec(n)
+	case *plan.RuntimeFilterNode:
+		return ex.evalRuntimeFilterVec(n)
 	case *plan.ProjectNode:
 		return ex.evalProjectVec(n)
 	case *plan.JoinNode:

@@ -41,7 +41,8 @@ func FuzzPrunedPlanOracle(f *testing.F) {
 	// testdata/fuzz holds the seed corpus: one scenario per plan shape the
 	// pruning pass treats differently, and one per hand-off of a blocking
 	// operator's output batches (aggregate into join, HAVING, value-distinct
-	// into join, recovered scan into distinct-pref).
+	// into join, recovered scan into distinct-pref), and one whose anti join
+	// sends a runtime filter, built over a semi join's output, to its right.
 	f.Add(int64(0), false)
 	f.Add(int64(1), true)
 	f.Fuzz(func(t *testing.T, seed int64, noDupIndex bool) {

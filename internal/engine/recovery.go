@@ -49,6 +49,6 @@ func (ex *executor) recoverScan(top *trace.Op, pt *table.Partitioned, v *table.V
 	}
 	en, rows := ex.execDst[p], v.Parts[p].Len()
 	top.AddRecovered(en, rows)
-	top.AddShip(en, rows, width) // survivors → buddy node
+	top.AddShip(en, rows, int64(rows)*int64(width)*8) // survivors → buddy node
 	return nil
 }

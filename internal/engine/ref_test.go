@@ -78,6 +78,8 @@ func (ex *executor) refEval(n plan.Node) ([][]value.Tuple, error) {
 		return ex.evalScan(n)
 	case *plan.FilterNode:
 		return ex.evalFilter(n)
+	case *plan.RuntimeFilterNode:
+		return ex.evalRuntimeFilter(n)
 	case *plan.ProjectNode:
 		return ex.evalProject(n)
 	case *plan.JoinNode:
@@ -180,6 +182,41 @@ func (ex *executor) evalFilter(n *plan.FilterNode) ([][]value.Tuple, error) {
 		}
 		return rows, len(rows), nil
 	})
+}
+
+// evalRuntimeFilter keeps the rows whose key one of the join's filters may
+// hold, probing the same kernel the product does.
+func (ex *executor) evalRuntimeFilter(n *plan.RuntimeFilterNode) ([][]value.Tuple, error) {
+	top := ex.tb.Begin(n, trace.KindRuntimeFilter)
+	fs, err := ex.receiveFilters(top, n)
+	if err != nil {
+		return nil, err
+	}
+	in, err := ex.refEval(n.Child)
+	if err != nil {
+		return nil, err
+	}
+	ex.addInputs(top, in)
+	col, err := ex.rw.Schemas[n.Child].IndexOf(n.Col)
+	if err != nil {
+		return nil, err
+	}
+	out, err := forEachPart(ex, top, func(p int) ([]value.Tuple, int, error) {
+		var rows []value.Tuple
+		for _, r := range in[p] {
+			if fs.Has(r[col]) {
+				rows = append(rows, r)
+			}
+		}
+		return rows, len(rows), nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	for p := range out {
+		top.AddFiltered(ex.execDst[p], len(in[p])-len(out[p]))
+	}
+	return out, nil
 }
 
 func (ex *executor) evalProject(n *plan.ProjectNode) ([][]value.Tuple, error) {
@@ -429,16 +466,37 @@ func (ex *executor) evalGather(n *plan.GatherNode) ([][]value.Tuple, error) {
 
 // evalJoin executes a hash join per partition: build on the right input,
 // probe with the left. Inner, left-outer, semi, and anti flavors share the
-// probe loop; a residual predicate filters candidate pairs.
+// probe loop; a residual predicate filters candidate pairs. A join that fires
+// a runtime filter runs its source input first, as the product does.
 func (ex *executor) evalJoin(n *plan.JoinNode) ([][]value.Tuple, error) {
 	top := ex.tb.Begin(n, trace.KindJoin)
-	left, err := ex.refEval(n.Left)
+	first, second := n.Left, n.Right
+	if n.Source == plan.RightSide {
+		first, second = second, first
+	}
+	a, err := ex.refEval(first)
 	if err != nil {
 		return nil, err
 	}
-	right, err := ex.refEval(n.Right)
+	if n.Source != plan.NoSide {
+		bloom := func(p, col int) *batch.Bloom {
+			f := batch.NewBloom(len(a[p]))
+			for _, r := range a[p] {
+				f.Add(r[col])
+			}
+			return f
+		}
+		if err := ex.buildFilters(n, bloom); err != nil {
+			return nil, err
+		}
+	}
+	b, err := ex.refEval(second)
 	if err != nil {
 		return nil, err
+	}
+	left, right := a, b
+	if n.Source == plan.RightSide {
+		left, right = b, a
 	}
 	ex.addInputs(top, left)
 	ex.addInputs(top, right)

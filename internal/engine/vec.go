@@ -15,8 +15,8 @@ import (
 // Rows travel between operators in one form, per-partition lists of ~1k-row
 // columnar batches (vparts), from the scan to the Result assembly in
 // executeCtx, which is the only place a value.Tuple row is built. Scans hand
-// out zero-copy views of the partitions' stored columns; filter
-// and distinct narrow with selection vectors; project, join, the exchanges,
+// out zero-copy views of the partitions' stored columns; filters (runtime
+// join filters too) and distinct narrow with selection vectors; project, join, the exchanges,
 // aggregation (agg.go) and top-k (topk.go) read their input in place and
 // write fresh batches through a batch.Writer. Each operator has a
 // row-at-a-time twin in ref_test.go, the differential reference, and matches
@@ -47,8 +47,8 @@ import (
 // Width follows the plan: the operators that copy rows (join, the three
 // exchanges) write exactly the schema the rewrite recorded for them — the
 // columns read above (plan/prune.go) — selecting them from their input with
-// batch.Select, and an exchange is charged that width. Scan, filter and
-// distinct-pref hand on views, so their extra columns cost a slice header;
+// batch.Select, and an exchange is charged that width. Scan, the filters
+// and distinct-pref hand on views, so their extra columns cost a slice header;
 // aggregation reads only the columns its keys and arguments name.
 
 // vparts is an operator's output: per partition, an ordered list of batches.
@@ -166,6 +166,92 @@ func (ex *executor) evalFilterVec(n *plan.FilterNode) (vparts, error) {
 	})
 }
 
+// evalRuntimeFilterVec receives the Bloom filters n.From built of its source
+// input's keys and narrows each input batch to the rows whose key one of
+// them may hold. Like a filter, its output borrows the input's storage.
+//
+// lint:batch-owner the returned batch lists transfer to the caller
+func (ex *executor) evalRuntimeFilterVec(n *plan.RuntimeFilterNode) (vparts, error) {
+	top := ex.tb.Begin(n, trace.KindRuntimeFilter)
+	fs, err := ex.receiveFilters(top, n)
+	if err != nil {
+		return nil, err
+	}
+	in, err := ex.evalVec(n.Child)
+	if err != nil {
+		return nil, err
+	}
+	ex.addInputsVec(top, in)
+	col, err := ex.rw.Schemas[n.Child].IndexOf(n.Col)
+	if err != nil {
+		releaseParts(in)
+		return nil, err
+	}
+	out, err := forEachPart(ex, top, func(p int) ([]*batch.Batch, int, error) {
+		var out []*batch.Batch
+		kept := 0
+		for _, b := range in[p] {
+			sel := fs.Select(make([]int32, 0, b.Len()), b, col)
+			if len(sel) > 0 {
+				out = append(out, b.WithSel(sel))
+				kept += len(sel)
+			}
+		}
+		return out, kept, nil
+	})
+	if err != nil {
+		releaseParts(in) // fan-out failed: the survivor views were dropped
+		return nil, err
+	}
+	// Derived after the fan-out, like dedup hits, so crash-retried attempts
+	// cannot double-count.
+	for p := range out {
+		top.AddFiltered(ex.execDst[p], batch.Rows(in[p])-batch.Rows(out[p]))
+	}
+	return out, nil
+}
+
+// buildFilters builds join n's runtime filters, one per partition: bloom(p,
+// col) is the filter of partition p's source rows over their key column col.
+// The filters are per-query state: the plan, which a serving plan cache
+// shares between queries, never holds them.
+func (ex *executor) buildFilters(n *plan.JoinNode, bloom func(p, col int) *batch.Bloom) error {
+	if len(n.LeftCols) != 1 {
+		return fmt.Errorf("engine: %s: a runtime filter needs one key column", n)
+	}
+	in, key := n.SourceInput()
+	col, err := ex.rw.Schemas[in].IndexOf(key)
+	if err != nil {
+		return err
+	}
+	fs := make(batch.Blooms, ex.n)
+	for p := range fs {
+		fs[p] = bloom(p, col)
+	}
+	if ex.filters == nil {
+		ex.filters = map[*plan.JoinNode]batch.Blooms{}
+	}
+	ex.filters[n] = fs
+	return nil
+}
+
+// receiveFilters meters the transfer into a runtime filter: every source
+// partition's filter travels to the n−1 other nodes, bytes and no rows,
+// through the exchanges' fault path, so a failed shipment retries.
+func (ex *executor) receiveFilters(top *trace.Op, n *plan.RuntimeFilterNode) (batch.Blooms, error) {
+	fs, ok := ex.filters[n.From]
+	if !ok {
+		return nil, fmt.Errorf("engine: %s: its join built no filter", n)
+	}
+	op := ex.nextOp()
+	for src, f := range fs {
+		if err := ex.ship(top, op, src, 0, int64(f.Bytes())*int64(ex.n-1)); err != nil {
+			return nil, err
+		}
+	}
+	return fs, nil
+}
+
 // evalProjectVec evaluates each projection expression column-wise into
 // fresh batches.
 //
@@ -206,19 +292,36 @@ func (ex *executor) evalProjectVec(n *plan.ProjectNode) (vparts, error) {
 }
 
 // evalJoinVec hash-joins the build (right) side against the probe (left)
-// side per partition, emitting fresh writer batches.
+// side per partition, emitting fresh writer batches. A join that fires a
+// runtime filter evaluates its source input first and builds the filters
+// before the other input runs.
 //
 // lint:batch-owner the returned batch lists transfer to the caller
 func (ex *executor) evalJoinVec(n *plan.JoinNode) (vparts, error) {
 	top := ex.tb.Begin(n, trace.KindJoin)
-	left, err := ex.evalVec(n.Left)
+	first, second := n.Left, n.Right
+	if n.Source == plan.RightSide {
+		first, second = second, first
+	}
+	a, err := ex.evalVec(first)
 	if err != nil {
 		return nil, err
 	}
-	right, err := ex.evalVec(n.Right)
+	if n.Source != plan.NoSide {
+		bloom := func(p, col int) *batch.Bloom { return batch.BloomOf(a[p], col) }
+		if err := ex.buildFilters(n, bloom); err != nil {
+			releaseParts(a)
+			return nil, err
+		}
+	}
+	b, err := ex.evalVec(second)
 	if err != nil {
-		releaseParts(left) // right subtree failed: left input is dead
+		releaseParts(a) // second subtree failed: the first input is dead
 		return nil, err
+	}
+	left, right := a, b
+	if n.Source == plan.RightSide {
+		left, right = b, a
 	}
 	ex.addInputsVec(top, left)
 	ex.addInputsVec(top, right)

@@ -119,6 +119,9 @@ type seamCoverage struct {
 	// sweep that survived: tuple copies, and the bytes they shipped to the
 	// buddy nodes.
 	recoveredRows, recoveredBytes int64
+	// Runtime join filters the plans place, and those of them that reach
+	// their join through a semi or anti join, or come from one.
+	transfers, semiAntiTransfers int
 }
 
 // blocking reports whether n reads its whole input before it emits a row.
@@ -170,6 +173,26 @@ func (c *seamCoverage) add(rw *plan.Rewritten, res *Result) {
 		return agg
 	}
 	walk(rw.Root, nil)
+
+	var transfers func(n plan.Node, above []plan.Node)
+	transfers = func(n plan.Node, above []plan.Node) {
+		if f, ok := n.(*plan.RuntimeFilterNode); ok {
+			c.transfers++
+			for i := len(above) - 1; i >= 0; i-- {
+				if j, ok := above[i].(*plan.JoinNode); ok && (j.Type == plan.Semi || j.Type == plan.Anti) {
+					c.semiAntiTransfers++
+					break
+				}
+				if above[i] == plan.Node(f.From) {
+					break
+				}
+			}
+		}
+		for _, ch := range n.Children() {
+			transfers(ch, append(above, n))
+		}
+	}
+	transfers(rw.Root, nil)
 }
 
 // sweepEnginesAgree runs the differential check over seeds [0, rounds) for
@@ -196,12 +219,16 @@ func sweepEnginesAgree(t *testing.T, rounds, atLeast int, popts []plan.Options, 
 }
 
 // requireSeamCovered fails a sweep whose plans never put a streaming
-// operator over one of the blocking kinds: it would pass without ever
-// reading their output batches.
+// operator over one of the blocking kinds — it would pass without ever
+// reading their output batches — or never place a runtime join filter, one
+// that crosses a semi or anti join included.
 func requireSeamCovered(t *testing.T, cov seamCoverage) {
 	t.Helper()
 	if cov.overAgg == 0 || cov.overTopK == 0 || cov.overDistinct == 0 || cov.having == 0 || cov.aggJoin == 0 {
 		t.Fatalf("sweep did not run a streaming operator over every kind of blocking output: %+v", cov)
+	}
+	if cov.transfers == 0 || cov.semiAntiTransfers == 0 {
+		t.Fatalf("sweep placed no runtime join filter, or none across a semi or anti join: %+v", cov)
 	}
 	t.Logf("seam coverage: %+v", cov)
 }

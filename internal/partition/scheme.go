@@ -395,15 +395,21 @@ func (c *Config) Validate(s *catalog.Schema) error {
 	return nil
 }
 
-// Order returns the tables of the config in a partitioning order:
-// every PREF-referenced table precedes its referencing tables.
-func (c *Config) Order() ([]string, error) {
+// Names returns the configured table names in sorted order: the iteration
+// order for anything whose result must not depend on map order.
+func (c *Config) Names() []string {
 	names := make([]string, 0, len(c.Schemes))
 	for n := range c.Schemes {
 		names = append(names, n)
 	}
 	sort.Strings(names)
+	return names
+}
 
+// Order returns the tables of the config in a partitioning order:
+// every PREF-referenced table precedes its referencing tables.
+func (c *Config) Order() ([]string, error) {
+	names := c.Names()
 	var order []string
 	state := map[string]int{} // 0 unvisited, 1 visiting, 2 done
 	var visit func(string) error
@@ -438,14 +444,9 @@ func (c *Config) Order() ([]string, error) {
 
 // String renders the configuration deterministically, one scheme per line.
 func (c *Config) String() string {
-	names := make([]string, 0, len(c.Schemes))
-	for n := range c.Schemes {
-		names = append(names, n)
-	}
-	sort.Strings(names)
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "partitions=%d\n", c.NumPartitions)
-	for _, n := range names {
+	for _, n := range c.Names() {
 		sb.WriteString("  " + c.Schemes[n].String() + "\n")
 	}
 	return sb.String()

@@ -59,6 +59,12 @@ func (c colExpr) AppendCols(dst []string) []string { return append(dst, c.name) 
 
 func (c colExpr) String() string { return c.name }
 
+// ColName reports whether e is a bare column reference, and to which column.
+func ColName(e ValExpr) (string, bool) {
+	c, ok := e.(colExpr)
+	return c.name, ok
+}
+
 type litExpr struct {
 	v    int64
 	kind value.Kind

@@ -147,6 +147,18 @@ func ProjectCols(c Node, cols ...string) *ProjectNode {
 func (n *ProjectNode) Children() []Node { return []Node{n.Child} }
 func (n *ProjectNode) String() string   { return "Project(" + strings.Join(n.Names, ",") + ")" }
 
+// Side names one input of a join.
+type Side int
+
+// Join inputs.
+const (
+	NoSide Side = iota
+	LeftSide
+	RightSide
+)
+
+func (s Side) String() string { return [...]string{"none", "left", "right"}[s] }
+
 // JoinNode is an equi-join (possibly with a residual non-equi predicate).
 // LeftCols[i] = RightCols[i] are the equi conjuncts. A join with no equi
 // conjuncts is a cross/theta join and executes as a broadcast join.
@@ -158,6 +170,11 @@ type JoinNode struct {
 	// Residual is an extra predicate evaluated on the concatenated row
 	// (nil for pure equi-joins).
 	Residual BoolExpr
+	// Source is set by the rewrite on a join that fires a runtime filter
+	// (transfer.go): the input that runs first and whose keys the filter
+	// holds. A RuntimeFilterNode in the other input names this join. NoSide:
+	// no filter, and the left input runs first.
+	Source Side
 }
 
 // Join builds an equi-join on leftCols[i] = rightCols[i].
@@ -165,11 +182,23 @@ func Join(l, r Node, t JoinType, leftCols, rightCols []string) *JoinNode {
 	return &JoinNode{Left: l, Right: r, Type: t, LeftCols: leftCols, RightCols: rightCols}
 }
 
+// SourceInput returns the input a join's runtime filter is built from and
+// the key column the filter holds. Only meaningful when Source is set.
+func (n *JoinNode) SourceInput() (Node, string) {
+	if n.Source == RightSide {
+		return n.Right, n.RightCols[0]
+	}
+	return n.Left, n.LeftCols[0]
+}
+
 func (n *JoinNode) Children() []Node { return []Node{n.Left, n.Right} }
 func (n *JoinNode) String() string {
 	pairs := make([]string, len(n.LeftCols))
 	for i := range n.LeftCols {
 		pairs[i] = n.LeftCols[i] + "=" + n.RightCols[i]
+	}
+	if n.Source != NoSide {
+		return fmt.Sprintf("%vJoin(%s; %v first)", n.Type, strings.Join(pairs, " AND "), n.Source)
 	}
 	return fmt.Sprintf("%vJoin(%s)", n.Type, strings.Join(pairs, " AND "))
 }
@@ -286,6 +315,26 @@ type DistinctByValueNode struct {
 
 func (n *DistinctByValueNode) Children() []Node { return []Node{n.Child} }
 func (n *DistinctByValueNode) String() string   { return fmt.Sprintf("DistinctByValue(%v)", n.Cols) }
+
+// RuntimeFilterNode drops the rows whose Col value is held by none of the
+// Bloom filters From builds of its source input's keys, one per partition
+// and shipped to every node. It sits in From's other input, where Col
+// carries that input's join key up to From unchanged, so a dropped row
+// could not have joined. Like FilterNode it hands on views of its input.
+type RuntimeFilterNode struct {
+	Child Node
+	Col   string
+	From  *JoinNode
+}
+
+func (n *RuntimeFilterNode) Children() []Node { return []Node{n.Child} }
+func (n *RuntimeFilterNode) String() string {
+	if n.From == nil || n.From.Source == NoSide || len(n.From.LeftCols) != 1 {
+		return "RuntimeFilter(" + n.Col + ")" // malformed: check.Verify says why
+	}
+	_, key := n.From.SourceInput()
+	return fmt.Sprintf("RuntimeFilter(%s IN bloom(%s))", n.Col, key)
+}
 
 // GatherNode collects all partitions' rows at the coordinator (partition
 // 0). OneCopy is set when the input is replicated, so a single copy is

@@ -13,10 +13,10 @@ import "fmt"
 // exactly their recorded schema, so a join emits and an exchange ships only
 // what is read above it.
 //
-// Operators that hand on views of their input — Scan, Filter, DistinctPref
-// — keep the table's / their child's schema: a column they pass through is
-// a slice header, not a copy, and the copying operator above selects from
-// it. TopK breaks ties by the full row and DistinctByValue defines identity
+// Operators that hand on views of their input — Scan, Filter, RuntimeFilter,
+// DistinctPref — keep the table's / their child's schema: a column they pass
+// through is a slice header, not a copy, and the copying operator above
+// selects from it. TopK breaks ties by the full row and DistinctByValue defines identity
 // by every visible column, so pruning beneath either would change which
 // rows survive: both read every column of their input.
 //
@@ -112,6 +112,8 @@ func (r *Rewriter) prune(n Node, need colSet) Schema {
 		// A view of table storage: every stored column, at no cost.
 	case *FilterNode:
 		schemas[n] = reading(n.Pred.AppendCols(nil), n.Child)
+	case *RuntimeFilterNode:
+		schemas[n] = reading([]string{n.Col}, n.Child)
 	case *DistinctPrefNode:
 		schemas[n] = reading(n.DupCols, n.Child)
 	case *TopKNode:

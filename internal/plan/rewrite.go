@@ -109,6 +109,7 @@ func Rewrite(root Node, schema *catalog.Schema, cfg *partition.Config, opt Optio
 	r.out.Root = phys
 	r.out.Schemas[phys] = sch
 	r.out.Props[phys] = prop
+	r.placeTransfers(phys)
 	r.pruneColumns(phys)
 	return r.out, nil
 }

@@ -17,6 +17,12 @@ import (
 type Histogram struct {
 	// Freq maps each sampled key to its exact frequency.
 	Freq map[value.Key]int
+	// Keys lists Freq's keys in the order their first row was read, and
+	// Counts their frequencies. Float sums over the histogram iterate these,
+	// not the map, so their summation order — and every estimate built on
+	// them — repeats from run to run.
+	Keys   []value.Key
+	Counts []int
 	// Rows is the (estimated) number of rows the histogram describes.
 	Rows int
 	// Rate is the key-universe sampling rate (1 = all keys).
@@ -46,9 +52,10 @@ func BuildSampledHistogram(d *table.Data, rate float64, seed int64, cols ...stri
 	h := &Histogram{Freq: make(map[value.Key]int), Rate: rate}
 	if rate == 1 {
 		for _, row := range d.Rows {
-			h.Freq[value.MakeKey(row, idx)]++
+			h.count(value.MakeKey(row, idx))
 		}
 		h.Rows = len(d.Rows)
+		h.fillCounts()
 		return h, nil
 	}
 	threshold := uint64(rate * float64(^uint64(0)))
@@ -57,12 +64,32 @@ func BuildSampledHistogram(d *table.Data, rate float64, seed int64, cols ...stri
 	for _, row := range d.Rows {
 		k := value.MakeKey(row, idx)
 		if mix(k.Hash(), salt) <= threshold {
-			h.Freq[k]++
+			h.count(k)
 			sampledRows++
 		}
 	}
 	h.Rows = int(float64(sampledRows)/rate + 0.5)
+	h.fillCounts()
 	return h, nil
+}
+
+// count records one more row with key k: one map update, and the map's
+// growth tells a first sighting.
+func (h *Histogram) count(k value.Key) {
+	n := len(h.Freq)
+	h.Freq[k]++
+	if len(h.Freq) > n {
+		h.Keys = append(h.Keys, k)
+	}
+}
+
+// fillCounts lays the finished frequencies out in Keys order, once per
+// histogram rather than once per estimate that sums over it.
+func (h *Histogram) fillCounts() {
+	h.Counts = make([]int, len(h.Keys))
+	for i, k := range h.Keys {
+		h.Counts[i] = h.Freq[k]
+	}
 }
 
 // mix folds a salt into a key hash (splitmix64 finalizer).
@@ -94,7 +121,7 @@ func RedundancyFactor(h *Histogram, n, refingRows int) float64 {
 	}
 	tbl := NewCopiesTable(n, 256)
 	sum := 0.0
-	for _, f := range h.Freq {
+	for _, f := range h.Counts {
 		sum += tbl.Lookup(f)
 	}
 	r := sum / h.Rate / float64(refingRows)

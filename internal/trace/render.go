@@ -73,6 +73,9 @@ func metricsLine(m *Metrics, opt RenderOptions) string {
 	if m.DedupHits > 0 {
 		parts = append(parts, fmt.Sprintf("dedup=%d", m.DedupHits))
 	}
+	if m.FilteredRows > 0 {
+		parts = append(parts, fmt.Sprintf("filtered=%d", m.FilteredRows))
+	}
 	if m.Work != m.RowsOut {
 		parts = append(parts, fmt.Sprintf("work=%d", m.Work))
 	}

@@ -43,6 +43,7 @@ type cell struct {
 	failovers, recoveredRows  atomic.Int64
 	hedges, hedgeWins         atomic.Int64
 	hedgeWastedRows           atomic.Int64
+	filteredRows              atomic.Int64
 	wallNanos                 atomic.Int64
 }
 
@@ -84,6 +85,9 @@ type Metrics struct {
 	Hedges          int64 `json:"hedges"`
 	HedgeWins       int64 `json:"hedge_wins"`
 	HedgeWastedRows int64 `json:"hedge_wasted_rows"`
+	// FilteredRows counts rows a runtime join filter dropped: their key is
+	// in none of the source input's Bloom filters.
+	FilteredRows int64 `json:"filtered_rows"`
 	// WallNanos is wall time spent in this operator's work units on the
 	// node, including retry backoff and straggler delays.
 	WallNanos int64 `json:"wall_nanos"`
@@ -110,6 +114,7 @@ func (c *cell) addTo(m *Metrics) {
 	m.Hedges += c.hedges.Load()
 	m.HedgeWins += c.hedgeWins.Load()
 	m.HedgeWastedRows += c.hedgeWastedRows.Load()
+	m.FilteredRows += c.filteredRows.Load()
 	m.WallNanos += c.wallNanos.Load()
 }
 
@@ -141,6 +146,9 @@ const (
 	KindDistinctByValue Kind = "distinct-by-value"
 	KindGather          Kind = "gather"
 	KindTopK            Kind = "topk"
+	// KindRuntimeFilter receives a join's Bloom filters — bytes shipped with
+	// no rows — and drops the rows they rule out: in = out + filtered.
+	KindRuntimeFilter Kind = "runtime-filter"
 	// KindResult is the synthetic root: the implicit gather of the plan
 	// root's partitions to the coordinator.
 	KindResult Kind = "result"
@@ -179,12 +187,20 @@ func (o *Op) AddOut(node, rows int) {
 }
 
 // AddShip charges one shipment attempt leaving src.
-func (o *Op) AddShip(src, rows, width int) {
-	if o == nil || rows == 0 {
+func (o *Op) AddShip(src, rows int, bytes int64) {
+	if o == nil || (rows == 0 && bytes == 0) {
 		return
 	}
 	o.cells[src].rowsShipped.Add(int64(rows))
-	o.cells[src].bytesShipped.Add(int64(rows) * int64(width) * 8)
+	o.cells[src].bytesShipped.Add(bytes)
+}
+
+// AddFiltered charges rows a runtime filter dropped on a node.
+func (o *Op) AddFiltered(node, rows int) {
+	if o == nil || rows == 0 {
+		return
+	}
+	o.cells[node].filteredRows.Add(int64(rows))
 }
 
 // AddDedup charges PREF-duplicate (or value-distinctness) filter hits.
@@ -295,6 +311,9 @@ type Totals struct {
 	// (a by-value distinct shuffles, so it counts as a repartition).
 	Repartitions int `json:"repartitions"`
 	Broadcasts   int `json:"broadcasts"`
+	// Transfers counts runtime join filters executed: each ships one Bloom
+	// filter per source partition to every other node.
+	Transfers int `json:"transfers"`
 	// Retries counts discarded work-unit attempts and failed exchange
 	// shipments that were retried.
 	Retries int `json:"retries"`
@@ -376,7 +395,8 @@ func (b *Builder) newOp(kind Kind) *Op {
 // Totals sums the live cells into the query-level counters, by the rule
 // check.VerifyTrace recomputes from a finished document: each field is the
 // sum over every (operator, node) cell, MaxNodeRows is the largest per-node
-// Work sum, and Repartitions/Broadcasts count opened operators by kind.
+// Work sum, and Repartitions/Broadcasts/Transfers count opened operators by
+// kind.
 // Call on the query goroutine after the last fan-out joined.
 func (b *Builder) Totals() Totals {
 	if b == nil {
@@ -389,6 +409,8 @@ func (b *Builder) Totals() Totals {
 			t.Repartitions++
 		case KindBroadcast:
 			t.Broadcasts++
+		case KindRuntimeFilter:
+			t.Transfers++
 		}
 	}
 	var sum Metrics

@@ -28,7 +28,8 @@ func TestNilSafety(t *testing.T) {
 	// All mutators on the nil op: must not panic.
 	op.AddIn(0, 1)
 	op.AddOut(0, 1)
-	op.AddShip(0, 1, 2)
+	op.AddShip(0, 1, 16)
+	op.AddFiltered(0, 1)
 	op.AddDedup(0, 1)
 	op.AddWork(0, 1)
 	op.AddRetry(0, 1)
@@ -129,7 +130,7 @@ func TestConcurrentMutators(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
 				op.AddOut(w%4, 1)
-				op.AddShip(w%4, 1, 2)
+				op.AddShip(w%4, 1, 2*8)
 				op.AddRetry(w%4, 1)
 			}
 		}()
@@ -157,7 +158,7 @@ func TestKindExchange(t *testing.T) {
 		}
 	}
 	for _, k := range []Kind{KindScan, KindFilter, KindProject, KindJoin, KindAggregate,
-		KindPartialAgg, KindFinalAgg, KindDistinctPref, KindTopK, KindUnexecuted} {
+		KindPartialAgg, KindFinalAgg, KindDistinctPref, KindTopK, KindRuntimeFilter, KindUnexecuted} {
 		if k.Exchange() {
 			t.Errorf("%s must not be an exchange", k)
 		}
@@ -192,7 +193,7 @@ func TestRenderAndJSON(t *testing.T) {
 	op.AddWall(0, time.Millisecond)
 	rt := b.BeginResult()
 	rt.AddIn(0, 7)
-	rt.AddShip(1, 7, 1)
+	rt.AddShip(1, 7, 7*8)
 	rt.AddOut(0, 7)
 	tr := b.Build(rw)
 

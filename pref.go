@@ -224,6 +224,7 @@ const (
 	KindDistinctByValue = trace.KindDistinctByValue
 	KindGather          = trace.KindGather
 	KindTopK            = trace.KindTopK
+	KindRuntimeFilter   = trace.KindRuntimeFilter
 	KindResult          = trace.KindResult
 	KindUnexecuted      = trace.KindUnexecuted
 )
