@@ -3,16 +3,16 @@
 // companion to go vet: vet checks generic Go mistakes, preflint checks
 // this codebase's own invariants — panic policy, context threading and
 // Prop slice aliasing — plus the analyzers built on internal/lint/cfg:
-// publish ordering, snapshot read discipline, the bulk-load intent
-// protocol, guard-field happens-before, and the interprocedural batch
-// lifetime typestate, which also keeps batches immutable outside their
-// package.
+// publish ordering and the interprocedural batch lifetime typestate,
+// which also keeps batches immutable outside their package.
 //
 // An analyzer name retired from the roster is unknown to -only/-skip and
-// exits 2: atomicdiscipline, batchownership, and partownership,
+// exits 2: atomicdiscipline, batchownership; partownership,
 // shipaccounting and goroutinescope, whose hazards (cross-partition
 // access, unmetered shipment, unjoined fan-out) tier-1 runtime tests
-// catch. The retired -sarif flag exits 2 as well.
+// catch; and snapshotdiscipline, intentprotocol and happensbefore, whose
+// hazards the write path's design or its deterministic tests rule out.
+// The retired -sarif flag exits 2 as well.
 //
 // Usage:
 //

@@ -22,6 +22,7 @@ func TestExitCodes(t *testing.T) {
 		{[]string{"-only", "batchlifetime", "./internal/lint/testdata/src/batchlifetime_regression"}, 1},
 		{[]string{"-only", "batchownership", "./internal/lint/cfg"}, 2}, // retired name
 		{[]string{"-only", "partownership", "./internal/lint/cfg"}, 2},  // retired name
+		{[]string{"-skip", "happensbefore", "./internal/lint/cfg"}, 2},  // retired name
 		{[]string{"-sarif", "./internal/lint/cfg"}, 2},                  // retired flag
 		{[]string{"./no/such/dir"}, 2},
 	} {

@@ -175,10 +175,8 @@ func (l *Loader) Apply(ops ...Op) (*Commit, error) {
 // length invariants, then replays the pending intents' recorded
 // steps in sequence order and publishes them. After a successful
 // recovery the crashed batch is durable — its epoch exists exactly as if
-// the crash had never happened.
-//
-// lint:intent-boundary recovery replays intents that were already
-// recorded before the crash; its mutations are covered by those records.
+// the crash had never happened. Its mutations are covered by the intents
+// recorded before the crash.
 func (l *Loader) Recover() (*RecoveryReport, error) {
 	rep := &RecoveryReport{}
 	pend := l.log.Pending()
@@ -477,10 +475,8 @@ func (l *Loader) planUpdate(it *Intent, pt *table.Partitioned, op Op) error {
 // honoring an injected crash stage: CrashMidApply stops cleanly before
 // step stepIdx (earlier steps fully applied), CrashTornApply tears step
 // stepIdx — half its appends land fully, one more row lands without its
-// index entries. Replay calls this with fault.WriteNoCrash.
-//
-// lint:intent-boundary the apply stage itself; every caller holds the
-// intent record that covers these writes.
+// index entries. Replay calls this with fault.WriteNoCrash. Every caller
+// holds the intent record that covers these writes.
 func (l *Loader) applySteps(it *Intent, stage fault.WriteStage, stepIdx int) error {
 	for j := range it.Steps {
 		st := &it.Steps[j]
@@ -524,10 +520,8 @@ func (l *Loader) applySteps(it *Intent, stage fault.WriteStage, stepIdx int) err
 
 // commit installs the intent's bookkeeping deltas, publishes a new
 // database epoch covering every touched table, and marks the intent
-// applied. Called only after every step executed crash-free.
-//
-// lint:intent-boundary the publish stage itself; callers (Apply, Recover)
-// only reach it with the covering intent open.
+// applied. Called only after every step executed crash-free, with the
+// covering intent open.
 func (l *Loader) commit(it *Intent) *Commit {
 	for t, d := range it.DeltaRows {
 		l.pdb.Tables[t].OriginalRows += d

@@ -250,7 +250,7 @@ func (c *Cluster) endQuery() {
 // rebuild).
 func (c *Cluster) BeginQuery(src RebuildSource, downNow func(node int) bool, probeOK func(node, probes int) bool) (v View, snap *table.DBSnapshot, probed int, done func(), err error) {
 	if src != nil {
-		snap = src.Snapshot()
+		snap = src()
 	}
 	if c == nil {
 		return View{}, snap, 0, func() {}, nil

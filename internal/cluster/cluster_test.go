@@ -136,7 +136,7 @@ func TestProbeLifecycleAndRebuild(t *testing.T) {
 	probeOK := func(n, probes int) bool { return probes >= 1 } // second probe passes
 
 	// Query 1: node 1 reported down now → tripped without burning retries.
-	v, _, probes, done, err := c.BeginQuery(pdb, downNow, probeOK)
+	v, _, probes, done, err := c.BeginQuery(pdb.Snapshot, downNow, probeOK)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +147,7 @@ func TestProbeLifecycleAndRebuild(t *testing.T) {
 	done() // a second call must not tick again
 
 	// Query 2: cool-down expired → half-open probe, which fails.
-	v, _, probes, done, _ = c.BeginQuery(pdb, downNow, probeOK)
+	v, _, probes, done, _ = c.BeginQuery(pdb.Snapshot, downNow, probeOK)
 	if probes != 1 || v.Serving[1] {
 		t.Fatalf("query 2: probes=%d serving=%v, want a failed probe", probes, v.Serving[1])
 	}
@@ -157,7 +157,7 @@ func TestProbeLifecycleAndRebuild(t *testing.T) {
 	done()
 
 	// Query 3: second probe passes → recovering, rebuild enqueued.
-	_, _, probes, done, _ = c.BeginQuery(pdb, downNow, probeOK)
+	_, _, probes, done, _ = c.BeginQuery(pdb.Snapshot, downNow, probeOK)
 	if probes != 1 {
 		t.Fatalf("query 3: probes=%d, want 1", probes)
 	}
@@ -178,7 +178,7 @@ func TestProbeLifecycleAndRebuild(t *testing.T) {
 	}
 	// Query 4: the recovered node serves again and downNow is ignored
 	// (the view reports it healed so the engine clears injected faults).
-	v, _, _, _, _ = c.BeginQuery(pdb, downNow, probeOK)
+	v, _, _, _, _ = c.BeginQuery(pdb.Snapshot, downNow, probeOK)
 	if !v.Serving[1] || !v.Recovered[1] {
 		t.Fatalf("query 4: serving=%v recovered=%v, want both", v.Serving[1], v.Recovered[1])
 	}
@@ -192,9 +192,9 @@ func TestRebuildUnrecoverable(t *testing.T) {
 	downNow := func(n int) bool { return n == 2 }
 	probeOK := func(int, int) bool { return true }
 
-	_, _, _, done, _ := c.BeginQuery(pdb, downNow, probeOK) // trip
+	_, _, _, done, _ := c.BeginQuery(pdb.Snapshot, downNow, probeOK) // trip
 	done()
-	_, _, _, done, _ = c.BeginQuery(pdb, downNow, probeOK) // probe passes → rebuild attempt
+	_, _, _, done, _ = c.BeginQuery(pdb.Snapshot, downNow, probeOK) // probe passes → rebuild attempt
 	c.WaitRebuilds()
 	if c.NodeState(2) != Down {
 		t.Fatalf("unrecoverable node state = %v, want down", c.NodeState(2))
@@ -205,8 +205,42 @@ func TestRebuildUnrecoverable(t *testing.T) {
 	}
 	// No further probes: the node is lost, not cooling down.
 	done()
-	if _, _, probes, _, _ := c.BeginQuery(pdb, downNow, probeOK); probes != 0 {
+	if _, _, probes, _, _ := c.BeginQuery(pdb.Snapshot, downNow, probeOK); probes != 0 {
 		t.Fatal("lost node must not be probed again")
+	}
+}
+
+// TestRebuildReadsPublishedEpoch: a write batch that crashed mid-apply
+// leaves node 1's head partition torn, and no recovery has run. Tripping,
+// probing and rebuilding node 1 must still meter exactly the rows the
+// published version holds for it, never the head's.
+func TestRebuildReadsPublishedEpoch(t *testing.T) {
+	c := newTestCluster(t, Options{CoolDownQueries: 1})
+	pdb := testPDB(t)
+	pdb.Snapshot() // publish epoch 0
+	// The crashed batch: one row fully applied to node 1's clone, the next
+	// one's values without their index entries.
+	part := pdb.Tables["t"].BeginWrite(1)
+	part.Append(value.Tuple{20, 120}, false, false)
+	part.AppendTorn(value.Tuple{21, 121})
+	if part.CheckInvariants() == nil {
+		t.Fatal("setup: node 1's head partition should be torn")
+	}
+
+	downNow := func(n int) bool { return n == 1 }
+	probeOK := func(int, int) bool { return true }
+	_, _, _, done, _ := c.BeginQuery(pdb.Snapshot, downNow, probeOK) // trip
+	done()
+	_, _, _, done, _ = c.BeginQuery(pdb.Snapshot, downNow, probeOK) // probe passes → rebuild
+	done()
+	c.WaitRebuilds()
+	if c.NodeState(1) != Healthy {
+		t.Fatalf("after rebuild: %v, want healthy", c.NodeState(1))
+	}
+	st := c.Stats()
+	if st.Rebuilds != 1 || st.RebuiltRows != 10 || st.RebuiltBytes != 10*2*8 {
+		t.Fatalf("rebuilds=%d rows=%d bytes=%d, want 1 rebuild of the published 10 rows (%d bytes)",
+			st.Rebuilds, st.RebuiltRows, st.RebuiltBytes, 10*2*8)
 	}
 }
 

@@ -25,9 +25,11 @@ import "pref/internal/table"
 // the node unrecoverable: it stays down, marked lost, and is never
 // probed again.
 
-// RebuildSource is what the rebuild worker re-materializes partitions
-// from: the cluster's partitioned database.
-type RebuildSource = *table.PartitionedDatabase
+// RebuildSource pins the latest published epoch of the cluster's data
+// (PartitionedDatabase.Snapshot). It is all the cluster holds of the data,
+// so both queries and rebuilds can only read pinned versions, never the
+// writer's head.
+type RebuildSource = func() *table.DBSnapshot
 
 // rebuildJob asks the worker to re-materialize one node's partitions.
 type rebuildJob struct {
@@ -92,9 +94,9 @@ func (c *Cluster) rebuildWorker() {
 // duplicate copies, returning whether the node is fully recoverable and
 // the recovered row/byte volume. It runs on the worker goroutine and
 // takes c.mu only for the serving snapshot, not for the row scans. The
-// data is read from the source's last published epoch snapshot, never
-// the live write head: a crashed batch's torn partitions are invisible
-// here, so re-materialization always works from crash-consistent state.
+// data is the epoch the source pins when the job runs: a crashed batch's
+// torn partitions are invisible here, so re-materialization always works
+// from crash-consistent state.
 func (c *Cluster) rebuild(job rebuildJob) (ok bool, rows, bytes int64) {
 	c.mu.Lock()
 	serving := table.NewPartSet(len(c.nodes))
@@ -105,24 +107,23 @@ func (c *Cluster) rebuild(job rebuildJob) (ok bool, rows, bytes int64) {
 	}
 	c.mu.Unlock()
 
-	snap := job.src.Snapshot()
-	for name, pt := range job.src.Tables {
+	for _, v := range job.src().Tables {
 		if c.ctx.Err() != nil {
 			return false, 0, 0
 		}
-		v := snap.Tables[name]
-		if v == nil || job.node >= len(v.Parts) {
+		if job.node >= len(v.Parts) {
 			continue
 		}
-		n := v.Parts[job.node].Len()
+		part := v.Parts[job.node]
+		n, width := part.Len(), part.Width()
 		if n == 0 {
 			continue
 		}
-		if v.Copies(pt.Meta.NumCols()).Missing(job.node, serving) > 0 {
+		if v.Copies(width).Missing(job.node, serving) > 0 {
 			return false, 0, 0
 		}
 		rows += int64(n)
-		bytes += int64(n) * int64(pt.Meta.NumCols()) * 8
+		bytes += int64(n) * int64(width) * 8
 	}
 	return true, rows, bytes
 }

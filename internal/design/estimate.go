@@ -78,8 +78,8 @@ func jointRedundancyFactor(refHist, ringHist *stats.Histogram, n int, refInflati
 // its partitioning-predicate path down to the (redundancy-free) seed table.
 //
 // Two refinements tighten the paper's literal r(e) formula
-// (Σ_{v∈Ve} E_{f(v),n}[X] / |Tj|, kept in internal/stats for comparison —
-// see the ablation-estimator experiment):
+// (Σ_{v∈Ve} E_{f(v),n}[X] / |Tj|, which internal/bench's ablation-estimator
+// experiment evaluates for comparison):
 //
 //   - Structural: when the referenced table is hash-partitioned on (a
 //     subset of) the edge's referenced columns, all partitioning partners

@@ -399,13 +399,3 @@ func treeSignature(g *graph.Graph) string {
 	sort.Strings(parts)
 	return strings.Join(append(parts, g.Nodes()...), ";")
 }
-
-// TotalEstimatedSize sums the groups' estimated partitioned sizes without
-// de-duplication — the quantity phase 2 minimizes.
-func (d *WDDesign) TotalEstimatedSize() float64 {
-	t := 0.0
-	for _, g := range d.Groups {
-		t += g.PC.Est.Total
-	}
-	return t
-}

@@ -153,10 +153,9 @@ type executor struct {
 // snapshot's published version when the query has one (the normal path —
 // BeginQuery pins a snapshot), else an unpublished view of the live head
 // (executors driven without BeginQuery, e.g. direct unit-test
-// construction), whose copy index lives and dies with the scan.
-//
-// lint:snapshot-boundary the one sanctioned pin point: every scan resolves
-// partitions here, so the snapshot-or-head decision lives in one place.
+// construction), whose copy index lives and dies with the scan. Every
+// scan resolves partitions here, so the snapshot-or-head decision lives in
+// one place.
 func (ex *executor) versionOf(pt *table.Partitioned, tbl string) *table.Version {
 	if ex.snap != nil {
 		if v := ex.snap.Tables[tbl]; v != nil {
@@ -235,7 +234,7 @@ func executeCtx(ctx context.Context, rw *plan.Rewritten, pdb *table.PartitionedD
 	// enqueue background rebuilds) and pins the data snapshot. done ticks
 	// the breaker cool-downs, which are counted in completed queries.
 	cl := opt.Cluster
-	view, snap, probes, done, err := cl.BeginQuery(pdb, inj.NodeDown, inj.ProbeOK)
+	view, snap, probes, done, err := cl.BeginQuery(pdb.Snapshot, inj.NodeDown, inj.ProbeOK)
 	if err != nil {
 		return nil, fmt.Errorf("engine: query not admitted: %w", err)
 	}

@@ -1,12 +1,11 @@
 // Package cfg builds intraprocedural control-flow graphs over go/ast
-// function bodies and layers the dataflow machinery the protocol analyzers
-// in internal/lint need: reaching definitions over go/types objects
-// (reach.go), a reusable typestate machine engine (typestate.go), and the
-// call graph and summary fixpoint of the interprocedural analyses
-// (callgraph.go, summary.go). Like the rest of internal/lint it is
-// stdlib-only; it is the piece golang.org/x/tools/go/cfg + go/ssa would
-// normally provide, rebuilt small enough to audit and without the external
-// module.
+// function bodies and layers the dataflow machinery the analyzers in
+// internal/lint need: reaching definitions over go/types objects
+// (reach.go), and the call graph and summary fixpoint of the
+// interprocedural analyses (callgraph.go, summary.go). Like the rest of
+// internal/lint it is stdlib-only; it is the piece
+// golang.org/x/tools/go/cfg + go/ssa would normally provide, rebuilt small
+// enough to audit and without the external module.
 //
 // The graph is statement-level: a Block holds the simple statements and
 // control-expression leaves executed straight-line, in source order.

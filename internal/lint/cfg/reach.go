@@ -211,8 +211,7 @@ func (r *Reach) ForEachUse(visit func(id *ast.Ident, v *types.Var, defs []*Def))
 					// Pre-order replay: the def is applied before the RHS
 					// uses are visited, so a self-referential read (x = x+1)
 					// sees the new def instead of the old one. No analyzer
-					// here distinguishes the two, and keeping the replay
-					// pre-order matches the typestate engine's walk.
+					// here distinguishes the two.
 					apply(m)
 					return true
 				case *ast.Ident:

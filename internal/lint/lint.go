@@ -26,24 +26,14 @@
 // fan-out fail the differential oracle, the exact metering tests and the
 // trace conservation laws (check.VerifyTrace).
 //
-// The protocol analyzers (publishorder, snapshotdiscipline,
-// intentprotocol, happensbefore) go beyond per-statement checks: they run
-// on the intraprocedural CFG/dataflow substrate in internal/lint/cfg
-// (basic blocks, reaching definitions, typestate machines) and verify the
-// write-path ordering protocols PR 6 introduced:
-//
-//   - publishorder: no mutation of version-visible state on any path after
-//     the atomic epoch store — the publish is a release point, so all
-//     bookkeeping must precede it.
-//   - snapshotdiscipline: engine/cluster read-side code reaches table
-//     state only through a pinned DBSnapshot, never the live COW head
-//     (aliases of the head are traced to their uses via reaching defs).
-//   - intentprotocol: plan→intend→apply→publish typestate over the
-//     bulk-load path; mutations must be dominated by an intent record and
-//     no path may strand an open intent.
-//   - happensbefore: a plain access to a field annotated
-//     "lint:guarded-by <g>" must be dominated by the guard's atomic load
-//     or lock acquisition on every path.
+// publishorder goes beyond per-statement checks: it walks the
+// intraprocedural CFG of internal/lint/cfg forward from each atomic epoch
+// store and flags any mutation of version-visible state that some path
+// reaches after it — the publish is a release point, so all bookkeeping
+// must precede it. The write path's other protocols hold by construction:
+// copy-on-write compares head partitions with the published Version by
+// pointer, the cluster can only pin snapshots, and deterministic tests
+// cover the intent log.
 //
 // batchlifetime goes one step further: it is interprocedural. Every
 // function gets an ownership contract over its batch-typed parameters and
@@ -126,9 +116,7 @@ type Analyzer struct {
 // driver runs them.
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
-		InvariantPanic, CtxThread, PropAlias,
-		PublishOrder, SnapshotDiscipline, IntentProtocol, HappensBefore,
-		BatchLifetime,
+		InvariantPanic, CtxThread, PropAlias, PublishOrder, BatchLifetime,
 	}
 }
 
@@ -295,6 +283,31 @@ func sanctioned(p *Pass, marked map[string]map[int]bool, n ast.Node) bool {
 	pos := p.Fset.Position(n.Pos())
 	lines := marked[pos.Filename]
 	return lines[pos.Line] || lines[pos.Line-1]
+}
+
+// hasFuncMarker reports whether the function's doc comment carries the
+// marker.
+func hasFuncMarker(fn *ast.FuncDecl, marker string) bool {
+	if fn == nil || fn.Doc == nil {
+		return false
+	}
+	for _, cm := range fn.Doc.List {
+		if strings.Contains(cm.Text, marker) {
+			return true
+		}
+	}
+	return false
+}
+
+// eachFuncDecl visits every function declaration with a body.
+func eachFuncDecl(p *Pass, visit func(fn *ast.FuncDecl)) {
+	for _, f := range p.Files {
+		for _, d := range f.Decls {
+			if fn, ok := d.(*ast.FuncDecl); ok && fn.Body != nil {
+				visit(fn)
+			}
+		}
+	}
 }
 
 // PackageDirs walks root and returns every directory containing at least

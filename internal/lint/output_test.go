@@ -15,9 +15,9 @@ func sampleDiags() []Diagnostic {
 			Message:  "HashCols assigned from an existing slice",
 		},
 		{
-			Pos:      token.Position{Filename: "internal/trace/trace.go", Line: 9, Column: 2},
-			Analyzer: "happensbefore",
-			Message:  "plain access to field RowsIn",
+			Pos:      token.Position{Filename: "internal/table/table.go", Line: 9, Column: 2},
+			Analyzer: "publishorder",
+			Message:  "mutation of version-visible state after the atomic epoch publish",
 		},
 	}
 }
@@ -37,11 +37,11 @@ func TestWriteJSONGolden(t *testing.T) {
       "message": "HashCols assigned from an existing slice"
     },
     {
-      "file": "internal/trace/trace.go",
+      "file": "internal/table/table.go",
       "line": 9,
       "column": 2,
-      "analyzer": "happensbefore",
-      "message": "plain access to field RowsIn"
+      "analyzer": "publishorder",
+      "message": "mutation of version-visible state after the atomic epoch publish"
     }
   ]
 }

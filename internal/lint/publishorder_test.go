@@ -5,10 +5,7 @@ import (
 	"testing"
 )
 
-func TestPublishOrderFixtures(t *testing.T)       { runWantDir(t, PublishOrder) }
-func TestSnapshotDisciplineFixtures(t *testing.T) { runWantDir(t, SnapshotDiscipline) }
-func TestIntentProtocolFixtures(t *testing.T)     { runWantDir(t, IntentProtocol) }
-func TestHappensBeforeFixtures(t *testing.T)      { runWantDir(t, HappensBefore) }
+func TestPublishOrderFixtures(t *testing.T) { runWantDir(t, PublishOrder) }
 
 // regressionPublishRace is the PR 6 publish-ordering race exactly as the
 // 100-schedule chaos soak caught it at runtime: publishLocked stored the
@@ -92,7 +89,7 @@ func TestRegressionRequiresPublishOrder(t *testing.T) {
 
 // TestCfgPackageIsLintClean is the self-check the CI gate mirrors: the
 // dataflow substrate itself lints clean under the full suite, including
-// the four analyzers built on top of it.
+// the analyzers built on top of it.
 func TestCfgPackageIsLintClean(t *testing.T) {
 	diags, err := RunDir("cfg", Analyzers())
 	if err != nil {

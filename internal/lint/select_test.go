@@ -19,7 +19,7 @@ func TestSelectAnalyzersDefault(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The roster, in driver order.
-	want := "invariantpanic ctxthread propalias publishorder snapshotdiscipline intentprotocol happensbefore batchlifetime"
+	want := "invariantpanic ctxthread propalias publishorder batchlifetime"
 	if got := strings.Join(names(got), " "); got != want {
 		t.Fatalf("no filters must keep the full roster:\ngot  %s\nwant %s", got, want)
 	}

@@ -82,25 +82,6 @@ func exprType(p *Pass, e ast.Expr) types.Type {
 	return tv.Type
 }
 
-// isNamedType reports whether t (after unwrapping pointers and aliases) is
-// a defined type with the given package path and name. An empty pkgPath
-// matches any package, which fixtures rely on.
-func isNamedType(t types.Type, pkgPath, name string) bool {
-	t = deref(t)
-	n, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := n.Obj()
-	if obj.Name() != name {
-		return false
-	}
-	if pkgPath == "" {
-		return true
-	}
-	return obj.Pkg() != nil && obj.Pkg().Path() == pkgPath
-}
-
 // deref unwraps pointers and aliases.
 func deref(t types.Type) types.Type {
 	t = types.Unalias(t)
@@ -108,30 +89,4 @@ func deref(t types.Type) types.Type {
 		t = types.Unalias(p.Elem())
 	}
 	return t
-}
-
-// rootIdentObj resolves the variable at the root of an expression like
-// x, x.f, or (*x).f — the object a join/ownership check should key on.
-func rootIdentObj(p *Pass, e ast.Expr) types.Object {
-	for {
-		switch v := e.(type) {
-		case *ast.Ident:
-			return p.TypesInfo.Uses[v]
-		case *ast.SelectorExpr:
-			// Prefer the field itself: distinct struct fields are distinct
-			// synchronization domains.
-			if f := fieldObj(p, v); f != nil {
-				return f
-			}
-			e = v.X
-		case *ast.ParenExpr:
-			e = v.X
-		case *ast.StarExpr:
-			e = v.X
-		case *ast.UnaryExpr:
-			e = v.X
-		default:
-			return nil
-		}
-	}
 }

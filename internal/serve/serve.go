@@ -81,11 +81,8 @@ type Options struct {
 	// fault storms reproducible. Nil serves fault-free.
 	FaultFor func(seq int64, attempt int) *fault.Policy
 
-	// ChunkRows is the streaming chunk size in rows (default 64);
-	// StreamBuffer the bounded chunk-channel depth (default 2). Together
-	// they cap how far a producer can run ahead of a slow consumer.
-	ChunkRows    int
-	StreamBuffer int
+	// ChunkRows is the streaming chunk size in rows (default 64).
+	ChunkRows int
 }
 
 func (o Options) withDefaults() Options {
@@ -103,9 +100,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.ChunkRows <= 0 {
 		o.ChunkRows = 64
-	}
-	if o.StreamBuffer <= 0 {
-		o.StreamBuffer = 2
 	}
 	if o.Cluster.Nodes <= 0 && o.Config != nil {
 		o.Cluster.Nodes = o.Config.NumPartitions
@@ -378,7 +372,7 @@ func (s *Server) Stream(ctx context.Context, tenant, query string) (*Stream, err
 	s.met.okLat.Observe(elapsed)
 	s.met.mu.Unlock()
 
-	return newStream(qctx, s.opt.ChunkRows, s.opt.StreamBuffer, res, attempts, cacheHit, elapsed, finish), nil
+	return newStream(qctx, s.opt.ChunkRows, res, attempts, cacheHit, elapsed, finish), nil
 }
 
 // execute runs the query against the engine with plan caching and a

@@ -529,23 +529,24 @@ func TestRetryBudgetBoundsAmplification(t *testing.T) {
 	}
 }
 
-// TestStreamBackpressure pins the delivery contract: the producer runs at
-// most buffer+1 chunks ahead of the consumer, and the serving slot is
-// held until the stream drains.
+// TestStreamBackpressure pins the delivery contract: chunks of ChunkRows
+// rows, each capped at its own length, and the serving slot held until the
+// stream drains.
 func TestStreamBackpressure(t *testing.T) {
 	s := newTestServer(t, func(o *Options) {
 		o.ChunkRows = 4
-		o.StreamBuffer = 1
 	})
 	st, err := s.Stream(context.Background(), "a", "scan")
 	if err != nil {
 		t.Fatal(err)
 	}
-	// 40 rows in chunks of 4 = 10 chunks; with buffer 1 the producer
-	// cannot be done while nothing was consumed.
-	time.Sleep(50 * time.Millisecond)
-	if st.complete.Load() {
-		t.Fatal("producer ran ahead of an idle consumer: no backpressure")
+	// 40 rows in chunks of 4 = 10 chunks.
+	chunk, err := st.Next()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(chunk) != 4 || cap(chunk) != 4 {
+		t.Fatalf("first chunk has len %d cap %d, want 4 and 4", len(chunk), cap(chunk))
 	}
 	if used := func() int { s.adm.mu.Lock(); defer s.adm.mu.Unlock(); return s.adm.used }(); used != 1 {
 		t.Fatalf("serving slots used = %d while stream undelivered, want 1", used)
@@ -554,8 +555,8 @@ func TestStreamBackpressure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(resp.Rows) != 40 {
-		t.Fatalf("drained %d rows, want 40", len(resp.Rows))
+	if len(resp.Rows) != 36 {
+		t.Fatalf("drained %d rows after the first chunk, want 36", len(resp.Rows))
 	}
 	for start := time.Now(); ; {
 		used := func() int { s.adm.mu.Lock(); defer s.adm.mu.Unlock(); return s.adm.used }()
@@ -572,7 +573,7 @@ func TestStreamBackpressure(t *testing.T) {
 // An abandoned stream must release its slot when the query deadline
 // fires, even though the consumer never calls Close.
 func TestAbandonedStreamReleasedByDeadline(t *testing.T) {
-	s := newTestServer(t, func(o *Options) { o.ChunkRows = 4; o.StreamBuffer = 1 })
+	s := newTestServer(t, func(o *Options) { o.ChunkRows = 4 })
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
 	if _, err := s.Stream(ctx, "a", "scan"); err != nil {

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"io"
-	"sync/atomic"
 	"time"
 
 	"pref/internal/engine"
@@ -28,12 +27,12 @@ type Response struct {
 	Latency  time.Duration
 }
 
-// Stream delivers one query result in bounded chunks. The producer runs
-// at most StreamBuffer+1 chunks ahead of the consumer, and the serving
-// slot stays held until the stream ends — so a slow consumer pushes back
-// on admission instead of piling results up in memory. Streams must be
-// drained or closed; an abandoned stream is released when its query
-// context dies (client deadline or forced drain).
+// Stream delivers one query result in chunks of at most ChunkRows rows.
+// The rows are already materialized when the stream opens; the stream is a
+// cursor over them, and the serving slot stays held until it ends — so a
+// slow consumer pushes back on admission. Streams must be drained or
+// closed; an abandoned stream is released when its query context dies
+// (client deadline or forced drain).
 type Stream struct {
 	// Schema, Epoch, CacheHit, Attempts and Latency mirror Response.
 	Schema   plan.Schema
@@ -43,80 +42,55 @@ type Stream struct {
 	Attempts int
 	Latency  time.Duration
 
-	ctx      context.Context
-	ch       chan []value.Tuple
-	finish   func()
-	complete atomic.Bool // producer delivered every chunk
+	ctx       context.Context
+	rows      []value.Tuple // not yet delivered
+	chunkRows int
+	finish    func()
 }
 
-// newStream starts the producer goroutine chunking res.Rows into a
-// bounded channel. finish releases the serving slot and the query
-// context; the stream arranges for it to run exactly once on every
-// termination path.
-func newStream(qctx context.Context, chunkRows, buffer int, res *engine.Result, attempts int, cacheHit bool, latency time.Duration, finish func()) *Stream {
-	st := &Stream{
-		Schema:   res.Schema,
-		Epoch:    res.Epoch,
-		Stats:    res.Stats,
-		CacheHit: cacheHit,
-		Attempts: attempts,
-		Latency:  latency,
-		ctx:      qctx,
-		ch:       make(chan []value.Tuple, buffer),
-		finish:   finish,
-	}
-	rows := res.Rows
-	go func() {
-		defer close(st.ch)
-		for len(rows) > 0 {
-			n := chunkRows
-			if n > len(rows) {
-				n = len(rows)
-			}
-			// Backpressure point: blocks when the consumer lags by a full
-			// buffer; a dead query context unblocks the producer so a
-			// forced drain never strands this goroutine.
-			select {
-			case st.ch <- rows[:n:n]:
-				rows = rows[n:]
-			case <-qctx.Done():
-				return
-			}
-		}
-		st.complete.Store(true)
-	}()
+// newStream opens a cursor over res.Rows. finish releases the serving slot
+// and the query context; the stream arranges for it to run exactly once on
+// every termination path.
+func newStream(qctx context.Context, chunkRows int, res *engine.Result, attempts int, cacheHit bool, latency time.Duration, finish func()) *Stream {
 	// Abandoned-stream safety net: when the query context dies for any
 	// reason (client deadline, forced drain, or normal Close below), the
 	// slot is released even if the consumer never calls Close.
 	context.AfterFunc(qctx, finish)
-	return st
+	return &Stream{
+		Schema:    res.Schema,
+		Epoch:     res.Epoch,
+		Stats:     res.Stats,
+		CacheHit:  cacheHit,
+		Attempts:  attempts,
+		Latency:   latency,
+		ctx:       qctx,
+		rows:      res.Rows,
+		chunkRows: chunkRows,
+		finish:    finish,
+	}
 }
 
 // Next returns the next chunk of rows. At end of stream it returns
-// (nil, io.EOF) and releases the serving slot; if the query's deadline
-// expires mid-delivery it returns the typed deadline error.
+// (nil, io.EOF) and releases the serving slot; if the query's context
+// dies mid-delivery it releases the slot and returns the context's error,
+// typed as a deadline error when the deadline expired. A chunk's capacity
+// ends at its last row, so appending to it never overwrites the next one.
 func (st *Stream) Next() ([]value.Tuple, error) {
-	select {
-	case rows, ok := <-st.ch:
-		if !ok {
-			st.finish()
-			if !st.complete.Load() {
-				// The producer was cut off by a dying context, not done.
-				if err := st.ctx.Err(); errors.Is(err, context.DeadlineExceeded) {
-					return nil, deadlineErr(err)
-				}
-				return nil, st.ctx.Err()
-			}
-			return nil, io.EOF
-		}
-		return rows, nil
-	case <-st.ctx.Done():
+	if len(st.rows) == 0 {
 		st.finish()
-		if err := st.ctx.Err(); errors.Is(err, context.DeadlineExceeded) {
+		return nil, io.EOF
+	}
+	if err := st.ctx.Err(); err != nil {
+		st.finish()
+		if errors.Is(err, context.DeadlineExceeded) {
 			return nil, deadlineErr(err)
 		}
-		return nil, st.ctx.Err()
+		return nil, err
 	}
+	n := min(st.chunkRows, len(st.rows))
+	chunk := st.rows[:n:n]
+	st.rows = st.rows[n:]
+	return chunk, nil
 }
 
 // Drain consumes the rest of the stream into a Response.

@@ -43,7 +43,7 @@ func ExpectedCopiesReal(f float64, n int) float64 {
 //	E_{f,n}[X] = Σ_{x=1}^{min(n,f)} x · C(n,x)·x!·S(f,x) / n^f
 //
 // It is exponential-free but O(min(n,f)·f) with big numbers, so it is meant
-// for validation and the precomputed lookup table, not hot paths.
+// for validating the closed form, not hot paths.
 func ExpectedCopiesExact(f, n int) float64 {
 	if f <= 0 || n <= 0 {
 		return 0
@@ -92,32 +92,3 @@ func CopiesDistribution(f, n int) []float64 {
 	}
 	return p
 }
-
-// CopiesTable is the preprocessing lookup table the paper describes: an
-// O(1) E_{f,n}[X] lookup for f up to a cap, falling back to the closed
-// form beyond it.
-type CopiesTable struct {
-	n    int
-	e    []float64 // e[f] = E_{f,n}[X], f in [0, maxF]
-	maxF int
-}
-
-// NewCopiesTable precomputes E_{f,n}[X] for f in [0, maxF].
-func NewCopiesTable(n, maxF int) *CopiesTable {
-	t := &CopiesTable{n: n, maxF: maxF, e: make([]float64, maxF+1)}
-	for f := 0; f <= maxF; f++ {
-		t.e[f] = ExpectedCopies(f, n)
-	}
-	return t
-}
-
-// Lookup returns E_{f,n}[X] in O(1) for f ≤ maxF, else the closed form.
-func (t *CopiesTable) Lookup(f int) float64 {
-	if f >= 0 && f <= t.maxF {
-		return t.e[f]
-	}
-	return ExpectedCopies(f, t.n)
-}
-
-// N reports the partition count the table was built for.
-func (t *CopiesTable) N() int { return t.n }

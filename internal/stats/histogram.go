@@ -106,32 +106,3 @@ func mix(h, salt uint64) uint64 {
 // Distinct reports the number of distinct sampled keys; the full-table
 // distinct count is ≈ Distinct()/Rate.
 func (h *Histogram) Distinct() int { return len(h.Freq) }
-
-// RedundancyFactor computes r(e) for a MAST edge per Appendix A:
-//
-//	r(e) = Σ_{v ∈ Ve} E_{f(v),n}[X] / |Tj|
-//
-// where h is the histogram of the join key in the *referenced* table Ti,
-// n is the partition count, and refingRows = |Tj| is the cardinality of
-// the *referencing* table. Under sampling, the key sum extrapolates by
-// 1/rate. The result is clamped to [1, n].
-func RedundancyFactor(h *Histogram, n, refingRows int) float64 {
-	if refingRows == 0 {
-		return 1
-	}
-	tbl := NewCopiesTable(n, 256)
-	sum := 0.0
-	for _, f := range h.Counts {
-		sum += tbl.Lookup(f)
-	}
-	r := sum / h.Rate / float64(refingRows)
-	if r < 1 {
-		// Referencing tuples without a partner are stored exactly once,
-		// so the factor can never drop below 1.
-		r = 1
-	}
-	if r > float64(n) {
-		r = float64(n)
-	}
-	return r
-}

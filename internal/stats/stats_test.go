@@ -127,22 +127,6 @@ func TestCopiesDistributionSumsToOne(t *testing.T) {
 	}
 }
 
-func TestCopiesTable(t *testing.T) {
-	tbl := NewCopiesTable(10, 64)
-	if tbl.N() != 10 {
-		t.Fatal("N")
-	}
-	for f := 0; f <= 64; f++ {
-		if tbl.Lookup(f) != ExpectedCopies(f, 10) {
-			t.Fatalf("table lookup mismatch at f=%d", f)
-		}
-	}
-	// Fallback beyond the cap.
-	if tbl.Lookup(1000) != ExpectedCopies(1000, 10) {
-		t.Fatal("fallback mismatch")
-	}
-}
-
 func histTestData(t *testing.T, keys []int64) *table.Data {
 	t.Helper()
 	m := catalog.MustTable("t", []catalog.Column{{Name: "k", Kind: value.Int}}, "k")
@@ -253,49 +237,4 @@ func seqKeys(n int) []int64 {
 		out[i] = int64(i)
 	}
 	return out
-}
-
-func TestRedundancyFactorUniform(t *testing.T) {
-	// Referenced-table join key: 100 distinct values, each f=5;
-	// referencing table has one row per distinct value.
-	keys := make([]int64, 0, 500)
-	for k := int64(0); k < 100; k++ {
-		for i := 0; i < 5; i++ {
-			keys = append(keys, k)
-		}
-	}
-	h, err := BuildHistogram(histTestData(t, keys), "k")
-	if err != nil {
-		t.Fatal(err)
-	}
-	n := 10
-	got := RedundancyFactor(h, n, 100)
-	want := ExpectedCopies(5, n) // every key contributes the same E
-	if math.Abs(got-want) > 1e-9 {
-		t.Fatalf("r(e) = %v, want %v", got, want)
-	}
-}
-
-func TestRedundancyFactorClamps(t *testing.T) {
-	h, _ := BuildHistogram(histTestData(t, []int64{1}), "k")
-	// Huge referencing table ⇒ raw ratio < 1, must clamp to 1.
-	if got := RedundancyFactor(h, 10, 1000); got != 1 {
-		t.Fatalf("clamp low: %v", got)
-	}
-	if got := RedundancyFactor(h, 10, 0); got != 1 {
-		t.Fatalf("empty referencing table: %v", got)
-	}
-}
-
-func TestRedundancyFactorUniqueKeyIsOne(t *testing.T) {
-	// If the referenced join key is unique (f=1 everywhere), PREF adds no
-	// redundancy: r(e) = 1. This is the Section 3.4 redundancy-free rule.
-	keys := make([]int64, 200)
-	for i := range keys {
-		keys[i] = int64(i)
-	}
-	h, _ := BuildHistogram(histTestData(t, keys), "k")
-	if got := RedundancyFactor(h, 10, 200); got != 1 {
-		t.Fatalf("unique key r(e) = %v, want 1", got)
-	}
 }

@@ -144,10 +144,13 @@ func (p *Partition) Dup(i int) bool { return p.cols[len(p.cols)-2][i] != 0 }
 // HasRef reports the hasRef index bit of stored tuple i.
 func (p *Partition) HasRef(i int) bool { return p.cols[len(p.cols)-1][i] != 0 }
 
+// Width reports the number of table columns the partition stores.
+func (p *Partition) Width() int { return len(p.cols) - 2 }
+
 // Columns returns the partition's columns for a table of the given width.
 // Safe for concurrent readers on frozen partitions — the only partitions a
-// query can reach through a DBSnapshot, since the write path clones shared
-// partitions (BeginWrite) before mutating.
+// query can reach through a DBSnapshot, since the write path clones
+// published partitions (BeginWrite) before mutating.
 func (p *Partition) Columns(width int) *Columnar {
 	if len(p.cols) != width+2 {
 		// lint:invariant
@@ -229,8 +232,9 @@ type Version struct {
 // single writer (the bulk loader), and an atomically published Version is
 // what concurrent readers pin (Snapshot). Between commits the head and
 // the published version share the same *Partition objects; a writer must
-// call BeginWrite before mutating a partition so shared partitions are
-// cloned first (copy-on-write), keeping every published epoch immutable.
+// call BeginWrite before mutating a partition so a head partition that is
+// still the published pointer is cloned first (copy-on-write), keeping
+// every published epoch immutable.
 type Partitioned struct {
 	Meta *catalog.Table
 	// Parts has one entry per logical node. It is the writer's head: code
@@ -249,12 +253,6 @@ type Partitioned struct {
 	pub atomic.Pointer[Version]
 	// pubMu serializes publications (Snapshot's lazy epoch 0, Publish).
 	pubMu sync.Mutex
-	// shared[p] marks head partitions referenced by the published version;
-	// BeginWrite clones them before the first post-publication mutation.
-	// Meaningful only relative to the published epoch, so access it after
-	// the atomic load (or under the publication mutex) — enforced by the
-	// happensbefore analyzer. lint:guarded-by pub pubMu
-	shared []bool
 }
 
 // NewPartitioned returns a partitioned table with n empty partitions.
@@ -287,23 +285,12 @@ func (pt *Partitioned) Snapshot() *Version {
 }
 
 // BeginWrite returns head partition p ready for mutation, cloning it
-// first when the published version still references it (copy-on-write).
-// Single writer only.
+// first when it is still the very partition the published version holds
+// (copy-on-write). A table never published has a private head. Single
+// writer only.
 func (pt *Partitioned) BeginWrite(p int) *Partition {
-	if pt.pub.Load() == nil {
-		return pt.Parts[p] // never published: the head is private
-	}
-	if pt.shared == nil {
-		// Published without shared tracking (epoch 0 from Snapshot on a
-		// literal-constructed table): every head partition is shared.
-		pt.shared = make([]bool, len(pt.Parts))
-		for i := range pt.shared {
-			pt.shared[i] = true
-		}
-	}
-	if pt.shared[p] {
+	if v := pt.pub.Load(); v != nil && p < len(v.Parts) && pt.Parts[p] == v.Parts[p] {
 		pt.Parts[p] = pt.Parts[p].Clone()
-		pt.shared[p] = false
 	}
 	return pt.Parts[p]
 }
@@ -322,21 +309,12 @@ func (pt *Partitioned) Publish() int64 {
 }
 
 // publishLocked installs the head as the given epoch. Callers hold pubMu.
-// The shared-partition bookkeeping must complete BEFORE the atomic store:
-// the store's release ordering is what makes it visible to a writer whose
-// only synchronization is the fast-path pub.Load in Snapshot/BeginWrite
-// (the lazy epoch-0 publication may run on a reader goroutine).
-//
-// lint:holds pubMu
+// The stored Version is the only record of which partitions are published:
+// BeginWrite and ResetToPublished compare head pointers against it, so
+// nothing has to follow the atomic store.
 func (pt *Partitioned) publishLocked(epoch int64) int64 {
 	parts := make([]*Partition, len(pt.Parts))
 	copy(parts, pt.Parts)
-	if len(pt.shared) != len(pt.Parts) {
-		pt.shared = make([]bool, len(pt.Parts))
-	}
-	for i := range pt.shared {
-		pt.shared[i] = true
-	}
 	pt.pub.Store(&Version{Epoch: epoch, Parts: parts, Rows: pt.OriginalRows})
 	return epoch
 }
@@ -346,29 +324,23 @@ func (pt *Partitioned) publishLocked(epoch int64) int64 {
 // This is the write path's rollback: a crash can leave the head torn —
 // partially applied fan-outs, values without index entries — but published
 // epochs are immutable, so restoring from them repairs every column-length
-// invariant at once. Returns the number of head row copies
-// discarded. A table never published has nothing to roll back.
+// invariant at once. Returns the number of head row copies discarded:
+// the rows of every head partition that is no longer the published one.
+// A table never published has nothing to roll back. Single writer only.
 func (pt *Partitioned) ResetToPublished() int {
 	v := pt.pub.Load()
 	if v == nil {
 		return 0
 	}
 	discarded := 0
-	for p := range pt.Parts {
-		if p < len(pt.shared) && pt.shared[p] {
-			continue // still the published object: untouched
+	for p, part := range pt.Parts {
+		if p >= len(v.Parts) || part != v.Parts[p] {
+			discarded += part.Len()
 		}
-		discarded += pt.Parts[p].Len()
 	}
-	pt.pubMu.Lock()
-	defer pt.pubMu.Unlock()
 	pt.Parts = make([]*Partition, len(v.Parts))
 	copy(pt.Parts, v.Parts)
 	pt.OriginalRows = v.Rows
-	pt.shared = make([]bool, len(pt.Parts))
-	for i := range pt.shared {
-		pt.shared[i] = true
-	}
 	return discarded
 }
 

@@ -115,6 +115,7 @@ func TestCheckInvariants(t *testing.T) {
 func TestSnapshotPinsEpoch(t *testing.T) {
 	pt := NewPartitioned(meta(t), 2)
 	pt.Parts[0].Append(value.Tuple{1, 10}, false, false)
+	pt.Parts[1].Append(value.Tuple{1, 10}, true, false) // a duplicate copy
 	pt.OriginalRows = 1
 
 	v0 := pt.Snapshot()
@@ -150,9 +151,25 @@ func TestSnapshotPinsEpoch(t *testing.T) {
 	if v0.Parts[0].Len() != 1 || v0.Epoch != 0 {
 		t.Fatal("old pinned version changed after Publish")
 	}
-	// BeginWrite on the same partition clones again (it is shared with v1).
-	if pt.BeginWrite(0) == v1.Parts[0] {
-		t.Fatal("post-publish BeginWrite must clone the shared partition")
+	// BeginWrite on the same partition clones again (it is v1's pointer),
+	// once per epoch: a second call returns the same clone.
+	c := pt.BeginWrite(0)
+	if c == v1.Parts[0] {
+		t.Fatal("post-publish BeginWrite must clone the published partition")
+	}
+	if pt.BeginWrite(0) != c {
+		t.Fatal("a second BeginWrite in one epoch must return the same clone")
+	}
+	c.Append(value.Tuple{3, 30}, false, false)
+	// Rollback counts the clone's rows only, not partition 1's published
+	// row, and leaves every head partition the published pointer again.
+	if d := pt.ResetToPublished(); d != 3 {
+		t.Fatalf("ResetToPublished discarded %d rows, want the clone's 3", d)
+	}
+	for p := range pt.Parts {
+		if pt.Parts[p] != v1.Parts[p] {
+			t.Fatalf("head partition %d is not the published pointer after the reset", p)
+		}
 	}
 }
 
