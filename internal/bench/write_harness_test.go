@@ -386,7 +386,6 @@ func runMixedSchedule(mp mixedParams) (*mixedOutcome, error) {
 			return nil, fmt.Errorf("final query %d: rows %v, oracle %v", q, res.Rows, final[q])
 		}
 	}
-	cl.WaitRebuilds()
 
 	out.Queries, out.OKQueries, out.TypedFails = queries, okQ, typed
 	out.Replays = l.Metrics.Replays

@@ -536,7 +536,6 @@ func (l *Loader) commit(it *Intent) *Commit {
 	l.log.prune()
 
 	l.Metrics.Batches++
-	l.Metrics.Publishes++
 	l.Metrics.StoredCopies += int64(it.appended())
 	l.Metrics.RemovedCopies += int64(it.removed())
 	l.Metrics.RewrittenCopies += int64(it.rewritten())

@@ -7,28 +7,30 @@
 // breaker: consecutive failures trip the node out of the placement so
 // later queries route around it instead of re-paying the same retries, a
 // cool-down counted in completed queries leads to a half-open probe, and
-// a successful probe hands the node to a background rebuild worker that
-// re-materializes its partitions from PREF/replication redundancy before
-// flipping it back to healthy.
+// the query whose probe passes re-materializes the node's partitions from
+// PREF/replication redundancy in its pinned snapshot before flipping it
+// back to healthy.
 //
-// Besides health the package keeps one more thing that spans queries: a
-// latency sampler that prices the hedging delay for straggler duplicates.
-// It bounds nothing and caches nothing. Admission — quotas, shedding, the
-// bounded queue — is the serving layer's (internal/serve); the degraded
-// placement is a loop over the node count, computed per query; and which
-// partitions hold a copy of a row is a fact of the published table version
-// (table.Version.Copies), not of cluster health.
+// The layer is a mutex-guarded state machine: it owns no goroutine, and
+// every transition happens inside a caller's method call. Besides health
+// it keeps one more thing that spans queries: a stats.Latency histogram of
+// work-unit latencies that prices the hedging delay for straggler
+// duplicates. It bounds nothing and caches nothing. Admission — quotas,
+// shedding, the bounded queue — is the serving layer's (internal/serve);
+// the degraded placement is a loop over the node count, computed per
+// query; and which partitions hold a copy of a row is a fact of the
+// published table version (table.Version.Copies), not of cluster health.
 //
 // A nil *Cluster is valid everywhere and disables the layer, mirroring
 // the nil-injector convention of internal/fault.
 package cluster
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"sync"
 
+	"pref/internal/stats"
 	"pref/internal/table"
 )
 
@@ -56,8 +58,8 @@ const (
 	// around them and no work units run on them until a probe succeeds.
 	Down
 	// Recovering nodes passed a half-open probe and are being rebuilt
-	// from redundancy by the background worker; they do not serve work
-	// until the rebuild completes.
+	// from redundancy by the probing query; other queries route around
+	// them until the rebuild completes.
 	Recovering
 )
 
@@ -121,13 +123,11 @@ type Stats struct {
 	// cluster was closed. Nothing else rejects here: the layer has no queue.
 	Admitted int64
 	Rejected int64
-	// Trips counts breaker openings; Probes and ProbeSuccesses count
-	// half-open probes and the ones that passed.
-	Trips          int64
-	Probes         int64
-	ProbeSuccesses int64
-	// Rebuilds counts completed background partition rebuilds;
-	// RebuiltRows / RebuiltBytes meter the data re-materialized from
+	// Trips counts breaker openings; Probes counts half-open probes.
+	Trips  int64
+	Probes int64
+	// Every passed probe rebuilds: Rebuilds counts the nodes that came
+	// back; RebuiltRows / RebuiltBytes meter the data re-materialized from
 	// surviving duplicate copies; FailedRebuilds counts nodes whose data
 	// had no surviving copy (the node stays down).
 	Rebuilds       int64
@@ -157,20 +157,11 @@ type Cluster struct {
 	stats  Stats
 	closed bool
 
-	// lat prices the hedging delay from recent unit latencies.
-	lat sampler
-
-	// rebuild worker plumbing; jobs are enqueued on down→recovering.
-	ctx     context.Context
-	cancel  context.CancelFunc
-	wg      sync.WaitGroup
-	jobs    chan rebuildJob
-	pending int
-	idle    *sync.Cond
+	// lat prices the hedging delay from observed unit latencies.
+	lat stats.Latency
 }
 
-// New builds a cluster health layer for n nodes and starts its background
-// rebuild worker. Call Close to stop the worker.
+// New builds a cluster health layer for opt.Nodes nodes.
 func New(opt Options) *Cluster {
 	opt = opt.withDefaults()
 	if opt.Nodes <= 0 {
@@ -179,38 +170,17 @@ func New(opt Options) *Cluster {
 		// lint:invariant
 		panic(fmt.Sprintf("cluster: invalid node count %d", opt.Nodes))
 	}
-	c := &Cluster{
-		opt:   opt,
-		nodes: make([]node, opt.Nodes),
-		jobs:  make(chan rebuildJob, opt.Nodes),
-	}
-	c.idle = sync.NewCond(&c.mu)
-	c.lat.init(latencyWindow)
-	c.ctx, c.cancel = context.WithCancel(context.Background())
-	c.wg.Add(1)
-	go c.rebuildWorker()
-	return c
+	return &Cluster{opt: opt, nodes: make([]node, opt.Nodes)}
 }
 
-// Close stops the background rebuild worker and waits for it. Idempotent.
+// Close makes the cluster refuse every later query with ErrClosed.
+// Idempotent.
 func (c *Cluster) Close() {
 	if c == nil {
 		return
 	}
 	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return
-	}
 	c.closed = true
-	c.mu.Unlock()
-	c.cancel()
-	c.wg.Wait()
-	// Wake any WaitRebuilds callers: jobs abandoned by the worker exit
-	// will never complete.
-	c.mu.Lock()
-	c.pending = 0
-	c.idle.Broadcast()
 	c.mu.Unlock()
 }
 
@@ -235,33 +205,29 @@ func (c *Cluster) endQuery() {
 //     tripped immediately — the simulation analogue of a refused
 //     connection, which needs no failed retries to detect;
 //   - down nodes whose cool-down expired get a half-open probe (probeOK);
-//     a passed probe moves the node to recovering and enqueues a
-//     background rebuild of its partitions from src.
+//     a passed probe moves the node to recovering, and this call then
+//     rebuilds its partitions from snap (see rebuild.go).
 //
-// It returns the post-probe view, the query's pinned data snapshot (the
-// last epoch the write path published, nil when src is nil), the number of
-// probes performed, and done, which the caller must call when the query
-// completes: it ticks the breaker cool-downs, counted in completed
-// queries, and is a no-op after its first call. Pinning here is what
-// isolates the query from concurrent write batches: everything it scans
-// comes from the snapshot, never the loader's write head. A closed cluster
-// refuses the query with ErrClosed. Either hook may be nil. src may be nil
-// when no rebuild source is available (probed nodes then recover without a
-// rebuild).
-func (c *Cluster) BeginQuery(src RebuildSource, downNow func(node int) bool, probeOK func(node, probes int) bool) (v View, snap *table.DBSnapshot, probed int, done func(), err error) {
-	if src != nil {
-		snap = src()
-	}
+// snap is the data snapshot the caller pinned for the query (the last
+// epoch the write path published); the rebuild reads it and the cluster
+// keeps no reference to it. It may be nil when there is no data (probed
+// nodes then recover without a rebuild). BeginQuery returns the view after
+// any rebuild, the number of probes performed, and done, which the caller
+// must call when the query completes: it ticks the breaker cool-downs,
+// counted in completed queries, and is a no-op after its first call. A
+// closed cluster refuses the query with ErrClosed. Either hook may be nil.
+func (c *Cluster) BeginQuery(snap *table.DBSnapshot, downNow func(node int) bool, probeOK func(node, probes int) bool) (v View, probed int, done func(), err error) {
 	if c == nil {
-		return View{}, snap, 0, func() {}, nil
+		return View{}, 0, func() {}, nil
 	}
 	c.mu.Lock()
-	defer c.mu.Unlock()
 	if c.closed {
 		c.stats.Rejected++
-		return View{}, nil, 0, nil, ErrClosed
+		c.mu.Unlock()
+		return View{}, 0, nil, ErrClosed
 	}
 	c.stats.Admitted++
+	var passed []int
 	for i := range c.nodes {
 		n := &c.nodes[i]
 		switch n.state {
@@ -277,17 +243,22 @@ func (c *Cluster) BeginQuery(src RebuildSource, downNow func(node int) bool, pro
 			probed++
 			c.stats.Probes++
 			if probeOK(i, n.probes) {
-				c.stats.ProbeSuccesses++
 				c.setState(i, Recovering)
-				c.enqueueRebuild(i, src)
+				passed = append(passed, i)
 			} else {
 				n.probes++
 				n.coolDown = c.opt.CoolDownQueries
 			}
 		}
 	}
+	c.mu.Unlock()
+	// Outside the lock: queries that begin meanwhile see the passed nodes
+	// recovering and route around them.
+	for _, id := range passed {
+		c.rebuild(snap, id)
+	}
 	var once sync.Once
-	return c.viewLocked(), snap, probed, func() { once.Do(c.endQuery) }, nil
+	return c.View(), probed, func() { once.Do(c.endQuery) }, nil
 }
 
 // ReportSuccess records a completed work unit on a node: consecutive

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"errors"
+	"sync"
 	"testing"
 	"time"
 
@@ -59,11 +60,11 @@ func uncoveredPDB(t *testing.T) *table.PartitionedDatabase {
 
 func TestNilClusterIsDisabled(t *testing.T) {
 	var c *Cluster
-	v, snap, n, done, err := c.BeginQuery(nil, nil, nil)
+	v, n, done, err := c.BeginQuery(nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(v.Serving) != 0 || snap != nil || n != 0 {
+	if len(v.Serving) != 0 || n != 0 {
 		t.Fatal("nil cluster must return an empty view")
 	}
 	done()
@@ -79,7 +80,6 @@ func TestNilClusterIsDisabled(t *testing.T) {
 		t.Fatal("nil cluster must not hedge")
 	}
 	c.ObserveUnit(time.Millisecond)
-	c.WaitRebuilds()
 	c.Close()
 }
 
@@ -128,7 +128,8 @@ func TestBreakerTripAndFSM(t *testing.T) {
 
 // TestProbeLifecycleAndRebuild drives the full FSM loop: trip via
 // BeginQuery's downNow hook, cool down over completed queries, fail one
-// half-open probe, pass the next, rebuild in the background, serve again.
+// half-open probe, pass the next, rebuild inside the probing query, serve
+// again.
 func TestProbeLifecycleAndRebuild(t *testing.T) {
 	c := newTestCluster(t, Options{CoolDownQueries: 1, TripAfter: 3})
 	pdb := testPDB(t)
@@ -136,7 +137,7 @@ func TestProbeLifecycleAndRebuild(t *testing.T) {
 	probeOK := func(n, probes int) bool { return probes >= 1 } // second probe passes
 
 	// Query 1: node 1 reported down now → tripped without burning retries.
-	v, _, probes, done, err := c.BeginQuery(pdb.Snapshot, downNow, probeOK)
+	v, probes, done, err := c.BeginQuery(pdb.Snapshot(), downNow, probeOK)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +148,7 @@ func TestProbeLifecycleAndRebuild(t *testing.T) {
 	done() // a second call must not tick again
 
 	// Query 2: cool-down expired → half-open probe, which fails.
-	v, _, probes, done, _ = c.BeginQuery(pdb.Snapshot, downNow, probeOK)
+	v, probes, done, _ = c.BeginQuery(pdb.Snapshot(), downNow, probeOK)
 	if probes != 1 || v.Serving[1] {
 		t.Fatalf("query 2: probes=%d serving=%v, want a failed probe", probes, v.Serving[1])
 	}
@@ -156,19 +157,23 @@ func TestProbeLifecycleAndRebuild(t *testing.T) {
 	}
 	done()
 
-	// Query 3: second probe passes → recovering, rebuild enqueued.
-	_, _, probes, done, _ = c.BeginQuery(pdb.Snapshot, downNow, probeOK)
+	// Query 3: second probe passes → recovering, and the probing query
+	// rebuilds the node before BeginQuery returns: its own view already
+	// serves node 1 as recovered.
+	v, probes, done, _ = c.BeginQuery(pdb.Snapshot(), downNow, probeOK)
 	if probes != 1 {
 		t.Fatalf("query 3: probes=%d, want 1", probes)
 	}
-	done()
-	c.WaitRebuilds()
+	if !v.Serving[1] || !v.Recovered[1] {
+		t.Fatalf("query 3: serving=%v recovered=%v, want both", v.Serving[1], v.Recovered[1])
+	}
 	if c.NodeState(1) != Healthy {
 		t.Fatalf("after rebuild: %v, want healthy", c.NodeState(1))
 	}
+	done()
 	st := c.Stats()
-	if st.Probes != 2 || st.ProbeSuccesses != 1 || st.Rebuilds != 1 || st.Admitted != 3 {
-		t.Fatalf("stats = %+v, want 2 probes, 1 success, 1 rebuild, 3 queries begun", st)
+	if st.Probes != 2 || st.Rebuilds != 1 || st.FailedRebuilds != 0 || st.Admitted != 3 {
+		t.Fatalf("stats = %+v, want 2 probes, 1 rebuild, 3 queries begun", st)
 	}
 	if st.RebuiltRows != 10 { // node 1 held 5 primaries + 5 dup copies
 		t.Fatalf("RebuiltRows = %d, want 10", st.RebuiltRows)
@@ -178,9 +183,53 @@ func TestProbeLifecycleAndRebuild(t *testing.T) {
 	}
 	// Query 4: the recovered node serves again and downNow is ignored
 	// (the view reports it healed so the engine clears injected faults).
-	v, _, _, _, _ = c.BeginQuery(pdb.Snapshot, downNow, probeOK)
+	v, _, _, _ = c.BeginQuery(pdb.Snapshot(), downNow, probeOK)
 	if !v.Serving[1] || !v.Recovered[1] {
 		t.Fatalf("query 4: serving=%v recovered=%v, want both", v.Serving[1], v.Recovered[1])
+	}
+}
+
+// TestConcurrentProbeRebuild: queries that begin while another query's
+// passed probe is rebuilding a node never probe it again and never see it
+// serving before the rebuild finished; the prober's own view serves it.
+func TestConcurrentProbeRebuild(t *testing.T) {
+	c := newTestCluster(t, Options{CoolDownQueries: 1})
+	pdb := testPDB(t)
+	downNow := func(n int) bool { return n == 1 }
+	probeOK := func(int, int) bool { return true }
+	_, _, done, _ := c.BeginQuery(pdb.Snapshot(), downNow, probeOK) // trip
+	done()
+
+	const queries = 8
+	var wg sync.WaitGroup
+	errs := make(chan string, 2*queries)
+	for q := 0; q < queries; q++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			v, probes, done, err := c.BeginQuery(pdb.Snapshot(), downNow, probeOK)
+			if err != nil {
+				errs <- err.Error()
+				return
+			}
+			defer done()
+			if v.Serving[1] != v.Recovered[1] {
+				errs <- "node 1 serving without being rebuilt"
+			}
+			if probes == 1 && !v.Serving[1] {
+				errs <- "the probing query's view does not serve the rebuilt node"
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for e := range errs {
+		t.Error(e)
+	}
+	st := c.Stats()
+	if st.Probes != 1 || st.Rebuilds != 1 || st.RebuiltRows != 10 || c.NodeState(1) != Healthy {
+		t.Fatalf("stats = %+v, state %v: want exactly one probe and one rebuild of 10 rows, node healthy",
+			st, c.NodeState(1))
 	}
 }
 
@@ -192,10 +241,9 @@ func TestRebuildUnrecoverable(t *testing.T) {
 	downNow := func(n int) bool { return n == 2 }
 	probeOK := func(int, int) bool { return true }
 
-	_, _, _, done, _ := c.BeginQuery(pdb.Snapshot, downNow, probeOK) // trip
+	_, _, done, _ := c.BeginQuery(pdb.Snapshot(), downNow, probeOK) // trip
 	done()
-	_, _, _, done, _ = c.BeginQuery(pdb.Snapshot, downNow, probeOK) // probe passes → rebuild attempt
-	c.WaitRebuilds()
+	_, _, done, _ = c.BeginQuery(pdb.Snapshot(), downNow, probeOK) // probe passes → rebuild attempt
 	if c.NodeState(2) != Down {
 		t.Fatalf("unrecoverable node state = %v, want down", c.NodeState(2))
 	}
@@ -205,7 +253,7 @@ func TestRebuildUnrecoverable(t *testing.T) {
 	}
 	// No further probes: the node is lost, not cooling down.
 	done()
-	if _, _, probes, _, _ := c.BeginQuery(pdb.Snapshot, downNow, probeOK); probes != 0 {
+	if _, probes, _, _ := c.BeginQuery(pdb.Snapshot(), downNow, probeOK); probes != 0 {
 		t.Fatal("lost node must not be probed again")
 	}
 }
@@ -229,11 +277,10 @@ func TestRebuildReadsPublishedEpoch(t *testing.T) {
 
 	downNow := func(n int) bool { return n == 1 }
 	probeOK := func(int, int) bool { return true }
-	_, _, _, done, _ := c.BeginQuery(pdb.Snapshot, downNow, probeOK) // trip
+	_, _, done, _ := c.BeginQuery(pdb.Snapshot(), downNow, probeOK) // trip
 	done()
-	_, _, _, done, _ = c.BeginQuery(pdb.Snapshot, downNow, probeOK) // probe passes → rebuild
+	_, _, done, _ = c.BeginQuery(pdb.Snapshot(), downNow, probeOK) // probe passes → rebuild
 	done()
-	c.WaitRebuilds()
 	if c.NodeState(1) != Healthy {
 		t.Fatalf("after rebuild: %v, want healthy", c.NodeState(1))
 	}
@@ -244,7 +291,7 @@ func TestRebuildReadsPublishedEpoch(t *testing.T) {
 	}
 }
 
-// TestHedgeDelayPricing: cold sampler → MaxDelay; warm sampler →
+// TestHedgeDelayPricing: cold histogram → MaxDelay; warm histogram →
 // clamp(2 × p95, Min, Max).
 func TestHedgeDelayPricing(t *testing.T) {
 	c := newTestCluster(t, Options{Hedge: HedgePolicy{
@@ -277,19 +324,18 @@ func TestHedgeDelayPricing(t *testing.T) {
 	}
 }
 
-// TestCloseIdempotentAndWakesWaiters: Close joins the worker, is safe to
-// call twice, and refuses later queries.
-func TestCloseIdempotentAndWakesWaiters(t *testing.T) {
+// TestCloseIdempotent: Close is safe to call twice and refuses later
+// queries.
+func TestCloseIdempotent(t *testing.T) {
 	c := New(Options{Nodes: 2})
 	c.Close()
 	c.Close()
-	if _, _, _, _, err := c.BeginQuery(nil, nil, nil); !errors.Is(err, ErrClosed) {
+	if _, _, _, err := c.BeginQuery(nil, nil, nil); !errors.Is(err, ErrClosed) {
 		t.Fatalf("BeginQuery after Close = %v, want ErrClosed", err)
 	}
 	if st := c.Stats(); st.Rejected != 1 || st.Admitted != 0 {
 		t.Fatalf("admitted=%d rejected=%d, want 0/1", st.Admitted, st.Rejected)
 	}
-	c.WaitRebuilds() // must not hang on a closed cluster
 }
 
 func TestStateString(t *testing.T) {

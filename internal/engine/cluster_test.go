@@ -24,7 +24,7 @@ import (
 
 // prepared is a partitioned database plus a plan builder, so a sequence of
 // queries against one shared cluster runs on the same data the cluster's
-// rebuild worker sees.
+// rebuild checks.
 type prepared struct {
 	db  *table.Database
 	cfg *partition.Config
@@ -132,8 +132,9 @@ func TestBreakerRoutesAroundFlakyNode(t *testing.T) {
 
 // TestBreakerProbeRepairRebuild drives the engine through the full health
 // lifecycle: down node tripped at admission, degraded queries, a failed
-// half-open probe, a passed probe once the fault heals, a background
-// rebuild from replication, and finally normal service on the healed node.
+// half-open probe, a passed probe once the fault heals, a rebuild from
+// replication by the probing query, and finally normal service on the
+// healed node.
 func TestBreakerProbeRepairRebuild(t *testing.T) {
 	db, cfg := replicatedDB(t)
 	mk := func() plan.Node {
@@ -183,11 +184,10 @@ func TestBreakerProbeRepairRebuild(t *testing.T) {
 	}
 
 	// Query 3: the second probe passes (RepairAfterProbes), the node goes
-	// recovering and the background worker rebuilds its partitions.
+	// recovering and the probing query rebuilds its partitions.
 	if _, err = pq.run(t, eopt); err != nil {
 		t.Fatalf("query 3: %v", err)
 	}
-	cl.WaitRebuilds()
 	if cl.NodeState(1) != cluster.Healthy {
 		t.Fatalf("after rebuild: node 1 = %v, want healthy", cl.NodeState(1))
 	}
@@ -483,7 +483,6 @@ func TestChaosSoak(t *testing.T) {
 			}(i, tg)
 		}
 		wg.Wait()
-		cl.WaitRebuilds()
 		st := cl.Stats()
 		trips += st.Trips
 		probes += st.Probes

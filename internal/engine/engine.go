@@ -94,9 +94,9 @@ type ExecOptions struct {
 	Trace bool
 	// Cluster attaches the query to a long-lived cluster health layer:
 	// circuit-breaker routing (nodes tripped by earlier queries are routed
-	// around without burning retries), half-open probing with background
-	// partition rebuild, and hedged execution for straggling partition
-	// units. Nil executes without the layer: the fault policy alone decides
+	// around without burning retries), half-open probing with partition
+	// rebuild by the probing query, and hedged execution for straggling
+	// partition units. Nil executes without the layer: the fault policy alone decides
 	// which nodes are down, every query retries against them from scratch,
 	// and no unit is hedged.
 	Cluster *cluster.Cluster
@@ -132,8 +132,8 @@ type executor struct {
 	cl   *cluster.Cluster
 	view cluster.View
 	down []bool
-	// snap is the data snapshot pinned by BeginQuery; all scans read its
-	// published partitions, never the loader's live write head.
+	// snap is the data snapshot pinned when the query began; all scans read
+	// its published partitions, never the loader's live write head.
 	snap *table.DBSnapshot
 	// hedgeDelay is the speculative-duplicate delay priced when the query
 	// begins; hedgeOK gates the hedged fan-out path.
@@ -151,8 +151,8 @@ type executor struct {
 
 // versionOf resolves the table version a scan of tbl must read: the pinned
 // snapshot's published version when the query has one (the normal path —
-// BeginQuery pins a snapshot), else an unpublished view of the live head
-// (executors driven without BeginQuery, e.g. direct unit-test
+// executeCtx pins a snapshot), else an unpublished view of the live head
+// (executors driven without executeCtx, e.g. direct unit-test
 // construction), whose copy index lives and dies with the scan. Every
 // scan resolves partitions here, so the snapshot-or-head decision lives in
 // one place.
@@ -228,13 +228,17 @@ func executeCtx(ctx context.Context, rw *plan.Rewritten, pdb *table.PartitionedD
 	}
 	defer cancel()
 
-	// One bracket per query: a closed cluster refuses it before it touches
-	// health or launches work; otherwise the cluster trips nodes the fault
-	// layer reports down right now, runs due half-open probes (which may
-	// enqueue background rebuilds) and pins the data snapshot. done ticks
-	// the breaker cool-downs, which are counted in completed queries.
+	// Pin the data snapshot first: everything the query scans comes from
+	// it, never the loader's write head, which isolates the query from
+	// concurrent write batches. Then one bracket per query: a closed
+	// cluster refuses it before it touches health or launches work;
+	// otherwise the cluster trips nodes the fault layer reports down right
+	// now and runs due half-open probes, rebuilding each node whose probe
+	// passes from snap. done ticks the breaker cool-downs, which are
+	// counted in completed queries.
+	snap := pdb.Snapshot()
 	cl := opt.Cluster
-	view, snap, probes, done, err := cl.BeginQuery(pdb.Snapshot, inj.NodeDown, inj.ProbeOK)
+	view, probes, done, err := cl.BeginQuery(snap, inj.NodeDown, inj.ProbeOK)
 	if err != nil {
 		return nil, fmt.Errorf("engine: query not admitted: %w", err)
 	}
@@ -336,19 +340,26 @@ func buddyMap(n int, down []bool) ([]int, error) {
 		if !down[p] {
 			continue
 		}
-		buddy := -1
-		for d := 1; d < n; d++ {
-			if c := (p + d) % n; !down[c] {
-				buddy = c
-				break
-			}
-		}
+		buddy := nextSurviving(p, down)
 		if buddy < 0 {
 			return nil, fmt.Errorf("%w (%d nodes)", ErrAllNodesDown, n)
 		}
 		dst[p] = buddy
 	}
 	return dst, nil
+}
+
+// nextSurviving returns the first node after p in ring order that is not
+// down, or -1 when p is the only one left. It picks both a down node's
+// buddy and a hedged unit's duplicate node.
+func nextSurviving(p int, down []bool) int {
+	n := len(down)
+	for d := 1; d < n; d++ {
+		if c := (p + d) % n; !down[c] {
+			return c
+		}
+	}
+	return -1
 }
 
 // nextOp returns the next deterministic operator id. evalVec walks the plan

@@ -21,15 +21,3 @@ import "errors"
 // winner's result was already taken. It never escapes runHedged: a loser
 // exists only when a winner has already returned the partition's rows.
 var errHedgeLost = errors.New("engine: lost hedge race")
-
-// hedgeFor picks the node a speculative duplicate of a unit on en runs
-// on: the next surviving node in ring order, or -1 when en is the only
-// one left.
-func (ex *executor) hedgeFor(en int) int {
-	for d := 1; d < ex.n; d++ {
-		if c := (en + d) % ex.n; !ex.down[c] {
-			return c
-		}
-	}
-	return -1
-}

@@ -90,7 +90,7 @@ func runPart[T payload](ex *executor, ctx context.Context, top *trace.Op, op, p 
 	if !ex.hedgeOK {
 		return runAttempt(ex, ctx, top, op, p, en, false, nil, fn)
 	}
-	hn := ex.hedgeFor(en)
+	hn := nextSurviving(en, ex.down)
 	if hn < 0 {
 		return runAttempt(ex, ctx, top, op, p, en, false, nil, fn)
 	}

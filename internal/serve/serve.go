@@ -35,6 +35,7 @@ import (
 	"pref/internal/fault"
 	"pref/internal/partition"
 	"pref/internal/plan"
+	"pref/internal/stats"
 	"pref/internal/table"
 )
 
@@ -142,7 +143,7 @@ type metrics struct {
 	rejected  map[string]int64 // by ladder stage
 	retries   int64
 	noBudget  int64
-	okLat     Hist // end-to-end latency of successful queries
+	okLat     stats.Latency // end-to-end latency of successful queries
 }
 
 // Metrics is a point-in-time snapshot of the server's counters.
@@ -170,7 +171,7 @@ type Metrics struct {
 	PlanCacheMisses int64
 	PlanCacheSize   int
 	// Latency summarizes end-to-end latency of successful queries.
-	Latency Summary
+	Latency stats.LatencySummary
 	// Cluster is the node-health layer's counters: queries begun, breaker
 	// trips, probes, rebuilds.
 	Cluster cluster.Stats
@@ -456,11 +457,10 @@ func (s *Server) Metrics() Metrics {
 
 // Close drains the server: new submissions are rejected with
 // ErrServerClosed, in-flight queries (including undelivered streams) run
-// to completion, then the cluster layer's rebuild workers are joined and
-// shut down. If ctx expires first the drain turns forced — every
-// in-flight query context is cancelled — and Close still joins everything
-// before returning ctx's error. Either way, no goroutine of the server
-// survives Close.
+// to completion, then the cluster layer is closed. If ctx expires first
+// the drain turns forced — every in-flight query context is cancelled —
+// and Close still joins everything before returning ctx's error. Either
+// way, no goroutine of the server survives Close.
 func (s *Server) Close(ctx context.Context) error {
 	s.mu.Lock()
 	if s.closed {
@@ -483,7 +483,6 @@ func (s *Server) Close(ctx context.Context) error {
 		s.baseCancel()
 		<-done
 	}
-	s.cl.WaitRebuilds()
 	s.cl.Close()
 	s.baseCancel()
 	return forced

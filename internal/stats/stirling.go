@@ -1,7 +1,10 @@
 // Package stats implements the statistics behind the paper's redundancy
 // estimation (Appendix A): join-key histograms (optionally from samples),
 // Stirling numbers of the second kind, the expected number of tuple copies
-// E_{f,n}[X], and per-edge redundancy factors.
+// E_{f,n}[X] and its distribution. It also holds the module's one
+// latency-quantile estimator, the log-bucket histogram Latency, which the
+// serving layer keeps for query latency and the cluster layer for pricing
+// the hedging delay.
 package stats
 
 import "math/big"

@@ -10,7 +10,8 @@ import "fmt"
 // WriteMetrics accumulates physical-write accounting across batches
 // applied by one Loader.
 type WriteMetrics struct {
-	// Batches counts committed write batches (intents that published).
+	// Batches counts committed write batches; each publishes exactly one
+	// database epoch.
 	Batches int64
 	// LogicalInserts/Deletes/Updates count logical operations requested,
 	// whether or not they committed on first attempt.
@@ -30,8 +31,6 @@ type WriteMetrics struct {
 	// IntentOps counts logical ops recorded in write intents (including
 	// intents whose first apply crashed).
 	IntentOps int64
-	// Publishes counts epoch publications (database commits).
-	Publishes int64
 	// Crashes counts injected write crashes taken.
 	Crashes int64
 	// IndexRaces counts injected partition-index invalidation races.

@@ -48,6 +48,7 @@ import (
 	"pref/internal/partition"
 	"pref/internal/plan"
 	"pref/internal/serve"
+	"pref/internal/stats"
 	"pref/internal/table"
 	"pref/internal/tpcds"
 	"pref/internal/tpch"
@@ -314,10 +315,10 @@ var (
 
 // Cluster health-layer types. A Cluster is the long-lived membership and
 // health layer shared across queries: per-node health state machine and
-// circuit breaker, degraded-mode routing, hedged stragglers, and background
-// partition rebuild. It bounds and queues nothing — admission is the
-// Server's. Attach one via
-// ExecOptions.Cluster; a nil Cluster disables the layer.
+// circuit breaker, degraded-mode routing, hedged stragglers, and
+// partition rebuild at the passing probe. It bounds and queues nothing —
+// admission is the Server's. Attach one via ExecOptions.Cluster; a nil
+// Cluster disables the layer.
 type (
 	// Cluster is the cross-query node-health layer.
 	Cluster = cluster.Cluster
@@ -345,8 +346,8 @@ const (
 // errors.Is against failed executions.
 var ErrNodeTripped = cluster.ErrNodeTripped
 
-// NewCluster builds a cluster health layer and starts its background
-// rebuild worker; Close stops it. Pass it to queries via
+// NewCluster builds a cluster health layer; it owns no goroutine, and
+// Close only makes it refuse later queries. Pass it to queries via
 // ExecOptions.Cluster.
 func NewCluster(opt ClusterOptions) *Cluster { return cluster.New(opt) }
 
@@ -376,7 +377,7 @@ type (
 	// rejections by ladder stage, latency quantiles, cluster stats).
 	ServeMetrics = serve.Metrics
 	// LatencySummary is a fixed quantile snapshot (p50/p99/p999/max).
-	LatencySummary = serve.Summary
+	LatencySummary = stats.LatencySummary
 	// RejectedError is a typed admission rejection: the ladder rung, the
 	// tenant, the priced cost, and a Retry-After hint. Unwrap matches the
 	// rung's sentinel via errors.Is.
