@@ -50,7 +50,10 @@ func unprunedWidth(rw *plan.Rewritten, n plan.Node) int {
 }
 
 // TestPrunedExchangeSchemasQ3 pins, by hand, what each exchange of Q3 carries
-// on the all-hashed design: its hash keys and the columns read above it.
+// on the all-hashed design: its hash keys and the columns read above it. The
+// rewrite sums lineitem per order before the join with orders (eager
+// aggregation), so lineitem ships one revenue per order and partition, and
+// orders travels once, with those sums, to meet customer.
 func TestPrunedExchangeSchemasQ3(t *testing.T) {
 	d := tpch.Generate(0.002, 7)
 	v, err := TPCHVariant(d, 4, "AllHashed")
@@ -62,12 +65,14 @@ func TestPrunedExchangeSchemasQ3(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := map[string][]string{
-		"Repartition(hash [o.custkey], dedup [])":  {"o.orderkey", "o.custkey", "o.orderdate", "o.shippriority"},
-		"Repartition(hash [l.orderkey], dedup [])": {"l.orderkey", "l.extendedprice", "l.discount"},
-		"Repartition(hash [o.orderkey], dedup [])": {"o.orderkey", "o.orderdate", "o.shippriority"},
+		"Repartition(hash [o.custkey], dedup [])":  {"o.custkey", "o.orderdate", "o.shippriority", "l.orderkey", "revenue"},
+		"Repartition(hash [l.orderkey], dedup [])": {"l.orderkey", "revenue"},
 	}
-	seen := 0
+	seen, exchanges := 0, 0
 	walkPlan(rw.Root, func(n plan.Node) {
+		if isExchange(n) {
+			exchanges++
+		}
 		cols, ok := want[n.String()]
 		if !ok {
 			return
@@ -77,8 +82,8 @@ func TestPrunedExchangeSchemasQ3(t *testing.T) {
 			t.Errorf("%s ships %v, want %v", n, got, cols)
 		}
 	})
-	if seen != len(want) {
-		t.Fatalf("fixture drift: found %d of %d expected exchanges:\n%s", seen, len(want), rw.Explain())
+	if seen != len(want) || exchanges != len(want) {
+		t.Fatalf("fixture drift: found %d of %d expected exchanges among %d:\n%s", seen, len(want), exchanges, rw.Explain())
 	}
 }
 

@@ -13,9 +13,7 @@ import (
 )
 
 // fuzzScenario draws one schema, design, database and query from a seed, in
-// the order every generated sweep of this package draws them. The query is
-// built fresh on each call: a rewrite annotates the logical scan nodes it is
-// handed, so one query object cannot be rewritten under two designs.
+// the order every generated sweep of this package draws them.
 func fuzzScenario(seed int64) (*catalog.Schema, *partition.Config, *table.Database, plan.Node) {
 	rng := rand.New(rand.NewSource(seed))
 	s := check.GenSchema(rng)
@@ -41,8 +39,10 @@ func FuzzPrunedPlanOracle(f *testing.F) {
 	// testdata/fuzz holds the seed corpus: one scenario per plan shape the
 	// pruning pass treats differently, and one per hand-off of a blocking
 	// operator's output batches (aggregate into join, HAVING, value-distinct
-	// into join, recovered scan into distinct-pref), and one whose anti join
-	// sends a runtime filter, built over a semi join's output, to its right.
+	// into join, recovered scan into distinct-pref), one whose anti join
+	// sends a runtime filter, built over a semi join's output, to its right,
+	// and one whose aggregate sums its replicated input per join key below
+	// the join with a duplicated PREF table (eager aggregation).
 	f.Add(int64(0), false)
 	f.Add(int64(1), true)
 	f.Fuzz(func(t *testing.T, seed int64, noDupIndex bool) {
@@ -74,16 +74,15 @@ func FuzzPrunedPlanOracle(f *testing.F) {
 				len(lossy.Rows), len(clean.Rows), rw.Explain())
 		}
 
-		s1, _, db1, q1 := fuzzScenario(seed)
 		one := partition.NewConfig(1)
-		for _, name := range s1.TableNames() {
-			one.SetHash(name, s1.Table(name).Columns[0].Name)
+		for _, name := range s.TableNames() {
+			one.SetHash(name, s.Table(name).Columns[0].Name)
 		}
-		pdb1, err := partition.Apply(db1, one)
+		pdb1, err := partition.Apply(db, one)
 		if err != nil {
 			t.Fatalf("single-node design does not apply: %v", err)
 		}
-		rw1, err := plan.Rewrite(q1, s1, one, plan.Options{})
+		rw1, err := plan.Rewrite(q, s, one, plan.Options{})
 		if err != nil {
 			t.Fatalf("single-node rewrite failed: %v", err)
 		}

@@ -1,0 +1,291 @@
+package plan
+
+import (
+	"maps"
+	"slices"
+)
+
+// Eager aggregation below key joins.
+//
+// The §2.2 rewrite places an aggregate above the joins that feed it, so when
+// those joins are not co-located every input row crosses the network before
+// it is summed. Eager aggregation (Yan & Larson, "Eager Aggregation and Lazy
+// Aggregation", VLDB 1995) sums one join input per join key first and joins
+// the sums instead. Over a tree of inner equi-joins of base tables (each
+// possibly filtered), one input L qualifies when:
+//
+//   - every aggregate argument binds in L (COUNT(*) binds anywhere);
+//   - the one join that reads L joins it on columns that are all in the
+//     group-by list, directly or through that join's equalities, and no other
+//     join's keys name L;
+//   - the partner columns of that join all belong to one table P and hold a
+//     key of the rest of the tree: P's primary key, kept unique through inner
+//     joins whose other side joins on its own key.
+//
+// Each L row then meets at most one partner row, and the partner columns of a
+// group are fixed by L's join key, so every group of the aggregate is exactly
+// one group of L' = Aggregate(L, L's join columns ∪ L's group-by columns):
+// nothing is aggregated twice. The eager form is L', under the HAVING filter
+// when that reads only L' output, joined to P first — (c ⋈ o) ⋈ l becomes
+// c ⋈ (o ⋈ L') — and a projection restoring the aggregate's output. Residuals
+// must bind where the rotation puts them.
+//
+// Summing first is not always cheaper: where PREF co-locates the joins, the
+// lazy form ships nothing and L' may need its own exchange. The rewrite builds
+// both forms on forked state and keeps the eager one only when it needs
+// strictly fewer exchanges; a tie keeps the lazy one.
+
+// eagerLeaf is one input of a join tree and the join that reads it.
+type eagerLeaf struct {
+	node Node
+	join *JoinNode
+}
+
+// eagerForm returns the logical eager form of agg, under the HAVING filter
+// having (nil for none), or nil when no input of agg's join tree qualifies.
+func (r *Rewriter) eagerForm(agg *AggregateNode, having BoolExpr) Node {
+	var leaves []eagerLeaf
+	if _, ok := agg.Child.(*JoinNode); !ok || !r.joinLeaves(agg.Child, nil, &leaves) {
+		return nil
+	}
+	for _, l := range leaves {
+		if e := r.eagerOver(agg, having, l, leaves); e != nil {
+			return e
+		}
+	}
+	return nil
+}
+
+// joinLeaves collects the inputs of a tree of inner equi-joins over filtered
+// base tables, reporting false for any other shape.
+func (r *Rewriter) joinLeaves(n Node, parent *JoinNode, out *[]eagerLeaf) bool {
+	if j, ok := n.(*JoinNode); ok {
+		return j.Type == Inner && len(j.LeftCols) > 0 &&
+			r.joinLeaves(j.Left, j, out) && r.joinLeaves(j.Right, j, out)
+	}
+	if _, tbl, ok := baseScan(n); !ok || r.Schema.Table(tbl) == nil {
+		return false
+	}
+	*out = append(*out, eagerLeaf{n, parent})
+	return true
+}
+
+// eagerOver builds the eager form with l as the summed input, or returns nil
+// when l does not qualify.
+func (r *Rewriter) eagerOver(agg *AggregateNode, having BoolExpr, l eagerLeaf, leaves []eagerLeaf) Node {
+	lcols := r.outCols(l.node)
+	for _, a := range agg.Aggs {
+		if a.Arg != nil && !allIn(a.Arg.AppendCols(nil), lcols) {
+			return nil
+		}
+	}
+	j := l.join
+	lkeys, pkeys := j.LeftCols, j.RightCols
+	if j.Right == l.node {
+		lkeys, pkeys = j.RightCols, j.LeftCols
+	}
+	for i := range lkeys {
+		if !slices.Contains(agg.GroupBy, lkeys[i]) && !slices.Contains(agg.GroupBy, pkeys[i]) {
+			return nil
+		}
+	}
+	if otherJoinReads(agg.Child, j, lcols) {
+		return nil
+	}
+	var p Node
+	for _, c := range leaves {
+		if c != l && allIn(pkeys, r.outCols(c.node)) {
+			p = c.node
+		}
+	}
+	if p == nil || !slices.ContainsFunc(r.keys(agg.Child, l.node), func(k []string) bool { return allIn(k, pkeys) }) {
+		return nil
+	}
+
+	groupBy := slices.Clone(lkeys)
+	for _, g := range agg.GroupBy {
+		if slices.Contains(lcols, g) && !slices.Contains(groupBy, g) {
+			groupBy = append(groupBy, g)
+		}
+	}
+	var summed Node = &AggregateNode{Child: l.node, GroupBy: groupBy, Aggs: agg.Aggs}
+	if having != nil && allIn(having.AppendCols(nil), r.outCols(summed)) {
+		summed, having = &FilterNode{Child: summed, Pred: having}, nil
+	}
+	first := &JoinNode{Left: p, Right: summed, Type: Inner, LeftCols: pkeys, RightCols: lkeys, Residual: j.Residual}
+	tree := rotate(agg.Child, l.node, p, first)
+	if !r.residualsBind(tree) {
+		return nil
+	}
+
+	names := slices.Clone(agg.GroupBy)
+	for _, a := range agg.Aggs {
+		names = append(names, a.As)
+	}
+	exprs := make([]ValExpr, len(names))
+	for i, name := range names {
+		exprs[i] = Col(name)
+	}
+	var out Node = &ProjectNode{Child: tree, Exprs: exprs, Names: names}
+	if having != nil {
+		out = &FilterNode{Child: out, Pred: having}
+	}
+	return out
+}
+
+// outCols lists the columns a logical node of an eager form produces: a
+// filtered base table's, a join's both inputs', an aggregate's group-by and
+// aggregate names. Nil for anything else.
+func (r *Rewriter) outCols(n Node) []string {
+	switch n := n.(type) {
+	case *ScanNode:
+		t := r.Schema.Table(n.Table)
+		if t == nil {
+			return nil
+		}
+		out := make([]string, len(t.Columns))
+		for i, c := range t.Columns {
+			out[i] = Qualify(n.Alias, c.Name)
+		}
+		return out
+	case *FilterNode:
+		return r.outCols(n.Child)
+	case *JoinNode:
+		return append(r.outCols(n.Left), r.outCols(n.Right)...)
+	case *AggregateNode:
+		out := slices.Clone(n.GroupBy)
+		for _, a := range n.Aggs {
+			out = append(out, a.As)
+		}
+		return out
+	}
+	return nil
+}
+
+// keys returns column sets the join tree n, with the input skip left out,
+// holds at most one row per: a base table's primary key, and through a join
+// the keys of one input whenever the other joins on columns holding a key of
+// its own.
+func (r *Rewriter) keys(n, skip Node) [][]string {
+	j, ok := n.(*JoinNode)
+	if !ok {
+		alias, tbl, _ := baseScan(n)
+		if pk := r.Schema.Table(tbl).PK; len(pk) > 0 {
+			return [][]string{qualifyAll(alias, pk)}
+		}
+		return nil
+	}
+	switch skip {
+	case j.Left:
+		return r.keys(j.Right, skip)
+	case j.Right:
+		return r.keys(j.Left, skip)
+	}
+	lk, rk := r.keys(j.Left, skip), r.keys(j.Right, skip)
+	var out [][]string
+	if slices.ContainsFunc(rk, func(k []string) bool { return allIn(k, j.RightCols) }) {
+		out = append(out, lk...)
+	}
+	if slices.ContainsFunc(lk, func(k []string) bool { return allIn(k, j.LeftCols) }) {
+		out = append(out, rk...)
+	}
+	return out
+}
+
+// otherJoinReads reports whether a join of the tree n other than j has a key
+// among cols.
+func otherJoinReads(n Node, j *JoinNode, cols []string) bool {
+	x, ok := n.(*JoinNode)
+	if !ok {
+		return false
+	}
+	if x != j && (slices.ContainsFunc(x.LeftCols, func(c string) bool { return slices.Contains(cols, c) }) ||
+		slices.ContainsFunc(x.RightCols, func(c string) bool { return slices.Contains(cols, c) })) {
+		return true
+	}
+	return otherJoinReads(x.Left, j, cols) || otherJoinReads(x.Right, j, cols)
+}
+
+// rotate rebuilds the join tree n without the input l, whose join collapses
+// to its other input, and with the input p replaced by first.
+func rotate(n, l, p, first Node) Node {
+	if n == p {
+		return first
+	}
+	j, ok := n.(*JoinNode)
+	if !ok {
+		return n
+	}
+	switch l {
+	case j.Left:
+		return rotate(j.Right, l, p, first)
+	case j.Right:
+		return rotate(j.Left, l, p, first)
+	}
+	return &JoinNode{
+		Left: rotate(j.Left, l, p, first), Right: rotate(j.Right, l, p, first), Type: j.Type,
+		LeftCols: j.LeftCols, RightCols: j.RightCols, Residual: j.Residual,
+	}
+}
+
+// residualsBind reports whether every join residual of the tree n reads only
+// its own inputs' columns.
+func (r *Rewriter) residualsBind(n Node) bool {
+	j, ok := n.(*JoinNode)
+	if !ok {
+		return true
+	}
+	if j.Residual != nil && !allIn(j.Residual.AppendCols(nil), r.outCols(j)) {
+		return false
+	}
+	return r.residualsBind(j.Left) && r.residualsBind(j.Right)
+}
+
+// cheaperForm rewrites the lazy form (by lazy) and the logical eager form on
+// forked rewriter state, keeps the eager one only when it needs strictly
+// fewer exchanges, and takes over the kept form's annotations.
+func (r *Rewriter) cheaperForm(eager Node, lazy func(*Rewriter) (Node, *Prop, Schema, error)) (Node, *Prop, Schema, error) {
+	lf := r.fork()
+	n, p, s, err := lazy(lf)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	ef := r.fork()
+	en, ep, es, err := ef.rewrite(eager)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	win := lf
+	if exchanges(en) < exchanges(n) {
+		win, n, p, s = ef, en, ep, es
+	}
+	maps.Copy(r.out.Schemas, win.out.Schemas)
+	maps.Copy(r.out.Props, win.out.Props)
+	r.aliases = win.aliases
+	return n, p, s, nil
+}
+
+// fork returns a rewriter over the same inputs whose annotations start empty
+// and whose alias set is a copy of r's.
+func (r *Rewriter) fork() *Rewriter {
+	return &Rewriter{
+		Schema: r.Schema, Cfg: r.Cfg, Opt: r.Opt,
+		out:     &Rewritten{Schemas: map[Node]Schema{}, Props: map[Node]*Prop{}, Catalog: r.Schema, Cfg: r.Cfg},
+		aliases: maps.Clone(r.aliases),
+	}
+}
+
+// exchanges counts the operators of the subtree at n that move rows between
+// partitions: repartitions, broadcasts and value distincts. Gathers are left
+// out; both forms of an aggregate bring their result home the same way.
+func exchanges(n Node) int {
+	c := 0
+	switch n.(type) {
+	case *RepartitionNode, *BroadcastNode, *DistinctByValueNode:
+		c++
+	}
+	for _, ch := range n.Children() {
+		c += exchanges(ch)
+	}
+	return c
+}

@@ -234,22 +234,41 @@ func (r *Rewriter) rewriteScan(n *ScanNode) (Node, *Prop, Schema, error) {
 	default: // RoundRobin, Range: placement known but not join-exploitable
 		prop.Placed[n.Alias] = PlacedEntry{Table: n.Table, Scheme: ts}
 	}
-	node, p, s := r.note(n, sch, prop)
+	// The physical scan is a copy: pruning writes into it, and the logical
+	// plan stays reusable under another design.
+	scan := *n
+	node, p, s := r.note(&scan, sch, prop)
 	return node, p, s, nil
 }
 
 func (r *Rewriter) rewriteFilter(n *FilterNode) (Node, *Prop, Schema, error) {
+	if agg, ok := n.Child.(*AggregateNode); ok {
+		if eager := r.eagerForm(agg, n.Pred); eager != nil {
+			return r.cheaperForm(eager, func(f *Rewriter) (Node, *Prop, Schema, error) {
+				child, prop, sch, err := f.lazyAggregate(agg)
+				if err != nil {
+					return nil, nil, nil, err
+				}
+				return f.filter(n.Pred, child, prop, sch)
+			})
+		}
+	}
 	child, prop, sch, err := r.rewrite(n.Child)
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	if _, err := n.Pred.Bind(sch); err != nil {
+	return r.filter(n.Pred, child, prop, sch)
+}
+
+// filter places the selection pred over a rewritten input.
+func (r *Rewriter) filter(pred BoolExpr, child Node, prop *Prop, sch Schema) (Node, *Prop, Schema, error) {
+	if _, err := pred.Bind(sch); err != nil {
 		return nil, nil, nil, err
 	}
 	if !r.Opt.DisablePruning {
-		r.tryPrune(child, prop, n.Pred)
+		r.tryPrune(child, prop, pred)
 	}
-	f := &FilterNode{Child: child, Pred: n.Pred}
+	f := &FilterNode{Child: child, Pred: pred}
 	node, p, s := r.note(f, sch, prop.Clone())
 	return node, p, s, nil
 }
@@ -371,6 +390,16 @@ func (r *Rewriter) rewriteProject(n *ProjectNode) (Node, *Prop, Schema, error) {
 }
 
 func (r *Rewriter) rewriteAggregate(n *AggregateNode) (Node, *Prop, Schema, error) {
+	if eager := r.eagerForm(n, nil); eager != nil {
+		return r.cheaperForm(eager, func(f *Rewriter) (Node, *Prop, Schema, error) {
+			return f.lazyAggregate(n)
+		})
+	}
+	return r.lazyAggregate(n)
+}
+
+// lazyAggregate places the aggregate above its input, as §2.2 does.
+func (r *Rewriter) lazyAggregate(n *AggregateNode) (Node, *Prop, Schema, error) {
 	child, prop, sch, err := r.rewrite(n.Child)
 	if err != nil {
 		return nil, nil, nil, err

@@ -290,6 +290,39 @@ func findNodes(n Node, pred func(Node) bool) []Node {
 	return out
 }
 
+// TestRewriteLeavesInputUntouched rewrites one logical tree under two designs.
+// The first prunes its point filter to one partition; the second must not
+// inherit that, and must equal the plan made from a fresh build.
+func TestRewriteLeavesInputUntouched(t *testing.T) {
+	s := testSchema()
+	build := func() Node {
+		o := Filter(Scan("orders", "o"), Eq(Col("o.orderkey"), Lit(7)))
+		return Join(o, Scan("lineitem", "l"), Inner, []string{"o.orderkey"}, []string{"l.orderkey"})
+	}
+	q := build()
+	first, err := Rewrite(q, s, pkHashedCfg(4), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(first.Explain(), "prune→") {
+		t.Fatalf("fixture drift: the point filter does not prune under the hash design:\n%s", first.Explain())
+	}
+	second, err := Rewrite(q, s, scatteredCfg(4), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := Rewrite(build(), s, scatteredCfg(4), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := second.Explain(), fresh.Explain(); got != want {
+		t.Errorf("second rewrite of a reused tree:\n%swant (fresh build):\n%s", got, want)
+	}
+	if got, want := Format(q), Format(build()); got != want {
+		t.Errorf("the rewrite changed its input:\n%swant\n%s", got, want)
+	}
+}
+
 func TestHasRefSemiJoinRewrite(t *testing.T) {
 	s := testSchema()
 	j := Join(Scan("customer", "c"), Scan("orders", "o"),
