@@ -3,8 +3,9 @@
 // verifies the design itself, then rewrites every TPC-H query against it
 // and re-proves the Section 2.2 invariants of each physical plan —
 // property-algebra soundness, locality of every hash join, duplicate
-// freedom, and slice-aliasing hygiene. No data is generated beyond the
-// catalog and no query is executed, so it is cheap enough to run in CI.
+// freedom, and slice-aliasing hygiene. Only a tiny database is generated,
+// for the statistics the rewrite reads, and no query is executed, so it is
+// cheap enough to run in CI.
 //
 // Usage:
 //
@@ -22,7 +23,6 @@ import (
 
 	"pref/internal/bench"
 	"pref/internal/check"
-	"pref/internal/design"
 	"pref/internal/partition"
 	"pref/internal/plan"
 	"pref/internal/tpch"
@@ -33,7 +33,7 @@ func main() {
 		variant = flag.String("variant", "SD", "partitioning variant: CP | SD | SD-paper | SD-noRed | WD | AllHashed | AllReplicated")
 		cfgPath = flag.String("config", "", "load the partitioning configuration from a JSON file (overrides -variant)")
 		query   = flag.String("q", "", "verify a single TPC-H query (default: all 22)")
-		sf      = flag.Float64("sf", 0.001, "TPC-H scale factor (tiny default: only the catalog matters)")
+		sf      = flag.Float64("sf", 0.001, "TPC-H scale factor (tiny default: only the catalog and the statistics matter)")
 		parts   = flag.Int("parts", 10, "number of partitions")
 		seed    = flag.Int64("seed", 42, "generator seed")
 		noOpt   = flag.Bool("no-opt", false, "disable the dup/hasRef optimizations and pruning")
@@ -86,7 +86,14 @@ func run(variant, cfgPath, query string, sf float64, parts int, seed int64, noOp
 	if query != "" {
 		queries = []string{query}
 	}
-	opt := plan.Options{Sizes: design.SizesOf(t.DB)}
+	// The rewrite prices its choices with statistics of the data: gather
+	// them from the design applied to the generated tables, as the server
+	// does at start-up.
+	m, err := bench.Materialize(v, t.DB)
+	if err != nil {
+		return err
+	}
+	var opt plan.Options
 	if noOpt {
 		opt.DisableHasRefOpt = true
 		opt.DisableDupIndex = true
@@ -98,8 +105,9 @@ func run(variant, cfgPath, query string, sf float64, parts int, seed int64, noOp
 		if err != nil {
 			return err
 		}
-		cfg := v.Groups[v.RouteFor(name)].Config
-		rw, err := plan.Rewrite(q, t.DB.Schema, cfg, opt)
+		gi := v.RouteFor(name)
+		opt.Stats = m.Stats[gi]
+		rw, err := plan.Rewrite(q, t.DB.Schema, v.Groups[gi].Config, opt)
 		if err != nil {
 			fmt.Printf("%-4s rewrite: FAIL: %v\n", name, err)
 			bad++

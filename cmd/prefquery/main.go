@@ -24,7 +24,6 @@ import (
 	"time"
 
 	"pref/internal/bench"
-	"pref/internal/design"
 	"pref/internal/engine"
 	"pref/internal/partition"
 	"pref/internal/plan"
@@ -93,7 +92,7 @@ func run(query, variant, cfgPath string, sf float64, parts int, seed int64, expl
 	fmt.Printf("%s on %s (group %d, %d partitions, DL=%.2f DR=%.2f)\n\n",
 		query, variant, gi, parts, m.DL, m.DR)
 
-	opt := plan.Options{Sizes: design.SizesOf(t.DB)}
+	opt := plan.Options{Stats: m.Stats[gi]}
 	if noOpt {
 		opt.DisableHasRefOpt = true
 		opt.DisableDupIndex = true

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"os"
 	"path/filepath"
@@ -8,6 +9,8 @@ import (
 	"testing"
 
 	"pref/internal/bench"
+	"pref/internal/plan"
+	"pref/internal/serve"
 	"pref/internal/testutil"
 	"pref/internal/tpch"
 )
@@ -33,5 +36,50 @@ func TestRunReportsLoadedPartitionCount(t *testing.T) {
 	})
 	if !strings.Contains(out, "4 partitions,") {
 		t.Fatalf("header does not report the loaded design's 4 partitions:\n%s", out)
+	}
+}
+
+// TestServedPlanIsExplainedPlan: for every TPC-H query on AllHashed and SD,
+// the plan prefquery prints is the plan a server over the same data runs —
+// both rewrite with statistics gathered from the partitioned database.
+func TestServedPlanIsExplainedPlan(t *testing.T) {
+	const sf, parts, seed = 0.01, 4, 42
+	d := tpch.Generate(sf, seed)
+	queries := make(map[string]func() plan.Node, len(tpch.QueryNames))
+	for _, q := range tpch.QueryNames {
+		q := q
+		queries[q] = func() plan.Node { return d.Query(q) }
+	}
+	for _, variant := range []string{"AllHashed", "SD"} {
+		v, err := bench.TPCHVariant(d, parts, variant)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := bench.Materialize(v, d.DB)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := serve.NewServer(serve.Options{
+			PDB: m.PDBs[0], Config: v.Groups[0].Config, Queries: queries,
+			Tenants: []serve.TenantConfig{{Name: "t", Weight: 1}},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, q := range tpch.QueryNames {
+			out := testutil.CaptureStdout(t, func() error {
+				return run(q, variant, "", sf, parts, seed, true, false, 0, false, "", 0)
+			})
+			rw, err := s.Plan(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := "physical plan:\n" + rw.Explain(); !strings.HasSuffix(out, want) {
+				t.Errorf("%s/%s: prefquery explains\n%s\nthe server runs\n%s", variant, q, out, want)
+			}
+		}
+		if err := s.Close(context.Background()); err != nil {
+			t.Fatal(err)
+		}
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"reflect"
 	"testing"
 
-	"pref/internal/design"
 	"pref/internal/engine"
 	"pref/internal/plan"
 	"pref/internal/tpch"
@@ -39,7 +38,7 @@ func TestDifferentialTPCH(t *testing.T) {
 		t.Helper()
 		gi := v.RouteFor(query)
 		rw, err := plan.Rewrite(d.Query(query), d.DB.Schema, v.Groups[gi].Config,
-			plan.Options{Sizes: design.SizesOf(d.DB)})
+			plan.Options{Stats: m.Stats[gi]})
 		if err != nil {
 			t.Fatalf("%s/%s: rewrite: %v", v.Name, query, err)
 		}
@@ -97,7 +96,7 @@ func TestGroupedAggShipsPartialStatesTPCH(t *testing.T) {
 	for _, query := range []string{"Q1", "Q15"} {
 		gi := v.RouteFor(query)
 		rw, err := plan.Rewrite(d.Query(query), d.DB.Schema, v.Groups[gi].Config,
-			plan.Options{Sizes: design.SizesOf(d.DB)})
+			plan.Options{Stats: m.Stats[gi]})
 		if err != nil {
 			t.Fatalf("%s: rewrite: %v", query, err)
 		}

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"pref/internal/check"
-	"pref/internal/design"
 	"pref/internal/engine"
 	"pref/internal/plan"
 	"pref/internal/tpch"
@@ -14,8 +13,8 @@ import (
 )
 
 // TestEagerAggregationTPCH sweeps the 22 queries over the 7 variants, with
-// and without base-table sizes, and holds eager aggregation to where it
-// pays: the rewrite keeps the eager form for Q3 and Q18 on the all-hashed
+// and without the statistics of their data, and holds eager aggregation to
+// where it pays: the rewrite keeps the eager form for Q3 and Q18 on the all-hashed
 // design and nowhere else — every PREF design co-locates those joins, so the
 // sums would only add exchanges. Every plan passes the checker and answers
 // what the same query answers on one node.
@@ -25,6 +24,44 @@ func TestEagerAggregationTPCH(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	refs := singleNodeRows(t, d)
+	want := map[string]bool{"AllHashed/Q3": true, "AllHashed/Q18": true}
+	for name, v := range vs {
+		m, err := Materialize(v, d.DB)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, query := range tpch.QueryNames {
+			for _, opt := range []plan.Options{{}, {Stats: m.Stats[v.RouteFor(query)]}} {
+				key := fmt.Sprintf("%s/%s", name, query)
+				gi := v.RouteFor(query)
+				rw, err := plan.Rewrite(d.Query(query), d.DB.Schema, v.Groups[gi].Config, opt)
+				if err != nil {
+					t.Fatalf("%s (stats %v): rewrite: %v", key, opt.Stats != nil, err)
+				}
+				if got := eagerAggregated(d.Query(query), rw.Root); got != want[key] {
+					t.Errorf("%s (stats %v): eager form kept = %v, want %v\n%s", key, opt.Stats != nil, got, want[key], rw.Explain())
+				}
+				if err := check.Verify(rw); err != nil {
+					t.Errorf("%s (stats %v): %v\n%s", key, opt.Stats != nil, err, rw.Explain())
+				}
+				res, err := engine.Execute(rw, m.PDBs[gi])
+				if err != nil {
+					t.Fatalf("%s (stats %v): execute: %v", key, opt.Stats != nil, err)
+				}
+				res.SortRows()
+				if ref := refs[query]; !reflect.DeepEqual(res.Rows, ref) {
+					t.Errorf("%s (stats %v): %d rows differ from single-node execution's %d\n%s",
+						key, opt.Stats != nil, len(res.Rows), len(ref), rw.Explain())
+				}
+			}
+		}
+	}
+}
+
+// singleNodeRows runs every TPC-H query on one node.
+func singleNodeRows(t *testing.T, d *tpch.TPCH) map[string][]value.Tuple {
+	t.Helper()
 	one, err := TPCHVariant(d, 1, "AllReplicated")
 	if err != nil {
 		t.Fatal(err)
@@ -39,38 +76,7 @@ func TestEagerAggregationTPCH(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	want := map[string]bool{"AllHashed/Q3": true, "AllHashed/Q18": true}
-	for name, v := range vs {
-		m, err := Materialize(v, d.DB)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, query := range tpch.QueryNames {
-			for _, opt := range []plan.Options{{}, {Sizes: design.SizesOf(d.DB)}} {
-				key := fmt.Sprintf("%s/%s", name, query)
-				gi := v.RouteFor(query)
-				rw, err := plan.Rewrite(d.Query(query), d.DB.Schema, v.Groups[gi].Config, opt)
-				if err != nil {
-					t.Fatalf("%s (sizes %v): rewrite: %v", key, opt.Sizes != nil, err)
-				}
-				if got := eagerAggregated(d.Query(query), rw.Root); got != want[key] {
-					t.Errorf("%s (sizes %v): eager form kept = %v, want %v\n%s", key, opt.Sizes != nil, got, want[key], rw.Explain())
-				}
-				if err := check.Verify(rw); err != nil {
-					t.Errorf("%s (sizes %v): %v\n%s", key, opt.Sizes != nil, err, rw.Explain())
-				}
-				res, err := engine.Execute(rw, m.PDBs[gi])
-				if err != nil {
-					t.Fatalf("%s (sizes %v): execute: %v", key, opt.Sizes != nil, err)
-				}
-				res.SortRows()
-				if ref := refs[query]; !reflect.DeepEqual(res.Rows, ref) {
-					t.Errorf("%s (sizes %v): %d rows differ from single-node execution's %d\n%s",
-						key, opt.Sizes != nil, len(res.Rows), len(ref), rw.Explain())
-				}
-			}
-		}
-	}
+	return refs
 }
 
 // runOn rewrites and executes a query on a variant's routed group, returning

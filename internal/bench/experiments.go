@@ -74,8 +74,8 @@ func runQuery(t *tpch.TPCH, v *Variant, m *Materialized, query string, opt plan.
 	gi := v.RouteFor(query)
 	pdb := m.PDBs[gi]
 	cfg := v.Groups[gi].Config
-	if opt.Sizes == nil {
-		opt.Sizes = design.SizesOf(t.DB)
+	if opt.Stats == nil {
+		opt.Stats = m.Stats[gi]
 	}
 	rw, err := plan.Rewrite(t.Query(query), t.DB.Schema, cfg, opt)
 	if err != nil {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"pref/internal/design"
 	"pref/internal/engine"
 	"pref/internal/plan"
 	"pref/internal/tpch"
@@ -41,7 +40,7 @@ func OpBreakdown(p Params) (*Report, error) {
 			return nil, err
 		}
 		gi := v.RouteFor(query)
-		opt := plan.Options{Sizes: design.SizesOf(t.DB)}
+		opt := plan.Options{Stats: m.Stats[gi]}
 		rw, err := plan.Rewrite(t.Query(query), t.DB.Schema, v.Groups[gi].Config, opt)
 		if err != nil {
 			return nil, err

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"pref/internal/check"
-	"pref/internal/design"
 	"pref/internal/engine"
 	"pref/internal/plan"
 	"pref/internal/tpch"
@@ -157,8 +156,12 @@ func TestHiddenColumnsNeverShipTPCH(t *testing.T) {
 		t.Fatalf("fixture drift: %d variants, want 7", len(vs))
 	}
 	for name, v := range vs {
+		m, err := Materialize(v, d.DB)
+		if err != nil {
+			t.Fatal(err)
+		}
 		for _, query := range tpch.QueryNames {
-			for _, opt := range []plan.Options{{}, {Sizes: design.SizesOf(d.DB)}} {
+			for _, opt := range []plan.Options{{}, {Stats: m.Stats[v.RouteFor(query)]}} {
 				rw, err := plan.Rewrite(d.Query(query), d.DB.Schema, v.Groups[v.RouteFor(query)].Config, opt)
 				if err != nil {
 					t.Fatalf("%s/%s: rewrite: %v", name, query, err)

@@ -13,6 +13,7 @@ import (
 	"pref/internal/design"
 	"pref/internal/graph"
 	"pref/internal/partition"
+	"pref/internal/plan"
 	"pref/internal/table"
 	"pref/internal/tpcds"
 	"pref/internal/tpch"
@@ -57,6 +58,9 @@ type Materialized struct {
 	// graph, redundancy with identical table copies de-duplicated.
 	DL float64
 	DR float64
+	// Stats holds each group's rewrite statistics, gathered from its
+	// partitioned database (plan.GatherStats).
+	Stats []*plan.Stats
 }
 
 // Materialize applies every group's configuration and computes DL/DR.
@@ -82,6 +86,7 @@ func Materialize(v *Variant, db *table.Database) (*Materialized, error) {
 			return nil, fmt.Errorf("bench: variant %s group %s: %w", v.Name, g.Name, err)
 		}
 		m.PDBs = append(m.PDBs, pdb)
+		m.Stats = append(m.Stats, plan.GatherStats(pdb))
 		for tbl, pt := range pdb.Tables {
 			sig, err := g.Config.SchemeSignature(tbl)
 			if err != nil {

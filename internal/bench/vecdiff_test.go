@@ -4,7 +4,6 @@ import (
 	"reflect"
 	"testing"
 
-	"pref/internal/design"
 	"pref/internal/engine"
 	"pref/internal/plan"
 	"pref/internal/tpch"
@@ -49,7 +48,7 @@ func TestVecRowOracleTPCH(t *testing.T) {
 		v, m := vs[name], mats[name]
 		gi := v.RouteFor(query)
 		rw, err := plan.Rewrite(d.Query(query), d.DB.Schema, v.Groups[gi].Config,
-			plan.Options{Sizes: design.SizesOf(d.DB)})
+			plan.Options{Stats: m.Stats[gi]})
 		if err != nil {
 			t.Fatalf("%s/%s: rewrite: %v", name, query, err)
 		}

@@ -138,3 +138,52 @@ func TestVerifyRejectsTransferOnMissingColumn(t *testing.T) {
 	f.Col = "o.o_nope"
 	expectTransfer(t, rw, "does not carry")
 }
+
+// miniStats describes miniSchema's tables for the rewrite's estimator: many
+// orders of many customers spread over 25 nations.
+func miniStats() *plan.Stats {
+	col := func(hi int64) plan.ColStats { return plan.ColStats{Min: 1, Max: hi, NDV: float64(hi)} }
+	return &plan.Stats{Tables: map[string]*plan.TableStats{
+		"lineitem": {Rows: 400000, Cols: []plan.ColStats{col(100000), col(20000), col(50)}},
+		"orders":   {Rows: 100000, Cols: []plan.ColStats{col(100000), col(1000), col(100000)}},
+		"customer": {Rows: 1000, Cols: []plan.ColStats{col(1000), col(1000), col(25)}},
+		"nation":   {Rows: 25, Cols: []plan.ColStats{col(25), col(25)}},
+	}}
+}
+
+// TestBroadcastSourceFiltersEitherSide: a selective input the rewrite
+// broadcasts becomes its join's filter source on either side, and filters
+// the other input where it is scanned even though no exchange sits below
+// it. The checker accepts both placements.
+func TestBroadcastSourceFiltersEitherSide(t *testing.T) {
+	sch := miniSchema(t)
+	few := func() plan.Node {
+		return plan.Filter(plan.Scan("customer", "c"), plan.Eq(plan.Col("c.c_nation"), plan.Lit(1)))
+	}
+	for _, c := range []struct {
+		q    *plan.JoinNode
+		want plan.Side
+	}{
+		{plan.Join(plan.Scan("orders", "o"), few(), plan.Inner, []string{"o.o_custkey"}, []string{"c.c_custkey"}), plan.RightSide},
+		{plan.Join(few(), plan.Scan("orders", "o"), plan.Inner, []string{"c.c_custkey"}, []string{"o.o_custkey"}), plan.LeftSide},
+	} {
+		rw, err := plan.Rewrite(c.q, sch, miniHashed(t, sch), plan.Options{Stats: miniStats()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		j, _ := findNode(rw.Root, func(n plan.Node) bool { _, ok := n.(*plan.JoinNode); return ok }).(*plan.JoinNode)
+		src, _ := j.SourceInput()
+		if _, ok := src.(*plan.BroadcastNode); !ok || j.Source != c.want {
+			t.Fatalf("want the broadcast customers as the %v source\n%s", c.want, rw.Explain())
+		}
+		f, _ := findNode(rw.Root, func(n plan.Node) bool { _, ok := n.(*plan.RuntimeFilterNode); return ok }).(*plan.RuntimeFilterNode)
+		if f == nil || f.Col != "o.o_custkey" || !isScan(f.Child) {
+			t.Fatalf("want the filter on o.o_custkey over the orders scan\n%s", rw.Explain())
+		}
+		if err := check.Verify(rw); err != nil {
+			t.Fatalf("%v\n%s", err, rw.Explain())
+		}
+	}
+}
+
+func isScan(n plan.Node) bool { _, ok := n.(*plan.ScanNode); return ok }

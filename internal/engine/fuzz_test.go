@@ -32,7 +32,8 @@ func fuzzScenario(seed int64) (*catalog.Schema, *partition.Config, *table.Databa
 // on every counter — again with node 1 lost, where a query that recovers
 // must answer as if nothing had happened — and both must return what the
 // same query returns on a single node, where nothing is partitioned,
-// duplicated or shipped.
+// duplicated or shipped. The query is rewritten once more with statistics
+// gathered from its database, and that plan is held to the same oracle.
 //
 //	go test -run='^$' -fuzz=FuzzPrunedPlanOracle -fuzztime=20s ./internal/engine
 func FuzzPrunedPlanOracle(f *testing.F) {
@@ -41,8 +42,10 @@ func FuzzPrunedPlanOracle(f *testing.F) {
 	// operator's output batches (aggregate into join, HAVING, value-distinct
 	// into join, recovered scan into distinct-pref), one whose anti join
 	// sends a runtime filter, built over a semi join's output, to its right,
-	// and one whose aggregate sums its replicated input per join key below
-	// the join with a duplicated PREF table (eager aggregation).
+	// one whose aggregate sums its replicated input per join key below the
+	// join with a duplicated PREF table (eager aggregation), and one whose
+	// anti join, rewritten with statistics, broadcasts its small right input
+	// although it sits on the join key (broadcast of an aligned input).
 	f.Add(int64(0), false)
 	f.Add(int64(1), true)
 	f.Fuzz(func(t *testing.T, seed int64, noDupIndex bool) {
@@ -99,6 +102,28 @@ func FuzzPrunedPlanOracle(f *testing.F) {
 		if !sameRows(got.Rows, want.Rows) {
 			t.Fatalf("result differs from single-node execution: %d vs %d rows\ndesign:\n%splan:\n%s\ngot:  %v\nwant: %v",
 				len(got.Rows), len(want.Rows), cfg, rw.Explain(), trunc(got.Rows), trunc(want.Rows))
+		}
+
+		// With the statistics of its database the rewrite may broadcast an
+		// input where it re-partitioned: that plan must answer the same.
+		priced, err := plan.Rewrite(q, s, cfg, plan.Options{DisableDupIndex: noDupIndex, Stats: plan.GatherStats(pdb)})
+		if err != nil {
+			t.Fatalf("rewrite with statistics failed: %v\n%s", err, plan.Format(q))
+		}
+		if priced.Explain() == rw.Explain() {
+			return
+		}
+		if err := check.Verify(priced); err != nil {
+			t.Fatalf("plan rewritten with statistics fails verification: %v\n%s", err, priced.Explain())
+		}
+		got = assertEnginesAgree(t, seed, priced, pdb, ExecOptions{Trace: true})
+		if got == nil {
+			t.Fatalf("plan rewritten with statistics failed on both engines\n%s", priced.Explain())
+		}
+		got.SortRows()
+		if !sameRows(got.Rows, want.Rows) {
+			t.Fatalf("plan rewritten with statistics differs from single-node execution: %d vs %d rows\ndesign:\n%splan:\n%s",
+				len(got.Rows), len(want.Rows), cfg, priced.Explain())
 		}
 	})
 }

@@ -32,8 +32,10 @@ import (
 //
 // Summing first is not always cheaper: where PREF co-locates the joins, the
 // lazy form ships nothing and L' may need its own exchange. The rewrite builds
-// both forms on forked state and keeps the eager one only when it needs
-// strictly fewer exchanges; a tie keeps the lazy one.
+// both forms on forked state and keeps the eager one only when its exchanges
+// are estimated to ship strictly fewer bytes (estimate.go); without
+// statistics, only when it needs strictly fewer exchanges. A tie keeps the
+// lazy one.
 
 // eagerLeaf is one input of a join tree and the join that reads it.
 type eagerLeaf struct {
@@ -241,37 +243,50 @@ func (r *Rewriter) residualsBind(n Node) bool {
 	return r.residualsBind(j.Left) && r.residualsBind(j.Right)
 }
 
-// cheaperForm rewrites the lazy form (by lazy) and the logical eager form on
-// forked rewriter state, keeps the eager one only when it needs strictly
-// fewer exchanges, and takes over the kept form's annotations.
-func (r *Rewriter) cheaperForm(eager Node, lazy func(*Rewriter) (Node, *Prop, Schema, error)) (Node, *Prop, Schema, error) {
+// cheaperForm rewrites the lazy form of the logical node n (by lazy) and
+// its logical eager form on forked rewriter state, keeps the eager one only
+// when it is cheaper, and takes over the kept form's annotations.
+func (r *Rewriter) cheaperForm(n, eager Node, lazy func(*Rewriter) (Node, *Prop, Schema, error)) (Node, *Prop, Schema, error) {
 	lf := r.fork()
-	n, p, s, err := lazy(lf)
+	ln, p, s, err := lazy(lf)
 	if err != nil {
 		return nil, nil, nil, err
 	}
 	ef := r.fork()
+	if r.refs != nil {
+		// The eager form reads its own columns in place of n's.
+		ef.refs = maps.Clone(r.refs)
+		for c, k := range refsOf(n) {
+			ef.refs[c] -= k
+		}
+		for c, k := range refsOf(eager) {
+			ef.refs[c] += k
+		}
+	}
 	en, ep, es, err := ef.rewrite(eager)
 	if err != nil {
 		return nil, nil, nil, err
 	}
 	win := lf
-	if exchanges(en) < exchanges(n) {
-		win, n, p, s = ef, en, ep, es
+	if r.Opt.Stats != nil && ef.shipped(en) < lf.shipped(ln) ||
+		r.Opt.Stats == nil && exchanges(en) < exchanges(ln) {
+		win, ln, p, s = ef, en, ep, es
 	}
 	maps.Copy(r.out.Schemas, win.out.Schemas)
 	maps.Copy(r.out.Props, win.out.Props)
 	r.aliases = win.aliases
-	return n, p, s, nil
+	return ln, p, s, nil
 }
 
 // fork returns a rewriter over the same inputs whose annotations start empty
-// and whose alias set is a copy of r's.
+// and whose alias set is a copy of r's. Estimates are per node, so the forks
+// share r's.
 func (r *Rewriter) fork() *Rewriter {
 	return &Rewriter{
 		Schema: r.Schema, Cfg: r.Cfg, Opt: r.Opt,
 		out:     &Rewritten{Schemas: map[Node]Schema{}, Props: map[Node]*Prop{}, Catalog: r.Schema, Cfg: r.Cfg},
 		aliases: maps.Clone(r.aliases),
+		memo:    r.memo, origin: r.origin, refs: r.refs,
 	}
 }
 

@@ -164,13 +164,18 @@ func (r *Rewriter) prune(n Node, need colSet) Schema {
 // aggReads is what an aggregation reads of its input: the group-by columns
 // and every aggregate's argument columns. Its own output is all live.
 func aggReads(groupBy []string, aggs []AggExpr) colSet {
-	s := newColSet(groupBy)
+	return newColSet(aggReadList(groupBy, aggs))
+}
+
+// aggReadList lists what an aggregation reads, repeats included.
+func aggReadList(groupBy []string, aggs []AggExpr) []string {
+	out := append([]string(nil), groupBy...)
 	for _, a := range aggs {
 		if a.Arg != nil {
-			s.add(a.Arg.AppendCols(nil))
+			out = a.Arg.AppendCols(out)
 		}
 	}
-	return s
+	return out
 }
 
 // PositionsIn resolves a narrowed schema against the natural schema it was

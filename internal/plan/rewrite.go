@@ -19,10 +19,13 @@ type Options struct {
 	// elimination; PREF duplicates are then removed by a full value-based
 	// distinct with repartitioning.
 	DisableDupIndex bool
-	// Sizes supplies base-table cardinalities; when present, misaligned
-	// equi joins may broadcast a much smaller side instead of
-	// re-partitioning both (nil disables the heuristic).
-	Sizes map[string]int
+	// Stats are the statistics of the partitioned database the plan will
+	// run on (GatherStats). With them the rewrite prices its data-dependent
+	// choices (estimate.go): a misaligned equi-join may broadcast an input
+	// instead of re-partitioning, and an aggregate is summed below its key
+	// join when that ships fewer bytes. Nil makes no estimate: joins
+	// re-partition, and the eager form must need fewer exchanges.
+	Stats *Stats
 	// DisablePruning turns off partition pruning for point filters on
 	// partitioning columns (ablation).
 	DisablePruning bool
@@ -81,6 +84,13 @@ type Rewriter struct {
 
 	out     *Rewritten
 	aliases map[string]bool
+
+	// With Opt.Stats: memo caches row estimates per physical node, origin
+	// maps a physical node to the logical node it was rewritten from, and
+	// refs counts the column reads of the logical plan (estimate.go).
+	memo   map[Node]float64
+	origin map[Node]Node
+	refs   colSet
 }
 
 // Rewrite turns a logical SPJA plan into an executable physical plan:
@@ -88,16 +98,7 @@ type Rewriter struct {
 // PREF-duplicate elimination, and applies the hasRef semi/anti-join
 // optimizations.
 func Rewrite(root Node, schema *catalog.Schema, cfg *partition.Config, opt Options) (*Rewritten, error) {
-	r := &Rewriter{
-		Schema: schema,
-		Cfg:    cfg,
-		Opt:    opt,
-		out: &Rewritten{
-			Schemas: map[Node]Schema{}, Props: map[Node]*Prop{},
-			Catalog: schema, Cfg: cfg,
-		},
-		aliases: map[string]bool{},
-	}
+	r := newRewriter(root, schema, cfg, opt)
 	phys, prop, sch, err := r.rewrite(root)
 	if err != nil {
 		return nil, err
@@ -112,6 +113,26 @@ func Rewrite(root Node, schema *catalog.Schema, cfg *partition.Config, opt Optio
 	r.placeTransfers(phys)
 	r.pruneColumns(phys)
 	return r.out, nil
+}
+
+// newRewriter returns a rewriter for the logical plan root.
+func newRewriter(root Node, schema *catalog.Schema, cfg *partition.Config, opt Options) *Rewriter {
+	r := &Rewriter{
+		Schema: schema,
+		Cfg:    cfg,
+		Opt:    opt,
+		out: &Rewritten{
+			Schemas: map[Node]Schema{}, Props: map[Node]*Prop{},
+			Catalog: schema, Cfg: cfg,
+		},
+		aliases: map[string]bool{},
+	}
+	if opt.Stats != nil {
+		r.memo, r.origin = map[Node]float64{}, map[Node]Node{}
+		r.refs = refsOf(root)
+		r.refs.add(r.outCols(root))
+	}
+	return r
 }
 
 // finalizeRoot makes a plan's output presentable: PREF duplicates are
@@ -168,6 +189,14 @@ func (r *Rewriter) note(n Node, sch Schema, p *Prop) (Node, *Prop, Schema) {
 }
 
 func (r *Rewriter) rewrite(n Node) (Node, *Prop, Schema, error) {
+	phys, prop, sch, err := r.rewriteNode(n)
+	if err == nil && r.origin != nil {
+		r.origin[phys] = n
+	}
+	return phys, prop, sch, err
+}
+
+func (r *Rewriter) rewriteNode(n Node) (Node, *Prop, Schema, error) {
 	switch n := n.(type) {
 	case *ScanNode:
 		return r.rewriteScan(n)
@@ -244,7 +273,7 @@ func (r *Rewriter) rewriteScan(n *ScanNode) (Node, *Prop, Schema, error) {
 func (r *Rewriter) rewriteFilter(n *FilterNode) (Node, *Prop, Schema, error) {
 	if agg, ok := n.Child.(*AggregateNode); ok {
 		if eager := r.eagerForm(agg, n.Pred); eager != nil {
-			return r.cheaperForm(eager, func(f *Rewriter) (Node, *Prop, Schema, error) {
+			return r.cheaperForm(n, eager, func(f *Rewriter) (Node, *Prop, Schema, error) {
 				child, prop, sch, err := f.lazyAggregate(agg)
 				if err != nil {
 					return nil, nil, nil, err
@@ -391,7 +420,7 @@ func (r *Rewriter) rewriteProject(n *ProjectNode) (Node, *Prop, Schema, error) {
 
 func (r *Rewriter) rewriteAggregate(n *AggregateNode) (Node, *Prop, Schema, error) {
 	if eager := r.eagerForm(n, nil); eager != nil {
-		return r.cheaperForm(eager, func(f *Rewriter) (Node, *Prop, Schema, error) {
+		return r.cheaperForm(n, eager, func(f *Rewriter) (Node, *Prop, Schema, error) {
 			return f.lazyAggregate(n)
 		})
 	}

@@ -1,10 +1,12 @@
 package plan
 
 import (
+	"math"
 	"strings"
 	"testing"
 
 	"pref/internal/partition"
+	"pref/internal/stats"
 )
 
 // equivalence matching: after l⋈ps on (partkey,suppkey), a join on
@@ -71,112 +73,225 @@ func TestOuterJoinDoesNotAddEquivalence(t *testing.T) {
 	}
 }
 
-func TestBroadcastHeuristic(t *testing.T) {
-	s := testSchema()
-	// Misaligned join: orders hash(orderkey) ⋈ customer hash(name) on
-	// custkey. With sizes making customer tiny, it should broadcast.
+// testStats describes testSchema's tables: rows, and per column in schema
+// order its value range and distinct count.
+func testStats(orders, customer, lineitem int) *Stats {
+	col := func(lo, hi int64, ndv int) ColStats { return ColStats{Min: lo, Max: hi, NDV: float64(ndv)} }
+	return &Stats{Tables: map[string]*TableStats{
+		"customer": {Rows: float64(customer), Cols: []ColStats{col(1, int64(customer), customer), col(1, int64(customer), customer)}},
+		"orders": {Rows: float64(orders), Cols: []ColStats{
+			col(1, int64(orders), orders), col(1, int64(customer), min(orders, customer)), col(0, 9999, min(orders, 10000))}},
+		"lineitem": {Rows: float64(lineitem), Cols: []ColStats{
+			col(1, int64(lineitem), lineitem), col(1, int64(orders), min(orders, lineitem))}},
+		"nation": {Rows: 5, Cols: []ColStats{col(0, 4, 5)}},
+	}}
+}
+
+// misalignedCfg hashes orders on its key and customer on its name, so a
+// join on custkey finds neither input aligned.
+func misalignedCfg() *partition.Config {
 	cfg := partition.NewConfig(8)
 	cfg.SetHash("orders", "orderkey")
 	cfg.SetHash("customer", "name")
 	cfg.SetHash("lineitem", "linekey")
 	cfg.SetReplicated("nation")
+	return cfg
+}
+
+func isBroadcast(n Node) bool { _, ok := n.(*BroadcastNode); return ok }
+
+func TestBroadcastHeuristic(t *testing.T) {
+	s := testSchema()
+	cfg := misalignedCfg()
 	mk := func() *JoinNode {
 		return Join(Scan("orders", "o"), Scan("customer", "c"),
 			Inner, []string{"o.custkey"}, []string{"c.custkey"})
 	}
 
-	sizes := map[string]int{"orders": 100000, "customer": 50, "lineitem": 1, "nation": 1}
-	rw, err := Rewrite(mk(), s, cfg, Options{Sizes: sizes})
+	// A tiny customer table is broadcast instead of shuffling both inputs.
+	rw, err := Rewrite(mk(), s, cfg, Options{Stats: testStats(100000, 50, 1)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	bcasts := countNodes(rw.Root, func(n Node) bool { _, ok := n.(*BroadcastNode); return ok })
-	if bcasts != 1 || countNodes(rw.Root, isRepart) != 0 {
+	if countNodes(rw.Root, isBroadcast) != 1 || countNodes(rw.Root, isRepart) != 0 {
 		t.Fatalf("tiny side should broadcast:\n%s", Format(rw.Root))
 	}
 
 	// Comparable sizes: repartition both.
-	sizes2 := map[string]int{"orders": 1000, "customer": 900, "lineitem": 1, "nation": 1}
-	rw2, err := Rewrite(mk(), s, cfg, Options{Sizes: sizes2})
+	rw2, err := Rewrite(mk(), s, cfg, Options{Stats: testStats(1000, 900, 1)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if countNodes(rw2.Root, func(n Node) bool { _, ok := n.(*BroadcastNode); return ok }) != 0 {
+	if countNodes(rw2.Root, isBroadcast) != 0 {
 		t.Fatalf("comparable sides must repartition:\n%s", Format(rw2.Root))
 	}
 
-	// No sizes: heuristic off.
+	// No statistics: no estimate, no broadcast.
 	rw3, err := Rewrite(mk(), s, cfg, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if countNodes(rw3.Root, func(n Node) bool { _, ok := n.(*BroadcastNode); return ok }) != 0 {
-		t.Fatal("no sizes ⇒ no broadcast heuristic")
+	if countNodes(rw3.Root, isBroadcast) != 0 {
+		t.Fatal("no statistics ⇒ no broadcast")
+	}
+}
+
+// TestBroadcastAlignedSide prices the case where one input already sits on
+// the join key: re-partitioning the other ships it whole, and broadcasting a
+// small aligned input instead ships far less.
+func TestBroadcastAlignedSide(t *testing.T) {
+	s := testSchema()
+	cfg := misalignedCfg()
+	q := func() *JoinNode {
+		return Join(Scan("lineitem", "l"), Scan("orders", "o"),
+			Inner, []string{"l.orderkey"}, []string{"o.orderkey"})
+	}
+	rw, err := Rewrite(q(), s, cfg, Options{Stats: testStats(50, 10, 100000)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if countNodes(rw.Root, isBroadcast) != 1 || countNodes(rw.Root, isRepart) != 0 {
+		t.Fatalf("the tiny aligned orders should broadcast:\n%s", Format(rw.Root))
+	}
+	// A large aligned input stays put and only lineitem moves, as without
+	// statistics.
+	rw2, err := Rewrite(q(), s, cfg, Options{Stats: testStats(50000, 10, 100000)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	plain, err := Rewrite(q(), s, cfg, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rw2.Explain() != plain.Explain() || countNodes(rw2.Root, isRepart) != 1 {
+		t.Fatalf("a large aligned input must keep the repartition:\n%s", rw2.Explain())
 	}
 }
 
 func TestBroadcastLeftOnlyForInner(t *testing.T) {
 	s := testSchema()
-	cfg := partition.NewConfig(8)
-	cfg.SetHash("orders", "orderkey")
-	cfg.SetHash("customer", "name")
-	cfg.SetHash("lineitem", "linekey")
-	cfg.SetReplicated("nation")
-	sizes := map[string]int{"orders": 50, "customer": 100000, "lineitem": 1, "nation": 1}
+	cfg := misalignedCfg()
+	st := testStats(50, 100000, 1)
 
 	// Inner: left (orders) is tiny → broadcast left.
 	inner := Join(Scan("orders", "o"), Scan("customer", "c"),
 		Inner, []string{"o.custkey"}, []string{"c.custkey"})
-	rw, err := Rewrite(inner, s, cfg, Options{Sizes: sizes})
+	rw, err := Rewrite(inner, s, cfg, Options{Stats: st})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if countNodes(rw.Root, func(n Node) bool { _, ok := n.(*BroadcastNode); return ok }) != 1 {
+	if countNodes(rw.Root, isBroadcast) != 1 {
 		t.Fatalf("inner join should broadcast the tiny left side:\n%s", Format(rw.Root))
 	}
 
 	// Anti: broadcasting the LEFT (output) side is unsound — must not.
 	anti := Join(Scan("orders", "o2"), Scan("customer", "c2"),
 		Anti, []string{"o2.custkey"}, []string{"c2.custkey"})
-	rw2, err := Rewrite(anti, s, cfg, Options{Sizes: sizes})
+	rw2, err := Rewrite(anti, s, cfg, Options{Stats: st})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, n := range findNodes(rw2.Root, func(n Node) bool { _, ok := n.(*BroadcastNode); return ok }) {
-		if _, isScanLeft := n.(*BroadcastNode).Child.(*ScanNode); isScanLeft {
-			if strings.Contains(Format(n), "orders") {
-				t.Fatalf("anti join must not broadcast its left side:\n%s", Format(rw2.Root))
-			}
+	for _, n := range findNodes(rw2.Root, isBroadcast) {
+		if strings.Contains(Format(n), "orders") {
+			t.Fatalf("anti join must not broadcast its left side:\n%s", Format(rw2.Root))
 		}
 	}
 }
 
+// estimate rewrites the logical plan q with st and returns the estimator's
+// row count for its physical root.
+func estimate(t *testing.T, q Node, cfg *partition.Config, st *Stats) float64 {
+	t.Helper()
+	r := newRewriter(q, testSchema(), cfg, Options{Stats: st})
+	phys, _, _, err := r.rewrite(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r.rows(phys)
+}
+
+func near(got, want float64) bool { return math.Abs(got-want) <= 1e-9*math.Max(1, math.Abs(want)) }
+
 func TestEstimateRows(t *testing.T) {
+	cfg := misalignedCfg()
+	st := testStats(1000, 100, 4000)
+	o := func() Node { return Scan("orders", "o") }
+	for _, c := range []struct {
+		name string
+		q    Node
+		want float64
+	}{
+		{"scan", o(), 1000},
+		// o.total spans [0, 9999]: the upper half keeps half the rows.
+		{"range", Filter(o(), Ge(Col("o.total"), Lit(5000))), 500},
+		// Ranges on one column intersect: [101, 200] of [1, 1000] is a
+		// tenth, not the product of 0.9 and 0.2.
+		{"same-column ranges", Filter(o(), And(Ge(Col("o.orderkey"), Lit(101)), Le(Col("o.orderkey"), Lit(200)))), 100},
+		{"disjoint ranges", Filter(o(), And(Gt(Col("o.orderkey"), Lit(500)), Lt(Col("o.orderkey"), Lit(400)))), 0},
+		{"equality", Filter(o(), Eq(Col("o.custkey"), Lit(7))), 10},
+		{"in", Filter(o(), In("o.custkey", 1, 2, 3)), 30},
+		{"or", Filter(o(), Or(Eq(Col("o.custkey"), Lit(7)), Eq(Col("o.custkey"), Lit(8)))), 1000 * (1 - 0.99*0.99)},
+		{"and of columns", Filter(o(), And(Eq(Col("o.custkey"), Lit(7)), Ge(Col("o.total"), Lit(5000)))), 5},
+	} {
+		if got := estimate(t, c.q, cfg, st); !near(got, c.want) {
+			t.Errorf("%s: %v rows, want %v", c.name, got, c.want)
+		}
+	}
+}
+
+// TestEstimateJoinContainment holds join estimates to |L|·|R|/max(ndv) and
+// semi and anti joins to the share of the left keys the right contains.
+func TestEstimateJoinContainment(t *testing.T) {
+	cfg := misalignedCfg()
+	st := testStats(1000, 100, 4000)
+	lo := func() Node {
+		return Filter(Scan("lineitem", "l"), Le(Col("l.orderkey"), Lit(100)))
+	}
+	for _, c := range []struct {
+		name string
+		q    Node
+		want float64
+	}{
+		{"key join", Join(Scan("lineitem", "l"), Scan("orders", "o"), Inner,
+			[]string{"l.orderkey"}, []string{"o.orderkey"}), 4000},
+		// 400 lines on 100 orders: each meets its one order.
+		{"filtered key join", Join(lo(), Scan("orders", "o"), Inner,
+			[]string{"l.orderkey"}, []string{"o.orderkey"}), 400},
+		// The 400 lines hold 100·(1 − 0.99⁴⁰⁰) of the 100 keys their range
+		// allows: k rows drawn from d values hold ExpectedCopiesReal(k, d).
+		{"semi", Join(Scan("orders", "o"), lo(), Semi,
+			[]string{"o.orderkey"}, []string{"l.orderkey"}), stats.ExpectedCopiesReal(400, 100)},
+		{"anti", Join(Scan("orders", "o"), lo(), Anti,
+			[]string{"o.orderkey"}, []string{"l.orderkey"}), 1000 - stats.ExpectedCopiesReal(400, 100)},
+	} {
+		if got := estimate(t, c.q, cfg, st); !near(got, c.want) {
+			t.Errorf("%s: %v rows, want %v", c.name, got, c.want)
+		}
+	}
+}
+
+// TestEstimatePartialAggCopies: a partial aggregate over input its group-by
+// does not cover emits each group once per partition holding one of its
+// rows — stats.ExpectedCopiesReal(rows per group, n), the paper's Appendix A.
+func TestEstimatePartialAggCopies(t *testing.T) {
 	s := testSchema()
-	cfg := prefChainCfg(4)
-	r := &Rewriter{Schema: s, Cfg: cfg, Opt: Options{Sizes: map[string]int{
-		"orders": 1000, "lineitem": 4000, "customer": 100, "nation": 5,
-	}}}
-	if got := r.estimateRows(Scan("orders", "o")); got != 1000 {
-		t.Fatalf("scan estimate = %v", got)
+	cfg := misalignedCfg()
+	st := testStats(1000, 100, 4000)
+	q := Aggregate(Scan("lineitem", "l"), []string{"l.orderkey"}, Count("n"))
+	r := newRewriter(q, s, cfg, Options{Stats: st})
+	phys, _, _, err := r.rewrite(q)
+	if err != nil {
+		t.Fatal(err)
 	}
-	f := Filter(Scan("orders", "o"), Gt(Col("o.total"), Lit(1)))
-	if got := r.estimateRows(f); got != 250 {
-		t.Fatalf("filter estimate = %v", got)
+	partials := findNodes(phys, func(n Node) bool { _, ok := n.(*PartialAggNode); return ok })
+	if len(partials) != 1 {
+		t.Fatalf("fixture drift: want one partial aggregate\n%s", Format(phys))
 	}
-	j := Join(Scan("lineitem", "l"), Scan("orders", "o2"),
-		Inner, []string{"l.orderkey"}, []string{"o2.orderkey"})
-	if got := r.estimateRows(j); got != 4000 {
-		t.Fatalf("join estimate = %v (max of inputs)", got)
+	if got, want := r.rows(partials[0]), 1000*stats.ExpectedCopiesReal(4, 8); !near(got, want) {
+		t.Errorf("partial aggregate: %v rows, want %v", got, want)
 	}
-	semi := Join(Scan("orders", "o3"), Scan("lineitem", "l2"),
-		Semi, []string{"o3.orderkey"}, []string{"l2.orderkey"})
-	if got := r.estimateRows(semi); got != 1000 {
-		t.Fatalf("semi estimate = %v (left side)", got)
-	}
-	unknown := &Rewriter{Schema: s, Cfg: cfg, Opt: Options{Sizes: map[string]int{}}}
-	if got := unknown.estimateRows(Scan("orders", "x")); got >= 0 {
-		t.Fatalf("unknown size must be negative, got %v", got)
+	if got := r.rows(phys); !near(got, 1000) {
+		t.Errorf("final aggregate: %v rows, want one per order", got)
 	}
 }
 

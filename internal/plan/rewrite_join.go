@@ -114,15 +114,13 @@ func (r *Rewriter) rewriteJoin(n *JoinNode) (Node, *Prop, Schema, error) {
 	}
 
 	// Fallback: a side already hash-partitioned on the join keys is left
-	// alone and only the other is re-partitioned; when neither is
-	// aligned, a broadcast of a much smaller side can beat shuffling both
-	// (the classic distributed-join choice; needs Options.Sizes).
+	// alone and only the other is re-partitioned — unless the estimator
+	// prices broadcasting one input as cheaper (the classic distributed-join
+	// choice; needs Options.Stats).
 	leftOK := lp.HashCols != nil && sameCols(lp.HashCols, n.LeftCols) && !lp.Dup()
 	rightOK := rp.HashCols != nil && sameCols(rp.HashCols, n.RightCols) && !rp.Dup()
-	if !leftOK && !rightOK {
-		if side, ok := r.broadcastSide(n); ok {
-			return r.broadcastEqui(n, side, left, lp, ls, right, rp, rs, outSchema)
-		}
+	if side := r.broadcastSide(n, left, ls, right, rs, leftOK, rightOK); side != NoSide {
+		return r.broadcastEqui(n, side, left, lp, ls, right, rp, rs, outSchema)
 	}
 	if !leftOK {
 		left, lp, ls = r.repartition(left, lp, ls, n.LeftCols)
@@ -187,37 +185,60 @@ func hashAligned(lp, rp *Prop, leftCols, rightCols []string) bool {
 	return true
 }
 
-// broadcastSide decides whether to broadcast one side of a misaligned
-// equi join instead of re-partitioning both, using the coarse cardinality
-// estimates derived from Options.Sizes. Returns "left" or "right".
-// Broadcasting the left side is only sound for inner joins (pairs form at
-// the kept right rows); semi/anti/outer must broadcast the build side.
-func (r *Rewriter) broadcastSide(n *JoinNode) (string, bool) {
-	if r.Opt.Sizes == nil {
-		return "", false
-	}
-	lEst := r.estimateRows(n.Left)
-	rEst := r.estimateRows(n.Right)
-	if lEst < 0 || rEst < 0 {
-		return "", false
+// broadcastSide prices the ways a misaligned one-key equi-join can meet
+// and returns the input to broadcast, or NoSide to re-partition the
+// unaligned inputs. Re-partitioning ships each unaligned input once, and
+// every node then joins a 1/n share of both. Broadcasting ships one input
+// to all n−1 other nodes, and every node receives it whole and builds on it
+// whole; only inner joins may broadcast their left input (pairs then form
+// where the right rows live). Each way is priced with the runtime filter the
+// transfer rule would fire on it. A broadcast wins only when it is estimated
+// to ship strictly fewer bytes and to take strictly less simulated time; a
+// tie keeps the re-partitioning.
+func (r *Rewriter) broadcastSide(n *JoinNode, left Node, ls Schema, right Node, rs Schema, leftOK, rightOK bool) Side {
+	if r.Opt.Stats == nil || len(n.LeftCols) != 1 || leftOK && rightOK {
+		return NoSide
 	}
 	parts := float64(r.Cfg.NumPartitions)
-	repartition := lEst + rEst
-	if rEst*(parts-1) < repartition {
-		return "right", true
+	wl, wr := 8*r.width(ls, n.Left), 8*r.width(rs, n.Right)
+	input := func(x Node, shipped, bcast bool) transferInput {
+		return transferInput{ex: shipped || hasExchange(x), bcast: bcast, sel: selective(x)}
 	}
-	if n.Type == Inner && lEst*(parts-1) < repartition {
-		return "left", true
+
+	l, rr, x := r.filtered(n, left, right, input(left, !leftOK, false), input(right, !rightOK, false))
+	rep := price{nodeRows: (l + rr) / parts, exchanges: x}
+	if !leftOK {
+		rep.bytes += l * wl * (parts - 1) / parts
+		rep.nodeRows += l / parts
+		rep.exchanges++
 	}
-	return "", false
+	if !rightOK {
+		rep.bytes += rr * wr * (parts - 1) / parts
+		rep.nodeRows += rr / parts
+		rep.exchanges++
+	}
+
+	side, best := NoSide, rep
+	l, rr, x = r.filtered(n, left, right, input(left, false, false), input(right, true, true))
+	if br := (price{bytes: rr * wr * (parts - 1), nodeRows: 2*rr + l/parts, exchanges: 1 + x}); br.beats(rep) {
+		side, best = RightSide, br
+	}
+	if n.Type == Inner {
+		l, rr, x = r.filtered(n, left, right, input(left, true, true), input(right, false, false))
+		bl := price{bytes: l * wl * (parts - 1), nodeRows: 2*l + rr/parts, exchanges: 1 + x}
+		if bl.beats(rep) && bl.time() < best.time() {
+			side = LeftSide
+		}
+	}
+	return side
 }
 
 // broadcastEqui executes a misaligned equi join by broadcasting one side.
-func (r *Rewriter) broadcastEqui(n *JoinNode, side string,
+func (r *Rewriter) broadcastEqui(n *JoinNode, side Side,
 	left Node, lp *Prop, ls Schema, right Node, rp *Prop, rs Schema,
 	outSchema Schema) (Node, *Prop, Schema, error) {
 
-	if side == "right" {
+	if side == RightSide {
 		right, rp, rs = r.preShipDedup(right, rp, rs)
 		b := &BroadcastNode{Child: right, DupCols: dupColsFor(r, rp), OneCopy: rp.Repl}
 		r.note(b, rs, &Prop{Parts: rp.Parts, Repl: true, Placed: map[string]PlacedEntry{}})
@@ -253,54 +274,6 @@ func (r *Rewriter) broadcastEqui(n *JoinNode, side string,
 	}
 	node, p, s := r.note(j, outSchema, np)
 	return node, p, s, nil
-}
-
-// estimateRows is the crude cardinality model behind the broadcast
-// heuristic: base-table sizes, a fixed selectivity per filter, pk-fk
-// joins bounded by the larger input. −1 means "unknown" (a scan without a
-// registered size), which disables the heuristic.
-func (r *Rewriter) estimateRows(n Node) float64 {
-	const filterSelectivity = 0.25
-	switch n := n.(type) {
-	case *ScanNode:
-		if sz, ok := r.Opt.Sizes[n.Table]; ok {
-			return float64(sz)
-		}
-		return -1
-	case *FilterNode:
-		c := r.estimateRows(n.Child)
-		if c < 0 {
-			return -1
-		}
-		return c * filterSelectivity
-	case *JoinNode:
-		l, rr := r.estimateRows(n.Left), r.estimateRows(n.Right)
-		if l < 0 || rr < 0 {
-			return -1
-		}
-		switch n.Type {
-		case Semi, Anti:
-			return l
-		default:
-			if l > rr {
-				return l
-			}
-			return rr
-		}
-	case *AggregateNode:
-		c := r.estimateRows(n.Child)
-		if c < 0 {
-			return -1
-		}
-		return c * 0.2
-	case *ProjectNode:
-		return r.estimateRows(n.Child)
-	default:
-		if ch := n.Children(); len(ch) == 1 {
-			return r.estimateRows(ch[0])
-		}
-		return -1
-	}
 }
 
 // physJoin clones the logical join around the physical children.

@@ -8,8 +8,9 @@ import (
 )
 
 // planCache memoizes §2.2 rewrites across submissions, keyed on the
-// prepared query's name. The rewrite is pure in (query, design): it reads
-// the catalog schema and the partitioning config, never the data, and a
+// prepared query's name. The rewrite is pure in (query, design,
+// statistics): it reads the catalog schema, the partitioning config and the
+// statistics the Server gathered at start-up, never the data itself, and a
 // Server serves one design for its whole lifetime — so a write-path
 // publish leaves every cached plan valid, and the cache holds at most one
 // entry per prepared query.

@@ -113,6 +113,7 @@ func (o Options) withDefaults() Options {
 type Server struct {
 	opt    Options
 	pdb    *table.PartitionedDatabase
+	stats  *plan.Stats // what the rewrite prices its choices with
 	cl     *cluster.Cluster
 	adm    *admitter
 	shed   *shedder
@@ -178,7 +179,8 @@ type Metrics struct {
 }
 
 // NewServer partitions the database (unless a pre-partitioned one is
-// supplied) and starts the serving layer. The caller must Close it.
+// supplied), gathers the statistics every rewrite reads, and starts the
+// serving layer. The caller must Close it.
 func NewServer(opt Options) (*Server, error) {
 	opt = opt.withDefaults()
 	if opt.Config == nil {
@@ -208,6 +210,7 @@ func NewServer(opt Options) (*Server, error) {
 	s := &Server{
 		opt:        opt,
 		pdb:        pdb,
+		stats:      plan.GatherStats(pdb),
 		cl:         cluster.New(opt.Cluster),
 		adm:        newAdmitter(opt.MaxConcurrent, opt.QueueTimeout, opt.Tenants),
 		shed:       newShedder(opt.ShedThreshold),
@@ -261,7 +264,7 @@ func (s *Server) Submit(ctx context.Context, tenant, query string) (*Response, e
 // or Close the stream.
 func (s *Server) Stream(ctx context.Context, tenant, query string) (*Stream, error) {
 	start := time.Now()
-	mk, ok := s.opt.Queries[query]
+	_, ok := s.opt.Queries[query]
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrUnknownQuery, query)
 	}
@@ -350,7 +353,7 @@ func (s *Server) Stream(ctx context.Context, tenant, query string) (*Stream, err
 		})
 	}
 
-	res, attempts, cacheHit, err := s.execute(qctx, mk, query)
+	res, attempts, cacheHit, err := s.execute(qctx, query)
 	elapsed := time.Since(start)
 	if err != nil {
 		s.met.mu.Lock()
@@ -376,16 +379,37 @@ func (s *Server) Stream(ctx context.Context, tenant, query string) (*Stream, err
 	return newStream(qctx, s.opt.ChunkRows, res, attempts, cacheHit, elapsed, finish), nil
 }
 
-// execute runs the query against the engine with plan caching and a
-// budget-bounded retry loop.
-func (s *Server) execute(qctx context.Context, mk func() plan.Node, query string) (res *engine.Result, attempts int, cacheHit bool, err error) {
-	// Plan cache, keyed on the query alone: the rewrite does not read the
-	// data, so it survives write-path publishes.
-	rw, cacheHit, err := s.plans.get(query, func() (*plan.Rewritten, error) {
-		return plan.Rewrite(mk(), s.pdb.Schema, s.opt.Config, plan.Options{})
+// Plan returns the physical plan the server runs for a prepared query: its
+// plan-cache entry, rewritten on first use like a submission's.
+func (s *Server) Plan(query string) (*plan.Rewritten, error) {
+	if _, ok := s.opt.Queries[query]; !ok {
+		return nil, fmt.Errorf("%w: %q", ErrUnknownQuery, query)
+	}
+	rw, _, err := s.cachedPlan(query)
+	return rw, err
+}
+
+// cachedPlan looks the query up in the plan cache, keyed on the query alone. The
+// rewrite reads the data only through the statistics gathered at start-up,
+// and every plan it makes is correct on any data, so a plan survives
+// write-path publishes: the data changes, the plan stays correct, and its
+// estimate merely ages.
+func (s *Server) cachedPlan(query string) (*plan.Rewritten, bool, error) {
+	rw, hit, err := s.plans.get(query, func() (*plan.Rewritten, error) {
+		return plan.Rewrite(s.opt.Queries[query](), s.pdb.Schema, s.opt.Config, plan.Options{Stats: s.stats})
 	})
 	if err != nil {
-		return nil, 0, false, fmt.Errorf("serve: rewrite of %q failed: %w", query, err)
+		return nil, hit, fmt.Errorf("serve: rewrite of %q failed: %w", query, err)
+	}
+	return rw, hit, nil
+}
+
+// execute runs the query against the engine with plan caching and a
+// budget-bounded retry loop.
+func (s *Server) execute(qctx context.Context, query string) (res *engine.Result, attempts int, cacheHit bool, err error) {
+	rw, cacheHit, err := s.cachedPlan(query)
+	if err != nil {
+		return nil, 0, false, err
 	}
 
 	seq := s.seq.Add(1)

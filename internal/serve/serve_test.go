@@ -451,9 +451,9 @@ func TestCancelInQueue(t *testing.T) {
 }
 
 // TestPlanCacheSurvivesPublish pins the plan cache's key: the rewrite
-// depends on the query and the design, never the data, so a write-path
-// publish keeps the cached plan, and the execution it serves still sees
-// the new data.
+// depends on the query, the design and the statistics gathered at start-up,
+// never the data itself, so a write-path publish keeps the cached plan, and
+// the execution it serves still sees the new data.
 func TestPlanCacheSurvivesPublish(t *testing.T) {
 	db, cfg := testServeDB()
 	s := newTestServer(t, func(o *Options) {

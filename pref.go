@@ -167,8 +167,11 @@ func WorkloadDriven(db *Database, queries []Query, opt WDOptions) (*WDDesign, er
 type (
 	// PlanNode is a logical or physical query plan operator.
 	PlanNode = plan.Node
-	// PlanOptions toggles rewrite optimizations and cardinality hints.
+	// PlanOptions toggles rewrite optimizations and carries the statistics
+	// the rewrite prices its choices with.
 	PlanOptions = plan.Options
+	// PlanStats are those statistics (GatherStats).
+	PlanStats = plan.Stats
 	// Rewritten is a rewritten (physical) plan ready for execution.
 	Rewritten = plan.Rewritten
 	// Result is a completed query with telemetry.
@@ -279,6 +282,11 @@ const (
 	Semi      = plan.Semi
 	Anti      = plan.Anti
 )
+
+// GatherStats reads a partitioned database once for the statistics
+// PlanOptions.Stats takes: with them the rewrite may broadcast a small input
+// instead of re-partitioning.
+func GatherStats(pdb *PartitionedDatabase) *PlanStats { return plan.GatherStats(pdb) }
 
 // Rewrite applies the locality-aware rewrite of Section 2.2 to a logical
 // plan under a partitioning configuration.
