@@ -70,10 +70,13 @@ func TestBroadcastChoiceTPCH(t *testing.T) {
 	// all, but its busiest node gets 20 more (+0.04 ms), a placement skew
 	// the estimator does not model.
 	slower := map[string]bool{"AllHashed/Q20": true}
-	// The bytes the benchmark's join_hashed mix ships per query.
+	// The bytes the benchmark's join_hashed mix ships per query. A runtime
+	// filter from a broadcast source is local and ships nothing, which also
+	// tips Q3 to broadcast customer; Q21's anti join with a residual is no
+	// longer estimated empty, so it broadcasts nation.
 	pinned := map[string]int64{
-		"Q3": 162160, "Q5": 658624, "Q7": 3607520, "Q10": 434728,
-		"Q12": 21632, "Q18": 3990648, "Q21": 1303440,
+		"Q3": 155832, "Q5": 656896, "Q7": 3607520, "Q10": 434728,
+		"Q12": 21632, "Q18": 3990648, "Q21": 1299088,
 	}
 	d := tpch.Generate(0.05, 42)
 	refs := singleNodeRows(t, d)

@@ -202,7 +202,9 @@ func hashAligned(lp, rp *plan.Prop, leftCols, rightCols []string) bool {
 // prefJoinSafe guards the PREF co-location cases for join types whose
 // match-absence test must be locally decidable (Semi/Anti/LeftOuter):
 // safe when the output side is the referenced input, or against a bare
-// referenced-table scan with no residual predicate.
+// referenced-table scan with no residual predicate. The join's own runtime
+// filter on that scan keeps it bare: it drops only rows whose key no left
+// row on the node holds, so every local partner of a left copy survives.
 func (c *checker) prefJoinSafe(n *plan.JoinNode, refd string) bool {
 	if n.Type == plan.Inner {
 		return true
@@ -210,7 +212,11 @@ func (c *checker) prefJoinSafe(n *plan.JoinNode, refd string) bool {
 	if refd == "left" {
 		return true
 	}
-	_, bare := n.Right.(*plan.ScanNode)
+	right := n.Right
+	if f, ok := right.(*plan.RuntimeFilterNode); ok && f.From == n {
+		right = f.Child
+	}
+	_, bare := right.(*plan.ScanNode)
 	return bare && n.Residual == nil
 }
 

@@ -108,8 +108,9 @@ func (tv *traceVerifier) checkOp(n plan.Node, ot *trace.OpTrace, vs *Violations)
 	// Ship legality: only exchange operators move rows — except a scan
 	// reconstructing a lost partition from PREF/replication redundancy,
 	// whose recovered rows travel from survivors to the buddy node. Bytes
-	// travel without rows only into a runtime filter, which receives Bloom
-	// filters and ships no row at all.
+	// travel without rows only into a shipped runtime filter, which receives
+	// Bloom filters and ships no row at all; a local filter probes the one
+	// its own node built, so nothing travels into it.
 	if m.RowsShipped > 0 && !ot.Kind.Exchange() {
 		if !(ot.Kind == trace.KindScan && m.RecoveredRows > 0) {
 			bad(RuleTraceShip,
@@ -120,8 +121,12 @@ func (tv *traceVerifier) checkOp(n plan.Node, ot *trace.OpTrace, vs *Violations)
 	if m.RowsShipped == 0 && m.BytesShipped > 0 && ot.Kind != trace.KindRuntimeFilter {
 		bad(RuleTraceShip, "%d bytes shipped with no rows by a %s operator", m.BytesShipped, ot.Kind)
 	}
-	if m.FilteredRows > 0 && ot.Kind != trace.KindRuntimeFilter {
+	filter := ot.Kind == trace.KindRuntimeFilter || ot.Kind == trace.KindLocalFilter
+	if m.FilteredRows > 0 && !filter {
 		bad(RuleTraceConserve, "%d rows filtered by a %s operator, which holds no runtime filter", m.FilteredRows, ot.Kind)
+	}
+	if f, ok := n.(*plan.RuntimeFilterNode); ok && f.Local != (ot.Kind == trace.KindLocalFilter) {
+		bad(RuleTraceShape, "the plan's filter has local=%v, its span is a %s", f.Local, ot.Kind)
 	}
 	// Hedge legality: speculative duplicates race partition work units,
 	// which only per-partition operators run. Exchanges and the
@@ -160,7 +165,7 @@ func (tv *traceVerifier) checkOp(n plan.Node, ot *trace.OpTrace, vs *Violations)
 		if out > in {
 			bad(RuleTraceConserve, "out=%d exceeds in=%d", out, in)
 		}
-	case trace.KindRuntimeFilter:
+	case trace.KindRuntimeFilter, trace.KindLocalFilter:
 		if out != in-m.FilteredRows {
 			bad(RuleTraceConserve, "rows lost or invented: in=%d filtered=%d out=%d", in, m.FilteredRows, out)
 		}

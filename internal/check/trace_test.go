@@ -140,3 +140,65 @@ func TestVerifyTraceRejectsStatsDrift(t *testing.T) {
 	tr3.Totals.Repartitions++
 	assertRule(t, check.VerifyTrace(rw3, tr3), check.RuleTraceStats)
 }
+
+// localTraceFixture executes a co-located join whose selective left input
+// filters the right one in place, rewritten with the statistics of its
+// database, and returns the plan and its (valid) trace with the local
+// filter's span.
+func localTraceFixture(t *testing.T) (*plan.Rewritten, *trace.Trace, *trace.OpTrace) {
+	t.Helper()
+	s := catalog.NewSchema("lf")
+	s.MustAddTable(catalog.MustTable("users",
+		[]catalog.Column{{Name: "uid", Kind: value.Int}, {Name: "region", Kind: value.Int}}, "uid"))
+	s.MustAddTable(catalog.MustTable("orders",
+		[]catalog.Column{{Name: "oid", Kind: value.Int}, {Name: "uid", Kind: value.Int}}, "oid"))
+	db := table.NewDatabase(s)
+	for i := int64(0); i < 40; i++ {
+		db.Tables["users"].MustAppend(value.Tuple{i, i % 4})
+	}
+	for i := int64(0); i < 200; i++ {
+		db.Tables["orders"].MustAppend(value.Tuple{i, i % 40})
+	}
+	cfg := partition.NewConfig(4)
+	cfg.SetHash("users", "uid")
+	cfg.SetHash("orders", "uid")
+	pdb, err := partition.Apply(db, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := plan.Join(plan.Filter(plan.Scan("users", "u"), plan.Eq(plan.Col("u.region"), plan.Lit(1))),
+		plan.Scan("orders", "o"), plan.Inner, []string{"u.uid"}, []string{"o.uid"})
+	rw, err := plan.Rewrite(q, s, cfg, plan.Options{Stats: plan.GatherStats(pdb)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := engine.ExecuteOpts(rw, pdb, engine.ExecOptions{Trace: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := check.VerifyTrace(rw, res.Trace); err != nil {
+		t.Fatalf("fixture trace must verify cleanly: %v", err)
+	}
+	span := findSpan(res.Trace, trace.KindLocalFilter)
+	if span == nil || span.Totals.FilteredRows == 0 {
+		t.Fatalf("fixture drift: want a local filter that drops rows\n%s", rw.Explain())
+	}
+	return rw, res.Trace, span
+}
+
+// TestVerifyTraceRejectsShippingLocalFilter: a local filter probes the
+// filter its own node built, so bytes charged to it are a transfer the plan
+// does not make, and so is counting it as one.
+func TestVerifyTraceRejectsShippingLocalFilter(t *testing.T) {
+	rw, tr, span := localTraceFixture(t)
+	span.Totals.BytesShipped = 64
+	assertRule(t, check.VerifyTrace(rw, tr), check.RuleTraceShip)
+
+	rw, tr, _ = localTraceFixture(t)
+	tr.Totals.Transfers++
+	assertRule(t, check.VerifyTrace(rw, tr), check.RuleTraceStats)
+
+	rw, tr, span = localTraceFixture(t)
+	span.Kind = trace.KindRuntimeFilter
+	assertRule(t, check.VerifyTrace(rw, tr), check.RuleTraceShape)
+}

@@ -17,6 +17,11 @@ import (
 // the filter, and never the left input of an Anti or LeftOuter join, whose
 // every row decides an output row. checkTransfers re-proves this for every
 // filter, climbing from the filter to its join.
+//
+// A local filter probes on each node only the filter of that node's source
+// partition. That holds every key its rows can meet at the join only if no
+// exchange moves them on the way there, or if every source partition holds
+// all of the source's rows; the climb re-proves one or the other.
 
 // checkTransfers walks the subtree at n with the operators above it.
 func (c *checker) checkTransfers(n plan.Node, above []plan.Node) {
@@ -37,6 +42,10 @@ func (c *checker) checkTransfer(f *plan.RuntimeFilterNode, above []plan.Node) {
 		p := above[i]
 		if p == f.From {
 			c.checkTarget(f, below)
+			return
+		}
+		if f.Local && isExchange(p) && !c.sourceReplicated(f, map[plan.Node]bool{}) {
+			c.report(RuleTransfer, f, "is local, but reaches its join through an exchange: %s", p)
 			return
 		}
 		if why := blocks(p, below, f.Col); why != "" {
@@ -102,4 +111,57 @@ func (c *checker) checkTarget(f *plan.RuntimeFilterNode, below plan.Node) {
 	case len(keys) != 1 || keys[0] != f.Col:
 		c.report(RuleTransfer, f, "filters %q, but its join's keys on that input are %v", f.Col, keys)
 	}
+}
+
+func isExchange(n plan.Node) bool {
+	switch n.(type) {
+	case *plan.RepartitionNode, *plan.BroadcastNode, *plan.GatherNode, *plan.DistinctByValueNode:
+		return true
+	}
+	return false
+}
+
+// sourceReplicated reports whether every partition of f's source input holds
+// all of its rows, so that the filter any one of them builds holds every
+// key. known memoizes the answer per filter; a filter inside its own source
+// is not.
+func (c *checker) sourceReplicated(f *plan.RuntimeFilterNode, known map[plan.Node]bool) bool {
+	if v, ok := known[f]; ok {
+		return v
+	}
+	known[f] = false
+	j := f.From
+	if j == nil || j.Source == plan.NoSide || len(j.LeftCols) != 1 {
+		return false
+	}
+	src, _ := j.SourceInput()
+	known[f] = c.replicated(src, known)
+	return known[f]
+}
+
+// replicated reports whether every partition of the subtree at n holds the
+// same rows: its content is replicated, and no local filter in it above the
+// last broadcast probes a source that is not.
+func (c *checker) replicated(n plan.Node, known map[plan.Node]bool) bool {
+	if in := c.memo[n]; in == nil || !in.contentRepl {
+		return false
+	}
+	var thinned func(plan.Node) bool
+	thinned = func(n plan.Node) bool {
+		switch n := n.(type) {
+		case *plan.BroadcastNode:
+			return false // every node receives all of its input
+		case *plan.RuntimeFilterNode:
+			if n.Local && !c.sourceReplicated(n, known) {
+				return true
+			}
+		}
+		for _, k := range n.Children() {
+			if thinned(k) {
+				return true
+			}
+		}
+		return false
+	}
+	return !thinned(n)
 }

@@ -130,6 +130,21 @@ func TestVerifyRejectsTransferBelowForeignAggregate(t *testing.T) {
 	expectTransfer(t, rw, "aggregate that does not group by the column")
 }
 
+// TestVerifyRejectsLocalFilterAcrossExchange: the orders a shipped filter
+// keeps travel to other nodes before the join, so a filter of one node's
+// customers alone would drop orders that meet their customer elsewhere.
+func TestVerifyRejectsLocalFilterAcrossExchange(t *testing.T) {
+	q := plan.Join(
+		plan.Filter(plan.Scan("customer", "c"), plan.Eq(plan.Col("c.c_nation"), plan.Lit(1))),
+		plan.Scan("orders", "o"), plan.Inner, []string{"c.c_custkey"}, []string{"o.o_custkey"})
+	rw, f, parent := transferPlan(t, q)
+	if _, ok := parent.(*plan.RepartitionNode); !ok || f.Local {
+		t.Fatalf("fixture drift: want a shipped filter under a repartition, got one under %T\n%s", parent, rw.Explain())
+	}
+	f.Local = true
+	expectTransfer(t, rw, "is local, but reaches its join through an exchange")
+}
+
 func TestVerifyRejectsTransferOnMissingColumn(t *testing.T) {
 	q := plan.Join(
 		plan.Filter(plan.Scan("customer", "c"), plan.Eq(plan.Col("c.c_nation"), plan.Lit(1))),
@@ -154,7 +169,8 @@ func miniStats() *plan.Stats {
 // TestBroadcastSourceFiltersEitherSide: a selective input the rewrite
 // broadcasts becomes its join's filter source on either side, and filters
 // the other input where it is scanned even though no exchange sits below
-// it. The checker accepts both placements.
+// it. Every node holds the whole broadcast, so the filter is local. The
+// checker accepts both placements.
 func TestBroadcastSourceFiltersEitherSide(t *testing.T) {
 	sch := miniSchema(t)
 	few := func() plan.Node {
@@ -177,8 +193,8 @@ func TestBroadcastSourceFiltersEitherSide(t *testing.T) {
 			t.Fatalf("want the broadcast customers as the %v source\n%s", c.want, rw.Explain())
 		}
 		f, _ := findNode(rw.Root, func(n plan.Node) bool { _, ok := n.(*plan.RuntimeFilterNode); return ok }).(*plan.RuntimeFilterNode)
-		if f == nil || f.Col != "o.o_custkey" || !isScan(f.Child) {
-			t.Fatalf("want the filter on o.o_custkey over the orders scan\n%s", rw.Explain())
+		if f == nil || f.Col != "o.o_custkey" || !isScan(f.Child) || !f.Local {
+			t.Fatalf("want a local filter on o.o_custkey over the orders scan\n%s", rw.Explain())
 		}
 		if err := check.Verify(rw); err != nil {
 			t.Fatalf("%v\n%s", err, rw.Explain())

@@ -17,8 +17,8 @@ func DefaultCostModel() CostModel { return CostModel(plan.DefaultCostModel()) }
 
 // Simulate estimates the query runtime from its stats: the parallel CPU
 // critical path (max per-node rows) plus network transfer time plus
-// exchange startup latency, which a runtime filter's transfer pays like any
-// other exchange.
+// exchange startup latency, which a shipped runtime filter's transfer pays
+// like any other exchange (a local one ships nothing).
 func (c CostModel) Simulate(s Stats) time.Duration {
 	return plan.CostModel(c).Time(float64(s.MaxNodeRows), float64(s.BytesShipped),
 		s.Repartitions+s.Broadcasts+s.Transfers)

@@ -43,9 +43,14 @@ func FuzzPrunedPlanOracle(f *testing.F) {
 	// into join, recovered scan into distinct-pref), one whose anti join
 	// sends a runtime filter, built over a semi join's output, to its right,
 	// one whose aggregate sums its replicated input per join key below the
-	// join with a duplicated PREF table (eager aggregation), and one whose
+	// join with a duplicated PREF table (eager aggregation), one whose
 	// anti join, rewritten with statistics, broadcasts its small right input
-	// although it sits on the join key (broadcast of an aligned input).
+	// although it sits on the join key (broadcast of an aligned input), and
+	// one whose co-located anti join, rewritten with statistics, filters its
+	// right input — a PREF table holding duplicate copies — in place with
+	// the left input's keys (a local runtime filter), and one whose PREF
+	// semi join against its bare referenced table filters that table so
+	// (the join stays co-located).
 	f.Add(int64(0), false)
 	f.Add(int64(1), true)
 	f.Fuzz(func(t *testing.T, seed int64, noDupIndex bool) {

@@ -185,9 +185,10 @@ func (ex *executor) evalFilter(n *plan.FilterNode) ([][]value.Tuple, error) {
 }
 
 // evalRuntimeFilter keeps the rows whose key one of the join's filters may
-// hold, probing the same kernel the product does.
+// hold — partition p's own alone when n is local — probing the same kernel
+// the product does.
 func (ex *executor) evalRuntimeFilter(n *plan.RuntimeFilterNode) ([][]value.Tuple, error) {
-	top := ex.tb.Begin(n, trace.KindRuntimeFilter)
+	top := ex.tb.Begin(n, filterKind(n))
 	fs, err := ex.receiveFilters(top, n)
 	if err != nil {
 		return nil, err
@@ -203,8 +204,9 @@ func (ex *executor) evalRuntimeFilter(n *plan.RuntimeFilterNode) ([][]value.Tupl
 	}
 	out, err := forEachPart(ex, top, func(p int) ([]value.Tuple, int, error) {
 		var rows []value.Tuple
+		probe := probed(n, fs, p)
 		for _, r := range in[p] {
-			if fs.Has(r[col]) {
+			if probe.Has(r[col]) {
 				rows = append(rows, r)
 			}
 		}

@@ -168,11 +168,12 @@ func (ex *executor) evalFilterVec(n *plan.FilterNode) (vparts, error) {
 
 // evalRuntimeFilterVec receives the Bloom filters n.From built of its source
 // input's keys and narrows each input batch to the rows whose key one of
-// them may hold. Like a filter, its output borrows the input's storage.
+// them may hold — partition p's own filter alone when n is local. Like a
+// filter, its output borrows the input's storage.
 //
 // lint:batch-owner the returned batch lists transfer to the caller
 func (ex *executor) evalRuntimeFilterVec(n *plan.RuntimeFilterNode) (vparts, error) {
-	top := ex.tb.Begin(n, trace.KindRuntimeFilter)
+	top := ex.tb.Begin(n, filterKind(n))
 	fs, err := ex.receiveFilters(top, n)
 	if err != nil {
 		return nil, err
@@ -190,8 +191,9 @@ func (ex *executor) evalRuntimeFilterVec(n *plan.RuntimeFilterNode) (vparts, err
 	out, err := forEachPart(ex, top, func(p int) ([]*batch.Batch, int, error) {
 		var out []*batch.Batch
 		kept := 0
+		probe := probed(n, fs, p)
 		for _, b := range in[p] {
-			sel := fs.Select(make([]int32, 0, b.Len()), b, col)
+			sel := probe.Select(make([]int32, 0, b.Len()), b, col)
 			if len(sel) > 0 {
 				out = append(out, b.WithSel(sel))
 				kept += len(sel)
@@ -237,11 +239,15 @@ func (ex *executor) buildFilters(n *plan.JoinNode, bloom func(p, col int) *batch
 
 // receiveFilters meters the transfer into a runtime filter: every source
 // partition's filter travels to the n−1 other nodes, bytes and no rows,
-// through the exchanges' fault path, so a failed shipment retries.
+// through the exchanges' fault path, so a failed shipment retries. A local
+// filter stays where it was built: nothing travels.
 func (ex *executor) receiveFilters(top *trace.Op, n *plan.RuntimeFilterNode) (batch.Blooms, error) {
 	fs, ok := ex.filters[n.From]
 	if !ok {
 		return nil, fmt.Errorf("engine: %s: its join built no filter", n)
+	}
+	if n.Local {
+		return fs, nil
 	}
 	op := ex.nextOp()
 	for src, f := range fs {
@@ -250,6 +256,24 @@ func (ex *executor) receiveFilters(top *trace.Op, n *plan.RuntimeFilterNode) (ba
 		}
 	}
 	return fs, nil
+}
+
+// filterKind is the trace kind of a runtime filter: a local one ships
+// nothing and is no transfer.
+func filterKind(n *plan.RuntimeFilterNode) trace.Kind {
+	if n.Local {
+		return trace.KindLocalFilter
+	}
+	return trace.KindRuntimeFilter
+}
+
+// probed returns the filters partition p's rows are probed against: all of
+// fs, or fs[p] alone when n is local.
+func probed(n *plan.RuntimeFilterNode, fs batch.Blooms, p int) batch.Blooms {
+	if n.Local {
+		return fs[p : p+1]
+	}
+	return fs
 }
 
 // evalProjectVec evaluates each projection expression column-wise into

@@ -32,7 +32,8 @@ import (
 //   - Inner equi-joins: |L|·|R|/max(ndv) over the key; a composite key that
 //     is a foreign key (or the primary key) of one table counts the
 //     referenced table's rows as its distinct values. Semi and anti joins
-//     keep the share of the left keys the right contains.
+//     keep the share of the left keys the right contains; with a residual,
+//     a key match counts only in the share of rows the residual keeps.
 //   - Aggregates: groups are capped by the product of the group-by distinct
 //     counts; a partial aggregate emits each group once per partition it
 //     spans, stats.ExpectedCopiesReal(rows/group, n) — the paper's Appendix A
@@ -252,11 +253,15 @@ func (r *Rewriter) groups(n Node, groupBy []string) float64 {
 // joinRows estimates a join's output.
 func (r *Rewriter) joinRows(j *JoinNode) float64 {
 	l, rr := r.rows(j.Left), r.rows(j.Right)
-	switch j.Type {
-	case Semi:
-		return l * r.contain(j.Right, j.RightCols, j.Left, j.LeftCols)
-	case Anti:
-		return l * (1 - r.contain(j.Right, j.RightCols, j.Left, j.LeftCols))
+	if j.Type == Semi || j.Type == Anti {
+		match := r.contain(j.Right, j.RightCols, j.Left, j.LeftCols)
+		if j.Residual != nil {
+			match *= r.sel(j.Residual, r.lookup(j.Left, j.Right))
+		}
+		if j.Type == Anti {
+			return l * (1 - match)
+		}
+		return l * match
 	}
 	out := l * rr
 	if len(j.LeftCols) > 0 {
@@ -273,13 +278,12 @@ func (r *Rewriter) joinRows(j *JoinNode) float64 {
 
 // contain estimates the share of target's key values (columns tcols) that
 // source holds in columns scols: the containment of the smaller key set in
-// the larger one.
+// the larger one. An input estimated to hold less than one key counts as
+// holding one: a source whose estimate rounds to nothing does not pass for
+// a filter that drops every row of a small target.
 func (r *Rewriter) contain(source Node, scols []string, target Node, tcols []string) float64 {
 	s, t := r.keyNDV(source, scols), r.keyNDV(target, tcols)
-	if t <= 0 {
-		return 1
-	}
-	return min(1, s/t)
+	return min(1, max(1, s)/max(1, t))
 }
 
 // keyNDV estimates the distinct values of the column tuple cols in n's

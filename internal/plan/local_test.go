@@ -1,0 +1,134 @@
+package plan
+
+import (
+	"testing"
+
+	"pref/internal/partition"
+)
+
+func isRuntimeFilter(n Node) bool { _, ok := n.(*RuntimeFilterNode); return ok }
+
+// runtimeFilters rewrites q with opt and returns its runtime filters.
+func runtimeFilters(t *testing.T, q Node, cfg *partition.Config, opt Options) (*Rewritten, []*RuntimeFilterNode) {
+	t.Helper()
+	rw, err := Rewrite(q, testSchema(), cfg, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fs []*RuntimeFilterNode
+	for _, n := range findNodes(rw.Root, isRuntimeFilter) {
+		fs = append(fs, n.(*RuntimeFilterNode))
+	}
+	return rw, fs
+}
+
+// TestEstimateSemiAntiResidual: a semi or anti join with a residual counts
+// a key match only in the share of rows the residual keeps, so an anti join
+// whose right input holds every left key is not estimated empty. And an
+// input estimated to hold no key counts as holding one, so it does not pass
+// for a filter that drops every row of a small target.
+func TestEstimateSemiAntiResidual(t *testing.T) {
+	cfg := misalignedCfg()
+	st := testStats(1000, 100, 4000)
+	// Every order has lines; l.linekey <= 2000 keeps half of them.
+	join := func(typ JoinType) *JoinNode {
+		j := Join(Scan("orders", "o"), Scan("lineitem", "l"), typ, []string{"o.orderkey"}, []string{"l.orderkey"})
+		j.Residual = Le(Col("l.linekey"), Lit(2000))
+		return j
+	}
+	for _, c := range []struct {
+		name string
+		q    Node
+		want float64
+	}{
+		{"semi", join(Semi), 500},
+		{"anti", join(Anti), 500},
+	} {
+		if got := estimate(t, c.q, cfg, st); !near(got, c.want) {
+			t.Errorf("%s with a residual: %v rows, want %v", c.name, got, c.want)
+		}
+	}
+
+	q := Join(Filter(Scan("orders", "o"), Lt(Col("o.orderkey"), Lit(0))), Scan("nation", "n"),
+		Inner, []string{"o.custkey"}, []string{"n.nationkey"})
+	r := newRewriter(q, testSchema(), cfg, Options{Stats: st})
+	phys, _, _, err := r.rewrite(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	j := findNodes(phys, func(n Node) bool { _, ok := n.(*JoinNode); return ok })[0].(*JoinNode)
+	if got := r.rows(j.Left); got != 0 {
+		t.Fatalf("fixture drift: the left input is estimated at %v rows, want 0", got)
+	}
+	if got := r.contain(j.Left, j.LeftCols, j.Right, j.RightCols); !near(got, 1.0/5) {
+		t.Errorf("an empty source holds %v of nation's 5 keys, want one key's share", got)
+	}
+	if got := r.contain(j.Right, j.RightCols, j.Left, j.LeftCols); got != 1 {
+		t.Errorf("an empty target's keys are held at %v, want 1", got)
+	}
+}
+
+// TestLocalFilterOnColocatedJoin: with statistics, a selective input of a
+// co-located join filters the other input in place — a local filter, just
+// above its scan — when the estimator expects it to drop more rows than it
+// keeps; without statistics no filter fires there.
+func TestLocalFilterOnColocatedJoin(t *testing.T) {
+	cfg := prefChainCfg(4)
+	st := testStats(1000, 100, 4000)
+	q := func(maxTotal int64) Node {
+		return Join(Filter(Scan("orders", "o"), Le(Col("o.total"), Lit(maxTotal))), Scan("lineitem", "l"),
+			Inner, []string{"o.orderkey"}, []string{"l.orderkey"})
+	}
+	rw, fs := runtimeFilters(t, q(99), cfg, Options{Stats: st})
+	if len(fs) != 1 {
+		t.Fatalf("want one runtime filter, got %d\n%s", len(fs), rw.Explain())
+	}
+	f := fs[0]
+	if _, ok := f.Child.(*ScanNode); !ok || !f.Local || f.Col != "l.orderkey" || f.From.Source != LeftSide {
+		t.Errorf("want a local filter on l.orderkey above the lineitem scan, built from the left input\n%s", rw.Explain())
+	}
+	if got, want := f.String(), "RuntimeFilter(l.orderkey IN bloom(o.orderkey); local)"; got != want {
+		t.Errorf("String() = %q, want %q", got, want)
+	}
+	if rw, fs := runtimeFilters(t, q(99), cfg, Options{}); len(fs) != 0 {
+		t.Errorf("no statistics, no local filter\n%s", rw.Explain())
+	}
+	// Keeping nine orders in ten, the filter would keep more lines than it
+	// drops.
+	if rw, fs := runtimeFilters(t, q(8999), cfg, Options{Stats: st}); len(fs) != 0 {
+		t.Errorf("a filter that drops little must not fire\n%s", rw.Explain())
+	}
+}
+
+// TestLocalFilterFromReplicatedSource: a replicated source holds every key
+// on every node, so its filter is local even where an exchange lies between
+// the filter and its join.
+func TestLocalFilterFromReplicatedSource(t *testing.T) {
+	cfg := misalignedCfg()
+	oc := Join(Scan("orders", "o"), Scan("customer", "c"), Inner, []string{"o.custkey"}, []string{"c.custkey"})
+	q := Join(Filter(Scan("nation", "n"), Eq(Col("n.nationkey"), Lit(3))), oc,
+		Inner, []string{"n.nationkey"}, []string{"o.custkey"})
+	onOrders := func(opt Options) (*Rewritten, *RuntimeFilterNode) {
+		rw, fs := runtimeFilters(t, q, cfg, opt)
+		for _, f := range fs {
+			if f.Col == "o.custkey" {
+				return rw, f
+			}
+		}
+		t.Fatalf("want a filter on o.custkey\n%s", rw.Explain())
+		return nil, nil
+	}
+	rw, f := onOrders(Options{Stats: testStats(1000, 900, 1)})
+	if !f.Local || f.From.Source != LeftSide {
+		t.Errorf("the filter from nation should be local\n%s", rw.Explain())
+	}
+	if len(findNodes(rw.Root, func(n Node) bool {
+		rep, ok := n.(*RepartitionNode)
+		return ok && rep.Child == Node(f)
+	})) != 1 {
+		t.Errorf("the filter should sit below the repartition of orders\n%s", rw.Explain())
+	}
+	if rw, f := onOrders(Options{}); f.Local {
+		t.Errorf("without statistics the filter ships as before\n%s", rw.Explain())
+	}
+}

@@ -321,10 +321,16 @@ func (n *DistinctByValueNode) String() string   { return fmt.Sprintf("DistinctBy
 // and shipped to every node. It sits in From's other input, where Col
 // carries that input's join key up to From unchanged, so a dropped row
 // could not have joined. Like FilterNode it hands on views of its input.
+//
+// A Local filter ships nothing: partition p probes only the filter of
+// partition p's source rows. That holds every key a row of partition p can
+// meet at From when no exchange lies between the filter and From, or when
+// every partition of the source holds all of its rows.
 type RuntimeFilterNode struct {
 	Child Node
 	Col   string
 	From  *JoinNode
+	Local bool
 }
 
 func (n *RuntimeFilterNode) Children() []Node { return []Node{n.Child} }
@@ -333,6 +339,9 @@ func (n *RuntimeFilterNode) String() string {
 		return "RuntimeFilter(" + n.Col + ")" // malformed: check.Verify says why
 	}
 	_, key := n.From.SourceInput()
+	if n.Local {
+		return fmt.Sprintf("RuntimeFilter(%s IN bloom(%s); local)", n.Col, key)
+	}
 	return fmt.Sprintf("RuntimeFilter(%s IN bloom(%s))", n.Col, key)
 }
 

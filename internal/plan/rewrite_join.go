@@ -201,10 +201,7 @@ func (r *Rewriter) broadcastSide(n *JoinNode, left Node, ls Schema, right Node, 
 	}
 	parts := float64(r.Cfg.NumPartitions)
 	wl, wr := 8*r.width(ls, n.Left), 8*r.width(rs, n.Right)
-	input := func(x Node, shipped, bcast bool) transferInput {
-		return transferInput{ex: shipped || hasExchange(x), bcast: bcast, sel: selective(x)}
-	}
-
+	input := r.input
 	l, rr, x := r.filtered(n, left, right, input(left, !leftOK, false), input(right, !rightOK, false))
 	rep := price{nodeRows: (l + rr) / parts, exchanges: x}
 	if !leftOK {

@@ -29,11 +29,26 @@ import "slices"
 // choice, is filtered only when the rows it is estimated to drop save more
 // than the transfer costs.
 //
-// The filter goes as deep into the target as the key column passes
-// unchanged (passDown), which in practice is directly above a base-table
-// scan, below its filters. Joins are visited top-down, so a filter placed
-// by an enclosing join already makes its target selective when the joins
-// below it are visited: filters chain from join to join down the tree.
+// A filter is local when it ships nothing: node p probes only the filter of
+// its own source partition. With statistics, two kinds are. One has a
+// source every partition of which holds all of its rows (a broadcast, or a
+// replicated input no local filter has thinned), so any one filter holds
+// every key, wherever the target's rows travel. The other fires where the
+// rule above does not, on a join whose target reaches it through no
+// exchange, as on every join PREF co-locates: partition p's target rows meet
+// only partition p's source rows there. Its source is selective, and of an
+// Inner or Semi join's two inputs the one whose filter gains more; it fires
+// only when the estimator expects it to save per-node rows (localSlot). A
+// local filter pays no transfer, only the rows it keeps, as a Filter does.
+// Without statistics no filter is local, and plans stay as they were.
+//
+// A filter goes as deep into the target as the key column passes unchanged
+// (passDown), which in practice is directly above a base-table scan, below
+// its filters — but for one the local rule fired, which goes where the
+// estimator expects it to save the most. Joins are visited top-down, so a
+// filter placed by an enclosing join already makes its target selective
+// when the joins below it are visited: filters chain from join to join down
+// the tree.
 
 // placeTransfers visits the joins of the subtree at n top-down.
 func (r *Rewriter) placeTransfers(n Node) {
@@ -50,65 +65,156 @@ func (r *Rewriter) placeTransfers(n Node) {
 func (r *Rewriter) transfer(j *JoinNode) {
 	in := func(n Node) transferInput {
 		_, bcast := n.(*BroadcastNode)
-		return transferInput{ex: hasExchange(n), bcast: bcast, sel: selective(n)}
+		return r.input(n, false, bcast)
 	}
-	source := r.sourceOf(j, j.Left, j.Right, in(j.Left), in(j.Right))
-	if source == NoSide {
+	f := r.fire(j, j.Left, j.Right, in(j.Left), in(j.Right))
+	if f.source == NoSide {
 		return
 	}
 	target, key := &j.Right, j.RightCols[0]
-	if source == RightSide {
+	if f.source == RightSide {
 		target, key = &j.Left, j.LeftCols[0]
 	}
-	j.Source = source
-	slot := target
-	for next := r.passDown(*slot, key); next != nil; next = r.passDown(*slot, key) {
-		slot = next
+	j.Source = f.source
+	slot := r.filterSlot(target, key)
+	if f.gated {
+		slot, _ = r.localSlot(target, key, r.containAt(j, j.Left, j.Right, f.source))
 	}
-	f := &RuntimeFilterNode{Child: *slot, Col: key, From: j}
-	r.note(f, r.out.Schemas[*slot], r.out.Props[*slot].Clone())
-	*slot = f
+	rf := &RuntimeFilterNode{Child: *slot, Col: key, From: j, Local: f.local}
+	r.note(rf, r.out.Schemas[*slot], r.out.Props[*slot].Clone())
+	*slot = rf
 	clear(r.memo) // the estimates above the filter no longer hold
 }
 
-// transferInput is what the transfer rule reads of one input of a join:
-// whether it has an exchange below it, whether it is a broadcast, and
-// whether it is selective.
-type transferInput struct{ ex, bcast, sel bool }
-
-// sourceOf applies the rule above to a join j whose inputs, left and right
-// before any exchange j adds, look like l and rt; it returns the source
-// side, or NoSide when no filter fires. The rewrite's estimator asks it of
-// the inputs a join choice would build.
-func (r *Rewriter) sourceOf(j *JoinNode, left, right Node, l, rt transferInput) Side {
-	if len(j.LeftCols) != 1 {
-		return NoSide
+// filterSlot follows passDown from slot as deep as the key column col
+// passes unchanged, and returns where a filter on col goes.
+func (r *Rewriter) filterSlot(slot *Node, col string) *Node {
+	for next := r.passDown(*slot, col); next != nil; next = r.passDown(*slot, col) {
+		slot = next
 	}
-	var source Side
-	var target transferInput
+	return slot
+}
+
+// localSlot returns where, from the join input slot target down, a local
+// filter on col that keeps the share c of its rows saves the most per-node
+// rows, and how many: the filter processes the rows it keeps, as a Filter
+// does, and every operator between it and the join, the join included,
+// processes only those.
+func (r *Rewriter) localSlot(target *Node, col string, c float64) (*Node, float64) {
+	saved := r.rows(*target) * (1 - c) // the join's input
+	best, gain := target, saved-r.rows(*target)*c
+	for slot := target; ; {
+		next := r.passDown(*slot, col)
+		if next == nil {
+			return best, gain
+		}
+		saved += r.rows(*slot) * (1 - c) // *slot now runs above the filter
+		slot = next
+		if g := saved - r.rows(*slot)*c; g > gain {
+			best, gain = slot, g
+		}
+	}
+}
+
+// transferInput is what the transfer rule reads of one input of a join:
+// whether it has an exchange below it, whether it is a broadcast, whether it
+// is selective, and whether each of its partitions holds all of its rows.
+type transferInput struct{ ex, bcast, sel, repl bool }
+
+// input describes the join input x to the transfer rule; shipped and bcast
+// say that the join will re-partition or broadcast it.
+func (r *Rewriter) input(x Node, shipped, bcast bool) transferInput {
+	return transferInput{
+		ex:    shipped || hasExchange(x),
+		bcast: bcast,
+		sel:   selective(x),
+		repl:  bcast || !shipped && r.replicated(x),
+	}
+}
+
+// A firing is the transfer rule's decision at one join: the source side,
+// NoSide when no filter fires; whether the filter is local; and whether the
+// local rule's gain decided it, which places it where it gains the most
+// (localSlot) rather than as deep as it goes.
+type firing struct {
+	source       Side
+	local, gated bool
+}
+
+// fire applies the rule above to a join j whose inputs, left and right
+// before any exchange j adds, look like l and rt. The rewrite's estimator
+// asks it of the inputs a join choice would build.
+func (r *Rewriter) fire(j *JoinNode, left, right Node, l, rt transferInput) firing {
+	if len(j.LeftCols) != 1 {
+		return firing{}
+	}
+	if source, src := r.exchangeSource(j, left, right, l, rt); source != NoSide {
+		return firing{source: source, local: src.repl && r.Opt.Stats != nil}
+	}
+	return firing{source: r.localSource(j, left, right, l, rt), local: true, gated: true}
+}
+
+// exchangeSource returns the source of a filter into a target with an
+// exchange below it, or from a broadcast input, and what the rule read of
+// that source.
+func (r *Rewriter) exchangeSource(j *JoinNode, left, right Node, l, rt transferInput) (Side, transferInput) {
+	src, source, target := l, LeftSide, rt
 	switch {
 	case rt.bcast && rt.sel && (j.Type == Inner || j.Type == Semi):
-		source, target = RightSide, l
+		src, source, target = rt, RightSide, l
 	case l.bcast && l.sel:
-		source, target = LeftSide, rt
 	default:
-		src := l
-		source, target = LeftSide, rt
 		if (j.Type == Inner || j.Type == Semi) && !rt.ex && l.ex {
 			src, source, target = rt, RightSide, l
 		}
 		if !target.ex || !src.sel || target.bcast && !r.dropsEnough(j, left, right, source) {
-			return NoSide
+			return NoSide, src
 		}
-		return source
+		return source, src
 	}
 	// A broadcast source over a target that ships nothing saves only the
 	// rows the filter drops: with statistics, it must be estimated to drop
 	// some.
 	if !target.ex && r.Opt.Stats != nil && r.containAt(j, left, right, source) >= 1 {
+		return NoSide, src
+	}
+	return source, src
+}
+
+// localSource returns the source of a local filter into a target with no
+// exchange below it, or NoSide. It needs statistics: the source must be
+// selective and its filter estimated to drop more rows of the target than
+// it keeps where it sits (localGain). Of two such sources, an Inner or Semi
+// join takes the one that gains more, the left on a tie.
+func (r *Rewriter) localSource(j *JoinNode, left, right Node, l, rt transferInput) Side {
+	if r.Opt.Stats == nil {
 		return NoSide
 	}
-	return source
+	best, gain := NoSide, 0.0
+	try := func(source Side, src, target transferInput) {
+		if !src.sel || target.ex {
+			return
+		}
+		if g := r.localGain(j, left, right, source); g > gain {
+			best, gain = source, g
+		}
+	}
+	try(LeftSide, l, rt)
+	if j.Type == Inner || j.Type == Semi {
+		try(RightSide, rt, l)
+	}
+	return best
+}
+
+// localGain estimates the per-node rows a local filter from source saves
+// where it saves the most (localSlot).
+func (r *Rewriter) localGain(j *JoinNode, left, right Node, source Side) float64 {
+	target, key := right, j.RightCols[0]
+	if source == RightSide {
+		target, key = left, j.LeftCols[0]
+	}
+	_, gain := r.localSlot(&target, key, r.containAt(j, left, right, source))
+	return gain
 }
 
 // dropsEnough reports whether the filter source puts on j's broadcast
@@ -141,14 +247,19 @@ func (r *Rewriter) containAt(j *JoinNode, left, right Node, source Side) float64
 
 // filtered estimates the rows j's inputs keep once the runtime filter the
 // rule would fire on inputs looking like l and rt has run, and the transfers
-// that takes.
+// that takes: none for a local filter.
 func (r *Rewriter) filtered(j *JoinNode, left, right Node, l, rt transferInput) (float64, float64, int) {
 	lr, rr := r.rows(left), r.rows(right)
-	switch source := r.sourceOf(j, left, right, l, rt); source {
+	f := r.fire(j, left, right, l, rt)
+	x := 1
+	if f.local {
+		x = 0
+	}
+	switch f.source {
 	case LeftSide:
-		return lr, rr * r.containAt(j, left, right, source), 1
+		return lr, rr * r.containAt(j, left, right, f.source), x
 	case RightSide:
-		return lr * r.containAt(j, left, right, source), rr, 1
+		return lr * r.containAt(j, left, right, f.source), rr, x
 	}
 	return lr, rr, 0
 }
@@ -196,6 +307,33 @@ func (r *Rewriter) passDown(n Node, col string) *Node {
 		}
 	}
 	return nil
+}
+
+// replicated reports whether every partition of the subtree at n holds all
+// of its rows: a replicated input that no local filter has thinned, each
+// partition by its own keys. (Below a broadcast nothing can have.)
+func (r *Rewriter) replicated(n Node) bool {
+	if p := r.out.Props[n]; p == nil || !p.Repl {
+		return false
+	}
+	var thinned func(Node) bool
+	thinned = func(n Node) bool {
+		switch n := n.(type) {
+		case *BroadcastNode:
+			return false
+		case *RuntimeFilterNode:
+			if n.Local {
+				return true
+			}
+		}
+		for _, c := range n.Children() {
+			if thinned(c) {
+				return true
+			}
+		}
+		return false
+	}
+	return !thinned(n)
 }
 
 // hasExchange reports whether the subtree at n moves rows between nodes.

@@ -149,6 +149,10 @@ const (
 	// KindRuntimeFilter receives a join's Bloom filters — bytes shipped with
 	// no rows — and drops the rows they rule out: in = out + filtered.
 	KindRuntimeFilter Kind = "runtime-filter"
+	// KindLocalFilter probes, on each node, only the Bloom filter its join
+	// built there: it ships nothing, is no transfer, and keeps
+	// in = out + filtered.
+	KindLocalFilter Kind = "local-filter"
 	// KindResult is the synthetic root: the implicit gather of the plan
 	// root's partitions to the coordinator.
 	KindResult Kind = "result"
@@ -311,8 +315,9 @@ type Totals struct {
 	// (a by-value distinct shuffles, so it counts as a repartition).
 	Repartitions int `json:"repartitions"`
 	Broadcasts   int `json:"broadcasts"`
-	// Transfers counts runtime join filters executed: each ships one Bloom
-	// filter per source partition to every other node.
+	// Transfers counts shipped runtime join filters executed: each ships one
+	// Bloom filter per source partition to every other node. A local filter
+	// ships nothing and is not counted.
 	Transfers int `json:"transfers"`
 	// Retries counts discarded work-unit attempts and failed exchange
 	// shipments that were retried.

@@ -158,7 +158,7 @@ func TestKindExchange(t *testing.T) {
 		}
 	}
 	for _, k := range []Kind{KindScan, KindFilter, KindProject, KindJoin, KindAggregate,
-		KindPartialAgg, KindFinalAgg, KindDistinctPref, KindTopK, KindRuntimeFilter, KindUnexecuted} {
+		KindPartialAgg, KindFinalAgg, KindDistinctPref, KindTopK, KindRuntimeFilter, KindLocalFilter, KindUnexecuted} {
 		if k.Exchange() {
 			t.Errorf("%s must not be an exchange", k)
 		}

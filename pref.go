@@ -229,6 +229,7 @@ const (
 	KindGather          = trace.KindGather
 	KindTopK            = trace.KindTopK
 	KindRuntimeFilter   = trace.KindRuntimeFilter
+	KindLocalFilter     = trace.KindLocalFilter
 	KindResult          = trace.KindResult
 	KindUnexecuted      = trace.KindUnexecuted
 )
