@@ -194,7 +194,10 @@ func AblationPartitionIndex(p Params) (*Report, error) {
 		name string
 		use  bool
 	}{{"with index (paper)", true}, {"without index", false}} {
-		pdb := emptyPDB(t.DB, cfg)
+		pdb, err := partition.NewStore(t.DB.Schema, cfg)
+		if err != nil {
+			return nil, err
+		}
 		loader := bulkload.NewLoader(pdb, cfg)
 		loader.UsePartitionIndex = mode.use
 		start := time.Now()

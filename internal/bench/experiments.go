@@ -275,7 +275,10 @@ func Fig10(p Params) (*Report, error) {
 		var wall time.Duration
 		var stored, lookups int
 		for _, g := range v.Groups {
-			pdb := emptyPDB(t.DB, g.Config)
+			pdb, err := partition.NewStore(t.DB.Schema, g.Config)
+			if err != nil {
+				return nil, fmt.Errorf("variant %s: %w", name, err)
+			}
 			loader := bulkload.NewLoader(pdb, g.Config)
 			start := time.Now()
 			sub := subDB(t.DB, g.Config)
@@ -290,16 +293,6 @@ func Fig10(p Params) (*Report, error) {
 	}
 	r.Notes = append(r.Notes, "paper shape: CP ≈ SD < SD-noRed < WD")
 	return r, nil
-}
-
-func emptyPDB(db *table.Database, cfg *partition.Config) *table.PartitionedDatabase {
-	pdb := &table.PartitionedDatabase{
-		Schema: db.Schema, Tables: map[string]*table.Partitioned{}, N: cfg.NumPartitions,
-	}
-	for name := range cfg.Schemes {
-		pdb.Tables[name] = table.NewPartitioned(db.Tables[name].Meta, cfg.NumPartitions)
-	}
-	return pdb
 }
 
 func subDB(db *table.Database, cfg *partition.Config) *table.Database {

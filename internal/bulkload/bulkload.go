@@ -1,10 +1,13 @@
 // Package bulkload implements the incremental write path of Section 2.3:
-// inserting new tuples into an already-partitioned database. Inserts into
-// a PREF-partitioned table use the partition index — a hash index mapping
-// referenced-attribute values to the set of partitions holding them — so
-// no join with the referenced table is executed per tuple. Updates and
-// deletes fan out to all partitions; partitioning-predicate columns are
-// immutable.
+// inserting new tuples into a partitioned database, either one that
+// partition.Apply built or the empty one of partition.NewStore. Where a
+// row goes is not decided here: inserts are placed by partition.Placer,
+// the rule partition.Apply places by, and this package turns the targets
+// into recorded steps. Inserts into a PREF-partitioned table use the
+// partition index — a hash index mapping referenced-attribute values to
+// the set of partitions holding them — so no join with the referenced
+// table is executed per tuple. Updates and deletes fan out to all
+// partitions; partitioning-predicate columns are immutable.
 //
 // Writes are crash-consistent. Every batch follows one protocol:
 //
@@ -46,17 +49,15 @@ type Loader struct {
 	pdb *table.PartitionedDatabase
 	cfg *partition.Config
 
-	// partIdx caches one partition index per PREF-partitioned table:
-	// referenced-key → sorted partition set of the referenced table.
-	partIdx map[string]map[value.Key][]int
-	// UsePartitionIndex can be disabled to measure its benefit (the
-	// Section 2.3 ablation): inserts then scan the referenced table.
+	// placers caches one partition.Placer per table. A PREF table's
+	// placer holds the partition index of its referenced table
+	// (referenced key → sorted partition set), so it is dropped whenever
+	// that table changes.
+	placers map[string]*partition.Placer
+	// UsePartitionIndex can be disabled, before the first insert, to
+	// measure its benefit (the Section 2.3 ablation): inserts then scan
+	// the referenced table.
 	UsePartitionIndex bool
-
-	// rr tracks the round-robin cursor for orphan tuples per table. It
-	// advances only at commit (the cursor after a batch is recorded in
-	// the intent), so a crashed batch replays with identical placement.
-	rr map[string]int
 
 	// Faults, when set, supplies write-side crash and index-race
 	// injection. Nil disables injection.
@@ -80,8 +81,7 @@ type Loader struct {
 func NewLoader(pdb *table.PartitionedDatabase, cfg *partition.Config) *Loader {
 	return &Loader{
 		pdb: pdb, cfg: cfg,
-		partIdx:           map[string]map[value.Key][]int{},
-		rr:                map[string]int{},
+		placers:           map[string]*partition.Placer{},
 		UsePartitionIndex: true,
 	}
 }
@@ -147,7 +147,7 @@ func (l *Loader) Apply(ops ...Op) (*Commit, error) {
 		// write. Targets were already bound during planning, so the race
 		// only costs a rebuild on the next batch — which is exactly the
 		// invariant the intent log is meant to guarantee.
-		l.partIdx = map[string]map[value.Key][]int{}
+		l.placers = map[string]*partition.Placer{}
 		l.Metrics.IndexRaces++
 	}
 	stage, stepIdx := l.Faults.WriteCrash(seq, len(it.Steps))
@@ -221,7 +221,7 @@ func (l *Loader) Recover() (*RecoveryReport, error) {
 	}
 	l.crashed = false
 	// The head moved underneath the caches; rebuild lazily.
-	l.partIdx = map[string]map[value.Key][]int{}
+	l.placers = map[string]*partition.Placer{}
 	return rep, nil
 }
 
@@ -241,8 +241,7 @@ func (l *Loader) plan(ops []Op) (*Intent, error) {
 	if pt == nil {
 		return nil, fmt.Errorf("bulkload: unknown table %s", tbl)
 	}
-	ts := l.cfg.Scheme(tbl)
-	if ts == nil {
+	if l.cfg.Scheme(tbl) == nil {
 		return nil, fmt.Errorf("bulkload: no scheme for table %s", tbl)
 	}
 	it := &Intent{
@@ -253,7 +252,7 @@ func (l *Loader) plan(ops []Op) (*Intent, error) {
 	var err error
 	switch kind {
 	case OpInsert:
-		err = l.planInserts(it, pt, ts, ops)
+		err = l.planInserts(it, pt, ops)
 	case OpDelete:
 		err = l.planDelete(it, pt, ops[0])
 	case OpUpdate:
@@ -267,86 +266,33 @@ func (l *Loader) plan(ops []Op) (*Intent, error) {
 	return it, nil
 }
 
-// planInserts routes each row by the table's scheme: hash tuples to
-// their computed partition, round-robin by cursor, replicated tuples to
-// every partition, and PREF tuples to every partition holding a
-// partitioning partner (orphans by hash-equivalence or round-robin —
-// condition (2) of Definition 1). The referenced table must be loaded
-// first; inserts into the batch's own table cannot change its own
-// targets, so the partition index stays valid for the whole batch.
-func (l *Loader) planInserts(it *Intent, pt *table.Partitioned, ts *partition.TableScheme, ops []Op) error {
-	n := l.pdb.N
-	appends := map[int][]AppendRec{}
-	rr := l.rr[it.Table]
-
-	var hashCols, ringCols, orphanCols []int
-	var orphanHash bool
-	var err error
-	switch ts.Method {
-	case partition.Hash:
-		if hashCols, err = pt.Meta.ColIndexes(ts.Cols); err != nil {
-			return err
-		}
-	case partition.Pref:
-		if ringCols, err = pt.Meta.ColIndexes(ts.Pred.ReferencingCols); err != nil {
-			return err
-		}
-		if mapped, ok := l.cfg.HashEquivalent(it.Table); ok {
-			if orphanCols, err = pt.Meta.ColIndexes(mapped); err != nil {
-				return err
-			}
-			orphanHash = true
-		}
-	case partition.RoundRobin, partition.Replicated:
-	default:
-		return fmt.Errorf("bulkload: unsupported scheme %v for %s", ts.Method, it.Table)
+// planInserts places each row through the table's partition.Placer — the
+// rule partition.Apply places by — and records every target as an append
+// step. The referenced table must be loaded first; inserts into the
+// batch's own table cannot change its own targets, so the partition index
+// stays valid for the whole batch. The round-robin cursor advances only
+// at commit (the cursor after the batch is recorded in the intent), so a
+// crashed batch replays with identical placement.
+func (l *Loader) planInserts(it *Intent, pt *table.Partitioned, ops []Op) error {
+	pl, err := l.placer(it.Table, pt)
+	if err != nil {
+		return err
 	}
-
+	appends := map[int][]AppendRec{}
+	cursor := pt.Cursor
 	for _, op := range ops {
 		row := op.Row
 		if len(row) != pt.Meta.NumCols() {
 			return fmt.Errorf("bulkload: table %s: row arity %d, want %d", it.Table, len(row), pt.Meta.NumCols())
 		}
-		switch ts.Method {
-		case partition.Hash:
-			p := int(value.HashTuple(row, hashCols) % uint64(n))
-			appends[p] = append(appends[p], AppendRec{Row: row})
-
-		case partition.RoundRobin:
-			p := rr % n
-			rr++
-			appends[p] = append(appends[p], AppendRec{Row: row})
-
-		case partition.Replicated:
-			for p := 0; p < n; p++ {
-				appends[p] = append(appends[p], AppendRec{Row: row, Dup: p > 0})
-			}
-
-		case partition.Pref:
-			key := value.MakeKey(row, ringCols)
-			targets, err := l.targetPartitions(it.Table, key)
-			if err != nil {
-				return err
-			}
-			if len(targets) == 0 {
-				var p int
-				if orphanHash {
-					p = int(value.HashTuple(row, orphanCols) % uint64(n))
-				} else {
-					p = rr % n
-					rr++
-				}
-				appends[p] = append(appends[p], AppendRec{Row: row})
-			} else {
-				for i, p := range targets {
-					appends[p] = append(appends[p], AppendRec{Row: row, Dup: i > 0, HasRef: true})
-				}
-			}
+		parts, hasRef := pl.Place(row, &cursor)
+		for i, p := range parts {
+			appends[p] = append(appends[p], AppendRec{Row: row, Dup: i > 0, HasRef: hasRef})
 		}
 	}
 
-	if rr != l.rr[it.Table] {
-		it.RRAfter[it.Table] = rr
+	if cursor != pt.Cursor {
+		it.RRAfter[it.Table] = cursor
 	}
 	it.DeltaRows[it.Table] = len(ops)
 	parts := make([]int, 0, len(appends))
@@ -527,7 +473,7 @@ func (l *Loader) commit(it *Intent) *Commit {
 		l.pdb.Tables[t].OriginalRows += d
 	}
 	for t, c := range it.RRAfter {
-		l.rr[t] = c
+		l.pdb.Tables[t].Cursor = c
 	}
 	tables := it.tables()
 	epoch := l.pdb.Commit(tables...)
@@ -550,64 +496,66 @@ func (l *Loader) commit(it *Intent) *Commit {
 	return c
 }
 
-// partitionIndex returns (building on first use) the partition index on
-// the referenced columns of tbl's PREF scheme.
-func (l *Loader) partitionIndex(tbl string) (map[value.Key][]int, error) {
-	if idx, ok := l.partIdx[tbl]; ok {
-		return idx, nil
+// placer returns (building on first use) the placer of table tbl, stored
+// as pt. A PREF table's placer finds partitioning partners through the
+// partition index on the referenced columns or, with UsePartitionIndex
+// off, by scanning the referenced table.
+func (l *Loader) placer(tbl string, pt *table.Partitioned) (*partition.Placer, error) {
+	if pl, ok := l.placers[tbl]; ok {
+		return pl, nil
 	}
-	ts := l.cfg.Scheme(tbl)
-	ref := l.pdb.Tables[ts.RefTable]
-	if ref == nil {
-		return nil, fmt.Errorf("bulkload: referenced table %s not loaded", ts.RefTable)
-	}
-	idx, err := partition.PartitionIndex(ref, ts.Pred.ReferencedCols)
-	if err != nil {
-		return nil, err
-	}
-	l.partIdx[tbl] = idx
-	return idx, nil
-}
-
-// targetPartitions resolves which partitions must receive a copy of a
-// tuple of a PREF table, via the partition index or (if disabled) a scan
-// of the referenced table.
-func (l *Loader) targetPartitions(tbl string, ringKey value.Key) ([]int, error) {
-	ts := l.cfg.Scheme(tbl)
-	if l.UsePartitionIndex {
-		idx, err := l.partitionIndex(tbl)
-		if err != nil {
-			return nil, err
+	var lookup func(value.Tuple, []int) []int
+	if ts := l.cfg.Scheme(tbl); ts.Method == partition.Pref {
+		ref := l.pdb.Tables[ts.RefTable]
+		if ref == nil {
+			return nil, fmt.Errorf("bulkload: referenced table %s not loaded", ts.RefTable)
 		}
-		l.Lookups++
-		return idx[ringKey], nil
-	}
-	// Fallback: scan every partition of the referenced table.
-	ref := l.pdb.Tables[ts.RefTable]
-	cols, err := ref.Meta.ColIndexes(ts.Pred.ReferencedCols)
-	if err != nil {
-		return nil, err
-	}
-	var targets []int
-	for p, part := range ref.Parts {
-		data := part.Columns(ref.Meta.NumCols()).Cols
-		for i, n := 0, part.Len(); i < n; i++ {
-			l.ScannedRows++
-			if value.MakeKeyAt(data, i, cols) == ringKey {
-				targets = append(targets, p)
-				break
+		if l.UsePartitionIndex {
+			idx, err := partition.PartitionIndex(ref, ts.Pred.ReferencedCols)
+			if err != nil {
+				return nil, err
+			}
+			lookup = func(row value.Tuple, ringCols []int) []int {
+				l.Lookups++
+				return idx[value.MakeKey(row, ringCols)]
+			}
+		} else {
+			cols, err := ref.Meta.ColIndexes(ts.Pred.ReferencedCols)
+			if err != nil {
+				return nil, err
+			}
+			lookup = func(row value.Tuple, ringCols []int) []int {
+				key := value.MakeKey(row, ringCols)
+				var targets []int
+				for p, part := range ref.Parts {
+					data := part.Columns(ref.Meta.NumCols()).Cols
+					for i, n := 0, part.Len(); i < n; i++ {
+						l.ScannedRows++
+						if value.MakeKeyAt(data, i, cols) == key {
+							targets = append(targets, p)
+							break
+						}
+					}
+				}
+				return targets
 			}
 		}
 	}
-	return targets, nil
+	pl, err := partition.NewPlacer(l.cfg, pt.Meta, lookup)
+	if err != nil {
+		return nil, err
+	}
+	l.placers[tbl] = pl
+	return pl, nil
 }
 
-// invalidateDependents drops cached partition indexes of tables that
-// PREF-reference tbl (their referenced data changed).
+// invalidateDependents drops the cached placers, and with them the
+// partition indexes, of tables that PREF-reference tbl (their referenced
+// data changed).
 func (l *Loader) invalidateDependents(tbl string) {
 	for name, ts := range l.cfg.Schemes {
 		if ts.Method == partition.Pref && ts.RefTable == tbl {
-			delete(l.partIdx, name)
+			delete(l.placers, name)
 		}
 	}
 }

@@ -4,10 +4,12 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
 	"pref/internal/catalog"
+	"pref/internal/check"
 	"pref/internal/fault"
 	"pref/internal/partition"
 	"pref/internal/table"
@@ -52,46 +54,134 @@ func fullDB(t *testing.T, nCust, ordersPer, linesPer int) *table.Database {
 	return db
 }
 
-// Bulk loading tuple-at-a-time must produce exactly the same partitioned
-// database as the offline partitioner (up to dup-bit placement, which both
-// assign to the first-stored copy).
+// Bulk loading into the empty store must build exactly the partitioned
+// database the offline partitioner builds, under every scheme: the same
+// rows in the same stored order with the same dup and hasRef bits, the
+// same Replicated flags, cardinalities and cursors, and both stores clean
+// under check.VerifyStore.
 func TestLoadMatchesOfflinePartitioner(t *testing.T) {
-	db := fullDB(t, 12, 3, 4)
-	cfg := chainCfg(4)
-
-	offline, err := partition.Apply(db, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	empty := emptyPDB(db, cfg)
-	loader := NewLoader(empty, cfg)
-	if _, err := loader.LoadDatabase(db); err != nil {
-		t.Fatal(err)
-	}
-
-	for _, tbl := range []string{"lineitem", "orders", "customer"} {
-		a, b := offline.Tables[tbl], empty.Tables[tbl]
-		if a.StoredRows() != b.StoredRows() {
-			t.Fatalf("%s: offline %d rows vs loaded %d", tbl, a.StoredRows(), b.StoredRows())
+	each := func(cfg *partition.Config, m partition.Method, cols map[string]string) *partition.Config {
+		for tbl, col := range cols {
+			ts := &partition.TableScheme{Table: tbl, Method: m}
+			switch m {
+			case partition.Hash:
+				ts.Cols = []string{col}
+			case partition.Range:
+				ts.Cols, ts.Bounds = []string{col}, []int64{8, 20, 30}
+			}
+			cfg.Set(ts)
 		}
-		if a.DuplicateRows() != b.DuplicateRows() {
-			t.Fatalf("%s: offline %d dups vs loaded %d", tbl, a.DuplicateRows(), b.DuplicateRows())
+		return cfg
+	}
+	keys := map[string]string{"lineitem": "linekey", "orders": "orderkey", "customer": "custkey"}
+	hashEquivalent := partition.NewConfig(4).SetHash("lineitem", "orderkey")
+	hashEquivalent.SetPref("orders", "lineitem", []string{"orderkey"}, []string{"orderkey"})
+	hashEquivalent.SetPref("customer", "orders", []string{"custkey"}, []string{"custkey"})
+	for _, tc := range []struct {
+		name string
+		cfg  *partition.Config
+	}{
+		{"hash", each(partition.NewConfig(4), partition.Hash, keys)},
+		{"round-robin", each(partition.NewConfig(4), partition.RoundRobin, keys)},
+		{"range", each(partition.NewConfig(4), partition.Range, keys)},
+		{"replicated", each(partition.NewConfig(4), partition.Replicated, keys)},
+		// lineitem is hashed on linekey, so orders' orphans go round-robin.
+		{"pref/round-robin-orphans", chainCfg(4)},
+		// orders is hash-equivalent on orderkey and hashes its orphans.
+		{"pref/hash-equivalent-orphans", hashEquivalent},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			db := fullDB(t, 12, 3, 4)
+			// Orders without lineitems and customers without orders are
+			// PREF orphans.
+			for k := int64(0); k < 5; k++ {
+				db.Tables["orders"].MustAppend(value.Tuple{100 + k, 50 + k})
+				db.Tables["customer"].MustAppend(value.Tuple{60 + k, k})
+			}
+			offline, err := partition.Apply(db, tc.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			loaded := emptyPDB(t, db, tc.cfg)
+			if _, err := NewLoader(loaded, tc.cfg).LoadDatabase(db); err != nil {
+				t.Fatal(err)
+			}
+			sameStore(t, tc.cfg, offline, loaded)
+		})
+	}
+}
+
+// sameStore fails the test unless two partitioned databases of cfg both
+// pass check.VerifyStore and hold every table identically: each
+// partition's columns in stored order, dup and hasRef included, and the
+// table's Replicated (set exactly for replicated schemes), OriginalRows
+// and Cursor.
+func sameStore(t *testing.T, cfg *partition.Config, want, got *table.PartitionedDatabase) {
+	t.Helper()
+	for _, pdb := range []*table.PartitionedDatabase{want, got} {
+		if err := check.VerifyStore(pdb, cfg); err != nil {
+			t.Fatalf("store under %v: %v", cfg, err)
 		}
+	}
+	if len(want.Tables) != len(got.Tables) || want.N != got.N {
+		t.Fatalf("stores differ in shape: %d tables on %d nodes vs %d on %d",
+			len(want.Tables), want.N, len(got.Tables), got.N)
+	}
+	for name, a := range want.Tables {
+		b := got.Tables[name]
+		if b == nil {
+			t.Fatalf("%s missing", name)
+		}
+		if a.Replicated != (cfg.Scheme(name).Method == partition.Replicated) {
+			t.Fatalf("%s: Replicated = %v under %v", name, a.Replicated, cfg.Scheme(name))
+		}
+		if a.Replicated != b.Replicated || a.OriginalRows != b.OriginalRows || a.Cursor != b.Cursor {
+			t.Fatalf("%s: Replicated/OriginalRows/Cursor %v/%d/%d vs %v/%d/%d", name,
+				a.Replicated, a.OriginalRows, a.Cursor, b.Replicated, b.OriginalRows, b.Cursor)
+		}
+		w := a.Meta.NumCols()
 		for p := range a.Parts {
-			if !sameRowMultiset(a.Parts[p].Rows(), b.Parts[p].Rows()) {
-				t.Fatalf("%s partition %d differs", tbl, p)
+			ac, bc := a.Parts[p].Columns(w).Cols, b.Parts[p].Columns(w).Cols
+			for j := range ac {
+				if !slices.Equal(ac[j], bc[j]) {
+					t.Fatalf("%s partition %d differs:\n%v\n%v", name, p, ac, bc)
+				}
 			}
 		}
 	}
 }
 
-func emptyPDB(db *table.Database, cfg *partition.Config) *table.PartitionedDatabase {
-	pdb := &table.PartitionedDatabase{
-		Schema: db.Schema, Tables: map[string]*table.Partitioned{}, N: cfg.NumPartitions,
+// A round-robin table's cursor continues where Apply left it: seven rows
+// on three partitions sit 3/2/2, and two more inserts make 3/3/3.
+func TestRoundRobinCursorContinuesAfterApply(t *testing.T) {
+	cfg := partition.NewConfig(3).SetHash("customer", "custkey").SetHash("lineitem", "linekey")
+	cfg.Set(&partition.TableScheme{Table: "orders", Method: partition.RoundRobin})
+	db := table.NewDatabase(schemaCOL(t))
+	for k := int64(0); k < 7; k++ {
+		db.Tables["orders"].MustAppend(value.Tuple{k, 0})
 	}
-	for name, d := range db.Tables {
-		pdb.Tables[name] = table.NewPartitioned(d.Meta, cfg.NumPartitions)
+	pdb, err := partition.Apply(db, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l := NewLoader(pdb, cfg)
+	for k := int64(7); k < 9; k++ {
+		if err := l.Insert("orders", value.Tuple{k, 0}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for p, part := range pdb.Tables["orders"].Parts {
+		if part.Len() != 3 {
+			t.Fatalf("partition %d holds %d orders, want 3 on each of 3", p, part.Len())
+		}
+	}
+}
+
+func emptyPDB(t *testing.T, db *table.Database, cfg *partition.Config) *table.PartitionedDatabase {
+	t.Helper()
+	pdb, err := partition.NewStore(db.Schema, cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
 	return pdb
 }
@@ -126,11 +216,11 @@ func TestPartitionIndexAblation(t *testing.T) {
 	db := fullDB(t, 10, 2, 3)
 	cfg := chainCfg(4)
 
-	fast := NewLoader(emptyPDB(db, cfg), cfg)
+	fast := NewLoader(emptyPDB(t, db, cfg), cfg)
 	if _, err := fast.LoadDatabase(db); err != nil {
 		t.Fatal(err)
 	}
-	slow := NewLoader(emptyPDB(db, cfg), cfg)
+	slow := NewLoader(emptyPDB(t, db, cfg), cfg)
 	slow.UsePartitionIndex = false
 	if _, err := slow.LoadDatabase(db); err != nil {
 		t.Fatal(err)
@@ -152,7 +242,7 @@ func TestPartitionIndexAblation(t *testing.T) {
 func TestInsertOrphanThenPartnerBatches(t *testing.T) {
 	db := fullDB(t, 2, 1, 1)
 	cfg := chainCfg(2)
-	pdb := emptyPDB(db, cfg)
+	pdb := emptyPDB(t, db, cfg)
 	l := NewLoader(pdb, cfg)
 	if _, err := l.LoadDatabase(db); err != nil {
 		t.Fatal(err)
@@ -205,7 +295,7 @@ func TestInsertOrphanThenPartnerBatches(t *testing.T) {
 func TestInsertErrors(t *testing.T) {
 	db := fullDB(t, 2, 1, 1)
 	cfg := chainCfg(2)
-	l := NewLoader(emptyPDB(db, cfg), cfg)
+	l := NewLoader(emptyPDB(t, db, cfg), cfg)
 	if err := l.Insert("nope", value.Tuple{1}); err == nil {
 		t.Fatal("unknown table must error")
 	}
@@ -217,7 +307,7 @@ func TestInsertErrors(t *testing.T) {
 func TestDeleteFansOut(t *testing.T) {
 	db := fullDB(t, 6, 2, 4)
 	cfg := chainCfg(3)
-	pdb := emptyPDB(db, cfg)
+	pdb := emptyPDB(t, db, cfg)
 	l := NewLoader(pdb, cfg)
 	if _, err := l.LoadDatabase(db); err != nil {
 		t.Fatal(err)
@@ -248,7 +338,7 @@ func TestDeleteFansOut(t *testing.T) {
 func TestUpdateRules(t *testing.T) {
 	db := fullDB(t, 4, 1, 2)
 	cfg := chainCfg(2)
-	pdb := emptyPDB(db, cfg)
+	pdb := emptyPDB(t, db, cfg)
 	l := NewLoader(pdb, cfg)
 	if _, err := l.LoadDatabase(db); err != nil {
 		t.Fatal(err)
@@ -290,7 +380,7 @@ func TestReplicatedAndRoundRobinInsert(t *testing.T) {
 	cfg.Set(&partition.TableScheme{Table: "orders", Method: partition.RoundRobin})
 	cfg.SetHash("lineitem", "linekey")
 	db := table.NewDatabase(s)
-	pdb := emptyPDB(db, cfg)
+	pdb := emptyPDB(t, db, cfg)
 	l := NewLoader(pdb, cfg)
 
 	if err := l.Insert("customer", value.Tuple{1, 0}); err != nil {
@@ -342,12 +432,12 @@ func TestCrashedBatchesRecoverToOracle(t *testing.T) {
 	db := fullDB(t, 8, 2, 2)
 	cfg := chainCfg(3)
 
-	pdb := emptyPDB(db, cfg)
+	pdb := emptyPDB(t, db, cfg)
 	l := NewLoader(pdb, cfg)
 	if _, err := l.LoadDatabase(db); err != nil {
 		t.Fatal(err)
 	}
-	opdb := emptyPDB(db, cfg)
+	opdb := emptyPDB(t, db, cfg)
 	ol := NewLoader(opdb, cfg)
 	if _, err := ol.LoadDatabase(db); err != nil {
 		t.Fatal(err)
@@ -420,7 +510,7 @@ func TestCrashedBatchesRecoverToOracle(t *testing.T) {
 func TestSnapshotIsolationAcrossCrash(t *testing.T) {
 	db := fullDB(t, 4, 2, 2)
 	cfg := chainCfg(2)
-	pdb := emptyPDB(db, cfg)
+	pdb := emptyPDB(t, db, cfg)
 	l := NewLoader(pdb, cfg)
 	if _, err := l.LoadDatabase(db); err != nil {
 		t.Fatal(err)
@@ -479,7 +569,7 @@ func TestSnapshotIsolationAcrossCrash(t *testing.T) {
 func TestInsertDeleteReinsertDupBits(t *testing.T) {
 	db := table.NewDatabase(schemaCOL(t))
 	cfg := chainCfg(2)
-	pdb := emptyPDB(db, cfg)
+	pdb := emptyPDB(t, db, cfg)
 	l := NewLoader(pdb, cfg)
 
 	for lk := int64(0); lk < 4; lk++ {
@@ -558,7 +648,7 @@ func TestUpdateRejectsSeedPartitioningColumns(t *testing.T) {
 	db.Tables["lineitem"].MustAppend(value.Tuple{1, 1})
 	db.Tables["orders"].MustAppend(value.Tuple{1, 2})
 	db.Tables["customer"].MustAppend(value.Tuple{2, 0})
-	pdb := emptyPDB(db, cfg)
+	pdb := emptyPDB(t, db, cfg)
 	l := NewLoader(pdb, cfg)
 	if _, err := l.LoadDatabase(db); err != nil {
 		t.Fatal(err)
@@ -591,7 +681,7 @@ func TestUpdateRejectsSeedPartitioningColumns(t *testing.T) {
 func TestDeleteRejectedWhileReferenced(t *testing.T) {
 	db := fullDB(t, 2, 2, 2)
 	cfg := chainCfg(2)
-	pdb := emptyPDB(db, cfg)
+	pdb := emptyPDB(t, db, cfg)
 	l := NewLoader(pdb, cfg)
 	if _, err := l.LoadDatabase(db); err != nil {
 		t.Fatal(err)
@@ -622,7 +712,7 @@ func TestDeleteRejectedWhileReferenced(t *testing.T) {
 func TestApplyBatchValidation(t *testing.T) {
 	db := fullDB(t, 2, 1, 1)
 	cfg := chainCfg(2)
-	l := NewLoader(emptyPDB(db, cfg), cfg)
+	l := NewLoader(emptyPDB(t, db, cfg), cfg)
 
 	if _, err := l.Apply(Insert("customer", value.Tuple{1, 0}), Insert("orders", value.Tuple{1, 1})); err == nil {
 		t.Fatal("multi-table batch must be rejected")
@@ -644,7 +734,7 @@ func TestApplyBatchValidation(t *testing.T) {
 func TestIntentLogLifecycle(t *testing.T) {
 	db := fullDB(t, 2, 1, 1)
 	cfg := chainCfg(2)
-	pdb := emptyPDB(db, cfg)
+	pdb := emptyPDB(t, db, cfg)
 	l := NewLoader(pdb, cfg)
 	if _, err := l.LoadDatabase(db); err != nil {
 		t.Fatal(err)

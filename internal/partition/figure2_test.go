@@ -49,7 +49,7 @@ func buildFigure2(t *testing.T) (l, o, c *table.Partitioned) {
 		od.MustAppend(r)
 	}
 	var err error
-	o, err = ApplyPref(od, &TableScheme{
+	o, err = placePref(od, &TableScheme{
 		Table: "orders", Method: Pref, RefTable: "lineitem",
 		Pred: Predicate{ReferencingCols: []string{"orderkey"}, ReferencedCols: []string{"orderkey"}},
 	}, l)
@@ -67,7 +67,7 @@ func buildFigure2(t *testing.T) (l, o, c *table.Partitioned) {
 	}{{1, "A"}, {2, "B"}, {3, "C"}} {
 		cd.MustAppend(value.Tuple{r.k, dict.Code(r.name)})
 	}
-	c, err = ApplyPref(cd, &TableScheme{
+	c, err = placePref(cd, &TableScheme{
 		Table: "customer", Method: Pref, RefTable: "orders",
 		Pred: Predicate{ReferencingCols: []string{"custkey"}, ReferencedCols: []string{"custkey"}},
 	}, o)

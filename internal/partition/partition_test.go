@@ -180,11 +180,11 @@ func TestRangePartitionFunc(t *testing.T) {
 	bounds := []int64{10, 20, 30}
 	cases := map[int64]int{-5: 0, 9: 0, 10: 1, 19: 1, 20: 2, 29: 2, 30: 3, 100: 3}
 	for v, want := range cases {
-		if got := rangePartition(v, bounds); got != want {
-			t.Errorf("rangePartition(%d) = %d, want %d", v, got, want)
+		if got := RangeTarget(v, bounds); got != want {
+			t.Errorf("RangeTarget(%d) = %d, want %d", v, got, want)
 		}
 	}
-	if rangePartition(5, nil) != 0 {
+	if RangeTarget(5, nil) != 0 {
 		t.Error("no bounds → partition 0")
 	}
 }
@@ -428,6 +428,16 @@ func TestConfigString(t *testing.T) {
 	}
 }
 
+// placePref PREF-partitions data by ts against a referenced table whose
+// placement the test pinned by hand, placing through the table's Placer
+// as Apply does.
+func placePref(data *table.Data, ts *TableScheme, ref *table.Partitioned) (*table.Partitioned, error) {
+	n := ref.NumPartitions()
+	pt := table.NewPartitioned(data.Meta, n)
+	out := &table.PartitionedDatabase{N: n, Tables: map[string]*table.Partitioned{ts.RefTable: ref, ts.Table: pt}}
+	return pt, place(data, NewConfig(n).Set(ts), out)
+}
+
 // Property: PREF never loses tuples and the number of dup=0 copies equals
 // the original cardinality, for random referenced placements and random
 // referencing multiplicities.
@@ -464,7 +474,7 @@ func TestPrefInvariantsProperty(t *testing.T) {
 		for i := 0; i < m; i++ {
 			rd.MustAppend(value.Tuple{int64(i), int64(rng.Intn(14))}) // keys 10..13 are orphans
 		}
-		pt, err := ApplyPref(rd, &TableScheme{
+		pt, err := placePref(rd, &TableScheme{
 			Table: "r", Method: Pref, RefTable: "s",
 			Pred: Predicate{ReferencingCols: []string{"k"}, ReferencedCols: []string{"k"}},
 		}, ref)

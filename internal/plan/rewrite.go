@@ -330,8 +330,7 @@ func (r *Rewriter) tryPrune(child Node, prop *Prop, pred BoolExpr) {
 			vals[i] = v
 			cols[i] = i
 		}
-		p := int(value.HashTuple(vals, cols) % uint64(prop.Parts))
-		scan.Prune = []int{p}
+		scan.Prune = []int{partition.HashTarget(vals, cols, prop.Parts)}
 		return
 	}
 

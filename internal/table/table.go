@@ -248,6 +248,10 @@ type Partitioned struct {
 	// Replicated marks a fully replicated table (every partition holds
 	// every row).
 	Replicated bool
+	// Cursor is the round-robin cursor of the rows placed so far: the
+	// next row of a round-robin table, or the next round-robin orphan of
+	// a PREF table, goes to partition Cursor mod N. Writer only.
+	Cursor int
 
 	// pub is the latest published epoch; nil until first Snapshot/Publish.
 	pub atomic.Pointer[Version]
