@@ -1,13 +1,15 @@
 // Command preflint runs the repository's custom analyzers (internal/lint)
 // over the module and exits nonzero if any diagnostic fires. It is the CI
 // companion to go vet: vet checks generic Go mistakes, preflint checks
-// this codebase's own invariants — panic policy, context threading and
-// Prop slice aliasing — plus the analyzers built on internal/lint/cfg:
-// publish ordering and the interprocedural batch lifetime typestate,
-// which also keeps batches immutable outside their package.
+// this codebase's own invariants — panic policy, context threading, Prop
+// slice aliasing, publish ordering (a walk over internal/lint/cfg's CFG)
+// and the batch-write rule, which keeps batches immutable outside their
+// package.
 //
 // An analyzer name retired from the roster is unknown to -only/-skip and
-// exits 2: atomicdiscipline, batchownership; partownership,
+// exits 2: atomicdiscipline, batchownership; batchlifetime, whose pooled
+// batch leaks and double releases the engine's evalVec rules out by
+// construction and the pool-balance tests catch; partownership,
 // shipaccounting and goroutinescope, whose hazards (cross-partition
 // access, unmetered shipment, unjoined fan-out) tier-1 runtime tests
 // catch; and snapshotdiscipline, intentprotocol and happensbefore, whose

@@ -19,7 +19,8 @@ func TestExitCodes(t *testing.T) {
 		want int
 	}{
 		{[]string{"./internal/lint/cfg"}, 0},
-		{[]string{"-only", "batchlifetime", "./internal/lint/testdata/src/batchlifetime_regression"}, 1},
+		{[]string{"-only", "batchwrite", "./internal/lint/testdata/src/batchwrite"}, 1},
+		{[]string{"-only", "batchlifetime", "./internal/lint/cfg"}, 2},  // retired name
 		{[]string{"-only", "batchownership", "./internal/lint/cfg"}, 2}, // retired name
 		{[]string{"-only", "partownership", "./internal/lint/cfg"}, 2},  // retired name
 		{[]string{"-skip", "happensbefore", "./internal/lint/cfg"}, 2},  // retired name

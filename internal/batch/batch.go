@@ -8,12 +8,15 @@
 // narrows by allocating a fresh selection vector over the same columns, a
 // projection writes into a new (pooled) batch. This batch-ownership rule is
 // what lets a scan hand out zero-copy views of table storage — the same
-// arrays every concurrent query reads — and is pinned by the
-// batchlifetime lint analyzer.
+// arrays every concurrent query reads — and is pinned by the batchwrite
+// lint analyzer.
 //
 // Column vectors for materialized (non-view) batches come from a sync.Pool
 // arena keyed to the default batch capacity, so steady-state execution
-// recycles its working set instead of growing per-row garbage.
+// recycles its working set instead of growing per-row garbage. Outstanding
+// counts the columns checked out and not yet released; the engine releases
+// every batch it writes in one place, and its tests hold that count at zero
+// after every query.
 package batch
 
 import (

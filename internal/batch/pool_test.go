@@ -127,3 +127,62 @@ func TestConcurrentRelease(t *testing.T) {
 		}
 	}
 }
+
+// TestPoolBalance pins the count the engine's tests assert on: every pooled
+// column a writer checks out is counted once, released once — a second
+// release of the same header counts nothing — and releasing a view counts
+// nothing at all.
+func TestPoolBalance(t *testing.T) {
+	start := Outstanding()
+	w := NewWriter(3)
+	for i := 0; i < Size+1; i++ {
+		w.AppendTuple([]int64{1, 2, 3})
+	}
+	bs := w.Finish()
+	if got := Outstanding() - start; got != 6 {
+		t.Fatalf("two width-3 batches outstanding: balance moved by %d, want 6", got)
+	}
+	ReleaseAll(bs)
+	ReleaseAll(bs)
+	View([][]int64{{1}}).Release()
+	if got := Outstanding() - start; got != 0 {
+		t.Fatalf("after release: balance moved by %d, want 0", got)
+	}
+}
+
+// TestSharesPooled pins Verify's check of a fresh output: a view of a pooled
+// column — whole, offset or narrowed — shares it; a copy, a view of storage
+// and a released batch's successor do not.
+func TestSharesPooled(t *testing.T) {
+	w := NewWriter(2)
+	for i := 0; i < 10; i++ {
+		w.AppendTuple([]int64{int64(i), int64(-i)})
+	}
+	in := w.Finish()
+	b := in[0]
+	storage := View([][]int64{{1, 2, 3}})
+	copied := NewWriter(2)
+	copied.AppendBatch(b)
+	fresh := copied.Finish()
+	defer ReleaseAll(fresh)
+	for _, tc := range []struct {
+		name string
+		out  *Batch
+		want bool
+	}{
+		{"same batch", b, true},
+		{"selection", b.WithSel([]int32{1, 3}), true},
+		{"column subset", b.Select([]int{1}), true},
+		{"offset window", View([][]int64{b.Cols[0][4:]}), true},
+		{"copy", fresh[0], false},
+		{"storage view", storage, false},
+	} {
+		if got := SharesPooled([][]*Batch{{tc.out}}, nil, [][]*Batch{in}); got != tc.want {
+			t.Errorf("%s: SharesPooled = %v, want %v", tc.name, got, tc.want)
+		}
+	}
+	if SharesPooled([][]*Batch{{b}}, [][]*Batch{{storage}}) {
+		t.Error("a storage view is not pooled: nothing to share")
+	}
+	ReleaseAll(in)
+}

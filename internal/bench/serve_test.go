@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"pref/internal/batch"
 	"pref/internal/bulkload"
 	"pref/internal/cluster"
 	"pref/internal/engine"
@@ -219,6 +220,11 @@ func TestServeSoak(t *testing.T) {
 		}
 		if err := s.Close(context.Background()); err != nil {
 			t.Fatalf("schedule %d: close: %v", sch, err)
+		}
+		// Drained: every pooled batch the schedule's queries wrote is back in
+		// the pool — failed, killed and fault-retried queries' included.
+		if n := batch.Outstanding(); n != 0 {
+			t.Fatalf("schedule %d: %d pooled columns were never released", sch, n)
 		}
 		met := s.Metrics()
 		if met.Completed+met.Failed+met.DeadlineExceeded+sumRejected(met.Rejected) != met.Submitted {

@@ -7,7 +7,6 @@ package bench
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"pref/internal/design"
@@ -355,7 +354,7 @@ func withReplicated(cfg *partition.Config, replicated []string) *partition.Confi
 
 // wdVariant turns a WD design into a multi-group variant, adding the
 // replicated small tables to every group so queries can always resolve
-// them locally.
+// them locally. Groups keep the design's order, which Route indexes.
 func wdVariant(name string, wd *design.WDDesign, replicated []string, n int) *Variant {
 	v := &Variant{Name: name, Route: map[string]int{}}
 	for gi, g := range wd.Groups {
@@ -365,7 +364,6 @@ func wdVariant(name string, wd *design.WDDesign, replicated []string, n int) *Va
 			v.Route[q] = gi
 		}
 	}
-	sort.Slice(v.Groups, func(i, j int) bool { return v.Groups[i].Name < v.Groups[j].Name })
 	return v
 }
 

@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"pref/internal/batch"
 	"pref/internal/engine"
 	"pref/internal/plan"
 	"pref/internal/tpch"
@@ -66,6 +67,9 @@ func TestVecRowOracleTPCH(t *testing.T) {
 			for _, name := range order {
 				plain := run(t, name, query, engine.ExecOptions{})
 				verified := run(t, name, query, engine.ExecOptions{Verify: true, Trace: true})
+				if n := batch.Outstanding(); n != 0 {
+					t.Fatalf("%s/%s: %d pooled columns were never released", name, query, n)
+				}
 				if !reflect.DeepEqual(plain.Rows, verified.Rows) {
 					t.Errorf("%s/%s: two executions diverge: %d vs %d rows",
 						name, query, len(plain.Rows), len(verified.Rows))

@@ -194,7 +194,7 @@ func (info *aggPlanInfo) accumulate(bs []*batch.Batch) []groupAcc {
 				}
 			}
 		}
-		computed.Release()
+		computed.Release() // scratch: it never leaves this function
 	}
 	return groups
 }
@@ -273,22 +273,17 @@ func finalValue(a plan.AggExpr, s *aggState, isFloat bool) int64 {
 
 // evalAggVec runs the single-phase aggregate and, partial set, the partial
 // phase of a pair, whose output is mergeable states: bind once, then one unit
-// per partition groups its input in place. The units borrow the input — a
-// crashed or hedged attempt re-reads it — and it is released once, after the
-// partition barrier.
-//
-// lint:batch-owner the returned batch lists transfer to the caller
-func (ex *executor) evalAggVec(n plan.Node, kind trace.Kind, child plan.Node, groupBy []string, aggs []plan.AggExpr, partial bool) (vparts, error) {
+// per partition groups its input in place into fresh batches.
+func (ex *executor) evalAggVec(f *frame, n plan.Node, kind trace.Kind, child plan.Node, groupBy []string, aggs []plan.AggExpr, partial bool) (vparts, outKind, error) {
 	top := ex.tb.Begin(n, kind)
-	in, err := ex.evalVec(child)
+	in, err := f.input(child)
 	if err != nil {
-		return nil, err
+		return nil, fresh, err
 	}
 	ex.addInputsVec(top, in)
 	info, err := bindAggs(groupBy, aggs, ex.rw.Schemas[child])
 	if err != nil {
-		releaseParts(in) // bind failed: the consumed input is dead
-		return nil, err
+		return nil, fresh, err
 	}
 	// A global aggregation over an empty partition yields the identity row,
 	// so a final merge still sees COUNT=0 — except that over a Gathered input
@@ -300,8 +295,7 @@ func (ex *executor) evalAggVec(n plan.Node, kind trace.Kind, child plan.Node, gr
 		out := info.emit(info.accumulate(in[p]), partial, everywhere || p == 0)
 		return out, batch.Rows(out), nil
 	})
-	releaseParts(in) // emit is fresh (or dropped with the error): the input is dead
-	return out, err
+	return out, fresh, err
 }
 
 // gathered reports whether n's output lives on the coordinator only.
@@ -317,13 +311,11 @@ func (ex *executor) gathered(n plan.Node) bool {
 // pair) only the coordinator partition has rows: the merge is a single work
 // unit on the coordinator node, under the same fault model as the fan-out
 // operators.
-//
-// lint:batch-owner the returned batch lists transfer to the caller
-func (ex *executor) evalFinalAggVec(n *plan.FinalAggNode) (vparts, error) {
+func (ex *executor) evalFinalAggVec(f *frame, n *plan.FinalAggNode) (vparts, outKind, error) {
 	top := ex.tb.Begin(n, trace.KindFinalAgg)
-	in, err := ex.evalVec(n.Child)
+	in, err := f.input(n.Child)
 	if err != nil {
-		return nil, err
+		return nil, fresh, err
 	}
 	info := bindMerge(n.GroupBy, n.Aggs, ex.rw.Schemas[n.Child])
 	merge := func(p int) ([]*batch.Batch, int, error) {
@@ -333,8 +325,7 @@ func (ex *executor) evalFinalAggVec(n *plan.FinalAggNode) (vparts, error) {
 	if !ex.gathered(n.Child) {
 		ex.addInputsVec(top, in)
 		out, err := forEachPart(ex, top, merge)
-		releaseParts(in) // emit is fresh (or dropped with the error): the input is dead
-		return out, err
+		return out, fresh, err
 	}
 	top.AddIn(ex.execDst[0], batch.Rows(in[0]))
 	op := ex.nextOp()
@@ -342,9 +333,8 @@ func (ex *executor) evalFinalAggVec(n *plan.FinalAggNode) (vparts, error) {
 	start := time.Now()
 	rows, work, err := runUnit(ex, ex.ctx, top, op, 0, en, merge)
 	top.AddWall(en, time.Since(start))
-	releaseParts(in)
 	if err != nil {
-		return nil, err
+		return nil, fresh, err
 	}
 	out := make(vparts, ex.n)
 	out[0] = rows
@@ -353,5 +343,5 @@ func (ex *executor) evalFinalAggVec(n *plan.FinalAggNode) (vparts, error) {
 	if en != 0 {
 		top.AddFailover(en)
 	}
-	return out, nil
+	return out, fresh, nil
 }

@@ -72,6 +72,7 @@ func TestMergeAllocatesPerGroup(t *testing.T) {
 			}
 		}
 		states := w.Finish()
+		defer batch.ReleaseAll(states)
 		return testing.AllocsPerRun(20, func() {
 			out := info.emit(info.accumulate(states), false, true)
 			if batch.Rows(out) != 4 {

@@ -88,7 +88,7 @@ func BenchmarkGroupedAgg(b *testing.B) {
 			perRow(b, parts*rowsPerPart, func() {
 				out := partial()
 				aggSink = out[0]
-				releaseParts(out)
+				pooled{out}.release()
 			})
 		})
 		b.Run(card.name+"/merge", func(b *testing.B) {

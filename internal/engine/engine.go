@@ -125,13 +125,13 @@ type executor struct {
 	cancel  context.CancelFunc
 	opSeq   int   // deterministic operator counter (main goroutine only)
 	execDst []int // executing node per logical partition (buddy when down)
-	// cl is the cluster health layer (nil: disabled); view is its
-	// BeginQuery snapshot and down the effective down set — injector
-	// faults not yet healed, plus breaker-tripped nodes — both immutable
-	// for the whole query.
-	cl   *cluster.Cluster
-	view cluster.View
-	down []bool
+	// cl is the cluster health layer (nil: disabled); recovered is its
+	// BeginQuery snapshot's rebuilt nodes and down the effective down set —
+	// injector faults not yet healed, plus breaker-tripped nodes — both
+	// immutable for the whole query.
+	cl        *cluster.Cluster
+	recovered []bool
+	down      []bool
 	// snap is the data snapshot pinned when the query began; all scans read
 	// its published partitions, never the loader's live write head.
 	snap *table.DBSnapshot
@@ -139,6 +139,9 @@ type executor struct {
 	// begins; hedgeOK gates the hedged fan-out path.
 	hedgeDelay time.Duration
 	hedgeOK    bool
+	// verify is ExecOptions.Verify or PREF_VERIFY: evalVec then also checks
+	// every fresh output against its inputs.
+	verify bool
 	// tb is the query's one ledger: every operator charges its Op's
 	// per-node cells and Result.Stats is their sum. Nil only in hand-built
 	// white-box executors; Begin and the ops' mutators are nil-safe. Note
@@ -147,6 +150,13 @@ type executor struct {
 	// filters holds the runtime join filters built so far, by the join that
 	// built them (query goroutine only; see buildFilters).
 	filters map[*plan.JoinNode]batch.Blooms
+	// owed is the query's release stack: the pooled batch lists the outputs
+	// evaluated so far keep alive, in evaluation order. evalVec's frames
+	// push and settle it; the Result assembly releases what the root
+	// leaves. The query goroutine owns it, except that unit goroutines
+	// push discarded outputs under mu while it waits for them (see drop).
+	owed pooled
+	mu   sync.Mutex
 }
 
 // versionOf resolves the table version a scan of tbl must read: the pinned
@@ -251,14 +261,17 @@ func executeCtx(ctx context.Context, rw *plan.Rewritten, pdb *table.PartitionedD
 	ex := &executor{
 		rw: rw, pdb: pdb, n: pdb.N, opt: opt, inj: inj,
 		ctx: ctx, cancel: cancel, execDst: execDst,
-		cl: cl, view: view, down: down, snap: snap,
-		tb: trace.NewBuilder(pdb.N, probes),
+		cl: cl, recovered: view.Recovered, down: down, snap: snap,
+		tb: trace.NewBuilder(pdb.N, probes), verify: verify,
 	}
 	ex.hedgeDelay, ex.hedgeOK = cl.HedgeDelay()
 	parts, err := root(ex, rw.Root)
 	if err != nil {
 		return nil, err
 	}
+	// The Result assembly is the root's consumer: it copies the rows out,
+	// and the batches they came from die with the query.
+	defer ex.owed.release()
 	rootProp := rw.Props[rw.Root]
 	sch := rw.Schemas[rw.Root]
 
@@ -281,7 +294,6 @@ func executeCtx(ctx context.Context, rw *plan.Rewritten, pdb *table.PartitionedD
 			rtop.AddIn(ex.execDst[p], batch.Rows(bs))
 			if p != 0 {
 				if err := ex.shipBatch(rtop, op, p, batch.Rows(bs), len(sch)); err != nil {
-					releaseParts(parts)
 					return nil, err
 				}
 			}
@@ -291,7 +303,6 @@ func executeCtx(ctx context.Context, rw *plan.Rewritten, pdb *table.PartitionedD
 	// The one place rows leave the columnar form: batches travel from scan to
 	// here, and Result.Rows is what the callers read.
 	rows := batch.AppendRows(nil, final)
-	releaseParts(parts)
 	rtop.AddOut(ex.execDst[0], len(rows))
 	res := &Result{Schema: sch, Rows: rows, Stats: ex.tb.Totals(), Epoch: ex.epoch()}
 	if opt.Trace || verify {
@@ -392,7 +403,7 @@ func firstErr(errs []error) error {
 // healed reports whether the cluster has repaired and rebuilt a node, so
 // the injector's node-level faults for it no longer apply.
 func (ex *executor) healed(node int) bool {
-	return node < len(ex.view.Recovered) && ex.view.Recovered[node]
+	return node < len(ex.recovered) && ex.recovered[node]
 }
 
 // crashAttempt and stragglerDelay are the injector hooks filtered through
@@ -460,47 +471,6 @@ func (ex *executor) ship(top *trace.Op, op, src, rows int, bytes int64) error {
 		if err := sleepCtx(ex.ctx, ex.inj.Backoff(op, src, attempt)); err != nil {
 			return err
 		}
-	}
-}
-
-// evalVec evaluates n to per-partition batch lists, the one form in which
-// rows travel between operators: every plan node has one implementation, and
-// each takes its input here.
-//
-// lint:batch-owner callers own the returned partition batch lists and must
-// release or hand them off (releaseParts, or the caller's own output).
-func (ex *executor) evalVec(n plan.Node) (vparts, error) {
-	switch n := n.(type) {
-	case *plan.ScanNode:
-		return ex.evalScanVec(n)
-	case *plan.FilterNode:
-		return ex.evalFilterVec(n)
-	case *plan.RuntimeFilterNode:
-		return ex.evalRuntimeFilterVec(n)
-	case *plan.ProjectNode:
-		return ex.evalProjectVec(n)
-	case *plan.JoinNode:
-		return ex.evalJoinVec(n)
-	case *plan.AggregateNode:
-		return ex.evalAggVec(n, trace.KindAggregate, n.Child, n.GroupBy, n.Aggs, false)
-	case *plan.PartialAggNode:
-		return ex.evalAggVec(n, trace.KindPartialAgg, n.Child, n.GroupBy, n.Aggs, true)
-	case *plan.FinalAggNode:
-		return ex.evalFinalAggVec(n)
-	case *plan.RepartitionNode:
-		return ex.evalRepartitionVec(n)
-	case *plan.BroadcastNode:
-		return ex.evalBroadcastVec(n)
-	case *plan.GatherNode:
-		return ex.evalGatherVec(n)
-	case *plan.DistinctPrefNode:
-		return ex.evalDistinctPrefVec(n)
-	case *plan.DistinctByValueNode:
-		return ex.evalDistinctByValueVec(n)
-	case *plan.TopKNode:
-		return ex.evalTopKVec(n)
-	default:
-		return nil, fmt.Errorf("engine: unsupported node %T", n)
 	}
 }
 

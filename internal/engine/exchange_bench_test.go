@@ -70,12 +70,12 @@ func BenchmarkExchange(b *testing.B) {
 					rw: rw, pdb: pdb, n: parts, ctx: ctx, cancel: cancel,
 					execDst: dst, down: make([]bool, parts), tb: trace.NewBuilder(parts, 0),
 				}
-				out, err := ex.evalRepartitionVec(rep)
+				_, err := ex.evalVec(rep)
 				cancel()
 				if err != nil {
 					b.Fatal(err)
 				}
-				releaseParts(out)
+				ex.owed.release()
 				shipped = ex.tb.Totals().BytesShipped
 			}
 			b.StopTimer()

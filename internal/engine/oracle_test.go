@@ -3,6 +3,7 @@ package engine_test
 import (
 	"testing"
 
+	"pref/internal/batch"
 	"pref/internal/bench"
 	"pref/internal/engine"
 	"pref/internal/plan"
@@ -85,6 +86,9 @@ func TestVecRowOracleTPCH(t *testing.T) {
 			for _, name := range order {
 				vec := run(t, name, query, engine.ExecuteOpts)
 				row := run(t, name, query, engine.ExecuteRef)
+				if n := batch.Outstanding(); n != 0 {
+					t.Fatalf("%s/%s: %d pooled columns were never released", name, query, n)
+				}
 				if !sameRows(vec.Rows, row.Rows) {
 					t.Errorf("%s/%s: product result diverges from the row reference: %d vs %d rows",
 						name, query, len(vec.Rows), len(row.Rows))

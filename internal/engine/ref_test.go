@@ -40,7 +40,9 @@ func executeRef(rw *plan.Rewritten, pdb *table.PartitionedDatabase, opt ExecOpti
 		if err != nil {
 			return nil, err
 		}
-		return liftParts(rows, len(ex.rw.Schemas[n])), nil
+		parts := liftParts(rows, len(ex.rw.Schemas[n]))
+		ex.owed = append(ex.owed, parts) // for the Result assembly to release
+		return parts, nil
 	})
 }
 

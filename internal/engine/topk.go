@@ -75,20 +75,17 @@ func tieOrder(sch plan.Schema) []int {
 // references to the input's live rows and copies out only the rows it
 // keeps. The partial pass runs on every partition; the final pass sees rows
 // only at the coordinator after the gather.
-//
-// lint:batch-owner the returned batch lists transfer to the caller
-func (ex *executor) evalTopKVec(n *plan.TopKNode) (vparts, error) {
+func (ex *executor) evalTopKVec(f *frame, n *plan.TopKNode) (vparts, outKind, error) {
 	top := ex.tb.Begin(n, trace.KindTopK)
-	in, err := ex.evalVec(n.Child)
+	in, err := f.input(n.Child)
 	if err != nil {
-		return nil, err
+		return nil, fresh, err
 	}
 	ex.addInputsVec(top, in)
 	sch := ex.rw.Schemas[n.Child]
 	terms, err := bindOrder(n.Order, sch)
 	if err != nil {
-		releaseParts(in) // bind failed: the consumed input is dead
-		return nil, err
+		return nil, fresh, err
 	}
 	tie := tieOrder(sch)
 	type rowRef struct {
@@ -126,6 +123,5 @@ func (ex *executor) evalTopKVec(n *plan.TopKNode) (vparts, error) {
 		}
 		return w.Finish(), len(refs), nil
 	})
-	releaseParts(in) // the kept rows were copied out: the input is dead
-	return out, err
+	return out, fresh, err
 }

@@ -48,11 +48,12 @@ func rowsOf[T payload](v T) int {
 type unitFn[T payload] func(p int) (out T, work int, err error)
 
 // forEachPart runs one unit of work per partition concurrently under the
-// fault model and returns the per-partition outputs. The first node error
-// cancels the query context so no further work launches — here for the
-// remaining partitions, and in every downstream operator. Successful
-// units record their output, work, and wall time into top's per-node
-// cells (nil top, in white-box tests: nothing is recorded).
+// fault model and returns the per-partition outputs — with an error, those
+// of the units that succeeded, which the operator returns with it. The
+// first node error cancels the query context so no further work launches —
+// here for the remaining partitions, and in every downstream operator.
+// Successful units record their output, work, and wall time into top's
+// per-node cells (nil top, in white-box tests: nothing is recorded).
 func forEachPart[T payload](ex *executor, top *trace.Op, fn unitFn[T]) ([]T, error) {
 	op := ex.nextOp()
 	out := make([]T, ex.n)
@@ -76,10 +77,18 @@ func forEachPart[T payload](ex *executor, top *trace.Op, fn unitFn[T]) ([]T, err
 		}(p)
 	}
 	wg.Wait()
-	if err := firstErr(errs); err != nil {
-		return nil, err
+	return out, firstErr(errs)
+}
+
+// drop puts a unit output the fault model discards — a crashed attempt's, a
+// hedge loser's — on the operator's frame, to die with its inputs. The
+// reference's row payloads hold no pooled batch.
+func drop[T payload](ex *executor, v T) {
+	if bs, ok := any(v).([]*batch.Batch); ok && len(bs) > 0 {
+		ex.mu.Lock()
+		ex.owed = append(ex.owed, vparts{bs})
+		ex.mu.Unlock()
 	}
-	return out, nil
 }
 
 // runPart executes one partition's unit, hedging a speculative duplicate
@@ -173,6 +182,7 @@ func runAttempt[T payload](ex *executor, ctx context.Context, top *trace.Op, op,
 		return zero, err
 	}
 	if won != nil && !won.CompareAndSwap(false, true) {
+		drop(ex, rows)
 		top.AddHedgeWaste(en, work)
 		top.AddWork(en, work)
 		return zero, errHedgeLost
@@ -219,6 +229,7 @@ func runUnit[T payload](ex *executor, ctx context.Context, top *trace.Op, op, p,
 		ex.cl.ReportFailure(en)
 		// The attempt crashed after doing its work: the output is
 		// discarded, but the CPU it burned still occupied the node.
+		drop(ex, rows)
 		top.AddRetry(en, work)
 		top.AddWork(en, work)
 		if attempt+1 >= max {

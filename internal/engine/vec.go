@@ -38,11 +38,16 @@ import (
 // through a batch they received — filters narrow with fresh selection
 // vectors, everything else writes into fresh batches — so scans can safely
 // share storage-backed vectors across concurrent queries and broadcast can
-// share one batch list across all partitions. An operator's work units
-// borrow its input (a crashed or hedged attempt re-reads it); an operator
-// whose output is entirely fresh releases the input once, after the
-// partition barrier, and one whose output is views over the input leaves it
-// to die with the output downstream.
+// share one batch list across all partitions. Operators never release a
+// batch either: the plan is a tree, so each node's output has one consumer,
+// and evalVec alone decides when a pooled batch dies. An operator takes its
+// inputs through its frame and reports whether its output is fresh or views
+// them; evalVec releases the inputs of a fresh output after the partition
+// barrier, keeps those of a view output for as long as it lives, and on an
+// error releases everything. A unit's work reads its input in place (a
+// crashed or hedged attempt re-reads it), and forEachPart joins every unit
+// before returning, so nothing still reads a batch when evalVec releases
+// it.
 //
 // Width follows the plan: the operators that copy rows (join, the three
 // exchanges) write exactly the schema the rewrite recorded for them — the
@@ -54,20 +59,113 @@ import (
 // vparts is an operator's output: per partition, an ordered list of batches.
 type vparts = [][]*batch.Batch
 
-// releaseParts recycles the pooled batches of a consumed input after the
-// operator's partition barrier, or on an error path once every batch list
-// derived from the input has been discarded with the error. On success only
-// operators whose output is entirely fresh writer batches (join, project,
-// repartition, aggregation, top-k; the Result assembly) may call it: their
-// outputs never alias input columns, the plan is a tree so each node's
-// output has exactly one consumer, and forEachPart joins every goroutine
-// (including hedge losers) before returning, so no concurrent reader
-// remains. Broadcast and one-copy gather share *Batch pointers across
-// partitions; Release is idempotent per header, so the sweep is still
-// single-shot on shared lists. View batches over storage are a no-op.
-func releaseParts(in vparts) {
-	for _, bs := range in {
-		batch.ReleaseAll(bs)
+// outKind is what an operator's output is made of, which decides when its
+// inputs die.
+type outKind uint8
+
+const (
+	// fresh: every column was written by the operator, so its inputs are
+	// dead once it returns.
+	fresh outKind = iota
+	// views: the output narrows or passes on its inputs' batches, which live
+	// as long as it does.
+	views
+)
+
+// pooled lists batch lists whose pooled batches die together.
+type pooled []vparts
+
+// release recycles every pooled batch of every list. Release is idempotent
+// per header, so lists that share batches (broadcast, a pass-through
+// gather) are still swept once.
+func (o pooled) release() {
+	for _, parts := range o {
+		for _, bs := range parts {
+			batch.ReleaseAll(bs)
+		}
+	}
+}
+
+// frame is one operator's evaluation. The batch lists its inputs keep alive
+// sit on the query's release stack (executor.owed) above base: each child
+// the operator takes through input pushes its own, and evalVec settles them
+// all when the operator returns.
+type frame struct {
+	ex   *executor
+	base int
+}
+
+// input evaluates child and returns its output, whose batches stay owed in
+// the frame's region until evalVec settles it.
+func (f *frame) input(child plan.Node) (vparts, error) { return f.ex.evalVec(child) }
+
+// scratch hands the frame a pooled intermediate the operator built, to die
+// with its inputs.
+func (f *frame) scratch(parts vparts) { f.ex.owed = append(f.ex.owed, parts) }
+
+// evalVec evaluates n to per-partition batch lists, the one form in which
+// rows travel between operators: every plan node has one implementation, and
+// each takes its input here, through its frame. It is the only place a
+// pooled batch dies. A fresh output replaces everything its frame owed —
+// the inputs, scratch, the unit outputs the fault model discarded — which
+// is released; a view output leaves it owed, to die with the first consumer
+// that copies, or with the query. On any error everything the frame owed is
+// released, and so is a partial output the operator returned with it.
+func (ex *executor) evalVec(n plan.Node) (vparts, error) {
+	f := frame{ex: ex, base: len(ex.owed)}
+	out, kind, err := ex.evalOp(&f, n)
+	if err == nil && kind == views {
+		// Discarded views hold no pooled batch but their inputs'.
+		return out, nil
+	}
+	if err == nil && ex.verify && batch.SharesPooled(out, ex.owed[f.base:]...) {
+		err = fmt.Errorf("engine: %s reported a fresh output that views its input", n)
+	}
+	if err != nil {
+		ex.owed = append(ex.owed, out)
+	}
+	ex.owed[f.base:].release()
+	ex.owed = ex.owed[:f.base]
+	if err != nil {
+		return nil, err
+	}
+	ex.owed = append(ex.owed, out)
+	return out, nil
+}
+
+// evalOp runs n's operator in frame f.
+func (ex *executor) evalOp(f *frame, n plan.Node) (vparts, outKind, error) {
+	switch n := n.(type) {
+	case *plan.ScanNode:
+		return ex.evalScanVec(n)
+	case *plan.FilterNode:
+		return ex.evalFilterVec(f, n)
+	case *plan.RuntimeFilterNode:
+		return ex.evalRuntimeFilterVec(f, n)
+	case *plan.ProjectNode:
+		return ex.evalProjectVec(f, n)
+	case *plan.JoinNode:
+		return ex.evalJoinVec(f, n)
+	case *plan.AggregateNode:
+		return ex.evalAggVec(f, n, trace.KindAggregate, n.Child, n.GroupBy, n.Aggs, false)
+	case *plan.PartialAggNode:
+		return ex.evalAggVec(f, n, trace.KindPartialAgg, n.Child, n.GroupBy, n.Aggs, true)
+	case *plan.FinalAggNode:
+		return ex.evalFinalAggVec(f, n)
+	case *plan.RepartitionNode:
+		return ex.evalRepartitionVec(f, n)
+	case *plan.BroadcastNode:
+		return ex.evalBroadcastVec(f, n)
+	case *plan.GatherNode:
+		return ex.evalGatherVec(f, n)
+	case *plan.DistinctPrefNode:
+		return ex.evalDistinctPrefVec(f, n)
+	case *plan.DistinctByValueNode:
+		return ex.evalDistinctByValueVec(f, n)
+	case *plan.TopKNode:
+		return ex.evalTopKVec(f, n)
+	default:
+		return nil, fresh, fmt.Errorf("engine: unsupported node %T", n)
 	}
 }
 
@@ -98,13 +196,11 @@ func (ex *executor) liveCols(n plan.Node, natural plan.Schema) (plan.Schema, []i
 // evalScanVec hands out chunked zero-copy views over the pinned partition's
 // stored columns — a lost partition's too, once recoverScan has admitted and
 // metered its reconstruction.
-//
-// lint:batch-owner the returned batch lists transfer to the caller
-func (ex *executor) evalScanVec(n *plan.ScanNode) (vparts, error) {
+func (ex *executor) evalScanVec(n *plan.ScanNode) (vparts, outKind, error) {
 	top := ex.tb.Begin(n, trace.KindScan)
 	pt, ok := ex.pdb.Tables[n.Table]
 	if !ok {
-		return nil, fmt.Errorf("engine: table %s not in partitioned database", n.Table)
+		return nil, views, fmt.Errorf("engine: table %s not in partitioned database", n.Table)
 	}
 	sch := ex.rw.Schemas[n]
 	v := ex.versionOf(pt, n.Table)
@@ -117,7 +213,7 @@ func (ex *executor) evalScanVec(n *plan.ScanNode) (vparts, error) {
 			keep[p] = true
 		}
 	}
-	return forEachPart(ex, top, func(p int) ([]*batch.Batch, int, error) {
+	out, err := forEachPart(ex, top, func(p int) ([]*batch.Batch, int, error) {
 		if keep != nil && !keep[p] {
 			return nil, 0, nil // pruned: the partition cannot contain matches
 		}
@@ -133,26 +229,23 @@ func (ex *executor) evalScanVec(n *plan.ScanNode) (vparts, error) {
 		}
 		return batch.Chunks(cols), proj.NRows, nil
 	})
+	return out, views, err
 }
 
-// evalFilterVec narrows each input batch with a fresh selection vector; its
-// output borrows the input's storage, so the input is never released here —
-// it dies with the output downstream.
-//
-// lint:batch-owner the returned batch lists transfer to the caller
-func (ex *executor) evalFilterVec(n *plan.FilterNode) (vparts, error) {
+// evalFilterVec narrows each input batch with a fresh selection vector: its
+// output views the input.
+func (ex *executor) evalFilterVec(f *frame, n *plan.FilterNode) (vparts, outKind, error) {
 	top := ex.tb.Begin(n, trace.KindFilter)
-	in, err := ex.evalVec(n.Child)
+	in, err := f.input(n.Child)
 	if err != nil {
-		return nil, err
+		return nil, views, err
 	}
 	ex.addInputsVec(top, in)
 	vp, err := plan.CompilePred(n.Pred, ex.rw.Schemas[n.Child])
 	if err != nil {
-		releaseParts(in) // compile failed: the consumed input is dead
-		return nil, err
+		return nil, views, err
 	}
-	return forEachPart(ex, top, func(p int) ([]*batch.Batch, int, error) {
+	out, err := forEachPart(ex, top, func(p int) ([]*batch.Batch, int, error) {
 		var out []*batch.Batch
 		kept := 0
 		for _, b := range in[p] {
@@ -164,29 +257,27 @@ func (ex *executor) evalFilterVec(n *plan.FilterNode) (vparts, error) {
 		}
 		return out, kept, nil
 	})
+	return out, views, err
 }
 
 // evalRuntimeFilterVec receives the Bloom filters n.From built of its source
 // input's keys and narrows each input batch to the rows whose key one of
 // them may hold — partition p's own filter alone when n is local. Like a
-// filter, its output borrows the input's storage.
-//
-// lint:batch-owner the returned batch lists transfer to the caller
-func (ex *executor) evalRuntimeFilterVec(n *plan.RuntimeFilterNode) (vparts, error) {
+// filter, its output views the input.
+func (ex *executor) evalRuntimeFilterVec(f *frame, n *plan.RuntimeFilterNode) (vparts, outKind, error) {
 	top := ex.tb.Begin(n, filterKind(n))
 	fs, err := ex.receiveFilters(top, n)
 	if err != nil {
-		return nil, err
+		return nil, views, err
 	}
-	in, err := ex.evalVec(n.Child)
+	in, err := f.input(n.Child)
 	if err != nil {
-		return nil, err
+		return nil, views, err
 	}
 	ex.addInputsVec(top, in)
 	col, err := ex.rw.Schemas[n.Child].IndexOf(n.Col)
 	if err != nil {
-		releaseParts(in)
-		return nil, err
+		return nil, views, err
 	}
 	out, err := forEachPart(ex, top, func(p int) ([]*batch.Batch, int, error) {
 		var out []*batch.Batch
@@ -202,15 +293,14 @@ func (ex *executor) evalRuntimeFilterVec(n *plan.RuntimeFilterNode) (vparts, err
 		return out, kept, nil
 	})
 	if err != nil {
-		releaseParts(in) // fan-out failed: the survivor views were dropped
-		return nil, err
+		return out, views, err
 	}
 	// Derived after the fan-out, like dedup hits, so crash-retried attempts
 	// cannot double-count.
 	for p := range out {
 		top.AddFiltered(ex.execDst[p], batch.Rows(in[p])-batch.Rows(out[p]))
 	}
-	return out, nil
+	return out, views, nil
 }
 
 // buildFilters builds join n's runtime filters, one per partition: bloom(p,
@@ -278,13 +368,11 @@ func probed(n *plan.RuntimeFilterNode, fs batch.Blooms, p int) batch.Blooms {
 
 // evalProjectVec evaluates each projection expression column-wise into
 // fresh batches.
-//
-// lint:batch-owner the returned batch lists transfer to the caller
-func (ex *executor) evalProjectVec(n *plan.ProjectNode) (vparts, error) {
+func (ex *executor) evalProjectVec(f *frame, n *plan.ProjectNode) (vparts, outKind, error) {
 	top := ex.tb.Begin(n, trace.KindProject)
-	in, err := ex.evalVec(n.Child)
+	in, err := f.input(n.Child)
 	if err != nil {
-		return nil, err
+		return nil, fresh, err
 	}
 	ex.addInputsVec(top, in)
 	sch := ex.rw.Schemas[n.Child]
@@ -292,8 +380,7 @@ func (ex *executor) evalProjectVec(n *plan.ProjectNode) (vparts, error) {
 	for i, e := range n.Exprs {
 		ve, err := plan.CompileExpr(e, sch)
 		if err != nil {
-			releaseParts(in) // compile failed: the consumed input is dead
-			return nil, err
+			return nil, fresh, err
 		}
 		exprs[i] = ve
 	}
@@ -307,41 +394,32 @@ func (ex *executor) evalProjectVec(n *plan.ProjectNode) (vparts, error) {
 		}
 		return out, rows, nil
 	})
-	if err != nil {
-		releaseParts(in) // fan-out failed: partial outputs were dropped
-		return nil, err
-	}
-	releaseParts(in) // projection output is fresh: input batches are dead
-	return out, nil
+	return out, fresh, err
 }
 
 // evalJoinVec hash-joins the build (right) side against the probe (left)
 // side per partition, emitting fresh writer batches. A join that fires a
 // runtime filter evaluates its source input first and builds the filters
 // before the other input runs.
-//
-// lint:batch-owner the returned batch lists transfer to the caller
-func (ex *executor) evalJoinVec(n *plan.JoinNode) (vparts, error) {
+func (ex *executor) evalJoinVec(f *frame, n *plan.JoinNode) (vparts, outKind, error) {
 	top := ex.tb.Begin(n, trace.KindJoin)
 	first, second := n.Left, n.Right
 	if n.Source == plan.RightSide {
 		first, second = second, first
 	}
-	a, err := ex.evalVec(first)
+	a, err := f.input(first)
 	if err != nil {
-		return nil, err
+		return nil, fresh, err
 	}
 	if n.Source != plan.NoSide {
 		bloom := func(p, col int) *batch.Bloom { return batch.BloomOf(a[p], col) }
 		if err := ex.buildFilters(n, bloom); err != nil {
-			releaseParts(a)
-			return nil, err
+			return nil, fresh, err
 		}
 	}
-	b, err := ex.evalVec(second)
+	b, err := f.input(second)
 	if err != nil {
-		releaseParts(a) // second subtree failed: the first input is dead
-		return nil, err
+		return nil, fresh, err
 	}
 	left, right := a, b
 	if n.Source == plan.RightSide {
@@ -354,15 +432,11 @@ func (ex *executor) evalJoinVec(n *plan.JoinNode) (vparts, error) {
 
 	lIdx, err := ls.Indexes(n.LeftCols)
 	if err != nil {
-		releaseParts(left)
-		releaseParts(right)
-		return nil, err
+		return nil, fresh, err
 	}
 	rIdx, err := rs.Indexes(n.RightCols)
 	if err != nil {
-		releaseParts(left)
-		releaseParts(right)
-		return nil, err
+		return nil, fresh, err
 	}
 	// The join writes only the columns read above it, and reads of its build
 	// side only those plus its own keys and the residual's columns.
@@ -373,9 +447,7 @@ func (ex *executor) evalJoinVec(n *plan.JoinNode) (vparts, error) {
 	}
 	osch, emit, err := ex.liveCols(n, natural)
 	if err != nil {
-		releaseParts(left)
-		releaseParts(right)
-		return nil, err
+		return nil, fresh, err
 	}
 	var lEmit, rEmit []int // per side; nil: every column of that side
 	if emit != nil {
@@ -396,9 +468,7 @@ func (ex *executor) evalJoinVec(n *plan.JoinNode) (vparts, error) {
 	if n.Residual != nil {
 		residual, err = plan.CompilePred(n.Residual, ls.Concat(rsKept))
 		if err != nil {
-			releaseParts(left)
-			releaseParts(right)
-			return nil, err
+			return nil, fresh, err
 		}
 	}
 
@@ -563,14 +633,7 @@ func (ex *executor) evalJoinVec(n *plan.JoinNode) (vparts, error) {
 		}
 		return out, work, nil
 	})
-	if err != nil {
-		releaseParts(left) // fan-out failed: partial outputs were dropped
-		releaseParts(right)
-		return nil, err
-	}
-	releaseParts(left) // join emit is fresh: both inputs are dead
-	releaseParts(right)
-	return out, nil
+	return out, fresh, err
 }
 
 // buildCols decides which build-side columns a join flattens: its keys (idx,
@@ -649,69 +712,54 @@ func dedupVec(bs []*batch.Batch, dupIdx []int) ([]*batch.Batch, int) {
 }
 
 // evalDistinctPrefVec drops PREF-duplicate rows partition-locally on the
-// columnar path.
-//
-// lint:batch-owner the returned batch lists transfer to the caller
-func (ex *executor) evalDistinctPrefVec(n *plan.DistinctPrefNode) (vparts, error) {
+// columnar path: its output views the input.
+func (ex *executor) evalDistinctPrefVec(f *frame, n *plan.DistinctPrefNode) (vparts, outKind, error) {
 	top := ex.tb.Begin(n, trace.KindDistinctPref)
-	in, err := ex.evalVec(n.Child)
+	in, err := f.input(n.Child)
 	if err != nil {
-		return nil, err
+		return nil, views, err
 	}
 	ex.addInputsVec(top, in)
 	sch := ex.rw.Schemas[n.Child]
-	var dupIdx []int
-	if len(n.DupCols) > 0 {
-		dupIdx, err = sch.Indexes(n.DupCols)
-		if err != nil {
-			releaseParts(in)
-			return nil, err
-		}
+	dupIdx, err := sch.Indexes(n.DupCols)
+	if err != nil {
+		return nil, views, err
 	}
 	out, err := forEachPart(ex, top, func(p int) ([]*batch.Batch, int, error) {
 		bs, kept := dedupVec(in[p], dupIdx)
 		return bs, kept, nil
 	})
 	if err != nil {
-		releaseParts(in) // fan-out failed: the survivor views were dropped
-		return nil, err
+		return out, views, err
 	}
 	// Dedup hits are derived after the fan-out so crash-retried attempts
 	// cannot double-count them.
 	for p := range out {
 		top.AddDedup(ex.execDst[p], batch.Rows(in[p])-batch.Rows(out[p]))
 	}
-	return out, nil
+	return out, views, nil
 }
 
 // evalRepartitionVec hash-partitions batch rows onto their owner
 // partitions.
-//
-// lint:batch-owner the returned batch lists transfer to the caller
-func (ex *executor) evalRepartitionVec(n *plan.RepartitionNode) (vparts, error) {
+func (ex *executor) evalRepartitionVec(f *frame, n *plan.RepartitionNode) (vparts, outKind, error) {
 	top := ex.tb.Begin(n, trace.KindRepartition)
-	in, err := ex.evalVec(n.Child)
+	in, err := f.input(n.Child)
 	if err != nil {
-		return nil, err
+		return nil, fresh, err
 	}
 	sch := ex.rw.Schemas[n.Child]
 	idx, err := sch.Indexes(n.Cols)
 	if err != nil {
-		releaseParts(in)
-		return nil, err
+		return nil, fresh, err
 	}
-	var dupIdx []int
-	if len(n.DupCols) > 0 {
-		dupIdx, err = sch.Indexes(n.DupCols)
-		if err != nil {
-			releaseParts(in)
-			return nil, err
-		}
+	dupIdx, err := sch.Indexes(n.DupCols)
+	if err != nil {
+		return nil, fresh, err
 	}
 	osch, live, err := ex.liveCols(n, sch)
 	if err != nil {
-		releaseParts(in)
-		return nil, err
+		return nil, fresh, err
 	}
 	op := ex.nextOp()
 	start := time.Now()
@@ -733,11 +781,7 @@ func (ex *executor) evalRepartitionVec(n *plan.RepartitionNode) (vparts, error) 
 			cross += writers.add(b, wb, idx, src)
 		}
 		if err := ex.shipBatch(top, op, src, cross, len(osch)); err != nil {
-			// Ship fault mid-scatter: drain the partially filled writers
-			// back into the pool along with the consumed input.
-			releaseParts(writers.finish())
-			releaseParts(in)
-			return nil, err
+			return writers.finish(), fresh, err // a ship fault mid-scatter
 		}
 	}
 	if n.OneCopy {
@@ -750,27 +794,23 @@ func (ex *executor) evalRepartitionVec(n *plan.RepartitionNode) (vparts, error) 
 		top.AddOut(ex.execDst[dst], rows)
 	}
 	top.AddWall(ex.execDst[0], time.Since(start))
-	releaseParts(in) // scatter output is fresh: input batches are dead
-	return out, nil
+	return out, fresh, nil
 }
 
 // evalDistinctByValueVec deduplicates by value: a hash shuffle on the
 // distinct columns so equal rows meet on one partition, then each partition
-// keeps the first row of every value.
-//
-// lint:batch-owner the returned batch lists transfer to the caller
-func (ex *executor) evalDistinctByValueVec(n *plan.DistinctByValueNode) (vparts, error) {
+// copies out the first row of every value.
+func (ex *executor) evalDistinctByValueVec(f *frame, n *plan.DistinctByValueNode) (vparts, outKind, error) {
 	top := ex.tb.Begin(n, trace.KindDistinctByValue)
-	in, err := ex.evalVec(n.Child)
+	in, err := f.input(n.Child)
 	if err != nil {
-		return nil, err
+		return nil, fresh, err
 	}
 	ex.addInputsVec(top, in)
 	sch := ex.rw.Schemas[n.Child]
 	idx, err := sch.Indexes(n.Cols)
 	if err != nil {
-		releaseParts(in)
-		return nil, err
+		return nil, fresh, err
 	}
 	op := ex.nextOp()
 	writers := newScatter(ex.n, len(sch))
@@ -780,45 +820,37 @@ func (ex *executor) evalDistinctByValueVec(n *plan.DistinctByValueNode) (vparts,
 			cross += writers.add(b, b, idx, src)
 		}
 		if err := ex.shipBatch(top, op, src, cross, len(sch)); err != nil {
-			releaseParts(writers.finish()) // ship fault mid-scatter, as in repartition
-			releaseParts(in)
-			return nil, err
+			return writers.finish(), fresh, err // a ship fault mid-scatter, as in repartition
 		}
 	}
-	releaseParts(in) // scatter output is fresh: input batches are dead
 	shuffled := writers.finish()
-	// The survivors are selection-vector views over the shuffled batches,
-	// which therefore die with the output downstream.
+	f.scratch(shuffled)
 	out, err := forEachPart(ex, top, func(p int) ([]*batch.Batch, int, error) {
 		seen := make(map[value.Key]struct{}, batch.Rows(shuffled[p]))
 		kb := batch.NewKeyBuf(len(idx))
-		var out []*batch.Batch
-		kept := 0
+		w := batch.NewWriter(len(sch))
+		var sel []int32
 		for _, b := range shuffled[p] {
-			bn := b.Len()
-			sel := make([]int32, 0, bn)
-			for i := 0; i < bn; i++ { // writer batches are dense: live row i is physical row i
+			sel = sel[:0]
+			for i, bn := 0, b.Len(); i < bn; i++ { // writer batches are dense: live row i is physical row i
 				kb.Encode(b, i, idx)
 				if _, dup := batch.Probe(kb, seen); !dup {
 					seen[kb.Key()] = struct{}{}
 					sel = append(sel, int32(i))
 				}
 			}
-			if len(sel) > 0 {
-				out = append(out, b.WithSel(sel))
-				kept += len(sel)
-			}
+			w.AppendGather(b, sel)
 		}
-		return out, kept, nil
+		out := w.Finish()
+		return out, batch.Rows(out), nil
 	})
 	if err != nil {
-		releaseParts(shuffled) // fan-out failed: the survivor views were dropped
-		return nil, err
+		return out, fresh, err
 	}
 	for p := range out {
 		top.AddDedup(ex.execDst[p], batch.Rows(shuffled[p])-batch.Rows(out[p]))
 	}
-	return out, nil
+	return out, fresh, nil
 }
 
 // scatter is the write half of a hash exchange: one writer per destination
@@ -848,8 +880,6 @@ func (s scatter) add(b, wb *batch.Batch, idx []int, src int) (cross int) {
 }
 
 // finish seals the writers into the per-partition outputs.
-//
-// lint:batch-owner the returned batch lists transfer to the caller
 func (s scatter) finish() vparts {
 	out := make(vparts, len(s))
 	for dst, w := range s {
@@ -860,28 +890,22 @@ func (s scatter) finish() vparts {
 
 // evalBroadcastVec replicates the full input to every partition. The
 // batch lists are shared across partitions zero-copy — batches are
-// immutable once handed off, so sharing is safe.
-//
-// lint:batch-owner the returned batch lists transfer to the caller
-func (ex *executor) evalBroadcastVec(n *plan.BroadcastNode) (vparts, error) {
+// immutable once handed off, so sharing is safe. The output views the
+// input.
+func (ex *executor) evalBroadcastVec(f *frame, n *plan.BroadcastNode) (vparts, outKind, error) {
 	top := ex.tb.Begin(n, trace.KindBroadcast)
-	in, err := ex.evalVec(n.Child)
+	in, err := f.input(n.Child)
 	if err != nil {
-		return nil, err
+		return nil, views, err
 	}
 	sch := ex.rw.Schemas[n.Child]
-	var dupIdx []int
-	if len(n.DupCols) > 0 {
-		dupIdx, err = sch.Indexes(n.DupCols)
-		if err != nil {
-			releaseParts(in)
-			return nil, err
-		}
+	dupIdx, err := sch.Indexes(n.DupCols)
+	if err != nil {
+		return nil, views, err
 	}
 	osch, live, err := ex.liveCols(n, sch)
 	if err != nil {
-		releaseParts(in)
-		return nil, err
+		return nil, views, err
 	}
 	op := ex.nextOp()
 	start := time.Now()
@@ -895,10 +919,7 @@ func (ex *executor) evalBroadcastVec(n *plan.BroadcastNode) (vparts, error) {
 		top.AddDedup(ex.execDst[src], batch.Rows(in[src])-kept)
 		// Each row is shipped to every other node.
 		if err := ex.shipBatch(top, op, src, kept*(ex.n-1), len(osch)); err != nil {
-			// The shared output list is discarded with the error, so the
-			// sweep over the input cannot strand a surviving view.
-			releaseParts(in)
-			return nil, err
+			return nil, views, err
 		}
 		all = append(all, batch.SelectAll(bs, live)...)
 	}
@@ -916,22 +937,21 @@ func (ex *executor) evalBroadcastVec(n *plan.BroadcastNode) (vparts, error) {
 		top.AddOut(ex.execDst[p], total)
 	}
 	top.AddWall(ex.execDst[0], time.Since(start))
-	return out, nil
+	return out, views, nil
 }
 
-// evalGatherVec concentrates all partitions' batches on the coordinator.
-//
-// lint:batch-owner the returned batch lists transfer to the caller
-func (ex *executor) evalGatherVec(n *plan.GatherNode) (vparts, error) {
+// evalGatherVec concentrates all partitions' batches on the coordinator: a
+// fresh output when it compacts them, a view of them when it passes them
+// through.
+func (ex *executor) evalGatherVec(f *frame, n *plan.GatherNode) (vparts, outKind, error) {
 	top := ex.tb.Begin(n, trace.KindGather)
-	in, err := ex.evalVec(n.Child)
+	in, err := f.input(n.Child)
 	if err != nil {
-		return nil, err
+		return nil, views, err
 	}
 	osch, live, err := ex.liveCols(n, ex.rw.Schemas[n.Child])
 	if err != nil {
-		releaseParts(in)
-		return nil, err
+		return nil, views, err
 	}
 	start := time.Now()
 	out := make(vparts, ex.n)
@@ -943,7 +963,7 @@ func (ex *executor) evalGatherVec(n *plan.GatherNode) (vparts, error) {
 		top.AddWork(ex.execDst[0], rows)
 		top.AddOut(ex.execDst[0], rows)
 		top.AddWall(ex.execDst[0], time.Since(start))
-		return out, nil
+		return out, views, nil
 	}
 	op := ex.nextOp()
 	var bs []*batch.Batch
@@ -953,8 +973,7 @@ func (ex *executor) evalGatherVec(n *plan.GatherNode) (vparts, error) {
 		top.AddIn(ex.execDst[p], rows)
 		if p != 0 {
 			if err := ex.shipBatch(top, op, p, rows, len(osch)); err != nil {
-				releaseParts(in) // ship fault: nothing downstream holds a view yet
-				return nil, err
+				return nil, views, err
 			}
 		}
 		for _, b := range in[p] {
@@ -970,6 +989,7 @@ func (ex *executor) evalGatherVec(n *plan.GatherNode) (vparts, error) {
 	// the Result assembly's AppendRows) sees a few dense batches
 	// instead of hundreds of mostly-empty windows. Dense well-packed
 	// inputs concatenate zero-copy.
+	kind := views
 	if sparse || nbatch > 2*(total/batch.Size+1) {
 		w := batch.NewWriter(len(osch))
 		for p := 0; p < ex.n; p++ {
@@ -977,8 +997,7 @@ func (ex *executor) evalGatherVec(n *plan.GatherNode) (vparts, error) {
 				w.AppendBatch(b)
 			}
 		}
-		out[0] = w.Finish()
-		releaseParts(in) // compaction is fresh: input batches are dead
+		out[0], kind = w.Finish(), fresh
 	} else {
 		for p := 0; p < ex.n; p++ {
 			bs = append(bs, batch.SelectAll(in[p], live)...)
@@ -988,5 +1007,5 @@ func (ex *executor) evalGatherVec(n *plan.GatherNode) (vparts, error) {
 	top.AddWork(ex.execDst[0], total)
 	top.AddOut(ex.execDst[0], total)
 	top.AddWall(ex.execDst[0], time.Since(start))
-	return out, nil
+	return out, kind, nil
 }

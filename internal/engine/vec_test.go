@@ -1,9 +1,11 @@
 package engine
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
+	"pref/internal/batch"
 	"pref/internal/check"
 	"pref/internal/fault"
 	"pref/internal/partition"
@@ -69,6 +71,7 @@ func assertEnginesAgree(t *testing.T, seed int64, rw *plan.Rewritten, pdb *table
 	t.Helper()
 	vres, verr := ExecuteOpts(rw, pdb, opt)
 	rres, rerr := executeRef(rw, pdb, opt)
+	requirePoolBalanced(t, fmt.Sprint("seed ", seed))
 	if (verr == nil) != (rerr == nil) {
 		t.Fatalf("seed %d: engines disagree on failure: vec err=%v row err=%v", seed, verr, rerr)
 	}
@@ -98,6 +101,16 @@ func assertEnginesAgree(t *testing.T, seed int64, rw *plan.Rewritten, pdb *table
 		}
 	}
 	return vres
+}
+
+// requirePoolBalanced fails unless every pooled column the queries so far
+// checked out is back in the pool: no operator leaked a batch, on any path,
+// failed queries and fault-discarded unit outputs included.
+func requirePoolBalanced(t testing.TB, what string) {
+	t.Helper()
+	if n := batch.Outstanding(); n != 0 {
+		t.Fatalf("%s: %d pooled columns were never released", what, n)
+	}
 }
 
 // rewriteRounds are the rewrite option sets the differential properties

@@ -143,30 +143,27 @@ func TestCallGraphBottomUp(t *testing.T) {
 	}
 }
 
-// TestSolveFixpoint propagates a consume effect bottom-up: close consumes
-// its receiver by fiat, and any function forwarding a parameter to a
-// consuming callee consumes it too. The chain top -> mid -> leaf -> close
-// must converge with every link marked consume, and the recursive pair must
-// reach a fixpoint without spinning.
+// TestSolveFixpoint propagates an alias result bottom-up: close aliases by
+// fiat, and any function calling an aliasing callee aliases too. The chain
+// top -> mid -> leaf -> close must converge with every link marked, and the
+// recursive pair must reach a fixpoint without spinning.
 func TestSolveFixpoint(t *testing.T) {
 	file, info := loadSource(t, callGraphSrc)
 	cg := NewCallGraph([]*ast.File{file}, info)
 
+	aliases := &Summary{Results: []ResultKind{ResAlias}}
 	solved := cg.Solve(func(n *FuncNode, get func(*types.Func) *Summary) *Summary {
-		s := &Summary{Params: make([]Effect, 1)}
 		if n.Fn.Name() == "close" {
-			s.Params[0] = EffConsume
-			return s
+			return aliases
 		}
+		s := &Summary{Results: make([]ResultKind, 1)}
 		for _, site := range n.Sites {
-			var callee *Summary
+			callee := get(site.Callee)
 			if site.Callee != nil && site.Callee.Name() == "close" {
-				callee = &Summary{Params: []Effect{EffConsume}}
-			} else {
-				callee = get(site.Callee)
+				callee = aliases
 			}
-			if callee.Param(0).Has(EffConsume) {
-				s.Params[0] |= EffConsume
+			if callee != nil && callee.Results[0] == ResAlias {
+				s.Results[0] = ResAlias
 			}
 		}
 		return s
@@ -174,35 +171,27 @@ func TestSolveFixpoint(t *testing.T) {
 
 	for _, name := range []string{"leaf", "mid", "top", "viaClosure"} {
 		n := nodeByName(t, cg, name)
-		if !solved[n.Fn].Param(0).Has(EffConsume) {
-			t.Errorf("%s: consume should propagate bottom-up, got %s", name, solved[n.Fn])
+		if solved[n.Fn].Results[0] != ResAlias {
+			t.Errorf("%s: alias should propagate bottom-up, got %s", name, solved[n.Fn])
 		}
 	}
 	for _, name := range []string{"pingA", "pingB", "usesGeneric"} {
 		n := nodeByName(t, cg, name)
-		if solved[n.Fn].Param(0).Has(EffConsume) {
-			t.Errorf("%s: should not consume, got %s", name, solved[n.Fn])
+		if solved[n.Fn].Results[0] == ResAlias {
+			t.Errorf("%s: should not alias, got %s", name, solved[n.Fn])
 		}
 	}
 }
 
 func TestSummaryString(t *testing.T) {
-	s := &Summary{
-		Params:  []Effect{0, EffConsume, EffEscape | EffReturnsAlias},
-		Results: []ResultKind{ResFresh, ResAlias, ResUntracked},
-	}
-	got := s.String()
-	want := "(borrow, consume, escape+returns-alias) -> (fresh, alias, -)"
-	if got != want {
+	s := &Summary{Results: []ResultKind{ResAlias, ResUntracked}}
+	if got, want := s.String(), "(alias, -)"; got != want {
 		t.Errorf("String() = %q, want %q", got, want)
 	}
 	if (*Summary)(nil).String() != "unknown" {
 		t.Errorf("nil summary should render unknown")
 	}
-	if !(*Summary)(nil).Equal(nil) || s.Equal(nil) {
+	if !(*Summary)(nil).Equal(nil) || s.Equal(nil) || !s.Equal(&Summary{Results: []ResultKind{ResAlias, ResUntracked}}) {
 		t.Errorf("Equal nil handling wrong")
-	}
-	if s.Result(5) != ResUntracked || s.Param(9) != 0 {
-		t.Errorf("out-of-range accessors should default")
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
-	"go/types"
 	"os"
 	"path/filepath"
 	"strings"
@@ -15,32 +14,21 @@ import (
 
 var update = flag.Bool("update", false, "rewrite golden files")
 
-// loadFixtures parses and type-checks testdata/funcs.go (import-free by
-// design, so a bare types.Config suffices).
-func loadFixtures(t *testing.T) (*token.FileSet, *ast.File, *types.Info) {
+// loadFixtures parses testdata/funcs.go.
+func loadFixtures(t *testing.T) (*token.FileSet, *ast.File) {
 	t.Helper()
 	fset := token.NewFileSet()
 	file, err := parser.ParseFile(fset, filepath.Join("testdata", "funcs.go"), nil, parser.ParseComments)
 	if err != nil {
 		t.Fatalf("parse fixtures: %v", err)
 	}
-	info := &types.Info{
-		Defs:  map[*ast.Ident]types.Object{},
-		Uses:  map[*ast.Ident]types.Object{},
-		Types: map[ast.Expr]types.TypeAndValue{},
-	}
-	conf := types.Config{}
-	if _, err := conf.Check("fixtures", fset, []*ast.File{file}, info); err != nil {
-		t.Fatalf("typecheck fixtures: %v", err)
-	}
-	return fset, file, info
+	return fset, file
 }
 
-// TestGolden builds the CFG and reaching-definitions solution for every
-// fixture function and compares the combined dump against
-// testdata/golden.txt. Run with -update to rewrite.
+// TestGolden builds the CFG of every fixture function and compares the
+// combined dump against testdata/golden.txt. Run with -update to rewrite.
 func TestGolden(t *testing.T) {
-	fset, file, info := loadFixtures(t)
+	fset, file := loadFixtures(t)
 	var sb strings.Builder
 	for _, d := range file.Decls {
 		fn, ok := d.(*ast.FuncDecl)
@@ -49,7 +37,6 @@ func TestGolden(t *testing.T) {
 		}
 		g := New(fn.Name.Name, fn)
 		sb.WriteString(g.Dump(fset))
-		sb.WriteString(g.ReachingDefs(info, fn).String(fset))
 		sb.WriteString("\n")
 	}
 	got := sb.String()
@@ -108,7 +95,7 @@ func graphOf(t *testing.T, file *ast.File, name string) (*ast.FuncDecl, *Graph) 
 // shortCircuit, `b` and `n > 0` must sit in separate blocks only reachable
 // through `a`'s true edge.
 func TestShortCircuitBranches(t *testing.T) {
-	_, file, _ := loadFixtures(t)
+	_, file := loadFixtures(t)
 	_, g := graphOf(t, file, "shortCircuit")
 	var and, or *Block
 	for _, b := range g.Reachable() {
@@ -130,29 +117,5 @@ func TestShortCircuitBranches(t *testing.T) {
 		if len(b.Succs) != 2 {
 			t.Errorf("cond leaf b%d has %d succs, want 2", b.Index, len(b.Succs))
 		}
-	}
-}
-
-// TestReachingDefsUse verifies ForEachUse sees the right defs: in loops,
-// the use of sum in `return sum` is reached by both the initialization and
-// the `sum += i` update.
-func TestReachingDefsUse(t *testing.T) {
-	fset, file, info := loadFixtures(t)
-	fn, g := graphOf(t, file, "loops")
-	r := g.ReachingDefs(info, fn)
-	var gotLines []int
-	r.ForEachUse(func(id *ast.Ident, v *types.Var, defs []*Def) {
-		if v.Name() != "sum" {
-			return
-		}
-		// The use inside `return sum`.
-		if len(defs) >= 2 {
-			for _, d := range defs {
-				gotLines = append(gotLines, fset.Position(d.Node.Pos()).Line)
-			}
-		}
-	})
-	if len(gotLines) < 2 {
-		t.Fatalf("expected a sum use reached by >=2 defs, got %v", gotLines)
 	}
 }

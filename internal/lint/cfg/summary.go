@@ -6,54 +6,13 @@ import (
 )
 
 // Summary is the interprocedural unit the call-graph fixpoint solves for:
-// what one function does to each tracked parameter and what each result is,
-// abstracted to an ownership vocabulary. The substrate stays agnostic about
-// *which* values are tracked — a client (e.g. the batchlifetime analyzer)
-// decides which params/results carry a tracked type and leaves the rest at
-// the zero value (borrow / untracked), so the lattice here is small and
-// closed: effects only accumulate bits and result kinds only widen toward
-// Alias, which is what makes Solve's fixpoint terminate.
-
-// Effect is a bitmask describing what a callee may do to one argument.
-// The zero value means the callee only borrows it: the argument is read
-// during the call and the caller's ownership obligations are unchanged.
-type Effect uint8
-
-const (
-	// EffConsume: the callee (on some path) releases the argument or
-	// passes it to something that does — the caller's obligation to
-	// release is discharged, and the value must not be used afterwards.
-	EffConsume Effect = 1 << iota
-	// EffEscape: the callee (on some path) stores the argument into state
-	// that outlives the call — a struct field, global, channel, or
-	// captured long-lived closure.
-	EffEscape
-	// EffReturnsAlias: some result of the callee may alias this argument's
-	// backing storage, so releasing the argument invalidates the result
-	// and vice versa.
-	EffReturnsAlias
-)
-
-// Has reports whether e carries all bits of mask.
-func (e Effect) Has(mask Effect) bool { return e&mask == mask }
-
-// String renders the effect for dumps: "borrow" for the zero value, else
-// the set bits joined with "+".
-func (e Effect) String() string {
-	if e == 0 {
-		return "borrow"
-	}
-	var parts []string
-	if e.Has(EffConsume) {
-		parts = append(parts, "consume")
-	}
-	if e.Has(EffEscape) {
-		parts = append(parts, "escape")
-	}
-	if e.Has(EffReturnsAlias) {
-		parts = append(parts, "returns-alias")
-	}
-	return strings.Join(parts, "+")
+// what each result of one function is, abstracted to a two-point lattice.
+// The substrate stays agnostic about *which* values are tracked — a client
+// (the propalias analyzer) decides which results carry a tracked type and
+// leaves the rest untracked — and kinds only widen toward Alias, which is
+// what makes Solve's fixpoint terminate.
+type Summary struct {
+	Results []ResultKind
 }
 
 // ResultKind classifies one result position of a callee.
@@ -62,44 +21,16 @@ type ResultKind uint8
 const (
 	// ResUntracked: the result is not a tracked value; callers ignore it.
 	ResUntracked ResultKind = iota
-	// ResFresh: the result is a newly acquired tracked value the caller
-	// owns (and must eventually release).
-	ResFresh
 	// ResAlias: the result aliases existing storage (an argument's, or
-	// state reachable from one) — the caller borrows it and must not
-	// release it independently.
+	// state reachable from one).
 	ResAlias
 )
 
 func (k ResultKind) String() string {
-	switch k {
-	case ResFresh:
-		return "fresh"
-	case ResAlias:
+	if k == ResAlias {
 		return "alias"
 	}
 	return "-"
-}
-
-// Merge widens toward the more caller-constraining kind: Alias beats
-// Fresh beats Untracked (a result that may alias on one path must be
-// treated as aliasing).
-func (k ResultKind) Merge(o ResultKind) ResultKind {
-	if k == ResAlias || o == ResAlias {
-		return ResAlias
-	}
-	if k == ResFresh || o == ResFresh {
-		return ResFresh
-	}
-	return ResUntracked
-}
-
-// Summary is one function's ownership contract. Params is indexed by
-// parameter position with the receiver, when present, prepended at index
-// 0; Results by result position.
-type Summary struct {
-	Params  []Effect
-	Results []ResultKind
 }
 
 // Equal reports structural equality (nil equals nil only).
@@ -107,13 +38,8 @@ func (s *Summary) Equal(o *Summary) bool {
 	if s == nil || o == nil {
 		return s == o
 	}
-	if len(s.Params) != len(o.Params) || len(s.Results) != len(o.Results) {
+	if len(s.Results) != len(o.Results) {
 		return false
-	}
-	for i := range s.Params {
-		if s.Params[i] != o.Params[i] {
-			return false
-		}
 	}
 	for i := range s.Results {
 		if s.Results[i] != o.Results[i] {
@@ -123,40 +49,15 @@ func (s *Summary) Equal(o *Summary) bool {
 	return true
 }
 
-// Param returns the effect at position i (borrow when out of range, which
-// variadic call sites rely on: every spread argument shares the final
-// parameter's effect through the caller clamping the index).
-func (s *Summary) Param(i int) Effect {
-	if s == nil || i < 0 || i >= len(s.Params) {
-		return 0
-	}
-	return s.Params[i]
-}
-
-// Result returns the kind at position i (untracked when out of range).
-func (s *Summary) Result(i int) ResultKind {
-	if s == nil || i < 0 || i >= len(s.Results) {
-		return ResUntracked
-	}
-	return s.Results[i]
-}
-
-// String renders "(p0, p1, ...) -> (r0, ...)" deterministically for golden
-// dumps; a nil summary renders as "unknown".
+// String renders "(r0, ...)" deterministically for test messages; a nil
+// summary renders as "unknown".
 func (s *Summary) String() string {
 	if s == nil {
 		return "unknown"
-	}
-	params := make([]string, len(s.Params))
-	for i, e := range s.Params {
-		params[i] = e.String()
-	}
-	if len(s.Results) == 0 {
-		return fmt.Sprintf("(%s)", strings.Join(params, ", "))
 	}
 	results := make([]string, len(s.Results))
 	for i, k := range s.Results {
 		results[i] = k.String()
 	}
-	return fmt.Sprintf("(%s) -> (%s)", strings.Join(params, ", "), strings.Join(results, ", "))
+	return fmt.Sprintf("(%s)", strings.Join(results, ", "))
 }

@@ -20,11 +20,18 @@
 //   - propalias: plan.Prop's []string property fields (HashCols, DupCols)
 //     must be cloned, not aliased, when copied between props or from plan
 //     nodes; an append through one alias silently corrupts the other.
+//   - batchwrite: outside the batch package nothing writes through a
+//     Batch, directly (b.Sel = …) or through a local view of its columns
+//     (cols := b.Cols; cols[0][i] = …), so scans can share storage
+//     zero-copy across concurrent queries.
 //
 // Hazards a deterministic tier-1 runtime law already catches have no
 // analyzer: cross-partition access, unmetered shipments and unjoined
 // fan-out fail the differential oracle, the exact metering tests and the
-// trace conservation laws (check.VerifyTrace).
+// trace conservation laws (check.VerifyTrace). So do pooled-batch leaks,
+// double releases and use-after-release: the engine's evalVec is the only
+// place a batch is released, its tests assert the pool balances after every
+// query, and its verify mode checks each operator's one ownership decision.
 //
 // publishorder goes beyond per-statement checks: it walks the
 // intraprocedural CFG of internal/lint/cfg forward from each atomic epoch
@@ -35,19 +42,8 @@
 // pointer, the cluster can only pin snapshots, and deterministic tests
 // cover the intent log.
 //
-// batchlifetime goes one step further: it is interprocedural. Every
-// function gets an ownership contract over its batch-typed parameters and
-// results (consume / borrow / escape / returns-alias, fresh / alias),
-// solved bottom-up over the package call graph with an SCC fixpoint for
-// recursion (internal/lint/cfg's CallGraph + Summary), and each body is
-// then checked flow-sensitively against its callees' contracts: pooled
-// batches must be released exactly once on every path, never used after
-// release, and never escape while owned. It also holds the one
-// batch-write rule: outside the batch package nothing writes through a
-// Batch, directly (b.Sel = …) or through a zero-copy view of its columns.
-// lint:batch-owner / lint:batch-borrow markers declare contracts at trust
-// boundaries. propalias's alias-returning functions are solved on the same
-// CallGraph.
+// propalias finds the functions that return an alias bottom-up over
+// internal/lint/cfg's CallGraph, with an SCC fixpoint for recursion.
 //
 // Suppressions: a "//lint:ignore <analyzer> <reason>" comment on the
 // diagnostic's line or the line above silences that analyzer there. A
@@ -116,7 +112,7 @@ type Analyzer struct {
 // driver runs them.
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
-		InvariantPanic, CtxThread, PropAlias, PublishOrder, BatchLifetime,
+		InvariantPanic, CtxThread, PropAlias, PublishOrder, BatchWrite,
 	}
 }
 

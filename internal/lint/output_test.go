@@ -65,7 +65,7 @@ func TestWriteJSONEmpty(t *testing.T) {
 func TestWriteJSONTimings(t *testing.T) {
 	var sb strings.Builder
 	timings := Timings{
-		"batchlifetime":  1512600 * time.Nanosecond, // 1.5126ms: rounds to 1.513
+		"batchwrite":     1512600 * time.Nanosecond, // 1.5126ms: rounds to 1.513
 		"invariantpanic": 40 * time.Microsecond,
 	}
 	if err := WriteJSON(&sb, nil, timings); err != nil {
@@ -74,7 +74,7 @@ func TestWriteJSONTimings(t *testing.T) {
 	const want = `{
   "findings": [],
   "timings_ms": {
-    "batchlifetime": 1.513,
+    "batchwrite": 1.513,
     "invariantpanic": 0.04
   }
 }

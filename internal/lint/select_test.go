@@ -19,19 +19,19 @@ func TestSelectAnalyzersDefault(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The roster, in driver order.
-	want := "invariantpanic ctxthread propalias publishorder batchlifetime"
+	want := "invariantpanic ctxthread propalias publishorder batchwrite"
 	if got := strings.Join(names(got), " "); got != want {
 		t.Fatalf("no filters must keep the full roster:\ngot  %s\nwant %s", got, want)
 	}
 }
 
 func TestSelectAnalyzersOnly(t *testing.T) {
-	got, err := SelectAnalyzers(Analyzers(), "batchlifetime, invariantpanic", "")
+	got, err := SelectAnalyzers(Analyzers(), "batchwrite, invariantpanic", "")
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Roster order is preserved regardless of flag order.
-	want := []string{"invariantpanic", "batchlifetime"}
+	want := []string{"invariantpanic", "batchwrite"}
 	if strings.Join(names(got), " ") != strings.Join(want, " ") {
 		t.Fatalf("got %v, want %v", names(got), want)
 	}
@@ -39,7 +39,7 @@ func TestSelectAnalyzersOnly(t *testing.T) {
 
 func TestSelectAnalyzersSkip(t *testing.T) {
 	all := Analyzers()
-	got, err := SelectAnalyzers(all, "", "batchlifetime")
+	got, err := SelectAnalyzers(all, "", "batchwrite")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,14 +47,14 @@ func TestSelectAnalyzersSkip(t *testing.T) {
 		t.Fatalf("skip of one analyzer: got %d, want %d", len(got), len(all)-1)
 	}
 	for _, a := range got {
-		if a.Name == "batchlifetime" {
+		if a.Name == "batchwrite" {
 			t.Fatal("skipped analyzer still in the selection")
 		}
 	}
 }
 
 func TestSelectAnalyzersOnlyThenSkip(t *testing.T) {
-	got, err := SelectAnalyzers(Analyzers(), "propalias,batchlifetime", "batchlifetime")
+	got, err := SelectAnalyzers(Analyzers(), "propalias,batchwrite", "batchwrite")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +69,7 @@ func TestSelectAnalyzersUnknown(t *testing.T) {
 	} else if !strings.Contains(err.Error(), "nosuchanalyzer") {
 		t.Fatalf("error should name the offender: %v", err)
 	}
-	if _, err := SelectAnalyzers(Analyzers(), "", "batchliftime"); err == nil {
+	if _, err := SelectAnalyzers(Analyzers(), "", "batchwrit"); err == nil {
 		t.Fatal("unknown -skip name must error: a typo would disable a gate")
 	}
 }
