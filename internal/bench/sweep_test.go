@@ -1,0 +1,679 @@
+package bench
+
+import (
+	"fmt"
+	"reflect"
+	"slices"
+	"sync"
+	"testing"
+	"time"
+
+	"pref/internal/batch"
+	"pref/internal/engine"
+	"pref/internal/plan"
+	"pref/internal/table"
+	"pref/internal/tpch"
+	"pref/internal/trace"
+	"pref/internal/value"
+)
+
+// The TPC-H plan sweep. Each fixture below is one TPC-H database, at one
+// scale and seed, partitioned over some nodes by each §5.1 variant of
+// tpchVariantTable. A fixture is built once per package run, when a test
+// first reads it: each dataset is generated once and its 22 queries
+// answered on one node once, and each variant is designed and
+// materialized once. Every (variant, query, options) case is rewritten
+// once without statistics and once with the statistics of the database it
+// runs on, and executed once under the static checker and the runtime
+// verifier, traced; a priced plan equal to the unpriced one reuses its
+// execution. The tests in this file are properties of those runs: a
+// rewrite change adds a property here, not another sweep.
+
+// dataset is one generated TPC-H database.
+type dataset struct {
+	sf   float64
+	seed int64
+}
+
+// fixture is a dataset partitioned over nodes.
+type fixture struct {
+	dataset
+	nodes int
+}
+
+var (
+	// microFx is where the plan-shape pins live, and where every plan also
+	// runs a second time, plain.
+	microFx = fixture{dataset{0.002, 7}, 4}
+	// mixFx holds the benchmark's query mixes at sf 0.01.
+	mixFx = fixture{dataset{0.01, 42}, 4}
+	// fig7Fx is Figure 7's cluster.
+	fig7Fx = fixture{dataset{0.01, 42}, 10}
+	// benchFx is the benchmark's scale and cluster.
+	benchFx      = fixture{dataset{0.05, 42}, 4}
+	tpchFixtures = []fixture{microFx, mixFx, fig7Fx, benchFx}
+	// joinMix is the benchmark's join_pref and join_hashed query mix.
+	joinMix = []string{"Q3", "Q5", "Q7", "Q10", "Q12", "Q18", "Q21"}
+)
+
+// sweepRun is one query of one variant, rewritten without statistics or
+// with them. A priced run whose plan equals the unpriced one is a copy of
+// it: the two share rw and res.
+type sweepRun struct {
+	fixture
+	variant, query string
+	stats          bool
+	rw             *plan.Rewritten
+	res            *engine.Result // checked, verified and traced; rows sorted
+	sim            time.Duration
+	plain          *engine.Result // microFx only: the plan executed again, plain; rows sorted
+}
+
+func (r *sweepRun) String() string {
+	return fmt.Sprintf("sf %v/%d nodes/%s/%s (stats %v)", r.sf, r.nodes, r.variant, r.query, r.stats)
+}
+
+type runKey struct {
+	variant, query string
+	stats          bool
+}
+
+// sweep is every run of one fixture.
+type sweep struct {
+	fixture
+	refs    map[string][]value.Tuple // each query's sorted rows on one node
+	logical map[string]plan.Node     // each query's logical plan
+	runs    []*sweepRun              // by variant, query, unpriced first
+	byKey   map[runKey]*sweepRun
+}
+
+func (s *sweep) run(variant, query string, stats bool) *sweepRun {
+	return s.byKey[runKey{variant, query, stats}]
+}
+
+var (
+	sweepMu sync.Mutex
+	sweeps  = map[fixture]*sweep{}
+	built   = map[dataset]error{} // each built dataset's error
+)
+
+// sweepOf returns the runs of fx, building every fixture of its dataset on
+// first use.
+func sweepOf(t *testing.T, fx fixture) *sweep {
+	t.Helper()
+	sweepMu.Lock()
+	defer sweepMu.Unlock()
+	err, done := built[fx.dataset]
+	if !done {
+		err = buildDataset(fx.dataset)
+		built[fx.dataset] = err
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sweeps[fx]
+}
+
+func allSweeps(t *testing.T) []*sweep {
+	t.Helper()
+	out := make([]*sweep, len(tpchFixtures))
+	for i, fx := range tpchFixtures {
+		out[i] = sweepOf(t, fx)
+	}
+	return out
+}
+
+// placed is one variant designed and materialized for a fixture.
+type placed struct {
+	fixture
+	v   *Variant
+	m   *Materialized
+	err error
+}
+
+func buildDataset(ds dataset) error {
+	d := tpch.Generate(ds.sf, ds.seed)
+	// Designing and materializing take no pooled batch, so one goroutine
+	// runs them a variant ahead of the executions. The executions run one at
+	// a time: the pool balance after each one names the run that leaked.
+	ready := make(chan placed)
+	go func() {
+		defer close(ready)
+		place := func(fx fixture, name string) {
+			p := placed{fixture: fx}
+			if p.v, p.err = TPCHVariant(d, fx.nodes, name); p.err == nil {
+				p.m, p.err = Materialize(p.v, d.DB)
+			}
+			ready <- p
+		}
+		place(fixture{ds, 1}, "AllReplicated") // the single-node reference
+		for _, fx := range tpchFixtures {
+			if fx.dataset != ds {
+				continue
+			}
+			for _, c := range tpchVariantTable {
+				place(fx, c.name)
+			}
+		}
+	}()
+	defer func() {
+		for range ready { // after an error, let the goroutine finish
+		}
+	}()
+	one := <-ready
+	if one.err != nil {
+		return one.err
+	}
+	refs := map[string][]value.Tuple{}
+	logical := map[string]plan.Node{}
+	for _, query := range tpch.QueryNames {
+		logical[query] = d.Query(query)
+		rw, err := plan.Rewrite(d.Query(query), d.DB.Schema, one.v.Groups[0].Config, plan.Options{})
+		if err != nil {
+			return fmt.Errorf("sf %v/%s on one node: rewrite: %w", ds.sf, query, err)
+		}
+		res, err := execute(rw, one.m.PDBs[0], engine.ExecOptions{})
+		if err != nil {
+			return fmt.Errorf("sf %v/%s on one node: %w", ds.sf, query, err)
+		}
+		refs[query] = res.Rows
+	}
+	for p := range ready {
+		if p.err != nil {
+			return p.err
+		}
+		s := sweeps[p.fixture]
+		if s == nil {
+			s = &sweep{fixture: p.fixture, refs: refs, logical: logical, byKey: map[runKey]*sweepRun{}}
+			sweeps[p.fixture] = s
+		}
+		if err := s.runVariant(d, p.v, p.m); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// runVariant runs every query on one materialized variant.
+func (s *sweep) runVariant(d *tpch.TPCH, v *Variant, m *Materialized) error {
+	for _, query := range tpch.QueryNames {
+		gi := v.RouteFor(query)
+		var unpriced *sweepRun
+		for _, opt := range []plan.Options{{}, {Stats: m.Stats[gi]}} {
+			r := &sweepRun{fixture: s.fixture, variant: v.Name, query: query, stats: opt.Stats != nil}
+			var err error
+			if r.rw, err = plan.Rewrite(d.Query(query), d.DB.Schema, v.Groups[gi].Config, opt); err != nil {
+				return fmt.Errorf("%v: rewrite: %w", r, err)
+			}
+			if r.stats && r.rw.Explain() == unpriced.rw.Explain() {
+				*r = *unpriced // the same plan
+				r.stats = true
+			} else if err := r.execute(m.PDBs[gi]); err != nil {
+				return err
+			}
+			unpriced = r
+			s.runs = append(s.runs, r)
+			s.byKey[runKey{v.Name, query, r.stats}] = r
+		}
+	}
+	return nil
+}
+
+// execute runs r's plan under the static checker (check.Verify) and the
+// runtime verifier, traced.
+func (r *sweepRun) execute(pdb *table.PartitionedDatabase) error {
+	var err error
+	if r.res, err = execute(r.rw, pdb, engine.ExecOptions{Verify: true, Trace: true}); err != nil {
+		return fmt.Errorf("%v: %w\n%s", r, err, r.rw.Explain())
+	}
+	r.sim = engine.DefaultCostModel().Simulate(r.res.Stats)
+	if r.fixture == microFx {
+		if r.plain, err = execute(r.rw, pdb, engine.ExecOptions{}); err != nil {
+			return fmt.Errorf("%v, plain: %w", r, err)
+		}
+	}
+	return nil
+}
+
+// execute runs a plan, sorts its rows, and holds the batch pool to balance.
+func execute(rw *plan.Rewritten, pdb *table.PartitionedDatabase, opt engine.ExecOptions) (*engine.Result, error) {
+	res, err := engine.ExecuteOpts(rw, pdb, opt)
+	if err != nil {
+		return nil, err
+	}
+	if n := batch.Outstanding(); n != 0 {
+		return nil, fmt.Errorf("%d pooled columns were never released", n)
+	}
+	res.SortRows()
+	return res, nil
+}
+
+// TestDifferentialTPCH: every design variant answers what one node
+// answers. Each query's sorted rows under every variant, rewritten without
+// statistics and with them, equal the single-node rows at every fixture;
+// at microFx every query has rows to compare. Variants differ wildly in how
+// rows move, never in what they answer.
+func TestDifferentialTPCH(t *testing.T) {
+	all := allSweeps(t)
+	for _, query := range tpch.QueryNames {
+		t.Run(query, func(t *testing.T) {
+			for _, s := range all {
+				if s.fixture == microFx && len(s.refs[query]) == 0 {
+					t.Errorf("%s returns no rows at sf %v", query, s.sf)
+				}
+				for _, r := range s.runs {
+					if want := s.refs[query]; r.query == query && !reflect.DeepEqual(r.res.Rows, want) {
+						t.Errorf("%v: %d rows differ from single-node execution's %d\n%s",
+							r, len(r.res.Rows), len(want), r.rw.Explain())
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestVecRowOracleTPCH is the half of the TPC-H row/batch oracle that needs
+// no reference: at microFx every plan runs twice on the product engine,
+// plain and under the runtime verifier, and must agree with itself — same
+// rows, same Stats — with every operator's recorded cells passing
+// check.VerifyTrace. Most of these plans hand an aggregate's output batches
+// to another operator (partial states repartitioned, aggregates joined and
+// filtered), and the trace conservation laws are what a hand-off that
+// dropped or repeated a row would break. The pool balance holds after every
+// execution of the sweep (execute). The comparison against the row
+// reference is internal/engine's TestVecRowOracleTPCH: only the engine's
+// own tests can reach the reference.
+func TestVecRowOracleTPCH(t *testing.T) {
+	s := sweepOf(t, microFx)
+	for _, query := range tpch.QueryNames {
+		t.Run(query, func(t *testing.T) {
+			for _, r := range s.runs {
+				if r.query != query {
+					continue
+				}
+				if !reflect.DeepEqual(r.plain.Rows, r.res.Rows) {
+					t.Errorf("%v: two executions diverge: %d vs %d rows", r, len(r.plain.Rows), len(r.res.Rows))
+				}
+				if r.plain.Stats != r.res.Stats || r.res.Trace.Totals != r.res.Stats {
+					t.Errorf("%v: stats diverge:\nplain    %+v\nverified %+v\ntrace    %+v",
+						r, r.plain.Stats, r.res.Stats, r.res.Trace.Totals)
+				}
+			}
+		})
+	}
+}
+
+// TestHiddenColumnsNeverShipTPCH is the invariant pruning establishes for
+// the PREF index columns: dup columns are consumed by the dedup before a
+// shipment and hasRef filters sit on base scans, so no exchange of any plan
+// of the sweep records a hidden column. (The checker, whose dead-column
+// rule re-derives liveness on its own, passes every plan: the sweep
+// executes each one under it.)
+func TestHiddenColumnsNeverShipTPCH(t *testing.T) {
+	for _, s := range allSweeps(t) {
+		for _, r := range s.runs {
+			for _, n := range findPlan(r.rw.Root, isExchange) {
+				for _, f := range r.rw.Schema(n) {
+					if plan.IsHiddenCol(f.Name) {
+						t.Errorf("%v: %s carries hidden column %s across a node boundary", r, n, f.Name)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestExchangesShipRecordedWidthTPCH holds every exchange span of the sweep
+// to its recorded schema: bytes shipped are rows shipped × 8 × the columns
+// the rewrite recorded. The seven join queries of the benchmark's
+// join_hashed workload, on the all-hashed design at microFx without
+// statistics, ship in total less than a quarter of what the same rows would
+// weigh unpruned. A rewriter or engine change that goes back to shipping
+// full-width rows fails here.
+func TestExchangesShipRecordedWidthTPCH(t *testing.T) {
+	var pruned, unpruned int64
+	for _, s := range allSweeps(t) {
+		for _, r := range s.runs {
+			sample := s.fixture == microFx && r.variant == "AllHashed" && !r.stats && slices.Contains(joinMix, r.query)
+			exchanges := 0
+			// The trace mirrors the plan under its synthetic Result root.
+			var walk func(plan.Node, *trace.OpTrace)
+			walk = func(n plan.Node, ot *trace.OpTrace) {
+				if isExchange(n) {
+					exchanges++
+					m, width := ot.Totals, int64(len(r.rw.Schema(n)))
+					if want := m.RowsShipped * 8 * width; m.BytesShipped != want {
+						t.Errorf("%v: %s shipped %d B for %d rows, want %d (%d recorded columns)",
+							r, n, m.BytesShipped, m.RowsShipped, want, width)
+					}
+					if sample {
+						pruned += m.BytesShipped
+						unpruned += m.RowsShipped * 8 * int64(unprunedWidth(r.rw, n))
+					}
+				}
+				for i, c := range n.Children() {
+					walk(c, ot.Children[i])
+				}
+			}
+			walk(r.rw.Root, r.res.Trace.Root.Children[0])
+			if sample && exchanges == 0 {
+				t.Errorf("%v: fixture drift: no exchange on the all-hashed design:\n%s", r, r.rw.Explain())
+			}
+		}
+	}
+	if pruned == 0 || pruned*4 >= unpruned {
+		t.Errorf("seven join queries shipped %d B, want under a quarter of the unpruned %d B", pruned, unpruned)
+	}
+}
+
+// TestRuntimeFiltersTPCH holds the runtime-filter rule to what it promises:
+// every filter of the sweep, shipped or local, drops rows, so the
+// selectivity test places no dead filter. At mixFx without statistics, the
+// benchmark's join mix places filters on the all-hashed design, and on SD,
+// where PREF co-locates the joins, the join and scan mixes place none.
+func TestRuntimeFiltersTPCH(t *testing.T) {
+	for _, s := range allSweeps(t) {
+		for _, r := range s.runs {
+			for _, f := range filters(r.res) {
+				if f.Totals.FilteredRows == 0 {
+					t.Errorf("%v: %s dropped no row", r, f.Label)
+				}
+			}
+		}
+	}
+	s := sweepOf(t, mixFx)
+	placed := 0
+	for _, query := range joinMix {
+		placed += len(filters(s.run("AllHashed", query, false).res))
+	}
+	if placed == 0 {
+		t.Error("AllHashed: the join mix placed no runtime filter")
+	}
+	for _, query := range slices.Concat(joinMix, []string{"Q1", "Q6", "Q15"}) {
+		for _, f := range filters(s.run("SD", query, false).res) {
+			t.Errorf("SD/%s: %s placed where PREF co-locates the joins", query, f.Label)
+		}
+	}
+}
+
+// filters returns the runtime filter spans of an execution.
+func filters(res *engine.Result) []*trace.OpTrace {
+	var out []*trace.OpTrace
+	res.Trace.Walk(func(op *trace.OpTrace) {
+		if op.Kind == trace.KindRuntimeFilter || op.Kind == trace.KindLocalFilter {
+			out = append(out, op)
+		}
+	})
+	return out
+}
+
+// TestEagerAggregationTPCH holds eager aggregation to where it pays: with
+// and without statistics, the rewrite keeps the eager form for Q3 and Q18 on
+// the all-hashed design at microFx and nowhere else — every PREF design
+// co-locates those joins, so the sums would only add exchanges.
+func TestEagerAggregationTPCH(t *testing.T) {
+	s := sweepOf(t, microFx)
+	want := map[string]bool{"AllHashed/Q3": true, "AllHashed/Q18": true}
+	for _, r := range s.runs {
+		key := r.variant + "/" + r.query
+		if got := eagerAggregated(s.logical[r.query], r.rw.Root); got != want[key] {
+			t.Errorf("%v: eager form kept = %v, want %v\n%s", r, got, want[key], r.rw.Explain())
+		}
+	}
+}
+
+// eagerAggregated reports whether the physical plan aggregates by a
+// group-by list that no aggregate of the logical query names: the sums of
+// an eager form, grouped by its summed input's join key.
+func eagerAggregated(logical, physical plan.Node) bool {
+	named := map[string]bool{}
+	walkPlan(logical, func(n plan.Node) {
+		if a, ok := n.(*plan.AggregateNode); ok {
+			named[fmt.Sprint(a.GroupBy)] = true
+		}
+	})
+	eager := false
+	walkPlan(physical, func(n plan.Node) {
+		switch a := n.(type) {
+		case *plan.AggregateNode:
+			eager = eager || !named[fmt.Sprint(a.GroupBy)]
+		case *plan.FinalAggNode:
+			eager = eager || !named[fmt.Sprint(a.GroupBy)]
+		}
+	})
+	return eager
+}
+
+// TestGroupedAggShipsPartialStatesTPCH guards the two-phase rewrite of
+// grouped aggregation: on SD at microFx with statistics, Q1 and Q15
+// repartition nothing but per-partition partial states, and Q1 ships at
+// most one state per group and remote node plus its result rows. A
+// rewriter change that goes back to shipping every input row fails here.
+func TestGroupedAggShipsPartialStatesTPCH(t *testing.T) {
+	const q1Groups = 4
+	s := sweepOf(t, microFx)
+	for _, query := range []string{"Q1", "Q15"} {
+		r := s.run("SD", query, true)
+		reps := findPlan(r.rw.Root, func(n plan.Node) bool { _, ok := n.(*plan.RepartitionNode); return ok })
+		if len(reps) == 0 {
+			t.Fatalf("%v: fixture drift: no repartition left to guard:\n%s", r, r.rw.Explain())
+		}
+		for _, n := range reps {
+			if rep := n.(*plan.RepartitionNode); !isPartialAgg(rep.Child) {
+				t.Errorf("%v: %s ships %T rows, want partial states only:\n%s", r, rep, rep.Child, r.rw.Explain())
+			}
+		}
+	}
+	r := s.run("SD", "Q1", true)
+	if max := int64((s.nodes-1)*q1Groups + len(r.res.Rows)); r.res.Stats.RowsShipped > max {
+		t.Errorf("Q1 shipped %d rows, want at most %d ((n-1)·groups + %d result rows)",
+			r.res.Stats.RowsShipped, max, len(r.res.Rows))
+	}
+}
+
+func isPartialAgg(n plan.Node) bool { _, ok := n.(*plan.PartialAggNode); return ok }
+
+// TestPrunedExchangeSchemasQ3 pins, by hand, what each exchange of Q3
+// carries on the all-hashed design at microFx without statistics: its hash
+// keys and the columns read above it. The rewrite sums lineitem per order
+// before the join with orders (eager aggregation), so lineitem ships one
+// revenue per order and partition, and orders travels once, with those
+// sums, to meet customer.
+func TestPrunedExchangeSchemasQ3(t *testing.T) {
+	rw := sweepOf(t, microFx).run("AllHashed", "Q3", false).rw
+	want := map[string][]string{
+		"Repartition(hash [o.custkey], dedup [])":  {"o.custkey", "o.orderdate", "o.shippriority", "l.orderkey", "revenue"},
+		"Repartition(hash [l.orderkey], dedup [])": {"l.orderkey", "revenue"},
+	}
+	exchanges := findPlan(rw.Root, isExchange)
+	seen := 0
+	for _, n := range exchanges {
+		cols, ok := want[n.String()]
+		if !ok {
+			continue
+		}
+		seen++
+		if got := rw.Schema(n).Names(); !reflect.DeepEqual(got, cols) {
+			t.Errorf("%s ships %v, want %v", n, got, cols)
+		}
+	}
+	if seen != len(want) || len(exchanges) != len(want) {
+		t.Fatalf("fixture drift: found %d of %d expected exchanges among %d:\n%s", seen, len(want), len(exchanges), rw.Explain())
+	}
+}
+
+// TestBroadcastChoiceTPCH holds the estimator's broadcast choice to its
+// promise at benchFx: with statistics the rewrite may broadcast an input of
+// a misaligned join instead of re-partitioning, and no plan ships more
+// bytes or takes more simulated time than the plan made without
+// statistics, but for the listed exceptions. Every plan that changes is
+// logged.
+func TestBroadcastChoiceTPCH(t *testing.T) {
+	// slower lists the plans whose simulated time may rise. AllHashed's Q20
+	// broadcasts the one nation row instead of shipping ~20 suppliers to
+	// that nation's node: it ships 160 B less and processes 14 rows less in
+	// all, but its busiest node gets 20 more (+0.04 ms), a placement skew
+	// the estimator does not model.
+	slower := map[string]bool{"AllHashed/Q20": true}
+	// The bytes the benchmark's join_hashed mix ships per query. A runtime
+	// filter from a broadcast source is local and ships nothing, which also
+	// tips Q3 to broadcast customer; Q21's anti join with a residual is no
+	// longer estimated empty, so it broadcasts nation.
+	pinned := map[string]int64{
+		"Q3": 155832, "Q5": 656896, "Q7": 3607520, "Q10": 434728,
+		"Q12": 21632, "Q18": 3990648, "Q21": 1299088,
+	}
+	s := sweepOf(t, benchFx)
+	for _, u := range s.runs {
+		if u.stats {
+			continue
+		}
+		name, query := u.variant, u.query
+		key := name + "/" + query
+		p := s.run(name, query, true)
+		b0, b1 := u.res.Stats.BytesShipped, p.res.Stats.BytesShipped
+		if u.rw != p.rw {
+			t.Logf("%-16s bytes %9d -> %9d, sim %9.3f -> %9.3f ms", key, b0, b1, ms(u.sim), ms(p.sim))
+		}
+		if b1 > b0 {
+			t.Errorf("%s ships more with statistics: %d -> %d B\n%s", key, b0, b1, p.rw.Explain())
+		}
+		if p.sim > u.sim && !slower[key] {
+			t.Errorf("%s is slower with statistics: %v -> %v\n%s", key, u.sim, p.sim, p.rw.Explain())
+		}
+		if want, ok := pinned[query]; ok && name == "AllHashed" && b1 != want {
+			t.Errorf("%s ships %d B, want %d", key, b1, want)
+		}
+		// The old size heuristic broadcast the join of customer and
+		// orders here, which ships more than the repartitions it saves.
+		if (query == "Q5" || query == "Q10") && name == "AllHashed" {
+			for _, b := range findPlan(p.rw.Root, isBroadcast) {
+				if scans(b, "customer") && scans(b, "orders") {
+					t.Errorf("%s broadcasts customer ⋈ orders\n%s", key, p.rw.Explain())
+				}
+			}
+		}
+	}
+}
+
+// TestBroadcastChoiceTraps pins two plans that a cruder estimate gets
+// wrong: mixed_rw's Q14 on SD at mixFx keeps its plan, and SD-noRed's Q9 at
+// fig7Fx is not slower with statistics — a broadcast build side is copied
+// to every node, and its per-node rows must be priced as such.
+func TestBroadcastChoiceTraps(t *testing.T) {
+	for _, c := range []struct {
+		fx             fixture
+		variant, query string
+	}{
+		{mixFx, "SD", "Q14"},
+		{fig7Fx, "SD-noRed", "Q9"},
+	} {
+		s := sweepOf(t, c.fx)
+		u, p := s.run(c.variant, c.query, false), s.run(c.variant, c.query, true)
+		if c.query == "Q14" && u.rw != p.rw {
+			t.Errorf("%v: the plan changed with statistics\n%s", p, p.rw.Explain())
+		}
+		if p.sim > u.sim {
+			t.Errorf("%v is slower with statistics: %v -> %v\n%s", p, u.sim, p.sim, p.rw.Explain())
+		}
+	}
+}
+
+// TestLocalFiltersTPCH: with statistics, a selective input of a join whose
+// other input reaches it through no exchange filters that input in place.
+// The sweep places at least one local filter at benchFx and at fig7Fx. On
+// SD at benchFx, the benchmark's join_pref and mixed_rw mixes ship no more
+// bytes and take no more simulated time than the plans made before local
+// filters, pinned below, and Q21, whose one nation now filters its three
+// lineitem scans, takes at most 700 ms.
+func TestLocalFiltersTPCH(t *testing.T) {
+	type cost struct {
+		bytes int64
+		simMs float64
+	}
+	before := map[string]cost{
+		"Q3": {28480, 408.311840}, "Q4": {288, 388.768304}, "Q5": {304, 429.078432},
+		"Q6": {24, 155.164192}, "Q7": {74880, 765.271040}, "Q10": {56760, 288.216080},
+		"Q12": {192, 232.363536}, "Q14": {129136, 196.363087}, "Q18": {494208, 664.839664},
+		"Q21": {1312, 1440.128496},
+	}
+	for _, fx := range []fixture{benchFx, fig7Fx} {
+		local := 0
+		for _, r := range sweepOf(t, fx).runs {
+			if r.stats {
+				local += len(findPlan(r.rw.Root, func(n plan.Node) bool {
+					f, ok := n.(*plan.RuntimeFilterNode)
+					return ok && f.Local
+				}))
+			}
+		}
+		if local == 0 {
+			t.Errorf("sf %v on %d nodes: the sweep placed no local filter", fx.sf, fx.nodes)
+		}
+	}
+	s := sweepOf(t, benchFx)
+	for query, want := range before {
+		r := s.run("SD", query, true)
+		bytes, simMs := r.res.Stats.BytesShipped, ms(r.sim)
+		if bytes > want.bytes || simMs > want.simMs {
+			t.Errorf("SD/%s: %d B, %.3f sim ms; before local filters %d B, %.3f ms\n%s",
+				query, bytes, simMs, want.bytes, want.simMs, r.rw.Explain())
+		}
+		if query == "Q21" && simMs > 700 {
+			t.Errorf("SD/Q21 takes %.3f sim ms, want at most 700\n%s", simMs, r.rw.Explain())
+		}
+	}
+}
+
+// walkPlan visits every operator of a physical plan, pre-order.
+func walkPlan(n plan.Node, visit func(plan.Node)) {
+	visit(n)
+	for _, c := range n.Children() {
+		walkPlan(c, visit)
+	}
+}
+
+// findPlan returns the nodes of the plan at n that match pred.
+func findPlan(n plan.Node, pred func(plan.Node) bool) []plan.Node {
+	var out []plan.Node
+	walkPlan(n, func(x plan.Node) {
+		if pred(x) {
+			out = append(out, x)
+		}
+	})
+	return out
+}
+
+// scans reports whether the plan at n scans table tbl.
+func scans(n plan.Node, tbl string) bool {
+	return len(findPlan(n, func(x plan.Node) bool { s, ok := x.(*plan.ScanNode); return ok && s.Table == tbl })) > 0
+}
+
+func isBroadcast(n plan.Node) bool { _, ok := n.(*plan.BroadcastNode); return ok }
+
+func isExchange(n plan.Node) bool {
+	switch n.(type) {
+	case *plan.RepartitionNode, *plan.BroadcastNode, *plan.GatherNode:
+		return true
+	}
+	return false
+}
+
+// unprunedWidth is how many columns n would produce with no pruning: scans
+// hand out the table's columns (plus the two index vectors on a PREF table),
+// joins concatenate, and projections and aggregations name their own.
+func unprunedWidth(rw *plan.Rewritten, n plan.Node) int {
+	switch n := n.(type) {
+	case *plan.JoinNode:
+		if n.Type == plan.Semi || n.Type == plan.Anti {
+			return unprunedWidth(rw, n.Left)
+		}
+		return unprunedWidth(rw, n.Left) + unprunedWidth(rw, n.Right)
+	case *plan.ScanNode, *plan.ProjectNode, *plan.AggregateNode, *plan.PartialAggNode, *plan.FinalAggNode:
+		return len(rw.Schema(n))
+	default:
+		return unprunedWidth(rw, n.Children()[0])
+	}
+}
+
+func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
