@@ -2,9 +2,9 @@
 // over the module and exits nonzero if any diagnostic fires. It is the CI
 // companion to go vet: vet checks generic Go mistakes, preflint checks
 // this codebase's own invariants — panic policy, context threading, Prop
-// slice aliasing, publish ordering (a walk over internal/lint/cfg's CFG)
-// and the batch-write rule, which keeps batches immutable outside their
-// package.
+// slice aliasing, publish ordering (the atomic epoch store is a top-level
+// statement and nothing after it mutates what it publishes) and the
+// batch-write rule, which keeps batches immutable outside their package.
 //
 // An analyzer name retired from the roster is unknown to -only/-skip and
 // exits 2: atomicdiscipline, batchownership; batchlifetime, whose pooled

@@ -18,13 +18,13 @@ func TestExitCodes(t *testing.T) {
 		args []string
 		want int
 	}{
-		{[]string{"./internal/lint/cfg"}, 0},
+		{[]string{"./internal/value"}, 0},
 		{[]string{"-only", "batchwrite", "./internal/lint/testdata/src/batchwrite"}, 1},
-		{[]string{"-only", "batchlifetime", "./internal/lint/cfg"}, 2},  // retired name
-		{[]string{"-only", "batchownership", "./internal/lint/cfg"}, 2}, // retired name
-		{[]string{"-only", "partownership", "./internal/lint/cfg"}, 2},  // retired name
-		{[]string{"-skip", "happensbefore", "./internal/lint/cfg"}, 2},  // retired name
-		{[]string{"-sarif", "./internal/lint/cfg"}, 2},                  // retired flag
+		{[]string{"-only", "batchlifetime", "./internal/value"}, 2},  // retired name
+		{[]string{"-only", "batchownership", "./internal/value"}, 2}, // retired name
+		{[]string{"-only", "partownership", "./internal/value"}, 2},  // retired name
+		{[]string{"-skip", "happensbefore", "./internal/value"}, 2},  // retired name
+		{[]string{"-sarif", "./internal/value"}, 2},                  // retired flag
 		{[]string{"./no/such/dir"}, 2},
 	} {
 		cmd := exec.Command(bin, tc.args...)

@@ -20,6 +20,15 @@
 //   - propalias: plan.Prop's []string property fields (HashCols, DupCols)
 //     must be cloned, not aliased, when copied between props or from plan
 //     nodes; an append through one alias silently corrupts the other.
+//     A call to a function that returns a slice parameter or a Prop field
+//     unchanged aliases too; those functions are found by re-scanning the
+//     package until a pass marks no new one, so wrappers and recursion
+//     resolve without a call graph.
+//   - publishorder: the atomic epoch store is a release point, so all
+//     bookkeeping must precede it. The store must be a top-level statement
+//     of a goto-free function body and the function's only publish; then
+//     the statements after it are exactly what runs after it, and none of
+//     them may mutate the published receiver or the stored value.
 //   - batchwrite: outside the batch package nothing writes through a
 //     Batch, directly (b.Sel = …) or through a local view of its columns
 //     (cols := b.Cols; cols[0][i] = …), so scans can share storage
@@ -33,17 +42,10 @@
 // place a batch is released, its tests assert the pool balances after every
 // query, and its verify mode checks each operator's one ownership decision.
 //
-// publishorder goes beyond per-statement checks: it walks the
-// intraprocedural CFG of internal/lint/cfg forward from each atomic epoch
-// store and flags any mutation of version-visible state that some path
-// reaches after it — the publish is a release point, so all bookkeeping
-// must precede it. The write path's other protocols hold by construction:
-// copy-on-write compares head partitions with the published Version by
-// pointer, the cluster can only pin snapshots, and deterministic tests
-// cover the intent log.
-//
-// propalias finds the functions that return an alias bottom-up over
-// internal/lint/cfg's CallGraph, with an SCC fixpoint for recursion.
+// The write path's protocols other than publish ordering hold by
+// construction: copy-on-write compares head partitions with the published
+// Version by pointer, the cluster can only pin snapshots, and
+// deterministic tests cover the intent log.
 //
 // Suppressions: a "//lint:ignore <analyzer> <reason>" comment on the
 // diagnostic's line or the line above silences that analyzer there. A
@@ -279,20 +281,6 @@ func sanctioned(p *Pass, marked map[string]map[int]bool, n ast.Node) bool {
 	pos := p.Fset.Position(n.Pos())
 	lines := marked[pos.Filename]
 	return lines[pos.Line] || lines[pos.Line-1]
-}
-
-// hasFuncMarker reports whether the function's doc comment carries the
-// marker.
-func hasFuncMarker(fn *ast.FuncDecl, marker string) bool {
-	if fn == nil || fn.Doc == nil {
-		return false
-	}
-	for _, cm := range fn.Doc.List {
-		if strings.Contains(cm.Text, marker) {
-			return true
-		}
-	}
-	return false
 }
 
 // eachFuncDecl visits every function declaration with a body.

@@ -276,9 +276,10 @@ func literals(cp *Prop, cols []string) *Prop {
 
 func TestPropAliasThroughCallsAndEmbedding(t *testing.T) {
 	// The type-aware upgrade: calls that launder an alias through a
-	// passthrough return are caught (to a fixpoint), and assignment to a
-	// field promoted through struct embedding still resolves to the Prop
-	// field object.
+	// passthrough return are caught (to a fixpoint, through mutual
+	// recursion, explicit instantiation, generic methods and method
+	// wrappers), and assignment to a field promoted through struct
+	// embedding still resolves to the Prop field object.
 	const src = `package plan
 
 type Prop struct {
@@ -313,6 +314,44 @@ func calls(np *Prop, cols []string) {
 func promoted(a *annotated, cols []string) {
 	a.HashCols = cols // want "HashCols assigned from an existing slice"
 	a.DupCols = fresh(cols)
+}
+
+func pass[T any](cols []T) []T { return cols }
+
+type box[T any] struct{}
+
+func (box[T]) get(cols []T) []T { return cols }
+
+type r struct{}
+
+func (r) own(c []string) []string { return c }
+
+func (x r) wrap(c []string) []string { return x.own(c) }
+
+func callees(np *Prop, cols []string, x r) {
+	np.HashCols = pass[string](cols)     // want "a call to pass, which returns an existing slice unchanged"
+	np.DupCols = box[string]{}.get(cols) // want "a call to get, which returns an existing slice unchanged"
+	np.HashCols = x.wrap(cols)           // want "a call to wrap, which returns an existing slice unchanged"
+}
+
+// odd aliases only through even, which is declared after it.
+func odd(cols []string, n int) []string {
+	if n == 0 {
+		return nil
+	}
+	return even(cols, n-1)
+}
+
+func even(cols []string, n int) []string {
+	if n == 0 {
+		return cols
+	}
+	return odd(cols, n-1)
+}
+
+func recursive(np *Prop, cols []string) {
+	np.HashCols = odd(cols, 3) // want "a call to odd, which returns an existing slice unchanged"
+	np.DupCols = even(cols, 2) // want "a call to even, which returns an existing slice unchanged"
 }
 `
 	runWant(t, "propalias_typed.go", src, []*Analyzer{PropAlias})

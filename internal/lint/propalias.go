@@ -3,8 +3,6 @@ package lint
 import (
 	"go/ast"
 	"go/types"
-
-	"pref/internal/lint/cfg"
 )
 
 // propSliceFields are the plan.Prop []string fields with copy-on-write
@@ -40,8 +38,7 @@ func runPropAlias(p *Pass) error {
 	if len(targets) == 0 {
 		return nil
 	}
-	solved := aliasReturners(p, targets)
-	get := func(fn *types.Func) *cfg.Summary { return solved[fn] }
+	returners := aliasReturners(p, targets)
 	for _, f := range p.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch n := n.(type) {
@@ -58,7 +55,7 @@ func runPropAlias(p *Pass) error {
 					if fld == nil || !targets[fld] {
 						continue
 					}
-					if why := aliasingExpr(p, get, n.Rhs[i]); why != "" {
+					if why := aliasingExpr(p, returners, n.Rhs[i]); why != "" {
 						p.Report(n, "%s assigned from %s; clone it", sel.Sel.Name, why)
 					}
 				}
@@ -76,7 +73,7 @@ func runPropAlias(p *Pass) error {
 					if !ok || !fld.IsField() || !targets[fld] {
 						continue
 					}
-					if why := aliasingExpr(p, get, kv.Value); why != "" {
+					if why := aliasingExpr(p, returners, kv.Value); why != "" {
 						p.Report(kv, "%s initialized from %s; clone it", key.Name, why)
 					}
 				}
@@ -136,50 +133,60 @@ func isStringSlice(t types.Type) bool {
 	return ok && b.Kind() == types.String
 }
 
-// aliasReturners solves, bottom-up over the package call graph, which of
-// this package's functions return an aliasing view of caller-owned memory:
-// a result position is cfg.ResAlias when some return statement yields
+// aliasReturners marks which of this package's functions return an
+// aliasing view of caller-owned memory: some return statement yields
 // (after unwrapping parens and subslicing) one of the function's own slice
-// parameters, a targeted Prop field, or a call to another alias returner —
-// so aliases laundered through wrappers, recursive ones included, are
-// still caught.
-func aliasReturners(p *Pass, targets map[*types.Var]bool) map[*types.Func]*cfg.Summary {
-	cg := cfg.NewCallGraph(p.Files, p.TypesInfo)
-	return cg.Solve(func(n *cfg.FuncNode, get func(*types.Func) *cfg.Summary) *cfg.Summary {
-		s := &cfg.Summary{Results: make([]cfg.ResultKind, n.Fn.Type().(*types.Signature).Results().Len())}
-		if len(s.Results) == 0 {
-			return s
-		}
-		params := paramObjs(p, n.Decl)
-		ast.Inspect(n.Decl.Body, func(m ast.Node) bool {
-			if _, ok := m.(*ast.FuncLit); ok {
-				return false // a closure's returns are not fn's
+// parameters, a targeted Prop field, or a call to a marked function. It
+// re-scans every function until a pass marks nothing new; marks only
+// accumulate, so aliases laundered through wrappers, recursive ones
+// included, reach the same fixpoint in any scan order.
+func aliasReturners(p *Pass, targets map[*types.Var]bool) map[types.Object]bool {
+	marked := map[types.Object]bool{}
+	for changed := true; changed; {
+		changed = false
+		eachFuncDecl(p, func(fn *ast.FuncDecl) {
+			obj := p.TypesInfo.Defs[fn.Name]
+			if marked[obj] {
+				return
 			}
-			if ret, ok := m.(*ast.ReturnStmt); ok {
-				for i, res := range ret.Results {
-					if returnsAlias(p, get, params, targets, res) {
-						s.Results[i] = cfg.ResAlias
+			params := paramObjs(p, fn)
+			ast.Inspect(fn.Body, func(m ast.Node) bool {
+				if _, ok := m.(*ast.FuncLit); ok {
+					return false // a closure's returns are not fn's
+				}
+				if ret, ok := m.(*ast.ReturnStmt); ok {
+					for _, res := range ret.Results {
+						if returnsAlias(p, marked, params, targets, res) {
+							marked[obj], changed = true, true
+						}
 					}
 				}
-			}
-			return true
+				return !marked[obj]
+			})
 		})
-		return s
-	})
+	}
+	return marked
 }
 
-// returnsAliasing reports whether obj is a function some result of whose
-// summary aliases caller-owned memory.
-func returnsAliasing(get func(*types.Func) *cfg.Summary, obj types.Object) bool {
-	fn, _ := obj.(*types.Func)
-	if s := get(fn); s != nil {
-		for _, k := range s.Results {
-			if k == cfg.ResAlias {
-				return true
-			}
-		}
+// callee resolves the function a call statically invokes, through parens
+// and explicit instantiation, to its generic origin (nil for function
+// values, built-ins and conversions).
+func callee(p *Pass, call *ast.CallExpr) types.Object {
+	fun := ast.Unparen(call.Fun)
+	switch e := fun.(type) {
+	case *ast.IndexExpr:
+		fun = ast.Unparen(e.X)
+	case *ast.IndexListExpr:
+		fun = ast.Unparen(e.X)
 	}
-	return false
+	if sel, ok := fun.(*ast.SelectorExpr); ok {
+		fun = sel.Sel
+	}
+	id, _ := fun.(*ast.Ident)
+	if fn, ok := p.TypesInfo.Uses[id].(*types.Func); ok {
+		return fn.Origin()
+	}
+	return nil
 }
 
 // paramObjs collects the parameter and receiver objects of fn that have
@@ -207,7 +214,7 @@ func paramObjs(p *Pass, fn *ast.FuncDecl) map[types.Object]bool {
 
 // returnsAlias reports whether returning res hands the caller an alias of
 // a parameter slice or a Prop property slice.
-func returnsAlias(p *Pass, get func(*types.Func) *cfg.Summary, params map[types.Object]bool, targets map[*types.Var]bool, res ast.Expr) bool {
+func returnsAlias(p *Pass, returners, params map[types.Object]bool, targets map[*types.Var]bool, res ast.Expr) bool {
 	switch res := res.(type) {
 	case *ast.Ident:
 		return params[p.TypesInfo.Uses[res]]
@@ -215,13 +222,11 @@ func returnsAlias(p *Pass, get func(*types.Func) *cfg.Summary, params map[types.
 		fld := fieldObj(p, res)
 		return fld != nil && targets[fld]
 	case *ast.ParenExpr:
-		return returnsAlias(p, get, params, targets, res.X)
+		return returnsAlias(p, returners, params, targets, res.X)
 	case *ast.SliceExpr:
-		return returnsAlias(p, get, params, targets, res.X)
+		return returnsAlias(p, returners, params, targets, res.X)
 	case *ast.CallExpr:
-		if id, ok := res.Fun.(*ast.Ident); ok {
-			return returnsAliasing(get, p.TypesInfo.Uses[id])
-		}
+		return returners[callee(p, res)]
 	}
 	return false
 }
@@ -231,7 +236,7 @@ func returnsAlias(p *Pass, get func(*types.Func) *cfg.Summary, params map[types.
 // variable, a field or promoted field, a subslice of either, a slice
 // conversion, or a call to an alias-returning function. append, make,
 // literals, clone helpers, and nil are fresh.
-func aliasingExpr(p *Pass, get func(*types.Func) *cfg.Summary, e ast.Expr) string {
+func aliasingExpr(p *Pass, returners map[types.Object]bool, e ast.Expr) string {
 	switch e := e.(type) {
 	case *ast.Ident:
 		if obj, ok := p.TypesInfo.Uses[e].(*types.Var); ok && obj != nil {
@@ -247,26 +252,21 @@ func aliasingExpr(p *Pass, get func(*types.Func) *cfg.Summary, e ast.Expr) strin
 		}
 		return ""
 	case *ast.ParenExpr:
-		return aliasingExpr(p, get, e.X)
+		return aliasingExpr(p, returners, e.X)
 	case *ast.SliceExpr:
 		// s[i:j] still shares s's backing array; treat any slice of an
 		// aliasing expression as aliasing.
-		return aliasingExpr(p, get, e.X)
+		return aliasingExpr(p, returners, e.X)
 	case *ast.CallExpr:
 		if tv, ok := p.TypesInfo.Types[e.Fun]; ok && tv.IsType() {
 			// A conversion like []string(x) reuses x's backing array.
-			if len(e.Args) == 1 && aliasingExpr(p, get, e.Args[0]) != "" {
+			if len(e.Args) == 1 && aliasingExpr(p, returners, e.Args[0]) != "" {
 				return "a slice conversion of an existing slice"
 			}
 			return ""
 		}
-		if id, ok := e.Fun.(*ast.Ident); ok && returnsAliasing(get, p.TypesInfo.Uses[id]) {
-			return "a call to " + id.Name + ", which returns an existing slice unchanged"
-		}
-		if sel, ok := e.Fun.(*ast.SelectorExpr); ok {
-			if returnsAliasing(get, p.TypesInfo.Uses[sel.Sel]) {
-				return "a call to " + sel.Sel.Name + ", which returns an existing slice unchanged"
-			}
+		if fn := callee(p, e); returners[fn] {
+			return "a call to " + fn.Name() + ", which returns an existing slice unchanged"
 		}
 		return ""
 	}

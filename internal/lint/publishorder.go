@@ -2,9 +2,8 @@ package lint
 
 import (
 	"go/ast"
+	"go/token"
 	"go/types"
-
-	"pref/internal/lint/cfg"
 )
 
 // PublishOrder statically catches the race class PR 6's chaos soak caught
@@ -13,21 +12,18 @@ import (
 // readers, so every piece of bookkeeping that readers may observe must
 // complete BEFORE the store. The analyzer finds each atomic publish store
 // (`x.f.Store(v)` on a sync/atomic-typed field; the module declares no
-// atomics any other way) and walks the CFG forward from it: any mutation
-// that some path reaches after the store, of state rooted at the published
-// receiver or at the stored value, is a publish-ordering violation.
-// Functions that legitimately restructure state around a store declare
-// "// lint:publish-boundary <reason>".
+// atomics any other way) and holds it to a shape: the store is a top-level
+// statement of its function body, the only publish in the function, and
+// the function has no goto. In that shape the statements after the store
+// in the body are exactly the code that can run after it, so a mutation
+// among them of state rooted at the published receiver or at the stored
+// value is a publish-ordering violation. A store in any other shape is
+// reported outright.
 var PublishOrder = &Analyzer{
 	Name: "publishorder",
 	Doc:  "no mutation of version-visible state may follow the atomic epoch store; bookkeeping must complete before the publish",
 	Run:  runPublishOrder,
 }
-
-// publishBoundaryMarker, in a function's doc comment, declares that the
-// function may touch version-visible state around an atomic epoch store
-// and carries the reason: "// lint:publish-boundary <reason>".
-const publishBoundaryMarker = "lint:publish-boundary"
 
 func runPublishOrder(p *Pass) error {
 	switch p.PkgName() {
@@ -35,108 +31,92 @@ func runPublishOrder(p *Pass) error {
 	default:
 		return nil
 	}
-	eachFuncDecl(p, func(fn *ast.FuncDecl) {
-		if hasFuncMarker(fn, publishBoundaryMarker) {
-			return
-		}
-		checkPublishOrder(p, fn)
-	})
+	eachFuncDecl(p, func(fn *ast.FuncDecl) { checkPublishOrder(p, fn) })
 	return nil
 }
 
 func checkPublishOrder(p *Pass, fn *ast.FuncDecl) {
-	// The stores, and the objects whose state they publish: the receiver
-	// base and the stored value's root.
-	stores := map[ast.Node]bool{}
+	// The stores in source order, the objects whose state they publish (the
+	// receiver base and the stored value's root), and any goto.
+	var stores []*ast.CallExpr
 	watched := map[types.Object]bool{}
-	var firstStore *ast.CallExpr // source order, for the messages
+	hasGoto := false
 	ast.Inspect(fn.Body, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok || !isPublishStore(p, call) {
-			return true
-		}
-		stores[call] = true
-		watched[recvBase(p, call.Fun.(*ast.SelectorExpr).X)] = true
-		if len(call.Args) > 0 {
-			watched[recvBase(p, call.Args[len(call.Args)-1])] = true
-		}
-		if firstStore == nil || call.Pos() < firstStore.Pos() {
-			firstStore = call
+		switch n := n.(type) {
+		case *ast.BranchStmt:
+			hasGoto = hasGoto || n.Tok == token.GOTO
+		case *ast.CallExpr:
+			if isPublishStore(p, n) {
+				stores = append(stores, n)
+				watched[recvBase(p, n.Fun.(*ast.SelectorExpr).X)] = true
+				if len(n.Args) > 0 {
+					watched[recvBase(p, n.Args[len(n.Args)-1])] = true
+				}
+			}
 		}
 		return true
 	})
 	if len(stores) == 0 {
 		return
 	}
+	at := p.Fset.Position(stores[0].Pos())
+	for _, s := range stores[1:] {
+		p.Report(s, "second atomic publish after the one at %s in the same function; publish exactly once per epoch", at)
+	}
+
+	// top maps each call a body statement makes at its top level (an
+	// expression statement, an assignment's right-hand side) to the index
+	// of that statement.
+	top := map[ast.Expr]int{}
+	for i, st := range fn.Body.List {
+		switch st := st.(type) {
+		case *ast.ExprStmt:
+			top[ast.Unparen(st.X)] = i
+		case *ast.AssignStmt:
+			for _, rhs := range st.Rhs {
+				top[ast.Unparen(rhs)] = i
+			}
+		}
+	}
+	if _, ok := top[stores[0]]; !ok || hasGoto {
+		p.Report(stores[0], "atomic epoch publish must be a top-level statement of a function body without goto, so that the statements after it are all that can run after it")
+	}
+	if hasGoto {
+		return
+	}
 	mutates := func(lhs ast.Expr) bool {
 		o := recvBase(p, lhs)
 		return o != nil && watched[o] && !isPlainIdent(lhs)
 	}
-
-	// events lists each reachable block's stores and mutations in execution
-	// order. Deferred calls and go statements do not run where they are
-	// registered, so their bodies hold no events.
-	g := cfg.New(fn.Name.Name, fn)
-	events := map[*cfg.Block][]ast.Node{}
-	for _, b := range g.Reachable() {
-		for _, n := range b.Nodes {
-			cfg.VisitExprs(n, func(sub ast.Node) bool {
-				isEvent := stores[sub]
-				switch sub := sub.(type) {
-				case *ast.DeferStmt, *ast.GoStmt:
-					return false
-				case *ast.AssignStmt:
-					for _, lhs := range sub.Lhs {
-						isEvent = isEvent || mutates(lhs)
-					}
-				case *ast.IncDecStmt:
-					isEvent = mutates(sub.X)
-				}
-				if isEvent {
-					events[b] = append(events[b], sub)
-				}
-				return true
-			})
+	// Later stores are reported already; what can still race is the code
+	// after the first top-level one. Deferred calls and go statements do
+	// not run where they are registered, so their bodies are skipped.
+	var rest []ast.Stmt
+	for _, s := range stores {
+		if i, ok := top[s]; ok {
+			rest = fn.Body.List[i+1:]
+			break
 		}
 	}
-
-	// Forward reachability: the rest of a store's block, then every block
-	// some path reaches from it (the store's own block again round a loop).
-	after := map[ast.Node]bool{}
-	var work []*cfg.Block
-	for b, evs := range events {
-		for i, ev := range evs {
-			if stores[ev] {
-				for _, later := range evs[i+1:] {
-					after[later] = true
-				}
-				work = append(work, b.Succs...)
-				break
+	for _, st := range rest {
+		ast.Inspect(st, func(n ast.Node) bool {
+			var lhs []ast.Expr
+			switch n := n.(type) {
+			case *ast.DeferStmt, *ast.GoStmt:
+				return false
+			case *ast.AssignStmt:
+				lhs = n.Lhs
+			case *ast.IncDecStmt:
+				lhs = []ast.Expr{n.X}
 			}
-		}
-	}
-	seen := map[*cfg.Block]bool{}
-	for len(work) > 0 {
-		b := work[len(work)-1]
-		work = work[:len(work)-1]
-		if seen[b] {
-			continue
-		}
-		seen[b] = true
-		for _, ev := range events[b] {
-			after[ev] = true
-		}
-		work = append(work, b.Succs...)
-	}
-
-	at := p.Fset.Position(firstStore.Pos())
-	for n := range after {
-		switch {
-		case !stores[n]:
-			p.Report(n, "mutation of version-visible state after the atomic epoch publish at %s; readers may already observe the new version — complete all bookkeeping before the Store", at)
-		case n != ast.Node(firstStore):
-			p.Report(n, "second atomic publish after the one at %s in the same function; publish exactly once per epoch", at)
-		}
+			for _, e := range lhs {
+				if mutates(e) {
+					p.Report(n, "mutation of version-visible state after the atomic epoch publish at %s; readers may already observe the new version — complete all bookkeeping before the Store", at)
+					break
+				}
+			}
+			return true
+		})
 	}
 }
 

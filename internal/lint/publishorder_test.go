@@ -86,16 +86,3 @@ func TestRegressionRequiresPublishOrder(t *testing.T) {
 		}
 	}
 }
-
-// TestCfgPackageIsLintClean is the self-check the CI gate mirrors: the
-// dataflow substrate itself lints clean under the full suite, including
-// the analyzers built on top of it.
-func TestCfgPackageIsLintClean(t *testing.T) {
-	diags, err := RunDir("cfg", Analyzers())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(diags) != 0 {
-		t.Fatalf("internal/lint/cfg should be clean, got:\n%v", diags)
-	}
-}

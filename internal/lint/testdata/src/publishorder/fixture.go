@@ -1,8 +1,9 @@
 // Fixture for the publishorder analyzer: no mutation of version-visible
-// state may follow the atomic epoch store on any path. The bad shapes
-// reproduce the PR 6 publish-ordering race, where shared[] bookkeeping ran
-// after the store and a concurrent BeginWrite could observe the new
-// version with stale clone flags.
+// state may follow the atomic epoch store, which must sit where the body's
+// statement order is its execution order. The bad shapes reproduce the
+// publish-ordering race the chaos soak once caught, where shared[]
+// bookkeeping ran after the store and a concurrent BeginWrite could
+// observe the new version with stale clone flags.
 package table
 
 import (
@@ -53,7 +54,8 @@ func (pt *Partitioned) publishedValue(epoch int64) {
 	v.Parts = pt.Parts // want "mutation of version-visible state after the atomic epoch publish"
 }
 
-// onePath only races on the error path; the may-analysis still finds it.
+// onePath only races on the error path; the branch follows the store,
+// so it is still found.
 func (pt *Partitioned) onePath(epoch int64, dirty bool) {
 	parts := make([]int, len(pt.Parts))
 	copy(parts, pt.Parts)
@@ -70,12 +72,23 @@ func (pt *Partitioned) doublePublish(epoch int64) {
 	pt.pub.Store(&Version{Epoch: epoch + 1}) // want "second atomic publish"
 }
 
-// lint:publish-boundary fixture: swap-based republication restructures
-// state around the store by design and owns its ordering proof.
-func (pt *Partitioned) sanctioned(epoch int64) {
-	pt.pub.Store(&Version{Epoch: epoch})
-	for i := range pt.shared {
-		pt.shared[i] = true
+// nested publishes inside a branch: the statements after it in the body
+// are no longer all that runs after it, so the shape alone is reported.
+func (pt *Partitioned) nested(epoch int64, dirty bool) {
+	if dirty {
+		pt.pub.Store(&Version{Epoch: epoch}) // want "must be a top-level statement"
+	}
+}
+
+// jumped publishes at the top level, but a goto can carry control from
+// below the store back above it.
+func (pt *Partitioned) jumped(epoch int64) {
+again:
+	pt.shared[0] = true
+	pt.pub.Store(&Version{Epoch: epoch}) // want "must be a top-level statement"
+	if epoch < 0 {
+		epoch = 0
+		goto again
 	}
 }
 
