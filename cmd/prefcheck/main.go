@@ -93,6 +93,7 @@ func run(variant, cfgPath, query string, sf float64, parts int, seed int64, noOp
 	if err != nil {
 		return err
 	}
+	stats := m.GroupStats()
 	var opt plan.Options
 	if noOpt {
 		opt.DisableHasRefOpt = true
@@ -106,7 +107,7 @@ func run(variant, cfgPath, query string, sf float64, parts int, seed int64, noOp
 			return err
 		}
 		gi := v.RouteFor(name)
-		opt.Stats = m.Stats[gi]
+		opt.Stats = stats[gi]
 		rw, err := plan.Rewrite(q, t.DB.Schema, v.Groups[gi].Config, opt)
 		if err != nil {
 			fmt.Printf("%-4s rewrite: FAIL: %v\n", name, err)

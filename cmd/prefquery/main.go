@@ -92,7 +92,7 @@ func run(query, variant, cfgPath string, sf float64, parts int, seed int64, expl
 	fmt.Printf("%s on %s (group %d, %d partitions, DL=%.2f DR=%.2f)\n\n",
 		query, variant, gi, parts, m.DL, m.DR)
 
-	opt := plan.Options{Stats: m.Stats[gi]}
+	opt := plan.Options{Stats: plan.GatherStats(m.PDBs[gi])}
 	if noOpt {
 		opt.DisableHasRefOpt = true
 		opt.DisableDupIndex = true

@@ -69,14 +69,13 @@ type queryRun struct {
 	Wall  time.Duration
 }
 
-// runQuery routes, rewrites and executes one TPC-H query on a variant.
-func runQuery(t *tpch.TPCH, v *Variant, m *Materialized, query string, opt plan.Options, eopt engine.ExecOptions) (*queryRun, error) {
+// runQuery routes, rewrites and executes one TPC-H query on a variant,
+// pricing the rewrite with stats, m's GroupStats.
+func runQuery(t *tpch.TPCH, v *Variant, m *Materialized, stats []*plan.Stats, query string, eopt engine.ExecOptions) (*queryRun, error) {
 	gi := v.RouteFor(query)
 	pdb := m.PDBs[gi]
 	cfg := v.Groups[gi].Config
-	if opt.Stats == nil {
-		opt.Stats = m.Stats[gi]
-	}
+	opt := plan.Options{Stats: stats[gi]}
 	rw, err := plan.Rewrite(t.Query(query), t.DB.Schema, cfg, opt)
 	if err != nil {
 		return nil, fmt.Errorf("%s on %s: %w", query, v.Name, err)
@@ -126,13 +125,14 @@ func Fig7(p Params) (*Report, error) {
 		if err != nil {
 			return nil, err
 		}
+		stats := m.GroupStats()
 		var sim, wall time.Duration
 		var bytes int64
 		for _, q := range tpch.QueryNames {
 			if ExcludedQueries[q] {
 				continue
 			}
-			run, err := runQuery(t, vs[name], m, q, plan.Options{}, eopt)
+			run, err := runQuery(t, vs[name], m, stats, q, eopt)
 			if err != nil {
 				return nil, err
 			}
@@ -154,19 +154,20 @@ func Fig8(p Params) (*Report, error) {
 		return nil, err
 	}
 	mats := map[string]*Materialized{}
+	stats := map[string][]*plan.Stats{}
 	for _, name := range execVariants {
 		m, err := Materialize(vs[name], t.DB)
 		if err != nil {
 			return nil, err
 		}
-		mats[name] = m
+		mats[name], stats[name] = m, m.GroupStats()
 	}
 	eopt := p.execOptions(t.DB.TotalRows())
 	r := &Report{ID: "fig8", Title: "Per-query simulated runtime (ms)", Columns: execVariants}
 	for _, q := range tpch.QueryNames {
 		vals := make([]float64, 0, len(execVariants))
 		for _, name := range execVariants {
-			run, err := runQuery(t, vs[name], mats[name], q, plan.Options{}, eopt)
+			run, err := runQuery(t, vs[name], mats[name], stats[name], q, eopt)
 			if err != nil {
 				return nil, err
 			}

@@ -39,12 +39,13 @@ func FaultSweep(p Params) (*Report, error) {
 		return nil, err
 	}
 	mats := map[string]*Materialized{}
+	stats := map[string][]*plan.Stats{}
 	for _, name := range faultVariants {
 		m, err := Materialize(vs[name], t.DB)
 		if err != nil {
 			return nil, err
 		}
-		mats[name] = m
+		mats[name], stats[name] = m, m.GroupStats()
 	}
 	cols := make([]string, 0, 2*len(faultVariants))
 	for _, name := range faultVariants {
@@ -69,7 +70,7 @@ func FaultSweep(p Params) (*Report, error) {
 				if ExcludedQueries[q] {
 					continue
 				}
-				run, err := runQuery(t, vs[name], mats[name], q, plan.Options{}, eopt)
+				run, err := runQuery(t, vs[name], mats[name], stats[name], q, eopt)
 				if err != nil {
 					return nil, fmt.Errorf("fault sweep p=%.2f: %w", prob, err)
 				}

@@ -6,7 +6,6 @@ import (
 
 	"pref/internal/cluster"
 	"pref/internal/fault"
-	"pref/internal/plan"
 	"pref/internal/tpch"
 )
 
@@ -39,6 +38,7 @@ func HedgeSweep(p Params) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
+	stats := m.GroupStats()
 	r := &Report{ID: "hedge", Title: "Straggler tail latency: hedging off vs on (SD, wall clock)",
 		Columns: []string{"off_ms", "on_ms", "hedges", "wins", "wasted_rows"}}
 	base := p.execOptions(t.DB.TotalRows())
@@ -61,7 +61,7 @@ func HedgeSweep(p Params) (*Report, error) {
 				eopt := base
 				eopt.Fault = pol
 				eopt.Cluster = cl
-				run, err := runQuery(t, vs["SD"], m, q, plan.Options{}, eopt)
+				run, err := runQuery(t, vs["SD"], m, stats, q, eopt)
 				if err != nil {
 					cl.Close()
 					return nil, fmt.Errorf("hedge sweep p=%.2f: %w", prob, err)

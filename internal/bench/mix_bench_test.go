@@ -24,11 +24,12 @@ func BenchmarkJoinPrefMix(b *testing.B) {
 		b.Fatal(err)
 	}
 	mix := []string{"Q3", "Q5", "Q7", "Q10", "Q12", "Q18", "Q21"}
+	stats := m.GroupStats()
 	plans := make([]*plan.Rewritten, len(mix))
 	pdbs := make([]int, len(mix))
 	for i, q := range mix {
 		gi := v.RouteFor(q)
-		if plans[i], err = plan.Rewrite(d.Query(q), d.DB.Schema, v.Groups[gi].Config, plan.Options{Stats: m.Stats[gi]}); err != nil {
+		if plans[i], err = plan.Rewrite(d.Query(q), d.DB.Schema, v.Groups[gi].Config, plan.Options{Stats: stats[gi]}); err != nil {
 			b.Fatal(err)
 		}
 		pdbs[i] = gi

@@ -40,7 +40,7 @@ func OpBreakdown(p Params) (*Report, error) {
 			return nil, err
 		}
 		gi := v.RouteFor(query)
-		opt := plan.Options{Stats: m.Stats[gi]}
+		opt := plan.Options{Stats: plan.GatherStats(m.PDBs[gi])}
 		rw, err := plan.Rewrite(t.Query(query), t.DB.Schema, v.Groups[gi].Config, opt)
 		if err != nil {
 			return nil, err

@@ -29,6 +29,7 @@ func BenchmarkRewrite(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
+		stats := m.GroupStats()
 		for _, priced := range []bool{false, true} {
 			label := name
 			if priced {
@@ -41,7 +42,7 @@ func BenchmarkRewrite(b *testing.B) {
 						gi := v.RouteFor(tpch.QueryNames[qi])
 						var opt plan.Options
 						if priced {
-							opt.Stats = m.Stats[gi]
+							opt.Stats = stats[gi]
 						}
 						if _, err := plan.Rewrite(q, d.DB.Schema, v.Groups[gi].Config, opt); err != nil {
 							b.Fatal(err)

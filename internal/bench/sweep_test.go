@@ -196,10 +196,11 @@ func buildDataset(ds dataset) error {
 
 // runVariant runs every query on one materialized variant.
 func (s *sweep) runVariant(d *tpch.TPCH, v *Variant, m *Materialized) error {
+	stats := m.GroupStats()
 	for _, query := range tpch.QueryNames {
 		gi := v.RouteFor(query)
 		var unpriced *sweepRun
-		for _, opt := range []plan.Options{{}, {Stats: m.Stats[gi]}} {
+		for _, opt := range []plan.Options{{}, {Stats: stats[gi]}} {
 			r := &sweepRun{fixture: s.fixture, variant: v.Name, query: query, stats: opt.Stats != nil}
 			var err error
 			if r.rw, err = plan.Rewrite(d.Query(query), d.DB.Schema, v.Groups[gi].Config, opt); err != nil {
@@ -407,17 +408,36 @@ func filters(res *engine.Result) []*trace.OpTrace {
 	return out
 }
 
-// TestEagerAggregationTPCH holds eager aggregation to where it pays: with
-// and without statistics, the rewrite keeps the eager form for Q3 and Q18 on
-// the all-hashed design at microFx and nowhere else — every PREF design
-// co-locates those joins, so the sums would only add exchanges.
+// TestEagerAggregationTPCH holds eager aggregation to where it pays, at
+// microFx. Without statistics the gate counts exchanges: the all-hashed
+// design keeps the eager Q3 and Q18, and SD, SD-noRed and WD keep the eager
+// Q3, whose lineitem sums stay in place on its PREF placement while the lazy
+// form repartitions for its aggregate. With statistics the gate prices both
+// forms' simulated time, and every variant keeps the eager Q3 and Q18: the
+// sums shrink lineitem before it meets orders. Nothing else has an eager
+// form. At benchFx, on the design the benchmark serves, SD's eager Q3 and
+// Q18 sum lineitem in place and start no exchange at all.
 func TestEagerAggregationTPCH(t *testing.T) {
 	s := sweepOf(t, microFx)
-	want := map[string]bool{"AllHashed/Q3": true, "AllHashed/Q18": true}
+	plain := map[string]bool{"AllHashed/Q3": true, "AllHashed/Q18": true, "SD/Q3": true, "SD-noRed/Q3": true, "WD/Q3": true}
 	for _, r := range s.runs {
 		key := r.variant + "/" + r.query
-		if got := eagerAggregated(s.logical[r.query], r.rw.Root); got != want[key] {
-			t.Errorf("%v: eager form kept = %v, want %v\n%s", r, got, want[key], r.rw.Explain())
+		want := plain[key] || r.stats && (r.query == "Q3" || r.query == "Q18")
+		if got := eagerAggregated(s.logical[r.query], r.rw.Root); got != want {
+			t.Errorf("%v: eager form kept = %v, want %v\n%s", r, got, want, r.rw.Explain())
+		}
+	}
+	served := sweepOf(t, benchFx)
+	for _, query := range []string{"Q3", "Q18"} {
+		r := served.run("SD", query, true)
+		inPlace := findPlan(r.rw.Root, func(n plan.Node) bool { return r.rw.Props[n].Orphans == "l" })
+		if !eagerAggregated(served.logical[query], r.rw.Root) || len(inPlace) == 0 {
+			t.Errorf("%v: lineitem is not summed in place\n%s", r, r.rw.Explain())
+		}
+		for _, n := range findPlan(r.rw.Root, isExchange) {
+			if _, result := n.(*plan.GatherNode); !result || n != r.rw.Root {
+				t.Errorf("%v: %s below the result\n%s", r, n, r.rw.Explain())
+			}
 		}
 	}
 }

@@ -57,9 +57,17 @@ type Materialized struct {
 	// graph, redundancy with identical table copies de-duplicated.
 	DL float64
 	DR float64
-	// Stats holds each group's rewrite statistics, gathered from its
-	// partitioned database (plan.GatherStats).
-	Stats []*plan.Stats
+}
+
+// GroupStats gathers each group's rewrite statistics from its partitioned
+// database (plan.GatherStats), one pass per group: a caller that rewrites
+// many queries on m gathers them once.
+func (m *Materialized) GroupStats() []*plan.Stats {
+	out := make([]*plan.Stats, len(m.PDBs))
+	for gi, pdb := range m.PDBs {
+		out[gi] = plan.GatherStats(pdb)
+	}
+	return out
 }
 
 // Materialize applies every group's configuration and computes DL/DR.
@@ -85,7 +93,6 @@ func Materialize(v *Variant, db *table.Database) (*Materialized, error) {
 			return nil, fmt.Errorf("bench: variant %s group %s: %w", v.Name, g.Name, err)
 		}
 		m.PDBs = append(m.PDBs, pdb)
-		m.Stats = append(m.Stats, plan.GatherStats(pdb))
 		for tbl, pt := range pdb.Tables {
 			sig, err := g.Config.SchemeSignature(tbl)
 			if err != nil {

@@ -59,7 +59,9 @@ const (
 	RuleStaleProp Rule = "stale-prop"
 	// RuleLocality marks joins and aggregations whose inputs are not
 	// provably co-partitioned and not preceded by a Repartition/Broadcast
-	// (the Section 2.2 co-location cases).
+	// (the Section 2.2 co-location cases), and any operator but a filter, a
+	// projection or the inner join on their PREF predicate that reads sums
+	// whose orphan groups may be split (Prop.Orphans).
 	RuleLocality Rule = "locality"
 	// RuleDupLeak marks live PREF duplicate columns surviving into an
 	// operator that must see duplicate-free input (aggregates, top-k,

@@ -15,10 +15,12 @@ import (
 // plan verifies cleanly, and a corrupted recorded property is detected.
 
 // TestFuzzRewrittenPlansVerify is the soundness property: whatever the
-// rewrite produces over a valid random design, Verify accepts.
+// rewrite produces over a valid random design, Verify accepts — for the
+// generated query and for a key join summed by its foreign key, some of
+// which the rewrite sums in place on a PREF placement.
 func TestFuzzRewrittenPlansVerify(t *testing.T) {
 	const rounds = 400
-	verified := 0
+	verified, inPlace := 0, 0
 	for seed := int64(0); seed < rounds; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		s := check.GenSchema(rng)
@@ -30,19 +32,31 @@ func TestFuzzRewrittenPlansVerify(t *testing.T) {
 			t.Fatalf("seed %d: VerifyDesign rejects a config Validate accepts:\n%s\n%v", seed, cfg, err)
 		}
 		q := check.GenQuery(rng, s)
-		rw, err := plan.Rewrite(q, s, cfg, plan.Options{})
-		if err != nil {
-			t.Fatalf("seed %d: rewrite failed on generated query: %v\n%s", seed, err, plan.Format(q))
-		}
-		if err := check.Verify(rw); err != nil {
-			t.Fatalf("seed %d: Verify rejects a rewrite-produced plan:\n%v\nconfig:\n%splan:\n%s",
-				seed, err, cfg, rw.Explain())
+		for _, q := range []plan.Node{q, check.GenKeyJoinSums(rng, s, cfg)} {
+			rw, err := plan.Rewrite(q, s, cfg, plan.Options{})
+			if err != nil {
+				t.Fatalf("seed %d: rewrite failed on generated query: %v\n%s", seed, err, plan.Format(q))
+			}
+			if err := check.Verify(rw); err != nil {
+				t.Fatalf("seed %d: Verify rejects a rewrite-produced plan:\n%v\nconfig:\n%splan:\n%s",
+					seed, err, cfg, rw.Explain())
+			}
+			for _, p := range rw.Props {
+				if p.Orphans != "" {
+					inPlace++
+					break
+				}
+			}
 		}
 		verified++
 	}
 	if verified < rounds/2 {
 		t.Fatalf("only %d/%d seeds produced a verifiable scenario; generator is degenerate", verified, rounds)
 	}
+	if inPlace == 0 {
+		t.Fatalf("no plan of %d seeds sums a PREF input in place", rounds)
+	}
+	t.Logf("%d of %d seeds sum a PREF input in place", inPlace, rounds)
 }
 
 // TestFuzzCorruptedPartsDetected is the completeness spot-check: flipping

@@ -42,6 +42,7 @@ func (c *checker) deriveJoin(n *plan.JoinNode) *info {
 	if lp.Parts != rp.Parts {
 		c.report(RuleMalformed, n, "inputs disagree on partition count (%d vs %d)", lp.Parts, rp.Parts)
 	}
+	c.checkOrphanJoin(n, lp, rp)
 
 	// Cross/theta join: only legal against a replicated build side, with a
 	// duplicate-free probe side (pair copies would multiply otherwise).
@@ -157,6 +158,26 @@ func (c *checker) deriveJoin(n *plan.JoinNode) *info {
 		Equiv:    c.joinEquiv(n, lp, rp),
 	}
 	return &info{prop: np, sch: outSchema}
+}
+
+// checkOrphanJoin lets an input whose orphan groups may be split
+// (Prop.Orphans) reach only an inner join on its marked alias's PREF
+// predicate against the referenced table placed intact: there a group with
+// a partner is whole, and an orphan group, having none, joins nothing.
+func (c *checker) checkOrphanJoin(n *plan.JoinNode, lp, rp *plan.Prop) {
+	for _, side := range []struct {
+		ring, refd         *plan.Prop
+		ringCols, refdCols []string
+	}{{lp, rp, n.LeftCols, n.RightCols}, {rp, lp, n.RightCols, n.LeftCols}} {
+		a := side.ring.Orphans
+		if a == "" {
+			continue
+		}
+		only := &plan.Prop{Placed: map[string]plan.PlacedEntry{a: side.ring.Placed[a]}, Equiv: side.ring.Equiv}
+		if n.Type != plan.Inner || side.refd.Orphans != "" || !c.matchOneDirection(only, side.ringCols, side.refd, side.refdCols) {
+			c.report(RuleLocality, n, "%v join off the PREF predicate of %s consumes its split orphan groups", n.Type, a)
+		}
+	}
 }
 
 // joinEquiv mirrors the rewriter: both sides' equivalence classes survive,

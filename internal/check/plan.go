@@ -2,6 +2,7 @@ package check
 
 import (
 	"fmt"
+	"slices"
 
 	"pref/internal/catalog"
 	"pref/internal/partition"
@@ -80,6 +81,7 @@ func (c *checker) visit(n plan.Node) *info {
 	}
 	c.visited[n] = 1
 	in := c.derive(n)
+	c.checkOrphans(n)
 	in.full = c.unpruned(n, in.sch)
 	in.sch = c.narrowed(n, in.sch)
 	c.visited[n] = 2
@@ -303,11 +305,16 @@ func (c *checker) deriveAggregate(n *plan.AggregateNode) *info {
 
 	// Grouped aggregation is local-safe iff each node holds every row of
 	// each of its groups: replicated input, or hash placement covered by
-	// the group-by columns (modulo upstream equivalences).
+	// the group-by columns (modulo upstream equivalences). A duplicate-free
+	// PREF input grouped by its referencing columns holds every group whose
+	// rows have a partner; its orphan groups may be split (prefGrouped).
+	orphans := ""
 	if !cp.Repl && !(cp.HashCols != nil && hashCoveredBy(cp, n.GroupBy)) {
-		c.report(RuleLocality, n,
-			"grouped aggregation over input not co-partitioned by its group (method %s, hash %v, group-by %v)",
-			cp.Method(), cp.HashCols, n.GroupBy)
+		if orphans = c.prefGrouped(cp, n.GroupBy); orphans == "" {
+			c.report(RuleLocality, n,
+				"grouped aggregation over input not co-partitioned by its group (method %s, hash %v, group-by %v)",
+				cp.Method(), cp.HashCols, n.GroupBy)
+		}
 	}
 
 	out := make(plan.Schema, 0, len(n.GroupBy)+len(n.Aggs))
@@ -326,7 +333,65 @@ func (c *checker) deriveAggregate(n *plan.AggregateNode) *info {
 	if allIn(cp.HashCols, n.GroupBy) {
 		np.HashCols = append([]string(nil), cp.HashCols...)
 	}
+	if orphans != "" {
+		np.Placed[orphans], np.Orphans = cp.Placed[orphans], orphans
+	}
 	return &info{prop: np, sch: out, contentRepl: cp.Repl}
+}
+
+// prefGrouped returns the alias, first in name order, of a PREF placement
+// the aggregate's input carries that makes grouping by groupBy local but
+// for orphans, or "" when there is none. The placed table must store each
+// tuple once (Config.DupFree) and the input must carry no live dup column;
+// every referencing column of its predicate must be grouped by. By
+// Definition 1 a tuple with a partner is stored on the partition of that
+// partner, which is unique, so all rows of a group with a partner meet there.
+// A tuple without one (hasRef = 0) is placed by the orphan rule, so an orphan
+// group may be split across partitions; the output is marked with the alias
+// (Prop.Orphans), and checkOrphans lets only a consumer through where such a
+// group dies.
+func (c *checker) prefGrouped(cp *plan.Prop, groupBy []string) string {
+	if cp.Dup() {
+		return ""
+	}
+	aliases := make([]string, 0, len(cp.Placed))
+	for a := range cp.Placed {
+		aliases = append(aliases, a)
+	}
+	slices.Sort(aliases)
+	for _, a := range aliases {
+		e := cp.Placed[a]
+		if e.Scheme == nil || e.Scheme.Method != partition.Pref || !c.cfg.DupFree(c.cat, e.Table) {
+			continue
+		}
+		covered := true
+		for _, col := range qualify(a, e.Scheme.Pred.ReferencingCols) {
+			covered = covered && slices.ContainsFunc(groupBy, func(g string) bool { return cp.EquivSame(col, g) })
+		}
+		if covered {
+			return a
+		}
+	}
+	return ""
+}
+
+// checkOrphans holds every consumer of an input whose orphan groups may be
+// split (Prop.Orphans) to one where they cannot reach the output: a Filter,
+// a Project or a runtime filter, which keep rows where they are and pass the
+// mark on, or the inner join on the marked alias's PREF predicate, against
+// its referenced table placed intact (deriveJoin), where an orphan group
+// meets no partner. A shipment, a second aggregation or any other join would
+// merge or count a split group's parts as if each were whole.
+func (c *checker) checkOrphans(n plan.Node) {
+	switch n.(type) {
+	case *plan.FilterNode, *plan.ProjectNode, *plan.RuntimeFilterNode, *plan.JoinNode:
+		return
+	}
+	for _, k := range n.Children() {
+		if in := c.memo[k]; in != nil && in.prop.Orphans != "" {
+			c.report(RuleLocality, n, "consumes %s, whose orphan groups of %s may be split across partitions", k, in.prop.Orphans)
+		}
+	}
 }
 
 func (c *checker) derivePartialAgg(n *plan.PartialAggNode) *info {
@@ -557,6 +622,9 @@ func (c *checker) checkRoot(root plan.Node, in *info) {
 	if in.prop.Dup() {
 		c.report(RuleDupLeak, root, "plan root has live dup columns %v: results would contain PREF duplicates", in.prop.DupCols)
 	}
+	if in.prop.Orphans != "" {
+		c.report(RuleLocality, root, "plan root returns orphan groups of %s that may be split across partitions", in.prop.Orphans)
+	}
 	for _, f := range in.sch {
 		if plan.IsHiddenCol(f.Name) {
 			c.report(RuleDupLeak, root, "plan root leaks hidden index column %q", f.Name)
@@ -594,6 +662,9 @@ func (c *checker) diff(n plan.Node, in *info) {
 	}
 	if !colSetEqual(rec.DupCols, d.DupCols) {
 		c.report(RuleStaleProp, n, "recorded DupCols=%v, derived %v", rec.DupCols, d.DupCols)
+	}
+	if rec.Orphans != d.Orphans {
+		c.report(RuleStaleProp, n, "recorded Orphans=%q, derived %q", rec.Orphans, d.Orphans)
 	}
 	if !placedEqual(rec.Placed, d.Placed) {
 		c.report(RuleStaleProp, n, "recorded Placed=%v, derived %v", placedKeys(rec.Placed), placedKeys(d.Placed))

@@ -33,6 +33,7 @@ func TestVecRowOracleTPCH(t *testing.T) {
 	}
 	order := []string{"AllReplicated", "AllHashed", "CP", "SD", "SD-noRed", "SD-paper", "WD"}
 	mats := map[string]*bench.Materialized{}
+	stats := map[string][]*plan.Stats{}
 	for _, name := range order {
 		v, ok := vs[name]
 		if !ok {
@@ -42,7 +43,7 @@ func TestVecRowOracleTPCH(t *testing.T) {
 		if err != nil {
 			t.Fatalf("materialize %s: %v", name, err)
 		}
-		mats[name] = m
+		mats[name], stats[name] = m, m.GroupStats()
 	}
 
 	type executeFn func(*plan.Rewritten, *table.PartitionedDatabase, engine.ExecOptions) (*engine.Result, error)
@@ -51,7 +52,7 @@ func TestVecRowOracleTPCH(t *testing.T) {
 		v, m := vs[name], mats[name]
 		gi := v.RouteFor(query)
 		rw, err := plan.Rewrite(d.Query(query), d.DB.Schema, v.Groups[gi].Config,
-			plan.Options{Stats: m.Stats[gi]})
+			plan.Options{Stats: stats[name][gi]})
 		if err != nil {
 			t.Fatalf("%s/%s: rewrite: %v", name, query, err)
 		}

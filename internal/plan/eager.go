@@ -3,6 +3,9 @@ package plan
 import (
 	"maps"
 	"slices"
+	"time"
+
+	"pref/internal/partition"
 )
 
 // Eager aggregation below key joins.
@@ -30,12 +33,22 @@ import (
 // c ⋈ (o ⋈ L') — and a projection restoring the aggregate's output. Residuals
 // must bind where the rotation puts them.
 //
+// When L is PREF-placed on P by exactly that join's predicate and stores each
+// tuple once, L' needs no exchange: by Definition 1 every L row with a
+// partner sits on its partner's partition, so such a group is whole on one
+// node, and L' keeps L's placement, so P ⋈ L' stays local. An orphan row (no
+// partner) is placed round-robin or by hash, so an orphan group may be split
+// across partitions; it has no partner either, so it dies at the join with
+// P. The sums are marked (Prop.Orphans), and internal/check lets only a
+// filter, a projection, a runtime filter or that join consume them.
+//
 // Summing first is not always cheaper: where PREF co-locates the joins, the
 // lazy form ships nothing and L' may need its own exchange. The rewrite builds
-// both forms on forked state and keeps the eager one only when its exchanges
-// are estimated to ship strictly fewer bytes (estimate.go); without
-// statistics, only when it needs strictly fewer exchanges. A tie keeps the
-// lazy one.
+// both forms on forked state and keeps the eager one only when its estimated
+// simulated time — bytes shipped, busiest-node rows and exchanges, with the
+// runtime filters the transfer pass would place (estimate.go) — is strictly
+// lower; without statistics, only when it needs strictly fewer exchanges. A
+// tie keeps the lazy one.
 
 // eagerLeaf is one input of a join tree and the join that reads it.
 type eagerLeaf struct {
@@ -110,7 +123,14 @@ func (r *Rewriter) eagerOver(agg *AggregateNode, having BoolExpr, l eagerLeaf, l
 			groupBy = append(groupBy, g)
 		}
 	}
-	var summed Node = &AggregateNode{Child: l.node, GroupBy: groupBy, Aggs: agg.Aggs}
+	sums := &AggregateNode{Child: l.node, GroupBy: groupBy, Aggs: agg.Aggs}
+	if alias, ok := r.prefOn(l.node, lkeys, p, pkeys); ok {
+		if r.inPlace == nil {
+			r.inPlace = map[*AggregateNode]string{}
+		}
+		r.inPlace[sums] = alias
+	}
+	var summed Node = sums
 	if having != nil && allIn(having.AppendCols(nil), r.outCols(summed)) {
 		summed, having = &FilterNode{Child: summed, Pred: having}, nil
 	}
@@ -133,6 +153,20 @@ func (r *Rewriter) eagerOver(agg *AggregateNode, having BoolExpr, l eagerLeaf, l
 		out = &FilterNode{Child: out, Pred: having}
 	}
 	return out
+}
+
+// prefOn returns the alias of the summed input l when l is a duplicate-free
+// PREF table placed on the partner p by exactly the join predicate lkeys =
+// pkeys: then every row of l with a partner sits on its partner's partition.
+func (r *Rewriter) prefOn(l Node, lkeys []string, p Node, pkeys []string) (string, bool) {
+	alias, tbl, _ := baseScan(l)
+	palias, ptbl, _ := baseScan(p)
+	ts := r.Cfg.Scheme(tbl)
+	if ts == nil || ts.Method != partition.Pref || ts.RefTable != ptbl || !r.Cfg.DupFree(r.Schema, tbl) {
+		return "", false
+	}
+	return alias, colPairsEqual(lkeys, pkeys,
+		qualifyAll(alias, ts.Pred.ReferencingCols), qualifyAll(palias, ts.Pred.ReferencedCols))
 }
 
 // outCols lists the columns a logical node of an eager form produces: a
@@ -268,7 +302,7 @@ func (r *Rewriter) cheaperForm(n, eager Node, lazy func(*Rewriter) (Node, *Prop,
 		return nil, nil, nil, err
 	}
 	win := lf
-	if r.Opt.Stats != nil && ef.shipped(en) < lf.shipped(ln) ||
+	if r.Opt.Stats != nil && ef.timed(en) < lf.timed(ln) ||
 		r.Opt.Stats == nil && exchanges(en) < exchanges(ln) {
 		win, ln, p, s = ef, en, ep, es
 	}
@@ -276,6 +310,24 @@ func (r *Rewriter) cheaperForm(n, eager Node, lazy func(*Rewriter) (Node, *Prop,
 	maps.Copy(r.out.Props, win.out.Props)
 	r.aliases = win.aliases
 	return ln, p, s, nil
+}
+
+// timed estimates the simulated time of the physical subtree n as it will
+// run, with the runtime filters the transfer pass places in it: it places
+// them, prices the subtree (cost) and takes them out again. The pass places
+// the kept form's filters once, over the whole plan.
+func (r *Rewriter) timed(n Node) time.Duration {
+	placed := r.placeTransfers(n)
+	t := r.cost(n).time()
+	for i := len(placed) - 1; i >= 0; i-- {
+		rf := (*placed[i]).(*RuntimeFilterNode)
+		rf.From.Source = NoSide
+		*placed[i] = rf.Child
+		delete(r.out.Schemas, rf)
+		delete(r.out.Props, rf)
+	}
+	clear(r.memo)
+	return t
 }
 
 // fork returns a rewriter over the same inputs whose annotations start empty
@@ -286,7 +338,7 @@ func (r *Rewriter) fork() *Rewriter {
 		Schema: r.Schema, Cfg: r.Cfg, Opt: r.Opt,
 		out:     &Rewritten{Schemas: map[Node]Schema{}, Props: map[Node]*Prop{}, Catalog: r.Schema, Cfg: r.Cfg},
 		aliases: maps.Clone(r.aliases),
-		memo:    r.memo, origin: r.origin, refs: r.refs,
+		memo:    r.memo, origin: r.origin, refs: r.refs, inPlace: r.inPlace,
 	}
 }
 

@@ -148,10 +148,24 @@ func TestEagerFormPlacesHaving(t *testing.T) {
 	}
 }
 
-// TestEagerFormChosenOnFewerExchanges holds the gate: the all-hashed design
-// ships the summed lineitem (2 exchanges against 3), the PREF chain, which
-// co-locates the lazy joins, keeps the lazy form (a tie at 0), and both
-// produce the aggregate's output names and order.
+// sdChainCfg is SD's chain: customer seeds, orders rides it by custkey
+// (hash-equivalent), and lineitem is PREF on orders by orderkey — duplicate
+// free, but placed by an orders column the group-by need not name.
+func sdChainCfg(n int) *partition.Config {
+	cfg := partition.NewConfig(n)
+	cfg.SetHash("customer", "custkey")
+	cfg.SetPref("orders", "customer", []string{"custkey"}, []string{"custkey"})
+	cfg.SetPref("lineitem", "orders", []string{"orderkey"}, []string{"orderkey"})
+	cfg.SetReplicated("nation")
+	return cfg
+}
+
+// TestEagerFormChosenOnFewerExchanges holds the gate without statistics: the
+// all-hashed design ships the summed lineitem (2 exchanges against 3); the
+// PREF chain seeded at lineitem, which co-locates the lazy joins and the
+// lazy aggregate, keeps the lazy form (a tie at 0); SD's chain sums lineitem
+// in place (0 exchanges against the lazy aggregate's 1), marked with its
+// orphans. All produce the aggregate's output names and order.
 func TestEagerFormChosenOnFewerExchanges(t *testing.T) {
 	isAggOver := func(n Node) bool {
 		switch n := n.(type) {
@@ -170,6 +184,7 @@ func TestEagerFormChosenOnFewerExchanges(t *testing.T) {
 	}{
 		{"all hashed", pkHashedCfg(4), true, 2},
 		{"PREF chain", prefChainCfg(4), false, 0},
+		{"SD chain", sdChainCfg(4), true, 0},
 	} {
 		rw, err := Rewrite(Filter(q3Shape("c.name", "o.orderkey"), Gt(Col("s"), Lit(1))), testSchema(), c.cfg, Options{})
 		if err != nil {
@@ -180,6 +195,10 @@ func TestEagerFormChosenOnFewerExchanges(t *testing.T) {
 		}
 		if got := exchanges(rw.Root); got != c.exchanges {
 			t.Errorf("%s: %d exchanges, want %d:\n%s", c.name, got, c.exchanges, rw.Explain())
+		}
+		inPlace := countNodes(rw.Root, func(n Node) bool { return rw.Props[n].Orphans == "l" }) > 0
+		if want := c.eager && c.exchanges == 0; inPlace != want {
+			t.Errorf("%s: lineitem summed in place = %v, want %v:\n%s", c.name, inPlace, want, rw.Explain())
 		}
 		if got := strings.Join(rw.Schema(rw.Root).Names(), ","); got != "c.name,o.orderkey,s,n" {
 			t.Errorf("%s: output %s", c.name, got)

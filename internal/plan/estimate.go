@@ -665,6 +665,38 @@ func (p price) beats(q price) bool {
 	return p.bytes < q.bytes && p.time() < q.time()
 }
 
+// cost prices the physical subtree n in the CostModel's three terms: the
+// bytes its exchanges ship, the rows its busiest node processes, and the
+// exchanges it starts.
+func (r *Rewriter) cost(n Node) price {
+	return price{bytes: r.shipped(n), nodeRows: r.nodeRows(n), exchanges: exchanges(n)}
+}
+
+// nodeRows estimates the rows the busiest node processes in the physical
+// subtree n, charging each operator as the engine charges its work: a join
+// its two inputs and its output, any other operator the rows it emits (an
+// exchange the rows it delivers). A partitioned operator puts 1/n of them on
+// each node, a replicated one all of them on every node, and a gathered one
+// all of them on the coordinator, taken to be the busiest node.
+func (r *Rewriter) nodeRows(n Node) float64 {
+	w := r.share(n, r.rows(n))
+	if j, ok := n.(*JoinNode); ok {
+		w += r.share(j.Left, r.rows(j.Left)) + r.share(j.Right, r.rows(j.Right))
+	}
+	for _, c := range n.Children() {
+		w += r.nodeRows(c)
+	}
+	return w
+}
+
+// share is the part of rows of operator n's output one node holds.
+func (r *Rewriter) share(n Node, rows float64) float64 {
+	if p := r.out.Props[n]; p != nil && (p.Repl || p.Gathered) {
+		return rows
+	}
+	return rows / float64(r.Cfg.NumPartitions)
+}
+
 // refsOf counts the column reads of the logical subtree n.
 func refsOf(n Node) colSet {
 	s := colSet{}

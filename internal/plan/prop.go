@@ -28,6 +28,12 @@ type PlacedEntry struct {
 //   - Dup(o) is represented by DupCols: the live dup-index columns;
 //     Dup(o)=1 iff the list is non-empty, and the disjunctive dup=0 filter
 //     runs over exactly these columns.
+//   - Orphans names the alias of a PREF table an aggregate summed in place
+//     by its referencing columns (eager.go): a group whose rows have a
+//     partner is whole on its partner's partition, but an orphan group may
+//     be split across partitions. Only a Filter, a Project, a runtime
+//     filter, or the inner join on that alias's partitioning predicate —
+//     where the orphan groups find no partner and die — may consume it.
 type Prop struct {
 	Parts    int
 	Repl     bool
@@ -35,6 +41,7 @@ type Prop struct {
 	HashCols []string
 	Placed   map[string]PlacedEntry
 	DupCols  []string
+	Orphans  string
 	// Equiv records column equality classes established by inner equi
 	// joins upstream (l.partkey ≡ ps.partkey after l⋈ps), so co-location
 	// matching works regardless of which alias's column a later join
@@ -129,8 +136,12 @@ func (p *Prop) String() string {
 		placed = append(placed, a+":"+e.Table)
 	}
 	sort.Strings(placed)
-	return fmt.Sprintf("{%s hash=%v placed=[%s] dup=%v parts=%d}",
-		p.Method(), p.HashCols, strings.Join(placed, ","), p.DupCols, p.Parts)
+	orphans := ""
+	if p.Orphans != "" {
+		orphans = " orphans=" + p.Orphans
+	}
+	return fmt.Sprintf("{%s hash=%v placed=[%s] dup=%v%s parts=%d}",
+		p.Method(), p.HashCols, strings.Join(placed, ","), p.DupCols, orphans, p.Parts)
 }
 
 // Clone returns a deep copy: no slice or map is shared with the receiver,

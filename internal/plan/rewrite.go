@@ -23,8 +23,9 @@ type Options struct {
 	// run on (GatherStats). With them the rewrite prices its data-dependent
 	// choices (estimate.go): a misaligned equi-join may broadcast an input
 	// instead of re-partitioning, and an aggregate is summed below its key
-	// join when that ships fewer bytes. Nil makes no estimate: joins
-	// re-partition, and the eager form must need fewer exchanges.
+	// join when that is estimated to take less simulated time. Nil makes no
+	// estimate: joins re-partition, and the eager form must need fewer
+	// exchanges.
 	Stats *Stats
 	// DisablePruning turns off partition pruning for point filters on
 	// partitioning columns (ablation).
@@ -91,6 +92,11 @@ type Rewriter struct {
 	memo   map[Node]float64
 	origin map[Node]Node
 	refs   colSet
+
+	// inPlace maps the sums of an eager form whose input is PREF-placed on
+	// its partner to that input's alias: they aggregate where they are
+	// (eager.go).
+	inPlace map[*AggregateNode]string
 }
 
 // Rewrite turns a logical SPJA plan into an executable physical plan:
@@ -458,6 +464,12 @@ func (r *Rewriter) lazyAggregate(n *AggregateNode) (Node, *Prop, Schema, error) 
 	// set containment modulo equivalences is the general sound rule).
 	local := prop.Repl ||
 		(prop.HashCols != nil && hashCoveredBy(prop, n.GroupBy) && !prop.Dup())
+	// The sums of an eager form over a duplicate-free PREF input aggregate in
+	// place too; only their orphan groups may be split (eager.go).
+	orphans := ""
+	if _, ok := prop.Placed[r.inPlace[n]]; ok && !local && !prop.Dup() {
+		orphans, local = r.inPlace[n], true
+	}
 	if local {
 		agg := &AggregateNode{Child: child, GroupBy: n.GroupBy, Aggs: n.Aggs}
 		np := &Prop{Parts: prop.Parts, Repl: prop.Repl, Placed: map[string]PlacedEntry{}}
@@ -465,6 +477,9 @@ func (r *Rewriter) lazyAggregate(n *AggregateNode) (Node, *Prop, Schema, error) 
 		// aggregation's output schema.
 		if allIn(prop.HashCols, n.GroupBy) {
 			np.HashCols = cloneCols(prop.HashCols)
+		}
+		if orphans != "" {
+			np.Placed[orphans], np.Orphans = prop.Placed[orphans], orphans
 		}
 		node, p, s := r.note(agg, outSchema(sch), np)
 		return node, p, s, nil

@@ -10,7 +10,9 @@ import "slices"
 // partition, ship the filters — about ten bits per key — to every node, and
 // drop the other input's rows that cannot match before they reach an
 // exchange ("Predicate Transfer", PAPERS.md). This pass decides where, once
-// per plan, and runs before column pruning, on the full schemas.
+// per plan, and runs before column pruning, on the full schemas. (The eager
+// aggregation gate also runs it over each form it prices, and takes the
+// filters out again: eager.go's timed.)
 //
 // A join fires a transfer when it is an equi-join on one key column, its
 // target input has an exchange below it (each dropped row saves shipping)
@@ -50,26 +52,32 @@ import "slices"
 // when the joins below it are visited: filters chain from join to join down
 // the tree.
 
-// placeTransfers visits the joins of the subtree at n top-down.
-func (r *Rewriter) placeTransfers(n Node) {
+// placeTransfers visits the joins of the subtree at n top-down and returns
+// the slots it placed a filter in, in placement order.
+func (r *Rewriter) placeTransfers(n Node) []*Node {
+	var placed []*Node
 	if j, ok := n.(*JoinNode); ok {
-		r.transfer(j)
+		if slot := r.transfer(j); slot != nil {
+			placed = append(placed, slot)
+		}
 	}
 	for _, c := range n.Children() {
-		r.placeTransfers(c)
+		placed = append(placed, r.placeTransfers(c)...)
 	}
+	return placed
 }
 
 // transfer fires j's runtime filter where the rule above allows, recording
-// its source on j and placing a RuntimeFilterNode in its target.
-func (r *Rewriter) transfer(j *JoinNode) {
+// its source on j and placing a RuntimeFilterNode in its target, and returns
+// the slot it filled, or nil.
+func (r *Rewriter) transfer(j *JoinNode) *Node {
 	in := func(n Node) transferInput {
 		_, bcast := n.(*BroadcastNode)
 		return r.input(n, false, bcast)
 	}
 	f := r.fire(j, j.Left, j.Right, in(j.Left), in(j.Right))
 	if f.source == NoSide {
-		return
+		return nil
 	}
 	target, key := &j.Right, j.RightCols[0]
 	if f.source == RightSide {
@@ -84,6 +92,7 @@ func (r *Rewriter) transfer(j *JoinNode) {
 	r.note(rf, r.out.Schemas[*slot], r.out.Props[*slot].Clone())
 	*slot = rf
 	clear(r.memo) // the estimates above the filter no longer hold
+	return slot
 }
 
 // filterSlot follows passDown from slot as deep as the key column col
