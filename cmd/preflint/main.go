@@ -1,10 +1,10 @@
 // Command preflint runs the repository's custom analyzers (internal/lint)
 // over the module and exits nonzero if any diagnostic fires. It is the CI
 // companion to go vet: vet checks generic Go mistakes, preflint checks
-// this codebase's own invariants — panic policy, context threading, Prop
-// slice aliasing, publish ordering (the atomic epoch store is a top-level
-// statement and nothing after it mutates what it publishes) and the
-// batch-write rule, which keeps batches immutable outside their package.
+// this codebase's own invariants — panic policy, context threading,
+// publish ordering (the atomic epoch store is a top-level statement and
+// nothing after it mutates what it publishes) and the batch-write rule,
+// which keeps batches immutable outside their package.
 //
 // An analyzer name retired from the roster is unknown to -only/-skip and
 // exits 2: atomicdiscipline, batchownership; batchlifetime, whose pooled
@@ -13,8 +13,9 @@
 // shipaccounting and goroutinescope, whose hazards (cross-partition
 // access, unmetered shipment, unjoined fan-out) tier-1 runtime tests
 // catch; and snapshotdiscipline, intentprotocol and happensbefore, whose
-// hazards the write path's design or its deterministic tests rule out.
-// The retired -sarif flag exits 2 as well.
+// hazards the write path's design or its deterministic tests rule out;
+// and propalias, whose aliased Prop column lists plan.Prop rules out by
+// owning them. The retired -sarif flag exits 2 as well.
 //
 // Usage:
 //

@@ -81,7 +81,7 @@ func main() {
 		res.Stats.BytesShipped, res.Stats.Repartitions)
 
 	// Contrast: hash both tables on their primary keys and the join
-	// itself must shuffle.
+	// itself must ship rows (the priced rewrite broadcasts users).
 	naive := pref.NewConfig(4)
 	naive.SetHash("users", "uid")
 	naive.SetHash("orders", "oid")
@@ -93,6 +93,6 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("naive hash-by-pk:  %d bytes shipped, %d repartitions\n",
-		nres.Stats.BytesShipped, nres.Stats.Repartitions)
+	fmt.Printf("naive hash-by-pk:  %d bytes shipped, %d repartition, %d broadcast\n",
+		nres.Stats.BytesShipped, nres.Stats.Repartitions, nres.Stats.Broadcasts)
 }

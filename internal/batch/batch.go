@@ -353,31 +353,6 @@ func (w *Writer) AppendFrom(src *Batch, i int) {
 	w.n++
 }
 
-// AppendPair appends the concatenation of live row li of l and physical
-// row rphys of r — the join-emit fast path. r may be nil: the right half
-// is filled with the given null value (left-outer padding).
-func (w *Writer) AppendPair(l *Batch, li int, r *Batch, rphys int, null int64) {
-	b := w.room()
-	lw := l.Width()
-	lphys := li
-	if l.Sel != nil {
-		lphys = int(l.Sel[li])
-	}
-	for c := 0; c < lw && c < len(b.Cols); c++ {
-		b.Cols[c] = append(b.Cols[c], l.Cols[c][lphys])
-	}
-	for c := lw; c < len(b.Cols); c++ {
-		var v int64
-		if r != nil {
-			v = r.Cols[c-lw][rphys]
-		} else {
-			v = null
-		}
-		b.Cols[c] = append(b.Cols[c], v)
-	}
-	w.n++
-}
-
 // AppendPairs appends len(li) concatenated pair rows column-wise: output
 // row k is physical left row li[k] joined to physical right row ri[k] (or
 // null-padded when ri[k] < 0). The column-major gather touches one column

@@ -282,28 +282,31 @@ func TestKeyAndHashParity(t *testing.T) {
 	}
 }
 
-// TestWriterAppendPair exercises the join-emit path, including left-outer
-// null padding, across a batch boundary.
+// TestWriterAppendPair exercises the join-emit path, AppendPairs, including
+// left-outer null padding (right index -1), across a batch boundary.
 func TestWriterAppendPair(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
-	lrows := randRows(rng, Size+5, 2)
-	rrows := randRows(rng, Size+5, 3)
+	n := Size + 5
+	lrows := randRows(rng, n, 2)
+	rrows := randRows(rng, n, 3)
 	l := View(colsOf(lrows, 2))
 	r := View(colsOf(rrows, 3))
-	w := NewWriter(5)
+	li, ri := make([]int32, n), make([]int32, n)
 	var want []value.Tuple
-	for i := 0; i < l.Len(); i++ {
-		if i%3 == 0 {
-			w.AppendPair(l, i, nil, 0, plan.Null)
-			want = append(want, append(append(value.Tuple{}, lrows[i]...), plan.Null, plan.Null, plan.Null))
-		} else {
-			w.AppendPair(l, i, r, i, plan.Null)
-			want = append(want, append(append(value.Tuple{}, lrows[i]...), rrows[i]...))
+	for k := range li {
+		// Left row k pairs with the right row at the other end, or with none.
+		li[k], ri[k] = int32(k), int32(n-1-k)
+		right := rrows[n-1-k]
+		if k%3 == 0 {
+			ri[k], right = -1, value.Tuple{plan.Null, plan.Null, plan.Null}
 		}
+		want = append(want, append(append(value.Tuple{}, lrows[k]...), right...))
 	}
+	w := NewWriter(5)
+	w.AppendPairs(l, li, r, ri, plan.Null)
 	got := AppendRows(nil, w.Finish())
 	if !tuplesEqual(got, want) {
-		t.Fatal("AppendPair output mismatch")
+		t.Fatal("AppendPairs output mismatch")
 	}
 }
 

@@ -324,6 +324,31 @@ func TestHiddenColumnsNeverShipTPCH(t *testing.T) {
 	}
 }
 
+// TestPropsOwnedTPCH: the rewrite records a Prop of its own for every
+// operator, so changing one operator's properties cannot change another's.
+// In no plan of the sweep, SD and AllHashed among the variants, with and
+// without statistics, do two operators hold the same Prop.
+func TestPropsOwnedTPCH(t *testing.T) {
+	plans := map[string]int{}
+	for _, s := range allSweeps(t) {
+		for _, r := range s.runs {
+			holder := map[*plan.Prop]plan.Node{}
+			for n, p := range r.rw.Props {
+				if other, ok := holder[p]; ok {
+					t.Errorf("%v: %s and %s hold the same Prop %v", r, other, n, p)
+				}
+				holder[p] = n
+			}
+			plans[r.variant]++
+		}
+	}
+	for _, v := range []string{"SD", "AllHashed"} {
+		if want := 2 * len(tpch.QueryNames); plans[v] < want {
+			t.Errorf("fixture drift: %d %s plans, want at least %d", plans[v], v, want)
+		}
+	}
+}
+
 // TestExchangesShipRecordedWidthTPCH holds every exchange span of the sweep
 // to its recorded schema: bytes shipped are rows shipped × 8 × the columns
 // the rewrite recorded. The seven join queries of the benchmark's

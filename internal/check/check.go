@@ -9,13 +9,12 @@
 //     implementation, then diffs the result against what the rewrite
 //     recorded. On the way it proves join locality (every hash join's
 //     inputs co-partitioned on the join keys, or preceded by a
-//     Repartition/Broadcast), duplicate-freedom (no live dup columns
-//     survive into aggregates, order-by, projections, or the root), and
-//     that no Prop slice is aliased across operators. Column pruning is
-//     held to both sides of its contract: a join or exchange may record
-//     any order-preserving subset of its natural schema, every reference
-//     above it must still bind, the root and the inputs of top-k and
-//     value-distinct must lose nothing — and, top-down, no join or
+//     Repartition/Broadcast) and duplicate-freedom (no live dup columns
+//     survive into aggregates, order-by, projections, or the root). Column
+//     pruning is held to both sides of its contract: a join or exchange
+//     may record any order-preserving subset of its natural schema, every
+//     reference above it must still bind, the root and the inputs of top-k
+//     and value-distinct must lose nothing — and, top-down, no join or
 //     exchange may carry a column that nothing above reads. Every runtime
 //     join filter must sit where a dropped row could not have joined.
 //   - VerifyDesign checks a partitioning configuration against a catalog
@@ -67,10 +66,6 @@ const (
 	// operator that must see duplicate-free input (aggregates, top-k,
 	// projections, shipping operators that do not dedup, the plan root).
 	RuleDupLeak Rule = "dup-leak"
-	// RulePropAlias marks Prop column slices aliased across operators or
-	// with plan-node slices (an append through one alias corrupts the
-	// other).
-	RulePropAlias Rule = "prop-alias"
 	// RuleDeadColumn marks a join or exchange (Repartition, Broadcast,
 	// Gather) whose recorded schema carries a column no operator above it
 	// reads: bytes emitted or shipped for nothing, which the rewrite's
@@ -173,7 +168,6 @@ func Verify(rw *plan.Rewritten) error {
 	c := newChecker(rw)
 	root := c.visit(rw.Root)
 	c.checkRoot(rw.Root, root)
-	c.checkAliasing()
 	if len(c.vs) == 0 {
 		// Only a well-formed tree is worth walking again: the result is read
 		// whole, everything below it only as far as something above asks.

@@ -223,7 +223,7 @@ func TestVerifyRejectsFinalAggWithoutExchange(t *testing.T) {
 func TestVerifyRejectsPartialsShippedOffGroup(t *testing.T) {
 	rw, _, rep, _ := twoPhaseAgg(t)
 	rep.Cols = []string{"n"} // a group's states scatter by their own count
-	rw.Props[rep].HashCols = []string{"n"}
+	rw.Props[rep].SetHashCols([]string{"n"})
 	expectRule(t, rw, check.RuleLocality)
 }
 
@@ -405,7 +405,7 @@ func TestVerifyRejectsStaleProp(t *testing.T) {
 	rw := mustRewrite(t, q, sch, cfg)
 
 	jn := findNode(rw.Root, func(n plan.Node) bool { _, ok := n.(*plan.JoinNode); return ok })
-	rw.Props[jn].HashCols = []string{"o.o_custkey"} // claim a placement the join does not have
+	rw.Props[jn].SetHashCols([]string{"o.o_custkey"}) // claim a placement the join does not have
 	expectRule(t, rw, check.RuleStaleProp)
 }
 
@@ -415,35 +415,6 @@ func TestVerifyRejectsStaleParts(t *testing.T) {
 	rw := mustRewrite(t, plan.ProjectCols(plan.Scan("orders", "o"), "o.o_orderkey"), sch, cfg)
 	rw.Props[rw.Root].Parts++
 	expectRule(t, rw, check.RuleStaleProp)
-}
-
-// ---- mutation 7: aliased Prop slices → prop-alias ----
-
-func TestVerifyRejectsPropNodeAliasing(t *testing.T) {
-	sch := miniSchema(t)
-	cfg := miniSD(t, sch)
-	q := plan.Join(plan.Scan("customer", "c"), plan.Scan("lineitem", "l"),
-		plan.Inner, []string{"c.c_custkey"}, []string{"l.l_partkey"})
-	rw := mustRewrite(t, q, sch, cfg)
-
-	jn := findNode(rw.Root, func(n plan.Node) bool { _, ok := n.(*plan.JoinNode); return ok }).(*plan.JoinNode)
-	// Same contents, shared backing array: the diff is silent but an
-	// append through either alias would corrupt the other.
-	rw.Props[jn].HashCols = jn.LeftCols
-	expectRule(t, rw, check.RulePropAlias)
-}
-
-func TestVerifyRejectsPropPropAliasing(t *testing.T) {
-	sch := miniSchema(t)
-	cfg := miniSD(t, sch)
-	q := plan.Join(plan.Scan("customer", "c"), plan.Scan("lineitem", "l"),
-		plan.Inner, []string{"c.c_custkey"}, []string{"l.l_partkey"})
-	rw := mustRewrite(t, q, sch, cfg)
-
-	jn := findNode(rw.Root, func(n plan.Node) bool { _, ok := n.(*plan.JoinNode); return ok }).(*plan.JoinNode)
-	rep := jn.Left.(*plan.RepartitionNode)
-	rw.Props[jn].HashCols = rw.Props[rep].HashCols
-	expectRule(t, rw, check.RulePropAlias)
 }
 
 // ---- mutation 8: flipped OneCopy → malformed ----

@@ -52,17 +52,13 @@ func (c *checker) deriveJoin(n *plan.JoinNode) *info {
 				"cross/theta join needs a replicated (broadcast) right input, got method %s", rp.Method())
 		}
 		if lp.Dup() {
-			c.report(RuleDupLeak, n, "cross/theta join probe side has live dup columns %v", lp.DupCols)
+			c.report(RuleDupLeak, n, "cross/theta join probe side has live dup columns %v", lp.DupCols())
 		}
 		if rp.Dup() {
-			c.report(RuleDupLeak, n, "cross/theta join build side has live dup columns %v", rp.DupCols)
+			c.report(RuleDupLeak, n, "cross/theta join build side has live dup columns %v", rp.DupCols())
 		}
-		np := &plan.Prop{
-			Parts:    lp.Parts,
-			HashCols: append([]string(nil), lp.HashCols...),
-			Placed:   lp.Placed,
-			Repl:     lp.Repl,
-		}
+		np := &plan.Prop{Parts: lp.Parts, Placed: lp.Placed, Repl: lp.Repl}
+		np.SetHashCols(lp.HashCols())
 		return &info{prop: np, sch: outSchema, contentRepl: np.Repl}
 	}
 
@@ -84,18 +80,18 @@ func (c *checker) deriveJoin(n *plan.JoinNode) *info {
 			np.Repl = true
 			np.Placed = map[string]plan.PlacedEntry{}
 		case lp.Repl:
-			np.HashCols = append([]string(nil), rp.HashCols...)
+			np.SetHashCols(rp.HashCols())
 			np.Placed = rp.Placed
-			np.DupCols = append([]string(nil), rp.DupCols...)
+			np.SetDupCols(rp.DupCols())
 		default:
-			np.HashCols = append([]string(nil), lp.HashCols...)
+			np.SetHashCols(lp.HashCols())
 			np.Placed = lp.Placed
-			np.DupCols = append([]string(nil), lp.DupCols...)
+			np.SetDupCols(lp.DupCols())
 		}
 		if semiLike {
 			np.Placed = lp.Placed
-			np.DupCols = append([]string(nil), lp.DupCols...)
-			np.HashCols = append([]string(nil), lp.HashCols...)
+			np.SetDupCols(lp.DupCols())
+			np.SetHashCols(lp.HashCols())
 			np.Repl = lp.Repl
 			np.Equiv = lp.Equiv
 		}
@@ -105,18 +101,14 @@ func (c *checker) deriveJoin(n *plan.JoinNode) *info {
 	// Case (1): both sides hash-partitioned on keys the join predicate
 	// implies equal — all partners of a key share a partition, so every
 	// join type is safe.
-	if lp.HashCols != nil && rp.HashCols != nil && lp.Parts == rp.Parts &&
+	if lp.HashCols() != nil && rp.HashCols() != nil && lp.Parts == rp.Parts &&
 		hashAligned(lp, rp, n.LeftCols, n.RightCols) {
-		np := &plan.Prop{
-			Parts:    lp.Parts,
-			HashCols: append([]string(nil), lp.HashCols...),
-			Placed:   unionPlaced(lp.Placed, rp.Placed),
-			DupCols:  append(append([]string(nil), lp.DupCols...), rp.DupCols...),
-			Equiv:    c.joinEquiv(n, lp, rp),
-		}
+		np := &plan.Prop{Parts: lp.Parts, Placed: unionPlaced(lp.Placed, rp.Placed), Equiv: c.joinEquiv(n, lp, rp)}
+		np.SetHashCols(lp.HashCols())
+		np.SetDupCols(append(lp.DupCols(), rp.DupCols()...))
 		if semiLike {
 			np.Placed = lp.Placed
-			np.DupCols = append([]string(nil), lp.DupCols...)
+			np.SetDupCols(lp.DupCols())
 			np.Equiv = lp.Equiv
 		}
 		return &info{prop: np, sch: outSchema}
@@ -131,16 +123,12 @@ func (c *checker) deriveJoin(n *plan.JoinNode) *info {
 		if refd == "left" {
 			refdProp = lp
 		}
-		np := &plan.Prop{
-			Parts:    lp.Parts,
-			Placed:   unionPlaced(lp.Placed, rp.Placed),
-			DupCols:  append([]string(nil), refdProp.DupCols...),
-			HashCols: append([]string(nil), refdProp.HashCols...),
-			Equiv:    c.joinEquiv(n, lp, rp),
-		}
+		np := &plan.Prop{Parts: lp.Parts, Placed: unionPlaced(lp.Placed, rp.Placed), Equiv: c.joinEquiv(n, lp, rp)}
+		np.SetDupCols(refdProp.DupCols())
+		np.SetHashCols(refdProp.HashCols())
 		if semiLike {
 			np.Placed = lp.Placed
-			np.DupCols = append([]string(nil), lp.DupCols...)
+			np.SetDupCols(lp.DupCols())
 			np.Equiv = lp.Equiv
 		}
 		return &info{prop: np, sch: outSchema}
@@ -150,13 +138,9 @@ func (c *checker) deriveJoin(n *plan.JoinNode) *info {
 	// would miss partners that live on other partitions.
 	c.report(RuleLocality, n,
 		"join inputs not provably co-partitioned on the join keys (left %s hash=%v, right %s hash=%v) and no Repartition/Broadcast precedes the join",
-		lp.Method(), lp.HashCols, rp.Method(), rp.HashCols)
-	np := &plan.Prop{
-		Parts:    lp.Parts,
-		HashCols: append([]string(nil), n.LeftCols...),
-		Placed:   unionPlaced(lp.Placed, rp.Placed),
-		Equiv:    c.joinEquiv(n, lp, rp),
-	}
+		lp.Method(), lp.HashCols(), rp.Method(), rp.HashCols())
+	np := &plan.Prop{Parts: lp.Parts, Placed: unionPlaced(lp.Placed, rp.Placed), Equiv: c.joinEquiv(n, lp, rp)}
+	np.SetHashCols(n.LeftCols)
 	return &info{prop: np, sch: outSchema}
 }
 
@@ -197,17 +181,18 @@ func (c *checker) joinEquiv(n *plan.JoinNode, lp, rp *plan.Prop) [][]string {
 // rows with equal join keys: every positional hash-column pair must be
 // implied equal by some join conjunct, modulo each side's equivalences.
 func hashAligned(lp, rp *plan.Prop, leftCols, rightCols []string) bool {
-	if len(lp.HashCols) != len(rp.HashCols) || len(leftCols) != len(rightCols) {
+	lh, rh := lp.HashCols(), rp.HashCols()
+	if len(lh) != len(rh) || len(leftCols) != len(rightCols) {
 		return false
 	}
 	used := make([]bool, len(leftCols))
-	for i := range lp.HashCols {
+	for i := range lh {
 		found := false
 		for j := range leftCols {
 			if used[j] {
 				continue
 			}
-			if lp.EquivSame(lp.HashCols[i], leftCols[j]) && rp.EquivSame(rp.HashCols[i], rightCols[j]) {
+			if lp.EquivSame(lh[i], leftCols[j]) && rp.EquivSame(rh[i], rightCols[j]) {
 				used[j] = true
 				found = true
 				break

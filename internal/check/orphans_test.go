@@ -96,11 +96,14 @@ func TestVerifyRejectsGatheredSplitSums(t *testing.T) {
 
 func TestVerifyRejectsRepartitionedSplitSums(t *testing.T) {
 	rw, sums, _ := prefSums(t)
-	rep := note(rw, &plan.RepartitionNode{Child: sums, Cols: []string{"l.l_orderkey"}}, rw.Schemas[sums],
-		&plan.Prop{Parts: 4, HashCols: []string{"l.l_orderkey"}, Placed: map[string]plan.PlacedEntry{}})
+	hashed := func() *plan.Prop {
+		p := &plan.Prop{Parts: 4, Placed: map[string]plan.PlacedEntry{}}
+		p.SetHashCols([]string{"l.l_orderkey"})
+		return p
+	}
+	rep := note(rw, &plan.RepartitionNode{Child: sums, Cols: []string{"l.l_orderkey"}}, rw.Schemas[sums], hashed())
 	fin := note(rw, &plan.AggregateNode{Child: rep, GroupBy: []string{"l.l_orderkey"}, Aggs: []plan.AggExpr{plan.Sum(plan.Col("q"), "q2")}},
-		plan.Schema{{Name: "l.l_orderkey", Kind: value.Int}, {Name: "q2", Kind: value.Int}},
-		&plan.Prop{Parts: 4, HashCols: []string{"l.l_orderkey"}, Placed: map[string]plan.PlacedEntry{}})
+		plan.Schema{{Name: "l.l_orderkey", Kind: value.Int}, {Name: "q2", Kind: value.Int}}, hashed())
 	rw.Root = fin
 	expectOrphanConsumer(t, rw, rep)
 }

@@ -40,7 +40,6 @@ type checker struct {
 	memo    map[plan.Node]*info
 	visited map[plan.Node]int // 0 new, 1 in progress, 2 done (cycle guard)
 	aliases map[string]bool
-	order   []plan.Node // reachable nodes, post-order, for the alias scan
 }
 
 func newChecker(rw *plan.Rewritten) *checker {
@@ -86,7 +85,6 @@ func (c *checker) visit(n plan.Node) *info {
 	in.sch = c.narrowed(n, in.sch)
 	c.visited[n] = 2
 	c.memo[n] = in
-	c.order = append(c.order, n)
 	c.diff(n, in)
 	return in
 }
@@ -203,7 +201,7 @@ func (c *checker) deriveScan(n *plan.ScanNode) *info {
 	case partition.Replicated:
 		prop.Repl = true
 	case partition.Hash:
-		prop.HashCols = qualify(n.Alias, ts.Cols)
+		prop.SetHashCols(qualify(n.Alias, ts.Cols))
 		prop.Placed[n.Alias] = plan.PlacedEntry{Table: n.Table, Scheme: ts}
 	case partition.Pref:
 		sch = append(sch,
@@ -212,9 +210,9 @@ func (c *checker) deriveScan(n *plan.ScanNode) *info {
 		)
 		prop.Placed[n.Alias] = plan.PlacedEntry{Table: n.Table, Scheme: ts}
 		if mapped, ok := c.cfg.HashEquivalent(n.Table); ok {
-			prop.HashCols = qualify(n.Alias, mapped)
+			prop.SetHashCols(qualify(n.Alias, mapped))
 		} else if !c.cfg.DupFree(c.cat, n.Table) {
-			prop.DupCols = []string{plan.DupCol(n.Alias)}
+			prop.SetDupCols([]string{plan.DupCol(n.Alias)})
 		}
 	default:
 		prop.Placed[n.Alias] = plan.PlacedEntry{Table: n.Table, Scheme: ts}
@@ -258,7 +256,7 @@ func (c *checker) deriveProject(n *plan.ProjectNode) *info {
 	if ci.prop.Dup() {
 		c.report(RuleDupLeak, n,
 			"projection over input with live dup columns %v (Section 2.2 requires PREF-duplicate elimination first)",
-			ci.prop.DupCols)
+			ci.prop.DupCols())
 	}
 	if len(n.Exprs) != len(n.Names) {
 		c.report(RuleMalformed, n, "projection arity mismatch: %d exprs, %d names", len(n.Exprs), len(n.Names))
@@ -285,7 +283,7 @@ func (c *checker) deriveAggregate(n *plan.AggregateNode) *info {
 	c.checkAggBinds(n, n.GroupBy, n.Aggs, ci.sch)
 
 	if cp.Dup() {
-		c.report(RuleDupLeak, n, "aggregation over input with live dup columns %v", cp.DupCols)
+		c.report(RuleDupLeak, n, "aggregation over input with live dup columns %v", cp.DupCols())
 	}
 
 	if len(n.GroupBy) == 0 {
@@ -309,11 +307,11 @@ func (c *checker) deriveAggregate(n *plan.AggregateNode) *info {
 	// PREF input grouped by its referencing columns holds every group whose
 	// rows have a partner; its orphan groups may be split (prefGrouped).
 	orphans := ""
-	if !cp.Repl && !(cp.HashCols != nil && hashCoveredBy(cp, n.GroupBy)) {
+	if !cp.Repl && !(cp.HashCols() != nil && hashCoveredBy(cp, n.GroupBy)) {
 		if orphans = c.prefGrouped(cp, n.GroupBy); orphans == "" {
 			c.report(RuleLocality, n,
 				"grouped aggregation over input not co-partitioned by its group (method %s, hash %v, group-by %v)",
-				cp.Method(), cp.HashCols, n.GroupBy)
+				cp.Method(), cp.HashCols(), n.GroupBy)
 		}
 	}
 
@@ -330,8 +328,8 @@ func (c *checker) deriveAggregate(n *plan.AggregateNode) *info {
 		out = append(out, plan.Field{Name: a.As, Kind: c.kindOfAgg(a, ci.sch)})
 	}
 	np := &plan.Prop{Parts: cp.Parts, Repl: cp.Repl, Placed: map[string]plan.PlacedEntry{}}
-	if allIn(cp.HashCols, n.GroupBy) {
-		np.HashCols = append([]string(nil), cp.HashCols...)
+	if allIn(cp.HashCols(), n.GroupBy) {
+		np.SetHashCols(cp.HashCols())
 	}
 	if orphans != "" {
 		np.Placed[orphans], np.Orphans = cp.Placed[orphans], orphans
@@ -397,7 +395,7 @@ func (c *checker) checkOrphans(n plan.Node) {
 func (c *checker) derivePartialAgg(n *plan.PartialAggNode) *info {
 	ci := c.visit(n.Child)
 	if ci.prop.Dup() {
-		c.report(RuleDupLeak, n, "partial aggregation over input with live dup columns %v", ci.prop.DupCols)
+		c.report(RuleDupLeak, n, "partial aggregation over input with live dup columns %v", ci.prop.DupCols())
 	}
 	c.checkAggBinds(n, n.GroupBy, n.Aggs, ci.sch)
 	return &info{
@@ -414,19 +412,16 @@ func (c *checker) deriveFinalAgg(n *plan.FinalAggNode) *info {
 	switch {
 	case cp.Gathered:
 		// Coordinator-side merge of gathered partials.
-	case len(n.GroupBy) > 0 && !cp.Dup() && allIn(cp.HashCols, n.GroupBy):
+	case len(n.GroupBy) > 0 && !cp.Dup() && allIn(cp.HashCols(), n.GroupBy):
 		// Distributed merge: the partials were hash-placed on group-by
 		// columns, so every state of a group sits on one partition and each
 		// node merges its own groups. The placement survives the merge.
-		np = &plan.Prop{
-			Parts:    cp.Parts,
-			HashCols: append([]string(nil), cp.HashCols...),
-			Placed:   map[string]plan.PlacedEntry{},
-		}
+		np = &plan.Prop{Parts: cp.Parts, Placed: map[string]plan.PlacedEntry{}}
+		np.SetHashCols(cp.HashCols())
 	default:
 		c.report(RuleLocality, n,
 			"final aggregate over partials neither gathered nor co-partitioned by their group (method %s, hash %v, group-by %v)",
-			cp.Method(), cp.HashCols, n.GroupBy)
+			cp.Method(), cp.HashCols(), n.GroupBy)
 	}
 	// A FinalAgg reads its partner PartialAgg's state columns (a.As, or
 	// a.As$sum/$cnt for AVG) from the gathered schema; the Arg expressions
@@ -485,7 +480,7 @@ func (c *checker) deriveTopK(n *plan.TopKNode) *info {
 	if ci.prop.Dup() {
 		c.report(RuleDupLeak, n,
 			"partial top-k over input with live dup columns %v (duplicate copies would crowd out distinct rows)",
-			ci.prop.DupCols)
+			ci.prop.DupCols())
 	}
 	return &info{prop: &plan.Prop{Parts: ci.prop.Parts}, sch: ci.sch, contentRepl: ci.contentRepl}
 }
@@ -505,11 +500,8 @@ func (c *checker) deriveRepartition(n *plan.RepartitionNode) *info {
 	if n.OneCopy != cp.Repl {
 		c.report(RuleMalformed, n, "OneCopy=%v disagrees with input replication %v", n.OneCopy, cp.Repl)
 	}
-	np := &plan.Prop{
-		Parts:    cp.Parts,
-		HashCols: append([]string(nil), n.Cols...),
-		Placed:   map[string]plan.PlacedEntry{},
-	}
+	np := &plan.Prop{Parts: cp.Parts, Placed: map[string]plan.PlacedEntry{}}
+	np.SetHashCols(n.Cols)
 	return &info{prop: np, sch: ci.sch}
 }
 
@@ -534,7 +526,7 @@ func (c *checker) checkShipDedup(n plan.Node, dedup []string, cp *plan.Prop, sch
 			c.report(RuleMalformed, n, "dedup column %q not in input schema %v", col, sch.Names())
 		}
 	}
-	for _, live := range cp.DupCols {
+	for _, live := range cp.DupCols() {
 		found := false
 		for _, d := range dedup {
 			if d == live {
@@ -551,7 +543,7 @@ func (c *checker) checkShipDedup(n plan.Node, dedup []string, cp *plan.Prop, sch
 func (c *checker) deriveGather(n *plan.GatherNode) *info {
 	ci := c.visit(n.Child)
 	if ci.prop.Dup() {
-		c.report(RuleDupLeak, n, "gather ships live dup columns %v to the coordinator", ci.prop.DupCols)
+		c.report(RuleDupLeak, n, "gather ships live dup columns %v to the coordinator", ci.prop.DupCols())
 	}
 	if n.OneCopy != ci.contentRepl {
 		c.report(RuleMalformed, n, "OneCopy=%v disagrees with input content replication %v", n.OneCopy, ci.contentRepl)
@@ -567,7 +559,7 @@ func (c *checker) deriveDistinctPref(n *plan.DistinctPrefNode) *info {
 			c.report(RuleMalformed, n, "dup column %q not in input schema %v", col, ci.sch.Names())
 		}
 	}
-	for _, live := range cp.DupCols {
+	for _, live := range cp.DupCols() {
 		found := false
 		for _, d := range n.DupCols {
 			if d == live {
@@ -580,7 +572,7 @@ func (c *checker) deriveDistinctPref(n *plan.DistinctPrefNode) *info {
 		}
 	}
 	np := cp.Clone()
-	np.DupCols = nil
+	np.SetDupCols(nil)
 	return &info{prop: np, sch: ci.sch, contentRepl: ci.contentRepl}
 }
 
@@ -597,8 +589,8 @@ func (c *checker) deriveDistinctByValue(n *plan.DistinctByValueNode) *info {
 	}
 	c.checkBarrier(n, ci, "row identity is every visible column")
 	np := ci.prop.Clone()
-	np.DupCols = nil
-	np.HashCols = nil
+	np.SetDupCols(nil)
+	np.SetHashCols(nil)
 	np.Placed = map[string]plan.PlacedEntry{}
 	return &info{prop: np, sch: ci.sch, contentRepl: ci.contentRepl}
 }
@@ -620,7 +612,7 @@ func (c *checker) checkRoot(root plan.Node, in *info) {
 			in.sch.Names(), in.full.Names())
 	}
 	if in.prop.Dup() {
-		c.report(RuleDupLeak, root, "plan root has live dup columns %v: results would contain PREF duplicates", in.prop.DupCols)
+		c.report(RuleDupLeak, root, "plan root has live dup columns %v: results would contain PREF duplicates", in.prop.DupCols())
 	}
 	if in.prop.Orphans != "" {
 		c.report(RuleLocality, root, "plan root returns orphan groups of %s that may be split across partitions", in.prop.Orphans)
@@ -657,11 +649,11 @@ func (c *checker) diff(n plan.Node, in *info) {
 	if rec.Gathered != d.Gathered {
 		c.report(RuleStaleProp, n, "recorded Gathered=%v, derived %v", rec.Gathered, d.Gathered)
 	}
-	if !hashColsEqual(rec.HashCols, d.HashCols) {
-		c.report(RuleStaleProp, n, "recorded HashCols=%v, derived %v", rec.HashCols, d.HashCols)
+	if !hashColsEqual(rec.HashCols(), d.HashCols()) {
+		c.report(RuleStaleProp, n, "recorded HashCols=%v, derived %v", rec.HashCols(), d.HashCols())
 	}
-	if !colSetEqual(rec.DupCols, d.DupCols) {
-		c.report(RuleStaleProp, n, "recorded DupCols=%v, derived %v", rec.DupCols, d.DupCols)
+	if !colSetEqual(rec.DupCols(), d.DupCols()) {
+		c.report(RuleStaleProp, n, "recorded DupCols=%v, derived %v", rec.DupCols(), d.DupCols())
 	}
 	if rec.Orphans != d.Orphans {
 		c.report(RuleStaleProp, n, "recorded Orphans=%q, derived %q", rec.Orphans, d.Orphans)
@@ -672,89 +664,6 @@ func (c *checker) diff(n plan.Node, in *info) {
 	// Equiv is not diffed: it is derived bookkeeping whose class order is
 	// an implementation detail; the checker recomputes its own for the
 	// locality decisions above.
-}
-
-// checkAliasing verifies that no recorded Prop column slice shares its
-// backing array with another operator's recorded Prop or with a plan
-// node's own slice: an append through either alias would silently corrupt
-// the other (the runtime complement of the propalias lint rule). Sharing
-// between two plan-node slices is deliberate (physJoin reuses the logical
-// node's column lists) and not flagged.
-func (c *checker) checkAliasing() {
-	type slot struct {
-		n     plan.Node
-		field string
-	}
-	propOwner := map[*string]slot{} // backing array -> first Prop field using it
-	seenProp := map[*plan.Prop]plan.Node{}
-
-	for _, n := range c.order {
-		rec := c.rw.Props[n]
-		if rec == nil {
-			continue
-		}
-		if prev, dup := seenProp[rec]; dup {
-			c.report(RulePropAlias, n, "same *Prop recorded for two operators (also %s); a mutation through one corrupts the other", prev)
-			continue
-		}
-		seenProp[rec] = n
-		for _, f := range []struct {
-			name string
-			s    []string
-		}{{"HashCols", rec.HashCols}, {"DupCols", rec.DupCols}} {
-			if len(f.s) == 0 {
-				continue
-			}
-			key := &f.s[0]
-			if prev, dup := propOwner[key]; dup {
-				c.report(RulePropAlias, n, "Prop.%s shares its backing array with %s of %s", f.name, prev.field, prev.n)
-				continue
-			}
-			propOwner[key] = slot{n, "Prop." + f.name}
-		}
-	}
-
-	for _, n := range c.order {
-		for _, f := range nodeSlices(n) {
-			if len(f.s) == 0 {
-				continue
-			}
-			if prev, dup := propOwner[&f.s[0]]; dup {
-				c.report(RulePropAlias, n, "node field %s shares its backing array with %s of %s", f.name, prev.field, prev.n)
-			}
-		}
-	}
-}
-
-type namedSlice struct {
-	name string
-	s    []string
-}
-
-// nodeSlices enumerates the []string fields a plan operator owns.
-func nodeSlices(n plan.Node) []namedSlice {
-	switch n := n.(type) {
-	case *plan.JoinNode:
-		return []namedSlice{{"LeftCols", n.LeftCols}, {"RightCols", n.RightCols}}
-	case *plan.RepartitionNode:
-		return []namedSlice{{"Cols", n.Cols}, {"DupCols", n.DupCols}}
-	case *plan.BroadcastNode:
-		return []namedSlice{{"DupCols", n.DupCols}}
-	case *plan.DistinctPrefNode:
-		return []namedSlice{{"DupCols", n.DupCols}}
-	case *plan.DistinctByValueNode:
-		return []namedSlice{{"Cols", n.Cols}}
-	case *plan.AggregateNode:
-		return []namedSlice{{"GroupBy", n.GroupBy}}
-	case *plan.PartialAggNode:
-		return []namedSlice{{"GroupBy", n.GroupBy}}
-	case *plan.FinalAggNode:
-		return []namedSlice{{"GroupBy", n.GroupBy}}
-	case *plan.ProjectNode:
-		return []namedSlice{{"Names", n.Names}}
-	default:
-		return nil
-	}
 }
 
 // ---- helpers shared by the transfer rules ----
@@ -835,10 +744,10 @@ func allIn(a, b []string) bool {
 // hashCoveredBy reports whether every hash column is among the group-by
 // columns, directly or via an equivalence.
 func hashCoveredBy(p *plan.Prop, groupBy []string) bool {
-	if len(p.HashCols) == 0 {
+	if len(p.HashCols()) == 0 {
 		return false
 	}
-	for _, h := range p.HashCols {
+	for _, h := range p.HashCols() {
 		ok := false
 		for _, g := range groupBy {
 			if p.EquivSame(h, g) {

@@ -17,13 +17,6 @@
 //     must thread the query's context.Context; minting a fresh
 //     context.Background()/TODO() deep in the call tree would detach that
 //     work from the query's deadline and cancellation.
-//   - propalias: plan.Prop's []string property fields (HashCols, DupCols)
-//     must be cloned, not aliased, when copied between props or from plan
-//     nodes; an append through one alias silently corrupts the other.
-//     A call to a function that returns a slice parameter or a Prop field
-//     unchanged aliases too; those functions are found by re-scanning the
-//     package until a pass marks no new one, so wrappers and recursion
-//     resolve without a call graph.
 //   - publishorder: the atomic epoch store is a release point, so all
 //     bookkeeping must precede it. The store must be a top-level statement
 //     of a goto-free function body and the function's only publish; then
@@ -34,8 +27,12 @@
 //     (cols := b.Cols; cols[0][i] = …), so scans can share storage
 //     zero-copy across concurrent queries.
 //
+// Hazards a type rules out have no analyzer: plan.Prop owns its column
+// lists (unexported, copied on Set, read through clipped views), so no
+// append through one Prop can corrupt another or a plan node.
+//
 // Hazards a deterministic tier-1 runtime law already catches have no
-// analyzer: cross-partition access, unmetered shipments and unjoined
+// analyzer either: cross-partition access, unmetered shipments and unjoined
 // fan-out fail the differential oracle, the exact metering tests and the
 // trace conservation laws (check.VerifyTrace). So do pooled-batch leaks,
 // double releases and use-after-release: the engine's evalVec is the only
@@ -51,8 +48,7 @@
 // diagnostic's line or the line above silences that analyzer there. A
 // reason is mandatory; a malformed directive is itself a diagnostic.
 //
-// cmd/preflint is the driver; internal/check's RulePropAlias is the
-// runtime complement of propalias.
+// cmd/preflint is the driver.
 package lint
 
 import (
@@ -114,7 +110,7 @@ type Analyzer struct {
 // driver runs them.
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
-		InvariantPanic, CtxThread, PropAlias, PublishOrder, BatchWrite,
+		InvariantPanic, CtxThread, PublishOrder, BatchWrite,
 	}
 }
 

@@ -235,128 +235,6 @@ func helper() {
 	}
 }
 
-func TestPropAliasFixtures(t *testing.T) {
-	const src = `package plan
-
-type Prop struct {
-	HashCols []string
-	DupCols  []string
-}
-
-func cloneCols(c []string) []string {
-	if c == nil {
-		return nil
-	}
-	return append([]string(nil), c...)
-}
-
-func transfer(np, cp *Prop, cols []string) {
-	np.HashCols = cp.HashCols // want "HashCols assigned from an existing slice"
-	np.DupCols = cols         // want "DupCols assigned from an existing slice"
-	np.HashCols = cloneCols(cp.HashCols)
-	np.DupCols = append([]string(nil), cols...)
-	np.HashCols = nil
-	np.DupCols = []string{"a", "b"}
-	//lint:ignore propalias both props die at the end of this scope
-	np.HashCols = cp.HashCols
-	np.DupCols = cols[1:] // want "DupCols assigned from an existing slice"
-}
-
-func literals(cp *Prop, cols []string) *Prop {
-	bad := &Prop{HashCols: cols} // want "HashCols initialized from an existing slice"
-	good := &Prop{HashCols: cloneCols(cols), DupCols: nil}
-	also := &Prop{DupCols: []string{"d"}}
-	_ = good
-	_ = also
-	return bad
-}
-`
-	runWant(t, "propalias_fixture.go", src, []*Analyzer{PropAlias})
-}
-
-func TestPropAliasThroughCallsAndEmbedding(t *testing.T) {
-	// The type-aware upgrade: calls that launder an alias through a
-	// passthrough return are caught (to a fixpoint, through mutual
-	// recursion, explicit instantiation, generic methods and method
-	// wrappers), and assignment to a field promoted through struct
-	// embedding still resolves to the Prop field object.
-	const src = `package plan
-
-type Prop struct {
-	HashCols []string
-	DupCols  []string
-}
-
-type annotated struct {
-	Prop
-	note string
-}
-
-func passthrough(cols []string) []string { return cols }
-
-func laundered(cols []string) []string { return passthrough(cols) }
-
-func subsliced(cols []string) []string { return cols[1:] }
-
-func fresh(cols []string) []string { return append([]string(nil), cols...) }
-
-func ownField(p *Prop) []string { return p.HashCols }
-
-func calls(np *Prop, cols []string) {
-	np.HashCols = passthrough(cols) // want "a call to passthrough, which returns an existing slice unchanged"
-	np.HashCols = laundered(cols)   // want "a call to laundered, which returns an existing slice unchanged"
-	np.DupCols = subsliced(cols)    // want "a call to subsliced, which returns an existing slice unchanged"
-	np.DupCols = ownField(np)       // want "a call to ownField, which returns an existing slice unchanged"
-	np.HashCols = fresh(cols)
-	np.DupCols = []string(cols) // want "a slice conversion of an existing slice"
-}
-
-func promoted(a *annotated, cols []string) {
-	a.HashCols = cols // want "HashCols assigned from an existing slice"
-	a.DupCols = fresh(cols)
-}
-
-func pass[T any](cols []T) []T { return cols }
-
-type box[T any] struct{}
-
-func (box[T]) get(cols []T) []T { return cols }
-
-type r struct{}
-
-func (r) own(c []string) []string { return c }
-
-func (x r) wrap(c []string) []string { return x.own(c) }
-
-func callees(np *Prop, cols []string, x r) {
-	np.HashCols = pass[string](cols)     // want "a call to pass, which returns an existing slice unchanged"
-	np.DupCols = box[string]{}.get(cols) // want "a call to get, which returns an existing slice unchanged"
-	np.HashCols = x.wrap(cols)           // want "a call to wrap, which returns an existing slice unchanged"
-}
-
-// odd aliases only through even, which is declared after it.
-func odd(cols []string, n int) []string {
-	if n == 0 {
-		return nil
-	}
-	return even(cols, n-1)
-}
-
-func even(cols []string, n int) []string {
-	if n == 0 {
-		return cols
-	}
-	return odd(cols, n-1)
-}
-
-func recursive(np *Prop, cols []string) {
-	np.HashCols = odd(cols, 3) // want "a call to odd, which returns an existing slice unchanged"
-	np.DupCols = even(cols, 2) // want "a call to even, which returns an existing slice unchanged"
-}
-`
-	runWant(t, "propalias_typed.go", src, []*Analyzer{PropAlias})
-}
-
 func TestIgnoreDirectives(t *testing.T) {
 	// A well-formed ignore suppresses exactly its analyzer; a malformed one
 	// (missing the reason) is itself reported and suppresses nothing.

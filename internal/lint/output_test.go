@@ -10,9 +10,9 @@ import (
 func sampleDiags() []Diagnostic {
 	return []Diagnostic{
 		{
-			Pos:      token.Position{Filename: "internal/check/join.go", Line: 61, Column: 4},
-			Analyzer: "propalias",
-			Message:  "HashCols assigned from an existing slice",
+			Pos:      token.Position{Filename: "internal/engine/engine.go", Line: 61, Column: 4},
+			Analyzer: "ctxthread",
+			Message:  "context.Background in ship detaches per-partition work from the query context; thread ctx from the caller",
 		},
 		{
 			Pos:      token.Position{Filename: "internal/table/table.go", Line: 9, Column: 2},
@@ -30,11 +30,11 @@ func TestWriteJSONGolden(t *testing.T) {
 	const want = `{
   "findings": [
     {
-      "file": "internal/check/join.go",
+      "file": "internal/engine/engine.go",
       "line": 61,
       "column": 4,
-      "analyzer": "propalias",
-      "message": "HashCols assigned from an existing slice"
+      "analyzer": "ctxthread",
+      "message": "context.Background in ship detaches per-partition work from the query context; thread ctx from the caller"
     },
     {
       "file": "internal/table/table.go",

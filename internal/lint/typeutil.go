@@ -35,23 +35,6 @@ func calleePkgFunc(p *Pass, call *ast.CallExpr) (pkgPath, name string) {
 	return pkg.Path(), sel.Sel.Name
 }
 
-// fieldObj resolves a selector expression to the struct field it denotes
-// (including fields promoted through embedding), or nil when the selector
-// is not a field access.
-func fieldObj(p *Pass, sel *ast.SelectorExpr) *types.Var {
-	if s, ok := p.TypesInfo.Selections[sel]; ok {
-		if v, ok := s.Obj().(*types.Var); ok && v.IsField() {
-			return v
-		}
-		return nil
-	}
-	// Qualified references (pkg.X) land in Uses, not Selections.
-	if v, ok := p.TypesInfo.Uses[sel.Sel].(*types.Var); ok && v.IsField() {
-		return v
-	}
-	return nil
-}
-
 // exprString renders a short expression for diagnostics: identifiers,
 // selector chains and simple index chains (bs[0], w.cur); parens and
 // derefs are dropped and anything else is elided as "...".

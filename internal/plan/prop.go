@@ -34,13 +34,18 @@ type PlacedEntry struct {
 //     be split across partitions. Only a Filter, a Project, a runtime
 //     filter, or the inner join on that alias's partitioning predicate —
 //     where the orphan groups find no partner and die — may consume it.
+//
+// A Prop owns its two column lists: only this file names their storage.
+// SetHashCols/SetDupCols store a private copy, and HashCols/DupCols return
+// clipped views, so an append through a view reallocates and no Prop can
+// share an element with another Prop or a plan node.
 type Prop struct {
 	Parts    int
 	Repl     bool
 	Gathered bool
-	HashCols []string
+	hash     []string
 	Placed   map[string]PlacedEntry
-	DupCols  []string
+	dup      []string
 	Orphans  string
 	// Equiv records column equality classes established by inner equi
 	// joins upstream (l.partkey ≡ ps.partkey after l⋈ps), so co-location
@@ -48,6 +53,20 @@ type Prop struct {
 	// predicate mentions.
 	Equiv [][]string
 }
+
+// HashCols returns the hash-partitioning columns, nil when the result is
+// not hash-partitioned.
+func (p *Prop) HashCols() []string { return p.hash[:len(p.hash):len(p.hash)] }
+
+// DupCols returns the live dup-index columns.
+func (p *Prop) DupCols() []string { return p.dup[:len(p.dup):len(p.dup)] }
+
+// SetHashCols records a copy of cols as the hash-partitioning columns; an
+// empty list records none.
+func (p *Prop) SetHashCols(cols []string) { p.hash = append([]string(nil), cols...) }
+
+// SetDupCols records a copy of cols as the live dup-index columns.
+func (p *Prop) SetDupCols(cols []string) { p.dup = append([]string(nil), cols...) }
 
 // EquivSame reports whether two column names are equal or known equal.
 func (p *Prop) EquivSame(a, b string) bool {
@@ -112,7 +131,7 @@ func UnionEquiv(a, b [][]string) [][]string {
 }
 
 // Dup reports the paper's Dup(o) bit.
-func (p *Prop) Dup() bool { return len(p.DupCols) > 0 }
+func (p *Prop) Dup() bool { return len(p.dup) > 0 }
 
 // Method reports the paper's Part(o).m classification for inspection.
 func (p *Prop) Method() string {
@@ -121,7 +140,7 @@ func (p *Prop) Method() string {
 		return "REPL"
 	case p.Gathered:
 		return "GATHERED"
-	case p.HashCols != nil:
+	case p.hash != nil:
 		return "HASH"
 	case len(p.Placed) > 0:
 		return "PREF"
@@ -141,16 +160,14 @@ func (p *Prop) String() string {
 		orphans = " orphans=" + p.Orphans
 	}
 	return fmt.Sprintf("{%s hash=%v placed=[%s] dup=%v%s parts=%d}",
-		p.Method(), p.HashCols, strings.Join(placed, ","), p.DupCols, orphans, p.Parts)
+		p.Method(), p.hash, strings.Join(placed, ","), p.dup, orphans, p.Parts)
 }
 
-// Clone returns a deep copy: no slice or map is shared with the receiver,
-// so appending to or mutating the copy's HashCols/DupCols/Placed/Equiv
-// cannot corrupt another operator's recorded properties.
+// Clone returns a copy that shares no map or class list with the receiver,
+// so mutating the copy's Placed/Equiv cannot corrupt another operator's
+// recorded properties. The column lists are shared: no one writes them.
 func (p *Prop) Clone() *Prop {
 	q := *p
-	q.HashCols = cloneCols(p.HashCols)
-	q.DupCols = cloneCols(p.DupCols)
 	q.Placed = make(map[string]PlacedEntry, len(p.Placed))
 	for k, v := range p.Placed {
 		q.Placed[k] = v
@@ -158,11 +175,6 @@ func (p *Prop) Clone() *Prop {
 	q.Equiv = UnionEquiv(p.Equiv, nil)
 	return &q
 }
-
-// cloneCols copies a column list so a Prop field never aliases a plan
-// node's slice or another Prop's field (an append through one alias would
-// silently corrupt the other — the hazard the propalias lint rule flags).
-func cloneCols(cols []string) []string { return append([]string(nil), cols...) }
 
 func unionPlaced(a, b map[string]PlacedEntry) map[string]PlacedEntry {
 	out := make(map[string]PlacedEntry, len(a)+len(b))

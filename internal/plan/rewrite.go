@@ -109,13 +109,10 @@ func Rewrite(root Node, schema *catalog.Schema, cfg *partition.Config, opt Optio
 	if err != nil {
 		return nil, err
 	}
-	phys, prop, sch, err = r.finalizeRoot(phys, prop, sch)
-	if err != nil {
+	if phys, _, _, err = r.finalizeRoot(phys, prop, sch); err != nil {
 		return nil, err
 	}
 	r.out.Root = phys
-	r.out.Schemas[phys] = sch
-	r.out.Props[phys] = prop
 	r.placeTransfers(phys)
 	r.pruneColumns(phys)
 	return r.out, nil
@@ -182,13 +179,16 @@ func (r *Rewriter) finalizeRoot(root Node, prop *Prop, sch Schema) (Node, *Prop,
 		exprs = append(exprs, Col(f.Name))
 		out = append(out, f)
 	}
-	p := &ProjectNode{Child: root, Exprs: exprs, Names: names}
-	n, pr, s := r.note(p, out, prop.Clone())
+	n, pr, s := r.note(&ProjectNode{Child: root, Exprs: exprs, Names: names}, out, prop)
 	return n, pr, s, nil
 }
 
-// note records the annotation of a produced physical node.
+// note records the annotation of a produced physical node and returns it.
+// Every recorded Prop is recorded here (cheaperForm merges a fork's records
+// whole), and note records a copy of p, so no two operators ever hold the
+// same Prop: p may be another operator's.
 func (r *Rewriter) note(n Node, sch Schema, p *Prop) (Node, *Prop, Schema) {
+	p = p.Clone()
 	r.out.Schemas[n] = sch
 	r.out.Props[n] = p
 	return n, p, sch
@@ -244,7 +244,7 @@ func (r *Rewriter) rewriteScan(n *ScanNode) (Node, *Prop, Schema, error) {
 	case partition.Replicated:
 		prop.Repl = true
 	case partition.Hash:
-		prop.HashCols = qualifyAll(n.Alias, ts.Cols)
+		prop.SetHashCols(qualifyAll(n.Alias, ts.Cols))
 		prop.Placed[n.Alias] = PlacedEntry{Table: n.Table, Scheme: ts}
 	case partition.Pref:
 		sch = append(sch,
@@ -258,13 +258,13 @@ func (r *Rewriter) rewriteScan(n *ScanNode) (Node, *Prop, Schema, error) {
 			// partitioning on the mapped columns, duplicate-free. This
 			// unlocks case (1) joins, local aggregation, and safe
 			// semi/anti/outer execution on this table.
-			prop.HashCols = qualifyAll(n.Alias, mapped)
+			prop.SetHashCols(qualifyAll(n.Alias, mapped))
 		} else if !r.Cfg.DupFree(r.Schema, n.Table) {
 			// Redundancy-free chains (unique-key references all the way
 			// to a duplicate-free seed, Section 3.4) provably store each
 			// tuple once; only genuinely duplicated tables carry live
 			// dup columns.
-			prop.DupCols = []string{DupCol(n.Alias)}
+			prop.SetDupCols([]string{DupCol(n.Alias)})
 		}
 	default: // RoundRobin, Range: placement known but not join-exploitable
 		prop.Placed[n.Alias] = PlacedEntry{Table: n.Table, Scheme: ts}
@@ -303,8 +303,7 @@ func (r *Rewriter) filter(pred BoolExpr, child Node, prop *Prop, sch Schema) (No
 	if !r.Opt.DisablePruning {
 		r.tryPrune(child, prop, pred)
 	}
-	f := &FilterNode{Child: child, Pred: pred}
-	node, p, s := r.note(f, sch, prop.Clone())
+	node, p, s := r.note(&FilterNode{Child: child, Pred: pred}, sch, prop)
 	return node, p, s, nil
 }
 
@@ -325,10 +324,10 @@ func (r *Rewriter) tryPrune(child Node, prop *Prop, pred BoolExpr) {
 	}
 
 	// Hash / hash-equivalent placement: all hash columns must be bound.
-	if prop.HashCols != nil {
-		vals := make(value.Tuple, len(prop.HashCols))
-		cols := make([]int, len(prop.HashCols))
-		for i, c := range prop.HashCols {
+	if hash := prop.HashCols(); hash != nil {
+		vals := make(value.Tuple, len(hash))
+		cols := make([]int, len(hash))
+		for i, c := range hash {
 			v, ok := bindings[c]
 			if !ok {
 				return
@@ -371,11 +370,9 @@ func (r *Rewriter) dedup(child Node, prop *Prop, sch Schema) (Node, *Prop, Schem
 		return child, prop, sch
 	}
 	np := prop.Clone()
-	np.DupCols = nil
+	np.SetDupCols(nil)
 	if !r.Opt.DisableDupIndex {
-		d := &DistinctPrefNode{Child: child, DupCols: append([]string(nil), prop.DupCols...)}
-		n, p, s := r.note(d, sch, np)
-		return n, p, s
+		return r.note(&DistinctPrefNode{Child: child, DupCols: prop.DupCols()}, sch, np)
 	}
 	// Fallback: distinct by row value (excluding hidden index columns),
 	// which requires a repartition by content.
@@ -385,11 +382,9 @@ func (r *Rewriter) dedup(child Node, prop *Prop, sch Schema) (Node, *Prop, Schem
 			cols = append(cols, c.Name)
 		}
 	}
-	np.HashCols = nil
+	np.SetHashCols(nil)
 	np.Placed = map[string]PlacedEntry{}
-	d := &DistinctByValueNode{Child: child, Cols: cols}
-	n, p, s := r.note(d, sch, np)
-	return n, p, s
+	return r.note(&DistinctByValueNode{Child: child, Cols: cols}, sch, np)
 }
 
 func IsHiddenCol(name string) bool {
@@ -419,7 +414,7 @@ func (r *Rewriter) rewriteProject(n *ProjectNode) (Node, *Prop, Schema, error) {
 	// Placement survives projection (rows don't move); hash/placed
 	// properties referencing dropped columns simply become unusable by
 	// later matching, which is sound.
-	node, pr, s := r.note(p, out, prop.Clone())
+	node, pr, s := r.note(p, out, prop)
 	return node, pr, s, nil
 }
 
@@ -463,7 +458,7 @@ func (r *Rewriter) lazyAggregate(n *AggregateNode) (Node, *Prop, Schema, error) 
 	// then imply one partition; the paper states the prefix special case,
 	// set containment modulo equivalences is the general sound rule).
 	local := prop.Repl ||
-		(prop.HashCols != nil && hashCoveredBy(prop, n.GroupBy) && !prop.Dup())
+		(prop.HashCols() != nil && hashCoveredBy(prop, n.GroupBy) && !prop.Dup())
 	// The sums of an eager form over a duplicate-free PREF input aggregate in
 	// place too; only their orphan groups may be split (eager.go).
 	orphans := ""
@@ -475,8 +470,8 @@ func (r *Rewriter) lazyAggregate(n *AggregateNode) (Node, *Prop, Schema, error) 
 		np := &Prop{Parts: prop.Parts, Repl: prop.Repl, Placed: map[string]PlacedEntry{}}
 		// The hash property survives only if its column names survive the
 		// aggregation's output schema.
-		if allIn(prop.HashCols, n.GroupBy) {
-			np.HashCols = cloneCols(prop.HashCols)
+		if allIn(prop.HashCols(), n.GroupBy) {
+			np.SetHashCols(prop.HashCols())
 		}
 		if orphans != "" {
 			np.Placed[orphans], np.Orphans = prop.Placed[orphans], orphans
@@ -486,7 +481,8 @@ func (r *Rewriter) lazyAggregate(n *AggregateNode) (Node, *Prop, Schema, error) 
 	}
 
 	// Either way the output ends up hash-placed on the group-by columns.
-	np := &Prop{Parts: prop.Parts, HashCols: cloneCols(n.GroupBy), Placed: map[string]PlacedEntry{}}
+	np := &Prop{Parts: prop.Parts, Placed: map[string]PlacedEntry{}}
+	np.SetHashCols(n.GroupBy)
 
 	// COUNT(DISTINCT) states do not merge: re-partition every input row by
 	// the group-by columns (removing PREF duplicates in transit) and
@@ -528,7 +524,7 @@ func dupColsFor(r *Rewriter, prop *Prop) []string {
 	if r.Opt.DisableDupIndex {
 		return nil
 	}
-	return append([]string(nil), prop.DupCols...)
+	return prop.DupCols()
 }
 
 // preShipDedup inserts the pessimistic value-based distinct before a
@@ -673,10 +669,10 @@ func allIn(a, b []string) bool {
 // hashCoveredBy reports whether every hash column is among the group-by
 // columns, directly or via an equivalence.
 func hashCoveredBy(p *Prop, groupBy []string) bool {
-	if len(p.HashCols) == 0 {
+	if len(p.HashCols()) == 0 {
 		return false
 	}
-	for _, h := range p.HashCols {
+	for _, h := range p.HashCols() {
 		ok := false
 		for _, g := range groupBy {
 			if p.EquivSame(h, g) {

@@ -64,19 +64,15 @@ func (r *Rewriter) rewriteJoin(n *JoinNode) (Node, *Prop, Schema, error) {
 	// join predicate (directly or via upstream equivalences). All
 	// partners of a key share a partition, so every join type (including
 	// anti/outer, whose absence test must be locally decidable) is safe.
-	if lp.HashCols != nil && rp.HashCols != nil && lp.Parts == rp.Parts &&
+	if lp.HashCols() != nil && rp.HashCols() != nil && lp.Parts == rp.Parts &&
 		hashAligned(lp, rp, n.LeftCols, n.RightCols) {
 		j := r.physJoin(n, left, right)
-		np := &Prop{
-			Parts:    lp.Parts,
-			HashCols: cloneCols(lp.HashCols),
-			Placed:   unionPlaced(lp.Placed, rp.Placed),
-			DupCols:  append(append([]string(nil), lp.DupCols...), rp.DupCols...),
-			Equiv:    r.joinEquiv(n, lp, rp),
-		}
+		np := &Prop{Parts: lp.Parts, Placed: unionPlaced(lp.Placed, rp.Placed), Equiv: r.joinEquiv(n, lp, rp)}
+		np.SetHashCols(lp.HashCols())
+		np.SetDupCols(append(lp.DupCols(), rp.DupCols()...))
 		if n.Type == Semi || n.Type == Anti {
 			np.Placed = lp.Placed
-			np.DupCols = append([]string(nil), lp.DupCols...)
+			np.SetDupCols(lp.DupCols())
 			np.Equiv = lp.Equiv
 		}
 		node, p, s := r.note(j, outSchema, np)
@@ -92,21 +88,17 @@ func (r *Rewriter) rewriteJoin(n *JoinNode) (Node, *Prop, Schema, error) {
 		if refd == "left" {
 			refdProp = lp
 		}
-		np := &Prop{
-			Parts:  lp.Parts,
-			Placed: unionPlaced(lp.Placed, rp.Placed),
-			// Dup(o) follows the referenced input (case 3); when the
-			// referenced side is the single-copy seed placement its
-			// DupCols are empty, recovering case (2)'s Dup(o)=0.
-			DupCols: append([]string(nil), refdProp.DupCols...),
-			Equiv:   r.joinEquiv(n, lp, rp),
-		}
+		np := &Prop{Parts: lp.Parts, Placed: unionPlaced(lp.Placed, rp.Placed), Equiv: r.joinEquiv(n, lp, rp)}
+		// Dup(o) follows the referenced input (case 3); when the
+		// referenced side is the single-copy seed placement its
+		// DupCols are empty, recovering case (2)'s Dup(o)=0.
+		np.SetDupCols(refdProp.DupCols())
 		// A hash property survives only if it came from the referenced
 		// side's placement (rows stay where the referenced side was).
-		np.HashCols = cloneCols(refdProp.HashCols)
+		np.SetHashCols(refdProp.HashCols())
 		if n.Type == Semi || n.Type == Anti {
 			np.Placed = lp.Placed
-			np.DupCols = append([]string(nil), lp.DupCols...)
+			np.SetDupCols(lp.DupCols())
 			np.Equiv = lp.Equiv
 		}
 		node, p, s := r.note(j, outSchema, np)
@@ -117,8 +109,8 @@ func (r *Rewriter) rewriteJoin(n *JoinNode) (Node, *Prop, Schema, error) {
 	// alone and only the other is re-partitioned — unless the estimator
 	// prices broadcasting one input as cheaper (the classic distributed-join
 	// choice; needs Options.Stats).
-	leftOK := lp.HashCols != nil && sameCols(lp.HashCols, n.LeftCols) && !lp.Dup()
-	rightOK := rp.HashCols != nil && sameCols(rp.HashCols, n.RightCols) && !rp.Dup()
+	leftOK := lp.HashCols() != nil && sameCols(lp.HashCols(), n.LeftCols) && !lp.Dup()
+	rightOK := rp.HashCols() != nil && sameCols(rp.HashCols(), n.RightCols) && !rp.Dup()
 	if side := r.broadcastSide(n, left, ls, right, rs, leftOK, rightOK); side != NoSide {
 		return r.broadcastEqui(n, side, left, lp, ls, right, rp, rs, outSchema)
 	}
@@ -129,16 +121,12 @@ func (r *Rewriter) rewriteJoin(n *JoinNode) (Node, *Prop, Schema, error) {
 		right, rp, rs = r.repartition(right, rp, rs, n.RightCols)
 	}
 	j := r.physJoin(n, left, right)
-	np := &Prop{
-		Parts:    lp.Parts,
-		HashCols: cloneCols(n.LeftCols),
-		Placed:   unionPlaced(lp.Placed, rp.Placed),
-		DupCols:  append(append([]string(nil), lp.DupCols...), rp.DupCols...),
-		Equiv:    r.joinEquiv(n, lp, rp),
-	}
+	np := &Prop{Parts: lp.Parts, Placed: unionPlaced(lp.Placed, rp.Placed), Equiv: r.joinEquiv(n, lp, rp)}
+	np.SetHashCols(n.LeftCols)
+	np.SetDupCols(append(lp.DupCols(), rp.DupCols()...))
 	if n.Type == Semi || n.Type == Anti {
 		np.Placed = lp.Placed
-		np.DupCols = append([]string(nil), lp.DupCols...)
+		np.SetDupCols(lp.DupCols())
 		np.Equiv = lp.Equiv
 	}
 	node, p, s := r.note(j, outSchema, np)
@@ -162,17 +150,18 @@ func (r *Rewriter) joinEquiv(n *JoinNode, lp, rp *Prop) [][]string {
 // all rows with equal join keys: every positional hash-column pair must be
 // implied equal by the join predicate, modulo each side's equivalences.
 func hashAligned(lp, rp *Prop, leftCols, rightCols []string) bool {
-	if len(lp.HashCols) != len(rp.HashCols) {
+	lh, rh := lp.HashCols(), rp.HashCols()
+	if len(lh) != len(rh) {
 		return false
 	}
 	used := make([]bool, len(leftCols))
-	for i := range lp.HashCols {
+	for i := range lh {
 		found := false
 		for j := range leftCols {
 			if used[j] {
 				continue
 			}
-			if lp.EquivSame(lp.HashCols[i], leftCols[j]) && rp.EquivSame(rp.HashCols[i], rightCols[j]) {
+			if lp.EquivSame(lh[i], leftCols[j]) && rp.EquivSame(rh[i], rightCols[j]) {
 				used[j] = true
 				found = true
 				break
@@ -240,13 +229,9 @@ func (r *Rewriter) broadcastEqui(n *JoinNode, side Side,
 		b := &BroadcastNode{Child: right, DupCols: dupColsFor(r, rp), OneCopy: rp.Repl}
 		r.note(b, rs, &Prop{Parts: rp.Parts, Repl: true, Placed: map[string]PlacedEntry{}})
 		j := r.physJoin(n, left, b)
-		np := &Prop{
-			Parts:    lp.Parts,
-			HashCols: cloneCols(lp.HashCols),
-			Placed:   lp.Placed,
-			DupCols:  append([]string(nil), lp.DupCols...),
-			Equiv:    r.joinEquiv(n, lp, rp),
-		}
+		np := &Prop{Parts: lp.Parts, Placed: lp.Placed, Equiv: r.joinEquiv(n, lp, rp)}
+		np.SetHashCols(lp.HashCols())
+		np.SetDupCols(lp.DupCols())
 		if n.Type == Semi || n.Type == Anti {
 			np.Equiv = lp.Equiv
 		}
@@ -262,13 +247,9 @@ func (r *Rewriter) broadcastEqui(n *JoinNode, side Side,
 	b := &BroadcastNode{Child: left, DupCols: dupColsFor(r, lp), OneCopy: lp.Repl}
 	r.note(b, ls, &Prop{Parts: lp.Parts, Repl: true, Placed: map[string]PlacedEntry{}})
 	j := r.physJoin(n, b, right)
-	np := &Prop{
-		Parts:    rp.Parts,
-		HashCols: cloneCols(rp.HashCols),
-		Placed:   rp.Placed,
-		DupCols:  append([]string(nil), rp.DupCols...),
-		Equiv:    r.joinEquiv(n, lp, rp),
-	}
+	np := &Prop{Parts: rp.Parts, Placed: rp.Placed, Equiv: r.joinEquiv(n, lp, rp)}
+	np.SetHashCols(rp.HashCols())
+	np.SetDupCols(rp.DupCols())
 	node, p, s := r.note(j, outSchema, np)
 	return node, p, s, nil
 }
@@ -390,7 +371,8 @@ func (r *Rewriter) replicatedJoin(n *JoinNode, left Node, lp *Prop, ls Schema,
 		left, lp, ls = r.repartition(left, lp, ls, n.LeftCols)
 		right, rp, rs = r.repartition(right, rp, rs, n.RightCols)
 		j := r.physJoin(n, left, right)
-		np := &Prop{Parts: lp.Parts, HashCols: cloneCols(n.LeftCols), Placed: map[string]PlacedEntry{}}
+		np := &Prop{Parts: lp.Parts, Placed: map[string]PlacedEntry{}}
+		np.SetHashCols(n.LeftCols)
 		node, p, s := r.note(j, outSchema, np)
 		return node, p, s, nil
 	}
@@ -402,18 +384,18 @@ func (r *Rewriter) replicatedJoin(n *JoinNode, left Node, lp *Prop, ls Schema,
 		np.Repl = true
 		np.Placed = map[string]PlacedEntry{}
 	case lp.Repl:
-		np.HashCols = cloneCols(rp.HashCols)
+		np.SetHashCols(rp.HashCols())
 		np.Placed = rp.Placed
-		np.DupCols = append([]string(nil), rp.DupCols...)
+		np.SetDupCols(rp.DupCols())
 	default:
-		np.HashCols = cloneCols(lp.HashCols)
+		np.SetHashCols(lp.HashCols())
 		np.Placed = lp.Placed
-		np.DupCols = append([]string(nil), lp.DupCols...)
+		np.SetDupCols(lp.DupCols())
 	}
 	if n.Type == Semi || n.Type == Anti {
 		np.Placed = lp.Placed
-		np.DupCols = append([]string(nil), lp.DupCols...)
-		np.HashCols = cloneCols(lp.HashCols)
+		np.SetDupCols(lp.DupCols())
+		np.SetHashCols(lp.HashCols())
 		np.Repl = lp.Repl
 		np.Equiv = lp.Equiv
 	}
@@ -437,12 +419,8 @@ func (r *Rewriter) broadcastJoin(n *JoinNode, left Node, lp *Prop, ls Schema,
 	left, lp, ls = r.dedup(left, lp, ls)
 
 	j := r.physJoin(n, left, bright)
-	np := &Prop{
-		Parts:    lp.Parts,
-		HashCols: cloneCols(lp.HashCols),
-		Placed:   lp.Placed,
-		Repl:     lp.Repl,
-	}
+	np := &Prop{Parts: lp.Parts, Placed: lp.Placed, Repl: lp.Repl}
+	np.SetHashCols(lp.HashCols())
 	node, p, s := r.note(j, outSchema, np)
 	return node, p, s, nil
 }
@@ -452,9 +430,9 @@ func (r *Rewriter) broadcastJoin(n *JoinNode, left Node, lp *Prop, ls Schema,
 func (r *Rewriter) repartition(child Node, prop *Prop, sch Schema, cols []string) (Node, *Prop, Schema) {
 	child, prop, sch = r.preShipDedup(child, prop, sch)
 	rep := &RepartitionNode{Child: child, Cols: cols, DupCols: dupColsFor(r, prop), OneCopy: prop.Repl}
-	np := &Prop{Parts: prop.Parts, HashCols: cloneCols(cols), Placed: map[string]PlacedEntry{}}
-	r.note(rep, sch, np)
-	return rep, np, sch
+	np := &Prop{Parts: prop.Parts, Placed: map[string]PlacedEntry{}}
+	np.SetHashCols(cols)
+	return r.note(rep, sch, np)
 }
 
 // tryHasRefRewrite recognizes σ_{hasRef=…}(R) patterns: a semi (anti) join
@@ -493,7 +471,7 @@ func (r *Rewriter) tryHasRefRewrite(n *JoinNode) (Node, *Prop, Schema, bool, err
 		want = 0
 	}
 	f := &FilterNode{Child: left, Pred: Eq(Col(HasRefCol(leftAlias)), Lit(want))}
-	node, p, s := r.note(f, ls, lp.Clone())
+	node, p, s := r.note(f, ls, lp)
 	return node, p, s, true, nil
 }
 

@@ -71,7 +71,7 @@ func TestScanProps(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := scanProp(t, rw)
-	if p.Method() != "HASH" || !sameCols(p.HashCols, []string{"l.orderkey"}) {
+	if p.Method() != "HASH" || !sameCols(p.HashCols(), []string{"l.orderkey"}) {
 		t.Fatalf("lineitem scan prop = %v", p)
 	}
 	if p.Dup() {
@@ -85,7 +85,7 @@ func TestScanProps(t *testing.T) {
 		t.Fatal(err)
 	}
 	p = scanProp(t, rw)
-	if p.Method() != "HASH" || !sameCols(p.HashCols, []string{"o.orderkey"}) || p.Dup() {
+	if p.Method() != "HASH" || !sameCols(p.HashCols(), []string{"o.orderkey"}) || p.Dup() {
 		t.Fatalf("hash-equivalent orders scan prop = %v", p)
 	}
 	// The scan itself exposes the hidden index columns; the finalized
@@ -174,8 +174,8 @@ func TestCase3JoinKeepsReferencedDups(t *testing.T) {
 	}
 	joins := findNodes(rw.Root, func(n Node) bool { _, ok := n.(*JoinNode); return ok })
 	p := rw.Props[joins[0]]
-	if !p.Dup() || len(p.DupCols) != 1 || p.DupCols[0] != "o.__dup" {
-		t.Fatalf("case 3 dup = %v, want [o.__dup]", p.DupCols)
+	if !p.Dup() || len(p.DupCols()) != 1 || p.DupCols()[0] != "o.__dup" {
+		t.Fatalf("case 3 dup = %v, want [o.__dup]", p.DupCols())
 	}
 	// The finalized root eliminates them.
 	if rw.RootProp().Dup() {
@@ -274,7 +274,7 @@ func TestFigure3RewriteShape(t *testing.T) {
 	if d, ok := partial.Child.(*DistinctPrefNode); !ok || len(d.DupCols) == 0 {
 		t.Fatalf("PREF duplicates must be eliminated locally below the PartialAgg:\n%s", Format(rw.Root))
 	}
-	if !sameCols(rw.RootProp().HashCols, []string{"c.name"}) || rw.RootProp().Dup() {
+	if !sameCols(rw.RootProp().HashCols(), []string{"c.name"}) || rw.RootProp().Dup() {
 		t.Fatalf("aggregate output must be dup-free and hashed on the group-by, got %v", rw.RootProp())
 	}
 }

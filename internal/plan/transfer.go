@@ -89,7 +89,7 @@ func (r *Rewriter) transfer(j *JoinNode) *Node {
 		slot, _ = r.localSlot(target, key, r.containAt(j, j.Left, j.Right, f.source))
 	}
 	rf := &RuntimeFilterNode{Child: *slot, Col: key, From: j, Local: f.local}
-	r.note(rf, r.out.Schemas[*slot], r.out.Props[*slot].Clone())
+	r.note(rf, r.out.Schemas[*slot], r.out.Props[*slot])
 	*slot = rf
 	clear(r.memo) // the estimates above the filter no longer hold
 	return slot

@@ -19,8 +19,8 @@
 //     and models cluster runtime;
 //   - Tuple-at-a-time bulk loading with partition indexes (Section 2.3);
 //   - A multi-tenant serving layer: per-tenant quotas, weighted-fair
-//     admission, cost-priced load shedding, deadline propagation, an
-//     epoch-keyed plan cache, and graceful drain;
+//     admission, cost-priced load shedding, deadline propagation, a plan
+//     cache keyed on the prepared query, and graceful drain;
 //   - TPC-H and TPC-DS substrates (generators, queries, workloads).
 //
 // # Quick start
@@ -365,8 +365,8 @@ func NewCluster(opt ClusterOptions) *Cluster { return cluster.New(opt) }
 // Serving-layer types. A Server is a long-lived multi-tenant query server
 // over one partitioned database: per-tenant token-bucket quotas and
 // weighted-fair admission, cost-priced load shedding, bounded retry
-// budgets, an epoch-keyed plan cache, streaming delivery with
-// backpressure, end-to-end deadline propagation, and graceful drain.
+// budgets, a plan cache keyed on the prepared query, streaming delivery
+// with backpressure, end-to-end deadline propagation, and graceful drain.
 type (
 	// Server is the multi-tenant query server (serve.Server).
 	Server = serve.Server
@@ -445,9 +445,10 @@ func ExecuteCtx(ctx context.Context, rw *Rewritten, pdb *PartitionedDatabase, op
 	return engine.ExecuteCtx(ctx, rw, pdb, opt)
 }
 
-// Run rewrites and executes a logical plan in one step.
+// Run rewrites and executes a logical plan in one step. The rewrite is
+// priced with the statistics of pdb (GatherStats), as the server's is.
 func Run(root PlanNode, s *Schema, cfg *Config, pdb *PartitionedDatabase) (*Result, error) {
-	rw, err := plan.Rewrite(root, s, cfg, plan.Options{})
+	rw, err := plan.Rewrite(root, s, cfg, plan.Options{Stats: plan.GatherStats(pdb)})
 	if err != nil {
 		return nil, err
 	}
@@ -459,7 +460,7 @@ func Run(root PlanNode, s *Schema, cfg *Config, pdb *PartitionedDatabase) (*Resu
 // per-operator, per-node cardinalities, shipped bytes, dedup hits, fault
 // retries and wall times annotated onto the physical operator tree).
 func Explain(root PlanNode, s *Schema, cfg *Config, pdb *PartitionedDatabase) (*Result, error) {
-	rw, err := plan.Rewrite(root, s, cfg, plan.Options{})
+	rw, err := plan.Rewrite(root, s, cfg, plan.Options{Stats: plan.GatherStats(pdb)})
 	if err != nil {
 		return nil, err
 	}

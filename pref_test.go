@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"pref"
+	"pref/internal/bench"
 )
 
 // TestQuickstart exercises the documented public-API flow end to end.
@@ -105,6 +106,55 @@ func TestWorkloadDrivenFacade(t *testing.T) {
 	for _, name := range pref.TPCHQueryNames() {
 		if len(wd.GroupsFor(name)) == 0 {
 			t.Errorf("query %s unrouted", name)
+		}
+	}
+}
+
+// TestRunPricesItsRewrite: Run and Explain execute the plan every binary
+// runs, the rewrite priced with the statistics of the database it runs on.
+// On these designs the priced plan ships far less than the unpriced one
+// (at sf 0.01 on 4 nodes: AllHashed Q7 broadcasts its small inputs, SD Q17
+// sums lineitem in place), so the two are told apart by what they ship.
+func TestRunPricesItsRewrite(t *testing.T) {
+	db := pref.GenerateTPCH(0.01, 42)
+	for _, c := range []struct{ variant, query string }{{"AllHashed", "Q7"}, {"SD", "Q17"}} {
+		v, err := bench.TPCHVariant(db, 4, c.variant)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := v.Groups[v.RouteFor(c.query)].Config
+		pdb, err := pref.Apply(db.DB, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		q, s := db.Query(c.query), db.DB.Schema
+		shipped := func(opt pref.PlanOptions) pref.Stats {
+			rw, err := pref.Rewrite(q, s, cfg, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := pref.Execute(rw, pdb)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return res.Stats
+		}
+		priced, unpriced := shipped(pref.PlanOptions{Stats: pref.GatherStats(pdb)}), shipped(pref.PlanOptions{})
+		if priced.BytesShipped >= unpriced.BytesShipped {
+			t.Fatalf("%s %s: fixture drift: priced plan ships %d B, unpriced %d B", c.variant, c.query,
+				priced.BytesShipped, unpriced.BytesShipped)
+		}
+		run, err := pref.Run(q, s, cfg, pdb)
+		if err != nil {
+			t.Fatal(err)
+		}
+		explained, err := pref.Explain(q, s, cfg, pdb)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if run.Stats != priced || explained.Stats != priced {
+			t.Errorf("%s %s: Run ships %d B, Explain %d B; the priced rewrite %d B (unpriced %d B)", c.variant, c.query,
+				run.Stats.BytesShipped, explained.Stats.BytesShipped, priced.BytesShipped, unpriced.BytesShipped)
 		}
 	}
 }
