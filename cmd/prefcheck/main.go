@@ -16,14 +16,12 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
 
 	"pref/internal/bench"
 	"pref/internal/check"
-	"pref/internal/partition"
 	"pref/internal/plan"
 	"pref/internal/tpch"
 )
@@ -50,24 +48,17 @@ func main() {
 func run(variant, cfgPath, query string, sf float64, parts int, seed int64, noOpt, verbose bool) error {
 	t := tpch.Generate(sf, seed)
 	var v *bench.Variant
+	var err error
 	if cfgPath != "" {
-		data, err := os.ReadFile(cfgPath)
-		if err != nil {
-			return err
-		}
-		var cfg partition.Config
-		if err := json.Unmarshal(data, &cfg); err != nil {
-			return err
-		}
-		v = bench.SingleGroupVariant("custom:"+cfgPath, &cfg)
-		variant = v.Name
-		parts = cfg.NumPartitions // the loaded design decides, not the flag
+		v, err = bench.ConfigVariant(cfgPath, t.DB.Schema)
 	} else {
-		var err error
-		if v, err = bench.TPCHVariant(t, parts, variant); err != nil {
-			return err
-		}
+		v, err = bench.TPCHVariant(t, parts, variant)
 	}
+	if err != nil {
+		return err
+	}
+	// A -config file decides both, not the flags.
+	variant, parts = v.Name, v.Groups[0].Config.NumPartitions
 
 	// First the designs themselves: every group's configuration must be
 	// well-formed (acyclic PREF chains, partitioned seeds, known columns,

@@ -16,7 +16,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -25,7 +24,6 @@ import (
 
 	"pref/internal/bench"
 	"pref/internal/engine"
-	"pref/internal/partition"
 	"pref/internal/plan"
 	"pref/internal/tpch"
 	"pref/internal/trace"
@@ -48,7 +46,11 @@ func main() {
 	)
 	flag.Parse()
 
-	if err := run(*query, *variant, *cfgPath, *sf, *parts, *seed, *explainOnly, *noOpt, *maxRows, *explain, *traceJSON, *timeout); err != nil {
+	l, err := load(*variant, *cfgPath, *sf, *parts, *seed)
+	if err == nil {
+		err = l.run(*query, *explainOnly, *noOpt, *maxRows, *explain, *traceJSON, *timeout)
+	}
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "prefquery:", err)
 		if errors.Is(err, engine.ErrDeadlineExceeded) {
 			// Distinct exit code for deadline expiry: scripts driving the
@@ -59,50 +61,58 @@ func main() {
 	}
 }
 
-func run(query, variant, cfgPath string, sf float64, parts int, seed int64, explainOnly, noOpt bool, maxRows int, explain bool, traceJSON string, timeout time.Duration) error {
+// loaded is one design materialized over generated TPC-H data, with the
+// statistics its rewrites read: what every query runs against.
+type loaded struct {
+	t     *tpch.TPCH
+	v     *bench.Variant
+	m     *bench.Materialized
+	stats []*plan.Stats
+}
+
+// load generates the data, builds the named variant or reads the -config
+// file (which overrides both -variant and -parts), and materializes it.
+func load(variant, cfgPath string, sf float64, parts int, seed int64) (*loaded, error) {
 	t := tpch.Generate(sf, seed)
 	var v *bench.Variant
+	var err error
 	if cfgPath != "" {
-		data, err := os.ReadFile(cfgPath)
-		if err != nil {
-			return err
-		}
-		var cfg partition.Config
-		if err := json.Unmarshal(data, &cfg); err != nil {
-			return err
-		}
-		if err := cfg.Validate(t.DB.Schema); err != nil {
-			return err
-		}
-		v = bench.SingleGroupVariant("custom:"+cfgPath, &cfg)
-		variant = v.Name
-		parts = cfg.NumPartitions // the loaded design decides, not the flag
+		v, err = bench.ConfigVariant(cfgPath, t.DB.Schema)
 	} else {
-		var err error
-		if v, err = bench.TPCHVariant(t, parts, variant); err != nil {
-			return err
-		}
+		v, err = bench.TPCHVariant(t, parts, variant)
+	}
+	if err != nil {
+		return nil, err
 	}
 	m, err := bench.Materialize(v, t.DB)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	gi := v.RouteFor(query)
-	cfg := v.Groups[gi].Config
-	fmt.Printf("%s on %s (group %d, %d partitions, DL=%.2f DR=%.2f)\n\n",
-		query, variant, gi, parts, m.DL, m.DR)
+	return &loaded{t: t, v: v, m: m, stats: m.GroupStats()}, nil
+}
 
-	opt := plan.Options{Stats: plan.GatherStats(m.PDBs[gi])}
+// run rewrites one query for the loaded design and prints its physical
+// plan; unless explainOnly, it then executes the plan and prints the
+// result sample and the telemetry.
+func (l *loaded) run(query string, explainOnly, noOpt bool, maxRows int, explain bool, traceJSON string, timeout time.Duration) error {
+	gi := l.v.RouteFor(query)
+	// The design's partition count, not the -parts flag: a -config file
+	// overrides it.
+	cfg := l.v.Groups[gi].Config
+	fmt.Printf("%s on %s (group %d, %d partitions, DL=%.2f DR=%.2f)\n\n",
+		query, l.v.Name, gi, cfg.NumPartitions, l.m.DL, l.m.DR)
+
+	opt := plan.Options{Stats: l.stats[gi]}
 	if noOpt {
 		opt.DisableHasRefOpt = true
 		opt.DisableDupIndex = true
 		opt.DisablePruning = true
 	}
-	q, err := t.QueryErr(query)
+	q, err := l.t.QueryErr(query)
 	if err != nil {
 		return err
 	}
-	rw, err := plan.Rewrite(q, t.DB.Schema, cfg, opt)
+	rw, err := plan.Rewrite(q, l.t.DB.Schema, cfg, opt)
 	if err != nil {
 		return err
 	}
@@ -119,7 +129,7 @@ func run(query, variant, cfgPath string, sf float64, parts int, seed int64, expl
 		defer cancel()
 	}
 	start := time.Now()
-	res, err := engine.ExecuteCtx(ctx, rw, m.PDBs[gi], engine.ExecOptions{Trace: explain || traceJSON != ""})
+	res, err := engine.ExecuteCtx(ctx, rw, l.m.PDBs[gi], engine.ExecOptions{Trace: explain || traceJSON != ""})
 	if err != nil {
 		return err
 	}

@@ -32,7 +32,11 @@ func TestRunReportsLoadedPartitionCount(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := testutil.CaptureStdout(t, func() error {
-		return run("Q3", "SD", path, 0.001, 10, 42, true, false, 0, false, "", 0)
+		l, err := load("SD", path, 0.001, 10, 42)
+		if err != nil {
+			return err
+		}
+		return l.run("Q3", true, false, 0, false, "", 0)
 	})
 	if !strings.Contains(out, "4 partitions,") {
 		t.Fatalf("header does not report the loaded design's 4 partitions:\n%s", out)
@@ -40,8 +44,9 @@ func TestRunReportsLoadedPartitionCount(t *testing.T) {
 }
 
 // TestServedPlanIsExplainedPlan: for every TPC-H query on AllHashed and SD,
-// the plan prefquery prints is the plan a server over the same data runs —
-// both rewrite with statistics gathered from the partitioned database.
+// the plan prefquery prints is the plan a server over separately generated
+// copies of the same data runs — both rewrite with statistics gathered from
+// the partitioned database. Each variant is loaded once for its 22 queries.
 func TestServedPlanIsExplainedPlan(t *testing.T) {
 	const sf, parts, seed = 0.01, 4, 42
 	d := tpch.Generate(sf, seed)
@@ -66,9 +71,13 @@ func TestServedPlanIsExplainedPlan(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		l, err := load(variant, "", sf, parts, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
 		for _, q := range tpch.QueryNames {
 			out := testutil.CaptureStdout(t, func() error {
-				return run(q, variant, "", sf, parts, seed, true, false, 0, false, "", 0)
+				return l.run(q, true, false, 0, false, "", 0)
 			})
 			rw, err := s.Plan(q)
 			if err != nil {

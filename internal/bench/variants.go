@@ -6,9 +6,12 @@
 package bench
 
 import (
+	"encoding/json"
 	"fmt"
+	"os"
 	"strings"
 
+	"pref/internal/catalog"
 	"pref/internal/design"
 	"pref/internal/graph"
 	"pref/internal/partition"
@@ -253,6 +256,24 @@ func TPCHVariant(t *tpch.TPCH, n int, name string) (*Variant, error) {
 	return nil, fmt.Errorf("unknown variant %q (valid: %s)", name, strings.Join(names, ", "))
 }
 
+// ConfigVariant reads a partitioning configuration from a JSON file,
+// validates it against the schema and wraps it as the one-group variant
+// "custom:<path>": the -config of prefquery and prefcheck.
+func ConfigVariant(path string, s *catalog.Schema) (*Variant, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	var cfg partition.Config
+	if err := json.Unmarshal(data, &cfg); err != nil {
+		return nil, fmt.Errorf("config %s: %w", path, err)
+	}
+	if err := cfg.Validate(s); err != nil {
+		return nil, fmt.Errorf("config %s: %w", path, err)
+	}
+	return singleGroup("custom:"+path, &cfg), nil
+}
+
 // TPCHVariants builds the whole variant set of the TPC-H experiments for
 // n partitions: AllHashed, AllReplicated, CP, SD, SD-noRed, SD-paper, and
 // WD.
@@ -323,12 +344,6 @@ func TPCDSVariants(t *tpcds.TPCDS, n int) (map[string]*Variant, error) {
 
 func singleGroup(name string, cfg *partition.Config) *Variant {
 	return &Variant{Name: name, Groups: []Group{{Name: name, Config: cfg}}}
-}
-
-// SingleGroupVariant wraps one configuration as a variant (e.g. a config
-// loaded from JSON by prefquery).
-func SingleGroupVariant(name string, cfg *partition.Config) *Variant {
-	return singleGroup(name, cfg)
 }
 
 func allHashed(db *table.Database, n int) *partition.Config {

@@ -1,9 +1,13 @@
 package bench
 
 import (
+	"encoding/json"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"pref/internal/design"
+	"pref/internal/partition"
 	"pref/internal/table"
 	"pref/internal/tpcds"
 	"pref/internal/tpch"
@@ -57,5 +61,38 @@ func TestWDRoutesToItsGroup(t *testing.T) {
 				t.Errorf("%s: %s routes to %s, which no group serving it was built from", tc.name, q, g.Name)
 			}
 		}
+	}
+}
+
+// TestConfigVariant: the -config loader reads a JSON configuration, rejects
+// one the schema does not validate, and wraps a valid one as a one-group
+// variant whose configuration carries the file's partition count.
+func TestConfigVariant(t *testing.T) {
+	s := tpch.Schema()
+	write := func(name string, cfg *partition.Config) string {
+		data, err := json.Marshal(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(t.TempDir(), name)
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	good := write("good.json", PaperSDConfig(4))
+	v, err := ConfigVariant(good, s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v.Name != "custom:"+good || len(v.Groups) != 1 || v.Groups[0].Config.NumPartitions != 4 {
+		t.Fatalf("variant %s: %d groups, %d partitions", v.Name, len(v.Groups), v.Groups[0].Config.NumPartitions)
+	}
+	bad := write("bad.json", partition.NewConfig(4).SetHash("lineitem", "nosuchcol"))
+	if _, err := ConfigVariant(bad, s); err == nil {
+		t.Fatal("a configuration naming an unknown column loaded")
+	}
+	if _, err := ConfigVariant(filepath.Join(t.TempDir(), "missing.json"), s); err == nil {
+		t.Fatal("a missing file loaded")
 	}
 }

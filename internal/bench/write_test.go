@@ -3,6 +3,7 @@ package bench
 import (
 	"testing"
 
+	"pref/internal/batch"
 	"pref/internal/testutil"
 )
 
@@ -47,6 +48,11 @@ func TestWriteChaosSoak(t *testing.T) {
 		if out.OKQueries+out.TypedFails != out.Queries {
 			t.Fatalf("schedule %d: %d queries but %d ok + %d typed",
 				sch, out.Queries, out.OKQueries, out.TypedFails)
+		}
+		// Drained: every pooled batch the schedule's readers wrote is back
+		// in the pool, crashed and typed-failed queries' included.
+		if n := batch.Outstanding(); n != 0 {
+			t.Fatalf("schedule %d: %d pooled columns were never released", sch, n)
 		}
 		if out.WriteAmp < 1 {
 			t.Fatalf("schedule %d: write amplification %.2f < 1", sch, out.WriteAmp)

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"pref/internal/batch"
 	"pref/internal/catalog"
 	"pref/internal/cluster"
 	"pref/internal/fault"
@@ -483,6 +484,11 @@ func TestChaosSoak(t *testing.T) {
 			}(i, tg)
 		}
 		wg.Wait()
+		// Drained: every pooled batch the schedule's queries wrote is back
+		// in the pool, failed and hedged queries' included.
+		if n := batch.Outstanding(); n != 0 {
+			t.Fatalf("schedule %d: %d pooled columns were never released", s, n)
+		}
 		st := cl.Stats()
 		trips += st.Trips
 		probes += st.Probes

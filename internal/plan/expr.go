@@ -305,21 +305,29 @@ func (e inExpr) Bind(s Schema) (func(value.Tuple) bool, error) {
 func (e inExpr) AppendCols(dst []string) []string { return append(dst, e.col) }
 func (e inExpr) String() string                   { return fmt.Sprintf("%s IN %v", e.col, e.vals) }
 
+// conjuncts flattens the top-level conjunction of a predicate.
+func conjuncts(p BoolExpr) []BoolExpr {
+	a, ok := p.(andExpr)
+	if !ok {
+		return []BoolExpr{p}
+	}
+	var out []BoolExpr
+	for _, x := range a.xs {
+		out = append(out, conjuncts(x)...)
+	}
+	return out
+}
+
 // EqualityBindings extracts column = constant facts from the top-level
 // conjunction of a predicate (Eq comparisons and single-value INs). Used
 // for partition pruning.
 func EqualityBindings(p BoolExpr) map[string]int64 {
 	out := map[string]int64{}
-	var walk func(BoolExpr)
-	walk = func(p BoolExpr) {
-		switch e := p.(type) {
-		case andExpr:
-			for _, x := range e.xs {
-				walk(x)
-			}
+	for _, x := range conjuncts(p) {
+		switch e := x.(type) {
 		case cmpExpr:
 			if e.op != EQ {
-				return
+				continue
 			}
 			if c, ok := e.l.(colExpr); ok {
 				if l, ok := e.r.(litExpr); ok {
@@ -336,7 +344,22 @@ func EqualityBindings(p BoolExpr) map[string]int64 {
 			}
 		}
 	}
-	walk(p)
+	return out
+}
+
+// ColumnEqualities lists the column = column comparisons of the top-level
+// conjunction of a predicate (nil has none), as (left, right) pairs in
+// predicate order. Used to read join graphs off plans.
+func ColumnEqualities(p BoolExpr) [][2]string {
+	var out [][2]string
+	for _, x := range conjuncts(p) {
+		e, _ := x.(cmpExpr)
+		l, lok := e.l.(colExpr)
+		r, rok := e.r.(colExpr)
+		if e.op == EQ && lok && rok {
+			out = append(out, [2]string{l.name, r.name})
+		}
+	}
 	return out
 }
 

@@ -1,6 +1,7 @@
 package plan
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -160,6 +161,23 @@ func TestEqualityBindingsExtraction(t *testing.T) {
 	}
 	if len(EqualityBindings(Or())) != 0 {
 		t.Fatal("empty OR yields nothing")
+	}
+}
+
+func TestColumnEqualitiesExtraction(t *testing.T) {
+	pred := And(
+		Eq(Col("t.a"), Lit(7)),          // col=const: ignored
+		Eq(Col("t.a"), Col("u.b")),      // kept
+		And(Eq(Col("u.c"), Col("t.c"))), // nested AND: kept
+		Or(Eq(Col("t.d"), Col("u.d"))),  // under OR: ignored
+		Cmp(Col("t.e"), NE, Col("u.e")), // not EQ
+	)
+	want := [][2]string{{"t.a", "u.b"}, {"u.c", "t.c"}}
+	if got := ColumnEqualities(pred); !reflect.DeepEqual(got, want) {
+		t.Fatalf("equalities = %v, want %v", got, want)
+	}
+	if got := ColumnEqualities(nil); len(got) != 0 {
+		t.Fatalf("nil predicate yields %v", got)
 	}
 }
 

@@ -263,12 +263,14 @@ func (t *TPCH) q8() plan.Node {
 // Q9: product type profit measure — the widest join tree (6 tables).
 // Joins are ordered along the foreign-key chains (lineitem→partsupp→part,
 // lineitem→orders), the order a locality-aware optimizer picks: under the
-// PREF designs every one of these joins is co-located.
+// PREF designs every one of these joins is co-located. Part joins on the
+// official p_partkey = l_partkey (equal to ps.partkey here), so the join
+// graph has no part–partsupp edge.
 func (t *TPCH) q9() plan.Node {
 	lps := plan.Join(plan.Scan("lineitem", "l"), plan.Scan("partsupp", "ps"), plan.Inner,
 		[]string{"l.partkey", "l.suppkey"}, []string{"ps.partkey", "ps.suppkey"})
 	pl := plan.Join(lps, plan.Scan("part", "p"), plan.Inner,
-		[]string{"ps.partkey"}, []string{"p.partkey"})
+		[]string{"l.partkey"}, []string{"p.partkey"})
 	plso := plan.Join(pl, plan.Scan("orders", "o"), plan.Inner,
 		[]string{"l.orderkey"}, []string{"o.orderkey"})
 	pls := plan.Join(plso, plan.Scan("supplier", "s"), plan.Inner,

@@ -1,8 +1,8 @@
 // Package tpch is a from-scratch TPC-H substrate: the full 8-table schema
 // with referential constraints, a deterministic scale-factor generator
 // with dbgen-compatible cardinality ratios and key distributions, all 22
-// benchmark queries as executable SPJA plans, and the workload join-graph
-// specs consumed by the workload-driven design algorithm.
+// benchmark queries as executable SPJA plans, and the workload join graphs
+// the workload-driven design algorithm consumes, derived from those plans.
 //
 // Deviations from the official kit (documented in DESIGN.md): string
 // columns are dictionary-encoded; ORDER BY/LIMIT clauses are dropped
