@@ -511,13 +511,13 @@ func (l *Loader) placer(tbl string, pt *table.Partitioned) (*partition.Placer, e
 			return nil, fmt.Errorf("bulkload: referenced table %s not loaded", ts.RefTable)
 		}
 		if l.UsePartitionIndex {
-			idx, err := partition.PartitionIndex(ref, ts.Pred.ReferencedCols)
+			index, err := partition.PartitionIndex(ref, ts.Pred.ReferencedCols)
 			if err != nil {
 				return nil, err
 			}
 			lookup = func(row value.Tuple, ringCols []int) []int {
 				l.Lookups++
-				return idx[value.MakeKey(row, ringCols)]
+				return index(row, ringCols)
 			}
 		} else {
 			cols, err := ref.Meta.ColIndexes(ts.Pred.ReferencedCols)
@@ -525,13 +525,12 @@ func (l *Loader) placer(tbl string, pt *table.Partitioned) (*partition.Placer, e
 				return nil, err
 			}
 			lookup = func(row value.Tuple, ringCols []int) []int {
-				key := value.MakeKey(row, ringCols)
 				var targets []int
 				for p, part := range ref.Parts {
 					data := part.Columns(ref.Meta.NumCols()).Cols
 					for i, n := 0, part.Len(); i < n; i++ {
 						l.ScannedRows++
-						if value.MakeKeyAt(data, i, cols) == key {
+						if sameKey(row, ringCols, data, i, cols) {
 							targets = append(targets, p)
 							break
 						}
@@ -547,6 +546,17 @@ func (l *Loader) placer(tbl string, pt *table.Partitioned) (*partition.Placer, e
 	}
 	l.placers[tbl] = pl
 	return pl, nil
+}
+
+// sameKey reports whether row's columns ringCols hold the values of row i
+// of column-major data's columns cols.
+func sameKey(row value.Tuple, ringCols []int, data [][]int64, i int, cols []int) bool {
+	for k, c := range cols {
+		if data[c][i] != row[ringCols[k]] {
+			return false
+		}
+	}
+	return true
 }
 
 // invalidateDependents drops the cached placers, and with them the

@@ -229,7 +229,7 @@ func verifyPref(pdb *table.PartitionedDatabase, cfg *partition.Config, pt *table
 		return Violations{{Rule: RuleWriteIndex, Table: name,
 			Detail: fmt.Sprintf("referenced table %s not stored", ts.RefTable)}}
 	}
-	idx, err := partition.PartitionIndex(ref, ts.Pred.ReferencedCols)
+	lookup, err := partition.PartitionIndex(ref, ts.Pred.ReferencedCols)
 	if err != nil {
 		return Violations{{Rule: RuleWriteIndex, Table: name, Detail: err.Error()}}
 	}
@@ -271,7 +271,7 @@ func verifyPref(pdb *table.PartitionedDatabase, cfg *partition.Config, pt *table
 					Detail: fmt.Sprintf("partition %d row %d: dup copy not marked partnered", p, i)})
 			}
 			if hasRef {
-				if !containsInt(idx[value.MakeKey(row, ringCols)], p) {
+				if !containsInt(lookup(row, ringCols), p) {
 					vs = append(vs, &Violation{Rule: RuleWriteIndex, Table: name,
 						Detail: fmt.Sprintf(
 							"partition %d row %d: partnered copy not covered by %s's partition index for its ring key",

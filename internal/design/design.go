@@ -8,6 +8,7 @@ package design
 import (
 	"fmt"
 	"sort"
+	"strings"
 
 	"pref/internal/catalog"
 	"pref/internal/graph"
@@ -61,17 +62,27 @@ type HistProvider struct {
 	cache map[string]*stats.Histogram
 }
 
-// NewHistProvider returns a provider over db with the given sampling rate.
+// NewHistProvider returns a provider over db with the given sampling rate
+// in (0, 1], or 0 for exact histograms. Under any other rate every Hist
+// fails; the designers reject one up front (checkSampleRate).
 func NewHistProvider(db *table.Database, rate float64, seed int64) *HistProvider {
-	if rate <= 0 || rate > 1 {
+	if rate == 0 {
 		rate = 1
 	}
 	return &HistProvider{DB: db, Rate: rate, Seed: seed, cache: map[string]*stats.Histogram{}}
 }
 
+// checkSampleRate rejects a sampling rate outside [0, 1]; 0 means exact.
+func checkSampleRate(rate float64) error {
+	if !(rate >= 0 && rate <= 1) {
+		return fmt.Errorf("design: SampleRate = %v, want a rate in (0, 1], or 0 for exact histograms", rate)
+	}
+	return nil
+}
+
 // Hist returns the histogram of the given columns of a table.
 func (h *HistProvider) Hist(tbl string, cols []string) (*stats.Histogram, error) {
-	key := tbl + "(" + fmt.Sprint(cols) + ")"
+	key := tbl + "(" + strings.Join(cols, ",") + ")"
 	if got, ok := h.cache[key]; ok {
 		return got, nil
 	}

@@ -227,6 +227,36 @@ func TestSDRejectsBadOptions(t *testing.T) {
 	}
 }
 
+// TestSampleRateOutOfRange: both designers reject a sampling rate below 0
+// or above 1 (or NaN) instead of designing from exact histograms, and
+// accept 0 (exact), 1 and a rate in between; a rate of 0 designs what 1
+// does.
+func TestSampleRateOutOfRange(t *testing.T) {
+	db := miniTPCH(t)
+	for _, rate := range []float64{-0.5, 1.5, 7, math.NaN()} {
+		if _, err := SchemaDriven(db, SDOptions{Parts: 4, SampleRate: rate}); err == nil {
+			t.Errorf("SD with SampleRate %v: no error", rate)
+		}
+		if _, err := WorkloadDriven(db, figure5Workload(), WDOptions{Parts: 4, SampleRate: rate}); err == nil {
+			t.Errorf("WD with SampleRate %v: no error", rate)
+		}
+	}
+	var ests []float64
+	for _, rate := range []float64{0, 1, 0.5} {
+		d, err := SchemaDriven(db, SDOptions{Parts: 4, SampleRate: rate, SampleSeed: 1})
+		if err != nil {
+			t.Fatalf("SD with SampleRate %v: %v", rate, err)
+		}
+		ests = append(ests, d.Est.Total)
+		if _, err := WorkloadDriven(db, figure5Workload(), WDOptions{Parts: 4, SampleRate: rate}); err != nil {
+			t.Fatalf("WD with SampleRate %v: %v", rate, err)
+		}
+	}
+	if ests[0] != ests[1] {
+		t.Errorf("SampleRate 0 estimates %v, 1 estimates %v", ests[0], ests[1])
+	}
+}
+
 func TestSDDisconnectedSchema(t *testing.T) {
 	// Two unrelated tables: each becomes its own hash-partitioned seed.
 	s := catalog.NewSchema("d")

@@ -46,14 +46,10 @@ func jointRedundancyFactor(refHist, ringHist *stats.Histogram, n int, refInflati
 	}
 	expected := 0.0
 	matched := 0.0
-	for i, key := range refHist.Keys {
-		g, ok := ringHist.Freq[key]
-		if !ok {
-			continue
-		}
-		expected += stats.ExpectedCopiesReal(float64(refHist.Counts[i])*refInflation, n) * float64(g)
+	refHist.Join(ringHist, func(f, g int) {
+		expected += stats.ExpectedCopiesReal(float64(f)*refInflation, n) * float64(g)
 		matched += float64(g)
-	}
+	})
 	// Both histograms sample the same key universe (same rate and salt),
 	// so the sampled sums extrapolate by 1/rate.
 	expected /= ringHist.Rate

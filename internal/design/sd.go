@@ -16,7 +16,8 @@ type SDOptions struct {
 	// (Section 3.4); satisfied by multi-seed configurations.
 	NoRedundancy []string
 	// SampleRate in (0,1] builds histograms from a Bernoulli sample;
-	// 0 or 1 means exact (Section 5.4 studies this trade-off).
+	// 0 or 1 means exact (Section 5.4 studies this trade-off). A rate
+	// below 0 or above 1 is an error.
 	SampleRate float64
 	// SampleSeed seeds the sampler for reproducibility.
 	SampleSeed int64
@@ -52,6 +53,9 @@ type Design struct {
 func SchemaDriven(db *table.Database, opt SDOptions) (*Design, error) {
 	if opt.Parts < 1 {
 		return nil, fmt.Errorf("design: Parts = %d, want >= 1", opt.Parts)
+	}
+	if err := checkSampleRate(opt.SampleRate); err != nil {
+		return nil, err
 	}
 	sizes := SizesOf(db)
 	hp := NewHistProvider(db, opt.SampleRate, opt.SampleSeed)

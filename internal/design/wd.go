@@ -53,7 +53,8 @@ func (q Query) Graph(sizes Sizes) *graph.Graph {
 type WDOptions struct {
 	// Parts is the number of partitions / nodes (required).
 	Parts int
-	// SampleRate / SampleSeed control histogram sampling (0/1 = exact).
+	// SampleRate / SampleSeed control histogram sampling (0/1 = exact;
+	// a rate outside [0, 1] is an error).
 	SampleRate float64
 	SampleSeed int64
 	// DisablePhase1 skips the containment merge (ablation only).
@@ -196,6 +197,9 @@ func WorkloadDriven(db *table.Database, queries []Query, opt WDOptions) (*WDDesi
 	}
 	if len(queries) == 0 {
 		return nil, fmt.Errorf("design: empty workload")
+	}
+	if err := checkSampleRate(opt.SampleRate); err != nil {
+		return nil, err
 	}
 	sizes := SizesOf(db)
 	hp := NewHistProvider(db, opt.SampleRate, opt.SampleSeed)

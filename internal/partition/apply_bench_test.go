@@ -12,7 +12,8 @@ import (
 // BenchmarkApply prices the offline partitioner on its own: TPC-H at sf
 // 0.01 is partitioned four ways under the schema-driven PREF design (SD,
 // which stores duplicates and builds a partition index per PREF edge) and
-// under plain hashing (AllHashed), and the cost is reported per stored row.
+// under plain hashing (AllHashed), and the cost — time, bytes and
+// allocations — is reported per stored row.
 func BenchmarkApply(b *testing.B) {
 	d := tpch.Generate(0.01, 42)
 	for _, name := range []string{"SD", "AllHashed"} {
@@ -38,6 +39,7 @@ func BenchmarkApply(b *testing.B) {
 			total := float64(b.N) * float64(stored)
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/total, "ns/row")
 			b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/total, "B/row")
+			b.ReportMetric(float64(after.Mallocs-before.Mallocs)/total, "allocs/row")
 		})
 	}
 }

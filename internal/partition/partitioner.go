@@ -2,6 +2,7 @@ package partition
 
 import (
 	"fmt"
+	"slices"
 
 	"pref/internal/catalog"
 	"pref/internal/table"
@@ -69,11 +70,10 @@ func place(data *table.Data, cfg *Config, out *table.PartitionedDatabase) error 
 	pt := out.Tables[data.Meta.Name]
 	var lookup func(value.Tuple, []int) []int
 	if ts := cfg.Scheme(data.Meta.Name); ts.Method == Pref {
-		idx, err := PartitionIndex(out.Tables[ts.RefTable], ts.Pred.ReferencedCols)
-		if err != nil {
+		var err error
+		if lookup, err = PartitionIndex(out.Tables[ts.RefTable], ts.Pred.ReferencedCols); err != nil {
 			return err
 		}
-		lookup = func(row value.Tuple, cols []int) []int { return idx[value.MakeKey(row, cols)] }
 	}
 	pl, err := NewPlacer(cfg, pt.Meta, lookup)
 	if err != nil {
@@ -216,27 +216,62 @@ func RangeTarget(v int64, bounds []int64) int {
 	return lo
 }
 
-// PartitionIndex maps each distinct referenced-column key of a partitioned
-// table to the sorted set of partitions containing it: the "partition
-// index" of Section 2.3 that both partitions and bulk loads PREF tables.
-func PartitionIndex(ref *table.Partitioned, refColNames []string) (map[value.Key][]int, error) {
+// PartitionIndex builds the "partition index" of Section 2.3 that both
+// partitions and bulk loads PREF tables: each distinct key of the
+// referenced columns of a partitioned table maps to the sorted set of
+// partitions containing it. It returns the index's lookup, which takes a
+// referencing row and its referencing columns — the lookup NewPlacer
+// takes. A key of at most value.Key2Cols columns is a value.Key2, so
+// neither building the index nor probing it allocates per row; a wider
+// key is a value.Key.
+func PartitionIndex(ref *table.Partitioned, refColNames []string) (func(row value.Tuple, cols []int) []int, error) {
 	refCols, err := ref.Meta.ColIndexes(refColNames)
 	if err != nil {
 		return nil, err
 	}
-	idx := make(map[value.Key][]int)
+	if len(refCols) <= value.Key2Cols {
+		return indexBy(ref, refCols, value.Narrow), nil
+	}
+	return indexBy(ref, refCols, value.Wide), nil
+}
+
+// indexBy builds PartitionIndex's index on keys of type K.
+func indexBy[K comparable](ref *table.Partitioned, refCols []int, kb value.Keys[K]) func(value.Tuple, []int) []int {
+	idx := make(map[K]int32)
+	sets := partSets{sets: [][]int{nil}, next: make(map[[2]int32]int32)}
 	width := ref.Meta.NumCols()
 	for p, part := range ref.Parts {
 		data := part.Columns(width).Cols
 		for i, n := 0, part.Len(); i < n; i++ {
-			key := value.MakeKeyAt(data, i, refCols)
-			ps := idx[key]
+			key := kb.At(data, i, refCols)
+			id := idx[key]
 			// Partitions are scanned in ascending order, so p is a
 			// duplicate only if it equals the last recorded partition.
-			if len(ps) == 0 || ps[len(ps)-1] != p {
-				idx[key] = append(ps, p)
+			if ps := sets.sets[id]; len(ps) == 0 || ps[len(ps)-1] != p {
+				idx[key] = sets.add(id, p)
 			}
 		}
 	}
-	return idx, nil
+	return func(row value.Tuple, cols []int) []int { return sets.sets[idx[kb.Of(row, cols)]] }
+}
+
+// partSets interns the partition sets of one partition index, so keys
+// stored on the same partitions share one set: sets[0] is the empty set,
+// and next maps a set and a partition above its members to the set that
+// adds it.
+type partSets struct {
+	sets [][]int
+	next map[[2]int32]int32
+}
+
+// add returns the set of set id plus partition p.
+func (s *partSets) add(id int32, p int) int32 {
+	step := [2]int32{id, int32(p)}
+	if n, ok := s.next[step]; ok {
+		return n
+	}
+	n := int32(len(s.sets))
+	s.sets = append(s.sets, append(slices.Clip(s.sets[id]), p))
+	s.next[step] = n
+	return n
 }

@@ -11,22 +11,45 @@ import (
 // columns of a table. Sampled histograms use *universe sampling*: a
 // rate-fraction of the key space is selected by a deterministic hash, and
 // the frequencies of selected keys are exact. Because the selection
-// depends only on the key bytes (plus a salt), histograms of the two sides
-// of a join predicate sample a consistent key universe — the property the
-// joint redundancy estimator needs.
+// depends only on the key values (plus a salt), histograms of the two
+// sides of a join predicate sample a consistent key universe — the
+// property the joint redundancy estimator needs.
 type Histogram struct {
-	// Freq maps each sampled key to its exact frequency.
-	Freq map[value.Key]int
-	// Keys lists Freq's keys in the order their first row was read, and
-	// Counts their frequencies. Float sums over the histogram iterate these,
-	// not the map, so their summation order — and every estimate built on
-	// them — repeats from run to run.
-	Keys   []value.Key
+	// Counts holds each sampled key's exact frequency, in the order the
+	// key's first row was read. Float sums over the histogram iterate
+	// these (Join too), not a map, so their summation order — and every
+	// estimate built on them — repeats from run to run.
 	Counts []int
 	// Rows is the (estimated) number of rows the histogram describes.
 	Rows int
 	// Rate is the key-universe sampling rate (1 = all keys).
 	Rate float64
+	// keys numbers the distinct keys as Counts does: value.Key2s for keys
+	// of at most value.Key2Cols columns, value.Keys for wider ones.
+	keys keySet
+	// width is the number of key columns.
+	width int
+}
+
+// keySet is the distinct keys of one histogram, in first-seen order.
+type keySet interface {
+	// join calls fn(i, j) for every key i of the set that other, a set of
+	// the same key type, holds as key j, in i order.
+	join(other keySet, fn func(i, j int))
+}
+
+type keys[K comparable] struct {
+	id   map[K]int
+	list []K
+}
+
+func (s *keys[K]) join(other keySet, fn func(i, j int)) {
+	o := other.(*keys[K])
+	for i, k := range s.list {
+		if j, ok := o.id[k]; ok {
+			fn(i, j)
+		}
+	}
 }
 
 // BuildHistogram computes the exact frequency histogram of the given
@@ -42,54 +65,61 @@ func BuildHistogram(d *table.Data, cols ...string) (*Histogram, error) {
 // TPC-DS than uniform TPC-H, since a few hot keys carry most of the
 // redundancy mass).
 func BuildSampledHistogram(d *table.Data, rate float64, seed int64, cols ...string) (*Histogram, error) {
-	if rate <= 0 || rate > 1 {
+	if !(rate > 0 && rate <= 1) {
 		return nil, fmt.Errorf("stats: sampling rate %v out of (0,1]", rate)
 	}
 	idx, err := d.Meta.ColIndexes(cols)
 	if err != nil {
 		return nil, err
 	}
-	h := &Histogram{Freq: make(map[value.Key]int), Rate: rate}
-	if rate == 1 {
-		for _, row := range d.Rows {
-			h.count(value.MakeKey(row, idx))
-		}
-		h.Rows = len(d.Rows)
-		h.fillCounts()
-		return h, nil
+	h := &Histogram{Rate: rate, width: len(idx)}
+	if len(idx) <= value.Key2Cols {
+		h.keys = count(h, d.Rows, idx, seed, value.Narrow)
+	} else {
+		h.keys = count(h, d.Rows, idx, seed, value.Wide)
 	}
-	threshold := uint64(rate * float64(^uint64(0)))
-	salt := uint64(seed)*0x9e3779b97f4a7c15 + 0x85ebca6b
-	sampledRows := 0
-	for _, row := range d.Rows {
-		k := value.MakeKey(row, idx)
-		if mix(k.Hash(), salt) <= threshold {
-			h.count(k)
-			sampledRows++
-		}
-	}
-	h.Rows = int(float64(sampledRows)/rate + 0.5)
-	h.fillCounts()
 	return h, nil
 }
 
-// count records one more row with key k: one map update, and the map's
-// growth tells a first sighting.
-func (h *Histogram) count(k value.Key) {
-	n := len(h.Freq)
-	h.Freq[k]++
-	if len(h.Freq) > n {
-		h.Keys = append(h.Keys, k)
+// count reads rows into h's Counts and Rows and returns their distinct
+// keys. Below rate 1 a row is read when its key's hash, salted by seed,
+// falls under the rate; value.HashTuple is the hash of the key's
+// value.Key bytes, so the sample is the same whatever K is.
+func count[K comparable](h *Histogram, rows []value.Tuple, idx []int, seed int64, kb value.Keys[K]) *keys[K] {
+	var threshold, salt uint64
+	if h.Rate < 1 {
+		threshold = uint64(h.Rate * float64(^uint64(0)))
+		salt = uint64(seed)*0x9e3779b97f4a7c15 + 0x85ebca6b
 	}
+	s := &keys[K]{id: make(map[K]int)}
+	sampled := 0
+	for _, row := range rows {
+		if h.Rate < 1 && mix(value.HashTuple(row, idx), salt) > threshold {
+			continue
+		}
+		sampled++
+		k := kb.Of(row, idx)
+		i, ok := s.id[k]
+		if !ok {
+			i = len(s.list)
+			s.id[k] = i
+			s.list = append(s.list, k)
+			h.Counts = append(h.Counts, 0)
+		}
+		h.Counts[i]++
+	}
+	h.Rows = int(float64(sampled)/h.Rate + 0.5)
+	return s
 }
 
-// fillCounts lays the finished frequencies out in Keys order, once per
-// histogram rather than once per estimate that sums over it.
-func (h *Histogram) fillCounts() {
-	h.Counts = make([]int, len(h.Keys))
-	for i, k := range h.Keys {
-		h.Counts[i] = h.Freq[k]
+// Join calls fn(f, g) for every key h and other share, with its frequency
+// f in h and g in other, in h's key order: the pairs the joint redundancy
+// estimator sums over. Histograms of different column counts share none.
+func (h *Histogram) Join(other *Histogram, fn func(f, g int)) {
+	if h.width != other.width {
+		return
 	}
+	h.keys.join(other.keys, func(i, j int) { fn(h.Counts[i], other.Counts[j]) })
 }
 
 // mix folds a salt into a key hash (splitmix64 finalizer).
@@ -105,4 +135,4 @@ func mix(h, salt uint64) uint64 {
 
 // Distinct reports the number of distinct sampled keys; the full-table
 // distinct count is ≈ Distinct()/Rate.
-func (h *Histogram) Distinct() int { return len(h.Freq) }
+func (h *Histogram) Distinct() int { return len(h.Counts) }

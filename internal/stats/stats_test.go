@@ -3,6 +3,7 @@ package stats
 import (
 	"math"
 	"math/big"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -146,8 +147,9 @@ func TestBuildHistogramExact(t *testing.T) {
 	if h.Distinct() != 3 || h.Rows != 6 || h.Rate != 1 {
 		t.Fatalf("distinct=%d rows=%d rate=%v", h.Distinct(), h.Rows, h.Rate)
 	}
-	if h.Freq[value.MakeKey1(1)] != 3 || h.Freq[value.MakeKey1(3)] != 1 {
-		t.Fatal("frequencies wrong")
+	// Keys 1, 2, 3 in first-seen order.
+	if !reflect.DeepEqual(h.Counts, []int{3, 2, 1}) {
+		t.Fatalf("frequencies %v, want [3 2 1]", h.Counts)
 	}
 }
 
@@ -161,6 +163,9 @@ func TestBuildHistogramBadArgs(t *testing.T) {
 	}
 	if _, err := BuildSampledHistogram(d, 1.5, 1, "k"); err == nil {
 		t.Fatal("rate > 1 must error")
+	}
+	if _, err := BuildSampledHistogram(d, math.NaN(), 1, "k"); err == nil {
+		t.Fatal("rate NaN must error")
 	}
 }
 
@@ -183,9 +188,9 @@ func TestSampledHistogramUniverse(t *testing.T) {
 		t.Fatalf("distinct sampled keys = %d, want ≈10", h.Distinct())
 	}
 	// Frequencies of sampled keys are exact.
-	for k, f := range h.Freq {
+	for i, f := range h.Counts {
 		if f != 100 {
-			t.Fatalf("sampled key %q freq = %d, want exactly 100", k, f)
+			t.Fatalf("sampled key %d freq = %d, want exactly 100", i, f)
 		}
 	}
 	// Row estimate = sampled rows / rate.
@@ -207,26 +212,18 @@ func TestSampledHistogramConsistentUniverse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ha.Freq) != len(hb.Freq) {
-		t.Fatalf("sampled key counts differ: %d vs %d", len(ha.Freq), len(hb.Freq))
+	if ha.Distinct() != hb.Distinct() {
+		t.Fatalf("sampled key counts differ: %d vs %d", ha.Distinct(), hb.Distinct())
 	}
-	for k := range ha.Freq {
-		if _, ok := hb.Freq[k]; !ok {
-			t.Fatalf("key %q sampled in one table but not the other", k)
-		}
+	if shared := sharedKeys(ha, hb); shared != ha.Distinct() {
+		t.Fatalf("%d of %d keys sampled in both tables", shared, ha.Distinct())
 	}
 	// A different seed selects a different universe.
 	hc, err := BuildSampledHistogram(a, 0.2, 10, "k")
 	if err != nil {
 		t.Fatal(err)
 	}
-	same := 0
-	for k := range ha.Freq {
-		if _, ok := hc.Freq[k]; ok {
-			same++
-		}
-	}
-	if same == len(ha.Freq) {
+	if sharedKeys(ha, hc) == ha.Distinct() {
 		t.Fatal("different salts should select different key universes")
 	}
 }
@@ -237,4 +234,55 @@ func seqKeys(n int) []int64 {
 		out[i] = int64(i)
 	}
 	return out
+}
+
+// sharedKeys counts the keys a and b both hold.
+func sharedKeys(a, b *Histogram) int {
+	n := 0
+	a.Join(b, func(int, int) { n++ })
+	return n
+}
+
+// TestHistogramKeyWidths: a histogram of one, two or three columns counts
+// what a value.Key-keyed reference counts, in first-seen order, whichever
+// key type it uses (three columns take the value.Key path); Join matches
+// keys only between histograms of the same column count, so a one-column
+// key never meets a zero-padded two-column one.
+func TestHistogramKeyWidths(t *testing.T) {
+	cols := []catalog.Column{{Name: "a", Kind: value.Int}, {Name: "b", Kind: value.Int}, {Name: "c", Kind: value.Int}}
+	m := catalog.MustTable("t", cols, "a")
+	d := table.NewData(m)
+	for i := int64(0); i < 200; i++ {
+		d.MustAppend(value.Tuple{i % 7, 0, i % 5})
+	}
+	for _, names := range [][]string{{"a"}, {"a", "b"}, {"c", "b", "a"}} {
+		h, err := BuildHistogram(d, names...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		idx, _ := m.ColIndexes(names)
+		seen := map[value.Key]int{}
+		var want []int
+		for _, row := range d.Rows {
+			k := value.MakeKey(row, idx)
+			i, ok := seen[k]
+			if !ok {
+				i = len(want)
+				seen[k] = i
+				want = append(want, 0)
+			}
+			want[i]++
+		}
+		if !reflect.DeepEqual(h.Counts, want) || h.Rows != len(d.Rows) {
+			t.Errorf("%v: counts %v rows %d, want %v rows %d", names, h.Counts, h.Rows, want, len(d.Rows))
+		}
+		if shared := sharedKeys(h, h); shared != h.Distinct() {
+			t.Errorf("%v: joins itself on %d of %d keys", names, shared, h.Distinct())
+		}
+	}
+	one, _ := BuildHistogram(d, "a")
+	two, _ := BuildHistogram(d, "a", "b")
+	if shared := sharedKeys(one, two); shared != 0 {
+		t.Errorf("one- and two-column histograms share %d keys", shared)
+	}
 }

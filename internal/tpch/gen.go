@@ -54,77 +54,88 @@ func Generate(sf float64, seed int64) *TPCH {
 
 	// region
 	rt := db.Schema.Table("region")
+	rows := newRowSlab(db, "region", len(regions))
 	for i, name := range regions {
-		db.Tables["region"].MustAppend(value.Tuple{
+		rows.add(value.Tuple{
 			int64(i), rt.Dict("name").Code(name), rt.Dict("comment").Code("region comment"),
 		})
 	}
 
 	// nation: nation i in region i%5.
 	nt := db.Schema.Table("nation")
+	rows = newRowSlab(db, "nation", len(nations))
 	for i, name := range nations {
-		db.Tables["nation"].MustAppend(value.Tuple{
+		rows.add(value.Tuple{
 			int64(i), nt.Dict("name").Code(name), int64(i % 5), nt.Dict("comment").Code("nation comment"),
 		})
 	}
 
 	// supplier
 	st := db.Schema.Table("supplier")
+	sName, sAddr, sPhone, sComment := st.Dict("name"), st.Dict("address"), st.Dict("phone"), st.Dict("comment")
+	rows = newRowSlab(db, "supplier", nSupp)
 	for i := 0; i < nSupp; i++ {
-		db.Tables["supplier"].MustAppend(value.Tuple{
+		rows.add(value.Tuple{
 			int64(i + 1),
-			st.Dict("name").Code(fmt.Sprintf("Supplier#%09d", i+1)),
-			st.Dict("address").Code(fmt.Sprintf("addr-s-%d", i+1)),
+			sName.Code(fmt.Sprintf("Supplier#%09d", i+1)),
+			sAddr.Code(fmt.Sprintf("addr-s-%d", i+1)),
 			int64(rng.Intn(25)),
-			st.Dict("phone").Code(fmt.Sprintf("%d-555-%04d", 10+i%25, i%10000)),
+			sPhone.Code(fmt.Sprintf("%d-555-%04d", 10+i%25, i%10000)),
 			value.FromMoney(-999.99 + rng.Float64()*10998.98),
-			st.Dict("comment").Code(suppComment(rng, i)),
+			sComment.Code(suppComment(rng, i)),
 		})
 	}
 
 	// customer: phone country code 10..34 (nationkey+10 per spec).
 	ct := db.Schema.Table("customer")
+	cName, cAddr, cPhone := ct.Dict("name"), ct.Dict("address"), ct.Dict("phone")
+	cSegment, cComment := ct.Dict("mktsegment"), ct.Dict("comment")
+	rows = newRowSlab(db, "customer", nCust)
 	for i := 0; i < nCust; i++ {
 		nk := int64(rng.Intn(25))
-		db.Tables["customer"].MustAppend(value.Tuple{
+		rows.add(value.Tuple{
 			int64(i + 1),
-			ct.Dict("name").Code(fmt.Sprintf("Customer#%09d", i+1)),
-			ct.Dict("address").Code(fmt.Sprintf("addr-c-%d", i+1)),
+			cName.Code(fmt.Sprintf("Customer#%09d", i+1)),
+			cAddr.Code(fmt.Sprintf("addr-c-%d", i+1)),
 			nk,
-			ct.Dict("phone").Code(fmt.Sprintf("%d-555-%04d", nk+10, i%10000)),
+			cPhone.Code(fmt.Sprintf("%d-555-%04d", nk+10, i%10000)),
 			nk + 10,
 			value.FromMoney(-999.99 + rng.Float64()*10998.98),
-			ct.Dict("mktsegment").Code(segments[rng.Intn(len(segments))]),
-			ct.Dict("comment").Code("customer comment"),
+			cSegment.Code(segments[rng.Intn(len(segments))]),
+			cComment.Code("customer comment"),
 		})
 	}
 
 	// part
 	pt := db.Schema.Table("part")
+	pName, pMfgr, pBrand, pType := pt.Dict("name"), pt.Dict("mfgr"), pt.Dict("brand"), pt.Dict("type")
+	pContainer, pComment := pt.Dict("container"), pt.Dict("comment")
+	rows = newRowSlab(db, "part", nPart)
 	for i := 0; i < nPart; i++ {
-		db.Tables["part"].MustAppend(value.Tuple{
+		rows.add(value.Tuple{
 			int64(i + 1),
-			pt.Dict("name").Code(fmt.Sprintf("part name %d", i+1)),
-			pt.Dict("mfgr").Code(fmt.Sprintf("Manufacturer#%d", 1+i%5)),
-			pt.Dict("brand").Code(brands[rng.Intn(len(brands))]),
-			pt.Dict("type").Code(types[rng.Intn(len(types))]),
+			pName.Code(fmt.Sprintf("part name %d", i+1)),
+			pMfgr.Code(fmt.Sprintf("Manufacturer#%d", 1+i%5)),
+			pBrand.Code(brands[rng.Intn(len(brands))]),
+			pType.Code(types[rng.Intn(len(types))]),
 			int64(1 + rng.Intn(50)),
-			pt.Dict("container").Code(conts[rng.Intn(len(conts))]),
+			pContainer.Code(conts[rng.Intn(len(conts))]),
 			value.FromMoney(900 + float64(i%200)/10),
-			pt.Dict("comment").Code("part comment"),
+			pComment.Code("part comment"),
 		})
 	}
 
 	// partsupp: 4 suppliers per part via the dbgen permutation so every
 	// generated lineitem (partkey, suppkey) hits an existing partsupp row.
-	pst := db.Schema.Table("partsupp")
+	psComment := db.Schema.Table("partsupp").Dict("comment")
+	rows = newRowSlab(db, "partsupp", 4*nPart)
 	for p := 1; p <= nPart; p++ {
 		for j := 0; j < 4; j++ {
-			db.Tables["partsupp"].MustAppend(value.Tuple{
+			rows.add(value.Tuple{
 				int64(p), psSuppkey(p, j, nSupp),
 				int64(1 + rng.Intn(9999)),
 				value.FromMoney(1 + rng.Float64()*999),
-				pst.Dict("comment").Code("partsupp comment"),
+				psComment.Code("partsupp comment"),
 			})
 		}
 	}
@@ -132,10 +143,22 @@ func Generate(sf float64, seed int64) *TPCH {
 	// orders + lineitem. Per the spec only two thirds of customers ever
 	// place an order (custkey % 3 != 0 in our encoding).
 	ot := db.Schema.Table("orders")
+	oStatus, oPriority, oClerk, oComment := ot.Dict("orderstatus"), ot.Dict("orderpriority"), ot.Dict("clerk"), ot.Dict("comment")
 	lt := db.Schema.Table("lineitem")
+	lFlag, lStatus, lInstruct := lt.Dict("returnflag"), lt.Dict("linestatus"), lt.Dict("shipinstruct")
+	lMode, lComment := lt.Dict("shipmode"), lt.Dict("comment")
+	orders := newRowSlab(db, "orders", nOrd)
+	// An order has 1 to 7 lines, 4 on average.
+	lines := newRowSlab(db, "lineitem", 4*nOrd)
+	// 1000 clerks serve every order; each name is formatted once.
+	clerks := make([]string, 1001)
 	startDate := value.FromDate(1992, 1, 1)
 	endDate := value.FromDate(1998, 8, 2)
 	dateRange := endDate - startDate
+	// A line shipped or received by fillDate is filled; an order placed
+	// before statusDate is final.
+	fillDate := value.FromDate(1995, 6, 17)
+	statusDate := value.FromDate(1995, 1, 1)
 	for o := 1; o <= nOrd; o++ {
 		ck := int64(1 + rng.Intn(nCust))
 		for ck%3 == 0 {
@@ -155,7 +178,7 @@ func Generate(sf float64, seed int64) *TPCH {
 			commit := odate + 30 + rng.Int63n(61)
 			receipt := ship + 1 + rng.Int63n(30)
 			rf := "N"
-			if receipt <= value.FromDate(1995, 6, 17) {
+			if receipt <= fillDate {
 				if rng.Intn(2) == 0 {
 					rf = "R"
 				} else {
@@ -163,36 +186,72 @@ func Generate(sf float64, seed int64) *TPCH {
 				}
 			}
 			ls := "O"
-			if ship <= value.FromDate(1995, 6, 17) {
+			if ship <= fillDate {
 				ls = "F"
 			}
-			db.Tables["lineitem"].MustAppend(value.Tuple{
+			lines.add(value.Tuple{
 				int64(o), int64(pk), sk, int64(ln), qty, price, disc, tax,
-				lt.Dict("returnflag").Code(rf),
-				lt.Dict("linestatus").Code(ls),
+				lFlag.Code(rf),
+				lStatus.Code(ls),
 				ship, commit, receipt,
-				lt.Dict("shipinstruct").Code(instr[rng.Intn(len(instr))]),
-				lt.Dict("shipmode").Code(modes[rng.Intn(len(modes))]),
-				lt.Dict("comment").Code("lineitem comment"),
+				lInstruct.Code(instr[rng.Intn(len(instr))]),
+				lMode.Code(modes[rng.Intn(len(modes))]),
+				lComment.Code("lineitem comment"),
 			})
 			total += price * (100 - disc) / 100
 		}
 		status := "O"
-		if odate < value.FromDate(1995, 1, 1) {
+		if odate < statusDate {
 			status = "F"
 		}
-		db.Tables["orders"].MustAppend(value.Tuple{
+		orders.add(value.Tuple{
 			int64(o), ck,
-			ot.Dict("orderstatus").Code(status),
+			oStatus.Code(status),
 			total,
 			odate,
-			ot.Dict("orderpriority").Code(prios[rng.Intn(len(prios))]),
-			ot.Dict("clerk").Code(fmt.Sprintf("Clerk#%09d", 1+rng.Intn(1000))),
+			oPriority.Code(prios[rng.Intn(len(prios))]),
+			oClerk.Code(clerk(clerks, 1+rng.Intn(1000))),
 			0,
-			ot.Dict("comment").Code(orderComment(rng)),
+			oComment.Code(orderComment(rng)),
 		})
 	}
 	return &TPCH{DB: db, SF: sf}
+}
+
+// rowSlab appends generated tuples to one table, carving them from shared
+// slabs so a row costs no allocation of its own.
+type rowSlab struct {
+	d     *table.Data
+	slab  []int64
+	chunk int // rows per slab
+}
+
+// newRowSlab presizes table name of db for about n rows.
+func newRowSlab(db *table.Database, name string, n int) *rowSlab {
+	d := db.Tables[name]
+	d.Rows = make([]value.Tuple, 0, n)
+	return &rowSlab{d: d, chunk: min(n, 4096)}
+}
+
+// add appends a copy of row t.
+func (r *rowSlab) add(t value.Tuple) {
+	w := len(t)
+	if len(r.slab) < w {
+		r.slab = make([]int64, w*r.chunk)
+	}
+	row := value.Tuple(r.slab[:w:w])
+	r.slab = r.slab[w:]
+	copy(row, t)
+	r.d.MustAppend(row)
+}
+
+// clerk returns the name of clerk n, formatting it into names on first
+// use.
+func clerk(names []string, n int) string {
+	if names[n] == "" {
+		names[n] = fmt.Sprintf("Clerk#%09d", n)
+	}
+	return names[n]
 }
 
 // psSuppkey is dbgen's part→supplier permutation: supplier j of part p.

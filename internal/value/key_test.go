@@ -69,3 +69,28 @@ func TestHashSpread(t *testing.T) {
 		}
 	}
 }
+
+// TestKey2MatchesKey: over one and two columns, two tuples have equal Key2s
+// exactly when they have equal Keys, and MakeKey2At reads what MakeKey2
+// does.
+func TestKey2MatchesKey(t *testing.T) {
+	f := func(a, b [3]int64, same bool) bool {
+		if same {
+			b[1], b[2] = a[1], a[2]
+		}
+		ta, tb := Tuple(a[:]), Tuple(b[:])
+		for _, cols := range [][]int{{1}, {2, 1}, {0, 2}} {
+			if (MakeKey2(ta, cols) == MakeKey2(tb, cols)) != (MakeKey(ta, cols) == MakeKey(tb, cols)) {
+				return false
+			}
+			data := [][]int64{{0, a[0]}, {0, a[1]}, {0, a[2]}}
+			if MakeKey2At(data, 1, cols) != MakeKey2(ta, cols) {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Fatal(err)
+	}
+}
