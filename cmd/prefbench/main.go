@@ -63,6 +63,11 @@ func main() {
 		return
 	}
 
+	if err := errors.Join(bench.CheckScale("-sf", *sf), bench.CheckScale("-dssf", *dssf)); err != nil {
+		fmt.Fprintln(os.Stderr, "prefbench:", err)
+		os.Exit(1)
+	}
+
 	p := bench.DefaultParams()
 	p.SF = *sf
 	p.DSSF = *dssf

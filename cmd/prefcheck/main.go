@@ -46,6 +46,9 @@ func main() {
 }
 
 func run(variant, cfgPath, query string, sf float64, parts int, seed int64, noOpt, verbose bool) error {
+	if err := bench.CheckScale("-sf", sf); err != nil {
+		return err
+	}
 	t := tpch.Generate(sf, seed)
 	var v *bench.Variant
 	var err error

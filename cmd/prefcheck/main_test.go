@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -33,5 +34,24 @@ func TestRunReportsLoadedPartitionCount(t *testing.T) {
 	})
 	if !strings.Contains(out, "(4 partitions)") {
 		t.Fatalf("summary does not report the loaded design's 4 partitions:\n%s", out)
+	}
+}
+
+// TestRunRejectsBadScale: an -sf that is not a finite number above 0 is an
+// error (main exits 1 on it), not a silent check at the generator's
+// smallest scale.
+func TestRunRejectsBadScale(t *testing.T) {
+	for _, sf := range []float64{-1, 0, math.NaN(), math.Inf(1)} {
+		var err error
+		out := testutil.CaptureStdout(t, func() error {
+			err = run("SD", "", "", sf, 4, 42, false, false)
+			return nil
+		})
+		if err == nil || !strings.Contains(err.Error(), "-sf") {
+			t.Errorf("-sf %v: err = %v, want an -sf error", sf, err)
+		}
+		if out != "" {
+			t.Errorf("-sf %v printed:\n%s", sf, out)
+		}
 	}
 }

@@ -11,12 +11,14 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
 	"strings"
 
 	"pref"
+	"pref/internal/bench"
 	"pref/internal/design"
 	"pref/internal/tpcds"
 	"pref/internal/tpch"
@@ -44,6 +46,9 @@ func main() {
 }
 
 func run(benchmark, algo string, parts int, sf, dssf float64, seed int64, sample float64, noRed, keepSmall bool, outPath string) error {
+	if err := errors.Join(bench.CheckScale("-sf", sf), bench.CheckScale("-dssf", dssf)); err != nil {
+		return err
+	}
 	var (
 		db       *pref.Database
 		small    []string

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -45,6 +46,30 @@ func TestRunPrintsDesign(t *testing.T) {
 		for _, w := range tc.want {
 			if !strings.Contains(out, w) {
 				t.Errorf("-algo %s -sample %v: output lacks %q:\n%s", tc.algo, tc.rate, w, out)
+			}
+		}
+	}
+}
+
+// TestRunRejectsBadScale: an -sf or -dssf that is not a finite number
+// above 0 is an error (main exits 1 on it) whichever benchmark is asked
+// for, and nothing is designed.
+func TestRunRejectsBadScale(t *testing.T) {
+	for _, bad := range []float64{-1, 0, math.NaN(), math.Inf(1)} {
+		for _, tc := range []struct {
+			flag     string
+			sf, dssf float64
+		}{{"-sf", bad, 1}, {"-dssf", 0.002, bad}} {
+			var err error
+			out := testutil.CaptureStdout(t, func() error {
+				err = run("tpch", "sd", 4, tc.sf, tc.dssf, 42, 1, false, false, "")
+				return nil
+			})
+			if err == nil || !strings.Contains(err.Error(), tc.flag) {
+				t.Errorf("%s %v: err = %v, want a %s error", tc.flag, bad, err, tc.flag)
+			}
+			if out != "" {
+				t.Errorf("%s %v printed:\n%s", tc.flag, bad, out)
 			}
 		}
 	}

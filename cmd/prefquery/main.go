@@ -73,6 +73,9 @@ type loaded struct {
 // load generates the data, builds the named variant or reads the -config
 // file (which overrides both -variant and -parts), and materializes it.
 func load(variant, cfgPath string, sf float64, parts int, seed int64) (*loaded, error) {
+	if err := bench.CheckScale("-sf", sf); err != nil {
+		return nil, err
+	}
 	t := tpch.Generate(sf, seed)
 	var v *bench.Variant
 	var err error

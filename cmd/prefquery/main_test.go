@@ -3,6 +3,7 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -89,6 +90,17 @@ func TestServedPlanIsExplainedPlan(t *testing.T) {
 		}
 		if err := s.Close(context.Background()); err != nil {
 			t.Fatal(err)
+		}
+	}
+}
+
+// TestLoadRejectsBadScale: an -sf that is not a finite number above 0 is an
+// error (main exits 1 on it), not a silent run at the generator's
+// smallest scale.
+func TestLoadRejectsBadScale(t *testing.T) {
+	for _, sf := range []float64{-1, 0, math.NaN(), math.Inf(1)} {
+		if _, err := load("SD", "", sf, 4, 42); err == nil || !strings.Contains(err.Error(), "-sf") {
+			t.Errorf("-sf %v: err = %v, want an -sf error", sf, err)
 		}
 	}
 }

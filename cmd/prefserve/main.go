@@ -67,6 +67,9 @@ func main() {
 
 func run(addr, variant string, sf float64, parts int, seed int64, tenantSpec string,
 	slots int, queueTO time.Duration, shed float64, retries int, deadline, drain time.Duration) error {
+	if err := bench.CheckScale("-sf", sf); err != nil {
+		return err
+	}
 	tcs, err := parseTenants(tenantSpec)
 	if err != nil {
 		return err

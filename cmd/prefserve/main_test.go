@@ -1,8 +1,11 @@
 package main
 
 import (
+	"math"
 	"reflect"
+	"strings"
 	"testing"
+	"time"
 
 	"pref/internal/serve"
 )
@@ -33,6 +36,18 @@ func TestParseTenants(t *testing.T) {
 		}
 		if err != nil || !reflect.DeepEqual(got, tc.want) {
 			t.Errorf("parseTenants(%q) = %+v, %v; want %+v", tc.spec, got, err, tc.want)
+		}
+	}
+}
+
+// TestRunRejectsBadScale: an -sf that is not a finite number above 0 is an
+// error (main exits 1 on it) before any data is generated; the address
+// cannot be listened on, so a run that got past the check fails otherwise.
+func TestRunRejectsBadScale(t *testing.T) {
+	for _, sf := range []float64{-1, 0, math.NaN(), math.Inf(1)} {
+		err := run("127.0.0.1:-1", "SD", sf, 4, 42, "t:1", 1, time.Second, 1.5, 1, 0, time.Second)
+		if err == nil || !strings.Contains(err.Error(), "-sf") {
+			t.Errorf("-sf %v: err = %v, want an -sf error", sf, err)
 		}
 	}
 }

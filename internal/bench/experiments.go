@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"pref/internal/bulkload"
@@ -30,6 +31,17 @@ type Params struct {
 	// Query selects the TPC-H query for single-query experiments (the
 	// "ops" per-operator breakdown); empty means Q3.
 	Query string
+}
+
+// CheckScale rejects a scale factor the generators cannot honour, one
+// that is not a finite number above 0: they would clamp it to their
+// smallest scale, and a command would run silently at a scale it was not
+// given. name is the flag that carried it.
+func CheckScale(name string, sf float64) error {
+	if !(sf > 0) || math.IsInf(sf, 1) {
+		return fmt.Errorf("%s %v: want a finite scale factor above 0", name, sf)
+	}
+	return nil
 }
 
 // DefaultParams returns laptop-scale experiment parameters.

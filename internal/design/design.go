@@ -9,9 +9,11 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync"
 
 	"pref/internal/catalog"
 	"pref/internal/graph"
+	"pref/internal/par"
 	"pref/internal/stats"
 	"pref/internal/table"
 )
@@ -53,13 +55,18 @@ func SchemaGraph(s *catalog.Schema, sizes Sizes) *graph.Graph {
 }
 
 // HistProvider supplies (optionally sampled) join-key histograms and
-// memoizes them per (table, columns). Rate 1 builds exact histograms;
-// lower rates reproduce the sampling trade-off of Figure 13.
+// memoizes them per (table, columns), and the keys each pair of them
+// shares. Rate 1 builds exact histograms; lower rates reproduce the
+// sampling trade-off of Figure 13. It is safe for concurrent use; a
+// histogram two callers build at once is built twice and stored once.
 type HistProvider struct {
-	DB    *table.Database
-	Rate  float64
-	Seed  int64
-	cache map[string]*stats.Histogram
+	DB   *table.Database
+	Rate float64
+	Seed int64
+
+	mu      sync.Mutex
+	hists   map[string]*stats.Histogram
+	matches map[[2]*stats.Histogram]*stats.Matches
 }
 
 // NewHistProvider returns a provider over db with the given sampling rate
@@ -69,7 +76,11 @@ func NewHistProvider(db *table.Database, rate float64, seed int64) *HistProvider
 	if rate == 0 {
 		rate = 1
 	}
-	return &HistProvider{DB: db, Rate: rate, Seed: seed, cache: map[string]*stats.Histogram{}}
+	return &HistProvider{
+		DB: db, Rate: rate, Seed: seed,
+		hists:   map[string]*stats.Histogram{},
+		matches: map[[2]*stats.Histogram]*stats.Matches{},
+	}
 }
 
 // checkSampleRate rejects a sampling rate outside [0, 1]; 0 means exact.
@@ -80,22 +91,109 @@ func checkSampleRate(rate float64) error {
 	return nil
 }
 
+func histKey(tbl string, cols []string) string {
+	return tbl + "(" + strings.Join(cols, ",") + ")"
+}
+
 // Hist returns the histogram of the given columns of a table.
 func (h *HistProvider) Hist(tbl string, cols []string) (*stats.Histogram, error) {
-	key := tbl + "(" + strings.Join(cols, ",") + ")"
-	if got, ok := h.cache[key]; ok {
+	return memoized(&h.mu, h.hists, histKey(tbl, cols), func() (*stats.Histogram, error) {
+		d, ok := h.DB.Tables[tbl]
+		if !ok {
+			return nil, fmt.Errorf("design: no data for table %s", tbl)
+		}
+		return stats.BuildSampledHistogram(d, h.Rate, h.Seed, cols...)
+	})
+}
+
+// match returns the keys ref and ring share, matching them on first use.
+func (h *HistProvider) match(ref, ring *stats.Histogram) *stats.Matches {
+	m, _ := memoized(&h.mu, h.matches, [2]*stats.Histogram{ref, ring}, func() (*stats.Matches, error) {
+		return ref.Match(ring), nil
+	})
+	return m
+}
+
+// memoized returns m[k], building it unlocked on first use and recording
+// it unless another caller recorded one first; a failed build is not
+// recorded.
+func memoized[K comparable, V any](mu *sync.Mutex, m map[K]V, k K, build func() (V, error)) (V, error) {
+	mu.Lock()
+	v, ok := m[k]
+	mu.Unlock()
+	if ok {
+		return v, nil
+	}
+	v, err := build()
+	if err != nil {
+		return v, err
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if got, ok := m[k]; ok {
 		return got, nil
 	}
-	d, ok := h.DB.Tables[tbl]
-	if !ok {
-		return nil, fmt.Errorf("design: no data for table %s", tbl)
+	m[k] = v
+	return v, nil
+}
+
+// Prefetch builds, on parallel workers, what EstimateConfig reads when
+// it prices the single-seed configurations of the given trees —
+// FindOptimalPC's whole search, and most of what the constrained and
+// merged searches read: first the histograms, largest table first, then
+// the keys each referenced/referencing pair shares. What it cannot build
+// is left to the search, which reports why.
+func (h *HistProvider) Prefetch(trees []*graph.Graph) {
+	type side struct {
+		tbl  string
+		cols []string
 	}
-	hist, err := stats.BuildSampledHistogram(d, h.Rate, h.Seed, cols...)
-	if err != nil {
-		return nil, err
+	var sides []side
+	var pairs [][2]side
+	seenSide, seenPair := map[string]bool{}, map[[2]string]bool{}
+	for _, tree := range trees {
+		for _, e := range tree.Edges() {
+			for _, parent := range []string{e.A, e.B} {
+				// A seed on parent's side of e makes e's other table PREF
+				// on parent, and EstimateConfig prices e by histograms
+				// unless parent is that seed, hashed on e's columns (r(e)
+				// = 1): when parent is a leaf, the only seed on its side,
+				// hashed on its only edge.
+				if len(tree.EdgesAt(parent)) == 1 {
+					continue
+				}
+				child := e.Other(parent)
+				pair := [2]side{{parent, e.ColsOf(parent)}, {child, e.ColsOf(child)}}
+				keys := [2]string{histKey(parent, pair[0].cols), histKey(child, pair[1].cols)}
+				if !seenPair[keys] {
+					seenPair[keys] = true
+					pairs = append(pairs, pair)
+				}
+				for i, s := range pair {
+					if !seenSide[keys[i]] && h.DB.Tables[s.tbl] != nil {
+						seenSide[keys[i]] = true
+						sides = append(sides, s)
+					}
+				}
+			}
+		}
 	}
-	h.cache[key] = hist
-	return hist, nil
+	rows := func(s side) int { return h.DB.Tables[s.tbl].Len() }
+	sort.SliceStable(sides, func(a, b int) bool { return rows(sides[a]) > rows(sides[b]) })
+	par.Each(len(sides), func(i int) {
+		_, _ = h.Hist(sides[i].tbl, sides[i].cols) // an error recurs in the search
+	})
+	par.Each(len(pairs), func(i int) {
+		ref, err := h.Hist(pairs[i][0].tbl, pairs[i][0].cols)
+		if err != nil {
+			return
+		}
+		ring, err := h.Hist(pairs[i][1].tbl, pairs[i][1].cols)
+		if err != nil {
+			return
+		}
+		h.match(ref, ring)
+	})
 }
 
 // subsetOf reports whether every string of a appears in b.

@@ -37,19 +37,26 @@ func (e *Estimate) DR() float64 {
 // transform to the scaled frequency saturates per tuple at n, which a
 // plain product of per-edge factors does not. Unmatched tuples are stored
 // once.
-func jointRedundancyFactor(refHist, ringHist *stats.Histogram, n int, refInflation float64) float64 {
+//
+// m holds the shared keys' (f, g) pairs in Histogram.Join's order, which
+// the sums follow; E is evaluated once per distinct f.
+func jointRedundancyFactor(m *stats.Matches, ringHist *stats.Histogram, n int, refInflation float64) float64 {
 	if ringHist.Rows == 0 {
 		return 1
 	}
 	if refInflation < 1 {
 		refInflation = 1
 	}
+	copies := make([]float64, len(m.Freqs))
+	for i, f := range m.Freqs {
+		copies[i] = stats.ExpectedCopiesReal(float64(f)*refInflation, n)
+	}
 	expected := 0.0
 	matched := 0.0
-	refHist.Join(ringHist, func(f, g int) {
-		expected += stats.ExpectedCopiesReal(float64(f)*refInflation, n) * float64(g)
-		matched += float64(g)
-	})
+	for _, p := range m.Pairs {
+		expected += copies[p.F] * float64(p.G)
+		matched += float64(p.G)
+	}
 	// Both histograms sample the same key universe (same rate and salt),
 	// so the sampled sums extrapolate by 1/rate.
 	expected /= ringHist.Rate
@@ -125,7 +132,7 @@ func EstimateConfig(cfg *partition.Config, sizes Sizes, hp *HistProvider) (*Esti
 			if err != nil {
 				return 0, err
 			}
-			f = jointRedundancyFactor(refHist, ringHist, cfg.NumPartitions, parentInfl)
+			f = jointRedundancyFactor(hp.match(refHist, ringHist), ringHist, cfg.NumPartitions, parentInfl)
 		}
 		inflation[tbl] = f
 		return f, nil

@@ -25,6 +25,11 @@ func hist(t *testing.T, keys []int64, rate float64, seed int64) *stats.Histogram
 	return h
 }
 
+// factor is jointRedundancyFactor of ref and ring matched afresh.
+func factor(ref, ring *stats.Histogram, n int, refInflation float64) float64 {
+	return jointRedundancyFactor(ref.Match(ring), ring, n, refInflation)
+}
+
 func repeat(k int64, n int) []int64 {
 	out := make([]int64, n)
 	for i := range out {
@@ -45,7 +50,7 @@ func TestJointFactorUniqueKeys(t *testing.T) {
 	// Referenced key unique, every referencing tuple matched: factor 1.
 	ref := hist(t, seq(100), 1, 0)
 	ring := hist(t, seq(100), 1, 0)
-	if got := jointRedundancyFactor(ref, ring, 10, 1); got != 1 {
+	if got := factor(ref, ring, 10, 1); got != 1 {
 		t.Fatalf("unique-matched factor = %v, want 1", got)
 	}
 }
@@ -54,7 +59,7 @@ func TestJointFactorAllOrphans(t *testing.T) {
 	// No key overlap: every referencing tuple stored once.
 	ref := hist(t, seq(50), 1, 0)
 	ring := hist(t, []int64{100, 101, 102}, 1, 0)
-	if got := jointRedundancyFactor(ref, ring, 10, 1); got != 1 {
+	if got := factor(ref, ring, 10, 1); got != 1 {
 		t.Fatalf("all-orphan factor = %v, want 1", got)
 	}
 }
@@ -67,7 +72,7 @@ func TestJointFactorHotKey(t *testing.T) {
 	ringKeys = append(ringKeys, []int64{900, 901, 902, 903, 904, 905, 906, 907, 908, 909}...)
 	ref := hist(t, refKeys, 1, 0)
 	ring := hist(t, ringKeys, 1, 0)
-	got := jointRedundancyFactor(ref, ring, 10, 1)
+	got := factor(ref, ring, 10, 1)
 	// matched 10 rows × E[1000,10]≈10 copies + 10 orphans = ~110 of 20.
 	want := (10*stats.ExpectedCopies(1000, 10) + 10) / 20
 	if math.Abs(got-want) > 1e-9 {
@@ -78,7 +83,7 @@ func TestJointFactorHotKey(t *testing.T) {
 func TestJointFactorClampsAtN(t *testing.T) {
 	ref := hist(t, repeat(1, 100000), 1, 0)
 	ring := hist(t, repeat(1, 5), 1, 0)
-	if got := jointRedundancyFactor(ref, ring, 4, 1); got != 4 {
+	if got := factor(ref, ring, 4, 1); got != 4 {
 		t.Fatalf("factor = %v, want clamp at n=4", got)
 	}
 }
@@ -86,7 +91,7 @@ func TestJointFactorClampsAtN(t *testing.T) {
 func TestJointFactorEmptyRing(t *testing.T) {
 	ref := hist(t, seq(10), 1, 0)
 	ring := hist(t, nil, 1, 0)
-	if got := jointRedundancyFactor(ref, ring, 4, 1); got != 1 {
+	if got := factor(ref, ring, 4, 1); got != 1 {
 		t.Fatalf("empty referencing factor = %v, want 1", got)
 	}
 }
@@ -102,8 +107,8 @@ func TestJointFactorInflationSaturates(t *testing.T) {
 	}
 	ref := hist(t, refKeys, 1, 0)
 	ring := hist(t, ringKeys, 1, 0)
-	plain := jointRedundancyFactor(ref, ring, 10, 1)
-	inflated := jointRedundancyFactor(ref, ring, 10, 5)
+	plain := factor(ref, ring, 10, 1)
+	inflated := factor(ref, ring, 10, 5)
 	if inflated <= plain {
 		t.Fatalf("inflation must increase copies: %v vs %v", inflated, plain)
 	}
@@ -123,8 +128,8 @@ func TestJointFactorUnderSampling(t *testing.T) {
 		refKeys = append(refKeys, repeat(k, 5)...)
 		ringKeys = append(ringKeys, repeat(k, 2)...)
 	}
-	exact := jointRedundancyFactor(hist(t, refKeys, 1, 3), hist(t, ringKeys, 1, 3), 10, 1)
-	sampled := jointRedundancyFactor(hist(t, refKeys, 0.3, 3), hist(t, ringKeys, 0.3, 3), 10, 1)
+	exact := factor(hist(t, refKeys, 1, 3), hist(t, ringKeys, 1, 3), 10, 1)
+	sampled := factor(hist(t, refKeys, 0.3, 3), hist(t, ringKeys, 0.3, 3), 10, 1)
 	if math.Abs(exact-sampled)/exact > 0.15 {
 		t.Fatalf("sampled factor %v deviates from exact %v", sampled, exact)
 	}

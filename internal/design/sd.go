@@ -61,12 +61,19 @@ func SchemaDriven(db *table.Database, opt SDOptions) (*Design, error) {
 	hp := NewHistProvider(db, opt.SampleRate, opt.SampleSeed)
 	gs := SchemaGraph(db.Schema, sizes)
 
+	comps := gs.Components()
+	masts := make([][]*graph.Graph, len(comps))
+	var trees []*graph.Graph
+	for i, comp := range comps {
+		masts[i] = gs.Subgraph(comp).MaximumSpanningTrees(maxMASTs)
+		trees = append(trees, masts[i]...)
+	}
+	hp.Prefetch(trees)
+
 	var pcs []*PC
-	for _, comp := range gs.Components() {
-		sub := gs.Subgraph(comp)
-		masts := sub.MaximumSpanningTrees(maxMASTs)
+	for i, comp := range comps {
 		var best *PC
-		for _, mast := range masts {
+		for _, mast := range masts[i] {
 			pc, err := solveTree(mast, db, sizes, hp, opt)
 			if err != nil {
 				return nil, fmt.Errorf("design: component %v: %w", comp, err)

@@ -210,8 +210,7 @@ func WorkloadDriven(db *table.Database, queries []Query, opt WDOptions) (*WDDesi
 		}
 		return FindOptimalPC(m, db.Schema, sizes, hp, opt.Parts)
 	}
-	solveBestMAST := func(g *graph.Graph) (*graph.Graph, *PC, error) {
-		masts := g.MaximumSpanningTrees(maxMASTs)
+	solveBestMAST := func(masts []*graph.Graph) (*graph.Graph, *PC, error) {
 		var bestTree *graph.Graph
 		var bestPC *PC
 		for _, m := range masts {
@@ -227,13 +226,23 @@ func WorkloadDriven(db *table.Database, queries []Query, opt WDOptions) (*WDDesi
 	}
 
 	// Step 1: one unit per connected component per query, each with its
-	// optimal MAST and configuration.
-	var units []*unit
-	for _, q := range queries {
+	// optimal MAST and configuration. The MASTs come first, so the
+	// histograms their search prices are built up front, in parallel.
+	masts := make([][][]*graph.Graph, len(queries))
+	var trees []*graph.Graph
+	for qi, q := range queries {
 		qg := q.Graph(sizes)
-		for i, comp := range qg.Components() {
-			sub := qg.Subgraph(comp)
-			tree, pc, err := solveBestMAST(sub)
+		for _, comp := range qg.Components() {
+			m := qg.Subgraph(comp).MaximumSpanningTrees(maxMASTs)
+			masts[qi] = append(masts[qi], m)
+			trees = append(trees, m...)
+		}
+	}
+	hp.Prefetch(trees)
+	var units []*unit
+	for qi, q := range queries {
+		for i, m := range masts[qi] {
+			tree, pc, err := solveBestMAST(m)
 			if err != nil {
 				return nil, fmt.Errorf("design: query %s: %w", q.Name, err)
 			}

@@ -5,6 +5,7 @@ import (
 	"slices"
 
 	"pref/internal/catalog"
+	"pref/internal/par"
 	"pref/internal/table"
 	"pref/internal/value"
 )
@@ -65,7 +66,18 @@ func Apply(db *table.Database, cfg *Config) (*table.PartitionedDatabase, error) 
 }
 
 // place stores every row of data into its empty table of out, whose
-// referenced tables are already placed.
+// referenced tables are already placed. It runs in three passes, so that
+// all but the cursor's bookkeeping uses every core, and builds the store
+// that placing the rows one at a time through Placer.Place builds:
+//
+//  1. On parallel workers over row chunks, each row's targets by
+//     Placer.Target; the partition index is only read.
+//  2. In row order, the rows Target left to the round-robin cursor take
+//     its slots, and each partition's row count is taken, per chunk: so
+//     every stored copy has its slot, each partition's rows in row order.
+//  3. On the same workers and chunks, each row is copied into its slots
+//     of the partitions' exactly sized columns. A worker reads its rows
+//     in order, and no two write the same slot.
 func place(data *table.Data, cfg *Config, out *table.PartitionedDatabase) error {
 	pt := out.Tables[data.Meta.Name]
 	var lookup func(value.Tuple, []int) []int
@@ -79,24 +91,61 @@ func place(data *table.Data, cfg *Config, out *table.PartitionedDatabase) error 
 	if err != nil {
 		return err
 	}
-	pt.OriginalRows = data.Len()
-	// An even share plus a little skew; PREF duplicates and range skew
-	// grow past it.
-	share := data.Len()/out.N + data.Len()/(16*out.N) + 1
-	if pt.Replicated {
-		share = data.Len()
-	}
-	for _, part := range pt.Parts {
-		part.Reserve(share)
-	}
-	for _, row := range data.Rows {
-		parts, hasRef := pl.Place(row, &pt.Cursor)
-		for i, p := range parts {
-			pt.Parts[p].Append(row, i > 0, hasRef)
+	rows := data.Rows
+	pt.OriginalRows = len(rows)
+	bounds := par.Split(len(rows), placeGrain)
+	chunks := len(bounds) - 1
+
+	targets := make([][]int, len(rows))
+	hasRef := make([]bool, len(rows))
+	par.Each(chunks, func(c int) {
+		for i := bounds[c]; i < bounds[c+1]; i++ {
+			targets[i], hasRef[i] = pl.Target(rows[i])
+		}
+	})
+
+	// slots[c][p] is the slot of chunk c's first copy in partition p.
+	width := pt.Meta.NumCols()
+	slots := make([][]int, chunks)
+	counts := make([]int, out.N)
+	for c := range slots {
+		slots[c] = slices.Clone(counts)
+		for i := bounds[c]; i < bounds[c+1]; i++ {
+			if len(rows[i]) != width {
+				return fmt.Errorf("partition: table %s: row %d has arity %d, want %d", pt.Meta.Name, i, len(rows[i]), width)
+			}
+			if targets[i] == nil {
+				targets[i] = pl.next(&pt.Cursor)
+			}
+			for _, p := range targets[i] {
+				counts[p]++
+			}
 		}
 	}
+
+	cols := make([][][]int64, out.N)
+	par.Each(out.N, func(p int) { cols[p] = pt.Parts[p].Extend(counts[p]) })
+	par.Each(chunks, func(c int) {
+		next := slots[c]
+		for i := bounds[c]; i < bounds[c+1]; i++ {
+			row, ref := rows[i], table.Flag(hasRef[i])
+			for j, p := range targets[i] {
+				dst, at := cols[p], next[p]
+				next[p]++
+				for k, v := range row {
+					dst[k][at] = v
+				}
+				dst[width][at] = table.Flag(j > 0)
+				dst[width+1][at] = ref
+			}
+		}
+	})
 	return nil
 }
+
+// placeGrain is the fewest rows a worker of place takes: a small table
+// is placed on one goroutine.
+const placeGrain = 4096
 
 // Placer is the placement rule of one table under a configuration: it maps
 // a row to the partitions that store its copies. Every row of the system
@@ -156,10 +205,9 @@ func NewPlacer(cfg *Config, meta *catalog.Table, lookup func(row value.Tuple, co
 // Place returns the partitions that store a copy of row and whether its
 // copies have a partitioning partner (hasRef). The first partition holds
 // the primary copy (dup=0), every later one a duplicate (dup=1). The
-// slice is shared with the placer and the partition index: read it before
-// the next call and never write it. cursor is the table's round-robin
-// cursor: a row placed round-robin goes to partition *cursor mod n and
-// advances it.
+// slice is shared with the placer and the partition index: never write
+// it. cursor is the table's round-robin cursor: a row placed round-robin
+// goes to partition *cursor mod n and advances it.
 //
 // A PREF row implements Definition 1: it is copied into every partition
 // holding a partner (condition 1); a row with no partner anywhere is an
@@ -167,11 +215,21 @@ func NewPlacer(cfg *Config, meta *catalog.Table, lookup func(row value.Tuple, co
 // hash-equivalent columns when the table has them, which preserves the
 // equivalence, and round-robin otherwise.
 func (pl *Placer) Place(row value.Tuple, cursor *int) (parts []int, hasRef bool) {
+	if parts, hasRef = pl.Target(row); parts == nil {
+		parts = pl.next(cursor)
+	}
+	return parts, hasRef
+}
+
+// Target is Place without the cursor: a row Place would give the
+// round-robin cursor's next slot gets nil. It writes nothing, so it is
+// safe for concurrent use whenever the placer's lookup is.
+func (pl *Placer) Target(row value.Tuple) (parts []int, hasRef bool) {
 	switch pl.method {
 	case Hash:
 		return pl.one(HashTarget(row, pl.cols, len(pl.all))), false
 	case RoundRobin:
-		return pl.next(cursor), false
+		return nil, false
 	case Range:
 		return pl.one(RangeTarget(row[pl.cols[0]], pl.bounds)), false
 	case Replicated:
@@ -183,7 +241,7 @@ func (pl *Placer) Place(row value.Tuple, cursor *int) (parts []int, hasRef bool)
 	if pl.orphanCols != nil {
 		return pl.one(HashTarget(row, pl.orphanCols, len(pl.all))), false
 	}
-	return pl.next(cursor), false
+	return nil, false
 }
 
 func (pl *Placer) one(p int) []int { return pl.all[p : p+1] }
@@ -235,24 +293,55 @@ func PartitionIndex(ref *table.Partitioned, refColNames []string) (func(row valu
 	return indexBy(ref, refCols, value.Wide), nil
 }
 
-// indexBy builds PartitionIndex's index on keys of type K.
+// indexBy builds PartitionIndex's index on keys of type K. The keys are
+// split into one shard per worker by their first column's value, and the
+// workers build the shards in parallel, each scanning every partition in
+// ascending order for the keys of its own shard.
 func indexBy[K comparable](ref *table.Partitioned, refCols []int, kb value.Keys[K]) func(value.Tuple, []int) []int {
-	idx := make(map[K]int32)
-	sets := partSets{sets: [][]int{nil}, next: make(map[[2]int32]int32)}
+	shards := make([]indexShard[K], par.Workers())
+	n := uint64(len(shards))
 	width := ref.Meta.NumCols()
-	for p, part := range ref.Parts {
-		data := part.Columns(width).Cols
-		for i, n := 0, part.Len(); i < n; i++ {
-			key := kb.At(data, i, refCols)
-			id := idx[key]
-			// Partitions are scanned in ascending order, so p is a
-			// duplicate only if it equals the last recorded partition.
-			if ps := sets.sets[id]; len(ps) == 0 || ps[len(ps)-1] != p {
-				idx[key] = sets.add(id, p)
+	par.Each(len(shards), func(s int) {
+		sh := &shards[s]
+		sh.idx = make(map[K]int32)
+		sh.sets = partSets{sets: [][]int{nil}, next: make(map[[2]int32]int32)}
+		for p, part := range ref.Parts {
+			data := part.Columns(width).Cols
+			first := data[refCols[0]]
+			for i, v := range first {
+				if n > 1 && shardOf(v, n) != s {
+					continue
+				}
+				key := kb.At(data, i, refCols)
+				id := sh.idx[key]
+				// Partitions are scanned in ascending order, so p is a
+				// duplicate only if it equals the last recorded partition.
+				if ps := sh.sets.sets[id]; len(ps) == 0 || ps[len(ps)-1] != p {
+					sh.idx[key] = sh.sets.add(id, p)
+				}
 			}
 		}
+	})
+	if n == 1 {
+		sh := &shards[0]
+		return func(row value.Tuple, cols []int) []int { return sh.sets.sets[sh.idx[kb.Of(row, cols)]] }
 	}
-	return func(row value.Tuple, cols []int) []int { return sets.sets[idx[kb.Of(row, cols)]] }
+	return func(row value.Tuple, cols []int) []int {
+		sh := &shards[shardOf(row[cols[0]], n)]
+		return sh.sets.sets[sh.idx[kb.Of(row, cols)]]
+	}
+}
+
+// indexShard is the part of a partition index whose keys one worker
+// builds: each key's interned partition set.
+type indexShard[K comparable] struct {
+	idx  map[K]int32
+	sets partSets
+}
+
+// shardOf spreads a key's first column value over n shards.
+func shardOf(v int64, n uint64) int {
+	return int((uint64(v) * 0x9e3779b97f4a7c15 >> 32) % n)
 }
 
 // partSets interns the partition sets of one partition index, so keys

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"pref/internal/catalog"
+	"pref/internal/par"
 	"pref/internal/stats"
 	"pref/internal/table"
 	"pref/internal/value"
@@ -71,33 +72,54 @@ type ColStats struct {
 // has one per row, a single-column foreign key at most as many as the
 // referenced table has rows, a string column at most its dictionary's size,
 // and any other column at most max − min + 1.
+//
+// The partitions are read on parallel workers, one partition a job; the
+// merge is exact in any order (integer counts, minima and maxima).
 func GatherStats(pdb *table.PartitionedDatabase) *Stats {
 	snap := pdb.Snapshot()
 	st := &Stats{Tables: make(map[string]*TableStats, len(pdb.Tables))}
+	type job struct {
+		ts   *TableStats
+		part *table.Partition
+		live int
+		cols []ColStats
+	}
+	var jobs []job
 	for name, pt := range pdb.Tables {
 		parts := snap.Parts(name)
 		if pt.Replicated && len(parts) > 1 {
 			parts = parts[:1]
 		}
-		w := pt.Meta.NumCols()
-		ts := &TableStats{Cols: make([]ColStats, w)}
+		ts := &TableStats{Cols: make([]ColStats, pt.Meta.NumCols())}
 		for j := range ts.Cols {
 			ts.Cols[j] = ColStats{Min: math.MaxInt64, Max: math.MinInt64}
 		}
 		for _, p := range parts {
-			cols := p.Columns(w).Cols
-			dup, live := cols[w], 0
-			for _, d := range dup {
-				if d == 0 {
-					live++
-				}
-			}
-			ts.Rows += float64(live)
-			for j := range ts.Cols {
-				ts.Cols[j].Min, ts.Cols[j].Max = valueRange(cols[j], dup, live < len(dup), ts.Cols[j].Min, ts.Cols[j].Max)
-			}
+			jobs = append(jobs, job{ts: ts, part: p})
 		}
 		st.Tables[name] = ts
+	}
+	par.Each(len(jobs), func(i int) {
+		jb := &jobs[i]
+		w := len(jb.ts.Cols)
+		cols := jb.part.Columns(w).Cols
+		dup := cols[w]
+		for _, d := range dup {
+			if d == 0 {
+				jb.live++
+			}
+		}
+		jb.cols = make([]ColStats, w)
+		for j := range jb.cols {
+			jb.cols[j].Min, jb.cols[j].Max = valueRange(cols[j], dup, jb.live < len(dup), math.MaxInt64, math.MinInt64)
+		}
+	})
+	for _, jb := range jobs {
+		jb.ts.Rows += float64(jb.live)
+		for j, c := range jb.cols {
+			cs := &jb.ts.Cols[j]
+			cs.Min, cs.Max = min(cs.Min, c.Min), max(cs.Max, c.Max)
+		}
 	}
 	for name, ts := range st.Tables {
 		meta := pdb.Tables[name].Meta

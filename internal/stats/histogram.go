@@ -122,6 +122,38 @@ func (h *Histogram) Join(other *Histogram, fn func(f, g int)) {
 	h.keys.join(other.keys, func(i, j int) { fn(h.Counts[i], other.Counts[j]) })
 }
 
+// Matches is what Join hands a caller, kept: every key two histograms
+// share, in Join's key order, with its frequencies — what the joint
+// redundancy estimator sums over, so a search that prices many
+// configurations over the same pair of histograms matches their keys once.
+type Matches struct {
+	// Freqs are the distinct frequencies f the shared keys have in the
+	// first histogram, in first-seen order.
+	Freqs []int
+	// Pairs holds one entry per shared key, in Join's order.
+	Pairs []Match
+}
+
+// Match is one key two histograms share: F indexes its frequency in the
+// first histogram in Matches.Freqs; G is its frequency in the other.
+type Match struct{ F, G int }
+
+// Match returns the keys h and other share, as Join visits them.
+func (h *Histogram) Match(other *Histogram) *Matches {
+	m := &Matches{}
+	index := map[int]int{}
+	h.Join(other, func(f, g int) {
+		i, ok := index[f]
+		if !ok {
+			i = len(m.Freqs)
+			index[f] = i
+			m.Freqs = append(m.Freqs, f)
+		}
+		m.Pairs = append(m.Pairs, Match{F: i, G: g})
+	})
+	return m
+}
+
 // mix folds a salt into a key hash (splitmix64 finalizer).
 func mix(h, salt uint64) uint64 {
 	x := h ^ salt

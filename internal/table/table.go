@@ -82,19 +82,24 @@ func NewPartition(width int) *Partition {
 	return &Partition{cols: make([][]int64, width+2)}
 }
 
-// Reserve makes room for rows stored tuples, so a bulk build that knows
-// about how many are coming does not grow the columns step by step.
-func (p *Partition) Reserve(rows int) {
+// Extend stores rows more tuple copies, all values and index bits zero,
+// and returns the columns' views of them for a bulk build to fill in
+// place: the table columns, then dup, then hasRef.
+func (p *Partition) Extend(rows int) [][]int64 {
+	views := make([][]int64, len(p.cols))
 	for j, c := range p.cols {
-		p.cols[j] = slices.Grow(c, max(0, rows-len(c)))
+		n := len(c)
+		p.cols[j] = append(c, make([]int64, rows)...)
+		views[j] = slices.Clip(p.cols[j][n:])
 	}
+	return views
 }
 
 // Append stores one tuple copy with its index bits.
 func (p *Partition) Append(t value.Tuple, dup, hasRef bool) {
 	p.AppendTorn(t)
-	p.cols[len(t)] = append(p.cols[len(t)], flag(dup))
-	p.cols[len(t)+1] = append(p.cols[len(t)+1], flag(hasRef))
+	p.cols[len(t)] = append(p.cols[len(t)], Flag(dup))
+	p.cols[len(t)+1] = append(p.cols[len(t)+1], Flag(hasRef))
 }
 
 // AppendTorn stores a tuple's values without its index entries: the state
@@ -110,7 +115,8 @@ func (p *Partition) AppendTorn(t value.Tuple) {
 	}
 }
 
-func flag(b bool) int64 {
+// Flag is the stored form of an index bit: 1 for true, 0 for false.
+func Flag(b bool) int64 {
 	if b {
 		return 1
 	}

@@ -72,7 +72,8 @@ func Generate(sf float64, seed int64) *TPCH {
 
 	// supplier
 	st := db.Schema.Table("supplier")
-	sName, sAddr, sPhone, sComment := st.Dict("name"), st.Dict("address"), st.Dict("phone"), st.Dict("comment")
+	sName, sAddr, sPhone := st.Dict("name"), st.Dict("address"), st.Dict("phone")
+	sComment := newChoices(st.Dict("comment"), suppComments...)
 	rows = newRowSlab(db, "supplier", nSupp)
 	for i := 0; i < nSupp; i++ {
 		rows.add(value.Tuple{
@@ -82,14 +83,14 @@ func Generate(sf float64, seed int64) *TPCH {
 			int64(rng.Intn(25)),
 			sPhone.Code(fmt.Sprintf("%d-555-%04d", 10+i%25, i%10000)),
 			value.FromMoney(-999.99 + rng.Float64()*10998.98),
-			sComment.Code(suppComment(rng, i)),
+			sComment.code(suppComment(i)),
 		})
 	}
 
 	// customer: phone country code 10..34 (nationkey+10 per spec).
 	ct := db.Schema.Table("customer")
 	cName, cAddr, cPhone := ct.Dict("name"), ct.Dict("address"), ct.Dict("phone")
-	cSegment, cComment := ct.Dict("mktsegment"), ct.Dict("comment")
+	cSegment, cComment := newChoices(ct.Dict("mktsegment"), segments...), newChoices(ct.Dict("comment"), "customer comment")
 	rows = newRowSlab(db, "customer", nCust)
 	for i := 0; i < nCust; i++ {
 		nk := int64(rng.Intn(25))
@@ -101,33 +102,35 @@ func Generate(sf float64, seed int64) *TPCH {
 			cPhone.Code(fmt.Sprintf("%d-555-%04d", nk+10, i%10000)),
 			nk + 10,
 			value.FromMoney(-999.99 + rng.Float64()*10998.98),
-			cSegment.Code(segments[rng.Intn(len(segments))]),
-			cComment.Code("customer comment"),
+			cSegment.code(rng.Intn(len(segments))),
+			cComment.code(0),
 		})
 	}
 
 	// part
 	pt := db.Schema.Table("part")
-	pName, pMfgr, pBrand, pType := pt.Dict("name"), pt.Dict("mfgr"), pt.Dict("brand"), pt.Dict("type")
-	pContainer, pComment := pt.Dict("container"), pt.Dict("comment")
+	pName := pt.Dict("name")
+	pMfgr := newChoicesOf(pt.Dict("mfgr"), 5, func(i int) string { return fmt.Sprintf("Manufacturer#%d", 1+i) })
+	pBrand, pType := newChoices(pt.Dict("brand"), brands...), newChoices(pt.Dict("type"), types...)
+	pContainer, pComment := newChoices(pt.Dict("container"), conts...), newChoices(pt.Dict("comment"), "part comment")
 	rows = newRowSlab(db, "part", nPart)
 	for i := 0; i < nPart; i++ {
 		rows.add(value.Tuple{
 			int64(i + 1),
 			pName.Code(fmt.Sprintf("part name %d", i+1)),
-			pMfgr.Code(fmt.Sprintf("Manufacturer#%d", 1+i%5)),
-			pBrand.Code(brands[rng.Intn(len(brands))]),
-			pType.Code(types[rng.Intn(len(types))]),
+			pMfgr.code(i % 5),
+			pBrand.code(rng.Intn(len(brands))),
+			pType.code(rng.Intn(len(types))),
 			int64(1 + rng.Intn(50)),
-			pContainer.Code(conts[rng.Intn(len(conts))]),
+			pContainer.code(rng.Intn(len(conts))),
 			value.FromMoney(900 + float64(i%200)/10),
-			pComment.Code("part comment"),
+			pComment.code(0),
 		})
 	}
 
 	// partsupp: 4 suppliers per part via the dbgen permutation so every
 	// generated lineitem (partkey, suppkey) hits an existing partsupp row.
-	psComment := db.Schema.Table("partsupp").Dict("comment")
+	psComment := newChoices(db.Schema.Table("partsupp").Dict("comment"), "partsupp comment")
 	rows = newRowSlab(db, "partsupp", 4*nPart)
 	for p := 1; p <= nPart; p++ {
 		for j := 0; j < 4; j++ {
@@ -135,7 +138,7 @@ func Generate(sf float64, seed int64) *TPCH {
 				int64(p), psSuppkey(p, j, nSupp),
 				int64(1 + rng.Intn(9999)),
 				value.FromMoney(1 + rng.Float64()*999),
-				psComment.Code("partsupp comment"),
+				psComment.code(0),
 			})
 		}
 	}
@@ -143,15 +146,17 @@ func Generate(sf float64, seed int64) *TPCH {
 	// orders + lineitem. Per the spec only two thirds of customers ever
 	// place an order (custkey % 3 != 0 in our encoding).
 	ot := db.Schema.Table("orders")
-	oStatus, oPriority, oClerk, oComment := ot.Dict("orderstatus"), ot.Dict("orderpriority"), ot.Dict("clerk"), ot.Dict("comment")
+	oStatus, oPriority := newChoices(ot.Dict("orderstatus"), "O", "F"), newChoices(ot.Dict("orderpriority"), prios...)
+	// 1000 clerks serve every order; each name is formatted once.
+	oClerk := newChoicesOf(ot.Dict("clerk"), 1001, func(n int) string { return fmt.Sprintf("Clerk#%09d", n) })
+	oComment := newChoices(ot.Dict("comment"), orderComments...)
 	lt := db.Schema.Table("lineitem")
-	lFlag, lStatus, lInstruct := lt.Dict("returnflag"), lt.Dict("linestatus"), lt.Dict("shipinstruct")
-	lMode, lComment := lt.Dict("shipmode"), lt.Dict("comment")
+	lFlag, lStatus := newChoices(lt.Dict("returnflag"), "N", "R", "A"), newChoices(lt.Dict("linestatus"), "O", "F")
+	lInstruct, lMode := newChoices(lt.Dict("shipinstruct"), instr...), newChoices(lt.Dict("shipmode"), modes...)
+	lComment := newChoices(lt.Dict("comment"), "lineitem comment")
 	orders := newRowSlab(db, "orders", nOrd)
 	// An order has 1 to 7 lines, 4 on average.
 	lines := newRowSlab(db, "lineitem", 4*nOrd)
-	// 1000 clerks serve every order; each name is formatted once.
-	clerks := make([]string, 1001)
 	startDate := value.FromDate(1992, 1, 1)
 	endDate := value.FromDate(1998, 8, 2)
 	dateRange := endDate - startDate
@@ -177,42 +182,38 @@ func Generate(sf float64, seed int64) *TPCH {
 			ship := odate + 1 + rng.Int63n(121)
 			commit := odate + 30 + rng.Int63n(61)
 			receipt := ship + 1 + rng.Int63n(30)
-			rf := "N"
+			rf := 0 // N
 			if receipt <= fillDate {
-				if rng.Intn(2) == 0 {
-					rf = "R"
-				} else {
-					rf = "A"
-				}
+				rf = 1 + rng.Intn(2) // R or A
 			}
-			ls := "O"
+			ls := 0 // O
 			if ship <= fillDate {
-				ls = "F"
+				ls = 1 // F
 			}
 			lines.add(value.Tuple{
 				int64(o), int64(pk), sk, int64(ln), qty, price, disc, tax,
-				lFlag.Code(rf),
-				lStatus.Code(ls),
+				lFlag.code(rf),
+				lStatus.code(ls),
 				ship, commit, receipt,
-				lInstruct.Code(instr[rng.Intn(len(instr))]),
-				lMode.Code(modes[rng.Intn(len(modes))]),
-				lComment.Code("lineitem comment"),
+				lInstruct.code(rng.Intn(len(instr))),
+				lMode.code(rng.Intn(len(modes))),
+				lComment.code(0),
 			})
 			total += price * (100 - disc) / 100
 		}
-		status := "O"
+		status := 0 // O
 		if odate < statusDate {
-			status = "F"
+			status = 1 // F
 		}
 		orders.add(value.Tuple{
 			int64(o), ck,
-			oStatus.Code(status),
+			oStatus.code(status),
 			total,
 			odate,
-			oPriority.Code(prios[rng.Intn(len(prios))]),
-			oClerk.Code(clerk(clerks, 1+rng.Intn(1000))),
+			oPriority.code(rng.Intn(len(prios))),
+			oClerk.code(1 + rng.Intn(1000)),
 			0,
-			oComment.Code(orderComment(rng)),
+			oComment.code(orderComment(rng)),
 		})
 	}
 	return &TPCH{DB: db, SF: sf}
@@ -245,13 +246,37 @@ func (r *rowSlab) add(t value.Tuple) {
 	r.d.MustAppend(row)
 }
 
-// clerk returns the name of clerk n, formatting it into names on first
-// use.
-func clerk(names []string, n int) string {
-	if names[n] == "" {
-		names[n] = fmt.Sprintf("Clerk#%09d", n)
+// choices codes the strings of one column that the generator picks from
+// a fixed list, by index: a string is coded through Dict.Code the first
+// time it is picked, so codes come in the order the generator first meets
+// the strings, and every later pick is a slice read.
+type choices struct {
+	d     *value.Dict
+	name  func(i int) string
+	codes []int64 // -1 until coded
+}
+
+// newChoices returns the choices of the given strings.
+func newChoices(d *value.Dict, s ...string) *choices {
+	return newChoicesOf(d, len(s), func(i int) string { return s[i] })
+}
+
+// newChoicesOf returns n choices whose i-th string is name(i), formatted
+// on first use.
+func newChoicesOf(d *value.Dict, n int, name func(i int) string) *choices {
+	c := &choices{d: d, name: name, codes: make([]int64, n)}
+	for i := range c.codes {
+		c.codes[i] = -1
 	}
-	return names[n]
+	return c
+}
+
+// code returns the code of choice i.
+func (c *choices) code(i int) int64 {
+	if c.codes[i] < 0 {
+		c.codes[i] = c.d.Code(c.name(i))
+	}
+	return c.codes[i]
 }
 
 // psSuppkey is dbgen's part→supplier permutation: supplier j of part p.
@@ -259,22 +284,28 @@ func psSuppkey(p, j, nSupp int) int64 {
 	return int64((p+j*(nSupp/4+(p-1)/nSupp))%nSupp + 1)
 }
 
+// suppComments are the supplier comments; suppComment picks one.
+var suppComments = []string{"Customer Complaints supplier", "supplier comment"}
+
 // suppComment plants the Q16 "Customer Complaints" marker in a fixed
 // fraction of supplier comments, as dbgen does.
-func suppComment(rng *rand.Rand, i int) string {
+func suppComment(i int) int {
 	if i%200 == 7 {
-		return "Customer Complaints supplier"
+		return 0
 	}
-	return "supplier comment"
+	return 1
 }
+
+// orderComments are the order comments; orderComment picks one.
+var orderComments = []string{"special requests order", "order comment"}
 
 // orderComment plants the Q13 "special requests" marker in a fraction of
 // order comments.
-func orderComment(rng *rand.Rand) string {
+func orderComment(rng *rand.Rand) int {
 	if rng.Intn(100) < 2 {
-		return "special requests order"
+		return 0
 	}
-	return "order comment"
+	return 1
 }
 
 func atLeast(min int, v float64) int {
