@@ -2,9 +2,8 @@
 // over the module and exits nonzero if any diagnostic fires. It is the CI
 // companion to go vet: vet checks generic Go mistakes, preflint checks
 // this codebase's own invariants — panic policy, context threading,
-// publish ordering (the atomic epoch store is a top-level statement and
-// nothing after it mutates what it publishes) and the batch-write rule,
-// which keeps batches immutable outside their package.
+// and publish ordering (the atomic epoch store is a top-level statement
+// and nothing after it mutates what it publishes).
 //
 // An analyzer name retired from the roster is unknown to -only/-skip and
 // exits 2: atomicdiscipline, batchownership; batchlifetime, whose pooled
@@ -14,8 +13,10 @@
 // access, unmetered shipment, unjoined fan-out) tier-1 runtime tests
 // catch; and snapshotdiscipline, intentprotocol and happensbefore, whose
 // hazards the write path's design or its deterministic tests rule out;
-// and propalias, whose aliased Prop column lists plan.Prop rules out by
-// owning them. The retired -sarif flag exits 2 as well.
+// propalias, whose aliased Prop column lists plan.Prop rules out by
+// owning them; and batchwrite, whose writes through a received batch do
+// not compile outside package batch, which keeps a Batch's columns and
+// selection vector unexported. The retired -sarif flag exits 2 as well.
 //
 // Usage:
 //

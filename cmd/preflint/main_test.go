@@ -19,7 +19,8 @@ func TestExitCodes(t *testing.T) {
 		want int
 	}{
 		{[]string{"./internal/value"}, 0},
-		{[]string{"-only", "batchwrite", "./internal/lint/testdata/src/batchwrite"}, 1},
+		{[]string{"-only", "publishorder", "./internal/lint/testdata/src/publishorder"}, 1},
+		{[]string{"-only", "batchwrite", "./internal/value"}, 2},     // retired name
 		{[]string{"-only", "batchlifetime", "./internal/value"}, 2},  // retired name
 		{[]string{"-only", "batchownership", "./internal/value"}, 2}, // retired name
 		{[]string{"-only", "partownership", "./internal/value"}, 2},  // retired name

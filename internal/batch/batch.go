@@ -8,8 +8,13 @@
 // narrows by allocating a fresh selection vector over the same columns, a
 // projection writes into a new (pooled) batch. This batch-ownership rule is
 // what lets a scan hand out zero-copy views of table storage — the same
-// arrays every concurrent query reads — and is pinned by the batchwrite
-// lint analyzer.
+// arrays every concurrent query reads. It holds by construction: the
+// columns and the selection vector are unexported, and no exported function
+// or method hands out a received batch's column or selection slice, only
+// values (At, Row, Phys) and new batches. Loops that must walk the storage
+// itself live here as kernels (Filter, Project, Int64Table, DistinctPref,
+// Writer), so a write through a received batch, direct or through a local
+// view, does not compile outside this package.
 //
 // Column vectors for materialized (non-view) batches come from a sync.Pool
 // arena keyed to the default batch capacity, so steady-state execution
@@ -32,16 +37,16 @@ const Size = 1024
 
 // Batch is one unit of columnar execution: Width column vectors of equal
 // physical length, with an optional selection vector choosing the live
-// rows. Cols hold int64-encoded values (see package value). A nil Sel means
-// every physical row is live, in storage order.
+// rows. The columns hold int64-encoded values (see package value). A nil
+// selection means every physical row is live, in storage order.
 type Batch struct {
-	// Cols are the column vectors; all have the same length. They may be
+	// cols are the column vectors; all have the same length. They may be
 	// shared, zero-copy, with table storage or with an upstream batch —
 	// never write through them unless this batch owns its columns.
-	Cols [][]int64
-	// Sel is the selection vector: indexes of live physical rows in
+	cols [][]int64
+	// sel is the selection vector: indexes of live physical rows in
 	// ascending order. nil selects all rows.
-	Sel []int32
+	sel []int32
 	// pooled marks batches whose column backing came from the pool (safe
 	// to recycle via Release). It is flipped with an atomic
 	// compare-and-swap: broadcast and one-copy gather share *Batch
@@ -55,34 +60,38 @@ func (b *Batch) Len() int {
 	if b == nil {
 		return 0
 	}
-	if b.Sel != nil {
-		return len(b.Sel)
+	if b.sel != nil {
+		return len(b.sel)
 	}
-	if len(b.Cols) == 0 {
+	if len(b.cols) == 0 {
 		return 0
 	}
-	return len(b.Cols[0])
+	return len(b.cols[0])
 }
 
 // Width reports the number of columns.
-func (b *Batch) Width() int { return len(b.Cols) }
+func (b *Batch) Width() int { return len(b.cols) }
+
+// Dense reports whether every physical row is live, in storage order: the
+// batch has no selection vector.
+func (b *Batch) Dense() bool { return b.sel == nil }
+
+// Phys returns the physical row of live row i: its index into the columns.
+func (b *Batch) Phys(i int) int {
+	if b.sel != nil {
+		return int(b.sel[i])
+	}
+	return i
+}
 
 // At returns the value of column c at live row i (selection applied).
-func (b *Batch) At(i, c int) int64 {
-	if b.Sel != nil {
-		return b.Cols[c][b.Sel[i]]
-	}
-	return b.Cols[c][i]
-}
+func (b *Batch) At(i, c int) int64 { return b.cols[c][b.Phys(i)] }
 
 // Row copies live row i into dst (len ≥ Width), returning the slice.
 func (b *Batch) Row(i int, dst []int64) []int64 {
 	dst = dst[:b.Width()]
-	phys := i
-	if b.Sel != nil {
-		phys = int(b.Sel[i])
-	}
-	for c, col := range b.Cols {
+	phys := b.Phys(i)
+	for c, col := range b.cols {
 		dst[c] = col[phys]
 	}
 	return dst
@@ -91,13 +100,13 @@ func (b *Batch) Row(i int, dst []int64) []int64 {
 // View returns a zero-copy batch over externally owned column vectors
 // (e.g. table storage). The caller promises the arrays are immutable for
 // the batch's lifetime.
-func View(cols [][]int64) *Batch { return &Batch{Cols: cols} }
+func View(cols [][]int64) *Batch { return &Batch{cols: cols} }
 
 // WithSel returns a new batch over the same columns narrowed to sel. The
 // receiver is not modified (batch-ownership rule: narrowing allocates a
 // new header, never rewrites a shared one).
 func (b *Batch) WithSel(sel []int32) *Batch {
-	return &Batch{Cols: b.Cols, Sel: sel}
+	return &Batch{cols: b.cols, sel: sel}
 }
 
 // Select returns a new batch over the subset idx of b's column vectors, in
@@ -107,9 +116,9 @@ func (b *Batch) WithSel(sel []int32) *Batch {
 func (b *Batch) Select(idx []int) *Batch {
 	cols := make([][]int64, len(idx))
 	for i, c := range idx {
-		cols[i] = b.Cols[c]
+		cols[i] = b.cols[c]
 	}
-	return &Batch{Cols: cols, Sel: b.Sel}
+	return &Batch{cols: cols, sel: b.sel}
 }
 
 // SelectAll is Select over a batch list; nil idx means every column and
@@ -146,7 +155,7 @@ func Chunks(cols [][]int64) []*Batch {
 			// received batch's columns (batch-ownership rule).
 			sub[c] = cols[c][off:end]
 		}
-		out = append(out, &Batch{Cols: sub})
+		out = append(out, &Batch{cols: sub})
 	}
 	return out
 }
@@ -202,16 +211,16 @@ func AppendRows(dst []value.Tuple, bs []*Batch) []value.Tuple {
 		// per-column gather is a single strided read stream the hardware
 		// prefetcher can follow, where row-major would hop across every
 		// column per selected row.
-		if b.Sel == nil {
+		if b.sel == nil {
 			for i := 0; i < n; i++ {
 				row := flat[i*w : i*w+w]
-				for c, col := range b.Cols {
+				for c, col := range b.cols {
 					row[c] = col[i]
 				}
 			}
 		} else {
-			for c, col := range b.Cols {
-				for i, phys := range b.Sel {
+			for c, col := range b.cols {
+				for i, phys := range b.sel {
 					flat[i*w+c] = col[phys]
 				}
 			}
@@ -227,7 +236,7 @@ func AppendRows(dst []value.Tuple, bs []*Batch) []value.Tuple {
 // preserving row order — the shape hash-join builds index with a single
 // int32 per row. A lone dense batch passes through zero-copy.
 func Flatten(bs []*Batch, width int) *Batch {
-	if len(bs) == 1 && bs[0].Sel == nil && bs[0].Width() == width {
+	if len(bs) == 1 && bs[0].sel == nil && bs[0].Width() == width {
 		return bs[0]
 	}
 	n := Rows(bs)
@@ -242,19 +251,19 @@ func Flatten(bs []*Batch, width int) *Batch {
 	off := 0
 	for _, b := range bs {
 		bn := b.Len()
-		for c := 0; c < width && c < len(b.Cols); c++ {
-			src, dst := b.Cols[c], cols[c]
-			if b.Sel == nil {
+		for c := 0; c < width && c < len(b.cols); c++ {
+			src, dst := b.cols[c], cols[c]
+			if b.sel == nil {
 				copy(dst[off:off+bn], src[:bn])
 			} else {
-				for i, phys := range b.Sel {
+				for i, phys := range b.sel {
 					dst[off+i] = src[phys]
 				}
 			}
 		}
 		off += bn
 	}
-	return &Batch{Cols: cols}
+	return &Batch{cols: cols}
 }
 
 // contiguous reassembles, zero-copy, a batch list whose chunks are adjacent
@@ -267,26 +276,26 @@ func contiguous(bs []*Batch, width, n int) *Batch {
 		return nil
 	}
 	for _, b := range bs {
-		if b.Sel != nil || b.Width() != width || b.Len() == 0 {
+		if b.sel != nil || b.Width() != width || b.Len() == 0 {
 			return nil
 		}
 	}
 	cols := make([][]int64, width)
 	for c := 0; c < width; c++ {
-		if cap(bs[0].Cols[c]) < n {
+		if cap(bs[0].cols[c]) < n {
 			return nil
 		}
-		ext := bs[0].Cols[c][:n]
-		off := len(bs[0].Cols[c])
+		ext := bs[0].cols[c][:n]
+		off := len(bs[0].cols[c])
 		for _, b := range bs[1:] {
-			if &ext[off] != &b.Cols[c][0] {
+			if &ext[off] != &b.cols[c][0] {
 				return nil
 			}
-			off += len(b.Cols[c])
+			off += len(b.cols[c])
 		}
 		cols[c] = ext
 	}
-	return &Batch{Cols: cols}
+	return &Batch{cols: cols}
 }
 
 // Writer accumulates rows into dense pooled batches of at most Size rows,
@@ -313,8 +322,8 @@ func (w *Writer) flush() {
 	if w.cur == nil {
 		return
 	}
-	for c := range w.cur.Cols {
-		w.cur.Cols[c] = w.cur.Cols[c][:w.n]
+	for c := range w.cur.cols {
+		w.cur.cols[c] = w.cur.cols[c][:w.n]
 	}
 	if w.n > 0 {
 		w.done = append(w.done, w.cur)
@@ -328,8 +337,8 @@ func (w *Writer) flush() {
 // AppendTuple appends one row given as a flat tuple.
 func (w *Writer) AppendTuple(t []int64) {
 	b := w.room()
-	for c := range b.Cols {
-		b.Cols[c] = append(b.Cols[c], t[c])
+	for c := range b.cols {
+		b.cols[c] = append(b.cols[c], t[c])
 	}
 	w.n++
 }
@@ -339,16 +348,13 @@ func (w *Writer) AppendTuple(t []int64) {
 // dropped.
 func (w *Writer) AppendFrom(src *Batch, i int) {
 	b := w.room()
-	phys := i
-	if src.Sel != nil {
-		phys = int(src.Sel[i])
-	}
-	for c := range b.Cols {
+	phys := src.Phys(i)
+	for c := range b.cols {
 		var v int64
-		if c < len(src.Cols) {
-			v = src.Cols[c][phys]
+		if c < len(src.cols) {
+			v = src.cols[c][phys]
 		}
-		b.Cols[c] = append(b.Cols[c], v)
+		b.cols[c] = append(b.cols[c], v)
 	}
 	w.n++
 }
@@ -371,19 +377,19 @@ func (w *Writer) AppendPairs(l *Batch, li []int32, r *Batch, ri []int32, null in
 		// source index keeps its check.
 		lsub := li[off : off+take]
 		rsub := ri[off : off+take]
-		for c := 0; c < lw && c < len(b.Cols); c++ {
-			col := b.Cols[c][w.n : w.n+take]
+		for c := 0; c < lw && c < len(b.cols); c++ {
+			col := b.cols[c][w.n : w.n+take]
 			col = col[:len(lsub)]
-			src := l.Cols[c]
+			src := l.cols[c]
 			for k, p := range lsub {
 				col[k] = src[p]
 			}
-			b.Cols[c] = b.Cols[c][:w.n+take]
+			b.cols[c] = b.cols[c][:w.n+take]
 		}
-		for c := lw; c < len(b.Cols); c++ {
-			col := b.Cols[c][w.n : w.n+take]
+		for c := lw; c < len(b.cols); c++ {
+			col := b.cols[c][w.n : w.n+take]
 			col = col[:len(rsub)]
-			src := r.Cols[c-lw]
+			src := r.cols[c-lw]
 			for k, p := range rsub {
 				if p >= 0 {
 					col[k] = src[p]
@@ -391,7 +397,7 @@ func (w *Writer) AppendPairs(l *Batch, li []int32, r *Batch, ri []int32, null in
 					col[k] = null
 				}
 			}
-			b.Cols[c] = b.Cols[c][:w.n+take]
+			b.cols[c] = b.cols[c][:w.n+take]
 		}
 		w.n += take
 		off += take
@@ -403,8 +409,8 @@ func (w *Writer) AppendPairs(l *Batch, li []int32, r *Batch, ri []int32, null in
 // the compaction path that turns a long list of sparse views into a few
 // dense batches.
 func (w *Writer) AppendBatch(src *Batch) {
-	if src.Sel != nil {
-		w.AppendGather(src, src.Sel)
+	if src.sel != nil {
+		w.AppendGather(src, src.sel)
 		return
 	}
 	n := src.Len()
@@ -414,16 +420,16 @@ func (w *Writer) AppendBatch(src *Batch) {
 		if room := Size - w.n; take > room {
 			take = room
 		}
-		for c := range b.Cols {
-			col := b.Cols[c][:w.n+take]
-			if c < len(src.Cols) {
-				copy(col[w.n:], src.Cols[c][off:off+take])
+		for c := range b.cols {
+			col := b.cols[c][:w.n+take]
+			if c < len(src.cols) {
+				copy(col[w.n:], src.cols[c][off:off+take])
 			} else {
 				for k := 0; k < take; k++ {
 					col[w.n+k] = 0
 				}
 			}
-			b.Cols[c] = col
+			b.cols[c] = col
 		}
 		w.n += take
 		off += take
@@ -441,11 +447,11 @@ func (w *Writer) AppendGather(src *Batch, idx []int32) {
 			take = room
 		}
 		sub := idx[off : off+take]
-		for c := range b.Cols {
-			col := b.Cols[c][w.n : w.n+take]
+		for c := range b.cols {
+			col := b.cols[c][w.n : w.n+take]
 			col = col[:len(sub)]
-			if c < len(src.Cols) {
-				sc := src.Cols[c]
+			if c < len(src.cols) {
+				sc := src.cols[c]
 				for k, p := range sub {
 					col[k] = sc[p]
 				}
@@ -454,7 +460,7 @@ func (w *Writer) AppendGather(src *Batch, idx []int32) {
 					col[k] = 0
 				}
 			}
-			b.Cols[c] = b.Cols[c][:w.n+take]
+			b.cols[c] = b.cols[c][:w.n+take]
 		}
 		w.n += take
 		off += take

@@ -129,7 +129,7 @@ func TestChunksBoundaries(t *testing.T) {
 		if !tuplesEqual(back, rows) {
 			t.Fatalf("n=%d: chunk round trip mismatch", n)
 		}
-		if n > 0 && &bs[0].Cols[0][0] != &cols[0][0] {
+		if n > 0 && &bs[0].cols[0][0] != &cols[0][0] {
 			t.Fatalf("n=%d: chunk copied instead of viewing", n)
 		}
 	}
@@ -323,8 +323,8 @@ func TestPoolRecycling(t *testing.T) {
 	// Churn the pool.
 	for i := 0; i < 50; i++ {
 		b := get(3)
-		for c := range b.Cols {
-			b.Cols[c] = append(b.Cols[c], 99, 98, 97)
+		for c := range b.cols {
+			b.cols[c] = append(b.cols[c], 99, 98, 97)
 		}
 		b.Release()
 	}

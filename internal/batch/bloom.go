@@ -33,14 +33,14 @@ func NewBloom(n int) *Bloom {
 func BloomOf(bs []*Batch, col int) *Bloom {
 	f := NewBloom(Rows(bs))
 	for _, b := range bs {
-		c := b.Cols[col]
-		if b.Sel == nil {
+		c := b.cols[col]
+		if b.sel == nil {
 			for _, k := range c {
 				f.Add(k)
 			}
 			continue
 		}
-		for _, phys := range b.Sel {
+		for _, phys := range b.sel {
 			f.Add(c[phys])
 		}
 	}
@@ -94,8 +94,8 @@ func (fs Blooms) Has(k int64) bool {
 // in column col may be held by one of the filters, and returns it. It
 // allocates nothing when sel has room for b.Len() more rows.
 func (fs Blooms) Select(sel []int32, b *Batch, col int) []int32 {
-	c := b.Cols[col]
-	if b.Sel == nil {
+	c := b.cols[col]
+	if b.sel == nil {
 		for i, k := range c {
 			if fs.Has(k) {
 				sel = append(sel, int32(i))
@@ -103,7 +103,7 @@ func (fs Blooms) Select(sel []int32, b *Batch, col int) []int32 {
 		}
 		return sel
 	}
-	for _, phys := range b.Sel {
+	for _, phys := range b.sel {
 		if fs.Has(c[phys]) {
 			sel = append(sel, phys)
 		}

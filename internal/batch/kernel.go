@@ -49,7 +49,7 @@ func appendSelected(sel []int32, b *Batch, p *plan.VPred) []int32 {
 			scratch := scratchFor(rest)
 			row := make([]int64, b.Width())
 			for _, phys := range first {
-				for c, colv := range b.Cols {
+				for c, colv := range b.cols {
 					row[c] = colv[phys]
 				}
 				if rest.EvalRow(row, scratch) {
@@ -64,11 +64,8 @@ func appendSelected(sel []int32, b *Batch, p *plan.VPred) []int32 {
 	row := make([]int64, b.Width())
 	n := b.Len()
 	for i := 0; i < n; i++ {
-		phys := i
-		if b.Sel != nil {
-			phys = int(b.Sel[i])
-		}
-		for c, colv := range b.Cols {
+		phys := b.Phys(i)
+		for c, colv := range b.cols {
 			row[c] = colv[phys]
 		}
 		if p.EvalRow(row, scratch) {
@@ -128,8 +125,8 @@ func selCmpLit(sel []int32, b *Batch, col int, op plan.CmpOp, lit int64) []int32
 	if lit == plan.Null {
 		return sel
 	}
-	c := b.Cols[col]
-	if b.Sel == nil {
+	c := b.cols[col]
+	if b.sel == nil {
 		switch op {
 		case plan.EQ:
 			for i, v := range c {
@@ -170,7 +167,7 @@ func selCmpLit(sel []int32, b *Batch, col int, op plan.CmpOp, lit int64) []int32
 		}
 		return sel
 	}
-	for _, phys := range b.Sel {
+	for _, phys := range b.sel {
 		if cmpKeep(c[phys], op, lit) {
 			sel = append(sel, phys)
 		}
@@ -208,19 +205,19 @@ func cmpKeep(v int64, op plan.CmpOp, lit int64) bool {
 func Project(b *Batch, exprs []*plan.VExpr) *Batch {
 	n := b.Len()
 	out := get(len(exprs))
-	for c := range out.Cols {
-		out.Cols[c] = grow(out.Cols[c], n)
+	for c := range out.cols {
+		out.cols[c] = grow(out.cols[c], n)
 	}
 	var row, scratch []int64
 	for c, e := range exprs {
-		dst := out.Cols[c]
+		dst := out.cols[c]
 		switch e.Op {
 		case plan.VCol:
-			src := b.Cols[e.Col]
-			if b.Sel == nil {
+			src := b.cols[e.Col]
+			if b.sel == nil {
 				copy(dst, src[:n])
 			} else {
-				for i, phys := range b.Sel {
+				for i, phys := range b.sel {
 					dst[i] = src[phys]
 				}
 			}
@@ -236,7 +233,7 @@ func Project(b *Batch, exprs []*plan.VExpr) *Batch {
 				scratch = make([]int64, len(e.Cols))
 			}
 			for i := 0; i < n; i++ {
-				out.Cols[c][i] = e.EvalRow(b.Row(i, row), scratch)
+				out.cols[c][i] = e.EvalRow(b.Row(i, row), scratch)
 			}
 		}
 	}
@@ -309,6 +306,12 @@ func BuildInt64Table(keys []int64) *Int64Table {
 	return t
 }
 
+// IndexColumn builds the Int64Table of column c over every physical row of
+// b, so the table's row ids index b's columns. The join passes its flattened
+// (dense) build side; the column is retained, not copied, and b's columns are
+// immutable to every holder outside this package.
+func IndexColumn(b *Batch, c int) *Int64Table { return BuildInt64Table(b.cols[c]) }
+
 // Head returns the first build row with key k, if any.
 func (t *Int64Table) Head(k int64) (int32, bool) {
 	h := (uint64(k) * fib64) >> t.shift
@@ -332,6 +335,54 @@ func (t *Int64Table) Next(i int32) (int32, bool) {
 	return 0, false
 }
 
+// AppendMatches is the single-key inner join's probe: for each live row of b
+// in order, it appends one pair per build row whose key equals column c's
+// value there, in chain order — b's physical row to li and the build row to
+// ri.
+func (t *Int64Table) AppendMatches(li, ri []int32, b *Batch, c int) ([]int32, []int32) {
+	key := b.cols[c]
+	if b.sel == nil {
+		for i, k := range key {
+			for r, ok := t.Head(k); ok; r, ok = t.Next(r) {
+				li = append(li, int32(i))
+				ri = append(ri, r)
+			}
+		}
+		return li, ri
+	}
+	for _, phys := range b.sel {
+		for r, ok := t.Head(key[phys]); ok; r, ok = t.Next(r) {
+			li = append(li, phys)
+			ri = append(ri, r)
+		}
+	}
+	return li, ri
+}
+
+// DistinctPref narrows b to its rows of which at least one of the dup
+// columns reads 0 or Null (Section 2.2's distinct over PREF duplicates; a
+// Null flag marks a row an outer join null-extended, which has no copy of
+// that table at all and exists exactly once). Like Filter it shares b's
+// columns under a fresh selection vector; it returns nil when no row
+// survives.
+func DistinctPref(b *Batch, dupCols []int) *Batch {
+	n := b.Len()
+	sel := make([]int32, 0, n)
+	for i := 0; i < n; i++ {
+		phys := b.Phys(i)
+		for _, j := range dupCols {
+			if v := b.cols[j][phys]; v == 0 || v == plan.Null {
+				sel = append(sel, int32(phys))
+				break
+			}
+		}
+	}
+	if len(sel) == 0 {
+		return nil
+	}
+	return b.WithSel(sel)
+}
+
 // KeyBuf is a reusable composite-key buffer for allocation-free map probes:
 // Encode fills it, and Probe indexes a map with it without interning the
 // string (the Go compiler elides the conversion's copy for map index
@@ -346,12 +397,9 @@ func NewKeyBuf(nCols int) *KeyBuf { return &KeyBuf{buf: make([]byte, 8*nCols)} }
 // Encode fills the buffer with the composite key of live row i of b over
 // cols, byte-identical to value.MakeKey on the materialized row.
 func (kb *KeyBuf) Encode(b *Batch, i int, cols []int) {
-	phys := i
-	if b.Sel != nil {
-		phys = int(b.Sel[i])
-	}
+	phys := b.Phys(i)
 	for j, c := range cols {
-		binary.LittleEndian.PutUint64(kb.buf[j*8:], uint64(b.Cols[c][phys]))
+		binary.LittleEndian.PutUint64(kb.buf[j*8:], uint64(b.cols[c][phys]))
 	}
 }
 
@@ -373,13 +421,10 @@ func HashRow(b *Batch, i int, cols []int) uint64 {
 		offset64 = 14695981039346656037
 		prime64  = 1099511628211
 	)
-	phys := i
-	if b.Sel != nil {
-		phys = int(b.Sel[i])
-	}
+	phys := b.Phys(i)
 	h := uint64(offset64)
 	for _, c := range cols {
-		v := uint64(b.Cols[c][phys])
+		v := uint64(b.cols[c][phys])
 		for s := 0; s < 64; s += 8 {
 			h ^= (v >> uint(s)) & 0xff
 			h *= prime64

@@ -24,10 +24,10 @@ func Outstanding() int64 { return outstanding.Load() }
 // get returns a dense batch with width empty pooled columns, each with
 // capacity Size.
 func get(width int) *Batch {
-	b := &Batch{Cols: make([][]int64, width)}
+	b := &Batch{cols: make([][]int64, width)}
 	b.pooled.Store(true)
-	for c := range b.Cols {
-		b.Cols[c] = colPool.Get().([]int64)[:0]
+	for c := range b.cols {
+		b.cols[c] = colPool.Get().([]int64)[:0]
 	}
 	outstanding.Add(int64(width))
 	return b
@@ -44,14 +44,14 @@ func (b *Batch) Release() {
 	if b == nil || !b.pooled.CompareAndSwap(true, false) {
 		return
 	}
-	outstanding.Add(-int64(len(b.Cols)))
-	for c := range b.Cols {
-		if cap(b.Cols[c]) == Size {
-			colPool.Put(b.Cols[c][:0])
+	outstanding.Add(-int64(len(b.cols)))
+	for c := range b.cols {
+		if cap(b.cols[c]) == Size {
+			colPool.Put(b.cols[c][:0])
 		}
-		b.Cols[c] = nil
+		b.cols[c] = nil
 	}
-	b.Sel = nil
+	b.sel = nil
 }
 
 // ReleaseAll releases every batch in the list.
@@ -73,7 +73,7 @@ func SharesPooled(out [][]*Batch, in ...[][]*Batch) bool {
 				if !b.pooled.Load() {
 					continue
 				}
-				for _, c := range b.Cols {
+				for _, c := range b.cols {
 					if lo := base(c); lo != 0 {
 						spans = append(spans, span{lo, lo + uintptr(cap(c))*8})
 					}
@@ -84,7 +84,7 @@ func SharesPooled(out [][]*Batch, in ...[][]*Batch) bool {
 	sort.Slice(spans, func(i, j int) bool { return spans[i].lo < spans[j].lo })
 	for _, bs := range out {
 		for _, b := range bs {
-			for _, c := range b.Cols {
+			for _, c := range b.cols {
 				p := base(c)
 				// The last span starting at or below p is the only one that can
 				// hold it: pooled arrays never overlap.

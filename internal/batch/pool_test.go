@@ -95,7 +95,7 @@ func TestReleaseIdempotent(t *testing.T) {
 
 	v := View([][]int64{{1, 2, 3}})
 	v.Release()
-	if v.Cols == nil || len(v.Cols[0]) != 3 {
+	if v.cols == nil || len(v.cols[0]) != 3 {
 		t.Fatal("releasing a view must not drop its storage")
 	}
 }
@@ -173,7 +173,7 @@ func TestSharesPooled(t *testing.T) {
 		{"same batch", b, true},
 		{"selection", b.WithSel([]int32{1, 3}), true},
 		{"column subset", b.Select([]int{1}), true},
-		{"offset window", View([][]int64{b.Cols[0][4:]}), true},
+		{"offset window", View([][]int64{b.cols[0][4:]}), true},
 		{"copy", fresh[0], false},
 		{"storage view", storage, false},
 	} {

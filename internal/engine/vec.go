@@ -494,7 +494,7 @@ func (ex *executor) evalJoinVec(f *frame, n *plan.JoinNode) (vparts, outKind, er
 		var kb *batch.KeyBuf
 		if len(n.RightCols) > 0 {
 			if singleKey {
-				tab = batch.BuildInt64Table(rflat.Cols[rIdx[0]])
+				tab = batch.IndexColumn(rflat, rIdx[0])
 			} else {
 				kb = batch.NewKeyBuf(len(rIdx))
 				build = make(map[value.Key][]int32, nr)
@@ -534,40 +534,19 @@ func (ex *executor) evalJoinVec(f *frame, n *plan.JoinNode) (vparts, outKind, er
 				lemit = lb.Select(lEmit)
 			}
 			liBuf, riBuf = liBuf[:0], riBuf[:0]
-			var lkey []int64
-			if singleKey {
-				lkey = lb.Cols[lIdx[0]]
-			}
 			if singleKey && residual == nil && n.Type == plan.Inner {
 				// Fused probe+emit for the dominant shape: walk the chain
 				// straight into the pair buffers, no candidate staging.
-				if lb.Sel == nil {
-					for i := 0; i < bn; i++ {
-						for ri, ok := tab.Head(lkey[i]); ok; ri, ok = tab.Next(ri) {
-							liBuf = append(liBuf, int32(i))
-							riBuf = append(riBuf, ri)
-						}
-					}
-				} else {
-					for _, lphys := range lb.Sel {
-						for ri, ok := tab.Head(lkey[lphys]); ok; ri, ok = tab.Next(ri) {
-							liBuf = append(liBuf, lphys)
-							riBuf = append(riBuf, ri)
-						}
-					}
-				}
+				liBuf, riBuf = tab.AppendMatches(liBuf, riBuf, lb, lIdx[0])
 				w.AppendPairs(lemit, liBuf, remit, riBuf, plan.Null)
 				continue
 			}
 			for i := 0; i < bn; i++ {
-				lphys := i
-				if lb.Sel != nil {
-					lphys = int(lb.Sel[i])
-				}
+				lphys := lb.Phys(i)
 				// cand collects the probe's residual-surviving matches.
 				cand = cand[:0]
 				if singleKey {
-					ri, ok := tab.Head(lkey[lphys])
+					ri, ok := tab.Head(lb.At(i, lIdx[0]))
 					for ; ok; ri, ok = tab.Next(ri) {
 						cand = append(cand, ri)
 					}
@@ -582,9 +561,7 @@ func (ex *executor) evalJoinVec(f *frame, n *plan.JoinNode) (vparts, outKind, er
 					lb.Row(i, pair[:len(ls)])
 					kept := cand[:0]
 					for _, ri := range cand {
-						for c, col := range rflat.Cols {
-							pair[len(ls)+c] = col[ri]
-						}
+						rflat.Row(int(ri), pair[len(ls):]) // dense: row ri is physical row ri
 						if residual.EvalRow(pair, scratch) {
 							kept = append(kept, ri)
 						}
@@ -678,10 +655,8 @@ func buildCols(rs plan.Schema, idx, emit []int, residual plan.BoolExpr) ([]int, 
 }
 
 // dedupVec applies the disjunctive dup=0 filter over the given dup columns
-// (Section 2.2's distinct operator) to a batch list, returning the surviving
-// batches and row count; no movement involved. A Null dup flag means the row
-// was null-extended by an outer join (it has no copy of that table at all)
-// and is kept — such rows exist exactly once.
+// (Section 2.2's distinct operator, batch.DistinctPref) to a batch list,
+// returning the surviving batches and row count; no movement involved.
 func dedupVec(bs []*batch.Batch, dupIdx []int) ([]*batch.Batch, int) {
 	if len(dupIdx) == 0 {
 		return bs, batch.Rows(bs)
@@ -689,23 +664,9 @@ func dedupVec(bs []*batch.Batch, dupIdx []int) ([]*batch.Batch, int) {
 	out := make([]*batch.Batch, 0, len(bs))
 	kept := 0
 	for _, b := range bs {
-		bn := b.Len()
-		sel := make([]int32, 0, bn)
-		for i := 0; i < bn; i++ {
-			phys := i
-			if b.Sel != nil {
-				phys = int(b.Sel[i])
-			}
-			for _, j := range dupIdx {
-				if v := b.Cols[j][phys]; v == 0 || v == plan.Null {
-					sel = append(sel, int32(phys))
-					break
-				}
-			}
-		}
-		if len(sel) > 0 {
-			out = append(out, b.WithSel(sel))
-			kept += len(sel)
+		if fb := batch.DistinctPref(b, dupIdx); fb != nil {
+			out = append(out, fb)
+			kept += fb.Len()
 		}
 	}
 	return out, kept
@@ -977,7 +938,7 @@ func (ex *executor) evalGatherVec(f *frame, n *plan.GatherNode) (vparts, outKind
 			}
 		}
 		for _, b := range in[p] {
-			if b.Sel != nil {
+			if !b.Dense() {
 				sparse = true
 			}
 		}

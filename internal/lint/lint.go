@@ -22,14 +22,14 @@
 //     of a goto-free function body and the function's only publish; then
 //     the statements after it are exactly what runs after it, and none of
 //     them may mutate the published receiver or the stored value.
-//   - batchwrite: outside the batch package nothing writes through a
-//     Batch, directly (b.Sel = …) or through a local view of its columns
-//     (cols := b.Cols; cols[0][i] = …), so scans can share storage
-//     zero-copy across concurrent queries.
 //
 // Hazards a type rules out have no analyzer: plan.Prop owns its column
 // lists (unexported, copied on Set, read through clipped views), so no
-// append through one Prop can corrupt another or a plan node.
+// append through one Prop can corrupt another or a plan node; and a
+// batch.Batch keeps its columns and selection vector unexported, handing
+// out values and new batches only, so a write through a received batch
+// (which scans share zero-copy across concurrent queries) does not compile
+// outside package batch, directly or through a local view.
 //
 // Hazards a deterministic tier-1 runtime law already catches have no
 // analyzer either: cross-partition access, unmetered shipments and unjoined
@@ -110,7 +110,7 @@ type Analyzer struct {
 // driver runs them.
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
-		InvariantPanic, CtxThread, PublishOrder, BatchWrite,
+		InvariantPanic, CtxThread, PublishOrder,
 	}
 }
 

@@ -19,19 +19,19 @@ func TestSelectAnalyzersDefault(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The roster, in driver order.
-	want := "invariantpanic ctxthread publishorder batchwrite"
+	want := "invariantpanic ctxthread publishorder"
 	if got := strings.Join(names(got), " "); got != want {
 		t.Fatalf("no filters must keep the full roster:\ngot  %s\nwant %s", got, want)
 	}
 }
 
 func TestSelectAnalyzersOnly(t *testing.T) {
-	got, err := SelectAnalyzers(Analyzers(), "batchwrite, invariantpanic", "")
+	got, err := SelectAnalyzers(Analyzers(), "publishorder, invariantpanic", "")
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Roster order is preserved regardless of flag order.
-	want := []string{"invariantpanic", "batchwrite"}
+	want := []string{"invariantpanic", "publishorder"}
 	if strings.Join(names(got), " ") != strings.Join(want, " ") {
 		t.Fatalf("got %v, want %v", names(got), want)
 	}
@@ -39,7 +39,7 @@ func TestSelectAnalyzersOnly(t *testing.T) {
 
 func TestSelectAnalyzersSkip(t *testing.T) {
 	all := Analyzers()
-	got, err := SelectAnalyzers(all, "", "batchwrite")
+	got, err := SelectAnalyzers(all, "", "publishorder")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,14 +47,14 @@ func TestSelectAnalyzersSkip(t *testing.T) {
 		t.Fatalf("skip of one analyzer: got %d, want %d", len(got), len(all)-1)
 	}
 	for _, a := range got {
-		if a.Name == "batchwrite" {
+		if a.Name == "publishorder" {
 			t.Fatal("skipped analyzer still in the selection")
 		}
 	}
 }
 
 func TestSelectAnalyzersOnlyThenSkip(t *testing.T) {
-	got, err := SelectAnalyzers(Analyzers(), "publishorder,batchwrite", "batchwrite")
+	got, err := SelectAnalyzers(Analyzers(), "publishorder,ctxthread", "ctxthread")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,14 +69,17 @@ func TestSelectAnalyzersUnknown(t *testing.T) {
 	} else if !strings.Contains(err.Error(), "nosuchanalyzer") {
 		t.Fatalf("error should name the offender: %v", err)
 	}
-	if _, err := SelectAnalyzers(Analyzers(), "", "batchwrit"); err == nil {
+	if _, err := SelectAnalyzers(Analyzers(), "", "publishordr"); err == nil {
 		t.Fatal("unknown -skip name must error: a typo would disable a gate")
 	}
 	// A retired analyzer is unknown like any other name: Prop's column
-	// lists are owned by construction, so propalias has nothing to check.
-	for _, flags := range [][2]string{{"propalias", ""}, {"", "propalias"}} {
-		if _, err := SelectAnalyzers(Analyzers(), flags[0], flags[1]); err == nil || !strings.Contains(err.Error(), "propalias") {
-			t.Fatalf("-only %q -skip %q: got %v, want an error naming propalias", flags[0], flags[1], err)
+	// lists and a Batch's storage are owned by construction, so propalias
+	// and batchwrite have nothing to check.
+	for _, name := range []string{"propalias", "batchwrite"} {
+		for _, flags := range [][2]string{{name, ""}, {"", name}} {
+			if _, err := SelectAnalyzers(Analyzers(), flags[0], flags[1]); err == nil || !strings.Contains(err.Error(), name) {
+				t.Fatalf("-only %q -skip %q: got %v, want an error naming %s", flags[0], flags[1], err, name)
+			}
 		}
 	}
 }

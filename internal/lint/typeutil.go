@@ -35,27 +35,6 @@ func calleePkgFunc(p *Pass, call *ast.CallExpr) (pkgPath, name string) {
 	return pkg.Path(), sel.Sel.Name
 }
 
-// exprString renders a short expression for diagnostics: identifiers,
-// selector chains and simple index chains (bs[0], w.cur); parens and
-// derefs are dropped and anything else is elided as "...".
-func exprString(e ast.Expr) string {
-	switch e := e.(type) {
-	case *ast.Ident:
-		return e.Name
-	case *ast.SelectorExpr:
-		return exprString(e.X) + "." + e.Sel.Name
-	case *ast.ParenExpr:
-		return exprString(e.X)
-	case *ast.StarExpr:
-		return exprString(e.X)
-	case *ast.IndexExpr:
-		return exprString(e.X) + "[" + exprString(e.Index) + "]"
-	case *ast.BasicLit:
-		return e.Value
-	}
-	return "..."
-}
-
 // exprType returns the static type of an expression (nil when untyped).
 func exprType(p *Pass, e ast.Expr) types.Type {
 	tv, ok := p.TypesInfo.Types[e]

@@ -27,8 +27,9 @@ type TenantConfig struct {
 }
 
 // validateTenants rejects what no default repairs: a repeated name, whose
-// later entry would silently replace the earlier lane, and a NaN or ±Inf
-// Weight, Rate or Burst.
+// later entry would silently replace the earlier lane; a NaN or ±Inf
+// Weight, Rate or Burst; and a rate-limited tenant whose Burst is in (0, 1),
+// whose bucket would never hold the one token a submission takes.
 func validateTenants(tcs []TenantConfig) error {
 	seen := make(map[string]bool, len(tcs))
 	for _, tc := range tcs {
@@ -41,6 +42,9 @@ func validateTenants(tcs []TenantConfig) error {
 				return fmt.Errorf("serve: tenant %q: Weight %v, Rate %v, Burst %v: each must be finite",
 					tc.Name, tc.Weight, tc.Rate, tc.Burst)
 			}
+		}
+		if tc.Rate > 0 && tc.Burst > 0 && tc.Burst < 1 {
+			return fmt.Errorf("serve: tenant %q: Burst %v is below one query, so no submission is ever admitted", tc.Name, tc.Burst)
 		}
 	}
 	return nil

@@ -26,6 +26,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -64,7 +65,8 @@ type Options struct {
 	QueueTimeout  time.Duration
 
 	// ShedThreshold is the load — (running+queued)/slots — above which
-	// cost-priced shedding starts (default 1.5).
+	// cost-priced shedding starts (default 1.5; +Inf never sheds, NaN is
+	// an error).
 	ShedThreshold float64
 
 	// MaxAttempts bounds executions per query including the first
@@ -194,6 +196,9 @@ func NewServer(opt Options) (*Server, error) {
 	}
 	if err := validateTenants(opt.Tenants); err != nil {
 		return nil, err
+	}
+	if math.IsNaN(opt.ShedThreshold) {
+		return nil, errors.New("serve: ShedThreshold is NaN")
 	}
 	pdb := opt.PDB
 	if pdb == nil {

@@ -140,6 +140,8 @@ func TestNewServerValidatesTenants(t *testing.T) {
 		{"NaN weight", []TenantConfig{{Name: "a", Weight: nan}}, "must be finite"},
 		{"+Inf rate", []TenantConfig{{Name: "a", Rate: inf}}, "must be finite"},
 		{"-Inf burst", []TenantConfig{{Name: "a", Burst: -inf}}, "must be finite"},
+		{"burst below one token", []TenantConfig{{Name: "a", Rate: 5, Burst: 0.5}}, "below one query"},
+		{"burst below one, no rate limit", []TenantConfig{{Name: "a", Burst: 0.5}}, ""},
 	} {
 		s, err := NewServer(Options{DB: db, Config: cfg, Queries: testQueries(), Tenants: tc.tenants})
 		if s != nil {
@@ -151,6 +153,32 @@ func TestNewServerValidatesTenants(t *testing.T) {
 		case tc.wantErr != "" && (err == nil || !strings.Contains(err.Error(), tc.wantErr)):
 			t.Errorf("%s: err = %v, want one containing %q", tc.name, err, tc.wantErr)
 		}
+	}
+}
+
+// TestNewServerValidatesShedThreshold: a NaN threshold compares false with
+// every load, so it would shed every query once one had completed; it is
+// refused. +Inf means never shed.
+func TestNewServerValidatesShedThreshold(t *testing.T) {
+	db, cfg := testServeDB()
+	opt := Options{DB: db, Config: cfg, Queries: testQueries(), Tenants: []TenantConfig{{Name: "a"}}}
+	opt.ShedThreshold = math.NaN()
+	if s, err := NewServer(opt); err == nil || !strings.Contains(err.Error(), "ShedThreshold") {
+		if s != nil {
+			s.Close(context.Background())
+		}
+		t.Fatalf("NaN ShedThreshold: err = %v, want a ShedThreshold error", err)
+	}
+	opt.ShedThreshold = math.Inf(1)
+	s, err := NewServer(opt)
+	if err != nil {
+		t.Fatalf("+Inf ShedThreshold rejected: %v", err)
+	}
+	s.Close(context.Background())
+	sh := newShedder(math.Inf(1))
+	sh.observe(10 * time.Millisecond)
+	if ok, _ := sh.admit(1e9, time.Hour); !ok {
+		t.Fatal("+Inf threshold shed a query")
 	}
 }
 
