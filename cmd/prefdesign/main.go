@@ -33,7 +33,7 @@ func main() {
 		dssf      = flag.Float64("dssf", 1.0, "TPC-DS scale factor (micro scale)")
 		seed      = flag.Int64("seed", 42, "generator seed")
 		sample    = flag.Float64("sample", 1.0, "histogram sampling rate in (0,1]")
-		noRed     = flag.Bool("no-redundancy", false, "forbid redundancy on all designed tables (SD only)")
+		noRed     = flag.Bool("no-redundancy", false, "forbid redundancy on all designed tables")
 		keepSmall = flag.Bool("keep-small", false, "keep small tables in the design instead of replicating them")
 		out       = flag.String("o", "", "write the resulting configuration(s) as JSON to this file")
 	)
@@ -112,9 +112,11 @@ func run(benchmark, algo string, parts int, sf, dssf float64, seed int64, sample
 		}
 
 	case "wd":
-		wd, err := pref.WorkloadDriven(designDB, workload, pref.WDOptions{
-			Parts: parts, SampleRate: sample, SampleSeed: seed,
-		})
+		opt := pref.WDOptions{Parts: parts, SampleRate: sample, SampleSeed: seed}
+		if noRed {
+			opt.NoRedundancy = designDB.Schema.TableNames()
+		}
+		wd, err := pref.WorkloadDriven(designDB, workload, opt)
 		if err != nil {
 			return err
 		}

@@ -1,11 +1,17 @@
 package main
 
 import (
+	"encoding/json"
 	"math"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
+	"pref/internal/design"
+	"pref/internal/partition"
 	"pref/internal/testutil"
+	"pref/internal/tpch"
 )
 
 // TestRunRejectsSampleRateOutOfRange: a -sample outside [0, 1] is an error
@@ -70,6 +76,49 @@ func TestRunRejectsBadScale(t *testing.T) {
 			}
 			if out != "" {
 				t.Errorf("%s %v printed:\n%s", tc.flag, bad, out)
+			}
+		}
+	}
+}
+
+// TestRunWDNoRedundancy: -algo wd -no-redundancy bars every designed
+// table from redundancy in each WD group — its estimated size in the
+// written configuration is its row count, to within the search's 1e-6 —
+// so the design differs from the unconstrained one.
+func TestRunWDNoRedundancy(t *testing.T) {
+	const sf, parts = 0.01, 4
+	designs := map[bool]string{}
+	var constrained []*partition.Config
+	for _, noRed := range []bool{false, true} {
+		path := filepath.Join(t.TempDir(), "wd.json")
+		out := testutil.CaptureStdout(t, func() error {
+			return run("tpch", "wd", parts, sf, 1, 42, 1, noRed, false, path)
+		})
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		designs[noRed] = strings.ReplaceAll(out, path, "") + string(data)
+		if noRed {
+			if err := json.Unmarshal(data, &constrained); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if designs[false] == designs[true] {
+		t.Fatalf("-no-redundancy printed and wrote the unconstrained design:\n%s", designs[true])
+	}
+	db := tpch.Generate(sf, 42).DB.Without(tpch.SmallTables()...)
+	sizes := design.SizesOf(db)
+	hp := design.NewHistProvider(db, 0, 0)
+	for gi, cfg := range constrained {
+		est, err := design.EstimateConfig(cfg, sizes, hp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, tbl := range cfg.Names() {
+			if rows := float64(sizes[tbl]); math.Abs(est.PerTable[tbl]-rows) > rows*1e-6 {
+				t.Errorf("group %d: %s is estimated at %v rows, its row count is %v", gi, tbl, est.PerTable[tbl], rows)
 			}
 		}
 	}

@@ -29,27 +29,15 @@ func AblationSpanningTree(p Params) (*Report, error) {
 	gs := design.SchemaGraph(reduced.Schema, sizes)
 
 	build := func(tree *graph.Graph) (float64, float64, error) {
-		var pcs []*design.PC
-		for _, comp := range tree.Components() {
-			pc, err := design.FindOptimalPC(tree.Subgraph(comp), reduced.Schema, sizes, hp, p.Parts)
-			if err != nil {
-				return 0, 0, err
-			}
-			pcs = append(pcs, pc)
-		}
-		eco := graph.New()
-		cfg := partition.NewConfig(p.Parts)
-		for _, pc := range pcs {
-			eco = eco.Union(pc.Eco)
-			for tb, sc := range pc.Config.Schemes {
-				cfg.Schemes[tb] = sc
-			}
-		}
-		pdb, err := partition.Apply(reduced, cfg)
+		pc, err := design.Solve(design.OwnMASTs(tree), reduced.Schema, sizes, hp, p.Parts, nil)
 		if err != nil {
 			return 0, 0, err
 		}
-		return graph.DataLocality(gs, eco), pdb.DataRedundancy(), nil
+		pdb, err := partition.Apply(reduced, pc.Config)
+		if err != nil {
+			return 0, 0, err
+		}
+		return graph.DataLocality(gs, pc.Eco), pdb.DataRedundancy(), nil
 	}
 
 	mast := gs.MaximumSpanningTree()

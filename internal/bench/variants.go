@@ -181,7 +181,7 @@ func sameStrings(a, b []string) bool {
 
 // tpchVariantTable is the Section 5.1 variant set in presentation order:
 // one constructor per name, so a caller that serves one variant designs
-// only that one (SD runs the SD search, WD the dynamic program; the rest
+// only that one (SD runs the SD search, WD the workload search; the rest
 // are closed-form).
 var tpchVariantTable = []struct {
 	name  string
@@ -219,7 +219,7 @@ var tpchVariantTable = []struct {
 	{"WD", func(db *table.Database, n int) (*Variant, error) {
 		excluded := tpch.SmallTables()
 		wd, err := design.WorkloadDriven(db.Without(excluded...),
-			tpch.WorkloadWithout(excluded...), design.WDOptions{Parts: n})
+			design.FilterWorkload(tpch.Workload(), excluded), design.WDOptions{Parts: n})
 		if err != nil {
 			return nil, err
 		}

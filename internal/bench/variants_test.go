@@ -30,7 +30,7 @@ func TestWDRoutesToItsGroup(t *testing.T) {
 		workload  []design.Query
 		minGroups int
 	}{
-		{"TPC-H", th.DB, tpch.SmallTables(), tpch.WorkloadWithout(tpch.SmallTables()...), 2},
+		{"TPC-H", th.DB, tpch.SmallTables(), design.FilterWorkload(tpch.Workload(), tpch.SmallTables()), 2},
 		{"TPC-DS", ds.DB, dsSmall, design.FilterWorkload(tpcds.Workload(), dsSmall), 11},
 	} {
 		wd, err := design.WorkloadDriven(tc.db.Without(tc.small...), tc.workload, design.WDOptions{Parts: p.Parts})

@@ -138,9 +138,9 @@ func memoized[K comparable, V any](mu *sync.Mutex, m map[K]V, k K, build func() 
 }
 
 // Prefetch builds, on parallel workers, what EstimateConfig reads when
-// it prices the single-seed configurations of the given trees —
-// FindOptimalPC's whole search, and most of what the constrained and
-// merged searches read: first the histograms, largest table first, then
+// it prices the single-seed configurations of the given trees — Solve's
+// whole search without constraints, and most of what it reads with them
+// and on merged trees: first the histograms, largest table first, then
 // the keys each referenced/referencing pair shares. What it cannot build
 // is left to the search, which reports why.
 func (h *HistProvider) Prefetch(trees []*graph.Graph) {

@@ -2,7 +2,6 @@ package design
 
 import (
 	"fmt"
-	"math"
 	"sort"
 
 	"pref/internal/catalog"
@@ -10,13 +9,15 @@ import (
 	"pref/internal/partition"
 )
 
-// PC bundles a partitioning configuration with its estimate and the edges
-// it actually co-partitions on (Eco ⊆ tree edges; edges cut between
-// multi-seed regions are excluded).
+// PC bundles a partitioning configuration with its estimate, the spanning
+// forest it was built on, and the edges it actually co-partitions on
+// (Eco ⊆ Tree's edges; edges cut between multi-seed regions are
+// excluded).
 type PC struct {
 	Config *partition.Config
 	Est    *Estimate
 	Seeds  []string
+	Tree   *graph.Graph
 	Eco    *graph.Graph
 }
 
@@ -111,127 +112,83 @@ func seedHashCols(tree *graph.Graph, seed string, schema *catalog.Schema) []stri
 	return nil
 }
 
-// FindOptimalPC is Listing 1: enumerate one configuration per candidate
-// seed table of the tree and return the one minimizing the estimated
-// partitioned size. The tree must be connected.
-func FindOptimalPC(tree *graph.Graph, schema *catalog.Schema, sizes Sizes, hp *HistProvider, n int) (*PC, error) {
-	sets := make([][]string, 0, tree.NumNodes())
-	for _, node := range tree.Nodes() {
-		sets = append(sets, []string{node})
-	}
-	return findBestPC(tree, sets, schema, sizes, hp, n, nil)
-}
+// maxSetsPerK caps the seed sets Solve tries per MAST and k, a safety
+// valve for very wide schemas: constraints hold at small k in practice
+// (TPC-H needs k = 2), far below the cap.
+const maxSetsPerK = 20000
 
-// findBestPC evaluates candidate seed sets and returns the PC with the
-// minimum estimated size that satisfies the validity predicate (nil =
-// always valid). Errors building individual candidates abort the search;
-// an empty result yields an error.
-func findBestPC(tree *graph.Graph, candidateSets [][]string, schema *catalog.Schema,
-	sizes Sizes, hp *HistProvider, n int, valid func(*PC) bool) (*PC, error) {
-
-	var best *PC
-	bestSize := math.Inf(1)
-	for _, seeds := range candidateSets {
-		cfg, eco, err := BuildPC(tree, seeds, schema, n)
-		if err != nil {
-			return nil, err
-		}
-		est, err := EstimateConfig(cfg, sizes, hp)
-		if err != nil {
-			return nil, err
-		}
-		pc := &PC{Config: cfg, Est: est, Seeds: seeds, Eco: eco}
-		if valid != nil && !valid(pc) {
-			continue
-		}
-		if est.Total < bestSize {
-			best, bestSize = pc, est.Total
-		}
-	}
-	if best == nil {
-		return nil, fmt.Errorf("design: no valid partitioning configuration found")
-	}
-	return best, nil
-}
-
-// FindOptimalPCConstrained extends the enumeration per Section 3.4: it
-// searches seed sets of increasing size k, up to every table of the tree,
-// and returns the first k's best configuration whose no-redundancy
-// constraints hold. Data-locality is monotonically non-increasing in k, so
-// stopping at the smallest feasible k yields the maximal-locality
-// configuration satisfying the constraints.
-func FindOptimalPCConstrained(tree *graph.Graph, schema *catalog.Schema, sizes Sizes,
-	hp *HistProvider, n int, noRedundancy []string) (*PC, error) {
-
-	nodes := tree.Nodes()
-	noRed := map[string]bool{}
-	for _, t := range noRedundancy {
-		if tree.HasNode(t) {
-			noRed[t] = true
-		}
-	}
-	const eps = 1e-6
-	valid := func(pc *PC) bool {
-		for t := range noRed {
-			if pc.Est.PerTable[t] > float64(sizes[t])*(1+eps) {
-				return false
+// Solve is the design search of Listing 1 with the no-redundancy
+// constraints of Section 3.4. comps holds each connected component's
+// MASTs (a tree is its own only MAST). Per component, it tries seed sets
+// of growing size k on every MAST and stops at the first k where some
+// configuration keeps the noRedundancy tables duplicate-free; without
+// constraints that is k = 1. better picks among all seed sets of that k,
+// and so among the MASTs. Each set is built and estimated once, and
+// mergePCs joins the components' winners.
+func Solve(comps [][]*graph.Graph, schema *catalog.Schema, sizes Sizes, hp *HistProvider, n int, noRedundancy []string) (*PC, error) {
+	pcs := make([]*PC, len(comps))
+	for i, masts := range comps {
+		for k := 1; pcs[i] == nil && k <= masts[0].NumNodes(); k++ {
+			for _, tree := range masts {
+				var sets [][]string
+				combinations(tree.Nodes(), k, func(set []string) {
+					if len(sets) < maxSetsPerK {
+						sets = append(sets, append([]string(nil), set...))
+					}
+				})
+				for _, seeds := range sets {
+					cfg, eco, err := BuildPC(tree, seeds, schema, n)
+					if err != nil {
+						return nil, err
+					}
+					est, err := EstimateConfig(cfg, sizes, hp)
+					if err != nil {
+						return nil, err
+					}
+					pc := &PC{Config: cfg, Est: est, Seeds: seeds, Tree: tree, Eco: eco}
+					if duplicateFree(est, sizes, noRedundancy) && (pcs[i] == nil || better(pc, pcs[i])) {
+						pcs[i] = pc
+					}
+				}
 			}
 		}
-		return true
-	}
-
-	// Safety valve for very wide schemas: cap the number of seed sets
-	// evaluated per k. In practice constraints are satisfied at small k
-	// (TPC-H needs k=2), far below the cap.
-	const maxSetsPerK = 20000
-	for k := 1; k <= len(nodes); k++ {
-		var sets [][]string
-		combinations(nodes, k, func(set []string) {
-			if len(sets) < maxSetsPerK {
-				sets = append(sets, append([]string(nil), set...))
-			}
-		})
-		best, err := findBestPC(tree, sets, schema, sizes, hp, n, valid)
-		if err == nil {
-			// Among same-k candidates, prefer higher locality, then size.
-			// findBestPC already minimized size; recheck locality among
-			// minimal sizes is subsumed because all k-seed configs on a
-			// tree cut exactly k−1 edges only when seeds split regions —
-			// we select max-DL via a second pass.
-			best = refineForLocality(tree, sets, schema, sizes, hp, n, valid, best)
-			return best, nil
+		if pcs[i] == nil {
+			return nil, fmt.Errorf("design: component %v: constraints unsatisfiable with any seed set", masts[0].Nodes())
 		}
 	}
-	return nil, fmt.Errorf("design: constraints unsatisfiable with up to %d seeds", len(nodes))
+	return mergePCs(n, pcs), nil
 }
 
-// refineForLocality re-evaluates the candidate sets preferring (1) maximal
-// kept co-partitioning weight, (2) minimal estimated size.
-func refineForLocality(tree *graph.Graph, sets [][]string, schema *catalog.Schema,
-	sizes Sizes, hp *HistProvider, n int, valid func(*PC) bool, fallback *PC) *PC {
+// OwnMASTs splits a forest into its trees, each its own only MAST, as
+// Solve takes them.
+func OwnMASTs(forest *graph.Graph) [][]*graph.Graph {
+	var comps [][]*graph.Graph
+	for _, comp := range forest.Components() {
+		comps = append(comps, []*graph.Graph{forest.Subgraph(comp)})
+	}
+	return comps
+}
 
-	best := fallback
-	bestW := int64(-1)
-	bestSize := math.Inf(1)
-	for _, seeds := range sets {
-		cfg, eco, err := BuildPC(tree, seeds, schema, n)
-		if err != nil {
-			continue
-		}
-		est, err := EstimateConfig(cfg, sizes, hp)
-		if err != nil {
-			continue
-		}
-		pc := &PC{Config: cfg, Est: est, Seeds: seeds, Eco: eco}
-		if valid != nil && !valid(pc) {
-			continue
-		}
-		w := eco.TotalWeight()
-		if w > bestW || (w == bestW && est.Total < bestSize) {
-			best, bestW, bestSize = pc, w, est.Total
+// duplicateFree reports whether the estimate keeps every listed table at
+// its original size (to within 1e-6); tables it does not cover pass.
+func duplicateFree(est *Estimate, sizes Sizes, tables []string) bool {
+	for _, t := range tables {
+		if est.PerTable[t] > float64(sizes[t])*(1+1e-6) {
+			return false
 		}
 	}
-	return best
+	return true
+}
+
+// better is the one ranking of configurations, of seed sets and of MASTs
+// alike: more kept co-partitioning weight (locality) first, smaller
+// estimated size second; on a tie the incumbent stays.
+func better(a, b *PC) bool {
+	wa, wb := a.Eco.TotalWeight(), b.Eco.TotalWeight()
+	if wa != wb {
+		return wa > wb
+	}
+	return a.Est.Total < b.Est.Total
 }
 
 // combinations invokes fn with every k-subset of items (in lexicographic
@@ -265,17 +222,17 @@ func combinations(items []string, k int, fn func([]string)) {
 	}
 }
 
-// mergePCs combines per-component PCs into one config/estimate/eco triple.
+// mergePCs combines per-component PCs into one.
 func mergePCs(n int, pcs []*PC) *PC {
 	cfg := partition.NewConfig(n)
-	eco := graph.New()
+	tree, eco := graph.New(), graph.New()
 	est := &Estimate{PerTable: map[string]float64{}}
 	var seeds []string
 	for _, pc := range pcs {
 		for t, s := range pc.Config.Schemes {
 			cfg.Schemes[t] = s
 		}
-		eco = eco.Union(pc.Eco)
+		tree, eco = tree.Union(pc.Tree), eco.Union(pc.Eco)
 		for t, v := range pc.Est.PerTable {
 			est.PerTable[t] = v
 		}
@@ -284,5 +241,5 @@ func mergePCs(n int, pcs []*PC) *PC {
 		seeds = append(seeds, pc.Seeds...)
 	}
 	sort.Strings(seeds)
-	return &PC{Config: cfg, Est: est, Seeds: seeds, Eco: eco}
+	return &PC{Config: cfg, Est: est, Seeds: seeds, Tree: tree, Eco: eco}
 }

@@ -32,18 +32,24 @@ func searchInputs() []searchInput {
 	ds := tpcds.Generate(0.5, 42)
 	hdb := h.DB.Without(tpch.SmallTables()...)
 	dsdb := ds.DB.Without(tpcds.SmallTables()...)
-	var wd []*graph.Graph
-	for _, q := range design.FilterWorkload(tpch.Workload(), tpch.SmallTables()) {
-		qg := q.Graph(design.SizesOf(hdb))
-		for _, comp := range qg.Components() {
-			wd = append(wd, qg.Subgraph(comp).MaximumSpanningTrees(3)...)
-		}
-	}
 	return []searchInput{
 		{"tpch sd", hdb, schemaTrees(hdb)},
-		{"tpch wd", hdb, wd},
+		{"tpch wd", hdb, workloadTrees(hdb, tpch.Workload(), tpch.SmallTables())},
 		{"tpcds sd", dsdb, schemaTrees(dsdb)},
 	}
+}
+
+// workloadTrees are the MASTs of every component of every query's join
+// graph, small tables filtered out as WD's callers do.
+func workloadTrees(db *table.Database, wl []design.Query, small []string) []*graph.Graph {
+	var trees []*graph.Graph
+	for _, q := range design.FilterWorkload(wl, small) {
+		qg := q.Graph(design.SizesOf(db))
+		for _, comp := range qg.Components() {
+			trees = append(trees, qg.Subgraph(comp).MaximumSpanningTrees(3)...)
+		}
+	}
+	return trees
 }
 
 // schemaTrees are the MASTs of every component of db's schema graph.
@@ -57,14 +63,15 @@ func schemaTrees(db *table.Database) []*graph.Graph {
 }
 
 // TestPrefetchIsWhatTheSearchReads: Prefetch builds exactly the
-// histograms FindOptimalPC reads over the same trees — the search builds
-// none on demand, and a search without Prefetch builds the same set.
+// histograms an unconstrained Solve reads over the same trees — the
+// search builds none on demand, and a search without Prefetch builds the
+// same set.
 func TestPrefetchIsWhatTheSearchReads(t *testing.T) {
 	for _, in := range searchInputs() {
 		sizes := design.SizesOf(in.db)
 		search := func(hp *design.HistProvider) {
 			for _, tree := range in.trees {
-				if _, err := design.FindOptimalPC(tree, in.db.Schema, sizes, hp, 4); err != nil {
+				if _, err := design.Solve([][]*graph.Graph{{tree}}, in.db.Schema, sizes, hp, 4, nil); err != nil {
 					t.Fatalf("%s: %v", in.name, err)
 				}
 			}

@@ -70,21 +70,10 @@ func SchemaDriven(db *table.Database, opt SDOptions) (*Design, error) {
 	}
 	hp.Prefetch(trees)
 
-	var pcs []*PC
-	for i, comp := range comps {
-		var best *PC
-		for _, mast := range masts[i] {
-			pc, err := solveTree(mast, db, sizes, hp, opt)
-			if err != nil {
-				return nil, fmt.Errorf("design: component %v: %w", comp, err)
-			}
-			if best == nil || better(pc, best) {
-				best = pc
-			}
-		}
-		pcs = append(pcs, best)
+	merged, err := Solve(masts, db.Schema, sizes, hp, opt.Parts, opt.NoRedundancy)
+	if err != nil {
+		return nil, err
 	}
-	merged := mergePCs(opt.Parts, pcs)
 	return &Design{
 		Config: merged.Config,
 		Graph:  gs,
@@ -93,22 +82,4 @@ func SchemaDriven(db *table.Database, opt SDOptions) (*Design, error) {
 		Est:    merged.Est,
 		DL:     graph.DataLocality(gs, merged.Eco),
 	}, nil
-}
-
-// solveTree finds the best configuration for one MAST, constrained or not.
-func solveTree(mast *graph.Graph, db *table.Database, sizes Sizes, hp *HistProvider, opt SDOptions) (*PC, error) {
-	if len(opt.NoRedundancy) > 0 {
-		return FindOptimalPCConstrained(mast, db.Schema, sizes, hp, opt.Parts, opt.NoRedundancy)
-	}
-	return FindOptimalPC(mast, db.Schema, sizes, hp, opt.Parts)
-}
-
-// better orders PCs by kept co-partitioning weight (locality) first,
-// estimated size second.
-func better(a, b *PC) bool {
-	wa, wb := a.Eco.TotalWeight(), b.Eco.TotalWeight()
-	if wa != wb {
-		return wa > wb
-	}
-	return a.Est.Total < b.Est.Total
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"pref/internal/design"
+	"pref/internal/graph"
 	"pref/internal/tpch"
 )
 
@@ -33,9 +34,9 @@ func BenchmarkSchemaDriven(b *testing.B) {
 
 // BenchmarkSDEstimation prices SD's search alone: the same data as
 // BenchmarkSchemaDriven, with every histogram it reads built before the
-// clock starts, so an iteration is Listing 1 over each MAST — candidate
-// configurations, matching each histogram pair once, and the estimator's
-// sums. The cost is reported per row of the designed tables.
+// clock starts, so an iteration is Solve (Listing 1) over each MAST —
+// candidate configurations, matching each histogram pair once, and the
+// estimator's sums. The cost is reported per row of the designed tables.
 func BenchmarkSDEstimation(b *testing.B) {
 	db := tpch.Generate(0.01, 42).DB.Without(tpch.SmallTables()...)
 	sizes := design.SizesOf(db)
@@ -49,7 +50,7 @@ func BenchmarkSDEstimation(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		hp.ForgetMatches()
 		for _, tree := range trees {
-			if _, err := design.FindOptimalPC(tree, db.Schema, sizes, hp, 4); err != nil {
+			if _, err := design.Solve([][]*graph.Graph{{tree}}, db.Schema, sizes, hp, 4, nil); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -184,8 +184,7 @@ func FilterWorkload(w []Query, excluded []string) []Query {
 type unit struct {
 	name    string
 	queries map[string]bool
-	tree    *graph.Graph
-	pc      *PC
+	pc      *PC // pc.Tree is the unit's MAST
 }
 
 // WorkloadDriven runs the workload-driven design algorithm of Section 4:
@@ -204,27 +203,6 @@ func WorkloadDriven(db *table.Database, queries []Query, opt WDOptions) (*WDDesi
 	sizes := SizesOf(db)
 	hp := NewHistProvider(db, opt.SampleRate, opt.SampleSeed)
 
-	solveTree := func(m *graph.Graph) (*PC, error) {
-		if len(opt.NoRedundancy) > 0 {
-			return FindOptimalPCConstrained(m, db.Schema, sizes, hp, opt.Parts, opt.NoRedundancy)
-		}
-		return FindOptimalPC(m, db.Schema, sizes, hp, opt.Parts)
-	}
-	solveBestMAST := func(masts []*graph.Graph) (*graph.Graph, *PC, error) {
-		var bestTree *graph.Graph
-		var bestPC *PC
-		for _, m := range masts {
-			pc, err := solveTree(m)
-			if err != nil {
-				return nil, nil, err
-			}
-			if bestPC == nil || pc.Est.Total < bestPC.Est.Total {
-				bestTree, bestPC = m, pc
-			}
-		}
-		return bestTree, bestPC, nil
-	}
-
 	// Step 1: one unit per connected component per query, each with its
 	// optimal MAST and configuration. The MASTs come first, so the
 	// histograms their search prices are built up front, in parallel.
@@ -239,17 +217,19 @@ func WorkloadDriven(db *table.Database, queries []Query, opt WDOptions) (*WDDesi
 		}
 	}
 	hp.Prefetch(trees)
+	solve := func(comps [][]*graph.Graph) (*PC, error) {
+		return Solve(comps, db.Schema, sizes, hp, opt.Parts, opt.NoRedundancy)
+	}
 	var units []*unit
 	for qi, q := range queries {
 		for i, m := range masts[qi] {
-			tree, pc, err := solveBestMAST(m)
+			pc, err := solve([][]*graph.Graph{m})
 			if err != nil {
 				return nil, fmt.Errorf("design: query %s: %w", q.Name, err)
 			}
 			units = append(units, &unit{
 				name:    fmt.Sprintf("%s#%d", q.Name, i),
 				queries: map[string]bool{q.Name: true},
-				tree:    tree,
 				pc:      pc,
 			})
 		}
@@ -275,17 +255,9 @@ func WorkloadDriven(db *table.Database, queries []Query, opt WDOptions) (*WDDesi
 		if pc, ok := memo[sig]; ok {
 			return pc, nil
 		}
-		var pcs []*PC
-		for _, comp := range tree.Components() {
-			pc, err := solveTree(tree.Subgraph(comp))
-			if err != nil {
-				return nil, err
-			}
-			pcs = append(pcs, pc)
-		}
-		pc := mergePCs(opt.Parts, pcs)
+		pc, err := solve(OwnMASTs(tree))
 		memo[sig] = pc
-		return pc, nil
+		return pc, err
 	}
 
 	var groups []*unit
@@ -294,11 +266,11 @@ func WorkloadDriven(db *table.Database, queries []Query, opt WDOptions) (*WDDesi
 		var bestMerged *unit
 		bestGain := 0.0
 		for i, g := range groups {
-			merged := g.tree.Union(u.tree)
+			merged := g.pc.Tree.Union(u.pc.Tree)
 			if !merged.IsAcyclic() {
 				continue // would sacrifice data-locality
 			}
-			if !sharesNode(g.tree, u.tree) {
+			if !sharesNode(g.pc.Tree, u.pc.Tree) {
 				continue // disjoint merge can never reduce redundancy
 			}
 			pc, err := solveMerged(merged)
@@ -312,7 +284,6 @@ func WorkloadDriven(db *table.Database, queries []Query, opt WDOptions) (*WDDesi
 				bestMerged = &unit{
 					name:    g.name + "+" + u.name,
 					queries: unionSets(g.queries, u.queries),
-					tree:    merged,
 					pc:      pc,
 				}
 			}
@@ -331,7 +302,7 @@ func WorkloadDriven(db *table.Database, queries []Query, opt WDOptions) (*WDDesi
 		route:            map[string][]int{},
 	}
 	for gi, g := range groups {
-		wg := &WDGroup{Tree: g.tree, PC: g.pc}
+		wg := &WDGroup{Tree: g.pc.Tree, PC: g.pc}
 		wg.Units = strings.Split(g.name, "+")
 		sort.Strings(wg.Units)
 		wg.Queries = sortedNames(g.queries)
@@ -349,14 +320,14 @@ func WorkloadDriven(db *table.Database, queries []Query, opt WDOptions) (*WDDesi
 func containmentMerge(units []*unit) []*unit {
 	ordered := append([]*unit(nil), units...)
 	sort.Slice(ordered, func(i, j int) bool {
-		a, b := ordered[i], ordered[j]
-		if a.tree.NumEdges() != b.tree.NumEdges() {
-			return a.tree.NumEdges() > b.tree.NumEdges()
+		a, b := ordered[i].pc.Tree, ordered[j].pc.Tree
+		if a.NumEdges() != b.NumEdges() {
+			return a.NumEdges() > b.NumEdges()
 		}
-		if a.tree.NumNodes() != b.tree.NumNodes() {
-			return a.tree.NumNodes() > b.tree.NumNodes()
+		if a.NumNodes() != b.NumNodes() {
+			return a.NumNodes() > b.NumNodes()
 		}
-		return a.name < b.name
+		return ordered[i].name < ordered[j].name
 	})
 	absorbed := make([]bool, len(ordered))
 	for j := len(ordered) - 1; j >= 0; j-- {
@@ -367,7 +338,7 @@ func containmentMerge(units []*unit) []*unit {
 			if absorbed[i] {
 				continue
 			}
-			if ordered[j].tree.ContainedIn(ordered[i].tree) {
+			if ordered[j].pc.Tree.ContainedIn(ordered[i].pc.Tree) {
 				ordered[i].queries = unionSets(ordered[i].queries, ordered[j].queries)
 				absorbed[j] = true
 				break

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"runtime"
 	"testing"
 
 	"pref/internal/batch"
@@ -73,12 +74,26 @@ func TestMergeAllocatesPerGroup(t *testing.T) {
 		}
 		states := w.Finish()
 		defer batch.ReleaseAll(states)
+		// The emitted batches go back to the pool only after the count, and
+		// the pool starts empty (a GC empties it into its victim cache, a
+		// second GC drops that): every run allocates its output columns
+		// afresh, so the count does not depend on what the pool holds. Under
+		// the race detector sync.Pool drops a random share of Puts, which
+		// a release inside the loop would count.
+		outs := make([][]*batch.Batch, 0, 21)
+		defer func() {
+			for _, out := range outs {
+				batch.ReleaseAll(out)
+			}
+		}()
+		runtime.GC()
+		runtime.GC()
 		return testing.AllocsPerRun(20, func() {
 			out := info.emit(info.accumulate(states), false, true)
 			if batch.Rows(out) != 4 {
 				t.Fatalf("merged into %d groups, want 4", batch.Rows(out))
 			}
-			batch.ReleaseAll(out)
+			outs = append(outs, out)
 		})
 	}
 	small, large := allocs(4), allocs(16)

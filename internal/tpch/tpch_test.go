@@ -204,7 +204,7 @@ func TestWorkloadSpecsCoverAllQueries(t *testing.T) {
 }
 
 func TestWorkloadWithout(t *testing.T) {
-	w := WorkloadWithout(SmallTables()...)
+	w := design.FilterWorkload(Workload(), SmallTables())
 	for _, q := range w {
 		for _, e := range q.Joins {
 			for _, tbl := range []string{e.TableA, e.TableB} {
@@ -220,7 +220,7 @@ func TestWorkloadWithout(t *testing.T) {
 
 func TestWDOnTPCHWorkload(t *testing.T) {
 	d := gen(t)
-	w := WorkloadWithout(SmallTables()...)
+	w := design.FilterWorkload(Workload(), SmallTables())
 	wd, err := design.WorkloadDriven(d.DB, w, design.WDOptions{Parts: 4})
 	if err != nil {
 		t.Fatal(err)

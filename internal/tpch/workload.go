@@ -78,11 +78,3 @@ func joinGraph(name string, root plan.Node) design.Query {
 	}
 	return q
 }
-
-// WorkloadWithout filters the workload's queries to the tables remaining
-// after excluding the given (replicated) tables; edges touching excluded
-// tables are dropped (orphaned endpoints survive as joinless tables),
-// matching how the "wo small tables" variants are designed.
-func WorkloadWithout(excluded ...string) []design.Query {
-	return design.FilterWorkload(Workload(), excluded)
-}
