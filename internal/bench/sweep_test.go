@@ -10,6 +10,7 @@ import (
 
 	"pref/internal/batch"
 	"pref/internal/engine"
+	"pref/internal/partition"
 	"pref/internal/plan"
 	"pref/internal/table"
 	"pref/internal/tpch"
@@ -602,22 +603,19 @@ func TestBroadcastChoiceTPCH(t *testing.T) {
 }
 
 // TestBroadcastChoiceTraps pins two plans that a cruder estimate gets
-// wrong: mixed_rw's Q14 on SD at mixFx keeps its plan, and SD-noRed's Q9 at
-// fig7Fx is not slower with statistics — a broadcast build side is copied
+// wrong: join_hashed's Q21 on AllHashed at mixFx and SD-noRed's Q9 at
+// fig7Fx are not slower with statistics — a broadcast build side is copied
 // to every node, and its per-node rows must be priced as such.
 func TestBroadcastChoiceTraps(t *testing.T) {
 	for _, c := range []struct {
 		fx             fixture
 		variant, query string
 	}{
-		{mixFx, "SD", "Q14"},
+		{mixFx, "AllHashed", "Q21"},
 		{fig7Fx, "SD-noRed", "Q9"},
 	} {
 		s := sweepOf(t, c.fx)
 		u, p := s.run(c.variant, c.query, false), s.run(c.variant, c.query, true)
-		if c.query == "Q14" && u.rw != p.rw {
-			t.Errorf("%v: the plan changed with statistics\n%s", p, p.rw.Explain())
-		}
 		if p.sim > u.sim {
 			t.Errorf("%v is slower with statistics: %v -> %v\n%s", p, u.sim, p.sim, p.rw.Explain())
 		}
@@ -668,6 +666,92 @@ func TestLocalFiltersTPCH(t *testing.T) {
 			t.Errorf("SD/Q21 takes %.3f sim ms, want at most 700\n%s", simMs, r.rw.Explain())
 		}
 	}
+}
+
+// TestPrefJoinsRunLocallyTPCH: the rewrite keeps the locality the design
+// promises, at every fixture on every variant, with and without
+// statistics. Every inner equi-join whose two inputs are base tables that
+// the configuration relates by exactly the join predicate — a PREF scheme,
+// or a cover (partition.Config.Covers) — runs with no Repartition or
+// Broadcast below it on either input. There is no exception.
+func TestPrefJoinsRunLocallyTPCH(t *testing.T) {
+	joins := 0
+	for _, s := range allSweeps(t) {
+		for _, r := range s.runs {
+			covers := r.rw.Cfg.Covers(r.rw.Catalog)
+			walkPlan(r.rw.Root, func(n plan.Node) {
+				j, ok := n.(*plan.JoinNode)
+				if !ok || j.Type != plan.Inner || len(j.LeftCols) == 0 {
+					return
+				}
+				l, lok := baseInput(j.Left)
+				rt, rok := baseInput(j.Right)
+				if !lok || !rok || !prefRelated(r.rw.Cfg, covers, l, j.LeftCols, rt, j.RightCols) &&
+					!prefRelated(r.rw.Cfg, covers, rt, j.RightCols, l, j.LeftCols) {
+					return
+				}
+				joins++
+				for _, in := range []plan.Node{j.Left, j.Right} {
+					for _, x := range findPlan(in, isExchange) {
+						t.Errorf("%v: %s below %s\n%s", r, x, j, r.rw.Explain())
+					}
+				}
+			})
+		}
+	}
+	t.Logf("%d joins of two related base tables", joins)
+	if joins == 0 {
+		t.Fatal("fixture drift: no join of two related base tables")
+	}
+}
+
+// baseInput returns the scan a join input reads through filters,
+// projections, deduplications and exchanges only.
+func baseInput(n plan.Node) (*plan.ScanNode, bool) {
+	for {
+		switch x := n.(type) {
+		case *plan.ScanNode:
+			return x, true
+		case *plan.FilterNode, *plan.RuntimeFilterNode, *plan.ProjectNode, *plan.DistinctPrefNode,
+			*plan.RepartitionNode, *plan.BroadcastNode:
+			n = x.Children()[0]
+		default:
+			return nil, false
+		}
+	}
+}
+
+// prefRelated reports whether ring's table is PREF on, or covers, refd's
+// table by exactly the pairing ringCols = refdCols.
+func prefRelated(cfg *partition.Config, covers map[string][]partition.Cover,
+	ring *plan.ScanNode, ringCols []string, refd *plan.ScanNode, refdCols []string) bool {
+	ts := cfg.Scheme(ring.Table)
+	if ts == nil || ts.Method != partition.Pref {
+		return false
+	}
+	pairs := func(a, b []string) []string {
+		out := make([]string, len(a))
+		for i := range a {
+			out[i] = a[i] + "=" + b[i]
+		}
+		slices.Sort(out)
+		return out
+	}
+	qualified := func(alias string, cols []string) []string {
+		out := make([]string, len(cols))
+		for i, c := range cols {
+			out[i] = plan.Qualify(alias, c)
+		}
+		return out
+	}
+	join := pairs(ringCols, refdCols)
+	for _, c := range append([]partition.Cover{{Table: ts.RefTable, Pred: ts.Pred}}, covers[ring.Table]...) {
+		if c.Table == refd.Table && slices.Equal(join,
+			pairs(qualified(ring.Alias, c.Pred.ReferencingCols), qualified(refd.Alias, c.Pred.ReferencedCols))) {
+			return true
+		}
+	}
+	return false
 }
 
 // walkPlan visits every operator of a physical plan, pre-order.

@@ -118,7 +118,7 @@ func (c *checker) deriveJoin(n *plan.JoinNode) *info {
 	// predicate is this join predicate and whose referenced table is placed
 	// intact on the other side (Definition 1 then guarantees every partner
 	// is local).
-	if refd, ok := c.prefMatch(lp, n.LeftCols, rp, n.RightCols); ok && c.prefJoinSafe(n, refd) {
+	if refd, ok := c.prefMatch(n, lp, rp); ok && c.prefJoinSafe(n, refd) {
 		refdProp := rp
 		if refd == "left" {
 			refdProp = lp
@@ -158,7 +158,7 @@ func (c *checker) checkOrphanJoin(n *plan.JoinNode, lp, rp *plan.Prop) {
 			continue
 		}
 		only := &plan.Prop{Placed: map[string]plan.PlacedEntry{a: side.ring.Placed[a]}, Equiv: side.ring.Equiv}
-		if n.Type != plan.Inner || side.refd.Orphans != "" || !c.matchOneDirection(only, side.ringCols, side.refd, side.refdCols) {
+		if n.Type != plan.Inner || side.refd.Orphans != "" || !c.matchOneDirection(only, side.ringCols, side.refd, side.refdCols, false) {
 			c.report(RuleLocality, n, "%v join off the PREF predicate of %s consumes its split orphan groups", n.Type, a)
 		}
 	}
@@ -229,14 +229,22 @@ func (c *checker) prefJoinSafe(n *plan.JoinNode, refd string) bool {
 // prefMatch reports which side is the referenced input ("left"/"right")
 // when some placed PREF scheme's partitioning predicate equals the join
 // predicate and its referenced table is placed intact on the other side.
-func (c *checker) prefMatch(lp *plan.Prop, leftCols []string, rp *plan.Prop, rightCols []string) (string, bool) {
+// Failing that, a table the chase finds the PREF table covers stands in
+// for the referenced one, on an inner join or on a semi join whose output
+// side is the covered table: only there does a PREF copy with no partner
+// down the chain, stored where none of its partners are, change nothing.
+func (c *checker) prefMatch(n *plan.JoinNode, lp, rp *plan.Prop) (string, bool) {
 	if lp.Parts != rp.Parts {
 		return "", false
 	}
-	if c.matchOneDirection(lp, leftCols, rp, rightCols) {
+	switch {
+	case c.matchOneDirection(lp, n.LeftCols, rp, n.RightCols, false):
 		return "right", true
-	}
-	if c.matchOneDirection(rp, rightCols, lp, leftCols) {
+	case c.matchOneDirection(rp, n.RightCols, lp, n.LeftCols, false):
+		return "left", true
+	case n.Type == plan.Inner && c.matchOneDirection(lp, n.LeftCols, rp, n.RightCols, true):
+		return "right", true
+	case (n.Type == plan.Inner || n.Type == plan.Semi) && c.matchOneDirection(rp, n.RightCols, lp, n.LeftCols, true):
 		return "left", true
 	}
 	return "", false
@@ -245,30 +253,76 @@ func (c *checker) prefMatch(lp *plan.Prop, leftCols []string, rp *plan.Prop, rig
 // matchOneDirection checks whether some alias on the referencing side has
 // a PREF scheme whose predicate equals the join predicate — modulo column
 // equivalences established upstream — and whose referenced table is placed
-// intact (at its configured scheme) on the referenced side.
-func (c *checker) matchOneDirection(ringProp *plan.Prop, ringCols []string, refdProp *plan.Prop, refdCols []string) bool {
+// intact (at its configured scheme) on the referenced side. With chased,
+// the tables the chase finds below the referenced one stand in for it.
+func (c *checker) matchOneDirection(ringProp *plan.Prop, ringCols []string, refdProp *plan.Prop, refdCols []string, chased bool) bool {
 	for alias, entry := range ringProp.Placed {
 		sch := entry.Scheme
 		if sch == nil || sch.Method != partition.Pref {
 			continue
 		}
-		for refdAlias, refdEntry := range refdProp.Placed {
-			if refdEntry.Table != sch.RefTable {
-				continue
-			}
-			if refdEntry.Scheme != c.cfg.Scheme(sch.RefTable) {
-				continue
-			}
-			if pairsMatchEquiv(
-				ringProp, ringCols, refdProp, refdCols,
-				qualify(alias, sch.Pred.ReferencingCols),
-				qualify(refdAlias, sch.Pred.ReferencedCols),
-			) {
-				return true
+		targets := []reach{{sch.RefTable, sch.Pred.ReferencedCols}}
+		if chased {
+			targets = c.chase(sch)
+		}
+		for _, to := range targets {
+			for refdAlias, refdEntry := range refdProp.Placed {
+				if refdEntry.Table != to.table {
+					continue
+				}
+				if refdEntry.Scheme != c.cfg.Scheme(to.table) {
+					continue
+				}
+				if pairsMatchEquiv(
+					ringProp, ringCols, refdProp, refdCols,
+					qualify(alias, sch.Pred.ReferencingCols),
+					qualify(refdAlias, to.cols),
+				) {
+					return true
+				}
 			}
 		}
 	}
 	return false
+}
+
+// A reach is a table a PREF table's copies follow, and the columns of that
+// table its referencing columns equal, position by position.
+type reach struct {
+	table string
+	cols  []string
+}
+
+// chase follows a PREF scheme's chain below its referenced table, one hop
+// at a time, and returns every table whose rows all have their partners
+// on their own partition. From table m, whose columns at the scheme's
+// referencing columns equal, the hop m PREF on l is taken only when the
+// schema's foreign keys give every l row an m partner (fkPairs), and when
+// m's predicate pairs every column of at with a column of l; then each m
+// partner, and with it each copy of the scheme's table, is where its l row
+// is.
+func (c *checker) chase(sch *partition.TableScheme) []reach {
+	var out []reach
+	m, at := sch.RefTable, sch.Pred.ReferencedCols
+	for hops := 0; hops < len(c.cfg.Schemes); hops++ {
+		ms := c.cfg.Scheme(m)
+		if ms == nil || ms.Method != partition.Pref || !fkPairs(c.cat, ms) {
+			break
+		}
+		down := make(map[string]string, len(ms.Pred.ReferencingCols))
+		for i, col := range ms.Pred.ReferencingCols {
+			down[col] = ms.Pred.ReferencedCols[i]
+		}
+		next := make([]string, len(at))
+		for i, col := range at {
+			if next[i] = down[col]; next[i] == "" {
+				return out
+			}
+		}
+		m, at = ms.RefTable, next
+		out = append(out, reach{m, at})
+	}
+	return out
 }
 
 // pairsMatchEquiv reports whether the join pairing (joinA[j], joinB[j])

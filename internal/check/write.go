@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 
+	"pref/internal/catalog"
 	"pref/internal/partition"
 	"pref/internal/table"
 	"pref/internal/value"
@@ -37,6 +38,13 @@ const (
 	// RuleWriteCount marks tables whose OriginalRows counter disagrees
 	// with the stored primary copies.
 	RuleWriteCount Rule = "write-count"
+	// RuleWritePartner marks a stored row of a table L, referenced by a
+	// PREF table M under a predicate that a declared foreign key from L to
+	// a key of M pairs exactly, whose M partner is not stored on that row's
+	// partition: a dangling reference, or a partner never copied there.
+	// Covers (partition.Config.Covers) rely on every such partner being
+	// local, and so does the join of L with M.
+	RuleWritePartner Rule = "write-partner"
 )
 
 // VerifyStore checks every stored tuple copy of the database head
@@ -63,6 +71,9 @@ func VerifyStore(pdb *table.PartitionedDatabase, cfg *partition.Config) error {
 	sort.Strings(names)
 	for _, name := range names {
 		vs = append(vs, verifyTableStore(pdb, cfg, name)...)
+	}
+	if !vs.HasRule(RuleWriteTorn) {
+		vs = append(vs, verifyPartners(pdb, cfg, names)...)
 	}
 	if len(vs) == 0 {
 		return nil
@@ -103,6 +114,61 @@ func verifyTableStore(pdb *table.PartitionedDatabase, cfg *partition.Config, nam
 			Detail: fmt.Sprintf("unsupported partitioning method %v", ts.Method)})
 	}
 	return vs
+}
+
+// verifyPartners checks, for every PREF table m whose referenced table l
+// declares a foreign key to a key of m pairing exactly m's predicate, that
+// every stored copy of an l row has its m partner on its own partition. It
+// reads rows by position, so it runs only on a store with no torn
+// partition.
+func verifyPartners(pdb *table.PartitionedDatabase, cfg *partition.Config, names []string) Violations {
+	var vs Violations
+	for _, m := range names {
+		ms := cfg.Scheme(m)
+		if ms == nil || ms.Method != partition.Pref || pdb.Tables[ms.RefTable] == nil || !fkPairs(pdb.Schema, ms) {
+			continue
+		}
+		lt := pdb.Tables[ms.RefTable]
+		mt := pdb.Tables[m]
+		mcols, err := mt.Meta.ColIndexes(ms.Pred.ReferencingCols)
+		if err != nil {
+			return Violations{{Rule: RuleWritePartner, Table: m, Detail: err.Error()}}
+		}
+		lcols, err := lt.Meta.ColIndexes(ms.Pred.ReferencedCols)
+		if err != nil {
+			return Violations{{Rule: RuleWritePartner, Table: ms.RefTable, Detail: err.Error()}}
+		}
+		for p, part := range lt.Parts {
+			local := make(map[value.Key]bool, mt.Parts[p].Len())
+			for _, row := range mt.Parts[p].Rows() {
+				local[value.MakeKey(row, mcols)] = true
+			}
+			for i, row := range part.Rows() {
+				if !local[value.MakeKey(row, lcols)] {
+					vs = append(vs, &Violation{Rule: RuleWritePartner, Table: ms.RefTable,
+						Detail: fmt.Sprintf("partition %d row %d: no %s partner by %s on its partition", p, i, m, ms.Pred)})
+				}
+			}
+		}
+	}
+	return vs
+}
+
+// fkPairs reports whether the schema declares a foreign key from the PREF
+// scheme ms's referenced table to a key of ms's table whose columns pair
+// exactly as ms's predicate does: every referenced row then has exactly
+// one partner under the predicate.
+func fkPairs(s *catalog.Schema, ms *partition.TableScheme) bool {
+	if s == nil {
+		return false
+	}
+	for _, fk := range s.FKs {
+		if fk.FromTable == ms.RefTable && fk.ToTable == ms.Table && fk.ToIsUnique &&
+			ms.Pred.Equal(partition.Predicate{ReferencingCols: fk.ToCols, ReferencedCols: fk.FromCols}) {
+			return true
+		}
+	}
+	return false
 }
 
 // verifySingleCopy checks the dup-free single-copy schemes: every stored

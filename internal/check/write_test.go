@@ -188,3 +188,59 @@ func TestVerifyStoreAfterIncrementalWrites(t *testing.T) {
 		t.Fatalf("store must verify after incremental writes: %v", err)
 	}
 }
+
+// TestVerifyStoreMissingPartner: once the schema declares that every
+// lineitem row names an order, orders' PREF placement on lineitem promises
+// each lineitem copy its order on its own partition, and covers rely on
+// it. A write stream inserting a lineitem that names no order breaks the
+// promise, and so does a lost order copy. Without the foreign key the
+// store promises nothing of the kind.
+func TestVerifyStoreMissingPartner(t *testing.T) {
+	dangling := func(t *testing.T, pdb *table.PartitionedDatabase, cfg *partition.Config) {
+		t.Helper()
+		if _, err := bulkload.NewLoader(pdb, cfg).Apply(bulkload.Insert("lineitem", value.Tuple{77, 1})); err != nil {
+			t.Fatal(err)
+		}
+	}
+	t.Run("dangling insert", func(t *testing.T) {
+		pdb, cfg := storeFixture(t)
+		declareOrdersFK(t, pdb)
+		if err := check.VerifyStore(pdb, cfg); err != nil {
+			t.Fatalf("the fixture honours the foreign key: %v", err)
+		}
+		dangling(t, pdb, cfg)
+		wantRule(t, pdb, cfg, check.RuleWritePartner)
+	})
+	t.Run("lost partner copy", func(t *testing.T) {
+		pdb, cfg := storeFixture(t)
+		declareOrdersFK(t, pdb)
+		pt := pdb.Tables["orders"]
+		for _, part := range pt.Parts {
+			if part.Len() > 0 {
+				if !part.Dup(0) {
+					pt.OriginalRows-- // keep the count law out of the way
+				}
+				part.Delete([]int{0})
+				break
+			}
+		}
+		wantRule(t, pdb, cfg, check.RuleWritePartner)
+	})
+	t.Run("no foreign key", func(t *testing.T) {
+		pdb, cfg := storeFixture(t)
+		dangling(t, pdb, cfg)
+		if err := check.VerifyStore(pdb, cfg); err != nil {
+			t.Fatalf("without the foreign key a lineitem needs no order: %v", err)
+		}
+	})
+}
+
+// declareOrdersFK declares a foreign key the fixture's data honour: every
+// lineitem row's orderkey names an order.
+func declareOrdersFK(t *testing.T, pdb *table.PartitionedDatabase) {
+	t.Helper()
+	if err := pdb.Schema.AddFK(catalog.ForeignKey{Name: "fk_lineitem_orders", FromTable: "lineitem",
+		FromCols: []string{"orderkey"}, ToTable: "orders", ToCols: []string{"orderkey"}, ToIsUnique: true}); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -144,7 +144,11 @@ func (info *aggPlanInfo) accumulate(bs []*batch.Batch) []groupAcc {
 	var groups []groupAcc
 	index := make(map[value.Key]int32)
 	kb := batch.NewKeyBuf(len(info.groupIdx))
-	var gids []int32
+	most := 0
+	for _, b := range bs {
+		most = max(most, b.Len())
+	}
+	gids := make([]int32, 0, most) // one batch's group ids, sized once
 	for _, b := range bs {
 		n := b.Len()
 		gids = gids[:0]

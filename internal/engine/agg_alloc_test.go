@@ -98,7 +98,7 @@ func TestMergeAllocatesPerGroup(t *testing.T) {
 	}
 	small, large := allocs(4), allocs(16)
 	t.Logf("allocations per merge: %.0f from 4 sources, %.0f from 16", small, large)
-	if large > 1.1*small {
-		t.Fatalf("allocations grew from %.0f to %.0f (more than 10%%) with four times the states", small, large)
+	if large != small {
+		t.Fatalf("allocations went from %.0f to %.0f with four times the states", small, large)
 	}
 }

@@ -7,6 +7,7 @@ package partition
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -199,6 +200,83 @@ func (c *Config) Chain(table string) ([]string, error) {
 		}
 		cur = ts.RefTable
 	}
+}
+
+// A Cover is a table further down a PREF table's chain whose every row
+// finds all of its partners under Pred on its own partition: the PREF
+// table's copies follow the chain there. Pred's referencing columns are
+// the PREF table's, its referenced columns are Table's.
+type Cover struct {
+	Table string
+	Pred  Predicate
+}
+
+// Covers derives every PREF table's covers, composed hop by hop along its
+// chain. Take T PREF on M by T.b = M.c and M PREF on L by M.d = L.a. When
+// every column of c is in d and the schema declares a unique foreign key
+// from L.a to M.d, each L row's M partner is stored wherever that L row is
+// (Definition 1), and each T row whose b matches it is stored wherever
+// that M row is. So T covers L by T.b = L.a|c, the L columns paired with c
+// through M's predicate. The same step applies from L onward.
+//
+// A cover relies on the stored data honouring the foreign key: an L row
+// with no M partner on its partition breaks it (check.VerifyStore reports
+// one). It says nothing of T rows with no L partner, whose copies may sit
+// where no L row is.
+func (c *Config) Covers(s *catalog.Schema) map[string][]Cover {
+	out := map[string][]Cover{}
+	if s == nil {
+		return out
+	}
+	for _, t := range c.Names() {
+		ts := c.Schemes[t]
+		if ts.Method != Pref {
+			continue
+		}
+		pred, seen := ts.Pred, map[string]bool{t: true}
+		for m := ts.RefTable; !seen[m]; {
+			seen[m] = true
+			ms := c.Schemes[m]
+			if ms == nil || ms.Method != Pref || !hasUniqueFK(s, ms.RefTable, m, ms.Pred) {
+				break
+			}
+			refd, ok := mapCols(pred.ReferencedCols, ms.Pred.ReferencingCols, ms.Pred.ReferencedCols)
+			if !ok {
+				break
+			}
+			pred = Predicate{ReferencingCols: ts.Pred.ReferencingCols, ReferencedCols: refd}
+			out[t] = append(out[t], Cover{Table: ms.RefTable, Pred: pred})
+			m = ms.RefTable
+		}
+	}
+	return out
+}
+
+// hasUniqueFK reports whether s declares a foreign key from table l to a
+// key of table m pairing exactly pred's columns: m's referencing columns
+// with l's referenced ones.
+func hasUniqueFK(s *catalog.Schema, l, m string, pred Predicate) bool {
+	for _, fk := range s.FKs {
+		if fk.FromTable == l && fk.ToTable == m && fk.ToIsUnique &&
+			pred.Equal(Predicate{ReferencingCols: fk.ToCols, ReferencedCols: fk.FromCols}) {
+			return true
+		}
+	}
+	return false
+}
+
+// mapCols maps each of cols through the pairing from[i] -> to[i]; false
+// when one of cols is not in from.
+func mapCols(cols, from, to []string) ([]string, bool) {
+	out := make([]string, len(cols))
+	for i, col := range cols {
+		j := slices.Index(from, col)
+		if j < 0 {
+			return nil, false
+		}
+		out[i] = to[j]
+	}
+	return out, true
 }
 
 // HashEquivalent reports whether a table's placement under this

@@ -338,7 +338,7 @@ func (r *Rewriter) fork() *Rewriter {
 		Schema: r.Schema, Cfg: r.Cfg, Opt: r.Opt,
 		out:     &Rewritten{Schemas: map[Node]Schema{}, Props: map[Node]*Prop{}, Catalog: r.Schema, Cfg: r.Cfg},
 		aliases: maps.Clone(r.aliases),
-		memo:    r.memo, origin: r.origin, refs: r.refs, inPlace: r.inPlace,
+		memo:    r.memo, origin: r.origin, refs: r.refs, inPlace: r.inPlace, covers: r.covers,
 	}
 }
 

@@ -97,6 +97,10 @@ type Rewriter struct {
 	// its partner to that input's alias: they aggregate where they are
 	// (eager.go).
 	inPlace map[*AggregateNode]string
+
+	// covers holds Cfg's covers (partition.Config.Covers), which stand in
+	// for a PREF scheme on the joins prefMatch allows.
+	covers map[string][]partition.Cover
 }
 
 // Rewrite turns a logical SPJA plan into an executable physical plan:
@@ -129,6 +133,7 @@ func newRewriter(root Node, schema *catalog.Schema, cfg *partition.Config, opt O
 			Catalog: schema, Cfg: cfg,
 		},
 		aliases: map[string]bool{},
+		covers:  cfg.Covers(schema),
 	}
 	if opt.Stats != nil {
 		r.memo, r.origin = map[Node]float64{}, map[Node]Node{}

@@ -82,7 +82,7 @@ func (r *Rewriter) rewriteJoin(n *JoinNode) (Node, *Prop, Schema, error) {
 	// Cases (2) and (3): one input carries a PREF scheme whose
 	// partitioning predicate is this join predicate and whose referenced
 	// table is placed intact on the other input.
-	if refd, ok := r.prefMatch(lp, n.LeftCols, rp, n.RightCols); ok && r.prefJoinSafe(n, refd) {
+	if refd, ok := r.prefMatch(n, lp, rp); ok && r.prefJoinSafe(n, refd) {
 		j := r.physJoin(n, left, right)
 		refdProp := rp
 		if refd == "left" {
@@ -287,45 +287,55 @@ func (r *Rewriter) prefJoinSafe(n *JoinNode, refd string) bool {
 // prefMatch implements the shared core of cases (2) and (3): it reports
 // which side is the referenced input ("left"/"right") when some placed
 // PREF scheme's partitioning predicate equals the join predicate and its
-// referenced table is placed intact on the other side.
-func (r *Rewriter) prefMatch(lp *Prop, leftCols []string, rp *Prop, rightCols []string) (string, bool) {
+// referenced table is placed intact on the other side. Failing that, a
+// cover (partition.Config.Covers) of a placed PREF table stands in for its
+// scheme, for an inner join and for a semi join whose output side is the
+// covered table. Never for an anti or outer join, nor with the PREF table
+// as a semi join's output: a row with no partner down the chain may have
+// a copy where none of its partners are, so its absence test is not local.
+func (r *Rewriter) prefMatch(n *JoinNode, lp, rp *Prop) (string, bool) {
 	if lp.Parts != rp.Parts {
 		return "", false
 	}
-	// Try left as the referencing input…
-	if r.matchOneDirection(lp, leftCols, rp, rightCols) {
-		return "right", true
+	direct := func(e PlacedEntry) []partition.Cover {
+		return []partition.Cover{{Table: e.Scheme.RefTable, Pred: e.Scheme.Pred}}
 	}
-	// …then right.
-	if r.matchOneDirection(rp, rightCols, lp, leftCols) {
+	covers := func(e PlacedEntry) []partition.Cover { return r.covers[e.Table] }
+	switch {
+	case r.matchOneDirection(lp, n.LeftCols, rp, n.RightCols, direct): // left references…
+		return "right", true
+	case r.matchOneDirection(rp, n.RightCols, lp, n.LeftCols, direct): // …then right
+		return "left", true
+	case n.Type == Inner && r.matchOneDirection(lp, n.LeftCols, rp, n.RightCols, covers):
+		return "right", true
+	case (n.Type == Inner || n.Type == Semi) && r.matchOneDirection(rp, n.RightCols, lp, n.LeftCols, covers):
 		return "left", true
 	}
 	return "", false
 }
 
 // matchOneDirection checks whether some alias on the referencing side has
-// a PREF scheme whose predicate equals the join predicate — modulo column
-// equivalences established upstream — and whose referenced table is
-// placed intact on the referenced side.
-func (r *Rewriter) matchOneDirection(ringProp *Prop, ringCols []string, refdProp *Prop, refdCols []string) bool {
+// a PREF scheme one of whose targets (by) has a predicate equal to the join
+// predicate — modulo column equivalences established upstream — and a
+// table placed intact on the referenced side.
+func (r *Rewriter) matchOneDirection(ringProp *Prop, ringCols []string, refdProp *Prop, refdCols []string,
+	by func(PlacedEntry) []partition.Cover) bool {
 	for alias, entry := range ringProp.Placed {
-		sch := entry.Scheme
-		if sch == nil || sch.Method != partition.Pref {
+		if entry.Scheme == nil || entry.Scheme.Method != partition.Pref {
 			continue
 		}
-		for refdAlias, refdEntry := range refdProp.Placed {
-			if refdEntry.Table != sch.RefTable {
-				continue
-			}
-			if refdEntry.Scheme != r.Cfg.Scheme(sch.RefTable) {
-				continue
-			}
-			if pairsMatchEquiv(
-				ringProp, ringCols, refdProp, refdCols,
-				qualifyAll(alias, sch.Pred.ReferencingCols),
-				qualifyAll(refdAlias, sch.Pred.ReferencedCols),
-			) {
-				return true
+		for _, to := range by(entry) {
+			for refdAlias, refdEntry := range refdProp.Placed {
+				if refdEntry.Table != to.Table || refdEntry.Scheme != r.Cfg.Scheme(to.Table) {
+					continue
+				}
+				if pairsMatchEquiv(
+					ringProp, ringCols, refdProp, refdCols,
+					qualifyAll(alias, to.Pred.ReferencingCols),
+					qualifyAll(refdAlias, to.Pred.ReferencedCols),
+				) {
+					return true
+				}
 			}
 		}
 	}
