@@ -158,9 +158,11 @@ func handleQuery(s *serve.Server, defaultDeadline time.Duration, w http.Response
 	ctx := r.Context()
 	d := defaultDeadline
 	if ts := r.URL.Query().Get("timeout"); ts != "" {
+		// A client's timeout replaces the default deadline but may not
+		// drop it: a non-positive one would run the query with none at all.
 		var err error
-		if d, err = time.ParseDuration(ts); err != nil {
-			httpError(w, http.StatusBadRequest, fmt.Errorf("bad timeout: %w", err))
+		if d, err = time.ParseDuration(ts); err != nil || d <= 0 {
+			httpError(w, http.StatusBadRequest, fmt.Errorf("bad timeout %q: want a positive duration", ts))
 			return
 		}
 	}

@@ -2,7 +2,11 @@ package main
 
 import (
 	"context"
+	"encoding/json"
 	"math"
+	"net/http"
+	"net/http/httptest"
+	"net/url"
 	"reflect"
 	"strings"
 	"testing"
@@ -101,25 +105,15 @@ func FuzzParseTenants(f *testing.F) {
 	} {
 		f.Add(seed.spec, seed.shed)
 	}
-	s := catalog.NewSchema("fz")
-	s.MustAddTable(catalog.MustTable("t", []catalog.Column{{Name: "k", Kind: value.Int}}, "k"))
-	db := table.NewDatabase(s)
-	for k := int64(0); k < 8; k++ {
-		db.Tables["t"].MustAppend(value.Tuple{k})
-	}
-	cfg := partition.NewConfig(2)
-	cfg.SetHash("t", "k")
-	pdb, err := partition.Apply(db, cfg)
-	if err != nil {
-		f.Fatal(err)
-	}
-	queries := map[string]func() plan.Node{"scan": func() plan.Node { return plan.Scan("t", "t") }}
+	opt := tinyOptions(f)
 	f.Fuzz(func(t *testing.T, spec string, shed float64) {
 		tcs, err := parseTenants(spec)
 		if err != nil {
 			return
 		}
-		srv, err := serve.NewServer(serve.Options{PDB: pdb, Config: cfg, Queries: queries, Tenants: tcs, ShedThreshold: shed})
+		opt := opt
+		opt.Tenants, opt.ShedThreshold = tcs, shed
+		srv, err := serve.NewServer(opt)
 		if err != nil {
 			return
 		}
@@ -140,6 +134,114 @@ func FuzzParseTenants(f *testing.F) {
 			}
 			if tc.Rate > 0 && tc.Burst > 0 && tc.Burst < 1 {
 				t.Errorf("spec %q: accepted tenant %+v, whose bucket never holds a query", spec, tc)
+			}
+		}
+	})
+}
+
+// tinyOptions serves one prepared query, "scan", over an eight-row table
+// hashed on two partitions, to one tenant, "t".
+func tinyOptions(tb testing.TB) serve.Options {
+	tb.Helper()
+	s := catalog.NewSchema("fz")
+	s.MustAddTable(catalog.MustTable("t", []catalog.Column{{Name: "k", Kind: value.Int}}, "k"))
+	db := table.NewDatabase(s)
+	for k := int64(0); k < 8; k++ {
+		db.Tables["t"].MustAppend(value.Tuple{k})
+	}
+	cfg := partition.NewConfig(2)
+	cfg.SetHash("t", "k")
+	pdb, err := partition.Apply(db, cfg)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return serve.Options{
+		PDB:     pdb,
+		Config:  cfg,
+		Queries: map[string]func() plan.Node{"scan": func() plan.Node { return plan.Scan("t", "t") }},
+		Tenants: []serve.TenantConfig{{Name: "t", Weight: 1}},
+	}
+}
+
+// tinyServer starts a server over tinyOptions and closes it when the test
+// ends.
+func tinyServer(tb testing.TB) *serve.Server {
+	tb.Helper()
+	srv, err := serve.NewServer(tinyOptions(tb))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(func() { srv.Close(context.Background()) })
+	return srv
+}
+
+// query runs handleQuery on one request with a one-second operator
+// deadline.
+func query(srv *serve.Server, tenant, q, timeout string) *httptest.ResponseRecorder {
+	v := url.Values{"tenant": {tenant}, "q": {q}}
+	if timeout != "" {
+		v.Set("timeout", timeout)
+	}
+	rec := httptest.NewRecorder()
+	handleQuery(srv, time.Second, rec, httptest.NewRequest(http.MethodGet, "/query?"+v.Encode(), nil))
+	return rec
+}
+
+func TestHandleQuery(t *testing.T) {
+	srv := tinyServer(t)
+	rec := query(srv, "t", "scan", "5s")
+	header, _, _ := strings.Cut(rec.Body.String(), "\n")
+	var h struct{ Schema []string }
+	if rec.Code != http.StatusOK || rec.Header().Get("Content-Type") != "application/x-ndjson" ||
+		json.Unmarshal([]byte(header), &h) != nil || len(h.Schema) != 1 {
+		t.Fatalf("good query: %d %q, header line %q", rec.Code, rec.Header().Get("Content-Type"), header)
+	}
+	if rows := strings.Count(rec.Body.String(), "\n") - 1; rows != 8 {
+		t.Errorf("good query streamed %d rows, want 8", rows)
+	}
+	for _, tc := range []struct {
+		tenant, q, timeout string
+		want               int
+	}{
+		{"t", "nope", "", http.StatusNotFound},
+		{"nobody", "scan", "", http.StatusBadRequest},
+		{"t", "scan", "soon", http.StatusBadRequest},
+		{"t", "scan", "0s", http.StatusBadRequest},
+		{"t", "scan", "-1s", http.StatusBadRequest},
+	} {
+		if rec := query(srv, tc.tenant, tc.q, tc.timeout); rec.Code != tc.want {
+			t.Errorf("tenant=%q q=%q timeout=%q: status %d, want %d (%s)", tc.tenant, tc.q, tc.timeout, rec.Code, tc.want, rec.Body)
+		}
+	}
+}
+
+// FuzzHandleQuery: whatever a client sends as tenant, query and timeout,
+// the reply carries one of the serving layer's statuses and every body line
+// is one JSON value.
+func FuzzHandleQuery(f *testing.F) {
+	for _, seed := range [][3]string{
+		{"t", "scan", "5s"},
+		{"t", "scan", ""},
+		{"t", "nope", "5s"},
+		{"nobody", "scan", "5s"},
+		{"t", "scan", "0s"},
+		{"t", "scan", "-1s"},
+		{"t", "scan", "1ns"},
+		{"t", "scan", "9223372036854775807ns"},
+		{"", "", "x"},
+	} {
+		f.Add(seed[0], seed[1], seed[2])
+	}
+	srv := tinyServer(f)
+	ok := map[int]bool{200: true, 400: true, 404: true, 429: true, 503: true, 504: true}
+	f.Fuzz(func(t *testing.T, tenant, q, timeout string) {
+		rec := query(srv, tenant, q, timeout)
+		if !ok[rec.Code] {
+			t.Fatalf("tenant=%q q=%q timeout=%q: status %d (%s)", tenant, q, timeout, rec.Code, rec.Body)
+		}
+		for _, line := range strings.Split(strings.TrimSuffix(rec.Body.String(), "\n"), "\n") {
+			if !json.Valid([]byte(line)) {
+				t.Fatalf("tenant=%q q=%q timeout=%q: body line %q is not JSON", tenant, q, timeout, line)
 			}
 		}
 	})

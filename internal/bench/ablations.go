@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"time"
 
 	"pref/internal/bulkload"
@@ -276,7 +277,7 @@ func AblationPruning(p Params) (*Report, error) {
 				if err != nil {
 					return nil, err
 				}
-				res, err := engine.ExecuteOpts(rw, m.PDBs[0], eopt)
+				res, err := engine.ExecuteCtx(context.Background(), rw, m.PDBs[0], eopt)
 				if err != nil {
 					return nil, err
 				}

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"time"
@@ -93,7 +94,7 @@ func runQuery(t *tpch.TPCH, v *Variant, m *Materialized, stats []*plan.Stats, qu
 		return nil, fmt.Errorf("%s on %s: %w", query, v.Name, err)
 	}
 	start := time.Now()
-	res, err := engine.ExecuteOpts(rw, pdb, eopt)
+	res, err := engine.ExecuteCtx(context.Background(), rw, pdb, eopt)
 	if err != nil {
 		return nil, fmt.Errorf("%s on %s: %w", query, v.Name, err)
 	}
@@ -266,7 +267,7 @@ func execOn(node plan.Node, t *tpch.TPCH, v *Variant, m *Materialized, opt plan.
 		return nil, err
 	}
 	start := time.Now()
-	res, err := engine.ExecuteOpts(rw, m.PDBs[0], eopt)
+	res, err := engine.ExecuteCtx(context.Background(), rw, m.PDBs[0], eopt)
 	if err != nil {
 		return nil, err
 	}

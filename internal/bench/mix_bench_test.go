@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"testing"
 
 	"pref/internal/engine"
@@ -40,7 +41,7 @@ func BenchmarkJoinPrefMix(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		sim = 0
 		for qi, rw := range plans {
-			res, err := engine.Execute(rw, m.PDBs[pdbs[qi]])
+			res, err := engine.ExecuteCtx(context.Background(), rw, m.PDBs[pdbs[qi]], engine.ExecOptions{})
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
@@ -47,7 +48,7 @@ func OpBreakdown(p Params) (*Report, error) {
 		}
 		eopt := p.execOptions(t.DB.TotalRows())
 		eopt.Trace = true
-		res, err := engine.ExecuteOpts(rw, m.PDBs[gi], eopt)
+		res, err := engine.ExecuteCtx(context.Background(), rw, m.PDBs[gi], eopt)
 		if err != nil {
 			return nil, err
 		}

@@ -57,7 +57,7 @@ func serveOracles(t *testing.T, th *tpch.TPCH, m *Materialized, v *Variant) map[
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := engine.Execute(rw, m.PDBs[0])
+		res, err := engine.ExecuteCtx(context.Background(), rw, m.PDBs[0], engine.ExecOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 	"slices"
@@ -239,7 +240,7 @@ func (r *sweepRun) execute(pdb *table.PartitionedDatabase) error {
 
 // execute runs a plan, sorts its rows, and holds the batch pool to balance.
 func execute(rw *plan.Rewritten, pdb *table.PartitionedDatabase, opt engine.ExecOptions) (*engine.Result, error) {
-	res, err := engine.ExecuteOpts(rw, pdb, opt)
+	res, err := engine.ExecuteCtx(context.Background(), rw, pdb, opt)
 	if err != nil {
 		return nil, err
 	}

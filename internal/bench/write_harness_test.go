@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"reflect"
@@ -295,7 +296,7 @@ func runMixedSchedule(mp mixedParams) (*mixedOutcome, error) {
 			defer wg.Done()
 			for i := 0; ; i++ {
 				q := (r + i) % len(rws)
-				res, err := engine.ExecuteOpts(rws[q], pdb,
+				res, err := engine.ExecuteCtx(context.Background(), rws[q], pdb,
 					engine.ExecOptions{Cluster: cl, Fault: readPol})
 				atomic.AddInt64(&queries, 1)
 				switch {
@@ -378,7 +379,7 @@ func runMixedSchedule(mp mixedParams) (*mixedOutcome, error) {
 		return nil, fmt.Errorf("final epoch %d has no oracle", pdb.Epoch())
 	}
 	for q, rw := range rws {
-		res, err := engine.ExecuteOpts(rw, pdb, engine.ExecOptions{})
+		res, err := engine.ExecuteCtx(context.Background(), rw, pdb, engine.ExecOptions{})
 		if err != nil {
 			return nil, fmt.Errorf("final query %d: %w", q, err)
 		}

@@ -30,7 +30,7 @@
 //
 // A plan that silently violates these invariants produces wrong answers,
 // not crashes, which is why they are checked statically before any tuple
-// moves. The engine runs Verify before every Execute when the PREF_VERIFY
+// moves. The engine runs Verify before every ExecuteCtx when the PREF_VERIFY
 // debug flag (or ExecOptions.Verify) is set; cmd/prefcheck runs both
 // prongs from the command line.
 package check

@@ -1,6 +1,7 @@
 package check_test
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -160,7 +161,7 @@ func TestCoverJoinsRunLocally(t *testing.T) {
 				if local := findNode(j, isShuffle) == nil; local != c.local {
 					t.Errorf("stats %v: join local = %v, want %v\n%s", opt.Stats != nil, local, c.local, rw.Explain())
 				}
-				got, err := engine.ExecuteOpts(rw, pdb, engine.ExecOptions{Verify: true})
+				got, err := engine.ExecuteCtx(context.Background(), rw, pdb, engine.ExecOptions{Verify: true})
 				if err != nil {
 					t.Fatalf("%v\n%s", err, rw.Explain())
 				}
@@ -229,7 +230,7 @@ func oneNode(t *testing.T, q plan.Node, sch *catalog.Schema, db *table.Database)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := engine.Execute(mustRewrite(t, q, sch, one), pdb)
+	res, err := engine.ExecuteCtx(context.Background(), mustRewrite(t, q, sch, one), pdb, engine.ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package check_test
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -211,11 +212,11 @@ func TestSplitOrphanSumsMatchOneNode(t *testing.T) {
 		if findNode(rw.Root, func(n plan.Node) bool { return rw.Props[n].Orphans == "l" }) == nil {
 			t.Fatalf("having %d: fixture drift: the rewrite does not sum in place:\n%s", having, rw.Explain())
 		}
-		got, err := engine.ExecuteOpts(rw, pdb, engine.ExecOptions{Verify: true})
+		got, err := engine.ExecuteCtx(context.Background(), rw, pdb, engine.ExecOptions{Verify: true})
 		if err != nil {
 			t.Fatalf("having %d: %v\n%s", having, err, rw.Explain())
 		}
-		want, err := engine.ExecuteOpts(mustRewrite(t, q, sch, one), pdb1, engine.ExecOptions{})
+		want, err := engine.ExecuteCtx(context.Background(), mustRewrite(t, q, sch, one), pdb1, engine.ExecOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}

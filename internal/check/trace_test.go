@@ -1,6 +1,7 @@
 package check_test
 
 import (
+	"context"
 	"testing"
 
 	"pref/internal/catalog"
@@ -47,7 +48,7 @@ func traceFixture(t *testing.T) (*plan.Rewritten, *trace.Trace) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := engine.ExecuteOpts(rw, pdb, engine.ExecOptions{Trace: true})
+	res, err := engine.ExecuteCtx(context.Background(), rw, pdb, engine.ExecOptions{Trace: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +173,7 @@ func localTraceFixture(t *testing.T) (*plan.Rewritten, *trace.Trace, *trace.OpTr
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := engine.ExecuteOpts(rw, pdb, engine.ExecOptions{Trace: true})
+	res, err := engine.ExecuteCtx(context.Background(), rw, pdb, engine.ExecOptions{Trace: true})
 	if err != nil {
 		t.Fatal(err)
 	}

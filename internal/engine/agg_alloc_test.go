@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"runtime"
 	"testing"
 
@@ -44,7 +45,7 @@ func TestAggregationAllocatesPerGroup(t *testing.T) {
 			t.Fatalf("plan is not a two-phase aggregation:\n%s", rw.Explain())
 		}
 		return testing.AllocsPerRun(5, func() {
-			res, err := ExecuteOpts(rw, pdb, ExecOptions{})
+			res, err := ExecuteCtx(context.Background(), rw, pdb, ExecOptions{})
 			if err != nil || len(res.Rows) != 4 {
 				t.Fatalf("got %d rows, err %v; want the 4 groups", len(res.Rows), err)
 			}

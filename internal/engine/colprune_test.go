@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"reflect"
 	"sort"
 	"testing"
@@ -209,7 +210,7 @@ func TestRepartitionMeteringPrunedWidth(t *testing.T) {
 	if got := rw.Schema(rep).Names(); !reflect.DeepEqual(got, []string{"l.orderkey", "l.qty"}) {
 		t.Fatalf("repartition ships %v, want [l.orderkey l.qty]", got)
 	}
-	res, err := ExecuteOpts(rw, pdb, ExecOptions{Verify: true})
+	res, err := ExecuteCtx(context.Background(), rw, pdb, ExecOptions{Verify: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -183,17 +183,6 @@ func (ex *executor) epoch() int64 {
 	return 0
 }
 
-// Execute runs a rewritten plan against a partitioned database and gathers
-// the result at the coordinator.
-func Execute(rw *plan.Rewritten, pdb *table.PartitionedDatabase) (*Result, error) {
-	return ExecuteOpts(rw, pdb, ExecOptions{})
-}
-
-// ExecuteOpts is Execute with an explicit execution model.
-func ExecuteOpts(rw *plan.Rewritten, pdb *table.PartitionedDatabase, opt ExecOptions) (*Result, error) {
-	return ExecuteCtx(context.Background(), rw, pdb, opt)
-}
-
 // ErrDeadlineExceeded reports a query killed by an expired deadline —
 // the caller's context deadline or the fault policy's per-query timeout —
 // anywhere along the propagation path: waiting in the serving layer's
@@ -205,10 +194,13 @@ func ExecuteOpts(rw *plan.Rewritten, pdb *table.PartitionedDatabase, opt ExecOpt
 // still matches context.DeadlineExceeded.
 var ErrDeadlineExceeded = errors.New("engine: query deadline exceeded")
 
-// ExecuteCtx is ExecuteOpts under a caller-supplied context. The query
-// additionally gets its own deadline when the fault policy sets one;
-// cancelling ctx aborts all in-flight per-node work. A query killed by an
-// expired deadline fails with a typed ErrDeadlineExceeded.
+// ExecuteCtx runs a rewritten plan against a partitioned database under
+// the caller's context and gathers the result at the coordinator. It is
+// the engine's one entry point: the engine never mints a root context, so
+// every per-node unit runs under ctx. The query additionally gets its own
+// deadline when the fault policy sets one; cancelling ctx aborts all
+// in-flight per-node work. A query killed by an expired deadline fails
+// with a typed ErrDeadlineExceeded.
 func ExecuteCtx(ctx context.Context, rw *plan.Rewritten, pdb *table.PartitionedDatabase, opt ExecOptions) (*Result, error) {
 	res, err := executeCtx(ctx, rw, pdb, opt, (*executor).evalVec)
 	if err != nil && errors.Is(err, context.DeadlineExceeded) {

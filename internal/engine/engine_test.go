@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 	"testing"
@@ -100,7 +101,7 @@ func runOn(t testing.TB, mk func() plan.Node, db *table.Database, cfg *partition
 	if err != nil {
 		t.Fatalf("rewrite: %v\n%s", err, plan.Format(mk()))
 	}
-	res, err := Execute(rw, pdb)
+	res, err := ExecuteCtx(context.Background(), rw, pdb, ExecOptions{})
 	if err != nil {
 		t.Fatalf("execute: %v\n%s", err, plan.Format(rw.Root))
 	}

@@ -29,7 +29,7 @@ func runOnOpts(t testing.TB, mk func() plan.Node, db *table.Database, cfg *parti
 	if err != nil {
 		t.Fatalf("rewrite: %v\n%s", err, plan.Format(mk()))
 	}
-	res, err := ExecuteOpts(rw, pdb, eopt)
+	res, err := ExecuteCtx(context.Background(), rw, pdb, eopt)
 	if err != nil {
 		return nil, err
 	}

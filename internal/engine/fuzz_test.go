@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -109,11 +110,11 @@ func oracle(t *testing.T, seed int64, noDupIndex bool, s *catalog.Schema, cfg *p
 	if err != nil {
 		t.Fatalf("single-node rewrite failed: %v", err)
 	}
-	want, err := ExecuteOpts(rw1, pdb1, ExecOptions{})
+	want, err := ExecuteCtx(context.Background(), rw1, pdb1, ExecOptions{})
 	if err != nil {
 		t.Fatalf("single-node execute failed: %v", err)
 	}
-	got, err := ExecuteOpts(rw, pdb, ExecOptions{})
+	got, err := ExecuteCtx(context.Background(), rw, pdb, ExecOptions{})
 	if err != nil {
 		t.Fatalf("execute failed: %v\n%s", err, rw.Explain())
 	}

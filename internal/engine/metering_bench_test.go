@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"testing"
 
 	"pref/internal/partition"
@@ -61,7 +62,7 @@ func BenchmarkExecuteMetering(b *testing.B) {
 			b.Run(pl.name+"/trace="+mode.name, func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					res, err := ExecuteOpts(rw, pdb, ExecOptions{Trace: mode.trace})
+					res, err := ExecuteCtx(context.Background(), rw, pdb, ExecOptions{Trace: mode.trace})
 					if err != nil {
 						b.Fatal(err)
 					}

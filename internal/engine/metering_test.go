@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"reflect"
 	"testing"
 	"time"
@@ -31,7 +32,7 @@ func TestRepartitionMeteringExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Execute(rw, pdb)
+	res, err := ExecuteCtx(context.Background(), rw, pdb, ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +122,7 @@ func TestGroupedAggShipsPartialStates(t *testing.T) {
 		"crash+straggler": {Seed: 7, CrashProb: 0.3, StragglerProb: 0.3,
 			StragglerDelay: time.Millisecond, MaxAttempts: 16},
 	} {
-		res, err := ExecuteOpts(rw, pdb, ExecOptions{Fault: pol, Trace: true, Verify: true})
+		res, err := ExecuteCtx(context.Background(), rw, pdb, ExecOptions{Fault: pol, Trace: true, Verify: true})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -196,7 +197,7 @@ func TestBroadcastMeteringExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Execute(rw, pdb)
+	res, err := ExecuteCtx(context.Background(), rw, pdb, ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,7 +227,7 @@ func TestLocalPlanShipsNothing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Execute(rw, pdb)
+	res, err := ExecuteCtx(context.Background(), rw, pdb, ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,11 +269,11 @@ func TestCacheMissPenalty(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fits, err := ExecuteOpts(rw, pdb, ExecOptions{CacheRows: 1000})
+	fits, err := ExecuteCtx(context.Background(), rw, pdb, ExecOptions{CacheRows: 1000})
 	if err != nil {
 		t.Fatal(err)
 	}
-	misses, err := ExecuteOpts(rw, pdb, ExecOptions{CacheRows: 5})
+	misses, err := ExecuteCtx(context.Background(), rw, pdb, ExecOptions{CacheRows: 5})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package engine_test
 
 import (
+	"context"
 	"testing"
 
 	"pref/internal/batch"
@@ -46,7 +47,7 @@ func TestVecRowOracleTPCH(t *testing.T) {
 		mats[name], stats[name] = m, m.GroupStats()
 	}
 
-	type executeFn func(*plan.Rewritten, *table.PartitionedDatabase, engine.ExecOptions) (*engine.Result, error)
+	type executeFn func(context.Context, *plan.Rewritten, *table.PartitionedDatabase, engine.ExecOptions) (*engine.Result, error)
 	run := func(t *testing.T, name, query string, execute executeFn) *engine.Result {
 		t.Helper()
 		v, m := vs[name], mats[name]
@@ -56,7 +57,7 @@ func TestVecRowOracleTPCH(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s/%s: rewrite: %v", name, query, err)
 		}
-		res, err := execute(rw, m.PDBs[gi], engine.ExecOptions{})
+		res, err := execute(context.Background(), rw, m.PDBs[gi], engine.ExecOptions{})
 		if err != nil {
 			t.Fatalf("%s/%s: execute: %v", name, query, err)
 		}
@@ -85,7 +86,7 @@ func TestVecRowOracleTPCH(t *testing.T) {
 		query := query
 		t.Run(query, func(t *testing.T) {
 			for _, name := range order {
-				vec := run(t, name, query, engine.ExecuteOpts)
+				vec := run(t, name, query, engine.ExecuteCtx)
 				row := run(t, name, query, engine.ExecuteRef)
 				if n := batch.Outstanding(); n != 0 {
 					t.Fatalf("%s/%s: %d pooled columns were never released", name, query, n)

@@ -33,9 +33,9 @@ import (
 // TestReferenceRunsRowOperators pins that the two entries really run
 // different code.
 
-// executeRef is ExecuteOpts over the row reference.
-func executeRef(rw *plan.Rewritten, pdb *table.PartitionedDatabase, opt ExecOptions) (*Result, error) {
-	return executeCtx(context.Background(), rw, pdb, opt, func(ex *executor, n plan.Node) (vparts, error) {
+// executeRef is ExecuteCtx over the row reference.
+func executeRef(ctx context.Context, rw *plan.Rewritten, pdb *table.PartitionedDatabase, opt ExecOptions) (*Result, error) {
+	return executeCtx(ctx, rw, pdb, opt, func(ex *executor, n plan.Node) (vparts, error) {
 		rows, err := ex.refEval(n)
 		if err != nil {
 			return nil, err

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -31,7 +32,7 @@ func TestTopKBasic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	direct, err := Execute(rw, pdb)
+	direct, err := ExecuteCtx(context.Background(), rw, pdb, ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

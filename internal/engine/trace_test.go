@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -61,7 +62,7 @@ func traceScenario(t *testing.T, seed int64, eopt ExecOptions) *Result {
 	if err != nil {
 		t.Fatalf("seed %d: rewrite failed: %v\n%s", seed, err, plan.Format(q))
 	}
-	off, err := ExecuteOpts(rw, pdb, eopt)
+	off, err := ExecuteCtx(context.Background(), rw, pdb, eopt)
 	if err != nil {
 		t.Fatalf("seed %d: untraced execute failed: %v\nplan:\n%s", seed, err, rw.Explain())
 	}
@@ -69,7 +70,7 @@ func traceScenario(t *testing.T, seed int64, eopt ExecOptions) *Result {
 		t.Fatalf("seed %d: Trace not requested but assembled", seed)
 	}
 	eopt.Trace = true
-	res, err := ExecuteOpts(rw, pdb, eopt)
+	res, err := ExecuteCtx(context.Background(), rw, pdb, eopt)
 	if err != nil {
 		t.Fatalf("seed %d: execute failed: %v\nplan:\n%s", seed, err, rw.Explain())
 	}

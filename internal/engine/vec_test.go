@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -69,8 +70,8 @@ func buildVecScenario(t *testing.T, seed int64, popt plan.Options) (*plan.Rewrit
 // spans all match. It returns the product's result, nil when both failed.
 func assertEnginesAgree(t *testing.T, seed int64, rw *plan.Rewritten, pdb *table.PartitionedDatabase, opt ExecOptions) *Result {
 	t.Helper()
-	vres, verr := ExecuteOpts(rw, pdb, opt)
-	rres, rerr := executeRef(rw, pdb, opt)
+	vres, verr := ExecuteCtx(context.Background(), rw, pdb, opt)
+	rres, rerr := executeRef(context.Background(), rw, pdb, opt)
 	requirePoolBalanced(t, fmt.Sprint("seed ", seed))
 	if (verr == nil) != (rerr == nil) {
 		t.Fatalf("seed %d: engines disagree on failure: vec err=%v row err=%v", seed, verr, rerr)
@@ -307,17 +308,17 @@ func TestReferenceRunsRowOperators(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	exec := func(run func(*plan.Rewritten, *table.PartitionedDatabase, ExecOptions) (*Result, error)) (*Result, int64) {
+	exec := func(run func(context.Context, *plan.Rewritten, *table.PartitionedDatabase, ExecOptions) (*Result, error)) (*Result, int64) {
 		t.Helper()
 		before := refNodes.Load()
-		res, err := run(rw, pdb, ExecOptions{})
+		res, err := run(context.Background(), rw, pdb, ExecOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		res.SortRows()
 		return res, refNodes.Load() - before
 	}
-	vec, vecRefNodes := exec(ExecuteOpts)
+	vec, vecRefNodes := exec(ExecuteCtx)
 	row, rowRefNodes := exec(executeRef)
 	if !sameRows(vec.Rows, row.Rows) {
 		t.Fatal("the reference answers differently from the product")

@@ -1,6 +1,7 @@
 package plan_test
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"testing"
@@ -95,7 +96,7 @@ func TestGoldenExplainAnalyze(t *testing.T) {
 			if err != nil {
 				t.Fatalf("rewrite: %v", err)
 			}
-			res, err := engine.ExecuteOpts(rw, pdb, engine.ExecOptions{Trace: true, Verify: true})
+			res, err := engine.ExecuteCtx(context.Background(), rw, pdb, engine.ExecOptions{Trace: true, Verify: true})
 			if err != nil {
 				t.Fatalf("execute: %v", err)
 			}

@@ -315,18 +315,26 @@ func (pt *Partitioned) Publish() int64 {
 	if v := pt.pub.Load(); v != nil {
 		epoch = v.Epoch + 1
 	}
-	return pt.publishLocked(epoch)
+	pt.publishLocked(epoch)
+	return epoch
 }
 
 // publishLocked installs the head as the given epoch. Callers hold pubMu.
-// The stored Version is the only record of which partitions are published:
-// BeginWrite and ResetToPublished compare head pointers against it, so
-// nothing has to follow the atomic store.
-func (pt *Partitioned) publishLocked(epoch int64) int64 {
+// Its one statement is the atomic store, so nothing can run after the new
+// version becomes visible: everything a reader may observe is built by
+// freeze first. The stored Version is the only record of which partitions
+// are published; BeginWrite and ResetToPublished compare head pointers
+// against it. TestPublishIsTheLastStatement holds the shape.
+func (pt *Partitioned) publishLocked(epoch int64) {
+	pt.pub.Store(pt.freeze(epoch))
+}
+
+// freeze builds the Version that publishes the head as epoch: a private
+// copy of the head's partition pointers and its logical row count.
+func (pt *Partitioned) freeze(epoch int64) *Version {
 	parts := make([]*Partition, len(pt.Parts))
 	copy(parts, pt.Parts)
-	pt.pub.Store(&Version{Epoch: epoch, Parts: parts, Rows: pt.OriginalRows})
-	return epoch
+	return &Version{Epoch: epoch, Parts: parts, Rows: pt.OriginalRows}
 }
 
 // ResetToPublished discards all head mutations since the last publication,

@@ -5,6 +5,7 @@ package tpch
 // must insert exchanges exactly where locality is impossible.
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -139,7 +140,7 @@ func TestPaperSDCorrectness(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s/%s: %v", q, name, err)
 			}
-			res, err := engine.Execute(rw, pdb)
+			res, err := engine.ExecuteCtx(context.Background(), rw, pdb, engine.ExecOptions{})
 			if err != nil {
 				t.Fatalf("%s/%s: %v", q, name, err)
 			}

@@ -1,6 +1,7 @@
 package tpch
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -164,7 +165,7 @@ func TestAll22QueriesAllConfigs(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s/%s: rewrite: %v", name, cfgName, err)
 			}
-			res, err := engine.Execute(rw, pdb)
+			res, err := engine.ExecuteCtx(context.Background(), rw, pdb, engine.ExecOptions{})
 			if err != nil {
 				t.Fatalf("%s/%s: execute: %v", name, cfgName, err)
 			}

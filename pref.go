@@ -430,13 +430,13 @@ func NewServer(opt ServeOptions) (*Server, error) { return serve.NewServer(opt) 
 
 // Execute runs a rewritten plan against a partitioned database.
 func Execute(rw *Rewritten, pdb *PartitionedDatabase) (*Result, error) {
-	return engine.Execute(rw, pdb)
+	return ExecuteOpts(rw, pdb, ExecOptions{})
 }
 
 // ExecuteOpts is Execute with an explicit execution model — buffer-pool
 // size, and fault injection via ExecOptions.Fault.
 func ExecuteOpts(rw *Rewritten, pdb *PartitionedDatabase, opt ExecOptions) (*Result, error) {
-	return engine.ExecuteOpts(rw, pdb, opt)
+	return engine.ExecuteCtx(context.Background(), rw, pdb, opt)
 }
 
 // ExecuteCtx is ExecuteOpts under a caller-supplied context: cancelling it
@@ -452,7 +452,7 @@ func Run(root PlanNode, s *Schema, cfg *Config, pdb *PartitionedDatabase) (*Resu
 	if err != nil {
 		return nil, err
 	}
-	return engine.Execute(rw, pdb)
+	return Execute(rw, pdb)
 }
 
 // Explain is Run with per-operator tracing enabled: the result carries a
@@ -464,7 +464,7 @@ func Explain(root PlanNode, s *Schema, cfg *Config, pdb *PartitionedDatabase) (*
 	if err != nil {
 		return nil, err
 	}
-	return engine.ExecuteOpts(rw, pdb, ExecOptions{Trace: true})
+	return ExecuteOpts(rw, pdb, ExecOptions{Trace: true})
 }
 
 // DefaultCostModel approximates the paper's commodity cluster.
