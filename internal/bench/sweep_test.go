@@ -807,3 +807,111 @@ func unprunedWidth(rw *plan.Rewritten, n plan.Node) int {
 }
 
 func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
+
+// TestReplicatedJoinsSinkTPCH: with statistics, a join with a replicated
+// table moves down to the input that holds its key where that is priced
+// cheaper (internal/plan's sink.go). On every priced run of the sweep, a
+// join the rule could still move is one the pricing keeps where it is, for
+// the reason pinned below, by query and replicated input. At benchFx, SD's
+// Q7 joins supplier to n1 and customer to n2, and the pair filter over both
+// nations sits on the orders ⋈ customer join, the lowest that reads both.
+func TestReplicatedJoinsSinkTPCH(t *testing.T) {
+	kept := map[string]string{
+		"Q2/r": "at sf 0.002 its join probes the ~20 supplier ⋈ nation rows; " +
+			"below it, it would probe all 25 nations",
+		"Q8/n2": "below l ⋈ s it would join the whole replicated supplier table on every node; " +
+			"above it, only the lines part's filter keeps",
+		"Q9/ps": "with partsupp replicated (CP), below l ⋈ s it probes as many lines as above it: " +
+			"a tie keeps the written order",
+		"Q10/n": "below c ⋈ o it would probe the customers the orders filter keeps, " +
+			"estimated no fewer than the pairs above it",
+	}
+	// Under AllReplicated every input is replicated: each node joins whole
+	// tables, and the rule moves a join only where it is priced strictly
+	// cheaper.
+	const everything = "AllReplicated"
+	used := map[string]bool{}
+	for _, s := range allSweeps(t) {
+		for _, r := range s.runs {
+			if !r.stats {
+				continue
+			}
+			for _, j := range sinkable(r.rw) {
+				d, _ := baseInput(j.Right)
+				key := r.query + "/" + d.Alias
+				if _, ok := kept[key]; !ok && r.variant != everything {
+					t.Errorf("%v: %s over %s is left above a join whose input holds its keys\n%s", r, j, d, r.rw.Explain())
+				}
+				used[key] = true
+			}
+		}
+	}
+	for key := range kept {
+		if !used[key] {
+			t.Errorf("%s: no run keeps that join in place; drop the exception", key)
+		}
+	}
+
+	r := sweepOf(t, benchFx).run("SD", "Q7", true)
+	onto := map[string]string{}   // replicated nation alias -> the table it joins
+	residual := map[string]bool{} // joins with a residual, by their first key
+	walkPlan(r.rw.Root, func(n plan.Node) {
+		j, ok := n.(*plan.JoinNode)
+		if !ok {
+			return
+		}
+		if d, ok := baseInput(j.Right); ok && d.Table == "nation" {
+			if a, ok := baseInput(j.Left); ok {
+				onto[d.Alias] = a.Table
+			}
+		}
+		if j.Residual != nil {
+			residual[j.LeftCols[0]] = true
+		}
+	})
+	if onto["n1"] != "supplier" || onto["n2"] != "customer" || len(residual) != 1 || !residual["o.custkey"] {
+		t.Errorf("%v: want n1 joined to supplier, n2 to customer and the pair filter on o ⋈ c, got %v and residuals on %v\n%s",
+			r, onto, residual, r.rw.Explain())
+	}
+}
+
+// sinkable returns the joins of rw that the sink rule could still move: an
+// inner equi-join whose right input is a replicated base table, possibly
+// filtered, over an inner equi-join one of whose inputs holds its keys and
+// carries neither split sums nor PREF duplicates its join drops.
+func sinkable(rw *plan.Rewritten) []*plan.JoinNode {
+	var out []*plan.JoinNode
+	walkPlan(rw.Root, func(n plan.Node) {
+		j, ok := n.(*plan.JoinNode)
+		if !ok || j.Type != plan.Inner || len(j.LeftCols) == 0 {
+			return
+		}
+		d, ok := baseInput(j.Right)
+		if !ok || findPlan(j.Right, isExchange) != nil || rw.Cfg.Scheme(d.Table).Method != partition.Replicated {
+			return
+		}
+		x, ok := throughFilters(j.Left).(*plan.JoinNode)
+		if !ok || x.Type != plan.Inner || len(x.LeftCols) == 0 {
+			return
+		}
+		for _, a := range []plan.Node{x.Left, x.Right} {
+			p, sch := rw.Props[a], rw.Schema(a)
+			holds := !slices.ContainsFunc(j.LeftCols, func(c string) bool { return sch.Index(c) < 0 })
+			if holds && p.Orphans == "" && !(p.Dup() && !rw.Props[x].Dup()) {
+				out = append(out, j)
+			}
+		}
+	})
+	return out
+}
+
+// throughFilters skips the runtime filters above n.
+func throughFilters(n plan.Node) plan.Node {
+	for {
+		f, ok := n.(*plan.RuntimeFilterNode)
+		if !ok {
+			return n
+		}
+		n = f.Child
+	}
+}

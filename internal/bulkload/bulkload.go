@@ -432,8 +432,8 @@ func (l *Loader) applySteps(it *Intent, stage fault.WriteStage, stepIdx int) err
 		pt := l.pdb.Tables[st.Table]
 		part := pt.BeginWrite(st.Part)
 		if part.Len() != st.PreLen {
-			// lint:invariant — the step was planned against a different
-			// partition image than the one being written.
+			// The step was planned against a different partition image
+			// than the one being written.
 			return fmt.Errorf("bulkload: intent %d step %d: %s[%d] has %d rows, planned against %d",
 				it.Seq, j, st.Table, st.Part, part.Len(), st.PreLen)
 		}

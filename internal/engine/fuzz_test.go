@@ -53,9 +53,11 @@ func FuzzPrunedPlanOracle(f *testing.F) {
 	// although it sits on the join key (broadcast of an aligned input), and
 	// one whose co-located anti join, rewritten with statistics, filters its
 	// right input — a PREF table holding duplicate copies — in place with
-	// the left input's keys (a local runtime filter), and one whose PREF
+	// the left input's keys (a local runtime filter), one whose PREF
 	// semi join against its bare referenced table filters that table so
-	// (the join stays co-located).
+	// (the join stays co-located), and one whose join with a replicated
+	// table, rewritten with statistics, moves below a misaligned join onto
+	// the input that holds its key, above that input's repartition.
 	f.Add(int64(0), false)
 	f.Add(int64(1), true)
 	f.Fuzz(func(t *testing.T, seed int64, noDupIndex bool) {

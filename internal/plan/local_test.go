@@ -3,7 +3,9 @@ package plan
 import (
 	"testing"
 
+	"pref/internal/catalog"
 	"pref/internal/partition"
+	"pref/internal/value"
 )
 
 func isRuntimeFilter(n Node) bool { _, ok := n.(*RuntimeFilterNode); return ok }
@@ -130,5 +132,57 @@ func TestLocalFilterFromReplicatedSource(t *testing.T) {
 	}
 	if rw, f := onOrders(Options{}); f.Local {
 		t.Errorf("without statistics the filter ships as before\n%s", rw.Explain())
+	}
+}
+
+// TestLocalFilterPricesTheJoinsItPasses: a local filter that moves below a
+// join also shrinks that join's input, which the join builds or probes row
+// by row. In Q5's shape — a few orders joined to their lines, then a
+// selective supplier input co-located with lineitem — the supplier's filter
+// on l.suppkey keeps a fifth of the lines. The orders join's output is
+// smaller than that fifth, so priced by the rows above it alone the filter
+// would sit on the join; counting the lines the join reads, it lands on the
+// lineitem scan.
+func TestLocalFilterPricesTheJoinsItPasses(t *testing.T) {
+	s := catalog.NewSchema("q5")
+	s.MustAddTable(catalog.MustTable("orders",
+		[]catalog.Column{{Name: "orderkey", Kind: value.Int}, {Name: "total", Kind: value.Money}}, "orderkey"))
+	s.MustAddTable(catalog.MustTable("lineitem",
+		[]catalog.Column{{Name: "linekey", Kind: value.Int}, {Name: "orderkey", Kind: value.Int}, {Name: "suppkey", Kind: value.Int}}, "linekey"))
+	s.MustAddTable(catalog.MustTable("supplier",
+		[]catalog.Column{{Name: "suppkey", Kind: value.Int}, {Name: "region", Kind: value.Int}}, "suppkey"))
+	cfg := partition.NewConfig(4)
+	cfg.SetHash("lineitem", "orderkey")
+	cfg.SetPref("orders", "lineitem", []string{"orderkey"}, []string{"orderkey"})
+	cfg.SetPref("supplier", "lineitem", []string{"suppkey"}, []string{"suppkey"})
+	col := func(lo, hi int64, ndv float64) ColStats { return ColStats{Min: lo, Max: hi, NDV: ndv} }
+	st := &Stats{Tables: map[string]*TableStats{
+		"orders":   {Rows: 1000, Cols: []ColStats{col(1, 1000, 1000), col(0, 9999, 1000)}},
+		"lineitem": {Rows: 4000, Cols: []ColStats{col(1, 4000, 4000), col(1, 1000, 1000), col(1, 100, 100)}},
+		"supplier": {Rows: 100, Cols: []ColStats{col(1, 100, 100), col(0, 4, 5)}},
+	}}
+	ol := Join(Filter(Scan("orders", "o"), Le(Col("o.total"), Lit(499))), Scan("lineitem", "l"),
+		Inner, []string{"o.orderkey"}, []string{"l.orderkey"})
+	q := Join(ol, Filter(Scan("supplier", "s"), Eq(Col("s.region"), Lit(0))),
+		Inner, []string{"l.suppkey"}, []string{"s.suppkey"})
+	rw, err := Rewrite(q, s, cfg, Options{Stats: st})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var f *RuntimeFilterNode
+	for _, n := range findNodes(rw.Root, isRuntimeFilter) {
+		if n.(*RuntimeFilterNode).Col == "l.suppkey" {
+			f = n.(*RuntimeFilterNode)
+		}
+	}
+	if f == nil || !f.Local || f.From.Source != RightSide {
+		t.Fatalf("want a local filter on l.suppkey built from the supplier input\n%s", rw.Explain())
+	}
+	below := f.Child
+	for rf, ok := below.(*RuntimeFilterNode); ok; rf, ok = below.(*RuntimeFilterNode) {
+		below = rf.Child
+	}
+	if scan, ok := below.(*ScanNode); !ok || scan.Table != "lineitem" {
+		t.Errorf("the filter on l.suppkey sits above %s, want the lineitem scan\n%s", below, rw.Explain())
 	}
 }

@@ -117,8 +117,11 @@ func Rewrite(root Node, schema *catalog.Schema, cfg *partition.Config, opt Optio
 		return nil, err
 	}
 	r.out.Root = phys
-	r.placeTransfers(phys)
-	r.pruneColumns(phys)
+	if opt.Stats != nil {
+		r.sinkJoins(&r.out.Root, true)
+	}
+	r.placeTransfers(r.out.Root)
+	r.pruneColumns(r.out.Root)
 	return r.out, nil
 }
 

@@ -388,6 +388,22 @@ func (r *Rewriter) replicatedJoin(n *JoinNode, left Node, lp *Prop, ls Schema,
 	}
 
 	j := r.physJoin(n, left, right)
+	np := r.replicatedProp(n, lp, rp)
+	if n.Type == Semi || n.Type == Anti {
+		np.Placed = lp.Placed
+		np.SetDupCols(lp.DupCols())
+		np.SetHashCols(lp.HashCols())
+		np.Repl = lp.Repl
+		np.Equiv = lp.Equiv
+	}
+	node, p, s := r.note(j, outSchema, np)
+	return node, p, s, nil
+}
+
+// replicatedProp is the output property of the inner join n of inputs
+// with properties lp and rp, one of them replicated: rows stay where the
+// other input's are.
+func (r *Rewriter) replicatedProp(n *JoinNode, lp, rp *Prop) *Prop {
 	np := &Prop{Parts: lp.Parts, Equiv: r.joinEquiv(n, lp, rp)}
 	switch {
 	case lp.Repl && rp.Repl:
@@ -402,15 +418,7 @@ func (r *Rewriter) replicatedJoin(n *JoinNode, left Node, lp *Prop, ls Schema,
 		np.Placed = lp.Placed
 		np.SetDupCols(lp.DupCols())
 	}
-	if n.Type == Semi || n.Type == Anti {
-		np.Placed = lp.Placed
-		np.SetDupCols(lp.DupCols())
-		np.SetHashCols(lp.HashCols())
-		np.Repl = lp.Repl
-		np.Equiv = lp.Equiv
-	}
-	node, p, s := r.note(j, outSchema, np)
-	return node, p, s, nil
+	return np
 }
 
 // broadcastJoin ships the deduplicated right side to every node and joins

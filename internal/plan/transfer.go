@@ -47,10 +47,12 @@ import "slices"
 // A filter goes as deep into the target as the key column passes unchanged
 // (passDown), which in practice is directly above a base-table scan, below
 // its filters — but for one the local rule fired, which goes where the
-// estimator expects it to save the most. Joins are visited top-down, so a
-// filter placed by an enclosing join already makes its target selective
-// when the joins below it are visited: filters chain from join to join down
-// the tree.
+// estimator expects it to save the most: every operator between it and its
+// join emits fewer rows, and a join it goes below also reads fewer, since a
+// join's work is its two inputs and its output. Joins are visited top-down,
+// so a filter placed by an enclosing join already makes its target
+// selective when the joins below it are visited: filters chain from join to
+// join down the tree.
 
 // placeTransfers visits the joins of the subtree at n top-down and returns
 // the slots it placed a filter in, in placement order.
@@ -108,7 +110,8 @@ func (r *Rewriter) filterSlot(slot *Node, col string) *Node {
 // filter on col that keeps the share c of its rows saves the most per-node
 // rows, and how many: the filter processes the rows it keeps, as a Filter
 // does, and every operator between it and the join, the join included,
-// processes only those.
+// processes only those — a join both as its output and as its input on the
+// filter's side.
 func (r *Rewriter) localSlot(target *Node, col string, c float64) (*Node, float64) {
 	saved := r.rows(*target) * (1 - c) // the join's input
 	best, gain := target, saved-r.rows(*target)*c
@@ -118,6 +121,9 @@ func (r *Rewriter) localSlot(target *Node, col string, c float64) (*Node, float6
 			return best, gain
 		}
 		saved += r.rows(*slot) * (1 - c) // *slot now runs above the filter
+		if _, ok := (*slot).(*JoinNode); ok {
+			saved += r.rows(*next) * (1 - c) // and a join also reads its input
+		}
 		slot = next
 		if g := saved - r.rows(*slot)*c; g > gain {
 			best, gain = slot, g

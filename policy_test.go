@@ -14,19 +14,22 @@ import (
 var mustName = regexp.MustCompile(`^Must([A-Z]|$)`)
 
 // panicPolicy lists one file's breaches of the panic policy: a panic call
-// without "lint:invariant" on its line or the line above, and any call to a
-// Must* helper (a panic by proxy) in the execution-path packages, where a
-// panic takes down a worker instead of failing one query. It also counts
+// without "lint:invariant" on its line or the line above, a marker with no
+// panic on its line or the line below (it declares nothing), and any call
+// to a Must* helper (a panic by proxy) in the execution-path packages, where
+// a panic takes down a worker instead of failing one query. It also counts
 // the marked panics.
 func panicPolicy(fset *token.FileSet, f *ast.File) (bad []string, marked int) {
-	markers := map[int]bool{}
+	markers := map[int]token.Position{} // by line
 	for _, cg := range f.Comments {
 		for _, c := range cg.List {
 			if strings.Contains(c.Text, "lint:invariant") {
-				markers[fset.Position(c.Pos()).Line] = true
+				at := fset.Position(c.Pos())
+				markers[at.Line] = at
 			}
 		}
 	}
+	used := map[int]bool{} // marker lines a panic is on or below
 	execPath := map[string]bool{"engine": true, "fault": true, "partition": true, "bulkload": true, "check": true}[f.Name.Name]
 	ast.Inspect(f, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
@@ -41,8 +44,15 @@ func panicPolicy(fset *token.FileSet, f *ast.File) (bad []string, marked int) {
 		case *ast.SelectorExpr:
 			name = fn.Sel.Name
 		}
+		_, on := markers[at.Line]
+		_, above := markers[at.Line-1]
 		switch {
-		case name == "panic" && (markers[at.Line] || markers[at.Line-1]):
+		case name == "panic" && (on || above):
+			if on {
+				used[at.Line] = true
+			} else {
+				used[at.Line-1] = true
+			}
 			marked++
 		case name == "panic":
 			bad = append(bad, at.String()+": panic without a lint:invariant marker")
@@ -51,6 +61,11 @@ func panicPolicy(fset *token.FileSet, f *ast.File) (bad []string, marked int) {
 		}
 		return true
 	})
+	for line, at := range markers {
+		if !used[line] {
+			bad = append(bad, at.String()+": lint:invariant marker on no panic")
+		}
+	}
 	return bad, marked
 }
 
@@ -89,6 +104,11 @@ func TestPanicPolicy(t *testing.T) {
 		"unmarked panic":   `package plan; func f() { panic("boom") }`,
 		"MustX in engine":  `package engine; func f() { _ = catalog.MustTable("t") }`,
 		"bare Must helper": `package check; func f() { MustLoad() }`,
+		"marker on no panic": `package bulkload
+func f(n int) error {
+	// lint:invariant n was checked above
+	return fmt.Errorf("n = %d", n)
+}`,
 	} {
 		f, err := parser.ParseFile(fset, name, src, parser.ParseComments)
 		if err != nil {
