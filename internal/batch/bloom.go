@@ -29,20 +29,11 @@ func NewBloom(n int) *Bloom {
 	return &Bloom{words: make([]uint64, words), shift: uint(64 - log2)}
 }
 
-// BloomOf builds the filter of column col over the live rows of bs.
-func BloomOf(bs []*Batch, col int) *Bloom {
-	f := NewBloom(Rows(bs))
-	for _, b := range bs {
-		c := b.cols[col]
-		if b.sel == nil {
-			for _, k := range c {
-				f.Add(k)
-			}
-			continue
-		}
-		for _, phys := range b.sel {
-			f.Add(c[phys])
-		}
+// BloomOf builds the filter of keys.
+func BloomOf(keys []int64) *Bloom {
+	f := NewBloom(len(keys))
+	for _, k := range keys {
+		f.Add(k)
 	}
 	return f
 }

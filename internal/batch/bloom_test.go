@@ -27,7 +27,7 @@ func bloomKeys(n int, present bool) []int64 {
 func TestBloomFalsePositiveRate(t *testing.T) {
 	const n, absent = 16384 * 64 / bloomBitsPerKey, 1_000_000
 	in := bloomKeys(n, true)
-	f := BloomOf(Chunks([][]int64{in}), 0)
+	f := BloomOf(in)
 	if len(f.words) != 16384 {
 		t.Fatalf("%d keys sized to %d words, want 16384", n, len(f.words))
 	}
@@ -77,7 +77,7 @@ func TestBloomSelectAndUnion(t *testing.T) {
 // false-positive rate at the sizes BloomOf picks.
 func BenchmarkBloom(b *testing.B) {
 	for _, n := range []int{1_000, 100_000} {
-		keys := Chunks([][]int64{bloomKeys(n, true)})
+		keys := bloomKeys(n, true)
 		probe := append(bloomKeys(n/8, true), bloomKeys(n-n/8, false)...)
 		stream := Chunks([][]int64{probe})
 		b.Run(fmt.Sprintf("keys=%d", n), func(b *testing.B) {
@@ -86,7 +86,7 @@ func BenchmarkBloom(b *testing.B) {
 			kept := 0
 			for i := 0; i < b.N; i++ {
 				start := time.Now()
-				fs := Blooms{BloomOf(keys, 0)}
+				fs := Blooms{BloomOf(keys)}
 				built := time.Now()
 				kept = 0
 				for _, bt := range stream {

@@ -255,11 +255,12 @@ func grow(s []int64, n int) []int64 {
 // Probes are a fibonacci-hash plus linear scan over a flat int32 slot
 // array: no per-row allocation, no map overhead.
 type Int64Table struct {
-	keys  []int64 // the build column, borrowed from the caller
-	slots []int32 // row id + 1; 0 = empty
-	next  []int32 // next[i] = next row with keys[i]'s key, -1 = end
-	mask  uint64
-	shift uint
+	keys     []int64 // the build column, borrowed from the caller
+	slots    []int32 // row id + 1; 0 = empty
+	next     []int32 // next[i] = next row with keys[i]'s key, -1 = end
+	mask     uint64
+	shift    uint
+	distinct int // keys with a chain
 }
 
 const fib64 = 0x9E3779B97F4A7C15
@@ -293,6 +294,7 @@ func BuildInt64Table(keys []int64) *Int64Table {
 			if s == 0 {
 				t.next[i] = -1
 				t.slots[h] = int32(i) + 1
+				t.distinct++
 				break
 			}
 			if t.keys[s-1] == k {

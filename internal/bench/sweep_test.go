@@ -3,6 +3,8 @@ package bench
 import (
 	"context"
 	"fmt"
+	"hash"
+	"hash/fnv"
 	"reflect"
 	"slices"
 	"sync"
@@ -394,6 +396,56 @@ func TestExchangesShipRecordedWidthTPCH(t *testing.T) {
 	}
 }
 
+// servedPlans pins the plans the benchmark and the figures serve: per
+// fixture and variant, an FNV-1a digest of all 22 queries' priced plans,
+// each query's name followed by its Rewritten.Explain(). SD and AllHashed
+// at benchFx are join_pref's and join_hashed's designs, SD at mixFx is
+// mixed_rw's, and fig7Fx runs every Figure 7 variant.
+var servedPlans = map[string]string{
+	"sf 0.05/4 nodes/SD":             "939b49b77d7ac49d",
+	"sf 0.05/4 nodes/AllHashed":      "b226b15054ddb3ce",
+	"sf 0.01/4 nodes/SD":             "0490d1ad7d28e156",
+	"sf 0.01/10 nodes/AllHashed":     "0264bd092a118411",
+	"sf 0.01/10 nodes/AllReplicated": "55c67cba09a81e0b",
+	"sf 0.01/10 nodes/CP":            "3c96012b87f6e76b",
+	"sf 0.01/10 nodes/SD":            "2de6720ba14182b6",
+	"sf 0.01/10 nodes/SD-noRed":      "f2d034fd0177f01f",
+	"sf 0.01/10 nodes/SD-paper":      "a01e0d94be0f91cb",
+	"sf 0.01/10 nodes/WD":            "b7fdc81737009a8d",
+}
+
+// TestServedPlansPinned: an engine change leaves every served plan as it
+// was, byte for byte, and a rewrite change that moves one shows here. The
+// plans are the sweep's priced runs, rewritten with the statistics
+// plan.GatherStats reads of the database they run on.
+func TestServedPlansPinned(t *testing.T) {
+	got := map[string]string{}
+	for _, fx := range []fixture{benchFx, mixFx, fig7Fx} {
+		s := sweepOf(t, fx)
+		digests := map[string]hash.Hash64{}
+		for _, r := range s.runs {
+			key := fmt.Sprintf("sf %v/%d nodes/%s", r.sf, r.nodes, r.variant)
+			if _, pinned := servedPlans[key]; !pinned || !r.stats {
+				continue
+			}
+			h := digests[key]
+			if h == nil {
+				h = fnv.New64a()
+				digests[key] = h
+			}
+			fmt.Fprintf(h, "%s\n%s\n", r.query, r.rw.Explain())
+		}
+		for key, h := range digests {
+			got[key] = fmt.Sprintf("%016x", h.Sum64())
+		}
+	}
+	for key, want := range servedPlans {
+		if got[key] != want {
+			t.Errorf("%s: plan digest %s, want %s", key, got[key], want)
+		}
+	}
+}
+
 // TestRuntimeFiltersTPCH holds the runtime-filter rule to what it promises:
 // every filter of the sweep, shipped or local, drops rows, so the
 // selectivity test places no dead filter. At mixFx without statistics, the
@@ -565,10 +617,13 @@ func TestBroadcastChoiceTPCH(t *testing.T) {
 	// The bytes the benchmark's join_hashed mix ships per query. A runtime
 	// filter from a broadcast source is local and ships nothing, which also
 	// tips Q3 to broadcast customer; Q21's anti join with a residual is no
-	// longer estimated empty, so it broadcasts nation.
+	// longer estimated empty, so it broadcasts nation. Such a filter keeps
+	// exactly the rows whose key its source holds, so Q3, Q5 and Q21, whose
+	// local filters sit below an exchange, ship no row a Bloom filter's false
+	// positive would let through.
 	pinned := map[string]int64{
-		"Q3": 155832, "Q5": 656896, "Q7": 3607520, "Q10": 434728,
-		"Q12": 21632, "Q18": 3990648, "Q21": 1299088,
+		"Q3": 149096, "Q5": 633568, "Q7": 3607520, "Q10": 434728,
+		"Q12": 21632, "Q18": 3990648, "Q21": 935096,
 	}
 	s := sweepOf(t, benchFx)
 	for _, u := range s.runs {

@@ -52,6 +52,7 @@ func VerifyTrace(rw *plan.Rewritten, tr *trace.Trace) error {
 	// lockstep walk over the plan tree.
 	tv.checkOp(nil, tr.Root, &vs)
 	tv.checkEdge(nil, tr.Root, []*trace.OpTrace{tr.Root.Children[0]}, &vs)
+	tv.checkProbes(rw.Root, tr.Root, tr.Root.Children[0], &vs)
 	tv.walk(rw.Root, tr.Root.Children[0], &vs)
 	tv.checkTotals(tr, &vs)
 
@@ -83,7 +84,49 @@ func (tv *traceVerifier) walk(n plan.Node, ot *trace.OpTrace, vs *Violations) {
 	tv.checkOp(n, ot, vs)
 	tv.checkEdge(n, ot, ot.Children, vs)
 	for i := range kids {
+		tv.checkProbes(kids[i], ot, ot.Children[i], vs)
 		tv.walk(kids[i], ot.Children[i], vs)
+	}
+}
+
+// checkProbes applies the keyed-read law to span ot, whose parent span is
+// parent: only a scan directly under a local filter looks keys up in an
+// index, and on each node where it does, its work is the keys it looked up
+// plus the rows the filter kept there — it fetched those rows and no other.
+// The law counts per node, so it holds only where each node ran its own
+// partition once: it is not checked when a unit of the scan or of the filter
+// failed over or was hedged, and work a crashed attempt burned is not
+// counted.
+func (tv *traceVerifier) checkProbes(n plan.Node, parent, ot *trace.OpTrace, vs *Violations) {
+	if ot.Totals.IndexProbes == 0 {
+		return
+	}
+	bad := func(format string, args ...any) {
+		*vs = append(*vs, &Violation{Rule: RuleTraceConserve, Node: n,
+			Detail: fmt.Sprintf("span %q: ", ot.Label) + fmt.Sprintf(format, args...)})
+	}
+	if ot.Kind != trace.KindScan || parent.Kind != trace.KindLocalFilter {
+		bad("%d index probes on a %s under a %s; only a scan under a local filter reads through an index",
+			ot.Totals.IndexProbes, ot.Kind, parent.Kind)
+		return
+	}
+	for _, m := range []trace.Metrics{ot.Totals, parent.Totals} {
+		if m.Failovers > 0 || m.Hedges > 0 {
+			return
+		}
+	}
+	kept := map[int]int64{}
+	for _, nm := range parent.Nodes {
+		kept[nm.Node] = nm.RowsOut
+	}
+	for _, nm := range ot.Nodes {
+		if nm.IndexProbes == 0 {
+			continue
+		}
+		if work := nm.Work - nm.WastedRows; work != nm.IndexProbes+kept[nm.Node] {
+			bad("node %d read through an index with work %d, want %d probes + %d rows its filter kept",
+				nm.Node, work, nm.IndexProbes, kept[nm.Node])
+		}
 	}
 }
 

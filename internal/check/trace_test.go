@@ -145,7 +145,8 @@ func TestVerifyTraceRejectsStatsDrift(t *testing.T) {
 // localTraceFixture executes a co-located join whose selective left input
 // filters the right one in place, rewritten with the statistics of its
 // database, and returns the plan and its (valid) trace with the local
-// filter's span.
+// filter's span. The filtered column is a foreign key, so the scan below the
+// filter reads through its index.
 func localTraceFixture(t *testing.T) (*plan.Rewritten, *trace.Trace, *trace.OpTrace) {
 	t.Helper()
 	s := catalog.NewSchema("lf")
@@ -153,6 +154,8 @@ func localTraceFixture(t *testing.T) (*plan.Rewritten, *trace.Trace, *trace.OpTr
 		[]catalog.Column{{Name: "uid", Kind: value.Int}, {Name: "region", Kind: value.Int}}, "uid"))
 	s.MustAddTable(catalog.MustTable("orders",
 		[]catalog.Column{{Name: "oid", Kind: value.Int}, {Name: "uid", Kind: value.Int}}, "oid"))
+	s.MustAddFK(catalog.ForeignKey{Name: "fk_orders_users", FromTable: "orders", FromCols: []string{"uid"},
+		ToTable: "users", ToCols: []string{"uid"}, ToIsUnique: true})
 	db := table.NewDatabase(s)
 	for i := int64(0); i < 40; i++ {
 		db.Tables["users"].MustAppend(value.Tuple{i, i % 4})
@@ -202,4 +205,35 @@ func TestVerifyTraceRejectsShippingLocalFilter(t *testing.T) {
 	rw, tr, span = localTraceFixture(t)
 	span.Kind = trace.KindRuntimeFilter
 	assertRule(t, check.VerifyTrace(rw, tr), check.RuleTraceShape)
+}
+
+// TestVerifyTraceRejectsStrayProbes: only a scan directly under a local
+// filter looks keys up in an index, and on each node its work is the keys it
+// looked up plus the rows the filter kept there. Work the fetch did not do,
+// or probes on any other span, are caught.
+func TestVerifyTraceRejectsStrayProbes(t *testing.T) {
+	rw, tr, span := localTraceFixture(t)
+	scan := span.Children[0]
+	if scan.Kind != trace.KindScan || scan.Totals.IndexProbes == 0 {
+		t.Fatalf("fixture drift: want a scan read through an index under the local filter\n%s",
+			tr.Render(trace.RenderOptions{HideWall: true}))
+	}
+	// A node that read its whole partition while claiming probes.
+	for i := range scan.Nodes {
+		if scan.Nodes[i].IndexProbes > 0 {
+			scan.Nodes[i].Work++
+			scan.Totals.Work++
+			tr.Totals.RowsProcessed++
+			break
+		}
+	}
+	assertRule(t, check.VerifyTrace(rw, tr), check.RuleTraceConserve)
+
+	rw, tr, span = localTraceFixture(t)
+	span.Totals.IndexProbes = 3
+	assertRule(t, check.VerifyTrace(rw, tr), check.RuleTraceConserve)
+
+	rw, tr, _ = localTraceFixture(t)
+	tr.Root.Children[0].Totals.IndexProbes = 1
+	assertRule(t, check.VerifyTrace(rw, tr), check.RuleTraceConserve)
 }

@@ -27,10 +27,11 @@ import (
 // queries against one shared cluster runs on the same data the cluster's
 // rebuild checks.
 type prepared struct {
-	db  *table.Database
-	cfg *partition.Config
-	pdb *table.PartitionedDatabase
-	mk  func() plan.Node
+	db   *table.Database
+	cfg  *partition.Config
+	pdb  *table.PartitionedDatabase
+	mk   func() plan.Node
+	popt plan.Options // the rewrite's; zero: without statistics
 }
 
 func prepareQuery(t testing.TB, mk func() plan.Node, db *table.Database, cfg *partition.Config) prepared {
@@ -45,7 +46,7 @@ func prepareQuery(t testing.TB, mk func() plan.Node, db *table.Database, cfg *pa
 // run rewrites a fresh plan and executes it against the shared pdb.
 func (pq prepared) run(t testing.TB, eopt ExecOptions) (*Result, error) {
 	t.Helper()
-	rw, err := plan.Rewrite(pq.mk(), pq.db.Schema, pq.cfg, plan.Options{})
+	rw, err := plan.Rewrite(pq.mk(), pq.db.Schema, pq.cfg, pq.popt)
 	if err != nil {
 		t.Fatalf("rewrite: %v", err)
 	}
@@ -442,17 +443,31 @@ func TestChaosSoak(t *testing.T) {
 	}
 	cfgs := testConfigs(4)
 	var targets []target
-	for _, pick := range []struct{ query, cfg string }{
-		{"filter-project", "classical"},
-		{"fig3-agg", "pref-chain"},
-		{"semi", "classical"},
-		{"three-way-agg", "pref-chain"},
-		{"global-agg", "all-hashed"},
+	for _, pick := range []struct {
+		query, cfg string
+		priced     bool
+	}{
+		{"filter-project", "classical", false},
+		{"fig3-agg", "pref-chain", false},
+		{"semi", "classical", false},
+		{"three-way-agg", "pref-chain", false},
+		{"global-agg", "all-hashed", false},
+		// Rewritten with statistics: a local filter reads orders through
+		// its key index, under the same schedules and hedging.
+		{"keyed-join", "classical", true},
 	} {
 		pq := prepareQuery(t, faultQueries()[pick.query], db, cfgs[pick.cfg])
-		clean, err := pq.run(t, ExecOptions{})
+		if pick.priced {
+			pq.popt = plan.Options{Stats: plan.GatherStats(pq.pdb)}
+		}
+		clean, err := pq.run(t, ExecOptions{Trace: true})
 		if err != nil {
 			t.Fatalf("%s/%s oracle: %v", pick.query, pick.cfg, err)
+		}
+		probes := int64(0)
+		clean.Trace.Walk(func(ot *trace.OpTrace) { probes += ot.Totals.IndexProbes })
+		if pick.priced && probes == 0 {
+			t.Fatalf("%s/%s: fixture drift: no scan read through a key index", pick.query, pick.cfg)
 		}
 		targets = append(targets, target{pick.query + "/" + pick.cfg, pq, clean.Rows})
 	}

@@ -147,9 +147,10 @@ type executor struct {
 	// white-box executors; Begin and the ops' mutators are nil-safe. Note
 	// the fault-schedule anchor opSeq is NOT shared with trace op ids.
 	tb *trace.Builder
-	// filters holds the runtime join filters built so far, by the join that
-	// built them (query goroutine only; see buildFilters).
-	filters map[*plan.JoinNode]batch.Blooms
+	// filters holds the sources of the runtime join filters met so far, by
+	// the join that fires them: per source partition, its keys (query
+	// goroutine only; see buildFilters).
+	filters map[*plan.JoinNode][][]int64
 	// owed is the query's release stack: the pooled batch lists the outputs
 	// evaluated so far keep alive, in evaluation order. evalVec's frames
 	// push and settle it; the Result assembly releases what the root

@@ -64,6 +64,11 @@ func faultQueries() map[string]func() plan.Node {
 			return plan.Aggregate(loc, []string{"c.custkey"},
 				plan.Count("n"), plan.Sum(plan.Col("l.qty"), "qty"))
 		},
+		"keyed-join": func() plan.Node {
+			l := plan.Filter(plan.Scan("lineitem", "l"), plan.Lt(plan.Col("l.qty"), plan.Lit(1)))
+			j := plan.Join(l, plan.Scan("orders", "o"), plan.Inner, []string{"l.orderkey"}, []string{"o.orderkey"})
+			return plan.ProjectCols(j, "l.linekey", "o.orderkey", "o.custkey")
+		},
 		"global-agg": func() plan.Node {
 			return plan.Aggregate(plan.Scan("customer", "c"), nil,
 				plan.Count("cnt"), plan.Min(plan.Col("c.custkey"), "lo"), plan.Max(plan.Col("c.custkey"), "hi"))

@@ -1,0 +1,303 @@
+package engine
+
+import (
+	"fmt"
+	"reflect"
+	"testing"
+
+	"pref/internal/batch"
+	"pref/internal/bulkload"
+	"pref/internal/catalog"
+	"pref/internal/partition"
+	"pref/internal/plan"
+	"pref/internal/table"
+	"pref/internal/trace"
+	"pref/internal/value"
+)
+
+// filterPlan returns a plan whose root is a local runtime filter on column
+// col of a scan of tbl (alias alias) under cfg. Its join is a stand-in the
+// plan never evaluates: runFilter hands the filter its source keys.
+func filterPlan(t *testing.T, db *table.Database, cfg *partition.Config, tbl, alias, col string) (*plan.Rewritten, *plan.RuntimeFilterNode) {
+	t.Helper()
+	rw0, err := plan.Rewrite(plan.Scan(tbl, alias), db.Schema, cfg, plan.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := rw0.Root
+	for len(n.Children()) > 0 {
+		n = n.Children()[0]
+	}
+	scan := n.(*plan.ScanNode)
+	join := &plan.JoinNode{Left: plan.Scan(tbl, "src"), Type: plan.Semi,
+		LeftCols: []string{"src.key"}, RightCols: []string{col}, Source: plan.LeftSide}
+	f := &plan.RuntimeFilterNode{Child: scan, Col: col, From: join, Local: true}
+	sch, prop := rw0.Schemas[scan], rw0.Props[scan]
+	return &plan.Rewritten{Root: f, Schemas: map[plan.Node]plan.Schema{scan: sch, f: sch},
+		Props: map[plan.Node]*plan.Prop{scan: prop, f: prop}, Catalog: db.Schema, Cfg: cfg}, f
+}
+
+// runFilter evaluates the filter plan of filterPlan over pdb, on the product
+// or on the row reference, with keys[p] as source partition p's keys and the
+// nodes down lost, and returns each partition's output rows and the trace of
+// the evaluation. during, if set, runs after the evaluation pinned its
+// snapshot and before the filter runs. The executor is built by hand: the
+// plan's stand-in join would fail the static checker ExecuteCtx runs under
+// PREF_VERIFY.
+func runFilter(rw *plan.Rewritten, f *plan.RuntimeFilterNode, pdb *table.PartitionedDatabase, down []int,
+	keys [][]int64, ref bool, during func()) ([][]value.Tuple, *trace.Trace, error) {
+	ex := newTestExecutor(pdb.N)
+	defer ex.cancel()
+	ex.rw, ex.pdb, ex.snap, ex.tb = rw, pdb, pdb.Snapshot(), trace.NewBuilder(pdb.N, 0)
+	ex.down = make([]bool, pdb.N)
+	for _, p := range down {
+		ex.down[p] = true
+	}
+	var err error
+	if ex.execDst, err = buddyMap(pdb.N, ex.down); err != nil {
+		return nil, nil, err
+	}
+	if during != nil {
+		during()
+	}
+	ex.filters = map[*plan.JoinNode][][]int64{f.From: keys}
+	var parts [][]value.Tuple
+	if ref {
+		parts, err = ex.evalRuntimeFilter(f)
+	} else {
+		var out vparts
+		out, err = ex.evalVec(f)
+		for _, bs := range out {
+			parts = append(parts, batch.AppendRows(nil, bs))
+		}
+		ex.owed.release()
+	}
+	return parts, ex.tb.Build(rw), err
+}
+
+// keyedCase is one read of a local filter over a scan: the table, filter
+// column and source keys, and what the scan must do on each partition.
+type keyedCase struct {
+	name            string
+	cfg             *partition.Config
+	tbl, alias, col string
+	keys            func(part *table.Partition, c int) []int64
+	prune, down     []int
+	indexed         bool // whether col leads a key
+	withFK          bool // declare orders.custkey a foreign key
+	reads           int  // the partitions read through the index
+}
+
+// everyThird keeps the keys of every third stored row of a partition.
+func everyThird(part *table.Partition, c int) []int64 {
+	var keys []int64
+	for i := 0; i < part.Len(); i += 3 {
+		keys = append(keys, part.Row(i)[c])
+	}
+	return keys
+}
+
+// TestKeyedScanReadsExactKeys: a local filter keeps, on each partition, exactly
+// the stored rows whose key is among that source partition's keys, in stored
+// order, on the product and on the row reference alike. Over a scan of a
+// primary or foreign key column it reads the partition through the key index:
+// the scan's work there is the filter's distinct keys plus the rows they
+// fetch, and its cell counts the keys as probes. Where the rule does not
+// apply — a column that leads no key, a filter with at least as many keys as
+// the partition has rows, a pruned partition, a lost partition rebuilt by
+// the recovery scan — the partition is read row by row, with the same rows
+// kept.
+func TestKeyedScanReadsExactKeys(t *testing.T) {
+	cfgs := testConfigs(4)
+	for _, c := range []keyedCase{
+		{name: "primary key", cfg: cfgs["all-hashed"], tbl: "orders", alias: "o", col: "o.orderkey",
+			keys: everyThird, indexed: true, reads: 4},
+		{name: "foreign key", cfg: cfgs["all-hashed"], tbl: "orders", alias: "o", col: "o.custkey",
+			keys: everyThird, indexed: true, withFK: true, reads: 4},
+		{name: "a column that leads no key", cfg: cfgs["all-hashed"], tbl: "orders", alias: "o", col: "o.custkey",
+			keys: everyThird},
+		{name: "as many keys as rows", cfg: cfgs["all-hashed"], tbl: "orders", alias: "o", col: "o.orderkey",
+			keys: func(part *table.Partition, c int) []int64 {
+				keys := []int64{1000, 1001}
+				for i := 0; i < part.Len(); i++ {
+					keys = append(keys, part.Row(i)[c])
+				}
+				return keys
+			}, indexed: true},
+		{name: "a pruned partition", cfg: cfgs["all-hashed"], tbl: "orders", alias: "o", col: "o.orderkey",
+			keys: everyThird, prune: []int{0, 2}, indexed: true, reads: 2},
+		{name: "a lost partition", cfg: cfgs["classical"], tbl: "customer", alias: "c", col: "c.custkey",
+			keys: everyThird, down: []int{1}, indexed: true, reads: 3},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			db := testDB(t)
+			if c.withFK {
+				db.Schema.MustAddFK(catalog.ForeignKey{Name: "fk_orders_customer", FromTable: "orders",
+					FromCols: []string{"custkey"}, ToTable: "customer", ToCols: []string{"custkey"}, ToIsUnique: true})
+			}
+			pdb, err := partition.Apply(db, c.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rw, f := filterPlan(t, db, c.cfg, c.tbl, c.alias, c.col)
+			f.Child.(*plan.ScanNode).Prune = c.prune
+			pt := pdb.Tables[c.tbl]
+			col := pt.Meta.ColIndex(c.col[len(c.alias)+1:])
+			parts := pt.Snapshot().Parts
+			keys := make([][]int64, len(parts))
+			for p, part := range parts {
+				keys[p] = c.keys(part, col)
+			}
+			got, tr, err := runFilter(rw, f, pdb, c.down, keys, false, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			refGot, refTr, err := runFilter(rw, f, pdb, c.down, keys, true, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			requirePoolBalanced(t, c.name)
+			if !reflect.DeepEqual(got, refGot) || tr.Totals != refTr.Totals {
+				t.Fatalf("product and reference diverge:\nvec %v %+v\nrow %v %+v", got, tr.Totals, refGot, refTr.Totals)
+			}
+
+			down := make([]bool, len(parts))
+			for _, p := range c.down {
+				down[p] = true
+			}
+			dst, err := buddyMap(len(parts), down)
+			if err != nil {
+				t.Fatal(err)
+			}
+			type cell struct{ probes, work int64 }
+			want := make([]cell, len(parts))
+			read := 0
+			for p, part := range parts {
+				set := map[int64]bool{}
+				for _, k := range keys[p] {
+					set[k] = true
+				}
+				var kept []value.Tuple
+				for _, r := range part.Rows() {
+					if set[r[col]] {
+						kept = append(kept, r)
+					}
+				}
+				if c.prune != nil && !scanParts(f.Child.(*plan.ScanNode))[p] {
+					kept = nil
+				} else if c.indexed && !down[p] && len(set) < part.Len() {
+					want[dst[p]].probes += int64(len(set))
+					want[dst[p]].work += int64(len(set) + len(kept))
+					read++
+				} else {
+					want[dst[p]].work += int64(part.Len())
+				}
+				width := pt.Meta.NumCols()
+				for i, r := range got[p] {
+					got[p][i] = r[:width]
+				}
+				if fmt.Sprint(got[p]) != fmt.Sprint(kept) {
+					t.Errorf("partition %d keeps %v, want %v", p, got[p], kept)
+				}
+			}
+			if read != c.reads {
+				t.Fatalf("fixture drift: %d partitions read through the index, want %d", read, c.reads)
+			}
+			scanSpan := tr.Root.Children[0].Children[0]
+			for _, nm := range scanSpan.Nodes {
+				if w := want[nm.Node]; nm.IndexProbes != w.probes || nm.Work != w.work {
+					t.Errorf("node %d: scan probes=%d work=%d, want probes=%d work=%d\n%s",
+						nm.Node, nm.IndexProbes, nm.Work, w.probes, w.work, tr.Render(trace.RenderOptions{HideWall: true, Nodes: true}))
+				}
+			}
+		})
+	}
+}
+
+// TestKeyedScanReadsItsPinnedVersion: a query pinned to an epoch before a
+// write reads that epoch through the index of the partitions it pinned, which
+// the write does not touch, and the next query reads the written rows through
+// an index of the new partition. Run twice on one snapshot, first with every
+// index cold and then with each warm, a query has the same Stats.
+func TestKeyedScanReadsItsPinnedVersion(t *testing.T) {
+	db := testDB(t)
+	cfg := testConfigs(4)["all-hashed"]
+	pdb, err := partition.Apply(db, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rw, f := filterPlan(t, db, cfg, "orders", "o", "o.orderkey")
+	keysOf := func() [][]int64 {
+		parts := pdb.Tables["orders"].Snapshot().Parts
+		keys := make([][]int64, len(parts))
+		for p := range parts {
+			keys[p] = []int64{1, 2, 3, 100, 101, 102, 103}
+		}
+		return keys
+	}
+	coldRows, cold, err := runFilter(rw, f, pdb, nil, keysOf(), false, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, warm, err := runFilter(rw, f, pdb, nil, keysOf(), false, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cold.Totals != warm.Totals || cold.Totals.RowsProcessed == 0 {
+		t.Fatalf("cold and warm index runs differ:\ncold %+v\nwarm %+v", cold.Totals, warm.Totals)
+	}
+	if cold.Root.Children[0].Children[0].Totals.IndexProbes == 0 {
+		t.Fatal("fixture drift: the scan read through no index")
+	}
+	// cached reports whether every partition of v holds its orderkey index.
+	cached := func(v *table.Version) bool {
+		for _, part := range v.Parts {
+			built := false
+			part.KeyIndex(0, func([]int64) any { built = true; return nil })
+			if built {
+				return false
+			}
+		}
+		return true
+	}
+
+	old := pdb.Tables["orders"].Snapshot()
+	l := bulkload.NewLoader(pdb, cfg)
+	pinnedRows, pinned, err := runFilter(rw, f, pdb, nil, keysOf(), false, func() {
+		ops := make([]bulkload.Op, 0, 4)
+		for k := int64(100); k < 104; k++ {
+			ops = append(ops, bulkload.Insert("orders", value.Tuple{k, 1, value.FromMoney(1)}))
+		}
+		if _, err := l.Apply(ops...); err != nil {
+			t.Error(err)
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pinned.Totals != warm.Totals || !reflect.DeepEqual(pinnedRows, coldRows) {
+		t.Fatalf("the pinned query saw the write: %+v, want %+v", pinned.Totals, warm.Totals)
+	}
+	if !cached(old) {
+		t.Fatal("the pinned version's partitions lost their indexes to the write")
+	}
+	after, _, err := runFilter(rw, f, pdb, nil, keysOf(), false, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := rowCount(after), rowCount(coldRows)+4; got != want {
+		t.Fatalf("after the write the filter keeps %d rows, want %d", got, want)
+	}
+	if v := pdb.Tables["orders"].Snapshot(); v == old || !cached(v) {
+		t.Fatal("the written version was not read through indexes of its own")
+	}
+	requirePoolBalanced(t, "pinned version")
+}
+
+func rowCount(parts [][]value.Tuple) int {
+	n := 0
+	for _, rows := range parts {
+		n += len(rows)
+	}
+	return n
+}

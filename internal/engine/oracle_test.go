@@ -2,6 +2,7 @@ package engine_test
 
 import (
 	"context"
+	"reflect"
 	"testing"
 
 	"pref/internal/batch"
@@ -10,6 +11,7 @@ import (
 	"pref/internal/plan"
 	"pref/internal/table"
 	"pref/internal/tpch"
+	"pref/internal/trace"
 	"pref/internal/value"
 )
 
@@ -57,7 +59,7 @@ func TestVecRowOracleTPCH(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s/%s: rewrite: %v", name, query, err)
 		}
-		res, err := execute(context.Background(), rw, m.PDBs[gi], engine.ExecOptions{})
+		res, err := execute(context.Background(), rw, m.PDBs[gi], engine.ExecOptions{Trace: true})
 		if err != nil {
 			t.Fatalf("%s/%s: execute: %v", name, query, err)
 		}
@@ -82,6 +84,7 @@ func TestVecRowOracleTPCH(t *testing.T) {
 		return true
 	}
 
+	var keyed int64
 	for _, query := range tpch.QueryNames {
 		query := query
 		t.Run(query, func(t *testing.T) {
@@ -98,7 +101,44 @@ func TestVecRowOracleTPCH(t *testing.T) {
 				if vec.Stats != row.Stats {
 					t.Errorf("%s/%s: stats diverge:\nvec %+v\nrow %+v", name, query, vec.Stats, row.Stats)
 				}
+				// Span by span: the reference keeps a local filter's rows by a
+				// map of its source keys and counts a keyed scan's fetched rows
+				// by scanning, so equal cells hold the product's exact filters
+				// and its index reads to what they must keep and charge.
+				vs, rs := spans(vec.Trace), spans(row.Trace)
+				if len(vs) != len(rs) {
+					t.Fatalf("%s/%s: %d spans vs the reference's %d", name, query, len(vs), len(rs))
+				}
+				for i := range vs {
+					if !reflect.DeepEqual(vs[i], rs[i]) {
+						t.Errorf("%s/%s: span %d diverges:\nvec %+v\nrow %+v", name, query, i, vs[i], rs[i])
+						break
+					}
+					for _, nm := range vs[i].Nodes {
+						keyed += nm.IndexProbes
+					}
+				}
 			}
 		})
 	}
+	if keyed == 0 {
+		t.Error("fixture drift: no plan read a scan through a key index")
+	}
+}
+
+// spans lists a trace's operator spans root first, without their wall
+// times, which differ between any two runs.
+func spans(tr *trace.Trace) []trace.OpTrace {
+	var out []trace.OpTrace
+	tr.Walk(func(ot *trace.OpTrace) {
+		c := *ot
+		c.Children = nil
+		c.Totals.WallNanos = 0
+		c.Nodes = append([]trace.NodeMetrics(nil), ot.Nodes...)
+		for i := range c.Nodes {
+			c.Nodes[i].WallNanos = 0
+		}
+		out = append(out, c)
+	})
+	return out
 }

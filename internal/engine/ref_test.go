@@ -77,7 +77,7 @@ func (ex *executor) refEval(n plan.Node) ([][]value.Tuple, error) {
 	refNodes.Add(1)
 	switch n := n.(type) {
 	case *plan.ScanNode:
-		return ex.evalScan(n)
+		return ex.evalScan(n, nil, 0)
 	case *plan.FilterNode:
 		return ex.evalFilter(n)
 	case *plan.RuntimeFilterNode:
@@ -109,7 +109,12 @@ func (ex *executor) refEval(n plan.Node) ([][]value.Tuple, error) {
 	}
 }
 
-func (ex *executor) evalScan(n *plan.ScanNode) ([][]value.Tuple, error) {
+// evalScan reads every stored row of each partition. Under a local filter
+// that reads through a key index (sets, the filter's key sets, non-nil; col,
+// the indexed column), it charges each partition keyedPart admits the
+// filter's distinct keys and the rows whose key is among them, counted by
+// scanning, not through an index.
+func (ex *executor) evalScan(n *plan.ScanNode, sets []map[int64]bool, col int) ([][]value.Tuple, error) {
 	top := ex.tb.Begin(n, trace.KindScan)
 	pt, ok := ex.pdb.Tables[n.Table]
 	if !ok {
@@ -118,14 +123,11 @@ func (ex *executor) evalScan(n *plan.ScanNode) ([][]value.Tuple, error) {
 	sch := ex.rw.Schemas[n]
 	v := ex.versionOf(pt, n.Table)
 	withIndexes := scanHasIndexes(sch)
-	var keep map[int]bool
-	if n.Prune != nil {
-		keep = make(map[int]bool, len(n.Prune))
-		for _, p := range n.Prune {
-			keep[p] = true
-		}
+	keep := scanParts(n)
+	keyed := func(p int) bool {
+		return sets != nil && ex.keyedPart(keep, p, len(sets[p]), v.Parts[p].Len())
 	}
-	return forEachPart(ex, top, func(p int) ([]value.Tuple, int, error) {
+	out, err := forEachPart(ex, top, func(p int) ([]value.Tuple, int, error) {
 		if keep != nil && !keep[p] {
 			return nil, 0, nil // pruned: the partition cannot contain matches
 		}
@@ -139,8 +141,25 @@ func (ex *executor) evalScan(n *plan.ScanNode) ([][]value.Tuple, error) {
 			}
 		}
 		rows := scanRows(v.Parts[p], withIndexes)
-		return rows, len(rows), nil
+		if !keyed(p) {
+			return rows, len(rows), nil
+		}
+		work := len(sets[p])
+		for _, r := range rows {
+			if sets[p][r[col]] {
+				work++
+			}
+		}
+		return rows, work, nil
 	})
+	if sets != nil {
+		for p := range sets {
+			if keyed(p) {
+				top.AddIndexProbes(ex.execDst[p], len(sets[p]))
+			}
+		}
+	}
+	return out, err
 }
 
 // scanRows materializes one partition's scan output, appending the hidden
@@ -186,16 +205,44 @@ func (ex *executor) evalFilter(n *plan.FilterNode) ([][]value.Tuple, error) {
 	})
 }
 
-// evalRuntimeFilter keeps the rows whose key one of the join's filters may
-// hold — partition p's own alone when n is local — probing the same kernel
-// the product does.
+// evalRuntimeFilter keeps the rows whose key the filter of n.From holds:
+// those among source partition p's keys, held in a map, when n is local, and
+// otherwise those one of the shipped Bloom filters may hold, probing the
+// kernel the product does.
 func (ex *executor) evalRuntimeFilter(n *plan.RuntimeFilterNode) ([][]value.Tuple, error) {
 	top := ex.tb.Begin(n, filterKind(n))
-	fs, err := ex.receiveFilters(top, n)
+	keys, err := ex.filterSource(n)
 	if err != nil {
 		return nil, err
 	}
-	in, err := ex.refEval(n.Child)
+	has := make([]func(int64) bool, ex.n)
+	var sets []map[int64]bool
+	if n.Local {
+		sets = make([]map[int64]bool, ex.n)
+		for p := range sets {
+			set := map[int64]bool{}
+			for _, k := range keys[p] {
+				set[k] = true
+			}
+			sets[p] = set
+			has[p] = func(k int64) bool { return set[k] }
+		}
+	} else {
+		blooms, err := ex.shipFilters(top, n, keys)
+		if err != nil {
+			return nil, err
+		}
+		for p := range has {
+			has[p] = blooms.Has
+		}
+	}
+	var in [][]value.Tuple
+	if scan, col := ex.keyedCol(n); scan != nil {
+		refNodes.Add(1)
+		in, err = ex.evalScan(scan, sets, col)
+	} else {
+		in, err = ex.refEval(n.Child)
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -206,9 +253,8 @@ func (ex *executor) evalRuntimeFilter(n *plan.RuntimeFilterNode) ([][]value.Tupl
 	}
 	out, err := forEachPart(ex, top, func(p int) ([]value.Tuple, int, error) {
 		var rows []value.Tuple
-		probe := probed(n, fs, p)
 		for _, r := range in[p] {
-			if probe.Has(r[col]) {
+			if has[p](r[col]) {
 				rows = append(rows, r)
 			}
 		}
@@ -483,14 +529,14 @@ func (ex *executor) evalJoin(n *plan.JoinNode) ([][]value.Tuple, error) {
 		return nil, err
 	}
 	if n.Source != plan.NoSide {
-		bloom := func(p, col int) *batch.Bloom {
-			f := batch.NewBloom(len(a[p]))
-			for _, r := range a[p] {
-				f.Add(r[col])
+		keys := func(p, col int) []int64 {
+			out := make([]int64, len(a[p]))
+			for i, r := range a[p] {
+				out[i] = r[col]
 			}
-			return f
+			return out
 		}
-		if err := ex.buildFilters(n, bloom); err != nil {
+		if err := ex.buildFilters(n, keys); err != nil {
 			return nil, err
 		}
 	}

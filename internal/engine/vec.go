@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"sync/atomic"
 	"time"
 
 	"pref/internal/batch"
@@ -137,7 +138,7 @@ func (ex *executor) evalVec(n plan.Node) (vparts, error) {
 func (ex *executor) evalOp(f *frame, n plan.Node) (vparts, outKind, error) {
 	switch n := n.(type) {
 	case *plan.ScanNode:
-		return ex.evalScanVec(n)
+		return ex.evalScanVec(n, nil)
 	case *plan.FilterNode:
 		return ex.evalFilterVec(f, n)
 	case *plan.RuntimeFilterNode:
@@ -195,8 +196,12 @@ func (ex *executor) liveCols(n plan.Node, natural plan.Schema) (plan.Schema, []i
 
 // evalScanVec hands out chunked zero-copy views over the pinned partition's
 // stored columns — a lost partition's too, once recoverScan has admitted and
-// metered its reconstruction.
-func (ex *executor) evalScanVec(n *plan.ScanNode) (vparts, outKind, error) {
+// metered its reconstruction. A scan under a local filter that reads through
+// a key index (kr, nil otherwise) reads each partition keyedPart admits by
+// fetching the rows of the filter's keys there, charging their count and the
+// keys' as its work, and leaves the fetched rows in kr for the filter; its
+// output stays every stored row, which the filter narrows.
+func (ex *executor) evalScanVec(n *plan.ScanNode, kr *keyedRead) (vparts, outKind, error) {
 	top := ex.tb.Begin(n, trace.KindScan)
 	pt, ok := ex.pdb.Tables[n.Table]
 	if !ok {
@@ -206,13 +211,7 @@ func (ex *executor) evalScanVec(n *plan.ScanNode) (vparts, outKind, error) {
 	v := ex.versionOf(pt, n.Table)
 	width := pt.Meta.NumCols()
 	withIndexes := scanHasIndexes(sch)
-	var keep map[int]bool
-	if n.Prune != nil {
-		keep = make(map[int]bool, len(n.Prune))
-		for _, p := range n.Prune {
-			keep[p] = true
-		}
-	}
+	keep := scanParts(n)
 	out, err := forEachPart(ex, top, func(p int) ([]*batch.Batch, int, error) {
 		if keep != nil && !keep[p] {
 			return nil, 0, nil // pruned: the partition cannot contain matches
@@ -222,13 +221,30 @@ func (ex *executor) evalScanVec(n *plan.ScanNode) (vparts, outKind, error) {
 				return nil, 0, err
 			}
 		}
-		proj := v.Parts[p].Columns(width)
+		part := v.Parts[p]
+		proj := part.Columns(width)
 		cols := proj.Cols
 		if !withIndexes {
 			cols = cols[:width]
 		}
-		return batch.Chunks(cols), proj.NRows, nil
+		if kr == nil || !ex.keyedPart(keep, p, kr.sets[p].Distinct(), proj.NRows) {
+			return batch.Chunks(cols), proj.NRows, nil
+		}
+		index, ok := part.KeyIndex(kr.col, func(c []int64) any { return batch.BuildInt64Table(c) }).(*batch.Int64Table)
+		if !ok {
+			return nil, 0, fmt.Errorf("engine: %s: partition %d caches a foreign index on column %d", n, p, kr.col)
+		}
+		rows := index.Fetch(kr.sets[p])
+		kr.fetched[p].Store(rows)
+		return batch.Chunks(cols), kr.sets[p].Distinct() + rows.Len(), nil
 	})
+	if kr != nil {
+		for p := range kr.fetched {
+			if kr.fetched[p].Load() != nil {
+				top.AddIndexProbes(ex.execDst[p], kr.sets[p].Distinct())
+			}
+		}
+	}
 	return out, views, err
 }
 
@@ -260,17 +276,43 @@ func (ex *executor) evalFilterVec(f *frame, n *plan.FilterNode) (vparts, outKind
 	return out, views, err
 }
 
-// evalRuntimeFilterVec receives the Bloom filters n.From built of its source
-// input's keys and narrows each input batch to the rows whose key one of
-// them may hold — partition p's own filter alone when n is local. Like a
-// filter, its output views the input.
+// evalRuntimeFilterVec narrows each input batch to the rows whose key the
+// filter of n.From holds: on partition p, a local filter keeps exactly the
+// rows whose key is among source partition p's keys; a shipped one, those
+// whose key one of the source partitions' Bloom filters may hold. Over a
+// scan it reads through a key index (keyedCol), it keeps the rows that
+// read fetched. Like a filter, its output views the input.
 func (ex *executor) evalRuntimeFilterVec(f *frame, n *plan.RuntimeFilterNode) (vparts, outKind, error) {
 	top := ex.tb.Begin(n, filterKind(n))
-	fs, err := ex.receiveFilters(top, n)
+	keys, err := ex.filterSource(n)
 	if err != nil {
 		return nil, views, err
 	}
-	in, err := f.input(n.Child)
+	probes := make([]keyFilter, ex.n)
+	var sets []*batch.Int64Table
+	if n.Local {
+		sets = make([]*batch.Int64Table, ex.n)
+		for p := range sets {
+			sets[p] = batch.BuildInt64Table(keys[p])
+			probes[p] = sets[p]
+		}
+	} else {
+		blooms, err := ex.shipFilters(top, n, keys)
+		if err != nil {
+			return nil, views, err
+		}
+		for p := range probes {
+			probes[p] = blooms
+		}
+	}
+	var in vparts
+	var kr *keyedRead
+	if scan, col := ex.keyedCol(n); scan != nil {
+		kr = &keyedRead{col: col, sets: sets, fetched: make([]atomic.Pointer[batch.RowSet], ex.n)}
+		in, _, err = ex.evalScanVec(scan, kr)
+	} else {
+		in, err = f.input(n.Child)
+	}
 	if err != nil {
 		return nil, views, err
 	}
@@ -280,11 +322,15 @@ func (ex *executor) evalRuntimeFilterVec(f *frame, n *plan.RuntimeFilterNode) (v
 		return nil, views, err
 	}
 	out, err := forEachPart(ex, top, func(p int) ([]*batch.Batch, int, error) {
+		if kr != nil {
+			if rows := kr.fetched[p].Load(); rows != nil {
+				return rows.Narrow(in[p]), rows.Len(), nil
+			}
+		}
 		var out []*batch.Batch
 		kept := 0
-		probe := probed(n, fs, p)
 		for _, b := range in[p] {
-			sel := probe.Select(make([]int32, 0, b.Len()), b, col)
+			sel := probes[p].Select(make([]int32, 0, b.Len()), b, col)
 			if len(sel) > 0 {
 				out = append(out, b.WithSel(sel))
 				kept += len(sel)
@@ -303,11 +349,17 @@ func (ex *executor) evalRuntimeFilterVec(f *frame, n *plan.RuntimeFilterNode) (v
 	return out, views, nil
 }
 
-// buildFilters builds join n's runtime filters, one per partition: bloom(p,
-// col) is the filter of partition p's source rows over their key column col.
-// The filters are per-query state: the plan, which a serving plan cache
-// shares between queries, never holds them.
-func (ex *executor) buildFilters(n *plan.JoinNode, bloom func(p, col int) *batch.Bloom) error {
+// keyFilter is what a runtime filter probes a batch with: a local filter's
+// exact key set, or a shipped one's Bloom filters.
+type keyFilter interface {
+	Select(sel []int32, b *batch.Batch, col int) []int32
+}
+
+// buildFilters records the source of join n's runtime filter: keys(p, col)
+// lists partition p's source keys, column col of its source rows. The
+// sources are per-query state: the plan, which a serving plan cache shares
+// between queries, never holds them.
+func (ex *executor) buildFilters(n *plan.JoinNode, keys func(p, col int) []int64) error {
 	if len(n.LeftCols) != 1 {
 		return fmt.Errorf("engine: %s: a runtime filter needs one key column", n)
 	}
@@ -316,28 +368,35 @@ func (ex *executor) buildFilters(n *plan.JoinNode, bloom func(p, col int) *batch
 	if err != nil {
 		return err
 	}
-	fs := make(batch.Blooms, ex.n)
-	for p := range fs {
-		fs[p] = bloom(p, col)
+	src := make([][]int64, ex.n)
+	for p := range src {
+		src[p] = keys(p, col)
 	}
 	if ex.filters == nil {
-		ex.filters = map[*plan.JoinNode]batch.Blooms{}
+		ex.filters = map[*plan.JoinNode][][]int64{}
 	}
-	ex.filters[n] = fs
+	ex.filters[n] = src
 	return nil
 }
 
-// receiveFilters meters the transfer into a runtime filter: every source
-// partition's filter travels to the n−1 other nodes, bytes and no rows,
-// through the exchanges' fault path, so a failed shipment retries. A local
-// filter stays where it was built: nothing travels.
-func (ex *executor) receiveFilters(top *trace.Op, n *plan.RuntimeFilterNode) (batch.Blooms, error) {
-	fs, ok := ex.filters[n.From]
+// filterSource returns the source keys of runtime filter n, per partition.
+func (ex *executor) filterSource(n *plan.RuntimeFilterNode) ([][]int64, error) {
+	keys, ok := ex.filters[n.From]
 	if !ok {
 		return nil, fmt.Errorf("engine: %s: its join built no filter", n)
 	}
-	if n.Local {
-		return fs, nil
+	return keys, nil
+}
+
+// shipFilters builds a shipped runtime filter's Bloom filters, one per
+// source partition, and meters their transfer: every one travels to the n−1
+// other nodes, bytes and no rows, through the exchanges' fault path, so a
+// failed shipment retries. A local filter ships nothing and builds no Bloom
+// filter: each node probes the exact keys of its own source partition.
+func (ex *executor) shipFilters(top *trace.Op, n *plan.RuntimeFilterNode, keys [][]int64) (batch.Blooms, error) {
+	fs := make(batch.Blooms, len(keys))
+	for p, k := range keys {
+		fs[p] = batch.BloomOf(k)
 	}
 	op := ex.nextOp()
 	for src, f := range fs {
@@ -355,15 +414,6 @@ func filterKind(n *plan.RuntimeFilterNode) trace.Kind {
 		return trace.KindLocalFilter
 	}
 	return trace.KindRuntimeFilter
-}
-
-// probed returns the filters partition p's rows are probed against: all of
-// fs, or fs[p] alone when n is local.
-func probed(n *plan.RuntimeFilterNode, fs batch.Blooms, p int) batch.Blooms {
-	if n.Local {
-		return fs[p : p+1]
-	}
-	return fs
 }
 
 // evalProjectVec evaluates each projection expression column-wise into
@@ -412,8 +462,8 @@ func (ex *executor) evalJoinVec(f *frame, n *plan.JoinNode) (vparts, outKind, er
 		return nil, fresh, err
 	}
 	if n.Source != plan.NoSide {
-		bloom := func(p, col int) *batch.Bloom { return batch.BloomOf(a[p], col) }
-		if err := ex.buildFilters(n, bloom); err != nil {
+		keys := func(p, col int) []int64 { return batch.AppendColumn(nil, a[p], col) }
+		if err := ex.buildFilters(n, keys); err != nil {
 			return nil, fresh, err
 		}
 	}

@@ -327,6 +327,7 @@ func (r *Rewriter) timed(n Node) time.Duration {
 		delete(r.out.Props, rf)
 	}
 	clear(r.memo)
+	clear(r.cols)
 	return t
 }
 
@@ -338,7 +339,7 @@ func (r *Rewriter) fork() *Rewriter {
 		Schema: r.Schema, Cfg: r.Cfg, Opt: r.Opt,
 		out:     &Rewritten{Schemas: map[Node]Schema{}, Props: map[Node]*Prop{}, Catalog: r.Schema, Cfg: r.Cfg},
 		aliases: maps.Clone(r.aliases),
-		memo:    r.memo, origin: r.origin, refs: r.refs, inPlace: r.inPlace, covers: r.covers,
+		memo:    r.memo, cols: r.cols, origin: r.origin, refs: r.refs, inPlace: r.inPlace, covers: r.covers,
 	}
 }
 

@@ -314,6 +314,13 @@ func (r *Rewriter) contain(source Node, scols []string, target Node, tcols []str
 // rows; any other tuple at most the product of its columns'.
 func (r *Rewriter) keyNDV(n Node, cols []string) float64 {
 	rows := r.rows(n)
+	if len(cols) == 1 {
+		e, ok := r.col(n, cols[0])
+		if !ok {
+			return rows
+		}
+		return min(rows, e.ndv)
+	}
 	ests := make([]colEst, len(cols))
 	prod := 1.0
 	for i, c := range cols {
@@ -323,9 +330,6 @@ func (r *Rewriter) keyNDV(n Node, cols []string) float64 {
 		}
 		ests[i] = e
 		prod *= max(1, e.ndv)
-	}
-	if len(cols) == 1 {
-		return min(rows, ests[0].ndv)
 	}
 	names := make([]string, len(cols))
 	for i, e := range ests {
@@ -374,7 +378,30 @@ func (r *Rewriter) lookup(inputs ...Node) func(string) (colEst, bool) {
 }
 
 // col estimates column name of n's output; false when nothing is known.
+// Like rows, it is memoized per node, by column.
 func (r *Rewriter) col(n Node, name string) (colEst, bool) {
+	key := colKey{n, name}
+	if c, ok := r.cols[key]; ok {
+		return c.est, c.ok
+	}
+	est, ok := r.estimateCol(n, name)
+	r.cols[key] = colMemo{est, ok}
+	return est, ok
+}
+
+// colKey names one column of one operator's output.
+type colKey struct {
+	n    Node
+	name string
+}
+
+// colMemo is one memoized column estimate.
+type colMemo struct {
+	est colEst
+	ok  bool
+}
+
+func (r *Rewriter) estimateCol(n Node, name string) (colEst, bool) {
 	switch n := n.(type) {
 	case *ScanNode:
 		ts := r.Opt.Stats.Tables[n.Table]

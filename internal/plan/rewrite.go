@@ -86,10 +86,13 @@ type Rewriter struct {
 	out     *Rewritten
 	aliases map[string]bool
 
-	// With Opt.Stats: memo caches row estimates per physical node, origin
-	// maps a physical node to the logical node it was rewritten from, and
-	// refs counts the column reads of the logical plan (estimate.go).
+	// With Opt.Stats: memo caches row estimates per physical node and cols
+	// its column estimates, by column; both are dropped together wherever
+	// the plan below a node changes. origin maps a physical node to the
+	// logical node it was rewritten from, and refs counts the column reads
+	// of the logical plan (estimate.go).
 	memo   map[Node]float64
+	cols   map[colKey]colMemo
 	origin map[Node]Node
 	refs   colSet
 
@@ -139,7 +142,7 @@ func newRewriter(root Node, schema *catalog.Schema, cfg *partition.Config, opt O
 		covers:  cfg.Covers(schema),
 	}
 	if opt.Stats != nil {
-		r.memo, r.origin = map[Node]float64{}, map[Node]Node{}
+		r.memo, r.cols, r.origin = map[Node]float64{}, map[colKey]colMemo{}, map[Node]Node{}
 		r.refs = refsOf(root)
 		r.refs.add(r.outCols(root))
 	}

@@ -174,6 +174,11 @@ func (r *Rewriter) forget(nodes []Node) {
 		delete(r.out.Props, n)
 		delete(r.memo, n)
 	}
+	for k := range r.cols {
+		if slices.Contains(nodes, k.n) {
+			delete(r.cols, k)
+		}
+	}
 }
 
 // replicatedBase reports whether n is a base table the design replicates,

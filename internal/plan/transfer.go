@@ -94,6 +94,7 @@ func (r *Rewriter) transfer(j *JoinNode) *Node {
 	r.note(rf, r.out.Schemas[*slot], r.out.Props[*slot])
 	*slot = rf
 	clear(r.memo) // the estimates above the filter no longer hold
+	clear(r.cols)
 	return slot
 }
 

@@ -64,8 +64,51 @@ func (d *Data) Len() int { return len(d.Rows) }
 // clipped to its length: an append to the clone reallocates, an update
 // copies the one column it sets (Writable), a delete compacts into fresh
 // arrays (Delete).
+//
+// A partition also caches the key indexes built over its columns (KeyIndex),
+// the storage's counterpart of the indexes a node's database keeps on its
+// keys. An index describes the columns it was built of: a clone starts
+// without any, and every in-place mutator drops them.
 type Partition struct {
 	cols [][]int64
+
+	keysMu sync.Mutex
+	keys   map[int]*keyIndex // by column; nil until the first KeyIndex
+}
+
+// keyIndex is one column's cached index, built once on first use.
+type keyIndex struct {
+	once sync.Once
+	v    any
+}
+
+// KeyIndex returns the index build makes of column col, building it on the
+// first call for that column and returning the same value on every later
+// one, concurrent callers included. The index is opaque here: the engine's is
+// a batch.Int64Table, which this package cannot import (batch imports plan,
+// which imports this package). build receives the stored column, which it
+// may retain: nothing writes it while the index is cached.
+func (p *Partition) KeyIndex(col int, build func(col []int64) any) any {
+	p.keysMu.Lock()
+	k := p.keys[col]
+	if k == nil {
+		if p.keys == nil {
+			p.keys = map[int]*keyIndex{}
+		}
+		k = &keyIndex{}
+		p.keys[col] = k
+	}
+	p.keysMu.Unlock()
+	k.once.Do(func() { k.v = build(p.cols[col]) })
+	return k.v
+}
+
+// dropKeys discards the cached key indexes: every in-place mutator calls it
+// before it writes.
+func (p *Partition) dropKeys() {
+	p.keysMu.Lock()
+	p.keys = nil
+	p.keysMu.Unlock()
 }
 
 // Columnar is a view of a partition's columns.
@@ -86,6 +129,7 @@ func NewPartition(width int) *Partition {
 // and returns the columns' views of them for a bulk build to fill in
 // place: the table columns, then dup, then hasRef.
 func (p *Partition) Extend(rows int) [][]int64 {
+	p.dropKeys()
 	views := make([][]int64, len(p.cols))
 	for j, c := range p.cols {
 		n := len(c)
@@ -106,6 +150,7 @@ func (p *Partition) Append(t value.Tuple, dup, hasRef bool) {
 // a write leaves behind when it crashes between the two, which the fault
 // injector reproduces and CheckInvariants reports.
 func (p *Partition) AppendTorn(t value.Tuple) {
+	p.dropKeys()
 	if len(t) != len(p.cols)-2 {
 		// lint:invariant
 		panic(fmt.Sprintf("table: row arity %d appended to a partition of width %d", len(t), len(p.cols)-2))
@@ -178,12 +223,14 @@ func (p *Partition) Clone() *Partition {
 // Writable replaces column col with a private copy and returns it for the
 // writer to overwrite values in.
 func (p *Partition) Writable(col int) []int64 {
+	p.dropKeys()
 	p.cols[col] = slices.Clone(p.cols[col])
 	return p.cols[col]
 }
 
 // Delete drops the stored tuples at the given ascending row indexes.
 func (p *Partition) Delete(rows []int) {
+	p.dropKeys()
 	for j, c := range p.cols {
 		kept := make([]int64, 0, len(c)-len(rows))
 		drop := rows

@@ -1,6 +1,8 @@
 package table
 
 import (
+	"slices"
+	"sync"
 	"testing"
 
 	"pref/internal/catalog"
@@ -227,5 +229,60 @@ func TestDatabaseCommitIsAtomic(t *testing.T) {
 	}
 	if s0.Parts("missing") != nil {
 		t.Fatal("Parts of unknown table must be nil")
+	}
+}
+
+// TestKeyIndexDescribesItsColumns: a partition builds a column's key index
+// once, however many readers ask at once; a clone starts without it, and
+// every in-place mutator drops it, so the next reader indexes the columns as
+// they are.
+func TestKeyIndexDescribesItsColumns(t *testing.T) {
+	builds := 0
+	index := func(p *Partition) []int64 {
+		return p.KeyIndex(0, func(col []int64) any {
+			builds++
+			return append([]int64(nil), col...)
+		}).([]int64)
+	}
+	p := NewPartition(2)
+	p.Append(value.Tuple{1, 10}, false, false)
+	p.Append(value.Tuple{2, 20}, false, false)
+
+	var wg sync.WaitGroup
+	for i := 0; i < 8; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			index(p)
+		}()
+	}
+	wg.Wait()
+	if builds != 1 {
+		t.Fatalf("8 concurrent readers built the index %d times, want once", builds)
+	}
+
+	c := p.Clone()
+	c.Append(value.Tuple{3, 30}, false, false)
+	if got := index(c); len(got) != 3 || builds != 2 {
+		t.Fatalf("the written clone reads index %v after %d builds, want its 3 rows from a second", got, builds)
+	}
+	if got := index(p); len(got) != 2 || builds != 2 {
+		t.Fatalf("the published partition reads index %v after %d builds, want its own 2 rows", got, builds)
+	}
+
+	for name, write := range map[string]func(*Partition){
+		"Extend":     func(p *Partition) { p.Extend(1) },
+		"Append":     func(p *Partition) { p.Append(value.Tuple{4, 40}, false, false) },
+		"AppendTorn": func(p *Partition) { p.AppendTorn(value.Tuple{4, 40}) },
+		"Writable":   func(p *Partition) { p.Writable(0)[0] = 9 },
+		"Delete":     func(p *Partition) { p.Delete([]int{0}) },
+	} {
+		q := p.Clone()
+		before := index(q)
+		write(q)
+		if after := index(q); slices.Equal(after, before) || !slices.Equal(after, q.Columns(2).Cols[0]) {
+			t.Errorf("%s: index %v after the write, %v before; the column reads %v",
+				name, after, before, q.Columns(2).Cols[0])
+		}
 	}
 }

@@ -43,7 +43,7 @@ type cell struct {
 	failovers, recoveredRows  atomic.Int64
 	hedges, hedgeWins         atomic.Int64
 	hedgeWastedRows           atomic.Int64
-	filteredRows              atomic.Int64
+	filteredRows, indexProbes atomic.Int64
 	wallNanos                 atomic.Int64
 }
 
@@ -86,8 +86,13 @@ type Metrics struct {
 	HedgeWins       int64 `json:"hedge_wins"`
 	HedgeWastedRows int64 `json:"hedge_wasted_rows"`
 	// FilteredRows counts rows a runtime join filter dropped: their key is
-	// in none of the source input's Bloom filters.
+	// in none of the source input's Bloom filters, or, for a local filter,
+	// not among its own source partition's keys.
 	FilteredRows int64 `json:"filtered_rows"`
+	// IndexProbes counts the keys a scan looked up in a key index: the
+	// distinct keys of the local filter above it, on each partition it read
+	// through the index rather than row by row.
+	IndexProbes int64 `json:"index_probes"`
 	// WallNanos is wall time spent in this operator's work units on the
 	// node, including retry backoff and straggler delays.
 	WallNanos int64 `json:"wall_nanos"`
@@ -115,6 +120,7 @@ func (c *cell) addTo(m *Metrics) {
 	m.HedgeWins += c.hedgeWins.Load()
 	m.HedgeWastedRows += c.hedgeWastedRows.Load()
 	m.FilteredRows += c.filteredRows.Load()
+	m.IndexProbes += c.indexProbes.Load()
 	m.WallNanos += c.wallNanos.Load()
 }
 
@@ -149,9 +155,9 @@ const (
 	// KindRuntimeFilter receives a join's Bloom filters — bytes shipped with
 	// no rows — and drops the rows they rule out: in = out + filtered.
 	KindRuntimeFilter Kind = "runtime-filter"
-	// KindLocalFilter probes, on each node, only the Bloom filter its join
-	// built there: it ships nothing, is no transfer, and keeps
-	// in = out + filtered.
+	// KindLocalFilter keeps, on each node, exactly the rows whose key is
+	// among the keys its join's source holds there: it ships nothing, is no
+	// transfer, and keeps in = out + filtered.
 	KindLocalFilter Kind = "local-filter"
 	// KindResult is the synthetic root: the implicit gather of the plan
 	// root's partitions to the coordinator.
@@ -205,6 +211,14 @@ func (o *Op) AddFiltered(node, rows int) {
 		return
 	}
 	o.cells[node].filteredRows.Add(int64(rows))
+}
+
+// AddIndexProbes charges the keys a scan looked up in a key index on a node.
+func (o *Op) AddIndexProbes(node, keys int) {
+	if o == nil || keys == 0 {
+		return
+	}
+	o.cells[node].indexProbes.Add(int64(keys))
 }
 
 // AddDedup charges PREF-duplicate (or value-distinctness) filter hits.
