@@ -189,6 +189,20 @@ func (s *Schema) MustAddFK(fk ForeignKey) {
 	}
 }
 
+// LeadsKey reports whether column col of table t leads its primary key or
+// one of its declared foreign keys: the columns InnoDB indexes.
+func (s *Schema) LeadsKey(t *Table, col string) bool {
+	if len(t.PK) > 0 && t.PK[0] == col {
+		return true
+	}
+	for _, fk := range s.FKs {
+		if fk.FromTable == t.Name && fk.FromCols[0] == col {
+			return true
+		}
+	}
+	return false
+}
+
 // Table returns the named table, or nil.
 func (s *Schema) Table(name string) *Table { return s.tables[name] }
 

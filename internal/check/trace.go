@@ -5,6 +5,7 @@ import (
 
 	"pref/internal/plan"
 	"pref/internal/trace"
+	"pref/internal/value"
 )
 
 // Trace rules (VerifyTrace): the runtime complement of Verify. Where
@@ -47,12 +48,12 @@ func VerifyTrace(rw *plan.Rewritten, tr *trace.Trace) error {
 				tr.Root.Kind, len(tr.Root.Children))}}
 	}
 
-	tv := &traceVerifier{n: tr.N, nodeWork: make([]int64, tr.N)}
+	tv := &traceVerifier{n: tr.N, nodeWork: make([]int64, tr.N), rw: rw}
 	// The synthetic Result span has no plan node; its child anchors the
 	// lockstep walk over the plan tree.
 	tv.checkOp(nil, tr.Root, &vs)
 	tv.checkEdge(nil, tr.Root, []*trace.OpTrace{tr.Root.Children[0]}, &vs)
-	tv.checkProbes(rw.Root, tr.Root, tr.Root.Children[0], &vs)
+	tv.checkProbes(nil, rw.Root, tr.Root, tr.Root.Children[0], &vs)
 	tv.walk(rw.Root, tr.Root.Children[0], &vs)
 	tv.checkTotals(tr, &vs)
 
@@ -66,6 +67,7 @@ func VerifyTrace(rw *plan.Rewritten, tr *trace.Trace) error {
 // in lockstep.
 type traceVerifier struct {
 	n        int
+	rw       *plan.Rewritten
 	sum      trace.Metrics // rollup of every span
 	nodeWork []int64       // per-node Work rollup (MaxNodeRows check)
 	reparts  int           // spans that count as Stats.Repartitions
@@ -84,20 +86,21 @@ func (tv *traceVerifier) walk(n plan.Node, ot *trace.OpTrace, vs *Violations) {
 	tv.checkOp(n, ot, vs)
 	tv.checkEdge(n, ot, ot.Children, vs)
 	for i := range kids {
-		tv.checkProbes(kids[i], ot, ot.Children[i], vs)
+		tv.checkProbes(n, kids[i], ot, ot.Children[i], vs)
 		tv.walk(kids[i], ot.Children[i], vs)
 	}
 }
 
-// checkProbes applies the keyed-read law to span ot, whose parent span is
-// parent: only a scan directly under a local filter looks keys up in an
-// index, and on each node where it does, its work is the keys it looked up
-// plus the rows the filter kept there — it fetched those rows and no other.
-// The law counts per node, so it holds only where each node ran its own
-// partition once: it is not checked when a unit of the scan or of the filter
-// failed over or was hedged, and work a crashed attempt burned is not
-// counted.
-func (tv *traceVerifier) checkProbes(n plan.Node, parent, ot *trace.OpTrace, vs *Violations) {
+// checkProbes applies the index-read law to span ot of plan node n, whose
+// parent span is parent, of plan node pn: only a scan directly under a local
+// filter or under a Filter with literal bounds on a DATE column looks rows up
+// in an index, and on each node where it does, its work is its probes plus
+// the rows the index named there — the rows the filter examined, its input
+// less what it counts as filtered. The law counts per node, so it holds only
+// where each node ran its own partitions once: it is not checked when a
+// unit of the scan or of the filter failed over or was hedged, and work a
+// crashed attempt burned is not counted.
+func (tv *traceVerifier) checkProbes(pn, n plan.Node, parent, ot *trace.OpTrace, vs *Violations) {
 	if ot.Totals.IndexProbes == 0 {
 		return
 	}
@@ -105,8 +108,8 @@ func (tv *traceVerifier) checkProbes(n plan.Node, parent, ot *trace.OpTrace, vs 
 		*vs = append(*vs, &Violation{Rule: RuleTraceConserve, Node: n,
 			Detail: fmt.Sprintf("span %q: ", ot.Label) + fmt.Sprintf(format, args...)})
 	}
-	if ot.Kind != trace.KindScan || parent.Kind != trace.KindLocalFilter {
-		bad("%d index probes on a %s under a %s; only a scan under a local filter reads through an index",
+	if ot.Kind != trace.KindScan || !(parent.Kind == trace.KindLocalFilter || tv.dateBounded(pn, n)) {
+		bad("%d index probes on a %s under a %s; only a scan under a local filter or a date-bounded filter reads through an index",
 			ot.Totals.IndexProbes, ot.Kind, parent.Kind)
 		return
 	}
@@ -115,19 +118,50 @@ func (tv *traceVerifier) checkProbes(n plan.Node, parent, ot *trace.OpTrace, vs 
 			return
 		}
 	}
-	kept := map[int]int64{}
+	examined := map[int]int64{}
 	for _, nm := range parent.Nodes {
-		kept[nm.Node] = nm.RowsOut
+		examined[nm.Node] = nm.RowsIn - nm.FilteredRows
 	}
 	for _, nm := range ot.Nodes {
 		if nm.IndexProbes == 0 {
 			continue
 		}
-		if work := nm.Work - nm.WastedRows; work != nm.IndexProbes+kept[nm.Node] {
-			bad("node %d read through an index with work %d, want %d probes + %d rows its filter kept",
-				nm.Node, work, nm.IndexProbes, kept[nm.Node])
+		if work := nm.Work - nm.WastedRows; work != nm.IndexProbes+examined[nm.Node] {
+			bad("node %d read through an index with work %d, want %d probes + %d rows its filter examined",
+				nm.Node, work, nm.IndexProbes, examined[nm.Node])
 		}
 	}
+}
+
+// dateBounded reports whether pn is a Filter whose predicate bounds with a
+// literal a DATE column of the table its child n scans, one that leads no
+// key: the columns the engine reads through a date index.
+func (tv *traceVerifier) dateBounded(pn, n plan.Node) bool {
+	f, ok := pn.(*plan.FilterNode)
+	scan, isScan := n.(*plan.ScanNode)
+	if !ok || !isScan {
+		return false
+	}
+	t := tv.rw.Catalog.Table(scan.Table)
+	if t == nil {
+		return false
+	}
+	sch := tv.rw.Schemas[n]
+	for c, col := range t.Columns {
+		if col.Kind != value.Date || c >= len(sch) || tv.rw.Catalog.LeadsKey(t, col.Name) {
+			continue
+		}
+		if _, _, ok := plan.LiteralRange(f.Pred, sch[c].Name); ok {
+			return true
+		}
+	}
+	return false
+}
+
+// readsIndex reports whether span ot's only child is a scan that read
+// through an index.
+func readsIndex(ot *trace.OpTrace) bool {
+	return len(ot.Children) == 1 && ot.Children[0].Kind == trace.KindScan && ot.Children[0].Totals.IndexProbes > 0
 }
 
 // checkOp applies the per-operator rules: kind sanity, ship legality,
@@ -164,9 +198,11 @@ func (tv *traceVerifier) checkOp(n plan.Node, ot *trace.OpTrace, vs *Violations)
 	if m.RowsShipped == 0 && m.BytesShipped > 0 && ot.Kind != trace.KindRuntimeFilter {
 		bad(RuleTraceShip, "%d bytes shipped with no rows by a %s operator", m.BytesShipped, ot.Kind)
 	}
-	filter := ot.Kind == trace.KindRuntimeFilter || ot.Kind == trace.KindLocalFilter
+	filter := ot.Kind == trace.KindRuntimeFilter || ot.Kind == trace.KindLocalFilter ||
+		ot.Kind == trace.KindFilter && readsIndex(ot)
 	if m.FilteredRows > 0 && !filter {
-		bad(RuleTraceConserve, "%d rows filtered by a %s operator, which holds no runtime filter", m.FilteredRows, ot.Kind)
+		bad(RuleTraceConserve, "%d rows filtered by a %s operator, which holds no runtime filter and reads no index",
+			m.FilteredRows, ot.Kind)
 	}
 	if f, ok := n.(*plan.RuntimeFilterNode); ok && f.Local != (ot.Kind == trace.KindLocalFilter) {
 		bad(RuleTraceShape, "the plan's filter has local=%v, its span is a %s", f.Local, ot.Kind)
@@ -205,8 +241,8 @@ func (tv *traceVerifier) checkOp(n plan.Node, ot *trace.OpTrace, vs *Violations)
 			bad(RuleTraceConserve, "projection must preserve cardinality: in=%d out=%d", in, out)
 		}
 	case trace.KindFilter, trace.KindTopK:
-		if out > in {
-			bad(RuleTraceConserve, "out=%d exceeds in=%d", out, in)
+		if out > in-m.FilteredRows {
+			bad(RuleTraceConserve, "out=%d exceeds in=%d less filtered=%d", out, in, m.FilteredRows)
 		}
 	case trace.KindRuntimeFilter, trace.KindLocalFilter:
 		if out != in-m.FilteredRows {

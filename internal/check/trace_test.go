@@ -158,7 +158,7 @@ func localTraceFixture(t *testing.T) (*plan.Rewritten, *trace.Trace, *trace.OpTr
 		ToTable: "users", ToCols: []string{"uid"}, ToIsUnique: true})
 	db := table.NewDatabase(s)
 	for i := int64(0); i < 40; i++ {
-		db.Tables["users"].MustAppend(value.Tuple{i, i % 4})
+		db.Tables["users"].MustAppend(value.Tuple{i, i % 5})
 	}
 	for i := int64(0); i < 200; i++ {
 		db.Tables["orders"].MustAppend(value.Tuple{i, i % 40})
@@ -207,10 +207,53 @@ func TestVerifyTraceRejectsShippingLocalFilter(t *testing.T) {
 	assertRule(t, check.VerifyTrace(rw, tr), check.RuleTraceShape)
 }
 
+// rangeTraceFixture executes a count of the events in a date range, rewritten
+// with the statistics of its database, and returns the plan and its (valid)
+// trace with the date filter's span, whose scan reads through a date index.
+func rangeTraceFixture(t *testing.T) (*plan.Rewritten, *trace.Trace, *trace.OpTrace) {
+	t.Helper()
+	s := catalog.NewSchema("rf")
+	s.MustAddTable(catalog.MustTable("events",
+		[]catalog.Column{{Name: "eid", Kind: value.Int}, {Name: "day", Kind: value.Date}, {Name: "v", Kind: value.Int}}, "eid"))
+	db := table.NewDatabase(s)
+	for i := int64(0); i < 400; i++ {
+		db.Tables["events"].MustAppend(value.Tuple{i, 9000 + i*7%100, i % 3})
+	}
+	cfg := partition.NewConfig(4)
+	cfg.SetHash("events", "eid")
+	pdb, err := partition.Apply(db, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := plan.Aggregate(plan.Filter(plan.Scan("events", "e"),
+		plan.And(plan.Ge(plan.Col("e.day"), plan.Lit(9010)), plan.Lt(plan.Col("e.day"), plan.Lit(9030)), plan.Eq(plan.Col("e.v"), plan.Lit(1)))),
+		nil, plan.Count("n"))
+	rw, err := plan.Rewrite(q, s, cfg, plan.Options{Stats: plan.GatherStats(pdb)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := engine.ExecuteCtx(context.Background(), rw, pdb, engine.ExecOptions{Trace: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := check.VerifyTrace(rw, res.Trace); err != nil {
+		t.Fatalf("fixture trace must verify cleanly: %v", err)
+	}
+	span := findSpan(res.Trace, trace.KindFilter)
+	if span == nil || span.Totals.FilteredRows == 0 || span.Children[0].Totals.IndexProbes == 0 {
+		t.Fatalf("fixture drift: want a filter over a scan read through a date index\n%s",
+			res.Trace.Render(trace.RenderOptions{HideWall: true}))
+	}
+	return rw, res.Trace, span
+}
+
 // TestVerifyTraceRejectsStrayProbes: only a scan directly under a local
-// filter looks keys up in an index, and on each node its work is the keys it
-// looked up plus the rows the filter kept there. Work the fetch did not do,
-// or probes on any other span, are caught.
+// filter or a filter with literal bounds on a DATE column that leads no key
+// looks rows up in an index, and on each node its work is its probes plus
+// the rows the filter examined there: those it kept, under a local filter,
+// or those in range, under a date filter, which counts the rest as
+// filtered. Work the read did not do, rows filtered that the index did not
+// skip, or probes on any other span, are caught.
 func TestVerifyTraceRejectsStrayProbes(t *testing.T) {
 	rw, tr, span := localTraceFixture(t)
 	scan := span.Children[0]
@@ -236,4 +279,61 @@ func TestVerifyTraceRejectsStrayProbes(t *testing.T) {
 	rw, tr, _ = localTraceFixture(t)
 	tr.Root.Children[0].Totals.IndexProbes = 1
 	assertRule(t, check.VerifyTrace(rw, tr), check.RuleTraceConserve)
+
+	// A range read that charged one row more than its range on a node.
+	rw, tr, span = rangeTraceFixture(t)
+	scan = span.Children[0]
+	for i := range scan.Nodes {
+		if scan.Nodes[i].IndexProbes > 0 {
+			scan.Nodes[i].Work++
+			scan.Totals.Work++
+			tr.Totals.RowsProcessed++
+			break
+		}
+	}
+	assertRule(t, check.VerifyTrace(rw, tr), check.RuleTraceConserve)
+
+	// A date filter that counts a row as filtered the index did not skip.
+	rw, tr, span = rangeTraceFixture(t)
+	span.Nodes[0].FilteredRows++
+	span.Totals.FilteredRows++
+	assertRule(t, check.VerifyTrace(rw, tr), check.RuleTraceConserve)
+
+	// A date filter that keeps more rows than the range held.
+	rw, tr, span = rangeTraceFixture(t)
+	span.Totals.FilteredRows = span.Totals.RowsIn - span.Totals.RowsOut + 1
+	assertRule(t, check.VerifyTrace(rw, tr), check.RuleTraceConserve)
+
+	// Filtered rows on a filter whose scan read no index.
+	rw, tr, span = rangeTraceFixture(t)
+	scan = span.Children[0]
+	scan.Totals.IndexProbes = 0
+	for i := range scan.Nodes {
+		scan.Nodes[i].IndexProbes = 0
+	}
+	assertRule(t, check.VerifyTrace(rw, tr), check.RuleTraceConserve)
+
+	// Probes under a filter whose DATE column leads a key, whose slot holds
+	// the column's key index, never a date index.
+	rw, tr, _ = rangeTraceFixture(t)
+	rw.Catalog.MustAddFK(catalog.ForeignKey{Name: "fk_events_day", FromTable: "events", FromCols: []string{"day"},
+		ToTable: "events", ToCols: []string{"eid"}, ToIsUnique: true})
+	assertRule(t, check.VerifyTrace(rw, tr), check.RuleTraceConserve)
+
+	// Probes under a filter that bounds no DATE column.
+	rw, tr, _ = rangeTraceFixture(t)
+	rwalk(rw.Root, func(n plan.Node) {
+		if f, ok := n.(*plan.FilterNode); ok {
+			f.Pred = plan.Eq(plan.Col("e.v"), plan.Lit(1))
+		}
+	})
+	assertRule(t, check.VerifyTrace(rw, tr), check.RuleTraceConserve)
+}
+
+// rwalk visits n and every node below it.
+func rwalk(n plan.Node, visit func(plan.Node)) {
+	visit(n)
+	for _, c := range n.Children() {
+		rwalk(c, visit)
+	}
 }

@@ -446,17 +446,27 @@ func TestChaosSoak(t *testing.T) {
 	for _, pick := range []struct {
 		query, cfg string
 		priced     bool
+		dates      bool // a query of dateQueries over dateDB
 	}{
-		{"filter-project", "classical", false},
-		{"fig3-agg", "pref-chain", false},
-		{"semi", "classical", false},
-		{"three-way-agg", "pref-chain", false},
-		{"global-agg", "all-hashed", false},
+		{"filter-project", "classical", false, false},
+		{"fig3-agg", "pref-chain", false, false},
+		{"semi", "classical", false, false},
+		{"three-way-agg", "pref-chain", false, false},
+		{"global-agg", "all-hashed", false, false},
 		// Rewritten with statistics: a local filter reads orders through
 		// its key index, under the same schedules and hedging.
-		{"keyed-join", "classical", true},
+		{"keyed-join", "classical", true, false},
+		// Rewritten with statistics: a date filter reads PREF orders
+		// through its date index, and a lost node's partition is rebuilt
+		// and read whole.
+		{"range-agg", "pref", true, true},
 	} {
-		pq := prepareQuery(t, faultQueries()[pick.query], db, cfgs[pick.cfg])
+		var pq prepared
+		if pick.dates {
+			pq = prepareQuery(t, dateQueries()[pick.query], dateDB(t), dateConfigs()[pick.cfg])
+		} else {
+			pq = prepareQuery(t, faultQueries()[pick.query], db, cfgs[pick.cfg])
+		}
 		if pick.priced {
 			pq.popt = plan.Options{Stats: plan.GatherStats(pq.pdb)}
 		}
@@ -464,10 +474,21 @@ func TestChaosSoak(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s/%s oracle: %v", pick.query, pick.cfg, err)
 		}
-		probes := int64(0)
-		clean.Trace.Walk(func(ot *trace.OpTrace) { probes += ot.Totals.IndexProbes })
-		if pick.priced && probes == 0 {
+		keyed, ranged := int64(0), int64(0)
+		clean.Trace.Walk(func(ot *trace.OpTrace) {
+			for _, c := range ot.Children {
+				if ot.Kind == trace.KindFilter {
+					ranged += c.Totals.IndexProbes
+				} else {
+					keyed += c.Totals.IndexProbes
+				}
+			}
+		})
+		if pick.priced && !pick.dates && keyed == 0 {
 			t.Fatalf("%s/%s: fixture drift: no scan read through a key index", pick.query, pick.cfg)
+		}
+		if pick.dates && ranged == 0 {
+			t.Fatalf("%s/%s: fixture drift: no scan read through a date index", pick.query, pick.cfg)
 		}
 		targets = append(targets, target{pick.query + "/" + pick.cfg, pq, clean.Rows})
 	}

@@ -1,46 +1,72 @@
 package engine
 
 import (
+	"fmt"
 	"sync/atomic"
 
 	"pref/internal/batch"
 	"pref/internal/plan"
+	"pref/internal/table"
+	"pref/internal/value"
 )
 
-// Keyed reads.
+// Index reads.
 //
 // A node of the paper's cluster ran MySQL, whose InnoDB keeps an index on
-// every primary key and every foreign key. A local runtime filter directly
-// over a base-table scan of such a key column reads the scan through one: on
-// partition p it looks each of the filter's K distinct keys up in an index of
-// the partition's stored column and fetches the F rows they name, in stored
-// order, instead of reading every row. The index is storage, not query work:
-// table.Partition builds it once per frozen partition, on first use, and the
-// engine meters no build work, so Stats stay a function of the plan and the
-// snapshot. The scan's work on such a partition is K + F. Its row counts stay
-// logical — it outputs the partition, and the filter above drops what the
-// fetch skipped, as it drops what it filters — so every trace conservation
-// law holds as before; the scan's cell also counts the K probes.
+// every primary key and every foreign key, and TPC-H allows one more kind of
+// auxiliary structure: an index on a single DATE column. A filter directly
+// over a base-table scan reads the scan through one of them:
+//
+//   - a local runtime filter over a scan of a key column looks each of its K
+//     distinct keys up in a key index of the partition's stored column
+//     (keyedCol): K probes;
+//   - a Filter with literal bounds on a DATE column looks the range up in a
+//     sorted index of that column (rangeCol), the lowest such column: one
+//     probe.
+//
+// Either read fetches only the F rows the index names, in stored order.
+// The index is storage, not query work: table.Partition builds it once per
+// frozen partition, on first use, and the engine meters no build work, so
+// Stats stay a function of the plan and the snapshot. The scan's work on such
+// a partition is probes + F. Its row counts stay logical — it outputs the
+// partition, and the filter above drops what the index skipped, as it drops
+// what it filters, counting those rows as filtered — so every trace
+// conservation law holds as before; the scan's cell also counts the probes.
 //
 // A partition is read whole instead when it is pruned, when it is lost (the
 // recovery scan rebuilds it from other nodes' copies, which hold no index of
-// it), or when the filter has at least as many keys as the partition rows.
+// it), or when probes + F is not less than the partition's rows.
 
-// keyedRead is a local filter's read of the scan below it through a key
-// index.
-type keyedRead struct {
-	col  int                 // the indexed table column
-	sets []*batch.Int64Table // the filter's exact key sets, per partition
-	// fetched holds, per partition read through the index, the rows the
-	// fetch kept; nil where the partition was read whole. A hedged or
-	// retried scan unit stores the same rows again.
-	fetched []atomic.Pointer[batch.RowSet]
+// indexRead is a filter's read of the scan directly below it through an
+// index of one of the scan's columns.
+type indexRead struct {
+	// look reads partition p, stored in part, through its index: the probes
+	// it makes and the rows it fetches, or nil rows when the probes alone
+	// cost a whole read, so it fetches nothing.
+	look func(p int, part *table.Partition) (probes int, rows *batch.RowSet, err error)
+	// read holds, per partition read through the index, what the read
+	// fetched; nil where the partition was read whole. A hedged or retried
+	// scan unit stores the same rows again.
+	read []atomic.Pointer[indexed]
+}
+
+// indexed is one partition's read through an index.
+type indexed struct {
+	rows   *batch.RowSet
+	probes int
+}
+
+// readsIndex reports whether partition p, of stored rows, is read through
+// an index whose read makes probes probes and fetches rows rows: p is not
+// lost, and the read does less work than reading every row.
+func (ex *executor) readsIndex(p, probes, rows, stored int) bool {
+	return !ex.down[p] && probes+rows < stored
 }
 
 // keyedCol returns the scan local filter n reads through a key index and the
 // table column it looks up, or nil: n's child must be a base-table scan and
 // n's column lead the table's primary key or one of its declared foreign
-// keys, the columns InnoDB indexes.
+// keys (catalog.Schema.LeadsKey).
 func (ex *executor) keyedCol(n *plan.RuntimeFilterNode) (*plan.ScanNode, int) {
 	scan, ok := n.Child.(*plan.ScanNode)
 	if !n.Local || !ok {
@@ -51,26 +77,82 @@ func (ex *executor) keyedCol(n *plan.RuntimeFilterNode) (*plan.ScanNode, int) {
 		return nil, -1
 	}
 	c, err := ex.rw.Schemas[scan].IndexOf(n.Col)
-	if err != nil || c >= pt.Meta.NumCols() {
+	if err != nil || c >= pt.Meta.NumCols() || !ex.pdb.Schema.LeadsKey(pt.Meta, pt.Meta.Columns[c].Name) {
 		return nil, -1
 	}
-	name := pt.Meta.Columns[c].Name
-	if len(pt.Meta.PK) > 0 && pt.Meta.PK[0] == name {
-		return scan, c
-	}
-	for _, fk := range ex.pdb.Schema.FKs {
-		if fk.FromTable == scan.Table && fk.FromCols[0] == name {
-			return scan, c
-		}
-	}
-	return nil, -1
+	return scan, c
 }
 
-// keyedPart reports whether a keyed scan reads partition p, of rows stored
-// rows, through the index for a filter of k distinct keys: p is neither
-// pruned (keep, nil when nothing is) nor lost, and k < rows.
-func (ex *executor) keyedPart(keep map[int]bool, p, k, rows int) bool {
-	return (keep == nil || keep[p]) && !ex.down[p] && k < rows
+// keyedRead returns the scan local filter n reads through a key index and
+// the read, which looks up the filter's exact key sets, or nil.
+func (ex *executor) keyedRead(n *plan.RuntimeFilterNode, sets []*batch.Int64Table) (*plan.ScanNode, *indexRead) {
+	scan, col := ex.keyedCol(n)
+	if scan == nil {
+		return nil, nil
+	}
+	return scan, &indexRead{read: make([]atomic.Pointer[indexed], ex.n),
+		look: func(p int, part *table.Partition) (int, *batch.RowSet, error) {
+			keys := sets[p]
+			if keys.Distinct() >= part.Len() {
+				return keys.Distinct(), nil, nil
+			}
+			index, ok := part.KeyIndex(col, func(c []int64) any { return batch.BuildInt64Table(c) }).(*batch.Int64Table)
+			if !ok {
+				return 0, nil, fmt.Errorf("engine: %s: partition %d caches a foreign index on column %d", n, p, col)
+			}
+			return keys.Distinct(), index.Fetch(keys), nil
+		}}
+}
+
+// dateRange is a range read's column and the closed range of values the
+// filter's literal bounds keep there.
+type dateRange struct {
+	col    int
+	lo, hi int64
+}
+
+// rangeCol returns the scan filter n reads through a sorted date index and
+// the range it reads, or nil: n's child must be a base-table scan and n's
+// predicate bound a DATE column of its table, one that leads no key, with
+// top-level literal comparisons. Of several such columns it reads the
+// lowest.
+func (ex *executor) rangeCol(n *plan.FilterNode) (*plan.ScanNode, dateRange) {
+	scan, ok := n.Child.(*plan.ScanNode)
+	if !ok {
+		return nil, dateRange{}
+	}
+	pt := ex.pdb.Tables[scan.Table]
+	if pt == nil {
+		return nil, dateRange{}
+	}
+	sch := ex.rw.Schemas[scan]
+	for c, col := range pt.Meta.Columns {
+		if col.Kind != value.Date || c >= len(sch) || ex.pdb.Schema.LeadsKey(pt.Meta, col.Name) {
+			continue
+		}
+		if lo, hi, ok := plan.LiteralRange(n.Pred, sch[c].Name); ok {
+			return scan, dateRange{c, lo, hi}
+		}
+	}
+	return nil, dateRange{}
+}
+
+// rangeRead returns the scan filter n reads through a sorted date index and
+// the read, which looks its range up there: one probe. It returns nil when
+// n reads no index.
+func (ex *executor) rangeRead(n *plan.FilterNode) (*plan.ScanNode, *indexRead) {
+	scan, r := ex.rangeCol(n)
+	if scan == nil {
+		return nil, nil
+	}
+	return scan, &indexRead{read: make([]atomic.Pointer[indexed], ex.n),
+		look: func(p int, part *table.Partition) (int, *batch.RowSet, error) {
+			index, ok := part.KeyIndex(r.col, func(v []int64) any { return batch.BuildSortedIndex(v) }).(*batch.SortedIndex)
+			if !ok {
+				return 0, nil, fmt.Errorf("engine: %s: partition %d caches a foreign index on column %d", n, p, r.col)
+			}
+			return 1, index.Range(r.lo, r.hi), nil
+		}}
 }
 
 // scanParts returns the partitions scan n reads, as a set, or nil when it

@@ -37,14 +37,14 @@ func filterPlan(t *testing.T, db *table.Database, cfg *partition.Config, tbl, al
 		Props: map[plan.Node]*plan.Prop{scan: prop, f: prop}, Catalog: db.Schema, Cfg: cfg}, f
 }
 
-// runFilter evaluates the filter plan of filterPlan over pdb, on the product
-// or on the row reference, with keys[p] as source partition p's keys and the
-// nodes down lost, and returns each partition's output rows and the trace of
-// the evaluation. during, if set, runs after the evaluation pinned its
-// snapshot and before the filter runs. The executor is built by hand: the
-// plan's stand-in join would fail the static checker ExecuteCtx runs under
-// PREF_VERIFY.
-func runFilter(rw *plan.Rewritten, f *plan.RuntimeFilterNode, pdb *table.PartitionedDatabase, down []int,
+// runFilter evaluates rw, a filter over a scan (filterPlan, rangePlan), over
+// pdb, on the product or on the row reference, with keys[p] as a runtime
+// filter's source partition p's keys and the nodes down lost, and returns
+// each partition's output rows and the trace of the evaluation. during, if
+// set, runs after the evaluation pinned its snapshot and before the filter
+// runs. The executor is built by hand: filterPlan's stand-in join would fail
+// the static checker ExecuteCtx runs under PREF_VERIFY.
+func runFilter(rw *plan.Rewritten, pdb *table.PartitionedDatabase, down []int,
 	keys [][]int64, ref bool, during func()) ([][]value.Tuple, *trace.Trace, error) {
 	ex := newTestExecutor(pdb.N)
 	defer ex.cancel()
@@ -60,13 +60,15 @@ func runFilter(rw *plan.Rewritten, f *plan.RuntimeFilterNode, pdb *table.Partiti
 	if during != nil {
 		during()
 	}
-	ex.filters = map[*plan.JoinNode][][]int64{f.From: keys}
+	if f, ok := rw.Root.(*plan.RuntimeFilterNode); ok {
+		ex.filters = map[*plan.JoinNode][][]int64{f.From: keys}
+	}
 	var parts [][]value.Tuple
 	if ref {
-		parts, err = ex.evalRuntimeFilter(f)
+		parts, err = ex.refEval(rw.Root)
 	} else {
 		var out vparts
-		out, err = ex.evalVec(f)
+		out, err = ex.evalVec(rw.Root)
 		for _, bs := range out {
 			parts = append(parts, batch.AppendRows(nil, bs))
 		}
@@ -86,6 +88,7 @@ type keyedCase struct {
 	indexed         bool // whether col leads a key
 	withFK          bool // declare orders.custkey a foreign key
 	reads           int  // the partitions read through the index
+	fewerKeys       bool // every partition has fewer keys than rows
 }
 
 // everyThird keeps the keys of every third stored row of a partition.
@@ -97,23 +100,34 @@ func everyThird(part *table.Partition, c int) []int64 {
 	return keys
 }
 
+// firstRow keeps the key of a partition's first stored row.
+func firstRow(part *table.Partition, c int) []int64 {
+	if part.Len() == 0 {
+		return nil
+	}
+	return []int64{part.Row(0)[c]}
+}
+
 // TestKeyedScanReadsExactKeys: a local filter keeps, on each partition, exactly
 // the stored rows whose key is among that source partition's keys, in stored
 // order, on the product and on the row reference alike. Over a scan of a
 // primary or foreign key column it reads the partition through the key index:
 // the scan's work there is the filter's distinct keys plus the rows they
 // fetch, and its cell counts the keys as probes. Where the rule does not
-// apply — a column that leads no key, a filter with at least as many keys as
-// the partition has rows, a pruned partition, a lost partition rebuilt by
-// the recovery scan — the partition is read row by row, with the same rows
-// kept.
+// apply — a column that leads no key, a filter whose keys and the rows they
+// name are at least as many as the partition's rows (as many keys as rows, or
+// fewer keys that name most of the rows), a pruned partition, a lost
+// partition rebuilt by the recovery scan — the partition is read row by row,
+// with the same rows kept.
 func TestKeyedScanReadsExactKeys(t *testing.T) {
 	cfgs := testConfigs(4)
 	for _, c := range []keyedCase{
 		{name: "primary key", cfg: cfgs["all-hashed"], tbl: "orders", alias: "o", col: "o.orderkey",
 			keys: everyThird, indexed: true, reads: 4},
 		{name: "foreign key", cfg: cfgs["all-hashed"], tbl: "orders", alias: "o", col: "o.custkey",
-			keys: everyThird, indexed: true, withFK: true, reads: 4},
+			keys: firstRow, indexed: true, withFK: true, reads: 4},
+		{name: "keys that name most rows", cfg: cfgs["all-hashed"], tbl: "orders", alias: "o", col: "o.custkey",
+			keys: everyThird, indexed: true, withFK: true, fewerKeys: true},
 		{name: "a column that leads no key", cfg: cfgs["all-hashed"], tbl: "orders", alias: "o", col: "o.custkey",
 			keys: everyThird},
 		{name: "as many keys as rows", cfg: cfgs["all-hashed"], tbl: "orders", alias: "o", col: "o.orderkey",
@@ -148,11 +162,11 @@ func TestKeyedScanReadsExactKeys(t *testing.T) {
 			for p, part := range parts {
 				keys[p] = c.keys(part, col)
 			}
-			got, tr, err := runFilter(rw, f, pdb, c.down, keys, false, nil)
+			got, tr, err := runFilter(rw, pdb, c.down, keys, false, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			refGot, refTr, err := runFilter(rw, f, pdb, c.down, keys, true, nil)
+			refGot, refTr, err := runFilter(rw, pdb, c.down, keys, true, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -183,9 +197,12 @@ func TestKeyedScanReadsExactKeys(t *testing.T) {
 						kept = append(kept, r)
 					}
 				}
+				if c.fewerKeys && len(set) >= part.Len() {
+					t.Fatalf("fixture drift: partition %d has %d keys for %d rows", p, len(set), part.Len())
+				}
 				if c.prune != nil && !scanParts(f.Child.(*plan.ScanNode))[p] {
 					kept = nil
-				} else if c.indexed && !down[p] && len(set) < part.Len() {
+				} else if c.indexed && !down[p] && len(set)+len(kept) < part.Len() {
 					want[dst[p]].probes += int64(len(set))
 					want[dst[p]].work += int64(len(set) + len(kept))
 					read++
@@ -217,81 +234,103 @@ func TestKeyedScanReadsExactKeys(t *testing.T) {
 // TestKeyedScanReadsItsPinnedVersion: a query pinned to an epoch before a
 // write reads that epoch through the index of the partitions it pinned, which
 // the write does not touch, and the next query reads the written rows through
-// an index of the new partition. Run twice on one snapshot, first with every
+// an index of the new partition — a key index under a local filter, a date
+// index under a date filter. Run twice on one snapshot, first with every
 // index cold and then with each warm, a query has the same Stats.
 func TestKeyedScanReadsItsPinnedVersion(t *testing.T) {
-	db := testDB(t)
-	cfg := testConfigs(4)["all-hashed"]
-	pdb, err := partition.Apply(db, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rw, f := filterPlan(t, db, cfg, "orders", "o", "o.orderkey")
-	keysOf := func() [][]int64 {
-		parts := pdb.Tables["orders"].Snapshot().Parts
-		keys := make([][]int64, len(parts))
-		for p := range parts {
-			keys[p] = []int64{1, 2, 3, 100, 101, 102, 103}
-		}
-		return keys
-	}
-	coldRows, cold, err := runFilter(rw, f, pdb, nil, keysOf(), false, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, warm, err := runFilter(rw, f, pdb, nil, keysOf(), false, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cold.Totals != warm.Totals || cold.Totals.RowsProcessed == 0 {
-		t.Fatalf("cold and warm index runs differ:\ncold %+v\nwarm %+v", cold.Totals, warm.Totals)
-	}
-	if cold.Root.Children[0].Children[0].Totals.IndexProbes == 0 {
-		t.Fatal("fixture drift: the scan read through no index")
-	}
-	// cached reports whether every partition of v holds its orderkey index.
-	cached := func(v *table.Version) bool {
-		for _, part := range v.Parts {
-			built := false
-			part.KeyIndex(0, func([]int64) any { built = true; return nil })
-			if built {
-				return false
+	for _, c := range []struct {
+		name   string
+		db     func(testing.TB) *table.Database
+		cfg    *partition.Config
+		plan   func(*table.Database, *partition.Config) *plan.Rewritten
+		col    int                       // the orders column read through its index
+		insert func(k int64) value.Tuple // an orders row the filter keeps
+	}{
+		{name: "key index", db: testDB, cfg: testConfigs(4)["all-hashed"],
+			plan: func(db *table.Database, cfg *partition.Config) *plan.Rewritten {
+				rw, _ := filterPlan(t, db, cfg, "orders", "o", "o.orderkey")
+				return rw
+			}, col: 0,
+			insert: func(k int64) value.Tuple { return value.Tuple{k, 1, value.FromMoney(1)} }},
+		{name: "date index", db: dateDB, cfg: dateConfigs()["hashed"],
+			plan: func(db *table.Database, cfg *partition.Config) *plan.Rewritten {
+				return rangePlan(t, db, cfg, plan.Ge(plan.Col("o.odate"), plan.Lit(day(70))))
+			}, col: 2,
+			insert: func(k int64) value.Tuple { return value.Tuple{k, 1, day(75), day(1)} }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			db := c.db(t)
+			pdb, err := partition.Apply(db, c.cfg)
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-		return true
-	}
+			rw := c.plan(db, c.cfg)
+			keysOf := func() [][]int64 {
+				keys := make([][]int64, pdb.N)
+				for p := range keys {
+					keys[p] = []int64{1, 2, 3, 100, 101, 102, 103}
+				}
+				return keys
+			}
+			coldRows, cold, err := runFilter(rw, pdb, nil, keysOf(), false, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, warm, err := runFilter(rw, pdb, nil, keysOf(), false, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if cold.Totals != warm.Totals || cold.Totals.RowsProcessed == 0 {
+				t.Fatalf("cold and warm index runs differ:\ncold %+v\nwarm %+v", cold.Totals, warm.Totals)
+			}
+			if cold.Root.Children[0].Children[0].Totals.IndexProbes == 0 {
+				t.Fatal("fixture drift: the scan read through no index")
+			}
+			// cached reports whether every partition of v holds its index.
+			cached := func(v *table.Version) bool {
+				for _, part := range v.Parts {
+					built := false
+					part.KeyIndex(c.col, func([]int64) any { built = true; return nil })
+					if built {
+						return false
+					}
+				}
+				return true
+			}
 
-	old := pdb.Tables["orders"].Snapshot()
-	l := bulkload.NewLoader(pdb, cfg)
-	pinnedRows, pinned, err := runFilter(rw, f, pdb, nil, keysOf(), false, func() {
-		ops := make([]bulkload.Op, 0, 4)
-		for k := int64(100); k < 104; k++ {
-			ops = append(ops, bulkload.Insert("orders", value.Tuple{k, 1, value.FromMoney(1)}))
-		}
-		if _, err := l.Apply(ops...); err != nil {
-			t.Error(err)
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
+			old := pdb.Tables["orders"].Snapshot()
+			l := bulkload.NewLoader(pdb, c.cfg)
+			pinnedRows, pinned, err := runFilter(rw, pdb, nil, keysOf(), false, func() {
+				ops := make([]bulkload.Op, 0, 4)
+				for k := int64(100); k < 104; k++ {
+					ops = append(ops, bulkload.Insert("orders", c.insert(k)))
+				}
+				if _, err := l.Apply(ops...); err != nil {
+					t.Error(err)
+				}
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if pinned.Totals != warm.Totals || !reflect.DeepEqual(pinnedRows, coldRows) {
+				t.Fatalf("the pinned query saw the write: %+v, want %+v", pinned.Totals, warm.Totals)
+			}
+			if !cached(old) {
+				t.Fatal("the pinned version's partitions lost their indexes to the write")
+			}
+			after, _, err := runFilter(rw, pdb, nil, keysOf(), false, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, want := rowCount(after), rowCount(coldRows)+4; got != want {
+				t.Fatalf("after the write the filter keeps %d rows, want %d", got, want)
+			}
+			if v := pdb.Tables["orders"].Snapshot(); v == old || !cached(v) {
+				t.Fatal("the written version was not read through indexes of its own")
+			}
+			requirePoolBalanced(t, "pinned version")
+		})
 	}
-	if pinned.Totals != warm.Totals || !reflect.DeepEqual(pinnedRows, coldRows) {
-		t.Fatalf("the pinned query saw the write: %+v, want %+v", pinned.Totals, warm.Totals)
-	}
-	if !cached(old) {
-		t.Fatal("the pinned version's partitions lost their indexes to the write")
-	}
-	after, _, err := runFilter(rw, f, pdb, nil, keysOf(), false, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := rowCount(after), rowCount(coldRows)+4; got != want {
-		t.Fatalf("after the write the filter keeps %d rows, want %d", got, want)
-	}
-	if v := pdb.Tables["orders"].Snapshot(); v == old || !cached(v) {
-		t.Fatal("the written version was not read through indexes of its own")
-	}
-	requirePoolBalanced(t, "pinned version")
 }
 
 func rowCount(parts [][]value.Tuple) int {

@@ -77,7 +77,8 @@ func (ex *executor) refEval(n plan.Node) ([][]value.Tuple, error) {
 	refNodes.Add(1)
 	switch n := n.(type) {
 	case *plan.ScanNode:
-		return ex.evalScan(n, nil, 0)
+		out, _, err := ex.evalScan(n, nil)
+		return out, err
 	case *plan.FilterNode:
 		return ex.evalFilter(n)
 	case *plan.RuntimeFilterNode:
@@ -109,23 +110,32 @@ func (ex *executor) refEval(n plan.Node) ([][]value.Tuple, error) {
 	}
 }
 
-// evalScan reads every stored row of each partition. Under a local filter
-// that reads through a key index (sets, the filter's key sets, non-nil; col,
-// the indexed column), it charges each partition keyedPart admits the
-// filter's distinct keys and the rows whose key is among them, counted by
-// scanning, not through an index.
-func (ex *executor) evalScan(n *plan.ScanNode, sets []map[int64]bool, col int) ([][]value.Tuple, error) {
+// refLook is the reference's twin of an indexRead's look: it prices
+// partition p's read through the index by scanning the partition's rows, not
+// through an index: the probes and the rows the index would fetch.
+type refLook func(p int, rows []value.Tuple) (probes, fetched int)
+
+// evalScan reads every stored row of each partition. Under a filter that
+// reads it through an index (look non-nil), it charges each partition
+// readsIndex admits the probes and the rows the index would fetch, and
+// returns those rows' count per partition, -1 where it read the partition
+// whole.
+func (ex *executor) evalScan(n *plan.ScanNode, look refLook) ([][]value.Tuple, []int, error) {
 	top := ex.tb.Begin(n, trace.KindScan)
 	pt, ok := ex.pdb.Tables[n.Table]
 	if !ok {
-		return nil, fmt.Errorf("engine: table %s not in partitioned database", n.Table)
+		return nil, nil, fmt.Errorf("engine: table %s not in partitioned database", n.Table)
 	}
 	sch := ex.rw.Schemas[n]
 	v := ex.versionOf(pt, n.Table)
 	withIndexes := scanHasIndexes(sch)
 	keep := scanParts(n)
-	keyed := func(p int) bool {
-		return sets != nil && ex.keyedPart(keep, p, len(sets[p]), v.Parts[p].Len())
+	indexed := func(p int) (probes, fetched int, ok bool) {
+		if look == nil || keep != nil && !keep[p] {
+			return 0, 0, false
+		}
+		probes, fetched = look(p, v.Parts[p].Rows())
+		return probes, fetched, ex.readsIndex(p, probes, fetched, v.Parts[p].Len())
 	}
 	out, err := forEachPart(ex, top, func(p int) ([]value.Tuple, int, error) {
 		if keep != nil && !keep[p] {
@@ -141,25 +151,25 @@ func (ex *executor) evalScan(n *plan.ScanNode, sets []map[int64]bool, col int) (
 			}
 		}
 		rows := scanRows(v.Parts[p], withIndexes)
-		if !keyed(p) {
-			return rows, len(rows), nil
+		if probes, fetched, ok := indexed(p); ok {
+			return rows, probes + fetched, nil
 		}
-		work := len(sets[p])
-		for _, r := range rows {
-			if sets[p][r[col]] {
-				work++
-			}
-		}
-		return rows, work, nil
+		return rows, len(rows), nil
 	})
-	if sets != nil {
-		for p := range sets {
-			if keyed(p) {
-				top.AddIndexProbes(ex.execDst[p], len(sets[p]))
-			}
-		}
+	if look == nil {
+		return out, nil, err
 	}
-	return out, err
+	fetched := make([]int, len(out))
+	for p := range fetched {
+		probes, f, ok := indexed(p)
+		if !ok {
+			fetched[p] = -1
+			continue
+		}
+		fetched[p] = f
+		top.AddIndexProbes(ex.execDst[p], probes)
+	}
+	return out, fetched, err
 }
 
 // scanRows materializes one partition's scan output, appending the hidden
@@ -182,15 +192,35 @@ func scanRows(part *table.Partition, withIndexes bool) []value.Tuple {
 	return rows
 }
 
+// evalFilter keeps the rows its predicate holds for, evaluating it on every
+// input row. Over a scan the product reads through a date index (rangeCol),
+// it counts the rows outside the range, NULLs too, as filtered, finding them
+// by scanning.
 func (ex *executor) evalFilter(n *plan.FilterNode) ([][]value.Tuple, error) {
 	top := ex.tb.Begin(n, trace.KindFilter)
-	in, err := ex.refEval(n.Child)
+	var in [][]value.Tuple
+	var fetched []int
+	var err error
+	if scan, rg := ex.rangeCol(n); scan != nil {
+		refNodes.Add(1)
+		in, fetched, err = ex.evalScan(scan, func(_ int, rows []value.Tuple) (int, int) {
+			f := 0
+			for _, r := range rows {
+				if v := r[rg.col]; v != plan.Null && rg.lo <= v && v <= rg.hi {
+					f++
+				}
+			}
+			return 1, f
+		})
+	} else {
+		in, err = ex.refEval(n.Child)
+	}
 	if err != nil {
 		return nil, err
 	}
 	ex.addInputs(top, in)
 	sch := ex.rw.Schemas[n.Child]
-	return forEachPart(ex, top, func(p int) ([]value.Tuple, int, error) {
+	out, err := forEachPart(ex, top, func(p int) ([]value.Tuple, int, error) {
 		pred, err := n.Pred.Bind(sch)
 		if err != nil {
 			return nil, 0, err
@@ -203,6 +233,15 @@ func (ex *executor) evalFilter(n *plan.FilterNode) ([][]value.Tuple, error) {
 		}
 		return rows, len(rows), nil
 	})
+	if err != nil {
+		return nil, err
+	}
+	for p, f := range fetched {
+		if f >= 0 {
+			top.AddFiltered(ex.execDst[p], len(in[p])-f)
+		}
+	}
+	return out, nil
 }
 
 // evalRuntimeFilter keeps the rows whose key the filter of n.From holds:
@@ -239,7 +278,15 @@ func (ex *executor) evalRuntimeFilter(n *plan.RuntimeFilterNode) ([][]value.Tupl
 	var in [][]value.Tuple
 	if scan, col := ex.keyedCol(n); scan != nil {
 		refNodes.Add(1)
-		in, err = ex.evalScan(scan, sets, col)
+		in, _, err = ex.evalScan(scan, func(p int, rows []value.Tuple) (int, int) {
+			fetched := 0
+			for _, r := range rows {
+				if sets[p][r[col]] {
+					fetched++
+				}
+			}
+			return len(sets[p]), fetched
+		})
 	} else {
 		in, err = ex.refEval(n.Child)
 	}

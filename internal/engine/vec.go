@@ -2,7 +2,6 @@ package engine
 
 import (
 	"fmt"
-	"sync/atomic"
 	"time"
 
 	"pref/internal/batch"
@@ -196,12 +195,12 @@ func (ex *executor) liveCols(n plan.Node, natural plan.Schema) (plan.Schema, []i
 
 // evalScanVec hands out chunked zero-copy views over the pinned partition's
 // stored columns — a lost partition's too, once recoverScan has admitted and
-// metered its reconstruction. A scan under a local filter that reads through
-// a key index (kr, nil otherwise) reads each partition keyedPart admits by
-// fetching the rows of the filter's keys there, charging their count and the
-// keys' as its work, and leaves the fetched rows in kr for the filter; its
+// metered its reconstruction. A scan under a filter that reads it through an
+// index (ir, nil otherwise) reads each partition readsIndex admits by
+// fetching the rows the index names there, charging their count and the
+// probes as its work, and leaves the fetched rows in ir for the filter; its
 // output stays every stored row, which the filter narrows.
-func (ex *executor) evalScanVec(n *plan.ScanNode, kr *keyedRead) (vparts, outKind, error) {
+func (ex *executor) evalScanVec(n *plan.ScanNode, ir *indexRead) (vparts, outKind, error) {
 	top := ex.tb.Begin(n, trace.KindScan)
 	pt, ok := ex.pdb.Tables[n.Table]
 	if !ok {
@@ -227,21 +226,23 @@ func (ex *executor) evalScanVec(n *plan.ScanNode, kr *keyedRead) (vparts, outKin
 		if !withIndexes {
 			cols = cols[:width]
 		}
-		if kr == nil || !ex.keyedPart(keep, p, kr.sets[p].Distinct(), proj.NRows) {
+		if ir == nil || ex.down[p] {
 			return batch.Chunks(cols), proj.NRows, nil
 		}
-		index, ok := part.KeyIndex(kr.col, func(c []int64) any { return batch.BuildInt64Table(c) }).(*batch.Int64Table)
-		if !ok {
-			return nil, 0, fmt.Errorf("engine: %s: partition %d caches a foreign index on column %d", n, p, kr.col)
+		probes, rows, err := ir.look(p, part)
+		if err != nil {
+			return nil, 0, err
 		}
-		rows := index.Fetch(kr.sets[p])
-		kr.fetched[p].Store(rows)
-		return batch.Chunks(cols), kr.sets[p].Distinct() + rows.Len(), nil
+		if rows == nil || !ex.readsIndex(p, probes, rows.Len(), proj.NRows) {
+			return batch.Chunks(cols), proj.NRows, nil
+		}
+		ir.read[p].Store(&indexed{rows: rows, probes: probes})
+		return batch.Chunks(cols), probes + rows.Len(), nil
 	})
-	if kr != nil {
-		for p := range kr.fetched {
-			if kr.fetched[p].Load() != nil {
-				top.AddIndexProbes(ex.execDst[p], kr.sets[p].Distinct())
+	if ir != nil {
+		for p := range ir.read {
+			if r := ir.read[p].Load(); r != nil {
+				top.AddIndexProbes(ex.execDst[p], r.probes)
 			}
 		}
 	}
@@ -249,10 +250,19 @@ func (ex *executor) evalScanVec(n *plan.ScanNode, kr *keyedRead) (vparts, outKin
 }
 
 // evalFilterVec narrows each input batch with a fresh selection vector: its
-// output views the input.
+// output views the input. Over a scan it reads through a date index
+// (rangeCol), it evaluates its predicate on the rows that read fetched and
+// counts the rows it skipped as filtered.
 func (ex *executor) evalFilterVec(f *frame, n *plan.FilterNode) (vparts, outKind, error) {
 	top := ex.tb.Begin(n, trace.KindFilter)
-	in, err := f.input(n.Child)
+	var in vparts
+	var err error
+	scan, ir := ex.rangeRead(n)
+	if ir != nil {
+		in, _, err = ex.evalScanVec(scan, ir)
+	} else {
+		in, err = f.input(n.Child)
+	}
 	if err != nil {
 		return nil, views, err
 	}
@@ -262,9 +272,15 @@ func (ex *executor) evalFilterVec(f *frame, n *plan.FilterNode) (vparts, outKind
 		return nil, views, err
 	}
 	out, err := forEachPart(ex, top, func(p int) ([]*batch.Batch, int, error) {
+		bs := in[p]
+		if ir != nil {
+			if r := ir.read[p].Load(); r != nil {
+				bs = r.rows.Narrow(bs)
+			}
+		}
 		var out []*batch.Batch
 		kept := 0
-		for _, b := range in[p] {
+		for _, b := range bs {
 			fb := batch.Filter(b, vp)
 			if fb.Len() > 0 {
 				out = append(out, fb)
@@ -273,7 +289,15 @@ func (ex *executor) evalFilterVec(f *frame, n *plan.FilterNode) (vparts, outKind
 		}
 		return out, kept, nil
 	})
-	return out, views, err
+	if err != nil || ir == nil {
+		return out, views, err
+	}
+	for p := range ir.read {
+		if r := ir.read[p].Load(); r != nil {
+			top.AddFiltered(ex.execDst[p], batch.Rows(in[p])-r.rows.Len())
+		}
+	}
+	return out, views, nil
 }
 
 // evalRuntimeFilterVec narrows each input batch to the rows whose key the
@@ -306,10 +330,9 @@ func (ex *executor) evalRuntimeFilterVec(f *frame, n *plan.RuntimeFilterNode) (v
 		}
 	}
 	var in vparts
-	var kr *keyedRead
-	if scan, col := ex.keyedCol(n); scan != nil {
-		kr = &keyedRead{col: col, sets: sets, fetched: make([]atomic.Pointer[batch.RowSet], ex.n)}
-		in, _, err = ex.evalScanVec(scan, kr)
+	scan, ir := ex.keyedRead(n, sets)
+	if ir != nil {
+		in, _, err = ex.evalScanVec(scan, ir)
 	} else {
 		in, err = f.input(n.Child)
 	}
@@ -322,9 +345,9 @@ func (ex *executor) evalRuntimeFilterVec(f *frame, n *plan.RuntimeFilterNode) (v
 		return nil, views, err
 	}
 	out, err := forEachPart(ex, top, func(p int) ([]*batch.Batch, int, error) {
-		if kr != nil {
-			if rows := kr.fetched[p].Load(); rows != nil {
-				return rows.Narrow(in[p]), rows.Len(), nil
+		if ir != nil {
+			if r := ir.read[p].Load(); r != nil {
+				return r.rows.Narrow(in[p]), r.rows.Len(), nil
 			}
 		}
 		var out []*batch.Batch

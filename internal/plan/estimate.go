@@ -651,23 +651,11 @@ var mirrored = [...]CmpOp{EQ: EQ, NE: NE, LT: GT, LE: GE, GT: LT, GE: LE}
 // cmpRange reads a comparison of a column with a literal as the range of
 // values it keeps.
 func cmpRange(x BoolExpr) (col string, lo, hi float64, ok bool) {
-	c, isCmp := x.(cmpExpr)
-	if !isCmp {
+	name, op, lit, ok := colLit(x)
+	if !ok {
 		return "", 0, 0, false
 	}
-	op := c.op
-	name, isCol := ColName(c.l)
-	lit, isLit := c.r.(litExpr)
-	if !isCol || !isLit {
-		if name, isCol = ColName(c.r); !isCol {
-			return "", 0, 0, false
-		}
-		if lit, isLit = c.l.(litExpr); !isLit {
-			return "", 0, 0, false
-		}
-		op = mirrored[op]
-	}
-	v := float64(lit.v)
+	v := float64(lit)
 	switch op {
 	case EQ:
 		return name, v, v, true

@@ -2,6 +2,7 @@ package plan
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"time"
 
@@ -326,17 +327,8 @@ func EqualityBindings(p BoolExpr) map[string]int64 {
 	for _, x := range conjuncts(p) {
 		switch e := x.(type) {
 		case cmpExpr:
-			if e.op != EQ {
-				continue
-			}
-			if c, ok := e.l.(colExpr); ok {
-				if l, ok := e.r.(litExpr); ok {
-					out[c.name] = l.v
-				}
-			} else if c, ok := e.r.(colExpr); ok {
-				if l, ok := e.l.(litExpr); ok {
-					out[c.name] = l.v
-				}
+			if col, op, v, ok := colLit(e); ok && op == EQ {
+				out[col] = v
 			}
 		case inExpr:
 			if len(e.vals) == 1 {
@@ -345,6 +337,63 @@ func EqualityBindings(p BoolExpr) map[string]int64 {
 		}
 	}
 	return out
+}
+
+// colLit reads a comparison of a column with a literal as the column, the
+// operator with the column on its left, and the literal.
+func colLit(x BoolExpr) (col string, op CmpOp, lit int64, ok bool) {
+	c, isCmp := x.(cmpExpr)
+	if !isCmp {
+		return "", 0, 0, false
+	}
+	if name, isCol := ColName(c.l); isCol {
+		if l, isLit := c.r.(litExpr); isLit {
+			return name, c.op, l.v, true
+		}
+	}
+	if name, isCol := ColName(c.r); isCol {
+		if l, isLit := c.l.(litExpr); isLit {
+			return name, mirrored[c.op], l.v, true
+		}
+	}
+	return "", 0, 0, false
+}
+
+// LiteralRange intersects the values col may take under the top-level
+// conjuncts of pred that compare it with a literal (=, <, <=, >, >=) into
+// the closed range [lo, hi], empty when lo > hi; ok is false when no such
+// conjunct names col. A row whose col lies outside the range, or is NULL,
+// fails pred.
+func LiteralRange(pred BoolExpr, col string) (lo, hi int64, ok bool) {
+	lo, hi = math.MinInt64, math.MaxInt64
+	for _, x := range conjuncts(pred) {
+		name, op, v, isLit := colLit(x)
+		if !isLit || name != col {
+			continue
+		}
+		switch op {
+		case EQ:
+			lo, hi = max(lo, v), min(hi, v)
+		case LT:
+			if v == math.MinInt64 {
+				return 1, 0, true
+			}
+			hi = min(hi, v-1)
+		case LE:
+			hi = min(hi, v)
+		case GT:
+			if v == math.MaxInt64 {
+				return 1, 0, true
+			}
+			lo = max(lo, v+1)
+		case GE:
+			lo = max(lo, v)
+		default:
+			continue
+		}
+		ok = true
+	}
+	return lo, hi, ok
 }
 
 // ColumnEqualities lists the column = column comparisons of the top-level

@@ -87,11 +87,14 @@ type Metrics struct {
 	HedgeWastedRows int64 `json:"hedge_wasted_rows"`
 	// FilteredRows counts rows a runtime join filter dropped: their key is
 	// in none of the source input's Bloom filters, or, for a local filter,
-	// not among its own source partition's keys.
+	// not among its own source partition's keys. On a filter that read its
+	// scan through a date index, it counts the rows the index skipped: those
+	// outside the range, which the filter never examined.
 	FilteredRows int64 `json:"filtered_rows"`
-	// IndexProbes counts the keys a scan looked up in a key index: the
-	// distinct keys of the local filter above it, on each partition it read
-	// through the index rather than row by row.
+	// IndexProbes counts the lookups a scan made in an index, on each
+	// partition it read through one rather than row by row: the distinct
+	// keys of the local filter above it in a key index, or one range lookup
+	// in a date index.
 	IndexProbes int64 `json:"index_probes"`
 	// WallNanos is wall time spent in this operator's work units on the
 	// node, including retry backoff and straggler delays.
