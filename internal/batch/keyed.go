@@ -1,14 +1,67 @@
 package batch
 
-import "math/bits"
+import (
+	"encoding/binary"
+	"errors"
+	"math"
+	"math/bits"
+	"slices"
+)
 
-// Exact key sets and keyed reads: the kernels of a local runtime filter.
-// Such a filter keeps, on partition p, exactly the rows whose key is among
-// source partition p's keys, which an Int64Table of those keys holds. Where
-// it filters a base-table scan over an indexed key column, the partition is
-// read through an Int64Table over the stored column instead (Fetch): each
-// distinct source key is looked up once, and only the rows it names are
-// visited.
+// Exact key sets and keyed reads: the kernels of a runtime filter. A local
+// filter keeps, on partition p, exactly the rows whose key is among source
+// partition p's keys, which an Int64Table of those keys holds; a shipped one
+// keeps the rows whose key is among any source partition's keys, which every
+// node decodes from the shipped sets (EncodeKeySet, DecodeKeySet) into one
+// Int64Table. Where a filter reads a base-table scan over an indexed key
+// column, the partition is read through an Int64Table over the stored column
+// instead (Fetch): each distinct key of the filter is looked up once, and
+// only the rows it names are visited.
+
+// EncodeKeySet returns the wire form of a key set, which ships one source
+// partition of a runtime filter: keys' sorted distinct values, the first as
+// a zigzag varint and every later one as the uvarint gap from the one before
+// it. keys is not modified. No keys encode to no bytes.
+func EncodeKeySet(keys []int64) []byte {
+	sorted := slices.Clone(keys)
+	slices.Sort(sorted)
+	sorted = slices.Compact(sorted)
+	if len(sorted) == 0 {
+		return nil
+	}
+	enc := make([]byte, 0, binary.MaxVarintLen64+len(sorted))
+	enc = binary.AppendVarint(enc, sorted[0])
+	for i := 1; i < len(sorted); i++ {
+		enc = binary.AppendUvarint(enc, uint64(sorted[i])-uint64(sorted[i-1]))
+	}
+	return enc
+}
+
+var errKeySet = errors.New("batch: malformed key set")
+
+// DecodeKeySet appends the keys of the wire form enc to dst, ascending, and
+// returns it. It fails on a truncated varint or one past 64 bits, a zero
+// gap, and a gap past the largest int64: EncodeKeySet writes none of them.
+func DecodeKeySet(dst []int64, enc []byte) ([]int64, error) {
+	if len(enc) == 0 {
+		return dst, nil
+	}
+	k, w := binary.Varint(enc)
+	if w <= 0 {
+		return dst, errKeySet
+	}
+	dst = append(dst, k)
+	for enc = enc[w:]; len(enc) > 0; enc = enc[w:] {
+		var gap uint64
+		gap, w = binary.Uvarint(enc)
+		if w <= 0 || gap == 0 || gap > uint64(math.MaxInt64)-uint64(k) {
+			return dst, errKeySet
+		}
+		k += int64(gap)
+		dst = append(dst, k)
+	}
+	return dst, nil
+}
 
 // AppendColumn appends column col of every live row of bs, in order, to dst
 // and returns it: a copy the caller owns.

@@ -402,16 +402,16 @@ func TestExchangesShipRecordedWidthTPCH(t *testing.T) {
 // at benchFx are join_pref's and join_hashed's designs, SD at mixFx is
 // mixed_rw's, and fig7Fx runs every Figure 7 variant.
 var servedPlans = map[string]string{
-	"sf 0.05/4 nodes/SD":             "939b49b77d7ac49d",
-	"sf 0.05/4 nodes/AllHashed":      "b226b15054ddb3ce",
-	"sf 0.01/4 nodes/SD":             "0490d1ad7d28e156",
-	"sf 0.01/10 nodes/AllHashed":     "0264bd092a118411",
-	"sf 0.01/10 nodes/AllReplicated": "55c67cba09a81e0b",
-	"sf 0.01/10 nodes/CP":            "3c96012b87f6e76b",
-	"sf 0.01/10 nodes/SD":            "2de6720ba14182b6",
-	"sf 0.01/10 nodes/SD-noRed":      "f2d034fd0177f01f",
-	"sf 0.01/10 nodes/SD-paper":      "a01e0d94be0f91cb",
-	"sf 0.01/10 nodes/WD":            "b7fdc81737009a8d",
+	"sf 0.05/4 nodes/SD":             "c35f7757950bdc84",
+	"sf 0.05/4 nodes/AllHashed":      "e2c028e29a355f2d",
+	"sf 0.01/4 nodes/SD":             "f96f03a2eaa70a47",
+	"sf 0.01/10 nodes/AllHashed":     "6cd97fd6b5c00fb4",
+	"sf 0.01/10 nodes/AllReplicated": "89672c35b2067850",
+	"sf 0.01/10 nodes/CP":            "f21e6565addabdb6",
+	"sf 0.01/10 nodes/SD":            "6ca3d894331f8377",
+	"sf 0.01/10 nodes/SD-noRed":      "50f1746f489f3294",
+	"sf 0.01/10 nodes/SD-paper":      "20463abafa3123a3",
+	"sf 0.01/10 nodes/WD":            "79d896741b99265e",
 }
 
 // TestServedPlansPinned: an engine change leaves every served plan as it
@@ -614,16 +614,22 @@ func TestBroadcastChoiceTPCH(t *testing.T) {
 	// all, but its busiest node gets 20 more (+0.04 ms), a placement skew
 	// the estimator does not model.
 	slower := map[string]bool{"AllHashed/Q20": true}
-	// The bytes the benchmark's join_hashed mix ships per query. A runtime
-	// filter from a broadcast source is local and ships nothing, which also
-	// tips Q3 to broadcast customer; Q21's anti join with a residual is no
-	// longer estimated empty, so it broadcasts nation. Such a filter keeps
-	// exactly the rows whose key its source holds, so Q3, Q5 and Q21, whose
-	// local filters sit below an exchange, ship no row a Bloom filter's false
-	// positive would let through.
+	// The bytes the benchmark's join_hashed mix ships per query. A shipped
+	// runtime filter ships each source partition's exact keys, sorted and
+	// gap-encoded, and keeps exactly the rows whose key some source
+	// partition holds, so Q5, Q10 and Q21 ship no row a false positive
+	// would let through and fewer filter bytes than Bloom filters took.
+	// Q3 re-partitions orders ⋈ Σ lineitem rather than broadcast customer:
+	// the recorded gap between an order's date and its lineitems' ship
+	// dates (plan.DateGap) prices that join at the orders of the 121 days
+	// before its date bound, not at the half of all orders independent
+	// bounds would keep.
+	// A runtime filter from a broadcast source is local and ships nothing;
+	// Q21's anti join with a residual is not estimated empty, so it
+	// broadcasts nation.
 	pinned := map[string]int64{
-		"Q3": 149096, "Q5": 633568, "Q7": 3607520, "Q10": 434728,
-		"Q12": 21632, "Q18": 3990648, "Q21": 935096,
+		"Q3": 80441, "Q5": 550642, "Q7": 3607520, "Q10": 369883,
+		"Q12": 21632, "Q18": 3990648, "Q21": 699580,
 	}
 	s := sweepOf(t, benchFx)
 	for _, u := range s.runs {

@@ -92,14 +92,14 @@ func (tv *traceVerifier) walk(n plan.Node, ot *trace.OpTrace, vs *Violations) {
 }
 
 // checkProbes applies the index-read law to span ot of plan node n, whose
-// parent span is parent, of plan node pn: only a scan directly under a local
-// filter or under a Filter with literal bounds on a DATE column looks rows up
-// in an index, and on each node where it does, its work is its probes plus
-// the rows the index named there — the rows the filter examined, its input
-// less what it counts as filtered. The law counts per node, so it holds only
-// where each node ran its own partitions once: it is not checked when a
-// unit of the scan or of the filter failed over or was hedged, and work a
-// crashed attempt burned is not counted.
+// parent span is parent, of plan node pn: only a scan directly under a
+// runtime filter, local or shipped, or under a Filter with literal bounds on
+// a DATE column looks rows up in an index, and on each node where it does,
+// its work is its probes plus the rows the index named there — the rows the
+// filter examined, its input less what it counts as filtered. The law
+// counts per node, so it holds only where each node ran its own partitions
+// once: it is not checked when a unit of the scan or of the filter failed
+// over or was hedged, and work a crashed attempt burned is not counted.
 func (tv *traceVerifier) checkProbes(pn, n plan.Node, parent, ot *trace.OpTrace, vs *Violations) {
 	if ot.Totals.IndexProbes == 0 {
 		return
@@ -108,8 +108,9 @@ func (tv *traceVerifier) checkProbes(pn, n plan.Node, parent, ot *trace.OpTrace,
 		*vs = append(*vs, &Violation{Rule: RuleTraceConserve, Node: n,
 			Detail: fmt.Sprintf("span %q: ", ot.Label) + fmt.Sprintf(format, args...)})
 	}
-	if ot.Kind != trace.KindScan || !(parent.Kind == trace.KindLocalFilter || tv.dateBounded(pn, n)) {
-		bad("%d index probes on a %s under a %s; only a scan under a local filter or a date-bounded filter reads through an index",
+	runtime := parent.Kind == trace.KindLocalFilter || parent.Kind == trace.KindRuntimeFilter
+	if ot.Kind != trace.KindScan || !(runtime || tv.dateBounded(pn, n)) {
+		bad("%d index probes on a %s under a %s; only a scan under a runtime filter or a date-bounded filter reads through an index",
 			ot.Totals.IndexProbes, ot.Kind, parent.Kind)
 		return
 	}
@@ -186,8 +187,8 @@ func (tv *traceVerifier) checkOp(n plan.Node, ot *trace.OpTrace, vs *Violations)
 	// reconstructing a lost partition from PREF/replication redundancy,
 	// whose recovered rows travel from survivors to the buddy node. Bytes
 	// travel without rows only into a shipped runtime filter, which receives
-	// Bloom filters and ships no row at all; a local filter probes the one
-	// its own node built, so nothing travels into it.
+	// its source's key sets and ships no row at all; a local filter probes
+	// the one its own node built, so nothing travels into it.
 	if m.RowsShipped > 0 && !ot.Kind.Exchange() {
 		if !(ot.Kind == trace.KindScan && m.RecoveredRows > 0) {
 			bad(RuleTraceShip,

@@ -247,10 +247,10 @@ func rangeTraceFixture(t *testing.T) (*plan.Rewritten, *trace.Trace, *trace.OpTr
 	return rw, res.Trace, span
 }
 
-// TestVerifyTraceRejectsStrayProbes: only a scan directly under a local
+// TestVerifyTraceRejectsStrayProbes: only a scan directly under a runtime
 // filter or a filter with literal bounds on a DATE column that leads no key
 // looks rows up in an index, and on each node its work is its probes plus
-// the rows the filter examined there: those it kept, under a local filter,
+// the rows the filter examined there: those it kept, under a runtime filter,
 // or those in range, under a date filter, which counts the rest as
 // filtered. Work the read did not do, rows filtered that the index did not
 // skip, or probes on any other span, are caught.

@@ -429,7 +429,9 @@ func soakPolicy(seed int64) *fault.Policy {
 // fault-free oracle exactly or fail with a typed error — never return
 // silent partial results — and no goroutines may leak. Breaker trips and
 // half-open probes, summed over the schedules, must both happen, so the
-// soak is known to reach the health layer's FSM.
+// soak is known to reach the health layer's FSM; and each target that reads
+// through an index must, in some schedule, read one partition through it
+// beside a lost one rebuilt from copies and read whole.
 func TestChaosSoak(t *testing.T) {
 	schedules := 200
 	if testing.Short() {
@@ -440,26 +442,32 @@ func TestChaosSoak(t *testing.T) {
 		name string
 		pq   prepared
 		want []value.Tuple
+		// index is the kind of the span above the scan that reads through
+		// an index, or "" for a target that reads none; rebuilt counts the
+		// runs whose scan there also rebuilt a lost partition.
+		index   trace.Kind
+		rebuilt *atomic.Int64
 	}
 	cfgs := testConfigs(4)
 	var targets []target
 	for _, pick := range []struct {
 		query, cfg string
-		priced     bool
 		dates      bool // a query of dateQueries over dateDB
+		// index is what reads through an index, if anything: such a
+		// target is rewritten with statistics.
+		index trace.Kind
 	}{
-		{"filter-project", "classical", false, false},
-		{"fig3-agg", "pref-chain", false, false},
-		{"semi", "classical", false, false},
-		{"three-way-agg", "pref-chain", false, false},
-		{"global-agg", "all-hashed", false, false},
-		// Rewritten with statistics: a local filter reads orders through
-		// its key index, under the same schedules and hedging.
-		{"keyed-join", "classical", true, false},
-		// Rewritten with statistics: a date filter reads PREF orders
-		// through its date index, and a lost node's partition is rebuilt
-		// and read whole.
-		{"range-agg", "pref", true, true},
+		{"filter-project", "classical", false, ""},
+		{"fig3-agg", "pref-chain", false, ""},
+		{"semi", "classical", false, ""},
+		{"three-way-agg", "pref-chain", false, ""},
+		{"global-agg", "all-hashed", false, ""},
+		// A shipped filter reads PREF orders through their key index, and
+		// a lost node's partition is rebuilt and read whole.
+		{"keyed-self-join", "pref", true, trace.KindRuntimeFilter},
+		// A date filter reads PREF orders through its date index, and a
+		// lost node's partition is rebuilt and read whole.
+		{"range-agg", "pref", true, trace.KindFilter},
 	} {
 		var pq prepared
 		if pick.dates {
@@ -467,30 +475,17 @@ func TestChaosSoak(t *testing.T) {
 		} else {
 			pq = prepareQuery(t, faultQueries()[pick.query], db, cfgs[pick.cfg])
 		}
-		if pick.priced {
+		if pick.index != "" {
 			pq.popt = plan.Options{Stats: plan.GatherStats(pq.pdb)}
 		}
 		clean, err := pq.run(t, ExecOptions{Trace: true})
 		if err != nil {
 			t.Fatalf("%s/%s oracle: %v", pick.query, pick.cfg, err)
 		}
-		keyed, ranged := int64(0), int64(0)
-		clean.Trace.Walk(func(ot *trace.OpTrace) {
-			for _, c := range ot.Children {
-				if ot.Kind == trace.KindFilter {
-					ranged += c.Totals.IndexProbes
-				} else {
-					keyed += c.Totals.IndexProbes
-				}
-			}
-		})
-		if pick.priced && !pick.dates && keyed == 0 {
-			t.Fatalf("%s/%s: fixture drift: no scan read through a key index", pick.query, pick.cfg)
+		if pick.index != "" && indexReads(clean.Trace, pick.index, false) == 0 {
+			t.Fatalf("%s/%s: fixture drift: no scan under a %s read through an index", pick.query, pick.cfg, pick.index)
 		}
-		if pick.dates && ranged == 0 {
-			t.Fatalf("%s/%s: fixture drift: no scan read through a date index", pick.query, pick.cfg)
-		}
-		targets = append(targets, target{pick.query + "/" + pick.cfg, pq, clean.Rows})
+		targets = append(targets, target{pick.query + "/" + pick.cfg, pq, clean.Rows, pick.index, new(atomic.Int64)})
 	}
 
 	verifyLeaks := testutil.CheckGoroutineLeaks(t)
@@ -507,7 +502,7 @@ func TestChaosSoak(t *testing.T) {
 			wg.Add(1)
 			go func(i int, tg target) {
 				defer wg.Done()
-				res, err := tg.pq.run(t, ExecOptions{Fault: pol, Cluster: cl})
+				res, err := tg.pq.run(t, ExecOptions{Fault: pol, Cluster: cl, Trace: tg.index != ""})
 				if err != nil {
 					if !typedFailure(err) {
 						t.Errorf("schedule %d %s: untyped failure: %v", s, tg.name, err)
@@ -516,6 +511,9 @@ func TestChaosSoak(t *testing.T) {
 				}
 				if !reflect.DeepEqual(res.Rows, tg.want) {
 					t.Errorf("schedule %d %s: silent wrong rows under faults", s, tg.name)
+				}
+				if tg.index != "" && indexReads(res.Trace, tg.index, true) > 0 {
+					tg.rebuilt.Add(1)
 				}
 			}(i, tg)
 		}
@@ -538,4 +536,28 @@ func TestChaosSoak(t *testing.T) {
 	if trips == 0 || probes == 0 {
 		t.Fatalf("trips=%d probes=%d over %d schedules: the soak never reached the breaker FSM", trips, probes, schedules)
 	}
+	for _, tg := range targets {
+		if tg.index == "" {
+			continue
+		}
+		t.Logf("%s: %d runs read through an index beside a rebuilt partition", tg.name, tg.rebuilt.Load())
+		if tg.rebuilt.Load() == 0 {
+			t.Errorf("%s: no schedule read through an index beside a rebuilt partition", tg.name)
+		}
+	}
+}
+
+// indexReads counts the scans of tr directly under a span of kind k that
+// read through an index; with rebuilt, only those that also rebuilt a lost
+// partition from its copies.
+func indexReads(tr *trace.Trace, k trace.Kind, rebuilt bool) int {
+	n := 0
+	tr.Walk(func(ot *trace.OpTrace) {
+		for _, c := range ot.Children {
+			if ot.Kind == k && c.Kind == trace.KindScan && c.Totals.IndexProbes > 0 && (!rebuilt || c.Totals.RecoveredRows > 0) {
+				n++
+			}
+		}
+	})
+	return n
 }

@@ -17,9 +17,10 @@ import (
 // auxiliary structure: an index on a single DATE column. A filter directly
 // over a base-table scan reads the scan through one of them:
 //
-//   - a local runtime filter over a scan of a key column looks each of its K
-//     distinct keys up in a key index of the partition's stored column
-//     (keyedCol): K probes;
+//   - a runtime filter over a scan of a key column looks each of its K
+//     distinct keys (a local filter's own source partition's, a shipped
+//     one's union over every source partition) up in a key index of the
+//     partition's stored column (keyedCol): K probes;
 //   - a Filter with literal bounds on a DATE column looks the range up in a
 //     sorted index of that column (rangeCol), the lowest such column: one
 //     probe.
@@ -63,13 +64,13 @@ func (ex *executor) readsIndex(p, probes, rows, stored int) bool {
 	return !ex.down[p] && probes+rows < stored
 }
 
-// keyedCol returns the scan local filter n reads through a key index and the
-// table column it looks up, or nil: n's child must be a base-table scan and
-// n's column lead the table's primary key or one of its declared foreign
-// keys (catalog.Schema.LeadsKey).
+// keyedCol returns the scan runtime filter n reads through a key index and
+// the table column it looks up, or nil: n's child must be a base-table scan
+// and n's column lead the table's primary key or one of its declared
+// foreign keys (catalog.Schema.LeadsKey).
 func (ex *executor) keyedCol(n *plan.RuntimeFilterNode) (*plan.ScanNode, int) {
 	scan, ok := n.Child.(*plan.ScanNode)
-	if !n.Local || !ok {
+	if !ok {
 		return nil, -1
 	}
 	pt := ex.pdb.Tables[scan.Table]
@@ -83,8 +84,8 @@ func (ex *executor) keyedCol(n *plan.RuntimeFilterNode) (*plan.ScanNode, int) {
 	return scan, c
 }
 
-// keyedRead returns the scan local filter n reads through a key index and
-// the read, which looks up the filter's exact key sets, or nil.
+// keyedRead returns the scan runtime filter n reads through a key index and
+// the read, which looks up on partition p the keys of sets[p], or nil.
 func (ex *executor) keyedRead(n *plan.RuntimeFilterNode, sets []*batch.Int64Table) (*plan.ScanNode, *indexRead) {
 	scan, col := ex.keyedCol(n)
 	if scan == nil {

@@ -77,7 +77,7 @@ func runFilter(rw *plan.Rewritten, pdb *table.PartitionedDatabase, down []int,
 	return parts, ex.tb.Build(rw), err
 }
 
-// keyedCase is one read of a local filter over a scan: the table, filter
+// keyedCase is one read of a runtime filter over a scan: the table, filter
 // column and source keys, and what the scan must do on each partition.
 type keyedCase struct {
 	name            string
@@ -89,6 +89,7 @@ type keyedCase struct {
 	withFK          bool // declare orders.custkey a foreign key
 	reads           int  // the partitions read through the index
 	fewerKeys       bool // every partition has fewer keys than rows
+	shipped         bool // a shipped filter: every partition probes the union
 }
 
 // everyThird keeps the keys of every third stored row of a partition.
@@ -109,8 +110,11 @@ func firstRow(part *table.Partition, c int) []int64 {
 }
 
 // TestKeyedScanReadsExactKeys: a local filter keeps, on each partition, exactly
-// the stored rows whose key is among that source partition's keys, in stored
-// order, on the product and on the row reference alike. Over a scan of a
+// the stored rows whose key is among that source partition's keys, and a
+// shipped one those whose key is among any source partition's keys, in
+// stored order, on the product and on the row reference alike; a shipped one
+// meters each source partition's encoded key set once per other node. Over a
+// scan of a
 // primary or foreign key column it reads the partition through the key index:
 // the scan's work there is the filter's distinct keys plus the rows they
 // fetch, and its cell counts the keys as probes. Where the rule does not
@@ -142,6 +146,10 @@ func TestKeyedScanReadsExactKeys(t *testing.T) {
 			keys: everyThird, prune: []int{0, 2}, indexed: true, reads: 2},
 		{name: "a lost partition", cfg: cfgs["classical"], tbl: "customer", alias: "c", col: "c.custkey",
 			keys: everyThird, down: []int{1}, indexed: true, reads: 3},
+		{name: "shipped", cfg: cfgs["all-hashed"], tbl: "orders", alias: "o", col: "o.orderkey",
+			keys: firstRow, indexed: true, shipped: true, reads: 4},
+		{name: "a shipped union that names most rows", cfg: cfgs["all-hashed"], tbl: "orders", alias: "o", col: "o.orderkey",
+			keys: everyThird, indexed: true, shipped: true},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			db := testDB(t)
@@ -155,6 +163,7 @@ func TestKeyedScanReadsExactKeys(t *testing.T) {
 			}
 			rw, f := filterPlan(t, db, c.cfg, c.tbl, c.alias, c.col)
 			f.Child.(*plan.ScanNode).Prune = c.prune
+			f.Local = !c.shipped
 			pt := pdb.Tables[c.tbl]
 			col := pt.Meta.ColIndex(c.col[len(c.alias)+1:])
 			parts := pt.Snapshot().Parts
@@ -186,10 +195,23 @@ func TestKeyedScanReadsExactKeys(t *testing.T) {
 			type cell struct{ probes, work int64 }
 			want := make([]cell, len(parts))
 			read := 0
+			union, bytes := map[int64]bool{}, 0
+			for _, ks := range keys {
+				for _, k := range ks {
+					union[k] = true
+				}
+				bytes += len(batch.EncodeKeySet(ks)) * (len(parts) - 1)
+			}
+			if shipped := tr.Root.Children[0].Totals.BytesShipped; c.shipped && shipped != int64(bytes) {
+				t.Errorf("the filter shipped %d B, want its %d B of encoded key sets", shipped, bytes)
+			}
 			for p, part := range parts {
-				set := map[int64]bool{}
-				for _, k := range keys[p] {
-					set[k] = true
+				set := union
+				if !c.shipped {
+					set = map[int64]bool{}
+					for _, k := range keys[p] {
+						set[k] = true
+					}
 				}
 				var kept []value.Tuple
 				for _, r := range part.Rows() {

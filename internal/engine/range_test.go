@@ -64,6 +64,13 @@ func dateConfigs() map[string]*partition.Config {
 // so a lost node's orders partition is rebuilt from the others' copies.
 func dateQueries() map[string]func() plan.Node {
 	return map[string]func() plan.Node{
+		// Both sides re-partition, so with statistics the second scan of
+		// orders is read through its key index under a shipped filter.
+		"keyed-self-join": func() plan.Node {
+			o1 := plan.Filter(plan.Scan("orders", "o1"), plan.Eq(plan.Col("o1.custkey"), plan.Lit(3)))
+			j := plan.Join(o1, plan.Scan("orders", "o2"), plan.Inner, []string{"o1.orderkey"}, []string{"o2.orderkey"})
+			return plan.ProjectCols(j, "o2.orderkey", "o2.odate")
+		},
 		"range-agg": func() plan.Node {
 			o := plan.Filter(plan.Scan("orders", "o"),
 				plan.And(plan.Ge(plan.Col("o.odate"), plan.Lit(day(20))), plan.Lt(plan.Col("o.odate"), plan.Lit(day(50)))))

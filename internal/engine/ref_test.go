@@ -244,35 +244,37 @@ func (ex *executor) evalFilter(n *plan.FilterNode) ([][]value.Tuple, error) {
 	return out, nil
 }
 
-// evalRuntimeFilter keeps the rows whose key the filter of n.From holds:
-// those among source partition p's keys, held in a map, when n is local, and
-// otherwise those one of the shipped Bloom filters may hold, probing the
-// kernel the product does.
+// evalRuntimeFilter keeps the rows whose key the filter of n.From holds,
+// held in a map: on partition p, source partition p's keys when n is local,
+// and otherwise every source partition's keys. A shipped filter's transfer is
+// metered by the product's shipFilters, whose decoded union it ignores: the
+// map holds the source keys themselves.
 func (ex *executor) evalRuntimeFilter(n *plan.RuntimeFilterNode) ([][]value.Tuple, error) {
 	top := ex.tb.Begin(n, filterKind(n))
 	keys, err := ex.filterSource(n)
 	if err != nil {
 		return nil, err
 	}
-	has := make([]func(int64) bool, ex.n)
-	var sets []map[int64]bool
+	sets := make([]map[int64]bool, ex.n)
 	if n.Local {
-		sets = make([]map[int64]bool, ex.n)
 		for p := range sets {
-			set := map[int64]bool{}
+			sets[p] = map[int64]bool{}
 			for _, k := range keys[p] {
-				set[k] = true
+				sets[p][k] = true
 			}
-			sets[p] = set
-			has[p] = func(k int64) bool { return set[k] }
 		}
 	} else {
-		blooms, err := ex.shipFilters(top, n, keys)
-		if err != nil {
+		if _, err := ex.shipFilters(top, keys); err != nil {
 			return nil, err
 		}
-		for p := range has {
-			has[p] = blooms.Has
+		union := map[int64]bool{}
+		for _, ks := range keys {
+			for _, k := range ks {
+				union[k] = true
+			}
+		}
+		for p := range sets {
+			sets[p] = union
 		}
 	}
 	var in [][]value.Tuple
@@ -301,7 +303,7 @@ func (ex *executor) evalRuntimeFilter(n *plan.RuntimeFilterNode) ([][]value.Tupl
 	out, err := forEachPart(ex, top, func(p int) ([]value.Tuple, int, error) {
 		var rows []value.Tuple
 		for _, r := range in[p] {
-			if has[p](r[col]) {
+			if sets[p][r[col]] {
 				rows = append(rows, r)
 			}
 		}

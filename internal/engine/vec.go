@@ -303,30 +303,27 @@ func (ex *executor) evalFilterVec(f *frame, n *plan.FilterNode) (vparts, outKind
 // evalRuntimeFilterVec narrows each input batch to the rows whose key the
 // filter of n.From holds: on partition p, a local filter keeps exactly the
 // rows whose key is among source partition p's keys; a shipped one, those
-// whose key one of the source partitions' Bloom filters may hold. Over a
-// scan it reads through a key index (keyedCol), it keeps the rows that
-// read fetched. Like a filter, its output views the input.
+// whose key is among any source partition's keys. Over a scan it reads
+// through a key index (keyedCol), it keeps the rows that read fetched. Like a
+// filter, its output views the input.
 func (ex *executor) evalRuntimeFilterVec(f *frame, n *plan.RuntimeFilterNode) (vparts, outKind, error) {
 	top := ex.tb.Begin(n, filterKind(n))
 	keys, err := ex.filterSource(n)
 	if err != nil {
 		return nil, views, err
 	}
-	probes := make([]keyFilter, ex.n)
-	var sets []*batch.Int64Table
+	sets := make([]*batch.Int64Table, ex.n)
 	if n.Local {
-		sets = make([]*batch.Int64Table, ex.n)
 		for p := range sets {
 			sets[p] = batch.BuildInt64Table(keys[p])
-			probes[p] = sets[p]
 		}
 	} else {
-		blooms, err := ex.shipFilters(top, n, keys)
+		union, err := ex.shipFilters(top, keys)
 		if err != nil {
 			return nil, views, err
 		}
-		for p := range probes {
-			probes[p] = blooms
+		for p := range sets {
+			sets[p] = union
 		}
 	}
 	var in vparts
@@ -353,7 +350,7 @@ func (ex *executor) evalRuntimeFilterVec(f *frame, n *plan.RuntimeFilterNode) (v
 		var out []*batch.Batch
 		kept := 0
 		for _, b := range in[p] {
-			sel := probes[p].Select(make([]int32, 0, b.Len()), b, col)
+			sel := sets[p].Select(make([]int32, 0, b.Len()), b, col)
 			if len(sel) > 0 {
 				out = append(out, b.WithSel(sel))
 				kept += len(sel)
@@ -370,12 +367,6 @@ func (ex *executor) evalRuntimeFilterVec(f *frame, n *plan.RuntimeFilterNode) (v
 		top.AddFiltered(ex.execDst[p], batch.Rows(in[p])-batch.Rows(out[p]))
 	}
 	return out, views, nil
-}
-
-// keyFilter is what a runtime filter probes a batch with: a local filter's
-// exact key set, or a shipped one's Bloom filters.
-type keyFilter interface {
-	Select(sel []int32, b *batch.Batch, col int) []int32
 }
 
 // buildFilters records the source of join n's runtime filter: keys(p, col)
@@ -411,23 +402,27 @@ func (ex *executor) filterSource(n *plan.RuntimeFilterNode) ([][]int64, error) {
 	return keys, nil
 }
 
-// shipFilters builds a shipped runtime filter's Bloom filters, one per
-// source partition, and meters their transfer: every one travels to the n−1
-// other nodes, bytes and no rows, through the exchanges' fault path, so a
-// failed shipment retries. A local filter ships nothing and builds no Bloom
-// filter: each node probes the exact keys of its own source partition.
-func (ex *executor) shipFilters(top *trace.Op, n *plan.RuntimeFilterNode, keys [][]int64) (batch.Blooms, error) {
-	fs := make(batch.Blooms, len(keys))
-	for p, k := range keys {
-		fs[p] = batch.BloomOf(k)
-	}
+// shipFilters ships a runtime filter's source keys and returns the key set
+// every node probes. Each source partition's keys travel in their wire form
+// (batch.EncodeKeySet) to the n−1 other nodes — bytes and no rows, through
+// the exchanges' fault path, so a failed shipment retries — and every node
+// decodes them all into one table, their union. The meter counts the encoded
+// bytes, so every metered byte carried a key. A local filter ships nothing:
+// each node probes the exact keys of its own source partition.
+func (ex *executor) shipFilters(top *trace.Op, keys [][]int64) (*batch.Int64Table, error) {
 	op := ex.nextOp()
-	for src, f := range fs {
-		if err := ex.ship(top, op, src, 0, int64(f.Bytes())*int64(ex.n-1)); err != nil {
+	var union []int64
+	for src, k := range keys {
+		enc := batch.EncodeKeySet(k)
+		if err := ex.ship(top, op, src, 0, int64(len(enc))*int64(ex.n-1)); err != nil {
+			return nil, err
+		}
+		var err error
+		if union, err = batch.DecodeKeySet(union, enc); err != nil {
 			return nil, err
 		}
 	}
-	return fs, nil
+	return batch.BuildInt64Table(union), nil
 }
 
 // filterKind is the trace kind of a runtime filter: a local one ships

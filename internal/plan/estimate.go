@@ -32,14 +32,19 @@ import (
 //     AND multiplies, OR is the complement of the misses, NOT the complement.
 //   - Inner equi-joins: |L|·|R|/max(ndv) over the key; a composite key that
 //     is a foreign key (or the primary key) of one table counts the
-//     referenced table's rows as its distinct values. Semi and anti joins
-//     keep the share of the left keys the right contains; with a residual,
-//     a key match counts only in the share of rows the residual keeps.
+//     referenced table's rows as its distinct values. On a single-column
+//     foreign key whose DATE columns keep a recorded gap (DateGap), the
+//     pairs whose dates the gap rules out are taken away (gapShare). Semi
+//     and anti joins keep the share of the left keys the right contains;
+//     with a residual, a key match counts only in the share of rows the
+//     residual keeps.
 //   - Aggregates: groups are capped by the product of the group-by distinct
 //     counts; a partial aggregate emits each group once per partition it
 //     spans, stats.ExpectedCopiesReal(rows/group, n) — the paper's Appendix A
 //     formula.
-//   - Runtime filters keep the share of their keys the source contains.
+//   - Runtime filters keep the share of their keys the source contains; on
+//     a foreign key whose dates keep a recorded gap, the target's date
+//     narrows to the window its source's dates allow (gapWindows).
 //   - Distinct values thin out as rows are removed: k rows drawn from d
 //     values hold ExpectedCopiesReal(k, d) of them.
 //
@@ -50,6 +55,18 @@ import (
 // rewrite's estimator reads. Gather them with GatherStats.
 type Stats struct {
 	Tables map[string]*TableStats
+	Gaps   []DateGap
+}
+
+// DateGap bounds the days between a DATE column of a table and a DATE
+// column of the rows it references through a single-column foreign key:
+// over every referencing row whose reference and both dates are set,
+// Min ≤ child date − parent date ≤ Max. TPC-H ships an order's lineitems
+// 1–121 days after it was placed, so the two dates are correlated.
+type DateGap struct {
+	Child, ChildKey, ChildDate    string // referencing table, its key and date columns
+	Parent, ParentKey, ParentDate string // referenced table, its key and date columns
+	Min, Max                      int64
 }
 
 // TableStats describes one table: its row count, each tuple counted once,
@@ -73,6 +90,9 @@ type ColStats struct {
 // referenced table has rows, a string column at most its dictionary's size,
 // and any other column at most max − min + 1.
 //
+// It also records the DateGap of every pair of DATE columns a single-column
+// foreign key to a unique key joins (dateGaps).
+//
 // The partitions are read on parallel workers, one partition a job; the
 // merge is exact in any order (integer counts, minima and maxima).
 func GatherStats(pdb *table.PartitionedDatabase) *Stats {
@@ -86,10 +106,7 @@ func GatherStats(pdb *table.PartitionedDatabase) *Stats {
 	}
 	var jobs []job
 	for name, pt := range pdb.Tables {
-		parts := snap.Parts(name)
-		if pt.Replicated && len(parts) > 1 {
-			parts = parts[:1]
-		}
+		parts := partsOnce(pt, snap)
 		ts := &TableStats{Cols: make([]ColStats, pt.Meta.NumCols())}
 		for j := range ts.Cols {
 			ts.Cols[j] = ColStats{Min: math.MaxInt64, Max: math.MinInt64}
@@ -140,7 +157,118 @@ func GatherStats(pdb *table.PartitionedDatabase) *Stats {
 			cs.NDV = min(ts.Rows, ndv)
 		}
 	}
+	st.Gaps = dateGaps(pdb, snap, st)
 	return st
+}
+
+// dateGaps measures the DateGap of every pair of DATE columns that a
+// single-column foreign key to a unique key joins: it lays the referenced
+// rows' dates out by key once, in an array over the key's value range, then
+// reads the referencing table one partition a job, skipping PREF duplicates
+// and every copy of a replicated table but the first. A key whose values
+// span more than eight times the referenced table's rows is too sparse for
+// the array, and its dates record no gap.
+func dateGaps(pdb *table.PartitionedDatabase, snap *table.DBSnapshot, st *Stats) []DateGap {
+	var gaps []DateGap
+	for _, fk := range pdb.Schema.FKs {
+		child, parent := pdb.Tables[fk.FromTable], pdb.Tables[fk.ToTable]
+		if len(fk.FromCols) != 1 || !fk.ToIsUnique || child == nil || parent == nil {
+			continue
+		}
+		cd, pd := dateCols(child.Meta), dateCols(parent.Meta)
+		if len(cd) == 0 || len(pd) == 0 {
+			continue
+		}
+		pk := parent.Meta.ColIndex(fk.ToCols[0])
+		ps := st.Tables[fk.ToTable]
+		keys := ps.Cols[pk]
+		if keys.Min > keys.Max || float64(keys.Max)-float64(keys.Min) >= 8*ps.Rows {
+			continue
+		}
+		// dates[(k−keys.Min)·len(pd)+j] is parent date j of the row with key
+		// k, Null where no row has that key.
+		dates := make([]int64, (keys.Max-keys.Min+1)*int64(len(pd)))
+		for i := range dates {
+			dates[i] = Null
+		}
+		for _, part := range partsOnce(parent, snap) {
+			cols := part.Columns(parent.Meta.NumCols()).Cols
+			dup := cols[parent.Meta.NumCols()]
+			for i, k := range cols[pk] {
+				if dup[i] != 0 || k == Null {
+					continue
+				}
+				for j, c := range pd {
+					dates[(k-keys.Min)*int64(len(pd))+int64(j)] = cols[c][i]
+				}
+			}
+		}
+		ck := child.Meta.ColIndex(fk.FromCols[0])
+		parts := partsOnce(child, snap)
+		// span[p][i*len(pd)+j] is partition p's range of child date i − parent date j.
+		span := make([][][2]int64, len(parts))
+		par.Each(len(parts), func(p int) {
+			s := make([][2]int64, len(cd)*len(pd))
+			for i := range s {
+				s[i] = [2]int64{math.MaxInt64, math.MinInt64}
+			}
+			cols := parts[p].Columns(child.Meta.NumCols()).Cols
+			dup := cols[child.Meta.NumCols()]
+			for r, k := range cols[ck] {
+				if dup[r] != 0 || k < keys.Min || k > keys.Max {
+					continue
+				}
+				first := (k - keys.Min) * int64(len(pd))
+				for i, c := range cd {
+					for j := range pd {
+						a, b := cols[c][r], dates[first+int64(j)]
+						if a == Null || b == Null {
+							continue
+						}
+						g := &s[i*len(pd)+j]
+						g[0], g[1] = min(g[0], a-b), max(g[1], a-b)
+					}
+				}
+			}
+			span[p] = s
+		})
+		for i, c := range cd {
+			for j, d := range pd {
+				g := DateGap{Child: fk.FromTable, ChildKey: fk.FromCols[0], ChildDate: child.Meta.Columns[c].Name,
+					Parent: fk.ToTable, ParentKey: fk.ToCols[0], ParentDate: parent.Meta.Columns[d].Name,
+					Min: math.MaxInt64, Max: math.MinInt64}
+				for _, s := range span {
+					g.Min, g.Max = min(g.Min, s[i*len(pd)+j][0]), max(g.Max, s[i*len(pd)+j][1])
+				}
+				if g.Min <= g.Max {
+					gaps = append(gaps, g)
+				}
+			}
+		}
+	}
+	return gaps
+}
+
+// dateCols returns the indexes of t's DATE columns.
+func dateCols(t *catalog.Table) []int {
+	var out []int
+	for i, c := range t.Columns {
+		if c.Kind == value.Date {
+			out = append(out, i)
+		}
+	}
+	return out
+}
+
+// partsOnce returns the partitions of pt that hold each of its rows
+// once, PREF duplicates aside: the first copy of a replicated table, every
+// partition of any other.
+func partsOnce(pt *table.Partitioned, snap *table.DBSnapshot) []*table.Partition {
+	parts := snap.Parts(pt.Meta.Name)
+	if pt.Replicated && len(parts) > 1 {
+		parts = parts[:1]
+	}
+	return parts
 }
 
 // valueRange widens [lo, hi] by the non-NULL values of col, skipping the
@@ -289,6 +417,9 @@ func (r *Rewriter) joinRows(j *JoinNode) float64 {
 	if len(j.LeftCols) > 0 {
 		out /= max(1, r.keyNDV(j.Left, j.LeftCols), r.keyNDV(j.Right, j.RightCols))
 	}
+	if j.Type == Inner && len(j.LeftCols) == 1 {
+		out *= r.gapShare(j)
+	}
 	if j.Residual != nil {
 		out *= r.sel(j.Residual, r.lookup(j.Left, j.Right))
 	}
@@ -296,6 +427,93 @@ func (r *Rewriter) joinRows(j *JoinNode) float64 {
 		out = max(out, l)
 	}
 	return out
+}
+
+// gapShare is the share of an inner join's pairs the DATE gaps of its key
+// leave possible, where the independence estimate counts them all. Each
+// input in turn is the target: its rows can meet the other input's only if
+// dated in the window gapWindows derives. Of the target table's rows dated
+// in that window, the share the target's own date range keeps, over the
+// share of all the table's rows it keeps, corrects the pairs. Gaps only
+// rule pairs out: the smallest share counts, and none above 1.
+func (r *Rewriter) gapShare(j *JoinNode) float64 {
+	share := 1.0
+	visit := func(target Node) func(string, string, string, float64, float64) {
+		return func(name, tbl, col string, lo, hi float64) {
+			ts, t := r.Opt.Stats.Tables[tbl], r.Schema.Table(tbl)
+			kept, ok := r.colBelow(target, name)
+			if ts == nil || t == nil || !ok || !kept.ranged() {
+				return
+			}
+			full := ts.Cols[t.ColIndex(col)]
+			days := func(lo, hi float64) float64 { return max(0, hi-lo+1) }
+			lo, hi = max(lo, float64(full.Min)), min(hi, float64(full.Max))
+			all := days(kept.lo, kept.hi) / days(float64(full.Min), float64(full.Max))
+			if w := days(lo, hi); w > 0 && all > 0 {
+				share = min(share, days(max(kept.lo, lo), min(kept.hi, hi))/w/all)
+			} else {
+				share = 0
+			}
+		}
+	}
+	r.gapWindows(j.Left, j.LeftCols[0], j.Right, j.RightCols[0], visit(j.Left))
+	r.gapWindows(j.Right, j.RightCols[0], j.Left, j.LeftCols[0], visit(j.Right))
+	return share
+}
+
+// gapWindows calls visit once for each recorded DateGap of the foreign key
+// between target's key column tkey and source's skey whose source-side date
+// source still bounds: with the target-side date column's name in target,
+// its base table and column, and the window of dates a target row can hold
+// if its key meets a source row. A child's date lies within the gap after
+// its parent's, a parent's within the gap before its children's. A source
+// date an aggregate summed away is read below it (colBelow).
+func (r *Rewriter) gapWindows(target Node, tkey string, source Node, skey string, visit func(name, tbl, col string, lo, hi float64)) {
+	if len(r.Opt.Stats.Gaps) == 0 {
+		return
+	}
+	tk, tok := r.col(target, tkey)
+	sk, sok := r.col(source, skey)
+	if !tok || !sok {
+		return
+	}
+	for _, g := range r.Opt.Stats.Gaps {
+		tdate, sdate, lo, hi := g.ChildDate, g.ParentDate, float64(g.Min), float64(g.Max)
+		switch {
+		case tk.table == g.Child && tk.col == g.ChildKey && sk.table == g.Parent && sk.col == g.ParentKey:
+		case tk.table == g.Parent && tk.col == g.ParentKey && sk.table == g.Child && sk.col == g.ChildKey:
+			tdate, sdate, lo, hi = g.ParentDate, g.ChildDate, -hi, -lo
+		default:
+			continue
+		}
+		if s, ok := r.colBelow(source, sk.alias+"."+sdate); ok && s.ranged() {
+			visit(tk.alias+"."+tdate, tk.table, tdate, s.lo+lo, s.hi+hi)
+		}
+	}
+}
+
+// gapped reports whether c carries a base-table date some DateGap bounds.
+func (r *Rewriter) gapped(c colEst) bool {
+	for _, g := range r.Opt.Stats.Gaps {
+		if c.table == g.Child && c.col == g.ChildDate || c.table == g.Parent && c.col == g.ParentDate {
+			return true
+		}
+	}
+	return false
+}
+
+// colBelow estimates column name of n's output or, where an aggregate, an
+// exchange or a projection above it dropped the column, of the nearest
+// input below that still carries it.
+func (r *Rewriter) colBelow(n Node, name string) (colEst, bool) {
+	for r.out.Schemas[n].Index(name) < 0 {
+		ch := n.Children()
+		if len(ch) != 1 {
+			return colEst{}, false
+		}
+		n = ch[0]
+	}
+	return r.col(n, name)
 }
 
 // contain estimates the share of target's key values (columns tcols) that
@@ -431,11 +649,18 @@ func (r *Rewriter) estimateCol(n Node, name string) (colEst, bool) {
 		if !ok {
 			return c, false
 		}
+		src, key := n.From.SourceInput()
 		if name == n.Col {
-			src, key := n.From.SourceInput()
 			if s, ok := r.col(src, key); ok {
 				c.ndv = min(c.ndv, s.ndv)
 			}
+		}
+		if r.gapped(c) {
+			r.gapWindows(n.Child, n.Col, src, key, func(date, _, _ string, lo, hi float64) {
+				if date == name {
+					c = narrow(c, lo, hi)
+				}
+			})
 		}
 		c.ndv = distinct(r.rows(n), c.ndv)
 		return c, true

@@ -89,7 +89,7 @@ func TestLocalFilterOnColocatedJoin(t *testing.T) {
 	if _, ok := f.Child.(*ScanNode); !ok || !f.Local || f.Col != "l.orderkey" || f.From.Source != LeftSide {
 		t.Errorf("want a local filter on l.orderkey above the lineitem scan, built from the left input\n%s", rw.Explain())
 	}
-	if got, want := f.String(), "RuntimeFilter(l.orderkey IN bloom(o.orderkey); local)"; got != want {
+	if got, want := f.String(), "RuntimeFilter(l.orderkey IN keys(o.orderkey); local)"; got != want {
 		t.Errorf("String() = %q, want %q", got, want)
 	}
 	if rw, fs := runtimeFilters(t, q(99), cfg, Options{}); len(fs) != 0 {

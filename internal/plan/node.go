@@ -316,13 +316,13 @@ type DistinctByValueNode struct {
 func (n *DistinctByValueNode) Children() []Node { return []Node{n.Child} }
 func (n *DistinctByValueNode) String() string   { return fmt.Sprintf("DistinctByValue(%v)", n.Cols) }
 
-// RuntimeFilterNode drops the rows whose Col value is held by none of the
-// Bloom filters From builds of its source input's keys, one per partition
-// and shipped to every node. It sits in From's other input, where Col
-// carries that input's join key up to From unchanged, so a dropped row
-// could not have joined. Like FilterNode it hands on views of its input.
+// RuntimeFilterNode drops the rows whose Col value is in none of the exact
+// key sets From builds of its source input's keys, one per partition and
+// shipped to every node. It sits in From's other input, where Col carries
+// that input's join key up to From unchanged, so a dropped row could not
+// have joined. Like FilterNode it hands on views of its input.
 //
-// A Local filter ships nothing: partition p probes only the filter of
+// A Local filter ships nothing: partition p probes only the key set of
 // partition p's source rows. That holds every key a row of partition p can
 // meet at From when no exchange lies between the filter and From, or when
 // every partition of the source holds all of its rows.
@@ -340,9 +340,9 @@ func (n *RuntimeFilterNode) String() string {
 	}
 	_, key := n.From.SourceInput()
 	if n.Local {
-		return fmt.Sprintf("RuntimeFilter(%s IN bloom(%s); local)", n.Col, key)
+		return fmt.Sprintf("RuntimeFilter(%s IN keys(%s); local)", n.Col, key)
 	}
-	return fmt.Sprintf("RuntimeFilter(%s IN bloom(%s))", n.Col, key)
+	return fmt.Sprintf("RuntimeFilter(%s IN keys(%s))", n.Col, key)
 }
 
 // GatherNode collects all partitions' rows at the coordinator (partition

@@ -6,10 +6,10 @@ import "slices"
 //
 // A misaligned equi-join ships both of its inputs, and the join above often
 // throws most of the shipped rows away. When one input is selective, the
-// engine can run it first, build a Bloom filter of its join keys on every
-// partition, ship the filters — about ten bits per key — to every node, and
-// drop the other input's rows that cannot match before they reach an
-// exchange ("Predicate Transfer", PAPERS.md). This pass decides where, once
+// engine can run it first, collect the exact set of its join keys on every
+// partition, ship the sets — sorted and gap-encoded, about a byte a key on
+// TPC-H's dense keys — to every node, and drop the other input's rows that
+// cannot match before they reach an exchange ("Predicate Transfer", PAPERS.md). This pass decides where, once
 // per plan, and runs before column pruning, on the full schemas. (The eager
 // aggregation gate also runs it over each form it prices, and takes the
 // filters out again: eager.go's timed.)
@@ -282,8 +282,9 @@ func (r *Rewriter) filtered(j *JoinNode, left, right Node, l, rt transferInput) 
 
 // passDown returns the slot of n's input that carries col up through n
 // unchanged, so a filter on col may sit below n; nil where the walk stops.
-// Filters pass, so over a base table the walk ends at the scan: the Bloom
-// probe, cheaper per row than most predicates, runs first.
+// Filters pass, so over a base table the walk ends at the scan: the key-set
+// probe, cheaper per row than most predicates, runs first, and over a key
+// column it reads the scan through the key index.
 func (r *Rewriter) passDown(n Node, col string) *Node {
 	switch n := n.(type) {
 	case *FilterNode:

@@ -86,8 +86,8 @@ type Metrics struct {
 	HedgeWins       int64 `json:"hedge_wins"`
 	HedgeWastedRows int64 `json:"hedge_wasted_rows"`
 	// FilteredRows counts rows a runtime join filter dropped: their key is
-	// in none of the source input's Bloom filters, or, for a local filter,
-	// not among its own source partition's keys. On a filter that read its
+	// among none of the source input's keys, or, for a local filter, not
+	// among its own source partition's keys. On a filter that read its
 	// scan through a date index, it counts the rows the index skipped: those
 	// outside the range, which the filter never examined.
 	FilteredRows int64 `json:"filtered_rows"`
@@ -155,8 +155,9 @@ const (
 	KindDistinctByValue Kind = "distinct-by-value"
 	KindGather          Kind = "gather"
 	KindTopK            Kind = "topk"
-	// KindRuntimeFilter receives a join's Bloom filters — bytes shipped with
-	// no rows — and drops the rows they rule out: in = out + filtered.
+	// KindRuntimeFilter receives a join's source key sets — bytes shipped
+	// with no rows — and drops the rows whose key none of them holds:
+	// in = out + filtered.
 	KindRuntimeFilter Kind = "runtime-filter"
 	// KindLocalFilter keeps, on each node, exactly the rows whose key is
 	// among the keys its join's source holds there: it ships nothing, is no
@@ -333,7 +334,7 @@ type Totals struct {
 	Repartitions int `json:"repartitions"`
 	Broadcasts   int `json:"broadcasts"`
 	// Transfers counts shipped runtime join filters executed: each ships one
-	// Bloom filter per source partition to every other node. A local filter
+	// key set per source partition to every other node. A local filter
 	// ships nothing and is not counted.
 	Transfers int `json:"transfers"`
 	// Retries counts discarded work-unit attempts and failed exchange
