@@ -135,9 +135,10 @@ func TestChunksBoundaries(t *testing.T) {
 	}
 }
 
-// TestFilterMatchesRowEngine drives random predicates over random batches
-// (with and without incoming selections) and checks the kernel against the
-// plan.Bind row closure — the row engine's exact semantics.
+// TestFilterMatchesRowEngine drives random predicates, and wide conjunctions
+// of them, over random batches (with and without incoming selections) and
+// checks the kernel against the plan.Bind row closure — the row engine's
+// exact semantics.
 func TestFilterMatchesRowEngine(t *testing.T) {
 	sch := plan.Schema{
 		{Name: "a", Kind: value.Int},
@@ -174,8 +175,33 @@ func TestFilterMatchesRowEngine(t *testing.T) {
 		}
 	}
 
-	for trial := 0; trial < 120; trial++ {
+	// wide is a conjunction of up to five legs, each a column-vs-literal
+	// comparison in either operand order, or any other predicate: the
+	// column loops run every leg of the first kind.
+	wide := func() plan.BoolExpr {
+		legs := make([]plan.BoolExpr, rng.Intn(6))
+		for i := range legs {
+			col, lit := plan.Col([]string{"a", "b", "c"}[rng.Intn(3)]), plan.Lit(int64(rng.Intn(9)-4))
+			switch rng.Intn(3) {
+			case 0:
+				legs[i] = plan.Cmp(col, plan.CmpOp(rng.Intn(6)), lit)
+			case 1:
+				legs[i] = plan.Cmp(lit, plan.CmpOp(rng.Intn(6)), col)
+			default:
+				legs[i] = genPred(rng.Intn(2))
+			}
+		}
+		if rng.Intn(4) == 0 && len(legs) > 1 {
+			return plan.And(legs[0], plan.And(legs[1:]...))
+		}
+		return plan.And(legs...)
+	}
+
+	for trial := 0; trial < 240; trial++ {
 		p := genPred(rng.Intn(3))
+		if trial >= 120 {
+			p = wide()
+		}
 		bound, err := p.Bind(sch)
 		if err != nil {
 			t.Fatalf("bind: %v", err)

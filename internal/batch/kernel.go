@@ -17,9 +17,10 @@ import (
 // and hashes are byte-identical to value.MakeKey / value.HashTuple.
 
 // Filter narrows b to rows satisfying p, returning a new batch sharing b's
-// columns under a fresh selection vector. The common shapes — column vs
-// literal comparison and conjunctions of them — run as type-specialized
-// column loops; everything else falls back to the compiled row evaluator.
+// columns under a fresh selection vector. Each conjunct of p's top-level
+// conjunction that compares a column with a literal runs as a
+// type-specialized column loop; only the others fall back to the compiled
+// row evaluator.
 func Filter(b *Batch, p *plan.VPred) *Batch {
 	n := b.Len()
 	if n == 0 {
@@ -31,46 +32,71 @@ func Filter(b *Batch, p *plan.VPred) *Batch {
 }
 
 // appendSelected appends the physical indexes of b's live rows that satisfy
-// p. It dispatches to fused fast paths where the predicate shape allows.
+// p. The column-vs-literal conjuncts run first, as column loops: the first
+// over b's live rows, each later one over the survivors in place. The other
+// conjuncts then narrow what is left row by row, each gathering only the
+// columns it reads.
 func appendSelected(sel []int32, b *Batch, p *plan.VPred) []int32 {
-	// Fast path 1: single column-vs-literal comparison.
-	if col, op, lit, ok := colLitCmp(p); ok {
-		return selCmpLit(sel, b, col, op, lit)
-	}
-	// Fast path 2: conjunction — evaluate the first leg with the fast path,
-	// then narrow the survivors with the remaining legs row-at-a-time.
-	if p.Op == plan.VAnd && len(p.Kids) > 0 {
-		if col, op, lit, ok := colLitCmp(p.Kids[0]); ok {
-			first := selCmpLit(nil, b, col, op, lit)
-			if len(p.Kids) == 1 {
-				return append(sel, first...)
-			}
-			rest := &plan.VPred{Op: plan.VAnd, Kids: p.Kids[1:]}
-			scratch := scratchFor(rest)
-			row := make([]int64, b.Width())
-			for _, phys := range first {
-				for c, colv := range b.cols {
-					row[c] = colv[phys]
-				}
-				if rest.EvalRow(row, scratch) {
-					sel = append(sel, phys)
-				}
-			}
-			return sel
+	var buf [8]*plan.VPred
+	legs := appendLegs(buf[:0], p)
+	start, looped := len(sel), false
+	for _, leg := range legs {
+		col, op, lit, ok := colLitCmp(leg)
+		switch {
+		case !ok:
+		case !looped:
+			sel, looped = selCmpLit(sel, b, col, op, lit), true
+		default:
+			sel = keepCmpLit(sel, start, b.cols[col], op, lit)
 		}
 	}
-	// General path: compiled row evaluator over the live rows.
-	scratch := scratchFor(p)
-	row := make([]int64, b.Width())
-	n := b.Len()
-	for i := 0; i < n; i++ {
-		phys := b.Phys(i)
-		for c, colv := range b.cols {
-			row[c] = colv[phys]
+	if !looped {
+		sel = appendLive(sel, b)
+	}
+	var row, scratch []int64
+	var colBuf [8]int
+	for _, leg := range legs {
+		if _, _, _, ok := colLitCmp(leg); ok || len(sel) == start {
+			continue
 		}
-		if p.EvalRow(row, scratch) {
-			sel = append(sel, int32(phys))
+		if row == nil {
+			row, scratch = make([]int64, b.Width()), scratchFor(p)
 		}
+		cols := leg.AppendCols(colBuf[:0])
+		kept := start
+		for _, phys := range sel[start:] {
+			for _, c := range cols {
+				row[c] = b.cols[c][phys]
+			}
+			if leg.EvalRow(row, scratch) {
+				sel[kept] = phys
+				kept++
+			}
+		}
+		sel = sel[:kept]
+	}
+	return sel
+}
+
+// appendLegs appends the conjuncts of p's top-level conjunction, nested
+// conjunctions flattened; an empty conjunction has none.
+func appendLegs(dst []*plan.VPred, p *plan.VPred) []*plan.VPred {
+	if p.Op != plan.VAnd {
+		return append(dst, p)
+	}
+	for _, k := range p.Kids {
+		dst = appendLegs(dst, k)
+	}
+	return dst
+}
+
+// appendLive appends the physical indexes of b's live rows.
+func appendLive(sel []int32, b *Batch) []int32 {
+	if b.sel != nil {
+		return append(sel, b.sel...)
+	}
+	for i := range b.Len() {
+		sel = append(sel, int32(i))
 	}
 	return sel
 }
@@ -197,6 +223,23 @@ func cmpKeep(v int64, op plan.CmpOp, lit int64) bool {
 	default:
 		return v >= lit
 	}
+}
+
+// keepCmpLit narrows sel[start:], physical indexes into c, in place to those
+// whose value passes one comparison with a literal, with cmpKeep's
+// semantics, and returns sel cut to the survivors.
+func keepCmpLit(sel []int32, start int, c []int64, op plan.CmpOp, lit int64) []int32 {
+	if lit == plan.Null {
+		return sel[:start]
+	}
+	kept := start
+	for _, phys := range sel[start:] {
+		if cmpKeep(c[phys], op, lit) {
+			sel[kept] = phys
+			kept++
+		}
+	}
+	return sel[:kept]
 }
 
 // Project evaluates exprs over b's live rows into a fresh dense pooled

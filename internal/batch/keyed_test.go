@@ -71,20 +71,7 @@ func TestFetchIsTheExactFilter(t *testing.T) {
 // the rows of one key in twenty of its distinct orderkeys through it
 // (ns/key).
 func BenchmarkKeyIndex(b *testing.B) {
-	d := tpch.Generate(0.05, 42)
-	var others []string
-	for _, name := range d.DB.Schema.TableNames() {
-		if name != "lineitem" {
-			others = append(others, name)
-		}
-	}
-	cfg := partition.NewConfig(4)
-	cfg.SetHash("lineitem", "orderkey")
-	pdb, err := partition.Apply(d.DB.Without(others...), cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	pt := pdb.Tables["lineitem"]
+	_, pt := lineitemPartition(b)
 	col := pt.Parts[0].Columns(pt.Meta.NumCols()).Cols[pt.Meta.ColIndex("orderkey")]
 	b.Run(fmt.Sprintf("build/rows=%d", len(col)), func(b *testing.B) {
 		allocs := testing.AllocsPerRun(1, func() { BuildInt64Table(col) })

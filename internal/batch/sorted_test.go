@@ -7,9 +7,7 @@ import (
 	"testing"
 	"time"
 
-	"pref/internal/partition"
 	"pref/internal/plan"
-	"pref/internal/tpch"
 )
 
 // TestRangeIsTheRange: reading a column through its sorted index returns
@@ -59,20 +57,7 @@ func TestRangeIsTheRange(t *testing.T) {
 // index over its stored shipdate column (ns/row, allocs/row), and reading
 // the rows of Q6's one-year shipdate range through it (ns per row read).
 func BenchmarkRangeIndex(b *testing.B) {
-	d := tpch.Generate(0.05, 42)
-	var others []string
-	for _, name := range d.DB.Schema.TableNames() {
-		if name != "lineitem" {
-			others = append(others, name)
-		}
-	}
-	cfg := partition.NewConfig(4)
-	cfg.SetHash("lineitem", "orderkey")
-	pdb, err := partition.Apply(d.DB.Without(others...), cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	pt := pdb.Tables["lineitem"]
+	_, pt := lineitemPartition(b)
 	col := pt.Parts[0].Columns(pt.Meta.NumCols()).Cols[pt.Meta.ColIndex("shipdate")]
 	b.Run(fmt.Sprintf("build/rows=%d", len(col)), func(b *testing.B) {
 		allocs := testing.AllocsPerRun(1, func() { BuildSortedIndex(col) })

@@ -6,6 +6,7 @@ package catalog
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"pref/internal/value"
@@ -189,14 +190,19 @@ func (s *Schema) MustAddFK(fk ForeignKey) {
 	}
 }
 
-// LeadsKey reports whether column col of table t leads its primary key or
-// one of its declared foreign keys: the columns InnoDB indexes.
-func (s *Schema) LeadsKey(t *Table, col string) bool {
+// KeyIndexed reports whether column col of table t carries a key index: it
+// leads t's primary key or is any column of one of t's declared foreign keys.
+// These are the columns InnoDB indexes on a node under TPC-H's declared keys:
+// it indexes the primary key and every foreign key, and TPC-H declares each
+// column of its one compound foreign key a foreign key of its own too
+// (L_PARTKEY references PART and L_SUPPKEY references SUPPLIER, beside the
+// pair's reference to PARTSUPP, the only one the schema records).
+func (s *Schema) KeyIndexed(t *Table, col string) bool {
 	if len(t.PK) > 0 && t.PK[0] == col {
 		return true
 	}
 	for _, fk := range s.FKs {
-		if fk.FromTable == t.Name && fk.FromCols[0] == col {
+		if fk.FromTable == t.Name && slices.Contains(fk.FromCols, col) {
 			return true
 		}
 	}

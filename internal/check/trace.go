@@ -93,10 +93,11 @@ func (tv *traceVerifier) walk(n plan.Node, ot *trace.OpTrace, vs *Violations) {
 
 // checkProbes applies the index-read law to span ot of plan node n, whose
 // parent span is parent, of plan node pn: only a scan directly under a
-// runtime filter, local or shipped, or under a Filter with literal bounds on
-// a DATE column looks rows up in an index, and on each node where it does,
-// its work is its probes plus the rows the index named there — the rows the
-// filter examined, its input less what it counts as filtered. The law
+// runtime filter, local or shipped, on a column with a key index, or under a
+// Filter with literal bounds on a DATE column looks rows up in an index, and
+// on each node where it does, its work is its probes plus the rows the index
+// named there — the rows the filter examined, its input less what it counts
+// as filtered. The law
 // counts per node, so it holds only where each node ran its own partitions
 // once: it is not checked when a unit of the scan or of the filter failed
 // over or was hedged, and work a crashed attempt burned is not counted.
@@ -109,8 +110,8 @@ func (tv *traceVerifier) checkProbes(pn, n plan.Node, parent, ot *trace.OpTrace,
 			Detail: fmt.Sprintf("span %q: ", ot.Label) + fmt.Sprintf(format, args...)})
 	}
 	runtime := parent.Kind == trace.KindLocalFilter || parent.Kind == trace.KindRuntimeFilter
-	if ot.Kind != trace.KindScan || !(runtime || tv.dateBounded(pn, n)) {
-		bad("%d index probes on a %s under a %s; only a scan under a runtime filter or a date-bounded filter reads through an index",
+	if ot.Kind != trace.KindScan || !(runtime && tv.keyed(pn, n) || tv.dateBounded(pn, n)) {
+		bad("%d index probes on a %s under a %s; only a scan under a runtime filter on a key-indexed column or a date-bounded filter reads through an index",
 			ot.Totals.IndexProbes, ot.Kind, parent.Kind)
 		return
 	}
@@ -134,9 +135,26 @@ func (tv *traceVerifier) checkProbes(pn, n plan.Node, parent, ot *trace.OpTrace,
 	}
 }
 
+// keyed reports whether pn is a runtime filter on a column of the table its
+// child n scans that carries a key index (catalog.Schema.KeyIndexed): the
+// columns the engine reads through a key index.
+func (tv *traceVerifier) keyed(pn, n plan.Node) bool {
+	f, ok := pn.(*plan.RuntimeFilterNode)
+	scan, isScan := n.(*plan.ScanNode)
+	if !ok || !isScan {
+		return false
+	}
+	t := tv.rw.Catalog.Table(scan.Table)
+	if t == nil {
+		return false
+	}
+	c, err := tv.rw.Schemas[n].IndexOf(f.Col)
+	return err == nil && c < len(t.Columns) && tv.rw.Catalog.KeyIndexed(t, t.Columns[c].Name)
+}
+
 // dateBounded reports whether pn is a Filter whose predicate bounds with a
-// literal a DATE column of the table its child n scans, one that leads no
-// key: the columns the engine reads through a date index.
+// literal a DATE column of the table its child n scans, one with no key
+// index: the columns the engine reads through a date index.
 func (tv *traceVerifier) dateBounded(pn, n plan.Node) bool {
 	f, ok := pn.(*plan.FilterNode)
 	scan, isScan := n.(*plan.ScanNode)
@@ -149,10 +167,10 @@ func (tv *traceVerifier) dateBounded(pn, n plan.Node) bool {
 	}
 	sch := tv.rw.Schemas[n]
 	for c, col := range t.Columns {
-		if col.Kind != value.Date || c >= len(sch) || tv.rw.Catalog.LeadsKey(t, col.Name) {
+		if col.Kind != value.Date || c >= len(sch) || tv.rw.Catalog.KeyIndexed(t, col.Name) {
 			continue
 		}
-		if _, _, ok := plan.LiteralRange(f.Pred, sch[c].Name); ok {
+		if _, _, _, ok := plan.LiteralRange(f.Pred, sch[c].Name); ok {
 			return true
 		}
 	}

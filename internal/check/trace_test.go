@@ -248,8 +248,8 @@ func rangeTraceFixture(t *testing.T) (*plan.Rewritten, *trace.Trace, *trace.OpTr
 }
 
 // TestVerifyTraceRejectsStrayProbes: only a scan directly under a runtime
-// filter or a filter with literal bounds on a DATE column that leads no key
-// looks rows up in an index, and on each node its work is its probes plus
+// filter on a column with a key index, or under a filter with literal bounds
+// on a DATE column with none, looks rows up in an index, and on each node its work is its probes plus
 // the rows the filter examined there: those it kept, under a runtime filter,
 // or those in range, under a date filter, which counts the rest as
 // filtered. Work the read did not do, rows filtered that the index did not
@@ -278,6 +278,12 @@ func TestVerifyTraceRejectsStrayProbes(t *testing.T) {
 
 	rw, tr, _ = localTraceFixture(t)
 	tr.Root.Children[0].Totals.IndexProbes = 1
+	assertRule(t, check.VerifyTrace(rw, tr), check.RuleTraceConserve)
+
+	// Probes under a runtime filter on a column in no key: with orders.uid's
+	// foreign key undeclared, no key index exists to read.
+	rw, tr, _ = localTraceFixture(t)
+	rw.Catalog.FKs = nil
 	assertRule(t, check.VerifyTrace(rw, tr), check.RuleTraceConserve)
 
 	// A range read that charged one row more than its range on a node.

@@ -14,8 +14,12 @@ import (
 //
 // A node of the paper's cluster ran MySQL, whose InnoDB keeps an index on
 // every primary key and every foreign key, and TPC-H allows one more kind of
-// auxiliary structure: an index on a single DATE column. A filter directly
-// over a base-table scan reads the scan through one of them:
+// auxiliary structure: an index on a single DATE column. The key columns
+// indexed are catalog.Schema.KeyIndexed's: the column that leads a table's
+// primary key and every column of a declared foreign key, since TPC-H
+// declares each column of its compound key L_PARTKEY, L_SUPPKEY a foreign key
+// of its own too (so lineitem.suppkey is indexed, though it leads no key). A
+// filter directly over a base-table scan reads the scan through one of them:
 //
 //   - a runtime filter over a scan of a key column looks each of its K
 //     distinct keys (a local filter's own source partition's, a shipped
@@ -66,8 +70,7 @@ func (ex *executor) readsIndex(p, probes, rows, stored int) bool {
 
 // keyedCol returns the scan runtime filter n reads through a key index and
 // the table column it looks up, or nil: n's child must be a base-table scan
-// and n's column lead the table's primary key or one of its declared
-// foreign keys (catalog.Schema.LeadsKey).
+// and n's column carry a key index (catalog.Schema.KeyIndexed).
 func (ex *executor) keyedCol(n *plan.RuntimeFilterNode) (*plan.ScanNode, int) {
 	scan, ok := n.Child.(*plan.ScanNode)
 	if !ok {
@@ -78,7 +81,7 @@ func (ex *executor) keyedCol(n *plan.RuntimeFilterNode) (*plan.ScanNode, int) {
 		return nil, -1
 	}
 	c, err := ex.rw.Schemas[scan].IndexOf(n.Col)
-	if err != nil || c >= pt.Meta.NumCols() || !ex.pdb.Schema.LeadsKey(pt.Meta, pt.Meta.Columns[c].Name) {
+	if err != nil || c >= pt.Meta.NumCols() || !ex.pdb.Schema.KeyIndexed(pt.Meta, pt.Meta.Columns[c].Name) {
 		return nil, -1
 	}
 	return scan, c
@@ -105,16 +108,18 @@ func (ex *executor) keyedRead(n *plan.RuntimeFilterNode, sets []*batch.Int64Tabl
 		}}
 }
 
-// dateRange is a range read's column and the closed range of values the
-// filter's literal bounds keep there.
+// dateRange is a range read's column, the closed range of values the
+// filter's literal bounds keep there, and the filter's conjuncts the range
+// does not decide.
 type dateRange struct {
 	col    int
 	lo, hi int64
+	rest   []plan.BoolExpr
 }
 
 // rangeCol returns the scan filter n reads through a sorted date index and
 // the range it reads, or nil: n's child must be a base-table scan and n's
-// predicate bound a DATE column of its table, one that leads no key, with
+// predicate bound a DATE column of its table, one with no key index, with
 // top-level literal comparisons. Of several such columns it reads the
 // lowest.
 func (ex *executor) rangeCol(n *plan.FilterNode) (*plan.ScanNode, dateRange) {
@@ -128,23 +133,24 @@ func (ex *executor) rangeCol(n *plan.FilterNode) (*plan.ScanNode, dateRange) {
 	}
 	sch := ex.rw.Schemas[scan]
 	for c, col := range pt.Meta.Columns {
-		if col.Kind != value.Date || c >= len(sch) || ex.pdb.Schema.LeadsKey(pt.Meta, col.Name) {
+		if col.Kind != value.Date || c >= len(sch) || ex.pdb.Schema.KeyIndexed(pt.Meta, col.Name) {
 			continue
 		}
-		if lo, hi, ok := plan.LiteralRange(n.Pred, sch[c].Name); ok {
-			return scan, dateRange{c, lo, hi}
+		if lo, hi, rest, ok := plan.LiteralRange(n.Pred, sch[c].Name); ok {
+			return scan, dateRange{c, lo, hi, rest}
 		}
 	}
 	return nil, dateRange{}
 }
 
-// rangeRead returns the scan filter n reads through a sorted date index and
-// the read, which looks its range up there: one probe. It returns nil when
-// n reads no index.
-func (ex *executor) rangeRead(n *plan.FilterNode) (*plan.ScanNode, *indexRead) {
+// rangeRead returns the scan filter n reads through a sorted date index, the
+// read, which looks its range up there (one probe), and the conjuncts of n's
+// predicate the range does not decide, which the rows it fetches must still
+// satisfy. It returns nil when n reads no index.
+func (ex *executor) rangeRead(n *plan.FilterNode) (*plan.ScanNode, *indexRead, []plan.BoolExpr) {
 	scan, r := ex.rangeCol(n)
 	if scan == nil {
-		return nil, nil
+		return nil, nil, nil
 	}
 	return scan, &indexRead{read: make([]atomic.Pointer[indexed], ex.n),
 		look: func(p int, part *table.Partition) (int, *batch.RowSet, error) {
@@ -153,7 +159,7 @@ func (ex *executor) rangeRead(n *plan.FilterNode) (*plan.ScanNode, *indexRead) {
 				return 0, nil, fmt.Errorf("engine: %s: partition %d caches a foreign index on column %d", n, p, r.col)
 			}
 			return 1, index.Range(r.lo, r.hi), nil
-		}}
+		}}, r.rest
 }
 
 // scanParts returns the partitions scan n reads, as a set, or nil when it

@@ -85,11 +85,11 @@ type keyedCase struct {
 	tbl, alias, col string
 	keys            func(part *table.Partition, c int) []int64
 	prune, down     []int
-	indexed         bool // whether col leads a key
-	withFK          bool // declare orders.custkey a foreign key
-	reads           int  // the partitions read through the index
-	fewerKeys       bool // every partition has fewer keys than rows
-	shipped         bool // a shipped filter: every partition probes the union
+	indexed         bool                // whether col carries a key index
+	fk              *catalog.ForeignKey // a foreign key to declare, if any
+	reads           int                 // the partitions read through the index
+	fewerKeys       bool                // every partition has fewer keys than rows
+	shipped         bool                // a shipped filter: every partition probes the union
 }
 
 // everyThird keeps the keys of every third stored row of a partition.
@@ -100,6 +100,15 @@ func everyThird(part *table.Partition, c int) []int64 {
 	}
 	return keys
 }
+
+// ordersCustomer declares orders.custkey a foreign key; lineitemPair declares
+// a compound foreign key whose second column, lineitem.orderkey, leads no key.
+var (
+	ordersCustomer = &catalog.ForeignKey{Name: "fk_orders_customer", FromTable: "orders",
+		FromCols: []string{"custkey"}, ToTable: "customer", ToCols: []string{"custkey"}, ToIsUnique: true}
+	lineitemPair = &catalog.ForeignKey{Name: "fk_lineitem_pair", FromTable: "lineitem",
+		FromCols: []string{"qty", "orderkey"}, ToTable: "orders", ToCols: []string{"custkey", "orderkey"}}
+)
 
 // firstRow keeps the key of a partition's first stored row.
 func firstRow(part *table.Partition, c int) []int64 {
@@ -115,10 +124,11 @@ func firstRow(part *table.Partition, c int) []int64 {
 // stored order, on the product and on the row reference alike; a shipped one
 // meters each source partition's encoded key set once per other node. Over a
 // scan of a
-// primary or foreign key column it reads the partition through the key index:
+// column with a key index — one that leads the primary key or is any column
+// of a declared foreign key — it reads the partition through the key index:
 // the scan's work there is the filter's distinct keys plus the rows they
 // fetch, and its cell counts the keys as probes. Where the rule does not
-// apply — a column that leads no key, a filter whose keys and the rows they
+// apply — a column in no key, a filter whose keys and the rows they
 // name are at least as many as the partition's rows (as many keys as rows, or
 // fewer keys that name most of the rows), a pruned partition, a lost
 // partition rebuilt by the recovery scan — the partition is read row by row,
@@ -129,9 +139,11 @@ func TestKeyedScanReadsExactKeys(t *testing.T) {
 		{name: "primary key", cfg: cfgs["all-hashed"], tbl: "orders", alias: "o", col: "o.orderkey",
 			keys: everyThird, indexed: true, reads: 4},
 		{name: "foreign key", cfg: cfgs["all-hashed"], tbl: "orders", alias: "o", col: "o.custkey",
-			keys: firstRow, indexed: true, withFK: true, reads: 4},
+			keys: firstRow, indexed: true, fk: ordersCustomer, reads: 4},
+		{name: "second column of a compound foreign key", cfg: cfgs["all-hashed"], tbl: "lineitem", alias: "l", col: "l.orderkey",
+			keys: firstRow, indexed: true, fk: lineitemPair, reads: 4},
 		{name: "keys that name most rows", cfg: cfgs["all-hashed"], tbl: "orders", alias: "o", col: "o.custkey",
-			keys: everyThird, indexed: true, withFK: true, fewerKeys: true},
+			keys: everyThird, indexed: true, fk: ordersCustomer, fewerKeys: true},
 		{name: "a column that leads no key", cfg: cfgs["all-hashed"], tbl: "orders", alias: "o", col: "o.custkey",
 			keys: everyThird},
 		{name: "as many keys as rows", cfg: cfgs["all-hashed"], tbl: "orders", alias: "o", col: "o.orderkey",
@@ -153,9 +165,8 @@ func TestKeyedScanReadsExactKeys(t *testing.T) {
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			db := testDB(t)
-			if c.withFK {
-				db.Schema.MustAddFK(catalog.ForeignKey{Name: "fk_orders_customer", FromTable: "orders",
-					FromCols: []string{"custkey"}, ToTable: "customer", ToCols: []string{"custkey"}, ToIsUnique: true})
+			if c.fk != nil {
+				db.Schema.MustAddFK(*c.fk)
 			}
 			pdb, err := partition.Apply(db, c.cfg)
 			if err != nil {

@@ -113,7 +113,10 @@ type dateBound struct {
 // outside the range as filtered. Where the
 // read would not pay — a range that holds the whole partition — or does not
 // apply — a pruned partition, a lost partition rebuilt by the recovery scan —
-// the partition is read row by row, with the same rows kept. The same filter
+// the partition is read row by row, with the same rows kept. On a partition
+// read through the index the filter evaluates only the conjuncts the range
+// does not decide (a `<>` on the date column among them), and a whole-read
+// partition beside it the whole predicate. The same filter
 // rewritten as a query passes the static and trace checkers, the index-read
 // law among them.
 func TestRangeScanReadsTheRange(t *testing.T) {
@@ -152,6 +155,22 @@ func TestRangeScanReadsTheRange(t *testing.T) {
 		{name: "a pruned partition", cfg: "hashed", pred: plan.Lt(plan.Col("o.odate"), plan.Lit(day(30))),
 			bounds: []dateBound{{odate, plan.Null, day(29)}}, prune: []int{0, 2}, reads: 2},
 		{name: "a lost partition", cfg: "replicated", pred: plan.Lt(plan.Col("o.odate"), plan.Lit(day(30))),
+			bounds: []dateBound{{odate, plan.Null, day(29)}}, down: []int{1}, reads: 3},
+		// The range decides its conjuncts: the filter passes what the read
+		// fetched through and evaluates only what the range leaves over.
+		{name: "a decided range", cfg: "hashed",
+			pred:   plan.And(plan.Ge(plan.Col("o.odate"), plan.Lit(day(20))), plan.Lt(plan.Col("o.odate"), plan.Lit(day(50)))),
+			bounds: []dateBound{{odate, day(20), day(49)}}, reads: 4},
+		{name: "a range and a conjunct on another column", cfg: "hashed",
+			pred:   plan.And(plan.Lt(plan.Col("o.odate"), plan.Lit(day(40))), plan.Eq(plan.Col("o.custkey"), plan.Lit(3))),
+			bounds: []dateBound{{odate, plan.Null, day(39)}}, reads: 4},
+		{name: "!= on the date column is not decided", cfg: "hashed",
+			pred:   plan.And(plan.Lt(plan.Col("o.odate"), plan.Lit(day(40))), plan.Ne(plan.Col("o.odate"), plan.Lit(day(25)))),
+			bounds: []dateBound{{odate, plan.Null, day(39)}}, reads: 4},
+		{name: "a NULL literal", cfg: "hashed", pred: plan.Ge(plan.Col("o.odate"), plan.Lit(plan.Null)),
+			bounds: []dateBound{{odate, 1, 0}}, reads: 4},
+		{name: "a lost partition beside index-read ones", cfg: "replicated",
+			pred:   plan.And(plan.Lt(plan.Col("o.odate"), plan.Lit(day(30))), plan.Ne(plan.Col("o.custkey"), plan.Lit(2))),
 			bounds: []dateBound{{odate, plan.Null, day(29)}}, down: []int{1}, reads: 3},
 	} {
 		t.Run(c.name, func(t *testing.T) {

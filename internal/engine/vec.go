@@ -251,13 +251,16 @@ func (ex *executor) evalScanVec(n *plan.ScanNode, ir *indexRead) (vparts, outKin
 
 // evalFilterVec narrows each input batch with a fresh selection vector: its
 // output views the input. Over a scan it reads through a date index
-// (rangeCol), it evaluates its predicate on the rows that read fetched and
-// counts the rows it skipped as filtered.
+// (rangeCol), it counts the rows that read skipped as filtered, and on each
+// partition read through the index it evaluates only the conjuncts the range
+// does not decide on the rows the read fetched, passing them through
+// untouched when there are none. A partition read whole evaluates the whole
+// predicate.
 func (ex *executor) evalFilterVec(f *frame, n *plan.FilterNode) (vparts, outKind, error) {
 	top := ex.tb.Begin(n, trace.KindFilter)
 	var in vparts
 	var err error
-	scan, ir := ex.rangeRead(n)
+	scan, ir, rest := ex.rangeRead(n)
 	if ir != nil {
 		in, _, err = ex.evalScanVec(scan, ir)
 	} else {
@@ -267,21 +270,31 @@ func (ex *executor) evalFilterVec(f *frame, n *plan.FilterNode) (vparts, outKind
 		return nil, views, err
 	}
 	ex.addInputsVec(top, in)
-	vp, err := plan.CompilePred(n.Pred, ex.rw.Schemas[n.Child])
+	sch := ex.rw.Schemas[n.Child]
+	vp, err := plan.CompilePred(n.Pred, sch)
 	if err != nil {
 		return nil, views, err
 	}
+	var restVP *plan.VPred
+	if len(rest) > 0 {
+		if restVP, err = plan.CompilePred(plan.And(rest...), sch); err != nil {
+			return nil, views, err
+		}
+	}
 	out, err := forEachPart(ex, top, func(p int) ([]*batch.Batch, int, error) {
-		bs := in[p]
+		bs, pred := in[p], vp
 		if ir != nil {
 			if r := ir.read[p].Load(); r != nil {
-				bs = r.rows.Narrow(bs)
+				bs, pred = r.rows.Narrow(bs), restVP
+				if pred == nil {
+					return bs, r.rows.Len(), nil
+				}
 			}
 		}
 		var out []*batch.Batch
 		kept := 0
 		for _, b := range bs {
-			fb := batch.Filter(b, vp)
+			fb := batch.Filter(b, pred)
 			if fb.Len() > 0 {
 				out = append(out, fb)
 				kept += fb.Len()

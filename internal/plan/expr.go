@@ -362,38 +362,36 @@ func colLit(x BoolExpr) (col string, op CmpOp, lit int64, ok bool) {
 // LiteralRange intersects the values col may take under the top-level
 // conjuncts of pred that compare it with a literal (=, <, <=, >, >=) into
 // the closed range [lo, hi], empty when lo > hi; ok is false when no such
-// conjunct names col. A row whose col lies outside the range, or is NULL,
-// fails pred.
-func LiteralRange(pred BoolExpr, col string) (lo, hi int64, ok bool) {
+// conjunct names col. It also returns the other top-level conjuncts, in
+// order. When ok, a row satisfies pred exactly when its col is not NULL and
+// lies in the range and the row satisfies every conjunct of rest; one walk
+// decides both, so a reader that fetched exactly the range evaluates rest
+// alone.
+func LiteralRange(pred BoolExpr, col string) (lo, hi int64, rest []BoolExpr, ok bool) {
 	lo, hi = math.MinInt64, math.MaxInt64
 	for _, x := range conjuncts(pred) {
 		name, op, v, isLit := colLit(x)
-		if !isLit || name != col {
-			continue
-		}
-		switch op {
-		case EQ:
-			lo, hi = max(lo, v), min(hi, v)
-		case LT:
-			if v == math.MinInt64 {
-				return 1, 0, true
-			}
-			hi = min(hi, v-1)
-		case LE:
-			hi = min(hi, v)
-		case GT:
-			if v == math.MaxInt64 {
-				return 1, 0, true
-			}
-			lo = max(lo, v+1)
-		case GE:
-			lo = max(lo, v)
-		default:
+		if !isLit || name != col || op == NE {
+			rest = append(rest, x)
 			continue
 		}
 		ok = true
+		switch {
+		case v == Null, op == GT && v == math.MaxInt64:
+			lo, hi = 1, 0 // no row satisfies it
+		case op == EQ:
+			lo, hi = max(lo, v), min(hi, v)
+		case op == LT:
+			hi = min(hi, v-1)
+		case op == LE:
+			hi = min(hi, v)
+		case op == GT:
+			lo = max(lo, v+1)
+		default: // GE
+			lo = max(lo, v)
+		}
 	}
-	return lo, hi, ok
+	return lo, hi, rest, ok
 }
 
 // ColumnEqualities lists the column = column comparisons of the top-level

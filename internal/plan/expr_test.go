@@ -169,22 +169,30 @@ func TestLiteralRangeExtraction(t *testing.T) {
 	for _, c := range []struct {
 		pred   BoolExpr
 		lo, hi int64
+		rest   string // the conjuncts left over, joined by " & "
 		ok     bool
 	}{
-		{And(Ge(Col("t.d"), Lit(10)), Lt(Col("t.d"), Lit(20)), Gt(Col("t.a"), Lit(99))), 10, 19, true},
-		{And(Gt(Lit(20), Col("t.d")), And(Le(Lit(10), Col("t.d")))), 10, 19, true}, // mirrored, nested AND
-		{Eq(Col("t.d"), Lit(5)), 5, 5, true},
-		{And(Gt(Col("t.d"), Lit(30)), Lt(Col("t.d"), Lit(20))), 31, 19, true}, // empty
-		{Lt(Col("t.d"), Lit(math.MinInt64)), 1, 0, true},                      // nothing below
-		{Gt(Col("t.d"), Lit(math.MaxInt64)), 1, 0, true},                      // nothing above
-		{Le(Col("t.d"), Lit(7)), math.MinInt64, 7, true},
-		{Or(Ge(Col("t.d"), Lit(10))), 0, 0, false},                               // under OR: ignored
-		{And(Ne(Col("t.d"), Lit(3)), Lt(Col("t.d"), Col("t.a"))), 0, 0, false},   // NE, col<col
-		{And(Ge(Col("t.a"), Lit(10)), Not(Lt(Col("t.d"), Lit(3)))), 0, 0, false}, // another column, NOT
+		{And(Ge(Col("t.d"), Lit(10)), Lt(Col("t.d"), Lit(20)), Gt(Col("t.a"), Lit(99))), 10, 19, "t.a>99", true},
+		{And(Gt(Lit(20), Col("t.d")), And(Le(Lit(10), Col("t.d")))), 10, 19, "", true}, // mirrored, nested AND
+		{Eq(Col("t.d"), Lit(5)), 5, 5, "", true},
+		{And(Gt(Col("t.d"), Lit(30)), Lt(Col("t.d"), Lit(20))), 31, 19, "", true}, // empty
+		{Lt(Col("t.d"), Lit(math.MinInt64)), 1, 0, "", true},                      // nothing below
+		{Gt(Col("t.d"), Lit(math.MaxInt64)), 1, 0, "", true},                      // nothing above
+		{And(Gt(Col("t.d"), Lit(math.MaxInt64)), Le(Col("t.d"), Lit(9))), 1, 0, "", true},
+		{And(Ge(Col("t.d"), Lit(Null)), Le(Col("t.d"), Lit(9))), 1, 0, "", true}, // NULL literal: false on every row
+		{Le(Col("t.d"), Lit(7)), math.MinInt64, 7, "", true},
+		{And(Le(Col("t.d"), Lit(7)), Ne(Col("t.d"), Lit(3))), math.MinInt64, 7, "t.d<>3", true},          // NE stays
+		{Or(Ge(Col("t.d"), Lit(10))), 0, 0, "(t.d>=10)", false},                                          // under OR: ignored
+		{And(Ne(Col("t.d"), Lit(3)), Lt(Col("t.d"), Col("t.a"))), 0, 0, "t.d<>3 & t.d<t.a", false},       // NE, col<col
+		{And(Ge(Col("t.a"), Lit(10)), Not(Lt(Col("t.d"), Lit(3)))), 0, 0, "t.a>=10 & NOT(t.d<3)", false}, // another column, NOT
 	} {
-		lo, hi, ok := LiteralRange(c.pred, "t.d")
-		if ok != c.ok || ok && (lo != c.lo || hi != c.hi) {
-			t.Errorf("%s: range [%d, %d] ok=%v, want [%d, %d] ok=%v", c.pred, lo, hi, ok, c.lo, c.hi, c.ok)
+		lo, hi, rest, ok := LiteralRange(c.pred, "t.d")
+		var legs []string
+		for _, x := range rest {
+			legs = append(legs, x.String())
+		}
+		if got := strings.Join(legs, " & "); ok != c.ok || got != c.rest || ok && (lo != c.lo || hi != c.hi) {
+			t.Errorf("%s: range [%d, %d] rest %q ok=%v, want [%d, %d] rest %q ok=%v", c.pred, lo, hi, got, ok, c.lo, c.hi, c.rest, c.ok)
 		}
 	}
 }

@@ -114,6 +114,32 @@ func (p *VPred) EvalRow(t []int64, scratch []int64) bool {
 	}
 }
 
+// appendCols appends the positions of the columns e reads.
+func (e *VExpr) appendCols(dst []int) []int {
+	switch e.Op {
+	case VCol:
+		return append(dst, e.Col)
+	case VFunc:
+		return append(dst, e.Cols...)
+	}
+	return dst
+}
+
+// AppendCols appends the positions of the columns p reads, in tree order,
+// repeats included: the cells EvalRow looks at.
+func (p *VPred) AppendCols(dst []int) []int {
+	switch p.Op {
+	case VCmp:
+		return p.R.appendCols(p.L.appendCols(dst))
+	case VIn:
+		return append(dst, p.Col)
+	}
+	for _, k := range p.Kids {
+		dst = k.AppendCols(dst)
+	}
+	return dst
+}
+
 // MaxFuncArgs reports the widest VFunc argument list in the tree, sizing a
 // shared scratch buffer for EvalRow-driven loops.
 func (e *VExpr) MaxFuncArgs() int {
