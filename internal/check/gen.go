@@ -2,6 +2,7 @@ package check
 
 import (
 	"fmt"
+	"hash/fnv"
 	"math/rand"
 
 	"pref/internal/catalog"
@@ -72,7 +73,51 @@ func GenConfig(rng *rand.Rand, s *catalog.Schema) *partition.Config {
 // in turn carry a HAVING filter, and the whole may be joined to an
 // aggregated subquery. The last two are drawn after everything else, so a
 // seed generates the same plan beneath them as it did before they existed.
+// Then each join may get a residual and a filtered right input
+// (genJoinPreds), drawn from a stream of their own, so rng draws what it
+// drew before they existed.
 func GenQuery(rng *rand.Rand, s *catalog.Schema) plan.Node {
+	var joins []genJoin
+	root := genQuery(rng, s, &joins)
+	genJoinPreds(root, joins)
+	return root
+}
+
+// genJoin is one join of a generated plan and the columns of its inputs.
+type genJoin struct {
+	j           *plan.JoinNode
+	left, right []string
+}
+
+// genJoinPreds gives each join of joins, with probability one half, a
+// residual reading both of its inputs: a column equality, or an OR of two
+// ranges, one over each input. A quarter of the joined base tables get a
+// range filter, which makes them selective enough to send a runtime filter
+// to the join's other input, and with an equality below, to fork it. The
+// draws come from a stream seeded by root's shape.
+func genJoinPreds(root plan.Node, joins []genJoin) {
+	h := fnv.New64a()
+	h.Write([]byte(plan.Format(root)))
+	rng := rand.New(rand.NewSource(int64(h.Sum64())))
+	between := func(col string) plan.BoolExpr {
+		lo := int64(rng.Intn(20))
+		return plan.And(plan.Ge(plan.Col(col), plan.Lit(lo)), plan.Le(plan.Col(col), plan.Lit(lo+5)))
+	}
+	for _, g := range joins {
+		l, r := g.left[rng.Intn(len(g.left))], g.right[rng.Intn(len(g.right))]
+		switch rng.Intn(4) {
+		case 0:
+			g.j.Residual = plan.Eq(plan.Col(l), plan.Col(r))
+		case 1:
+			g.j.Residual = plan.Or(between(l), between(r))
+		}
+		if _, ok := g.j.Right.(*plan.ScanNode); ok && rng.Intn(4) == 0 {
+			g.j.Right = plan.Filter(g.j.Right, between(g.right[rng.Intn(len(g.right))]))
+		}
+	}
+}
+
+func genQuery(rng *rand.Rand, s *catalog.Schema, joins *[]genJoin) plan.Node {
 	names := s.TableNames()
 	nscan := 1 + rng.Intn(3)
 	if nscan > len(names) {
@@ -106,7 +151,9 @@ func GenQuery(rng *rand.Rand, s *catalog.Schema) plan.Node {
 		}
 		lc := cols[rng.Intn(len(cols))]
 		rc := rcols[rng.Intn(len(rcols))]
-		root = plan.Join(root, right, jt, []string{lc}, []string{rc})
+		j := plan.Join(root, right, jt, []string{lc}, []string{rc})
+		*joins = append(*joins, genJoin{j, cols, rcols})
+		root = j
 		if jt == plan.Semi || jt == plan.Anti {
 			continue // right columns do not survive
 		}
@@ -141,7 +188,9 @@ func GenQuery(rng *rand.Rand, s *catalog.Schema) plan.Node {
 		g := plan.Qualify("sub", t.Columns[rng.Intn(t.NumCols())].Name)
 		sub := plan.Aggregate(plan.Scan(t.Name, "sub"), []string{g}, plan.Count("subcnt"))
 		jt := []plan.JoinType{plan.Inner, plan.Semi, plan.LeftOuter}[rng.Intn(3)]
-		root = plan.Join(root, sub, jt, []string{cols[rng.Intn(len(cols))]}, []string{g})
+		j := plan.Join(root, sub, jt, []string{cols[rng.Intn(len(cols))]}, []string{g})
+		*joins = append(*joins, genJoin{j, cols, []string{g, "subcnt"}})
+		root = j
 	}
 	return root
 }

@@ -18,10 +18,20 @@ import (
 // every row decides an output row. checkTransfers re-proves this for every
 // filter, climbing from the filter to its join.
 //
+// A filter may also be a fork (plan's equiv.go): it filters a column k′
+// that an inner join X below the join equates with the join's key k, by a
+// key pair or by a top-level `=` conjunct of X's residual. Every row X emits
+// holds one value in both, so the climb tracks the set of columns that hold
+// the filtered value: it starts as f's column, loses each column an
+// operator does not carry up unchanged, and gains, at an inner join only,
+// every column that join equates with one it holds. The set must still hold
+// the join's key on arrival.
+//
 // A local filter probes on each node only the filter of that node's source
 // partition. That holds every key its rows can meet at the join only if no
 // exchange moves them on the way there, or if every source partition holds
-// all of the source's rows; the climb re-proves one or the other.
+// all of the source's rows; the climb re-proves one or the other, over the
+// whole way up, forks included.
 
 // checkTransfers walks the subtree at n with the operators above it.
 func (c *checker) checkTransfers(n plan.Node, above []plan.Node) {
@@ -35,26 +45,60 @@ func (c *checker) checkTransfers(n plan.Node, above []plan.Node) {
 }
 
 // checkTransfer climbs from f towards its join: every operator on the way
-// must carry f's column up unchanged.
+// must carry a column holding f's value up unchanged.
 func (c *checker) checkTransfer(f *plan.RuntimeFilterNode, above []plan.Node) {
-	below := plan.Node(f)
+	below, cols := plan.Node(f), []string{f.Col}
 	for i := len(above) - 1; i >= 0; i-- {
 		p := above[i]
 		if p == f.From {
-			c.checkTarget(f, below)
+			c.checkTarget(f, below, cols)
 			return
 		}
 		if f.Local && isExchange(p) && !c.sourceReplicated(f, map[plan.Node]bool{}) {
 			c.report(RuleTransfer, f, "is local, but reaches its join through an exchange: %s", p)
 			return
 		}
-		if why := blocks(p, below, f.Col); why != "" {
+		var kept []string
+		why := ""
+		for _, col := range cols {
+			if w := blocks(p, below, col); w == "" {
+				kept = append(kept, col)
+			} else if why == "" {
+				why = w
+			}
+		}
+		if len(kept) == 0 {
 			c.report(RuleTransfer, f, "reaches its join through %s: %s", why, p)
 			return
 		}
-		below = p
+		cols, below = equated(p, kept), p
 	}
 	c.report(RuleTransfer, f, "its join %v is not above it", f.From)
+}
+
+// equated returns cols with every column the inner join p equates with one
+// of them added: through a key pair or a top-level `=` conjunct of its
+// residual. Any other operator adds none.
+func equated(p plan.Node, cols []string) []string {
+	j, ok := p.(*plan.JoinNode)
+	if !ok || j.Type != plan.Inner {
+		return cols
+	}
+	pairs := plan.ColumnEqualities(j.Residual)
+	for i := range j.LeftCols {
+		pairs = append(pairs, [2]string{j.LeftCols[i], j.RightCols[i]})
+	}
+	for grown := true; grown; {
+		grown = false
+		for _, eq := range pairs {
+			for k := range 2 {
+				if slices.Contains(cols, eq[k]) && !slices.Contains(cols, eq[1-k]) {
+					cols, grown = append(cols, eq[1-k]), true
+				}
+			}
+		}
+	}
+	return cols
 }
 
 // blocks says why p does not carry col up from its input below unchanged,
@@ -93,9 +137,9 @@ func groupsBy(groupBy []string, col string) string {
 	return "an aggregate that does not group by the column"
 }
 
-// checkTarget holds f, reached from j's input below, to being j's filter of
-// that input.
-func (c *checker) checkTarget(f *plan.RuntimeFilterNode, below plan.Node) {
+// checkTarget holds f, reached from j's input below with its value in the
+// columns cols, to being j's filter of that input.
+func (c *checker) checkTarget(f *plan.RuntimeFilterNode, below plan.Node, cols []string) {
 	j := f.From
 	side, keys := plan.LeftSide, j.LeftCols
 	if below == j.Right {
@@ -108,7 +152,7 @@ func (c *checker) checkTarget(f *plan.RuntimeFilterNode, below plan.Node) {
 		c.report(RuleTransfer, f, "sits on its join's source input, which builds the filter")
 	case side == plan.LeftSide && (j.Type == plan.Anti || j.Type == plan.LeftOuter):
 		c.report(RuleTransfer, f, "sits on the left input of a %v join, which may only filter its right", j.Type)
-	case len(keys) != 1 || keys[0] != f.Col:
+	case len(keys) != 1 || !slices.Contains(cols, keys[0]):
 		c.report(RuleTransfer, f, "filters %q, but its join's keys on that input are %v", f.Col, keys)
 	}
 }

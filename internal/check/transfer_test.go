@@ -203,3 +203,119 @@ func TestBroadcastSourceFiltersEitherSide(t *testing.T) {
 }
 
 func isScan(n plan.Node) bool { _, ok := n.(*plan.ScanNode); return ok }
+
+// Forks (plan's equiv.go): a filter on a column k′ that an inner join below
+// the filter's join equates with the join's key. Each case below starts
+// from a rewrite whose join fires a shipped filter into an input holding a
+// join x of orders and lineitem, plants a fork from that join into one of
+// x's inputs, and names the checker mutation that would let it through.
+
+// forkPlan rewrites the customers of one nation joined on jkey to x, over
+// miniHashed, and returns the plan and x's rewritten join.
+func forkPlan(t *testing.T, x *plan.JoinNode, jkey string) (*plan.Rewritten, *plan.JoinNode) {
+	t.Helper()
+	q := plan.Join(
+		plan.Filter(plan.Scan("customer", "c"), plan.Eq(plan.Col("c.c_nation"), plan.Lit(1))),
+		x, plan.Inner, []string{"c.c_custkey"}, []string{jkey})
+	rw, _, _ := transferPlan(t, q)
+	got, _ := findNode(rw.Root, func(n plan.Node) bool {
+		j, ok := n.(*plan.JoinNode)
+		return ok && j.Type == x.Type && j.LeftCols[0] == x.LeftCols[0]
+	}).(*plan.JoinNode)
+	if got == nil {
+		t.Fatalf("fixture drift: no %v join on %s\n%s", x.Type, x.LeftCols[0], rw.Explain())
+	}
+	return rw, got
+}
+
+// plantFork wraps *slot in a fork on col from the plan's top join.
+func plantFork(rw *plan.Rewritten, slot *plan.Node, col string, local bool) {
+	top, _ := findNode(rw.Root, func(n plan.Node) bool {
+		j, ok := n.(*plan.JoinNode)
+		return ok && j.Source != plan.NoSide && j.LeftCols[0] == "c.c_custkey"
+	}).(*plan.JoinNode)
+	moveFilter(rw, slot, col, top).Local = local
+}
+
+func orderLines(t plan.JoinType, lcol, rcol string) *plan.JoinNode {
+	return plan.Join(plan.Scan("orders", "o"), plan.Scan("lineitem", "l"), t, []string{lcol}, []string{rcol})
+}
+
+// TestVerifyAcceptsForks: a fork on l.l_partkey climbs to the join on
+// o.o_custkey through an inner join that equates the two, by a key pair or
+// by a top-level residual conjunct.
+func TestVerifyAcceptsForks(t *testing.T) {
+	byKey := orderLines(plan.Inner, "o.o_custkey", "l.l_partkey")
+	byResidual := orderLines(plan.Inner, "o.o_orderkey", "l.l_orderkey")
+	byResidual.Residual = plan.And(plan.Eq(plan.Col("o.o_custkey"), plan.Col("l.l_partkey")),
+		plan.Gt(plan.Col("l.l_qty"), plan.Lit(5)))
+	for _, x := range []*plan.JoinNode{byKey, byResidual} {
+		rw, j := forkPlan(t, x, "o.o_custkey")
+		plantFork(rw, &j.Right, "l.l_partkey", false)
+		if err := check.Verify(rw); err != nil {
+			t.Fatalf("%v\n%s", err, rw.Explain())
+		}
+	}
+}
+
+// TestVerifyRejectsForkThroughLeftOuter: a left outer join's key pair holds
+// only on the rows it matched. It null-extends the others, and a NULL key
+// still meets a NULL source key at the filter's join, so a left row the fork
+// drops could have joined there. Catches: switching the tracked column at a
+// join of any type (the Inner test in equated removed).
+func TestVerifyRejectsForkThroughLeftOuter(t *testing.T) {
+	x := plan.Join(plan.Scan("lineitem", "l"), plan.Scan("orders", "o"), plan.LeftOuter,
+		[]string{"l.l_partkey"}, []string{"o.o_custkey"})
+	rw, j := forkPlan(t, x, "o.o_custkey")
+	plantFork(rw, &j.Left, "l.l_partkey", false)
+	expectTransfer(t, rw, `filters "l.l_partkey", but its join's keys on that input are [o.o_custkey]`)
+}
+
+// TestVerifyRejectsForkFromSemiRight: no column of a semi or anti join's
+// right input reaches its output, so a fork there is no filter of the
+// input its join reads. Catches: a climb that treats semi and anti joins as
+// inner ones (passing their right input and switching at their keys).
+func TestVerifyRejectsForkFromSemiRight(t *testing.T) {
+	for _, jt := range []plan.JoinType{plan.Semi, plan.Anti} {
+		rw, j := forkPlan(t, orderLines(jt, "o.o_custkey", "l.l_partkey"), "o.o_custkey")
+		plantFork(rw, &j.Right, "l.l_partkey", false)
+		expectTransfer(t, rw, "the right input of a "+jt.String()+" join")
+	}
+}
+
+// TestVerifyRejectsForkThroughNestedEquality: an `=` under OR or NOT holds
+// on no particular row the join emits. Catches: reading column equalities
+// anywhere in the residual rather than in its top-level conjuncts.
+func TestVerifyRejectsForkThroughNestedEquality(t *testing.T) {
+	eq := plan.Eq(plan.Col("o.o_custkey"), plan.Col("l.l_partkey"))
+	for _, residual := range []plan.BoolExpr{
+		plan.Or(eq, plan.Gt(plan.Col("l.l_qty"), plan.Lit(5))),
+		plan.Not(plan.Not(eq)),
+	} {
+		x := orderLines(plan.Inner, "o.o_orderkey", "l.l_orderkey")
+		x.Residual = residual
+		rw, j := forkPlan(t, x, "o.o_custkey")
+		plantFork(rw, &j.Right, "l.l_partkey", false)
+		expectTransfer(t, rw, `filters "l.l_partkey", but its join's keys on that input are [o.o_custkey]`)
+	}
+}
+
+// TestVerifyRejectsLocalForkAcrossExchange: the customers that build the
+// filter are hashed, and the join of orders and lineitem reaches theirs
+// through a repartition above the join where the fork's column switches, so
+// one node's customers do not hold every key its lines meet. Catches:
+// proving locality only below the join where the climb switches columns.
+func TestVerifyRejectsLocalForkAcrossExchange(t *testing.T) {
+	x := orderLines(plan.Inner, "o.o_orderkey", "l.l_orderkey")
+	x.Residual = plan.Eq(plan.Col("o.o_custkey"), plan.Col("l.l_partkey"))
+	rw, j := forkPlan(t, x, "o.o_custkey")
+	top := findNode(rw.Root, func(n plan.Node) bool {
+		t, ok := n.(*plan.JoinNode)
+		return ok && t.LeftCols[0] == "c.c_custkey"
+	}).(*plan.JoinNode)
+	if rep, ok := top.Right.(*plan.RepartitionNode); !ok || rep.Child != plan.Node(j) {
+		t.Fatalf("fixture drift: want the orders-lineitem join under a repartition\n%s", rw.Explain())
+	}
+	plantFork(rw, &j.Right, "l.l_partkey", true)
+	expectTransfer(t, rw, "is local, but reaches its join through an exchange")
+}

@@ -57,7 +57,10 @@ func FuzzPrunedPlanOracle(f *testing.F) {
 	// semi join against its bare referenced table filters that table so
 	// (the join stays co-located), and one whose join with a replicated
 	// table, rewritten with statistics, moves below a misaligned join onto
-	// the input that holds its key, above that input's repartition.
+	// the input that holds its key, above that input's repartition, and one
+	// Q5-shaped chain: rewritten with statistics, the filter a replicated
+	// table sends to a join's key forks onto the column a lower join's
+	// residual equates with that key, below that column's repartition.
 	f.Add(int64(0), false)
 	f.Add(int64(1), true)
 	f.Fuzz(func(t *testing.T, seed int64, noDupIndex bool) {

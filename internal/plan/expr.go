@@ -424,3 +424,51 @@ func joinExprs(xs []BoolExpr, sep string) string {
 	}
 	return strings.Join(parts, sep)
 }
+
+// renameCols returns p with every column m names read as its image in m.
+func renameCols(p BoolExpr, m map[string]string) BoolExpr {
+	switch e := p.(type) {
+	case cmpExpr:
+		return cmpExpr{renameVal(e.l, m), renameVal(e.r, m), e.op}
+	case andExpr:
+		return andExpr{renameAll(e.xs, m)}
+	case orExpr:
+		return orExpr{renameAll(e.xs, m)}
+	case notExpr:
+		return notExpr{renameCols(e.x, m)}
+	case inExpr:
+		if to, ok := m[e.col]; ok {
+			e.col = to
+		}
+		return e
+	}
+	return p
+}
+
+func renameAll(xs []BoolExpr, m map[string]string) []BoolExpr {
+	out := make([]BoolExpr, len(xs))
+	for i, x := range xs {
+		out[i] = renameCols(x, m)
+	}
+	return out
+}
+
+func renameVal(v ValExpr, m map[string]string) ValExpr {
+	switch e := v.(type) {
+	case colExpr:
+		if to, ok := m[e.name]; ok {
+			return colExpr{to}
+		}
+	case funcExpr:
+		cols := make([]string, len(e.cols))
+		for i, c := range e.cols {
+			cols[i] = c
+			if to, ok := m[c]; ok {
+				cols[i] = to
+			}
+		}
+		e.cols = cols
+		return e
+	}
+	return v
+}

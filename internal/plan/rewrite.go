@@ -109,8 +109,10 @@ type Rewriter struct {
 // Rewrite turns a logical SPJA plan into an executable physical plan:
 // it decides per operator whether the inputs need re-partitioning or
 // PREF-duplicate elimination, and applies the hasRef semi/anti-join
-// optimizations.
+// optimizations. Each join residual's conjuncts first bind at the lowest
+// join that reads their inputs (equiv.go).
 func Rewrite(root Node, schema *catalog.Schema, cfg *partition.Config, opt Options) (*Rewritten, error) {
+	root = pushResiduals(root, schema)
 	r := newRewriter(root, schema, cfg, opt)
 	phys, prop, sch, err := r.rewrite(root)
 	if err != nil {

@@ -83,7 +83,7 @@ func testStats(orders, customer, lineitem int) *Stats {
 			col(1, int64(orders), orders), col(1, int64(customer), min(orders, customer)), col(0, 9999, min(orders, 10000))}},
 		"lineitem": {Rows: float64(lineitem), Cols: []ColStats{
 			col(1, int64(lineitem), lineitem), col(1, int64(orders), min(orders, lineitem))}},
-		"nation": {Rows: 5, Cols: []ColStats{col(0, 4, 5)}},
+		"nation": {Rows: 5, Cols: []ColStats{col(0, 4, 5), col(0, 1, 2)}},
 	}}
 }
 

@@ -18,7 +18,7 @@ func testSchema() *catalog.Schema {
 	s.MustAddTable(catalog.MustTable("lineitem",
 		[]catalog.Column{{Name: "linekey", Kind: value.Int}, {Name: "orderkey", Kind: value.Int}}, "linekey"))
 	s.MustAddTable(catalog.MustTable("nation",
-		[]catalog.Column{{Name: "nationkey", Kind: value.Int}}, "nationkey"))
+		[]catalog.Column{{Name: "nationkey", Kind: value.Int}, {Name: "regionkey", Kind: value.Int}}, "nationkey"))
 	return s
 }
 

@@ -55,13 +55,11 @@ import "slices"
 // join down the tree.
 
 // placeTransfers visits the joins of the subtree at n top-down and returns
-// the slots it placed a filter in, in placement order.
+// the slots it placed a filter in, forks included, in placement order.
 func (r *Rewriter) placeTransfers(n Node) []*Node {
 	var placed []*Node
 	if j, ok := n.(*JoinNode); ok {
-		if slot := r.transfer(j); slot != nil {
-			placed = append(placed, slot)
-		}
+		placed = r.transfer(j)
 	}
 	for _, c := range n.Children() {
 		placed = append(placed, r.placeTransfers(c)...)
@@ -70,32 +68,95 @@ func (r *Rewriter) placeTransfers(n Node) []*Node {
 }
 
 // transfer fires j's runtime filter where the rule above allows, recording
-// its source on j and placing a RuntimeFilterNode in its target, and returns
-// the slot it filled, or nil.
-func (r *Rewriter) transfer(j *JoinNode) *Node {
+// its source on j and placing a RuntimeFilterNode in its target and, with
+// statistics, its forks (equiv.go), and returns every slot it filled.
+func (r *Rewriter) transfer(j *JoinNode) []*Node {
 	in := func(n Node) transferInput {
 		_, bcast := n.(*BroadcastNode)
 		return r.input(n, false, bcast)
 	}
-	f := r.fire(j, j.Left, j.Right, in(j.Left), in(j.Right))
+	l, rt := in(j.Left), in(j.Right)
+	f := r.fire(j, j.Left, j.Right, l, rt)
 	if f.source == NoSide {
 		return nil
 	}
-	target, key := &j.Right, j.RightCols[0]
+	target, key, src := &j.Right, j.RightCols[0], l
 	if f.source == RightSide {
-		target, key = &j.Left, j.LeftCols[0]
+		target, key, src = &j.Left, j.LeftCols[0], rt
 	}
 	j.Source = f.source
 	slot := r.filterSlot(target, key)
 	if f.gated {
-		slot, _ = r.localSlot(target, key, r.containAt(j, j.Left, j.Right, f.source))
+		slot, _ = r.localSlot(target, key, r.containAt(j, j.Left, j.Right, f.source), false)
 	}
 	rf := &RuntimeFilterNode{Child: *slot, Col: key, From: j, Local: f.local}
 	r.note(rf, r.out.Schemas[*slot], r.out.Props[*slot])
 	*slot = rf
-	clear(r.memo) // the estimates above the filter no longer hold
+	placed := []*Node{slot}
+	if r.Opt.Stats != nil {
+		placed = append(placed, r.forks(j, target, key, src.repl)...)
+	}
+	clear(r.memo) // the estimates above the filters no longer hold
 	clear(r.cols)
-	return slot
+	return placed
+}
+
+// forks places the forks of j's filter on key into target (equiv.go): for
+// every inner join X on key's passDown path from target and every column k′
+// that X equates with key in its other input, a local filter on k′ from j,
+// where localSlot estimates it saves the most per-node rows, if it saves
+// any. Unless repl says that every partition of j's source holds all of its
+// rows, no exchange may lie between a fork and j. It returns the slots it
+// filled.
+func (r *Rewriter) forks(j *JoinNode, target *Node, key string, repl bool) []*Node {
+	src, skey := j.SourceInput()
+	var placed []*Node
+	for slot := target; ; {
+		n := *slot
+		next := r.passDown(n, key)
+		if next == nil || !repl && isExchange(n) {
+			return placed
+		}
+		if x, ok := n.(*JoinNode); ok && x.Type == Inner {
+			other := &x.Left
+			if next == &x.Left {
+				other = &x.Right
+			}
+			for _, k := range r.equated(x, key, *other) {
+				c := r.contain(src, []string{skey}, *other, []string{k})
+				at, gain := r.localSlot(other, k, c, repl)
+				if gain <= 0 {
+					continue
+				}
+				rf := &RuntimeFilterNode{Child: *at, Col: k, From: j, Local: true}
+				r.note(rf, r.out.Schemas[*at], r.out.Props[*at])
+				*at = rf
+				placed = append(placed, at)
+			}
+		}
+		slot = next
+	}
+}
+
+// equated returns the columns of the input in of the inner join x that x
+// equates with col: through a key pair or a top-level `=` conjunct of its
+// residual.
+func (r *Rewriter) equated(x *JoinNode, col string, in Node) []string {
+	var out []string
+	add := func(a, b string) {
+		if a == col && r.out.Schemas[in].Index(b) >= 0 && !slices.Contains(out, b) {
+			out = append(out, b)
+		}
+	}
+	for i := range x.LeftCols {
+		add(x.LeftCols[i], x.RightCols[i])
+		add(x.RightCols[i], x.LeftCols[i])
+	}
+	for _, eq := range ColumnEqualities(x.Residual) {
+		add(eq[0], eq[1])
+		add(eq[1], eq[0])
+	}
+	return out
 }
 
 // filterSlot follows passDown from slot as deep as the key column col
@@ -112,13 +173,13 @@ func (r *Rewriter) filterSlot(slot *Node, col string) *Node {
 // rows, and how many: the filter processes the rows it keeps, as a Filter
 // does, and every operator between it and the join, the join included,
 // processes only those — a join both as its output and as its input on the
-// filter's side.
-func (r *Rewriter) localSlot(target *Node, col string, c float64) (*Node, float64) {
+// filter's side. It goes below an exchange only where cross allows.
+func (r *Rewriter) localSlot(target *Node, col string, c float64, cross bool) (*Node, float64) {
 	saved := r.rows(*target) * (1 - c) // the join's input
 	best, gain := target, saved-r.rows(*target)*c
 	for slot := target; ; {
 		next := r.passDown(*slot, col)
-		if next == nil {
+		if next == nil || !cross && isExchange(*slot) {
 			return best, gain
 		}
 		saved += r.rows(*slot) * (1 - c) // *slot now runs above the filter
@@ -229,7 +290,7 @@ func (r *Rewriter) localGain(j *JoinNode, left, right Node, source Side) float64
 	if source == RightSide {
 		target, key = left, j.LeftCols[0]
 	}
-	_, gain := r.localSlot(&target, key, r.containAt(j, left, right, source))
+	_, gain := r.localSlot(&target, key, r.containAt(j, left, right, source), false)
 	return gain
 }
 
@@ -353,10 +414,18 @@ func (r *Rewriter) replicated(n Node) bool {
 	return !thinned(n)
 }
 
-// hasExchange reports whether the subtree at n moves rows between nodes.
-func hasExchange(n Node) bool {
+// isExchange reports whether the operator n moves rows between nodes.
+func isExchange(n Node) bool {
 	switch n.(type) {
 	case *RepartitionNode, *BroadcastNode, *GatherNode, *DistinctByValueNode:
+		return true
+	}
+	return false
+}
+
+// hasExchange reports whether the subtree at n moves rows between nodes.
+func hasExchange(n Node) bool {
+	if isExchange(n) {
 		return true
 	}
 	for _, c := range n.Children() {
