@@ -76,8 +76,10 @@ func main() {
 			countries.String(row[0]), pref.ToMoney(row[1]), row[2])
 	}
 	// The users⋈orders join ran node-local thanks to PREF co-partitioning;
-	// the single shuffle below is the final group-by on country.
-	fmt.Printf("\nnetwork: %d bytes shipped, %d repartition (the group-by; the join was local)\n",
+	// only the group-by's per-partition partial states travel: three
+	// countries are too few to pay for a repartition, so they are gathered
+	// and merged on the coordinator.
+	fmt.Printf("\nnetwork: %d bytes shipped, %d repartition (the join was local; the group-by's partial states were gathered)\n",
 		res.Stats.BytesShipped, res.Stats.Repartitions)
 
 	// Contrast: hash both tables on their primary keys and the join

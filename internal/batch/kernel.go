@@ -310,7 +310,11 @@ const fib64 = 0x9E3779B97F4A7C15
 
 // BuildInt64Table indexes keys (one per build row). The slice is retained,
 // not copied; the caller must keep it immutable while probing.
-func BuildInt64Table(keys []int64) *Int64Table {
+func BuildInt64Table(keys []int64) *Int64Table { return buildInt64Table(keys, false) }
+
+// buildInt64Table is BuildInt64Table, leaving the rows whose key is
+// plan.Null out of every chain when skipNull is set.
+func buildInt64Table(keys []int64, skipNull bool) *Int64Table {
 	n := len(keys)
 	size := 8
 	for size < 2*n {
@@ -331,6 +335,10 @@ func BuildInt64Table(keys []int64) *Int64Table {
 	// forward walk visits rows ascending.
 	for i := n - 1; i >= 0; i-- {
 		k := keys[i]
+		if skipNull && k == plan.Null {
+			t.next[i] = -1
+			continue
+		}
 		h := (uint64(k) * fib64) >> t.shift
 		for {
 			s := t.slots[h]
@@ -351,11 +359,12 @@ func BuildInt64Table(keys []int64) *Int64Table {
 	return t
 }
 
-// IndexColumn builds the Int64Table of column c over every physical row of
-// b, so the table's row ids index b's columns. The join passes its flattened
+// IndexColumn builds the Int64Table of column c over the physical rows of b,
+// so the table's row ids index b's columns. The join passes its flattened
 // (dense) build side; the column is retained, not copied, and b's columns are
-// immutable to every holder outside this package.
-func IndexColumn(b *Batch, c int) *Int64Table { return BuildInt64Table(b.cols[c]) }
+// immutable to every holder outside this package. A row whose key is
+// plan.Null is left out: an equi-join's NULL key matches nothing.
+func IndexColumn(b *Batch, c int) *Int64Table { return buildInt64Table(b.cols[c], true) }
 
 // Head returns the first build row with key k, if any.
 func (t *Int64Table) Head(k int64) (int32, bool) {

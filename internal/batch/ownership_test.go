@@ -70,7 +70,7 @@ func TestJoinKernelsMatchRowLoops(t *testing.T) {
 			var wantL, wantR []int32
 			for i := 0; i < b.Len(); i++ {
 				for r := 0; r < build.Len(); r++ {
-					if build.At(r, 0) == b.At(i, 1) {
+					if k := build.At(r, 0); k == b.At(i, 1) && k != plan.Null {
 						wantL, wantR = append(wantL, int32(b.Phys(i))), append(wantR, int32(r))
 					}
 				}

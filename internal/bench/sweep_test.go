@@ -402,16 +402,16 @@ func TestExchangesShipRecordedWidthTPCH(t *testing.T) {
 // at benchFx are join_pref's and join_hashed's designs, SD at mixFx is
 // mixed_rw's, and fig7Fx runs every Figure 7 variant.
 var servedPlans = map[string]string{
-	"sf 0.05/4 nodes/SD":             "2b5e9975a825a97c",
-	"sf 0.05/4 nodes/AllHashed":      "d8327b04cec731cc",
-	"sf 0.01/4 nodes/SD":             "c243ad31ae136c83",
-	"sf 0.01/10 nodes/AllHashed":     "6cd97fd6b5c00fb4",
-	"sf 0.01/10 nodes/AllReplicated": "d3e63c128cc432a0",
-	"sf 0.01/10 nodes/CP":            "838e65c650118b15",
-	"sf 0.01/10 nodes/SD":            "3d99c8fbd81172db",
-	"sf 0.01/10 nodes/SD-noRed":      "651c15a01ca89b26",
-	"sf 0.01/10 nodes/SD-paper":      "169397d54c8da48e",
-	"sf 0.01/10 nodes/WD":            "25206f92ecffba88",
+	"sf 0.05/4 nodes/SD":             "a0dda0dd323ba855",
+	"sf 0.05/4 nodes/AllHashed":      "05b6756a884a698e",
+	"sf 0.01/4 nodes/SD":             "66722f0c8e7ad14a",
+	"sf 0.01/10 nodes/AllHashed":     "5fbfe321682ec342",
+	"sf 0.01/10 nodes/AllReplicated": "dc226b4c923ef918",
+	"sf 0.01/10 nodes/CP":            "dc2cee74aecd3fbb",
+	"sf 0.01/10 nodes/SD":            "5e8e6e573f058233",
+	"sf 0.01/10 nodes/SD-noRed":      "63f415927331de84",
+	"sf 0.01/10 nodes/SD-paper":      "b4e7d6e929806a4f",
+	"sf 0.01/10 nodes/WD":            "67272f8383c881e2",
 }
 
 // TestServedPlansPinned: an engine change leaves every served plan as it
@@ -544,29 +544,128 @@ func eagerAggregated(logical, physical plan.Node) bool {
 }
 
 // TestGroupedAggShipsPartialStatesTPCH guards the two-phase rewrite of
-// grouped aggregation: on SD at microFx with statistics, Q1 and Q15
-// repartition nothing but per-partition partial states, and Q1 ships at
-// most one state per group and remote node plus its result rows. A
-// rewriter change that goes back to shipping every input row fails here.
+// grouped aggregation: on SD at microFx with statistics, the exchange under
+// every final aggregate of Q1 and Q15, a repartition or a gather, ships
+// nothing but per-partition partial states, and Q1, which merges its states
+// at the coordinator, ships at most one state per group and remote node and
+// no result row. A rewriter change that goes back to shipping every input
+// row fails here.
 func TestGroupedAggShipsPartialStatesTPCH(t *testing.T) {
 	const q1Groups = 4
 	s := sweepOf(t, microFx)
 	for _, query := range []string{"Q1", "Q15"} {
 		r := s.run("SD", query, true)
-		reps := findPlan(r.rw.Root, func(n plan.Node) bool { _, ok := n.(*plan.RepartitionNode); return ok })
-		if len(reps) == 0 {
-			t.Fatalf("%v: fixture drift: no repartition left to guard:\n%s", r, r.rw.Explain())
+		fins := findPlan(r.rw.Root, func(n plan.Node) bool { _, ok := n.(*plan.FinalAggNode); return ok })
+		if len(fins) == 0 {
+			t.Fatalf("%v: fixture drift: no final aggregate left to guard:\n%s", r, r.rw.Explain())
 		}
-		for _, n := range reps {
-			if rep := n.(*plan.RepartitionNode); !isPartialAgg(rep.Child) {
-				t.Errorf("%v: %s ships %T rows, want partial states only:\n%s", r, rep, rep.Child, r.rw.Explain())
+		for _, n := range fins {
+			x := n.(*plan.FinalAggNode).Child
+			if !isExchange(x) || !isPartialAgg(x.Children()[0]) {
+				t.Errorf("%v: %s merges %s, want an exchange of partial states only:\n%s", r, n, x, r.rw.Explain())
 			}
 		}
 	}
 	r := s.run("SD", "Q1", true)
-	if max := int64((s.nodes-1)*q1Groups + len(r.res.Rows)); r.res.Stats.RowsShipped > max {
-		t.Errorf("Q1 shipped %d rows, want at most %d ((n-1)·groups + %d result rows)",
-			r.res.Stats.RowsShipped, max, len(r.res.Rows))
+	if max := int64((s.nodes - 1) * q1Groups); r.res.Stats.RowsShipped > max {
+		t.Errorf("Q1 shipped %d rows, want at most %d ((n-1)·groups)", r.res.Stats.RowsShipped, max)
+	}
+}
+
+// TestCoordinatorMergeTPCH: a grouped aggregate merges its partial states at
+// the coordinator only with statistics, only under nothing but the root's
+// projections and filters (never below a join, another aggregate or an
+// exchange), and only where that was priced cheaper than repartitioning
+// them. mixed_rw's Q4 and Q12 on SD at mixFx merge so. On the join mixes'
+// designs at benchFx, Q7's 2 496 partial states are priced cheaper to
+// repartition, and Q15's 1 987 feed a join: both keep their repartition.
+func TestCoordinatorMergeTPCH(t *testing.T) {
+	for _, s := range allSweeps(t) {
+		for _, r := range s.runs {
+			for _, f := range coordinatorMerges(r.rw.Root) {
+				if !r.stats {
+					t.Errorf("%v: %s merges at the coordinator without statistics\n%s", r, f, r.rw.Explain())
+				}
+				if !underRootOnly(r.rw.Root, f) {
+					t.Errorf("%v: %s merges at the coordinator below a join, an aggregate or an exchange\n%s", r, f, r.rw.Explain())
+				}
+			}
+		}
+	}
+	mix := sweepOf(t, mixFx)
+	for _, query := range []string{"Q4", "Q12"} {
+		if r := mix.run("SD", query, true); len(coordinatorMerges(r.rw.Root)) != 1 {
+			t.Errorf("%v: want its partial states merged at the coordinator\n%s", r, r.rw.Explain())
+		}
+	}
+	served := sweepOf(t, benchFx)
+	for _, variant := range []string{"SD", "AllHashed"} {
+		for _, query := range []string{"Q7", "Q15"} {
+			r := served.run(variant, query, true)
+			reps := findPlan(r.rw.Root, func(n plan.Node) bool { return groupedMergeOver[*plan.RepartitionNode](n) })
+			if len(reps) == 0 || len(coordinatorMerges(r.rw.Root)) > 0 {
+				t.Errorf("%v: want its grouped partial states repartitioned\n%s", r, r.rw.Explain())
+			}
+		}
+	}
+}
+
+// coordinatorMerges returns the grouped final aggregates of the plan at n
+// that merge gathered partial states.
+func coordinatorMerges(n plan.Node) []plan.Node {
+	return findPlan(n, groupedMergeOver[*plan.GatherNode])
+}
+
+// groupedMergeOver reports whether n is a grouped final aggregate whose
+// input is an exchange of type X.
+func groupedMergeOver[X plan.Node](n plan.Node) bool {
+	f, ok := n.(*plan.FinalAggNode)
+	if !ok || len(f.GroupBy) == 0 {
+		return false
+	}
+	_, ok = f.Child.(X)
+	return ok
+}
+
+// underRootOnly reports whether the path from root down to n crosses only
+// projections and filters.
+func underRootOnly(root, n plan.Node) bool {
+	for x := root; x != n; {
+		switch y := x.(type) {
+		case *plan.ProjectNode:
+			x = y.Child
+		case *plan.FilterNode:
+			x = y.Child
+		default:
+			return false
+		}
+	}
+	return true
+}
+
+// TestNoRedundantRepartitionTPCH: no repartition of the sweep ships an input
+// already hashed on its columns, position by position, modulo the input's
+// column equivalences. An input with live PREF duplicates is the exception:
+// the repartition removes them in transit.
+func TestNoRedundantRepartitionTPCH(t *testing.T) {
+	for _, s := range allSweeps(t) {
+		for _, r := range s.runs {
+			for _, n := range findPlan(r.rw.Root, func(n plan.Node) bool { _, ok := n.(*plan.RepartitionNode); return ok }) {
+				rep := n.(*plan.RepartitionNode)
+				p := r.rw.Props[rep.Child]
+				h := p.HashCols()
+				if p.Dup() || len(h) != len(rep.Cols) {
+					continue
+				}
+				aligned := true
+				for i := range h {
+					aligned = aligned && p.EquivSame(h[i], rep.Cols[i])
+				}
+				if aligned {
+					t.Errorf("%v: %s ships an input already hashed on %v\n%s", r, rep, h, r.rw.Explain())
+				}
+			}
+		}
 	}
 }
 
@@ -630,9 +729,13 @@ func TestBroadcastChoiceTPCH(t *testing.T) {
 	// c.nationkey (c.nationkey = s.nationkey is a residual conjunct), so
 	// customer, orders and lineitem reach their exchanges thinned to ASIA's
 	// customers: 550 642 B before the fork.
+	// Q5, Q12 and Q21 merge their few grouped partial states at the
+	// coordinator, so no result rows travel home after them (127 642, 21 632
+	// and 699 580 B before); Q21's semi join also leaves its left input,
+	// hashed on l1.orderkey ≡ o.orderkey, where it is.
 	pinned := map[string]int64{
-		"Q3": 80441, "Q5": 127642, "Q7": 3607520, "Q10": 369883,
-		"Q12": 21632, "Q18": 3990648, "Q21": 699580,
+		"Q3": 80441, "Q5": 127578, "Q7": 3607520, "Q10": 369883,
+		"Q12": 21584, "Q18": 3990648, "Q21": 699276,
 	}
 	s := sweepOf(t, benchFx)
 	for _, u := range s.runs {

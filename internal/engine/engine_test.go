@@ -345,6 +345,48 @@ func TestLeftOuterJoinQ13Style(t *testing.T) {
 	}
 }
 
+// TestEquiJoinSkipsNullKeys: an equi-join never pairs NULL keys. Joining
+// customer ⟕ orders to a second copy of itself on the orderkey pairs each of
+// the 50 orders with itself only; the four orderless customers' orderkeys
+// are the NULLs the outer join extends them with, and meet nothing (pairing
+// them would add 4 × 4 rows). A two-column key takes the multi-column build,
+// a one-column key the int64 table; the row reference and every config,
+// the single node among them, agree.
+func TestEquiJoinSkipsNullKeys(t *testing.T) {
+	side := func(c, o string) plan.Node {
+		return plan.Join(plan.Scan("customer", c), plan.Scan("orders", o),
+			plan.LeftOuter, []string{c + ".custkey"}, []string{o + ".custkey"})
+	}
+	for _, keys := range [][2][]string{
+		{{"o.orderkey"}, {"o2.orderkey"}},
+		{{"o.orderkey", "o.custkey"}, {"o2.orderkey", "o2.custkey"}},
+	} {
+		mk := func() plan.Node {
+			j := plan.Join(side("c", "o"), side("c2", "o2"), plan.Inner, keys[0], keys[1])
+			return plan.Aggregate(j, nil, plan.Count("n"))
+		}
+		for name, res := range assertAllConfigsAgree(t, mk, plan.Options{}) {
+			if got := res.Rows[0][0]; got != 50 {
+				t.Errorf("%s, keys %v: %d pairs, want 50", name, keys[0], got)
+			}
+		}
+		db := testDB(t)
+		for name, cfg := range testConfigs(4) {
+			pdb, err := partition.Apply(db, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rw, err := plan.Rewrite(mk(), db.Schema, cfg, plan.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res := assertEnginesAgree(t, 0, rw, pdb, ExecOptions{}); res == nil || res.Rows[0][0] != 50 {
+				t.Errorf("%s, keys %v: the engines agree on %v, want 50 pairs", name, keys[0], res)
+			}
+		}
+	}
+}
+
 func TestThetaBroadcastJoin(t *testing.T) {
 	mk := func() plan.Node {
 		j := &plan.JoinNode{

@@ -631,10 +631,16 @@ func (ex *executor) evalJoin(n *plan.JoinNode) ([][]value.Tuple, error) {
 			residual = f
 		}
 
-		// Build side.
+		// Build side. A row with a NULL key matches nothing.
 		build := make(map[value.Key][]value.Tuple, len(right[p]))
 		if len(n.RightCols) > 0 {
+		rows:
 			for _, r := range right[p] {
+				for _, c := range rIdx {
+					if r[c] == plan.Null {
+						continue rows
+					}
+				}
 				k := value.MakeKey(r, rIdx)
 				build[k] = append(build[k], r)
 			}

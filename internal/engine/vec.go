@@ -579,7 +579,13 @@ func (ex *executor) evalJoinVec(f *frame, n *plan.JoinNode) (vparts, outKind, er
 			} else {
 				kb = batch.NewKeyBuf(len(rIdx))
 				build = make(map[value.Key][]int32, nr)
+			rows:
 				for i := 0; i < nr; i++ {
+					for _, c := range rIdx {
+						if rflat.At(i, c) == plan.Null {
+							continue rows // a NULL key matches nothing
+						}
+					}
 					kb.Encode(rflat, i, rIdx)
 					if ids, ok := batch.Probe(kb, build); ok {
 						build[kb.Key()] = append(ids, int32(i))

@@ -340,12 +340,13 @@ func (r *Rewriter) fork() *Rewriter {
 		out:     &Rewritten{Schemas: map[Node]Schema{}, Props: map[Node]*Prop{}, Catalog: r.Schema, Cfg: r.Cfg},
 		aliases: maps.Clone(r.aliases),
 		memo:    r.memo, cols: r.cols, origin: r.origin, refs: r.refs, inPlace: r.inPlace, covers: r.covers,
+		rootAgg: r.rootAgg,
 	}
 }
 
 // exchanges counts the operators of the subtree at n that move rows between
-// partitions: repartitions, broadcasts and value distincts. Gathers are left
-// out; both forms of an aggregate bring their result home the same way.
+// partitions: repartitions, broadcasts and value distincts, the exchanges
+// CostModel charges a start for. Gathers start none and are left out.
 func exchanges(n Node) int {
 	c := 0
 	switch n.(type) {

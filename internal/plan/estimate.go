@@ -13,11 +13,12 @@ import (
 
 // The estimator.
 //
-// The rewrite makes three choices whose right answer depends on the data:
-// how a misaligned equi-join meets (rewrite_join.go), whether an aggregate
-// is summed below its key join (eager.go), and whether a broadcast input's
-// runtime filter earns its transfer (transfer.go). One estimator prices all
-// three. It reads per-table statistics gathered from the partitioned
+// The rewrite makes choices whose right answer depends on the data: how a
+// misaligned equi-join meets (rewrite_join.go), whether an aggregate is
+// summed below its key join (eager.go), whether a broadcast input's runtime
+// filter earns its transfer (transfer.go), and whether the root aggregate
+// merges its partial states at the coordinator (rewrite.go). One estimator
+// prices them all. It reads per-table statistics gathered from the partitioned
 // database in one pass (GatherStats) and estimates, for any operator of the
 // plan, its output rows and the distinct count and value range of each of
 // its columns. A choice is priced in the terms of the CostModel that

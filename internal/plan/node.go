@@ -197,10 +197,14 @@ func (n *JoinNode) String() string {
 	for i := range n.LeftCols {
 		pairs[i] = n.LeftCols[i] + "=" + n.RightCols[i]
 	}
-	if n.Source != NoSide {
-		return fmt.Sprintf("%vJoin(%s; %v first)", n.Type, strings.Join(pairs, " AND "), n.Source)
+	s := strings.Join(pairs, " AND ")
+	if n.Residual != nil {
+		s += "; residual " + n.Residual.String()
 	}
-	return fmt.Sprintf("%vJoin(%s)", n.Type, strings.Join(pairs, " AND "))
+	if n.Source != NoSide {
+		s += fmt.Sprintf("; %v first", n.Source)
+	}
+	return fmt.Sprintf("%vJoin(%s)", n.Type, s)
 }
 
 // AggregateNode groups by columns and computes aggregates; empty GroupBy

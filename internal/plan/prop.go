@@ -218,15 +218,3 @@ func qualifyAll(alias string, cols []string) []string {
 	}
 	return out
 }
-
-func sameCols(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}

@@ -104,6 +104,11 @@ type Rewriter struct {
 	// covers holds Cfg's covers (partition.Config.Covers), which stand in
 	// for a PREF scheme on the joins prefMatch allows.
 	covers map[string][]partition.Cover
+
+	// rootAgg is the logical grouped aggregate under nothing but the plan's
+	// root Projects and Filters, if any: with statistics it may merge its
+	// partial states at the coordinator (mergesAtCoordinator).
+	rootAgg *AggregateNode
 }
 
 // Rewrite turns a logical SPJA plan into an executable physical plan:
@@ -142,6 +147,7 @@ func newRewriter(root Node, schema *catalog.Schema, cfg *partition.Config, opt O
 		},
 		aliases: map[string]bool{},
 		covers:  cfg.Covers(schema),
+		rootAgg: rootAggregate(root),
 	}
 	if opt.Stats != nil {
 		r.memo, r.cols, r.origin = map[Node]float64{}, map[colKey]colMemo{}, map[Node]Node{}
@@ -493,7 +499,8 @@ func (r *Rewriter) lazyAggregate(n *AggregateNode) (Node, *Prop, Schema, error) 
 		return node, p, s, nil
 	}
 
-	// Either way the output ends up hash-placed on the group-by columns.
+	// Repartitioned either way below, the output ends up hash-placed on the
+	// group-by columns.
 	np := &Prop{Parts: prop.Parts, Placed: map[string]PlacedEntry{}}
 	np.SetHashCols(n.GroupBy)
 
@@ -510,15 +517,72 @@ func (r *Rewriter) lazyAggregate(n *AggregateNode) (Node, *Prop, Schema, error) 
 	// Otherwise aggregate in two phases: eliminate PREF duplicates locally,
 	// pre-aggregate per partition, re-partition the partial states (one row
 	// per group and partition, not one per input row) by the group-by
-	// columns, and merge them where they land.
+	// columns, and merge them where they land; the root aggregate gathers
+	// and merges them at the coordinator instead where that is priced
+	// cheaper.
 	child, prop, sch = r.dedup(child, prop, sch)
 	partial := &PartialAggNode{Child: child, GroupBy: n.GroupBy, Aggs: n.Aggs}
 	psch := partialSchema(n.GroupBy, n.Aggs, sch)
 	_, pprop, _ := r.note(partial, psch, &Prop{Parts: prop.Parts})
+	out := outSchema(sch)
+	if n == r.rootAgg && r.mergesAtCoordinator(partial, out) {
+		node, p, s := r.gatherMerge(n, partial, psch, prop, out)
+		return node, p, s, nil
+	}
 	rep, _, _ := r.repartition(partial, pprop, psch, n.GroupBy)
 	fin := &FinalAggNode{Child: rep, GroupBy: n.GroupBy, Aggs: n.Aggs}
-	node, p, s := r.note(fin, outSchema(sch), np)
+	node, p, s := r.note(fin, out, np)
 	return node, p, s, nil
+}
+
+// rootAggregate returns the grouped aggregate of the logical plan root
+// under nothing but Projects and Filters, or nil.
+func rootAggregate(n Node) *AggregateNode {
+	for {
+		switch x := n.(type) {
+		case *ProjectNode:
+			n = x.Child
+		case *FilterNode:
+			n = x.Child
+		case *AggregateNode:
+			if len(x.GroupBy) == 0 {
+				return nil
+			}
+			return x
+		default:
+			return nil
+		}
+	}
+}
+
+// mergesAtCoordinator reports whether the root aggregate's partial states,
+// merged into rows of schema out, are estimated to merge faster at the
+// coordinator than where a repartition on the group-by would place them.
+// Both forms ship the P partial rows. Gathered, the coordinator processes
+// them and the G groups, and no exchange starts. Repartitioned, each node
+// processes (P + G)/n rows, one exchange starts, and the G result rows
+// still travel home. A tie keeps the repartition; without statistics there
+// is no estimate and no gather.
+func (r *Rewriter) mergesAtCoordinator(partial *PartialAggNode, out Schema) bool {
+	if r.Opt.Stats == nil {
+		return false
+	}
+	parts := float64(r.Cfg.NumPartitions)
+	p, g := r.rows(partial), r.groups(partial.Child, partial.GroupBy)
+	ship := p * r.shipWidth(partial) * 8 * (parts - 1) / parts
+	gather := price{bytes: ship, nodeRows: p + g}
+	rep := price{bytes: ship + g*float64(len(out))*8*(parts-1)/parts, nodeRows: (p + g) / parts, exchanges: 1}
+	return gather.time() < rep.time()
+}
+
+// gatherMerge gathers the partial states of the aggregate n, the operator
+// partial of schema psch over an input of properties prop, and merges them
+// at the coordinator into rows of schema out.
+func (r *Rewriter) gatherMerge(n *AggregateNode, partial Node, psch Schema, prop *Prop, out Schema) (Node, *Prop, Schema) {
+	g := &GatherNode{Child: partial, OneCopy: prop.Repl}
+	r.note(g, psch, &Prop{Parts: prop.Parts, Gathered: true})
+	fin := &FinalAggNode{Child: g, GroupBy: n.GroupBy, Aggs: n.Aggs}
+	return r.note(fin, out, &Prop{Parts: prop.Parts, Gathered: true})
 }
 
 func hasCountDistinct(aggs []AggExpr) bool {
@@ -567,16 +631,11 @@ func (r *Rewriter) rewriteGlobalAgg(n *AggregateNode, child Node, prop *Prop, sc
 	partial := &PartialAggNode{Child: child, GroupBy: nil, Aggs: n.Aggs}
 	psch := partialSchema(nil, n.Aggs, sch)
 	r.note(partial, psch, &Prop{Parts: prop.Parts})
-
-	g := &GatherNode{Child: partial, OneCopy: prop.Repl}
-	r.note(g, psch, &Prop{Parts: prop.Parts, Gathered: true})
-
-	fin := &FinalAggNode{Child: g, GroupBy: nil, Aggs: n.Aggs}
 	out := make(Schema, 0, len(n.Aggs))
 	for _, a := range n.Aggs {
 		out = append(out, Field{Name: a.As, Kind: kindOfAgg(a, sch)})
 	}
-	node, p, s := r.note(fin, out, &Prop{Parts: prop.Parts, Gathered: true})
+	node, p, s := r.gatherMerge(n, partial, psch, prop, out)
 	return node, p, s, nil
 }
 

@@ -105,12 +105,12 @@ func (r *Rewriter) rewriteJoin(n *JoinNode) (Node, *Prop, Schema, error) {
 		return node, p, s, nil
 	}
 
-	// Fallback: a side already hash-partitioned on the join keys is left
-	// alone and only the other is re-partitioned — unless the estimator
-	// prices broadcasting one input as cheaper (the classic distributed-join
-	// choice; needs Options.Stats).
-	leftOK := lp.HashCols() != nil && sameCols(lp.HashCols(), n.LeftCols) && !lp.Dup()
-	rightOK := rp.HashCols() != nil && sameCols(rp.HashCols(), n.RightCols) && !rp.Dup()
+	// Fallback: a side already hash-partitioned on the join keys (modulo its
+	// equivalences) is left alone and only the other is re-partitioned —
+	// unless the estimator prices broadcasting one input as cheaper (the
+	// classic distributed-join choice; needs Options.Stats).
+	leftOK := hashedOn(lp, n.LeftCols) && !lp.Dup()
+	rightOK := hashedOn(rp, n.RightCols) && !rp.Dup()
 	if side := r.broadcastSide(n, left, ls, right, rs, leftOK, rightOK); side != NoSide {
 		return r.broadcastEqui(n, side, left, lp, ls, right, rp, rs, outSchema)
 	}
@@ -120,9 +120,11 @@ func (r *Rewriter) rewriteJoin(n *JoinNode) (Node, *Prop, Schema, error) {
 	if !rightOK {
 		right, rp, rs = r.repartition(right, rp, rs, n.RightCols)
 	}
+	// The left input is now hashed on its join keys, through its own columns
+	// where it was left alone: the output keeps that placement.
 	j := r.physJoin(n, left, right)
 	np := &Prop{Parts: lp.Parts, Placed: unionPlaced(lp.Placed, rp.Placed), Equiv: r.joinEquiv(n, lp, rp)}
-	np.SetHashCols(n.LeftCols)
+	np.SetHashCols(lp.HashCols())
 	np.SetDupCols(append(lp.DupCols(), rp.DupCols()...))
 	if n.Type == Semi || n.Type == Anti {
 		np.Placed = lp.Placed
@@ -168,6 +170,21 @@ func hashAligned(lp, rp *Prop, leftCols, rightCols []string) bool {
 			}
 		}
 		if !found {
+			return false
+		}
+	}
+	return true
+}
+
+// hashedOn reports whether p is hash-partitioned on cols, position by
+// position, each hash column equal or equivalent to its join column.
+func hashedOn(p *Prop, cols []string) bool {
+	h := p.HashCols()
+	if len(h) == 0 || len(h) != len(cols) {
+		return false
+	}
+	for i := range h {
+		if !p.EquivSame(h[i], cols[i]) {
 			return false
 		}
 	}

@@ -1,6 +1,7 @@
 package plan
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -71,7 +72,7 @@ func TestScanProps(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := scanProp(t, rw)
-	if p.Method() != "HASH" || !sameCols(p.HashCols(), []string{"l.orderkey"}) {
+	if p.Method() != "HASH" || !slices.Equal(p.HashCols(), []string{"l.orderkey"}) {
 		t.Fatalf("lineitem scan prop = %v", p)
 	}
 	if p.Dup() {
@@ -85,7 +86,7 @@ func TestScanProps(t *testing.T) {
 		t.Fatal(err)
 	}
 	p = scanProp(t, rw)
-	if p.Method() != "HASH" || !sameCols(p.HashCols(), []string{"o.orderkey"}) || p.Dup() {
+	if p.Method() != "HASH" || !slices.Equal(p.HashCols(), []string{"o.orderkey"}) || p.Dup() {
 		t.Fatalf("hash-equivalent orders scan prop = %v", p)
 	}
 	// The scan itself exposes the hidden index columns; the finalized
@@ -257,7 +258,7 @@ func TestFigure3RewriteShape(t *testing.T) {
 		t.Fatalf("want 1 repartition, got %d:\n%s", len(reps), Format(rw.Root))
 	}
 	rep := reps[0].(*RepartitionNode)
-	if !sameCols(rep.Cols, []string{"c.name"}) {
+	if !slices.Equal(rep.Cols, []string{"c.name"}) {
 		t.Fatalf("repartition cols = %v, want [c.name]", rep.Cols)
 	}
 	if len(rep.DupCols) != 0 {
@@ -268,13 +269,13 @@ func TestFigure3RewriteShape(t *testing.T) {
 		t.Fatalf("want FinalAgg directly over the repartition:\n%s", Format(rw.Root))
 	}
 	partial, ok := rep.Child.(*PartialAggNode)
-	if !ok || !sameCols(partial.GroupBy, []string{"c.name"}) {
+	if !ok || !slices.Equal(partial.GroupBy, []string{"c.name"}) {
 		t.Fatalf("the repartition must ship partial states grouped by [c.name]:\n%s", Format(rw.Root))
 	}
 	if d, ok := partial.Child.(*DistinctPrefNode); !ok || len(d.DupCols) == 0 {
 		t.Fatalf("PREF duplicates must be eliminated locally below the PartialAgg:\n%s", Format(rw.Root))
 	}
-	if !sameCols(rw.RootProp().HashCols(), []string{"c.name"}) || rw.RootProp().Dup() {
+	if !slices.Equal(rw.RootProp().HashCols(), []string{"c.name"}) || rw.RootProp().Dup() {
 		t.Fatalf("aggregate output must be dup-free and hashed on the group-by, got %v", rw.RootProp())
 	}
 }
