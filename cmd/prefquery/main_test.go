@@ -104,3 +104,43 @@ func TestLoadRejectsBadScale(t *testing.T) {
 		}
 	}
 }
+
+// TestReadmePlanIsExplained: the README's "plan alone" block is what
+// `prefquery -q Q3 -variant AllHashed -explain-only` prints at its default
+// scale, seed and partition count, line for line, so a rewrite change that
+// moves that plan fails here until the block is regenerated.
+func TestReadmePlanIsExplained(t *testing.T) {
+	const cmd = "$ go run ./cmd/prefquery -q Q3 -variant AllHashed -explain-only"
+	readme, err := os.ReadFile(filepath.Join("..", "..", "README.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, block, ok := strings.Cut(string(readme), cmd+"\n")
+	if !ok {
+		t.Fatalf("README.md has no block starting %q", cmd)
+	}
+	block, _, ok = strings.Cut(block, "```")
+	if !ok {
+		t.Fatalf("README.md's %q block does not end", cmd)
+	}
+	out := testutil.CaptureStdout(t, func() error {
+		l, err := load("AllHashed", "", 0.01, 10, 42)
+		if err != nil {
+			return err
+		}
+		return l.run("Q3", true, false, 0, false, "", 0)
+	})
+	got, want := strings.Split(out, "\n"), strings.Split(block, "\n")
+	for i := 0; i < max(len(got), len(want)); i++ {
+		var g, w string
+		if i < len(got) {
+			g = got[i]
+		}
+		if i < len(want) {
+			w = want[i]
+		}
+		if g != w {
+			t.Fatalf("README.md line %d of the block reads\n%s\nprefquery prints\n%s\nregenerate the block from:\n%s", i+1, w, g, out)
+		}
+	}
+}

@@ -77,6 +77,13 @@ const (
 	// or sits on an input the join does not filter (its source, or an Anti
 	// or LeftOuter join's left input).
 	RuleTransfer Rule = "transfer"
+	// RuleLookup marks a partial aggregate that runs below joins its states
+	// may not cross: a join between it and its final aggregate's exchange
+	// that is not an inner equi-join with a lookup (a base table every node
+	// holds whole, joined on its primary key), an input of those joins or of
+	// the partial with live PREF duplicates, or a final aggregate whose
+	// arguments read a lookup column.
+	RuleLookup Rule = "lookup"
 )
 
 // Design rules (VerifyDesign).

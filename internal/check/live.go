@@ -81,9 +81,24 @@ func (c *checker) checkLive(n plan.Node, above reads) {
 	case *plan.PartialAggNode:
 		c.checkLive(n.Child, aggReads(n.GroupBy, n.Aggs))
 	case *plan.FinalAggNode:
-		// Merges every state column of its partner's output.
-		c.checkLive(n.Child, reads{}.plus(c.memo[n.Child].sch.Names()...))
+		// Merges the group-by and state columns, and nothing else of what
+		// lookup joins above its partial add.
+		c.checkLive(n.Child, mergeReads(n.GroupBy, n.Aggs))
 	}
+}
+
+// mergeReads is what a final aggregate reads: its group-by columns and each
+// aggregate's state column(s), an AVG's sum and count.
+func mergeReads(groupBy []string, aggs []plan.AggExpr) reads {
+	cols := append([]string(nil), groupBy...)
+	for _, a := range aggs {
+		if a.Fn == plan.AvgFn {
+			cols = append(cols, a.As+"$sum", a.As+"$cnt")
+		} else {
+			cols = append(cols, a.As)
+		}
+	}
+	return reads{}.plus(cols...)
 }
 
 func aggReads(groupBy []string, aggs []plan.AggExpr) reads {

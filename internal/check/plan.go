@@ -407,6 +407,7 @@ func (c *checker) derivePartialAgg(n *plan.PartialAggNode) *info {
 
 func (c *checker) deriveFinalAgg(n *plan.FinalAggNode) *info {
 	ci := c.visit(n.Child)
+	c.checkLowered(n)
 	cp := ci.prop
 	np := &plan.Prop{Parts: cp.Parts, Gathered: true}
 	switch {

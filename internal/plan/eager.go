@@ -49,6 +49,11 @@ import (
 // runtime filters the transfer pass would place (estimate.go) — is strictly
 // lower; without statistics, only when it needs strictly fewer exchanges. A
 // tie keeps the lazy one.
+//
+// The converse move, a two-phase aggregate's partial summed below the joins
+// that only name its groups (a lookup on its key, replicated or broadcast),
+// is lookup.go's; it runs after the rewrite proper, priced with the same
+// timed.
 
 // eagerLeaf is one input of a join tree and the join that reads it.
 type eagerLeaf struct {

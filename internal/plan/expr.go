@@ -99,11 +99,23 @@ type funcExpr struct {
 	kind value.Kind
 	name string
 	fn   func([]int64) int64
+	// monotone marks a function of one column that never decreases as its
+	// argument grows: the estimator maps the argument's range through it.
+	monotone bool
 }
 
 // F builds a computed scalar expression.
 func F(name string, kind value.Kind, cols []string, fn func([]int64) int64) ValExpr {
 	return funcExpr{cols: cols, kind: kind, name: name, fn: fn}
+}
+
+// Monotone builds a computed scalar of one column whose fn never decreases
+// as its argument grows (a date's year, say). It evaluates as F does; the
+// estimator reads its values as [fn(lo), fn(hi)] of the argument's range,
+// with no more distinct values than that range holds or the argument has.
+func Monotone(name string, kind value.Kind, col string, fn func(int64) int64) ValExpr {
+	return funcExpr{cols: []string{col}, kind: kind, name: name, monotone: true,
+		fn: func(v []int64) int64 { return fn(v[0]) }}
 }
 
 func (f funcExpr) Bind(s Schema) (func(value.Tuple) int64, error) {

@@ -155,8 +155,9 @@ func (r *Rewriter) prune(n Node, need colSet) Schema {
 	case *PartialAggNode:
 		r.prune(n.Child, aggReads(n.GroupBy, n.Aggs))
 	case *FinalAggNode:
-		// Merges every partial-state column of its input.
-		r.prune(n.Child, newColSet(schemas[n.Child].Names()))
+		// Merges the group-by and partial-state columns of its input, which
+		// below lookup joins carries their keys too (lookup.go).
+		r.prune(n.Child, newColSet(mergeReads(n.GroupBy, n.Aggs)))
 	}
 	return schemas[n]
 }

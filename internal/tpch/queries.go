@@ -94,10 +94,11 @@ func charge(alias string) plan.ValExpr {
 		func(v []int64) int64 { return v[0] * (100 - v[1]) / 100 * (100 + v[2]) / 100 })
 }
 
-// yearOf extracts the calendar year from a date column.
+// yearOf extracts the calendar year from a date column; a later date never
+// has an earlier year.
 func yearOf(col string) plan.ValExpr {
-	return plan.F("year", value.Int, []string{col},
-		func(v []int64) int64 { return int64(value.ToDate(v[0]).Year()) })
+	return plan.Monotone("year", value.Int, col,
+		func(v int64) int64 { return int64(value.ToDate(v).Year()) })
 }
 
 // Q1: pricing summary report (single-table aggregation).
