@@ -37,7 +37,7 @@ func BenchmarkGroupedAgg(b *testing.B) {
 	// The partial schema: group columns, then the states (AVG: sum, count).
 	psch := append(plan.Schema{}, sch[:len(groupBy)]...)
 	for _, a := range aggs {
-		psch = append(psch, plan.Field{Name: a.As, Kind: value.Int})
+		psch = append(psch, plan.Field{Name: plan.StateCol(a), Kind: value.Int})
 		if a.Fn == plan.AvgFn {
 			psch = append(psch, plan.Field{Name: a.As + "$cnt", Kind: value.Int})
 		}
@@ -82,7 +82,10 @@ func BenchmarkGroupedAgg(b *testing.B) {
 		for _, bs := range shuffled {
 			states += batch.Rows(bs)
 		}
-		minfo := bindMerge(groupBy, aggs, psch)
+		minfo, err := bindMerge(groupBy, aggs, psch)
+		if err != nil {
+			b.Fatal(err)
+		}
 
 		b.Run(card.name+"/partial", func(b *testing.B) {
 			perRow(b, parts*rowsPerPart, func() {
