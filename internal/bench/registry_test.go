@@ -59,7 +59,8 @@ func TestTPCHVariantMatchesVariantSet(t *testing.T) {
 // and reports under its registry id — the name of its -json artifact —
 // and the retired experiments no longer resolve: the speed ones (speed is
 // benchmark/'s job) and soak (its legs are oracle-checked by
-// TestBreakerProbeRepairRebuild and TestChaosSoak).
+// TestBreakerProbeRepairRebuild and the read workload of the one soak
+// harness, TestSoak/read in internal/engine).
 func TestExperimentRegistry(t *testing.T) {
 	p := DefaultParams()
 	p.SF, p.DSSF, p.Parts = 0.001, 0.1, 3

@@ -3,22 +3,18 @@ package engine
 import (
 	"context"
 	"errors"
-	"math/rand"
 	"reflect"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
-	"pref/internal/batch"
 	"pref/internal/catalog"
 	"pref/internal/cluster"
 	"pref/internal/fault"
 	"pref/internal/partition"
 	"pref/internal/plan"
 	"pref/internal/table"
-	"pref/internal/testutil"
 	"pref/internal/trace"
 	"pref/internal/value"
 )
@@ -380,184 +376,4 @@ func TestHedgeEverywhereStillCorrect(t *testing.T) {
 			t.Fatalf("HedgeWins %d > Hedges %d", res.Stats.HedgeWins, res.Stats.Hedges)
 		}
 	}
-}
-
-// typedFailure reports whether err is one of the typed, contractual ways a
-// query may fail under fault injection. Anything else — and any silent
-// wrong-rows success — is a soak failure.
-func typedFailure(err error) bool {
-	var ple *fault.PartitionLostError
-	return errors.Is(err, fault.ErrNodeFailed) ||
-		errors.Is(err, fault.ErrShipmentFailed) ||
-		errors.Is(err, fault.ErrPartitionLost) ||
-		errors.As(err, &ple) ||
-		errors.Is(err, cluster.ErrNodeTripped) ||
-		errors.Is(err, context.DeadlineExceeded) ||
-		errors.Is(err, ErrAllNodesDown)
-}
-
-// soakPolicy derives one randomized fault schedule from a seed.
-func soakPolicy(seed int64) *fault.Policy {
-	rng := rand.New(rand.NewSource(seed))
-	pol := &fault.Policy{
-		Seed:           seed,
-		CrashProb:      0.15 * rng.Float64(),
-		ShipFailProb:   0.10 * rng.Float64(),
-		StragglerProb:  0.05,
-		StragglerDelay: time.Duration(50+rng.Intn(200)) * time.Microsecond,
-		MaxAttempts:    4 + rng.Intn(4),
-	}
-	switch rng.Intn(4) {
-	case 0:
-		pol.FlakyNodes = map[int]int{rng.Intn(4): 1 + rng.Intn(6)}
-	case 1:
-		n := rng.Intn(4)
-		pol.DownNodes = []int{n}
-		if rng.Intn(2) == 0 {
-			pol.RepairAfterProbes = map[int]int{n: 1 + rng.Intn(2)}
-		}
-	}
-	if rng.Intn(8) == 0 {
-		pol.Timeout = 5 * time.Millisecond
-	}
-	return pol
-}
-
-// TestChaosSoak is the concurrency satellite: many randomized fault
-// schedules, each executing several queries concurrently against one
-// shared cluster health layer. Every query must either match its
-// fault-free oracle exactly or fail with a typed error — never return
-// silent partial results — and no goroutines may leak. Breaker trips and
-// half-open probes, summed over the schedules, must both happen, so the
-// soak is known to reach the health layer's FSM; and each target that reads
-// through an index must, in some schedule, read one partition through it
-// beside a lost one rebuilt from copies and read whole.
-func TestChaosSoak(t *testing.T) {
-	schedules := 200
-	if testing.Short() {
-		schedules = 20
-	}
-	db := testDB(t)
-	type target struct {
-		name string
-		pq   prepared
-		want []value.Tuple
-		// index is the kind of the span above the scan that reads through
-		// an index, or "" for a target that reads none; rebuilt counts the
-		// runs whose scan there also rebuilt a lost partition.
-		index   trace.Kind
-		rebuilt *atomic.Int64
-	}
-	cfgs := testConfigs(4)
-	var targets []target
-	for _, pick := range []struct {
-		query, cfg string
-		dates      bool // a query of dateQueries over dateDB
-		// index is what reads through an index, if anything: such a
-		// target is rewritten with statistics.
-		index trace.Kind
-	}{
-		{"filter-project", "classical", false, ""},
-		{"fig3-agg", "pref-chain", false, ""},
-		{"semi", "classical", false, ""},
-		{"three-way-agg", "pref-chain", false, ""},
-		{"global-agg", "all-hashed", false, ""},
-		// A shipped filter reads PREF orders through their key index, and
-		// a lost node's partition is rebuilt and read whole.
-		{"keyed-self-join", "pref", true, trace.KindRuntimeFilter},
-		// A date filter reads PREF orders through its date index, and a
-		// lost node's partition is rebuilt and read whole.
-		{"range-agg", "pref", true, trace.KindFilter},
-	} {
-		var pq prepared
-		if pick.dates {
-			pq = prepareQuery(t, dateQueries()[pick.query], dateDB(t), dateConfigs()[pick.cfg])
-		} else {
-			pq = prepareQuery(t, faultQueries()[pick.query], db, cfgs[pick.cfg])
-		}
-		if pick.index != "" {
-			pq.popt = plan.Options{Stats: plan.GatherStats(pq.pdb)}
-		}
-		clean, err := pq.run(t, ExecOptions{Trace: true})
-		if err != nil {
-			t.Fatalf("%s/%s oracle: %v", pick.query, pick.cfg, err)
-		}
-		if pick.index != "" && indexReads(clean.Trace, pick.index, false) == 0 {
-			t.Fatalf("%s/%s: fixture drift: no scan under a %s read through an index", pick.query, pick.cfg, pick.index)
-		}
-		targets = append(targets, target{pick.query + "/" + pick.cfg, pq, clean.Rows, pick.index, new(atomic.Int64)})
-	}
-
-	verifyLeaks := testutil.CheckGoroutineLeaks(t)
-	var trips, probes int64
-	for s := 0; s < schedules; s++ {
-		pol := soakPolicy(int64(1000 + s))
-		copt := cluster.Options{Nodes: 4, TripAfter: 3, CoolDownQueries: 1}
-		if s%3 == 0 {
-			copt.Hedge = cluster.HedgePolicy{Enabled: true, MinDelay: 50 * time.Microsecond, MaxDelay: 500 * time.Microsecond}
-		}
-		cl := cluster.New(copt)
-		var wg sync.WaitGroup
-		for i, tg := range targets {
-			wg.Add(1)
-			go func(i int, tg target) {
-				defer wg.Done()
-				res, err := tg.pq.run(t, ExecOptions{Fault: pol, Cluster: cl, Trace: tg.index != ""})
-				if err != nil {
-					if !typedFailure(err) {
-						t.Errorf("schedule %d %s: untyped failure: %v", s, tg.name, err)
-					}
-					return
-				}
-				if !reflect.DeepEqual(res.Rows, tg.want) {
-					t.Errorf("schedule %d %s: silent wrong rows under faults", s, tg.name)
-				}
-				if tg.index != "" && indexReads(res.Trace, tg.index, true) > 0 {
-					tg.rebuilt.Add(1)
-				}
-			}(i, tg)
-		}
-		wg.Wait()
-		// Drained: every pooled batch the schedule's queries wrote is back
-		// in the pool, failed and hedged queries' included.
-		if n := batch.Outstanding(); n != 0 {
-			t.Fatalf("schedule %d: %d pooled columns were never released", s, n)
-		}
-		st := cl.Stats()
-		trips += st.Trips
-		probes += st.Probes
-		cl.Close()
-		if t.Failed() {
-			t.Fatalf("stopping soak at schedule %d", s)
-		}
-	}
-	verifyLeaks()
-	t.Logf("%d schedules: %d breaker trips, %d half-open probes", schedules, trips, probes)
-	if trips == 0 || probes == 0 {
-		t.Fatalf("trips=%d probes=%d over %d schedules: the soak never reached the breaker FSM", trips, probes, schedules)
-	}
-	for _, tg := range targets {
-		if tg.index == "" {
-			continue
-		}
-		t.Logf("%s: %d runs read through an index beside a rebuilt partition", tg.name, tg.rebuilt.Load())
-		if tg.rebuilt.Load() == 0 {
-			t.Errorf("%s: no schedule read through an index beside a rebuilt partition", tg.name)
-		}
-	}
-}
-
-// indexReads counts the scans of tr directly under a span of kind k that
-// read through an index; with rebuilt, only those that also rebuilt a lost
-// partition from its copies.
-func indexReads(tr *trace.Trace, k trace.Kind, rebuilt bool) int {
-	n := 0
-	tr.Walk(func(ot *trace.OpTrace) {
-		for _, c := range ot.Children {
-			if ot.Kind == k && c.Kind == trace.KindScan && c.Totals.IndexProbes > 0 && (!rebuilt || c.Totals.RecoveredRows > 0) {
-				n++
-			}
-		}
-	})
-	return n
 }

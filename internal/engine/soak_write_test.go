@@ -1,4 +1,4 @@
-package bench
+package engine_test
 
 import (
 	"context"
@@ -8,6 +8,7 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
+	"testing"
 
 	"pref/internal/bulkload"
 	"pref/internal/catalog"
@@ -21,16 +22,162 @@ import (
 	"pref/internal/value"
 )
 
-// Mixed OLTP/OLAP soak: a crash-injected write stream races concurrent
-// analytical readers on one store. The writer applies seeded
-// insert/update/delete batches through the bulkload intent log while
+// writeSoak is the mixed OLTP/OLAP soak: a crash-injected write stream
+// races concurrent analytical readers on one store. The writer applies 30
+// seeded insert/update/delete batches through the bulkload intent log while
 // fault injection crashes batches mid-write; every crash is recovered
-// before the stream continues. Readers execute aggregate and join
-// queries concurrently and each result must equal, bit for bit, the
-// logical oracle at the query's pinned epoch — snapshot isolation means
-// a racing or crashed batch can shift WHICH epoch a query reads, never
-// WHAT an epoch contains. After the stream drains, the store must pass
-// the full write-invariant check (check.VerifyStore).
+// before the stream continues. 4 readers execute aggregate and join
+// queries concurrently, and each result must equal, bit for bit, the
+// logical oracle at the query's pinned epoch: snapshot isolation means a
+// racing or crashed batch can shift WHICH epoch a query reads, never WHAT
+// an epoch contains. After the stream drains, the store must pass the full
+// write-invariant check (check.VerifyStore) and a fault-free rerun of every
+// reader query must equal the oracle at the final epoch.
+var writeSoak = soakWorkload{
+	name: "write", first: 5000, seeds: 100, short: 12,
+	classes: faultClasses,
+	paths:   []string{"oracle-equal", "typed", "crash-recovered", "intent-replayed"},
+	setup:   func(*testing.T) func(*soakRun) { return runWriteSeed },
+}
+
+// runWriteSeed executes one seeded crash schedule on a fresh store. The
+// seed's index sweeps the crash regime, so schedules cover crash-free,
+// moderate and crash-heavy streams, a third of them with read-side node
+// faults layered on top.
+func runWriteSeed(r *soakRun) {
+	const parts, batches, readers = 4, 30, 4
+	crashProb := float64(r.i%4) * 0.25
+	raceProb := float64(r.i%3) * 0.15 // partition-index invalidation races
+	var readPol *fault.Policy
+	if r.i%3 == 2 {
+		readPol = &fault.Policy{Seed: r.seed + 7, CrashProb: 0.08, MaxAttempts: 4}
+	}
+
+	s := writeChainSchema()
+	cfg := writeChainConfig(parts)
+	db := writeChainDB(s)
+	pdb, err := partition.Apply(db, cfg)
+	if err != nil {
+		r.Fatal(err)
+	}
+	rws, err := mixedQueries(s, cfg)
+	if err != nil {
+		r.Fatal(err)
+	}
+	mirror := newMixedMirror(db)
+	oracle := &epochOracle{m: map[int64][][]value.Tuple{}}
+	oracle.put(pdb.Epoch(), mirror.expected())
+
+	l := bulkload.NewLoader(pdb, cfg)
+	l.Faults = fault.NewInjector(fault.Policy{
+		Seed: r.seed, WriteCrashProb: crashProb, WriteIndexRaceProb: raceProb,
+	})
+	cl := cluster.New(cluster.Options{Nodes: parts})
+	defer cl.Close()
+
+	var queries atomic.Int64
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for rd := 0; rd < readers; rd++ {
+		wg.Add(1)
+		go func(rd int) {
+			defer wg.Done()
+			for i := 0; ; i++ {
+				q := (rd + i) % len(rws)
+				res, err := engine.ExecuteCtx(context.Background(), rws[q], pdb,
+					engine.ExecOptions{Cluster: cl, Fault: readPol})
+				queries.Add(1)
+				var want []value.Tuple
+				if err == nil {
+					exp, ok := oracle.get(res.Epoch)
+					if !ok {
+						r.Errorf("reader %d query %d: pinned epoch %d has no oracle", rd, q, res.Epoch)
+						return
+					}
+					want = exp[q]
+				}
+				if !r.outcome(fmt.Sprintf("reader %d query %d", rd, q), res, err, want) {
+					return
+				}
+				select {
+				case <-stop:
+					return
+				default:
+				}
+			}
+		}(rd)
+	}
+
+	var crashes, recoveries int
+	for b := 0; b < batches && !r.Failed(); b++ {
+		// Yield between batches so reader goroutines genuinely interleave
+		// with the write stream instead of racing only its tail.
+		runtime.Gosched()
+		ops := writeMixedOps(b)
+		mirror.apply(ops)
+		next := pdb.Epoch() + 1
+		oracle.put(next, mirror.expected())
+		_, err := l.Apply(ops...)
+		switch {
+		case err == nil:
+		case errors.Is(err, fault.ErrWriteCrashed):
+			crashes++
+			// The store is torn: further writes must be gated until the
+			// intent log is recovered.
+			if _, gerr := l.Apply(ops[:1]...); !errors.Is(gerr, bulkload.ErrNeedRecovery) {
+				r.Errorf("batch %d: crashed loader accepted a write: %v", b, gerr)
+			}
+			if _, rerr := l.Recover(); rerr != nil {
+				r.Errorf("batch %d: recovery failed: %v", b, rerr)
+			} else {
+				recoveries++
+			}
+		default:
+			r.Errorf("batch %d: %v", b, err)
+		}
+		if got := pdb.Epoch(); got != next && !r.Failed() {
+			r.Errorf("batch %d: epoch %d after apply/recover, want %d", b, got, next)
+		}
+	}
+	close(stop)
+	wg.Wait()
+	if r.Failed() {
+		return
+	}
+
+	// Quiesced end-state: the store must verify, and a fault-free rerun
+	// of every reader query must equal the oracle at the final epoch.
+	if l.NeedsRecovery() {
+		r.Fatal("loader still torn after the stream drained")
+	}
+	if err := check.VerifyStore(pdb, cfg); err != nil {
+		r.Fatalf("store failed write-invariant verification: %v", err)
+	}
+	final, ok := oracle.get(pdb.Epoch())
+	if !ok {
+		r.Fatalf("final epoch %d has no oracle", pdb.Epoch())
+	}
+	for q, rw := range rws {
+		res, err := engine.ExecuteCtx(context.Background(), rw, pdb, engine.ExecOptions{})
+		if err != nil {
+			r.Fatalf("final query %d: %v", q, err)
+		}
+		if !reflect.DeepEqual(res.Rows, final[q]) {
+			r.Fatalf("final query %d: rows %v, oracle %v", q, res.Rows, final[q])
+		}
+	}
+	if crashes != recoveries {
+		r.Fatalf("%d crashes but %d recoveries", crashes, recoveries)
+	}
+	if n := queries.Load(); n < readers {
+		r.Fatalf("only %d queries raced the stream", n)
+	}
+	if wa := l.Metrics.Amplification(); wa < 1 {
+		r.Fatalf("write amplification %.2f < 1", wa)
+	}
+	r.reach("crash-recovered", int64(recoveries))
+	r.reach("intent-replayed", l.Metrics.Replays)
+}
 
 // writeChainSchema is the three-table PREF chain the soak writes into:
 // lineitem seeds by hash, orders co-partitions with lineitem, customer
@@ -217,179 +364,4 @@ func (o *epochOracle) get(epoch int64) ([][]value.Tuple, bool) {
 	exp, ok := o.m[epoch]
 	o.mu.RUnlock()
 	return exp, ok
-}
-
-// mixedParams configures one soak schedule.
-type mixedParams struct {
-	Seed       int64
-	Parts      int
-	Batches    int
-	Readers    int
-	CrashProb  float64 // write-batch crash probability
-	RaceProb   float64 // partition-index invalidation race probability
-	ReadFaults bool    // also inject read-side node crashes
-}
-
-// mixedOutcome is one schedule's tally.
-type mixedOutcome struct {
-	Crashes    int
-	Recoveries int
-	Replays    int64
-	Queries    int64
-	OKQueries  int64
-	TypedFails int64
-	WriteAmp   float64
-}
-
-// runMixedSchedule executes one seeded crash schedule: a writer thread
-// pushing Batches batches through a crash-injected loader (recovering
-// every crash in-stream) while Readers goroutines race pinned-epoch
-// queries against the same store, each result compared to the logical
-// oracle at its epoch. It errors on any untyped failure, oracle
-// mismatch, unknown epoch, failed recovery, or a store that does not
-// verify after the stream drains.
-func runMixedSchedule(mp mixedParams) (*mixedOutcome, error) {
-	s := writeChainSchema()
-	cfg := writeChainConfig(mp.Parts)
-	db := writeChainDB(s)
-	pdb, err := partition.Apply(db, cfg)
-	if err != nil {
-		return nil, err
-	}
-	rws, err := mixedQueries(s, cfg)
-	if err != nil {
-		return nil, err
-	}
-	mirror := newMixedMirror(db)
-	oracle := &epochOracle{m: map[int64][][]value.Tuple{}}
-	oracle.put(pdb.Epoch(), mirror.expected())
-
-	l := bulkload.NewLoader(pdb, cfg)
-	l.Faults = fault.NewInjector(fault.Policy{
-		Seed: mp.Seed, WriteCrashProb: mp.CrashProb, WriteIndexRaceProb: mp.RaceProb,
-	})
-	cl := cluster.New(cluster.Options{Nodes: mp.Parts})
-	defer cl.Close()
-
-	var readPol *fault.Policy
-	if mp.ReadFaults {
-		readPol = &fault.Policy{Seed: mp.Seed + 7, CrashProb: 0.08, MaxAttempts: 4}
-	}
-
-	out := &mixedOutcome{}
-	var queries, okQ, typed int64
-	var firstErr error
-	var errMu sync.Mutex
-	record := func(err error) {
-		errMu.Lock()
-		if firstErr == nil {
-			firstErr = err
-		}
-		errMu.Unlock()
-	}
-
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	for r := 0; r < mp.Readers; r++ {
-		wg.Add(1)
-		go func(r int) {
-			defer wg.Done()
-			for i := 0; ; i++ {
-				q := (r + i) % len(rws)
-				res, err := engine.ExecuteCtx(context.Background(), rws[q], pdb,
-					engine.ExecOptions{Cluster: cl, Fault: readPol})
-				atomic.AddInt64(&queries, 1)
-				switch {
-				case err == nil:
-					exp, ok := oracle.get(res.Epoch)
-					if !ok {
-						record(fmt.Errorf("reader %d query %d: pinned epoch %d has no oracle", r, q, res.Epoch))
-						return
-					}
-					if !reflect.DeepEqual(res.Rows, exp[q]) {
-						record(fmt.Errorf("reader %d query %d at epoch %d: rows %v, oracle %v",
-							r, q, res.Epoch, res.Rows, exp[q]))
-						return
-					}
-					atomic.AddInt64(&okQ, 1)
-				case typedFailure(err):
-					atomic.AddInt64(&typed, 1)
-				default:
-					record(fmt.Errorf("reader %d query %d: untyped failure: %w", r, q, err))
-					return
-				}
-				select {
-				case <-stop:
-					return
-				default:
-				}
-			}
-		}(r)
-	}
-
-	for b := 0; b < mp.Batches; b++ {
-		// Yield between batches so reader goroutines genuinely interleave
-		// with the write stream instead of racing only its tail.
-		runtime.Gosched()
-		ops := writeMixedOps(b)
-		mirror.apply(ops)
-		next := pdb.Epoch() + 1
-		oracle.put(next, mirror.expected())
-		_, err := l.Apply(ops...)
-		switch {
-		case err == nil:
-		case errors.Is(err, fault.ErrWriteCrashed):
-			out.Crashes++
-			// The store is torn: further writes must be gated until the
-			// intent log is recovered.
-			if _, gerr := l.Apply(ops[:1]...); !errors.Is(gerr, bulkload.ErrNeedRecovery) {
-				record(fmt.Errorf("batch %d: crashed loader accepted a write: %v", b, gerr))
-			}
-			if _, rerr := l.Recover(); rerr != nil {
-				record(fmt.Errorf("batch %d: recovery failed: %w", b, rerr))
-			}
-			out.Recoveries++
-		default:
-			record(fmt.Errorf("batch %d: %w", b, err))
-		}
-		if firstErr != nil {
-			break
-		}
-		if got := pdb.Epoch(); got != next {
-			record(fmt.Errorf("batch %d: epoch %d after apply/recover, want %d", b, got, next))
-			break
-		}
-	}
-	close(stop)
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
-	}
-
-	// Quiesced end-state: the store must verify, and a fault-free rerun
-	// of every reader query must equal the oracle at the final epoch.
-	if l.NeedsRecovery() {
-		return nil, errors.New("loader still torn after the stream drained")
-	}
-	if err := check.VerifyStore(pdb, cfg); err != nil {
-		return nil, fmt.Errorf("store failed write-invariant verification: %w", err)
-	}
-	final, ok := oracle.get(pdb.Epoch())
-	if !ok {
-		return nil, fmt.Errorf("final epoch %d has no oracle", pdb.Epoch())
-	}
-	for q, rw := range rws {
-		res, err := engine.ExecuteCtx(context.Background(), rw, pdb, engine.ExecOptions{})
-		if err != nil {
-			return nil, fmt.Errorf("final query %d: %w", q, err)
-		}
-		if !reflect.DeepEqual(res.Rows, final[q]) {
-			return nil, fmt.Errorf("final query %d: rows %v, oracle %v", q, res.Rows, final[q])
-		}
-	}
-
-	out.Queries, out.OKQueries, out.TypedFails = queries, okQ, typed
-	out.Replays = l.Metrics.Replays
-	out.WriteAmp = l.Metrics.Amplification()
-	return out, nil
 }
