@@ -402,16 +402,16 @@ func TestExchangesShipRecordedWidthTPCH(t *testing.T) {
 // at benchFx are join_pref's and join_hashed's designs, SD at mixFx is
 // mixed_rw's, and fig7Fx runs every Figure 7 variant.
 var servedPlans = map[string]string{
-	"sf 0.05/4 nodes/SD":             "82f9f5a6234fcea5",
-	"sf 0.05/4 nodes/AllHashed":      "f79a6b2ce05b534b",
-	"sf 0.01/4 nodes/SD":             "8ee5e99336ea9fd4",
-	"sf 0.01/10 nodes/AllHashed":     "78e0bcd0bb6bccc0",
-	"sf 0.01/10 nodes/AllReplicated": "dc226b4c923ef918",
-	"sf 0.01/10 nodes/CP":            "2cd888eeff38afa8",
-	"sf 0.01/10 nodes/SD":            "6d582ccc3338aa02",
-	"sf 0.01/10 nodes/SD-noRed":      "c11330a229b82d2b",
-	"sf 0.01/10 nodes/SD-paper":      "5dcb088a4f2e1e23",
-	"sf 0.01/10 nodes/WD":            "10bef857a13c7fff",
+	"sf 0.05/4 nodes/SD":             "505f725a50327a5e",
+	"sf 0.05/4 nodes/AllHashed":      "9aba3e2d34956b97",
+	"sf 0.01/4 nodes/SD":             "bc48817a6cf15411",
+	"sf 0.01/10 nodes/AllHashed":     "a731a2761b0a49e7",
+	"sf 0.01/10 nodes/AllReplicated": "9a7974ff0c6e0530",
+	"sf 0.01/10 nodes/CP":            "5749f272f098a1c7",
+	"sf 0.01/10 nodes/SD":            "1a8c42e32a2693a0",
+	"sf 0.01/10 nodes/SD-noRed":      "e1e0ee6fc34fbe63",
+	"sf 0.01/10 nodes/SD-paper":      "cdf6aa0651936cd0",
+	"sf 0.01/10 nodes/WD":            "12e733bceba02667",
 }
 
 // TestServedPlansPinned: an engine change leaves every served plan as it
@@ -770,11 +770,19 @@ func TestBroadcastChoiceTPCH(t *testing.T) {
 	}
 }
 
-// TestBroadcastChoiceTraps pins two plans that a cruder estimate gets
+// TestBroadcastChoiceTraps pins three plans that a cruder estimate gets
 // wrong: join_hashed's Q21 on AllHashed at mixFx and SD-noRed's Q9 at
 // fig7Fx are not slower with statistics — a broadcast build side is copied
-// to every node, and its per-node rows must be priced as such.
+// to every node, and its per-node rows must be priced as such. And
+// AllHashed's Q20 at mixFx broadcasts its one nation row: re-partitioning
+// the ~4 suppliers it keeps to that nation's node is estimated at the same
+// 24 B, and a tie in bytes goes to the faster form (7.17 sim ms, 9.16
+// re-partitioned).
 func TestBroadcastChoiceTraps(t *testing.T) {
+	q20 := sweepOf(t, mixFx).run("AllHashed", "Q20", true)
+	if bs := findPlan(q20.rw.Root, isBroadcast); len(bs) != 1 || !scans(bs[0], "nation") {
+		t.Errorf("%v: want nation broadcast\n%s", q20, q20.rw.Explain())
+	}
 	for _, c := range []struct {
 		fx             fixture
 		variant, query string
@@ -833,6 +841,46 @@ func TestLocalFiltersTPCH(t *testing.T) {
 		if query == "Q21" && simMs > 700 {
 			t.Errorf("SD/Q21 takes %.3f sim ms, want at most 700\n%s", simMs, r.rw.Explain())
 		}
+	}
+}
+
+// TestGapFiltersOrdersTPCH: Q7's lines ship in two years, and the DATE gap
+// between a line's ship date and its order's date bounds the orders they
+// name to about a third of the table, so the containment a local filter
+// reads falls below one half. At benchFx every variant's priced Q7 filters
+// the orders scan in place by the lines' keys, directly over the scan,
+// where the filter reads orders through its key index. Without statistics
+// no fixture places it.
+func TestGapFiltersOrdersTPCH(t *testing.T) {
+	const want = "RuntimeFilter(o.orderkey IN keys(l.orderkey); local)"
+	overOrders := func(r *sweepRun) int {
+		return len(findPlan(r.rw.Root, func(n plan.Node) bool {
+			f, ok := n.(*plan.RuntimeFilterNode)
+			if !ok || f.String() != want {
+				return false
+			}
+			s, ok := f.Child.(*plan.ScanNode)
+			return ok && s.Table == "orders"
+		}))
+	}
+	priced := 0
+	for _, s := range allSweeps(t) {
+		for _, r := range s.runs {
+			if r.query != "Q7" {
+				continue
+			}
+			at := r.stats && r.fixture == benchFx
+			if at {
+				priced++
+			}
+			if got := overOrders(r); !r.stats && got != 0 || at && got != 1 {
+				t.Errorf("%v: %d %s over the orders scan\n%s", r, got, want, r.rw.Explain())
+			}
+		}
+	}
+	if priced != len(tpchVariantTable) {
+		t.Errorf("fixture drift: %d priced Q7 runs at sf %v on %d nodes, want one per variant (%d)",
+			priced, benchFx.sf, benchFx.nodes, len(tpchVariantTable))
 	}
 }
 
@@ -986,6 +1034,9 @@ func TestReplicatedJoinsSinkTPCH(t *testing.T) {
 	kept := map[string]string{
 		"Q2/r": "at sf 0.002 its join probes the ~20 supplier ⋈ nation rows; " +
 			"below it, it would probe all 25 nations",
+		"Q8/c": "with customer replicated (CP), above l ⋈ o it probes the line-order pairs of one " +
+			"part type; below it, every order of the two years (sunk, 4.40/21.16/12.97/93.21 " +
+			"sim ms at the four fixtures against 4.29/20.49/12.69/90.14 in place)",
 		"Q8/n2": "below l ⋈ s it would join the whole replicated supplier table on every node; " +
 			"above it, only the lines part's filter keeps",
 		"Q9/ps": "with partsupp replicated (CP), below l ⋈ s it probes as many lines as above it: " +
@@ -1099,7 +1150,8 @@ func TestPartialsBelowLookupsTPCH(t *testing.T) {
 		}
 	}
 	for _, key := range []string{"sf 0.01/4 nodes/AllHashed/Q5", "sf 0.05/4 nodes/AllHashed/Q5",
-		"sf 0.01/10 nodes/CP/Q7", "sf 0.01/10 nodes/SD/Q7", "sf 0.01/10 nodes/SD/Q10"} {
+		"sf 0.002/4 nodes/CP/Q7", "sf 0.01/4 nodes/CP/Q7", "sf 0.01/10 nodes/CP/Q7", "sf 0.05/4 nodes/CP/Q7",
+		"sf 0.01/10 nodes/SD/Q7", "sf 0.01/10 nodes/SD/Q10"} {
 		want[key] = true
 	}
 	for _, s := range allSweeps(t) {

@@ -45,10 +45,14 @@ import (
 //     spans, stats.ExpectedCopiesReal(rows/group, n) — the paper's Appendix A
 //     formula.
 //   - Runtime filters keep the share of their keys the source contains; on
-//     a foreign key whose dates keep a recorded gap, the target's date
-//     narrows to the window its source's dates allow (gapWindows).
+//     a foreign key whose dates keep a recorded gap, that share is at most
+//     the share of the target's rows dated in the window its source's dates
+//     allow (gapWindows), and the target's date narrows to that window. The
+//     same containment (contain) sizes semi and anti joins and every
+//     local-filter decision.
 //   - Distinct values thin out as rows are removed: k rows drawn from d
-//     values hold ExpectedCopiesReal(k, d) of them.
+//     values hold ExpectedCopiesReal(k, d) of them. A join that removes no
+//     row of an input keeps all of that input's values.
 //   - Computed columns: a Monotone function of one column ranges over
 //     [f(lo), f(hi)] of its argument and holds at most f(hi) − f(lo) + 1 of
 //     the argument's values; any other expression may hold one per row.
@@ -452,10 +456,10 @@ func (r *Rewriter) joinRows(j *JoinNode) float64 {
 // gapShare is the share of an inner join's pairs the DATE gaps of its key
 // leave possible, where the independence estimate counts them all. Each
 // input in turn is the target: its rows can meet the other input's only if
-// dated in the window gapWindows derives. Of the target table's rows dated
-// in that window, the share the target's own date range keeps, over the
-// share of all the table's rows it keeps, corrects the pairs. Gaps only
-// rule pairs out: the smallest share counts, and none above 1.
+// dated in the window gapWindows derives. The share of the target's rows
+// dated in that window, over the share of all its table's rows dated there,
+// corrects the pairs. Gaps only rule pairs out: the smallest share counts,
+// and none above 1.
 func (r *Rewriter) gapShare(j *JoinNode) float64 {
 	share := 1.0
 	visit := func(target Node) func(string, string, string, float64, float64) {
@@ -466,11 +470,8 @@ func (r *Rewriter) gapShare(j *JoinNode) float64 {
 				return
 			}
 			full := ts.Cols[t.ColIndex(col)]
-			days := func(lo, hi float64) float64 { return max(0, hi-lo+1) }
-			lo, hi = max(lo, float64(full.Min)), min(hi, float64(full.Max))
-			all := days(kept.lo, kept.hi) / days(float64(full.Min), float64(full.Max))
-			if w := days(lo, hi); w > 0 && all > 0 {
-				share = min(share, days(max(kept.lo, lo), min(kept.hi, hi))/w/all)
+			if all := inWindow(float64(full.Min), float64(full.Max), lo, hi); all > 0 {
+				share = min(share, inWindow(kept.lo, kept.hi, lo, hi)/all)
 			} else {
 				share = 0
 			}
@@ -479,6 +480,17 @@ func (r *Rewriter) gapShare(j *JoinNode) float64 {
 	r.gapWindows(j.Left, j.LeftCols[0], j.Right, j.RightCols[0], visit(j.Left))
 	r.gapWindows(j.Right, j.RightCols[0], j.Left, j.LeftCols[0], visit(j.Right))
 	return share
+}
+
+// inWindow is the share of the days of [lo, hi] that lie in the window
+// [wlo, whi]: with dates spread evenly, the share of the rows dated in
+// [lo, hi] that are dated in the window. An empty [lo, hi] has none.
+func inWindow(lo, hi, wlo, whi float64) float64 {
+	days := func(lo, hi float64) float64 { return max(0, hi-lo+1) }
+	if all := days(lo, hi); all > 0 {
+		return days(max(lo, wlo), min(hi, whi)) / all
+	}
+	return 0
 }
 
 // gapWindows calls visit once for each recorded DateGap of the foreign key
@@ -538,12 +550,23 @@ func (r *Rewriter) colBelow(n Node, name string) (colEst, bool) {
 
 // contain estimates the share of target's key values (columns tcols) that
 // source holds in columns scols: the containment of the smaller key set in
-// the larger one. An input estimated to hold less than one key counts as
+// the larger one. On a single key column whose DATE gaps tie target's dates
+// to source's (gapWindows), it is at most the share of target's rows dated
+// in the window source's dates allow: a key whose rows lie outside it meets
+// no source row. An input estimated to hold less than one key counts as
 // holding one: a source whose estimate rounds to nothing does not pass for
 // a filter that drops every row of a small target.
 func (r *Rewriter) contain(source Node, scols []string, target Node, tcols []string) float64 {
 	s, t := r.keyNDV(source, scols), r.keyNDV(target, tcols)
-	return min(1, max(1, s)/max(1, t))
+	share := min(1, max(1, s)/max(1, t))
+	if len(tcols) == 1 {
+		r.gapWindows(target, tcols[0], source, scols[0], func(name, _, _ string, lo, hi float64) {
+			if c, ok := r.colBelow(target, name); ok && c.ranged() {
+				share = min(share, inWindow(c.lo, c.hi, lo, hi))
+			}
+		})
+	}
+	return share
 }
 
 // keyNDV estimates the distinct values of the column tuple cols in n's
@@ -747,7 +770,9 @@ func (r *Rewriter) computedCol(n *ProjectNode, e ValExpr) colEst {
 }
 
 // joinCol estimates a join's output column: an inner join's key holds the
-// values both inputs hold, any other column thins out with the rows.
+// values both inputs hold, any other column thins out with the rows the join
+// drops of its input. A join estimated to keep every row of the column's
+// input, as a lookup every row meets does, keeps all its values.
 func (r *Rewriter) joinCol(j *JoinNode, name string) (colEst, bool) {
 	side, other, cols, ocols := j.Left, j.Right, j.LeftCols, j.RightCols
 	if r.out.Schemas[j.Left].Index(name) < 0 {
@@ -767,7 +792,9 @@ func (r *Rewriter) joinCol(j *JoinNode, name string) (colEst, bool) {
 			}
 		}
 	}
-	c.ndv = distinct(r.rows(j), c.ndv)
+	if r.rows(j) < r.rows(side) {
+		c.ndv = distinct(r.rows(j), c.ndv)
+	}
 	return c, true
 }
 
@@ -976,10 +1003,10 @@ func (p price) time() time.Duration {
 	return DefaultCostModel().Time(p.nodeRows, p.bytes, p.exchanges)
 }
 
-// beats reports whether p ships strictly fewer bytes than q and takes
-// strictly less simulated time.
+// beats reports whether p ships no more bytes than q and takes strictly
+// less simulated time.
 func (p price) beats(q price) bool {
-	return p.bytes < q.bytes && p.time() < q.time()
+	return p.bytes <= q.bytes && p.time() < q.time()
 }
 
 // cost prices the physical subtree n in the CostModel's three terms: the

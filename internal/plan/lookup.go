@@ -52,12 +52,16 @@ import (
 // runtime filters the transfer pass would place), with the final aggregate
 // above it, whose exchange the estimator prices at what the merge reads
 // (shipped); the partial moves to the cheapest depth (cheapest, as the sink
-// picks its), when that is strictly cheaper than where it is. Without
-// statistics nothing moves. internal/check re-proves every moved partial.
+// picks its), when that is no dearer than where it is, and a tie goes to the
+// deepest. The estimate ties only where it expects the partial to merge no
+// rows and the lookups to drop none; then the joins above the partial probe
+// at most the rows they would below it, and the merges it does make are
+// probes saved. Without statistics nothing moves. internal/check re-proves
+// every moved partial.
 
 // lowerPartials moves the partial of each two-phase grouped aggregate in the
 // subtree at n below the lookup joins at the top of its input, where the
-// rule above allows and the move is priced strictly cheaper.
+// rule above allows and the move is priced no dearer.
 func (r *Rewriter) lowerPartials(n Node) {
 	for _, c := range n.Children() {
 		r.lowerPartials(c)
@@ -90,7 +94,7 @@ func (r *Rewriter) lowerPartials(n Node) {
 	}
 	best := r.cheapest(p, len(chain), func(k int) (Node, []Node) {
 		return r.lowered(p, proj, chain[:k], sides[:k])
-	}, at)
+	}, at, true)
 	if best == nil {
 		best = p
 	}

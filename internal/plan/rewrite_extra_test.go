@@ -402,3 +402,27 @@ func TestEstimateGroupsHoldingAKey(t *testing.T) {
 		t.Errorf("key, name and an orders column: %v values, want more than the key's %v", got, key)
 	}
 }
+
+// TestEstimateLookupKeepsValues: a join that every row of an input meets
+// once keeps that input's rows, and so all of its distinct values: orders
+// joined to their customers hold every order key. A join that drops rows
+// thins the values out with them.
+func TestEstimateLookupKeepsValues(t *testing.T) {
+	orderKeys := func(c Node) (rows, keys float64) {
+		q := Join(Scan("orders", "o"), c, Inner, []string{"o.custkey"}, []string{"c.custkey"})
+		r := newRewriter(q, testSchema(), misalignedCfg(), Options{Stats: testStats(1000, 100, 4000)})
+		phys, _, _, err := r.rewrite(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		j := findNodes(phys, func(n Node) bool { _, ok := n.(*JoinNode); return ok })[0]
+		return r.rows(j), r.keyNDV(j, []string{"o.orderkey"})
+	}
+	if rows, keys := orderKeys(Scan("customer", "c")); !near(rows, 1000) || !near(keys, 1000) {
+		t.Errorf("orders ⋈ customer: %v rows holding %v order keys, want 1000 and 1000", rows, keys)
+	}
+	rows, keys := orderKeys(Filter(Scan("customer", "c"), Le(Col("c.custkey"), Lit(50))))
+	if want := stats.ExpectedCopiesReal(500, 1000); !near(rows, 500) || !near(keys, want) {
+		t.Errorf("orders ⋈ half the customers: %v rows holding %v order keys, want 500 and %v", rows, keys, want)
+	}
+}

@@ -199,8 +199,8 @@ func hashedOn(p *Prop, cols []string) bool {
 // whole; only inner joins may broadcast their left input (pairs then form
 // where the right rows live). Each way is priced with the runtime filter the
 // transfer rule would fire on it. A broadcast wins only when it is estimated
-// to ship strictly fewer bytes and to take strictly less simulated time; a
-// tie keeps the re-partitioning.
+// to ship no more bytes and to take strictly less simulated time; a tie in
+// time keeps the re-partitioning.
 func (r *Rewriter) broadcastSide(n *JoinNode, left Node, ls Schema, right Node, rs Schema, leftOK, rightOK bool) Side {
 	if r.Opt.Stats == nil || len(n.LeftCols) != 1 || leftOK && rightOK {
 		return NoSide

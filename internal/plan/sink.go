@@ -104,7 +104,7 @@ func (r *Rewriter) sink(slot *Node) bool {
 	}
 	best := r.cheapest(j, len(path), func(k int) (Node, []Node) {
 		return r.sunk(j, path[:k], sides[:k])
-	}, r.timed)
+	}, r.timed, false)
 	if best == nil {
 		return false
 	}
@@ -162,11 +162,12 @@ func (r *Rewriter) sunk(j *JoinNode, path []*JoinNode, sides []Side) (Node, []No
 }
 
 // cheapest returns the cheapest of the forms build(1) … build(depth), each
-// priced by at, when it is strictly cheaper than the form in place, at(in);
-// otherwise nil. A depth build declines (a nil form) is not priced, and the
+// priced by at, when it is strictly cheaper than the form in place, at(in),
+// or, with ties, no dearer; otherwise nil. With ties a tie goes to the
+// deeper form. A depth build declines (a nil form) is not priced, and the
 // form in place is priced only once a depth is. The nodes of every form not
 // kept are forgotten.
-func (r *Rewriter) cheapest(in Node, depth int, build func(k int) (Node, []Node), at func(Node) time.Duration) Node {
+func (r *Rewriter) cheapest(in Node, depth int, build func(k int) (Node, []Node), at func(Node) time.Duration, ties bool) Node {
 	var best Node
 	var kept []Node
 	var cost time.Duration
@@ -179,7 +180,7 @@ func (r *Rewriter) cheapest(in Node, depth int, build func(k int) (Node, []Node)
 		if !priced {
 			cost, priced = at(in), true
 		}
-		if t := at(top); t < cost {
+		if t := at(top); t < cost || ties && t == cost {
 			r.forget(kept)
 			best, kept, cost = top, made, t
 		} else {

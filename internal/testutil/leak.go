@@ -1,8 +1,9 @@
-// Package testutil holds helpers shared by the repo's test suites. The
-// soak tests (engine chaos, write chaos, serve) all end with the same
-// contract — every goroutine the run spawned must be gone once the last
-// query drains — so the leak checker lives here once instead of being
-// re-derived per soak.
+// Package testutil holds helpers shared by the repo's test suites. The one
+// soak harness, TestSoak in internal/engine, runs its read, write and serve
+// workloads one seed at a time, and each seed ends with the same contract —
+// every goroutine the seed spawned must be gone once its last query drains
+// — so the harness calls the leak checker here once per seed, as two of
+// internal/serve's tests do once each.
 package testutil
 
 import (
