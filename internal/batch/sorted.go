@@ -85,6 +85,13 @@ func (x *SortedIndex) bounds(lo, hi int64) (int, int) {
 	return i, j
 }
 
+// Count returns how many rows' values lie in [lo, hi]: two binary searches,
+// no row visited.
+func (x *SortedIndex) Count(lo, hi int64) int {
+	i, j := x.bounds(lo, hi)
+	return j - i
+}
+
 // Range returns the rows whose value lies in [lo, hi]. It visits those rows
 // only.
 func (x *SortedIndex) Range(lo, hi int64) *RowSet {

@@ -11,9 +11,10 @@ import (
 )
 
 // TestRangeIsTheRange: reading a column through its sorted index returns
-// exactly the rows whose value v has lo <= v <= hi, never a NULL, and Narrow
-// emits them in stored order. Narrow and wide value spans, empty, one-sided
-// and whole ranges, and a range below every value are covered.
+// exactly the rows whose value v has lo <= v <= hi, never a NULL, Count
+// counts them, and Narrow emits them in stored order. Narrow and wide value
+// spans, empty, one-sided and whole ranges, and a range below every value
+// are covered.
 func TestRangeIsTheRange(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for _, span := range []int64{1, 40, 1 << 40} {
@@ -43,9 +44,9 @@ func TestRangeIsTheRange(t *testing.T) {
 						got = append(got, b.At(i, 1))
 					}
 				}
-				if !slices.Equal(got, want) || rows.Len() != len(want) {
-					t.Fatalf("span %d n=%d [%d, %d]: the range reads %v (%d), want %v",
-						span, n, lo, hi, got, rows.Len(), want)
+				if !slices.Equal(got, want) || rows.Len() != len(want) || index.Count(lo, hi) != len(want) {
+					t.Fatalf("span %d n=%d [%d, %d]: the range reads %v (%d, counted %d), want %v",
+						span, n, lo, hi, got, rows.Len(), index.Count(lo, hi), want)
 				}
 			}
 		}

@@ -7,7 +7,8 @@
 // partition index — a hash index mapping referenced-attribute values to
 // the set of partitions holding them — so no join with the referenced
 // table is executed per tuple. Updates and deletes fan out to all
-// partitions; partitioning-predicate columns are immutable.
+// partitions; partitioning-predicate columns are immutable. No write may
+// break a constraint the schema declares (constraint.go).
 //
 // Writes are crash-consistent. Every batch follows one protocol:
 //
@@ -285,6 +286,9 @@ func (l *Loader) planInserts(it *Intent, pt *table.Partitioned, ops []Op) error 
 		if len(row) != pt.Meta.NumCols() {
 			return fmt.Errorf("bulkload: table %s: row arity %d, want %d", it.Table, len(row), pt.Meta.NumCols())
 		}
+		if err := l.checkInsert(pt, row); err != nil {
+			return err
+		}
 		parts, hasRef := pl.Place(row, &cursor)
 		for i, p := range parts {
 			appends[p] = append(appends[p], AppendRec{Row: row, Dup: i > 0, HasRef: hasRef})
@@ -398,6 +402,9 @@ func (l *Loader) planUpdate(it *Intent, pt *table.Partitioned, op Op) error {
 	set := pt.Meta.ColIndex(op.SetCol)
 	if set < 0 {
 		return fmt.Errorf("bulkload: unknown column %s.%s", it.Table, op.SetCol)
+	}
+	if err := l.checkUpdate(pt.Meta, op.SetCol, op.SetVal); err != nil {
+		return err
 	}
 	idx, err := pt.Meta.ColIndexes(op.Cols)
 	if err != nil {

@@ -12,10 +12,12 @@ import (
 	"pref/internal/value"
 )
 
-// Column describes one attribute of a table.
+// Column describes one attribute of a table. A NotNull column never stores
+// value.Null.
 type Column struct {
-	Name string
-	Kind value.Kind
+	Name    string
+	Kind    value.Kind
+	NotNull bool
 }
 
 // ForeignKey is a referential constraint from one table's columns to
@@ -28,6 +30,20 @@ type ForeignKey struct {
 	ToTable    string   // referenced table
 	ToCols     []string // referenced columns (unique in ToTable)
 	ToIsUnique bool     // whether ToCols is a key of ToTable
+	Gaps       []DateGap
+}
+
+// DateGap is a declared constraint between a DATE column of a foreign key's
+// referencing row and a DATE column of the row it references: Min ≤ child
+// date − parent date ≤ Max. TPC-H ships, commits and receives an order's
+// lineitems within fixed numbers of days after the order is placed. A gap
+// needs a single-column foreign key to a unique key and two NOT NULL DATE
+// columns, so every referencing row that names a stored parent keeps it; the
+// write path (internal/bulkload) rejects any write that would not, and the
+// rewrite may rely on it (plan's gap.go).
+type DateGap struct {
+	ChildDate, ParentDate string
+	Min, Max              int64
 }
 
 // Table describes one relation.
@@ -176,6 +192,23 @@ func (s *Schema) AddFK(fk ForeignKey) error {
 	if _, err := to.ColIndexes(fk.ToCols); err != nil {
 		return err
 	}
+	for _, g := range fk.Gaps {
+		if len(fk.FromCols) != 1 || !fk.ToIsUnique {
+			return fmt.Errorf("catalog: fk %s: a date gap needs a single-column foreign key to a unique key", fk.Name)
+		}
+		if g.Min > g.Max {
+			return fmt.Errorf("catalog: fk %s: date gap %s−%s is empty: [%d, %d]", fk.Name, g.ChildDate, g.ParentDate, g.Min, g.Max)
+		}
+		for _, end := range []struct {
+			t   *Table
+			col string
+		}{{from, g.ChildDate}, {to, g.ParentDate}} {
+			c := end.t.ColIndex(end.col)
+			if c < 0 || end.t.Columns[c].Kind != value.Date || !end.t.Columns[c].NotNull {
+				return fmt.Errorf("catalog: fk %s: date gap column %s.%s must be a NOT NULL DATE column", fk.Name, end.t.Name, end.col)
+			}
+		}
+	}
 	s.FKs = append(s.FKs, fk)
 	return nil
 }
@@ -204,6 +237,19 @@ func (s *Schema) KeyIndexed(t *Table, col string) bool {
 	for _, fk := range s.FKs {
 		if fk.FromTable == t.Name && slices.Contains(fk.FromCols, col) {
 			return true
+		}
+	}
+	return false
+}
+
+// Gapped reports whether column col of table tbl is a DATE column some
+// declared DateGap bounds.
+func (s *Schema) Gapped(tbl, col string) bool {
+	for _, fk := range s.FKs {
+		for _, g := range fk.Gaps {
+			if fk.FromTable == tbl && g.ChildDate == col || fk.ToTable == tbl && g.ParentDate == col {
+				return true
+			}
 		}
 	}
 	return false

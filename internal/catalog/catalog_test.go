@@ -10,9 +10,9 @@ func twoTableSchema(t *testing.T) *Schema {
 	t.Helper()
 	s := NewSchema("test")
 	s.MustAddTable(MustTable("customer",
-		[]Column{{"custkey", value.Int}, {"name", value.Str}}, "custkey"))
+		[]Column{{Name: "custkey", Kind: value.Int}, {Name: "name", Kind: value.Str}}, "custkey"))
 	s.MustAddTable(MustTable("orders",
-		[]Column{{"orderkey", value.Int}, {"custkey", value.Int}, {"total", value.Money}}, "orderkey"))
+		[]Column{{Name: "orderkey", Kind: value.Int}, {Name: "custkey", Kind: value.Int}, {Name: "total", Kind: value.Money}}, "orderkey"))
 	s.MustAddFK(ForeignKey{
 		Name: "fk_orders_customer", FromTable: "orders", FromCols: []string{"custkey"},
 		ToTable: "customer", ToCols: []string{"custkey"}, ToIsUnique: true,
@@ -59,20 +59,20 @@ func TestColIndex(t *testing.T) {
 }
 
 func TestDuplicateColumnRejected(t *testing.T) {
-	if _, err := NewTable("t", []Column{{"a", value.Int}, {"a", value.Int}}); err == nil {
+	if _, err := NewTable("t", []Column{{Name: "a", Kind: value.Int}, {Name: "a", Kind: value.Int}}); err == nil {
 		t.Fatal("duplicate column must error")
 	}
 }
 
 func TestBadPKRejected(t *testing.T) {
-	if _, err := NewTable("t", []Column{{"a", value.Int}}, "zz"); err == nil {
+	if _, err := NewTable("t", []Column{{Name: "a", Kind: value.Int}}, "zz"); err == nil {
 		t.Fatal("pk referencing unknown column must error")
 	}
 }
 
 func TestDuplicateTableRejected(t *testing.T) {
 	s := NewSchema("x")
-	tb := MustTable("t", []Column{{"a", value.Int}})
+	tb := MustTable("t", []Column{{Name: "a", Kind: value.Int}})
 	if err := s.AddTable(tb); err != nil {
 		t.Fatal(err)
 	}
@@ -106,11 +106,11 @@ func TestIsPK(t *testing.T) {
 	if c.IsPK([]string{"name"}) {
 		t.Fatal("name is not the pk")
 	}
-	multi := MustTable("ps", []Column{{"a", value.Int}, {"b", value.Int}}, "a", "b")
+	multi := MustTable("ps", []Column{{Name: "a", Kind: value.Int}, {Name: "b", Kind: value.Int}}, "a", "b")
 	if !multi.IsPK([]string{"b", "a"}) {
 		t.Fatal("pk check must be order-insensitive")
 	}
-	nopk := MustTable("n", []Column{{"a", value.Int}})
+	nopk := MustTable("n", []Column{{Name: "a", Kind: value.Int}})
 	if nopk.IsPK(nil) || nopk.IsPK([]string{}) {
 		t.Fatal("empty pk never matches")
 	}

@@ -84,6 +84,14 @@ const (
 	// the partial with live PREF duplicates, or a final aggregate whose
 	// arguments read a lookup column.
 	RuleLookup Rule = "lookup"
+	// RuleGap marks a date-gap window (plan.Window) its join does not imply:
+	// conjuncts that do not close its filter's predicate as recorded, a
+	// filter that is no stack over a scan, a way to its join that does not
+	// carry the key up unchanged or holds an exact runtime filter from that
+	// join, a join that is no inner or semi join on exactly a foreign key
+	// declaring the gap, or bounds narrower than the literal bounds on the
+	// other input's gapped date derive.
+	RuleGap Rule = "gap"
 )
 
 // Design rules (VerifyDesign).
@@ -180,6 +188,7 @@ func Verify(rw *plan.Rewritten) error {
 		// whole, everything below it only as far as something above asks.
 		c.checkLive(rw.Root, reads{}.plus(root.sch.Names()...))
 		c.checkTransfers(rw.Root, nil)
+		c.checkWindows(rw.Root, nil)
 	}
 	vs = append(vs, c.vs...)
 	if len(vs) == 0 {

@@ -2,6 +2,7 @@ package check
 
 import (
 	"fmt"
+	"slices"
 
 	"pref/internal/plan"
 	"pref/internal/trace"
@@ -48,7 +49,8 @@ func VerifyTrace(rw *plan.Rewritten, tr *trace.Trace) error {
 				tr.Root.Kind, len(tr.Root.Children))}}
 	}
 
-	tv := &traceVerifier{n: tr.N, nodeWork: make([]int64, tr.N), rw: rw}
+	tv := &traceVerifier{n: tr.N, nodeWork: make([]int64, tr.N), rw: rw, stacks: map[plan.Node][]plan.Node{}}
+	tv.findStacks(rw.Root, nil)
 	// The synthetic Result span has no plan node; its child anchors the
 	// lockstep walk over the plan tree.
 	tv.checkOp(nil, tr.Root, &vs)
@@ -73,6 +75,27 @@ type traceVerifier struct {
 	reparts  int           // spans that count as Stats.Repartitions
 	bcasts   int           // spans that count as Stats.Broadcasts
 	xfers    int           // spans that count as Stats.Transfers
+	// stacks maps each base-table scan to the Filter and RuntimeFilter
+	// nodes directly over it: the filter stack that may read it through an
+	// index.
+	stacks map[plan.Node][]plan.Node
+}
+
+// findStacks records, for every scan under n, the filters chain holds
+// directly over it.
+func (tv *traceVerifier) findStacks(n plan.Node, chain []plan.Node) {
+	switch n.(type) {
+	case *plan.ScanNode:
+		tv.stacks[n] = chain
+		return
+	case *plan.FilterNode, *plan.RuntimeFilterNode:
+		chain = append(chain, n)
+	default:
+		chain = nil
+	}
+	for _, k := range n.Children() {
+		tv.findStacks(k, slices.Clip(chain))
+	}
 }
 
 func (tv *traceVerifier) walk(n plan.Node, ot *trace.OpTrace, vs *Violations) {
@@ -92,12 +115,12 @@ func (tv *traceVerifier) walk(n plan.Node, ot *trace.OpTrace, vs *Violations) {
 }
 
 // checkProbes applies the index-read law to span ot of plan node n, whose
-// parent span is parent, of plan node pn: only a scan directly under a
-// runtime filter, local or shipped, on a column with a key index, or under a
-// Filter with literal bounds on a DATE column looks rows up in an index, and
-// on each node where it does, its work is its probes plus the rows the index
-// named there — the rows the filter examined, its input less what it counts
-// as filtered. The law
+// parent span is parent, of plan node pn: only a scan under a filter stack
+// holding a runtime filter, local or shipped, on a column with a key index,
+// or a Filter with literal bounds on a DATE column looks rows up in an index,
+// and on each node where it does, its work is its probes plus the rows the
+// index named there — the rows the stack's lowest filter, its parent,
+// examined: its input less what it counts as filtered. The law
 // counts per node, so it holds only where each node ran its own partitions
 // once: it is not checked when a unit of the scan or of the filter failed
 // over or was hedged, and work a crashed attempt burned is not counted.
@@ -109,9 +132,12 @@ func (tv *traceVerifier) checkProbes(pn, n plan.Node, parent, ot *trace.OpTrace,
 		*vs = append(*vs, &Violation{Rule: RuleTraceConserve, Node: n,
 			Detail: fmt.Sprintf("span %q: ", ot.Label) + fmt.Sprintf(format, args...)})
 	}
-	runtime := parent.Kind == trace.KindLocalFilter || parent.Kind == trace.KindRuntimeFilter
-	if ot.Kind != trace.KindScan || !(runtime && tv.keyed(pn, n) || tv.dateBounded(pn, n)) {
-		bad("%d index probes on a %s under a %s; only a scan under a runtime filter on a key-indexed column or a date-bounded filter reads through an index",
+	admits := false
+	for _, f := range tv.stacks[n] {
+		admits = admits || tv.keyed(f, n) || tv.dateBounded(f, n)
+	}
+	if ot.Kind != trace.KindScan || !admits {
+		bad("%d index probes on a %s under a %s; only a scan under a filter stack with a runtime filter on a key-indexed column or a date-bounded filter reads through an index",
 			ot.Totals.IndexProbes, ot.Kind, parent.Kind)
 		return
 	}
@@ -135,9 +161,9 @@ func (tv *traceVerifier) checkProbes(pn, n plan.Node, parent, ot *trace.OpTrace,
 	}
 }
 
-// keyed reports whether pn is a runtime filter on a column of the table its
-// child n scans that carries a key index (catalog.Schema.KeyIndexed): the
-// columns the engine reads through a key index.
+// keyed reports whether pn is a runtime filter on a column of the table n
+// scans that carries a key index (catalog.Schema.KeyIndexed): the columns the
+// engine reads through a key index.
 func (tv *traceVerifier) keyed(pn, n plan.Node) bool {
 	f, ok := pn.(*plan.RuntimeFilterNode)
 	scan, isScan := n.(*plan.ScanNode)
@@ -153,8 +179,8 @@ func (tv *traceVerifier) keyed(pn, n plan.Node) bool {
 }
 
 // dateBounded reports whether pn is a Filter whose predicate bounds with a
-// literal a DATE column of the table its child n scans, one with no key
-// index: the columns the engine reads through a date index.
+// literal a DATE column of the table n scans, one with no key index: the
+// columns the engine reads through a date index.
 func (tv *traceVerifier) dateBounded(pn, n plan.Node) bool {
 	f, ok := pn.(*plan.FilterNode)
 	scan, isScan := n.(*plan.ScanNode)
@@ -264,7 +290,9 @@ func (tv *traceVerifier) checkOp(n plan.Node, ot *trace.OpTrace, vs *Violations)
 			bad(RuleTraceConserve, "out=%d exceeds in=%d less filtered=%d", out, in, m.FilteredRows)
 		}
 	case trace.KindRuntimeFilter, trace.KindLocalFilter:
-		if out != in-m.FilteredRows {
+		// Over a scan read through an index it counts only the rows the
+		// read skipped, and may drop more of the rows the read fetched.
+		if out != in-m.FilteredRows && !(readsIndex(ot) && out < in-m.FilteredRows) {
 			bad(RuleTraceConserve, "rows lost or invented: in=%d filtered=%d out=%d", in, m.FilteredRows, out)
 		}
 	case trace.KindDistinctPref, trace.KindRepartition, trace.KindDistinctByValue:

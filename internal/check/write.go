@@ -45,6 +45,12 @@ const (
 	// Covers (partition.Config.Covers) rely on every such partner being
 	// local, and so does the join of L with M.
 	RuleWritePartner Rule = "write-partner"
+	// RuleWriteGap marks a stored row of a table whose foreign key declares
+	// date gaps (catalog.DateGap) that stores NULL in a gapped date column,
+	// or whose dates break a gap against the stored row it references. The
+	// rewrite narrows filters by those gaps (plan's gap.go), so a row that
+	// breaks one may drop out of a join it belongs to.
+	RuleWriteGap Rule = "write-gap"
 )
 
 // VerifyStore checks every stored tuple copy of the database head
@@ -74,6 +80,7 @@ func VerifyStore(pdb *table.PartitionedDatabase, cfg *partition.Config) error {
 	}
 	if !vs.HasRule(RuleWriteTorn) {
 		vs = append(vs, verifyPartners(pdb, cfg, names)...)
+		vs = append(vs, verifyGaps(pdb)...)
 	}
 	if len(vs) == 0 {
 		return nil
@@ -147,6 +154,52 @@ func verifyPartners(pdb *table.PartitionedDatabase, cfg *partition.Config, names
 				if !local[value.MakeKey(row, lcols)] {
 					vs = append(vs, &Violation{Rule: RuleWritePartner, Table: ms.RefTable,
 						Detail: fmt.Sprintf("partition %d row %d: no %s partner by %s on its partition", p, i, m, ms.Pred)})
+				}
+			}
+		}
+	}
+	return vs
+}
+
+// verifyGaps checks every declared date gap over the stored rows: each
+// referencing row's gapped dates are set and lie within the gap of the
+// dates of the row its key names, where that row is stored. It reads rows
+// by position, so it runs only on a store with no torn partition.
+func verifyGaps(pdb *table.PartitionedDatabase) Violations {
+	if pdb.Schema == nil {
+		return nil
+	}
+	var vs Violations
+	for _, fk := range pdb.Schema.FKs {
+		child, parent := pdb.Tables[fk.FromTable], pdb.Tables[fk.ToTable]
+		if len(fk.Gaps) == 0 || len(fk.FromCols) != 1 || child == nil || parent == nil {
+			continue
+		}
+		pk, ck := parent.Meta.ColIndex(fk.ToCols[0]), child.Meta.ColIndex(fk.FromCols[0])
+		dates := map[int64][]int64{} // parent key → its gapped dates, in fk.Gaps order
+		for _, part := range parent.Parts {
+			for _, row := range part.Rows() {
+				d := make([]int64, len(fk.Gaps))
+				for i, g := range fk.Gaps {
+					d[i] = row[parent.Meta.ColIndex(g.ParentDate)]
+				}
+				dates[row[pk]] = d
+			}
+		}
+		for p, part := range child.Parts {
+			for r, row := range part.Rows() {
+				pd, named := dates[row[ck]]
+				for i, g := range fk.Gaps {
+					c := row[child.Meta.ColIndex(g.ChildDate)]
+					switch {
+					case c == value.Null || named && pd[i] == value.Null:
+						vs = append(vs, &Violation{Rule: RuleWriteGap, Table: fk.FromTable,
+							Detail: fmt.Sprintf("partition %d row %d: a NULL date under %s's gap %s − %s", p, r, fk.Name, g.ChildDate, g.ParentDate)})
+					case named && (c-pd[i] < g.Min || c-pd[i] > g.Max):
+						vs = append(vs, &Violation{Rule: RuleWriteGap, Table: fk.FromTable,
+							Detail: fmt.Sprintf("partition %d row %d: %s − %s = %d days, outside %s's gap [%d, %d]",
+								p, r, g.ChildDate, g.ParentDate, c-pd[i], fk.Name, g.Min, g.Max)})
+					}
 				}
 			}
 		}

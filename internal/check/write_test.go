@@ -1,6 +1,7 @@
 package check_test
 
 import (
+	"errors"
 	"testing"
 
 	"pref/internal/bulkload"
@@ -192,23 +193,31 @@ func TestVerifyStoreAfterIncrementalWrites(t *testing.T) {
 // TestVerifyStoreMissingPartner: once the schema declares that every
 // lineitem row names an order, orders' PREF placement on lineitem promises
 // each lineitem copy its order on its own partition, and covers rely on
-// it. A write stream inserting a lineitem that names no order breaks the
-// promise, and so does a lost order copy. Without the foreign key the
-// store promises nothing of the kind.
+// it. The loader refuses a lineitem that names no order, so the orphan is
+// planted below it, as a corrupting write would; so is a lost order copy.
+// Without the foreign key the store promises nothing of the kind, and the
+// loader takes the orphan.
 func TestVerifyStoreMissingPartner(t *testing.T) {
-	dangling := func(t *testing.T, pdb *table.PartitionedDatabase, cfg *partition.Config) {
-		t.Helper()
-		if _, err := bulkload.NewLoader(pdb, cfg).Apply(bulkload.Insert("lineitem", value.Tuple{77, 1})); err != nil {
-			t.Fatal(err)
-		}
-	}
+	orphan := value.Tuple{77, 1}
 	t.Run("dangling insert", func(t *testing.T) {
 		pdb, cfg := storeFixture(t)
 		declareOrdersFK(t, pdb)
 		if err := check.VerifyStore(pdb, cfg); err != nil {
 			t.Fatalf("the fixture honours the foreign key: %v", err)
 		}
-		dangling(t, pdb, cfg)
+		pt := pdb.Tables["lineitem"]
+		epoch, stored := pdb.Epoch(), pt.StoredRows()
+		_, err := bulkload.NewLoader(pdb, cfg).Apply(bulkload.Insert("lineitem", orphan))
+		var ce *bulkload.ConstraintError
+		if !errors.As(err, &ce) || ce.Constraint != "fk_lineitem_orders" {
+			t.Fatalf("the loader took a lineitem naming no order: %v", err)
+		}
+		if pdb.Epoch() != epoch || pt.StoredRows() != stored {
+			t.Fatalf("the refused insert moved the head: epoch %d → %d, stored %d → %d", epoch, pdb.Epoch(), stored, pt.StoredRows())
+		}
+		p := int(value.HashTuple(orphan, []int{0}) % uint64(len(pt.Parts)))
+		pt.BeginWrite(p).Append(orphan, false, false)
+		pt.OriginalRows++
 		wantRule(t, pdb, cfg, check.RuleWritePartner)
 	})
 	t.Run("lost partner copy", func(t *testing.T) {
@@ -228,7 +237,9 @@ func TestVerifyStoreMissingPartner(t *testing.T) {
 	})
 	t.Run("no foreign key", func(t *testing.T) {
 		pdb, cfg := storeFixture(t)
-		dangling(t, pdb, cfg)
+		if _, err := bulkload.NewLoader(pdb, cfg).Apply(bulkload.Insert("lineitem", orphan)); err != nil {
+			t.Fatal(err)
+		}
 		if err := check.VerifyStore(pdb, cfg); err != nil {
 			t.Fatalf("without the foreign key a lineitem needs no order: %v", err)
 		}
@@ -242,5 +253,57 @@ func declareOrdersFK(t *testing.T, pdb *table.PartitionedDatabase) {
 	if err := pdb.Schema.AddFK(catalog.ForeignKey{Name: "fk_lineitem_orders", FromTable: "lineitem",
 		FromCols: []string{"orderkey"}, ToTable: "orders", ToCols: []string{"orderkey"}, ToIsUnique: true}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestVerifyStoreGapWitness: VerifyStore's write-gap rule is the witness
+// the loader's gap checks answer to. A store whose every line ships 1–10
+// days after its order verifies; a ship date moved a day past the gap
+// below the loader, or set NULL, breaks it.
+func TestVerifyStoreGapWitness(t *testing.T) {
+	build := func(t *testing.T) (*table.PartitionedDatabase, *partition.Config) {
+		t.Helper()
+		s := catalog.NewSchema("g")
+		s.MustAddTable(catalog.MustTable("orders",
+			[]catalog.Column{{Name: "orderkey", Kind: value.Int}, {Name: "odate", Kind: value.Date, NotNull: true}}, "orderkey"))
+		s.MustAddTable(catalog.MustTable("lineitem",
+			[]catalog.Column{{Name: "linekey", Kind: value.Int}, {Name: "orderkey", Kind: value.Int}, {Name: "sdate", Kind: value.Date, NotNull: true}}, "linekey"))
+		s.MustAddFK(catalog.ForeignKey{Name: "fk_l_o", FromTable: "lineitem", FromCols: []string{"orderkey"},
+			ToTable: "orders", ToCols: []string{"orderkey"}, ToIsUnique: true,
+			Gaps: []catalog.DateGap{{ChildDate: "sdate", ParentDate: "odate", Min: 1, Max: 10}}})
+		db := table.NewDatabase(s)
+		for o := int64(0); o < 20; o++ {
+			db.Tables["orders"].MustAppend(value.Tuple{o, 100 + o})
+			db.Tables["lineitem"].MustAppend(value.Tuple{2 * o, o, 101 + o})
+			db.Tables["lineitem"].MustAppend(value.Tuple{2*o + 1, o, 110 + o})
+		}
+		cfg := partition.NewConfig(4)
+		cfg.SetHash("orders", "orderkey").SetHash("lineitem", "linekey")
+		pdb, err := partition.Apply(db, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := check.VerifyStore(pdb, cfg); err != nil {
+			t.Fatalf("the fixture keeps its gap: %v", err)
+		}
+		return pdb, cfg
+	}
+	for name, sdate := range map[string]func(int64) int64{
+		"a day past the gap": func(d int64) int64 { return d + 1 },
+		"NULL":               func(int64) int64 { return value.Null },
+	} {
+		t.Run(name, func(t *testing.T) {
+			pdb, cfg := build(t)
+			pt := pdb.Tables["lineitem"]
+			part := pt.BeginWrite(0)
+			for i, row := range part.Rows() {
+				if row[2]-(100+row[1]) == 10 { // shipped on the gap's last day
+					part.Writable(2)[i] = sdate(row[2])
+					wantRule(t, pdb, cfg, check.RuleWriteGap)
+					return
+				}
+			}
+			t.Fatal("fixture drift: partition 0 holds no line shipped on the gap's last day")
+		})
 	}
 }

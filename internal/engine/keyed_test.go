@@ -37,9 +37,9 @@ func filterPlan(t *testing.T, db *table.Database, cfg *partition.Config, tbl, al
 		Props: map[plan.Node]*plan.Prop{scan: prop, f: prop}, Catalog: db.Schema, Cfg: cfg}, f
 }
 
-// runFilter evaluates rw, a filter over a scan (filterPlan, rangePlan), over
-// pdb, on the product or on the row reference, with keys[p] as a runtime
-// filter's source partition p's keys and the nodes down lost, and returns
+// runFilter evaluates rw, a filter stack over a scan (filterPlan, rangePlan),
+// over pdb, on the product or on the row reference, with keys[p] as its
+// runtime filter's source partition p's keys and the nodes down lost, and returns
 // each partition's output rows and the trace of the evaluation. during, if
 // set, runs after the evaluation pinned its snapshot and before the filter
 // runs. The executor is built by hand: filterPlan's stand-in join would fail
@@ -60,8 +60,10 @@ func runFilter(rw *plan.Rewritten, pdb *table.PartitionedDatabase, down []int,
 	if during != nil {
 		during()
 	}
-	if f, ok := rw.Root.(*plan.RuntimeFilterNode); ok {
-		ex.filters = map[*plan.JoinNode][][]int64{f.From: keys}
+	for n := rw.Root; len(n.Children()) == 1; n = n.Children()[0] {
+		if f, ok := n.(*plan.RuntimeFilterNode); ok {
+			ex.filters = map[*plan.JoinNode][][]int64{f.From: keys}
+		}
 	}
 	var parts [][]value.Tuple
 	if ref {

@@ -107,10 +107,10 @@ type dateBound struct {
 // TestRangeScanReadsTheRange: a filter with literal bounds on a DATE column
 // directly over a scan keeps exactly the stored rows its predicate holds for,
 // in stored order, on the product and on the row reference alike. It reads
-// each partition through a sorted index of the lowest DATE column it bounds,
-// narrower candidates notwithstanding: with F non-NULL rows in range, the
-// scan's work there is one probe plus F, and the filter counts the rows
-// outside the range as filtered. Where the
+// each partition through a sorted index of the DATE column it bounds that
+// holds the fewest rows in range there, the lowest on a tie: with F non-NULL
+// rows in range, the scan's work there is one probe plus F, and the filter
+// counts the rows outside the range as filtered. Where the
 // read would not pay — a range that holds the whole partition — or does not
 // apply — a pruned partition, a lost partition rebuilt by the recovery scan —
 // the partition is read row by row, with the same rows kept. On a partition
@@ -126,7 +126,7 @@ func TestRangeScanReadsTheRange(t *testing.T) {
 		name        string
 		cfg         string
 		pred        plan.BoolExpr
-		bounds      []dateBound // the candidates' ranges, the one read first
+		bounds      []dateBound // the candidates' ranges, in column order
 		prune, down []int
 		reads       int // the partitions read through the index
 	}{
@@ -145,7 +145,7 @@ func TestRangeScanReadsTheRange(t *testing.T) {
 			bounds: []dateBound{{odate, day(31), day(19)}}, reads: 4},
 		{name: "whole partition", cfg: "hashed", pred: plan.Ge(plan.Col("o.odate"), plan.Lit(day(0))),
 			bounds: []dateBound{{odate, day(0), 1 << 62}}},
-		{name: "two candidates, the lowest is read", cfg: "hashed",
+		{name: "two candidates, the narrower is read", cfg: "hashed",
 			pred:   plan.And(plan.Ge(plan.Col("o.odate"), plan.Lit(day(10))), plan.Lt(plan.Col("o.sdate"), plan.Lit(day(2)))),
 			bounds: []dateBound{{odate, day(10), 1 << 62}, {sdate, plan.Null, day(1)}}, reads: 4},
 		{name: "NULL dates", cfg: "hashed", pred: plan.Le(plan.Col("o.sdate"), plan.Lit(day(100))),
@@ -230,7 +230,7 @@ func TestRangeScanReadsTheRange(t *testing.T) {
 						kept = append(kept, r)
 					}
 				}
-				inRange := 0
+				inRange, first := 0, 0
 				for j, b := range c.bounds {
 					n := 0
 					for i, r := range rows {
@@ -241,10 +241,12 @@ func TestRangeScanReadsTheRange(t *testing.T) {
 							}
 						}
 					}
-					if j == 0 {
-						inRange = n
-					} else if n < inRange {
+					switch {
+					case j == 0:
+						inRange, first = n, n
+					case n < first:
 						narrower++
+						inRange = min(inRange, n)
 					}
 				}
 				switch {
@@ -269,7 +271,7 @@ func TestRangeScanReadsTheRange(t *testing.T) {
 				t.Fatalf("fixture drift: %d partitions read through the index, want %d", read, c.reads)
 			}
 			if len(c.bounds) > 1 && narrower == 0 {
-				t.Fatal("fixture drift: the lowest candidate is the narrower on every partition")
+				t.Fatal("fixture drift: the lowest candidate is the narrower on every partition, so none reads another")
 			}
 			if c.cfg == "pref" && dups == 0 {
 				t.Fatal("fixture drift: no PREF duplicate lies in the range")

@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"sync/atomic"
 	"time"
@@ -77,12 +78,10 @@ func (ex *executor) refEval(n plan.Node) ([][]value.Tuple, error) {
 	refNodes.Add(1)
 	switch n := n.(type) {
 	case *plan.ScanNode:
-		out, _, err := ex.evalScan(n, nil)
+		out, _, err := ex.evalScan(n, nil, nil)
 		return out, err
-	case *plan.FilterNode:
-		return ex.evalFilter(n)
-	case *plan.RuntimeFilterNode:
-		return ex.evalRuntimeFilter(n)
+	case *plan.FilterNode, *plan.RuntimeFilterNode:
+		return ex.evalFilters(n)
 	case *plan.ProjectNode:
 		return ex.evalProject(n)
 	case *plan.JoinNode:
@@ -110,17 +109,18 @@ func (ex *executor) refEval(n plan.Node) ([][]value.Tuple, error) {
 	}
 }
 
-// refLook is the reference's twin of an indexRead's look: it prices
-// partition p's read through the index by scanning the partition's rows, not
-// through an index: the probes and the rows the index would fetch.
-type refLook func(p int, rows []value.Tuple) (probes, fetched int)
+// refLook is the reference's twin of a filter stack's choice of read: it
+// prices partition p's read through each candidate by scanning the
+// partition's rows, not through an index, and returns the candidate whose
+// probes and fetched rows readsIndex admits with the least work, -1 for none.
+type refLook func(p int, rows []value.Tuple) (cand, probes, fetched int)
 
-// evalScan reads every stored row of each partition. Under a filter that
-// reads it through an index (look non-nil), it charges each partition
-// readsIndex admits the probes and the rows the index would fetch, and
-// returns those rows' count per partition, -1 where it read the partition
-// whole.
-func (ex *executor) evalScan(n *plan.ScanNode, look refLook) ([][]value.Tuple, []int, error) {
+// evalScan reads every stored row of each partition. Under a filter stack
+// that may read it through an index (look non-nil), it charges each
+// partition read through a candidate the probes and the rows the index would
+// fetch, names each read, and returns the candidate per partition, -1 where
+// it read the partition whole or pruned it.
+func (ex *executor) evalScan(n *plan.ScanNode, look refLook, labels []string) ([][]value.Tuple, []int, error) {
 	top := ex.tb.Begin(n, trace.KindScan)
 	pt, ok := ex.pdb.Tables[n.Table]
 	if !ok {
@@ -130,12 +130,11 @@ func (ex *executor) evalScan(n *plan.ScanNode, look refLook) ([][]value.Tuple, [
 	v := ex.versionOf(pt, n.Table)
 	withIndexes := scanHasIndexes(sch)
 	keep := scanParts(n)
-	indexed := func(p int) (probes, fetched int, ok bool) {
-		if look == nil || keep != nil && !keep[p] {
-			return 0, 0, false
+	indexed := func(p int) (cand, probes, fetched int) {
+		if look == nil || keep != nil && !keep[p] || ex.down[p] {
+			return -1, 0, 0
 		}
-		probes, fetched = look(p, v.Parts[p].Rows())
-		return probes, fetched, ex.readsIndex(p, probes, fetched, v.Parts[p].Len())
+		return look(p, v.Parts[p].Rows())
 	}
 	out, err := forEachPart(ex, top, func(p int) ([]value.Tuple, int, error) {
 		if keep != nil && !keep[p] {
@@ -151,7 +150,7 @@ func (ex *executor) evalScan(n *plan.ScanNode, look refLook) ([][]value.Tuple, [
 			}
 		}
 		rows := scanRows(v.Parts[p], withIndexes)
-		if probes, fetched, ok := indexed(p); ok {
+		if cand, probes, fetched := indexed(p); cand >= 0 {
 			return rows, probes + fetched, nil
 		}
 		return rows, len(rows), nil
@@ -159,17 +158,21 @@ func (ex *executor) evalScan(n *plan.ScanNode, look refLook) ([][]value.Tuple, [
 	if look == nil {
 		return out, nil, err
 	}
-	fetched := make([]int, len(out))
-	for p := range fetched {
-		probes, f, ok := indexed(p)
-		if !ok {
-			fetched[p] = -1
+	cands := make([]int, len(out))
+	for p := range cands {
+		cand, probes, _ := indexed(p)
+		cands[p] = cand
+		if keep != nil && !keep[p] {
 			continue
 		}
-		fetched[p] = f
-		top.AddIndexProbes(ex.execDst[p], probes)
+		read := "whole"
+		if cand >= 0 {
+			top.AddIndexProbes(ex.execDst[p], probes)
+			read = labels[cand]
+		}
+		top.AddRead(ex.execDst[p], read)
 	}
-	return out, fetched, err
+	return out, cands, err
 }
 
 // scanRows materializes one partition's scan output, appending the hidden
@@ -192,65 +195,76 @@ func scanRows(part *table.Partition, withIndexes bool) []value.Tuple {
 	return rows
 }
 
-// evalFilter keeps the rows its predicate holds for, evaluating it on every
-// input row. Over a scan the product reads through a date index (rangeCol),
-// it counts the rows outside the range, NULLs too, as filtered, finding them
-// by scanning.
-func (ex *executor) evalFilter(n *plan.FilterNode) ([][]value.Tuple, error) {
-	top := ex.tb.Begin(n, trace.KindFilter)
+// evalFilters runs the Filter or RuntimeFilter n over its input, row by
+// row, and when n heads a filter stack (keyed.go), the whole stack over one
+// scan of its table. The stack's read is the product's choice, priced by
+// scanning (refLook) over the candidates the product's stackRead offers. On
+// a partition read through a candidate, the lowest filter takes only the
+// rows that candidate fetches, found by scanning, and counts the others as
+// filtered; every filter evaluates its whole predicate on every row it takes.
+// Elsewhere a runtime filter counts the rows it drops as filtered. A runtime
+// filter's keys are held in a map: on partition p, source partition p's when
+// it is local, and otherwise every source partition's. A shipped filter's
+// transfer is metered by the product's shipFilters, whose decoded union it
+// ignores.
+func (ex *executor) evalFilters(n plan.Node) ([][]value.Tuple, error) {
+	st := stackOf(n)
+	if st == nil {
+		st = &filterStack{nodes: []plan.Node{n}}
+	}
+	tops := make([]*trace.Op, len(st.nodes))
+	sets := make([][]map[int64]bool, len(st.nodes))
+	for i, x := range st.nodes {
+		rf, ok := x.(*plan.RuntimeFilterNode)
+		if !ok {
+			tops[i] = ex.tb.Begin(x, trace.KindFilter)
+			continue
+		}
+		tops[i] = ex.tb.Begin(rf, filterKind(rf))
+		var err error
+		if sets[i], err = ex.refSets(tops[i], rf); err != nil {
+			return nil, err
+		}
+	}
 	var in [][]value.Tuple
-	var fetched []int
+	var cands []int
+	var ir *indexRead
 	var err error
-	if scan, rg := ex.rangeCol(n); scan != nil {
+	if st.scan != nil {
 		refNodes.Add(1)
-		in, fetched, err = ex.evalScan(scan, func(_ int, rows []value.Tuple) (int, int) {
-			f := 0
-			for _, r := range rows {
-				if v := r[rg.col]; v != plan.Null && rg.lo <= v && v <= rg.hi {
-					f++
+		if ir = ex.stackRead(st, make([][]*batch.Int64Table, len(st.nodes))); ir != nil {
+			labels := make([]string, len(ir.cands))
+			for c, cand := range ir.cands {
+				labels[c] = cand.label
+			}
+			in, cands, err = ex.evalScan(st.scan, func(p int, rows []value.Tuple) (int, int, int) {
+				best, probes, fetched := -1, 0, 0
+				for c := range ir.cands {
+					k, f, ok := refFetch(ir.cands[c], st, sets, p, rows)
+					if ok && ex.readsIndex(p, k, f, len(rows)) && (best < 0 || k+f < probes+fetched) {
+						best, probes, fetched = c, k, f
+					}
 				}
-			}
-			return 1, f
-		})
+				return best, probes, fetched
+			}, labels)
+		} else {
+			in, _, err = ex.evalScan(st.scan, nil, nil)
+		}
 	} else {
-		in, err = ex.refEval(n.Child)
+		in, err = ex.refEval(n.Children()[0])
 	}
-	if err != nil {
-		return nil, err
-	}
-	ex.addInputs(top, in)
-	sch := ex.rw.Schemas[n.Child]
-	out, err := forEachPart(ex, top, func(p int) ([]value.Tuple, int, error) {
-		pred, err := n.Pred.Bind(sch)
-		if err != nil {
-			return nil, 0, err
+	for i := len(st.nodes) - 1; i >= 0 && err == nil; i-- {
+		var taken []int // the lowest filter's candidate per partition
+		if i == len(st.nodes)-1 && ir != nil {
+			taken = cands
 		}
-		var rows []value.Tuple
-		for _, r := range in[p] {
-			if pred(r) {
-				rows = append(rows, r)
-			}
-		}
-		return rows, len(rows), nil
-	})
-	if err != nil {
-		return nil, err
+		in, err = ex.refFilter(st.nodes[i], tops[i], sets[i], in, ir, taken, st, sets)
 	}
-	for p, f := range fetched {
-		if f >= 0 {
-			top.AddFiltered(ex.execDst[p], len(in[p])-f)
-		}
-	}
-	return out, nil
+	return in, err
 }
 
-// evalRuntimeFilter keeps the rows whose key the filter of n.From holds,
-// held in a map: on partition p, source partition p's keys when n is local,
-// and otherwise every source partition's keys. A shipped filter's transfer is
-// metered by the product's shipFilters, whose decoded union it ignores: the
-// map holds the source keys themselves.
-func (ex *executor) evalRuntimeFilter(n *plan.RuntimeFilterNode) ([][]value.Tuple, error) {
-	top := ex.tb.Begin(n, filterKind(n))
+// refSets returns runtime filter n's keys on each partition, as maps.
+func (ex *executor) refSets(top *trace.Op, n *plan.RuntimeFilterNode) ([]map[int64]bool, error) {
 	keys, err := ex.filterSource(n)
 	if err != nil {
 		return nil, err
@@ -263,47 +277,83 @@ func (ex *executor) evalRuntimeFilter(n *plan.RuntimeFilterNode) ([][]value.Tupl
 				sets[p][k] = true
 			}
 		}
-	} else {
-		if _, err := ex.shipFilters(top, keys); err != nil {
+		return sets, nil
+	}
+	if _, err := ex.shipFilters(top, keys); err != nil {
+		return nil, err
+	}
+	union := map[int64]bool{}
+	for _, ks := range keys {
+		for _, k := range ks {
+			union[k] = true
+		}
+	}
+	for p := range sets {
+		sets[p] = union
+	}
+	return sets, nil
+}
+
+// refFetch prices candidate c's read of partition p's rows by scanning them:
+// its probes and the rows it would fetch; ok is false where the keyed read's
+// probes alone cost a whole read.
+func refFetch(c readCand, st *filterStack, sets [][]map[int64]bool, p int, rows []value.Tuple) (probes, fetched int, ok bool) {
+	probes = 1
+	if c.rf != nil {
+		probes = len(sets[slices.Index(st.nodes, plan.Node(c.rf))][p])
+		if probes >= len(rows) {
+			return 0, 0, false
+		}
+	}
+	for _, r := range rows {
+		if refFetches(c, st, sets, p, r) {
+			fetched++
+		}
+	}
+	return probes, fetched, true
+}
+
+// refFetches reports whether candidate c's read of partition p fetches row r.
+func refFetches(c readCand, st *filterStack, sets [][]map[int64]bool, p int, r value.Tuple) bool {
+	v := r[c.col]
+	if c.rf != nil {
+		return sets[slices.Index(st.nodes, plan.Node(c.rf))][p][v]
+	}
+	return v != plan.Null && c.lo <= v && v <= c.hi
+}
+
+// refFilter runs filter n of a stack over in: taken, for the lowest filter
+// of a stack read through an index, holds the candidate ir read each
+// partition through, -1 where it read the partition whole.
+func (ex *executor) refFilter(n plan.Node, top *trace.Op, set []map[int64]bool, in [][]value.Tuple, ir *indexRead, taken []int, st *filterStack, sets [][]map[int64]bool) ([][]value.Tuple, error) {
+	ex.addInputs(top, in)
+	var keep func(p int, r value.Tuple) bool
+	switch n := n.(type) {
+	case *plan.FilterNode:
+		pred, err := n.Pred.Bind(ex.rw.Schemas[n.Child])
+		if err != nil {
 			return nil, err
 		}
-		union := map[int64]bool{}
-		for _, ks := range keys {
-			for _, k := range ks {
-				union[k] = true
-			}
+		keep = func(_ int, r value.Tuple) bool { return pred(r) }
+	case *plan.RuntimeFilterNode:
+		col, err := ex.rw.Schemas[n.Child].IndexOf(n.Col)
+		if err != nil {
+			return nil, err
 		}
-		for p := range sets {
-			sets[p] = union
-		}
+		keep = func(p int, r value.Tuple) bool { return set[p][r[col]] }
 	}
-	var in [][]value.Tuple
-	if scan, col := ex.keyedCol(n); scan != nil {
-		refNodes.Add(1)
-		in, _, err = ex.evalScan(scan, func(p int, rows []value.Tuple) (int, int) {
-			fetched := 0
-			for _, r := range rows {
-				if sets[p][r[col]] {
-					fetched++
-				}
-			}
-			return len(sets[p]), fetched
-		})
-	} else {
-		in, err = ex.refEval(n.Child)
-	}
-	if err != nil {
-		return nil, err
-	}
-	ex.addInputs(top, in)
-	col, err := ex.rw.Schemas[n.Child].IndexOf(n.Col)
-	if err != nil {
-		return nil, err
-	}
+	fetched := make([]int, len(in))
 	out, err := forEachPart(ex, top, func(p int) ([]value.Tuple, int, error) {
 		var rows []value.Tuple
+		fetched[p] = 0
 		for _, r := range in[p] {
-			if sets[p][r[col]] {
+			if taken != nil && taken[p] >= 0 {
+				if !refFetches(ir.cands[taken[p]], st, sets, p, r) {
+					continue
+				}
+				fetched[p]++
+			}
+			if keep(p, r) {
 				rows = append(rows, r)
 			}
 		}
@@ -312,8 +362,14 @@ func (ex *executor) evalRuntimeFilter(n *plan.RuntimeFilterNode) ([][]value.Tupl
 	if err != nil {
 		return nil, err
 	}
+	_, runtime := n.(*plan.RuntimeFilterNode)
 	for p := range out {
-		top.AddFiltered(ex.execDst[p], len(in[p])-len(out[p]))
+		switch {
+		case taken != nil && taken[p] >= 0:
+			top.AddFiltered(ex.execDst[p], len(in[p])-fetched[p])
+		case runtime:
+			top.AddFiltered(ex.execDst[p], len(in[p])-len(out[p]))
+		}
 	}
 	return out, nil
 }

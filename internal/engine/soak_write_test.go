@@ -36,7 +36,7 @@ import (
 var writeSoak = soakWorkload{
 	name: "write", first: 5000, seeds: 100, short: 12,
 	classes: faultClasses,
-	paths:   []string{"oracle-equal", "typed", "crash-recovered", "intent-replayed"},
+	paths:   []string{"oracle-equal", "typed", "crash-recovered", "intent-replayed", "constraint-refused"},
 	setup:   func(*testing.T) func(*soakRun) { return runWriteSeed },
 }
 
@@ -114,6 +114,16 @@ func runWriteSeed(r *soakRun) {
 		// with the write stream instead of racing only its tail.
 		runtime.Gosched()
 		ops := writeMixedOps(b)
+		if writeRefused(b) {
+			// The loader plans no batch that breaks a declared constraint:
+			// the refusal is typed and publishes nothing.
+			epoch := pdb.Epoch()
+			if _, err := l.Apply(ops...); !errors.Is(err, bulkload.ErrConstraint) || pdb.Epoch() != epoch {
+				r.Errorf("batch %d: a NULL nation was not refused cleanly: %v (epoch %d → %d)", b, err, epoch, pdb.Epoch())
+			}
+			r.reach("constraint-refused", 1)
+			continue
+		}
 		mirror.apply(ops)
 		next := pdb.Epoch() + 1
 		oracle.put(next, mirror.expected())
@@ -185,7 +195,7 @@ func runWriteSeed(r *soakRun) {
 func writeChainSchema() *catalog.Schema {
 	s := catalog.NewSchema("mixed")
 	s.MustAddTable(catalog.MustTable("customer",
-		[]catalog.Column{{Name: "custkey", Kind: value.Int}, {Name: "nation", Kind: value.Int}}, "custkey"))
+		[]catalog.Column{{Name: "custkey", Kind: value.Int}, {Name: "nation", Kind: value.Int, NotNull: true}}, "custkey"))
 	s.MustAddTable(catalog.MustTable("orders",
 		[]catalog.Column{{Name: "orderkey", Kind: value.Int}, {Name: "custkey", Kind: value.Int}}, "orderkey"))
 	s.MustAddTable(catalog.MustTable("lineitem",
@@ -215,6 +225,10 @@ func writeChainDB(s *catalog.Schema) *table.Database {
 	return db
 }
 
+// writeRefused reports whether batch b of the write stream breaks a declared
+// constraint: it inserts a customer with a NULL nation, a NOT NULL column.
+func writeRefused(b int) bool { return b%13 == 9 }
+
 // writeMixedOps is the deterministic logical write stream: one batch per
 // index mixing leaf updates and deletes, referencing-side orphan
 // inserts, referenced-side inserts (which widen partition indexes under
@@ -227,6 +241,8 @@ func writeChainDB(s *catalog.Schema) *table.Database {
 // when a referenced-side insert widens a partition index.
 func writeMixedOps(b int) []bulkload.Op {
 	switch {
+	case writeRefused(b):
+		return []bulkload.Op{bulkload.Insert("customer", value.Tuple{int64(100 + b), value.Null})}
 	case b%7 == 3:
 		return []bulkload.Op{bulkload.Update("customer",
 			[]string{"custkey"}, value.Tuple{int64(b % 8)}, "nation", int64(b))}

@@ -138,10 +138,8 @@ func (ex *executor) evalOp(f *frame, n plan.Node) (vparts, outKind, error) {
 	switch n := n.(type) {
 	case *plan.ScanNode:
 		return ex.evalScanVec(n, nil)
-	case *plan.FilterNode:
+	case *plan.FilterNode, *plan.RuntimeFilterNode:
 		return ex.evalFilterVec(f, n)
-	case *plan.RuntimeFilterNode:
-		return ex.evalRuntimeFilterVec(f, n)
 	case *plan.ProjectNode:
 		return ex.evalProjectVec(f, n)
 	case *plan.JoinNode:
@@ -195,11 +193,13 @@ func (ex *executor) liveCols(n plan.Node, natural plan.Schema) (plan.Schema, []i
 
 // evalScanVec hands out chunked zero-copy views over the pinned partition's
 // stored columns — a lost partition's too, once recoverScan has admitted and
-// metered its reconstruction. A scan under a filter that reads it through an
-// index (ir, nil otherwise) reads each partition readsIndex admits by
-// fetching the rows the index names there, charging their count and the
-// probes as its work, and leaves the fetched rows in ir for the filter; its
-// output stays every stored row, which the filter narrows.
+// metered its reconstruction. A scan under a filter stack that reads it
+// through an index (ir, nil otherwise) reads each partition through the
+// candidate choose takes there, charging the probes and the fetched rows as
+// its work, leaves the fetched rows in ir for the stack, and names the read
+// of each partition it did not prune (keys(col), range(col) or whole) on the
+// node that ran it; its output stays every stored row, which the stack
+// narrows.
 func (ex *executor) evalScanVec(n *plan.ScanNode, ir *indexRead) (vparts, outKind, error) {
 	top := ex.tb.Begin(n, trace.KindScan)
 	pt, ok := ex.pdb.Tables[n.Table]
@@ -229,157 +229,209 @@ func (ex *executor) evalScanVec(n *plan.ScanNode, ir *indexRead) (vparts, outKin
 		if ir == nil || ex.down[p] {
 			return batch.Chunks(cols), proj.NRows, nil
 		}
-		probes, rows, err := ir.look(p, part)
-		if err != nil {
-			return nil, 0, err
+		r, err := ex.choose(ir, p, part)
+		if err != nil || r == nil {
+			return batch.Chunks(cols), proj.NRows, err
 		}
-		if rows == nil || !ex.readsIndex(p, probes, rows.Len(), proj.NRows) {
-			return batch.Chunks(cols), proj.NRows, nil
-		}
-		ir.read[p].Store(&indexed{rows: rows, probes: probes})
-		return batch.Chunks(cols), probes + rows.Len(), nil
+		ir.read[p].Store(r)
+		return batch.Chunks(cols), r.probes + r.rows.Len(), nil
 	})
 	if ir != nil {
 		for p := range ir.read {
+			if keep != nil && !keep[p] {
+				continue
+			}
+			read := "whole"
 			if r := ir.read[p].Load(); r != nil {
 				top.AddIndexProbes(ex.execDst[p], r.probes)
+				read = ir.cands[r.cand].label
 			}
+			top.AddRead(ex.execDst[p], read)
 		}
 	}
 	return out, views, err
 }
 
-// evalFilterVec narrows each input batch with a fresh selection vector: its
-// output views the input. Over a scan it reads through a date index
-// (rangeCol), it counts the rows that read skipped as filtered, and on each
-// partition read through the index it evaluates only the conjuncts the range
-// does not decide on the rows the read fetched, passing them through
-// untouched when there are none. A partition read whole evaluates the whole
-// predicate.
-func (ex *executor) evalFilterVec(f *frame, n *plan.FilterNode) (vparts, outKind, error) {
-	top := ex.tb.Begin(n, trace.KindFilter)
+// evalFilterVec runs the Filter or RuntimeFilter n over its input. When n
+// heads a filter stack (keyed.go) it runs the whole stack over one read of
+// its scan, lowest filter first; otherwise it evaluates its child and
+// narrows that. Each filter narrows its input batches with fresh selection
+// vectors, so its output views its input.
+func (ex *executor) evalFilterVec(f *frame, n plan.Node) (vparts, outKind, error) {
+	st := stackOf(n)
+	if st == nil {
+		st = &filterStack{nodes: []plan.Node{n}}
+	}
+	// Open every span and build each runtime filter's key sets top-down: the
+	// trace's operator ids and the fault schedule's operator sequence follow
+	// this order, on the row reference too.
+	tops := make([]*trace.Op, len(st.nodes))
+	sets := make([][]*batch.Int64Table, len(st.nodes))
+	for i, x := range st.nodes {
+		if rf, ok := x.(*plan.RuntimeFilterNode); ok {
+			tops[i] = ex.tb.Begin(rf, filterKind(rf))
+			var err error
+			if sets[i], err = ex.filterSets(tops[i], rf); err != nil {
+				return nil, views, err
+			}
+		} else {
+			tops[i] = ex.tb.Begin(x, trace.KindFilter)
+		}
+	}
 	var in vparts
+	var ir *indexRead
 	var err error
-	scan, ir, rest := ex.rangeRead(n)
-	if ir != nil {
-		in, _, err = ex.evalScanVec(scan, ir)
+	if st.scan != nil {
+		ir = ex.stackRead(st, sets)
+		in, _, err = ex.evalScanVec(st.scan, ir)
 	} else {
-		in, err = f.input(n.Child)
+		in, err = f.input(n.Children()[0])
 	}
-	if err != nil {
-		return nil, views, err
+	for i := len(st.nodes) - 1; i >= 0 && err == nil; i-- {
+		in, err = ex.applyFilter(st.nodes[i], tops[i], sets[i], in, ir, i == len(st.nodes)-1)
 	}
-	ex.addInputsVec(top, in)
-	sch := ex.rw.Schemas[n.Child]
-	vp, err := plan.CompilePred(n.Pred, sch)
-	if err != nil {
-		return nil, views, err
-	}
-	var restVP *plan.VPred
-	if len(rest) > 0 {
-		if restVP, err = plan.CompilePred(plan.And(rest...), sch); err != nil {
-			return nil, views, err
-		}
-	}
-	out, err := forEachPart(ex, top, func(p int) ([]*batch.Batch, int, error) {
-		bs, pred := in[p], vp
-		if ir != nil {
-			if r := ir.read[p].Load(); r != nil {
-				bs, pred = r.rows.Narrow(bs), restVP
-				if pred == nil {
-					return bs, r.rows.Len(), nil
-				}
-			}
-		}
-		var out []*batch.Batch
-		kept := 0
-		for _, b := range bs {
-			fb := batch.Filter(b, pred)
-			if fb.Len() > 0 {
-				out = append(out, fb)
-				kept += fb.Len()
-			}
-		}
-		return out, kept, nil
-	})
-	if err != nil || ir == nil {
-		return out, views, err
-	}
-	for p := range ir.read {
-		if r := ir.read[p].Load(); r != nil {
-			top.AddFiltered(ex.execDst[p], batch.Rows(in[p])-r.rows.Len())
-		}
-	}
-	return out, views, nil
+	return in, views, err
 }
 
-// evalRuntimeFilterVec narrows each input batch to the rows whose key the
-// filter of n.From holds: on partition p, a local filter keeps exactly the
-// rows whose key is among source partition p's keys; a shipped one, those
-// whose key is among any source partition's keys. Over a scan it reads
-// through a key index (keyedCol), it keeps the rows that read fetched. Like a
-// filter, its output views the input.
-func (ex *executor) evalRuntimeFilterVec(f *frame, n *plan.RuntimeFilterNode) (vparts, outKind, error) {
-	top := ex.tb.Begin(n, filterKind(n))
+// filterSets returns runtime filter n's key set on each partition: source
+// partition p's keys on partition p for a local filter, and for a shipped
+// one the union of every source partition's, shipped (shipFilters).
+func (ex *executor) filterSets(top *trace.Op, n *plan.RuntimeFilterNode) ([]*batch.Int64Table, error) {
 	keys, err := ex.filterSource(n)
 	if err != nil {
-		return nil, views, err
+		return nil, err
 	}
 	sets := make([]*batch.Int64Table, ex.n)
 	if n.Local {
 		for p := range sets {
 			sets[p] = batch.BuildInt64Table(keys[p])
 		}
-	} else {
-		union, err := ex.shipFilters(top, keys)
-		if err != nil {
-			return nil, views, err
-		}
-		for p := range sets {
-			sets[p] = union
-		}
+		return sets, nil
 	}
-	var in vparts
-	scan, ir := ex.keyedRead(n, sets)
-	if ir != nil {
-		in, _, err = ex.evalScanVec(scan, ir)
-	} else {
-		in, err = f.input(n.Child)
-	}
+	union, err := ex.shipFilters(top, keys)
 	if err != nil {
-		return nil, views, err
+		return nil, err
 	}
+	for p := range sets {
+		sets[p] = union
+	}
+	return sets, nil
+}
+
+// applyFilter narrows in with filter n of a stack, metered on top: a Filter
+// keeps the rows its predicate holds for, a runtime filter (its key sets in
+// sets) the rows whose key its source holds there. ir is the stack's read;
+// lowest says n sits directly over the scan. On a partition the read fetched
+// through an index, the lowest filter takes only the fetched rows and counts
+// the rest as filtered, and every filter skips what the read decided: the
+// runtime filter whose keys it looked up keeps every row, and a Filter
+// bounding the range read's column evaluates only its other conjuncts.
+// Elsewhere a runtime filter counts the rows it drops as filtered.
+func (ex *executor) applyFilter(n plan.Node, top *trace.Op, sets []*batch.Int64Table, in vparts, ir *indexRead, lowest bool) (vparts, error) {
 	ex.addInputsVec(top, in)
-	col, err := ex.rw.Schemas[n.Child].IndexOf(n.Col)
+	narrow, by, err := ex.filterFns(n, sets, ir)
 	if err != nil {
-		return nil, views, err
+		return nil, err
 	}
 	out, err := forEachPart(ex, top, func(p int) ([]*batch.Batch, int, error) {
+		bs, fn := in[p], narrow
 		if ir != nil {
 			if r := ir.read[p].Load(); r != nil {
-				return r.rows.Narrow(in[p]), r.rows.Len(), nil
+				if lowest {
+					bs = r.rows.Narrow(bs)
+				}
+				if fn = by[r.cand]; fn == nil {
+					return bs, batch.Rows(bs), nil
+				}
 			}
 		}
 		var out []*batch.Batch
 		kept := 0
-		for _, b := range in[p] {
-			sel := sets[p].Select(make([]int32, 0, b.Len()), b, col)
-			if len(sel) > 0 {
-				out = append(out, b.WithSel(sel))
-				kept += len(sel)
+		for _, b := range bs {
+			if nb := fn(p, b); nb.Len() > 0 {
+				out = append(out, nb)
+				kept += nb.Len()
 			}
 		}
 		return out, kept, nil
 	})
 	if err != nil {
-		return out, views, err
+		return out, err
 	}
-	// Derived after the fan-out, like dedup hits, so crash-retried attempts
-	// cannot double-count.
+	_, runtime := n.(*plan.RuntimeFilterNode)
 	for p := range out {
-		top.AddFiltered(ex.execDst[p], batch.Rows(in[p])-batch.Rows(out[p]))
+		switch r := readOf(ir, p); {
+		case lowest && r != nil:
+			top.AddFiltered(ex.execDst[p], batch.Rows(in[p])-r.rows.Len())
+		case runtime:
+			// Derived after the fan-out, like dedup hits, so crash-retried
+			// attempts cannot double-count.
+			top.AddFiltered(ex.execDst[p], batch.Rows(in[p])-batch.Rows(out[p]))
+		}
 	}
-	return out, views, nil
+	return out, nil
+}
+
+// readOf is partition p's read through an index under ir, or nil.
+func readOf(ir *indexRead, p int) *indexed {
+	if ir == nil {
+		return nil
+	}
+	return ir.read[p].Load()
+}
+
+// filterFns returns how filter n narrows one batch of partition p and, for
+// each candidate read of ir, how it narrows the rows that read fetched: nil
+// where the read decided n.
+func (ex *executor) filterFns(n plan.Node, sets []*batch.Int64Table, ir *indexRead) (narrow func(int, *batch.Batch) *batch.Batch, by []func(int, *batch.Batch) *batch.Batch, err error) {
+	var cands []readCand
+	if ir != nil {
+		cands = ir.cands
+	}
+	by = make([]func(int, *batch.Batch) *batch.Batch, len(cands))
+	switch n := n.(type) {
+	case *plan.RuntimeFilterNode:
+		col, err := ex.rw.Schemas[n.Child].IndexOf(n.Col)
+		if err != nil {
+			return nil, nil, err
+		}
+		narrow = func(p int, b *batch.Batch) *batch.Batch {
+			return b.WithSel(sets[p].Select(make([]int32, 0, b.Len()), b, col))
+		}
+		for c, cand := range cands {
+			if cand.rf != n {
+				by[c] = narrow
+			}
+		}
+	case *plan.FilterNode:
+		sch := ex.rw.Schemas[n.Child]
+		vp, err := plan.CompilePred(n.Pred, sch)
+		if err != nil {
+			return nil, nil, err
+		}
+		narrow = func(_ int, b *batch.Batch) *batch.Batch { return batch.Filter(b, vp) }
+		for c, cand := range cands {
+			by[c] = narrow
+			if cand.rf != nil {
+				continue
+			}
+			_, _, rest, ok := plan.LiteralRange(n.Pred, cand.name)
+			switch {
+			case !ok:
+			case len(rest) == 0:
+				by[c] = nil
+			default:
+				rvp, err := plan.CompilePred(plan.And(rest...), sch)
+				if err != nil {
+					return nil, nil, err
+				}
+				by[c] = func(_ int, b *batch.Batch) *batch.Batch { return batch.Filter(b, rvp) }
+			}
+		}
+	default:
+		return nil, nil, fmt.Errorf("engine: %s is no filter", n)
+	}
+	return narrow, by, nil
 }
 
 // buildFilters records the source of join n's runtime filter: keys(p, col)

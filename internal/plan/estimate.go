@@ -35,8 +35,8 @@ import (
 //   - Inner equi-joins: |L|·|R|/max(ndv) over the key; a composite key that
 //     is a foreign key (or the primary key) of one table counts the
 //     referenced table's rows as its distinct values. On a single-column
-//     foreign key whose DATE columns keep a recorded gap (DateGap), the
-//     pairs whose dates the gap rules out are taken away (gapShare). Semi
+//     foreign key whose DATE columns keep a declared gap (catalog.DateGap),
+//     the pairs whose dates the gap rules out are taken away (gapShare). Semi
 //     and anti joins keep the share of the left keys the right contains;
 //     with a residual, a key match counts only in the share of rows the
 //     residual keeps.
@@ -45,7 +45,7 @@ import (
 //     spans, stats.ExpectedCopiesReal(rows/group, n) — the paper's Appendix A
 //     formula.
 //   - Runtime filters keep the share of their keys the source contains; on
-//     a foreign key whose dates keep a recorded gap, that share is at most
+//     a foreign key whose dates keep a declared gap, that share is at most
 //     the share of the target's rows dated in the window its source's dates
 //     allow (gapWindows), and the target's date narrows to that window. The
 //     same containment (contain) sizes semi and anti joins and every
@@ -64,18 +64,6 @@ import (
 // rewrite's estimator reads. Gather them with GatherStats.
 type Stats struct {
 	Tables map[string]*TableStats
-	Gaps   []DateGap
-}
-
-// DateGap bounds the days between a DATE column of a table and a DATE
-// column of the rows it references through a single-column foreign key:
-// over every referencing row whose reference and both dates are set,
-// Min ≤ child date − parent date ≤ Max. TPC-H ships an order's lineitems
-// 1–121 days after it was placed, so the two dates are correlated.
-type DateGap struct {
-	Child, ChildKey, ChildDate    string // referencing table, its key and date columns
-	Parent, ParentKey, ParentDate string // referenced table, its key and date columns
-	Min, Max                      int64
 }
 
 // TableStats describes one table: its row count, each tuple counted once,
@@ -98,9 +86,6 @@ type ColStats struct {
 // has one per row, a single-column foreign key at most as many as the
 // referenced table has rows, a string column at most its dictionary's size,
 // and any other column at most max − min + 1.
-//
-// It also records the DateGap of every pair of DATE columns a single-column
-// foreign key to a unique key joins (dateGaps).
 //
 // The partitions are read on parallel workers, one partition a job; the
 // merge is exact in any order (integer counts, minima and maxima).
@@ -166,107 +151,7 @@ func GatherStats(pdb *table.PartitionedDatabase) *Stats {
 			cs.NDV = min(ts.Rows, ndv)
 		}
 	}
-	st.Gaps = dateGaps(pdb, snap, st)
 	return st
-}
-
-// dateGaps measures the DateGap of every pair of DATE columns that a
-// single-column foreign key to a unique key joins: it lays the referenced
-// rows' dates out by key once, in an array over the key's value range, then
-// reads the referencing table one partition a job, skipping PREF duplicates
-// and every copy of a replicated table but the first. A key whose values
-// span more than eight times the referenced table's rows is too sparse for
-// the array, and its dates record no gap.
-func dateGaps(pdb *table.PartitionedDatabase, snap *table.DBSnapshot, st *Stats) []DateGap {
-	var gaps []DateGap
-	for _, fk := range pdb.Schema.FKs {
-		child, parent := pdb.Tables[fk.FromTable], pdb.Tables[fk.ToTable]
-		if len(fk.FromCols) != 1 || !fk.ToIsUnique || child == nil || parent == nil {
-			continue
-		}
-		cd, pd := dateCols(child.Meta), dateCols(parent.Meta)
-		if len(cd) == 0 || len(pd) == 0 {
-			continue
-		}
-		pk := parent.Meta.ColIndex(fk.ToCols[0])
-		ps := st.Tables[fk.ToTable]
-		keys := ps.Cols[pk]
-		if keys.Min > keys.Max || float64(keys.Max)-float64(keys.Min) >= 8*ps.Rows {
-			continue
-		}
-		// dates[(k−keys.Min)·len(pd)+j] is parent date j of the row with key
-		// k, Null where no row has that key.
-		dates := make([]int64, (keys.Max-keys.Min+1)*int64(len(pd)))
-		for i := range dates {
-			dates[i] = Null
-		}
-		for _, part := range partsOnce(parent, snap) {
-			cols := part.Columns(parent.Meta.NumCols()).Cols
-			dup := cols[parent.Meta.NumCols()]
-			for i, k := range cols[pk] {
-				if dup[i] != 0 || k == Null {
-					continue
-				}
-				for j, c := range pd {
-					dates[(k-keys.Min)*int64(len(pd))+int64(j)] = cols[c][i]
-				}
-			}
-		}
-		ck := child.Meta.ColIndex(fk.FromCols[0])
-		parts := partsOnce(child, snap)
-		// span[p][i*len(pd)+j] is partition p's range of child date i − parent date j.
-		span := make([][][2]int64, len(parts))
-		par.Each(len(parts), func(p int) {
-			s := make([][2]int64, len(cd)*len(pd))
-			for i := range s {
-				s[i] = [2]int64{math.MaxInt64, math.MinInt64}
-			}
-			cols := parts[p].Columns(child.Meta.NumCols()).Cols
-			dup := cols[child.Meta.NumCols()]
-			for r, k := range cols[ck] {
-				if dup[r] != 0 || k < keys.Min || k > keys.Max {
-					continue
-				}
-				first := (k - keys.Min) * int64(len(pd))
-				for i, c := range cd {
-					for j := range pd {
-						a, b := cols[c][r], dates[first+int64(j)]
-						if a == Null || b == Null {
-							continue
-						}
-						g := &s[i*len(pd)+j]
-						g[0], g[1] = min(g[0], a-b), max(g[1], a-b)
-					}
-				}
-			}
-			span[p] = s
-		})
-		for i, c := range cd {
-			for j, d := range pd {
-				g := DateGap{Child: fk.FromTable, ChildKey: fk.FromCols[0], ChildDate: child.Meta.Columns[c].Name,
-					Parent: fk.ToTable, ParentKey: fk.ToCols[0], ParentDate: parent.Meta.Columns[d].Name,
-					Min: math.MaxInt64, Max: math.MinInt64}
-				for _, s := range span {
-					g.Min, g.Max = min(g.Min, s[i*len(pd)+j][0]), max(g.Max, s[i*len(pd)+j][1])
-				}
-				if g.Min <= g.Max {
-					gaps = append(gaps, g)
-				}
-			}
-		}
-	}
-	return gaps
-}
-
-// dateCols returns the indexes of t's DATE columns.
-func dateCols(t *catalog.Table) []int {
-	var out []int
-	for i, c := range t.Columns {
-		if c.Kind == value.Date {
-			out = append(out, i)
-		}
-	}
-	return out
 }
 
 // partsOnce returns the partitions of pt that hold each of its rows
@@ -493,45 +378,23 @@ func inWindow(lo, hi, wlo, whi float64) float64 {
 	return 0
 }
 
-// gapWindows calls visit once for each recorded DateGap of the foreign key
+// gapWindows calls visit once for each declared DateGap of the foreign key
 // between target's key column tkey and source's skey whose source-side date
 // source still bounds: with the target-side date column's name in target,
 // its base table and column, and the window of dates a target row can hold
-// if its key meets a source row. A child's date lies within the gap after
-// its parent's, a parent's within the gap before its children's. A source
-// date an aggregate summed away is read below it (colBelow).
+// if its key meets a source row (gapEdges orients the gap). A source date an
+// aggregate summed away is read below it (colBelow).
 func (r *Rewriter) gapWindows(target Node, tkey string, source Node, skey string, visit func(name, tbl, col string, lo, hi float64)) {
-	if len(r.Opt.Stats.Gaps) == 0 {
-		return
-	}
 	tk, tok := r.col(target, tkey)
 	sk, sok := r.col(source, skey)
 	if !tok || !sok {
 		return
 	}
-	for _, g := range r.Opt.Stats.Gaps {
-		tdate, sdate, lo, hi := g.ChildDate, g.ParentDate, float64(g.Min), float64(g.Max)
-		switch {
-		case tk.table == g.Child && tk.col == g.ChildKey && sk.table == g.Parent && sk.col == g.ParentKey:
-		case tk.table == g.Parent && tk.col == g.ParentKey && sk.table == g.Child && sk.col == g.ChildKey:
-			tdate, sdate, lo, hi = g.ParentDate, g.ChildDate, -hi, -lo
-		default:
-			continue
-		}
-		if s, ok := r.colBelow(source, sk.alias+"."+sdate); ok && s.ranged() {
-			visit(tk.alias+"."+tdate, tk.table, tdate, s.lo+lo, s.hi+hi)
+	for _, e := range gapEdges(r.Schema, tk.table, tk.col, sk.table, sk.col) {
+		if s, ok := r.colBelow(source, sk.alias+"."+e.sdate); ok && s.ranged() {
+			visit(tk.alias+"."+e.tdate, tk.table, e.tdate, s.lo+float64(e.lo), s.hi+float64(e.hi))
 		}
 	}
-}
-
-// gapped reports whether c carries a base-table date some DateGap bounds.
-func (r *Rewriter) gapped(c colEst) bool {
-	for _, g := range r.Opt.Stats.Gaps {
-		if c.table == g.Child && c.col == g.ChildDate || c.table == g.Parent && c.col == g.ParentDate {
-			return true
-		}
-	}
-	return false
 }
 
 // colBelow estimates column name of n's output or, where an aggregate, an
@@ -713,7 +576,7 @@ func (r *Rewriter) estimateCol(n Node, name string) (colEst, bool) {
 				c.ndv = min(c.ndv, s.ndv)
 			}
 		}
-		if r.gapped(c) {
+		if c.table != "" && r.Schema.Gapped(c.table, c.col) {
 			r.gapWindows(n.Child, n.Col, src, key, func(date, _, _ string, lo, hi float64) {
 				if date == name {
 					c = narrow(c, lo, hi)

@@ -110,10 +110,12 @@ func (n *ScanNode) String() string {
 	return fmt.Sprintf("Scan(%s AS %s)", n.Table, n.Alias)
 }
 
-// FilterNode applies a selection predicate.
+// FilterNode applies a selection predicate. Windows lists the conjuncts
+// closing Pred that declared date gaps imply (gap.go), in order.
 type FilterNode struct {
-	Child Node
-	Pred  BoolExpr
+	Child   Node
+	Pred    BoolExpr
+	Windows []Window
 }
 
 // Filter builds a selection.

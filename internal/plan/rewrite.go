@@ -133,6 +133,7 @@ func Rewrite(root Node, schema *catalog.Schema, cfg *partition.Config, opt Optio
 		r.lowerPartials(r.out.Root)
 	}
 	r.placeTransfers(r.out.Root)
+	r.placeWindows(r.out.Root)
 	r.pruneColumns(r.out.Root)
 	return r.out, nil
 }

@@ -8,14 +8,13 @@ package plan
 
 import (
 	"fmt"
-	"math"
 
 	"pref/internal/value"
 )
 
 // Null is the sentinel for SQL NULL in int64-encoded tuples (produced by
 // outer joins; skipped by COUNT/SUM/MIN/MAX/AVG).
-const Null = math.MinInt64
+const Null = value.Null
 
 // Field is one column of an intermediate result. Names are alias-qualified
 // ("o.custkey"); the hidden PREF index columns are named "<alias>.__dup"

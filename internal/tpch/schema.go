@@ -81,7 +81,7 @@ func Schema() *catalog.Schema {
 		{Name: "custkey", Kind: value.Int},
 		{Name: "orderstatus", Kind: value.Str},
 		{Name: "totalprice", Kind: value.Money},
-		{Name: "orderdate", Kind: value.Date},
+		{Name: "orderdate", Kind: value.Date, NotNull: true},
 		{Name: "orderpriority", Kind: value.Str},
 		{Name: "clerk", Kind: value.Str},
 		{Name: "shippriority", Kind: value.Int},
@@ -99,9 +99,9 @@ func Schema() *catalog.Schema {
 		{Name: "tax", Kind: value.Int},      // percent 0..8
 		{Name: "returnflag", Kind: value.Str},
 		{Name: "linestatus", Kind: value.Str},
-		{Name: "shipdate", Kind: value.Date},
-		{Name: "commitdate", Kind: value.Date},
-		{Name: "receiptdate", Kind: value.Date},
+		{Name: "shipdate", Kind: value.Date, NotNull: true},
+		{Name: "commitdate", Kind: value.Date, NotNull: true},
+		{Name: "receiptdate", Kind: value.Date, NotNull: true},
 		{Name: "shipinstruct", Kind: value.Str},
 		{Name: "shipmode", Kind: value.Str},
 		{Name: "comment", Kind: value.Str},
@@ -114,7 +114,14 @@ func Schema() *catalog.Schema {
 		{Name: "fk_partsupp_part", FromTable: "partsupp", FromCols: []string{"partkey"}, ToTable: "part", ToCols: []string{"partkey"}, ToIsUnique: true},
 		{Name: "fk_partsupp_supplier", FromTable: "partsupp", FromCols: []string{"suppkey"}, ToTable: "supplier", ToCols: []string{"suppkey"}, ToIsUnique: true},
 		{Name: "fk_orders_customer", FromTable: "orders", FromCols: []string{"custkey"}, ToTable: "customer", ToCols: []string{"custkey"}, ToIsUnique: true},
-		{Name: "fk_lineitem_orders", FromTable: "lineitem", FromCols: []string{"orderkey"}, ToTable: "orders", ToCols: []string{"orderkey"}, ToIsUnique: true},
+		// TPC-H ships a line 1–121 days after its order is placed, commits
+		// it 30–90 days after, and receives it 1–30 days after shipping.
+		{Name: "fk_lineitem_orders", FromTable: "lineitem", FromCols: []string{"orderkey"}, ToTable: "orders", ToCols: []string{"orderkey"}, ToIsUnique: true,
+			Gaps: []catalog.DateGap{
+				{ChildDate: "shipdate", ParentDate: "orderdate", Min: 1, Max: 121},
+				{ChildDate: "commitdate", ParentDate: "orderdate", Min: 30, Max: 90},
+				{ChildDate: "receiptdate", ParentDate: "orderdate", Min: 2, Max: 151},
+			}},
 		{Name: "fk_lineitem_partsupp", FromTable: "lineitem", FromCols: []string{"partkey", "suppkey"}, ToTable: "partsupp", ToCols: []string{"partkey", "suppkey"}, ToIsUnique: true},
 	}
 	for _, fk := range fks {

@@ -82,6 +82,9 @@ func metricsLine(m *Metrics, opt RenderOptions) string {
 	if m.Work != m.RowsOut {
 		parts = append(parts, fmt.Sprintf("work=%d", m.Work))
 	}
+	if m.Read != "" {
+		parts = append(parts, "read="+m.Read)
+	}
 	if m.Retries > 0 {
 		parts = append(parts, fmt.Sprintf("retries=%d", m.Retries))
 	}

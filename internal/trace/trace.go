@@ -22,6 +22,9 @@
 package trace
 
 import (
+	"slices"
+	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -87,15 +90,19 @@ type Metrics struct {
 	HedgeWastedRows int64 `json:"hedge_wasted_rows"`
 	// FilteredRows counts rows a runtime join filter dropped: their key is
 	// among none of the source input's keys, or, for a local filter, not
-	// among its own source partition's keys. On a filter that read its
-	// scan through a date index, it counts the rows the index skipped: those
-	// outside the range, which the filter never examined.
+	// among its own source partition's keys. On the lowest filter of a stack
+	// that read its scan through an index, it counts the rows the index
+	// skipped, which no filter examined, and only those.
 	FilteredRows int64 `json:"filtered_rows"`
 	// IndexProbes counts the lookups a scan made in an index, on each
 	// partition it read through one rather than row by row: the distinct
-	// keys of the local filter above it in a key index, or one range lookup
+	// keys of a runtime filter above it in a key index, or one range lookup
 	// in a date index.
 	IndexProbes int64 `json:"index_probes"`
+	// Read names, on a scan under a filter stack that may read it through
+	// an index, how it read its partitions: keys(col), range(col) or whole,
+	// several joined by "+" in name order.
+	Read string `json:"read,omitempty"`
 	// WallNanos is wall time spent in this operator's work units on the
 	// node, including retry backoff and straggler delays.
 	WallNanos int64 `json:"wall_nanos"`
@@ -135,6 +142,9 @@ type Op struct {
 	kind    Kind
 	readOne bool
 	cells   []cell
+
+	mu    sync.Mutex
+	reads [][]string // per node, sorted: AddRead's names
 }
 
 // Kind classifies an operator for the trace invariants: which
@@ -223,6 +233,22 @@ func (o *Op) AddIndexProbes(node, keys int) {
 		return
 	}
 	o.cells[node].indexProbes.Add(int64(keys))
+}
+
+// AddRead names a scan's read of a partition it ran on a node (Metrics.Read).
+func (o *Op) AddRead(node int, read string) {
+	if o == nil {
+		return
+	}
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	if o.reads == nil {
+		o.reads = make([][]string, len(o.cells))
+	}
+	if !slices.Contains(o.reads[node], read) {
+		o.reads[node] = append(o.reads[node], read)
+		slices.Sort(o.reads[node])
+	}
 }
 
 // AddDedup charges PREF-duplicate (or value-distinctness) filter hits.
@@ -547,15 +573,26 @@ func (b *Builder) Build(rw *plan.Rewritten) *Trace {
 // children) under the given label.
 func (o *Op) finish(label string) *OpTrace {
 	ot := &OpTrace{ID: o.id, Kind: o.kind, Label: label, ReadOne: o.readOne}
+	var reads []string
 	for node := range o.cells {
 		var m Metrics
 		o.cells[node].addTo(&m)
+		if o.reads != nil {
+			m.Read = strings.Join(o.reads[node], "+")
+			for _, r := range o.reads[node] {
+				if !slices.Contains(reads, r) {
+					reads = append(reads, r)
+				}
+			}
+		}
 		if m.Zero() {
 			continue
 		}
 		ot.Nodes = append(ot.Nodes, NodeMetrics{Node: node, Metrics: m})
 		o.cells[node].addTo(&ot.Totals) // quiescent: reads the same values again
 	}
+	slices.Sort(reads)
+	ot.Totals.Read = strings.Join(reads, "+")
 	return ot
 }
 

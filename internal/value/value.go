@@ -46,6 +46,10 @@ func (k Kind) String() string {
 	}
 }
 
+// Null is the payload of SQL NULL in every kind: outer joins produce it, and
+// a column declared NOT NULL (catalog.Column.NotNull) never stores it.
+const Null = math.MinInt64
+
 // Tuple is one row: a flat slice of encoded values, positionally matched to
 // a table's (or intermediate result's) column list.
 type Tuple []int64
