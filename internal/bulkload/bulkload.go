@@ -403,7 +403,7 @@ func (l *Loader) planUpdate(it *Intent, pt *table.Partitioned, op Op) error {
 	if set < 0 {
 		return fmt.Errorf("bulkload: unknown column %s.%s", it.Table, op.SetCol)
 	}
-	if err := l.checkUpdate(pt.Meta, op.SetCol, op.SetVal); err != nil {
+	if err := l.checkUpdate(pt.Meta, op.SetCol); err != nil {
 		return err
 	}
 	idx, err := pt.Meta.ColIndexes(op.Cols)

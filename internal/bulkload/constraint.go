@@ -18,7 +18,8 @@ import (
 // rejected batch logs no intent and leaves the head and every epoch as they
 // were. It rejects, with a *ConstraintError:
 //
-//   - a NULL in a NOT NULL column (catalog.Column.NotNull);
+//   - a NULL in a gapped date column (catalog.Schema.Gapped), which its
+//     gap makes NOT NULL;
 //   - an insert whose foreign key names no stored row of the referenced
 //     table, once that table holds rows: a bulk load may fill a referencing
 //     table first where a PREF chain places the referenced table by it (SD
@@ -41,8 +42,7 @@ var ErrConstraint = errors.New("bulkload: write breaks a declared constraint")
 // ConstraintError is a write the schema's declared constraints reject.
 type ConstraintError struct {
 	Table string
-	// Constraint names what the write breaks: a foreign key's name, or
-	// "not null".
+	// Constraint names the foreign key the write breaks.
 	Constraint string
 	Detail     string
 }
@@ -58,12 +58,10 @@ func (e *ConstraintError) Unwrap() error { return ErrConstraint }
 // constraint.
 func (l *Loader) checkInsert(pt *table.Partitioned, row value.Tuple) error {
 	meta := pt.Meta
-	for c, col := range meta.Columns {
-		if col.NotNull && row[c] == value.Null {
-			return &ConstraintError{meta.Name, "not null", fmt.Sprintf("column %s is NULL", col.Name)}
-		}
-	}
 	for _, fk := range l.pdb.Schema.FKs {
+		if err := nullGapped(fk, meta, row); err != nil {
+			return err
+		}
 		if fk.FromTable == meta.Name {
 			if err := l.checkParent(meta, fk, row); err != nil {
 				return err
@@ -134,22 +132,43 @@ func (l *Loader) checkChildren(meta *catalog.Table, fk catalog.ForeignKey, row v
 	return broken
 }
 
+// nullGapped reports, as a ConstraintError, a NULL that row of table meta
+// holds in a date column one of fk's gaps bounds.
+func nullGapped(fk catalog.ForeignKey, meta *catalog.Table, row value.Tuple) error {
+	for _, g := range fk.Gaps {
+		col := ""
+		switch meta.Name {
+		case fk.FromTable:
+			col = g.ChildDate
+		case fk.ToTable:
+			col = g.ParentDate
+		}
+		if col != "" && row[meta.ColIndex(col)] == value.Null {
+			return &ConstraintError{meta.Name, fk.Name, fmt.Sprintf("gapped date %s is NULL", col)}
+		}
+	}
+	return nil
+}
+
 // gapsHold reports, as a ConstraintError, a gap of fk that the referencing
 // row crow of table cm and the referenced row prow of table pm break.
 func gapsHold(fk catalog.ForeignKey, cm *catalog.Table, crow value.Tuple, pm *catalog.Table, prow value.Tuple) error {
 	for _, g := range fk.Gaps {
 		c, p := crow[cm.ColIndex(g.ChildDate)], prow[pm.ColIndex(g.ParentDate)]
-		if d := c - p; d < g.Min || d > g.Max {
-			return &ConstraintError{cm.Name, fk.Name, fmt.Sprintf("%s.%s %d is %d days after %s.%s %d, outside [%d, %d]",
-				cm.Name, g.ChildDate, c, d, pm.Name, g.ParentDate, p, g.Min, g.Max)}
+		if !g.Holds(c, p) {
+			return &ConstraintError{cm.Name, fk.Name, fmt.Sprintf("%s.%s %d and %s.%s %d are not [%d, %d] days apart",
+				cm.Name, g.ChildDate, c, pm.Name, g.ParentDate, p, g.Min, g.Max)}
 		}
 	}
 	return nil
 }
 
 // eachRow calls visit with every stored row of pt whose columns cols hold
-// key, copies included, until visit returns false. It looks the first
-// column up in its key index where it carries one.
+// key, copies included, until visit returns false. Where the first column
+// carries a key index, it looks the key up in an index of the partition's
+// leading rows (table.Partition.PrefixKeyIndex) and scans the rows the
+// batches since have appended, so a batch does not index again every
+// partition the one before it cloned.
 func (l *Loader) eachRow(pt *table.Partitioned, cols []int, key value.Tuple, visit func(value.Tuple) bool) {
 	indexed := l.pdb.Schema.KeyIndexed(pt.Meta, pt.Meta.Columns[cols[0]].Name)
 	for _, part := range pt.Parts {
@@ -162,17 +181,19 @@ func (l *Loader) eachRow(pt *table.Partitioned, cols []int, key value.Tuple, vis
 			}
 			return true
 		}
+		scanned := 0
 		if indexed {
-			if index, ok := part.KeyIndex(cols[0], func(c []int64) any { return batch.BuildInt64Table(c) }).(*batch.Int64Table); ok {
+			index, rows := part.PrefixKeyIndex(cols[0], func(c []int64) any { return batch.BuildInt64Table(c) })
+			if index, ok := index.(*batch.Int64Table); ok {
 				for r, ok := index.Head(key[0]); ok; r, ok = index.Next(r) {
 					if match(int(r)) && !visit(part.Row(int(r))) {
 						return
 					}
 				}
-				continue
+				scanned = rows
 			}
 		}
-		for i := range part.Len() {
+		for i := scanned; i < part.Len(); i++ {
 			if match(i) && !visit(part.Row(i)) {
 				return
 			}
@@ -180,13 +201,10 @@ func (l *Loader) eachRow(pt *table.Partitioned, cols []int, key value.Tuple, vis
 	}
 }
 
-// checkUpdate rejects an update setting column set of table meta to v that
-// a NOT NULL column or a declared date gap rules out.
-func (l *Loader) checkUpdate(meta *catalog.Table, set string, v int64) error {
+// checkUpdate rejects an update of column set of table meta that a declared
+// date gap rules out.
+func (l *Loader) checkUpdate(meta *catalog.Table, set string) error {
 	tbl := meta.Name
-	if c := meta.ColIndex(set); c >= 0 && meta.Columns[c].NotNull && v == value.Null {
-		return &ConstraintError{tbl, "not null", fmt.Sprintf("column %s cannot be set NULL", set)}
-	}
 	for _, fk := range l.pdb.Schema.FKs {
 		for _, g := range fk.Gaps {
 			if fk.FromTable == tbl && (g.ChildDate == set || slices.Contains(fk.FromCols, set)) ||

@@ -12,12 +12,10 @@ import (
 	"pref/internal/value"
 )
 
-// Column describes one attribute of a table. A NotNull column never stores
-// value.Null.
+// Column describes one attribute of a table.
 type Column struct {
-	Name    string
-	Kind    value.Kind
-	NotNull bool
+	Name string
+	Kind value.Kind
 }
 
 // ForeignKey is a referential constraint from one table's columns to
@@ -37,13 +35,28 @@ type ForeignKey struct {
 // referencing row and a DATE column of the row it references: Min ≤ child
 // date − parent date ≤ Max. TPC-H ships, commits and receives an order's
 // lineitems within fixed numbers of days after the order is placed. A gap
-// needs a single-column foreign key to a unique key and two NOT NULL DATE
-// columns, so every referencing row that names a stored parent keeps it; the
-// write path (internal/bulkload) rejects any write that would not, and the
-// rewrite may rely on it (plan's gap.go).
+// needs a single-column foreign key to a unique key and two DATE columns,
+// which its gap makes NOT NULL (Holds), so every referencing row that names
+// a stored parent keeps it; the write paths (partition.Apply and
+// internal/bulkload) reject any data that would not, and the rewrite may
+// rely on it (plan's gap.go).
 type DateGap struct {
 	ChildDate, ParentDate string
 	Min, Max              int64
+}
+
+// Holds reports whether the date child of a referencing row and the date
+// parent of the row it references keep the gap. A NULL on either side
+// breaks it, as does a difference beyond int64.
+func (g DateGap) Holds(child, parent int64) bool {
+	if child == value.Null || parent == value.Null {
+		return false
+	}
+	d := child - parent
+	if (d > child) != (parent < 0) { // the subtraction overflowed
+		return false
+	}
+	return g.Min <= d && d <= g.Max
 }
 
 // Table describes one relation.
@@ -204,8 +217,8 @@ func (s *Schema) AddFK(fk ForeignKey) error {
 			col string
 		}{{from, g.ChildDate}, {to, g.ParentDate}} {
 			c := end.t.ColIndex(end.col)
-			if c < 0 || end.t.Columns[c].Kind != value.Date || !end.t.Columns[c].NotNull {
-				return fmt.Errorf("catalog: fk %s: date gap column %s.%s must be a NOT NULL DATE column", fk.Name, end.t.Name, end.col)
+			if c < 0 || end.t.Columns[c].Kind != value.Date {
+				return fmt.Errorf("catalog: fk %s: date gap column %s.%s must be a DATE column", fk.Name, end.t.Name, end.col)
 			}
 		}
 	}

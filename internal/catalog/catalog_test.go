@@ -1,6 +1,7 @@
 package catalog
 
 import (
+	"math"
 	"testing"
 
 	"pref/internal/value"
@@ -10,9 +11,9 @@ func twoTableSchema(t *testing.T) *Schema {
 	t.Helper()
 	s := NewSchema("test")
 	s.MustAddTable(MustTable("customer",
-		[]Column{{Name: "custkey", Kind: value.Int}, {Name: "name", Kind: value.Str}}, "custkey"))
+		[]Column{{"custkey", value.Int}, {"name", value.Str}}, "custkey"))
 	s.MustAddTable(MustTable("orders",
-		[]Column{{Name: "orderkey", Kind: value.Int}, {Name: "custkey", Kind: value.Int}, {Name: "total", Kind: value.Money}}, "orderkey"))
+		[]Column{{"orderkey", value.Int}, {"custkey", value.Int}, {"total", value.Money}}, "orderkey"))
 	s.MustAddFK(ForeignKey{
 		Name: "fk_orders_customer", FromTable: "orders", FromCols: []string{"custkey"},
 		ToTable: "customer", ToCols: []string{"custkey"}, ToIsUnique: true,
@@ -59,20 +60,20 @@ func TestColIndex(t *testing.T) {
 }
 
 func TestDuplicateColumnRejected(t *testing.T) {
-	if _, err := NewTable("t", []Column{{Name: "a", Kind: value.Int}, {Name: "a", Kind: value.Int}}); err == nil {
+	if _, err := NewTable("t", []Column{{"a", value.Int}, {"a", value.Int}}); err == nil {
 		t.Fatal("duplicate column must error")
 	}
 }
 
 func TestBadPKRejected(t *testing.T) {
-	if _, err := NewTable("t", []Column{{Name: "a", Kind: value.Int}}, "zz"); err == nil {
+	if _, err := NewTable("t", []Column{{"a", value.Int}}, "zz"); err == nil {
 		t.Fatal("pk referencing unknown column must error")
 	}
 }
 
 func TestDuplicateTableRejected(t *testing.T) {
 	s := NewSchema("x")
-	tb := MustTable("t", []Column{{Name: "a", Kind: value.Int}})
+	tb := MustTable("t", []Column{{"a", value.Int}})
 	if err := s.AddTable(tb); err != nil {
 		t.Fatal(err)
 	}
@@ -106,11 +107,11 @@ func TestIsPK(t *testing.T) {
 	if c.IsPK([]string{"name"}) {
 		t.Fatal("name is not the pk")
 	}
-	multi := MustTable("ps", []Column{{Name: "a", Kind: value.Int}, {Name: "b", Kind: value.Int}}, "a", "b")
+	multi := MustTable("ps", []Column{{"a", value.Int}, {"b", value.Int}}, "a", "b")
 	if !multi.IsPK([]string{"b", "a"}) {
 		t.Fatal("pk check must be order-insensitive")
 	}
-	nopk := MustTable("n", []Column{{Name: "a", Kind: value.Int}})
+	nopk := MustTable("n", []Column{{"a", value.Int}})
 	if nopk.IsPK(nil) || nopk.IsPK([]string{}) {
 		t.Fatal("empty pk never matches")
 	}
@@ -142,5 +143,23 @@ func TestWithout(t *testing.T) {
 	// Original untouched.
 	if s.Table("customer") == nil || len(s.FKs) != 1 {
 		t.Fatal("Without must not mutate the receiver")
+	}
+}
+
+// TestDateGapHolds: a gap holds between dates Min to Max days apart, and
+// never for a NULL on either side or a difference beyond int64.
+func TestDateGapHolds(t *testing.T) {
+	g := DateGap{Min: 1, Max: 10}
+	for _, c := range []struct {
+		child, parent int64
+		want          bool
+	}{
+		{101, 100, true}, {110, 100, true}, {100, 100, false}, {111, 100, false}, {-9, -10, true},
+		{value.Null, 100, false}, {101, value.Null, false},
+		{math.MaxInt64, -5, false}, {math.MinInt64 + 1, 5, false}, {math.MinInt64 + 2, math.MinInt64 + 1, true},
+	} {
+		if got := g.Holds(c.child, c.parent); got != c.want {
+			t.Errorf("Holds(%d, %d) = %v, want %v", c.child, c.parent, got, c.want)
+		}
 	}
 }

@@ -3,6 +3,7 @@ package check
 import (
 	"fmt"
 	"slices"
+	"strings"
 
 	"pref/internal/plan"
 	"pref/internal/trace"
@@ -120,7 +121,7 @@ func (tv *traceVerifier) walk(n plan.Node, ot *trace.OpTrace, vs *Violations) {
 // or a Filter with literal bounds on a DATE column looks rows up in an index,
 // and on each node where it does, its work is its probes plus the rows the
 // index named there — the rows the stack's lowest filter, its parent,
-// examined: its input less what it counts as filtered. The law
+// examined: its input less what it counts as skipped. The law
 // counts per node, so it holds only where each node ran its own partitions
 // once: it is not checked when a unit of the scan or of the filter failed
 // over or was hedged, and work a crashed attempt burned is not counted.
@@ -148,7 +149,7 @@ func (tv *traceVerifier) checkProbes(pn, n plan.Node, parent, ot *trace.OpTrace,
 	}
 	examined := map[int]int64{}
 	for _, nm := range parent.Nodes {
-		examined[nm.Node] = nm.RowsIn - nm.FilteredRows
+		examined[nm.Node] = nm.RowsIn - nm.SkippedRows
 	}
 	for _, nm := range ot.Nodes {
 		if nm.IndexProbes == 0 {
@@ -203,10 +204,19 @@ func (tv *traceVerifier) dateBounded(pn, n plan.Node) bool {
 	return false
 }
 
-// readsIndex reports whether span ot's only child is a scan that read
-// through an index.
+// readsIndex reports whether span ot's only child is a scan that read some
+// partition through an index: its read names one, though it may have
+// probed none when a runtime filter held no key.
 func readsIndex(ot *trace.OpTrace) bool {
-	return len(ot.Children) == 1 && ot.Children[0].Kind == trace.KindScan && ot.Children[0].Totals.IndexProbes > 0
+	if len(ot.Children) != 1 || ot.Children[0].Kind != trace.KindScan {
+		return false
+	}
+	for _, r := range strings.Split(ot.Children[0].Totals.Read, "+") {
+		if r != "" && r != "whole" {
+			return true
+		}
+	}
+	return false
 }
 
 // checkOp applies the per-operator rules: kind sanity, ship legality,
@@ -243,11 +253,14 @@ func (tv *traceVerifier) checkOp(n plan.Node, ot *trace.OpTrace, vs *Violations)
 	if m.RowsShipped == 0 && m.BytesShipped > 0 && ot.Kind != trace.KindRuntimeFilter {
 		bad(RuleTraceShip, "%d bytes shipped with no rows by a %s operator", m.BytesShipped, ot.Kind)
 	}
-	filter := ot.Kind == trace.KindRuntimeFilter || ot.Kind == trace.KindLocalFilter ||
-		ot.Kind == trace.KindFilter && readsIndex(ot)
-	if m.FilteredRows > 0 && !filter {
-		bad(RuleTraceConserve, "%d rows filtered by a %s operator, which holds no runtime filter and reads no index",
+	runtime := ot.Kind == trace.KindRuntimeFilter || ot.Kind == trace.KindLocalFilter
+	if m.FilteredRows > 0 && !runtime {
+		bad(RuleTraceConserve, "%d rows filtered by a %s operator, which holds no runtime filter",
 			m.FilteredRows, ot.Kind)
+	}
+	if m.SkippedRows > 0 && !((runtime || ot.Kind == trace.KindFilter) && readsIndex(ot)) {
+		bad(RuleTraceConserve, "%d rows skipped under a %s operator, which is no filter over a scan read through an index",
+			m.SkippedRows, ot.Kind)
 	}
 	if f, ok := n.(*plan.RuntimeFilterNode); ok && f.Local != (ot.Kind == trace.KindLocalFilter) {
 		bad(RuleTraceShape, "the plan's filter has local=%v, its span is a %s", f.Local, ot.Kind)
@@ -286,14 +299,12 @@ func (tv *traceVerifier) checkOp(n plan.Node, ot *trace.OpTrace, vs *Violations)
 			bad(RuleTraceConserve, "projection must preserve cardinality: in=%d out=%d", in, out)
 		}
 	case trace.KindFilter, trace.KindTopK:
-		if out > in-m.FilteredRows {
-			bad(RuleTraceConserve, "out=%d exceeds in=%d less filtered=%d", out, in, m.FilteredRows)
+		if out > in-m.SkippedRows {
+			bad(RuleTraceConserve, "out=%d exceeds in=%d less skipped=%d", out, in, m.SkippedRows)
 		}
 	case trace.KindRuntimeFilter, trace.KindLocalFilter:
-		// Over a scan read through an index it counts only the rows the
-		// read skipped, and may drop more of the rows the read fetched.
-		if out != in-m.FilteredRows && !(readsIndex(ot) && out < in-m.FilteredRows) {
-			bad(RuleTraceConserve, "rows lost or invented: in=%d filtered=%d out=%d", in, m.FilteredRows, out)
+		if out != in-m.FilteredRows || m.SkippedRows > m.FilteredRows {
+			bad(RuleTraceConserve, "rows lost or invented: in=%d filtered=%d skipped=%d out=%d", in, m.FilteredRows, m.SkippedRows, out)
 		}
 	case trace.KindDistinctPref, trace.KindRepartition, trace.KindDistinctByValue:
 		if out != in-dedup {

@@ -69,6 +69,19 @@ func findSpan(tr *trace.Trace, kind trace.Kind) *trace.OpTrace {
 	return hit
 }
 
+// parentSpan returns the span under root whose child is ot.
+func parentSpan(root, ot *trace.OpTrace) *trace.OpTrace {
+	for _, c := range root.Children {
+		if c == ot {
+			return root
+		}
+		if p := parentSpan(c, ot); p != nil {
+			return p
+		}
+	}
+	return nil
+}
+
 func assertRule(t *testing.T, err error, rule check.Rule) {
 	t.Helper()
 	if err == nil {
@@ -240,7 +253,7 @@ func rangeTraceFixture(t *testing.T) (*plan.Rewritten, *trace.Trace, *trace.OpTr
 		t.Fatalf("fixture trace must verify cleanly: %v", err)
 	}
 	span := findSpan(res.Trace, trace.KindFilter)
-	if span == nil || span.Totals.FilteredRows == 0 || span.Children[0].Totals.IndexProbes == 0 {
+	if span == nil || span.Totals.SkippedRows == 0 || span.Children[0].Totals.IndexProbes == 0 {
 		t.Fatalf("fixture drift: want a filter over a scan read through a date index\n%s",
 			res.Trace.Render(trace.RenderOptions{HideWall: true}))
 	}
@@ -249,11 +262,12 @@ func rangeTraceFixture(t *testing.T) (*plan.Rewritten, *trace.Trace, *trace.OpTr
 
 // TestVerifyTraceRejectsStrayProbes: only a scan directly under a runtime
 // filter on a column with a key index, or under a filter with literal bounds
-// on a DATE column with none, looks rows up in an index, and on each node its work is its probes plus
-// the rows the filter examined there: those it kept, under a runtime filter,
-// or those in range, under a date filter, which counts the rest as
-// filtered. Work the read did not do, rows filtered that the index did not
-// skip, or probes on any other span, are caught.
+// on a DATE column with none, looks rows up in an index, and on each node its
+// work is its probes plus the rows the filter examined there: those it kept,
+// under a runtime filter, or those in range, under a date filter; the filter
+// counts the rest as skipped, and a runtime filter counts them as filtered
+// too. Work the read did not do, rows skipped that the index did not skip,
+// rows a filter lost, or probes on any other span, are caught.
 func TestVerifyTraceRejectsStrayProbes(t *testing.T) {
 	rw, tr, span := localTraceFixture(t)
 	scan := span.Children[0]
@@ -299,23 +313,57 @@ func TestVerifyTraceRejectsStrayProbes(t *testing.T) {
 	}
 	assertRule(t, check.VerifyTrace(rw, tr), check.RuleTraceConserve)
 
-	// A date filter that counts a row as filtered the index did not skip.
+	// A date filter that counts a row as skipped the index did not skip.
 	rw, tr, span = rangeTraceFixture(t)
-	span.Nodes[0].FilteredRows++
-	span.Totals.FilteredRows++
+	span.Nodes[0].SkippedRows++
+	span.Totals.SkippedRows++
 	assertRule(t, check.VerifyTrace(rw, tr), check.RuleTraceConserve)
 
 	// A date filter that keeps more rows than the range held.
 	rw, tr, span = rangeTraceFixture(t)
-	span.Totals.FilteredRows = span.Totals.RowsIn - span.Totals.RowsOut + 1
+	span.Totals.SkippedRows = span.Totals.RowsIn - span.Totals.RowsOut + 1
 	assertRule(t, check.VerifyTrace(rw, tr), check.RuleTraceConserve)
 
-	// Filtered rows on a filter whose scan read no index.
+	// A date filter that counts rows as filtered, which only a runtime
+	// filter drops.
+	rw, tr, span = rangeTraceFixture(t)
+	span.Totals.FilteredRows = 1
+	assertRule(t, check.VerifyTrace(rw, tr), check.RuleTraceConserve)
+
+	// A runtime filter over a scan read through its key index that loses a
+	// row it should pass on, or counts one skipped it did not filter.
+	// Its parent takes the rows it passed on, so only the filter's own law
+	// sees the loss.
+	rw, tr, span = localTraceFixture(t)
+	lose := func(ot *trace.OpTrace, in bool) {
+		for i := range ot.Nodes {
+			if nm := &ot.Nodes[i]; nm.Node == span.Nodes[0].Node {
+				if in {
+					nm.RowsIn--
+				} else {
+					nm.RowsOut--
+				}
+			}
+		}
+		if in {
+			ot.Totals.RowsIn--
+		} else {
+			ot.Totals.RowsOut--
+		}
+	}
+	lose(span, false)
+	lose(parentSpan(tr.Root, span), true)
+	assertRule(t, check.VerifyTrace(rw, tr), check.RuleTraceConserve)
+	rw, tr, span = localTraceFixture(t)
+	span.Totals.SkippedRows = span.Totals.FilteredRows + 1
+	assertRule(t, check.VerifyTrace(rw, tr), check.RuleTraceConserve)
+
+	// Skipped rows on a filter whose scan read no index.
 	rw, tr, span = rangeTraceFixture(t)
 	scan = span.Children[0]
-	scan.Totals.IndexProbes = 0
+	scan.Totals.IndexProbes, scan.Totals.Read = 0, "whole"
 	for i := range scan.Nodes {
-		scan.Nodes[i].IndexProbes = 0
+		scan.Nodes[i].IndexProbes, scan.Nodes[i].Read = 0, "whole"
 	}
 	assertRule(t, check.VerifyTrace(rw, tr), check.RuleTraceConserve)
 

@@ -110,7 +110,7 @@ type dateBound struct {
 // each partition through a sorted index of the DATE column it bounds that
 // holds the fewest rows in range there, the lowest on a tie: with F non-NULL
 // rows in range, the scan's work there is one probe plus F, and the filter
-// counts the rows outside the range as filtered. Where the
+// counts the rows outside the range as skipped. Where the
 // read would not pay — a range that holds the whole partition — or does not
 // apply — a pruned partition, a lost partition rebuilt by the recovery scan —
 // the partition is read row by row, with the same rows kept. On a partition
@@ -218,7 +218,7 @@ func TestRangeScanReadsTheRange(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			type cell struct{ probes, work, filtered int64 }
+			type cell struct{ probes, work, skipped int64 }
 			want := make([]cell, len(parts))
 			read, dups, narrower := 0, 0, 0
 			keep := scanParts(scan)
@@ -255,7 +255,7 @@ func TestRangeScanReadsTheRange(t *testing.T) {
 				case !down[p] && 1+inRange < len(rows):
 					want[dst[p]].probes++
 					want[dst[p]].work += int64(1 + inRange)
-					want[dst[p]].filtered += int64(len(rows) - inRange)
+					want[dst[p]].skipped += int64(len(rows) - inRange)
 					read++
 				default:
 					want[dst[p]].work += int64(len(rows))
@@ -277,15 +277,15 @@ func TestRangeScanReadsTheRange(t *testing.T) {
 				t.Fatal("fixture drift: no PREF duplicate lies in the range")
 			}
 			filter, scanSpan := tr.Root.Children[0], tr.Root.Children[0].Children[0]
-			filtered := map[int]int64{}
+			skipped := map[int]int64{}
 			for _, nm := range filter.Nodes {
-				filtered[nm.Node] = nm.FilteredRows
+				skipped[nm.Node] = nm.SkippedRows
 			}
 			for _, nm := range scanSpan.Nodes {
 				w := want[nm.Node]
-				if nm.IndexProbes != w.probes || nm.Work != w.work || filtered[nm.Node] != w.filtered {
-					t.Errorf("node %d: scan probes=%d work=%d, filter filtered=%d; want probes=%d work=%d filtered=%d\n%s",
-						nm.Node, nm.IndexProbes, nm.Work, filtered[nm.Node], w.probes, w.work, w.filtered,
+				if nm.IndexProbes != w.probes || nm.Work != w.work || skipped[nm.Node] != w.skipped {
+					t.Errorf("node %d: scan probes=%d work=%d, filter skipped=%d; want probes=%d work=%d skipped=%d\n%s",
+						nm.Node, nm.IndexProbes, nm.Work, skipped[nm.Node], w.probes, w.work, w.skipped,
 						tr.Render(trace.RenderOptions{HideWall: true, Nodes: true}))
 				}
 			}

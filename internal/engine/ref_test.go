@@ -201,8 +201,9 @@ func scanRows(part *table.Partition, withIndexes bool) []value.Tuple {
 // scanning (refLook) over the candidates the product's stackRead offers. On
 // a partition read through a candidate, the lowest filter takes only the
 // rows that candidate fetches, found by scanning, and counts the others as
-// filtered; every filter evaluates its whole predicate on every row it takes.
-// Elsewhere a runtime filter counts the rows it drops as filtered. A runtime
+// skipped; every filter evaluates its whole predicate on every row it takes.
+// A runtime filter counts every row it does not pass on as filtered, skipped
+// ones included. A runtime
 // filter's keys are held in a map: on partition p, source partition p's when
 // it is local, and otherwise every source partition's. A shipped filter's
 // transfer is metered by the product's shipFilters, whose decoded union it
@@ -364,10 +365,12 @@ func (ex *executor) refFilter(n plan.Node, top *trace.Op, set []map[int64]bool, 
 	}
 	_, runtime := n.(*plan.RuntimeFilterNode)
 	for p := range out {
-		switch {
-		case taken != nil && taken[p] >= 0:
-			top.AddFiltered(ex.execDst[p], len(in[p])-fetched[p])
-		case runtime:
+		skipped := 0
+		if taken != nil && taken[p] >= 0 {
+			skipped = len(in[p]) - fetched[p]
+			top.AddSkipped(ex.execDst[p], skipped)
+		}
+		if runtime {
 			top.AddFiltered(ex.execDst[p], len(in[p])-len(out[p]))
 		}
 	}

@@ -113,17 +113,17 @@ func runWriteSeed(r *soakRun) {
 		// Yield between batches so reader goroutines genuinely interleave
 		// with the write stream instead of racing only its tail.
 		runtime.Gosched()
-		ops := writeMixedOps(b)
 		if writeRefused(b) {
 			// The loader plans no batch that breaks a declared constraint:
 			// the refusal is typed and publishes nothing.
 			epoch := pdb.Epoch()
-			if _, err := l.Apply(ops...); !errors.Is(err, bulkload.ErrConstraint) || pdb.Epoch() != epoch {
-				r.Errorf("batch %d: a NULL nation was not refused cleanly: %v (epoch %d → %d)", b, err, epoch, pdb.Epoch())
+			orphan := bulkload.Insert("customer", value.Tuple{int64(100 + b), -1})
+			if _, err := l.Apply(orphan); !errors.Is(err, bulkload.ErrConstraint) || pdb.Epoch() != epoch {
+				r.Errorf("batch %d: a customer of no stored nation was not refused cleanly: %v (epoch %d → %d)", b, err, epoch, pdb.Epoch())
 			}
 			r.reach("constraint-refused", 1)
-			continue
 		}
+		ops := writeMixedOps(b)
 		mirror.apply(ops)
 		next := pdb.Epoch() + 1
 		oracle.put(next, mirror.expected())
@@ -191,28 +191,40 @@ func runWriteSeed(r *soakRun) {
 
 // writeChainSchema is the three-table PREF chain the soak writes into:
 // lineitem seeds by hash, orders co-partitions with lineitem, customer
-// co-partitions with orders.
+// co-partitions with orders. A replicated nation table is the one parent a
+// declared foreign key names, so the loader refuses a customer of a nation
+// it does not store.
 func writeChainSchema() *catalog.Schema {
 	s := catalog.NewSchema("mixed")
+	s.MustAddTable(catalog.MustTable("nation",
+		[]catalog.Column{{Name: "nationkey", Kind: value.Int}}, "nationkey"))
 	s.MustAddTable(catalog.MustTable("customer",
-		[]catalog.Column{{Name: "custkey", Kind: value.Int}, {Name: "nation", Kind: value.Int, NotNull: true}}, "custkey"))
+		[]catalog.Column{{Name: "custkey", Kind: value.Int}, {Name: "nation", Kind: value.Int}}, "custkey"))
 	s.MustAddTable(catalog.MustTable("orders",
 		[]catalog.Column{{Name: "orderkey", Kind: value.Int}, {Name: "custkey", Kind: value.Int}}, "orderkey"))
 	s.MustAddTable(catalog.MustTable("lineitem",
 		[]catalog.Column{{Name: "linekey", Kind: value.Int}, {Name: "orderkey", Kind: value.Int}}, "linekey"))
+	s.MustAddFK(catalog.ForeignKey{Name: "fk_customer_nation", FromTable: "customer", FromCols: []string{"nation"},
+		ToTable: "nation", ToCols: []string{"nationkey"}, ToIsUnique: true})
 	return s
 }
 
 func writeChainConfig(parts int) *partition.Config {
 	cfg := partition.NewConfig(parts)
+	cfg.SetReplicated("nation")
 	cfg.SetHash("lineitem", "linekey")
 	cfg.SetPref("orders", "lineitem", []string{"orderkey"}, []string{"orderkey"})
 	cfg.SetPref("customer", "orders", []string{"custkey"}, []string{"custkey"})
 	return cfg
 }
 
+// writeChainDB stores every nation the write stream names (an update sets
+// a customer's nation to its batch index) and a small chain below them.
 func writeChainDB(s *catalog.Schema) *table.Database {
 	db := table.NewDatabase(s)
+	for n := int64(0); n < 64; n++ {
+		db.Tables["nation"].MustAppend(value.Tuple{n})
+	}
 	for c := int64(0); c < 8; c++ {
 		db.Tables["customer"].MustAppend(value.Tuple{c, c % 5})
 	}
@@ -225,8 +237,8 @@ func writeChainDB(s *catalog.Schema) *table.Database {
 	return db
 }
 
-// writeRefused reports whether batch b of the write stream breaks a declared
-// constraint: it inserts a customer with a NULL nation, a NOT NULL column.
+// writeRefused reports whether batch b of the write stream is preceded by a
+// write that breaks a declared constraint: a customer of no stored nation.
 func writeRefused(b int) bool { return b%13 == 9 }
 
 // writeMixedOps is the deterministic logical write stream: one batch per
@@ -241,8 +253,6 @@ func writeRefused(b int) bool { return b%13 == 9 }
 // when a referenced-side insert widens a partition index.
 func writeMixedOps(b int) []bulkload.Op {
 	switch {
-	case writeRefused(b):
-		return []bulkload.Op{bulkload.Insert("customer", value.Tuple{int64(100 + b), value.Null})}
 	case b%7 == 3:
 		return []bulkload.Op{bulkload.Update("customer",
 			[]string{"custkey"}, value.Tuple{int64(b % 8)}, "nation", int64(b))}

@@ -18,10 +18,11 @@ import (
 // the range; one key against half the days reads the keys. Either way
 // every filter of the stack runs over the fetched rows, the stack keeps
 // exactly the rows both filters hold for, the scan's work is the cheaper
-// read's, the lowest filter counts the rows the read skipped as filtered,
+// read's, the lowest filter counts the rows the read skipped as skipped,
 // so the scan's work is its probes plus the rows that filter examined (the
-// index-read law), and the product's rows, trace totals and per-node reads
-// equal the row reference's.
+// index-read law), and as filtered, with the rows it drops itself, so it
+// passes on its input less what it filtered; the product's rows, trace
+// totals and per-node reads equal the row reference's.
 func TestStackReadsTheCheaperIndex(t *testing.T) {
 	const odate = 2
 	db := dateDB(t)
@@ -94,10 +95,13 @@ func TestStackReadsTheCheaperIndex(t *testing.T) {
 				if k := int64(len(set) + named); k < work {
 					work, fetched = k, int64(named)
 				}
-				nm := scanSpan.Nodes[p]
-				if nm.Read != c.read || nm.Work != work || lowest.Nodes[p].FilteredRows != int64(part.Len())-fetched {
-					t.Errorf("node %d: scan read=%s work=%d, lowest filter filtered=%d; want read=%s work=%d filtered=%d",
-						p, nm.Read, nm.Work, lowest.Nodes[p].FilteredRows, c.read, work, int64(part.Len())-fetched)
+				nm, lm := scanSpan.Nodes[p], lowest.Nodes[p]
+				if nm.Read != c.read || nm.Work != work || lm.SkippedRows != int64(part.Len())-fetched {
+					t.Errorf("node %d: scan read=%s work=%d, lowest filter skipped=%d; want read=%s work=%d skipped=%d",
+						p, nm.Read, nm.Work, lm.SkippedRows, c.read, work, int64(part.Len())-fetched)
+				}
+				if lm.FilteredRows != lm.RowsIn-lm.RowsOut {
+					t.Errorf("node %d: the lowest filter took %d rows, passed %d and filtered %d", p, lm.RowsIn, lm.RowsOut, lm.FilteredRows)
 				}
 			}
 		})

@@ -323,10 +323,11 @@ func (ex *executor) filterSets(top *trace.Op, n *plan.RuntimeFilterNode) ([]*bat
 // sets) the rows whose key its source holds there. ir is the stack's read;
 // lowest says n sits directly over the scan. On a partition the read fetched
 // through an index, the lowest filter takes only the fetched rows and counts
-// the rest as filtered, and every filter skips what the read decided: the
+// the rest as skipped, and every filter skips what the read decided: the
 // runtime filter whose keys it looked up keeps every row, and a Filter
-// bounding the range read's column evaluates only its other conjuncts.
-// Elsewhere a runtime filter counts the rows it drops as filtered.
+// bounding the range read's column evaluates only its other conjuncts. A
+// runtime filter counts every row it does not pass on as filtered, skipped
+// ones included.
 func (ex *executor) applyFilter(n plan.Node, top *trace.Op, sets []*batch.Int64Table, in vparts, ir *indexRead, lowest bool) (vparts, error) {
 	ex.addInputsVec(top, in)
 	narrow, by, err := ex.filterFns(n, sets, ir)
@@ -358,14 +359,16 @@ func (ex *executor) applyFilter(n plan.Node, top *trace.Op, sets []*batch.Int64T
 	if err != nil {
 		return out, err
 	}
+	// Derived after the fan-out, like dedup hits, so crash-retried attempts
+	// cannot double-count.
 	_, runtime := n.(*plan.RuntimeFilterNode)
 	for p := range out {
-		switch r := readOf(ir, p); {
-		case lowest && r != nil:
-			top.AddFiltered(ex.execDst[p], batch.Rows(in[p])-r.rows.Len())
-		case runtime:
-			// Derived after the fan-out, like dedup hits, so crash-retried
-			// attempts cannot double-count.
+		skipped := 0
+		if r := readOf(ir, p); lowest && r != nil {
+			skipped = batch.Rows(in[p]) - r.rows.Len()
+			top.AddSkipped(ex.execDst[p], skipped)
+		}
+		if runtime {
 			top.AddFiltered(ex.execDst[p], batch.Rows(in[p])-batch.Rows(out[p]))
 		}
 	}

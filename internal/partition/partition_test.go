@@ -391,6 +391,47 @@ func TestApplyMissingScheme(t *testing.T) {
 	}
 }
 
+// TestApplyKeepsDeclaredGaps: Apply refuses a database that breaks a date
+// gap its schema declares — a line shipped outside its order's gap, or a
+// NULL in either gapped date — and partitions one that keeps it, orphans
+// included.
+func TestApplyKeepsDeclaredGaps(t *testing.T) {
+	s := catalog.NewSchema("g")
+	s.MustAddTable(catalog.MustTable("orders",
+		[]catalog.Column{{Name: "orderkey", Kind: value.Int}, {Name: "odate", Kind: value.Date}}, "orderkey"))
+	s.MustAddTable(catalog.MustTable("lineitem",
+		[]catalog.Column{{Name: "linekey", Kind: value.Int}, {Name: "orderkey", Kind: value.Int}, {Name: "sdate", Kind: value.Date}}, "linekey"))
+	s.MustAddFK(catalog.ForeignKey{Name: "fk_l_o", FromTable: "lineitem", FromCols: []string{"orderkey"},
+		ToTable: "orders", ToCols: []string{"orderkey"}, ToIsUnique: true,
+		Gaps: []catalog.DateGap{{ChildDate: "sdate", ParentDate: "odate", Min: 1, Max: 10}}})
+	cfg := NewConfig(2)
+	cfg.SetHash("orders", "orderkey")
+	cfg.SetPref("lineitem", "orders", []string{"orderkey"}, []string{"orderkey"})
+	build := func(order, line value.Tuple) *table.Database {
+		db := table.NewDatabase(s)
+		db.Tables["orders"].MustAppend(value.Tuple{1, 100})
+		db.Tables["orders"].MustAppend(order)
+		db.Tables["lineitem"].MustAppend(value.Tuple{0, 1, 101})
+		db.Tables["lineitem"].MustAppend(value.Tuple{1, 9, 500}) // names no order
+		db.Tables["lineitem"].MustAppend(line)
+		return db
+	}
+	if _, err := Apply(build(value.Tuple{2, 200}, value.Tuple{2, 2, 210}), cfg); err != nil {
+		t.Fatalf("a database that keeps the gap: %v", err)
+	}
+	for name, db := range map[string]*table.Database{
+		"a line shipped on its order's day": build(value.Tuple{2, 200}, value.Tuple{2, 2, 200}),
+		"a line shipped 11 days after":      build(value.Tuple{2, 200}, value.Tuple{2, 2, 211}),
+		"a NULL ship date":                  build(value.Tuple{2, 200}, value.Tuple{2, 2, value.Null}),
+		"a NULL order date":                 build(value.Tuple{2, value.Null}, value.Tuple{2, 1, 105}),
+		"a NULL ship date naming no order":  build(value.Tuple{2, 200}, value.Tuple{2, 9, value.Null}),
+	} {
+		if _, err := Apply(db, cfg); err == nil || !strings.Contains(err.Error(), "gap") {
+			t.Errorf("%s: Apply returned %v, want a gap error", name, err)
+		}
+	}
+}
+
 func TestPredicateEqual(t *testing.T) {
 	a := Predicate{ReferencingCols: []string{"a", "b"}, ReferencedCols: []string{"x", "y"}}
 	b := Predicate{ReferencingCols: []string{"b", "a"}, ReferencedCols: []string{"y", "x"}}

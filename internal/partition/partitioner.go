@@ -38,7 +38,8 @@ func NewStore(s *catalog.Schema, cfg *Config) (*table.PartitionedDatabase, error
 // Tables are processed referenced-before-referencing so that a PREF table
 // sees the final (possibly duplicated) partitions of its referenced table —
 // this is what makes redundancy cumulative along PREF chains (Section 3.3).
-// Every table in db must have a scheme in the config.
+// Every table in db must have a scheme in the config, and db must keep every
+// date gap its schema declares (checkGaps).
 func Apply(db *table.Database, cfg *Config) (*table.PartitionedDatabase, error) {
 	out, err := NewStore(db.Schema, cfg)
 	if err != nil {
@@ -62,7 +63,77 @@ func Apply(db *table.Database, cfg *Config) (*table.PartitionedDatabase, error) 
 			return nil, err
 		}
 	}
+	if err := checkGaps(db); err != nil {
+		return nil, err
+	}
 	return out, nil
+}
+
+// checkGaps reports a row of db that breaks a date gap its schema declares
+// (catalog.DateGap): a NULL in a gapped date column, or dates that are not
+// the gap apart from those of the row its foreign key names. The rewrite
+// narrows filters by the gaps (plan's gap.go), so a row that broke one could
+// drop out of a join it belongs to. The bulk loader refuses such writes one
+// batch at a time (internal/bulkload). Apply calls it once every row has
+// passed place's arity check; the referencing rows are checked on parallel
+// workers over row chunks, and the first chunk's error is reported.
+func checkGaps(db *table.Database) error {
+	for _, fk := range db.Schema.FKs {
+		child, parent := db.Tables[fk.FromTable], db.Tables[fk.ToTable]
+		if len(fk.Gaps) == 0 || child == nil || parent == nil {
+			continue
+		}
+		pk, ck := parent.Meta.ColIndex(fk.ToCols[0]), child.Meta.ColIndex(fk.FromCols[0])
+		pd, cd := make([]int, len(fk.Gaps)), make([]int, len(fk.Gaps))
+		for i, g := range fk.Gaps {
+			pd[i], cd[i] = parent.Meta.ColIndex(g.ParentDate), child.Meta.ColIndex(g.ChildDate)
+		}
+		byKey := make(map[int64]int32, len(parent.Rows))
+		for r, row := range parent.Rows {
+			for i, g := range fk.Gaps {
+				if row[pd[i]] == value.Null {
+					return fmt.Errorf("partition: %s row %d: gapped date %s is NULL", fk.ToTable, r, g.ParentDate)
+				}
+			}
+			byKey[row[pk]] = int32(r)
+		}
+		bounds := par.Split(len(child.Rows), placeGrain)
+		errs := make([]error, len(bounds)-1)
+		par.Each(len(errs), func(c int) {
+			// Referencing rows come grouped by key (TPC-H stores an
+			// order's lines together), so a key is looked up once a run.
+			var p value.Tuple
+			var key int64
+			named := false
+			for r := bounds[c]; r < bounds[c+1] && errs[c] == nil; r++ {
+				row := child.Rows[r]
+				if r == bounds[c] || row[ck] != key {
+					var at int32
+					key = row[ck]
+					if at, named = byKey[key]; named {
+						p = parent.Rows[at]
+					}
+				}
+				for i, g := range fk.Gaps {
+					if row[cd[i]] == value.Null {
+						errs[c] = fmt.Errorf("partition: %s row %d: gapped date %s is NULL", fk.FromTable, r, g.ChildDate)
+						break
+					}
+					if named && !g.Holds(row[cd[i]], p[pd[i]]) {
+						errs[c] = fmt.Errorf("partition: %s row %d breaks %s's date gap: %s %d, %s.%s %d, want [%d, %d] days apart",
+							fk.FromTable, r, fk.Name, g.ChildDate, row[cd[i]], fk.ToTable, g.ParentDate, p[pd[i]], g.Min, g.Max)
+						break
+					}
+				}
+			}
+		})
+		for _, err := range errs {
+			if err != nil {
+				return err
+			}
+		}
+	}
+	return nil
 }
 
 // place stores every row of data into its empty table of out, whose

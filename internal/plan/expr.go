@@ -318,11 +318,11 @@ func (e inExpr) Bind(s Schema) (func(value.Tuple) bool, error) {
 func (e inExpr) AppendCols(dst []string) []string { return append(dst, e.col) }
 func (e inExpr) String() string                   { return fmt.Sprintf("%s IN %v", e.col, e.vals) }
 
-// conjuncts flattens the top-level conjunction of a predicate.
 // Conjuncts returns the top-level conjuncts of p, nested ANDs flattened, in
 // order.
 func Conjuncts(p BoolExpr) []BoolExpr { return conjuncts(p) }
 
+// conjuncts flattens the top-level conjunction of a predicate.
 func conjuncts(p BoolExpr) []BoolExpr {
 	a, ok := p.(andExpr)
 	if !ok {

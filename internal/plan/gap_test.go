@@ -56,9 +56,9 @@ func gapFixture(t *testing.T) (*catalog.Schema, *partition.Config, *Stats, *tabl
 	t.Helper()
 	s := catalog.NewSchema("g")
 	s.MustAddTable(catalog.MustTable("orders",
-		[]catalog.Column{{Name: "orderkey", Kind: value.Int}, {Name: "odate", Kind: value.Date, NotNull: true}}, "orderkey"))
+		[]catalog.Column{{Name: "orderkey", Kind: value.Int}, {Name: "odate", Kind: value.Date}}, "orderkey"))
 	s.MustAddTable(catalog.MustTable("lineitem",
-		[]catalog.Column{{Name: "linekey", Kind: value.Int}, {Name: "orderkey", Kind: value.Int}, {Name: "sdate", Kind: value.Date, NotNull: true}}, "linekey"))
+		[]catalog.Column{{Name: "linekey", Kind: value.Int}, {Name: "orderkey", Kind: value.Int}, {Name: "sdate", Kind: value.Date}}, "linekey"))
 	s.MustAddFK(catalog.ForeignKey{Name: "fk_l_o", FromTable: "lineitem", FromCols: []string{"orderkey"},
 		ToTable: "orders", ToCols: []string{"orderkey"}, ToIsUnique: true,
 		Gaps: []catalog.DateGap{{ChildDate: "sdate", ParentDate: "odate", Min: 1, Max: 10}}})

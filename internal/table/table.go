@@ -68,18 +68,24 @@ func (d *Data) Len() int { return len(d.Rows) }
 // A partition also caches the key indexes built over its columns (KeyIndex),
 // the storage's counterpart of the indexes a node's database keeps on its
 // keys. An index describes the columns it was built of: a clone starts
-// without any, and every in-place mutator drops them.
+// without any, and every in-place mutator drops them. A built index still
+// describes the leading rows of a clone or of an appended partition, which
+// PrefixKeyIndex hands out: a clone inherits its origin's, and an append
+// keeps the partition's own.
 type Partition struct {
 	cols [][]int64
 
 	keysMu sync.Mutex
 	keys   map[int]*keyIndex // by column; nil until the first KeyIndex
+	prefix map[int]*keyIndex // by column: built indexes of leading rows
 }
 
 // keyIndex is one column's cached index, built once on first use.
 type keyIndex struct {
-	once sync.Once
-	v    any
+	once  sync.Once
+	v     any
+	rows  int         // the leading rows of the column v indexes
+	built atomic.Bool // v and rows are set
 }
 
 // KeyIndex returns the index build makes of column col, building it on the
@@ -87,7 +93,9 @@ type keyIndex struct {
 // one, concurrent callers included. The index is opaque here: the engine's is
 // a batch.Int64Table, which this package cannot import (batch imports plan,
 // which imports this package). build receives the stored column, which it
-// may retain: nothing writes it while the index is cached.
+// may retain: nothing writes the rows it holds while the index is cached,
+// appends only add rows after them. The partition's own index replaces one
+// of leading rows it held for the column.
 func (p *Partition) KeyIndex(col int, build func(col []int64) any) any {
 	p.keysMu.Lock()
 	k := p.keys[col]
@@ -97,17 +105,67 @@ func (p *Partition) KeyIndex(col int, build func(col []int64) any) any {
 		}
 		k = &keyIndex{}
 		p.keys[col] = k
+		delete(p.prefix, col)
 	}
 	p.keysMu.Unlock()
-	k.once.Do(func() { k.v = build(p.cols[col]) })
+	k.once.Do(func() {
+		k.v, k.rows = build(p.cols[col]), len(p.cols[col])
+		k.built.Store(true)
+	})
 	return k.v
 }
 
-// dropKeys discards the cached key indexes: every in-place mutator calls it
-// before it writes.
+// PrefixKeyIndex returns an index build makes of column col's first rows
+// rows, for a caller that scans the rows after them itself: the partition's
+// own KeyIndex, or one it inherited or kept (see Partition) while it leaves
+// at most an eighth as many rows unindexed, else a new KeyIndex. A writer
+// that looks up a few keys per batch so reads a clone's appended rows
+// instead of indexing the whole partition again.
+func (p *Partition) PrefixKeyIndex(col int, build func(col []int64) any) (index any, rows int) {
+	p.keysMu.Lock()
+	k := p.keys[col]
+	if k == nil || !k.built.Load() {
+		k = p.prefix[col]
+	}
+	p.keysMu.Unlock()
+	if k != nil && 8*(p.Len()-k.rows) <= k.rows {
+		return k.v, k.rows
+	}
+	return p.KeyIndex(col, build), p.Len()
+}
+
+// builtKeys returns the built indexes of the partition's rows, its own
+// over the prefix ones. Callers hold keysMu.
+func (p *Partition) builtKeys() map[int]*keyIndex {
+	var out map[int]*keyIndex
+	for _, m := range []map[int]*keyIndex{p.prefix, p.keys} {
+		for col, k := range m {
+			if k.built.Load() {
+				if out == nil {
+					out = map[int]*keyIndex{}
+				}
+				out[col] = k
+			}
+		}
+	}
+	return out
+}
+
+// dropKeys discards the cached key indexes: the mutators that rewrite or
+// remove stored rows call it before they write.
 func (p *Partition) dropKeys() {
 	p.keysMu.Lock()
-	p.keys = nil
+	p.keys, p.prefix = nil, nil
+	p.keysMu.Unlock()
+}
+
+// keepKeys turns the cached key indexes into indexes of leading rows: the
+// mutators that only append rows call it before they write.
+func (p *Partition) keepKeys() {
+	p.keysMu.Lock()
+	if p.keys != nil {
+		p.keys, p.prefix = nil, p.builtKeys()
+	}
 	p.keysMu.Unlock()
 }
 
@@ -129,7 +187,7 @@ func NewPartition(width int) *Partition {
 // and returns the columns' views of them for a bulk build to fill in
 // place: the table columns, then dup, then hasRef.
 func (p *Partition) Extend(rows int) [][]int64 {
-	p.dropKeys()
+	p.keepKeys()
 	views := make([][]int64, len(p.cols))
 	for j, c := range p.cols {
 		n := len(c)
@@ -150,7 +208,7 @@ func (p *Partition) Append(t value.Tuple, dup, hasRef bool) {
 // a write leaves behind when it crashes between the two, which the fault
 // injector reproduces and CheckInvariants reports.
 func (p *Partition) AppendTorn(t value.Tuple) {
-	p.dropKeys()
+	p.keepKeys()
 	if len(t) != len(p.cols)-2 {
 		// lint:invariant
 		panic(fmt.Sprintf("table: row arity %d appended to a partition of width %d", len(t), len(p.cols)-2))
@@ -217,7 +275,9 @@ func (p *Partition) Clone() *Partition {
 	for j, c := range p.cols {
 		cols[j] = c[:len(c):len(c)]
 	}
-	return &Partition{cols: cols}
+	p.keysMu.Lock()
+	defer p.keysMu.Unlock()
+	return &Partition{cols: cols, prefix: p.builtKeys()}
 }
 
 // Writable replaces column col with a private copy and returns it for the

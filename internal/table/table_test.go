@@ -286,3 +286,47 @@ func TestKeyIndexDescribesItsColumns(t *testing.T) {
 		}
 	}
 }
+
+// TestPrefixKeyIndexKeepsLeadingRows: a clone and an appended partition hand
+// out the index their leading rows already have, and how many rows it
+// covers, until the rows after it outnumber an eighth of them; a rewrite
+// or a delete drops it, and the published partition keeps its own.
+func TestPrefixKeyIndexKeepsLeadingRows(t *testing.T) {
+	builds := 0
+	build := func(col []int64) any { builds++; return slices.Clone(col) }
+	prefix := func(p *Partition) ([]int64, int) {
+		v, rows := p.PrefixKeyIndex(0, build)
+		return v.([]int64), rows
+	}
+	p := NewPartition(1)
+	for i := range int64(16) {
+		p.Append(value.Tuple{i}, false, false)
+	}
+	if _, rows := prefix(p); rows != 16 || builds != 1 {
+		t.Fatalf("a partition with no index: %d rows indexed after %d builds, want 16 after 1", rows, builds)
+	}
+	c := p.Clone()
+	c.Append(value.Tuple{16}, false, false)
+	c.Append(value.Tuple{17}, false, false)
+	if got, rows := prefix(c); rows != 16 || len(got) != 16 || builds != 1 {
+		t.Fatalf("a clone with 2 appended rows: index of %d rows covering %d after %d builds, want the origin's 16 after 1", len(got), rows, builds)
+	}
+	c.Append(value.Tuple{18}, false, false)
+	if _, rows := prefix(c); rows != 19 || builds != 2 {
+		t.Fatalf("3 unindexed rows of 16: %d rows indexed after %d builds, want all 19 after 2", rows, builds)
+	}
+	if _, rows := prefix(p.Clone()); rows != 16 || builds != 2 {
+		t.Fatalf("the published partition: %d rows indexed after %d builds, want its own 16", rows, builds)
+	}
+	for name, write := range map[string]func(*Partition){
+		"Writable": func(p *Partition) { p.Writable(0)[0] = 9 },
+		"Delete":   func(p *Partition) { p.Delete([]int{0}) },
+	} {
+		q := p.Clone()
+		before := builds
+		write(q)
+		if got, rows := prefix(q); rows != q.Len() || !slices.Equal(got, q.Columns(1).Cols[0]) || builds != before+1 {
+			t.Errorf("%s: index %v of %d rows after %d builds; the column reads %v", name, got, rows, builds-before, q.Columns(1).Cols[0])
+		}
+	}
+}

@@ -81,7 +81,7 @@ func Schema() *catalog.Schema {
 		{Name: "custkey", Kind: value.Int},
 		{Name: "orderstatus", Kind: value.Str},
 		{Name: "totalprice", Kind: value.Money},
-		{Name: "orderdate", Kind: value.Date, NotNull: true},
+		{Name: "orderdate", Kind: value.Date},
 		{Name: "orderpriority", Kind: value.Str},
 		{Name: "clerk", Kind: value.Str},
 		{Name: "shippriority", Kind: value.Int},
@@ -99,9 +99,9 @@ func Schema() *catalog.Schema {
 		{Name: "tax", Kind: value.Int},      // percent 0..8
 		{Name: "returnflag", Kind: value.Str},
 		{Name: "linestatus", Kind: value.Str},
-		{Name: "shipdate", Kind: value.Date, NotNull: true},
-		{Name: "commitdate", Kind: value.Date, NotNull: true},
-		{Name: "receiptdate", Kind: value.Date, NotNull: true},
+		{Name: "shipdate", Kind: value.Date},
+		{Name: "commitdate", Kind: value.Date},
+		{Name: "receiptdate", Kind: value.Date},
 		{Name: "shipinstruct", Kind: value.Str},
 		{Name: "shipmode", Kind: value.Str},
 		{Name: "comment", Kind: value.Str},

@@ -76,6 +76,9 @@ func metricsLine(m *Metrics, opt RenderOptions) string {
 	if m.FilteredRows > 0 {
 		parts = append(parts, fmt.Sprintf("filtered=%d", m.FilteredRows))
 	}
+	if m.SkippedRows > 0 {
+		parts = append(parts, fmt.Sprintf("skipped=%d", m.SkippedRows))
+	}
 	if m.IndexProbes > 0 {
 		parts = append(parts, fmt.Sprintf("probes=%d", m.IndexProbes))
 	}

@@ -47,6 +47,7 @@ type cell struct {
 	hedges, hedgeWins         atomic.Int64
 	hedgeWastedRows           atomic.Int64
 	filteredRows, indexProbes atomic.Int64
+	skippedRows               atomic.Int64
 	wallNanos                 atomic.Int64
 }
 
@@ -90,10 +91,13 @@ type Metrics struct {
 	HedgeWastedRows int64 `json:"hedge_wasted_rows"`
 	// FilteredRows counts rows a runtime join filter dropped: their key is
 	// among none of the source input's keys, or, for a local filter, not
-	// among its own source partition's keys. On the lowest filter of a stack
-	// that read its scan through an index, it counts the rows the index
-	// skipped, which no filter examined, and only those.
+	// among its own source partition's keys, and, on the lowest filter of a
+	// stack that read its scan through an index, the rows the index skipped.
 	FilteredRows int64 `json:"filtered_rows"`
+	// SkippedRows counts, on the lowest filter of a stack that read its
+	// scan through an index, the rows the index skipped, which no filter
+	// examined.
+	SkippedRows int64 `json:"skipped_rows"`
 	// IndexProbes counts the lookups a scan made in an index, on each
 	// partition it read through one rather than row by row: the distinct
 	// keys of a runtime filter above it in a key index, or one range lookup
@@ -130,6 +134,7 @@ func (c *cell) addTo(m *Metrics) {
 	m.HedgeWins += c.hedgeWins.Load()
 	m.HedgeWastedRows += c.hedgeWastedRows.Load()
 	m.FilteredRows += c.filteredRows.Load()
+	m.SkippedRows += c.skippedRows.Load()
 	m.IndexProbes += c.indexProbes.Load()
 	m.WallNanos += c.wallNanos.Load()
 }
@@ -225,6 +230,15 @@ func (o *Op) AddFiltered(node, rows int) {
 		return
 	}
 	o.cells[node].filteredRows.Add(int64(rows))
+}
+
+// AddSkipped charges rows an index read skipped under a stack's lowest
+// filter on a node.
+func (o *Op) AddSkipped(node, rows int) {
+	if o == nil || rows == 0 {
+		return
+	}
+	o.cells[node].skippedRows.Add(int64(rows))
 }
 
 // AddIndexProbes charges the keys a scan looked up in a key index on a node.

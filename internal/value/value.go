@@ -47,7 +47,7 @@ func (k Kind) String() string {
 }
 
 // Null is the payload of SQL NULL in every kind: outer joins produce it, and
-// a column declared NOT NULL (catalog.Column.NotNull) never stores it.
+// a date column a declared gap bounds (catalog.DateGap) never stores it.
 const Null = math.MinInt64
 
 // Tuple is one row: a flat slice of encoded values, positionally matched to
